@@ -49,8 +49,8 @@ pub use report::{
     StreamReport, StreamRunTrail, TrialComparison,
 };
 pub use stream::{
-    IncrementalComparison, KappaSnapshot, ResumeMismatch, Side, StreamCheckpoint, StreamConfig,
-    StreamOutcome,
+    CheckpointError, IncrementalComparison, KappaSnapshot, ResumeMismatch, Side, StreamCheckpoint,
+    StreamConfig, StreamOutcome,
 };
 pub use trial::{Observation, Trial};
 pub use windowed::{windowed_kappa, worst_window, WindowScore};

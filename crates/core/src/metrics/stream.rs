@@ -71,6 +71,7 @@
 //! `serde_json` round trip of the checkpoint itself.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{Read, Write};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -457,6 +458,237 @@ impl StreamCheckpoint {
     pub fn resident(&self) -> usize {
         self.pending.iter().map(|p| p.a.len() + p.b.len()).sum()
     }
+
+    /// Move the bulk vectors (matched pairs, estimator buffer, slice
+    /// pairs, pending observations) out of the checkpoint into `w` as
+    /// four checksummed little-endian slabs ([`write_section`]), and
+    /// return what is left: every scalar, histogram and the trail, small
+    /// enough to serialize through serde as before. A checkpoint's size
+    /// is its bulk — 32 bytes per matched pair here against ~90 as JSON
+    /// through the `Content` tree. [`Self::read_from`] is the inverse.
+    pub fn write_to(mut self, w: &mut impl Write) -> std::io::Result<Self> {
+        let mut raw = Vec::new();
+        for pairs in [&self.all_pairs, &self.buf, &self.slice.pairs] {
+            raw.clear();
+            raw.reserve(pairs.len() * PAIR_BYTES);
+            for p in pairs {
+                raw.extend_from_slice(&p.a_pos.to_le_bytes());
+                raw.extend_from_slice(&p.b_pos.to_le_bytes());
+                raw.extend_from_slice(&p.d_lat_hi.to_le_bytes());
+                raw.extend_from_slice(&p.d_lat_lo.to_le_bytes());
+                raw.extend_from_slice(&p.d_iat_ps.to_le_bytes());
+            }
+            write_section(w, &raw)?;
+        }
+        raw.clear();
+        for e in &self.pending {
+            let id = join_u128(e.id_hi, e.id_lo).to_le_bytes();
+            for (side, q) in [(0u32, &e.a), (1u32, &e.b)] {
+                for o in q {
+                    raw.extend_from_slice(&id);
+                    raw.extend_from_slice(&o.pos.to_le_bytes());
+                    raw.extend_from_slice(&side.to_le_bytes());
+                    raw.extend_from_slice(&o.t_ps.to_le_bytes());
+                    raw.extend_from_slice(&o.gap_ps.to_le_bytes());
+                    raw.extend_from_slice(&o.tick.to_le_bytes());
+                }
+            }
+        }
+        write_section(w, &raw)?;
+        self.all_pairs = Vec::new();
+        self.buf = Vec::new();
+        self.slice.pairs = Vec::new();
+        self.pending = Vec::new();
+        Ok(self)
+    }
+
+    /// Re-attach the bulk vectors [`Self::write_to`] moved out. `self`
+    /// is the remainder `write_to` returned (possibly after a serde
+    /// round trip). Truncated, ragged or bit-flipped input is a typed
+    /// error; nothing is allocated for bytes the input does not hold.
+    pub fn read_from(mut self, r: &mut impl Read) -> Result<Self, CheckpointError> {
+        let mut pairs = |section| -> Result<Vec<PairCk>, CheckpointError> {
+            let raw = read_section(r, section)?;
+            let recs = records::<PAIR_BYTES>(&raw, section)?;
+            Ok(recs
+                .map(|b| PairCk {
+                    a_pos: u32::from_le_bytes(le(b, 0)),
+                    b_pos: u32::from_le_bytes(le(b, 4)),
+                    d_lat_hi: i64::from_le_bytes(le(b, 8)),
+                    d_lat_lo: u64::from_le_bytes(le(b, 16)),
+                    d_iat_ps: i64::from_le_bytes(le(b, 24)),
+                })
+                .collect())
+        };
+        self.all_pairs = pairs("all_pairs")?;
+        self.buf = pairs("buf")?;
+        self.slice.pairs = pairs("slice.pairs")?;
+        let raw = read_section(r, "pending")?;
+        // Records of one identity are adjacent (side A's queue, then
+        // side B's), identities ascending, as `checkpoint` emits them.
+        for b in records::<PENDING_BYTES>(&raw, "pending")? {
+            let (id_hi, id_lo) = split_u128(u128::from_le_bytes(le(b, 0)));
+            let o = ObsCk {
+                pos: u32::from_le_bytes(le(b, 16)),
+                t_ps: u64::from_le_bytes(le(b, 24)),
+                gap_ps: i64::from_le_bytes(le(b, 32)),
+                tick: u64::from_le_bytes(le(b, 40)),
+            };
+            if self
+                .pending
+                .last()
+                .is_none_or(|e| (e.id_hi, e.id_lo) != (id_hi, id_lo))
+            {
+                self.pending.push(PendingIdCk {
+                    id_hi,
+                    id_lo,
+                    a: Vec::new(),
+                    b: Vec::new(),
+                });
+            }
+            let e = self.pending.last_mut().expect("pushed above");
+            match u32::from_le_bytes(le(b, 20)) {
+                0 => e.a.push(o),
+                1 => e.b.push(o),
+                side => {
+                    return Err(CheckpointError::Corrupt {
+                        section: "pending",
+                        detail: format!("side {side} is neither A (0) nor B (1)"),
+                    })
+                }
+            }
+        }
+        Ok(self)
+    }
+}
+
+/// Bytes of one [`PairCk`] in a slab: `a_pos`, `b_pos` (u32), the i128
+/// latency delta as `hi` (i64) and `lo` (u64), `d_iat_ps` (i64).
+const PAIR_BYTES: usize = 32;
+/// Bytes of one pending observation in a slab: identity (u128), `pos`
+/// and side (u32 each), `t_ps` (u64), `gap_ps` (i64), `tick` (u64).
+const PENDING_BYTES: usize = 48;
+
+/// A binary checkpoint section that cannot be read back.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// The reader failed.
+    Io(std::io::Error),
+    /// The input ended inside the named section.
+    Truncated {
+        /// Which section.
+        section: &'static str,
+    },
+    /// The section is all there but is not what the writer produced:
+    /// checksum mismatch, a slab that is not a whole number of records,
+    /// a field out of range.
+    Corrupt {
+        /// Which section.
+        section: &'static str,
+        /// What is wrong with it.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Io(e) => write!(f, "checkpoint read failed: {e}"),
+            CheckpointError::Truncated { section } => {
+                write!(f, "checkpoint input ends inside section `{section}`")
+            }
+            CheckpointError::Corrupt { section, detail } => {
+                write!(f, "checkpoint section `{section}` is corrupt: {detail}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<std::io::Error> for CheckpointError {
+    fn from(e: std::io::Error) -> Self {
+        CheckpointError::Io(e)
+    }
+}
+
+/// Checksum of one section: xor, odd multiply and rotate a word at a
+/// time. Every step is a bijection of the running value, so any change
+/// confined to one 8-byte word changes the result.
+fn section_sum(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x100_0000_01b3).rotate_left(29);
+    for w in &mut words {
+        mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(u64::from_le_bytes(tail));
+    h
+}
+
+/// Write one checkpoint section: 8-byte LE length, the bytes, 8-byte LE
+/// [`section_sum`]. Every part of a checkpoint file — a slab here, the
+/// daemon's JSON metadata — is one of these.
+pub fn write_section(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
+    w.write_all(&(bytes.len() as u64).to_le_bytes())?;
+    w.write_all(bytes)?;
+    w.write_all(&section_sum(bytes).to_le_bytes())
+}
+
+/// Read one section written by [`write_section`]. The buffer grows with
+/// the bytes actually read, never with the declared length, so garbage
+/// cannot make the reader allocate more than the input holds.
+pub fn read_section(r: &mut impl Read, section: &'static str) -> Result<Vec<u8>, CheckpointError> {
+    let len = read_u64(r, section)?;
+    let mut bytes = Vec::new();
+    r.by_ref().take(len).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != len {
+        return Err(CheckpointError::Truncated { section });
+    }
+    if read_u64(r, section)? != section_sum(&bytes) {
+        return Err(CheckpointError::Corrupt {
+            section,
+            detail: "checksum mismatch".into(),
+        });
+    }
+    Ok(bytes)
+}
+
+fn read_u64(r: &mut impl Read, section: &'static str) -> Result<u64, CheckpointError> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => CheckpointError::Truncated { section },
+        _ => CheckpointError::Io(e),
+    })?;
+    Ok(u64::from_le_bytes(b))
+}
+
+/// A slab's fixed-size records, or `Corrupt` if it is ragged.
+fn records<'a, const N: usize>(
+    raw: &'a [u8],
+    section: &'static str,
+) -> Result<impl Iterator<Item = &'a [u8; N]>, CheckpointError> {
+    if !raw.len().is_multiple_of(N) {
+        return Err(CheckpointError::Corrupt {
+            section,
+            detail: format!(
+                "{} bytes is not a whole number of {N}-byte records",
+                raw.len()
+            ),
+        });
+    }
+    Ok(raw
+        .chunks_exact(N)
+        .map(|c| c.try_into().expect("chunks_exact yields N bytes")))
+}
+
+/// `N` bytes of a record starting at `at`.
+fn le<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    b[at..at + N]
+        .try_into()
+        .expect("field lies inside its record")
 }
 
 impl SideCk {
@@ -2393,6 +2625,79 @@ mod tests {
             serde_json::to_string(&e.checkpoint()).unwrap()
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn slabs_round_trip_and_refuse_truncation_and_bit_flips() {
+        // Bounded mode mid-stream: all four slabs are non-empty.
+        let cfg = StreamConfig {
+            lookahead: Some(8),
+            snapshot_every: 13,
+            ..StreamConfig::default()
+        };
+        let (a, b) = jittered_pair(60);
+        let events = interleave(&a, &b, 9);
+        let mut eng = IncrementalComparison::new(cfg);
+        feed(&mut eng, &events[..70]);
+        let ck = eng.checkpoint();
+        assert!(ck.resident() > 0 && !ck.buf.is_empty() && !ck.slice.pairs.is_empty());
+        let want = serde_json::to_string(&ck).unwrap();
+        let mut slabs = Vec::new();
+        let rest = ck.write_to(&mut slabs).unwrap();
+        assert_eq!(rest.resident() + rest.buf.len() + rest.slice.pairs.len(), 0);
+        let back = rest.clone().read_from(&mut &slabs[..]).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), want);
+
+        for cut in 0..slabs.len() {
+            let err = rest.clone().read_from(&mut &slabs[..cut]).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Truncated { .. }),
+                "cut {cut}: {err}"
+            );
+        }
+        for bit in 0..slabs.len() * 8 {
+            let mut bad = slabs.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let err = rest.clone().read_from(&mut &bad[..]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Truncated { .. } | CheckpointError::Corrupt { .. }
+                ),
+                "bit {bit}: {err}"
+            );
+        }
+        // A section that checks out but is not whole records, and a
+        // pending record with an impossible side.
+        let mut ragged = Vec::new();
+        write_section(&mut ragged, &[0u8; PAIR_BYTES + 1]).unwrap();
+        let err = rest.clone().read_from(&mut &ragged[..]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::Corrupt {
+                    section: "all_pairs",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let mut sided = Vec::new();
+        for _ in 0..3 {
+            write_section(&mut sided, &[]).unwrap();
+        }
+        write_section(&mut sided, &[7u8; PENDING_BYTES]).unwrap();
+        let err = rest.read_from(&mut &sided[..]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::Corrupt {
+                    section: "pending",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -49,6 +49,11 @@ impl Trial {
         self.push(PacketId::from_tag(&ChoirTag::new(replayer, stream, seq)), t_ps);
     }
 
+    /// Build a trial from observations already in arrival order.
+    pub fn from_observations(obs: &[Observation]) -> Self {
+        Trial { obs: obs.to_vec() }
+    }
+
     /// Build a trial from nanosecond pcap records (times scaled to ps).
     pub fn from_pcap_records(records: &[PcapRecord]) -> Self {
         let mut t = Trial::with_capacity(records.len());

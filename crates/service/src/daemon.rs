@@ -14,45 +14,54 @@
 //!
 //! # Durability
 //!
-//! The daemon is event-sourced, reusing the crash-tolerance design of
-//! the supervised streaming runner:
+//! Tenants share nothing, so each keeps its durable state to itself, in
+//! `tenants/<name>/`:
 //!
-//! * every mutating request is appended to `journal.jsonl` (flushed)
-//!   **before** it is applied;
-//! * on a checkpoint (explicit, cadence, or graceful shutdown) the
-//!   trial store is flushed to its spill files, the full daemon state —
-//!   tenants, stream meta, one [`StreamCheckpoint`] per live engine,
-//!   final summaries — is written to `state.json` (write-temp +
-//!   rename), and the journal is truncated;
-//! * recovery loads `state.json`, adopts the spilled trials at their
-//!   checkpointed lengths, resumes every live engine through
-//!   [`IncrementalComparison::resume_checked`] (which refuses a
-//!   checkpoint from the wrong engine or config), and replays the
-//!   journal through the *same* apply path the wire handlers use.
+//! * `<stream>.log` — the stream's records, 24 bytes each, append-only
+//!   ([`TrialStore`]). An ingest appends its records here first;
+//! * `journal` — one JSON line per mutating op, numbered, in order. An
+//!   ingest's line is a *marker* (`stream`, `seq`, `count`) written
+//!   after the log append and before the op is applied or acknowledged;
+//! * `ck` — the tenant's checkpoint: stream metadata, final summaries
+//!   and the number of the last journal line it covers as JSON, then
+//!   each live engine's bulk state as binary slabs
+//!   ([`StreamCheckpoint::write_to`]). A tenant exists iff its `ck`
+//!   does. A checkpoint (explicit, cadence, or graceful shutdown)
+//!   rewrites `ck` (write-temp + rename) and empties `journal` for the
+//!   tenants touched since the last one, and for no others.
 //!
-//! A hard kill between checkpoints therefore loses nothing: replayed
-//! ingests land in the same engines in the same per-stream order, and
-//! full-lookahead mode makes any cross-stream reordering irrelevant.
+//! Recovery loads each `ck`, resumes engines through
+//! [`IncrementalComparison::resume_checked`] (which refuses a checkpoint
+//! from the wrong engine or config), and replays the journal lines the
+//! checkpoint does not cover through the *same* apply path the wire
+//! handlers use, reading each marker's records back from the log. Log
+//! bytes past the last marker — a crash between the two appends, never
+//! acknowledged — are ignored and cut off by the stream's next append.
+//!
+//! Every append reaches the OS before the op is acknowledged, so a hard
+//! kill between checkpoints loses nothing. Nothing is `fsync`ed: a
+//! power cut can lose acknowledged records.
 //!
 //! # Memory
 //!
-//! Trial bytes live in a per-tenant [`TrialStore`] with an LRU spill
+//! Trial bytes live in a per-tenant [`TrialStore`] with an LRU
 //! budget; engines hold only unmatched residents. The `Stats` response
 //! exposes resident bytes so operators (and the bench's RSS gate) can
 //! watch the budget hold.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
+use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
     all_pairs_sharded_with, IncrementalComparison, KappaConfig, KappaSnapshot, Observation, Side,
-    StreamCheckpoint, StreamConfig, TrialComparison,
+    StreamCheckpoint, StreamConfig, Trial, TrialComparison,
 };
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
@@ -66,8 +75,8 @@ use crate::wire::{
 /// Daemon construction parameters.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Root for all durable state: `state.json`, `journal.jsonl`, and
-    /// the per-tenant spill directories under `spill/`.
+    /// Root for all durable state: one directory per tenant under
+    /// `tenants/`.
     pub data_dir: PathBuf,
     /// Store budget for tenants created with `budget_bytes == 0`.
     pub default_budget_bytes: u64,
@@ -99,6 +108,10 @@ impl DaemonConfig {
             snapshot_every: self.snapshot_every,
             kappa: KappaConfig::paper(),
         }
+    }
+
+    fn tenant_dir(&self, tenant: &str) -> PathBuf {
+        self.data_dir.join("tenants").join(tenant)
     }
 }
 
@@ -140,38 +153,32 @@ struct StreamState {
     done: Option<FinishedStream>,
 }
 
-impl StreamState {
-    fn is_baseline(&self) -> bool {
-        self.engine.is_none() && self.done.is_none()
-    }
-}
-
-struct Tenant {
-    budget_bytes: u64,
-    store: TrialStore,
-    baseline: Option<String>,
-    streams: BTreeMap<String, StreamState>,
-    /// Cached all-pairs matrix; invalidated by any mutation.
-    matrix: Option<(Vec<String>, Vec<WireCell>)>,
-}
-
-/// One journaled mutating operation. Appended (and flushed) before the
-/// operation is applied; replayed through the same apply path on
-/// recovery. Every op is idempotent against a state that already
-/// includes it, so a crash between `state.json` and the journal
-/// truncation replays harmlessly.
+/// One mutating op on a tenant's streams, as its journal records it.
+/// `Ingest` is a marker: the records themselves are in the stream's log,
+/// at `seq .. seq + count`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum JournalOp {
-    CreateTenant { tenant: String, budget_bytes: u64 },
-    DropTenant { tenant: String },
-    OpenStream { tenant: String, stream: String },
+    OpenStream {
+        stream: String,
+    },
     Ingest {
-        tenant: String,
         stream: String,
         seq: u64,
-        records: Vec<WireObs>,
+        count: u64,
     },
-    Finish { tenant: String, stream: String },
+    Finish {
+        stream: String,
+    },
+}
+
+/// One journal line, `{"n":..,"op":..}`. `n` counts a tenant's ops from
+/// 1 and keeps counting across checkpoints; a checkpoint records the last
+/// `n` it covers, so replay applies each op exactly once whichever side
+/// of a checkpoint's rename and journal truncation a crash lands on.
+#[derive(Debug, Deserialize)]
+struct JournalEntry {
+    n: u64,
+    op: JournalOp,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -179,34 +186,32 @@ struct StreamCk {
     name: String,
     ingested: u64,
     finished: bool,
-    is_baseline: bool,
-    #[serde(default)]
+    /// The engine's checkpoint with its bulk vectors detached; they
+    /// follow the JSON as slabs, engines in stream order.
     engine: Option<StreamCheckpoint>,
-    #[serde(default)]
     done: Option<FinishedStream>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TenantCk {
-    name: String,
     budget_bytes: u64,
-    #[serde(default)]
     baseline: Option<String>,
+    applied: u64,
     streams: Vec<StreamCk>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DaemonCk {
-    tenants: Vec<TenantCk>,
-}
-
-struct ServiceState {
-    cfg: DaemonConfig,
-    tenants: BTreeMap<String, Tenant>,
-    journal: fs::File,
-    records_since_ck: u64,
-    ingests: u64,
-    records_total: u64,
+struct Tenant {
+    name: String,
+    dir: PathBuf,
+    store: TrialStore,
+    baseline: Option<String>,
+    streams: BTreeMap<String, StreamState>,
+    /// Cached all-pairs matrix; invalidated by any mutation.
+    matrix: Option<(Vec<String>, Vec<WireCell>)>,
+    /// Number of the last journal entry applied.
+    applied: u64,
+    /// Changed since `ck` was last written.
+    dirty: bool,
 }
 
 /// A daemon failure surfaced to the caller of [`Daemon::spawn`].
@@ -216,8 +221,8 @@ pub enum DaemonError {
     Io(std::io::Error),
     /// Trial store failure.
     Store(StoreError),
-    /// Durable state exists but cannot be loaded (corrupt checkpoint,
-    /// engine/config mismatch).
+    /// Durable state exists but cannot be loaded (old layout, corrupt
+    /// checkpoint, engine/config mismatch, a marker without its records).
     Recovery(String),
 }
 
@@ -245,187 +250,246 @@ impl From<StoreError> for DaemonError {
     }
 }
 
-impl ServiceState {
-    fn spill_dir(cfg: &DaemonConfig, tenant: &str) -> PathBuf {
-        cfg.data_dir.join("spill").join(tenant)
+/// Feed `eng` the baseline records it has not seen yet, borrowed from
+/// the store.
+fn catch_up(
+    eng: &mut IncrementalComparison,
+    store: &mut TrialStore,
+    baseline: &str,
+) -> Result<(), String> {
+    let fed = eng.seen_a();
+    if (fed as u64) < store.len(baseline) {
+        let base = store.get(baseline).map_err(|e| e.to_string())?;
+        eng.push_burst(Side::A, &base[fed..]);
     }
+    Ok(())
+}
 
-    fn state_path(cfg: &DaemonConfig) -> PathBuf {
-        cfg.data_dir.join("state.json")
-    }
-
-    fn journal_path(cfg: &DaemonConfig) -> PathBuf {
-        cfg.data_dir.join("journal.jsonl")
-    }
-
-    /// Load durable state (checkpoint + journal replay) or start empty.
-    fn open(cfg: DaemonConfig) -> Result<Self, DaemonError> {
-        fs::create_dir_all(&cfg.data_dir)?;
-        let mut tenants = BTreeMap::new();
-        let state_path = Self::state_path(&cfg);
-        if state_path.exists() {
-            let raw = fs::read_to_string(&state_path)?;
-            let ck: DaemonCk = serde_json::from_str(&raw)
-                .map_err(|e| DaemonError::Recovery(format!("state.json: {e}")))?;
-            for tck in ck.tenants {
-                let mut store = TrialStore::open(Self::spill_dir(&cfg, &tck.name), tck.budget_bytes)?;
-                let mut streams = BTreeMap::new();
-                for sck in tck.streams {
-                    store.adopt(&sck.name, sck.ingested)?;
-                    let engine = match sck.engine {
-                        None => None,
-                        Some(eck) => {
-                            let id = engine_id_for(&tck.name, &sck.name);
-                            let eng = IncrementalComparison::resume_checked(
-                                eck,
-                                id,
-                                &cfg.stream_config(),
-                            )
-                            .map_err(|e| {
-                                DaemonError::Recovery(format!(
-                                    "engine {}/{}: {e}",
-                                    tck.name, sck.name
-                                ))
-                            })?;
-                            Some(eng)
-                        }
-                    };
-                    streams.insert(
-                        sck.name,
-                        StreamState {
-                            ingested: sck.ingested,
-                            finished: sck.finished,
-                            engine,
-                            done: sck.done,
-                        },
-                    );
-                }
-                tenants.insert(
-                    tck.name,
-                    Tenant {
-                        budget_bytes: tck.budget_bytes,
-                        store,
-                        baseline: tck.baseline,
-                        streams,
-                        matrix: None,
-                    },
-                );
-            }
-        }
-        let journal_path = Self::journal_path(&cfg);
-        let replay: Vec<JournalOp> = if journal_path.exists() {
-            let raw = fs::read_to_string(&journal_path)?;
-            let mut ops = Vec::new();
-            for line in raw.lines() {
-                match serde_json::from_str(line) {
-                    Ok(op) => ops.push(op),
-                    // A crash can truncate the final append mid-line;
-                    // everything before it is intact.
-                    Err(_) => break,
-                }
-            }
-            ops
-        } else {
-            Vec::new()
+impl Tenant {
+    /// A new, empty tenant: its directory and its first checkpoint.
+    fn create(cfg: &DaemonConfig, name: &str, budget_bytes: u64) -> Result<Self, String> {
+        let dir = cfg.tenant_dir(name);
+        // Only a creation that crashed before its first checkpoint can
+        // have left this behind.
+        let _ = fs::remove_dir_all(&dir);
+        let mut t = Tenant {
+            name: name.to_string(),
+            store: TrialStore::open(&dir, budget_bytes).map_err(|e| e.to_string())?,
+            dir,
+            baseline: None,
+            streams: BTreeMap::new(),
+            matrix: None,
+            applied: 0,
+            dirty: true,
         };
-        let journal = fs::OpenOptions::new()
+        t.checkpoint()?;
+        Ok(t)
+    }
+
+    /// Load `ck`, then replay the journal entries it does not cover.
+    fn recover(cfg: &DaemonConfig, name: &str) -> Result<Self, DaemonError> {
+        let bad = |what: &str, e: &dyn std::fmt::Display| {
+            DaemonError::Recovery(format!("tenant `{name}`: {what}: {e}"))
+        };
+        let dir = cfg.tenant_dir(name);
+        let _ = fs::remove_file(dir.join("ck.tmp"));
+        let mut r = BufReader::new(fs::File::open(dir.join("ck"))?);
+        let head = read_section(&mut r, "tenant").map_err(|e| bad("checkpoint", &e))?;
+        let ck: TenantCk = std::str::from_utf8(&head)
+            .map_err(|e| bad("checkpoint", &e))
+            .and_then(|s| serde_json::from_str(s).map_err(|e| bad("checkpoint", &e)))?;
+        let mut store = TrialStore::open(&dir, ck.budget_bytes)?;
+        let mut streams = BTreeMap::new();
+        for sck in ck.streams {
+            store.adopt(&sck.name, sck.ingested)?;
+            let engine = match sck.engine {
+                None => None,
+                Some(eck) => {
+                    let eck = eck
+                        .read_from(&mut r)
+                        .map_err(|e| bad(&format!("engine `{}`", sck.name), &e))?;
+                    let id = engine_id_for(name, &sck.name);
+                    let eng = IncrementalComparison::resume_checked(eck, id, &cfg.stream_config())
+                        .map_err(|e| bad(&format!("engine `{}`", sck.name), &e))?;
+                    Some(eng)
+                }
+            };
+            streams.insert(
+                sck.name,
+                StreamState {
+                    ingested: sck.ingested,
+                    finished: sck.finished,
+                    engine,
+                    done: sck.done,
+                },
+            );
+        }
+        let mut t = Tenant {
+            name: name.to_string(),
+            dir,
+            store,
+            baseline: ck.baseline,
+            streams,
+            matrix: None,
+            applied: ck.applied,
+            dirty: false,
+        };
+        t.replay(cfg.stream_config())?;
+        Ok(t)
+    }
+
+    fn replay(&mut self, cfg: StreamConfig) -> Result<(), DaemonError> {
+        let path = self.dir.join("journal");
+        let raw = match fs::read(&path) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        let mut good = 0;
+        for line in raw.split_inclusive(|&b| b == b'\n') {
+            // A crash can cut the final append mid-line; everything
+            // before it is intact, and the op was never acknowledged.
+            let Some(entry) = line
+                .strip_suffix(b"\n")
+                .and_then(|l| std::str::from_utf8(l).ok())
+                .and_then(|l| serde_json::from_str::<JournalEntry>(l).ok())
+            else {
+                break;
+            };
+            good += line.len();
+            if entry.n <= self.applied {
+                continue; // the checkpoint already covers it
+            }
+            let lost = |what: String| {
+                DaemonError::Recovery(format!(
+                    "journal of `{}`, entry {}: {what}",
+                    path.display(),
+                    entry.n
+                ))
+            };
+            if entry.n != self.applied + 1 {
+                return Err(lost(format!("follows entry {}", self.applied)));
+            }
+            let mut fresh = Vec::new();
+            if let JournalOp::Ingest { stream, seq, count } = &entry.op {
+                let live = self.streams.get(stream).filter(|s| !s.finished);
+                if live.map(|s| s.ingested) != Some(*seq) {
+                    return Err(lost(format!(
+                        "marker at {seq} does not continue `{stream}`"
+                    )));
+                }
+                self.store.adopt(stream, seq + count)?;
+                fresh = self.store.get(stream)?[*seq as usize..].to_vec();
+            }
+            // A refusal replays as the same refusal.
+            let _ = self.apply(cfg, entry.op, &fresh);
+            self.applied = entry.n;
+            self.dirty = true;
+        }
+        if good < raw.len() {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&path)?
+                .set_len(good as u64)?;
+        }
+        Ok(())
+    }
+
+    /// Append `op` to the journal as the tenant's next entry.
+    fn journal(&mut self, op: &JournalOp) -> Result<(), String> {
+        let n = self.applied + 1;
+        let op = serde_json::to_string(op).map_err(|e| format!("journal encode: {e}"))?;
+        fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&journal_path)?;
-        let mut st = ServiceState {
-            cfg,
-            tenants,
-            journal,
-            records_since_ck: 0,
-            ingests: 0,
-            records_total: 0,
-        };
-        for op in replay {
-            // Ops already covered by the checkpoint fail their apply
-            // (tenant exists, ingest overlap) — that is the idempotency
-            // contract, not an error.
-            let _ = st.apply(op);
+            .open(self.dir.join("journal"))
+            .and_then(|mut f| f.write_all(format!("{{\"n\":{n},\"op\":{op}}}\n").as_bytes()))
+            .map_err(|e| format!("journal append: {e}"))?;
+        self.applied = n;
+        self.dirty = true;
+        Ok(())
+    }
+
+    /// The wire path of an `Ingest`: validate, append the fresh records
+    /// to the stream's log, journal the marker, apply.
+    fn ingest(
+        &mut self,
+        cfg: StreamConfig,
+        stream: String,
+        seq: u64,
+        records: &[WireObs],
+    ) -> Result<(Response, u64), String> {
+        let name = &self.name;
+        let s = self
+            .streams
+            .get(&stream)
+            .ok_or_else(|| format!("no stream `{name}/{stream}`"))?;
+        if s.finished {
+            return Err(format!("stream `{name}/{stream}` is finished"));
         }
-        Ok(st)
+        if seq > s.ingested {
+            return Err(format!(
+                "ingest gap on `{name}/{stream}`: batch starts at {seq}, stream has {}",
+                s.ingested
+            ));
+        }
+        // Idempotent resend: skip records the stream already has.
+        let (have, skip) = (s.ingested, (s.ingested - seq) as usize);
+        if skip >= records.len() {
+            return Ok((Response::Ingested { total: have }, 0));
+        }
+        let fresh: Vec<Observation> = records[skip..].iter().map(|&w| w.into()).collect();
+        self.store
+            .append(&stream, &fresh)
+            .map_err(|e| e.to_string())?;
+        let marker = JournalOp::Ingest {
+            stream: stream.clone(),
+            seq: have,
+            count: fresh.len() as u64,
+        };
+        if let Err(e) = self.journal(&marker) {
+            // No marker, no records: back to what the journal covers.
+            let _ = self.store.adopt(&stream, have);
+            return Err(e);
+        }
+        let resp = self.apply(cfg, marker, &fresh)?;
+        Ok((resp, fresh.len() as u64))
     }
 
-    fn journal(&mut self, op: &JournalOp) -> Result<(), String> {
-        let line = serde_json::to_string(op).map_err(|e| format!("journal encode: {e}"))?;
-        self.journal
-            .write_all(line.as_bytes())
-            .and_then(|_| self.journal.write_all(b"\n"))
-            .and_then(|_| self.journal.flush())
-            .map_err(|e| format!("journal append: {e}"))
-    }
-
-    /// Apply one mutating op. Shared by the wire handlers (after
-    /// journaling) and recovery replay — the single ingestion path that
-    /// keeps replayed state bit-identical to the uninterrupted run.
-    fn apply(&mut self, op: JournalOp) -> Result<Response, String> {
+    /// Apply one op. Shared by the wire handlers (after journaling) and
+    /// recovery replay — the single path that keeps replayed state
+    /// bit-identical to the uninterrupted run. `fresh` is an `Ingest`
+    /// marker's records, already in the store.
+    fn apply(
+        &mut self,
+        cfg: StreamConfig,
+        op: JournalOp,
+        fresh: &[Observation],
+    ) -> Result<Response, String> {
+        let Tenant {
+            name,
+            store,
+            baseline,
+            streams,
+            matrix,
+            ..
+        } = self;
+        *matrix = None;
         match op {
-            JournalOp::CreateTenant {
-                tenant,
-                budget_bytes,
-            } => {
-                if self.tenants.contains_key(&tenant) {
-                    return Err(format!("tenant `{tenant}` already exists"));
+            JournalOp::OpenStream { stream } => {
+                if streams.contains_key(&stream) {
+                    return Err(format!("stream `{name}/{stream}` already open"));
                 }
-                let budget = if budget_bytes == 0 {
-                    self.cfg.default_budget_bytes
-                } else {
-                    budget_bytes
-                };
-                let store = TrialStore::open(Self::spill_dir(&self.cfg, &tenant), budget)
-                    .map_err(|e| e.to_string())?;
-                self.tenants.insert(
-                    tenant.clone(),
-                    Tenant {
-                        budget_bytes: budget,
-                        store,
-                        baseline: None,
-                        streams: BTreeMap::new(),
-                        matrix: None,
-                    },
-                );
-                if obs::is_enabled() {
-                    obs::counter_inc("service.tenants.created");
-                    obs::gauge_set("service.tenants", self.tenants.len() as u64);
-                }
-                Ok(Response::Ok)
-            }
-            JournalOp::DropTenant { tenant } => {
-                let Some(mut t) = self.tenants.remove(&tenant) else {
-                    return Err(format!("no tenant `{tenant}`"));
-                };
-                for name in t.store.keys() {
-                    let _ = t.store.remove(&name);
-                }
-                let _ = fs::remove_dir_all(Self::spill_dir(&self.cfg, &tenant));
-                if obs::is_enabled() {
-                    obs::counter_inc("service.tenants.dropped");
-                    obs::gauge_set("service.tenants", self.tenants.len() as u64);
-                }
-                Ok(Response::Ok)
-            }
-            JournalOp::OpenStream { tenant, stream } => {
-                let cfg_stream = self.cfg.stream_config();
-                let t = self
-                    .tenants
-                    .get_mut(&tenant)
-                    .ok_or_else(|| format!("no tenant `{tenant}`"))?;
-                if t.streams.contains_key(&stream) {
-                    return Err(format!("stream `{tenant}/{stream}` already open"));
-                }
-                let engine = if t.baseline.is_none() {
-                    t.baseline = Some(stream.clone());
+                let engine = if baseline.is_none() {
+                    *baseline = Some(stream.clone());
                     None
                 } else {
                     Some(
-                        IncrementalComparison::new(cfg_stream)
-                            .with_engine_id(engine_id_for(&tenant, &stream)),
+                        IncrementalComparison::new(cfg)
+                            .with_engine_id(engine_id_for(name, &stream)),
                     )
                 };
-                t.streams.insert(
+                streams.insert(
                     stream,
                     StreamState {
                         ingested: 0,
@@ -434,169 +498,73 @@ impl ServiceState {
                         done: None,
                     },
                 );
-                t.matrix = None;
-                if obs::is_enabled() {
-                    obs::counter_inc("service.streams.opened");
-                }
+                obs::counter_inc("service.streams.opened");
                 Ok(Response::Ok)
             }
-            JournalOp::Ingest {
-                tenant,
-                stream,
-                seq,
-                records,
-            } => {
-                let t = self
-                    .tenants
-                    .get_mut(&tenant)
-                    .ok_or_else(|| format!("no tenant `{tenant}`"))?;
-                let s = t
-                    .streams
-                    .get(&stream)
-                    .ok_or_else(|| format!("no stream `{tenant}/{stream}`"))?;
-                if s.finished {
-                    return Err(format!("stream `{tenant}/{stream}` is finished"));
-                }
-                if seq > s.ingested {
-                    return Err(format!(
-                        "ingest gap on `{tenant}/{stream}`: batch starts at {seq}, stream has {}",
-                        s.ingested
-                    ));
-                }
-                // Idempotent resend: skip records the stream already has.
-                let skip = (s.ingested - seq) as usize;
-                if skip >= records.len() {
-                    return Ok(Response::Ingested { total: s.ingested });
-                }
-                let baseline_name = t
-                    .baseline
-                    .clone()
-                    .ok_or_else(|| format!("tenant `{tenant}` has no baseline stream"))?;
-                let fresh: Vec<Observation> =
-                    records[skip..].iter().map(|&w| w.into()).collect();
-                t.store.append(&stream, &fresh).map_err(|e| e.to_string())?;
-                let is_baseline = stream == baseline_name;
-                let s = t.streams.get_mut(&stream).expect("checked above");
+            JournalOp::Ingest { stream, .. } => {
+                let baseline = baseline
+                    .as_deref()
+                    .expect("a stream is open, so a baseline is");
+                let s = streams
+                    .get_mut(&stream)
+                    .expect("checked before the marker was written");
                 s.ingested += fresh.len() as u64;
                 let total = s.ingested;
-                if is_baseline {
-                    // Baseline grew: advance side A of every live engine.
-                    // An engine opened after the baseline already had
-                    // data may still lag side A; it must be caught up
-                    // from the store *before* the fresh tail, or it
-                    // would see records out of order and its κ would
-                    // diverge from batch analysis.
-                    let pre_len = total - fresh.len() as u64;
-                    let any_lagging = t.streams.values().any(|o| {
-                        o.engine
-                            .as_ref()
-                            .is_some_and(|e| (e.seen_a() as u64) < pre_len)
-                    });
-                    let old_base: Vec<Observation> = if any_lagging {
-                        t.store.get(&stream).map_err(|e| e.to_string())?[..pre_len as usize]
-                            .to_vec()
-                    } else {
-                        Vec::new()
-                    };
-                    for other in t.streams.values_mut() {
-                        if let Some(eng) = other.engine.as_mut() {
-                            let fed = eng.seen_a() as u64;
-                            if fed < pre_len {
-                                for o in &old_base[fed as usize..] {
-                                    eng.push(Side::A, o.id, o.t_ps);
-                                }
-                            }
-                            for o in &fresh {
-                                eng.push(Side::A, o.id, o.t_ps);
-                            }
+                if stream == baseline {
+                    // Baseline grew: advance side A of every live engine
+                    // from wherever it stands. An engine opened after the
+                    // baseline already had data may lag; it gets the
+                    // prefix it missed and the fresh tail in one slice,
+                    // in order.
+                    if streams.values().any(|o| o.engine.is_some()) {
+                        let base = store.get(&stream).map_err(|e| e.to_string())?;
+                        for eng in streams.values_mut().filter_map(|o| o.engine.as_mut()) {
+                            let fed = eng.seen_a();
+                            eng.push_burst(Side::A, &base[fed..]);
                         }
                     }
                 } else {
                     // Comparison stream: feed side B, then catch side A
                     // up to the baseline's current length (covers
                     // streams opened after the baseline had data).
-                    let base_len = t.streams[&baseline_name].ingested;
-                    let s = t.streams.get_mut(&stream).expect("checked above");
                     let eng = s.engine.as_mut().expect("live comparison stream");
-                    for o in &fresh {
-                        eng.push(Side::B, o.id, o.t_ps);
-                    }
-                    let fed_a = eng.seen_a() as u64;
-                    if fed_a < base_len {
-                        let tail: Vec<Observation> = t
-                            .store
-                            .get(&baseline_name)
-                            .map_err(|e| e.to_string())?[fed_a as usize..base_len as usize]
-                            .to_vec();
-                        let s = t.streams.get_mut(&stream).expect("checked above");
-                        let eng = s.engine.as_mut().expect("live comparison stream");
-                        for o in &tail {
-                            eng.push(Side::A, o.id, o.t_ps);
-                        }
-                    }
-                }
-                t.matrix = None;
-                self.ingests += 1;
-                self.records_total += fresh.len() as u64;
-                self.records_since_ck += fresh.len() as u64;
-                if obs::is_enabled() {
-                    obs::counter_inc("service.ingest.requests");
-                    obs::counter_add("service.ingest.records", fresh.len() as u64);
-                    obs::counter_add(&format!("service.tenant.{tenant}.records"), fresh.len() as u64);
-                    obs::gauge_set(
-                        "service.store.resident_bytes",
-                        self.tenants.values().map(|t| t.store.resident_bytes()).sum(),
-                    );
+                    eng.push_burst(Side::B, fresh);
+                    catch_up(eng, store, baseline)?;
                 }
                 Ok(Response::Ingested { total })
             }
-            JournalOp::Finish { tenant, stream } => {
-                let t = self
-                    .tenants
-                    .get_mut(&tenant)
-                    .ok_or_else(|| format!("no tenant `{tenant}`"))?;
-                let s = t
-                    .streams
-                    .get(&stream)
-                    .ok_or_else(|| format!("no stream `{tenant}/{stream}`"))?;
+            JournalOp::Finish { stream } => {
+                let s = streams
+                    .get_mut(&stream)
+                    .ok_or_else(|| format!("no stream `{name}/{stream}`"))?;
                 if s.finished {
-                    return Err(format!("stream `{tenant}/{stream}` already finished"));
+                    return Err(format!("stream `{name}/{stream}` already finished"));
                 }
-                let baseline_name = t
-                    .baseline
-                    .clone()
-                    .ok_or_else(|| format!("tenant `{tenant}` has no baseline stream"))?;
-                if s.is_baseline() {
-                    let s = t.streams.get_mut(&stream).expect("checked above");
+                if s.engine.is_none() {
+                    // Live and engineless: the baseline.
                     s.finished = true;
-                    t.matrix = None;
                     return Ok(Response::Finished { summary: None });
                 }
-                if !t.streams[&baseline_name].finished {
+                let baseline = baseline
+                    .as_deref()
+                    .expect("a stream is open, so a baseline is");
+                if !streams[baseline].finished {
                     return Err(format!(
-                        "finish baseline `{tenant}/{baseline_name}` before its comparison streams"
+                        "finish baseline `{name}/{baseline}` before its comparison streams"
                     ));
                 }
                 // Flush the side-A tail, then finalize the engine.
-                let base_len = t.streams[&baseline_name].ingested;
-                let s = t.streams.get_mut(&stream).expect("checked above");
-                let eng = s.engine.as_mut().expect("live comparison stream");
-                let fed_a = eng.seen_a() as u64;
-                if fed_a < base_len {
-                    let tail: Vec<Observation> = t
-                        .store
-                        .get(&baseline_name)
-                        .map_err(|e| e.to_string())?[fed_a as usize..base_len as usize]
-                        .to_vec();
-                    let s = t.streams.get_mut(&stream).expect("checked above");
-                    let eng = s.engine.as_mut().expect("live comparison stream");
-                    for o in &tail {
-                        eng.push(Side::A, o.id, o.t_ps);
-                    }
-                }
-                let s = t.streams.get_mut(&stream).expect("checked above");
-                let eng = s.engine.take().expect("live comparison stream");
-                let out = eng.finalize(stream.clone());
+                let s = streams.get_mut(&stream).expect("looked up above");
+                catch_up(
+                    s.engine.as_mut().expect("live comparison stream"),
+                    store,
+                    baseline,
+                )?;
+                let out = s
+                    .engine
+                    .take()
+                    .expect("live comparison stream")
+                    .finalize(stream);
                 let done = FinishedStream {
                     comparison: out.comparison,
                     snapshots: out.snapshots,
@@ -606,96 +574,191 @@ impl ServiceState {
                 };
                 s.finished = true;
                 s.done = Some(done);
-                t.matrix = None;
-                if obs::is_enabled() {
-                    obs::counter_inc("service.streams.finished");
-                }
+                obs::counter_inc("service.streams.finished");
                 Ok(resp)
             }
         }
     }
 
-    /// Durable checkpoint: spill every dirty trial, write `state.json`
-    /// atomically, truncate the journal.
+    /// Write `ck` (temp + rename), then empty the journal it now covers.
     fn checkpoint(&mut self) -> Result<(), String> {
-        let _span = obs::span("service.checkpoint");
-        let mut tenants = Vec::new();
-        for (name, t) in &mut self.tenants {
-            t.store.flush_all().map_err(|e| e.to_string())?;
-            let mut streams = Vec::new();
-            for (sname, s) in &t.streams {
-                streams.push(StreamCk {
-                    name: sname.clone(),
-                    ingested: s.ingested,
-                    finished: s.finished,
-                    is_baseline: Some(sname) == t.baseline.as_ref(),
-                    engine: s.engine.as_ref().map(IncrementalComparison::checkpoint),
-                    done: s.done.clone(),
-                });
-            }
-            tenants.push(TenantCk {
+        let mut slabs = Vec::new();
+        let mut streams = Vec::with_capacity(self.streams.len());
+        for (name, s) in &self.streams {
+            let engine = (s.engine.as_ref())
+                .map(|eng| eng.checkpoint().write_to(&mut slabs))
+                .transpose()
+                .map_err(|e| e.to_string())?;
+            streams.push(StreamCk {
                 name: name.clone(),
-                budget_bytes: t.budget_bytes,
-                baseline: t.baseline.clone(),
-                streams,
+                ingested: s.ingested,
+                finished: s.finished,
+                engine,
+                done: s.done.clone(),
             });
         }
-        let ck = DaemonCk { tenants };
-        let json = serde_json::to_string(&ck).map_err(|e| format!("state encode: {e}"))?;
-        let path = Self::state_path(&self.cfg);
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, json.as_bytes()).map_err(|e| format!("state write: {e}"))?;
-        fs::rename(&tmp, &path).map_err(|e| format!("state rename: {e}"))?;
-        self.journal =
-            fs::File::create(Self::journal_path(&self.cfg)).map_err(|e| format!("journal: {e}"))?;
-        self.records_since_ck = 0;
-        if obs::is_enabled() {
-            obs::counter_inc("service.checkpoints");
-        }
+        let head = serde_json::to_string(&TenantCk {
+            budget_bytes: self.store.stats().budget_bytes,
+            baseline: self.baseline.clone(),
+            applied: self.applied,
+            streams,
+        })
+        .map_err(|e| format!("checkpoint encode: {e}"))?;
+        let (tmp, ck) = (self.dir.join("ck.tmp"), self.dir.join("ck"));
+        fs::File::create(&tmp)
+            .and_then(|mut f| {
+                write_section(&mut f, head.as_bytes())?;
+                f.write_all(&slabs)
+            })
+            .and_then(|()| fs::rename(&tmp, &ck))
+            .and_then(|()| fs::File::create(self.dir.join("journal")).map(drop))
+            .map_err(|e| format!("checkpoint of `{}`: {e}", self.name))?;
+        self.dirty = false;
         Ok(())
     }
+}
 
-    /// Journal + apply + cadence checkpoint — the wire path for every
-    /// mutating request.
-    fn mutate(&mut self, op: JournalOp) -> Response {
-        if let Err(m) = self.journal(&op) {
-            return Response::Error { message: m };
-        }
-        let resp = match self.apply(op) {
-            Ok(r) => r,
-            Err(m) => return Response::Error { message: m },
-        };
-        if self.cfg.checkpoint_every_records > 0
-            && self.records_since_ck >= self.cfg.checkpoint_every_records
-        {
-            // The op itself is journaled and applied; a failed cadence
-            // checkpoint must not make the client believe the op failed
-            // (a retry would then hit a spurious "already exists"
-            // refusal). Durability is unharmed — the journal still
-            // covers everything since the last good checkpoint — so
-            // surface the failure out of band and retry next cadence.
-            if let Err(m) = self.checkpoint() {
-                eprintln!("choir-serve: cadence checkpoint failed: {m}");
-                if obs::is_enabled() {
-                    obs::counter_inc("service.checkpoint.failures");
-                }
+struct ServiceState {
+    cfg: DaemonConfig,
+    tenants: BTreeMap<String, Tenant>,
+    records_since_ck: u64,
+    ingests: u64,
+    records_total: u64,
+}
+
+impl ServiceState {
+    /// Recover every tenant under `data_dir`, or start empty.
+    fn open(cfg: DaemonConfig) -> Result<Self, DaemonError> {
+        for old in ["state.json", "journal.jsonl"] {
+            if cfg.data_dir.join(old).exists() {
+                return Err(DaemonError::Recovery(format!(
+                    "`{old}` in {}: a data directory in the old single-file layout is not migrated",
+                    cfg.data_dir.display()
+                )));
             }
         }
-        resp
+        let root = cfg.data_dir.join("tenants");
+        fs::create_dir_all(&root)?;
+        let mut tenants = BTreeMap::new();
+        for entry in fs::read_dir(&root)? {
+            let entry = entry?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if valid_name(&name) && entry.path().join("ck").exists() {
+                tenants.insert(name.clone(), Tenant::recover(&cfg, &name)?);
+            } else {
+                // A tenant dropped, or created, only halfway.
+                let _ = fs::remove_dir_all(entry.path());
+            }
+        }
+        Ok(ServiceState {
+            cfg,
+            tenants,
+            records_since_ck: 0,
+            ingests: 0,
+            records_total: 0,
+        })
     }
 
-    fn snapshot_of(&mut self, tenant: &str, stream: &str) -> Result<Response, String> {
+    fn tenant(&mut self, tenant: &str) -> Result<&mut Tenant, String> {
+        self.tenants
+            .get_mut(tenant)
+            .ok_or_else(|| format!("no tenant `{tenant}`"))
+    }
+
+    fn stream(&self, tenant: &str, stream: &str) -> Result<(&Tenant, &StreamState), String> {
         let t = self
             .tenants
-            .get_mut(tenant)
+            .get(tenant)
             .ok_or_else(|| format!("no tenant `{tenant}`"))?;
         let s = t
             .streams
             .get(stream)
             .ok_or_else(|| format!("no stream `{tenant}/{stream}`"))?;
-        if s.is_baseline() && s.done.is_none() {
-            return Err(format!("`{tenant}/{stream}` is the baseline; it has no score"));
+        Ok((t, s))
+    }
+
+    fn create_tenant(&mut self, tenant: String, budget_bytes: u64) -> Result<Response, String> {
+        if self.tenants.contains_key(&tenant) {
+            return Err(format!("tenant `{tenant}` already exists"));
         }
+        let budget = if budget_bytes == 0 {
+            self.cfg.default_budget_bytes
+        } else {
+            budget_bytes
+        };
+        let t = Tenant::create(&self.cfg, &tenant, budget)?;
+        self.tenants.insert(tenant, t);
+        obs::counter_inc("service.tenants.created");
+        obs::gauge_set("service.tenants", self.tenants.len() as u64);
+        Ok(Response::Ok)
+    }
+
+    fn drop_tenant(&mut self, tenant: &str) -> Result<Response, String> {
+        // A tenant exists iff its `ck` does: gone in that one step, then
+        // deleted; recovery finishes a deletion that does not complete.
+        let ck = self.tenant(tenant)?.dir.join("ck");
+        fs::remove_file(ck).map_err(|e| format!("drop of `{tenant}`: {e}"))?;
+        let t = self.tenants.remove(tenant).expect("looked up above");
+        let _ = fs::remove_dir_all(&t.dir);
+        obs::counter_inc("service.tenants.dropped");
+        obs::gauge_set("service.tenants", self.tenants.len() as u64);
+        Ok(Response::Ok)
+    }
+
+    /// Journal + apply a stream op of one tenant.
+    fn mutate(&mut self, tenant: &str, op: JournalOp) -> Result<Response, String> {
+        let cfg = self.cfg.stream_config();
+        let t = self.tenant(tenant)?;
+        t.journal(&op)?;
+        t.apply(cfg, op, &[])
+    }
+
+    fn ingest(
+        &mut self,
+        tenant: &str,
+        stream: String,
+        seq: u64,
+        records: &[WireObs],
+    ) -> Result<Response, String> {
+        let cfg = self.cfg.stream_config();
+        let (resp, fresh) = self.tenant(tenant)?.ingest(cfg, stream, seq, records)?;
+        if fresh > 0 {
+            self.ingests += 1;
+            self.records_total += fresh;
+            self.records_since_ck += fresh;
+            obs::counter_inc("service.ingest.requests");
+            obs::counter_add("service.ingest.records", fresh);
+        }
+        if self.cfg.checkpoint_every_records > 0
+            && self.records_since_ck >= self.cfg.checkpoint_every_records
+        {
+            // The ingest itself is logged, journaled and applied; a
+            // failed cadence checkpoint must not make the client believe
+            // it failed. Durability is unharmed — the journals still
+            // cover everything since the last good checkpoint — so
+            // surface the failure out of band and retry next cadence.
+            if let Err(m) = self.checkpoint() {
+                eprintln!("choir-serve: cadence checkpoint failed: {m}");
+                obs::counter_inc("service.checkpoint.failures");
+            }
+        }
+        Ok(resp)
+    }
+
+    /// Durable checkpoint of every tenant touched since the last one.
+    /// Clean tenants cost nothing: their files are not opened.
+    fn checkpoint(&mut self) -> Result<(), String> {
+        let _span = obs::span("service.checkpoint");
+        for t in self.tenants.values_mut().filter(|t| t.dirty) {
+            t.checkpoint()?;
+        }
+        self.records_since_ck = 0;
+        obs::counter_inc("service.checkpoints");
+        Ok(())
+    }
+
+    fn snapshot_of(&self, tenant: &str, stream: &str) -> Result<Response, String> {
+        let (_, s) = self.stream(tenant, stream)?;
         if let Some(done) = &s.done {
             let c = &done.comparison;
             return Ok(Response::Snapshot {
@@ -705,7 +768,11 @@ impl ServiceState {
                 running: WireKappa::from(&c.metrics),
             });
         }
-        let eng = s.engine.as_ref().expect("live comparison stream");
+        let Some(eng) = &s.engine else {
+            return Err(format!(
+                "`{tenant}/{stream}` is the baseline; it has no score"
+            ));
+        };
         let (seen_a, seen_b, common) = (eng.seen_a(), eng.seen_b(), eng.matched());
         // Score the current prefix without perturbing the live engine:
         // clone it through its own checkpoint (cheap relative to a
@@ -721,20 +788,15 @@ impl ServiceState {
     }
 
     fn trail_of(&self, tenant: &str, stream: &str) -> Result<Response, String> {
-        let t = self
-            .tenants
-            .get(tenant)
-            .ok_or_else(|| format!("no tenant `{tenant}`"))?;
-        let s = t
-            .streams
-            .get(stream)
-            .ok_or_else(|| format!("no stream `{tenant}/{stream}`"))?;
+        let (_, s) = self.stream(tenant, stream)?;
         let snaps: &[KappaSnapshot] = if let Some(done) = &s.done {
             &done.snapshots
         } else if let Some(eng) = &s.engine {
             eng.snapshots()
         } else {
-            return Err(format!("`{tenant}/{stream}` is the baseline; it has no trail"));
+            return Err(format!(
+                "`{tenant}/{stream}` is the baseline; it has no trail"
+            ));
         };
         Ok(Response::Trail {
             points: snaps.iter().map(WireTrailPoint::from).collect(),
@@ -742,11 +804,8 @@ impl ServiceState {
     }
 
     fn matrix_of(&mut self, tenant: &str) -> Result<Response, String> {
-        let shards = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let t = self
-            .tenants
-            .get_mut(tenant)
-            .ok_or_else(|| format!("no tenant `{tenant}`"))?;
+        let shards = thread::available_parallelism().map_or(1, |n| n.get());
+        let t = self.tenant(tenant)?;
         if let Some((labels, cells)) = &t.matrix {
             return Ok(Response::Matrix {
                 labels: labels.clone(),
@@ -760,13 +819,13 @@ impl ServiceState {
                 labels.len()
             ));
         }
-        let mut trials = Vec::with_capacity(labels.len());
-        for name in &labels {
-            trials.push(t.store.trial(name).map_err(|e| e.to_string())?);
-        }
-        let (matrix, _stats) =
-            all_pairs_sharded_with(&trials, shards, &KappaConfig::paper())
-                .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
+        let trials = labels
+            .iter()
+            .map(|name| t.store.trial(name))
+            .collect::<Result<Vec<Trial>, _>>()
+            .map_err(|e| e.to_string())?;
+        let (matrix, _stats) = all_pairs_sharded_with(&trials, shards, &KappaConfig::paper())
+            .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
         let mut cells = Vec::with_capacity(matrix.pairs());
         let n = labels.len();
         for i in 0..n {
@@ -783,33 +842,19 @@ impl ServiceState {
             }
         }
         t.matrix = Some((labels.clone(), cells.clone()));
-        if obs::is_enabled() {
-            obs::counter_inc("service.matrix.computed");
-        }
+        obs::counter_inc("service.matrix.computed");
         Ok(Response::Matrix { labels, cells })
     }
 
     fn stats(&self) -> Response {
-        let mut resident = 0;
-        let mut budget = 0;
-        let mut evictions = 0;
-        let mut reloads = 0;
-        let mut streams = 0;
-        for t in self.tenants.values() {
-            let s = t.store.stats();
-            resident += s.resident_bytes;
-            budget += s.budget_bytes;
-            evictions += s.evictions;
-            reloads += s.reloads;
-            streams += t.streams.len() as u64;
-        }
+        let stores: Vec<_> = self.tenants.values().map(|t| t.store.stats()).collect();
         Response::Stats {
             tenants: self.tenants.len() as u64,
-            streams,
-            store_resident_bytes: resident,
-            store_budget_bytes: budget,
-            store_evictions: evictions,
-            store_reloads: reloads,
+            streams: self.tenants.values().map(|t| t.streams.len() as u64).sum(),
+            store_resident_bytes: stores.iter().map(|s| s.resident_bytes).sum(),
+            store_budget_bytes: stores.iter().map(|s| s.budget_bytes).sum(),
+            store_evictions: stores.iter().map(|s| s.evictions).sum(),
+            store_reloads: stores.iter().map(|s| s.reloads).sum(),
             ingests: self.ingests,
             records: self.records_total,
         }
@@ -817,106 +862,52 @@ impl ServiceState {
 
     /// Handle one request. The bool asks the serve loop to stop.
     fn handle(&mut self, req: Request) -> (Response, bool) {
-        match req {
-            Request::Ping => (Response::Ok, false),
+        let stop = matches!(req, Request::Shutdown);
+        let result = match req {
+            Request::Ping => Ok(Response::Ok),
+            Request::CreateTenant { tenant: name, .. }
+            | Request::OpenStream { stream: name, .. }
+                if !valid_name(&name) =>
+            {
+                Err(format!(
+                    "`{name}` is not a valid name (1-64 chars of [A-Za-z0-9_-])"
+                ))
+            }
             Request::CreateTenant {
                 tenant,
                 budget_bytes,
-            } => {
-                if !valid_name(&tenant) {
-                    return (bad_name(&tenant), false);
-                }
-                (
-                    self.mutate(JournalOp::CreateTenant {
-                        tenant,
-                        budget_bytes,
-                    }),
-                    false,
-                )
-            }
-            Request::DropTenant { tenant } => {
-                (self.mutate(JournalOp::DropTenant { tenant }), false)
-            }
+            } => self.create_tenant(tenant, budget_bytes),
+            Request::DropTenant { tenant } => self.drop_tenant(&tenant),
             Request::OpenStream { tenant, stream } => {
-                if !valid_name(&stream) {
-                    return (bad_name(&stream), false);
-                }
-                (self.mutate(JournalOp::OpenStream { tenant, stream }), false)
+                self.mutate(&tenant, JournalOp::OpenStream { stream })
             }
             Request::Ingest {
                 tenant,
                 stream,
                 seq,
                 records,
-            } => (
-                self.mutate(JournalOp::Ingest {
-                    tenant,
-                    stream,
-                    seq,
-                    records,
-                }),
-                false,
-            ),
+            } => self.ingest(&tenant, stream, seq, &records),
             Request::FinishStream { tenant, stream } => {
-                (self.mutate(JournalOp::Finish { tenant, stream }), false)
+                self.mutate(&tenant, JournalOp::Finish { stream })
             }
-            Request::Snapshot { tenant, stream } => (
-                self.snapshot_of(&tenant, &stream)
-                    .unwrap_or_else(|message| Response::Error { message }),
-                false,
-            ),
-            Request::Trail { tenant, stream } => (
-                self.trail_of(&tenant, &stream)
-                    .unwrap_or_else(|message| Response::Error { message }),
-                false,
-            ),
-            Request::Matrix { tenant } => (
-                self.matrix_of(&tenant)
-                    .unwrap_or_else(|message| Response::Error { message }),
-                false,
-            ),
+            Request::Snapshot { tenant, stream } => self.snapshot_of(&tenant, &stream),
+            Request::Trail { tenant, stream } => self.trail_of(&tenant, &stream),
+            Request::Matrix { tenant } => self.matrix_of(&tenant),
             Request::StreamStatus { tenant, stream } => {
-                let resp = match self.tenants.get(&tenant) {
-                    None => Response::Error {
-                        message: format!("no tenant `{tenant}`"),
-                    },
-                    Some(t) => match t.streams.get(&stream) {
-                        None => Response::Error {
-                            message: format!("no stream `{tenant}/{stream}`"),
-                        },
-                        Some(s) => Response::Status {
-                            ingested: s.ingested,
-                            finished: s.finished,
-                            baseline: Some(&stream) == t.baseline.as_ref(),
-                        },
-                    },
-                };
-                (resp, false)
+                self.stream(&tenant, &stream)
+                    .map(|(t, s)| Response::Status {
+                        ingested: s.ingested,
+                        finished: s.finished,
+                        baseline: Some(&stream) == t.baseline.as_ref(),
+                    })
             }
-            Request::Stats => (self.stats(), false),
-            Request::Checkpoint => (
-                match self.checkpoint() {
-                    Ok(()) => Response::Ok,
-                    Err(message) => Response::Error { message },
-                },
-                false,
-            ),
-            Request::Shutdown => (
-                match self.checkpoint() {
-                    Ok(()) => Response::Ok,
-                    Err(message) => Response::Error { message },
-                },
-                true,
-            ),
-        }
-    }
-}
-
-fn bad_name(s: &str) -> Response {
-    Response::Error {
-        message: format!(
-            "`{s}` is not a valid name (1-64 chars of [A-Za-z0-9_-])"
-        ),
+            Request::Stats => Ok(self.stats()),
+            Request::Checkpoint | Request::Shutdown => self.checkpoint().map(|()| Response::Ok),
+        };
+        (
+            result.unwrap_or_else(|message| Response::Error { message }),
+            stop,
+        )
     }
 }
 
@@ -927,7 +918,7 @@ pub struct Daemon;
 /// stopping daemon can unblock handlers parked in `recv_request`.
 /// Finished entries are pruned on every accept; the rest are shut down
 /// and joined by [`DaemonHandle::kill`]/[`DaemonHandle::shutdown`]/
-/// [`DaemonHandle::wait`], so no handler can still be journaling after
+/// [`DaemonHandle::wait`], so no handler can still be writing after
 /// those return.
 type ConnRegistry = Mutex<Vec<(Option<TcpStream>, thread::JoinHandle<()>)>>;
 
@@ -1006,6 +997,9 @@ fn serve_connection(
                         message: e.to_string(),
                     },
                 );
+                // The registry holds a clone of this socket: close the
+                // connection itself, not just this handle to it.
+                let _ = writer.shutdown(std::net::Shutdown::Both);
                 return;
             }
         };
@@ -1051,8 +1045,8 @@ impl DaemonHandle {
     }
 
     /// Hard stop without a checkpoint — simulates a crash. Everything
-    /// since the last checkpoint survives only in the journal, which is
-    /// exactly what the recovery path replays.
+    /// since the last checkpoint survives only in the logs and journals,
+    /// which is exactly what the recovery path replays.
     pub fn kill(mut self) {
         self.stop_and_join();
     }

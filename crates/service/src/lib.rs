@@ -8,13 +8,15 @@
 //!
 //! * [`daemon`] — the service: tenants, streams, per-stream
 //!   [`choir_core::metrics::IncrementalComparison`] engines in
-//!   unbounded (batch-identical) mode, event-sourced durability
-//!   (journal + checkpoint) reusing the supervised-runner design, and a
-//!   thread-per-connection TCP serve loop.
+//!   unbounded (batch-identical) mode, per-tenant event-sourced
+//!   durability (record logs + marker journal + dirty-tenant
+//!   checkpoints), and a thread-per-connection TCP serve loop.
 //! * [`store`] — the evictable trial store: per-tenant LRU memory
-//!   budget, file-backed spill, rebuild on demand; eviction is
+//!   budget over one append-only 24-byte-record log per stream, which
+//!   is journal and spill at once; rebuild on demand; eviction is
 //!   invisible to every query.
-//! * [`wire`] — the protocol: 4-byte length-prefixed JSON frames,
+//! * [`wire`] — the protocol: 4-byte length-prefixed frames, JSON for
+//!   control verbs and responses, a binary record slab for `Ingest`,
 //!   with κ carried both as `f64` and as `f64::to_bits` so bit-identity
 //!   gates survive the wire.
 //! * [`client`] — a blocking client used by `choir-ctl`, the

@@ -1,27 +1,35 @@
 //! The evictable trial store: the TrialIndex cache generalized for a
-//! long-running daemon.
+//! long-running daemon, over one append-only record log per trial.
 //!
 //! The all-pairs engine's per-trial `TrialIndex` cache assumes every
 //! trial lives in memory for the run's duration — fine for a one-shot
 //! analysis, impossible for a daemon holding thousands of streams
 //! across tenants. [`TrialStore`] keeps each stream's observation
-//! vector under a per-store memory budget: least-recently-used trials
-//! are *evicted* to a file-backed spill directory (24 bytes per
-//! observation, little-endian) and transparently *rebuilt on demand*
-//! when next touched. Eviction is invisible to every consumer — a
-//! reloaded trial is byte-identical to the evicted one, which the
-//! service proptests gate on.
+//! vector under a per-store memory budget, and every [`append`] also
+//! writes its records to the end of the trial's log file (24 bytes per
+//! observation, little-endian: 16-byte identity, 8-byte timestamp)
+//! before it returns. The log is journal, spill file and durable trial
+//! state at once: the bytes are written exactly once, *evicting* a
+//! least-recently-used trial just drops its in-memory copy, and a
+//! trial is *rebuilt on demand* from its log when next touched.
+//! Eviction is invisible to every consumer — a reloaded trial is
+//! byte-identical to the evicted one, which the service proptests gate
+//! on.
 //!
-//! The spill files double as the durable trial state for the daemon's
-//! checkpoints: [`TrialStore::flush_all`] writes every dirty resident
-//! trial, so after a crash the store reloads from disk and the
-//! journal replay appends only the post-checkpoint tail
-//! ([`TrialStore::truncate`] first cuts each trial back to its
-//! checkpointed length).
+//! The store's record count per trial is authoritative. After a crash
+//! the daemon [`adopt`]s each log at the count its checkpoint and
+//! journal markers cover; bytes beyond that (an append that was never
+//! acknowledged) are ignored by reloads and cut off by the next append.
+//!
+//! Appends reach the OS before they return, which survives a process
+//! kill; nothing here calls `fsync`, so a power cut can lose them.
+//!
+//! [`append`]: TrialStore::append
+//! [`adopt`]: TrialStore::adopt
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use choir_core::metrics::{Observation, Trial};
@@ -33,13 +41,13 @@ use choir_packet::PacketId;
 /// truth — it is deterministic and platform-independent.
 pub const OBS_BYTES: u64 = 24;
 
-/// A store failure: spill-dir I/O or a corrupt spill file.
+/// A store failure: log-dir I/O or a short log file.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Filesystem failure under the spill directory.
+    /// Filesystem failure under the log directory.
     Io(std::io::Error),
-    /// A spill file's length is not a whole number of records, or it
-    /// holds fewer records than the store's accounting says it must.
+    /// A log file holds fewer records than the store's accounting (or
+    /// the caller of [`TrialStore::adopt`]) says it must.
     Corrupt { key: String, detail: String },
 }
 
@@ -48,7 +56,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "trial store I/O failed: {e}"),
             StoreError::Corrupt { key, detail } => {
-                write!(f, "trial store spill for `{key}` is corrupt: {detail}")
+                write!(f, "trial store log for `{key}` is corrupt: {detail}")
             }
         }
     }
@@ -69,34 +77,32 @@ pub struct StoreStats {
     pub resident_bytes: u64,
     /// Configured budget.
     pub budget_bytes: u64,
-    /// Trials evicted to spill since the store was opened.
+    /// Trials evicted from memory since the store was opened.
     pub evictions: u64,
-    /// Trials rebuilt from spill since the store was opened.
+    /// Trials rebuilt from their log since the store was opened.
     pub reloads: u64,
-    /// Trials currently tracked (resident or spilled).
+    /// Trials currently tracked (resident or not).
     pub trials: u64,
-    /// Trials currently spilled out of memory.
+    /// Trials currently held only by their log.
     pub spilled: u64,
 }
 
 struct Slot {
     /// Resident observations, `None` while evicted.
     obs: Option<Vec<Observation>>,
-    /// Authoritative record count (resident or not).
+    /// Authoritative record count (resident or not); the log holds at
+    /// least this many records.
     len: u64,
-    /// Records of the in-memory vector already safe in the spill file.
-    /// `< len` (with `obs` resident) means the tail is dirty.
-    persisted: u64,
     /// LRU clock value at last touch.
     used: u64,
 }
 
-/// The evictable trial store. Keys are `tenant/stream` strings; the
-/// daemon validates name characters before they reach here, so keys
-/// map to spill file names without escaping.
+/// The evictable trial store. Keys are stream names; the daemon
+/// validates name characters before they reach here, so keys map to log
+/// file names without escaping.
 pub struct TrialStore {
     budget: u64,
-    spill_dir: PathBuf,
+    dir: PathBuf,
     slots: HashMap<String, Slot>,
     clock: u64,
     resident_bytes: u64,
@@ -104,31 +110,43 @@ pub struct TrialStore {
     reloads: u64,
 }
 
-fn spill_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("{}.trial", key.replace('/', "__")))
+/// Append records in the one bulk layout — log file and `Ingest` frame
+/// alike: identity as u128 LE, then `t_ps` as u64 LE.
+pub(crate) fn encode_records(out: &mut Vec<u8>, recs: impl Iterator<Item = Observation>) {
+    for o in recs {
+        out.extend_from_slice(&o.id.0.to_le_bytes());
+        out.extend_from_slice(&o.t_ps.to_le_bytes());
+    }
+}
+
+/// The records of a slab in that layout; a ragged tail is not yielded.
+pub(crate) fn decode_records(raw: &[u8]) -> impl Iterator<Item = Observation> + '_ {
+    raw.chunks_exact(OBS_BYTES as usize).map(|b| Observation {
+        id: PacketId(u128::from_le_bytes(b[..16].try_into().expect("16-byte id"))),
+        t_ps: u64::from_le_bytes(b[16..].try_into().expect("8-byte ts")),
+    })
+}
+
+fn log_path(dir: &Path, key: &str) -> PathBuf {
+    dir.join(format!("{}.log", key.replace('/', "__")))
 }
 
 impl TrialStore {
-    /// Open a store over `spill_dir` (created if missing) with the
-    /// given resident-byte budget. `budget_bytes == 0` means
-    /// "everything spills as soon as it is not in use" and still works.
-    pub fn open(spill_dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self, StoreError> {
-        let spill_dir = spill_dir.into();
-        fs::create_dir_all(&spill_dir)?;
+    /// Open a store over `dir` (created if missing) with the given
+    /// resident-byte budget. `budget_bytes == 0` means "everything is
+    /// evicted as soon as it is not in use" and still works.
+    pub fn open(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self, StoreError> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
         Ok(TrialStore {
             budget: budget_bytes,
-            spill_dir,
+            dir,
             slots: HashMap::new(),
             clock: 0,
             resident_bytes: 0,
             evictions: 0,
             reloads: 0,
         })
-    }
-
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
     }
 
     /// Observation bytes currently resident.
@@ -153,13 +171,8 @@ impl TrialStore {
         self.slots.get(key).map_or(0, |s| s.len)
     }
 
-    /// `true` when no trial is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Every tracked key, sorted (deterministic iteration for
-    /// checkpoints and matrix labels).
+    /// Every tracked key, sorted (deterministic iteration for matrix
+    /// labels).
     pub fn keys(&self) -> Vec<String> {
         let mut ks: Vec<String> = self.slots.keys().cloned().collect();
         ks.sort();
@@ -171,27 +184,41 @@ impl TrialStore {
         slot.used = *clock;
     }
 
-    /// Append observations to a trial, creating it on first touch.
-    /// The trial is made resident first (rebuilt from spill if
-    /// evicted), and the budget is re-enforced afterwards — possibly
-    /// evicting *other* trials, never the one just appended to.
+    /// Append observations to a trial, creating it on first touch: to
+    /// the end of its log first, then to the resident copy (rebuilt from
+    /// the log if evicted). The budget is re-enforced afterwards —
+    /// possibly evicting *other* trials, never the one just appended to.
     pub fn append(&mut self, key: &str, recs: &[Observation]) -> Result<(), StoreError> {
         self.ensure_resident(key)?;
         let slot = self.slots.get_mut(key).expect("ensured resident");
-        let obs = slot.obs.as_mut().expect("ensured resident");
-        obs.extend_from_slice(recs);
+        let mut raw = Vec::with_capacity(recs.len() * OBS_BYTES as usize);
+        encode_records(&mut raw, recs.iter().copied());
+        let mut log = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(log_path(&self.dir, key))?;
+        // A crash can leave records nobody was told about past the
+        // accounted end; they go before anything is written after them.
+        log.set_len(slot.len * OBS_BYTES)?;
+        log.seek(SeekFrom::End(0))?;
+        log.write_all(&raw)?;
+        slot.obs
+            .as_mut()
+            .expect("ensured resident")
+            .extend_from_slice(recs);
         slot.len += recs.len() as u64;
         Self::touch(slot, &mut self.clock);
         self.resident_bytes += recs.len() as u64 * OBS_BYTES;
-        self.enforce_budget(Some(key))?;
+        self.enforce_budget(key);
         Ok(())
     }
 
-    /// Borrow a trial's observations, rebuilding from spill on demand.
+    /// Borrow a trial's observations, rebuilding from its log on demand.
     /// Other trials may be evicted to make room for the reload.
     pub fn get(&mut self, key: &str) -> Result<&[Observation], StoreError> {
         self.ensure_resident(key)?;
-        self.enforce_budget(Some(key))?;
+        self.enforce_budget(key);
         let slot = self.slots.get_mut(key).expect("ensured resident");
         Self::touch(slot, &mut self.clock);
         Ok(slot.obs.as_deref().expect("ensured resident"))
@@ -199,116 +226,49 @@ impl TrialStore {
 
     /// Materialize a trial as a [`Trial`] for the all-pairs engine.
     pub fn trial(&mut self, key: &str) -> Result<Trial, StoreError> {
-        let obs = self.get(key)?;
-        let mut t = Trial::new();
-        for o in obs {
-            t.push(o.id, o.t_ps);
-        }
-        Ok(t)
+        Ok(Trial::from_observations(self.get(key)?))
     }
 
-    /// Cut a trial back to `n` records (recovery: the checkpoint knows
-    /// `n`, the spill file may hold a longer post-checkpoint tail).
-    /// No-op when the trial is already at or below `n`.
-    pub fn truncate(&mut self, key: &str, n: u64) -> Result<(), StoreError> {
-        if self.len(key) <= n {
-            return Ok(());
-        }
-        self.ensure_resident(key)?;
-        let slot = self.slots.get_mut(key).expect("ensured resident");
-        let obs = slot.obs.as_mut().expect("ensured resident");
-        let dropped = obs.len() as u64 - n;
-        obs.truncate(n as usize);
-        slot.len = n;
-        slot.persisted = slot.persisted.min(n);
-        self.resident_bytes -= dropped * OBS_BYTES;
-        // The spill file may still hold the longer tail; rewrite it so
-        // disk never disagrees with accounting.
-        self.write_spill(key)?;
-        Ok(())
-    }
-
-    /// Drop a trial and its spill file.
-    pub fn remove(&mut self, key: &str) -> Result<(), StoreError> {
-        if let Some(slot) = self.slots.remove(key) {
-            if let Some(obs) = slot.obs {
-                self.resident_bytes -= obs.len() as u64 * OBS_BYTES;
-            }
-            let p = spill_path(&self.spill_dir, key);
-            if p.exists() {
-                fs::remove_file(p)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush every dirty resident trial to its spill file (trials stay
-    /// resident). After this, disk holds every record the store knows
-    /// about — the daemon calls it at checkpoint time.
+    /// Every append is already in its log when it returns; there is
+    /// nothing left to write. Kept as the barrier callers place before
+    /// they measure or snapshot the directory.
     pub fn flush_all(&mut self) -> Result<(), StoreError> {
-        let keys: Vec<String> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.obs.is_some() && s.persisted < s.len)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in keys {
-            self.write_spill(&k)?;
+        Ok(())
+    }
+
+    /// Take a trial's log at `count` records without loading it: the
+    /// trial becomes non-resident at exactly that length, whatever the
+    /// store held for it before. Recovery uses it to set each trial to
+    /// what its checkpoint and journal markers cover.
+    pub fn adopt(&mut self, key: &str, count: u64) -> Result<(), StoreError> {
+        let on_disk = fs::metadata(log_path(&self.dir, key)).map_or(0, |m| m.len());
+        Self::check_log(key, on_disk, count)?;
+        let slot = Slot {
+            // An empty trial may have no log file at all yet.
+            obs: (count == 0).then(Vec::new),
+            len: count,
+            used: self.clock,
+        };
+        if let Some(Slot { obs: Some(old), .. }) = self.slots.insert(key.to_string(), slot) {
+            self.resident_bytes -= old.len() as u64 * OBS_BYTES;
         }
         Ok(())
     }
 
-    /// Adopt a trial already on disk (daemon restart): trust the spill
-    /// file for `count` records without loading it yet.
-    pub fn adopt(&mut self, key: &str, count: u64) -> Result<(), StoreError> {
-        if count == 0 {
-            // Nothing durable to trust — start the trial empty and
-            // resident (there may be no spill file at all yet).
-            self.slots.insert(
-                key.to_string(),
-                Slot {
-                    obs: Some(Vec::new()),
-                    len: 0,
-                    persisted: 0,
-                    used: self.clock,
-                },
-            );
+    /// `Corrupt` unless a log of `bytes` bytes holds `want` records.
+    fn check_log(key: &str, bytes: u64, want: u64) -> Result<(), StoreError> {
+        if bytes / OBS_BYTES >= want {
             return Ok(());
         }
-        let p = spill_path(&self.spill_dir, key);
-        let on_disk = if p.exists() { fs::metadata(&p)?.len() / OBS_BYTES } else { 0 };
-        if on_disk < count {
-            return Err(StoreError::Corrupt {
-                key: key.to_string(),
-                detail: format!("spill holds {on_disk} records, checkpoint expects {count}"),
-            });
-        }
-        self.slots.insert(
-            key.to_string(),
-            Slot {
-                obs: None,
-                len: count,
-                persisted: count,
-                used: self.clock,
-            },
-        );
-        Ok(())
+        Err(StoreError::Corrupt {
+            key: key.to_string(),
+            detail: format!("log holds {bytes} bytes, {want} records are accounted for"),
+        })
     }
 
     fn ensure_resident(&mut self, key: &str) -> Result<(), StoreError> {
         match self.slots.get(key) {
-            None => {
-                self.slots.insert(
-                    key.to_string(),
-                    Slot {
-                        obs: Some(Vec::new()),
-                        len: 0,
-                        persisted: 0,
-                        used: self.clock,
-                    },
-                );
-                Ok(())
-            }
+            None => self.adopt(key, 0),
             Some(s) if s.obs.is_some() => Ok(()),
             Some(_) => self.reload(key),
         }
@@ -316,59 +276,16 @@ impl TrialStore {
 
     fn reload(&mut self, key: &str) -> Result<(), StoreError> {
         let want = self.slots[key].len;
-        let p = spill_path(&self.spill_dir, key);
         let mut raw = Vec::new();
-        fs::File::open(&p)?.read_to_end(&mut raw)?;
-        if !(raw.len() as u64).is_multiple_of(OBS_BYTES) {
-            return Err(StoreError::Corrupt {
-                key: key.to_string(),
-                detail: format!("{} bytes is not a whole record count", raw.len()),
-            });
-        }
-        let have = raw.len() as u64 / OBS_BYTES;
-        if have < want {
-            return Err(StoreError::Corrupt {
-                key: key.to_string(),
-                detail: format!("spill holds {have} records, store expects {want}"),
-            });
-        }
-        // A longer file is fine (pre-crash tail beyond the adopted
-        // checkpoint count); only the accounted prefix is loaded.
-        let mut obs = Vec::with_capacity(want as usize);
-        for i in 0..want as usize {
-            let b = &raw[i * OBS_BYTES as usize..(i + 1) * OBS_BYTES as usize];
-            let id = u128::from_le_bytes(b[..16].try_into().expect("16-byte id"));
-            let t_ps = u64::from_le_bytes(b[16..24].try_into().expect("8-byte ts"));
-            obs.push(Observation {
-                id: PacketId(id),
-                t_ps,
-            });
-        }
+        fs::File::open(log_path(&self.dir, key))?
+            .take(want * OBS_BYTES)
+            .read_to_end(&mut raw)?;
+        Self::check_log(key, raw.len() as u64, want)?;
         let slot = self.slots.get_mut(key).expect("caller checked");
-        slot.obs = Some(obs);
-        slot.persisted = want;
+        slot.obs = Some(decode_records(&raw).collect());
         self.resident_bytes += want * OBS_BYTES;
         self.reloads += 1;
-        if obs::is_enabled() {
-            obs::counter_inc("service.store.reloads");
-        }
-        Ok(())
-    }
-
-    fn write_spill(&mut self, key: &str) -> Result<(), StoreError> {
-        let slot = self.slots.get(key).expect("flush of unknown key");
-        let obs = slot.obs.as_ref().expect("flush of evicted trial");
-        let mut raw = Vec::with_capacity(obs.len() * OBS_BYTES as usize);
-        for o in obs {
-            raw.extend_from_slice(&o.id.0.to_le_bytes());
-            raw.extend_from_slice(&o.t_ps.to_le_bytes());
-        }
-        let p = spill_path(&self.spill_dir, key);
-        let tmp = p.with_extension("trial.tmp");
-        fs::File::create(&tmp)?.write_all(&raw)?;
-        fs::rename(&tmp, &p)?;
-        let slot = self.slots.get_mut(key).expect("flush of unknown key");
-        slot.persisted = slot.len;
+        obs::counter_inc("service.store.reloads");
         Ok(())
     }
 
@@ -376,34 +293,21 @@ impl TrialStore {
     /// budget. `keep` (the trial the caller is actively using) is never
     /// evicted, so a single over-budget trial stays resident — the
     /// budget bounds everything evictable.
-    fn enforce_budget(&mut self, keep: Option<&str>) -> Result<(), StoreError> {
+    fn enforce_budget(&mut self, keep: &str) {
         while self.resident_bytes > self.budget {
             let victim = self
                 .slots
-                .iter()
-                .filter(|(k, s)| s.obs.is_some() && keep != Some(k.as_str()))
-                .min_by_key(|(_, s)| s.used)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            self.evict(&victim)?;
-        }
-        Ok(())
-    }
-
-    fn evict(&mut self, key: &str) -> Result<(), StoreError> {
-        let slot = self.slots.get(key).expect("evict of unknown key");
-        if slot.persisted < slot.len {
-            self.write_spill(key)?;
-        }
-        let slot = self.slots.get_mut(key).expect("evict of unknown key");
-        let obs = slot.obs.take().expect("evict of non-resident trial");
-        self.resident_bytes -= obs.len() as u64 * OBS_BYTES;
-        self.evictions += 1;
-        if obs::is_enabled() {
+                .iter_mut()
+                .filter(|(k, s)| s.obs.is_some() && k.as_str() != keep)
+                .min_by_key(|(_, s)| s.used);
+            let Some((_, slot)) = victim else { break };
+            // The log already holds every record: eviction writes nothing.
+            let obs = slot.obs.take().expect("filtered on resident");
+            self.resident_bytes -= obs.len() as u64 * OBS_BYTES;
+            self.evictions += 1;
             obs::counter_inc("service.store.evictions");
             obs::gauge_set("service.store.resident_bytes", self.resident_bytes);
         }
-        Ok(())
     }
 }
 
@@ -412,10 +316,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!(
-            "choir-store-{name}-{}",
-            std::process::id()
-        ));
+        let p = std::env::temp_dir().join(format!("choir-store-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&p);
         p
     }
@@ -483,46 +384,55 @@ mod tests {
     }
 
     #[test]
-    fn flush_adopt_truncate_recovery_cycle() {
+    fn log_adopt_recovery_cycle() {
         let dir = tmp("recover");
         let a = obs_seq(0, 90);
         {
             let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
-            // Checkpoint at 50 records, then 40 more arrive (journaled
-            // but not checkpointed), then flush as an eviction would.
             st.append("t0/a", &a[..50]).unwrap();
-            st.flush_all().unwrap();
             st.append("t0/a", &a[50..]).unwrap();
-            st.flush_all().unwrap();
         }
-        // Restart: the checkpoint says 50; the file holds 90.
+        // Restart: markers cover 50 records; the log holds 90.
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
         st.adopt("t0/a", 50).unwrap();
         assert_eq!(st.get("t0/a").unwrap(), &a[..50]);
-        // Journal replay re-appends the tail.
-        st.append("t0/a", &a[50..]).unwrap();
+        // A later marker covers the rest: adopt again, nothing rewritten.
+        st.adopt("t0/a", 90).unwrap();
+        assert_eq!(st.resident_bytes(), 0, "adopt drops the resident copy");
         assert_eq!(st.get("t0/a").unwrap(), &a[..]);
     }
 
     #[test]
-    fn truncate_rewrites_spill() {
-        let dir = tmp("trunc");
+    fn append_cuts_an_unaccounted_tail() {
+        let dir = tmp("tail");
         let a = obs_seq(0, 30);
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
         st.append("t0/a", &a).unwrap();
-        st.truncate("t0/a", 12).unwrap();
-        assert_eq!(st.get("t0/a").unwrap(), &a[..12]);
-        // The spill file agrees.
-        let p = spill_path(&dir, "t0/a");
-        assert_eq!(fs::metadata(p).unwrap().len(), 12 * OBS_BYTES);
+        drop(st);
+        // Only 12 records were ever acknowledged, plus half a record of
+        // a torn append.
+        let p = log_path(&dir, "t0/a");
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&p)
+            .unwrap()
+            .set_len(30 * OBS_BYTES - 11)
+            .unwrap();
+        let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
+        st.adopt("t0/a", 12).unwrap();
+        let tail = obs_seq(700, 5);
+        st.append("t0/a", &tail).unwrap();
+        assert_eq!(fs::metadata(&p).unwrap().len(), 17 * OBS_BYTES);
+        let want: Vec<Observation> = a[..12].iter().chain(&tail).copied().collect();
+        st.adopt("t0/a", 17).unwrap();
+        assert_eq!(st.get("t0/a").unwrap(), &want[..]);
     }
 
     #[test]
-    fn adopt_refuses_short_spill() {
+    fn adopt_refuses_short_log() {
         let dir = tmp("short");
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
         st.append("t0/a", &obs_seq(0, 5)).unwrap();
-        st.flush_all().unwrap();
         drop(st);
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
         let err = st.adopt("t0/a", 9).unwrap_err();
@@ -530,24 +440,26 @@ mod tests {
     }
 
     #[test]
-    fn remove_deletes_slot_and_file() {
-        let dir = tmp("rm");
-        let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
+    fn eviction_writes_nothing() {
+        let dir = tmp("evictfree");
+        let mut st = TrialStore::open(&dir, 10 * OBS_BYTES).unwrap();
         st.append("t0/a", &obs_seq(0, 8)).unwrap();
-        st.flush_all().unwrap();
-        st.remove("t0/a").unwrap();
-        assert_eq!(st.len("t0/a"), 0);
-        assert!(!spill_path(&dir, "t0/a").exists());
-        assert_eq!(st.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn trial_materialization_matches_observations() {
-        let mut st = TrialStore::open(tmp("trial"), 1 << 20).unwrap();
-        let a = obs_seq(3, 40);
-        st.append("t0/a", &a).unwrap();
-        let t = st.trial("t0/a").unwrap();
-        assert_eq!(t.len(), 40);
-        assert_eq!(t.observations(), &a[..]);
+        let before = fs::metadata(log_path(&dir, "t0/a"))
+            .unwrap()
+            .modified()
+            .unwrap();
+        st.append("t0/b", &obs_seq(50, 8)).unwrap(); // evicts a
+        assert_eq!(st.stats().evictions, 1);
+        assert_eq!(
+            fs::metadata(log_path(&dir, "t0/a"))
+                .unwrap()
+                .modified()
+                .unwrap(),
+            before
+        );
+        assert_eq!(
+            fs::metadata(log_path(&dir, "t0/a")).unwrap().len(),
+            8 * OBS_BYTES
+        );
     }
 }

@@ -1,21 +1,33 @@
-//! The daemon's wire protocol: length-prefixed JSON frames.
+//! The daemon's wire protocol: length-prefixed frames.
 //!
 //! Every message on the socket is one *frame*: a 4-byte little-endian
-//! byte count followed by exactly that many bytes of JSON — an
-//! externally-tagged [`Request`] from the client, an externally-tagged
-//! [`Response`] back. Framing first means a reader never has to scan
-//! for JSON boundaries, and a frame cap ([`MAX_FRAME_BYTES`]) bounds
-//! what a misbehaving peer can make the daemon allocate.
+//! byte count followed by exactly that many payload bytes. Framing first
+//! means a reader never has to scan for message boundaries, and a frame
+//! cap ([`MAX_FRAME_BYTES`]) bounds what a misbehaving peer can make the
+//! daemon allocate.
+//!
+//! Control verbs and every [`Response`] are JSON payloads (externally
+//! tagged enums; JSON text starts with `{` or `"`). The one bulk verb,
+//! [`Request::Ingest`], is binary — a payload that starts with
+//! [`INGEST_TAG`]:
+//!
+//! | bytes | field |
+//! |---|---|
+//! | 1 | `INGEST_TAG` (0x01) |
+//! | 1 + T | tenant name length, name |
+//! | 1 + S | stream name length, name |
+//! | 8 | `seq`, u64 LE |
+//! | 4 | record count, u32 LE |
+//! | 24 x count | records: identity u128 LE, `t_ps` u64 LE |
+//!
+//! The 24-byte record is the layout the stream logs use on disk
+//! ([`crate::store`]); a record is never JSON anywhere.
 //!
 //! κ values ride the wire twice: as the `f64` (human-readable, what
 //! `choir-ctl` prints) **and** as `f64::to_bits` in a `u64` (what the
 //! bit-identity gates compare). The JSON float round-trips exactly
 //! through the vendored serde_json, but the bits field makes the gate
 //! independent of any printer/parser subtlety.
-//!
-//! The vendored serde data model tops out at 64-bit integers, so the
-//! 128-bit packet identity crosses the wire as an `(id_hi, id_lo)`
-//! pair ([`WireObs`]).
 
 use std::io::{self, Read, Write};
 
@@ -23,10 +35,15 @@ use choir_core::metrics::{ConsistencyMetrics, KappaSnapshot, Observation, TrialC
 use choir_packet::PacketId;
 use serde::{Deserialize, Serialize};
 
-/// Hard cap on a single frame's payload. Large ingest batches should be
-/// split client-side (the client lib chunks for you); 16 MiB of JSON is
-/// already ~200k observations per frame.
+use crate::store::{decode_records, encode_records, OBS_BYTES};
+
+/// Hard cap on a single frame's payload: ~699k records per `Ingest`.
+/// Large batches should be split client-side (the client lib chunks for
+/// you).
 pub const MAX_FRAME_BYTES: u32 = 16 << 20;
+
+/// First payload byte of a binary [`Request::Ingest`] frame.
+pub const INGEST_TAG: u8 = 0x01;
 
 /// A framing/transport failure (distinct from an in-protocol
 /// [`Response::Error`], which means the daemon understood you and said
@@ -37,8 +54,10 @@ pub enum WireError {
     Io(io::Error),
     /// Peer announced a frame larger than [`MAX_FRAME_BYTES`].
     Oversized(u32),
-    /// Frame bytes were not valid JSON for the expected message type.
+    /// Frame bytes were not a valid message of the expected type.
     Parse(String),
+    /// An `Ingest` frame's record slab is not `24 x count` bytes.
+    Slab { count: u32, bytes: usize },
 }
 
 impl std::fmt::Display for WireError {
@@ -49,6 +68,12 @@ impl std::fmt::Display for WireError {
                 write!(f, "peer announced a {n}-byte frame (cap {MAX_FRAME_BYTES})")
             }
             WireError::Parse(m) => write!(f, "frame is not a valid message: {m}"),
+            WireError::Slab { count, bytes } => {
+                write!(
+                    f,
+                    "ingest frame declares {count} records but carries {bytes} slab bytes"
+                )
+            }
         }
     }
 }
@@ -59,6 +84,18 @@ impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
         WireError::Io(e)
     }
+}
+
+/// A frame buffer for an `n`-byte payload: the length prefix, then room
+/// for the payload, refused before anything is allocated past the cap.
+fn frame_for(n: usize) -> Result<Vec<u8>, WireError> {
+    let len = u32::try_from(n).map_err(|_| WireError::Oversized(u32::MAX))?;
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized(len));
+    }
+    let mut frame = Vec::with_capacity(4 + n);
+    frame.extend_from_slice(&len.to_le_bytes());
+    Ok(frame)
 }
 
 /// Write one frame: 4-byte LE length, then the payload.
@@ -91,16 +128,86 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     Ok(Some(buf))
 }
 
-/// Serialize + frame a [`Request`].
-pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
-    let json = serde_json::to_string(req).map_err(|e| WireError::Parse(e.to_string()))?;
+fn send_json(w: &mut impl Write, msg: &impl Serialize) -> Result<(), WireError> {
+    let json = serde_json::to_string(msg).map_err(|e| WireError::Parse(e.to_string()))?;
     write_frame(w, json.as_bytes())
+}
+
+fn parse_json<T: Deserialize>(buf: Vec<u8>) -> Result<T, WireError> {
+    let s = String::from_utf8(buf).map_err(|e| WireError::Parse(e.to_string()))?;
+    serde_json::from_str(&s).map_err(|e| WireError::Parse(e.to_string()))
+}
+
+/// Frame a [`Request`]: `Ingest` as header + record slab, the rest JSON.
+pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
+    let Request::Ingest {
+        tenant,
+        stream,
+        seq,
+        records,
+    } = req
+    else {
+        return send_json(w, req);
+    };
+    let (Ok(t), Ok(s)) = (u8::try_from(tenant.len()), u8::try_from(stream.len())) else {
+        return Err(WireError::Parse("name over 255 bytes".into()));
+    };
+    // The frame cap holds the record count far below `u32::MAX`.
+    let slab = records.len() * OBS_BYTES as usize;
+    let mut frame = frame_for(15 + tenant.len() + stream.len() + slab)?;
+    frame.push(INGEST_TAG);
+    frame.push(t);
+    frame.extend_from_slice(tenant.as_bytes());
+    frame.push(s);
+    frame.extend_from_slice(stream.as_bytes());
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    encode_records(&mut frame, records.iter().map(|&r| r.into()));
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Serialize + frame a [`Response`].
 pub fn send_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
-    let json = serde_json::to_string(resp).map_err(|e| WireError::Parse(e.to_string()))?;
-    write_frame(w, json.as_bytes())
+    send_json(w, resp)
+}
+
+/// Split `n` bytes off the front of an ingest header.
+fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    if b.len() < n {
+        return Err(WireError::Parse("ingest header is truncated".into()));
+    }
+    let (head, rest) = b.split_at(n);
+    *b = rest;
+    Ok(head)
+}
+
+/// Decode an `Ingest` payload (after its tag byte) straight into the
+/// record vector. The slab length is checked against the declared count
+/// before anything is allocated for it.
+fn decode_ingest(mut b: &[u8]) -> Result<Request, WireError> {
+    let name = |b: &mut &[u8]| {
+        let n = take(b, 1)?[0] as usize;
+        String::from_utf8(take(b, n)?.to_vec()).map_err(|e| WireError::Parse(e.to_string()))
+    };
+    let tenant = name(&mut b)?;
+    let stream = name(&mut b)?;
+    let seq = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("8 bytes"));
+    let count = u32::from_le_bytes(take(&mut b, 4)?.try_into().expect("4 bytes"));
+    if b.len() as u64 != count as u64 * OBS_BYTES {
+        return Err(WireError::Slab {
+            count,
+            bytes: b.len(),
+        });
+    }
+    let records = decode_records(b).map(WireObs::from).collect();
+    Ok(Request::Ingest {
+        tenant,
+        stream,
+        seq,
+        records,
+    })
 }
 
 /// Read + parse one [`Request`]; `Ok(None)` on clean EOF.
@@ -108,25 +215,24 @@ pub fn recv_request(r: &mut impl Read) -> Result<Option<Request>, WireError> {
     let Some(buf) = read_frame(r)? else {
         return Ok(None);
     };
-    let s = String::from_utf8(buf).map_err(|e| WireError::Parse(e.to_string()))?;
-    serde_json::from_str(&s)
-        .map(Some)
-        .map_err(|e| WireError::Parse(e.to_string()))
+    if buf.first() == Some(&INGEST_TAG) {
+        return decode_ingest(&buf[1..]).map(Some);
+    }
+    match parse_json(buf)? {
+        Request::Ingest { .. } => Err(WireError::Parse(
+            "Ingest travels as a binary frame, not JSON".into(),
+        )),
+        req => Ok(Some(req)),
+    }
 }
 
 /// Read + parse one [`Response`]; `Ok(None)` on clean EOF.
 pub fn recv_response(r: &mut impl Read) -> Result<Option<Response>, WireError> {
-    let Some(buf) = read_frame(r)? else {
-        return Ok(None);
-    };
-    let s = String::from_utf8(buf).map_err(|e| WireError::Parse(e.to_string()))?;
-    serde_json::from_str(&s)
-        .map(Some)
-        .map_err(|e| WireError::Parse(e.to_string()))
+    read_frame(r)?.map(parse_json).transpose()
 }
 
-/// One observation on the wire: the 128-bit packet identity split into
-/// 64-bit halves plus the picosecond timestamp.
+/// One observation of an [`Request::Ingest`]: the 128-bit packet identity
+/// split into 64-bit halves plus the picosecond timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireObs {
     /// High 64 bits of the packet identity.
@@ -163,14 +269,15 @@ pub enum Request {
     Ping,
     /// Create a tenant with a resident-byte trial budget.
     CreateTenant { tenant: String, budget_bytes: u64 },
-    /// Drop a tenant and every stream, engine, and spill file it owns.
+    /// Drop a tenant and every stream, engine, and log file it owns.
     DropTenant { tenant: String },
     /// Open a stream under a tenant. The tenant's first opened stream
     /// is its baseline; every later stream is compared against it.
     OpenStream { tenant: String, stream: String },
     /// Append observations. `seq` is the client's record count *before*
     /// this batch: the daemon skips already-ingested overlap (idempotent
-    /// resend after a reconnect) and refuses gaps.
+    /// resend after a reconnect) and refuses gaps. The only verb that is
+    /// not JSON on the wire (module docs).
     Ingest {
         tenant: String,
         stream: String,
@@ -360,9 +467,9 @@ pub enum Response {
         store_resident_bytes: u64,
         /// Sum of per-tenant store budgets.
         store_budget_bytes: u64,
-        /// Trials evicted to spill since start.
+        /// Trials evicted from memory since start.
         store_evictions: u64,
-        /// Trials rebuilt from spill since start.
+        /// Trials rebuilt from their logs since start.
         store_reloads: u64,
         /// Ingest requests served since start.
         ingests: u64,
@@ -384,26 +491,6 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn oversized_frame_is_refused_without_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
-        let mut r = &buf[..];
-        assert!(matches!(
-            read_frame(&mut r),
-            Err(WireError::Oversized(n)) if n == MAX_FRAME_BYTES + 1
-        ));
-    }
-
-    #[test]
-    fn truncated_frame_is_an_io_error_not_eof() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&8u32.to_le_bytes());
-        buf.extend_from_slice(b"four");
-        let mut r = &buf[..];
-        assert!(matches!(read_frame(&mut r), Err(WireError::Io(_))));
     }
 
     #[test]
@@ -464,7 +551,11 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(running.kappa_bits, kappa.to_bits());
-        assert_eq!(running.kappa.to_bits(), kappa.to_bits(), "JSON f64 round-trip");
+        assert_eq!(
+            running.kappa.to_bits(),
+            kappa.to_bits(),
+            "JSON f64 round-trip"
+        );
     }
 
     #[test]

@@ -3,67 +3,23 @@
 //! to be **bit-identical** (`f64::to_bits`) to a post-hoc batch
 //! analysis of the same records — the service's load-bearing contract.
 
-use std::path::PathBuf;
+mod common;
 
 use choir_core::metrics::{
     all_pairs_sharded_with, KappaConfig, Observation, PairAnalyzer, Trial,
 };
-use choir_packet::tag::ChoirTag;
-use choir_packet::PacketId;
 use choir_service::{Client, Daemon, DaemonConfig, Response};
+use common::tmp_dir;
 
 const TENANTS: usize = 3;
 const STREAMS: [&str; 4] = ["base", "r1", "r2", "r3"];
-const RECORDS: u64 = 600;
 
-fn lcg(s: &mut u64) -> u64 {
-    *s = s
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *s >> 33
-}
-
-/// Deterministic synthetic capture: stream 0 is the clean baseline;
-/// later streams drop ~1% of packets and jitter arrival times, so κ is
-/// strictly inside (0, 1) and every component is exercised.
 fn synth(tenant: u64, stream: u64) -> Vec<Observation> {
-    let mut seed = 0x5EED_0001 ^ (tenant << 32) ^ stream;
-    let mut out = Vec::new();
-    let mut now = 1_000_000u64;
-    for seq in 0..RECORDS {
-        now += 280_000 + lcg(&mut seed) % 40_000;
-        if stream > 0 && lcg(&mut seed).is_multiple_of(97) {
-            continue; // drop
-        }
-        let jitter = if stream == 0 {
-            0
-        } else {
-            lcg(&mut seed) % 30_000
-        };
-        out.push(Observation {
-            id: PacketId::from_tag(&ChoirTag::new(tenant as u16, 0, seq)),
-            t_ps: now + jitter,
-        });
-    }
-    out
-}
-
-fn trial_of(obs: &[Observation]) -> Trial {
-    let mut t = Trial::new();
-    for o in obs {
-        t.push(o.id, o.t_ps);
-    }
-    t
+    common::synth(tenant, stream, 600)
 }
 
 fn tenant_name(t: usize) -> String {
     format!("tenant-{t}")
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("choir-daemon-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
 }
 
 #[test]
@@ -123,8 +79,8 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
         else {
             panic!("snapshot variant");
         };
-        let a = trial_of(&data[t][0][..sent[t][0]]);
-        let b = trial_of(&data[t][si][..sent[t][si]]);
+        let a = Trial::from_observations(&data[t][0][..sent[t][0]]);
+        let b = Trial::from_observations(&data[t][si][..sent[t][si]]);
         let batch = PairAnalyzer::new(&a, &b).analyze();
         assert_eq!(
             running.kappa_bits,
@@ -185,9 +141,9 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
     // ---- the gate: every served κ equals uninterrupted batch, bit for
     // bit, across the kill/restart and any store evictions.
     for t in 0..TENANTS {
-        let a = trial_of(&data[t][0]);
+        let a = Trial::from_observations(&data[t][0]);
         for (si, _) in STREAMS.iter().enumerate().skip(1) {
-            let b = trial_of(&data[t][si]);
+            let b = Trial::from_observations(&data[t][si]);
             let batch = PairAnalyzer::new(&a, &b).analyze();
             let f = served[t][si].as_ref().expect("served final");
             assert_eq!(f.score.kappa_bits, batch.metrics.kappa.to_bits());
@@ -223,7 +179,7 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
             .iter()
             .map(|s| {
                 let si = STREAMS.iter().position(|x| x == s).expect("known stream");
-                trial_of(&data_t[si])
+                Trial::from_observations(&data_t[si])
             })
             .collect();
         let (reference, _) =
@@ -265,9 +221,9 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
     let handle = Daemon::spawn(cfg, "127.0.0.1:0").expect("third spawn");
     let mut c = Client::connect(handle.addr()).expect("third connect");
     for (t, data_t) in data.iter().enumerate() {
-        let a = trial_of(&data_t[0]);
+        let a = Trial::from_observations(&data_t[0]);
         for (si, s) in STREAMS.iter().enumerate().skip(1) {
-            let b = trial_of(&data_t[si]);
+            let b = Trial::from_observations(&data_t[si]);
             let batch = PairAnalyzer::new(&a, &b).analyze();
             let Response::Snapshot { running, .. } =
                 c.snapshot(&tenant_name(t), s).expect("post-restart snapshot")
@@ -325,8 +281,8 @@ fn late_opened_stream_is_bit_identical_to_batch() {
         else {
             panic!("snapshot variant");
         };
-        let a = trial_of(&base[..400]);
-        let b = trial_of(data);
+        let a = Trial::from_observations(&base[..400]);
+        let b = Trial::from_observations(data);
         let batch = PairAnalyzer::new(&a, &b).analyze();
         assert_eq!(
             running.kappa_bits,
@@ -339,13 +295,13 @@ fn late_opened_stream_is_bit_identical_to_batch() {
     // uninterrupted batch analysis bit for bit.
     c.ingest("acme", "base", 400, &base[400..]).expect("base tail");
     assert!(c.finish_stream("acme", "base").expect("finish base").is_none());
-    let a = trial_of(&base);
+    let a = Trial::from_observations(&base);
     for (name, data) in [("ontime", &ontime), ("late", &late)] {
         let f = c
             .finish_stream("acme", name)
             .expect("finish stream")
             .expect("comparison summary");
-        let batch = PairAnalyzer::new(&a, &trial_of(data)).analyze();
+        let batch = PairAnalyzer::new(&a, &Trial::from_observations(data)).analyze();
         assert_eq!(
             f.score.kappa_bits,
             batch.metrics.kappa.to_bits(),

@@ -16,6 +16,7 @@ use choir::metrics::stream::{
 };
 use choir::metrics::{KappaConfig, Trial};
 use choir::packet::pcap::{parse_pcap, PcapRecord, PCAP_NS_MAGIC};
+use choir::packet::PacketId;
 use proptest::prelude::*;
 
 /// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
@@ -54,18 +55,40 @@ fn stream_pair(a: &Trial, b: &Trial, cfg: StreamConfig, chunk: usize) -> StreamO
     eng.finalize("stream")
 }
 
+/// The crash boundary the supervised runner crosses: the whole
+/// checkpoint as JSON.
+fn ship_json(ck: StreamCheckpoint) -> StreamCheckpoint {
+    let json = serde_json::to_string(&ck).expect("checkpoint serializes");
+    serde_json::from_str(&json).expect("checkpoint parses")
+}
+
+/// The crash boundary the daemon crosses: bulk vectors as binary slabs,
+/// the remainder as JSON.
+fn ship_slabs(ck: StreamCheckpoint) -> StreamCheckpoint {
+    let mut slabs = Vec::new();
+    let rest = ck.write_to(&mut slabs).expect("slabs write to memory");
+    let mut r = &slabs[..];
+    let ck = ship_json(rest).read_from(&mut r).expect("slabs read back");
+    assert!(
+        r.is_empty(),
+        "read_from consumes exactly what write_to wrote"
+    );
+    ck
+}
+
 /// Like [`stream_pair`], but at burst boundary `cut` the engine is
-/// checkpointed, the checkpoint shipped through its JSON wire format
-/// (the crash boundary a real supervisor crosses), and a fresh engine
-/// resumed from the parse to finish the feed. Returns the outcome plus
-/// the resident-unmatched count inside the checkpoint, so callers can
-/// see whether the cut landed inside a bounded-mode reorder window.
+/// checkpointed, the checkpoint shipped across a crash boundary by
+/// `ship`, and a fresh engine resumed from what arrives to finish the
+/// feed. Returns the outcome plus the resident-unmatched count inside
+/// the checkpoint, so callers can see whether the cut landed inside a
+/// bounded-mode reorder window.
 fn stream_pair_cut(
     a: &Trial,
     b: &Trial,
     cfg: StreamConfig,
     chunk: usize,
     cut: usize,
+    ship: fn(StreamCheckpoint) -> StreamCheckpoint,
 ) -> (StreamOutcome, usize) {
     let (oa, ob) = (a.observations(), b.observations());
     let mut schedule: Vec<(Side, usize, usize)> = Vec::new();
@@ -87,8 +110,7 @@ fn stream_pair_cut(
     let mut resident_at_cut = 0usize;
     for (i, &(side, lo, hi)) in schedule.iter().enumerate() {
         if i == cut {
-            let json = serde_json::to_string(&eng.checkpoint()).expect("checkpoint serializes");
-            let ck: StreamCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
+            let ck = ship(eng.checkpoint());
             resident_at_cut = ck.resident();
             eng = IncrementalComparison::resume(ck);
         }
@@ -96,8 +118,7 @@ fn stream_pair_cut(
         eng.push_burst(side, &obs[lo..hi]);
     }
     if cut == schedule.len() {
-        let json = serde_json::to_string(&eng.checkpoint()).expect("checkpoint serializes");
-        let ck: StreamCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
+        let ck = ship(eng.checkpoint());
         resident_at_cut = ck.resident();
         eng = IncrementalComparison::resume(ck);
     }
@@ -320,14 +341,30 @@ proptest! {
         cut_sel in 0usize..10_000,
         window in 2usize..12,
         snapshot_every in 0u64..20,
+        id_hi in any::<u64>(),
     ) {
         // The recovery contract (DESIGN.md §13): feed 0..k, checkpoint
         // through the JSON wire format, resume, feed k..n — every
         // downstream bit must equal the uninterrupted run's, at every
         // cut point, in both lookahead modes. The small bounded window
         // routinely places the cut inside a resident reorder window, the
-        // regime where a lossy checkpoint would show first.
-        for lookahead in [None, Some(window)] {
+        // regime where a lossy checkpoint would show first. The daemon's
+        // slab format (§16.4) is held to the same contract, with every
+        // bit of the identity's high half in play.
+        let widen = |t: &Trial| {
+            let mut wide = Trial::new();
+            for o in t.observations() {
+                wide.push(PacketId(o.id.0 | (id_hi as u128) << 64), o.t_ps);
+            }
+            wide
+        };
+        let (a, b) = (widen(&a), widen(&b));
+        for (lookahead, ship) in [
+            (None, ship_json as fn(_) -> _),
+            (Some(window), ship_json),
+            (None, ship_slabs),
+            (Some(window), ship_slabs),
+        ] {
             let cfg = StreamConfig {
                 lookahead,
                 snapshot_every,
@@ -336,7 +373,7 @@ proptest! {
             let whole = a.len().max(b.len()).max(1);
             for chunk in [1usize, 7, whole] {
                 let straight = stream_pair(&a, &b, cfg, chunk);
-                let (resumed, _resident) = stream_pair_cut(&a, &b, cfg, chunk, cut_sel);
+                let (resumed, _resident) = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, ship);
                 assert_bit_identical(&resumed.comparison, &straight.comparison);
                 prop_assert_eq!(resumed.peak_resident, straight.peak_resident);
                 prop_assert_eq!(resumed.evicted, straight.evicted);
