@@ -184,3 +184,53 @@ fn main() -> ExitCode {
     }
     ExitCode::SUCCESS
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use choir_capture::{drain_available, PcapSource};
+    use choir_core::metrics::compare;
+    use choir_packet::pcap::PcapWriter;
+    use choir_packet::{ChoirTag, FrameBuilder};
+
+    /// A 200-packet capture whose first record is stamped `base_ns`, the
+    /// rest following with `jitter(i)` ns of deviation from a 280 ns gap.
+    fn write_capture(path: &std::path::Path, base_ns: u64, jitter: impl Fn(u64) -> u64) {
+        let builder = FrameBuilder::new(1400, 1, 2);
+        let mut w = PcapWriter::new(std::fs::File::create(path).unwrap()).unwrap();
+        for i in 0..200u64 {
+            let t = base_ns + i * 280 + if i == 0 { 0 } else { jitter(i) };
+            w.write_record(t, &builder.build_tagged_snap(ChoirTag::new(0, 0, i)))
+                .unwrap();
+        }
+        w.finish().unwrap();
+    }
+
+    fn streamed(path: &std::path::Path) -> Trial {
+        let file = std::io::BufReader::new(std::fs::File::open(path).unwrap());
+        let mut t = Trial::new();
+        drain_available(&mut PcapSource::new(file).unwrap(), |o| t.push(o.id, o.t_ps)).unwrap();
+        t
+    }
+
+    #[test]
+    fn wall_clock_captures_score_like_the_same_captures_stamped_from_zero() {
+        // 2026-01-01T00:00:00Z: as picoseconds this is past u64::MAX.
+        const Y2026_NS: u64 = 1_767_225_600 * 1_000_000_000;
+        let dir = std::env::temp_dir().join(format!("choir-analyze-wallclock-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(name);
+        for (base, tag) in [(0, "zero"), (Y2026_NS, "2026")] {
+            write_capture(&at(&format!("a-{tag}.pcap")), base, |i| i % 7);
+            write_capture(&at(&format!("b-{tag}.pcap")), base, |i| (i * 13) % 31);
+        }
+        let load = |name: &str| load_trial(at(name).to_str().unwrap()).unwrap();
+        let from_zero = compare(&load("a-zero.pcap"), &load("b-zero.pcap"));
+        assert!(from_zero.kappa < 1.0, "the fixture must exercise L and I");
+        let loaded = compare(&load("a-2026.pcap"), &load("b-2026.pcap"));
+        let live = compare(&streamed(&at("a-2026.pcap")), &streamed(&at("b-2026.pcap")));
+        assert_eq!(loaded.kappa.to_bits(), from_zero.kappa.to_bits());
+        assert_eq!(live.kappa.to_bits(), from_zero.kappa.to_bits());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

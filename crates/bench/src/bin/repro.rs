@@ -346,22 +346,18 @@ fn table2(opts: &Opts) {
 }
 
 /// All-pairs κ matrix over one environment's runs, with the consistency
-/// engine benchmarked three ways over the same trials:
+/// engine run both ways over the same trials:
 ///
-/// - **naive**: one spawned thread and one uncached analysis per pair —
-///   `analyze_runs_parallel`'s thread-per-comparison strategy applied to
-///   the full matrix (the pre-engine baseline);
-/// - **sharded**: the bounded worker pool over shared `TrialIndex`es;
-/// - **serial**: the uncached single-thread reference.
+/// - **sharded**: the production pipeline — the bounded worker pool over
+///   shared `TrialIndex`es;
+/// - **serial**: the reference pipeline, single-threaded.
 ///
-/// All three must agree bit-for-bit; the timings and the per-stage
-/// breakdown are written to `BENCH_matrix.json` so the perf trajectory is
-/// tracked across PRs.
+/// The two must agree bit-for-bit; the timings and the per-stage
+/// breakdown are written to `BENCH_matrix.json`.
 fn matrix(opts: &Opts) {
     use choir_core::metrics::allpairs::{
         all_pairs_blocked_with, all_pairs_serial_with, all_pairs_sharded_with, pair_count,
     };
-    use choir_core::metrics::report::{analyze_with, trial_label, TrialComparison};
     use choir_core::metrics::KappaConfig;
     use std::time::Instant;
 
@@ -396,33 +392,12 @@ fn matrix(opts: &Opts) {
         cpus
     );
 
-    // Naive baseline: thread per pair, every comparison rebuilding its
-    // hash tables and span statistics from scratch.
-    let t_naive = Instant::now();
-    let naive: Vec<TrialComparison> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
-            .map(|(i, j)| {
-                let cfg = &cfg;
-                s.spawn(move || {
-                    let label = format!("{}-{}", trial_label(i), trial_label(j));
-                    analyze_with(label, &trials[i], &trials[j], cfg)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pair thread"))
-            .collect()
-    });
-    let naive_ns = t_naive.elapsed().as_nanos() as u64;
-
     // The sharded engine: per-trial indexes built once, bounded pool.
     let t_sharded = Instant::now();
     let (m, engine) = all_pairs_sharded_with(trials, cpus, &cfg).expect("index bench trials");
     let sharded_ns = t_sharded.elapsed().as_nanos() as u64;
 
-    // Uncached single-thread reference — the ground truth.
+    // The single-thread reference pipeline — the ground truth.
     let t_serial = Instant::now();
     let serial = all_pairs_serial_with(trials, &cfg);
     let serial_ns = t_serial.elapsed().as_nanos() as u64;
@@ -434,14 +409,8 @@ fn matrix(opts: &Opts) {
             "sharded vs serial mismatch at {}",
             cell.label
         );
-        assert_eq!(
-            cell.metrics.kappa.to_bits(),
-            naive[k].metrics.kappa.to_bits(),
-            "sharded vs naive mismatch at {}",
-            cell.label
-        );
     }
-    println!("   bit-identical κ across sharded / naive / serial paths ({pairs} pairs)");
+    println!("   bit-identical κ across sharded / serial paths ({pairs} pairs)");
 
     // Block-size sweep gate: the cache-blocked scheduler must be
     // bit-identical to the serial reference at degenerate and typical
@@ -471,20 +440,17 @@ fn matrix(opts: &Opts) {
     let totals = m.total_timings();
     print!("   {}", fmt::stage_timings(&totals, pairs));
 
-    let speedup_naive = naive_ns as f64 / sharded_ns.max(1) as f64;
     let speedup_serial = serial_ns as f64 / sharded_ns.max(1) as f64;
     let pairs_per_sec = pairs as f64 / (sharded_ns.max(1) as f64 / 1e9);
     println!(
-        "   naive thread-per-pair {:.1} ms | sharded {:.1} ms ({:.0} pairs/s, peak {} worker(s)) | serial {:.1} ms",
-        naive_ns as f64 / 1e6,
+        "   sharded {:.1} ms ({:.0} pairs/s, peak {} worker(s)) | serial {:.1} ms",
         sharded_ns as f64 / 1e6,
         pairs_per_sec,
         engine.peak_workers,
         serial_ns as f64 / 1e6,
     );
     println!(
-        "   speedup vs naive {speedup_naive:.2}x, vs serial {speedup_serial:.2}x  \
-         (index build {:.2} ms)",
+        "   speedup vs serial {speedup_serial:.2}x  (index build {:.2} ms)",
         engine.index_build_ns as f64 / 1e6
     );
 
@@ -528,10 +494,8 @@ fn matrix(opts: &Opts) {
         peak_workers: usize,
         block_size: usize,
         index_build_ns: u64,
-        naive_thread_per_pair_ns: u64,
         sharded_ns: u64,
         serial_ns: u64,
-        speedup_vs_naive: f64,
         speedup_vs_serial: f64,
         pairs_per_sec: f64,
         stage_totals: choir_core::metrics::StageTimings,
@@ -547,10 +511,8 @@ fn matrix(opts: &Opts) {
         peak_workers: engine.peak_workers,
         block_size: engine.block_size,
         index_build_ns: engine.index_build_ns,
-        naive_thread_per_pair_ns: naive_ns,
         sharded_ns,
         serial_ns,
-        speedup_vs_naive: speedup_naive,
         speedup_vs_serial: speedup_serial,
         pairs_per_sec,
         stage_totals: totals,
@@ -563,8 +525,8 @@ fn matrix(opts: &Opts) {
 }
 
 /// End-to-end hot-path benchmark: the full generate → forward → record →
-/// replay → capture pipeline timed under the pre-PR per-packet event path
-/// (`BinaryHeap`, one `Ev::Deliver` per packet) and under the coalesced
+/// replay → capture pipeline timed under the reference per-packet event
+/// path (`BinaryHeap`, one `Ev::Deliver` per packet) and under the coalesced
 /// timing-wheel path, reported as packets/sec. Correctness gates — the
 /// CI smoke step fails ONLY on these, never on throughput:
 ///
@@ -935,7 +897,7 @@ fn pipeline(opts: &Opts) {
 /// (the CI smoke step fails ONLY on these, never on throughput):
 ///
 /// - **exactness**: with full lookahead, the streaming engine's final
-///   result must be bit-identical to the batch `analyze_indexed` result
+///   result must be bit-identical to the batch arena analysis
 ///   on every generated pair, at every tested chunking (including
 ///   packet-at-a-time and whole-trial-at-once);
 /// - **boundedness**: with a lookahead window `w` on a trial at least
@@ -945,8 +907,7 @@ fn pipeline(opts: &Opts) {
 /// Throughput (packets/s through `push` + `finalize`) and the peak
 /// resident window are reported and written to `BENCH_stream.json`.
 fn stream(opts: &Opts) {
-    #[allow(deprecated)] // the gate is defined against the batch shim
-    use choir_core::metrics::allpairs::{analyze_indexed, pair_count, TrialIndex};
+    use choir_core::metrics::allpairs::{pair_count, TrialIndex};
     use choir_core::metrics::report::trial_label;
     use choir_core::metrics::{
         IncrementalComparison, KappaConfig, Side, StreamConfig, StreamOutcome,
@@ -1011,8 +972,10 @@ fn stream(opts: &Opts) {
     for i in 0..n {
         for j in (i + 1)..n {
             let label = format!("{}-{}", trial_label(i), trial_label(j));
-            #[allow(deprecated)] // exactness is defined against the batch shim
-            let batch = analyze_indexed(label.clone(), &indexes[i], &indexes[j], &kcfg);
+            let batch = PairAnalyzer::from_indexes(&indexes[i], &indexes[j])
+                .label(label.clone())
+                .config(kcfg)
+                .analyze();
             for &chunk in &chunk_sizes {
                 let live = stream_pair(&trials[i], &trials[j], full_cfg, chunk);
                 for (name, got, want) in [
@@ -2507,23 +2470,28 @@ fn throughput() {
     use choir_dpdk::{Burst, Dataplane, PortStats};
 
     println!("== Throughput: real-time replay engine (paper: 100 Gbps / 8.9 Mpps) ==");
-    let pool = Mempool::new("tp", 1 << 20);
+    // Room for two 512k-packet recordings at once (the 64-burst one the
+    // paced and cross-thread legs share, plus one of the ceiling sweep).
+    let pool = Mempool::new("tp", 1 << 21);
     let spec = FrameSpec::new(1400, 100_000_000_000);
     let builder = FrameBuilder::new(1400, 1, 2);
-    // 512k packets in 64-packet bursts, recorded at the 100 Gbps cadence.
-    let mut rec = Recording::new();
-    let bursts = 8192usize;
-    let per = 64usize;
+    const PACKETS: usize = 8192 * 64;
     let gap_ns = spec.gap_ps() / 1000;
-    for b in 0..bursts {
-        let pkts: Vec<_> = (0..per)
-            .map(|i| {
-                pool.alloc(builder.build_tagged_snap(ChoirTag::new(0, 0, (b * per + i) as u64)))
-                    .unwrap()
-            })
-            .collect();
-        rec.push_burst(b as u64 * gap_ns * per as u64, pkts.iter());
-    }
+    // 512k packets in `per`-packet bursts, recorded at the 100 Gbps cadence.
+    let record = |per: usize| {
+        let mut rec = Recording::new();
+        for b in 0..PACKETS / per {
+            let pkts: Vec<_> = (0..per)
+                .map(|i| {
+                    pool.alloc(builder.build_tagged_snap(ChoirTag::new(0, 0, (b * per + i) as u64)))
+                        .unwrap()
+                })
+                .collect();
+            rec.push_burst(b as u64 * gap_ns * per as u64, pkts.iter());
+        }
+        rec
+    };
+    let rec = record(64);
 
     /// A hardware-NIC stand-in: accepts every packet, counts, frees the
     /// handle on the spot (same core, no cross-thread cache traffic).
@@ -2581,25 +2549,29 @@ fn throughput() {
         report.stats.max_lateness_cycles // 1 GHz TSC: cycles == ns
     );
 
-    // Back-to-back: the loop ceiling.
-    let mut sink2 = CountingSink {
-        pool: pool.clone(),
-        clock: RealClock::new(),
-        stats: PortStats::default(),
-    };
-    let ceiling = run_replay_spin(&rec, &mut sink2, 0, u64::MAX);
-    println!(
-        "   loop ceiling  (single-thread):  {:.2} Gbps wire-equivalent, {:.2} Mpps",
-        ceiling.wire_bps / 1e9,
-        ceiling.pps / 1e6
-    );
+    // Back-to-back: the loop ceiling, by burst size — the paper's §5
+    // point that larger bursts reach line rate with fewer resources.
+    for per in [8usize, 32, 64] {
+        let rec = record(per);
+        let mut sink = CountingSink {
+            pool: pool.clone(),
+            clock: RealClock::new(),
+            stats: PortStats::default(),
+        };
+        let ceiling = run_replay_spin(&rec, &mut sink, 0, u64::MAX);
+        println!(
+            "   loop ceiling  (single-thread, {per:>2}-packet bursts):  {:.2} Gbps wire-equivalent, {:.2} Mpps",
+            ceiling.wire_bps / 1e9,
+            ceiling.pps / 1e6
+        );
+    }
 
     // Cross-thread loopback hand-off, for reference.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let (port, mut drain) = LoopbackPort::sink(1 << 14);
     let mut plane = RealtimePlane::new(pool.clone(), RealClock::new());
     let pid = plane.add_port(port);
-    let total = (bursts * per) as u64;
+    let total = PACKETS as u64;
     let consumer = std::thread::spawn(move || {
         let mut held = Vec::with_capacity(total as usize);
         while held.len() < total as usize {

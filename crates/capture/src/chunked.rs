@@ -146,6 +146,9 @@ pub struct PcapChunkReader<R: Read> {
     records_consumed: u64,
     byte_offset: u64,
     last_record_crc: u32,
+    /// Timestamp of the capture's first record, once read (a resumed
+    /// reader re-reads it while fast-forwarding).
+    first_ts_ns: Option<u64>,
 }
 
 impl<R: Read> std::fmt::Debug for PcapChunkReader<R> {
@@ -189,6 +192,7 @@ impl<R: Read> PcapChunkReader<R> {
             records_consumed: 0,
             byte_offset: 24,
             last_record_crc: 0,
+            first_ts_ns: None,
         })
     }
 
@@ -332,10 +336,15 @@ impl<R: Read> PcapChunkReader<R> {
         } else {
             Frame::new(data)
         };
-        Ok(Some(PcapRecord {
-            ts_ns: sec * 1_000_000_000 + nsec * self.subsec_to_ns,
-            frame,
-        }))
+        let ts_ns = sec * 1_000_000_000 + nsec * self.subsec_to_ns;
+        self.first_ts_ns.get_or_insert(ts_ns);
+        Ok(Some(PcapRecord { ts_ns, frame }))
+    }
+
+    /// Timestamp of the capture's first record — the epoch a wall-clock
+    /// capture is re-based on. `None` until a record has been read.
+    pub(crate) fn first_ts_ns(&self) -> Option<u64> {
+        self.first_ts_ns
     }
 
     /// Read a single record, journaled exactly like [`Self::next_chunk`]

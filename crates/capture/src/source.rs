@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::io::Read;
 use std::sync::{Arc, Mutex};
 
-use choir_core::metrics::Observation;
+use choir_core::metrics::{Observation, MAX_TIMESTAMP_PS};
 use choir_packet::PacketId;
 
 use crate::chunked::{ChunkError, IngestCursor, PcapChunkReader, DEFAULT_CHUNK_RECORDS};
@@ -40,12 +40,29 @@ use crate::chunked::{ChunkError, IngestCursor, PcapChunkReader, DEFAULT_CHUNK_RE
 pub enum SourceError {
     /// The backing capture failed to parse.
     Capture(ChunkError),
+    /// A record's stamp is [`MAX_TIMESTAMP_PS`] or more past the
+    /// capture's epoch (its own, or its first record for a wall-clock
+    /// capture): the kernels' picosecond arithmetic cannot hold it.
+    TimestampOutOfRange {
+        /// Zero-based index of the offending record.
+        record_index: u64,
+        /// Its raw stamp, nanoseconds.
+        ts_ns: u64,
+    },
 }
 
 impl std::fmt::Display for SourceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SourceError::Capture(e) => write!(f, "capture source failed: {e}"),
+            SourceError::TimestampOutOfRange {
+                record_index,
+                ts_ns,
+            } => write!(
+                f,
+                "capture source failed: record {record_index} is stamped {ts_ns} ns, \
+                 2^62 ps or more past the capture's epoch"
+            ),
         }
     }
 }
@@ -54,6 +71,7 @@ impl std::error::Error for SourceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SourceError::Capture(e) => Some(e),
+            SourceError::TimestampOutOfRange { .. } => None,
         }
     }
 }
@@ -91,8 +109,11 @@ pub trait Source {
 /// A [`PcapChunkReader`] as a [`Source`]: record-at-a-time delivery
 /// with byte-exact journal cursors. Timestamps are converted exactly
 /// as [`choir_core::metrics::Trial::from_pcap_records`] converts them
-/// (nanoseconds → picoseconds), so a drained `PcapSource` feeds an
-/// engine the same observations the batch pipeline would build.
+/// (nanoseconds → picoseconds, a wall-clock capture re-based on its
+/// first record), so a drained `PcapSource` feeds an engine the same
+/// observations the batch pipeline would build — except that a stamp
+/// the batch loader saturates is refused here with
+/// [`SourceError::TimestampOutOfRange`].
 pub struct PcapSource<R: Read> {
     reader: PcapChunkReader<R>,
     exhausted: bool,
@@ -129,11 +150,27 @@ impl<R: Read> PcapSource<R> {
 
 impl<R: Read> Source for PcapSource<R> {
     fn next_record(&mut self) -> Result<Option<Observation>, SourceError> {
+        if self.exhausted {
+            return Ok(None);
+        }
         match self.reader.next_record() {
-            Ok(Some(rec)) => Ok(Some(Observation {
-                id: rec.frame.packet_id(),
-                t_ps: rec.ts_ns * 1_000,
-            })),
+            Ok(Some(rec)) => {
+                const MAX_NS: u64 = (MAX_TIMESTAMP_PS - 1) / 1000;
+                let first_ns = self.reader.first_ts_ns().expect("a record was read");
+                let epoch_ns = if first_ns <= MAX_NS { 0 } else { first_ns };
+                let ns = rec.ts_ns.saturating_sub(epoch_ns);
+                if ns > MAX_NS {
+                    self.exhausted = true;
+                    return Err(SourceError::TimestampOutOfRange {
+                        record_index: self.reader.cursor().records_consumed - 1,
+                        ts_ns: rec.ts_ns,
+                    });
+                }
+                Ok(Some(Observation {
+                    id: rec.frame.packet_id(),
+                    t_ps: ns * 1000,
+                }))
+            }
             Ok(None) => {
                 self.exhausted = true;
                 Ok(None)
@@ -279,11 +316,16 @@ mod tests {
     use choir_packet::{ChoirTag, Frame};
 
     fn sample_pcap(n: u64) -> Vec<u8> {
+        sample_pcap_at(n, 0)
+    }
+
+    /// `n` tagged frames 1 µs apart, the first stamped `base_ns + 37`.
+    fn sample_pcap_at(n: u64, base_ns: u64) -> Vec<u8> {
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for i in 0..n {
             let mut buf = vec![0u8; 80];
             ChoirTag::new(1, 0, i).stamp_trailer(&mut buf);
-            w.write_record(i * 1_000 + 37, &Frame::new(Bytes::from(buf)))
+            w.write_record(base_ns + i * 1_000 + 37, &Frame::new(Bytes::from(buf)))
                 .unwrap();
         }
         w.finish().unwrap()
@@ -300,6 +342,49 @@ mod tests {
         assert_eq!(streamed, batch);
         assert!(src.is_exhausted());
         assert_eq!(src.cursor().records_consumed, 60);
+    }
+
+    #[test]
+    fn wall_clock_capture_is_rebased_on_its_first_record() {
+        // 2026-01-01T00:00:00Z in ns: ×1000 does not fit u64.
+        const Y2026_NS: u64 = 1_767_225_600 * 1_000_000_000;
+        let buf = sample_pcap_at(60, Y2026_NS);
+        let batch = Trial::from_pcap_records(&parse_pcap(&buf).unwrap());
+        let mut src = PcapSource::new(&buf[..]).unwrap();
+        let mut head = Trial::new();
+        for _ in 0..25 {
+            let o = src.next_record().unwrap().unwrap();
+            head.push(o.id, o.t_ps);
+        }
+        // A resumed source re-bases on the capture's first record, not on
+        // the first record it delivers.
+        let mut resumed = PcapSource::resume(&buf[..], src.cursor()).unwrap();
+        drain_available(&mut resumed, |o| head.push(o.id, o.t_ps)).unwrap();
+        assert_eq!(head, batch);
+        let zeroed = Trial::from_pcap_records(&parse_pcap(&sample_pcap(60)).unwrap()).rezeroed();
+        assert_eq!(batch, zeroed);
+    }
+
+    #[test]
+    fn stamp_out_of_range_after_rebasing_is_a_typed_terminal_error() {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        let frame = Frame::new(Bytes::from(vec![0u8; 80]));
+        w.write_record(1_000, &frame).unwrap();
+        w.write_record(MAX_TIMESTAMP_PS / 1000 + 1, &frame).unwrap();
+        w.write_record(2_000, &frame).unwrap();
+        let buf = w.finish().unwrap();
+        let mut src = PcapSource::new(&buf[..]).unwrap();
+        assert!(src.next_record().unwrap().is_some());
+        let err = src.next_record().unwrap_err();
+        assert!(
+            matches!(err, SourceError::TimestampOutOfRange { record_index: 1, ts_ns } if ts_ns == MAX_TIMESTAMP_PS / 1000 + 1),
+            "{err}"
+        );
+        assert!(src.is_exhausted());
+        assert!(src.next_record().unwrap().is_none());
+        // The batch loader has no error channel: it saturates instead.
+        let batch = Trial::from_pcap_records(&parse_pcap(&buf).unwrap());
+        assert_eq!(batch.time(1), (MAX_TIMESTAMP_PS - 1) / 1000 * 1000);
     }
 
     #[test]

@@ -51,10 +51,7 @@ use serde::{Deserialize, Serialize};
 use crate::obs;
 use choir_packet::ident::PacketId;
 
-use super::iat::IatResult;
 use super::kappa::KappaConfig;
-use super::latency::LatencyResult;
-use super::matching::Matching;
 use super::pair::{PairAnalyzer, PairScratch};
 use super::report::{analyze_with, trial_label, StageTimings, TrialComparison};
 use super::stats;
@@ -334,49 +331,6 @@ impl<'t> TrialIndex<'t> {
     pub(crate) fn max_time_ps(&self) -> u64 {
         self.max_time_ps
     }
-}
-
-/// Occurrence-wise matching from two prebuilt indexes — bit-identical to
-/// [`Matching::build`] on the underlying trials, but with no per-pair
-/// hash-table construction: only B's arrival scan remains, each packet
-/// resolved with one probe into A's (shared, immutable) identity table.
-#[deprecated(note = "use metrics::PairAnalyzer::from_indexes (see DESIGN.md §12)")]
-pub fn matching_indexed(a: &TrialIndex<'_>, b: &TrialIndex<'_>) -> Matching {
-    super::matching::matching_arena(a, b)
-}
-
-/// [`super::iat::iat_full`] on the arena's gap series — bit-identical.
-#[deprecated(note = "use metrics::PairAnalyzer::from_indexes (see DESIGN.md §12)")]
-pub fn iat_full_indexed(a: &TrialIndex<'_>, b: &TrialIndex<'_>, m: &Matching) -> IatResult {
-    let mut deltas_ns = Vec::new();
-    let i = super::iat::iat_arena(a, b, m, &mut deltas_ns);
-    IatResult { i, deltas_ns }
-}
-
-/// [`super::latency::latency_full`] on the arena's timestamp series —
-/// bit-identical.
-#[deprecated(note = "use metrics::PairAnalyzer::from_indexes (see DESIGN.md §12)")]
-pub fn latency_full_indexed(
-    a: &TrialIndex<'_>,
-    b: &TrialIndex<'_>,
-    m: &Matching,
-) -> LatencyResult {
-    let mut deltas_ns = Vec::new();
-    let l = super::latency::latency_arena(a, b, m, &mut deltas_ns);
-    LatencyResult { l, deltas_ns }
-}
-
-/// Analyze one pair from prebuilt indexes, recording per-stage wall-clock
-/// time. Metric output is bit-identical to [`analyze_with`] on the
-/// underlying trials (only the `timings` field differs run to run).
-#[deprecated(note = "use metrics::PairAnalyzer::from_indexes (see DESIGN.md §12)")]
-pub fn analyze_indexed(
-    label: impl Into<String>,
-    a: &TrialIndex<'_>,
-    b: &TrialIndex<'_>,
-    cfg: &KappaConfig,
-) -> TrialComparison {
-    PairAnalyzer::from_indexes(a, b).label(label).config(*cfg).analyze()
 }
 
 /// Summary statistics of the off-diagonal κ values — the "how unstable is
@@ -714,12 +668,13 @@ pub fn pair_count(n: usize) -> usize {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep working until callers migrate
 mod tests {
     use super::*;
-    use crate::metrics::iat::iat_full;
-    use crate::metrics::latency::latency_full;
+    use crate::metrics::iat::{iat_arena, iat_full_core};
+    use crate::metrics::latency::{latency_arena, latency_full_core};
+    use crate::metrics::matching::{matching_arena, Matching};
     use crate::metrics::report::analyze;
+    use proptest::prelude::*;
 
     fn cbr_trial(n: u64, gap: u64, jitter: impl Fn(u64) -> i64) -> Trial {
         let mut t = Trial::new();
@@ -766,36 +721,60 @@ mod tests {
         for (s, t) in [(6u64, 0u64), (5, 100), (9, 150), (5, 200)] {
             b.push_tagged(0, 0, s, t);
         }
-        let ia = TrialIndex::build(&a).unwrap();
-        let ib = TrialIndex::build(&b).unwrap();
-        let m = matching_indexed(&ia, &ib);
-        let reference = Matching::build(&a, &b);
-        assert_eq!(m.pairs, reference.pairs);
-        assert_eq!((m.a_len, m.b_len), (reference.a_len, reference.b_len));
+        assert_kernels_agree(&a, &b);
+    }
+
+    /// Kernel by kernel, the arena matching, L and I stages reproduce the
+    /// reference value and every per-packet delta bit for bit.
+    fn assert_kernels_agree(a: &Trial, b: &Trial) {
+        let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
+        let m = Matching::build(a, b);
+        let arena = matching_arena(&ia, &ib);
+        assert_eq!((&arena.pairs, arena.a_len, arena.b_len), (&m.pairs, m.a_len, m.b_len));
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let mut deltas = Vec::new();
+
+        let iat_ref = iat_full_core(a, b, &m);
+        let i = iat_arena(&ia, &ib, &m, &mut deltas);
+        assert_eq!(i.to_bits(), iat_ref.i.to_bits());
+        assert_eq!(bits(&deltas), bits(&iat_ref.deltas_ns));
+
+        let lat_ref = latency_full_core(a, b, &m);
+        let l = latency_arena(&ia, &ib, &m, &mut deltas);
+        assert_eq!(l.to_bits(), lat_ref.l.to_bits());
+        assert_eq!(bits(&deltas), bits(&lat_ref.deltas_ns));
     }
 
     #[test]
     fn indexed_metrics_bit_identical_to_uncached() {
         let trials = jittered_set(4, 300);
-        for i in 0..trials.len() {
-            for j in 0..trials.len() {
-                let (a, b) = (&trials[i], &trials[j]);
-                let (ia, ib) = (
-                    TrialIndex::build(a).unwrap(),
-                    TrialIndex::build(b).unwrap(),
-                );
-                let m = Matching::build(a, b);
-                let mi = matching_indexed(&ia, &ib);
-                assert_eq!(m.pairs, mi.pairs);
-                let lat = latency_full(a, b, &m);
-                let lat_i = latency_full_indexed(&ia, &ib, &mi);
-                assert_eq!(lat.l.to_bits(), lat_i.l.to_bits());
-                assert_eq!(lat.deltas_ns, lat_i.deltas_ns);
-                let ir = iat_full(a, b, &m);
-                let ir_i = iat_full_indexed(&ia, &ib, &mi);
-                assert_eq!(ir.i.to_bits(), ir_i.i.to_bits());
-                assert_eq!(ir.deltas_ns, ir_i.deltas_ns);
+        for a in &trials {
+            for b in &trials {
+                assert_kernels_agree(a, b);
             }
+        }
+    }
+
+    /// A random trial: sequence numbers drawn with repeats, timestamps
+    /// non-decreasing.
+    fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
+        proptest::collection::vec((0u64..64, 0u64..5_000), 0..max_len).prop_map(|obs| {
+            let mut t = Trial::new();
+            let mut now = 0u64;
+            for (s, g) in obs {
+                now += g;
+                t.push_tagged(0, 0, s, now);
+            }
+            t
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arena_kernels_equal_reference_delta_for_delta(a in arb_trial(40), b in arb_trial(40)) {
+            assert_kernels_agree(&a, &b);
         }
     }
 

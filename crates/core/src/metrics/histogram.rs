@@ -141,7 +141,7 @@ impl DeltaHistogram {
     ///
     /// The scalar path takes a `log10` per sample; here the f64 exponent
     /// indexes a per-binade bucket base and two branch-free integer
-    /// compares refine within the binade (see [`EdgeTable`]) — no libm
+    /// compares refine within the binade (see `EdgeTable`) — no libm
     /// calls and no per-sample search.
     pub fn record_slice(&mut self, deltas_ns: &[f64]) {
         let t = edge_table();

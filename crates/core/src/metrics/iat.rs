@@ -27,20 +27,30 @@ pub struct IatResult {
     pub deltas_ns: Vec<f64>,
 }
 
-/// Compute `I` from trials and a prebuilt matching.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn iat(a: &Trial, b: &Trial, m: &Matching) -> f64 {
-    iat_full_core(a, b, m).i
+/// Eq. 4's normalizer and degenerate-case rule, stated once: the
+/// reference kernel, the arena kernel and the streaming engine all call
+/// it with their own exact `Σ|g_Ai − g_Bi|` (picoseconds).
+///
+/// Min/max spans keep the bound valid when hardware stamp noise inverts
+/// a few arrivals; the clamp covers residual pathology.
+///
+/// Degenerate cases are pinned to exactly 0.0 rather than left to the
+/// clamp: with ≤1 common packet there is no *pair* of common arrivals
+/// to take an inter-arrival time between (the lone gap is measured
+/// against a non-common predecessor, or is the g_X0 = 0 base case),
+/// and a zero joint span would divide by zero. Both say "nothing
+/// measurable deviated", and 0.0 — never NaN — is what flows into κ.
+pub(crate) fn normalize_i(num_ps: u128, mc: usize, span_a_ps: u64, span_b_ps: u64) -> f64 {
+    let denom = span_a_ps as u128 + span_b_ps as u128;
+    if mc <= 1 || denom == 0 {
+        0.0
+    } else {
+        (num_ps as f64 / denom as f64).min(1.0)
+    }
 }
 
-/// Compute `I` along with the delta series.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn iat_full(a: &Trial, b: &Trial, m: &Matching) -> IatResult {
-    iat_full_core(a, b, m)
-}
-
-/// Shared kernel behind the deprecated free functions and
-/// [`super::pair::PairAnalyzer`].
+/// The reference IAT kernel, behind [`super::pair::PairAnalyzer::new`]:
+/// gaps straight from the trials, one `u128` accumulator.
 pub(crate) fn iat_full_core(a: &Trial, b: &Trial, m: &Matching) -> IatResult {
     let mc = m.common();
     if mc == 0 {
@@ -58,33 +68,14 @@ pub(crate) fn iat_full_core(a: &Trial, b: &Trial, m: &Matching) -> IatResult {
         num += d.unsigned_abs() as u128;
         deltas_ns.push(d as f64 / 1000.0);
     }
-    // Min/max spans keep the bound valid when hardware stamp noise
-    // inverts a few arrivals; the clamp covers residual pathology.
-    //
-    // Degenerate cases are pinned to exactly 0.0 rather than left to the
-    // clamp: with ≤1 common packet there is no *pair* of common arrivals
-    // to take an inter-arrival time between (the lone gap is measured
-    // against a non-common predecessor, or is the g_X0 = 0 base case),
-    // and a zero joint span would divide by zero. Both say "nothing
-    // measurable deviated", and 0.0 — never NaN — is what flows into κ.
-    let denom = a.minmax_span_ps() as u128 + b.minmax_span_ps() as u128;
-    let i = if mc <= 1 || denom == 0 {
-        0.0
-    } else {
-        (num as f64 / denom as f64).min(1.0)
-    };
+    let i = normalize_i(num, mc, a.minmax_span_ps(), b.minmax_span_ps());
     IatResult { i, deltas_ns }
 }
 
-/// Convenience: `I` straight from two trials.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn iat_of(a: &Trial, b: &Trial) -> IatResult {
-    iat_full_core(a, b, &Matching::build(a, b))
-}
-
-/// Arena kernel behind [`super::pair::PairAnalyzer`]'s indexed path —
-/// bit-identical to [`iat_full_core`], streaming the prebuilt gap series
-/// into a caller-owned scratch vector.
+/// The production IAT kernel, behind
+/// [`super::pair::PairAnalyzer::from_indexes`] — bit-identical to
+/// [`iat_full_core`], streaming the prebuilt gap series into a
+/// caller-owned scratch vector.
 ///
 /// The reference accumulates `Σ|d|` in a `u128`, which the compiler will
 /// not vectorize. Here each `|d| < 2^64` is split into its low and high
@@ -115,20 +106,16 @@ pub(crate) fn iat_arena(
         deltas_ns.push(d as f64 / 1000.0);
     }
     let num = ((hi as u128) << 32) + lo as u128;
-    // Identical degenerate-denominator semantics to the reference: see
-    // the comment in `iat_full_core`.
-    let denom = a.minmax_span_ps() as u128 + b.minmax_span_ps() as u128;
-    if mc <= 1 || denom == 0 {
-        0.0
-    } else {
-        (num as f64 / denom as f64).min(1.0)
-    }
+    normalize_i(num, mc, a.minmax_span_ps(), b.minmax_span_ps())
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep working until callers migrate
 mod tests {
     use super::*;
+
+    fn i_of(a: &Trial, b: &Trial) -> IatResult {
+        iat_full_core(a, b, &Matching::build(a, b))
+    }
 
     #[test]
     fn identical_trials_zero() {
@@ -136,7 +123,7 @@ mod tests {
         for i in 0..100u64 {
             a.push_tagged(0, 0, i, i * 284_800);
         }
-        let r = iat_of(&a, &a.clone());
+        let r = i_of(&a, &a.clone());
         assert_eq!(r.i, 0.0);
         assert!(r.deltas_ns.iter().all(|&d| d == 0.0));
     }
@@ -150,7 +137,7 @@ mod tests {
         let mut b = Trial::new();
         b.push_tagged(0, 0, 0, 0);
         b.push_tagged(0, 0, 1, 7655);
-        let r = iat_of(&a, &b);
+        let r = i_of(&a, &b);
         assert_eq!(r.deltas_ns[0], 0.0);
     }
 
@@ -164,7 +151,7 @@ mod tests {
             a.push_tagged(0, 0, i, i * 1_000_000);
             b.push_tagged(0, 0, i, i * 1_010_000);
         }
-        let r = iat_of(&a, &b);
+        let r = i_of(&a, &b);
         for &d in &r.deltas_ns[1..] {
             assert!((d + 10.0).abs() < 1e-9, "delta {d}");
         }
@@ -189,7 +176,7 @@ mod tests {
             b.push_tagged(0, 0, i, 0);
         }
         b.push_tagged(0, 0, n - 1, t);
-        let r = iat_of(&a, &b);
+        let r = i_of(&a, &b);
         assert!((r.i - 1.0).abs() < 1e-12, "got {}", r.i);
     }
 
@@ -201,8 +188,8 @@ mod tests {
             a.push_tagged(0, 0, i, i * 100 + (i % 5) * 3);
             b.push_tagged(0, 0, i, i * 100 + (i % 7) * 2);
         }
-        let iab = iat_of(&a, &b).i;
-        let iba = iat_of(&b, &a).i;
+        let iab = i_of(&a, &b).i;
+        let iba = i_of(&b, &a).i;
         assert!((iab - iba).abs() < 1e-15);
     }
 
@@ -221,7 +208,7 @@ mod tests {
             b.push_tagged(8, 0, i, i * 100);
         }
         b.push_tagged(0, 0, 0, 230); // gap 30
-        let r = iat_of(&a, &b);
+        let r = i_of(&a, &b);
         assert_eq!(r.deltas_ns.len(), 1);
         assert!((r.deltas_ns[0] - 0.120).abs() < 1e-12); // 120 ps = 0.12 ns
     }
@@ -232,7 +219,7 @@ mod tests {
         a.push_tagged(0, 0, 1, 0);
         let mut b = Trial::new();
         b.push_tagged(1, 0, 1, 0);
-        assert_eq!(iat_of(&a, &b).i, 0.0);
+        assert_eq!(i_of(&a, &b).i, 0.0);
     }
 
     #[test]
@@ -240,7 +227,7 @@ mod tests {
         let mut a = Trial::new();
         a.push_tagged(0, 0, 0, 5);
         a.push_tagged(0, 0, 1, 5);
-        let r = iat_of(&a, &a.clone());
+        let r = i_of(&a, &a.clone());
         assert_eq!(r.i, 0.0);
         assert!(!r.i.is_nan());
     }
@@ -256,7 +243,7 @@ mod tests {
         let mut b = Trial::new();
         b.push_tagged(8, 0, 0, 0);
         b.push_tagged(0, 0, 0, 500_000);
-        let r = iat_of(&a, &b);
+        let r = i_of(&a, &b);
         assert_eq!(r.deltas_ns.len(), 1);
         assert_eq!(r.i, 0.0);
         assert!(!r.i.is_nan());
@@ -273,7 +260,7 @@ mod tests {
         b.push_tagged(0, 0, 0, 0);
         b.push_tagged(0, 0, 1, 1);
         b.push_tagged(0, 0, 2, 1_000_000_001);
-        let r = iat_of(&a, &b);
+        let r = i_of(&a, &b);
         assert!(r.i >= 0.0 && r.i <= 1.0, "got {}", r.i);
     }
 }

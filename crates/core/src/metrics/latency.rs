@@ -21,7 +21,7 @@
 
 use super::allpairs::TrialIndex;
 use super::matching::Matching;
-use super::trial::Trial;
+use super::trial::{Trial, MAX_TIMESTAMP_PS};
 
 /// Latency analysis output.
 #[derive(Debug, Clone)]
@@ -33,20 +33,39 @@ pub struct LatencyResult {
     pub deltas_ns: Vec<f64>,
 }
 
-/// Compute `L` and the per-packet deltas.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn latency(a: &Trial, b: &Trial, m: &Matching) -> f64 {
-    latency_full_core(a, b, m).l
+/// Eq. 3's normalizer and degenerate-case rule, stated once: the
+/// reference kernel, the arena kernel and the streaming engine all call
+/// it with their own exact `Σ|l_Ai − l_Bi|` (picoseconds).
+///
+/// The paper writes the normalizer as max(t_B|B| − t_A0, t_A|A| − t_B0),
+/// which assumes both captures are expressed from a common origin
+/// (theirs are re-zeroed). For arbitrary time bases that expression can
+/// under-estimate and push L past 1; the convention-independent
+/// equivalent is max(span_A, span_B) — identical whenever t_A0 = t_B0,
+/// and a provable bound for any time-ordered capture (l_Xi ∈
+/// [0, span_X]). Spans are the min/max extent so mildly inverted
+/// hardware stamps keep the bound tight; the final clamp covers the
+/// residual pathological case.
+///
+/// Degenerate cases are pinned to exactly 0.0: with a single common
+/// packet the normalizer's worst-case construction (Fig. 2) needs at
+/// least two packets to move relative to each other, so no meaningful
+/// ratio exists; a zero reach would divide by zero. Both resolve to "no
+/// measurable latency variation" — 0.0, never NaN, flows into κ.
+pub(crate) fn normalize_l(num_ps: u128, mc: usize, span_a_ps: u64, span_b_ps: u64) -> f64 {
+    let reach = (span_a_ps as i128).max(span_b_ps as i128);
+    let denom = mc as i128 * reach;
+    if mc <= 1 || denom <= 0 {
+        0.0
+    } else {
+        (num_ps as f64 / denom as f64).min(1.0)
+    }
 }
 
-/// Compute `L` along with the delta series.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn latency_full(a: &Trial, b: &Trial, m: &Matching) -> LatencyResult {
-    latency_full_core(a, b, m)
-}
-
-/// Shared kernel behind the deprecated free functions and
-/// [`super::pair::PairAnalyzer`].
+/// The reference latency kernel, behind
+/// [`super::pair::PairAnalyzer::new`]: every subtraction in `i128`,
+/// straight from the trials. The per-packet deltas are reported even
+/// when `L` is degenerate.
 pub(crate) fn latency_full_core(a: &Trial, b: &Trial, m: &Matching) -> LatencyResult {
     let mc = m.common();
     if mc == 0 {
@@ -66,49 +85,23 @@ pub(crate) fn latency_full_core(a: &Trial, b: &Trial, m: &Matching) -> LatencyRe
         num += d.unsigned_abs();
         deltas_ns.push(d as f64 / 1000.0);
     }
-    // The paper writes the normalizer as max(t_B|B| − t_A0, t_A|A| − t_B0),
-    // which assumes both captures are expressed from a common origin
-    // (theirs are re-zeroed). For arbitrary time bases that expression can
-    // under-estimate and push L past 1; the convention-independent
-    // equivalent is max(span_A, span_B) — identical whenever t_A0 = t_B0,
-    // and a provable bound for any time-ordered capture (l_Xi ∈
-    // [0, span_X]). Spans use the min/max extent so mildly inverted
-    // hardware stamps keep the bound tight; the final clamp covers the
-    // residual pathological case.
-    // Degenerate cases are pinned to exactly 0.0: with a single common
-    // packet the normalizer's worst-case construction (Fig. 2) needs at
-    // least two packets to move relative to each other, so no meaningful
-    // ratio exists; a non-positive reach would divide by zero. Both
-    // resolve to "no measurable latency variation" — 0.0, never NaN,
-    // flows into κ. The per-packet deltas are still reported.
-    let reach = (a.minmax_span_ps() as i128).max(b.minmax_span_ps() as i128);
-    let denom = mc as i128 * reach;
-    let l = if mc <= 1 || denom <= 0 {
-        0.0
-    } else {
-        (num as f64 / denom as f64).min(1.0)
-    };
+    let l = normalize_l(num, mc, a.minmax_span_ps(), b.minmax_span_ps());
     LatencyResult { l, deltas_ns }
 }
 
-/// Convenience: `L` straight from two trials.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn latency_of(a: &Trial, b: &Trial) -> LatencyResult {
-    latency_full_core(a, b, &Matching::build(a, b))
-}
-
-/// Arena kernel behind [`super::pair::PairAnalyzer`]'s indexed path —
-/// bit-identical to [`latency_full_core`], streaming the prebuilt dense
-/// timestamp series into a caller-owned scratch vector.
+/// The production latency kernel, behind
+/// [`super::pair::PairAnalyzer::from_indexes`] — bit-identical to
+/// [`latency_full_core`], streaming the prebuilt dense timestamp series
+/// into a caller-owned scratch vector.
 ///
 /// The reference does every subtraction in `i128`. When both trials'
-/// timestamps sit below `2^62` (every realistic capture: that is ~53
-/// days in picoseconds) each latency `l = t − t0` fits `i64`, the
-/// difference of two such fits `i64`, and `d as f64` rounds identically
-/// from `i64` and `i128` — so the fast path runs the whole loop in
-/// native 64-bit lanes with the same split-lane `u64` accumulation as
-/// the IAT kernel. Trials beyond the gate fall back to the exact `i128`
-/// arithmetic of the reference.
+/// timestamps sit below [`MAX_TIMESTAMP_PS`] (every realistic capture:
+/// that is ~53 days in picoseconds) each latency `l = t − t0` fits `i64`,
+/// the difference of two such fits `i64`, and `d as f64` rounds
+/// identically from `i64` and `i128` — so the fast path runs the whole
+/// loop in native 64-bit lanes with the same split-lane `u64`
+/// accumulation as the IAT kernel. Trials beyond the gate fall back to
+/// the exact `i128` arithmetic of the reference.
 pub(crate) fn latency_arena(
     a: &TrialIndex<'_>,
     b: &TrialIndex<'_>,
@@ -121,10 +114,9 @@ pub(crate) fn latency_arena(
         return 0.0;
     }
     deltas_ns.reserve(mc);
-    const FAST_MAX: u64 = 1 << 62;
-    let num: u128 = if a.max_time_ps() < FAST_MAX && b.max_time_ps() < FAST_MAX {
-        let ta = a.times();
-        let tb = b.times();
+    let ta = a.times();
+    let tb = b.times();
+    let num: u128 = if a.max_time_ps() < MAX_TIMESTAMP_PS && b.max_time_ps() < MAX_TIMESTAMP_PS {
         let ta0 = a.start_ps() as i64;
         let tb0 = b.start_ps() as i64;
         let (mut lo, mut hi) = (0u64, 0u64);
@@ -139,8 +131,6 @@ pub(crate) fn latency_arena(
         }
         ((hi as u128) << 32) + lo as u128
     } else {
-        let ta = a.times();
-        let tb = b.times();
         let ta0 = a.start_ps() as i128;
         let tb0 = b.start_ps() as i128;
         let mut num: u128 = 0;
@@ -153,21 +143,16 @@ pub(crate) fn latency_arena(
         }
         num
     };
-    // Identical normalizer and degenerate-case semantics to the
-    // reference: see the comment in `latency_full_core`.
-    let reach = (a.minmax_span_ps() as i128).max(b.minmax_span_ps() as i128);
-    let denom = mc as i128 * reach;
-    if mc <= 1 || denom <= 0 {
-        0.0
-    } else {
-        (num as f64 / denom as f64).min(1.0)
-    }
+    normalize_l(num, mc, a.minmax_span_ps(), b.minmax_span_ps())
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep working until callers migrate
 mod tests {
     use super::*;
+
+    fn l_of(a: &Trial, b: &Trial) -> LatencyResult {
+        latency_full_core(a, b, &Matching::build(a, b))
+    }
 
     #[test]
     fn identical_trials_zero() {
@@ -175,7 +160,7 @@ mod tests {
         for i in 0..50u64 {
             a.push_tagged(0, 0, i, i * 1000);
         }
-        let r = latency_of(&a, &a.clone());
+        let r = l_of(&a, &a.clone());
         assert_eq!(r.l, 0.0);
         assert!(r.deltas_ns.iter().all(|&d| d == 0.0));
     }
@@ -190,7 +175,7 @@ mod tests {
         let mut b = Trial::new();
         b.push_tagged(0, 0, 0, 0);
         b.push_tagged(0, 0, 1, 8_000);
-        let r = latency_of(&a, &b);
+        let r = l_of(&a, &b);
         assert_eq!(r.deltas_ns[1], 1.0);
         // num = 1 ns; denom = 2 * max(8, 9) ns.
         assert!((r.l - 1_000.0 / (2.0 * 9_000.0)).abs() < 1e-12);
@@ -213,7 +198,7 @@ mod tests {
         for i in 0..5u64 {
             b.push_tagged(0, 0, i, t_end);
         }
-        let r = latency_of(&a, &b);
+        let r = l_of(&a, &b);
         assert!((r.l - 1.0).abs() < 1e-12, "got {}", r.l);
     }
 
@@ -225,8 +210,8 @@ mod tests {
             a.push_tagged(0, 0, i, i * 100);
             b.push_tagged(0, 0, i, i * 100 + (i % 3) * 7);
         }
-        let lab = latency_of(&a, &b).l;
-        let lba = latency_of(&b, &a).l;
+        let lab = l_of(&a, &b).l;
+        let lba = l_of(&b, &a).l;
         assert!((lab - lba).abs() < 1e-15);
     }
 
@@ -246,7 +231,7 @@ mod tests {
             let t = if i == 0 { 500_000 } else { i * gap };
             b.push_tagged(0, 0, i, t);
         }
-        let r = latency_of(&a, &b);
+        let r = l_of(&a, &b);
         // All deltas after the first equal +0.5 us (B's origin moved).
         for &d in &r.deltas_ns[1..] {
             assert!((d - 500.0).abs() < 1e-9, "delta {d}");
@@ -260,7 +245,7 @@ mod tests {
         a.push_tagged(0, 0, 1, 0);
         let mut b = Trial::new();
         b.push_tagged(1, 0, 1, 0);
-        assert_eq!(latency_of(&a, &b).l, 0.0);
+        assert_eq!(l_of(&a, &b).l, 0.0);
     }
 
     #[test]
@@ -273,7 +258,7 @@ mod tests {
         a.push_tagged(0, 0, 2, 500);
         let mut b = Trial::new();
         b.push_tagged(0, 0, 2, 0);
-        let r = latency_of(&a, &b);
+        let r = l_of(&a, &b);
         // Common packet: a_idx 1 (l_A = 500), b_idx 0 (l_B = 0).
         assert_eq!(r.deltas_ns, vec![0.5]);
         assert_eq!(r.l, 0.0);
@@ -285,7 +270,7 @@ mod tests {
         // All packets at one instant in both trials: reach = 0; L = 0.
         let mut a = Trial::new();
         a.push_tagged(0, 0, 0, 0);
-        let r = latency_of(&a, &a.clone());
+        let r = l_of(&a, &a.clone());
         assert_eq!(r.l, 0.0);
     }
 
@@ -297,7 +282,7 @@ mod tests {
         for i in 0..5u64 {
             a.push_tagged(0, 0, i, 7_000);
         }
-        let r = latency_of(&a, &a.clone());
+        let r = l_of(&a, &a.clone());
         assert_eq!(r.l, 0.0);
         assert!(!r.l.is_nan());
         assert_eq!(r.deltas_ns.len(), 5);

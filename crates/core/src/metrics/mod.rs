@@ -52,7 +52,7 @@ pub use stream::{
     CheckpointError, IncrementalComparison, KappaSnapshot, ResumeMismatch, Side, StreamCheckpoint,
     StreamConfig, StreamOutcome,
 };
-pub use trial::{Observation, Trial};
+pub use trial::{Observation, Trial, MAX_TIMESTAMP_PS};
 pub use windowed::{windowed_kappa, worst_window, WindowScore};
 
 /// Compute all four metrics plus κ between two trials.

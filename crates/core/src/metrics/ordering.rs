@@ -93,16 +93,28 @@ impl EditScriptStats {
     }
 }
 
-/// Shared kernel behind [`ordering`] and
-/// [`super::pair::PairAnalyzer`]. Also the exact finalizer of the
-/// streaming engine ([`super::stream`]): it only reads `m.common()` and
-/// the pairs' relative positions, so a synthetic [`Matching`] assembled
-/// from streamed matches reproduces the batch result bit-for-bit.
+/// Eq. 2's normalizer: total move distance over `Σ_{n=0}^{mc} n`, the
+/// cost of reversing `mc` common packets. Fewer than two common packets
+/// cannot be out of order, so O is exactly 0 there. The one statement of
+/// the rule: both ordering kernels and the streaming engine call it.
+pub(crate) fn normalize_o(move_distance: u128, mc: usize) -> f64 {
+    if mc <= 1 {
+        return 0.0;
+    }
+    let denom = (mc as u128 * (mc as u128 + 1)) / 2;
+    move_distance as f64 / denom as f64
+}
+
+/// The reference ordering kernel, behind
+/// [`super::pair::PairAnalyzer::new`] and the block kernel below. It
+/// only reads `m.common()` and the pairs' relative positions, so a
+/// synthetic [`Matching`] assembled from streamed matches reproduces the
+/// batch result bit-for-bit.
 pub(crate) fn ordering_core(m: &Matching) -> OrderingResult {
     let mc = m.common();
     if mc <= 1 {
         return OrderingResult {
-            o: 0.0,
+            o: normalize_o(0, mc),
             lcs_len: mc,
             displacements: Vec::new(),
         };
@@ -131,9 +143,8 @@ pub(crate) fn ordering_core(m: &Matching) -> OrderingResult {
         }
     }
 
-    let denom = (mc as u128 * (mc as u128 + 1)) / 2;
     OrderingResult {
-        o: num as f64 / denom as f64,
+        o: normalize_o(num, mc),
         lcs_len,
         displacements,
     }
@@ -259,7 +270,7 @@ pub(crate) fn crossing_count(
     k_prefix + k_suffix + pend_a_below + pend_b_below
 }
 
-/// Reusable workspace for [`ordering_arena`]: the rank keys, the rank
+/// Reusable workspace for `ordering_arena`: the rank keys, the rank
 /// permutation, the Fenwick tree, the traceback parents, and the
 /// membership mask. Cleared and resized per pair, so a worker analyzing
 /// thousands of pairs allocates these once at steady state.
@@ -288,7 +299,7 @@ pub(crate) fn ordering_arena(m: &Matching, s: &mut OrderScratch) -> OrderingResu
     let mc = m.common();
     if mc <= 1 {
         return OrderingResult {
-            o: 0.0,
+            o: normalize_o(0, mc),
             lcs_len: mc,
             displacements: Vec::new(),
         };
@@ -360,24 +371,11 @@ pub(crate) fn ordering_arena(m: &Matching, s: &mut OrderScratch) -> OrderingResu
         }
     }
 
-    let denom = (mc as u128 * (mc as u128 + 1)) / 2;
     OrderingResult {
-        o: num as f64 / denom as f64,
+        o: normalize_o(num, mc),
         lcs_len,
         displacements,
     }
-}
-
-/// Compute the ordering metric from a prebuilt matching.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn ordering(m: &Matching) -> OrderingResult {
-    ordering_core(m)
-}
-
-/// Convenience: `O` straight from two trials.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn ordering_of(a: &super::trial::Trial, b: &super::trial::Trial) -> OrderingResult {
-    ordering_core(&Matching::build(a, b))
 }
 
 /// Membership mask of the *minimum-move-distance* maximal increasing
@@ -452,10 +450,13 @@ fn lis_membership(seq: &[u32]) -> Vec<bool> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep working until callers migrate
 mod tests {
     use super::*;
     use crate::metrics::trial::Trial;
+
+    fn o_of(a: &Trial, b: &Trial) -> OrderingResult {
+        ordering_core(&Matching::build(a, b))
+    }
 
     fn trial(seqs: &[u64]) -> Trial {
         let mut t = Trial::new();
@@ -484,7 +485,7 @@ mod tests {
     #[test]
     fn identical_order_zero() {
         let a = trial(&[0, 1, 2, 3, 4]);
-        let r = ordering_of(&a, &a.clone());
+        let r = o_of(&a, &a.clone());
         assert_eq!(r.o, 0.0);
         assert_eq!(r.lcs_len, 5);
         assert!(r.displacements.is_empty());
@@ -494,7 +495,7 @@ mod tests {
     fn single_swap() {
         let a = trial(&[0, 1, 2, 3]);
         let b = trial(&[0, 2, 1, 3]);
-        let r = ordering_of(&a, &b);
+        let r = o_of(&a, &b);
         // LIS keeps 3 of 4; one packet moved distance 1.
         assert_eq!(r.lcs_len, 3);
         assert_eq!(r.moved(), 1);
@@ -510,7 +511,7 @@ mod tests {
         let fwd: Vec<u64> = (0..n).collect();
         let rev: Vec<u64> = fwd.iter().rev().copied().collect();
         let b = trial(&rev);
-        let r = ordering_of(&a, &b);
+        let r = o_of(&a, &b);
         assert_eq!(r.lcs_len, 1);
         // Reversal cost: sum |2i - (n-1)| = n^2/2 for even n, minus the
         // one LIS-kept element's displacement (n-1); normalizer n(n+1)/2 —
@@ -527,7 +528,7 @@ mod tests {
         // in identical order, so O must be 0 (that inconsistency is U's).
         let a = trial(&[10, 11, 12, 13]);
         let b = trial(&[90, 91, 92, 10, 11, 12, 13]);
-        let r = ordering_of(&a, &b);
+        let r = o_of(&a, &b);
         assert_eq!(r.o, 0.0);
         assert_eq!(r.lcs_len, 4);
     }
@@ -538,7 +539,7 @@ mod tests {
         // bursts swap. Packets move as whole blocks of equal distance.
         let a = trial(&[0, 1, 2, 3, 100, 101, 102, 103]);
         let b = trial(&[100, 101, 102, 103, 0, 1, 2, 3]);
-        let r = ordering_of(&a, &b);
+        let r = o_of(&a, &b);
         assert_eq!(r.moved(), 4);
         // All moved packets share the same |distance| = 4.
         assert!(r.displacements.iter().all(|d| d.abs() == 4));
@@ -548,19 +549,19 @@ mod tests {
     fn symmetric_in_o_value() {
         let a = trial(&[0, 1, 2, 3, 4, 5]);
         let b = trial(&[2, 0, 5, 1, 4, 3]);
-        let rab = ordering_of(&a, &b);
-        let rba = ordering_of(&b, &a);
+        let rab = o_of(&a, &b);
+        let rba = o_of(&b, &a);
         assert!((rab.o - rba.o).abs() < 1e-12);
     }
 
     #[test]
     fn tiny_inputs() {
-        assert_eq!(ordering_of(&Trial::new(), &Trial::new()).o, 0.0);
+        assert_eq!(o_of(&Trial::new(), &Trial::new()).o, 0.0);
         let one = trial(&[5]);
-        assert_eq!(ordering_of(&one, &one.clone()).o, 0.0);
+        assert_eq!(o_of(&one, &one.clone()).o, 0.0);
         let two_a = trial(&[1, 2]);
         let two_b = trial(&[2, 1]);
-        let r = ordering_of(&two_a, &two_b);
+        let r = o_of(&two_a, &two_b);
         assert!(r.o > 0.0);
     }
 
@@ -624,7 +625,7 @@ mod tests {
         ];
         let ta = trial(&a);
         for p in perms {
-            let r = ordering_of(&ta, &trial(&p));
+            let r = o_of(&ta, &trial(&p));
             assert!(r.o >= 0.0 && r.o <= 1.0, "O={} for {p:?}", r.o);
         }
     }

@@ -1,13 +1,20 @@
-//! The unified pair-analysis entry point.
+//! The pair-analysis entry point: one builder, two pipelines.
 //!
-//! Historically every metric shipped its own free-function zoo
-//! (`uniqueness`/`uniqueness_of`, `ordering`/`ordering_of`,
-//! `latency`/`latency_full`/`latency_of`, `iat`/`iat_full`/`iat_of`, plus
-//! the `*_indexed` variants in [`super::allpairs`]), each rebuilding or
-//! re-threading the [`Matching`] by hand. [`PairAnalyzer`] collapses them
-//! behind one builder that owns the matching (built lazily, built once)
-//! and dispatches to the exact same kernels — plain-trial or
-//! index-cached — so results stay bit-identical to the deprecated paths.
+//! [`PairAnalyzer`] owns the [`Matching`] of one trial pair (built
+//! lazily, built once) and runs exactly one of two pipelines end to end,
+//! chosen by how it was constructed:
+//!
+//! - [`PairAnalyzer::new`] — the **reference** pipeline, straight from
+//!   the two trials: `HashMap` matching, `i128`/`u128` arithmetic, a
+//!   fresh allocation per stage. It is what `all_pairs_serial` and the
+//!   bit-identity tests compare everything else against.
+//! - [`PairAnalyzer::from_indexes`] — the **production** pipeline over
+//!   prebuilt [`TrialIndex`] arenas and a reusable [`PairScratch`]: what
+//!   the sharded all-pairs engine, the experiment runner and the κ
+//!   daemon's `Matrix` verb run.
+//!
+//! Both share the normalizers of Eqs. 1–4 (one function per metric, in
+//! the metric's module) and produce `f64::to_bits`-identical output.
 //!
 //! ```
 //! use choir_core::metrics::{PairAnalyzer, Trial};
@@ -25,16 +32,14 @@
 //! let cmp = PairAnalyzer::new(&a, &b).label("B").analyze();
 //! assert_eq!(cmp.common, 10);
 //! ```
-//!
-//! The migration table from the old free functions lives in DESIGN.md §12.
 
 use std::time::Instant;
 
 use super::allpairs::TrialIndex;
 use super::histogram::DeltaHistogram;
-use super::iat::{iat_arena, iat_full_core, IatResult};
+use super::iat::{iat_arena, iat_full_core};
 use super::kappa::{ConsistencyMetrics, KappaConfig};
-use super::latency::{latency_arena, latency_full_core, LatencyResult};
+use super::latency::{latency_arena, latency_full_core};
 use super::matching::{matching_arena, Matching};
 use super::ordering::{ordering_arena, ordering_core, OrderScratch};
 use super::report::{abs_percentiles_ns, abs_percentiles_ns_bits, StageTimings, TrialComparison};
@@ -60,9 +65,10 @@ impl PairScratch {
     }
 }
 
-/// Where a pair's observations come from: borrowed trials (the matching
-/// is built from scratch) or prebuilt [`TrialIndex`]es (the sharded
-/// engine's cached path).
+/// Where a pair's observations come from, and with it which pipeline
+/// runs: borrowed trials (reference) or prebuilt [`TrialIndex`]es
+/// (production).
+#[derive(Clone, Copy)]
 enum Source<'t> {
     Trials { a: &'t Trial, b: &'t Trial },
     Indexed { a: &'t TrialIndex<'t>, b: &'t TrialIndex<'t> },
@@ -72,8 +78,6 @@ enum Source<'t> {
 ///
 /// Owns the [`Matching`] cache: the first accessor that needs it builds
 /// it, every later call (including [`PairAnalyzer::analyze`]) reuses it.
-/// All outputs are bit-identical to the deprecated free-function paths —
-/// the same kernels run on the same operands in the same order.
 pub struct PairAnalyzer<'t> {
     source: Source<'t>,
     label: String,
@@ -82,7 +86,7 @@ pub struct PairAnalyzer<'t> {
 }
 
 impl<'t> PairAnalyzer<'t> {
-    /// Analyze a pair of plain trials.
+    /// Analyze a pair of plain trials through the reference pipeline.
     pub fn new(a: &'t Trial, b: &'t Trial) -> Self {
         PairAnalyzer {
             source: Source::Trials { a, b },
@@ -92,8 +96,8 @@ impl<'t> PairAnalyzer<'t> {
         }
     }
 
-    /// Analyze a pair through prebuilt per-trial indexes (the cached path
-    /// the sharded all-pairs engine uses).
+    /// Analyze a pair through prebuilt per-trial indexes — the production
+    /// arena pipeline.
     pub fn from_indexes(a: &'t TrialIndex<'t>, b: &'t TrialIndex<'t>) -> Self {
         PairAnalyzer {
             source: Source::Indexed { a, b },
@@ -116,41 +120,13 @@ impl<'t> PairAnalyzer<'t> {
         self
     }
 
-    fn build_matching(&self) -> Matching {
-        match self.source {
-            Source::Trials { a, b } => Matching::build(a, b),
-            Source::Indexed { a, b } => matching_arena(a, b),
-        }
-    }
-
-    fn latency(&self, m: &Matching) -> LatencyResult {
-        match self.source {
-            Source::Trials { a, b } => latency_full_core(a, b, m),
-            Source::Indexed { a, b } => {
-                let mut deltas_ns = Vec::new();
-                let l = latency_arena(a, b, m, &mut deltas_ns);
-                LatencyResult { l, deltas_ns }
-            }
-        }
-    }
-
-    fn iat(&self, m: &Matching) -> IatResult {
-        match self.source {
-            Source::Trials { a, b } => iat_full_core(a, b, m),
-            Source::Indexed { a, b } => {
-                let mut deltas_ns = Vec::new();
-                let i = iat_arena(a, b, m, &mut deltas_ns);
-                IatResult { i, deltas_ns }
-            }
-        }
-    }
-
     /// The occurrence-wise matching, built on first access and cached.
     pub fn matching(&mut self) -> &Matching {
-        if self.matching.is_none() {
-            self.matching = Some(self.build_matching());
-        }
-        self.matching.as_ref().expect("matching just built")
+        let source = self.source;
+        self.matching.get_or_insert_with(|| match source {
+            Source::Trials { a, b } => Matching::build(a, b),
+            Source::Indexed { a, b } => matching_arena(a, b),
+        })
     }
 
     /// `|A ∩ B|` — the number of common packets.
@@ -160,15 +136,26 @@ impl<'t> PairAnalyzer<'t> {
 
     /// Just the four component metrics plus κ — the light-weight path
     /// (no histograms, no percentiles) behind [`super::compare`] and the
-    /// windowed scorer.
+    /// windowed scorer. Runs the same pipeline as
+    /// [`PairAnalyzer::analyze`] would for this source.
     pub fn metrics(&mut self) -> ConsistencyMetrics {
-        let cfg = self.cfg;
+        let (source, cfg) = (self.source, self.cfg);
         let m = self.matching();
         let u = uniqueness_core(m);
-        let o = ordering_core(m).o;
-        let (l, i) = {
-            let m = self.matching.as_ref().expect("matching cached");
-            (self.latency(m).l, self.iat(m).i)
+        let (o, l, i) = match source {
+            Source::Trials { a, b } => (
+                ordering_core(m).o,
+                latency_full_core(a, b, m).l,
+                iat_full_core(a, b, m).i,
+            ),
+            Source::Indexed { a, b } => {
+                let mut s = PairScratch::new();
+                (
+                    ordering_arena(m, &mut s.order).o,
+                    latency_arena(a, b, m, &mut s.latency_deltas),
+                    iat_arena(a, b, m, &mut s.iat_deltas),
+                )
+            }
         };
         cfg.combine(u, o, l, i)
     }
@@ -177,13 +164,10 @@ impl<'t> PairAnalyzer<'t> {
     /// histograms, percentiles, edit-script statistics, stage timings.
     ///
     /// Indexed sources run the arena kernels (through a one-shot
-    /// [`PairScratch`]); plain-trial sources run the unchanged uncached
-    /// reference pipeline. Both produce bit-identical metric output.
+    /// [`PairScratch`]); plain-trial sources run the reference pipeline.
+    /// Both produce bit-identical metric output.
     pub fn analyze(self) -> TrialComparison {
-        match self.source {
-            Source::Trials { .. } => self.analyze_uncached(),
-            Source::Indexed { .. } => self.analyze_arena(&mut PairScratch::new()),
-        }
+        self.analyze_with_scratch(&mut PairScratch::new())
     }
 
     /// [`PairAnalyzer::analyze`] reusing a caller-owned workspace — the
@@ -191,14 +175,14 @@ impl<'t> PairAnalyzer<'t> {
     /// its whole run.
     pub fn analyze_with_scratch(self, scratch: &mut PairScratch) -> TrialComparison {
         match self.source {
-            Source::Trials { .. } => self.analyze_uncached(),
-            Source::Indexed { .. } => self.analyze_arena(scratch),
+            Source::Trials { a, b } => self.analyze_reference(a, b),
+            Source::Indexed { a, b } => self.analyze_arena(a, b, scratch),
         }
     }
 
-    /// The uncached reference pipeline — byte-for-byte the pre-arena
-    /// `analyze` body, kept intact as the bit-identity ground truth.
-    fn analyze_uncached(mut self) -> TrialComparison {
+    /// The reference pipeline, kept as it was before the arena existed:
+    /// the bit-identity ground truth.
+    fn analyze_reference(mut self, a: &Trial, b: &Trial) -> TrialComparison {
         // One span per pair comparison; inside the sharded engine each
         // worker thread roots its own "pair" spans, so the aggregate
         // count doubles as a pairs-analyzed tally in the span tree.
@@ -206,15 +190,15 @@ impl<'t> PairAnalyzer<'t> {
         let t0 = Instant::now();
         let m = match self.matching.take() {
             Some(m) => m,
-            None => self.build_matching(),
+            None => Matching::build(a, b),
         };
         let t1 = Instant::now();
         let u = uniqueness_core(&m);
         let ord = ordering_core(&m);
         let t2 = Instant::now();
-        let lat = self.latency(&m);
+        let lat = latency_full_core(a, b, &m);
         let t3 = Instant::now();
-        let ia = self.iat(&m);
+        let ia = iat_full_core(a, b, &m);
         let t4 = Instant::now();
         let metrics = self.cfg.combine(u, ord.o, lat.l, ia.i);
 
@@ -240,25 +224,21 @@ impl<'t> PairAnalyzer<'t> {
             edit_stats: ord.stats(),
             iat_hist,
             latency_hist,
-            timings: StageTimings {
-                match_ns: (t1 - t0).as_nanos() as u64,
-                order_ns: (t2 - t1).as_nanos() as u64,
-                latency_ns: (t3 - t2).as_nanos() as u64,
-                iat_ns: (t4 - t3).as_nanos() as u64,
-                histogram_ns: (t5 - t4).as_nanos() as u64,
-            },
+            timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
         }
     }
 
     /// The arena pipeline: same stages in the same order as
-    /// [`PairAnalyzer::analyze_uncached`], every kernel swapped for its
+    /// [`PairAnalyzer::analyze_reference`], every kernel swapped for its
     /// bit-identical arena/scratch counterpart — flat-slice matching,
     /// scratch-backed LIS, split-lane latency/IAT accumulation, bulk
     /// table-driven histograms, and bit-key percentile sorts.
-    fn analyze_arena(mut self, s: &mut PairScratch) -> TrialComparison {
-        let Source::Indexed { a, b } = self.source else {
-            unreachable!("arena path requires an indexed source")
-        };
+    fn analyze_arena(
+        mut self,
+        a: &TrialIndex<'_>,
+        b: &TrialIndex<'_>,
+        s: &mut PairScratch,
+    ) -> TrialComparison {
         let _span = crate::obs::span("pair");
         let t0 = Instant::now();
         let m = match self.matching.take() {
@@ -300,26 +280,15 @@ impl<'t> PairAnalyzer<'t> {
             edit_stats: ord.stats(),
             iat_hist,
             latency_hist,
-            timings: StageTimings {
-                match_ns: (t1 - t0).as_nanos() as u64,
-                order_ns: (t2 - t1).as_nanos() as u64,
-                latency_ns: (t3 - t2).as_nanos() as u64,
-                iat_ns: (t4 - t3).as_nanos() as u64,
-                histogram_ns: (t5 - t4).as_nanos() as u64,
-            },
+            timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
         }
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // equivalence tests exercise the deprecated shims
 mod tests {
     use super::*;
-    use crate::metrics::iat::iat_of;
-    use crate::metrics::latency::latency_of;
-    use crate::metrics::ordering::ordering_of;
     use crate::metrics::report::analyze_with;
-    use crate::metrics::uniqueness::uniqueness_of;
 
     fn jittered_pair(n: u64) -> (Trial, Trial) {
         let mut a = Trial::new();
@@ -337,13 +306,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_match_the_deprecated_free_functions() {
+    fn metrics_match_analyze_on_both_pipelines() {
         let (a, b) = jittered_pair(200);
-        let got = PairAnalyzer::new(&a, &b).metrics();
-        assert_eq!(got.u.to_bits(), uniqueness_of(&a, &b).to_bits());
-        assert_eq!(got.o.to_bits(), ordering_of(&a, &b).o.to_bits());
-        assert_eq!(got.l.to_bits(), latency_of(&a, &b).l.to_bits());
-        assert_eq!(got.i.to_bits(), iat_of(&a, &b).i.to_bits());
+        let (ia, ib) = (
+            TrialIndex::build(&a).unwrap(),
+            TrialIndex::build(&b).unwrap(),
+        );
+        let full = PairAnalyzer::new(&a, &b).analyze().metrics;
+        for got in [
+            PairAnalyzer::new(&a, &b).metrics(),
+            PairAnalyzer::from_indexes(&ia, &ib).metrics(),
+        ] {
+            assert_eq!(got.u.to_bits(), full.u.to_bits());
+            assert_eq!(got.o.to_bits(), full.o.to_bits());
+            assert_eq!(got.l.to_bits(), full.l.to_bits());
+            assert_eq!(got.i.to_bits(), full.i.to_bits());
+            assert_eq!(got.kappa.to_bits(), full.kappa.to_bits());
+        }
     }
 
     #[test]

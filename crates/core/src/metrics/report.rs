@@ -2,6 +2,8 @@
 //! run-vs-baseline comparison, computed in a single pass over the
 //! matching, plus the multi-run aggregation used by Table 2.
 
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
 
 use super::allpairs::MatrixSummary;
@@ -32,6 +34,19 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// The five stage durations between six consecutive clock readings,
+    /// in field order.
+    pub(crate) fn from_marks(t: [Instant; 6]) -> Self {
+        let ns = |k: usize| (t[k + 1] - t[k]).as_nanos() as u64;
+        StageTimings {
+            match_ns: ns(0),
+            order_ns: ns(1),
+            latency_ns: ns(2),
+            iat_ns: ns(3),
+            histogram_ns: ns(4),
+        }
+    }
+
     /// Accumulate another comparison's timings into this one.
     pub fn add(&mut self, other: &StageTimings) {
         self.match_ns += other.match_ns;
@@ -149,8 +164,8 @@ pub fn analyze(label: impl Into<String>, a: &Trial, b: &Trial) -> TrialCompariso
 
 /// Analyze with a custom κ configuration.
 ///
-/// Thin forwarding wrapper over [`PairAnalyzer`] (which owns the actual
-/// pipeline); kept non-deprecated as the ergonomic one-call entry point.
+/// Thin forwarding wrapper over [`PairAnalyzer::new`] (the reference
+/// pipeline): the one-call entry point.
 pub fn analyze_with(
     label: impl Into<String>,
     a: &Trial,

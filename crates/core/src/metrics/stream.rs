@@ -11,8 +11,8 @@
 //!
 //! With an **unbounded lookahead** (`StreamConfig::lookahead = None`) the
 //! finalized comparison is **bit-identical** to the batch pipeline
-//! ([`super::pair::PairAnalyzer`] / the deprecated `analyze_indexed`) on
-//! the same observations, for any interleaving and any chunking of the
+//! ([`super::pair::PairAnalyzer`], either source) on the same
+//! observations, for any interleaving and any chunking of the
 //! two input streams. This works without buffering the raw trials:
 //!
 //! - U, drop/extra counts: totals and the matched count are
@@ -26,9 +26,9 @@
 //! - Histograms and the within-10 ns count are multiset functions of the
 //!   deltas.
 //! - Only O and the edit-script statistics are order-sensitive; they are
-//!   produced at finalize by running the exact batch LIS kernel over the
-//!   matched pairs sorted into B arrival order — the identical
-//!   permutation the batch path sees.
+//!   produced at finalize by running the production LIS kernel
+//!   (`ordering_arena`) over the matched pairs sorted into B arrival
+//!   order — the identical permutation the batch path sees.
 //!
 //! ## Bounded mode
 //!
@@ -80,15 +80,18 @@ use crate::obs;
 use choir_packet::ident::PacketId;
 
 use super::histogram::DeltaHistogram;
+use super::iat::normalize_i;
 use super::kappa::{ConsistencyMetrics, KappaBounds, KappaConfig};
+use super::latency::normalize_l;
 use super::matching::{MatchedPair, Matching};
 use super::ordering::{
     block_move_distance, block_ordering, crossing_count, cut_horizons, direct_sum_cut,
-    ordering_core, EditScriptStats,
+    normalize_o, ordering_arena, EditScriptStats,
 };
-use super::report::{abs_percentiles_ns, StageTimings, TrialComparison};
+use super::pair::PairScratch;
+use super::report::{abs_percentiles_ns_bits, StageTimings, TrialComparison};
 use super::trial::Observation;
-use super::uniqueness::uniqueness_core;
+use super::uniqueness::normalize_u;
 use super::windowed::WindowScore;
 
 /// Which of the two streams an observation belongs to.
@@ -629,7 +632,7 @@ fn section_sum(bytes: &[u8]) -> u64 {
 }
 
 /// Write one checkpoint section: 8-byte LE length, the bytes, 8-byte LE
-/// [`section_sum`]. Every part of a checkpoint file — a slab here, the
+/// `section_sum`. Every part of a checkpoint file — a slab here, the
 /// daemon's JSON metadata — is one of these.
 pub fn write_section(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     w.write_all(&(bytes.len() as u64).to_le_bytes())?;
@@ -1069,43 +1072,19 @@ struct BoundsInput {
 /// so the interval collapses to the running κ bit-exactly.
 fn bounds_from(cfg: &KappaConfig, x: &BoundsInput) -> KappaBounds {
     let m_star = x.mc + x.p;
-    let u = if x.total == 0 {
-        0.0
-    } else {
-        (1.0 - (2.0 * m_star as f64) / x.total as f64).max(0.0)
-    };
-    let denom_o = (m_star as u128 * (m_star as u128 + 1)) / 2;
-    let (o_lo, o_hi) = if m_star <= 1 {
-        (0.0, 0.0)
-    } else {
-        let slack = 2 * (x.cross as u128 + x.p as u128 + 2 * x.mis as u128) * m_star as u128;
-        (
-            (x.d_hat.saturating_sub(slack) as f64 / denom_o as f64).min(1.0),
-            ((x.d_hat + slack) as f64 / denom_o as f64).min(1.0),
-        )
-    };
-    let span_a = x.span_a as u128;
-    let span_b = x.span_b as u128;
-    let reach = span_a.max(span_b);
-    let cap = span_a + span_b;
-    let denom_l = m_star as u128 * reach;
-    let (l_lo, l_hi) = if m_star <= 1 || denom_l == 0 {
-        (0.0, 0.0)
-    } else {
-        (
-            (x.lat_num.saturating_sub(x.mis as u128 * cap) as f64 / denom_l as f64).min(1.0),
-            ((x.lat_num + (x.p + x.mis) as u128 * cap) as f64 / denom_l as f64).min(1.0),
-        )
-    };
-    let denom_i = cap;
-    let (i_lo, i_hi) = if m_star <= 1 || denom_i == 0 {
-        (0.0, 0.0)
-    } else {
-        (
-            (x.iat_num.saturating_sub(x.mis as u128 * denom_i) as f64 / denom_i as f64).min(1.0),
-            ((x.iat_num + (x.p + x.mis) as u128 * denom_i) as f64 / denom_i as f64).min(1.0),
-        )
-    };
+    let u = normalize_u(m_star, x.total).max(0.0);
+    // Each endpoint is the batch normalizer on a numerator shifted by
+    // the ledger's worst case, so an empty ledger gives the running
+    // value back bit for bit.
+    let slack = 2 * (x.cross as u128 + x.p as u128 + 2 * x.mis as u128) * m_star as u128;
+    let o_lo = normalize_o(x.d_hat.saturating_sub(slack), m_star).min(1.0);
+    let o_hi = normalize_o(x.d_hat + slack, m_star).min(1.0);
+    let cap = x.span_a as u128 + x.span_b as u128;
+    let (below, above) = (x.mis as u128 * cap, (x.p + x.mis) as u128 * cap);
+    let l_lo = normalize_l(x.lat_num.saturating_sub(below), m_star, x.span_a, x.span_b);
+    let l_hi = normalize_l(x.lat_num + above, m_star, x.span_a, x.span_b);
+    let i_lo = normalize_i(x.iat_num.saturating_sub(below), m_star, x.span_a, x.span_b);
+    let i_hi = normalize_i(x.iat_num + above, m_star, x.span_a, x.span_b);
     KappaBounds {
         lo: cfg.combine(u, o_hi, l_hi, i_hi).kappa,
         hi: cfg.combine(u, o_lo, l_lo, i_lo).kappa,
@@ -1763,48 +1742,33 @@ impl IncrementalComparison {
         }
     }
 
-    fn running_li(&self) -> (f64, f64) {
-        let mc = self.matched;
+    /// L and I of `mc` matches with the given exact numerators, over the
+    /// running whole-stream spans — the batch normalizers on the
+    /// streamed operands.
+    fn li_over_stream_spans(&self, mc: usize, lat_num: u128, iat_num: u128) -> (f64, f64) {
         let span_a = self.sides[0].minmax_span_ps();
         let span_b = self.sides[1].minmax_span_ps();
-        let reach = (span_a as i128).max(span_b as i128);
-        let denom_l = mc as i128 * reach;
-        let l = if mc <= 1 || denom_l <= 0 {
-            0.0
-        } else {
-            (self.lat_num as f64 / denom_l as f64).min(1.0)
-        };
-        let denom_i = span_a as u128 + span_b as u128;
-        let i = if mc <= 1 || denom_i == 0 {
-            0.0
-        } else {
-            (self.iat_num as f64 / denom_i as f64).min(1.0)
-        };
-        (l, i)
+        (
+            normalize_l(lat_num, mc, span_a, span_b),
+            normalize_i(iat_num, mc, span_a, span_b),
+        )
+    }
+
+    fn running_li(&self) -> (f64, f64) {
+        self.li_over_stream_spans(self.matched, self.lat_num, self.iat_num)
     }
 
     fn running_o(&self) -> f64 {
-        let mc = self.matched;
-        if mc <= 1 {
-            return 0.0;
-        }
         let dist = match self.cfg.lookahead {
             None => segment_move_distance(&self.all_pairs),
             Some(_) => self.est.o_num + self.est.tail_distance(),
         };
-        let denom = (mc as u128 * (mc as u128 + 1)) / 2;
-        dist as f64 / denom as f64
+        normalize_o(dist, self.matched)
     }
 
     /// Running κ and components over everything seen so far.
     pub fn running_metrics(&self) -> ConsistencyMetrics {
-        let mc = self.matched;
-        let total = self.sides[0].len + self.sides[1].len;
-        let u = if total == 0 {
-            0.0
-        } else {
-            1.0 - (2.0 * mc as f64) / total as f64
-        };
+        let u = normalize_u(self.matched, self.sides[0].len + self.sides[1].len);
         let o = self.running_o();
         let (l, i) = self.running_li();
         self.cfg.kappa.combine(u, o, l, i)
@@ -1844,36 +1808,14 @@ impl IncrementalComparison {
         // A slice's pairs may involve observations pushed before the
         // slice began (a pending A matched by a fresh B), so 2·mc can
         // exceed the slice's own push count — clamp at 0.
-        let u = if total == 0 {
-            0.0
-        } else {
-            (1.0 - (2.0 * mc as f64) / total as f64).max(0.0)
-        };
+        let u = normalize_u(mc, total).max(0.0);
         let dist = segment_move_distance(&s.pairs);
-        let o = if mc <= 1 {
-            0.0
-        } else {
-            dist as f64 / ((mc as u128 * (mc as u128 + 1)) / 2) as f64
-        };
+        let o = normalize_o(dist, mc);
         // L/I numerators are slice-local but normalized by the running
         // whole-stream spans (a slice carries no self-contained origin):
         // each window scores its *contribution* to the global metrics,
         // unlike `windowed_kappa`'s re-zeroed sub-trials.
-        let span_a = self.sides[0].minmax_span_ps();
-        let span_b = self.sides[1].minmax_span_ps();
-        let reach = (span_a as i128).max(span_b as i128);
-        let denom_l = mc as i128 * reach;
-        let l = if mc <= 1 || denom_l <= 0 {
-            0.0
-        } else {
-            (s.lat_num as f64 / denom_l as f64).min(1.0)
-        };
-        let denom_i = span_a as u128 + span_b as u128;
-        let i = if mc <= 1 || denom_i == 0 {
-            0.0
-        } else {
-            (s.iat_num as f64 / denom_i as f64).min(1.0)
-        };
+        let (l, i) = self.li_over_stream_spans(mc, s.lat_num, s.iat_num);
         // A slice's pairs are all retained (seals only move them to the
         // committed accumulators, never out of the slice), so its error
         // ledger is just the missed/misaligned counts; `batch_matched`
@@ -1892,8 +1834,8 @@ impl IncrementalComparison {
                 lat_num: s.lat_num,
                 iat_num: s.iat_num,
                 total,
-                span_a,
-                span_b,
+                span_a: self.sides[0].minmax_span_ps(),
+                span_b: self.sides[1].minmax_span_ps(),
             },
         );
         WindowScore {
@@ -2011,31 +1953,17 @@ impl IncrementalComparison {
             b_len: self.sides[1].len,
         };
         let t1 = Instant::now();
-        let u = uniqueness_core(&m);
-        let ord = ordering_core(&m);
-        let t2 = Instant::now();
+        // From here on, the stages `PairAnalyzer::analyze_arena` runs, on
+        // operands the stream accumulated instead of an index.
+        let mut s = PairScratch::new();
         let mc = m.common();
-        // L/I from the exact running numerators and the batch
-        // denominators/degenerate rules (latency.rs / iat.rs).
-        let span_a = self.sides[0].minmax_span_ps();
-        let span_b = self.sides[1].minmax_span_ps();
-        let reach = (span_a as i128).max(span_b as i128);
-        let denom_l = mc as i128 * reach;
-        let l = if mc <= 1 || denom_l <= 0 {
-            0.0
-        } else {
-            (self.lat_num as f64 / denom_l as f64).min(1.0)
-        };
-        let latency_deltas: Vec<f64> =
-            pairs.iter().map(|p| p.d_lat_ps as f64 / 1000.0).collect();
+        let u = normalize_u(mc, m.a_len + m.b_len);
+        let ord = ordering_arena(&m, &mut s.order);
+        let t2 = Instant::now();
+        let (l, i) = self.running_li();
+        s.latency_deltas.extend(pairs.iter().map(|p| p.d_lat_ps as f64 / 1000.0));
         let t3 = Instant::now();
-        let denom_i = span_a as u128 + span_b as u128;
-        let i = if mc <= 1 || denom_i == 0 {
-            0.0
-        } else {
-            (self.iat_num as f64 / denom_i as f64).min(1.0)
-        };
-        let iat_deltas: Vec<f64> = pairs.iter().map(|p| p.d_iat_ps as f64 / 1000.0).collect();
+        s.iat_deltas.extend(pairs.iter().map(|p| p.d_iat_ps as f64 / 1000.0));
         let t4 = Instant::now();
         let metrics = self.cfg.kappa.combine(u, ord.o, l, i);
         let within = if mc == 0 {
@@ -2043,8 +1971,9 @@ impl IncrementalComparison {
         } else {
             self.within_10ns as f64 / mc as f64
         };
-        let iat_abs_percentiles_ns = abs_percentiles_ns(&iat_deltas);
-        let latency_abs_percentiles_ns = abs_percentiles_ns(&latency_deltas);
+        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.sort_bits);
+        let latency_abs_percentiles_ns =
+            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.sort_bits);
         let t5 = Instant::now();
 
         TrialComparison {
@@ -2062,13 +1991,7 @@ impl IncrementalComparison {
             edit_stats: ord.stats(),
             iat_hist: std::mem::take(&mut self.iat_hist),
             latency_hist: std::mem::take(&mut self.lat_hist),
-            timings: StageTimings {
-                match_ns: (t1 - t0).as_nanos() as u64,
-                order_ns: (t2 - t1).as_nanos() as u64,
-                latency_ns: (t3 - t2).as_nanos() as u64,
-                iat_ns: (t4 - t3).as_nanos() as u64,
-                histogram_ns: (t5 - t4).as_nanos() as u64,
-            },
+            timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
         }
     }
 
@@ -2084,23 +2007,13 @@ impl IncrementalComparison {
         let mc = self.matched;
         let a_len = self.sides[0].len;
         let b_len = self.sides[1].len;
-        // Same U formula as uniqueness_core, on the streamed totals.
-        let total = a_len + b_len;
-        let u = if total == 0 {
-            0.0
-        } else {
-            1.0 - (2.0 * mc as f64) / total as f64
-        };
+        let u = normalize_u(mc, a_len + b_len);
         // The windowed estimator's move distance over the global
         // normalizer. Unlike the old segment-local estimate (which
         // halved κ's O term on adversarial interleaves), every committed
         // block is either a direct summand (exact) or a forced cut with
         // its crossers counted into the κ error interval.
-        let o = if mc <= 1 {
-            0.0
-        } else {
-            self.est.o_num as f64 / ((mc as u128 * (mc as u128 + 1)) / 2) as f64
-        };
+        let o = normalize_o(self.est.o_num, mc);
         let t2 = Instant::now();
         let (l, i) = self.running_li();
         let t4 = Instant::now();
@@ -2138,13 +2051,8 @@ impl IncrementalComparison {
             edit_stats,
             iat_hist: std::mem::take(&mut self.iat_hist),
             latency_hist: std::mem::take(&mut self.lat_hist),
-            timings: StageTimings {
-                match_ns: (t1 - t0).as_nanos() as u64,
-                order_ns: (t2 - t1).as_nanos() as u64,
-                latency_ns: 0,
-                iat_ns: (t4 - t2).as_nanos() as u64,
-                histogram_ns: (t5 - t4).as_nanos() as u64,
-            },
+            // L and I come out of one call: booked under `iat_ns`.
+            timings: StageTimings::from_marks([t0, t1, t2, t2, t4, t5]),
         }
     }
 }

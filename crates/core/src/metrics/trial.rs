@@ -10,12 +10,22 @@ use choir_packet::ident::PacketId;
 use choir_packet::pcap::PcapRecord;
 use choir_packet::tag::ChoirTag;
 
+/// Exclusive upper bound on the timestamps the metric kernels take
+/// without overflow: 2^62 ps, about 53 days from the capture epoch. Two
+/// stamps below it differ by less than `i64::MAX`, and so do two gaps or
+/// two latencies built from them, which is what [`Trial::gap_ps`], the
+/// streaming engine and the arena kernels' 64-bit lanes rely on. Code
+/// that accepts timestamps from outside the program (the κ daemon's
+/// ingest, the pcap loaders) refuses or re-bases anything at or past it.
+pub const MAX_TIMESTAMP_PS: u64 = 1 << 62;
+
 /// One received packet: identity and arrival time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observation {
     /// Packet identity (from the Choir trailer tag, or a content hash).
     pub id: PacketId,
-    /// Arrival time in picoseconds since the capture epoch.
+    /// Arrival time in picoseconds since the capture epoch (below
+    /// [`MAX_TIMESTAMP_PS`] for everything the ingest paths admit).
     pub t_ps: u64,
 }
 
@@ -55,10 +65,24 @@ impl Trial {
     }
 
     /// Build a trial from nanosecond pcap records (times scaled to ps).
+    ///
+    /// A capture whose first stamp already fits below
+    /// [`MAX_TIMESTAMP_PS`] keeps its own epoch. A wall-clock capture
+    /// (any real `tcpdump` file: 2026 is 1.8 × 10^21 ps after 1970, past
+    /// `u64`) is re-based on its first record, stamps earlier than that
+    /// record clamping to zero as in [`Trial::rezeroed`]; κ is invariant
+    /// under the shift. Stamps still out of range after re-basing
+    /// saturate just below the bound. `choir_capture::PcapSource`
+    /// converts identically, except that it reports that last case as an
+    /// error.
     pub fn from_pcap_records(records: &[PcapRecord]) -> Self {
+        const MAX_NS: u64 = (MAX_TIMESTAMP_PS - 1) / 1000;
+        let first_ns = records.first().map_or(0, |r| r.ts_ns);
+        let epoch_ns = if first_ns <= MAX_NS { 0 } else { first_ns };
         let mut t = Trial::with_capacity(records.len());
         for r in records {
-            t.push(r.frame.packet_id(), r.ts_ns * 1000);
+            let ns = r.ts_ns.saturating_sub(epoch_ns).min(MAX_NS);
+            t.push(r.frame.packet_id(), ns * 1000);
         }
         t
     }

@@ -10,33 +10,32 @@
 
 use super::matching::Matching;
 
-/// Shared kernel behind [`uniqueness`] and
-/// [`super::pair::PairAnalyzer`].
-pub(crate) fn uniqueness_core(m: &Matching) -> f64 {
-    let total = m.a_len + m.b_len;
+/// Eq. 1 on raw counts: `1 − 2·common / total` with `total = |A| + |B|`,
+/// and 0 for two empty trials (they are identical). The one statement of
+/// the U formula: the batch kernels reach it through
+/// [`uniqueness_core`], the streaming engine calls it on its running
+/// totals.
+pub(crate) fn normalize_u(common: usize, total: usize) -> f64 {
     if total == 0 {
-        return 0.0; // two empty trials are identical
+        return 0.0;
     }
-    1.0 - (2.0 * m.common() as f64) / total as f64
+    1.0 - (2.0 * common as f64) / total as f64
 }
 
-/// Compute `U` from a prebuilt matching.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn uniqueness(m: &Matching) -> f64 {
-    uniqueness_core(m)
-}
-
-/// Convenience: `U` straight from two trials.
-#[deprecated(note = "use metrics::PairAnalyzer (see DESIGN.md §12)")]
-pub fn uniqueness_of(a: &super::trial::Trial, b: &super::trial::Trial) -> f64 {
-    uniqueness_core(&Matching::build(a, b))
+/// `U` of a matching — shared by both [`super::pair::PairAnalyzer`]
+/// pipelines.
+pub(crate) fn uniqueness_core(m: &Matching) -> f64 {
+    normalize_u(m.common(), m.a_len + m.b_len)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims must keep working until callers migrate
 mod tests {
     use super::*;
     use crate::metrics::trial::Trial;
+
+    fn u_of(a: &Trial, b: &Trial) -> f64 {
+        crate::metrics::compare(a, b).u
+    }
 
     fn trial(seqs: &[u64]) -> Trial {
         let mut t = Trial::new();
@@ -52,46 +51,46 @@ mod tests {
         // is dropped, and U = (10 + 9 − 2×9)/(10+9) = 1/19".
         let a = trial(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         let b = trial(&[0, 1, 2, 3, 4, 5, 6, 7, 8]);
-        let u = uniqueness_of(&a, &b);
+        let u = u_of(&a, &b);
         assert!((u - 1.0 / 19.0).abs() < 1e-15, "got {u}");
     }
 
     #[test]
     fn identical_is_zero() {
         let a = trial(&[1, 2, 3]);
-        assert_eq!(uniqueness_of(&a, &a.clone()), 0.0);
+        assert_eq!(u_of(&a, &a.clone()), 0.0);
     }
 
     #[test]
     fn disjoint_is_one() {
         let a = trial(&[0, 1, 2]);
         let b = trial(&[10, 11, 12]);
-        assert_eq!(uniqueness_of(&a, &b), 1.0);
+        assert_eq!(u_of(&a, &b), 1.0);
     }
 
     #[test]
     fn symmetric() {
         let a = trial(&[0, 1, 2, 3, 4]);
         let b = trial(&[0, 2, 4, 6]);
-        assert_eq!(uniqueness_of(&a, &b), uniqueness_of(&b, &a));
+        assert_eq!(u_of(&a, &b), u_of(&b, &a));
     }
 
     #[test]
     fn empty_vs_empty_is_zero() {
-        assert_eq!(uniqueness_of(&Trial::new(), &Trial::new()), 0.0);
+        assert_eq!(u_of(&Trial::new(), &Trial::new()), 0.0);
     }
 
     #[test]
     fn empty_vs_nonempty_is_one() {
         let a = trial(&[1]);
-        assert_eq!(uniqueness_of(&a, &Trial::new()), 1.0);
+        assert_eq!(u_of(&a, &Trial::new()), 1.0);
     }
 
     #[test]
     fn reordering_does_not_affect_u() {
         let a = trial(&[0, 1, 2, 3]);
         let b = trial(&[3, 2, 1, 0]);
-        assert_eq!(uniqueness_of(&a, &b), 0.0);
+        assert_eq!(u_of(&a, &b), 0.0);
     }
 
     #[test]
@@ -100,7 +99,7 @@ mod tests {
         let a = trial(&[0, 1]);
         let mut b = trial(&[0, 1]);
         b.push_tagged(0, 0, 1, 99);
-        let u = uniqueness_of(&a, &b);
+        let u = u_of(&a, &b);
         assert!((u - (1.0 - 4.0 / 5.0)).abs() < 1e-15);
     }
 
@@ -110,15 +109,7 @@ mod tests {
         // formula reproduces the paper's number.
         let total = 1_053_824usize;
         let drops = 1_230usize;
-        let m = Matching {
-            pairs: Vec::new(),
-            a_len: total,
-            b_len: total - drops,
-        };
-        // Fake the common count via a matching with empty pairs is not
-        // possible; compute directly instead.
-        let common = total - drops;
-        let u = 1.0 - (2.0 * common as f64) / (m.a_len + m.b_len) as f64;
+        let u = normalize_u(total - drops, total + (total - drops));
         assert!((u - 5.84e-4).abs() < 5e-6, "got {u}");
     }
 }

@@ -72,12 +72,6 @@ pub struct MiddleboxConfig {
     /// starve the dataplane of buffers. The truncated recording remains
     /// internally consistent and replayable.
     pub pool_reserve: usize,
-    /// Always stamp tags by copying the frame bytes, even when the
-    /// storage is uniquely owned and could be written in place. This is
-    /// the pre-optimization stamping path, kept so the throughput
-    /// benchmarks can price the in-place trailer write against it; the
-    /// stamped bytes are identical either way.
-    pub copy_stamp: bool,
 }
 
 impl Default for MiddleboxConfig {
@@ -92,7 +86,6 @@ impl Default for MiddleboxConfig {
             rolling_window: None,
             bridge_reverse: false,
             pool_reserve: 128,
-            copy_stamp: false,
         }
     }
 }
@@ -228,11 +221,9 @@ impl ChoirMiddlebox {
             // Too short to tag; forward as-is.
             return;
         }
-        if !self.cfg.copy_stamp {
-            if let Some(buf) = frame.data.try_unique_mut() {
-                tag.stamp_trailer(buf);
-                return;
-            }
+        if let Some(buf) = frame.data.try_unique_mut() {
+            tag.stamp_trailer(buf);
+            return;
         }
         let mut data = frame.data.to_vec();
         tag.stamp_trailer(&mut data);

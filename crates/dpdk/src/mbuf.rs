@@ -14,7 +14,7 @@
 //! refcount bump, not a copy.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::StorageHook;
@@ -39,11 +39,6 @@ struct PoolInner {
     /// High-water mark of simultaneous live mbufs, for diagnostics.
     peak: AtomicUsize,
     failed_allocs: AtomicUsize,
-    /// When set, [`Mempool::alloc`] always takes the dedicated
-    /// guard-allocation path instead of riding the frame's storage
-    /// refcount. This reproduces the pre-optimization per-alloc cost and
-    /// exists so the throughput benchmarks can compare against it.
-    guard_slots: AtomicBool,
 }
 
 /// A fixed-capacity message-buffer pool.
@@ -81,7 +76,6 @@ impl Mempool {
                 in_use: AtomicUsize::new(0),
                 peak: AtomicUsize::new(0),
                 failed_allocs: AtomicUsize::new(0),
-                guard_slots: AtomicBool::new(false),
             }),
         }
     }
@@ -110,11 +104,8 @@ impl Mempool {
             return Err(PoolExhausted);
         }
         self.inner.peak.fetch_max(prev + 1, Ordering::Relaxed);
-        let hooked = !self.inner.guard_slots.load(Ordering::Relaxed) && {
-            let hook: Arc<dyn StorageHook> = Arc::clone(&self.inner) as Arc<dyn StorageHook>;
-            frame.data.try_attach_hook(hook)
-        };
-        let slot = if hooked {
+        let hook: Arc<dyn StorageHook> = Arc::clone(&self.inner) as Arc<dyn StorageHook>;
+        let slot = if frame.data.try_attach_hook(hook) {
             SlotRef::Storage
         } else {
             SlotRef::Guard(Arc::new(Slot {
@@ -136,15 +127,6 @@ impl Mempool {
     /// Total slot count.
     pub fn capacity(&self) -> usize {
         self.inner.capacity
-    }
-
-    /// Force every future [`alloc`](Self::alloc) onto the dedicated
-    /// guard-allocation path (one `Arc<Slot>` per mbuf) instead of riding
-    /// the frame's storage refcount. Accounting is identical either way;
-    /// this reproduces the pre-optimization per-alloc heap cost so the
-    /// throughput benchmarks have an honest baseline.
-    pub fn set_guard_slots(&self, on: bool) {
-        self.inner.guard_slots.store(on, Ordering::Relaxed);
     }
 
     /// Currently-occupied slots.

@@ -60,10 +60,6 @@ pub struct SimConfig {
     /// path — the pre-coalescing reference the throughput benchmarks
     /// compare against.
     pub coalesce: bool,
-    /// Allocate a dedicated guard `Arc` per mbuf instead of folding slot
-    /// accounting into the frame's storage refcount. Part of the
-    /// pre-optimization reference path (see [`Mempool::set_guard_slots`]).
-    pub guard_slot_alloc: bool,
 }
 
 impl Default for SimConfig {
@@ -74,7 +70,6 @@ impl Default for SimConfig {
             pool_slots: 1 << 22,
             queue: QueueKind::Wheel,
             coalesce: true,
-            guard_slot_alloc: false,
         }
     }
 }
@@ -285,7 +280,6 @@ impl Sim {
     /// A new, empty simulation.
     pub fn new(cfg: SimConfig) -> Self {
         let pool = Mempool::new("sim-pool", cfg.pool_slots);
-        pool.set_guard_slots(cfg.guard_slot_alloc);
         let queue = EventQueue::new(cfg.queue);
         Sim {
             cfg,

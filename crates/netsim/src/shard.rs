@@ -37,7 +37,7 @@
 //!
 //! Threading: [`choir_dpdk::App`]s are not `Send`, so each worker thread
 //! *builds* its own sim from a `Send` closure; only commands, packet
-//! bursts ([`Mbuf`] is `Send`) and `Any + Send` call results cross
+//! bursts ([`choir_dpdk::Mbuf`] is `Send`) and `Any + Send` call results cross
 //! threads.
 
 use std::any::Any;

@@ -65,7 +65,7 @@ impl<T> Ord for HeapEntry<T> {
 
 /// A hierarchical timing wheel preserving exact `(time, seq)` pop order.
 ///
-/// Near-future events (within [`HORIZON`] of the cursor) live in
+/// Near-future events (within `HORIZON` of the cursor) live in
 /// fixed-width buckets; everything further out waits in an overflow heap
 /// and is migrated into buckets as the cursor sweeps forward. Buckets
 /// cover disjoint time spans, so the global minimum is always the

@@ -61,7 +61,7 @@ use std::thread;
 use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
     all_pairs_sharded_with, IncrementalComparison, KappaConfig, KappaSnapshot, Observation, Side,
-    StreamCheckpoint, StreamConfig, Trial, TrialComparison,
+    StreamCheckpoint, StreamConfig, Trial, TrialComparison, MAX_TIMESTAMP_PS,
 };
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
@@ -437,6 +437,15 @@ impl Tenant {
         let (have, skip) = (s.ingested, (s.ingested - seq) as usize);
         if skip >= records.len() {
             return Ok((Response::Ingested { total: have }, 0));
+        }
+        // The engines' and kernels' gap arithmetic holds only below the
+        // bound; past it a journaled record would panic every replay.
+        if let Some(i) = records[skip..].iter().position(|w| w.t_ps >= MAX_TIMESTAMP_PS) {
+            return Err(format!(
+                "record {} of `{name}/{stream}` is stamped {} ps, at or past the {MAX_TIMESTAMP_PS} ps bound",
+                have + i as u64,
+                records[skip + i].t_ps
+            ));
         }
         let fresh: Vec<Observation> = records[skip..].iter().map(|&w| w.into()).collect();
         self.store

@@ -180,7 +180,28 @@ fn a_daemon_survives_hostile_frames() {
     assert!(!dir.join("tenants/acme/ghost.log").exists());
     good.ingest("acme", "base", 0, &obs)
         .expect("the daemon still serves");
+
+    // A well-framed ingest whose stamps would overflow the engine's gap
+    // arithmetic (2^63 then 1) is refused whole, before anything is
+    // logged or journaled: the next request is answered, and a restart
+    // replays nothing that panics.
+    good.open_stream("acme", "r1").expect("open");
+    let mut wild = synth(1, 1, 10);
+    wild[3].t_ps = 1 << 63;
+    wild[4].t_ps = 1;
+    let err = good.ingest("acme", "r1", 0, &wild).unwrap_err();
+    assert!(err.to_string().contains("record 3"), "{err}");
+    let logged = std::fs::metadata(dir.join("tenants/acme/r1.log")).map_or(0, |m| m.len());
+    assert_eq!(logged, 0, "nothing of the refused batch reached the log");
+    let total = good.ingest("acme", "r1", 0, &obs).expect("served after the refusal");
+    assert_eq!(total, 10);
     drop(good);
+    d.kill();
+    let d = Daemon::spawn(DaemonConfig::new(&dir), "127.0.0.1:0").expect("restart");
+    let mut c = Client::connect(d.addr()).expect("reconnect");
+    let (ingested, ..) = c.stream_status("acme", "r1").expect("status");
+    assert_eq!(ingested, 10);
+    drop(c);
     d.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,11 +25,3 @@ pub use runner::{
     sim_stats_report, Experiment, ExperimentConfig, ExperimentOutput, SimTuning, StreamingMode,
     SupervisorConfig,
 };
-// The deprecated run_experiment* shims stay re-exported so downstream
-// code keeps compiling (with its own deprecation warnings) until it
-// migrates to the Experiment builder; see DESIGN.md §16.
-#[allow(deprecated)]
-pub use runner::{
-    run_experiment, run_experiment_streaming, run_experiment_streaming_supervised,
-    run_experiment_tuned,
-};

@@ -194,7 +194,6 @@ fn build_site(
     seed: u64,
     site: usize,
     n_packets: u64,
-    copy_stamp: bool,
 ) -> (NodeId, NodeId, NodeId) {
     let label = p.site_label(site);
     // Per-site construction stream: draws do not interleave with other
@@ -229,7 +228,6 @@ fn build_site(
             rolling_window: None,
             bridge_reverse: false,
             pool_reserve: 128,
-            copy_stamp,
         }),
         clock(&mut rng),
         Jitter::None,
@@ -351,13 +349,12 @@ fn build_fleet(cfg: &MultiDomainConfig, tuning: SimTuning) -> Fleet {
         pool_slots: (n_packets as usize) * p.sites * 2 + 65_536,
         queue: tuning.queue,
         coalesce: tuning.coalesce,
-        guard_slot_alloc: tuning.guard_slot_alloc,
     };
     if tuning.shards == 0 {
         let mut sim = Sim::new(sim_cfg);
         let mut places = Vec::new();
         for s in 0..p.sites {
-            let (gen, mb, rec) = build_site(&mut sim, p, cfg.seed, s, n_packets, tuning.copy_stamp);
+            let (gen, mb, rec) = build_site(&mut sim, p, cfg.seed, s, n_packets);
             places.push(SitePlace {
                 shard: 0,
                 gen,
@@ -394,10 +391,9 @@ fn build_fleet(cfg: &MultiDomainConfig, tuning: SimTuning) -> Fleet {
             let domains = domains.clone();
             let profile = p.clone();
             let seed = cfg.seed;
-            let copy_stamp = tuning.copy_stamp;
             builders.push(Box::new(move |sim: &mut Sim| {
                 for site in domains {
-                    build_site(sim, &profile, seed, site, n_packets, copy_stamp);
+                    build_site(sim, &profile, seed, site, n_packets);
                 }
             }));
         }

@@ -83,13 +83,6 @@ pub struct SimTuning {
     pub coalesce: bool,
     /// Event-queue implementation.
     pub queue: QueueKind,
-    /// Allocate a dedicated guard `Arc` per mbuf (the pre-optimization
-    /// mempool path) instead of folding slot accounting into the frame's
-    /// storage refcount.
-    pub guard_slot_alloc: bool,
-    /// Stamp trailer tags by copying frame bytes (the pre-optimization
-    /// stamping path) instead of writing the reserved tailroom in place.
-    pub copy_stamp: bool,
     /// Shard the engine across worker threads (multi-domain experiments
     /// only; the classic single-switch runner is indivisible and ignores
     /// this). `0` runs the serial engine in-process — the reference the
@@ -104,25 +97,20 @@ impl Default for SimTuning {
         SimTuning {
             coalesce: true,
             queue: QueueKind::Wheel,
-            guard_slot_alloc: false,
-            copy_stamp: false,
             shards: 0,
         }
     }
 }
 
 impl SimTuning {
-    /// The pre-PR reference hot path, reproduced knob by knob: per-packet
-    /// delivery events on a `BinaryHeap`, a guard allocation per mbuf,
-    /// and copy-based tag stamping. Captures are NOT expected to be
-    /// bit-identical to the coalesced path (different RNG interleaving),
-    /// but the path is self-deterministic and statistically equivalent.
+    /// The reference hot path: per-packet delivery events on a
+    /// `BinaryHeap`. Captures are NOT expected to be bit-identical to the
+    /// coalesced path (different RNG interleaving), but the path is
+    /// self-deterministic and statistically equivalent.
     pub fn per_packet() -> Self {
         SimTuning {
             coalesce: false,
             queue: QueueKind::Heap,
-            guard_slot_alloc: true,
-            copy_stamp: true,
             shards: 0,
         }
     }
@@ -165,11 +153,6 @@ pub struct ExperimentOutput {
 ///     .run();
 /// assert!(out.report.stream.is_some());
 /// ```
-///
-/// This replaces the four free functions `run_experiment`,
-/// `run_experiment_tuned`, `run_experiment_streaming`, and
-/// `run_experiment_streaming_supervised`, which survive as deprecated
-/// shims over the builder (migration table in DESIGN.md §16).
 #[derive(Debug, Clone)]
 pub struct Experiment {
     cfg: ExperimentConfig,
@@ -221,27 +204,8 @@ impl Experiment {
     /// to compare) — that would indicate a wiring bug, not a
     /// measurement. Injected tap panics never escape the supervisor.
     pub fn run(self) -> ExperimentOutput {
-        run_experiment_inner(&self.cfg, self.tuning, self.streaming, self.supervised)
+        execute(&self.cfg, self.tuning, self.streaming, self.supervised)
     }
-}
-
-/// Run one environment end to end.
-///
-/// # Panics
-/// Panics if the pipeline produces fewer than two trials (nothing to
-/// compare) — that would indicate a wiring bug, not a measurement.
-#[deprecated(note = "use Experiment::new(cfg).run() (see DESIGN.md §16)")]
-pub fn run_experiment(cfg: &ExperimentConfig) -> ExperimentOutput {
-    Experiment::new(cfg.clone()).run()
-}
-
-/// [`Experiment::run`] with explicit simulator hot-path tuning.
-///
-/// # Panics
-/// Same contract as [`Experiment::run`].
-#[deprecated(note = "use Experiment::new(cfg).tuning(tuning).run() (see DESIGN.md §16)")]
-pub fn run_experiment_tuned(cfg: &ExperimentConfig, tuning: SimTuning) -> ExperimentOutput {
-    Experiment::new(cfg.clone()).tuning(tuning).run()
 }
 
 /// Streaming-κ configuration for [`Experiment::streaming`].
@@ -254,22 +218,6 @@ pub struct StreamingMode {
     /// Emit a [`choir_core::metrics::KappaSnapshot`] every this many
     /// pushed packets (`0` disables automatic snapshots).
     pub snapshot_every: u64,
-}
-
-/// [`Experiment::run`] with a live streaming-κ engine tapped into the
-/// recorder's rx path.
-///
-/// # Panics
-/// Same contract as [`Experiment::run`].
-#[deprecated(
-    note = "use Experiment::new(cfg).tuning(tuning).streaming(mode).run() (see DESIGN.md §16)"
-)]
-pub fn run_experiment_streaming(
-    cfg: &ExperimentConfig,
-    tuning: SimTuning,
-    mode: StreamingMode,
-) -> ExperimentOutput {
-    Experiment::new(cfg.clone()).tuning(tuning).streaming(mode).run()
 }
 
 /// Fault schedule and recovery policy for
@@ -306,34 +254,6 @@ impl Default for SupervisorConfig {
             corrupt_capture_seed: None,
         }
     }
-}
-
-/// Streaming [`Experiment::run`] under a crash supervisor: the
-/// streaming engine is checkpointed on a cadence and driven through
-/// injected kills, tap panics, and (optionally) a corrupted capture
-/// stream, recovering every fault from the last durable checkpoint.
-/// The recovery accounting rides on `report.recovery`; the measurement
-/// itself is bit-identical to an unsupervised run — that is the
-/// recovery layer's whole contract, and `repro recover` gates on it.
-///
-/// # Panics
-/// Same contract as [`Experiment::run`]. Injected tap panics never
-/// escape the supervisor.
-#[deprecated(
-    note = "use Experiment::new(cfg).tuning(tuning).streaming(mode).supervised(sup).run() \
-            (see DESIGN.md §16)"
-)]
-pub fn run_experiment_streaming_supervised(
-    cfg: &ExperimentConfig,
-    tuning: SimTuning,
-    mode: StreamingMode,
-    sup: SupervisorConfig,
-) -> ExperimentOutput {
-    Experiment::new(cfg.clone())
-        .tuning(tuning)
-        .streaming(mode)
-        .supervised(sup)
-        .run()
 }
 
 /// A live comparison between the baseline run (side A, fed from the
@@ -548,7 +468,7 @@ impl SupervisedStream {
     }
 }
 
-fn run_experiment_inner(
+fn execute(
     cfg: &ExperimentConfig,
     tuning: SimTuning,
     streaming: Option<StreamingMode>,
@@ -565,7 +485,6 @@ fn run_experiment_inner(
         pool_slots: (n_packets as usize) * 2 + 65_536,
         queue: tuning.queue,
         coalesce: tuning.coalesce,
-        guard_slot_alloc: tuning.guard_slot_alloc,
     });
     let mut rng = DetRng::derive(cfg.seed, &["runner", label]);
 
@@ -610,7 +529,6 @@ fn run_experiment_inner(
                 rolling_window: None,
                 bridge_reverse: false,
                 pool_reserve: 128,
-                copy_stamp: tuning.copy_stamp,
             }),
             clock(&mut rng, p),
             p.wake_jitter.clone(),
@@ -1162,26 +1080,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.final_kappa.to_bits(), y.final_kappa.to_bits());
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        // The four legacy free functions are pure shims over Experiment;
-        // determinism means shim and builder produce identical captures.
-        let mut profile = EnvKind::LocalSingle.profile();
-        profile.runs = 2;
-        let cfg = ExperimentConfig {
-            profile,
-            scale: 0.001,
-            seed: 5,
-        };
-        let shim = run_experiment(&cfg);
-        let built = Experiment::new(cfg.clone()).run();
-        assert_eq!(shim.trials, built.trials);
-        let shim = run_experiment_tuned(&cfg, SimTuning::per_packet());
-        let built = Experiment::new(cfg).tuning(SimTuning::per_packet()).run();
-        assert_eq!(shim.trials, built.trials);
     }
 
     #[test]

@@ -3,21 +3,14 @@
 //! every shard count, and the `TrialIndex`-cached metric paths must
 //! reproduce the uncached ones exactly, over randomized trials.
 
-// The indexed-vs-uncached equivalences are stated kernel by kernel
-// (`iat_full_indexed` vs `iat_full`, …), which only the deprecated free
-// functions expose; `PairAnalyzer` sits on top of these same kernels.
-#![allow(deprecated)]
-
 use choir::metrics::allpairs::{
-    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, iat_full_indexed,
-    latency_full_indexed, matching_indexed, TrialIndex,
+    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, TrialIndex,
 };
-use choir::metrics::KappaConfig;
-use choir::metrics::iat::iat_full;
-use choir::metrics::latency::latency_full;
 use choir::metrics::matching::Matching;
 use choir::metrics::report::TrialComparison;
-use choir::metrics::{compare, Trial};
+use choir::metrics::{
+    compare, ConsistencyMetrics, KappaConfig, PairAnalyzer, Trial, MAX_TIMESTAMP_PS,
+};
 use proptest::prelude::*;
 
 /// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
@@ -44,15 +37,19 @@ fn arb_trials(max_trials: usize, max_len: usize) -> impl Strategy<Value = Vec<Tr
     proptest::collection::vec(arb_trial(max_len), 2..max_trials)
 }
 
+fn metrics_bit_identical(x: &ConsistencyMetrics, y: &ConsistencyMetrics) -> bool {
+    x.u.to_bits() == y.u.to_bits()
+        && x.o.to_bits() == y.o.to_bits()
+        && x.l.to_bits() == y.l.to_bits()
+        && x.i.to_bits() == y.i.to_bits()
+        && x.kappa.to_bits() == y.kappa.to_bits()
+}
+
 /// Bit-level equality of everything the engine computes, excluding the
 /// wall-clock timings (which legitimately differ between runs).
 fn cells_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
     x.label == y.label
-        && x.metrics.u.to_bits() == y.metrics.u.to_bits()
-        && x.metrics.o.to_bits() == y.metrics.o.to_bits()
-        && x.metrics.l.to_bits() == y.metrics.l.to_bits()
-        && x.metrics.i.to_bits() == y.metrics.i.to_bits()
-        && x.metrics.kappa.to_bits() == y.metrics.kappa.to_bits()
+        && metrics_bit_identical(&x.metrics, &y.metrics)
         && (x.a_len, x.b_len, x.common, x.missing, x.extra, x.moved)
             == (y.a_len, y.b_len, y.common, y.missing, y.extra, y.moved)
         && x.iat_within_10ns.to_bits() == y.iat_within_10ns.to_bits()
@@ -61,6 +58,16 @@ fn cells_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
         && x.edit_stats == y.edit_stats
         && x.iat_hist.total() == y.iat_hist.total()
         && x.latency_hist.total() == y.latency_hist.total()
+}
+
+/// The production and reference pipelines agree on `metrics()` and on
+/// every field of `analyze()`.
+fn pipelines_bit_identical(a: &Trial, b: &Trial, cfg: KappaConfig) -> bool {
+    let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
+    let production = || PairAnalyzer::from_indexes(&ia, &ib).config(cfg);
+    let reference = || PairAnalyzer::new(a, b).config(cfg);
+    metrics_bit_identical(&production().metrics(), &reference().metrics())
+        && cells_bit_identical(&production().analyze(), &reference().analyze())
 }
 
 proptest! {
@@ -118,32 +125,36 @@ proptest! {
         let ia = TrialIndex::build(&a).unwrap();
         let ib = TrialIndex::build(&b).unwrap();
         let reference = Matching::build(&a, &b);
-        let indexed = matching_indexed(&ia, &ib);
+        let mut analyzer = PairAnalyzer::from_indexes(&ia, &ib);
+        let indexed = analyzer.matching();
         prop_assert_eq!(indexed.a_len, reference.a_len);
         prop_assert_eq!(indexed.b_len, reference.b_len);
-        prop_assert_eq!(indexed.pairs, reference.pairs);
+        prop_assert_eq!(&indexed.pairs, &reference.pairs);
+    }
+
+    // The per-delta form of this property (arena `deltas_ns` against the
+    // reference series) needs the crate-private kernels and lives in
+    // `metrics::allpairs`'s own tests.
+    #[test]
+    fn indexed_metrics_equal_uncached(a in arb_trial(40), b in arb_trial(40)) {
+        prop_assert!(pipelines_bit_identical(&a, &b, KappaConfig::paper()));
     }
 
     #[test]
-    fn indexed_metrics_equal_uncached(a in arb_trial(40), b in arb_trial(40)) {
-        let ia = TrialIndex::build(&a).unwrap();
-        let ib = TrialIndex::build(&b).unwrap();
-        let m = Matching::build(&a, &b);
-
-        let iat_ref = iat_full(&a, &b, &m);
-        let iat_idx = iat_full_indexed(&ia, &ib, &m);
-        prop_assert_eq!(iat_idx.i.to_bits(), iat_ref.i.to_bits());
-        prop_assert_eq!(iat_idx.deltas_ns.len(), iat_ref.deltas_ns.len());
-        for (x, y) in iat_idx.deltas_ns.iter().zip(&iat_ref.deltas_ns) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-
-        let lat_ref = latency_full(&a, &b, &m);
-        let lat_idx = latency_full_indexed(&ia, &ib, &m);
-        prop_assert_eq!(lat_idx.l.to_bits(), lat_ref.l.to_bits());
-        prop_assert_eq!(lat_idx.deltas_ns.len(), lat_ref.deltas_ns.len());
-        for (x, y) in lat_idx.deltas_ns.iter().zip(&lat_ref.deltas_ns) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
+    fn arena_latency_fallback_is_bit_identical_past_the_fast_path_gate(
+        a in arb_trial(40),
+        b in arb_trial(40),
+        lead in 1u64..20_000,
+    ) {
+        // Shift both trials so their stamps straddle MAX_TIMESTAMP_PS: the
+        // arena latency kernel must leave its 64-bit lanes for the exact
+        // i128 path and still reproduce the reference bit for bit.
+        let shift = |t: &Trial| -> Trial {
+            t.observations().iter().map(|o| (o.id, o.t_ps + MAX_TIMESTAMP_PS - lead)).collect()
+        };
+        let (a, b) = (shift(&a), shift(&b));
+        for cfg in [KappaConfig::paper(), KappaConfig::drop_sensitive()] {
+            prop_assert!(pipelines_bit_identical(&a, &b, cfg));
         }
     }
 

@@ -2,17 +2,8 @@
 //! symmetry, normalization, invariances, and agreement with reference
 //! implementations, over randomized trials.
 
-// These properties are stated per kernel (U, O, L, I in isolation, with
-// their full result structs), which only the deprecated free functions
-// expose; `PairAnalyzer` equivalence is covered in metrics::pair tests.
-#![allow(deprecated)]
-
-use choir::metrics::iat::iat_of;
-use choir::metrics::latency::latency_of;
 use choir::metrics::matching::Matching;
-use choir::metrics::ordering::ordering_of;
-use choir::metrics::uniqueness::uniqueness_of;
-use choir::metrics::{compare, Trial};
+use choir::metrics::{compare, PairAnalyzer, Trial};
 use proptest::prelude::*;
 
 /// A random trial with *arbitrary* (possibly non-monotonic) timestamps —
@@ -51,12 +42,12 @@ proptest! {
 
     #[test]
     fn all_metrics_are_symmetric(a in arb_trial(40), b in arb_trial(40)) {
-        prop_assert!((uniqueness_of(&a, &b) - uniqueness_of(&b, &a)).abs() < 1e-12);
-        prop_assert!((ordering_of(&a, &b).o - ordering_of(&b, &a).o).abs() < 1e-9);
-        prop_assert!((latency_of(&a, &b).l - latency_of(&b, &a).l).abs() < 1e-12);
-        prop_assert!((iat_of(&a, &b).i - iat_of(&b, &a).i).abs() < 1e-12);
         let mab = compare(&a, &b);
         let mba = compare(&b, &a);
+        prop_assert!((mab.u - mba.u).abs() < 1e-12);
+        prop_assert!((mab.o - mba.o).abs() < 1e-9);
+        prop_assert!((mab.l - mba.l).abs() < 1e-12);
+        prop_assert!((mab.i - mba.i).abs() < 1e-12);
         prop_assert!((mab.kappa - mba.kappa).abs() < 1e-9);
     }
 
@@ -121,7 +112,7 @@ proptest! {
         for (i, &s) in shuffled.iter().enumerate() {
             b.push_tagged(0, 0, s, i as u64 * 777);
         }
-        prop_assert!(uniqueness_of(&a, &b).abs() < 1e-12);
+        prop_assert!(compare(&a, &b).u.abs() < 1e-12);
     }
 
     #[test]
@@ -139,7 +130,7 @@ proptest! {
             b.push_tagged(0, 0, i, i * 100);
         }
         let expected = 1.0 - (2.0 * (n - k) as f64) / ((n + n - k) as f64);
-        prop_assert!((uniqueness_of(&a, &b) - expected).abs() < 1e-12);
+        prop_assert!((compare(&a, &b).u - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -159,7 +150,7 @@ proptest! {
             a.push_tagged(0, 0, i as u64, i as u64 * 100);
             b.push_tagged(0, 0, o as u64, i as u64 * 100);
         }
-        let r = ordering_of(&a, &b);
+        let cmp = PairAnalyzer::new(&a, &b).analyze();
         // Reference: O(n^2) LIS length over B's a-ranks.
         let seq: Vec<usize> = order.clone();
         let mut best = vec![1usize; n];
@@ -172,8 +163,8 @@ proptest! {
             }
             lis = lis.max(best[i]);
         }
-        prop_assert_eq!(r.lcs_len, lis);
-        prop_assert_eq!(r.moved(), n - lis);
+        prop_assert_eq!(cmp.common - cmp.moved, lis);
+        prop_assert_eq!(cmp.moved, n - lis);
     }
 
     #[test]

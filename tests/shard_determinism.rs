@@ -28,19 +28,15 @@ fn fleet(sites: usize, scale: f64, seed: u64, tuning: SimTuning) -> MultiDomainO
 /// A randomized engine tuning (every combination the serial engine
 /// itself supports; `shards` is supplied by each property).
 fn arb_tuning() -> impl Strategy<Value = SimTuning> {
-    (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-        |(coalesce, heap, guard, copy)| SimTuning {
-            coalesce,
-            queue: if heap {
-                QueueKind::Heap
-            } else {
-                QueueKind::Wheel
-            },
-            guard_slot_alloc: guard,
-            copy_stamp: copy,
-            shards: 0,
+    (any::<bool>(), any::<bool>()).prop_map(|(coalesce, heap)| SimTuning {
+        coalesce,
+        queue: if heap {
+            QueueKind::Heap
+        } else {
+            QueueKind::Wheel
         },
-    )
+        shards: 0,
+    })
 }
 
 proptest! {
