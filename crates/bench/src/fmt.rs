@@ -1,8 +1,7 @@
 //! Plain-text rendering of the paper's tables and figures.
 
-use choir_core::metrics::allpairs::KappaMatrix;
 use choir_core::metrics::report::RunReport;
-use choir_core::metrics::{ConsistencyMetrics, StageTimings};
+use choir_core::metrics::ConsistencyMetrics;
 use choir_core::obs::ObsSnapshot;
 use choir_testbed::EnvKind;
 
@@ -106,53 +105,6 @@ pub fn run_summary(report: &RunReport, paper: &PaperRow) -> String {
     s
 }
 
-/// Render the upper-triangular κ matrix as an ASCII table (diagonal is
-/// the implicit 1; the lower triangle is left blank).
-pub fn kappa_matrix(m: &KappaMatrix) -> String {
-    let n = m.trials();
-    let mut s = String::new();
-    s.push_str(&format!("{:>4}", ""));
-    for l in &m.labels {
-        s.push_str(&format!(" {l:>6}"));
-    }
-    s.push('\n');
-    for i in 0..n {
-        s.push_str(&format!("{:>4}", m.labels[i]));
-        for j in 0..n {
-            if j < i {
-                s.push_str(&format!(" {:>6}", ""));
-            } else if j == i {
-                s.push_str(&format!(" {:>6}", "1"));
-            } else {
-                s.push_str(&format!(" {:>6.4}", m.kappa(i, j)));
-            }
-        }
-        s.push('\n');
-    }
-    s
-}
-
-/// One line summarizing where the analysis wall-clock went.
-pub fn stage_timings(t: &StageTimings, pairs: usize) -> String {
-    let total = t.total_ns().max(1);
-    let ms = |v: u64| v as f64 / 1e6;
-    let pct = |v: u64| 100.0 * v as f64 / total as f64;
-    format!(
-        "stage wall-clock over {pairs} pairs: match {:.2} ms ({:.0}%), order {:.2} ms ({:.0}%), \
-         latency {:.2} ms ({:.0}%), iat {:.2} ms ({:.0}%), histogram {:.2} ms ({:.0}%)\n",
-        ms(t.match_ns),
-        pct(t.match_ns),
-        ms(t.order_ns),
-        pct(t.order_ns),
-        ms(t.latency_ns),
-        pct(t.latency_ns),
-        ms(t.iat_ns),
-        pct(t.iat_ns),
-        ms(t.histogram_ns),
-        pct(t.histogram_ns),
-    )
-}
-
 /// Human duration for a nanosecond count.
 fn dur_ns(v: u64) -> String {
     if v >= 1_000_000_000 {
@@ -228,7 +180,6 @@ pub fn render_obs(snap: &ObsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choir_core::metrics::{all_pairs_sharded, Trial};
 
     #[test]
     fn sci_formatting() {
@@ -250,26 +201,6 @@ mod tests {
         };
         let row = table2_pair(EnvKind::LocalSingle, &m, &m);
         assert!(row.contains("Local Single-Replayer"));
-    }
-
-    #[test]
-    fn kappa_matrix_renders_labels_and_diagonal() {
-        let trials: Vec<Trial> = (0..3u64)
-            .map(|k| {
-                let mut t = Trial::new();
-                for i in 0..20u64 {
-                    t.push_tagged(0, 0, i, i * 1000 + (i % (k + 2)) * 17);
-                }
-                t
-            })
-            .collect();
-        let m = all_pairs_sharded(&trials, 2).unwrap();
-        let s = kappa_matrix(&m);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4); // header + 3 rows
-        assert!(lines[0].contains('A') && lines[0].contains('C'));
-        assert!(lines[1].contains(" 1 ") || lines[1].trim_end().ends_with(char::is_numeric));
-        assert!(lines[3].trim_end().ends_with('1'), "{s}");
     }
 
     #[test]
@@ -315,19 +246,5 @@ mod tests {
 
         let off = render_obs(&ObsSnapshot::default());
         assert!(off.contains("disabled"), "{off}");
-    }
-
-    #[test]
-    fn stage_timings_line() {
-        let t = StageTimings {
-            match_ns: 1_000_000,
-            order_ns: 2_000_000,
-            latency_ns: 500_000,
-            iat_ns: 500_000,
-            histogram_ns: 1_000_000,
-        };
-        let s = stage_timings(&t, 120);
-        assert!(s.contains("120 pairs"));
-        assert!(s.contains("order 2.00 ms (40%)"), "{s}");
     }
 }

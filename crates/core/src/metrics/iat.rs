@@ -19,7 +19,7 @@ use super::trial::Trial;
 
 /// IAT analysis output.
 #[derive(Debug, Clone)]
-pub struct IatResult {
+pub(crate) struct IatResult {
     /// The normalized IAT metric in `[0, 1]`.
     pub i: f64,
     /// Per-common-packet IAT deltas `g_Ai − g_Bi` in nanoseconds, in B

@@ -25,7 +25,7 @@ use super::trial::{Trial, MAX_TIMESTAMP_PS};
 
 /// Latency analysis output.
 #[derive(Debug, Clone)]
-pub struct LatencyResult {
+pub(crate) struct LatencyResult {
     /// The normalized latency metric in `[0, 1]`.
     pub l: f64,
     /// Per-common-packet latency deltas `l_Ai − l_Bi` in nanoseconds, in

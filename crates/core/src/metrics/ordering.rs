@@ -23,10 +23,12 @@ use super::stats::Summary;
 
 /// Outcome of the ordering analysis.
 #[derive(Debug, Clone)]
-pub struct OrderingResult {
+pub(crate) struct OrderingResult {
     /// The normalized ordering metric in `[0, 1]`.
     pub o: f64,
-    /// Length of the LCS (packets that did not move).
+    /// Length of the LCS (packets that did not move). Read only by this
+    /// module's tests, which pin the LIS itself rather than just O.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub lcs_len: usize,
     /// Signed displacements (`a_rank − b_rank`) of every moved packet —
     /// the edit-script distances Table 1 summarizes.

@@ -315,7 +315,8 @@ pub struct StreamRunTrail {
 /// The headline invariant this report documents is *not* visible in its
 /// numbers: after every kill and every caught tap panic, the resumed
 /// engine's final κ and snapshot trail are bit-identical to an
-/// uninterrupted run (`repro recover` gates on that). These counters
+/// uninterrupted run (the supervised-streaming test in
+/// `choir-testbed`'s runner gates on that). These counters
 /// quantify the price: how much was replayed from the journal, how big
 /// the durable checkpoints were, and how long resumption took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

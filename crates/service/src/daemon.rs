@@ -10,7 +10,7 @@
 //! numbers trustworthy: observations arrive over sockets in whatever
 //! order the network delivers them, and the served κ is still exactly
 //! the κ a post-hoc batch analysis of the same records produces,
-//! bit for bit. The `repro service` benchmark gates on this.
+//! bit for bit. `tests/daemon.rs` gates on this.
 //!
 //! # Durability
 //!

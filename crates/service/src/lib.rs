@@ -19,10 +19,10 @@
 //!   control verbs and responses, a binary record slab for `Ingest`,
 //!   with κ carried both as `f64` and as `f64::to_bits` so bit-identity
 //!   gates survive the wire.
-//! * [`client`] — a blocking client used by `choir-ctl`, the
-//!   integration tests, and the `repro service` benchmark.
+//! * [`client`] — a blocking client used by `choir-ctl` and the
+//!   integration tests.
 //!
-//! The load-bearing property, gated by `repro service`: every κ the
+//! The load-bearing property, gated by `tests/daemon.rs`: every κ the
 //! daemon serves is bit-identical to a post-hoc batch analysis of the
 //! same records — across stream interleavings, store evictions, and
 //! kill/restart recovery.

@@ -407,8 +407,8 @@ fn build_fleet(cfg: &MultiDomainConfig, tuning: SimTuning) -> Fleet {
 
 /// Run the multi-domain experiment end to end. `tuning.shards` selects
 /// the engine: 0 = serial reference, n ≥ 1 = sharded across n workers —
-/// with byte-identical trials either way (the determinism gates in
-/// `repro pipeline --shards N` and the proptests assert exactly this).
+/// with byte-identical trials either way (`tests/shard_determinism.rs`
+/// asserts exactly this).
 ///
 /// # Panics
 /// Panics if the fleet produces fewer than two trials, or if any run's
@@ -639,11 +639,14 @@ mod tests {
     #[test]
     fn sharded_run_repeats_bit_identically() {
         let cfg = quick_cfg(2, 0.0002, 41);
-        let a = run_multidomain(&cfg, tuned(2));
-        let b = run_multidomain(&cfg, tuned(2));
-        assert_eq!(a.trials, b.trials);
-        assert_eq!(a.sim_stats, b.sim_stats);
-        assert_eq!(a.sync, b.sync);
+        // 0 is the serial engine: the reference repeats too.
+        for shards in [0, 2] {
+            let a = run_multidomain(&cfg, tuned(shards));
+            let b = run_multidomain(&cfg, tuned(shards));
+            assert_eq!(a.trials, b.trials, "{shards} shards");
+            assert_eq!(a.sim_stats, b.sim_stats, "{shards} shards");
+            assert_eq!(a.sync, b.sync, "{shards} shards");
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl ExperimentConfig {
 ///
 /// Defaults to the fast path (timing wheel + burst coalescing); the
 /// per-packet `BinaryHeap` path stays available as the reference
-/// baseline `repro pipeline` times itself against.
+/// baseline (`tests/pipeline.rs` pins both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimTuning {
     /// Coalesce contiguous wire bursts into single delivery events.
@@ -200,9 +200,10 @@ impl Experiment {
     /// Run the experiment end to end.
     ///
     /// # Panics
-    /// Panics if the pipeline produces fewer than two trials (nothing
-    /// to compare) — that would indicate a wiring bug, not a
-    /// measurement. Injected tap panics never escape the supervisor.
+    /// Panics, before simulating anything, if `profile.runs < 2`: run A
+    /// is the baseline, so one run leaves nothing to compare. Callers
+    /// that take the run count from outside validate it where it enters.
+    /// Injected tap panics never escape the supervisor.
     pub fn run(self) -> ExperimentOutput {
         execute(&self.cfg, self.tuning, self.streaming, self.supervised)
     }
@@ -476,6 +477,11 @@ fn execute(
 ) -> ExperimentOutput {
     let t_capture = std::time::Instant::now();
     let p = &cfg.profile;
+    assert!(
+        p.runs >= 2,
+        "profile.runs = {} but an experiment needs the baseline run plus at least one to compare",
+        p.runs
+    );
     let n_packets = cfg.packet_count();
     let label = p.kind.label();
 
@@ -763,14 +769,9 @@ fn execute(
     }
 
     let trials: Vec<Trial> = raw_trials.into_iter().map(|t| t.rezeroed()).collect();
-    assert!(
-        trials.len() >= 2,
-        "experiment produced {} trials; wiring bug",
-        trials.len()
-    );
     // The capture pipeline (generate → forward → record → replay →
     // capture) ends here; everything below is consistency analysis,
-    // benchmarked separately by `repro matrix`.
+    // measured separately (`e2e`'s `matrix_paper`).
     let capture_wall_ns = t_capture.elapsed().as_nanos() as u64;
 
     // Post-processing hot spot at full scale: the all-pairs κ matrix via
@@ -794,7 +795,7 @@ fn execute(
     }
     let sim_stats = sim.sim_stats();
     let mut report = RunReport::new(label, comparisons)
-        .expect("at least two trials asserted above")
+        .expect("profile.runs >= 2 checked on entry, one trial per run")
         .with_degradation(degradation)
         .with_sim_stats(sim_stats_report(&sim_stats));
     if let Some(summary) = matrix.summary() {
@@ -983,6 +984,8 @@ mod tests {
         assert_eq!(plain.trials, out.trials);
     }
 
+    /// The crash-tolerance sweep: checkpoint cadence x kill density, tap
+    /// panics throughout, the retained capture cut at a seeded offset.
     #[test]
     fn supervised_streaming_survives_kills_and_panics_bit_identically() {
         let mut profile = EnvKind::LocalSingle.profile();
@@ -997,55 +1000,85 @@ mod tests {
             snapshot_every: 137,
         };
         let unsupervised = Experiment::new(cfg.clone()).streaming(mode).run();
-        let sup = SupervisorConfig {
-            checkpoint_every: 97,
-            kill_every: Some(211),
-            panic_every: Some(401),
-            corrupt_capture_seed: Some(11),
-        };
-        let out = Experiment::new(cfg).streaming(mode).supervised(sup).run();
-
-        let rec = out.report.recovery.expect("recovery report attached");
-        assert!(rec.kills_injected > 0, "kill cadence must have fired");
-        assert_eq!(rec.kills_survived, rec.kills_injected, "every kill survived");
-        assert!(rec.tap_panics_caught > 0, "panic cadence must have fired");
-        assert!(rec.records_replayed > 0, "recoveries replay the journal");
-        assert!(rec.checkpoints_taken > 1, "cadence checkpoints were taken");
-        assert!(rec.checkpoint_bytes_peak >= rec.checkpoint_bytes_last);
-        assert!(rec.checkpoint_bytes_last > 0);
-
-        // The hard contract: kills, panics, and recoveries are invisible
-        // in the measurement — final κ AND the whole snapshot trail are
-        // bit-identical to the uninterrupted streaming run.
-        let s = out.report.stream.as_ref().expect("stream trail");
         let u = unsupervised.report.stream.as_ref().expect("stream trail");
-        assert_eq!(s.runs.len(), u.runs.len());
-        for (a, b) in s.runs.iter().zip(u.runs.iter()) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(
-                a.final_kappa.to_bits(),
-                b.final_kappa.to_bits(),
-                "supervised κ must be bit-identical for run {}",
-                a.label
-            );
-            assert_eq!(a.peak_resident, b.peak_resident);
-            assert_eq!(a.evicted, b.evicted);
-            assert_eq!(a.snapshots.len(), b.snapshots.len());
-            for (x, y) in a.snapshots.iter().zip(b.snapshots.iter()) {
-                assert_eq!((x.seen_a, x.seen_b, x.common), (y.seen_a, y.seen_b, y.common));
-                assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
-                assert_eq!(x.window.metrics.kappa.to_bits(), y.window.metrics.kappa.to_bits());
+        // Every admitted packet of runs B.. passes the tap once.
+        let tapped: u64 = unsupervised.trials[1..].iter().map(|t| t.len() as u64).sum();
+        let panic_every = 457;
+        let mut export_total = None;
+
+        for (ci, checkpoint_every) in [32u64, 128, 512].into_iter().enumerate() {
+            for (ki, kill_every) in [None, Some(383u64), Some(101)].into_iter().enumerate() {
+                let cell = format!("checkpoint every {checkpoint_every}, kill every {kill_every:?}");
+                let sup = SupervisorConfig {
+                    checkpoint_every,
+                    kill_every,
+                    panic_every: Some(panic_every),
+                    corrupt_capture_seed: Some(cfg.seed ^ (ci * 3 + ki + 1) as u64),
+                };
+                let out = Experiment::new(cfg.clone()).streaming(mode).supervised(sup).run();
+
+                // Every fault fired, was survived, and none escaped (an
+                // escaped panic would have failed this test).
+                let rec = out.report.recovery.expect("recovery report attached");
+                assert_eq!(rec.kills_survived, rec.kills_injected, "{cell}: every kill survived");
+                match kill_every {
+                    None => assert_eq!(rec.kills_injected, 0, "{cell}"),
+                    Some(k) => {
+                        // A tap that panics unwinds before its own kill
+                        // check, so each caught panic can absorb one
+                        // scheduled kill, and each run's tap counter
+                        // restarts from zero.
+                        let floor = (tapped / k)
+                            .saturating_sub(rec.tap_panics_caught + cfg.profile.runs as u64);
+                        assert!(
+                            rec.kills_injected >= floor.max(1),
+                            "{cell}: {} kills over {tapped} taps (floor {floor})",
+                            rec.kills_injected
+                        );
+                        assert!(rec.records_replayed > 0, "{cell}: recoveries replay the journal");
+                    }
+                }
+                assert!(rec.tap_panics_caught > 0, "{cell}: panic cadence must have fired");
+                assert!(rec.checkpoints_taken > 1, "{cell}: cadence checkpoints were taken");
+                assert!(rec.checkpoint_bytes_peak >= rec.checkpoint_bytes_last);
+                assert!(rec.checkpoint_bytes_last > 0);
+
+                // The hard contract: kills, panics, and recoveries are
+                // invisible in the measurement — final κ AND the whole
+                // snapshot trail are bit-identical to the uninterrupted
+                // streaming run.
+                let s = out.report.stream.as_ref().expect("stream trail");
+                assert_eq!(s.runs.len(), u.runs.len());
+                for (a, b) in s.runs.iter().zip(u.runs.iter()) {
+                    assert_eq!(a.label, b.label);
+                    assert_eq!(
+                        a.final_kappa.to_bits(),
+                        b.final_kappa.to_bits(),
+                        "{cell}: supervised κ must be bit-identical for run {}",
+                        a.label
+                    );
+                    assert_eq!(a.peak_resident, b.peak_resident);
+                    assert_eq!(a.evicted, b.evicted);
+                    assert_eq!(a.snapshots.len(), b.snapshots.len(), "{cell}: trail length");
+                    for (x, y) in a.snapshots.iter().zip(b.snapshots.iter()) {
+                        assert_eq!((x.seen_a, x.seen_b, x.common), (y.seen_a, y.seen_b, y.common));
+                        assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits(), "{cell}");
+                        assert_eq!(
+                            x.window.metrics.kappa.to_bits(),
+                            y.window.metrics.kappa.to_bits()
+                        );
+                    }
+                }
+                // Trials themselves are untouched by supervision.
+                assert_eq!(out.trials, unsupervised.trials, "{cell}");
+
+                // Salvage leg: the corrupted capture still yielded its
+                // prefix, out of the same export in every cell.
+                assert!(rec.salvaged_records > 0, "{cell}: salvage recovered a prefix");
+                let total = rec.salvaged_records + rec.lost_records;
+                assert_eq!(*export_total.get_or_insert(total), total, "{cell}: export size");
             }
         }
-        // Trials themselves are untouched by supervision.
-        assert_eq!(out.trials, unsupervised.trials);
-
-        // Salvage leg: the corrupted capture still yielded its prefix.
-        assert!(rec.salvaged_records > 0, "salvage recovered a prefix");
-        assert!(
-            rec.salvaged_records + rec.lost_records > 0,
-            "capture export was non-empty"
-        );
     }
 
     #[test]
@@ -1080,6 +1113,16 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.final_kappa.to_bits(), y.final_kappa.to_bits());
         }
+    }
+
+    /// Full scale: were the check still after the simulation, this test
+    /// would spend seconds simulating a million packets first.
+    #[test]
+    #[should_panic(expected = "profile.runs = 1")]
+    fn a_single_run_is_refused_before_simulating() {
+        let mut profile = EnvKind::LocalSingle.profile();
+        profile.runs = 1;
+        Experiment::new(ExperimentConfig::full(profile)).run();
     }
 
     #[test]

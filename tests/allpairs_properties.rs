@@ -1,16 +1,18 @@
 //! Property-based tests of the sharded all-pairs consistency engine:
 //! the sharded matrix must be bit-identical to the serial reference at
 //! every shard count, and the `TrialIndex`-cached metric paths must
-//! reproduce the uncached ones exactly, over randomized trials.
+//! reproduce the uncached ones exactly, over randomized trials — and,
+//! for the matrix-level properties, over simulated-testbed captures too.
 
 use choir::metrics::allpairs::{
-    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, TrialIndex,
+    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, KappaMatrix, TrialIndex,
 };
 use choir::metrics::matching::Matching;
 use choir::metrics::report::TrialComparison;
 use choir::metrics::{
     compare, ConsistencyMetrics, KappaConfig, PairAnalyzer, Trial, MAX_TIMESTAMP_PS,
 };
+use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
 use proptest::prelude::*;
 
 /// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
@@ -70,6 +72,60 @@ fn pipelines_bit_identical(a: &Trial, b: &Trial, cfg: KappaConfig) -> bool {
         && cells_bit_identical(&production().analyze(), &reference().analyze())
 }
 
+/// `m` carries the serial reference's labels and cells, bit for bit.
+fn assert_matrix_matches_serial(m: &KappaMatrix, reference: &KappaMatrix, schedule: &str) {
+    assert_eq!(m.labels, reference.labels);
+    assert_eq!(m.cells.len(), reference.cells.len());
+    for (x, y) in m.cells.iter().zip(&reference.cells) {
+        assert!(
+            cells_bit_identical(x, y),
+            "{schedule}: cell {:?} != serial {:?}",
+            x.label,
+            y.label
+        );
+    }
+}
+
+fn assert_sharded_matches_serial(trials: &[Trial], reference: &KappaMatrix, shards: usize) {
+    let m = all_pairs_sharded(trials, shards).unwrap();
+    assert_matrix_matches_serial(&m, reference, &format!("shards={shards}"));
+}
+
+fn assert_blocked_matches_serial(
+    trials: &[Trial],
+    reference: &KappaMatrix,
+    shards: usize,
+    block: usize,
+) {
+    let (m, engine) = all_pairs_blocked_with(trials, shards, block, &KappaConfig::paper()).unwrap();
+    assert!(engine.block_size >= 1);
+    assert_matrix_matches_serial(&m, reference, &format!("block={block} shards={shards}"));
+}
+
+/// The same gate on what the engine is for: eight simulated-testbed
+/// captures (2 106 packets each), at the degenerate and typical block
+/// sizes (1, 2, n) and at one worker and one per core.
+#[test]
+fn testbed_captures_sharded_and_blocked_match_serial() {
+    let mut profile = EnvKind::LocalSingle.profile();
+    profile.runs = 8;
+    let trials = Experiment::new(ExperimentConfig {
+        profile,
+        scale: 0.002,
+        seed: 0x00C4_0112,
+    })
+    .run()
+    .trials;
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let reference = all_pairs_serial(&trials);
+    for shards in [1, cpus] {
+        assert_sharded_matches_serial(&trials, &reference, shards);
+        for block in [1, 2, trials.len()] {
+            assert_blocked_matches_serial(&trials, &reference, shards, block);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -78,19 +134,8 @@ proptest! {
         trials in arb_trials(7, 30),
     ) {
         let reference = all_pairs_serial(&trials);
-        for &shards in &[1usize, 2, 8] {
-            let m = all_pairs_sharded(&trials, shards).unwrap();
-            prop_assert_eq!(&m.labels, &reference.labels);
-            prop_assert_eq!(m.cells.len(), reference.cells.len());
-            for (x, y) in m.cells.iter().zip(&reference.cells) {
-                prop_assert!(
-                    cells_bit_identical(x, y),
-                    "shards={} cell {:?} != serial {:?}",
-                    shards,
-                    x.label,
-                    y.label
-                );
-            }
+        for shards in [1, 2, 8] {
+            assert_sharded_matches_serial(&trials, &reference, shards);
         }
     }
 
@@ -104,20 +149,7 @@ proptest! {
         // reference at every block size and worker count, including
         // blocks larger than the trial count.
         let reference = all_pairs_serial(&trials);
-        let (m, engine) =
-            all_pairs_blocked_with(&trials, shards, block, &KappaConfig::paper()).unwrap();
-        prop_assert!(engine.block_size >= 1);
-        prop_assert_eq!(&m.labels, &reference.labels);
-        prop_assert_eq!(m.cells.len(), reference.cells.len());
-        for (x, y) in m.cells.iter().zip(&reference.cells) {
-            prop_assert!(
-                cells_bit_identical(x, y),
-                "block={} shards={} cell {:?} != serial",
-                block,
-                shards,
-                x.label
-            );
-        }
+        assert_blocked_matches_serial(&trials, &reference, shards, block);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! interval `[kappa_lo, kappa_hi]` that contains the batch κ on
 //! drop-free pairs, tightens as the window doubles, and collapses to a
 //! bit-identical batch result once the window covers the whole feed.
+//! Simulated-testbed captures go through the same checks, plus the one
+//! gate only realistic trials make meaningful: bounded κ within ε of
+//! batch when fed in arrival order.
 
 use choir::capture::PcapChunkReader;
 use choir::metrics::pair::PairAnalyzer;
@@ -17,6 +20,7 @@ use choir::metrics::stream::{
 use choir::metrics::{KappaConfig, Trial};
 use choir::packet::pcap::{parse_pcap, PcapRecord, PCAP_NS_MAGIC};
 use choir::packet::PacketId;
+use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
 use proptest::prelude::*;
 
 /// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
@@ -147,6 +151,95 @@ fn assert_bit_identical(live: &TrialComparison, batch: &TrialComparison) {
     prop_assert_eq!(live.edit_stats, batch.edit_stats);
     prop_assert_eq!(live.iat_hist.total(), batch.iat_hist.total());
     prop_assert_eq!(live.latency_hist.total(), batch.latency_hist.total());
+}
+
+/// Bounded mode against `batch` under one feeding order: residency
+/// capped at the window, a well-formed interval containing batch κ, and
+/// the occurrence-debt ledger accounting for every match batch makes.
+fn assert_bounded_brackets_batch(live: &StreamOutcome, batch: &TrialComparison, window: usize) {
+    assert!(
+        live.peak_resident <= window,
+        "peak resident {} exceeds window {window}",
+        live.peak_resident
+    );
+    assert!(
+        live.bounds.contains(batch.metrics.kappa),
+        "interval [{}, {}] misses batch kappa {}",
+        live.bounds.lo,
+        live.bounds.hi,
+        batch.metrics.kappa
+    );
+    assert_eq!(
+        live.comparison.common + live.missed_matches,
+        batch.common,
+        "missed-match accounting must be exact"
+    );
+}
+
+/// Four simulated-testbed captures (2 106 packets each, window 1/16 of a
+/// trial) through the exactness check at packet-at-a-time, 64-record and
+/// whole-trial chunking, then through bounded mode both ways: all of A
+/// before any of B (the worst case for residency) and lock step, the
+/// order a live tap sees. Lock step carries the ε-gate — bounded κ within
+/// 0.01 of batch on every drop-free pair, the reading a segment-local
+/// estimator missed by up to 2x on O-heavy pairs — and a synthetic pair
+/// with every 7th adjacent arrival swapped keeps that gate armed with
+/// genuine reordering whatever the experiment produced.
+#[test]
+fn testbed_captures_stream_exactly_and_bounded_kappa_stays_within_epsilon() {
+    const EPSILON: f64 = 0.01;
+    let mut profile = EnvKind::LocalSingle.profile();
+    profile.runs = 4;
+    let mut trials = Experiment::new(ExperimentConfig {
+        profile,
+        scale: 0.002,
+        seed: 0x00C4_0112,
+    })
+    .run()
+    .trials;
+    let mut swapped = trials[0].observations().to_vec();
+    for k in (0..swapped.len() - 1).step_by(7) {
+        swapped.swap(k, k + 1);
+    }
+    trials.push(swapped.iter().map(|o| (o.id, o.t_ps)).collect());
+
+    let per_trial = trials[0].len();
+    let window = per_trial / 16;
+    assert!(window >= 4 && per_trial >= 10 * window, "{per_trial} packets, window {window}");
+    let full = StreamConfig {
+        lookahead: None,
+        snapshot_every: 0,
+        kappa: KappaConfig::paper(),
+    };
+    let bounded = StreamConfig {
+        lookahead: Some(window),
+        ..full
+    };
+    let mut dropfree = 0;
+    for (i, a) in trials.iter().enumerate() {
+        for b in &trials[i + 1..] {
+            let batch = PairAnalyzer::new(a, b).analyze();
+            for chunk in [1, 64, per_trial] {
+                let live = stream_pair(a, b, full, chunk);
+                assert_bit_identical(&live.comparison, &batch);
+                assert_eq!(live.evicted, 0, "full lookahead never evicts");
+            }
+            assert_bounded_brackets_batch(&stream_pair(a, b, bounded, per_trial), &batch, window);
+            let lockstep = stream_pair(a, b, bounded, 1);
+            assert_bounded_brackets_batch(&lockstep, &batch, window);
+            if batch.missing == 0 && batch.extra == 0 {
+                dropfree += 1;
+                let err = (lockstep.comparison.metrics.kappa - batch.metrics.kappa).abs();
+                assert!(
+                    err <= EPSILON,
+                    "bounded kappa {} vs batch {}: error {err:.6} > {EPSILON}",
+                    lockstep.comparison.metrics.kappa,
+                    batch.metrics.kappa
+                );
+            }
+        }
+    }
+    assert_eq!(dropfree, 10, "LocalSingle drops nothing, so every pair arms the ε-gate");
 }
 
 proptest! {
