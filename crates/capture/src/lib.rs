@@ -6,7 +6,6 @@
 //! [`choir_core::metrics::Trial`] for the consistency analysis. It can
 //! optionally retain whole frames for pcap export.
 
-pub mod chunked;
 pub mod meter;
 pub mod source;
 
@@ -17,9 +16,8 @@ use choir_dpdk::{App, Burst, ControlMsg, Dataplane, PortId};
 use choir_packet::pcap::PcapWriter;
 use choir_packet::Frame;
 
-pub use chunked::{IngestCursor, PcapChunkReader};
 pub use meter::RateMeter;
-pub use source::{drain_available, PcapSource, QueueHandle, QueueSource, Source, SourceError};
+pub use source::{drain_available, PcapSource, SourceError};
 
 /// Recorder configuration.
 #[derive(Debug, Clone, Copy)]

@@ -1,41 +1,62 @@
-//! The unified ingestion surface: every way observations reach a κ
-//! engine — chunked pcap files, live receive taps, replayed journals —
-//! behind one pull-based trait.
+//! Capture ingestion: how a pcap becomes [`Observation`]s.
 //!
-//! Before this module the tree had three ad-hoc ingestion paths:
-//! [`PcapChunkReader`] batches for offline captures, the testbed
-//! runner's rx-tap closures for live runs, and hand-rolled journal
-//! replay in the crash supervisor. [`Source`] collapses them:
-//! a consumer pulls [`Observation`]s one at a time with
-//! [`Source::next_record`] and journals its position with
-//! [`Source::cursor`], never caring where the stream comes from. The
-//! κ-as-a-service daemon and the streaming `Experiment` runner share
-//! this one code path (DESIGN.md §16).
+//! [`choir_packet::pcap::read_pcap`] materializes a whole capture before
+//! anything can be analyzed — fine for the batch pipeline, wasteful for
+//! a consumer that only ever needs the next record. [`PcapSource`] reads
+//! a capture incrementally from any [`std::io::Read`], one record at a
+//! time, so a multi-gigabyte capture feeds an engine or the κ daemon
+//! (`choir-ctl ingest-pcap`) with memory bounded by what the consumer
+//! chooses to hold.
 //!
-//! Two implementations cover the tree's needs:
+//! It accepts the same four magics as the batch parser
+//! (nanosecond/microsecond resolution, native and byte-swapped) and
+//! delivers the records [`choir_packet::pcap::parse_pcap`] would, in the
+//! same order, converted exactly as
+//! [`choir_core::metrics::Trial::from_pcap_records`] converts them.
 //!
-//! - [`PcapSource`] adapts a [`PcapChunkReader`] record-by-record, with
-//!   byte-exact journal cursors and [`PcapSource::resume`] re-opening a
-//!   capture at a cursor (CRC-verified, like the reader underneath).
-//! - [`QueueSource`] is the live leg: a push handle
-//!   ([`QueueHandle`], clonable, `Send`) feeds a bounded-unbounded FIFO
-//!   that the consumer drains. An rx tap or a wire-protocol ingest
-//!   handler pushes; the engine side pulls. `Ok(None)` here means
-//!   "nothing buffered *right now*" until the handle is closed, after
-//!   which it means end-of-stream for good.
+//! A truncated record fails with a typed [`ChunkError`] naming the byte
+//! offset and index of the record the capture broke in. Nothing is
+//! buffered, so the salvaged prefix is by construction exactly what
+//! [`PcapSource::next_record`] returned before the error — a consumer
+//! loses nothing that was intact on disk (DESIGN.md §13.4).
 
-use std::collections::VecDeque;
-use std::io::Read;
-use std::sync::{Arc, Mutex};
+use std::io::{self, Read};
+
+use bytes::Bytes;
 
 use choir_core::metrics::{Observation, MAX_TIMESTAMP_PS};
-use choir_packet::PacketId;
+use choir_packet::pcap::{PcapError, PCAP_NS_MAGIC, PCAP_US_MAGIC};
+use choir_packet::{Frame, PacketId};
 
-use crate::chunked::{ChunkError, IngestCursor, PcapChunkReader, DEFAULT_CHUNK_RECORDS};
+/// Where a capture broke: the record that failed to parse. Every record
+/// before `record_index` was delivered intact.
+#[derive(Debug)]
+pub struct ChunkError {
+    /// The underlying parse failure.
+    pub error: PcapError,
+    /// Byte offset where the failed record starts.
+    pub byte_offset: u64,
+    /// Zero-based index of the record that failed to parse.
+    pub record_index: u64,
+}
 
-/// A typed ingestion failure. Queue sources never fail; capture-backed
-/// sources surface the underlying [`ChunkError`] (which carries the
-/// byte offset and salvage accounting).
+impl std::fmt::Display for ChunkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "read failed at record {} (byte offset {}): {}",
+            self.record_index, self.byte_offset, self.error
+        )
+    }
+}
+
+impl std::error::Error for ChunkError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
+/// A typed ingestion failure.
 #[derive(Debug)]
 pub enum SourceError {
     /// The backing capture failed to parse.
@@ -82,221 +103,185 @@ impl From<ChunkError> for SourceError {
     }
 }
 
-/// One stream of observations, wherever it comes from.
-///
-/// The contract mirrors the streaming engine's needs exactly: a
-/// consumer pulls records in arrival order and persists [`Self::cursor`]
-/// next to its engine checkpoint, so after a crash the pair
-/// (checkpoint, cursor) resumes bit-identically. `Ok(None)` means no
-/// record is available — permanently for finite sources (a fully read
-/// capture), momentarily for live ones (see [`Source::is_exhausted`]).
-pub trait Source {
-    /// Pull the next observation in arrival order.
-    fn next_record(&mut self) -> Result<Option<Observation>, SourceError>;
-
-    /// The journaled position after everything pulled so far: the
-    /// cursor always names the first *undelivered* record. Byte offset
-    /// and CRC are meaningful only for byte-backed sources; live
-    /// sources report `0` for both and journal by record count alone.
-    fn cursor(&self) -> IngestCursor;
-
-    /// `true` once the stream can never yield another record: a finite
-    /// source that hit EOF (or a terminal error), or a live source
-    /// whose producer closed the handle and whose buffer is drained.
-    fn is_exhausted(&self) -> bool;
-}
-
-/// A [`PcapChunkReader`] as a [`Source`]: record-at-a-time delivery
-/// with byte-exact journal cursors. Timestamps are converted exactly
-/// as [`choir_core::metrics::Trial::from_pcap_records`] converts them
+/// An incremental pcap reader delivering one [`Observation`] at a time.
+/// Timestamps are converted exactly as
+/// [`choir_core::metrics::Trial::from_pcap_records`] converts them
 /// (nanoseconds → picoseconds, a wall-clock capture re-based on its
 /// first record), so a drained `PcapSource` feeds an engine the same
 /// observations the batch pipeline would build — except that a stamp
 /// the batch loader saturates is refused here with
 /// [`SourceError::TimestampOutOfRange`].
+///
+/// ```
+/// use choir_capture::{drain_available, PcapSource};
+/// use choir_packet::pcap::PcapWriter;
+/// use choir_packet::Frame;
+/// use bytes::Bytes;
+///
+/// let mut w = PcapWriter::new(Vec::new()).unwrap();
+/// for i in 0..10u64 {
+///     w.write_record(i * 1_000, &Frame::new(Bytes::from(vec![0u8; 60]))).unwrap();
+/// }
+/// let buf = w.finish().unwrap();
+/// // Cut inside the last record: nine deliver, then the error says where.
+/// let mut src = PcapSource::new(&buf[..buf.len() - 5]).unwrap();
+/// let mut stamps = Vec::new();
+/// let err = drain_available(&mut src, |o| stamps.push(o.t_ps)).unwrap_err();
+/// assert_eq!(stamps.len(), 9);
+/// assert!(err.to_string().contains("record 9 (byte offset 708)"));
+/// ```
 pub struct PcapSource<R: Read> {
-    reader: PcapChunkReader<R>,
+    input: R,
+    swapped: bool,
+    subsec_to_ns: u64,
     exhausted: bool,
+    records_read: u64,
+    /// Byte offset of the next unread record (the 24-byte global header
+    /// counts).
+    byte_offset: u64,
+    /// Stamp of the capture's first record — the epoch a wall-clock
+    /// capture is re-based on.
+    first_ts_ns: Option<u64>,
 }
 
 impl<R: Read> PcapSource<R> {
-    /// Open a capture for streaming ingestion.
-    pub fn new(input: R) -> Result<Self, ChunkError> {
-        let reader = PcapChunkReader::new(input, DEFAULT_CHUNK_RECORDS).map_err(|error| {
-            ChunkError {
-                byte_offset: 0,
-                record_index: 0,
-                salvaged: Vec::new(),
-                error,
+    /// Open a capture for streaming ingestion: validates the 24-byte
+    /// global header.
+    pub fn new(mut input: R) -> Result<Self, PcapError> {
+        let mut hdr = [0u8; 24];
+        input.read_exact(&mut hdr).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                // The capture was cut inside the global header, which
+                // starts at byte 0.
+                PcapError::Truncated { offset: 0 }
+            } else {
+                PcapError::Io(e)
             }
         })?;
+        let raw_magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
+        let (subsec_to_ns, swapped): (u64, bool) = match raw_magic {
+            PCAP_NS_MAGIC => (1, false),
+            PCAP_US_MAGIC => (1_000, false),
+            m if m == PCAP_NS_MAGIC.swap_bytes() => (1, true),
+            m if m == PCAP_US_MAGIC.swap_bytes() => (1_000, true),
+            other => return Err(PcapError::BadMagic(other)),
+        };
         Ok(PcapSource {
-            reader,
+            input,
+            swapped,
+            subsec_to_ns,
             exhausted: false,
+            records_read: 0,
+            byte_offset: 24,
+            first_ts_ns: None,
         })
     }
 
-    /// Re-open a capture at a journaled cursor (CRC-verified; see
-    /// [`PcapChunkReader::resume`]). The next pulled record is exactly
-    /// the one the original source would have delivered next.
-    pub fn resume(input: R, cursor: IngestCursor) -> Result<Self, ChunkError> {
-        let reader = PcapChunkReader::resume(input, DEFAULT_CHUNK_RECORDS, cursor)?;
-        Ok(PcapSource {
-            reader,
-            exhausted: false,
-        })
+    /// Read a 16-byte record header, distinguishing clean end-of-capture
+    /// (EOF on the first byte → `None`) from a capture cut mid-header.
+    fn read_record_header(&mut self) -> Result<Option<[u8; 16]>, PcapError> {
+        let mut hdr = [0u8; 16];
+        let mut filled = 0;
+        while filled < 16 {
+            match self.input.read(&mut hdr[filled..]) {
+                Ok(0) if filled == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(PcapError::Truncated {
+                        offset: self.byte_offset,
+                    })
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(PcapError::Io(e)),
+            }
+        }
+        Ok(Some(hdr))
     }
-}
 
-impl<R: Read> Source for PcapSource<R> {
-    fn next_record(&mut self) -> Result<Option<Observation>, SourceError> {
+    /// Parse the next record into its stamp (ns) and identity; an error
+    /// leaves `byte_offset` and `records_read` at the failed record.
+    fn read_record(&mut self) -> Result<Option<(u64, PacketId)>, PcapError> {
+        let Some(hdr) = self.read_record_header()? else {
+            return Ok(None);
+        };
+        let u32at = |o: usize| {
+            let v = u32::from_le_bytes([hdr[o], hdr[o + 1], hdr[o + 2], hdr[o + 3]]);
+            if self.swapped {
+                v.swap_bytes()
+            } else {
+                v
+            }
+        };
+        let sec = u32at(0) as u64;
+        let nsec = u32at(4) as u64;
+        let incl = u32at(8) as usize;
+        let mut body = vec![0u8; incl];
+        self.input.read_exact(&mut body).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                PcapError::Truncated {
+                    offset: self.byte_offset,
+                }
+            } else {
+                PcapError::Io(e)
+            }
+        })?;
+        self.byte_offset += 16 + incl as u64;
+        self.records_read += 1;
+        let ts_ns = sec * 1_000_000_000 + nsec * self.subsec_to_ns;
+        self.first_ts_ns.get_or_insert(ts_ns);
+        // The identity reads only the stored bytes, never the original
+        // length of a snapped frame.
+        Ok(Some((ts_ns, Frame::new(Bytes::from(body)).packet_id())))
+    }
+
+    /// Pull the next observation in arrival order. `Ok(None)` at clean
+    /// end-of-capture; an error is terminal (every later call returns
+    /// `Ok(None)`).
+    pub fn next_record(&mut self) -> Result<Option<Observation>, SourceError> {
         if self.exhausted {
             return Ok(None);
         }
-        match self.reader.next_record() {
-            Ok(Some(rec)) => {
-                const MAX_NS: u64 = (MAX_TIMESTAMP_PS - 1) / 1000;
-                let first_ns = self.reader.first_ts_ns().expect("a record was read");
-                let epoch_ns = if first_ns <= MAX_NS { 0 } else { first_ns };
-                let ns = rec.ts_ns.saturating_sub(epoch_ns);
-                if ns > MAX_NS {
-                    self.exhausted = true;
-                    return Err(SourceError::TimestampOutOfRange {
-                        record_index: self.reader.cursor().records_consumed - 1,
-                        ts_ns: rec.ts_ns,
-                    });
-                }
-                Ok(Some(Observation {
-                    id: rec.frame.packet_id(),
-                    t_ps: ns * 1000,
-                }))
-            }
+        let (ts_ns, id) = match self.read_record() {
+            Ok(Some(rec)) => rec,
             Ok(None) => {
                 self.exhausted = true;
-                Ok(None)
+                return Ok(None);
             }
-            Err(e) => {
+            Err(error) => {
                 self.exhausted = true;
-                Err(SourceError::Capture(e))
+                return Err(SourceError::Capture(ChunkError {
+                    error,
+                    byte_offset: self.byte_offset,
+                    record_index: self.records_read,
+                }));
             }
+        };
+        const MAX_NS: u64 = (MAX_TIMESTAMP_PS - 1) / 1000;
+        let first_ns = self.first_ts_ns.expect("a record was read");
+        let epoch_ns = if first_ns <= MAX_NS { 0 } else { first_ns };
+        let ns = ts_ns.saturating_sub(epoch_ns);
+        if ns > MAX_NS {
+            self.exhausted = true;
+            return Err(SourceError::TimestampOutOfRange {
+                record_index: self.records_read - 1,
+                ts_ns,
+            });
         }
+        Ok(Some(Observation { id, t_ps: ns * 1000 }))
     }
 
-    fn cursor(&self) -> IngestCursor {
-        self.reader.cursor()
-    }
-
-    fn is_exhausted(&self) -> bool {
+    /// `true` once the capture can never yield another record: clean
+    /// end-of-capture or a terminal error.
+    pub fn is_exhausted(&self) -> bool {
         self.exhausted
     }
 }
 
-#[derive(Debug, Default)]
-struct QueueInner {
-    buf: VecDeque<Observation>,
-    closed: bool,
-}
-
-/// The producer end of a [`QueueSource`]: clonable and `Send`, so an
-/// rx-tap closure, a wire-protocol handler, or another thread can push
-/// while the consumer drains. Dropping every handle does NOT close the
-/// stream — closing is explicit, so a handle can be parked and revived.
-#[derive(Debug, Clone)]
-pub struct QueueHandle {
-    q: Arc<Mutex<QueueInner>>,
-}
-
-impl QueueHandle {
-    /// Append one observation. Pushing after [`Self::close`] is a
-    /// programming error and panics — a closed stream promised its
-    /// consumer no further records.
-    pub fn push(&self, id: PacketId, t_ps: u64) {
-        let mut q = self.q.lock().expect("queue poisoned");
-        assert!(!q.closed, "push on a closed QueueSource");
-        q.buf.push_back(Observation { id, t_ps });
-    }
-
-    /// Declare end-of-stream: once the buffered tail is drained the
-    /// source is exhausted. Idempotent.
-    pub fn close(&self) {
-        self.q.lock().expect("queue poisoned").closed = true;
-    }
-
-    /// Records currently buffered (pushed but not yet pulled).
-    pub fn backlog(&self) -> usize {
-        self.q.lock().expect("queue poisoned").buf.len()
-    }
-}
-
-/// The live leg of the [`Source`] API: a FIFO fed through a
-/// [`QueueHandle`]. The cursor journals by record count (byte offset
-/// and CRC are `0` — there are no bytes). A consumer resuming a live
-/// stream after a crash re-synchronizes by asking the producer to
-/// replay from `cursor().records_consumed`, which is exactly what the
-/// service wire protocol does.
-#[derive(Debug)]
-pub struct QueueSource {
-    q: Arc<Mutex<QueueInner>>,
-    delivered: u64,
-}
-
-impl QueueSource {
-    /// A fresh empty stream and its push handle.
-    pub fn new() -> (Self, QueueHandle) {
-        let q = Arc::new(Mutex::new(QueueInner::default()));
-        (
-            QueueSource {
-                q: Arc::clone(&q),
-                delivered: 0,
-            },
-            QueueHandle { q },
-        )
-    }
-
-    /// A stream resuming at a journaled position: the first
-    /// `cursor.records_consumed` records are already accounted for, so
-    /// the cursor keeps counting from there. The producer must replay
-    /// only records *after* the cursor.
-    pub fn resume(cursor: IngestCursor) -> (Self, QueueHandle) {
-        let (mut src, h) = Self::new();
-        src.delivered = cursor.records_consumed;
-        (src, h)
-    }
-}
-
-impl Source for QueueSource {
-    fn next_record(&mut self) -> Result<Option<Observation>, SourceError> {
-        let mut q = self.q.lock().expect("queue poisoned");
-        match q.buf.pop_front() {
-            Some(o) => {
-                self.delivered += 1;
-                Ok(Some(o))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn cursor(&self) -> IngestCursor {
-        IngestCursor {
-            records_consumed: self.delivered,
-            byte_offset: 0,
-            last_record_crc: 0,
-        }
-    }
-
-    fn is_exhausted(&self) -> bool {
-        let q = self.q.lock().expect("queue poisoned");
-        q.closed && q.buf.is_empty()
-    }
-}
-
-/// Drain everything currently available from a source into a callback
-/// — the shared inner loop of every consumer (the testbed runner's
-/// live streams, the daemon's ingest path, batch refills). Returns how
-/// many records were delivered. Stops at the first unavailable record;
-/// a live source may have more later.
-pub fn drain_available<S: Source + ?Sized>(
-    src: &mut S,
+/// Drain a capture into a callback. Returns how many records were
+/// delivered; on an error the callback has already received every
+/// record before the failed one.
+pub fn drain_available<R: Read>(
+    src: &mut PcapSource<R>,
     mut sink: impl FnMut(Observation),
 ) -> Result<u64, SourceError> {
     let mut n = 0;
@@ -310,10 +295,9 @@ pub fn drain_available<S: Source + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use choir_core::metrics::Trial;
-    use choir_packet::pcap::{parse_pcap, PcapWriter};
-    use choir_packet::{ChoirTag, Frame};
+    use choir_packet::pcap::{parse_pcap, PcapWriter, DEFAULT_SNAPLEN, LINKTYPE_ETHERNET};
+    use choir_packet::ChoirTag;
 
     fn sample_pcap(n: u64) -> Vec<u8> {
         sample_pcap_at(n, 0)
@@ -331,17 +315,31 @@ mod tests {
         w.finish().unwrap()
     }
 
+    /// Everything the source delivers from `bytes`, and how it ended.
+    fn drain(bytes: &[u8]) -> (Trial, Result<u64, SourceError>) {
+        let mut src = PcapSource::new(bytes).unwrap();
+        let mut t = Trial::new();
+        let end = drain_available(&mut src, |o| t.push(o.id, o.t_ps));
+        assert!(src.is_exhausted());
+        assert!(src.next_record().unwrap().is_none(), "the end is terminal");
+        (t, end)
+    }
+
     #[test]
     fn pcap_source_matches_batch_trial_exactly() {
-        let buf = sample_pcap(60);
+        let buf = sample_pcap(101);
         let batch = Trial::from_pcap_records(&parse_pcap(&buf).unwrap());
-        let mut src = PcapSource::new(&buf[..]).unwrap();
-        let mut streamed = Trial::new();
-        let n = drain_available(&mut src, |o| streamed.push(o.id, o.t_ps)).unwrap();
-        assert_eq!(n, 60);
+        let (streamed, end) = drain(&buf);
+        assert_eq!(end.unwrap(), 101);
         assert_eq!(streamed, batch);
-        assert!(src.is_exhausted());
-        assert_eq!(src.cursor().records_consumed, 60);
+    }
+
+    #[test]
+    fn empty_capture_yields_no_records() {
+        let buf = PcapWriter::new(Vec::new()).unwrap().finish().unwrap();
+        let (t, end) = drain(&buf);
+        assert_eq!(end.unwrap(), 0);
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -350,17 +348,9 @@ mod tests {
         const Y2026_NS: u64 = 1_767_225_600 * 1_000_000_000;
         let buf = sample_pcap_at(60, Y2026_NS);
         let batch = Trial::from_pcap_records(&parse_pcap(&buf).unwrap());
-        let mut src = PcapSource::new(&buf[..]).unwrap();
-        let mut head = Trial::new();
-        for _ in 0..25 {
-            let o = src.next_record().unwrap().unwrap();
-            head.push(o.id, o.t_ps);
-        }
-        // A resumed source re-bases on the capture's first record, not on
-        // the first record it delivers.
-        let mut resumed = PcapSource::resume(&buf[..], src.cursor()).unwrap();
-        drain_available(&mut resumed, |o| head.push(o.id, o.t_ps)).unwrap();
-        assert_eq!(head, batch);
+        let (streamed, end) = drain(&buf);
+        assert_eq!(end.unwrap(), 60);
+        assert_eq!(streamed, batch);
         let zeroed = Trial::from_pcap_records(&parse_pcap(&sample_pcap(60)).unwrap()).rezeroed();
         assert_eq!(batch, zeroed);
     }
@@ -388,109 +378,112 @@ mod tests {
     }
 
     #[test]
-    fn pcap_source_resumes_at_cursor_without_duplicates() {
-        let buf = sample_pcap(20);
-        let mut src = PcapSource::new(&buf[..]).unwrap();
-        let mut head = Vec::new();
-        for _ in 0..7 {
-            head.push(src.next_record().unwrap().unwrap());
-        }
-        let cur = src.cursor();
-        assert_eq!(cur.records_consumed, 7);
-
-        let mut rest_direct = Vec::new();
-        drain_available(&mut src, |o| rest_direct.push(o)).unwrap();
-
-        let mut resumed = PcapSource::resume(&buf[..], cur).unwrap();
-        let mut rest_resumed = Vec::new();
-        drain_available(&mut resumed, |o| rest_resumed.push(o)).unwrap();
-        assert_eq!(rest_resumed, rest_direct);
-        assert_eq!(head.len() + rest_resumed.len(), 20);
+    fn bad_magic_rejected_up_front() {
+        let mut buf = sample_pcap(1);
+        buf[0] ^= 0xff;
+        assert!(matches!(
+            PcapSource::new(&buf[..]),
+            Err(PcapError::BadMagic(_))
+        ));
     }
 
     #[test]
-    fn pcap_source_surfaces_truncation_as_typed_error() {
-        let buf = sample_pcap(3);
-        let mut src = PcapSource::new(&buf[..buf.len() - 5]).unwrap();
-        // Two intact records deliver, then the cut one errors.
-        assert!(src.next_record().unwrap().is_some());
-        assert!(src.next_record().unwrap().is_some());
-        let err = src.next_record().unwrap_err();
-        assert!(matches!(err, SourceError::Capture(_)));
+    fn truncated_global_header() {
+        assert!(matches!(
+            PcapSource::new(&[0u8; 10][..]),
+            Err(PcapError::Truncated { offset: 0 })
+        ));
+    }
+
+    #[test]
+    fn truncated_record_body_delivers_exact_prefix_then_typed_error() {
+        let buf = sample_pcap(9);
+        let batch = parse_pcap(&buf).unwrap();
+        // Cut inside record 6's body.
+        let cut = 24 + 6 * (16 + 80) + 16 + 11;
+        let (prefix, end) = drain(&buf[..cut]);
+        assert_eq!(prefix, Trial::from_pcap_records(&batch[..6]));
+        let err = end.unwrap_err();
         assert!(err.to_string().contains("capture source failed"));
-        assert!(src.is_exhausted());
-        // The cursor still names the records that made it through.
-        assert_eq!(src.cursor().records_consumed, 2);
-        // Errors are terminal.
-        assert!(src.next_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn queue_source_delivers_in_push_order_and_closes() {
-        let (mut src, h) = QueueSource::new();
-        assert!(src.next_record().unwrap().is_none(), "empty, not exhausted");
-        assert!(!src.is_exhausted());
-        h.push(PacketId(1), 100);
-        h.push(PacketId(2), 200);
-        assert_eq!(h.backlog(), 2);
-        let a = src.next_record().unwrap().unwrap();
-        assert_eq!((a.id, a.t_ps), (PacketId(1), 100));
-        h.push(PacketId(3), 300);
-        let rest: Vec<u64> = {
-            let mut v = Vec::new();
-            drain_available(&mut src, |o| v.push(o.t_ps)).unwrap();
-            v
+        assert!(
+            err.to_string().contains("record 6 (byte offset 600)"),
+            "{err}"
+        );
+        let SourceError::Capture(e) = err else {
+            panic!("expected a capture error, got {err}");
         };
-        assert_eq!(rest, [200, 300]);
-        assert!(!src.is_exhausted(), "drained but not closed");
-        h.close();
-        h.close(); // idempotent
-        assert!(src.is_exhausted());
-        assert_eq!(src.cursor().records_consumed, 3);
+        assert_eq!(e.record_index, 6);
+        assert_eq!(e.byte_offset, 24 + 6 * (16 + 80));
+        assert!(matches!(e.error, PcapError::Truncated { offset: 600 }));
     }
 
     #[test]
-    fn queue_source_resume_continues_record_count() {
-        let (mut src, h) = QueueSource::resume(IngestCursor {
-            records_consumed: 41,
-            byte_offset: 0,
-            last_record_crc: 0,
-        });
-        h.push(PacketId(9), 900);
-        assert!(src.next_record().unwrap().is_some());
-        assert_eq!(src.cursor().records_consumed, 42);
+    fn truncated_record_header_errors_with_offset() {
+        let buf = sample_pcap(1);
+        // Global header + 8 of the 16 record-header bytes.
+        let (prefix, end) = drain(&buf[..32]);
+        assert!(prefix.is_empty());
+        let SourceError::Capture(e) = end.unwrap_err() else {
+            panic!("expected a capture error");
+        };
+        assert!(matches!(e.error, PcapError::Truncated { offset: 24 }));
+        assert_eq!((e.byte_offset, e.record_index), (24, 0));
+    }
+
+    /// A one-record pcap with explicit endianness and magic (mirrors the
+    /// batch parser's handmade fixture).
+    fn handmade_pcap(
+        magic: u32,
+        big_endian: bool,
+        sec: u32,
+        subsec: u32,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let put = |buf: &mut Vec<u8>, v: u32| {
+            if big_endian {
+                buf.extend_from_slice(&v.to_be_bytes());
+            } else {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        let put16 = |buf: &mut Vec<u8>, v: u16| {
+            if big_endian {
+                buf.extend_from_slice(&v.to_be_bytes());
+            } else {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        };
+        let mut buf = Vec::new();
+        put(&mut buf, magic);
+        put16(&mut buf, 2);
+        put16(&mut buf, 4);
+        put(&mut buf, 0);
+        put(&mut buf, 0);
+        put(&mut buf, DEFAULT_SNAPLEN);
+        put(&mut buf, LINKTYPE_ETHERNET);
+        put(&mut buf, sec);
+        put(&mut buf, subsec);
+        put(&mut buf, payload.len() as u32);
+        put(&mut buf, payload.len() as u32);
+        buf.extend_from_slice(payload);
+        buf
     }
 
     #[test]
-    #[should_panic(expected = "push on a closed QueueSource")]
-    fn push_after_close_panics() {
-        let (_src, h) = QueueSource::new();
-        h.close();
-        h.push(PacketId(1), 1);
-    }
-
-    #[test]
-    fn queue_handle_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<QueueHandle>();
-        assert_send::<QueueSource>();
-    }
-
-    #[test]
-    fn sources_compose_as_trait_objects() {
-        let buf = sample_pcap(4);
-        let (mut live, h) = QueueSource::new();
-        for i in 0..4u64 {
-            h.push(PacketId(i as u128), i * 10);
+    fn all_four_magics_match_batch_parser() {
+        for (magic, big_endian) in [
+            (PCAP_NS_MAGIC, false),
+            (PCAP_US_MAGIC, false),
+            (PCAP_US_MAGIC, true),
+            (PCAP_NS_MAGIC, true),
+        ] {
+            let buf = handmade_pcap(magic, big_endian, 1, 2, b"abcd");
+            let batch = Trial::from_pcap_records(&parse_pcap(&buf).unwrap());
+            let (streamed, end) = drain(&buf);
+            assert_eq!(end.unwrap(), 1, "magic {magic:#x} be={big_endian}");
+            assert_eq!(streamed, batch, "magic {magic:#x} be={big_endian}");
+            let unit_ns = if magic == PCAP_US_MAGIC { 1_000 } else { 1 };
+            assert_eq!(streamed.time(0), (1_000_000_000 + 2 * unit_ns) * 1_000);
         }
-        h.close();
-        let mut pcap = PcapSource::new(&buf[..]).unwrap();
-        let mut sources: Vec<&mut dyn Source> = vec![&mut pcap, &mut live];
-        let mut total = 0;
-        for s in sources.iter_mut() {
-            total += drain_available(*s, |_| {}).unwrap();
-            assert!(s.is_exhausted());
-        }
-        assert_eq!(total, 8);
     }
 }

@@ -45,8 +45,7 @@ pub use matching::Matching;
 pub use ordering::EditScriptStats;
 pub use pair::{PairAnalyzer, PairScratch};
 pub use report::{
-    trial_label, RecoveryReport, ReportError, RunReport, SimStatsReport, StageTimings,
-    StreamReport, StreamRunTrail, TrialComparison,
+    trial_label, ReportError, RunReport, SimStatsReport, StageTimings, TrialComparison,
 };
 pub use stream::{
     CheckpointError, IncrementalComparison, KappaSnapshot, ResumeMismatch, Side, StreamCheckpoint,

@@ -8,10 +8,9 @@ use serde::{Deserialize, Serialize};
 
 use super::allpairs::MatrixSummary;
 use super::histogram::DeltaHistogram;
-use super::kappa::{ConsistencyMetrics, KappaBounds, KappaConfig};
+use super::kappa::{ConsistencyMetrics, KappaConfig};
 use super::ordering::EditScriptStats;
 use super::pair::PairAnalyzer;
-use super::stream::KappaSnapshot;
 use super::trial::Trial;
 
 /// Wall-clock nanoseconds spent in each analysis stage of one comparison.
@@ -259,113 +258,6 @@ pub struct RunReport {
     /// obs layer existed.
     #[serde(default)]
     pub obs: Option<choir_obs::ObsSnapshot>,
-    /// Streaming-mode trail: per-run snapshot series from the incremental
-    /// κ engine, when the experiment scored runs as they arrived (`None`
-    /// for batch-only reports and reports written before the streaming
-    /// engine existed).
-    #[serde(default)]
-    pub stream: Option<StreamReport>,
-    /// Crash-recovery accounting when the experiment ran under the
-    /// streaming supervisor (`None` for unsupervised runs and reports
-    /// written before the recovery layer existed).
-    #[serde(default)]
-    pub recovery: Option<RecoveryReport>,
-}
-
-/// Per-run streaming trail attached to a [`RunReport`] when the
-/// experiment ran the incremental engine alongside (or instead of) the
-/// batch analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamReport {
-    /// Configured reorder/lookahead window (`None` = unbounded).
-    pub lookahead: Option<usize>,
-    /// Snapshot cadence in packets (0 = snapshots were taken manually).
-    pub snapshot_every: u64,
-    /// One trail per streamed run.
-    pub runs: Vec<StreamRunTrail>,
-}
-
-/// The streaming engine's trail for one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamRunTrail {
-    /// Run label ("B", "C", …).
-    pub label: String,
-    /// Final streaming κ at finalize.
-    pub final_kappa: f64,
-    /// Peak number of unmatched packets resident in the reorder window.
-    pub peak_resident: usize,
-    /// Packets evicted unmatched by the bounded window (0 = the window
-    /// covered the whole run and the final κ is exact).
-    pub evicted: usize,
-    /// Rigorous interval containing the batch κ on the same streams
-    /// (collapses to `final_kappa` for exact runs). `None` on reports
-    /// written before the bound existed.
-    #[serde(default)]
-    pub bounds: Option<KappaBounds>,
-    /// Batch matches the bounded window missed (0 for exact runs).
-    #[serde(default)]
-    pub missed_matches: usize,
-    /// Periodic snapshots taken while the run streamed in.
-    pub snapshots: Vec<KappaSnapshot>,
-}
-
-/// What the streaming supervisor survived and what surviving cost —
-/// attached to a [`RunReport`] by the supervised streaming `Experiment`.
-///
-/// The headline invariant this report documents is *not* visible in its
-/// numbers: after every kill and every caught tap panic, the resumed
-/// engine's final κ and snapshot trail are bit-identical to an
-/// uninterrupted run (the supervised-streaming test in
-/// `choir-testbed`'s runner gates on that). These counters
-/// quantify the price: how much was replayed from the journal, how big
-/// the durable checkpoints were, and how long resumption took.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryReport {
-    /// Checkpoint cadence in tapped packets (0 = only the initial
-    /// checkpoint was taken).
-    pub checkpoint_every: u64,
-    /// Checkpoints serialized (the initial pre-stream one included).
-    pub checkpoints_taken: u64,
-    /// Engine kills injected mid-stream.
-    pub kills_injected: u64,
-    /// Kills recovered from by resuming the last durable checkpoint
-    /// (equal to `kills_injected` when the supervisor never gave up).
-    pub kills_survived: u64,
-    /// Panics thrown inside the rx tap and caught at the tap boundary.
-    pub tap_panics_caught: u64,
-    /// Journaled records re-fed after resumptions (replay amplification
-    /// is this over the records tapped once).
-    pub records_replayed: u64,
-    /// Serialized size of the most recent checkpoint, in bytes.
-    pub checkpoint_bytes_last: u64,
-    /// Largest checkpoint serialized, in bytes.
-    pub checkpoint_bytes_peak: u64,
-    /// Total wall-clock spent parsing checkpoints, rebuilding engines,
-    /// and replaying journals, in nanoseconds.
-    pub resume_latency_ns_total: u64,
-    /// Records recovered by salvage-reading a corrupted capture stream.
-    pub salvaged_records: u64,
-    /// Records lost past the corruption point (unrecoverable without
-    /// another copy of the capture).
-    pub lost_records: u64,
-}
-
-impl RecoveryReport {
-    /// Fold another run's recovery counters into this one (cadence and
-    /// last-checkpoint size follow the most recent run; peak is a max).
-    pub fn absorb(&mut self, other: &RecoveryReport) {
-        self.checkpoint_every = other.checkpoint_every;
-        self.checkpoints_taken += other.checkpoints_taken;
-        self.kills_injected += other.kills_injected;
-        self.kills_survived += other.kills_survived;
-        self.tap_panics_caught += other.tap_panics_caught;
-        self.records_replayed += other.records_replayed;
-        self.checkpoint_bytes_last = other.checkpoint_bytes_last;
-        self.checkpoint_bytes_peak = self.checkpoint_bytes_peak.max(other.checkpoint_bytes_peak);
-        self.resume_latency_ns_total += other.resume_latency_ns_total;
-        self.salvaged_records += other.salvaged_records;
-        self.lost_records += other.lost_records;
-    }
 }
 
 /// Event-queue observability counters for the simulation behind a report
@@ -424,8 +316,6 @@ impl RunReport {
             matrix: None,
             sim: None,
             obs: None,
-            stream: None,
-            recovery: None,
         })
     }
 
@@ -453,18 +343,6 @@ impl RunReport {
         if !obs.is_empty() {
             self.obs = Some(obs);
         }
-        self
-    }
-
-    /// Attach the streaming engine's per-run snapshot trail.
-    pub fn with_stream(mut self, stream: StreamReport) -> Self {
-        self.stream = Some(stream);
-        self
-    }
-
-    /// Attach the streaming supervisor's crash-recovery accounting.
-    pub fn with_recovery(mut self, recovery: RecoveryReport) -> Self {
-        self.recovery = Some(recovery);
         self
     }
 
@@ -666,122 +544,6 @@ mod tests {
         // Empty snapshots are not attached.
         let none = base.with_obs(choir_obs::ObsSnapshot::default());
         assert!(none.obs.is_none());
-    }
-
-    #[test]
-    fn report_roundtrips_with_and_without_stream_trail() {
-        let a = cbr_trial(10, 1000, |_| 0);
-        let base = RunReport::new("env", vec![analyze("B", &a, &a.clone())]).unwrap();
-
-        // Without: serializes as null, round-trips to None; a report
-        // written before the field existed (key absent) also loads.
-        let json = serde_json::to_string(&base).unwrap();
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert!(back.stream.is_none());
-        let idx = json.rfind(",\"stream\":").expect("stream serialized last");
-        let old = format!("{}}}", &json[..idx]);
-        let back: RunReport = serde_json::from_str(&old).unwrap();
-        assert!(back.stream.is_none());
-
-        // With: the trail survives the round trip.
-        let with = base.with_stream(StreamReport {
-            lookahead: Some(64),
-            snapshot_every: 100,
-            runs: vec![StreamRunTrail {
-                label: "B".into(),
-                final_kappa: 0.875,
-                peak_resident: 12,
-                evicted: 0,
-                bounds: Some(KappaBounds::exact(0.875)),
-                missed_matches: 0,
-                snapshots: Vec::new(),
-            }],
-        });
-        let json = serde_json::to_string(&with).unwrap();
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        let s = back.stream.expect("stream trail present");
-        assert_eq!(s.lookahead, Some(64));
-        assert_eq!(s.runs.len(), 1);
-        assert_eq!(s.runs[0].label, "B");
-        assert_eq!(s.runs[0].final_kappa, 0.875);
-        assert_eq!(s.runs[0].bounds.unwrap().lo, 0.875);
-
-        // A trail serialized before the bounds existed still loads.
-        let stripped = json
-            .replace(",\"bounds\":{\"lo\":0.875,\"hi\":0.875}", "")
-            .replace(",\"missed_matches\":0", "");
-        let back: RunReport = serde_json::from_str(&stripped).unwrap();
-        let s = back.stream.expect("stream trail present");
-        assert!(s.runs[0].bounds.is_none());
-        assert_eq!(s.runs[0].missed_matches, 0);
-    }
-
-    #[test]
-    fn report_roundtrips_with_and_without_recovery() {
-        let a = cbr_trial(10, 1000, |_| 0);
-        let base = RunReport::new("env", vec![analyze("B", &a, &a.clone())]).unwrap();
-
-        // Absent field (old report) and null both load to None.
-        let json = serde_json::to_string(&base).unwrap();
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert!(back.recovery.is_none());
-        let idx = json.rfind(",\"recovery\":").expect("recovery serialized last");
-        let old = format!("{}}}", &json[..idx]);
-        let back: RunReport = serde_json::from_str(&old).unwrap();
-        assert!(back.recovery.is_none());
-
-        let rec = RecoveryReport {
-            checkpoint_every: 50,
-            checkpoints_taken: 7,
-            kills_injected: 3,
-            kills_survived: 3,
-            tap_panics_caught: 2,
-            records_replayed: 120,
-            checkpoint_bytes_last: 4096,
-            checkpoint_bytes_peak: 8192,
-            resume_latency_ns_total: 1_000_000,
-            salvaged_records: 90,
-            lost_records: 10,
-        };
-        let with = base.with_recovery(rec);
-        let json = serde_json::to_string(&with).unwrap();
-        let back: RunReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.recovery, Some(rec));
-    }
-
-    #[test]
-    fn recovery_absorb_sums_and_maxes() {
-        let mut a = RecoveryReport {
-            checkpoint_every: 10,
-            checkpoints_taken: 2,
-            kills_injected: 1,
-            kills_survived: 1,
-            records_replayed: 5,
-            checkpoint_bytes_last: 100,
-            checkpoint_bytes_peak: 200,
-            ..RecoveryReport::default()
-        };
-        let b = RecoveryReport {
-            checkpoint_every: 10,
-            checkpoints_taken: 3,
-            kills_injected: 2,
-            kills_survived: 2,
-            tap_panics_caught: 1,
-            records_replayed: 9,
-            checkpoint_bytes_last: 150,
-            checkpoint_bytes_peak: 150,
-            salvaged_records: 4,
-            lost_records: 1,
-            ..RecoveryReport::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.checkpoints_taken, 5);
-        assert_eq!(a.kills_survived, 3);
-        assert_eq!(a.tap_panics_caught, 1);
-        assert_eq!(a.records_replayed, 14);
-        assert_eq!(a.checkpoint_bytes_last, 150);
-        assert_eq!(a.checkpoint_bytes_peak, 200, "peak is a running max");
-        assert_eq!(a.salvaged_records, 4);
     }
 
     #[test]

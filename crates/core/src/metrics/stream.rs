@@ -380,9 +380,11 @@ struct OccCk {
 /// algorithmic state. Opaque by design: produce one with
 /// [`IncrementalComparison::checkpoint`], turn it back into a live
 /// engine with [`IncrementalComparison::resume`], and ship it across a
-/// crash boundary with `serde_json` (the round trip is bit-exact; see
-/// the module docs). Wall-clock timings are *not* part of a checkpoint —
-/// a resumed run re-measures its own stage timings.
+/// crash boundary the way the κ daemon does: bulk vectors as binary
+/// slabs ([`StreamCheckpoint::write_to`] / [`StreamCheckpoint::read_from`]),
+/// the remainder through its serde form (both round trips are bit-exact;
+/// see the module docs). Wall-clock timings are *not* part of a
+/// checkpoint — a resumed run re-measures its own stage timings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
     /// Caller-assigned identity of the engine that took this checkpoint
@@ -1607,8 +1609,8 @@ impl IncrementalComparison {
         }
     }
 
-    /// Feed a burst of observations from one side (a record batch from
-    /// the chunked pcap reader, a whole trial, a simulation tap flush).
+    /// Feed a burst of observations from one side (one `Ingest` frame's
+    /// records, a whole trial).
     pub fn push_burst(&mut self, side: Side, observations: &[Observation]) {
         for o in observations {
             self.push(side, o.id, o.t_ps);

@@ -166,27 +166,6 @@ impl FaultStats {
     }
 }
 
-/// Deterministically cut a serialized byte stream (e.g. an exported pcap
-/// chunk stream) at a seeded offset, keeping at least `keep_prefix`
-/// bytes. Returns the cut offset. The same `(seed, length)` always cuts
-/// at the same place, so a salvage scenario is exactly reproducible —
-/// the same property [`FaultyDataplane`] gives packet faults, extended
-/// to at-rest capture bytes.
-///
-/// Streams no longer than `keep_prefix` are returned untouched (there
-/// is nothing meaningful to truncate mid-item).
-pub fn truncate_stream(bytes: &mut Vec<u8>, seed: u64, keep_prefix: usize) -> u64 {
-    if bytes.len() <= keep_prefix + 1 {
-        return bytes.len() as u64;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cut = rng.gen_range(keep_prefix as u64 + 1..bytes.len() as u64);
-    bytes.truncate(cut as usize);
-    obs::event("fault.stream_truncated", cut, 0);
-    obs::counter_inc("fault.streams_truncated");
-    cut
-}
-
 /// A [`Dataplane`] decorator injecting seeded, reproducible faults.
 ///
 /// ```
@@ -638,27 +617,6 @@ mod tests {
         assert_eq!(faulty.tx_burst(0, &mut b), 0); // call 2: inside
         assert_eq!(faulty.tx_burst(0, &mut b), 0); // call 3: inside
         assert_eq!(faulty.tx_burst(0, &mut b), 1); // call 4: after window
-    }
-
-    #[test]
-    fn stream_truncation_is_seeded_and_bounded() {
-        let base: Vec<u8> = (0..200u8).collect();
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let cut_a = truncate_stream(&mut a, 11, 24);
-        let cut_b = truncate_stream(&mut b, 11, 24);
-        assert_eq!(cut_a, cut_b, "same seed cuts at the same offset");
-        assert_eq!(a, b);
-        assert_eq!(a.len() as u64, cut_a);
-        assert!(cut_a > 24, "the protected prefix survives");
-        assert_eq!(&a[..], &base[..a.len()], "truncation, not corruption");
-        let mut c = base.clone();
-        let cut_c = truncate_stream(&mut c, 12, 24);
-        assert_ne!(cut_a, cut_c, "different seeds cut elsewhere");
-        // Too-short streams are untouched.
-        let mut tiny = vec![0u8; 10];
-        assert_eq!(truncate_stream(&mut tiny, 1, 24), 10);
-        assert_eq!(tiny.len(), 10);
     }
 
     #[test]

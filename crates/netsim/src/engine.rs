@@ -158,10 +158,6 @@ enum Ev {
     SwitchEgress(usize, usize),
 }
 
-/// A live receive tap (see [`Sim::set_rx_tap`]): called with the stamped
-/// hardware rx timestamp and the packet, at ring admission.
-pub type RxTap = Box<dyn FnMut(u64, &Mbuf)>;
-
 /// One NIC port's runtime state.
 struct PortRuntime {
     tx_model: NicTxModel,
@@ -177,11 +173,6 @@ struct PortRuntime {
     /// to the statistical `SharedVfModel`.
     phys_group: Option<usize>,
     rx_queue: VecDeque<Mbuf>,
-    /// Live receive tap: observes every packet that survives drop and
-    /// ring admission, right after hardware timestamping and before it
-    /// enters the rx ring — the hook the streaming κ engine attaches to
-    /// score a run while the simulation executes.
-    rx_tap: Option<RxTap>,
     peer: Endpoint,
     prop_ps: u64,
     stats: PortStats,
@@ -398,7 +389,6 @@ impl Sim {
             wire_free_at: 0,
             phys_group: None,
             rx_queue: VecDeque::new(),
-            rx_tap: None,
             peer: Endpoint::Unconnected,
             prop_ps: 0,
             stats: PortStats::default(),
@@ -593,22 +583,6 @@ impl Sim {
         let p = &mut self.nodes[node].ports[port];
         p.rx_model.clock_slope_ppb = slope_ppb;
         p.rx_model.slope_base_ps = self.now;
-    }
-
-    /// Install a live receive tap on a port. The tap observes every
-    /// packet that survives the drop stages, called with the stamped
-    /// hardware rx timestamp (ps) right before the packet enters the rx
-    /// ring — on both the per-packet and the coalesced-burst delivery
-    /// paths. It must not assume software delivery order or timing: it
-    /// fires at hardware admission, before any app wake. One tap per
-    /// port; installing again replaces the previous one.
-    pub fn set_rx_tap(&mut self, node: NodeId, port: PortId, tap: RxTap) {
-        self.nodes[node].ports[port].rx_tap = Some(tap);
-    }
-
-    /// Remove a port's receive tap, if any.
-    pub fn clear_rx_tap(&mut self, node: NodeId, port: PortId) {
-        self.nodes[node].ports[port].rx_tap = None;
     }
 
     /// Install netem-style impairments on traffic arriving at a port.
@@ -958,9 +932,6 @@ impl Sim {
                         let t_eff = port.rx_model.slope_adjusted_ps(at);
                         let ts = port.rx_model.timestamp.stamp(t_eff, &mut port.rx_rng);
                         m.rx_ts_ps = Some(ts);
-                        if let Some(tap) = port.rx_tap.as_mut() {
-                            tap(ts, &m);
-                        }
                         port.rx_queue.push_back(m);
                         delivered = true;
                     }
@@ -1044,9 +1015,6 @@ impl Sim {
                     let t_eff = port.rx_model.slope_adjusted_ps(arrival);
                     let ts = port.rx_model.timestamp.stamp(t_eff, &mut port.rx_rng);
                     m.rx_ts_ps = Some(ts);
-                    if let Some(tap) = port.rx_tap.as_mut() {
-                        tap(ts, &m);
-                    }
                     port.rx_queue.push_back(m);
                     wake_at = (arrival
                         + port.rx_model.deliver_latency.sample_delay(&mut port.rx_rng))
@@ -1351,41 +1319,6 @@ mod tests {
         assert!(got.windows(2).all(|w| w[0].1 < w[1].1));
         assert_eq!(sim.port_stats(s, 0).tx_packets, 10);
         assert_eq!(sim.port_stats(k, 0).rx_packets, 10);
-    }
-
-    #[test]
-    fn rx_tap_mirrors_the_delivered_stream_and_clears() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let mut sim = Sim::new(SimConfig::default());
-        let (s, k) = direct_pair(
-            &mut sim,
-            NicTxModel::ideal(100_000_000_000),
-            NicRxModel::ideal(),
-        );
-        let tapped: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink_tap = Rc::clone(&tapped);
-        sim.set_rx_tap(
-            k,
-            0,
-            Box::new(move |ts, m| {
-                let seq = m.frame.tag().map(|t| t.seq).unwrap_or(u64::MAX);
-                sink_tap.borrow_mut().push((seq, ts));
-            }),
-        );
-        sim.wake_app(s, 0);
-        sim.run_to_idle();
-        let got = sim.with_app::<Sink, _>(k, |a| a.got.clone());
-        assert_eq!(got.len(), 10);
-        assert_eq!(
-            *tapped.borrow(),
-            got,
-            "tap must see the same (seq, rx_ts) stream the app drains"
-        );
-        // Clearing must drop the closure (and with it the Rc) without
-        // disturbing the port.
-        sim.clear_rx_tap(k, 0);
-        assert_eq!(Rc::strong_count(&tapped), 1);
     }
 
     #[test]

@@ -16,17 +16,19 @@
 //! choir-ctl <addr> shutdown
 //! ```
 //!
-//! `ingest-pcap` reads the capture through the same
-//! [`choir_capture::Source`] abstraction the experiment runner uses,
-//! resumes from the daemon's recorded progress (safe to re-run after an
-//! interrupted upload), and chunks records over the wire.
+//! `ingest-pcap` reads the capture through [`choir_capture::PcapSource`]
+//! one `Ingest` frame's worth of records at a time and resumes from the
+//! daemon's recorded progress (safe to re-run after an interrupted
+//! upload). A capture with a damaged tail is ingested up to the damage,
+//! then reported (exit 1) with the byte offset where it broke.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
-use choir_capture::{drain_available, PcapSource};
+use choir_capture::PcapSource;
 use choir_core::metrics::Observation;
+use choir_service::client::INGEST_CHUNK;
 use choir_service::{Client, ClientError, Response};
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -88,23 +90,34 @@ fn run(mut c: Client, cmd: &str, rest: &[String]) -> Result<ExitCode, ClientErro
             if seq > 0 {
                 println!("resuming at record {seq}");
             }
-            let mut batch: Vec<Observation> = Vec::new();
-            let mut sent = 0u64;
-            loop {
+            // At most one `Ingest` frame's worth of records is held at a
+            // time, and what was read before a damaged record is ingested
+            // before the damage is reported.
+            let mut batch: Vec<Observation> = Vec::with_capacity(INGEST_CHUNK);
+            let mut read = 0u64;
+            while !src.is_exhausted() {
                 batch.clear();
-                let got = drain_available(&mut src, |o| batch.push(o))
-                    .map_err(|e| ClientError::Daemon(format!("read {path}: {e}")))?;
-                if got == 0 {
-                    break;
+                let mut damage = None;
+                while batch.len() < INGEST_CHUNK {
+                    match src.next_record() {
+                        Ok(Some(o)) => batch.push(o),
+                        Ok(None) => break,
+                        Err(e) => {
+                            damage = Some(e);
+                            break;
+                        }
+                    }
                 }
                 // Skip the prefix the daemon already has (resume).
-                let have = batch.len() as u64;
-                let skip = seq.min(sent + have).saturating_sub(sent);
-                if (skip as usize) < batch.len() {
-                    seq = c.ingest(tenant, stream, seq, &batch[skip as usize..])?;
-                    sent = seq;
-                } else {
-                    sent += have;
+                let skip = seq.saturating_sub(read).min(batch.len() as u64) as usize;
+                read += batch.len() as u64;
+                if skip < batch.len() {
+                    seq = c.ingest(tenant, stream, seq, &batch[skip..])?;
+                }
+                if let Some(e) = damage {
+                    return Err(ClientError::Daemon(format!(
+                        "read {path}: {e}; {tenant}/{stream} now holds {seq} records"
+                    )));
                 }
             }
             println!("{tenant}/{stream}: {seq} records ingested");

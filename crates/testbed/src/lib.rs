@@ -21,7 +21,4 @@ pub mod runner;
 
 pub use multidomain::{run_multidomain, MultiDomainConfig, MultiDomainOutput, MultiDomainProfile};
 pub use profiles::{EnvKind, EnvProfile};
-pub use runner::{
-    sim_stats_report, Experiment, ExperimentConfig, ExperimentOutput, SimTuning, StreamingMode,
-    SupervisorConfig,
-};
+pub use runner::{sim_stats_report, Experiment, ExperimentConfig, ExperimentOutput, SimTuning};

@@ -21,17 +21,10 @@
 //!    the off-diagonal summary quantifies the run-to-run spread §7's run
 //!    lists exhibit.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use choir_capture::{PcapChunkReader, QueueSource, Recorder, RecorderConfig, Source};
+use choir_capture::{Recorder, RecorderConfig};
 use choir_core::metrics::allpairs::{all_pairs_sharded_with, KappaMatrix};
-use choir_core::metrics::report::{RecoveryReport, RunReport, TrialComparison};
-use choir_core::metrics::{
-    trial_label, IncrementalComparison, KappaConfig, Observation, Side, StreamCheckpoint,
-    StreamConfig, StreamOutcome, StreamReport, StreamRunTrail, Trial,
-};
-use choir_core::obs;
+use choir_core::metrics::report::{RunReport, TrialComparison};
+use choir_core::metrics::{KappaConfig, Trial};
 use choir_core::replay::middlebox::{ChoirMiddlebox, MiddleboxConfig};
 use choir_dpdk::ControlMsg;
 use choir_netsim::clock::{NodeClock, PtpModel};
@@ -140,36 +133,29 @@ pub struct ExperimentOutput {
 }
 
 /// One experiment, composed instead of dispatched: what to run
-/// ([`ExperimentConfig`]) plus every orthogonal axis — simulator tuning,
-/// live streaming κ, crash supervision — as chainable builder steps,
-/// mirroring the `PairAnalyzer` redesign (DESIGN.md §12).
+/// ([`ExperimentConfig`]) plus the one orthogonal axis, simulator tuning,
+/// as a chainable builder step, mirroring the `PairAnalyzer` redesign
+/// (DESIGN.md §12).
 ///
 /// ```no_run
-/// use choir_testbed::{EnvKind, Experiment, ExperimentConfig, StreamingMode};
+/// use choir_testbed::{EnvKind, Experiment, ExperimentConfig};
 ///
 /// let cfg = ExperimentConfig::full(EnvKind::LocalSingle.profile());
-/// let out = Experiment::new(cfg)
-///     .streaming(StreamingMode { lookahead: None, snapshot_every: 500 })
-///     .run();
-/// assert!(out.report.stream.is_some());
+/// let out = Experiment::new(cfg).run();
+/// assert_eq!(out.report.runs.len(), out.trials.len() - 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Experiment {
     cfg: ExperimentConfig,
     tuning: SimTuning,
-    streaming: Option<StreamingMode>,
-    supervised: Option<SupervisorConfig>,
 }
 
 impl Experiment {
-    /// An experiment with default tuning, no streaming engine, and no
-    /// crash supervision.
+    /// An experiment with default tuning.
     pub fn new(cfg: ExperimentConfig) -> Self {
         Experiment {
             cfg,
             tuning: SimTuning::default(),
-            streaming: None,
-            supervised: None,
         }
     }
 
@@ -179,302 +165,18 @@ impl Experiment {
         self
     }
 
-    /// Tap a live streaming-κ engine into the recorder's rx path: from
-    /// the second replay run onward, every admitted packet is scored
-    /// against the baseline run *while the simulation executes*, and
-    /// the per-run snapshot trails ride along in `report.stream`.
-    pub fn streaming(mut self, mode: StreamingMode) -> Self {
-        self.streaming = Some(mode);
-        self
-    }
-
-    /// Run the streaming engine under a crash supervisor (checkpoint
-    /// cadence, injected kills and tap panics, capture salvage) —
-    /// meaningful together with [`Self::streaming`]; without it only
-    /// the capture-salvage leg and the recovery accounting engage.
-    pub fn supervised(mut self, sup: SupervisorConfig) -> Self {
-        self.supervised = Some(sup);
-        self
-    }
-
     /// Run the experiment end to end.
     ///
     /// # Panics
     /// Panics, before simulating anything, if `profile.runs < 2`: run A
     /// is the baseline, so one run leaves nothing to compare. Callers
     /// that take the run count from outside validate it where it enters.
-    /// Injected tap panics never escape the supervisor.
     pub fn run(self) -> ExperimentOutput {
-        execute(&self.cfg, self.tuning, self.streaming, self.supervised)
+        execute(&self.cfg, self.tuning)
     }
 }
 
-/// Streaming-κ configuration for [`Experiment::streaming`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamingMode {
-    /// Reorder window for the incremental engine: `None` streams with
-    /// full lookahead (exact, bit-identical to the batch analysis on
-    /// time-ordered trials); `Some(w)` bounds resident packets at `w`.
-    pub lookahead: Option<usize>,
-    /// Emit a [`choir_core::metrics::KappaSnapshot`] every this many
-    /// pushed packets (`0` disables automatic snapshots).
-    pub snapshot_every: u64,
-}
-
-/// Fault schedule and recovery policy for
-/// [`Experiment::supervised`]. The same philosophy as the
-/// PR-1 replay supervision (bounded budgets, degrade-and-count, typed
-/// accounting) applied to the streaming κ engine's lifetime: the
-/// supervisor checkpoints on a cadence, injects process-death and
-/// tap-panic faults on their own cadences, and recovers every one from
-/// the last durable checkpoint plus its journal.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Serialize a durable checkpoint every this many tapped packets
-    /// (`0` = only the initial pre-stream checkpoint).
-    pub checkpoint_every: u64,
-    /// Kill the streaming engine (simulated process death: the live
-    /// state is discarded wholesale) every this many tapped packets.
-    pub kill_every: Option<u64>,
-    /// Throw a panic inside the rx tap every this many tapped packets.
-    /// The supervisor catches it at the tap boundary (`catch_unwind`)
-    /// and recovers exactly as for a kill.
-    pub panic_every: Option<u64>,
-    /// After the runs, export the retained capture to pcap bytes, cut
-    /// them at a seeded offset ([`choir_dpdk::fault::truncate_stream`]),
-    /// and salvage-read the damage, recording salvaged-vs-lost records.
-    pub corrupt_capture_seed: Option<u64>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            checkpoint_every: 256,
-            kill_every: None,
-            panic_every: None,
-            corrupt_capture_seed: None,
-        }
-    }
-}
-
-/// A live comparison between the baseline run (side A, fed from the
-/// already-captured first trial) and the in-flight run (side B, pulled
-/// from a [`choir_capture::Source`] that the recorder-port rx tap
-/// pushes into). This is the same ingestion path the κ-as-a-service
-/// daemon drives — the tap is just one producer behind a
-/// [`QueueHandle`].
-///
-/// A is fed in lock step — one baseline observation per pulled packet —
-/// so bounded-window mode keeps residency near the configured window
-/// instead of buffering one whole side. Any baseline tail left when the
-/// run ends is flushed in [`LiveStream::finish`]; in full-lookahead mode
-/// feeding order cannot affect the result, so the flush preserves
-/// exactness.
-struct LiveStream {
-    eng: IncrementalComparison,
-    baseline: Vec<Observation>,
-    fed_a: usize,
-    src: QueueSource,
-}
-
-impl LiveStream {
-    /// Drain everything the tap has pushed since the last pump.
-    fn pump(&mut self) {
-        while let Ok(Some(o)) = self.src.next_record() {
-            if let Some(&a) = self.baseline.get(self.fed_a) {
-                self.eng.push(Side::A, a.id, a.t_ps);
-                self.fed_a += 1;
-            }
-            self.eng.push(Side::B, o.id, o.t_ps);
-        }
-    }
-
-    fn finish(mut self, label: String) -> StreamOutcome {
-        self.pump();
-        while let Some(&o) = self.baseline.get(self.fed_a) {
-            self.eng.push(Side::A, o.id, o.t_ps);
-            self.fed_a += 1;
-        }
-        self.eng.finalize(label)
-    }
-}
-
-/// A [`LiveStream`] under crash supervision: everything tapped since
-/// the last durable checkpoint is journaled, so when an injected kill
-/// discards the engine (or a tap panic is caught), the supervisor
-/// parses the checkpoint back, resumes, and re-feeds the journal —
-/// landing in a state bit-identical to never having crashed.
-///
-/// "Durable" here means the checkpoint is held only as serialized JSON
-/// bytes, exactly what a real supervisor would have on disk: every
-/// recovery round-trips the full parse path, not just a clone.
-struct SupervisedStream {
-    eng: IncrementalComparison,
-    baseline: Vec<Observation>,
-    fed_a: usize,
-    sup: SupervisorConfig,
-    /// The engine's config and identity, for the checked resume: a
-    /// recovery must refuse a checkpoint that pairs with a different
-    /// engine or config instead of silently computing a wrong κ.
-    cfg: StreamConfig,
-    engine_id: u64,
-    /// Last durable checkpoint (serialized) and the A-side cursor at
-    /// the moment it was taken.
-    ck_json: String,
-    ck_fed_a: usize,
-    /// B-side arrivals since the last checkpoint, oldest first.
-    journal: Vec<(choir_packet::PacketId, u64)>,
-    /// Packets tapped so far (fault cadences count these).
-    tapped: u64,
-    rec: RecoveryReport,
-    src: QueueSource,
-}
-
-impl SupervisedStream {
-    fn new(
-        cfg: StreamConfig,
-        engine_id: u64,
-        baseline: Vec<Observation>,
-        sup: SupervisorConfig,
-        src: QueueSource,
-    ) -> Self {
-        let eng = IncrementalComparison::new(cfg).with_engine_id(engine_id);
-        let ck_json = serde_json::to_string(&eng.checkpoint()).expect("checkpoint serializes");
-        let bytes = ck_json.len() as u64;
-        SupervisedStream {
-            eng,
-            baseline,
-            fed_a: 0,
-            sup,
-            cfg,
-            engine_id,
-            ck_json,
-            ck_fed_a: 0,
-            journal: Vec::new(),
-            tapped: 0,
-            rec: RecoveryReport {
-                checkpoint_every: sup.checkpoint_every,
-                checkpoints_taken: 1,
-                checkpoint_bytes_last: bytes,
-                checkpoint_bytes_peak: bytes,
-                ..RecoveryReport::default()
-            },
-            src,
-        }
-    }
-
-    /// Drain everything the tap has pushed, feeding each record under
-    /// its own blast shield: an injected (or real) panic inside the
-    /// engine never reaches the simulator, it becomes a recovery, and
-    /// the drain continues with the next record.
-    fn pump(&mut self) {
-        while let Ok(Some(o)) = self.src.next_record() {
-            let fed =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.feed(o.id, o.t_ps)));
-            if fed.is_err() {
-                self.recover_from_panic();
-            }
-        }
-    }
-
-    fn due(count: u64, every: Option<u64>) -> bool {
-        matches!(every, Some(n) if n > 0 && count.is_multiple_of(n))
-    }
-
-    /// Feed one tapped packet, then run any fault or checkpoint due at
-    /// this position. May panic at an injected fault point — the caller
-    /// catches at the tap boundary and calls [`Self::recover_from_panic`].
-    fn feed(&mut self, id: choir_packet::PacketId, t_ps: u64) {
-        // Journal before anything can fail: a crash between here and
-        // the engine push must not lose the packet.
-        self.journal.push((id, t_ps));
-        self.tapped += 1;
-        if Self::due(self.tapped, self.sup.panic_every) {
-            panic!("injected tap fault at packet {}", self.tapped);
-        }
-        self.push_pair(id, t_ps);
-        if Self::due(self.tapped, self.sup.kill_every) {
-            self.rec.kills_injected += 1;
-            if obs::is_enabled() {
-                obs::counter_inc("recover.kills");
-                obs::event("recover.kill", self.tapped, self.journal.len() as u64);
-            }
-            self.recover();
-            self.rec.kills_survived += 1;
-        } else if Self::due(self.tapped, Some(self.sup.checkpoint_every)) {
-            self.take_checkpoint();
-        }
-    }
-
-    /// The lock-step A/B feeding of [`LiveStream::on_rx`].
-    fn push_pair(&mut self, id: choir_packet::PacketId, t_ps: u64) {
-        if let Some(&o) = self.baseline.get(self.fed_a) {
-            self.eng.push(Side::A, o.id, o.t_ps);
-            self.fed_a += 1;
-        }
-        self.eng.push(Side::B, id, t_ps);
-    }
-
-    fn take_checkpoint(&mut self) {
-        let json = serde_json::to_string(&self.eng.checkpoint()).expect("checkpoint serializes");
-        self.rec.checkpoints_taken += 1;
-        self.rec.checkpoint_bytes_last = json.len() as u64;
-        self.rec.checkpoint_bytes_peak = self.rec.checkpoint_bytes_peak.max(json.len() as u64);
-        self.ck_json = json;
-        self.ck_fed_a = self.fed_a;
-        self.journal.clear();
-    }
-
-    /// Discard the live engine and rebuild it: parse the durable
-    /// checkpoint, resume, re-feed the journal. The journal is kept —
-    /// it only becomes durable at the next checkpoint, and a second
-    /// crash before then must be able to replay it again.
-    fn recover(&mut self) {
-        let t = std::time::Instant::now();
-        let ck: StreamCheckpoint =
-            serde_json::from_str(&self.ck_json).expect("durable checkpoint parses");
-        // The checked resume: a checkpoint that pairs with another
-        // engine or config is a supervisor bug, not a recovery.
-        self.eng = IncrementalComparison::resume_checked(ck, self.engine_id, &self.cfg)
-            .expect("durable checkpoint pairs with this engine");
-        self.fed_a = self.ck_fed_a;
-        let n = self.journal.len();
-        for i in 0..n {
-            let (id, t_ps) = self.journal[i];
-            self.push_pair(id, t_ps);
-        }
-        self.rec.records_replayed += n as u64;
-        self.rec.resume_latency_ns_total += t.elapsed().as_nanos() as u64;
-        if obs::is_enabled() {
-            obs::counter_add("recover.records_replayed", n as u64);
-        }
-    }
-
-    /// Entry point for the tap-boundary `catch_unwind` handler.
-    fn recover_from_panic(&mut self) {
-        self.rec.tap_panics_caught += 1;
-        if obs::is_enabled() {
-            obs::counter_inc("recover.tap_panics");
-        }
-        self.recover();
-    }
-
-    fn finish(mut self, label: String) -> (StreamOutcome, RecoveryReport) {
-        self.pump();
-        while let Some(&o) = self.baseline.get(self.fed_a) {
-            self.eng.push(Side::A, o.id, o.t_ps);
-            self.fed_a += 1;
-        }
-        (self.eng.finalize(label), self.rec)
-    }
-}
-
-fn execute(
-    cfg: &ExperimentConfig,
-    tuning: SimTuning,
-    streaming: Option<StreamingMode>,
-    supervised: Option<SupervisorConfig>,
-) -> ExperimentOutput {
+fn execute(cfg: &ExperimentConfig, tuning: SimTuning) -> ExperimentOutput {
     let t_capture = std::time::Instant::now();
     let p = &cfg.profile;
     assert!(
@@ -574,14 +276,9 @@ fn execute(
         mbs.push(mb);
     }
 
-    // The salvage leg needs the raw frames back out as pcap bytes.
-    let keep_frames = supervised.is_some_and(|s| s.corrupt_capture_seed.is_some());
     let rec = sim.add_node(
         "recorder",
-        Recorder::new(RecorderConfig {
-            keep_frames,
-            ..RecorderConfig::default()
-        }),
+        Recorder::new(RecorderConfig::default()),
         clock(&mut rng, p),
         p.wake_jitter.clone(),
     );
@@ -640,13 +337,7 @@ fn execute(
     let mut resync = DetRng::derive(cfg.seed, &["resync", label]);
     let margin = 3 * MS;
     let mut raw_trials: Vec<Trial> = Vec::new();
-    let mut stream_trails: Vec<StreamRunTrail> = Vec::new();
-    let mut recovery_acc = RecoveryReport::default();
-    enum TapStream {
-        Plain(Rc<RefCell<Option<LiveStream>>>),
-        Supervised(Rc<RefCell<Option<SupervisedStream>>>),
-    }
-    for run in 0..p.runs {
+    for _ in 0..p.runs {
         // Between-run clock wander: PTP resync on every node, timestamp
         // servo re-steered on the recorder.
         for &node in mbs.iter().chain([gen, rec].iter()) {
@@ -657,69 +348,6 @@ fn execute(
         }
         let slope = (p.ts_slope_sigma_ppb * resync.std_normal()) as i64;
         sim.set_rx_clock_slope(rec, 0, slope);
-
-        // Streaming mode: from the second run onward, score this run
-        // against the baseline capture live, via the recorder's rx tap.
-        // The tap fires on exactly the admitted packets the Recorder
-        // app later drains, with the same hardware timestamps, so the
-        // engine sees the same stream the batch path analyzes.
-        let live: Option<TapStream> = match (streaming, raw_trials.first()) {
-            (Some(mode), Some(baseline)) if run >= 1 => {
-                let stream_cfg = StreamConfig {
-                    lookahead: mode.lookahead,
-                    snapshot_every: mode.snapshot_every,
-                    kappa: KappaConfig::paper(),
-                };
-                // The rx tap is just a producer behind the unified
-                // Source API: it pushes into a QueueHandle, and the
-                // stream pulls — the same ingestion path the
-                // κ-as-a-service daemon drives (DESIGN.md §16).
-                let (src, handle) = QueueSource::new();
-                if let Some(sup) = supervised {
-                    let ss = SupervisedStream::new(
-                        stream_cfg,
-                        run as u64 + 1,
-                        baseline.observations().to_vec(),
-                        sup,
-                        src,
-                    );
-                    let cell = Rc::new(RefCell::new(Some(ss)));
-                    let tap_cell = Rc::clone(&cell);
-                    sim.set_rx_tap(
-                        rec,
-                        0,
-                        Box::new(move |ts, m| {
-                            handle.push(m.frame.packet_id(), ts);
-                            if let Some(ss) = tap_cell.borrow_mut().as_mut() {
-                                ss.pump();
-                            }
-                        }),
-                    );
-                    Some(TapStream::Supervised(cell))
-                } else {
-                    let ls = LiveStream {
-                        eng: IncrementalComparison::new(stream_cfg),
-                        baseline: baseline.observations().to_vec(),
-                        fed_a: 0,
-                        src,
-                    };
-                    let cell = Rc::new(RefCell::new(Some(ls)));
-                    let tap_cell = Rc::clone(&cell);
-                    sim.set_rx_tap(
-                        rec,
-                        0,
-                        Box::new(move |ts, m| {
-                            handle.push(m.frame.packet_id(), ts);
-                            if let Some(ls) = tap_cell.borrow_mut().as_mut() {
-                                ls.pump();
-                            }
-                        }),
-                    );
-                    Some(TapStream::Plain(cell))
-                }
-            }
-            _ => None,
-        };
 
         let start_wall_ns = (sim.now_ps() + margin) / 1_000;
         let mut max_skew_ps: u64 = 0;
@@ -737,33 +365,7 @@ fn execute(
         }
         let end = sim.now_ps() + margin + duration + margin + max_skew_ps;
         sim.run_until(end);
-        if let Some(tap) = live {
-            sim.clear_rx_tap(rec, 0);
-            let run_label = trial_label(run);
-            let out = match tap {
-                TapStream::Plain(cell) => {
-                    let ls = cell.borrow_mut().take().expect("live stream installed");
-                    ls.finish(run_label.clone())
-                }
-                TapStream::Supervised(cell) => {
-                    let ss = cell.borrow_mut().take().expect("supervised stream installed");
-                    let (out, run_recovery) = ss.finish(run_label.clone());
-                    recovery_acc.absorb(&run_recovery);
-                    out
-                }
-            };
-            stream_trails.push(StreamRunTrail {
-                label: run_label,
-                final_kappa: out.comparison.metrics.kappa,
-                peak_resident: out.peak_resident,
-                evicted: out.evicted,
-                bounds: Some(out.bounds),
-                missed_matches: out.missed_matches,
-                snapshots: out.snapshots,
-            });
-        }
-        // Harvest this run's capture immediately (cut + drain); the
-        // streaming tap needs run A materialized before run B starts.
+        // Harvest this run's capture (cut + drain) before the next starts.
         let mut cut = sim.with_app::<Recorder, _>(rec, |r| r.take_trials());
         raw_trials.append(&mut cut);
     }
@@ -800,50 +402,6 @@ fn execute(
         .with_sim_stats(sim_stats_report(&sim_stats));
     if let Some(summary) = matrix.summary() {
         report = report.with_matrix(summary);
-    }
-    if let Some(mode) = streaming {
-        report = report.with_stream(StreamReport {
-            lookahead: mode.lookahead,
-            snapshot_every: mode.snapshot_every,
-            runs: stream_trails,
-        });
-    }
-    if let Some(sup) = supervised {
-        // Salvage leg: export the retained capture, cut it at a seeded
-        // offset, and count what the journaled chunk reader gets back.
-        if let Some(seed) = sup.corrupt_capture_seed {
-            let mut bytes = sim.with_app::<Recorder, _>(rec, |r| {
-                let mut v = Vec::new();
-                r.write_pcap(&mut v).expect("in-memory pcap export");
-                v
-            });
-            let total = choir_packet::pcap::parse_pcap(&bytes)
-                .map(|rs| rs.len() as u64)
-                .unwrap_or(0);
-            choir_dpdk::fault::truncate_stream(&mut bytes, seed, 24);
-            let mut salvaged = 0u64;
-            if let Ok(mut rd) = PcapChunkReader::new(&bytes[..], 256) {
-                loop {
-                    match rd.next_chunk() {
-                        Ok(Some(chunk)) => salvaged += chunk.len() as u64,
-                        Ok(None) => break,
-                        // Salvage mode: the failed chunk's good prefix
-                        // still counts; errors are terminal.
-                        Err(e) => {
-                            salvaged += e.salvaged.len() as u64;
-                            break;
-                        }
-                    }
-                }
-            }
-            recovery_acc.salvaged_records = salvaged;
-            recovery_acc.lost_records = total - salvaged;
-            if obs::is_enabled() {
-                obs::counter_add("recover.salvaged_records", salvaged);
-                obs::counter_add("recover.lost_records", total - salvaged);
-            }
-        }
-        report = report.with_recovery(recovery_acc);
     }
     // `with_obs` drops empty snapshots, so this is a no-op unless the
     // caller configured the obs layer before running the experiment.
@@ -939,180 +497,6 @@ mod tests {
         assert_eq!(out.report.runs[1].label, "C");
         // Stage timings were recorded for real work.
         assert!(out.matrix.total_timings().total_ns() > 0);
-    }
-
-    #[test]
-    fn streaming_mode_matches_batch_kappa_bitwise() {
-        let mut profile = EnvKind::LocalSingle.profile();
-        profile.runs = 3;
-        let cfg = ExperimentConfig {
-            profile,
-            scale: 0.001,
-            seed: 7,
-        };
-        let out = Experiment::new(cfg.clone())
-            .streaming(StreamingMode {
-                lookahead: None,
-                snapshot_every: 500,
-            })
-            .run();
-        let stream = out.report.stream.as_ref().expect("stream trail attached");
-        assert_eq!(stream.lookahead, None);
-        assert_eq!(stream.snapshot_every, 500);
-        assert_eq!(stream.runs.len(), out.report.runs.len());
-        // Raw-timestamp streaming is bit-identical to the batch analysis
-        // of the re-zeroed trials only when each trial is time-ordered
-        // (the uniform first-arrival shift then cancels in every
-        // component); LocalSingle captures are, and the batch runs come
-        // rezeroed out of the pipeline, so the gate is exact.
-        assert!(out.trials.iter().all(|t| t.is_time_ordered()));
-        for (trail, run) in stream.runs.iter().zip(out.report.runs.iter()) {
-            assert_eq!(trail.label, run.label);
-            assert_eq!(
-                trail.final_kappa.to_bits(),
-                run.metrics.kappa.to_bits(),
-                "streaming κ must match batch κ bitwise for run {}",
-                run.label
-            );
-            assert!(!trail.snapshots.is_empty(), "cadence produced snapshots");
-            assert_eq!(trail.evicted, 0, "full lookahead never evicts");
-            assert!(trail.peak_resident > 0);
-        }
-        // Streaming is an observer: trials and batch report are
-        // unchanged vs the plain tuned run.
-        let plain = Experiment::new(cfg).run();
-        assert_eq!(plain.trials, out.trials);
-    }
-
-    /// The crash-tolerance sweep: checkpoint cadence x kill density, tap
-    /// panics throughout, the retained capture cut at a seeded offset.
-    #[test]
-    fn supervised_streaming_survives_kills_and_panics_bit_identically() {
-        let mut profile = EnvKind::LocalSingle.profile();
-        profile.runs = 3;
-        let cfg = ExperimentConfig {
-            profile,
-            scale: 0.001,
-            seed: 7,
-        };
-        let mode = StreamingMode {
-            lookahead: None,
-            snapshot_every: 137,
-        };
-        let unsupervised = Experiment::new(cfg.clone()).streaming(mode).run();
-        let u = unsupervised.report.stream.as_ref().expect("stream trail");
-        // Every admitted packet of runs B.. passes the tap once.
-        let tapped: u64 = unsupervised.trials[1..].iter().map(|t| t.len() as u64).sum();
-        let panic_every = 457;
-        let mut export_total = None;
-
-        for (ci, checkpoint_every) in [32u64, 128, 512].into_iter().enumerate() {
-            for (ki, kill_every) in [None, Some(383u64), Some(101)].into_iter().enumerate() {
-                let cell = format!("checkpoint every {checkpoint_every}, kill every {kill_every:?}");
-                let sup = SupervisorConfig {
-                    checkpoint_every,
-                    kill_every,
-                    panic_every: Some(panic_every),
-                    corrupt_capture_seed: Some(cfg.seed ^ (ci * 3 + ki + 1) as u64),
-                };
-                let out = Experiment::new(cfg.clone()).streaming(mode).supervised(sup).run();
-
-                // Every fault fired, was survived, and none escaped (an
-                // escaped panic would have failed this test).
-                let rec = out.report.recovery.expect("recovery report attached");
-                assert_eq!(rec.kills_survived, rec.kills_injected, "{cell}: every kill survived");
-                match kill_every {
-                    None => assert_eq!(rec.kills_injected, 0, "{cell}"),
-                    Some(k) => {
-                        // A tap that panics unwinds before its own kill
-                        // check, so each caught panic can absorb one
-                        // scheduled kill, and each run's tap counter
-                        // restarts from zero.
-                        let floor = (tapped / k)
-                            .saturating_sub(rec.tap_panics_caught + cfg.profile.runs as u64);
-                        assert!(
-                            rec.kills_injected >= floor.max(1),
-                            "{cell}: {} kills over {tapped} taps (floor {floor})",
-                            rec.kills_injected
-                        );
-                        assert!(rec.records_replayed > 0, "{cell}: recoveries replay the journal");
-                    }
-                }
-                assert!(rec.tap_panics_caught > 0, "{cell}: panic cadence must have fired");
-                assert!(rec.checkpoints_taken > 1, "{cell}: cadence checkpoints were taken");
-                assert!(rec.checkpoint_bytes_peak >= rec.checkpoint_bytes_last);
-                assert!(rec.checkpoint_bytes_last > 0);
-
-                // The hard contract: kills, panics, and recoveries are
-                // invisible in the measurement — final κ AND the whole
-                // snapshot trail are bit-identical to the uninterrupted
-                // streaming run.
-                let s = out.report.stream.as_ref().expect("stream trail");
-                assert_eq!(s.runs.len(), u.runs.len());
-                for (a, b) in s.runs.iter().zip(u.runs.iter()) {
-                    assert_eq!(a.label, b.label);
-                    assert_eq!(
-                        a.final_kappa.to_bits(),
-                        b.final_kappa.to_bits(),
-                        "{cell}: supervised κ must be bit-identical for run {}",
-                        a.label
-                    );
-                    assert_eq!(a.peak_resident, b.peak_resident);
-                    assert_eq!(a.evicted, b.evicted);
-                    assert_eq!(a.snapshots.len(), b.snapshots.len(), "{cell}: trail length");
-                    for (x, y) in a.snapshots.iter().zip(b.snapshots.iter()) {
-                        assert_eq!((x.seen_a, x.seen_b, x.common), (y.seen_a, y.seen_b, y.common));
-                        assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits(), "{cell}");
-                        assert_eq!(
-                            x.window.metrics.kappa.to_bits(),
-                            y.window.metrics.kappa.to_bits()
-                        );
-                    }
-                }
-                // Trials themselves are untouched by supervision.
-                assert_eq!(out.trials, unsupervised.trials, "{cell}");
-
-                // Salvage leg: the corrupted capture still yielded its
-                // prefix, out of the same export in every cell.
-                assert!(rec.salvaged_records > 0, "{cell}: salvage recovered a prefix");
-                let total = rec.salvaged_records + rec.lost_records;
-                assert_eq!(*export_total.get_or_insert(total), total, "{cell}: export size");
-            }
-        }
-    }
-
-    #[test]
-    fn supervisor_with_no_faults_is_accounting_only() {
-        let mut profile = EnvKind::LocalSingle.profile();
-        profile.runs = 2;
-        let cfg = ExperimentConfig {
-            profile,
-            scale: 0.001,
-            seed: 21,
-        };
-        let mode = StreamingMode {
-            lookahead: Some(64),
-            snapshot_every: 200,
-        };
-        let out = Experiment::new(cfg.clone())
-            .streaming(mode)
-            .supervised(SupervisorConfig {
-                checkpoint_every: 128,
-                ..SupervisorConfig::default()
-            })
-            .run();
-        let rec = out.report.recovery.expect("recovery report attached");
-        assert_eq!(rec.kills_injected, 0);
-        assert_eq!(rec.tap_panics_caught, 0);
-        assert_eq!(rec.records_replayed, 0);
-        assert!(rec.checkpoints_taken > 1);
-        // Bounded-mode streaming still matches the unsupervised run.
-        let plain = Experiment::new(cfg).streaming(mode).run();
-        let a = &out.report.stream.as_ref().unwrap().runs;
-        let b = &plain.report.stream.as_ref().unwrap().runs;
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.final_kappa.to_bits(), y.final_kappa.to_bits());
-        }
     }
 
     /// Full scale: were the check still after the simulation, this test

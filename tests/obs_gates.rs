@@ -1,17 +1,16 @@
 //! The observability layer's two contracts (DESIGN.md §11): it is
-//! invisible in every result — captures, all-pairs κ, streaming κ and
-//! supervised recovery are bit-identical with the layer off, configured
-//! but disabled, and enabled — and with the switch off it costs nothing
-//! measurable. This lives in its own integration-test binary because
+//! invisible in every result — captures, all-pairs κ and streaming κ
+//! are bit-identical with the layer off, configured but disabled, and
+//! enabled — and with the switch off it costs nothing measurable. This lives in its own integration-test binary because
 //! the obs registry and its switch are process globals; the two tests
 //! here take one lock for the same reason.
 
 use std::sync::{Mutex, MutexGuard};
 
 use choir::core::obs;
-use choir::testbed::{
-    EnvKind, Experiment, ExperimentConfig, ExperimentOutput, StreamingMode, SupervisorConfig,
-};
+use choir::metrics::stream::{IncrementalComparison, Side, StreamConfig, StreamOutcome};
+use choir::metrics::KappaConfig;
+use choir::testbed::{EnvKind, Experiment, ExperimentConfig, ExperimentOutput};
 
 /// Hold the process-global layer exclusively, starting switched off and
 /// empty whatever a previous (possibly failed) holder left behind.
@@ -33,10 +32,49 @@ fn local_single(runs: usize, scale: f64) -> ExperimentConfig {
     }
 }
 
-/// Everything an experiment reports that obs could conceivably perturb:
-/// the captures byte for byte, every cell of the sharded all-pairs
-/// matrix, and the streaming engine's final κ and snapshot trail.
-fn assert_same_results(got: &ExperimentOutput, plain: &ExperimentOutput, what: &str) {
+/// Run A against each later run through the streaming engine, fed in
+/// lock step (one baseline observation per arrival).
+fn stream_runs(out: &ExperimentOutput) -> Vec<StreamOutcome> {
+    let cfg = StreamConfig {
+        lookahead: None,
+        snapshot_every: 137,
+        kappa: KappaConfig::paper(),
+    };
+    let a = out.trials[0].observations();
+    out.trials[1..]
+        .iter()
+        .map(|t| {
+            let b = t.observations();
+            let mut eng = IncrementalComparison::new(cfg);
+            for i in 0..a.len().max(b.len()) {
+                if let Some(o) = a.get(i) {
+                    eng.push(Side::A, o.id, o.t_ps);
+                }
+                if let Some(o) = b.get(i) {
+                    eng.push(Side::B, o.id, o.t_ps);
+                }
+            }
+            eng.finalize("stream")
+        })
+        .collect()
+}
+
+/// One experiment and the streaming comparison of its trials, both under
+/// whatever state the obs layer is in.
+fn run_and_stream(cfg: &ExperimentConfig) -> (ExperimentOutput, Vec<StreamOutcome>) {
+    let out = Experiment::new(cfg.clone()).run();
+    let streams = stream_runs(&out);
+    (out, streams)
+}
+
+/// Everything obs could conceivably perturb: the captures byte for byte,
+/// every cell of the sharded all-pairs matrix, and the streaming
+/// engine's final κ and snapshot trail.
+fn assert_same_results(
+    (got, s): &(ExperimentOutput, Vec<StreamOutcome>),
+    (plain, u): &(ExperimentOutput, Vec<StreamOutcome>),
+    what: &str,
+) {
     assert_eq!(got.trials, plain.trials, "{what}: captures");
     assert_eq!(got.matrix.cells.len(), plain.matrix.cells.len());
     for (x, y) in got.matrix.cells.iter().zip(&plain.matrix.cells) {
@@ -55,25 +93,20 @@ fn assert_same_results(got: &ExperimentOutput, plain: &ExperimentOutput, what: &
             );
         }
     }
-    let (s, u) = (
-        got.report.stream.as_ref().expect("stream trail"),
-        plain.report.stream.as_ref().expect("stream trail"),
-    );
-    assert_eq!(s.runs.len(), u.runs.len());
-    for (a, b) in s.runs.iter().zip(&u.runs) {
+    assert_eq!(s.len(), u.len());
+    for (run, (a, b)) in s.iter().zip(u).enumerate() {
         assert_eq!(
-            a.final_kappa.to_bits(),
-            b.final_kappa.to_bits(),
-            "{what}: streaming κ of run {}",
-            a.label
+            a.comparison.metrics.kappa.to_bits(),
+            b.comparison.metrics.kappa.to_bits(),
+            "{what}: streaming κ of run {run}"
         );
+        assert!(!a.snapshots.is_empty(), "cadence produced snapshots");
         assert_eq!(a.snapshots.len(), b.snapshots.len(), "{what}: trail length");
         for (x, y) in a.snapshots.iter().zip(&b.snapshots) {
             assert_eq!(
                 x.running.kappa.to_bits(),
                 y.running.kappa.to_bits(),
-                "{what}: snapshot κ of run {}",
-                a.label
+                "{what}: snapshot κ of run {run}"
             );
         }
     }
@@ -83,40 +116,22 @@ fn assert_same_results(got: &ExperimentOutput, plain: &ExperimentOutput, what: &
 fn obs_never_changes_a_result() {
     let _obs = obs_exclusive();
     let cfg = local_single(3, 0.001);
-    let mode = StreamingMode {
-        lookahead: None,
-        snapshot_every: 137,
-    };
-    let streamed = || Experiment::new(cfg.clone()).streaming(mode);
-    let plain = streamed().run();
+    let plain = run_and_stream(&cfg);
 
     obs::configure(&obs::ObsConfig {
         enabled: false,
         ring_capacity: 4096,
     });
-    assert_same_results(&streamed().run(), &plain, "obs disabled");
+    assert_same_results(&run_and_stream(&cfg), &plain, "obs disabled");
 
     obs::set_enabled(true);
-    assert_same_results(&streamed().run(), &plain, "obs enabled");
-    let supervised = streamed()
-        .supervised(SupervisorConfig {
-            checkpoint_every: 128,
-            kill_every: Some(101),
-            panic_every: Some(457),
-            corrupt_capture_seed: Some(cfg.seed),
-        })
-        .run();
-    assert_same_results(&supervised, &plain, "obs enabled, supervised recovery");
+    assert_same_results(&run_and_stream(&cfg), &plain, "obs enabled");
     let snap = obs::snapshot();
     obs::set_enabled(false);
 
-    // The enabled passes really ran instrumented: each path under test
+    // The enabled pass really ran instrumented: each path under test
     // left its counters behind.
-    for name in [
-        "allpairs.pairs_analyzed",
-        "stream.full.packets_in",
-        "recover.kills",
-    ] {
+    for name in ["allpairs.pairs_analyzed", "stream.full.packets_in"] {
         assert!(
             snap.counter(name).is_some_and(|v| v > 0),
             "{name} never counted"

@@ -11,14 +11,14 @@
 //! gate only realistic trials make meaningful: bounded κ within ε of
 //! batch when fed in arrival order.
 
-use choir::capture::PcapChunkReader;
+use choir::capture::{drain_available, PcapSource};
 use choir::metrics::pair::PairAnalyzer;
 use choir::metrics::report::TrialComparison;
 use choir::metrics::stream::{
     IncrementalComparison, Side, StreamCheckpoint, StreamConfig, StreamOutcome,
 };
 use choir::metrics::{KappaConfig, Trial};
-use choir::packet::pcap::{parse_pcap, PcapRecord, PCAP_NS_MAGIC};
+use choir::packet::pcap::{parse_pcap, PCAP_NS_MAGIC};
 use choir::packet::PacketId;
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
 use proptest::prelude::*;
@@ -59,8 +59,7 @@ fn stream_pair(a: &Trial, b: &Trial, cfg: StreamConfig, chunk: usize) -> StreamO
     eng.finalize("stream")
 }
 
-/// The crash boundary the supervised runner crosses: the whole
-/// checkpoint as JSON.
+/// `StreamCheckpoint`'s serde form: the whole checkpoint as JSON.
 fn ship_json(ck: StreamCheckpoint) -> StreamCheckpoint {
     let json = serde_json::to_string(&ck).expect("checkpoint serializes");
     serde_json::from_str(&json).expect("checkpoint parses")
@@ -505,12 +504,12 @@ proptest! {
             1..24,
         ),
         cut_sel in any::<usize>(),
-        chunk in 1usize..48,
     ) {
         // A valid nanosecond pcap cut at an arbitrary byte offset past
-        // the global header: salvage-mode chunked reading must recover
+        // the global header: reading record at a time must deliver
         // exactly the records a batch parse of the intact capture puts
-        // before the cut — no record lost, none invented, none mangled.
+        // before the cut — no record lost, none invented, none mangled —
+        // and then say where it broke.
         let bytes = ns_pcap(&recs);
         let full = parse_pcap(&bytes).expect("intact capture parses");
         prop_assert_eq!(full.len(), recs.len());
@@ -519,38 +518,37 @@ proptest! {
         // Expected salvage: whole records lying entirely before the cut,
         // counted from the known record sizes (never from a parser).
         let mut expected = 0usize;
-        let mut off = 24usize;
+        let mut off_expected = 24usize;
         for (_, data) in &recs {
-            off += 16 + data.len();
-            if off > cut {
+            if off_expected + 16 + data.len() > cut {
                 break;
             }
+            off_expected += 16 + data.len();
             expected += 1;
         }
 
-        let mut salvaged: Vec<PcapRecord> = Vec::new();
-        let mut reader = PcapChunkReader::new(&bytes[..cut], chunk).expect("header intact");
-        loop {
-            match reader.next_chunk() {
-                Ok(Some(batch)) => salvaged.extend(batch),
-                Ok(None) => break,
-                Err(e) => {
-                    salvaged.extend(e.salvaged);
-                    break;
-                }
-            }
-        }
+        let mut salvaged = Trial::new();
+        let mut src = PcapSource::new(&bytes[..cut]).expect("header intact");
+        let end = drain_available(&mut src, |o| salvaged.push(o.id, o.t_ps));
         prop_assert_eq!(
             salvaged.len(), expected,
             "cut at byte {} of {}", cut, bytes.len()
         );
-        prop_assert_eq!(&salvaged[..], &full[..expected]);
+        prop_assert_eq!(salvaged, Trial::from_pcap_records(&full[..expected]));
+        // A cut on a record boundary is a clean (shorter) capture; any
+        // other cut is reported at the start of the record it fell in.
+        let broke_at = format!("record {expected} (byte offset {off_expected})");
+        prop_assert_eq!(
+            end.as_ref().err().map(|e| e.to_string().contains(&broke_at)),
+            (cut != off_expected).then_some(true),
+            "{:?}", end
+        );
     }
 }
 
 /// Assemble a little-endian nanosecond-resolution pcap byte stream from
-/// `(ts_ns, frame bytes)` pairs — the layout `parse_pcap` and the chunk
-/// reader both consume.
+/// `(ts_ns, frame bytes)` pairs — the layout `parse_pcap` and
+/// `PcapSource` both consume.
 fn ns_pcap(recs: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + recs.iter().map(|(_, d)| 16 + d.len()).sum::<usize>());
     let w32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
