@@ -19,10 +19,9 @@ use std::process::ExitCode;
 
 use choir_bench::fmt::sci;
 use choir_core::metrics::gapreplay::gapreplay_metrics;
-use choir_core::metrics::report::analyze;
 use choir_core::metrics::reorder::reorder_profile;
 use choir_core::metrics::windowed::{windowed_kappa, worst_window};
-use choir_core::metrics::{Matching, Trial};
+use choir_core::metrics::{Matching, PairAnalyzer, PairScratch, Trial, TrialIndex};
 use choir_packet::pcap::read_pcap;
 
 fn load_trial(path: &str) -> Result<Trial, String> {
@@ -31,53 +30,86 @@ fn load_trial(path: &str) -> Result<Trial, String> {
     Ok(Trial::from_pcap_records(&records).rezeroed())
 }
 
-fn main() -> ExitCode {
-    let mut paths: Vec<String> = Vec::new();
-    let mut windows: Option<usize> = None;
-    let mut spacing: Option<usize> = None;
-    let mut obs_on = false;
-    let mut args = std::env::args().skip(1);
+const USAGE: &str =
+    "usage: choir-analyze <baseline.pcap> <run.pcap>... [--windows N] [--spacing K] [--obs]";
+
+#[derive(Debug)]
+struct Opts {
+    paths: Vec<String>,
+    windows: Option<usize>,
+    spacing: Option<usize>,
+    obs: bool,
+}
+
+/// Everything after the program name. A flag value is checked where it
+/// enters: `--windows 0` would ask for no windows and `--spacing 0` for a
+/// profile with no spacings, so zero is refused like any non-number.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    fn positive(value: Option<String>, flag: &str) -> Result<usize, String> {
+        value
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("{flag} needs a positive integer"))
+    }
+    let mut o = Opts {
+        paths: Vec::new(),
+        windows: None,
+        spacing: None,
+        obs: false,
+    };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--obs" => obs_on = true,
-            "--windows" => {
-                windows = args.next().and_then(|v| v.parse().ok());
-                if windows.is_none() {
-                    eprintln!("--windows needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            }
-            "--spacing" => {
-                spacing = args.next().and_then(|v| v.parse().ok());
-                if spacing.is_none() {
-                    eprintln!("--spacing needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            }
-            other => paths.push(other.to_string()),
+            "--obs" => o.obs = true,
+            "--windows" => o.windows = Some(positive(args.next(), "--windows")?),
+            "--spacing" => o.spacing = Some(positive(args.next(), "--spacing")?),
+            other => o.paths.push(other.to_string()),
         }
     }
-    if paths.len() < 2 {
-        eprintln!(
-            "usage: choir-analyze <baseline.pcap> <run.pcap>... [--windows N] [--spacing K] [--obs]"
-        );
-        return ExitCode::from(2);
+    if o.paths.len() < 2 {
+        return Err(USAGE.to_string());
     }
-    if obs_on {
+    Ok(o)
+}
+
+fn main() -> ExitCode {
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    if opts.obs {
         choir_core::obs::configure(&choir_core::obs::ObsConfig {
             enabled: true,
             ring_capacity: 4096,
         });
         choir_core::obs::set_enabled(true);
     }
+    if let Err(e) = score(&opts) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
+    if opts.obs {
+        println!();
+        print!(
+            "{}",
+            choir_bench::fmt::render_obs(&choir_core::obs::snapshot())
+        );
+    }
+    ExitCode::SUCCESS
+}
 
-    let baseline = match load_trial(&paths[0]) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn index<'t>(path: &str, trial: &'t Trial) -> Result<TrialIndex<'t>, String> {
+    TrialIndex::build(trial).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Score every run against the baseline through the production pipeline:
+/// the baseline is indexed once for all its runs, each run once, and one
+/// workspace serves every pair.
+fn score(opts: &Opts) -> Result<(), String> {
+    let (paths, windows, spacing) = (&opts.paths, opts.windows, opts.spacing);
+    let baseline = load_trial(&paths[0])?;
     println!(
         "baseline {}: {} packets over {:.3} ms",
         paths[0],
@@ -85,15 +117,14 @@ fn main() -> ExitCode {
         baseline.span_ps() as f64 / 1e9
     );
 
+    let baseline_index = index(&paths[0], &baseline)?;
+    let mut scratch = PairScratch::new();
     for path in &paths[1..] {
-        let run = match load_trial(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let cmp = analyze(path.as_str(), &baseline, &run);
+        let run = load_trial(path)?;
+        let run_index = index(path, &run)?;
+        let cmp = PairAnalyzer::from_indexes(&baseline_index, &run_index)
+            .label(path.as_str())
+            .analyze_with_scratch(&mut scratch);
         println!("\n== {path} vs baseline ==");
         println!(
             "  packets {} | common {} | missing {} | extra {} | moved {}",
@@ -175,14 +206,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if obs_on {
-        println!();
-        print!(
-            "{}",
-            choir_bench::fmt::render_obs(&choir_core::obs::snapshot())
-        );
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
@@ -211,6 +235,20 @@ mod tests {
         let mut t = Trial::new();
         drain_available(&mut PcapSource::new(file).unwrap(), |o| t.push(o.id, o.t_ps)).unwrap();
         t
+    }
+
+    #[test]
+    fn zero_windows_and_zero_spacing_are_refused_where_they_enter() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
+        let o = parse(&["a.pcap", "b.pcap", "--windows", "4", "--spacing", "2"]).unwrap();
+        assert_eq!((o.paths.len(), o.windows, o.spacing, o.obs), (2, Some(4), Some(2), false));
+        for flag in ["--windows", "--spacing"] {
+            for bad in [&[flag, "0"][..], &[flag, "-1"], &[flag, "x"], &[flag]] {
+                let e = parse(&[&["a.pcap", "b.pcap"], bad].concat()).unwrap_err();
+                assert_eq!(e, format!("{flag} needs a positive integer"));
+            }
+        }
+        assert_eq!(parse(&["only.pcap", "--obs"]).unwrap_err(), USAGE);
     }
 
     #[test]

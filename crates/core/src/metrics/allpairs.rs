@@ -21,7 +21,8 @@
 //! - **Arena kernels** — the matching/latency/IAT/ordering/histogram
 //!   stages stream the arena with autovectorization-friendly inner loops
 //!   (split-lane `u64` accumulation instead of `u128` adds, branchless
-//!   histogram binning, bit-pattern percentile sorts). Every kernel is
+//!   histogram binning, bit-pattern percentile selection), and leave early
+//!   on a pair that kept its order (DESIGN.md §15.5). Every kernel is
 //!   bit-identical to the uncached reference implementations — same
 //!   arithmetic values in the same order.
 //! - **A cache-blocked bounded worker pool** — at most `shards` worker
@@ -178,8 +179,8 @@ impl<'t> TrialIndex<'t> {
 
         // Pass 1: assign group ids through the open-addressed table,
         // record each position's occurrence rank and group.
-        let mut ids: Vec<PacketId> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
+        let mut ids: Vec<PacketId> = Vec::with_capacity(n);
+        let mut counts: Vec<u32> = Vec::with_capacity(n);
         let mut group_of: Vec<u32> = Vec::with_capacity(n);
         for (i, o) in trial.observations().iter().enumerate() {
             let mut slot = hash_id(o.id) as usize & table_mask;
@@ -551,7 +552,7 @@ pub fn all_pairs_blocked_with(
     let block_range = |b: usize| (b * block, ((b + 1) * block).min(n));
     let analyze_cell = |i: usize, j: usize, scratch: &mut PairScratch| {
         PairAnalyzer::from_indexes(&indexes[i], &indexes[j])
-            .label(format!("{}-{}", labels[i], labels[j]))
+            .label(String::new())
             .config(*cfg)
             .analyze_with_scratch(scratch)
     };
@@ -564,7 +565,7 @@ pub fn all_pairs_blocked_with(
         pair_wall_ns: 0,
         block_size: block,
     };
-    let cells: Vec<TrialComparison> = if workers <= 1 {
+    let mut cells: Vec<TrialComparison> = if workers <= 1 {
         let _s = obs::span("pairs");
         let mut scratch = PairScratch::new();
         let mut slots: Vec<Option<TrialComparison>> = Vec::new();
@@ -642,6 +643,16 @@ pub fn all_pairs_blocked_with(
             .map(|c| c.expect("every pair computed"))
             .collect()
     };
+    // Cells come back unlabelled and are named here, by the caller. A
+    // label written by a worker is a few bytes from that worker's malloc
+    // arena which the caller frees: the caller's next small `Vec` starts
+    // in that chunk, and whatever it grows to is then held by the arena
+    // of a thread that has exited (seen: a daemon's 9.6 MB checkpoint
+    // buffer, peak RSS ± 18 MB from one session to the next).
+    let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+    for (cell, (i, j)) in cells.iter_mut().zip(pairs) {
+        cell.label = format!("{}-{}", labels[i], labels[j]);
+    }
     stats.pair_wall_ns = t_pairs.elapsed().as_nanos() as u64;
 
     let matrix = KappaMatrix { labels, cells };
@@ -729,7 +740,7 @@ mod tests {
     fn assert_kernels_agree(a: &Trial, b: &Trial) {
         let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
         let m = Matching::build(a, b);
-        let arena = matching_arena(&ia, &ib);
+        let arena = matching_arena(&ia, &ib, Vec::new());
         assert_eq!((&arena.pairs, arena.a_len, arena.b_len), (&m.pairs, m.a_len, m.b_len));
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         let mut deltas = Vec::new();

@@ -86,21 +86,45 @@ impl Matching {
 /// precomputed `occ` rank) pairs with A's k-th occurrence (the k-th entry
 /// of A's group extent), so the whole scan is one table probe plus two
 /// flat-slice reads per B packet — no per-pair allocation at all.
-pub(crate) fn matching_arena(a: &TrialIndex<'_>, b: &TrialIndex<'_>) -> Matching {
-    let mut pairs = Vec::with_capacity(a.len().min(b.len()));
+///
+/// A replay that kept its order skips even the probe. When every identity
+/// of A is unique, a B packet of occurrence rank 0 can only pair with the
+/// one A position holding its identity, so if the A observation right
+/// after the last match (`hint`) holds it, that position *is* the pair
+/// the probe would return. A drop, an extra or a block boundary misses
+/// the hint, probes once, and re-seeds it. A B-side duplicate (`occ > 0`)
+/// has no partner in a unique A and must not take the hint: the rank
+/// guard decides, as `k < e - s` does below.
+///
+/// `pairs` is the caller's buffer (cleared here), so a worker's matching
+/// lives in its [`super::pair::PairScratch`] across pairs.
+pub(crate) fn matching_arena(
+    a: &TrialIndex<'_>,
+    b: &TrialIndex<'_>,
+    mut pairs: Vec<MatchedPair>,
+) -> Matching {
+    pairs.clear();
+    pairs.reserve(a.len().min(b.len()));
     let a_pos = a.positions();
     let a_start = a.group_start();
     let b_occ = b.occ();
+    let a_obs = a.trial().observations();
+    let unique_a = a.groups() == a.len();
+    let mut hint = 0usize;
     for (j, o) in b.trial().observations().iter().enumerate() {
+        if unique_a && b_occ[j] == 0 && a_obs.get(hint).is_some_and(|x| x.id == o.id) {
+            pairs.push(MatchedPair { a_idx: hint, b_idx: j });
+            hint += 1;
+            continue;
+        }
         if let Some(g) = a.find(o.id) {
             let s = a_start[g as usize] as usize;
             let e = a_start[g as usize + 1] as usize;
             let k = b_occ[j] as usize;
             if k < e - s {
-                pairs.push(MatchedPair {
-                    a_idx: a_pos[s + k] as usize,
-                    b_idx: j,
-                });
+                let a_idx = a_pos[s + k] as usize;
+                pairs.push(MatchedPair { a_idx, b_idx: j });
+                hint = a_idx + 1;
             }
         }
     }

@@ -297,9 +297,18 @@ pub struct OrderScratch {
 /// query/update/best tie-break rules are copied verbatim from
 /// `lis_membership`, so the selected subsequence — not just its length —
 /// is identical.
+///
+/// A replay that kept its order leaves before any of that: pairs are in
+/// B order, so `a_idx` strictly increasing along them (vacuously so for
+/// fewer than two) makes `seq` the identity permutation, whose only
+/// maximal increasing subsequence is all of it — no moved packet, an
+/// empty edit script. One linear scan says so (and stops at the first
+/// inversion of a reordered pair). A
+/// partly ordered pair is not split into blocks: tie-equal LISes could
+/// pick different displacement lists than the whole-sequence kernel.
 pub(crate) fn ordering_arena(m: &Matching, s: &mut OrderScratch) -> OrderingResult {
     let mc = m.common();
-    if mc <= 1 {
+    if m.pairs.windows(2).all(|w| w[0].a_idx < w[1].a_idx) {
         return OrderingResult {
             o: normalize_o(0, mc),
             lcs_len: mc,

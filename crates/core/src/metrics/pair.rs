@@ -40,21 +40,23 @@ use super::histogram::DeltaHistogram;
 use super::iat::{iat_arena, iat_full_core};
 use super::kappa::{ConsistencyMetrics, KappaConfig};
 use super::latency::{latency_arena, latency_full_core};
-use super::matching::{matching_arena, Matching};
+use super::matching::{matching_arena, MatchedPair, Matching};
 use super::ordering::{ordering_arena, ordering_core, OrderScratch};
 use super::report::{abs_percentiles_ns, abs_percentiles_ns_bits, StageTimings, TrialComparison};
 use super::trial::Trial;
 use super::uniqueness::uniqueness_core;
 
-/// Reusable per-worker workspace for the arena analysis path: the delta
-/// series, the percentile sort keys, and the ordering kernel's scratch.
-/// One `PairScratch` per worker thread means zero steady-state heap
-/// allocation per pair beyond the returned report itself.
+/// Reusable per-worker workspace for the arena analysis path: the
+/// matching's pair list, the delta series, the percentile selection keys,
+/// and the ordering kernel's scratch. One `PairScratch` per worker thread
+/// means zero steady-state heap allocation per pair beyond the returned
+/// report itself.
 #[derive(Debug, Default)]
 pub struct PairScratch {
+    pub(crate) pairs: Vec<MatchedPair>,
     pub(crate) iat_deltas: Vec<f64>,
     pub(crate) latency_deltas: Vec<f64>,
-    pub(crate) sort_bits: Vec<u64>,
+    pub(crate) abs_bits: Vec<u64>,
     pub(crate) order: OrderScratch,
 }
 
@@ -125,7 +127,7 @@ impl<'t> PairAnalyzer<'t> {
         let source = self.source;
         self.matching.get_or_insert_with(|| match source {
             Source::Trials { a, b } => Matching::build(a, b),
-            Source::Indexed { a, b } => matching_arena(a, b),
+            Source::Indexed { a, b } => matching_arena(a, b, Vec::new()),
         })
     }
 
@@ -232,7 +234,7 @@ impl<'t> PairAnalyzer<'t> {
     /// [`PairAnalyzer::analyze_reference`], every kernel swapped for its
     /// bit-identical arena/scratch counterpart — flat-slice matching,
     /// scratch-backed LIS, split-lane latency/IAT accumulation, bulk
-    /// table-driven histograms, and bit-key percentile sorts.
+    /// table-driven histograms, and bit-key percentile selection.
     fn analyze_arena(
         mut self,
         a: &TrialIndex<'_>,
@@ -243,7 +245,7 @@ impl<'t> PairAnalyzer<'t> {
         let t0 = Instant::now();
         let m = match self.matching.take() {
             Some(m) => m,
-            None => matching_arena(a, b),
+            None => matching_arena(a, b, std::mem::take(&mut s.pairs)),
         };
         let t1 = Instant::now();
         let u = uniqueness_core(&m);
@@ -260,12 +262,12 @@ impl<'t> PairAnalyzer<'t> {
         let mut latency_hist = DeltaHistogram::new();
         latency_hist.record_slice(&s.latency_deltas);
         let within = super::stats::fraction_within(s.iat_deltas.iter().copied(), 10.0);
-        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.sort_bits);
+        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.abs_bits);
         let latency_abs_percentiles_ns =
-            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.sort_bits);
+            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
         let t5 = Instant::now();
 
-        TrialComparison {
+        let cmp = TrialComparison {
             label: self.label,
             metrics,
             a_len: m.a_len,
@@ -281,7 +283,10 @@ impl<'t> PairAnalyzer<'t> {
             iat_hist,
             latency_hist,
             timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
-        }
+        };
+        // The pair list goes back to the workspace for the next pair.
+        s.pairs = m.pairs;
+        cmp
     }
 }
 

@@ -118,10 +118,12 @@ pub(crate) fn abs_percentiles_ns(deltas: &[f64]) -> (f64, f64, f64) {
 ///
 /// `|d|` is non-negative, and for non-negative finite doubles the IEEE
 /// bit pattern orders exactly like the value (with `abs` collapsing
-/// `-0.0` onto `+0.0`), so sorting the `u64` bit patterns with the
-/// radix-friendly integer `sort_unstable` replaces the comparator-driven
-/// float sort. The nearest-rank pick replicates
-/// [`super::stats::percentile_sorted`]'s formula on the sorted keys.
+/// `-0.0` onto `+0.0`), so the `u64` bit patterns stand in for the
+/// floats. Three order statistics do not need a sorted series: each
+/// nearest-rank index of [`super::stats::percentile_sorted`] is *selected*
+/// (`select_nth_unstable`, O(n)) — p99 over all keys, which leaves every
+/// smaller key to its left, p90 inside that left part, p50 inside p90's.
+/// The element at a rank is the same whichever way it was found.
 pub(crate) fn abs_percentiles_ns_bits(deltas: &[f64], keys: &mut Vec<u64>) -> (f64, f64, f64) {
     if deltas.is_empty() {
         return (0.0, 0.0, 0.0);
@@ -129,13 +131,13 @@ pub(crate) fn abs_percentiles_ns_bits(deltas: &[f64], keys: &mut Vec<u64>) -> (f
     keys.clear();
     keys.reserve(deltas.len());
     keys.extend(deltas.iter().map(|d| d.abs().to_bits()));
-    keys.sort_unstable();
-    let sorted: &[u64] = keys;
-    let pick = |p: f64| {
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        f64::from_bits(sorted[rank.clamp(1, sorted.len()) - 1])
-    };
-    (pick(50.0), pick(90.0), pick(99.0))
+    let n = keys.len();
+    let index = |p: f64| (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1;
+    let (i50, i90, i99) = (index(50.0), index(90.0), index(99.0));
+    let k99 = *keys.select_nth_unstable(i99).1;
+    let k90 = if i90 < i99 { *keys[..i99].select_nth_unstable(i90).1 } else { k99 };
+    let k50 = if i50 < i90 { *keys[..i90].select_nth_unstable(i50).1 } else { k90 };
+    (f64::from_bits(k50), f64::from_bits(k90), f64::from_bits(k99))
 }
 
 /// Positional trial label in spreadsheet style: 0 → "A", 25 → "Z",

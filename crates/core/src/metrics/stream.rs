@@ -70,7 +70,9 @@
 //! cut point `k`, in both lookahead modes, including through a
 //! `serde_json` round trip of the checkpoint itself.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::io::{Read, Write};
 use std::time::Instant;
 
@@ -486,6 +488,7 @@ impl StreamCheckpoint {
             write_section(w, &raw)?;
         }
         raw.clear();
+        raw.reserve(self.resident() * PENDING_BYTES);
         for e in &self.pending {
             let id = join_u128(e.id_hi, e.id_lo).to_le_bytes();
             for (side, q) in [(0u32, &e.a), (1u32, &e.b)] {
@@ -830,6 +833,15 @@ struct IdQueues {
     b: VecDeque<PendingObs>,
 }
 
+/// The engine's per-identity maps hash with fixed keys. No result reads
+/// their iteration order (checkpoints sort), but the heap does: with
+/// `RandomState` every process walks, checkpoints and drops the same
+/// 50 000 identities in a different order, and what the allocator keeps
+/// afterwards differed by ± 13 MB of peak RSS between two runs of one
+/// daemon session. Identities are hashed with a fixed function on the
+/// batch side already (`TrialIndex`).
+type IdMap<V> = HashMap<PacketId, V, BuildHasherDefault<DefaultHasher>>;
+
 /// One matched pair as recorded at match time (global positions plus the
 /// exact integer deltas).
 #[derive(Debug, Clone, Copy)]
@@ -914,8 +926,24 @@ fn pair_positions(pairs: &[PairRec]) -> Vec<(u32, u32)> {
     pairs.iter().map(|p| (p.a_pos, p.b_pos)).collect()
 }
 
+/// True when a run of matched pairs, taken as recorded (match order), is
+/// strictly increasing in both coordinates. B order is then the order
+/// given and the A ranks along it are the identity permutation, so the
+/// run's edit script is empty — what the LIS kernel would conclude after
+/// a copy, a sort and a Fenwick pass. A stream that kept its order
+/// matches in that order, so every snapshot and seal of one stops here;
+/// the scan ends at the first pair that breaks it.
+fn order_preserving(pairs: &[PairRec]) -> bool {
+    pairs
+        .windows(2)
+        .all(|w| w[0].a_pos < w[1].a_pos && w[0].b_pos < w[1].b_pos)
+}
+
 /// Total edit-script move distance of a run of matched pairs.
 fn segment_move_distance(pairs: &[PairRec]) -> u128 {
+    if order_preserving(pairs) {
+        return 0;
+    }
     block_move_distance(&pair_positions(pairs))
 }
 
@@ -1003,7 +1031,7 @@ impl WindowedMerge {
     /// Run the exact kernel over one committed block and fold its
     /// displacements into the sealed accumulators.
     fn commit_block(&mut self, block: &[PairRec]) {
-        if block.len() <= 1 {
+        if order_preserving(block) {
             return;
         }
         let ord = block_ordering(&pair_positions(block));
@@ -1029,7 +1057,7 @@ impl WindowedMerge {
     /// Move distance of the uncommitted tail as if sealed now (the
     /// running-O contribution of the buffer).
     fn tail_distance(&self) -> u128 {
-        block_move_distance(&pair_positions(&self.buf))
+        segment_move_distance(&self.buf)
     }
 }
 
@@ -1168,7 +1196,7 @@ fn hist_abs_percentiles(h: &DeltaHistogram) -> (f64, f64, f64) {
 pub struct IncrementalComparison {
     cfg: StreamConfig,
     sides: [SideState; 2],
-    pending: HashMap<PacketId, IdQueues>,
+    pending: IdMap<IdQueues>,
     /// tick → (id, side) of every *pending* observation; `pop_first`
     /// yields the globally oldest, which is necessarily at the front of
     /// its id+side FIFO queue. Size == `resident`, so bounded mode is
@@ -1188,7 +1216,7 @@ pub struct IncrementalComparison {
     /// Bounded mode: the windowed edit-script estimator.
     est: WindowedMerge,
     /// Bounded mode: per-identity occurrence debt and eviction skew.
-    occ: HashMap<PacketId, OccState>,
+    occ: IdMap<OccState>,
     /// Matches the batch pipeline would have made on the prefix pushed
     /// so far (bounded mode; always `== matched` when unbounded).
     batch_matched: usize,
@@ -1210,7 +1238,7 @@ impl IncrementalComparison {
         IncrementalComparison {
             cfg,
             sides: [SideState::default(), SideState::default()],
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             pending_by_age: BTreeMap::new(),
             tick: 0,
             resident: 0,
@@ -1223,7 +1251,7 @@ impl IncrementalComparison {
             lat_hist: DeltaHistogram::new(),
             all_pairs: Vec::new(),
             est: WindowedMerge::new(),
-            occ: HashMap::new(),
+            occ: IdMap::default(),
             batch_matched: 0,
             mis: 0,
             slice: SliceState::new(),
@@ -1379,7 +1407,7 @@ impl IncrementalComparison {
             snapshot_every: ck.snapshot_every,
             kappa: ck.kappa,
         };
-        let mut pending = HashMap::with_capacity(ck.pending.len());
+        let mut pending = IdMap::with_capacity_and_hasher(ck.pending.len(), Default::default());
         let mut pending_by_age = BTreeMap::new();
         let mut resident = 0usize;
         for e in &ck.pending {
@@ -1973,9 +2001,9 @@ impl IncrementalComparison {
         } else {
             self.within_10ns as f64 / mc as f64
         };
-        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.sort_bits);
+        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.abs_bits);
         let latency_abs_percentiles_ns =
-            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.sort_bits);
+            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
         let t5 = Instant::now();
 
         TrialComparison {

@@ -10,7 +10,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use choir_core::metrics::Observation;
 
 use crate::wire::{
-    recv_response, send_request, Request, Response, WireError, WireFinal, WireObs,
+    recv_response, send_request_with, Request, Response, WireError, WireFinal, WireObs,
 };
 
 /// Observations per `Ingest` frame when the client chunks a large
@@ -56,6 +56,8 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
+    /// The `Ingest` frame under construction, kept across calls.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -64,12 +66,16 @@ impl Client {
         let writer = TcpStream::connect(addr)?;
         writer.set_nodelay(true).ok();
         let reader = writer.try_clone()?;
-        Ok(Client { reader, writer })
+        Ok(Client {
+            reader,
+            writer,
+            frame: Vec::new(),
+        })
     }
 
     /// One request/response exchange.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        send_request(&mut self.writer, req)?;
+        send_request_with(&mut self.writer, req, &mut self.frame)?;
         match recv_response(&mut self.reader)? {
             Some(r) => Ok(r),
             None => Err(ClientError::Wire(WireError::Io(std::io::Error::new(

@@ -27,7 +27,7 @@
 //! [`append`]: TrialStore::append
 //! [`adopt`]: TrialStore::adopt
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -103,7 +103,10 @@ struct Slot {
 pub struct TrialStore {
     budget: u64,
     dir: PathBuf,
-    slots: HashMap<String, Slot>,
+    /// Ordered, so that trials are walked and dropped in the same order
+    /// in every process (a `HashMap`'s differs run to run, and with it
+    /// what the allocator gives back).
+    slots: BTreeMap<String, Slot>,
     clock: u64,
     resident_bytes: u64,
     evictions: u64,
@@ -141,7 +144,7 @@ impl TrialStore {
         Ok(TrialStore {
             budget: budget_bytes,
             dir,
-            slots: HashMap::new(),
+            slots: BTreeMap::new(),
             clock: 0,
             resident_bytes: 0,
             evictions: 0,
@@ -174,9 +177,7 @@ impl TrialStore {
     /// Every tracked key, sorted (deterministic iteration for matrix
     /// labels).
     pub fn keys(&self) -> Vec<String> {
-        let mut ks: Vec<String> = self.slots.keys().cloned().collect();
-        ks.sort();
-        ks
+        self.slots.keys().cloned().collect()
     }
 
     fn touch(slot: &mut Slot, clock: &mut u64) {

@@ -86,16 +86,18 @@ impl From<io::Error> for WireError {
     }
 }
 
-/// A frame buffer for an `n`-byte payload: the length prefix, then room
-/// for the payload, refused before anything is allocated past the cap.
-fn frame_for(n: usize) -> Result<Vec<u8>, WireError> {
+/// Start a frame for an `n`-byte payload in `frame`: the length prefix,
+/// then room for the payload, refused before anything is allocated past
+/// the cap.
+fn frame_for(frame: &mut Vec<u8>, n: usize) -> Result<(), WireError> {
     let len = u32::try_from(n).map_err(|_| WireError::Oversized(u32::MAX))?;
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(len));
     }
-    let mut frame = Vec::with_capacity(4 + n);
+    frame.clear();
+    frame.reserve(4 + n);
     frame.extend_from_slice(&len.to_le_bytes());
-    Ok(frame)
+    Ok(())
 }
 
 /// Write one frame: 4-byte LE length, then the payload.
@@ -140,6 +142,19 @@ fn parse_json<T: Deserialize>(buf: Vec<u8>) -> Result<T, WireError> {
 
 /// Frame a [`Request`]: `Ingest` as header + record slab, the rest JSON.
 pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
+    send_request_with(w, req, &mut Vec::new())
+}
+
+/// [`send_request`] with the caller's buffer for the `Ingest` frame. A
+/// connection that keeps it frees no megabyte-sized frame while its peer
+/// is allocating the buffer to receive it into — in one process (tests,
+/// the benchmark) that race decided, through the allocator's adaptive
+/// `mmap` threshold, where the daemon's first buffers went.
+pub(crate) fn send_request_with(
+    w: &mut impl Write,
+    req: &Request,
+    frame: &mut Vec<u8>,
+) -> Result<(), WireError> {
     let Request::Ingest {
         tenant,
         stream,
@@ -154,7 +169,7 @@ pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> 
     };
     // The frame cap holds the record count far below `u32::MAX`.
     let slab = records.len() * OBS_BYTES as usize;
-    let mut frame = frame_for(15 + tenant.len() + stream.len() + slab)?;
+    frame_for(frame, 15 + tenant.len() + stream.len() + slab)?;
     frame.push(INGEST_TAG);
     frame.push(t);
     frame.extend_from_slice(tenant.as_bytes());
@@ -162,8 +177,8 @@ pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> 
     frame.extend_from_slice(stream.as_bytes());
     frame.extend_from_slice(&seq.to_le_bytes());
     frame.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    encode_records(&mut frame, records.iter().map(|&r| r.into()));
-    w.write_all(&frame)?;
+    encode_records(frame, records.iter().map(|&r| r.into()));
+    w.write_all(frame)?;
     w.flush()?;
     Ok(())
 }

@@ -4,8 +4,11 @@
 //! reproduce the uncached ones exactly, over randomized trials — and,
 //! for the matrix-level properties, over simulated-testbed captures too.
 
+mod common;
+
 use choir::metrics::allpairs::{
-    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, KappaMatrix, TrialIndex,
+    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, all_pairs_sharded_with,
+    KappaMatrix, TrialIndex,
 };
 use choir::metrics::matching::Matching;
 use choir::metrics::report::TrialComparison;
@@ -13,6 +16,7 @@ use choir::metrics::{
     compare, ConsistencyMetrics, KappaConfig, PairAnalyzer, Trial, MAX_TIMESTAMP_PS,
 };
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
+use common::{arb_shape, baseline, matrix_shapes, replay, to_trial, Rng};
 use proptest::prelude::*;
 
 /// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
@@ -126,8 +130,40 @@ fn testbed_captures_sharded_and_blocked_match_serial() {
     }
 }
 
+/// The benchmark's own matrix (`matrix_paper`: six shapes at 1 053 370
+/// packets, one shard) against the serial reference, cell by cell. About
+/// 1.1 GB and a minute in release, so it runs only when asked for.
+#[test]
+#[ignore = "paper scale: cargo test --release -p choir --test allpairs_properties -- --ignored"]
+fn paper_scale_matrix_matches_serial_cell_by_cell() {
+    let trials = matrix_shapes(1_053_370, 3);
+    let reference = all_pairs_serial(&trials);
+    let (m, _) = all_pairs_sharded_with(&trials, 1, &KappaConfig::paper()).unwrap();
+    assert_matrix_matches_serial(&m, &reference, "paper scale, shards=1");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sharded_matrix_of_replay_shapes_is_bit_identical_to_serial(
+        n in 2usize..80,
+        seed in any::<u64>(),
+        shapes in proptest::collection::vec(arb_shape(), 5..6),
+    ) {
+        // A baseline and five replays of it: the order-preserving pairs
+        // take the kernels' early returns, the rest the full kernels, all
+        // through each worker's one reused scratch.
+        let base = baseline(n, &mut Rng(seed));
+        let mut trials = vec![to_trial(&base)];
+        for (k, &shape) in (1u64..).zip(&shapes) {
+            trials.push(to_trial(&replay(&base, shape, &mut Rng(seed ^ k))));
+        }
+        let reference = all_pairs_serial(&trials);
+        for shards in [1, 2, 8] {
+            assert_sharded_matches_serial(&trials, &reference, shards);
+        }
+    }
 
     #[test]
     fn sharded_matrix_is_bit_identical_to_serial(

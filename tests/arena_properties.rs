@@ -5,9 +5,14 @@
 //! reorders, drops, and empty trials — the same ground-truth contract the
 //! sharded engine is held to, stated at the pair level.
 
+mod common;
+
+use std::cell::RefCell;
+
 use choir::metrics::allpairs::TrialIndex;
 use choir::metrics::report::TrialComparison;
 use choir::metrics::{DeltaHistogram, PairAnalyzer, PairScratch, Trial};
+use common::{arb_shape, baseline, replay, to_trial, Rng};
 use proptest::prelude::*;
 
 /// A random trial: sequence numbers drawn with duplicates and drops from
@@ -30,9 +35,10 @@ fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
         })
 }
 
-/// Bit-level equality of everything a pair analysis computes, excluding
-/// wall-clock timings.
+/// Bit-level equality of everything a pair analysis computes — every
+/// field of the report but its wall-clock `timings`.
 fn comparisons_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
+    let bits = |(p50, p90, p99): (f64, f64, f64)| [p50.to_bits(), p90.to_bits(), p99.to_bits()];
     x.label == y.label
         && x.metrics.u.to_bits() == y.metrics.u.to_bits()
         && x.metrics.o.to_bits() == y.metrics.o.to_bits()
@@ -42,11 +48,20 @@ fn comparisons_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
         && (x.a_len, x.b_len, x.common, x.missing, x.extra, x.moved)
             == (y.a_len, y.b_len, y.common, y.missing, y.extra, y.moved)
         && x.iat_within_10ns.to_bits() == y.iat_within_10ns.to_bits()
-        && x.iat_abs_percentiles_ns == y.iat_abs_percentiles_ns
-        && x.latency_abs_percentiles_ns == y.latency_abs_percentiles_ns
+        && bits(x.iat_abs_percentiles_ns) == bits(y.iat_abs_percentiles_ns)
+        && bits(x.latency_abs_percentiles_ns) == bits(y.latency_abs_percentiles_ns)
         && x.edit_stats == y.edit_stats
         && x.iat_hist.to_csv() == y.iat_hist.to_csv()
         && x.latency_hist.to_csv() == y.latency_hist.to_csv()
+        && x.iat_hist.clamped() == y.iat_hist.clamped()
+        && x.latency_hist.clamped() == y.latency_hist.clamped()
+}
+
+thread_local! {
+    /// One workspace for every case of `replay_shapes_…`, so a pair list,
+    /// delta series or key buffer left over from the previous case would
+    /// show in the next.
+    static SCRATCH: RefCell<PairScratch> = RefCell::new(PairScratch::new());
 }
 
 proptest! {
@@ -66,6 +81,33 @@ proptest! {
             "arena {:?} != uncached {:?}",
             arena.metrics,
             reference.metrics
+        );
+    }
+
+    #[test]
+    fn replay_shapes_are_bit_identical_to_uncached_through_one_scratch(
+        n in 0usize..96,
+        seed in any::<u64>(),
+        shape_a in arb_shape(),
+        shape_b in arb_shape(),
+    ) {
+        // Both sides replay one baseline, so most pairs keep their order
+        // (the probe-free, sort-free path) and the rest leave it at a
+        // duplicate, a block boundary, a late packet or everywhere.
+        let base = baseline(n, &mut Rng(seed));
+        let a = to_trial(&replay(&base, shape_a, &mut Rng(seed ^ 1)));
+        let b = to_trial(&replay(&base, shape_b, &mut Rng(seed ^ 2)));
+        let reference = PairAnalyzer::new(&a, &b).analyze();
+        let ia = TrialIndex::build(&a).unwrap();
+        let ib = TrialIndex::build(&b).unwrap();
+        let arena = SCRATCH.with(|s| {
+            PairAnalyzer::from_indexes(&ia, &ib).analyze_with_scratch(&mut s.borrow_mut())
+        });
+        prop_assert!(
+            comparisons_bit_identical(&arena, &reference),
+            "arena {:?} != uncached {:?}",
+            arena,
+            reference
         );
     }
 

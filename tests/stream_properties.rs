@@ -11,6 +11,9 @@
 //! gate only realistic trials make meaningful: bounded κ within ε of
 //! batch when fed in arrival order.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use choir::capture::{drain_available, PcapSource};
 use choir::metrics::pair::PairAnalyzer;
 use choir::metrics::report::TrialComparison;
@@ -22,6 +25,42 @@ use choir::packet::pcap::{parse_pcap, PCAP_NS_MAGIC};
 use choir::packet::PacketId;
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
 use proptest::prelude::*;
+
+thread_local! {
+    /// Heap allocations made by this thread (each test runs on its own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread, so that one test can
+/// show a call allocates nothing while the others run beside it.
+struct CountingAllocator;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` with no destructor, so touching it neither
+// allocates nor runs after thread teardown (`try_with` covers the rest).
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations `f` makes on this thread.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
 /// possibly with duplicates) with non-decreasing timestamps.
@@ -80,9 +119,9 @@ fn ship_slabs(ck: StreamCheckpoint) -> StreamCheckpoint {
 }
 
 /// Like [`stream_pair`], but at burst boundary `cut` the engine is
-/// checkpointed, the checkpoint shipped across a crash boundary by
-/// `ship`, and a fresh engine resumed from what arrives to finish the
-/// feed. Returns the outcome plus the resident-unmatched count inside
+/// checkpointed and replaced by whatever `revive` brings back from the
+/// checkpoint (shipped across a crash boundary, then resumed) to finish
+/// the feed. Returns the outcome plus the resident-unmatched count inside
 /// the checkpoint, so callers can see whether the cut landed inside a
 /// bounded-mode reorder window.
 fn stream_pair_cut(
@@ -91,7 +130,7 @@ fn stream_pair_cut(
     cfg: StreamConfig,
     chunk: usize,
     cut: usize,
-    ship: fn(StreamCheckpoint) -> StreamCheckpoint,
+    revive: impl Fn(StreamCheckpoint) -> IncrementalComparison,
 ) -> (StreamOutcome, usize) {
     let (oa, ob) = (a.observations(), b.observations());
     let mut schedule: Vec<(Side, usize, usize)> = Vec::new();
@@ -113,17 +152,15 @@ fn stream_pair_cut(
     let mut resident_at_cut = 0usize;
     for (i, &(side, lo, hi)) in schedule.iter().enumerate() {
         if i == cut {
-            let ck = ship(eng.checkpoint());
-            resident_at_cut = ck.resident();
-            eng = IncrementalComparison::resume(ck);
+            eng = revive(eng.checkpoint());
+            resident_at_cut = eng.resident();
         }
         let obs = if side == Side::A { oa } else { ob };
         eng.push_burst(side, &obs[lo..hi]);
     }
     if cut == schedule.len() {
-        let ck = ship(eng.checkpoint());
-        resident_at_cut = ck.resident();
-        eng = IncrementalComparison::resume(ck);
+        eng = revive(eng.checkpoint());
+        resident_at_cut = eng.resident();
     }
     (eng.finalize("stream"), resident_at_cut)
 }
@@ -239,6 +276,134 @@ fn testbed_captures_stream_exactly_and_bounded_kappa_stays_within_epsilon() {
         }
     }
     assert_eq!(dropfree, 10, "LocalSingle drops nothing, so every pair arms the ε-gate");
+}
+
+/// A: `n` packets in sequence. B: the same packets, in A's order for the
+/// first `k`, then with every `stride`-th adjacent arrival swapped — a
+/// replay that kept its order until pair `k` and lost it from `k + 1`.
+fn ordered_then_swapped(n: usize, k: usize, stride: usize) -> (Trial, Trial) {
+    let mut a = Trial::new();
+    let mut order: Vec<u64> = (0..n as u64).collect();
+    for i in 0..n as u64 {
+        a.push_tagged(0, 0, i, i * 1_000 + (i % 7) * 13);
+    }
+    for i in (k..n - 1).step_by(stride) {
+        order.swap(i, i + 1);
+    }
+    let mut b = Trial::new();
+    for (i, &seq) in order.iter().enumerate() {
+        b.push_tagged(0, 0, seq, i as u64 * 1_000 + (seq % 5) * 29);
+    }
+    (a, b)
+}
+
+#[test]
+fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
+    let cfg = StreamConfig {
+        lookahead: None,
+        snapshot_every: 0,
+        kappa: KappaConfig::paper(),
+    };
+    let feed = |a: &Trial, b: &Trial| {
+        let mut eng = IncrementalComparison::new(cfg);
+        eng.push_burst(Side::A, a.observations());
+        eng.push_burst(Side::B, b.observations());
+        eng
+    };
+    // Ordered throughout (k = n): the move distance of 4 096 matched
+    // pairs is read off one scan of the pair list.
+    let (a, b) = ordered_then_swapped(4_096, 4_096, 2);
+    let eng = feed(&a, &b);
+    let (running, allocations) = allocations_during(|| eng.running_metrics());
+    assert_eq!(running.o, 0.0);
+    assert_eq!(allocations, 0, "an order-preserving snapshot must not touch the heap");
+    // The counter is live: the same call on a reordered stream runs the
+    // LIS kernel, which allocates its working set.
+    let (a, b) = ordered_then_swapped(4_096, 2_048, 2);
+    let eng = feed(&a, &b);
+    let (running, allocations) = allocations_during(|| eng.running_metrics());
+    assert!(running.o > 0.0);
+    assert!(allocations > 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn snapshots_equal_batch_on_the_prefix_on_both_sides_of_the_first_reordered_pair(
+        k in 40usize..90,
+        tail in 40usize..90,
+        stride in 2usize..6,
+        chunk in 1usize..4,
+        cut_before in 0usize..10_000,
+        cut_after in 0usize..10_000,
+    ) {
+        // The order-preserving early return must hold up to pair k and
+        // switch off at exactly pair k + 1, in running O, in the slice
+        // score and in bounded mode's seals: a snapshot after every push
+        // is compared with batch analysis of what had been pushed by
+        // then. The same through a checkpoint shipped as slabs and
+        // resumed with the pairing checked, cut once before the first
+        // swap and once after it.
+        let n = k + tail;
+        let (a, b) = ordered_then_swapped(n, k, stride);
+        for lookahead in [None, Some(4)] {
+            let cfg = StreamConfig {
+                lookahead,
+                snapshot_every: 1,
+                kappa: KappaConfig::paper(),
+            };
+            let straight = stream_pair(&a, &b, cfg, chunk);
+            prop_assert_eq!(straight.snapshots.len(), 2 * n);
+            prop_assert_eq!(straight.evicted, 0);
+            if lookahead.is_some() {
+                // Small enough to seal on both sides of k, and every seal
+                // at a breakpoint: the estimate is exact.
+                prop_assert!(straight.seals >= 2, "{} seals", straight.seals);
+                prop_assert_eq!(straight.forced_seals, 0);
+            }
+            let mut saw = [false; 2];
+            for snap in &straight.snapshots {
+                let prefix = |t: &Trial, seen: usize| -> Trial {
+                    t.observations()[..seen].iter().map(|o| (o.id, o.t_ps)).collect()
+                };
+                let batch = PairAnalyzer::new(&prefix(&a, snap.seen_a), &prefix(&b, snap.seen_b))
+                    .metrics();
+                prop_assert_eq!(
+                    snap.running.kappa.to_bits(), batch.kappa.to_bits(),
+                    "running kappa at A {} / B {} (k = {}, lookahead {:?})",
+                    snap.seen_a, snap.seen_b, k, lookahead
+                );
+                prop_assert_eq!(snap.running.o.to_bits(), batch.o.to_bits());
+                saw[usize::from(batch.o > 0.0)] = true;
+            }
+            prop_assert!(saw[0] && saw[1], "snapshots on both sides of k");
+
+            // Burst boundaries before and after the first swap reaches
+            // either side.
+            let bursts_before = 2 * (k / chunk);
+            let total_bursts = 2 * n.div_ceil(chunk);
+            for cut in [
+                cut_before % bursts_before,
+                bursts_before + 2 + cut_after % (total_bursts - bursts_before - 2),
+            ] {
+                let (resumed, _) = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
+                    IncrementalComparison::resume_checked(ship_slabs(ck), 0, &cfg)
+                        .expect("same engine, same config")
+                });
+                prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
+                for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
+                    prop_assert_eq!((x.seen_a, x.seen_b), (y.seen_a, y.seen_b));
+                    prop_assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
+                    prop_assert_eq!(
+                        x.window.metrics.kappa.to_bits(),
+                        y.window.metrics.kappa.to_bits()
+                    );
+                }
+                assert_bit_identical(&resumed.comparison, &straight.comparison);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -465,7 +630,9 @@ proptest! {
             let whole = a.len().max(b.len()).max(1);
             for chunk in [1usize, 7, whole] {
                 let straight = stream_pair(&a, &b, cfg, chunk);
-                let (resumed, _resident) = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, ship);
+                let (resumed, _resident) = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, |ck| {
+                    IncrementalComparison::resume(ship(ck))
+                });
                 assert_bit_identical(&resumed.comparison, &straight.comparison);
                 prop_assert_eq!(resumed.peak_resident, straight.peak_resident);
                 prop_assert_eq!(resumed.evicted, straight.evicted);
