@@ -251,3 +251,57 @@ fn coalescing_preserves_packet_sequence_and_count() {
         assert_eq!(ids_a, ids_b, "packet sequence must survive coalescing");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Cross-commit golden: the tests above compare two runs of the *same*
+// build, so a change that moved every capture the same way would pass them
+// all. These constants were recorded at commit 2c04312 on the build image
+// (x86-64, glibc's libm — `Jitter` sampling goes through `ln` / `cos` /
+// `round`, so another libm may legitimately differ in the last bit of a
+// draw; re-record there rather than loosen the check) and a PR that means
+// to keep captures byte-identical leaves them alone.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a over every trial's `(packet id, t_ps)` sequence, in run
+/// order, little-endian.
+fn capture_fingerprint(out: &ExperimentOutput) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for trial in &out.trials {
+        for o in trial.observations() {
+            eat(&o.id.0.to_le_bytes());
+            eat(&o.t_ps.to_le_bytes());
+        }
+    }
+    h
+}
+
+#[test]
+fn captures_match_the_committed_fingerprints() {
+    let per_packet = SimTuning::per_packet();
+    let fast = SimTuning::default();
+    let committed = [
+        (EnvKind::LocalSingle, fast, 0xbc56_24fb_9e52_a82f_u64),
+        (EnvKind::LocalDual, fast, 0xabe5_ee11_4e56_a2b4),
+        (EnvKind::FabricDedicated40A, fast, 0xee49_5066_aa71_596e),
+        (EnvKind::FabricShared40, fast, 0x1a15_3ed8_2d83_64ad),
+        (EnvKind::FabricDedicated40B, fast, 0xb2e0_3f27_12bf_0a4c),
+        (EnvKind::FabricDedicated80, fast, 0xe042_893e_1246_984c),
+        (EnvKind::FabricShared80, fast, 0xe5ee_c678_2d4d_c737),
+        (EnvKind::FabricDedicated80Noisy, fast, 0x498d_a7ee_fede_8993),
+        (EnvKind::FabricShared40Noisy, fast, 0xfbf2_07eb_74d1_5e61),
+        (EnvKind::LocalSingle, per_packet, 0x5672_cb10_3f68_385c),
+    ];
+    let moved: Vec<String> = committed
+        .iter()
+        .filter_map(|&(kind, tuning, want)| {
+            let got = capture_fingerprint(&quick_tuned(kind, 0.002, 22, tuning));
+            (got != want).then(|| format!("{kind:?} {tuning:?}: {got:#018x}, committed {want:#018x}"))
+        })
+        .collect();
+    assert!(moved.is_empty(), "captures moved:\n{}", moved.join("\n"));
+}
