@@ -85,7 +85,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => opts.scale = value(&mut args, "--scale", "a float")?,
+            "--scale" => {
+                let scale: f64 = value(&mut args, "--scale", "a float")?;
+                if !(scale.is_finite() && scale > 0.0) {
+                    return Err(format!("--scale needs a finite float above 0, got {scale}"));
+                }
+                opts.scale = scale;
+            }
             "--seed" => opts.seed = value(&mut args, "--seed", "an integer")?,
             "--runs" => {
                 let runs: usize = value(&mut args, "--runs", "an integer")?;
@@ -913,6 +919,11 @@ mod tests {
         assert!(e.contains("--runs") && e.contains("abc"), "{e}");
         let e = parse(&["table2", "--scale"]).unwrap_err();
         assert!(e.contains("--scale"), "{e}");
+        // A scale that parses as a float but sizes no experiment.
+        for v in ["nan", "-1", "0", "inf"] {
+            let e = parse(&["fig4", "--scale", v]).unwrap_err();
+            assert!(e.contains("--scale") && e.contains("above 0"), "{v}: {e}");
+        }
     }
 
     #[test]

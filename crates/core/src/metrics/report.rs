@@ -281,18 +281,6 @@ pub struct SimStatsReport {
     pub wire_events_elided: u64,
     /// Mean packets per delivery event (1.0 = fully per-packet).
     pub packets_per_event: f64,
-    /// Inter-domain bursts admitted through the remote-link band.
-    #[serde(default)]
-    pub remote_bursts: u64,
-    /// Packets carried by those remote bursts.
-    #[serde(default)]
-    pub remote_packets: u64,
-    /// Engine shards the run executed on (0 = the serial engine).
-    #[serde(default)]
-    pub shards: u64,
-    /// Conservative time-window barriers the shard coordinator executed.
-    #[serde(default)]
-    pub sync_windows: u64,
 }
 
 impl RunReport {

@@ -16,17 +16,12 @@
 //! 0       4     magic 0x43484F43 ("CHOC")
 //! 4       1     opcode
 //! 5       8     argument (big-endian u64)
-//! 13      1     flags (optional; bit 0 = ack requested)     ── reliable
-//! 14      4     sequence number (big-endian u32, optional)  ── extension
 //! ```
 //!
-//! The last two fields are the reliable-delivery extension used by
-//! [`super::reliable::ReliableController`]: a sender that wants
-//! stop-and-wait confirmation appends a flags byte with bit 0 set and a
-//! sequence number; the receiver answers with an `OP_ACK` frame whose
-//! argument is the acknowledged sequence. Plain 27-byte frames (no
-//! trailing fields, or a zero flags byte) remain valid — old senders and
-//! new receivers interoperate.
+//! Bytes after the argument (minimum-frame padding, or the flags and
+//! sequence number an older sender appended to ask for an
+//! acknowledgement) are ignored: the command decodes, nothing is sent
+//! back.
 
 use bytes::Bytes;
 use choir_dpdk::ControlMsg;
@@ -40,53 +35,20 @@ const OP_STOP_RECORD: u8 = 2;
 const OP_SCHEDULE_REPLAY: u8 = 3;
 const OP_ABORT_REPLAY: u8 = 4;
 const OP_CUSTOM: u8 = 5;
-const OP_ACK: u8 = 6;
 
-/// Flags bit 0: the sender wants this frame acknowledged.
-const FLAG_ACK_REQUESTED: u8 = 0x01;
-
-/// Minimum control frame length: Ethernet header + magic + opcode + arg.
+/// Control frame length: Ethernet header + magic + opcode + arg.
 pub const CONTROL_FRAME_LEN: usize = EthernetHeader::LEN + 4 + 1 + 8;
 
-/// Length of a sequenced (reliable) control frame: the minimum layout
-/// plus a flags byte and a u32 sequence number.
-pub const SEQUENCED_CONTROL_FRAME_LEN: usize = CONTROL_FRAME_LEN + 1 + 4;
-
-/// A decoded in-band control protocol data unit: either an application
-/// command (optionally sequenced) or an acknowledgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlPdu {
-    /// A command. `seq` is present when the sender requested an ack.
-    Msg {
-        /// The decoded command.
-        msg: ControlMsg,
-        /// Sequence number, when the sender requested acknowledgement.
-        seq: Option<u32>,
-    },
-    /// Acknowledgement of the sequenced command with this number.
-    Ack {
-        /// The acknowledged sequence number.
-        seq: u32,
-    },
-}
-
-fn opcode_of(msg: &ControlMsg) -> (u8, u64) {
-    match *msg {
+/// Encode a control message as an in-band Ethernet frame.
+pub fn encode_control(msg: &ControlMsg, src: MacAddr, dst: MacAddr) -> Frame {
+    let (op, arg) = match *msg {
         ControlMsg::StartRecord => (OP_START_RECORD, 0),
         ControlMsg::StopRecord => (OP_STOP_RECORD, 0),
         ControlMsg::ScheduleReplay { start_wall_ns } => (OP_SCHEDULE_REPLAY, start_wall_ns),
         ControlMsg::AbortReplay => (OP_ABORT_REPLAY, 0),
         ControlMsg::Custom(v) => (OP_CUSTOM, v),
-    }
-}
-
-fn raw_frame(op: u8, arg: u64, seq: Option<u32>, src: MacAddr, dst: MacAddr) -> Frame {
-    let len = if seq.is_some() {
-        SEQUENCED_CONTROL_FRAME_LEN
-    } else {
-        CONTROL_FRAME_LEN
     };
-    let mut buf = vec![0u8; len];
+    let mut buf = vec![0u8; CONTROL_FRAME_LEN];
     EthernetHeader {
         dst,
         src,
@@ -96,29 +58,7 @@ fn raw_frame(op: u8, arg: u64, seq: Option<u32>, src: MacAddr, dst: MacAddr) -> 
     buf[14..18].copy_from_slice(&CONTROL_MAGIC.to_be_bytes());
     buf[18] = op;
     buf[19..27].copy_from_slice(&arg.to_be_bytes());
-    if let Some(s) = seq {
-        buf[27] = FLAG_ACK_REQUESTED;
-        buf[28..32].copy_from_slice(&s.to_be_bytes());
-    }
     Frame::new(Bytes::from(buf))
-}
-
-/// Encode a control message as an in-band Ethernet frame.
-pub fn encode_control(msg: &ControlMsg, src: MacAddr, dst: MacAddr) -> Frame {
-    let (op, arg) = opcode_of(msg);
-    raw_frame(op, arg, None, src, dst)
-}
-
-/// Encode a *sequenced* control message: the receiver is asked to
-/// acknowledge `seq` with an [`encode_control_ack`] frame.
-pub fn encode_control_seq(msg: &ControlMsg, seq: u32, src: MacAddr, dst: MacAddr) -> Frame {
-    let (op, arg) = opcode_of(msg);
-    raw_frame(op, arg, Some(seq), src, dst)
-}
-
-/// Encode an acknowledgement of sequenced command `seq`.
-pub fn encode_control_ack(seq: u32, src: MacAddr, dst: MacAddr) -> Frame {
-    raw_frame(OP_ACK, seq as u64, None, src, dst)
 }
 
 /// True when the frame carries the Choir control EtherType.
@@ -128,16 +68,14 @@ pub fn is_control_frame(frame: &Frame) -> bool {
         .unwrap_or(false)
 }
 
-/// Decode an in-band control frame as a protocol data unit; `None` for
-/// anything malformed. Every length/shape check happens here — garbage
-/// input can never panic, only fail to decode:
+/// Decode an in-band control frame to its command; `None` for anything
+/// malformed. Every length/shape check happens here — garbage input can
+/// never panic, only fail to decode:
 ///
 /// - wrong EtherType or a frame too short for the Ethernet header;
 /// - truncated payload (shorter than [`CONTROL_FRAME_LEN`]);
-/// - bad magic or an unknown opcode;
-/// - an ack whose argument does not fit a `u32`;
-/// - a flags byte requesting an ack without a complete sequence number.
-pub fn decode_control_pdu(frame: &Frame) -> Option<ControlPdu> {
+/// - bad magic or an unknown opcode.
+pub fn decode_control(frame: &Frame) -> Option<ControlMsg> {
     if !is_control_frame(frame) || frame.data.len() < CONTROL_FRAME_LEN {
         return None;
     }
@@ -146,38 +84,12 @@ pub fn decode_control_pdu(frame: &Frame) -> Option<ControlPdu> {
         return None;
     }
     let arg = u64::from_be_bytes([p[5], p[6], p[7], p[8], p[9], p[10], p[11], p[12]]);
-    let msg = match p[4] {
-        OP_START_RECORD => ControlMsg::StartRecord,
-        OP_STOP_RECORD => ControlMsg::StopRecord,
-        OP_SCHEDULE_REPLAY => ControlMsg::ScheduleReplay { start_wall_ns: arg },
-        OP_ABORT_REPLAY => ControlMsg::AbortReplay,
-        OP_CUSTOM => ControlMsg::Custom(arg),
-        OP_ACK => {
-            let seq = u32::try_from(arg).ok()?;
-            return Some(ControlPdu::Ack { seq });
-        }
-        _ => return None,
-    };
-    // Reliable extension: a flags byte may follow; if it requests an
-    // ack, a full sequence number must too (a truncated one is rejected,
-    // not misread).
-    let seq = match p.get(13) {
-        Some(&flags) if flags & FLAG_ACK_REQUESTED != 0 => {
-            if p.len() < 18 {
-                return None;
-            }
-            Some(u32::from_be_bytes([p[14], p[15], p[16], p[17]]))
-        }
-        _ => None,
-    };
-    Some(ControlPdu::Msg { msg, seq })
-}
-
-/// Decode an in-band control frame to its command; `None` for anything
-/// malformed — including acks, which carry no command.
-pub fn decode_control(frame: &Frame) -> Option<ControlMsg> {
-    match decode_control_pdu(frame) {
-        Some(ControlPdu::Msg { msg, .. }) => Some(msg),
+    match p[4] {
+        OP_START_RECORD => Some(ControlMsg::StartRecord),
+        OP_STOP_RECORD => Some(ControlMsg::StopRecord),
+        OP_SCHEDULE_REPLAY => Some(ControlMsg::ScheduleReplay { start_wall_ns: arg }),
+        OP_ABORT_REPLAY => Some(ControlMsg::AbortReplay),
+        OP_CUSTOM => Some(ControlMsg::Custom(arg)),
         _ => None,
     }
 }
@@ -222,9 +134,13 @@ mod tests {
     #[test]
     fn bad_opcode_rejected() {
         let f = encode_control(&ControlMsg::StartRecord, MacAddr::local(1), MacAddr::local(2));
-        let mut data = f.data.to_vec();
-        data[18] = 99;
-        assert_eq!(decode_control(&Frame::new(Bytes::from(data))), None);
+        // 6 is the first value past the commands; older senders used it
+        // for acknowledgements, which are not commands either.
+        for op in [0, 6, 99] {
+            let mut data = f.data.to_vec();
+            data[18] = op;
+            assert_eq!(decode_control(&Frame::new(Bytes::from(data))), None, "opcode {op}");
+        }
     }
 
     #[test]
@@ -237,52 +153,33 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_never_panics() {
-        // Chop a valid sequenced frame at every possible boundary: each
-        // prefix must decode to None (or, at full length, Some) without
-        // panicking — including cuts inside the Ethernet header, inside
-        // the magic, mid-argument, and mid-sequence-number.
-        let f = encode_control_seq(
-            &ControlMsg::ScheduleReplay {
-                start_wall_ns: 0xDEAD_BEEF,
-            },
-            77,
-            MacAddr::local(1),
-            MacAddr::local(2),
-        );
-        for cut in 0..f.data.len() {
-            let prefix = Frame::new(f.data.slice(..cut));
-            let decoded = decode_control_pdu(&prefix);
-            if cut == CONTROL_FRAME_LEN {
-                // Cutting exactly before the extension yields a valid
-                // *legacy* frame: the command without its sequence.
-                assert_eq!(
-                    decoded,
-                    Some(ControlPdu::Msg {
-                        msg: ControlMsg::ScheduleReplay {
-                            start_wall_ns: 0xDEAD_BEEF,
-                        },
-                        seq: None,
-                    })
-                );
-            } else {
+        // Chop a valid frame with trailing bytes at every possible
+        // boundary: a prefix shorter than the layout must decode to None
+        // without panicking — including cuts inside the Ethernet header,
+        // inside the magic and mid-argument — and every longer one to the
+        // command, whatever part of the trailer survives.
+        let msg = ControlMsg::ScheduleReplay {
+            start_wall_ns: 0xDEAD_BEEF,
+        };
+        let mut data = encode_control(&msg, MacAddr::local(1), MacAddr::local(2))
+            .data
+            .to_vec();
+        data.extend_from_slice(&[0x01, 0, 0, 0, 77]);
+        let f = Frame::new(Bytes::from(data));
+        for cut in 0..=f.data.len() {
+            let decoded = decode_control(&Frame::new(f.data.slice(..cut)));
+            if cut < CONTROL_FRAME_LEN {
                 assert_eq!(decoded, None, "cut at {cut} must not decode");
+            } else {
+                assert_eq!(decoded, Some(msg), "cut at {cut}");
             }
-        }
-        assert!(decode_control_pdu(&f).is_some());
-        // Same sweep over a legacy frame.
-        let legacy = encode_control(&ControlMsg::Custom(9), MacAddr::local(1), MacAddr::local(2));
-        for cut in 0..legacy.data.len() {
-            assert_eq!(
-                decode_control_pdu(&Frame::new(legacy.data.slice(..cut))),
-                None
-            );
         }
     }
 
     #[test]
     fn garbage_payloads_never_panic() {
         // Frames with the control EtherType but arbitrary payload bytes:
-        // must decode to None or a valid PDU, never panic.
+        // must decode to None or a valid command, never panic.
         for seed in 0..64u64 {
             for len in [0usize, 1, 13, 14, 18, 26, 27, 28, 31, 32, 60] {
                 let mut data = vec![0u8; len];
@@ -298,77 +195,25 @@ mod tests {
                     data[12..14]
                         .copy_from_slice(&(EtherType::ChoirControl as u16).to_be_bytes());
                 }
-                let _ = decode_control_pdu(&Frame::new(Bytes::from(data)));
+                let _ = decode_control(&Frame::new(Bytes::from(data)));
             }
         }
     }
 
     #[test]
-    fn sequenced_frames_round_trip_with_seq() {
-        let f = encode_control_seq(
-            &ControlMsg::StartRecord,
-            0xABCD_1234,
-            MacAddr::local(1),
-            MacAddr::local(2),
-        );
-        assert_eq!(f.data.len(), SEQUENCED_CONTROL_FRAME_LEN);
-        assert_eq!(
-            decode_control_pdu(&f),
-            Some(ControlPdu::Msg {
-                msg: ControlMsg::StartRecord,
-                seq: Some(0xABCD_1234),
-            })
-        );
-        // decode_control still yields the command (seq is transport detail).
-        assert_eq!(decode_control(&f), Some(ControlMsg::StartRecord));
-    }
-
-    #[test]
-    fn acks_round_trip_and_are_not_commands() {
-        let f = encode_control_ack(42, MacAddr::local(1), MacAddr::local(2));
-        assert_eq!(decode_control_pdu(&f), Some(ControlPdu::Ack { seq: 42 }));
-        assert_eq!(decode_control(&f), None, "an ack is not a command");
-    }
-
-    #[test]
-    fn oversized_ack_argument_rejected() {
-        // An OP_ACK whose argument exceeds u32 is malformed, not truncated.
-        let good = encode_control_ack(1, MacAddr::local(1), MacAddr::local(2));
-        let mut data = good.data.to_vec();
-        data[19..27].copy_from_slice(&(u32::MAX as u64 + 1).to_be_bytes());
-        assert_eq!(decode_control_pdu(&Frame::new(Bytes::from(data))), None);
-    }
-
-    #[test]
-    fn ack_flag_without_sequence_rejected() {
-        // Flags byte requests an ack but the sequence number is missing
-        // or incomplete: reject rather than misread adjacent bytes.
-        let legacy = encode_control(&ControlMsg::StartRecord, MacAddr::local(1), MacAddr::local(2));
-        for extra in 0..4usize {
+    fn trailing_bytes_are_ignored() {
+        let legacy = encode_control(&ControlMsg::AbortReplay, MacAddr::local(1), MacAddr::local(2));
+        // Minimum-Ethernet-frame zero padding, and the 32-byte frame an
+        // old sender built to request an ack (byte 27 = its ack-requested
+        // flag, then a sequence number): both are the plain command.
+        for trailer in [[0, 0, 0, 0, 0], [0x01, 0xAB, 0xCD, 0x12, 0x34]] {
             let mut data = legacy.data.to_vec();
-            data.push(0x01); // FLAG_ACK_REQUESTED
-            data.extend(std::iter::repeat_n(0xAA, extra)); // partial seq
+            data.extend_from_slice(&trailer);
+            assert_eq!(data.len(), 32);
             assert_eq!(
-                decode_control_pdu(&Frame::new(Bytes::from(data))),
-                None,
-                "partial seq of {extra} bytes must not decode"
+                decode_control(&Frame::new(Bytes::from(data))),
+                Some(ControlMsg::AbortReplay)
             );
         }
-    }
-
-    #[test]
-    fn legacy_frames_with_zero_flags_still_decode() {
-        // A 27-byte frame padded with a zero flags byte (e.g. by minimum
-        // Ethernet frame padding) is still the plain command.
-        let legacy = encode_control(&ControlMsg::AbortReplay, MacAddr::local(1), MacAddr::local(2));
-        let mut data = legacy.data.to_vec();
-        data.extend_from_slice(&[0, 0, 0, 0, 0]); // zero padding
-        assert_eq!(
-            decode_control_pdu(&Frame::new(Bytes::from(data))),
-            Some(ControlPdu::Msg {
-                msg: ControlMsg::AbortReplay,
-                seq: None,
-            })
-        );
     }
 }

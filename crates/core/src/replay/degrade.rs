@@ -20,8 +20,7 @@ use super::scheduler::ReplayStats;
 /// pipeline: the supervised engine (bounded retries, backoff,
 /// abandoned bursts), the middlebox forwarding path (recording skipped
 /// under pool pressure, packets dropped after bounded transmit
-/// retries), and the reliable control link (retransmissions, duplicate
-/// suppression, gave-up sends).
+/// retries) and the capture path (frames dropped at a full ring).
 ///
 /// Reports from different components are combined with
 /// [`DegradationReport::absorb`]; `choir-testbed` attaches the merged
@@ -46,18 +45,6 @@ pub struct DegradationReport {
     /// Packets the middlebox dropped on its forwarding path after its
     /// bounded transmit retries.
     pub forward_dropped_packets: u64,
-    /// Control frames retransmitted by the reliable controller.
-    pub control_retransmits: u64,
-    /// Control sends that exhausted their retry budget without an ack.
-    pub control_failures: u64,
-    /// Duplicate control deliveries suppressed by sequence dedupe.
-    pub control_duplicates: u64,
-    /// Capture-path `Mempool::alloc` failures tolerated by dropping the
-    /// allocation (an unacknowledged ack, an unrecorded frame) instead
-    /// of panicking. The run continues; retransmission or a shorter
-    /// capture recovers.
-    #[serde(default)]
-    pub capture_alloc_failed: u64,
     /// Capture-path ring/buffer pushes rejected because the ring was
     /// full (frame dropped from capture and counted; forwarding and the
     /// live trial are unaffected).
@@ -80,10 +67,6 @@ impl DegradationReport {
             + self.bursts_abandoned
             + self.record_skipped_packets
             + self.forward_dropped_packets
-            + self.control_retransmits
-            + self.control_failures
-            + self.control_duplicates
-            + self.capture_alloc_failed
             + self.capture_ring_full
     }
 
@@ -97,10 +80,6 @@ impl DegradationReport {
         self.packets_abandoned += other.packets_abandoned;
         self.record_skipped_packets += other.record_skipped_packets;
         self.forward_dropped_packets += other.forward_dropped_packets;
-        self.control_retransmits += other.control_retransmits;
-        self.control_failures += other.control_failures;
-        self.control_duplicates += other.control_duplicates;
-        self.capture_alloc_failed += other.capture_alloc_failed;
         self.capture_ring_full += other.capture_ring_full;
     }
 }
@@ -181,7 +160,7 @@ mod tests {
         let mut a = DegradationReport {
             tx_rejections: 1,
             backoff_cycles: 100,
-            control_retransmits: 2,
+            tx_retries: 2,
             ..DegradationReport::default()
         };
         let b = DegradationReport {
@@ -194,7 +173,7 @@ mod tests {
         assert_eq!(a.tx_rejections, 4);
         assert_eq!(a.packets_abandoned, 7);
         assert_eq!(a.backoff_cycles, 150);
-        assert_eq!(a.control_retransmits, 2);
+        assert_eq!(a.tx_retries, 2);
         assert!(!a.is_clean());
     }
 
@@ -205,7 +184,7 @@ mod tests {
             tx_retries: 9,
             bursts_abandoned: 1,
             packets_abandoned: 64,
-            control_failures: 1,
+            forward_dropped_packets: 1,
             ..DegradationReport::default()
         };
         let c = serde::Serialize::to_content(&r);

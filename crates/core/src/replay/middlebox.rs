@@ -26,15 +26,10 @@ use choir_packet::Frame;
 
 use crate::obs;
 
-use super::control::{decode_control_pdu, encode_control_ack, is_control_frame, ControlPdu};
+use super::control::{decode_control, is_control_frame};
 use super::degrade::DegradationReport;
-use super::recording::{Recording, RollingRecorder};
+use super::recording::Recording;
 use super::scheduler::{ReplayScheduler, ReplayStats, SchedulerState};
-
-/// `ControlMsg::Custom` value freezing the rolling window into the
-/// replay buffer (paper §4: "future work can add recording in a rolling
-/// manner" — this is that mode's shutter button).
-pub const SNAPSHOT_ROLLING: u64 = 0x534E_4150_0000_0001; // "SNAP..1"
 
 /// Middlebox configuration.
 #[derive(Debug, Clone, Copy)]
@@ -55,12 +50,6 @@ pub struct MiddleboxConfig {
     /// Bounded retries when the NIC accepts only part of a burst before
     /// the remainder is dropped (a transparent forwarder must not stall).
     pub tx_retries: u32,
-    /// When set, the middlebox *continuously* records the most recent
-    /// `n` packets while transparent (stand-by recording); a
-    /// `ControlMsg::Custom(SNAPSHOT_ROLLING)` freezes that window into
-    /// the replay buffer. `StartRecord`/`StopRecord` still work and take
-    /// precedence while active.
-    pub rolling_window: Option<usize>,
     /// Also forward the reverse direction (`tx_port` → `rx_port`),
     /// making the middlebox a full bridge between its "2 bridged
     /// interfaces" (paper §5). Reverse traffic is forwarded verbatim:
@@ -83,7 +72,6 @@ impl Default for MiddleboxConfig {
             stamp_tags: true,
             in_band_control: true,
             tx_retries: 2,
-            rolling_window: None,
             bridge_reverse: false,
             pool_reserve: 128,
         }
@@ -111,15 +99,6 @@ pub struct ForwardStats {
     /// Packets forwarded but not recorded because the mempool fell
     /// below [`MiddleboxConfig::pool_reserve`].
     pub record_skipped: u64,
-    /// Acks transmitted for sequenced in-band control frames.
-    pub control_acks_sent: u64,
-    /// Duplicate sequenced control deliveries suppressed (re-acked but
-    /// not re-applied).
-    pub control_duplicates: u64,
-    /// Mempool allocations that failed on the capture/control path and
-    /// were tolerated by dropping (e.g. an ack that could not be built
-    /// under pool exhaustion; the controller's retransmit recovers it).
-    pub alloc_failed: u64,
     /// Packets dropped because the staging burst was already at
     /// capacity when they arrived (a misbehaving rx plane overfilling
     /// `MAX_BURST`; the forwarder degrades instead of panicking).
@@ -131,39 +110,26 @@ pub struct ChoirMiddlebox {
     cfg: MiddleboxConfig,
     state: State,
     recording: Recording,
-    roller: Option<RollingRecorder>,
     scheduler: Option<ReplayScheduler>,
     seq: u64,
     rx_buf: Burst,
     stats: ForwardStats,
     last_replay_stats: Option<ReplayStats>,
-    /// Sequence of the most recently applied reliable control frame;
-    /// an identical sequence is re-acked but not re-applied
-    /// (stop-and-wait makes exact-match dedupe sufficient).
-    last_ctrl_seq: Option<u32>,
 }
 
 impl ChoirMiddlebox {
     /// A middlebox in transparent mode.
     pub fn new(cfg: MiddleboxConfig) -> Self {
-        let roller = cfg.rolling_window.map(RollingRecorder::new);
         ChoirMiddlebox {
             cfg,
             state: State::Transparent,
             recording: Recording::new(),
-            roller,
             scheduler: None,
             seq: 0,
             rx_buf: Burst::new(),
             stats: ForwardStats::default(),
             last_replay_stats: None,
-            last_ctrl_seq: None,
         }
-    }
-
-    /// The rolling stand-by window, if configured.
-    pub fn rolling(&self) -> Option<&RollingRecorder> {
-        self.roller.as_ref()
     }
 
     /// The current recording (empty unless a record ran).
@@ -182,8 +148,6 @@ impl ChoirMiddlebox {
         DegradationReport {
             record_skipped_packets: self.stats.record_skipped,
             forward_dropped_packets: self.stats.tx_dropped,
-            control_duplicates: self.stats.control_duplicates,
-            capture_alloc_failed: self.stats.alloc_failed,
             capture_ring_full: self.stats.ring_full,
             ..DegradationReport::default()
         }
@@ -254,11 +218,6 @@ impl ChoirMiddlebox {
                     self.last_replay_stats = Some(s.stats());
                 }
             }
-            ControlMsg::Custom(v) if v == SNAPSHOT_ROLLING => {
-                if let Some(roller) = &self.roller {
-                    self.recording = roller.snapshot();
-                }
-            }
             ControlMsg::Custom(_) => {}
         }
     }
@@ -284,39 +243,17 @@ impl ChoirMiddlebox {
             for mut m in rx.drain() {
                 if self.cfg.in_band_control && is_control_frame(&m.frame) {
                     self.stats.control_frames += 1;
-                    // Intercepted, not forwarded. The staged burst is
-                    // flushed first so a mid-burst StartRecord/StopRecord
-                    // takes effect exactly at its in-band position.
-                    match decode_control_pdu(&m.frame) {
-                        Some(ControlPdu::Msg { msg, seq: None }) => {
-                            self.flush_tx(&mut tx, dp);
-                            self.handle_control(&msg, dp);
-                        }
-                        Some(ControlPdu::Msg {
-                            msg,
-                            seq: Some(seq),
-                        }) => {
-                            // Reliable delivery: always ack; apply only
-                            // if this is not a retransmission of the
-                            // last applied command.
-                            self.send_ack(seq, &m.frame, dp);
-                            if self.last_ctrl_seq == Some(seq) {
-                                self.stats.control_duplicates += 1;
-                            } else {
-                                self.last_ctrl_seq = Some(seq);
-                                self.flush_tx(&mut tx, dp);
-                                self.handle_control(&msg, dp);
-                            }
-                        }
-                        // Acks are addressed to a controller, not to us;
-                        // malformed frames are dropped. Neither forwards.
-                        Some(ControlPdu::Ack { .. }) | None => {}
+                    // Intercepted, not forwarded (a malformed one is
+                    // simply dropped). The staged burst is flushed first
+                    // so a mid-burst StartRecord/StopRecord takes effect
+                    // exactly at its in-band position.
+                    if let Some(msg) = decode_control(&m.frame) {
+                        self.flush_tx(&mut tx, dp);
+                        self.handle_control(&msg, dp);
                     }
                     continue;
                 }
-                if self.cfg.stamp_tags
-                    && (self.state == State::Recording || self.roller.is_some())
-                {
+                if self.cfg.stamp_tags && self.state == State::Recording {
                     self.stamp(&mut m.frame);
                 }
                 // Bursts are bounded by rx_burst to MAX_BURST, so a full
@@ -336,29 +273,6 @@ impl ChoirMiddlebox {
         }
     }
 
-    /// Acknowledge a sequenced control frame back out the port it came
-    /// in on, source/destination swapped from the original frame. An
-    /// allocation or transmit failure is tolerated: the controller's
-    /// retransmission recovers the lost ack.
-    fn send_ack(&mut self, seq: u32, frame: &Frame, dp: &mut dyn Dataplane) {
-        let Some(eth) = choir_packet::EthernetHeader::parse(&frame.data) else {
-            return;
-        };
-        let ack = encode_control_ack(seq, eth.dst, eth.src);
-        let Ok(mbuf) = dp.mempool().alloc(ack) else {
-            self.stats.alloc_failed += 1;
-            if obs::is_enabled() {
-                obs::counter_inc("capture.alloc_fail");
-            }
-            return;
-        };
-        let mut burst = Burst::new();
-        let _ = burst.push(mbuf);
-        if dp.tx_burst(self.cfg.rx_port, &mut burst) == 1 {
-            self.stats.control_acks_sent += 1;
-        }
-    }
-
     /// Transmit (and, while recording, record) the staged burst.
     fn flush_tx(&mut self, tx: &mut Burst, dp: &mut dyn Dataplane) {
         if tx.is_empty() {
@@ -374,12 +288,6 @@ impl ChoirMiddlebox {
             if may_record {
                 self.recording.push_burst(tsc, tx.iter());
                 self.stats.recorded += tx.len() as u64;
-            } else {
-                self.stats.record_skipped += tx.len() as u64;
-            }
-        } else if let Some(roller) = &mut self.roller {
-            if may_record {
-                roller.push_burst(tsc, tx.iter());
             } else {
                 self.stats.record_skipped += tx.len() as u64;
             }
@@ -464,8 +372,8 @@ mod tests {
         wake: Option<u64>,
         rx_q: VecDeque<Mbuf>,
         tx_log: Vec<(u64, Mbuf)>,
-        /// Frames transmitted back out port 0 (control acks).
-        ack_log: Vec<Mbuf>,
+        /// Frames transmitted back out port 0 (there must be none).
+        reverse_log: Vec<Mbuf>,
         tx_capacity_per_call: usize,
     }
 
@@ -481,7 +389,7 @@ mod tests {
                 wake: None,
                 rx_q: VecDeque::new(),
                 tx_log: Vec::new(),
-                ack_log: Vec::new(),
+                reverse_log: Vec::new(),
                 tx_capacity_per_call: 64,
             }
         }
@@ -525,9 +433,8 @@ mod tests {
         }
         fn tx_burst(&mut self, port: PortId, burst: &mut Burst) -> usize {
             if port == 0 {
-                // The only legitimate reverse traffic here is control acks.
                 let n = burst.len();
-                self.ack_log.extend(burst.drain());
+                self.reverse_log.extend(burst.drain());
                 return n;
             }
             assert_eq!(port, 1, "middlebox must tx on its tx port");
@@ -723,8 +630,10 @@ mod tests {
         dp.inject(encode_control(&ControlMsg::StopRecord, src, dst));
         dp.inject_data(1);
         app.on_wake(&mut dp);
-        // Control frames not forwarded; 3 data packets were.
+        // Control frames not forwarded; 3 data packets were, and nothing
+        // went back out the rx port in response.
         assert_eq!(dp.tx_log.len(), 3);
+        assert!(dp.reverse_log.is_empty());
         assert_eq!(app.forward_stats().control_frames, 2);
         // Only the 2 packets between start/stop were recorded+tagged.
         assert_eq!(app.recording().packets(), 2);
@@ -861,153 +770,6 @@ mod tests {
         // Reverse traffic is never stamped.
         assert!(dp.tx[0].iter().all(|m| m.frame.tag().is_none()));
         assert_eq!(app.forward_stats().forwarded, 5);
-    }
-
-    #[test]
-    fn rolling_mode_keeps_a_window_and_snapshots_into_replays() {
-        let mut dp = BridgePlane::new();
-        let mut app = ChoirMiddlebox::new(MiddleboxConfig {
-            rolling_window: Some(6),
-            in_band_control: false,
-            ..MiddleboxConfig::default()
-        });
-        // Stream 20 packets through a transparent (stand-by) middlebox.
-        for i in 0..20u64 {
-            dp.inject_data(1);
-            dp.now = i * 1_000;
-            app.on_wake(&mut dp);
-        }
-        // Only the most recent 6 are held.
-        assert_eq!(app.rolling().unwrap().packets(), 6);
-        assert_eq!(app.rolling().unwrap().evicted(), 14);
-        assert!(app.recording().is_empty(), "no snapshot yet");
-
-        // Snapshot, then replay the window.
-        app.on_control(&ControlMsg::Custom(SNAPSHOT_ROLLING), &mut dp);
-        assert_eq!(app.recording().packets(), 6);
-        dp.tx_log.clear();
-        app.on_control(
-            &ControlMsg::ScheduleReplay {
-                start_wall_ns: 100_000,
-            },
-            &mut dp,
-        );
-        dp.now = 100_000;
-        dp.wake = None;
-        loop {
-            app.on_wake(&mut dp);
-            if !app.replay_active() {
-                break;
-            }
-            dp.now = dp.wake.take().expect("scheduler requested a wake");
-        }
-        assert_eq!(dp.tx_log.len(), 6);
-        // The replayed packets are the LAST six of the stream (tags 14..20).
-        let seqs: Vec<u64> = dp
-            .tx_log
-            .iter()
-            .map(|(_, m)| m.frame.tag().unwrap().seq)
-            .collect();
-        assert_eq!(seqs, vec![14, 15, 16, 17, 18, 19]);
-    }
-
-    #[test]
-    fn rolling_mode_stamps_tags_while_transparent() {
-        let mut dp = BridgePlane::new();
-        let mut app = ChoirMiddlebox::new(MiddleboxConfig {
-            rolling_window: Some(4),
-            in_band_control: false,
-            ..MiddleboxConfig::default()
-        });
-        dp.inject_data(3);
-        app.on_wake(&mut dp);
-        assert!(dp.tx_log.iter().all(|(_, m)| m.frame.tag().is_some()));
-    }
-
-    #[test]
-    fn explicit_recording_takes_precedence_over_rolling() {
-        let mut dp = BridgePlane::new();
-        let mut app = ChoirMiddlebox::new(MiddleboxConfig {
-            rolling_window: Some(100),
-            in_band_control: false,
-            ..MiddleboxConfig::default()
-        });
-        app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(5);
-        app.on_wake(&mut dp);
-        app.on_control(&ControlMsg::StopRecord, &mut dp);
-        // The explicit recording holds the packets; the roller was idle
-        // during the explicit window.
-        assert_eq!(app.recording().packets(), 5);
-        assert_eq!(app.rolling().unwrap().packets(), 0);
-    }
-
-    #[test]
-    fn sequenced_control_is_acked_and_deduplicated() {
-        use crate::replay::control::{decode_control_pdu, encode_control_seq, ControlPdu};
-        let mut dp = BridgePlane::new();
-        let mut app = mb();
-        let src = MacAddr::local(9);
-        let dst = MacAddr::local(3);
-        dp.inject(encode_control_seq(&ControlMsg::StartRecord, 7, src, dst));
-        dp.inject_data(2);
-        // A retransmitted StartRecord: must be re-acked but NOT re-applied
-        // (re-applying would clear the recording and reset the sequence).
-        dp.inject(encode_control_seq(&ControlMsg::StartRecord, 7, src, dst));
-        dp.inject_data(1);
-        app.on_wake(&mut dp);
-
-        // Both copies acked, back out the rx port, addressed to the sender.
-        assert_eq!(dp.ack_log.len(), 2);
-        for m in &dp.ack_log {
-            assert_eq!(
-                decode_control_pdu(&m.frame),
-                Some(ControlPdu::Ack { seq: 7 })
-            );
-            let eth = choir_packet::EthernetHeader::parse(&m.frame.data).unwrap();
-            assert_eq!(eth.dst, src, "ack returns to the controller");
-            assert_eq!(eth.src, dst);
-        }
-        let st = app.forward_stats();
-        assert_eq!(st.control_acks_sent, 2);
-        assert_eq!(st.control_duplicates, 1);
-        // The command was applied exactly once: all 3 data packets landed
-        // in one recording with an unbroken tag sequence.
-        assert_eq!(app.recording().packets(), 3);
-        let seqs: Vec<u64> = dp
-            .tx_log
-            .iter()
-            .map(|(_, m)| m.frame.tag().unwrap().seq)
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(app.degradation_report().control_duplicates, 1);
-    }
-
-    #[test]
-    fn exhausted_pool_drops_ack_gracefully_and_counts() {
-        use crate::replay::control::encode_control_seq;
-        let mut dp = BridgePlane::with_pool_capacity(2);
-        let mut app = mb();
-        let src = MacAddr::local(9);
-        let dst = MacAddr::local(3);
-        dp.inject(encode_control_seq(&ControlMsg::StartRecord, 1, src, dst));
-        // Pin the remaining slot so the ack allocation must fail: the run
-        // completes anyway (the controller's retransmit recovers the ack).
-        let _pin = dp
-            .pool
-            .alloc(choir_packet::FrameBuilder::new(64, 1, 2).build_plain())
-            .unwrap();
-        app.on_wake(&mut dp);
-        assert_eq!(dp.ack_log.len(), 0, "no slot for the ack");
-        let st = app.forward_stats();
-        assert_eq!(st.alloc_failed, 1);
-        assert_eq!(st.control_acks_sent, 0);
-        // The command itself was still applied.
-        assert!(app.is_recording());
-        let d = app.degradation_report();
-        assert_eq!(d.capture_alloc_failed, 1);
-        assert!(!d.is_clean());
-        assert!(d.total_events() >= 1);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!
 //! Module map:
 //!
-//! - [`recording`] — the in-RAM burst log (plus the rolling-window variant
-//!   the paper lists as future work).
+//! - [`recording`] — the in-RAM burst log.
 //! - [`scheduler`] — the TSC-delta release logic driving a replay.
 //! - [`middlebox`] — the [`choir_dpdk::App`] tying it together: forward,
 //!   record, replay, obey control commands.
@@ -22,22 +21,16 @@
 //!   time.
 //! - [`degrade`] — typed replay-abort causes and the degradation
 //!   counters the supervised paths report instead of hanging.
-//! - [`reliable`] — stop-and-wait reliability (sequence numbers, acks,
-//!   bounded retransmission) layered over the in-band control channel.
 
 pub mod control;
-pub mod debugger;
 pub mod degrade;
 pub mod engine;
 pub mod middlebox;
 pub mod recording;
-pub mod reliable;
 pub mod scheduler;
 
-pub use debugger::{Breakpoint, ReplayDebugger, StopReason};
 pub use degrade::{DegradationReport, ReplayError, ReplayErrorKind};
 pub use engine::{run_replay_spin, run_replay_supervised, EngineConfig, EngineReport};
 pub use middlebox::{ChoirMiddlebox, MiddleboxConfig};
-pub use recording::{Recording, RecordedBurst, RollingRecorder};
-pub use reliable::{ControlEvent, ControlLinkStats, ControllerConfig, ReliableController};
+pub use recording::{Recording, RecordedBurst};
 pub use scheduler::{ReplayScheduler, ReplayStats, SchedulerState};

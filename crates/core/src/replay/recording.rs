@@ -10,10 +10,7 @@
 //!
 //! [`Recording`] is exactly that: a vector of [`RecordedBurst`]s, each an
 //! `Mbuf` clone set (refcount bumps, no data copies) plus the transmit
-//! TSC. [`RollingRecorder`] adds the rolling-window mode the paper defers
-//! to future work ("future work can add recording in a rolling manner").
-
-use std::collections::VecDeque;
+//! TSC.
 
 use choir_dpdk::{Burst, Mbuf};
 
@@ -115,81 +112,6 @@ impl Recording {
         self.bursts.clear();
         self.packets = 0;
     }
-
-    /// A new recording covering burst range `range` (handles cloned, the
-    /// original untouched) — the replay-from-here primitive the debugger
-    /// uses.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Recording {
-        let mut out = Recording::new();
-        for b in &self.bursts[range] {
-            out.push_burst(b.tsc, b.pkts.iter());
-        }
-        out
-    }
-}
-
-/// A bounded, rolling recording: always holds the most recent window of
-/// traffic, evicting the oldest bursts when the packet budget is exceeded.
-#[derive(Debug, Clone)]
-pub struct RollingRecorder {
-    window: VecDeque<RecordedBurst>,
-    packets: usize,
-    max_packets: usize,
-    evicted: u64,
-}
-
-impl RollingRecorder {
-    /// A rolling recorder keeping at most `max_packets` packets.
-    ///
-    /// # Panics
-    /// Panics if `max_packets` is zero.
-    pub fn new(max_packets: usize) -> Self {
-        assert!(max_packets > 0, "rolling window must hold packets");
-        RollingRecorder {
-            window: VecDeque::new(),
-            packets: 0,
-            max_packets,
-            evicted: 0,
-        }
-    }
-
-    /// Append a burst, evicting old bursts to stay within budget.
-    pub fn push_burst<'a, I: IntoIterator<Item = &'a Mbuf>>(&mut self, tsc: u64, pkts: I) {
-        let pkts: Vec<Mbuf> = pkts.into_iter().cloned().collect();
-        if pkts.is_empty() {
-            return;
-        }
-        self.packets += pkts.len();
-        self.window.push_back(RecordedBurst { tsc, pkts });
-        while self.packets > self.max_packets && self.window.len() > 1 {
-            let old = self.window.pop_front().expect("nonempty");
-            self.packets -= old.len();
-            self.evicted += old.len() as u64;
-        }
-    }
-
-    /// Packets currently held.
-    pub fn packets(&self) -> usize {
-        self.packets
-    }
-
-    /// Total packets evicted since creation.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Freeze the current window into a [`Recording`] (handles cloned,
-    /// window retained).
-    pub fn snapshot(&self) -> Recording {
-        let mut r = Recording::new();
-        for b in &self.window {
-            r.push_burst(b.tsc, b.pkts.iter());
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -260,51 +182,5 @@ mod tests {
         rec.push_burst(1, pkts.iter());
         let b = rec.burst(0).to_burst();
         assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn rolling_evicts_oldest() {
-        let pool = Mempool::new("r", 64);
-        let mut roll = RollingRecorder::new(6);
-        for t in 0..5u64 {
-            let pkts = mbufs(&pool, 2);
-            roll.push_burst(t * 10, pkts.iter());
-        }
-        // 10 packets pushed, budget 6 -> oldest two bursts evicted.
-        assert_eq!(roll.packets(), 6);
-        assert_eq!(roll.evicted(), 4);
-        let snap = roll.snapshot();
-        assert_eq!(snap.packets(), 6);
-        assert_eq!(snap.first_tsc(), Some(20));
-    }
-
-    #[test]
-    fn rolling_keeps_at_least_one_burst() {
-        let pool = Mempool::new("r", 64);
-        let mut roll = RollingRecorder::new(2);
-        let pkts = mbufs(&pool, 5);
-        roll.push_burst(0, pkts.iter());
-        // A single burst larger than the budget is retained (cannot evict
-        // the only burst).
-        assert_eq!(roll.packets(), 5);
-        assert_eq!(roll.snapshot().packets(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "rolling window")]
-    fn rolling_zero_budget_panics() {
-        RollingRecorder::new(0);
-    }
-
-    #[test]
-    fn rolling_eviction_frees_slots() {
-        let pool = Mempool::new("r", 64);
-        let mut roll = RollingRecorder::new(4);
-        for t in 0..8u64 {
-            let pkts = mbufs(&pool, 2);
-            roll.push_burst(t, pkts.iter());
-        }
-        // Only the window's packets remain allocated.
-        assert_eq!(pool.in_use(), 4);
     }
 }

@@ -31,24 +31,20 @@
 
 pub mod clock;
 pub mod engine;
-pub mod impair;
 pub mod nic;
 pub mod ptp;
 pub mod rng;
-pub mod shard;
 pub mod switchdev;
 pub mod time;
 pub mod topology;
 pub mod wheel;
 
 pub use clock::{NodeClock, PtpModel, TimestampModel};
-pub use engine::{Endpoint, NodeId, RemoteBurst, Sim, SimConfig, SimStats};
+pub use engine::{NodeId, Sim, SimConfig, SimStats};
 pub use wheel::{EventQueue, QueueKind, TimingWheel};
-pub use impair::LinkImpairments;
 pub use nic::{BatchDist, NicRxModel, NicTxModel, SharedVfModel, UtilProcess};
 pub use ptp::{PtpClient, PtpGrandmaster};
 pub use rng::{DetRng, Jitter};
-pub use shard::{partition_round_robin, ShardedSim, SimBuilder, SyncStats};
 pub use switchdev::{Switch, SwitchProfile};
 pub use time::{MS, NS, PS_PER_SEC, US};
 pub use topology::{TopologyBuilder, TopologyError};

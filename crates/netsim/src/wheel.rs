@@ -233,16 +233,6 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// The `(time, seq)` of the next event, without removing it.
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.seek();
-        let e = self.buckets[self.cursor].front().expect("seek: non-empty");
-        Some((e.t, e.seq))
-    }
-
     /// Remove and return the next event if its time is `<= deadline`.
     pub fn pop_due(&mut self, deadline: u64) -> Option<(u64, T)> {
         if self.len == 0 {
@@ -323,15 +313,6 @@ impl<T> EventQueue<T> {
                 heap.push(HeapEntry(Entry { t, seq, item }));
                 *depth_peak = (*depth_peak).max(heap.len());
             }
-        }
-    }
-
-    /// The time of the next event, without removing it. Used by the
-    /// shard coordinator to compute the conservative horizon.
-    pub fn peek_time(&mut self) -> Option<u64> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.peek_key().map(|(t, _)| t),
-            Inner::Heap { heap, .. } => heap.peek().map(|e| e.0.t),
         }
     }
 

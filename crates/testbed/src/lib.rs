@@ -15,10 +15,8 @@
 //!   re-sampling the between-run clock state (PTP resync, timestamp servo
 //!   slope) before each, and compare runs B–E against run A.
 
-pub mod multidomain;
 pub mod profiles;
 pub mod runner;
 
-pub use multidomain::{run_multidomain, MultiDomainConfig, MultiDomainOutput, MultiDomainProfile};
 pub use profiles::{EnvKind, EnvProfile};
-pub use runner::{sim_stats_report, Experiment, ExperimentConfig, ExperimentOutput, SimTuning};
+pub use runner::{Experiment, ExperimentConfig, ExperimentOutput, SimTuning};

@@ -76,13 +76,6 @@ pub struct SimTuning {
     pub coalesce: bool,
     /// Event-queue implementation.
     pub queue: QueueKind,
-    /// Shard the engine across worker threads (multi-domain experiments
-    /// only; the classic single-switch runner is indivisible and ignores
-    /// this). `0` runs the serial engine in-process — the reference the
-    /// determinism gates compare against; `n >= 1` runs a
-    /// [`choir_netsim::ShardedSim`] with `n` workers, whose captures are
-    /// byte-identical to serial at every shard count.
-    pub shards: usize,
 }
 
 impl Default for SimTuning {
@@ -90,7 +83,6 @@ impl Default for SimTuning {
         SimTuning {
             coalesce: true,
             queue: QueueKind::Wheel,
-            shards: 0,
         }
     }
 }
@@ -104,7 +96,6 @@ impl SimTuning {
         SimTuning {
             coalesce: false,
             queue: QueueKind::Heap,
-            shards: 0,
         }
     }
 }
@@ -234,7 +225,6 @@ fn execute(cfg: &ExperimentConfig, tuning: SimTuning) -> ExperimentOutput {
                 stamp_tags: true,
                 in_band_control: false,
                 tx_retries: 3,
-                rolling_window: None,
                 bridge_reverse: false,
                 pool_reserve: 128,
             }),
@@ -419,9 +409,7 @@ fn execute(cfg: &ExperimentConfig, tuning: SimTuning) -> ExperimentOutput {
 }
 
 /// Mirror the simulator's counters into the report's serializable form.
-/// `shards` and `sync_windows` stay 0 here; the multi-domain runner
-/// overrides them for sharded fleets.
-pub fn sim_stats_report(s: &SimStats) -> choir_core::metrics::SimStatsReport {
+fn sim_stats_report(s: &SimStats) -> choir_core::metrics::SimStatsReport {
     choir_core::metrics::SimStatsReport {
         events_processed: s.events_processed,
         queue_depth_peak: s.queue_depth_peak,
@@ -429,10 +417,6 @@ pub fn sim_stats_report(s: &SimStats) -> choir_core::metrics::SimStatsReport {
         coalesced_packets: s.coalesced_packets,
         wire_events_elided: s.wire_events_elided,
         packets_per_event: s.packets_per_event(),
-        remote_bursts: s.remote_bursts,
-        remote_packets: s.remote_packets,
-        shards: 0,
-        sync_windows: 0,
     }
 }
 

@@ -300,7 +300,8 @@ fn captures_match_the_committed_fingerprints() {
         .iter()
         .filter_map(|&(kind, tuning, want)| {
             let got = capture_fingerprint(&quick_tuned(kind, 0.002, 22, tuning));
-            (got != want).then(|| format!("{kind:?} {tuning:?}: {got:#018x}, committed {want:#018x}"))
+            (got != want)
+                .then(|| format!("{kind:?} {tuning:?}: {got:#018x}, committed {want:#018x}"))
         })
         .collect();
     assert!(moved.is_empty(), "captures moved:\n{}", moved.join("\n"));
