@@ -74,38 +74,6 @@ pub fn kappa_from_components(u: f64, o: f64, l: f64, i: f64) -> ConsistencyMetri
     KappaConfig::paper().combine(u, o, l, i)
 }
 
-/// A rigorous interval `[lo, hi]` guaranteed to contain the κ the batch
-/// pipeline would report on the same observations. Exact computations
-/// collapse it to a point (`lo == hi`); bounded-lookahead estimators
-/// widen it by their accounted error (see `metrics::stream`'s
-/// error-bound ladder). Because [`KappaConfig::combine`] is monotone
-/// non-increasing in every component, component-wise intervals map
-/// directly to a κ interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KappaBounds {
-    /// Inclusive lower bound on the batch κ.
-    pub lo: f64,
-    /// Inclusive upper bound on the batch κ.
-    pub hi: f64,
-}
-
-impl KappaBounds {
-    /// A collapsed (exact) bound.
-    pub fn exact(kappa: f64) -> Self {
-        KappaBounds { lo: kappa, hi: kappa }
-    }
-
-    /// Width of the interval — the estimator's error budget.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
-
-    /// Does the interval contain `kappa` (inclusive)?
-    pub fn contains(&self, kappa: f64) -> bool {
-        self.lo <= kappa && kappa <= self.hi
-    }
-}
-
 /// Non-linear scaling families for a component (paper §8.2/§10 future
 /// work).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

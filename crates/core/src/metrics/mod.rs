@@ -40,7 +40,7 @@ pub use allpairs::{
 };
 pub use gapreplay::{gapreplay_metrics, GapReplayMetrics};
 pub use histogram::DeltaHistogram;
-pub use kappa::{kappa_from_components, ConsistencyMetrics, KappaBounds, KappaConfig, Scaling};
+pub use kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig, Scaling};
 pub use matching::Matching;
 pub use ordering::EditScriptStats;
 pub use pair::{PairAnalyzer, PairScratch};

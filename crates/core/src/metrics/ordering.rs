@@ -152,124 +152,33 @@ pub(crate) fn ordering_core(m: &Matching) -> OrderingResult {
     }
 }
 
-// ---------------------------------------------------------------------
-// Block kernel — shared between the streaming estimator
-// (`super::stream`) and windowed analysis. A "block" is a run of matched
-// (a_pos, b_pos) pairs; the kernel reads only their relative order, so
-// the same code scores a whole run, a sealed window, or a snapshot
-// slice.
-// ---------------------------------------------------------------------
-
-/// Dress a block of matched `(a_pos, b_pos)` pairs as a synthetic
-/// [`Matching`] in B arrival order (`b_pos` is unique per stream, so the
-/// sort is deterministic).
-pub(crate) fn block_matching(pairs: &[(u32, u32)]) -> Matching {
-    let mut sorted: Vec<(u32, u32)> = pairs.to_vec();
-    sorted.sort_unstable_by_key(|p| p.1);
-    Matching {
-        a_len: sorted.len(),
-        b_len: sorted.len(),
-        pairs: sorted
+/// Total edit-script move distance of one block: a run of matched
+/// `(a_pos, b_pos)` pairs in any order, of which only the relative order
+/// is read, so the same code scores a whole stream's pairs or a snapshot
+/// slice. The pairs are put in B arrival order (`b_pos` is unique per
+/// stream, so the sort is deterministic) and scored by the reference LIS
+/// kernel.
+pub(crate) fn block_move_distance(mut pairs: Vec<(u32, u32)>) -> u128 {
+    if pairs.len() <= 1 {
+        return 0;
+    }
+    pairs.sort_unstable_by_key(|p| p.1);
+    let m = Matching {
+        a_len: pairs.len(),
+        b_len: pairs.len(),
+        pairs: pairs
             .into_iter()
             .map(|(a, b)| super::matching::MatchedPair {
                 a_idx: a as usize,
                 b_idx: b as usize,
             })
             .collect(),
-    }
-}
-
-/// Exact edit script of one block (LIS kernel over the block's own
-/// ranks). When the block is a *direct summand* of the global
-/// permutation — every pair in it precedes every pair outside it in both
-/// coordinates — local ranks differ from global ranks by a constant
-/// offset in each coordinate, so the displacements (and hence the move
-/// distance) are exactly the global ones.
-pub(crate) fn block_ordering(pairs: &[(u32, u32)]) -> OrderingResult {
-    ordering_core(&block_matching(pairs))
-}
-
-/// Total edit-script move distance of one block.
-pub(crate) fn block_move_distance(pairs: &[(u32, u32)]) -> u128 {
-    if pairs.len() <= 1 {
-        return 0;
-    }
-    block_ordering(pairs)
+    };
+    ordering_core(&m)
         .displacements
         .iter()
         .map(|d| d.unsigned_abs() as u128)
         .sum()
-}
-
-/// Largest prefix cut `c` (over `sorted`, which must be ascending in
-/// `b_pos`) at which the block splits into a direct sum: every pair
-/// before the cut precedes every pair at/after it in **both**
-/// coordinates, no pending A observation (`min_pend_a`) can later match
-/// below the cut's A horizon, and no pending B observation
-/// (`min_pend_b`) can later land below the cut's B horizon. Future
-/// (not-yet-pushed) observations always take larger positions than
-/// anything buffered, so these two floors are the only external hazard.
-pub(crate) fn direct_sum_cut(
-    sorted: &[(u32, u32)],
-    min_pend_a: u32,
-    min_pend_b: u32,
-) -> Option<usize> {
-    let n = sorted.len();
-    if n == 0 {
-        return None;
-    }
-    // suffix_min_a[i] = min a_pos over sorted[i..]; [n] = +inf.
-    let mut suffix_min_a = vec![u32::MAX; n + 1];
-    for i in (0..n).rev() {
-        suffix_min_a[i] = suffix_min_a[i + 1].min(sorted[i].0);
-    }
-    let mut best = None;
-    let mut prefix_max_a = 0u32;
-    for c in 1..=n {
-        prefix_max_a = prefix_max_a.max(sorted[c - 1].0);
-        if prefix_max_a < suffix_min_a[c]
-            && prefix_max_a < min_pend_a
-            && sorted[c - 1].1 < min_pend_b
-        {
-            best = Some(c);
-        }
-    }
-    best
-}
-
-/// The A-side horizons of a cut: `(prefix_max_a, cut_b)` — the largest
-/// A position committed below the cut and the B position the cut seals
-/// at. Callers use these to count pending observations that could still
-/// land inside the sealed prefix.
-pub(crate) fn cut_horizons(sorted: &[(u32, u32)], c: usize) -> (u32, u32) {
-    debug_assert!(c >= 1 && c <= sorted.len());
-    let prefix_max_a = sorted[..c].iter().map(|p| p.0).max().unwrap_or(0);
-    (prefix_max_a, sorted[c - 1].1)
-}
-
-/// Number of elements whose removal would make the cut `c` a direct-sum
-/// boundary (an upper bound on the true minimum): prefix pairs reaching
-/// above the suffix/pending A horizon, suffix pairs reaching below the
-/// prefix A horizon, plus the caller-counted pending observations on
-/// either side that could still land inside the prefix
-/// (`pend_a_below` = pending A observations with position below
-/// `prefix_max_a`, `pend_b_below` = pending B observations below
-/// `cut_b`). Used to price a *forced* seal.
-pub(crate) fn crossing_count(
-    sorted: &[(u32, u32)],
-    c: usize,
-    min_pend_a: u32,
-    pend_a_below: u64,
-    pend_b_below: u64,
-) -> u64 {
-    let n = sorted.len();
-    debug_assert!(c >= 1 && c <= n);
-    let prefix_max_a = sorted[..c].iter().map(|p| p.0).max().unwrap_or(0);
-    let suffix_min_a = sorted[c..].iter().map(|p| p.0).min().unwrap_or(u32::MAX);
-    let a_floor = suffix_min_a.min(min_pend_a);
-    let k_prefix = sorted[..c].iter().filter(|p| p.0 > a_floor).count() as u64;
-    let k_suffix = sorted[c..].iter().filter(|p| p.0 < prefix_max_a).count() as u64;
-    k_prefix + k_suffix + pend_a_below + pend_b_below
 }
 
 /// Reusable workspace for `ordering_arena`: the rank keys, the rank

@@ -9,8 +9,7 @@
 //!
 //! ## Exactness contract
 //!
-//! With an **unbounded lookahead** (`StreamConfig::lookahead = None`) the
-//! finalized comparison is **bit-identical** to the batch pipeline
+//! The finalized comparison is **bit-identical** to the batch pipeline
 //! ([`super::pair::PairAnalyzer`], either source) on the same
 //! observations, for any interleaving and any chunking of the
 //! two input streams. This works without buffering the raw trials:
@@ -30,48 +29,25 @@
 //!   (`ordering_arena`) over the matched pairs sorted into B arrival
 //!   order — the identical permutation the batch path sees.
 //!
-//! ## Bounded mode
-//!
-//! With `lookahead = Some(w)` at most `w` unmatched observations stay
-//! resident; the globally oldest pending observation is evicted first.
-//! An evicted packet can never match, so a pair whose true match distance
-//! exceeds the window is scored as a drop on both sides (U rises — the
-//! honest reading: within the window's horizon the packet never showed
-//! up). Ordering is scored by the windowed edit-script estimator
-//! (`WindowedMerge`): matched pairs buffer until a **direct-sum
-//! breakpoint** is found — a cut at which every buffered pair below it
-//! precedes every pair above it (and every pending or future
-//! observation) in *both* streams. A block sealed at a breakpoint is a
-//! direct summand of the global permutation, so its locally-computed
-//! edit script is *exactly* the global one; sealing adds zero error. If
-//! the buffer overflows without a breakpoint (adversarial global
-//! interleavings) a **forced seal** commits half the buffer and counts
-//! the crossing elements, which price a rigorous error term. Together
-//! with an exact count of the matches the window missed (tracked by
-//! per-identity occurrence debt), every snapshot carries a
-//! [`KappaBounds`] interval guaranteed to contain the κ the batch
-//! pipeline would report on the same prefix — collapsing to a point
-//! (and a `f64::to_bits`-identical finalize) at full lookahead.
-//! Percentiles are approximated from histogram buckets once a seal has
-//! occurred. DESIGN.md §12 spells out the semantics and the proof
-//! sketch.
+//! An unmatched observation stays resident until its counterpart arrives
+//! or the stream ends; nothing is evicted. Residency therefore follows
+//! the skew between the two feeds plus the packets one side lost, not
+//! the stream length (measured at paper scale in DESIGN.md §12.3).
 //!
 //! ## Checkpoint / resume
 //!
 //! [`IncrementalComparison::checkpoint`] serializes the engine's *entire*
 //! algorithmic state — FIFO matching cursors, 128-bit accumulators,
-//! bounded-mode resident window, the estimator's partially-merged
-//! buffer and error ledger, occurrence-debt map, slice, and snapshot
-//! trail — into a [`StreamCheckpoint`], and
-//! [`IncrementalComparison::resume`] rebuilds a live engine from one.
-//! The hard contract (tested exhaustively, DESIGN.md §13): feeding
-//! records `0..k`, checkpointing, resuming, and feeding `k..n` is
-//! bit-identical (`f64::to_bits`) to an uninterrupted run — at **every**
-//! cut point `k`, in both lookahead modes, including through a
-//! `serde_json` round trip of the checkpoint itself.
+//! matched pairs, slice, and snapshot trail — into a
+//! [`StreamCheckpoint`], and [`IncrementalComparison::resume`] rebuilds a
+//! live engine from one. The hard contract (tested exhaustively,
+//! DESIGN.md §13): feeding records `0..k`, checkpointing, resuming, and
+//! feeding `k..n` is bit-identical (`f64::to_bits`) to an uninterrupted
+//! run — at **every** cut point `k`, including through a `serde_json`
+//! round trip of the checkpoint itself.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -83,13 +59,10 @@ use choir_packet::ident::PacketId;
 
 use super::histogram::DeltaHistogram;
 use super::iat::normalize_i;
-use super::kappa::{ConsistencyMetrics, KappaBounds, KappaConfig};
+use super::kappa::{ConsistencyMetrics, KappaConfig};
 use super::latency::normalize_l;
 use super::matching::{MatchedPair, Matching};
-use super::ordering::{
-    block_move_distance, block_ordering, crossing_count, cut_horizons, direct_sum_cut,
-    normalize_o, ordering_arena, EditScriptStats,
-};
+use super::ordering::{block_move_distance, normalize_o, ordering_arena};
 use super::pair::PairScratch;
 use super::report::{abs_percentiles_ns_bits, StageTimings, TrialComparison};
 use super::trial::Observation;
@@ -132,8 +105,8 @@ pub enum ResumeMismatch {
         found: u64,
     },
     /// The checkpoint's configuration differs from the one the caller is
-    /// resuming under (hashes of lookahead, snapshot cadence, and every
-    /// κ weight/scaling).
+    /// resuming under (hashes of snapshot cadence and every κ
+    /// weight/scaling).
     Config {
         /// [`StreamConfig::fingerprint`] of the caller's configuration.
         expected: u64,
@@ -159,15 +132,22 @@ impl std::fmt::Display for ResumeMismatch {
 
 impl std::error::Error for ResumeMismatch {}
 
-/// Configuration of one incremental comparison. The default is full
-/// lookahead, no automatic snapshots, and the paper's κ weights
+/// Configuration of one incremental comparison. The default is no
+/// automatic snapshots and the paper's κ weights
 /// (`KappaConfig::default()` == `KappaConfig::paper()`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamConfig {
-    /// Reorder/lookahead window: the maximum number of unmatched
-    /// observations kept resident across both sides. `None` = unbounded
-    /// (exact batch-identical finalize). `Some(0)` is clamped to 1.
-    pub lookahead: Option<usize>,
+    /// Not an option: `None` is the only value this field has, and
+    /// `Some` does not type-check. It is here because the frozen
+    /// benchmark harness spells the config as a literal that names it
+    /// (`e2e/src/layers.rs`), and it leaves with ROADMAP item 1(c).
+    /// Build configs with `..Default::default()`.
+    ///
+    /// ```compile_fail
+    /// use choir_core::metrics::stream::StreamConfig;
+    /// let _ = StreamConfig { lookahead: Some(1), ..Default::default() };
+    /// ```
+    pub lookahead: Option<std::convert::Infallible>,
     /// Take a [`KappaSnapshot`] automatically every this many pushed
     /// observations (both sides counted). 0 = only explicit
     /// [`IncrementalComparison::snapshot_now`] calls.
@@ -178,7 +158,7 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// A 64-bit fingerprint of everything that shapes the measurement:
-    /// the lookahead mode, the snapshot cadence, and every κ weight and
+    /// the snapshot cadence and every κ weight and
     /// scaling (by exact `f64` bit pattern — two configs that differ in
     /// the last ulp are different measurements). Recorded in every
     /// [`StreamCheckpoint`] and verified by
@@ -200,11 +180,7 @@ impl StreamConfig {
                 Scaling::Presence { floor } => mix(mix(h, 4), floor.to_bits()),
             }
         }
-        let mut h = match self.lookahead {
-            None => mix(0, u64::MAX),
-            Some(w) => mix(1, w as u64),
-        };
-        h = mix(h, self.snapshot_every);
+        let mut h = mix(0, self.snapshot_every);
         let k = &self.kappa;
         for w in [k.w_u, k.w_o, k.w_l, k.w_i] {
             h = mix(h, w.to_bits());
@@ -228,50 +204,23 @@ pub struct KappaSnapshot {
     pub seen_b: usize,
     /// Matched pairs so far.
     pub common: usize,
-    /// Unmatched observations currently resident in the window.
+    /// Unmatched observations currently resident.
     pub resident: usize,
-    /// Observations evicted unmatched so far (bounded mode only).
-    pub evicted: usize,
     /// Running κ and components over everything seen so far.
     pub running: ConsistencyMetrics,
     /// Score of just the slice since the previous snapshot.
     pub window: WindowScore,
-    /// Rigorous interval containing the κ the batch pipeline would
-    /// report on the prefix streamed so far. Collapses to the running κ
-    /// in unbounded mode; in bounded mode it widens by the estimator's
-    /// accounted error and tightens as the window grows. `None` on
-    /// snapshots serialized before the bound existed.
-    #[serde(default)]
-    pub bounds: Option<KappaBounds>,
 }
 
 /// Everything `finalize` hands back.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
-    /// The finished comparison — bit-identical to the batch analyzers
-    /// when the lookahead was unbounded.
+    /// The finished comparison — bit-identical to the batch analyzers.
     pub comparison: TrialComparison,
     /// The snapshot trail taken while streaming.
     pub snapshots: Vec<KappaSnapshot>,
     /// High-water mark of resident unmatched observations.
     pub peak_resident: usize,
-    /// Observations evicted unmatched (0 in unbounded mode).
-    pub evicted: usize,
-    /// True when a bounded lookahead was configured (the comparison is
-    /// then the documented approximation, not the exact batch result).
-    pub bounded: bool,
-    /// Rigorous interval containing the batch κ on the same streams.
-    /// Exact finalizes (unbounded, or bounded without a seal or an
-    /// eviction) collapse it to the final κ.
-    pub bounds: KappaBounds,
-    /// Batch-on-prefix matches the bounded window missed because one
-    /// counterpart was evicted (0 in unbounded mode). The batch matched
-    /// count is exactly `comparison.common + missed_matches`.
-    pub missed_matches: usize,
-    /// Direct-sum (zero-error) seals the ordering estimator committed.
-    pub seals: usize,
-    /// Forced (error-priced) seals the estimator was driven to.
-    pub forced_seals: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -280,9 +229,7 @@ pub struct StreamOutcome {
 // The vendored serde data model carries at most 64-bit integers, so the
 // engine's u128/i128 accumulators and `PacketId(u128)` identities are
 // split into (hi, lo) halves; everything else mirrors the live state
-// field-for-field. `pending_by_age` is NOT serialized — every pending
-// observation carries its (unique, monotone) enqueue tick, so the age
-// index is rebuilt exactly on resume.
+// field-for-field.
 // ---------------------------------------------------------------------
 
 fn split_u128(v: u128) -> (u64, u64) {
@@ -309,7 +256,6 @@ struct SideCk {
     prev_t_ps: u64,
     min_t_ps: u64,
     max_t_ps: u64,
-    evicted: u64,
 }
 
 /// Serialized mirror of [`PendingObs`].
@@ -318,7 +264,6 @@ struct ObsCk {
     pos: u32,
     t_ps: u64,
     gap_ps: i64,
-    tick: u64,
 }
 
 /// One identity's pending FIFO queues, with the `PacketId(u128)` split
@@ -341,16 +286,6 @@ struct PairCk {
     d_iat_ps: i64,
 }
 
-/// Serialized mirror of [`MomentAcc`]. The vendored `serde_json` prints
-/// `f64` with shortest-roundtrip formatting, so `mean`/`m2` survive a
-/// JSON trip bit-exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct MomentCk {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
 /// Serialized mirror of [`SliceState`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SliceCk {
@@ -361,21 +296,6 @@ struct SliceCk {
     iat_num: (u64, u64),
     a_lo: u32,
     a_hi: u32,
-    batch_matched: u64,
-    mis: u64,
-}
-
-/// One identity's occurrence-debt entry (`PacketId(u128)` split into
-/// halves): `debt` = A observations minus B observations seen so far,
-/// `skew` = A evictions minus B evictions. Entries at (0, 0) are pruned
-/// — the increments only ever depend on the running difference, so
-/// pruning preserves the batch-match count exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct OccCk {
-    id_hi: u64,
-    id_lo: u64,
-    debt: i64,
-    skew: i64,
 }
 
 /// A complete, serializable snapshot of an [`IncrementalComparison`]'s
@@ -389,16 +309,19 @@ struct OccCk {
 /// checkpoint — a resumed run re-measures its own stage timings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
+    /// [`CHECKPOINT_FORMAT`] of the writer. Absent — so 0 — in every
+    /// file written before the field existed; [`Self::read_from`]
+    /// refuses any other value than its own before it reads a slab.
+    #[serde(default)]
+    format: u32,
     /// Caller-assigned identity of the engine that took this checkpoint
-    /// (0 when never set — checkpoints predating the field deserialize
-    /// to 0). Verified by [`IncrementalComparison::resume_checked`].
+    /// (0 when never set). Verified by
+    /// [`IncrementalComparison::resume_checked`].
     #[serde(default)]
     engine_id: u64,
-    /// [`StreamConfig::fingerprint`] at checkpoint time (0 on legacy
-    /// checkpoints serialized before the field existed).
+    /// [`StreamConfig::fingerprint`] at checkpoint time.
     #[serde(default)]
     config_hash: u64,
-    lookahead: Option<u64>,
     snapshot_every: u64,
     kappa: KappaConfig,
     side_a: SideCk,
@@ -413,19 +336,6 @@ pub struct StreamCheckpoint {
     iat_hist: DeltaHistogram,
     lat_hist: DeltaHistogram,
     all_pairs: Vec<PairCk>,
-    buf: Vec<PairCk>,
-    o_num: (u64, u64),
-    moved: u64,
-    disp_signed: MomentCk,
-    disp_abs: MomentCk,
-    disp_min: i64,
-    disp_max: i64,
-    seals: u64,
-    forced_seals: u64,
-    cross: u64,
-    mis: u64,
-    batch_matched: u64,
-    occ: Vec<OccCk>,
     slice: SliceCk,
     last_snapshot_tick: u64,
     snapshots: Vec<KappaSnapshot>,
@@ -445,8 +355,7 @@ impl StreamCheckpoint {
         self.engine_id
     }
 
-    /// Configuration fingerprint recorded at checkpoint time (0 on
-    /// checkpoints serialized before the field existed).
+    /// Configuration fingerprint recorded at checkpoint time.
     pub fn config_hash(&self) -> u64 {
         self.config_hash
     }
@@ -466,16 +375,16 @@ impl StreamCheckpoint {
         self.pending.iter().map(|p| p.a.len() + p.b.len()).sum()
     }
 
-    /// Move the bulk vectors (matched pairs, estimator buffer, slice
-    /// pairs, pending observations) out of the checkpoint into `w` as
-    /// four checksummed little-endian slabs ([`write_section`]), and
+    /// Move the bulk vectors (matched pairs, slice pairs, pending
+    /// observations) out of the checkpoint into `w` as three
+    /// checksummed little-endian slabs ([`write_section`]), and
     /// return what is left: every scalar, histogram and the trail, small
     /// enough to serialize through serde as before. A checkpoint's size
     /// is its bulk — 32 bytes per matched pair here against ~90 as JSON
     /// through the `Content` tree. [`Self::read_from`] is the inverse.
     pub fn write_to(mut self, w: &mut impl Write) -> std::io::Result<Self> {
         let mut raw = Vec::new();
-        for pairs in [&self.all_pairs, &self.buf, &self.slice.pairs] {
+        for pairs in [&self.all_pairs, &self.slice.pairs] {
             raw.clear();
             raw.reserve(pairs.len() * PAIR_BYTES);
             for p in pairs {
@@ -498,13 +407,11 @@ impl StreamCheckpoint {
                     raw.extend_from_slice(&side.to_le_bytes());
                     raw.extend_from_slice(&o.t_ps.to_le_bytes());
                     raw.extend_from_slice(&o.gap_ps.to_le_bytes());
-                    raw.extend_from_slice(&o.tick.to_le_bytes());
                 }
             }
         }
         write_section(w, &raw)?;
         self.all_pairs = Vec::new();
-        self.buf = Vec::new();
         self.slice.pairs = Vec::new();
         self.pending = Vec::new();
         Ok(self)
@@ -512,9 +419,18 @@ impl StreamCheckpoint {
 
     /// Re-attach the bulk vectors [`Self::write_to`] moved out. `self`
     /// is the remainder `write_to` returned (possibly after a serde
-    /// round trip). Truncated, ragged or bit-flipped input is a typed
-    /// error; nothing is allocated for bytes the input does not hold.
+    /// round trip). The slabs are positional, so a remainder that does
+    /// not name this layout ([`CHECKPOINT_FORMAT`]) is refused before a
+    /// byte of `r` is read. Truncated, ragged or bit-flipped input is a
+    /// typed error; nothing is allocated for bytes the input does not
+    /// hold.
     pub fn read_from(mut self, r: &mut impl Read) -> Result<Self, CheckpointError> {
+        if self.format != CHECKPOINT_FORMAT {
+            return Err(CheckpointError::Format {
+                found: self.format,
+                expected: CHECKPOINT_FORMAT,
+            });
+        }
         let mut pairs = |section| -> Result<Vec<PairCk>, CheckpointError> {
             let raw = read_section(r, section)?;
             let recs = records::<PAIR_BYTES>(&raw, section)?;
@@ -529,7 +445,6 @@ impl StreamCheckpoint {
                 .collect())
         };
         self.all_pairs = pairs("all_pairs")?;
-        self.buf = pairs("buf")?;
         self.slice.pairs = pairs("slice.pairs")?;
         let raw = read_section(r, "pending")?;
         // Records of one identity are adjacent (side A's queue, then
@@ -540,7 +455,6 @@ impl StreamCheckpoint {
                 pos: u32::from_le_bytes(le(b, 16)),
                 t_ps: u64::from_le_bytes(le(b, 24)),
                 gap_ps: i64::from_le_bytes(le(b, 32)),
-                tick: u64::from_le_bytes(le(b, 40)),
             };
             if self
                 .pending
@@ -574,14 +488,27 @@ impl StreamCheckpoint {
 /// latency delta as `hi` (i64) and `lo` (u64), `d_iat_ps` (i64).
 const PAIR_BYTES: usize = 32;
 /// Bytes of one pending observation in a slab: identity (u128), `pos`
-/// and side (u32 each), `t_ps` (u64), `gap_ps` (i64), `tick` (u64).
-const PENDING_BYTES: usize = 48;
+/// and side (u32 each), `t_ps` (u64), `gap_ps` (i64).
+const PENDING_BYTES: usize = 40;
 
-/// A binary checkpoint section that cannot be read back.
+/// The checkpoint layout this build writes and reads: which slabs follow
+/// the serde remainder, in what order, at what record size. 0 is every
+/// file written before checkpoints named their format (four slabs,
+/// 48-byte pending records).
+pub const CHECKPOINT_FORMAT: u32 = 1;
+
+/// A binary checkpoint that cannot be read back.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The reader failed.
     Io(std::io::Error),
+    /// The remainder was written under a different slab layout.
+    Format {
+        /// Format the remainder names (0 if it names none).
+        found: u32,
+        /// [`CHECKPOINT_FORMAT`] of this build.
+        expected: u32,
+    },
     /// The input ended inside the named section.
     Truncated {
         /// Which section.
@@ -602,6 +529,10 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint read failed: {e}"),
+            CheckpointError::Format { found, expected } => write!(
+                f,
+                "checkpoint is in format {found}, this build reads format {expected}"
+            ),
             CheckpointError::Truncated { section } => {
                 write!(f, "checkpoint input ends inside section `{section}`")
             }
@@ -707,7 +638,6 @@ impl SideCk {
             prev_t_ps: s.prev_t_ps,
             min_t_ps: s.min_t_ps,
             max_t_ps: s.max_t_ps,
-            evicted: s.evicted as u64,
         }
     }
 
@@ -718,7 +648,6 @@ impl SideCk {
             prev_t_ps: self.prev_t_ps,
             min_t_ps: self.min_t_ps,
             max_t_ps: self.max_t_ps,
-            evicted: self.evicted as usize,
         }
     }
 }
@@ -729,7 +658,6 @@ impl ObsCk {
             pos: o.pos,
             t_ps: o.t_ps,
             gap_ps: o.gap_ps,
-            tick: o.tick,
         }
     }
 
@@ -738,7 +666,6 @@ impl ObsCk {
             pos: self.pos,
             t_ps: self.t_ps,
             gap_ps: self.gap_ps,
-            tick: self.tick,
         }
     }
 }
@@ -765,24 +692,6 @@ impl PairCk {
     }
 }
 
-impl MomentCk {
-    fn of(m: &MomentAcc) -> Self {
-        MomentCk {
-            count: m.count as u64,
-            mean: m.mean,
-            m2: m.m2,
-        }
-    }
-
-    fn restore(&self) -> MomentAcc {
-        MomentAcc {
-            count: self.count as usize,
-            mean: self.mean,
-            m2: self.m2,
-        }
-    }
-}
-
 /// Per-side incremental statistics (the streaming mirror of what
 /// `Trial::start_ps`/`minmax_span_ps`/`gap_ps` provide in batch).
 #[derive(Debug, Clone, Copy, Default)]
@@ -792,7 +701,6 @@ struct SideState {
     prev_t_ps: u64,
     min_t_ps: u64,
     max_t_ps: u64,
-    evicted: usize,
 }
 
 impl SideState {
@@ -819,9 +727,6 @@ struct PendingObs {
     pos: u32,
     t_ps: u64,
     gap_ps: i64,
-    /// Global push counter value at enqueue time — unique, monotone; the
-    /// eviction key.
-    tick: u64,
 }
 
 /// FIFO queues of pending occurrences of one identity, one per side. At
@@ -852,40 +757,6 @@ struct PairRec {
     d_iat_ps: i64,
 }
 
-/// Welford accumulator matching `stats::Summary`'s update order (sample
-/// stddev, n−1).
-#[derive(Debug, Clone, Copy, Default)]
-struct MomentAcc {
-    count: usize,
-    mean: f64,
-    m2: f64,
-}
-
-impl MomentAcc {
-    fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    fn stddev(&self) -> f64 {
-        if self.count > 1 {
-            (self.m2 / (self.count as f64 - 1.0)).sqrt()
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Accumulators for the slice between two snapshots.
 #[derive(Debug)]
 struct SliceState {
@@ -896,12 +767,6 @@ struct SliceState {
     iat_num: u128,
     a_lo: u32,
     a_hi: u32,
-    /// Batch-on-prefix matches the occurrence-debt counter attributed to
-    /// this slice (bounded mode; == `pairs.len()` when nothing was
-    /// missed).
-    batch_matched: usize,
-    /// Slice matches made at nonzero eviction skew (bounded mode).
-    mis: usize,
 }
 
 impl SliceState {
@@ -914,16 +779,8 @@ impl SliceState {
             iat_num: 0,
             a_lo: u32::MAX,
             a_hi: 0,
-            batch_matched: 0,
-            mis: 0,
         }
     }
-}
-
-/// Project a run of matched pairs onto their `(a_pos, b_pos)`
-/// coordinates for the shared block kernel (`super::ordering`).
-fn pair_positions(pairs: &[PairRec]) -> Vec<(u32, u32)> {
-    pairs.iter().map(|p| (p.a_pos, p.b_pos)).collect()
 }
 
 /// True when a run of matched pairs, taken as recorded (match order), is
@@ -931,8 +788,8 @@ fn pair_positions(pairs: &[PairRec]) -> Vec<(u32, u32)> {
 /// given and the A ranks along it are the identity permutation, so the
 /// run's edit script is empty — what the LIS kernel would conclude after
 /// a copy, a sort and a Fenwick pass. A stream that kept its order
-/// matches in that order, so every snapshot and seal of one stops here;
-/// the scan ends at the first pair that breaks it.
+/// matches in that order, so every snapshot of one stops here; the scan
+/// ends at the first pair that breaks it.
 fn order_preserving(pairs: &[PairRec]) -> bool {
     pairs
         .windows(2)
@@ -944,232 +801,11 @@ fn segment_move_distance(pairs: &[PairRec]) -> u128 {
     if order_preserving(pairs) {
         return 0;
     }
-    block_move_distance(&pair_positions(pairs))
-}
-
-/// Per-identity occurrence bookkeeping for the bounded window (the live
-/// mirror of [`OccCk`]). `debt` counts A-minus-B occurrences seen so
-/// far; an arrival on the deficit side is exactly a match the batch
-/// pipeline makes on this prefix, whether or not the window still holds
-/// the counterpart. `skew` counts A-minus-B *evictions*; a stream match
-/// made at nonzero skew pairs occurrence ranks the batch pairing would
-/// not, so its deltas are flagged as misaligned rather than exact.
-#[derive(Debug, Clone, Copy, Default)]
-struct OccState {
-    debt: i64,
-    skew: i64,
-}
-
-/// The bounded-mode windowed edit-script estimator (module docs, DESIGN
-/// §12). Matched pairs buffer until a seal commits a prefix block
-/// through the exact LIS kernel:
-///
-/// - a **breakpoint seal** cuts at a direct-sum boundary
-///   ([`direct_sum_cut`]) — the committed block's local displacements
-///   are provably the global ones, so the seal adds *zero* error;
-/// - a **forced seal** (buffer at the hard cap with no breakpoint) cuts
-///   at the midpoint and prices the damage by the exact number of
-///   crossing elements ([`crossing_count`]), accumulated in `cross`.
-///
-/// `o_num`/`moved`/`disp_*` accumulate the committed blocks' statistics;
-/// the κ error bound charges `2·cross·m` for the forced cuts.
-#[derive(Debug)]
-struct WindowedMerge {
-    /// Matched pairs not yet committed to a sealed block.
-    buf: Vec<PairRec>,
-    /// Move distance committed by sealed blocks.
-    o_num: u128,
-    /// Committed displaced-element count.
-    moved: usize,
-    disp_signed: MomentAcc,
-    disp_abs: MomentAcc,
-    disp_min: i64,
-    disp_max: i64,
-    /// Zero-error breakpoint seals committed.
-    seals: usize,
-    /// Error-priced forced seals committed.
-    forced_seals: usize,
-    /// Exact crossing-element count over all forced cuts (error ledger).
-    cross: u64,
-}
-
-impl WindowedMerge {
-    fn new() -> Self {
-        WindowedMerge {
-            buf: Vec::new(),
-            o_num: 0,
-            moved: 0,
-            disp_signed: MomentAcc::default(),
-            disp_abs: MomentAcc::default(),
-            disp_min: i64::MAX,
-            disp_max: i64::MIN,
-            seals: 0,
-            forced_seals: 0,
-            cross: 0,
-        }
-    }
-
-    /// Buffer length at which breakpoint attempts begin. Deliberately
-    /// larger than the lookahead window: pairs are cheap (16 bytes)
-    /// next to pending observations, and a longer buffer finds more
-    /// breakpoints.
-    fn seal_cap(w: usize) -> usize {
-        (2 * w).max(32)
-    }
-
-    /// Re-attempt stride past the cap (attempts are a pure function of
-    /// the buffer length, so checkpoint/resume replays them exactly).
-    fn seal_stride(w: usize) -> usize {
-        (w / 2).max(16)
-    }
-
-    /// Buffer length that forces an error-priced seal.
-    fn hard_cap(w: usize) -> usize {
-        4 * Self::seal_cap(w)
-    }
-
-    /// Run the exact kernel over one committed block and fold its
-    /// displacements into the sealed accumulators.
-    fn commit_block(&mut self, block: &[PairRec]) {
-        if order_preserving(block) {
-            return;
-        }
-        let ord = block_ordering(&pair_positions(block));
-        for &d in &ord.displacements {
-            self.o_num += d.unsigned_abs() as u128;
-            self.disp_signed.push(d as f64);
-            self.disp_abs.push(d.abs() as f64);
-            self.disp_min = self.disp_min.min(d);
-            self.disp_max = self.disp_max.max(d);
-        }
-        self.moved += ord.displacements.len();
-    }
-
-    /// Commit every buffered pair at or below the `cut_b` horizon as one
-    /// block; retain the rest.
-    fn commit_below(&mut self, cut_b: u32) {
-        let (block, rest): (Vec<PairRec>, Vec<PairRec>) =
-            self.buf.drain(..).partition(|p| p.b_pos <= cut_b);
-        self.buf = rest;
-        self.commit_block(&block);
-    }
-
-    /// Move distance of the uncommitted tail as if sealed now (the
-    /// running-O contribution of the buffer).
-    fn tail_distance(&self) -> u128 {
-        segment_move_distance(&self.buf)
-    }
-}
-
-/// Inputs to [`bounds_from`]: one scope's exact accumulators plus its
-/// error ledger. The whole stream and a snapshot slice both reduce to
-/// this shape (a slice has `cross == 0` — its pairs are all retained).
-struct BoundsInput {
-    /// Stream matches in scope.
-    mc: usize,
-    /// Batch-on-prefix matches the window missed (occurrence debt).
-    p: usize,
-    /// Stream matches made at nonzero eviction skew.
-    mis: usize,
-    /// Crossing elements over forced seals.
-    cross: u64,
-    /// Estimated move distance (committed + tail).
-    d_hat: u128,
-    lat_num: u128,
-    iat_num: u128,
-    /// Observations pushed in scope.
-    total: usize,
-    span_a: u64,
-    span_b: u64,
-}
-
-/// Rigorous κ interval for one scope (DESIGN §12). With `m* = mc + p`
-/// batch matches on the prefix:
-///
-/// - U is *exact*: `1 − 2m*/total` is the batch formula verbatim.
-/// - O: the estimate `d_hat` deviates from the batch move distance by at
-///   most `2·(cross + p + 2·mis)·m*` — removing a crossing or misaligned
-///   element, or inserting a missed one, changes the optimal edit script
-///   by at most `2m*` (its own move plus a rank shift of every other
-///   element).
-/// - L/I: every unknown pair's |Δ| is capped by `span_a + span_b`, so
-///   the numerators shift by at most that per missed/misaligned pair.
-///
-/// κ is monotone non-increasing in each component
-/// ([`KappaConfig::combine`]), so the interval endpoints come from
-/// combining the components' opposite extremes. With an empty error
-/// ledger every expression reduces to the running formula f64-for-f64,
-/// so the interval collapses to the running κ bit-exactly.
-fn bounds_from(cfg: &KappaConfig, x: &BoundsInput) -> KappaBounds {
-    let m_star = x.mc + x.p;
-    let u = normalize_u(m_star, x.total).max(0.0);
-    // Each endpoint is the batch normalizer on a numerator shifted by
-    // the ledger's worst case, so an empty ledger gives the running
-    // value back bit for bit.
-    let slack = 2 * (x.cross as u128 + x.p as u128 + 2 * x.mis as u128) * m_star as u128;
-    let o_lo = normalize_o(x.d_hat.saturating_sub(slack), m_star).min(1.0);
-    let o_hi = normalize_o(x.d_hat + slack, m_star).min(1.0);
-    let cap = x.span_a as u128 + x.span_b as u128;
-    let (below, above) = (x.mis as u128 * cap, (x.p + x.mis) as u128 * cap);
-    let l_lo = normalize_l(x.lat_num.saturating_sub(below), m_star, x.span_a, x.span_b);
-    let l_hi = normalize_l(x.lat_num + above, m_star, x.span_a, x.span_b);
-    let i_lo = normalize_i(x.iat_num.saturating_sub(below), m_star, x.span_a, x.span_b);
-    let i_hi = normalize_i(x.iat_num + above, m_star, x.span_a, x.span_b);
-    KappaBounds {
-        lo: cfg.combine(u, o_hi, l_hi, i_hi).kappa,
-        hi: cfg.combine(u, o_lo, l_lo, i_lo).kappa,
-    }
-}
-
-/// Nearest-rank (p50, p90, p99) of |Δ| approximated from histogram
-/// buckets: each percentile reports the lower |edge| of the bucket its
-/// rank lands in (0.0 for the zero bucket) — a deterministic lower
-/// bound of the true percentile.
-fn hist_abs_percentiles(h: &DeltaHistogram) -> (f64, f64, f64) {
-    let total = h.total();
-    if total == 0 {
-        return (0.0, 0.0, 0.0);
-    }
-    // Fold the signed buckets by absolute lower edge (mirror buckets
-    // share bit-identical edges) and sort ascending.
-    let mut folded: Vec<(f64, u64)> = Vec::new();
-    for (lo, hi, c, _) in h.buckets() {
-        if c == 0 {
-            continue;
-        }
-        let abs_lo = if lo <= 0.0 && hi >= 0.0 {
-            0.0
-        } else if lo > 0.0 {
-            lo
-        } else {
-            -hi
-        };
-        folded.push((abs_lo, c));
-    }
-    folded.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite edges"));
-    let mut merged: Vec<(f64, u64)> = Vec::with_capacity(folded.len());
-    for (v, c) in folded {
-        match merged.last_mut() {
-            Some(last) if last.0 == v => last.1 += c,
-            _ => merged.push((v, c)),
-        }
-    }
-    let pick = |p: f64| {
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for &(v, c) in &merged {
-            cum += c;
-            if cum >= rank {
-                return v;
-            }
-        }
-        merged.last().expect("non-empty").0
-    };
-    (pick(50.0), pick(90.0), pick(99.0))
+    block_move_distance(pairs.iter().map(|p| (p.a_pos, p.b_pos)).collect())
 }
 
 /// The streaming incremental-κ engine. See the module docs for the
-/// exactness contract and the bounded-window semantics.
+/// exactness contract.
 ///
 /// Feed each side's observations **in that side's arrival order** (the
 /// order a capture or live tap naturally produces); the interleaving
@@ -1190,18 +826,12 @@ fn hist_abs_percentiles(h: &DeltaHistogram) -> (f64, f64, f64) {
 /// eng.push_burst(Side::B, b.observations());
 /// let out = eng.finalize("B");
 /// assert_eq!(out.comparison.common, 100);
-/// assert!(!out.bounded);
 /// ```
 #[derive(Debug)]
 pub struct IncrementalComparison {
     cfg: StreamConfig,
     sides: [SideState; 2],
     pending: IdMap<IdQueues>,
-    /// tick → (id, side) of every *pending* observation; `pop_first`
-    /// yields the globally oldest, which is necessarily at the front of
-    /// its id+side FIFO queue. Size == `resident`, so bounded mode is
-    /// truly bounded.
-    pending_by_age: BTreeMap<u64, (PacketId, Side)>,
     tick: u64,
     resident: usize,
     peak_resident: usize,
@@ -1211,18 +841,8 @@ pub struct IncrementalComparison {
     within_10ns: usize,
     iat_hist: DeltaHistogram,
     lat_hist: DeltaHistogram,
-    /// Unbounded mode: every matched pair, for the exact finalize.
+    /// Every matched pair, in match order, for running O and finalize.
     all_pairs: Vec<PairRec>,
-    /// Bounded mode: the windowed edit-script estimator.
-    est: WindowedMerge,
-    /// Bounded mode: per-identity occurrence debt and eviction skew.
-    occ: IdMap<OccState>,
-    /// Matches the batch pipeline would have made on the prefix pushed
-    /// so far (bounded mode; always `== matched` when unbounded).
-    batch_matched: usize,
-    /// Stream matches made at nonzero eviction skew — pairs whose
-    /// occurrence alignment diverged from the batch pairing.
-    mis: usize,
     slice: SliceState,
     last_snapshot_tick: u64,
     snapshots: Vec<KappaSnapshot>,
@@ -1239,7 +859,6 @@ impl IncrementalComparison {
             cfg,
             sides: [SideState::default(), SideState::default()],
             pending: IdMap::default(),
-            pending_by_age: BTreeMap::new(),
             tick: 0,
             resident: 0,
             peak_resident: 0,
@@ -1250,10 +869,6 @@ impl IncrementalComparison {
             iat_hist: DeltaHistogram::new(),
             lat_hist: DeltaHistogram::new(),
             all_pairs: Vec::new(),
-            est: WindowedMerge::new(),
-            occ: IdMap::default(),
-            batch_matched: 0,
-            mis: 0,
             slice: SliceState::new(),
             last_snapshot_tick: 0,
             snapshots: Vec::new(),
@@ -1294,15 +909,9 @@ impl IncrementalComparison {
         self.resident
     }
 
-    /// High-water mark of resident unmatched observations. In bounded
-    /// mode this never exceeds the configured window.
+    /// High-water mark of resident unmatched observations.
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
-    }
-
-    /// Observations evicted unmatched so far.
-    pub fn evicted(&self) -> usize {
-        self.sides[0].evicted + self.sides[1].evicted
     }
 
     /// Snapshots taken so far.
@@ -1331,27 +940,13 @@ impl IncrementalComparison {
             })
             .collect();
         pending.sort_unstable_by_key(|p| (p.id_hi, p.id_lo));
-        let mut occ: Vec<OccCk> = self
-            .occ
-            .iter()
-            .map(|(id, e)| {
-                let (id_hi, id_lo) = split_u128(id.0);
-                OccCk {
-                    id_hi,
-                    id_lo,
-                    debt: e.debt,
-                    skew: e.skew,
-                }
-            })
-            .collect();
-        occ.sort_unstable_by_key(|e| (e.id_hi, e.id_lo));
         if obs::is_enabled() {
             obs::counter_inc("recover.checkpoints");
         }
         StreamCheckpoint {
+            format: CHECKPOINT_FORMAT,
             engine_id: self.engine_id,
             config_hash: self.cfg.fingerprint(),
-            lookahead: self.cfg.lookahead.map(|w| w as u64),
             snapshot_every: self.cfg.snapshot_every,
             kappa: self.cfg.kappa,
             side_a: SideCk::of(&self.sides[0]),
@@ -1366,19 +961,6 @@ impl IncrementalComparison {
             iat_hist: self.iat_hist.clone(),
             lat_hist: self.lat_hist.clone(),
             all_pairs: self.all_pairs.iter().map(PairCk::of).collect(),
-            buf: self.est.buf.iter().map(PairCk::of).collect(),
-            o_num: split_u128(self.est.o_num),
-            moved: self.est.moved as u64,
-            disp_signed: MomentCk::of(&self.est.disp_signed),
-            disp_abs: MomentCk::of(&self.est.disp_abs),
-            disp_min: self.est.disp_min,
-            disp_max: self.est.disp_max,
-            seals: self.est.seals as u64,
-            forced_seals: self.est.forced_seals as u64,
-            cross: self.est.cross,
-            mis: self.mis as u64,
-            batch_matched: self.batch_matched as u64,
-            occ,
             slice: SliceCk {
                 a_pushed: self.slice.a_pushed as u64,
                 b_pushed: self.slice.b_pushed as u64,
@@ -1387,45 +969,31 @@ impl IncrementalComparison {
                 iat_num: split_u128(self.slice.iat_num),
                 a_lo: self.slice.a_lo,
                 a_hi: self.slice.a_hi,
-                batch_matched: self.slice.batch_matched as u64,
-                mis: self.slice.mis as u64,
             },
             last_snapshot_tick: self.last_snapshot_tick,
             snapshots: self.snapshots.clone(),
         }
     }
 
-    /// Rebuild a live engine from a [`StreamCheckpoint`]. The age index
-    /// over pending observations is reconstructed from their enqueue
-    /// ticks, so bounded-mode eviction order — and therefore every
-    /// downstream bit — is exactly what the uninterrupted run would have
-    /// produced (the module-docs contract).
+    /// Rebuild a live engine from a [`StreamCheckpoint`]; every
+    /// downstream bit is what the uninterrupted run would have produced
+    /// (the module-docs contract).
     pub fn resume(ck: StreamCheckpoint) -> Self {
         let _span = obs::span("recover.resume");
         let cfg = StreamConfig {
-            lookahead: ck.lookahead.map(|w| w as usize),
             snapshot_every: ck.snapshot_every,
             kappa: ck.kappa,
+            ..Default::default()
         };
         let mut pending = IdMap::with_capacity_and_hasher(ck.pending.len(), Default::default());
-        let mut pending_by_age = BTreeMap::new();
         let mut resident = 0usize;
         for e in &ck.pending {
-            let id = PacketId(join_u128(e.id_hi, e.id_lo));
-            let mut q = IdQueues::default();
-            for o in &e.a {
-                let p = o.restore();
-                pending_by_age.insert(p.tick, (id, Side::A));
-                q.a.push_back(p);
-                resident += 1;
-            }
-            for o in &e.b {
-                let p = o.restore();
-                pending_by_age.insert(p.tick, (id, Side::B));
-                q.b.push_back(p);
-                resident += 1;
-            }
-            pending.insert(id, q);
+            let q = IdQueues {
+                a: e.a.iter().map(ObsCk::restore).collect(),
+                b: e.b.iter().map(ObsCk::restore).collect(),
+            };
+            resident += q.a.len() + q.b.len();
+            pending.insert(PacketId(join_u128(e.id_hi, e.id_lo)), q);
         }
         if obs::is_enabled() {
             obs::counter_inc("recover.resumes");
@@ -1434,7 +1002,6 @@ impl IncrementalComparison {
             cfg,
             sides: [ck.side_a.restore(), ck.side_b.restore()],
             pending,
-            pending_by_age,
             tick: ck.tick,
             resident,
             peak_resident: ck.peak_resident as usize,
@@ -1445,33 +1012,6 @@ impl IncrementalComparison {
             iat_hist: ck.iat_hist,
             lat_hist: ck.lat_hist,
             all_pairs: ck.all_pairs.iter().map(PairCk::restore).collect(),
-            est: WindowedMerge {
-                buf: ck.buf.iter().map(PairCk::restore).collect(),
-                o_num: join_u128(ck.o_num.0, ck.o_num.1),
-                moved: ck.moved as usize,
-                disp_signed: ck.disp_signed.restore(),
-                disp_abs: ck.disp_abs.restore(),
-                disp_min: ck.disp_min,
-                disp_max: ck.disp_max,
-                seals: ck.seals as usize,
-                forced_seals: ck.forced_seals as usize,
-                cross: ck.cross,
-            },
-            occ: ck
-                .occ
-                .iter()
-                .map(|e| {
-                    (
-                        PacketId(join_u128(e.id_hi, e.id_lo)),
-                        OccState {
-                            debt: e.debt,
-                            skew: e.skew,
-                        },
-                    )
-                })
-                .collect(),
-            batch_matched: ck.batch_matched as usize,
-            mis: ck.mis as usize,
             slice: SliceState {
                 a_pushed: ck.slice.a_pushed as usize,
                 b_pushed: ck.slice.b_pushed as usize,
@@ -1480,8 +1020,6 @@ impl IncrementalComparison {
                 iat_num: join_u128(ck.slice.iat_num.0, ck.slice.iat_num.1),
                 a_lo: ck.slice.a_lo,
                 a_hi: ck.slice.a_hi,
-                batch_matched: ck.slice.batch_matched as usize,
-                mis: ck.slice.mis as usize,
             },
             last_snapshot_tick: ck.last_snapshot_tick,
             engine_id: ck.engine_id,
@@ -1493,10 +1031,7 @@ impl IncrementalComparison {
     /// refuses a checkpoint that was taken by a different engine
     /// (`engine_id` mismatch) or under a different [`StreamConfig`]
     /// (fingerprint mismatch), instead of silently resuming with the
-    /// wrong `KappaConfig`. Checkpoints written before these fields
-    /// existed deserialize with both set to `0`; a zero `config_hash`
-    /// is validated against the config embedded in the checkpoint
-    /// itself, and a zero `engine_id` only pairs with engine id `0`.
+    /// wrong `KappaConfig`.
     pub fn resume_checked(
         ck: StreamCheckpoint,
         engine_id: u64,
@@ -1509,19 +1044,11 @@ impl IncrementalComparison {
             });
         }
         let expected = cfg.fingerprint();
-        let found = if ck.config_hash != 0 {
-            ck.config_hash
-        } else {
-            // Legacy checkpoint: recompute from the config it embeds.
-            StreamConfig {
-                lookahead: ck.lookahead.map(|w| w as usize),
-                snapshot_every: ck.snapshot_every,
-                kappa: ck.kappa,
-            }
-            .fingerprint()
-        };
-        if found != expected {
-            return Err(ResumeMismatch::Config { expected, found });
+        if ck.config_hash != expected {
+            return Err(ResumeMismatch::Config {
+                expected,
+                found: ck.config_hash,
+            });
         }
         Ok(Self::resume(ck))
     }
@@ -1552,38 +1079,7 @@ impl IncrementalComparison {
             Side::B => self.slice.b_pushed += 1,
         }
 
-        if self.cfg.lookahead.is_some() {
-            // Occurrence-debt bookkeeping: would the batch pipeline have
-            // paired this arrival with an earlier one on the other side?
-            // `debt` is the running A-minus-B occurrence difference for
-            // this identity; an arrival on the deficit side closes one
-            // batch pair. The rule ignores eviction entirely, so it
-            // counts exactly the matches an unbounded window would have
-            // made on this prefix — the `p` term of the κ error bound.
-            let e = self.occ.entry(id).or_default();
-            let hit = match side {
-                Side::A => e.debt < 0,
-                Side::B => e.debt > 0,
-            };
-            if hit {
-                self.batch_matched += 1;
-                self.slice.batch_matched += 1;
-            }
-            e.debt += match side {
-                Side::A => 1,
-                Side::B => -1,
-            };
-            if e.debt == 0 && e.skew == 0 {
-                self.occ.remove(&id);
-            }
-        }
-
-        let me = PendingObs {
-            pos,
-            t_ps,
-            gap_ps,
-            tick: self.tick,
-        };
+        let me = PendingObs { pos, t_ps, gap_ps };
         let q = self.pending.entry(id).or_default();
         let counterpart = match side {
             Side::A => q.b.pop_front(),
@@ -1597,15 +1093,7 @@ impl IncrementalComparison {
                 if q.a.is_empty() && q.b.is_empty() {
                     self.pending.remove(&id);
                 }
-                self.pending_by_age.remove(&other.tick);
                 self.resident -= 1;
-                // A match made at nonzero eviction skew pairs occurrence
-                // ranks the batch pairing would not — flag it so the
-                // error bound can discount its deltas.
-                if self.occ.get(&id).is_some_and(|e| e.skew != 0) {
-                    self.mis += 1;
-                    self.slice.mis += 1;
-                }
                 let (ap, bp) = match side {
                     Side::A => (me, other),
                     Side::B => (other, me),
@@ -1617,15 +1105,7 @@ impl IncrementalComparison {
                     Side::A => q.a.push_back(me),
                     Side::B => q.b.push_back(me),
                 }
-                self.pending_by_age.insert(self.tick, (id, side));
                 self.resident += 1;
-            }
-        }
-
-        if let Some(w) = self.cfg.lookahead {
-            let w = w.max(1);
-            while self.resident > w {
-                self.evict_oldest();
             }
         }
         self.peak_resident = self.peak_resident.max(self.resident);
@@ -1675,101 +1155,7 @@ impl IncrementalComparison {
         self.slice.a_lo = self.slice.a_lo.min(ap.pos);
         self.slice.a_hi = self.slice.a_hi.max(ap.pos);
 
-        match self.cfg.lookahead {
-            None => self.all_pairs.push(rec),
-            Some(w) => {
-                let w = w.max(1);
-                self.est.buf.push(rec);
-                // Seal scheduling is a pure function of the buffer
-                // length (checkpoint/resume replays it bit-exactly):
-                // attempt a breakpoint every `stride` pairs past `cap`,
-                // force an error-priced cut at the hard ceiling.
-                let len = self.est.buf.len();
-                let cap = WindowedMerge::seal_cap(w);
-                let force = len >= WindowedMerge::hard_cap(w);
-                if force || (len >= cap && (len - cap).is_multiple_of(WindowedMerge::seal_stride(w))) {
-                    self.try_seal(force);
-                }
-            }
-        }
-    }
-
-    /// Smallest pending (unmatched) position on each side, `u32::MAX`
-    /// for an empty side. The front of each identity's FIFO queue is
-    /// that identity's minimum, so scanning queue fronts suffices.
-    fn pending_min_pos(&self) -> (u32, u32) {
-        let mut min_a = u32::MAX;
-        let mut min_b = u32::MAX;
-        for q in self.pending.values() {
-            if let Some(o) = q.a.front() {
-                min_a = min_a.min(o.pos);
-            }
-            if let Some(o) = q.b.front() {
-                min_b = min_b.min(o.pos);
-            }
-        }
-        (min_a, min_b)
-    }
-
-    /// Pending observations that could still land inside a sealed
-    /// prefix: A-side entries strictly below `a_max`, B-side strictly
-    /// below `b_max`.
-    fn pending_below(&self, a_max: u32, b_max: u32) -> (u64, u64) {
-        let mut na = 0u64;
-        let mut nb = 0u64;
-        for q in self.pending.values() {
-            na += q.a.iter().filter(|o| o.pos < a_max).count() as u64;
-            nb += q.b.iter().filter(|o| o.pos < b_max).count() as u64;
-        }
-        (na, nb)
-    }
-
-    /// Attempt to seal the estimator's buffer at a direct-sum
-    /// breakpoint; when `force`, fall back to an error-priced cut at the
-    /// buffer midpoint.
-    fn try_seal(&mut self, force: bool) {
-        let mut sorted = pair_positions(&self.est.buf);
-        sorted.sort_unstable_by_key(|p| p.1);
-        let (min_pend_a, min_pend_b) = self.pending_min_pos();
-        if let Some(c) = direct_sum_cut(&sorted, min_pend_a, min_pend_b) {
-            let (_, cut_b) = cut_horizons(&sorted, c);
-            self.est.commit_below(cut_b);
-            self.est.seals += 1;
-        } else if force {
-            let c = sorted.len() / 2;
-            let (prefix_max_a, cut_b) = cut_horizons(&sorted, c);
-            let (pa, pb) = self.pending_below(prefix_max_a, cut_b);
-            self.est.cross += crossing_count(&sorted, c, min_pend_a, pa, pb);
-            self.est.commit_below(cut_b);
-            self.est.forced_seals += 1;
-        }
-    }
-
-    fn evict_oldest(&mut self) {
-        let (tick, (id, side)) = self.pending_by_age.pop_first().expect("resident > 0");
-        let q = self.pending.get_mut(&id).expect("pending id");
-        let victim = match side {
-            Side::A => q.a.pop_front(),
-            Side::B => q.b.pop_front(),
-        }
-        .expect("pending entry");
-        debug_assert_eq!(victim.tick, tick, "age map out of sync with id queue");
-        if q.a.is_empty() && q.b.is_empty() {
-            self.pending.remove(&id);
-        }
-        self.resident -= 1;
-        self.sides[side.index()].evicted += 1;
-        // Record the eviction skew: from here on, stream matches of this
-        // identity pair occurrence ranks offset from the batch pairing
-        // until the other side loses as many.
-        let e = self.occ.entry(id).or_default();
-        match side {
-            Side::A => e.skew += 1,
-            Side::B => e.skew -= 1,
-        }
-        if e.debt == 0 && e.skew == 0 {
-            self.occ.remove(&id);
-        }
+        self.all_pairs.push(rec);
     }
 
     /// L and I of `mc` matches with the given exact numerators, over the
@@ -1789,11 +1175,7 @@ impl IncrementalComparison {
     }
 
     fn running_o(&self) -> f64 {
-        let dist = match self.cfg.lookahead {
-            None => segment_move_distance(&self.all_pairs),
-            Some(_) => self.est.o_num + self.est.tail_distance(),
-        };
-        normalize_o(dist, self.matched)
+        normalize_o(segment_move_distance(&self.all_pairs), self.matched)
     }
 
     /// Running κ and components over everything seen so far.
@@ -1802,33 +1184,6 @@ impl IncrementalComparison {
         let o = self.running_o();
         let (l, i) = self.running_li();
         self.cfg.kappa.combine(u, o, l, i)
-    }
-
-    /// Rigorous interval containing the κ the batch pipeline would
-    /// report on the prefix streamed so far. Unbounded mode is exact by
-    /// construction; bounded mode widens the point by the error ledger
-    /// (missed matches, misaligned matches, forced-seal crossers) and
-    /// collapses back to a point whenever the ledger is empty.
-    pub fn kappa_bounds(&self) -> KappaBounds {
-        let total = self.sides[0].len + self.sides[1].len;
-        if self.cfg.lookahead.is_none() || total == 0 {
-            return KappaBounds::exact(self.running_metrics().kappa);
-        }
-        bounds_from(
-            &self.cfg.kappa,
-            &BoundsInput {
-                mc: self.matched,
-                p: self.batch_matched.saturating_sub(self.matched),
-                mis: self.mis,
-                cross: self.est.cross,
-                d_hat: self.est.o_num + self.est.tail_distance(),
-                lat_num: self.lat_num,
-                iat_num: self.iat_num,
-                total,
-                span_a: self.sides[0].minmax_span_ps(),
-                span_b: self.sides[1].minmax_span_ps(),
-            },
-        )
     }
 
     fn slice_window_score(&self) -> WindowScore {
@@ -1846,28 +1201,6 @@ impl IncrementalComparison {
         // each window scores its *contribution* to the global metrics,
         // unlike `windowed_kappa`'s re-zeroed sub-trials.
         let (l, i) = self.li_over_stream_spans(mc, s.lat_num, s.iat_num);
-        // A slice's pairs are all retained (seals only move them to the
-        // committed accumulators, never out of the slice), so its error
-        // ledger is just the missed/misaligned counts; `batch_matched`
-        // can lag `mc` across slice boundaries in misaligned scenarios,
-        // hence the saturation — slice bounds are diagnostics, and the
-        // unbounded ledger is empty so the interval collapses to the
-        // slice κ bit-exactly.
-        let bounds = bounds_from(
-            &self.cfg.kappa,
-            &BoundsInput {
-                mc,
-                p: s.batch_matched.saturating_sub(mc),
-                mis: s.mis,
-                cross: 0,
-                d_hat: dist,
-                lat_num: s.lat_num,
-                iat_num: s.iat_num,
-                total,
-                span_a: self.sides[0].minmax_span_ps(),
-                span_b: self.sides[1].minmax_span_ps(),
-            },
-        );
         WindowScore {
             index: self.snapshots.len(),
             a_range: if s.a_lo == u32::MAX {
@@ -1877,7 +1210,6 @@ impl IncrementalComparison {
             },
             metrics: self.cfg.kappa.combine(u, o, l, i),
             common: mc,
-            bounds: Some(bounds),
         }
     }
 
@@ -1889,10 +1221,8 @@ impl IncrementalComparison {
             seen_b: self.sides[1].len,
             common: self.matched,
             resident: self.resident,
-            evicted: self.evicted(),
             running: self.running_metrics(),
             window: self.slice_window_score(),
-            bounds: Some(self.kappa_bounds()),
         };
         self.slice = SliceState::new();
         self.last_snapshot_tick = self.tick;
@@ -1900,71 +1230,10 @@ impl IncrementalComparison {
         snap
     }
 
-    /// Finish the comparison. Unbounded mode returns the exact batch
-    /// result (see the module docs); bounded mode the documented
-    /// approximation.
+    /// Finish the comparison: the exact batch result (see the module
+    /// docs).
     pub fn finalize(mut self, label: impl Into<String>) -> StreamOutcome {
         let _span = obs::span("stream.finalize");
-        let bounded = self.cfg.lookahead.is_some();
-        // A bounded run that never sealed and never evicted still holds
-        // every matched pair with nothing missed — delegate to the exact
-        // batch path, so "full lookahead spelled as a bound" converges
-        // `to_bits`-identically, percentiles included.
-        let pristine = !bounded
-            || (self.est.seals == 0 && self.est.forced_seals == 0 && self.evicted() == 0);
-        // `batch_matched` is only maintained in bounded mode (unbounded
-        // FIFO matching *is* the batch matching), so this is 0 there.
-        let missed = self.batch_matched.saturating_sub(self.matched);
-        let comparison = if pristine {
-            if bounded {
-                debug_assert_eq!(self.batch_matched, self.matched);
-                self.all_pairs = std::mem::take(&mut self.est.buf);
-            }
-            self.finalize_exact(label.into())
-        } else {
-            self.finalize_bounded(label.into())
-        };
-        let bounds = if pristine {
-            KappaBounds::exact(comparison.metrics.kappa)
-        } else {
-            // Valid post-finalize: the tail was committed, so the
-            // estimator's o_num is the final D̂ and the ledger is final.
-            self.kappa_bounds()
-        };
-        if obs::is_enabled() {
-            // Counters are namespaced per mode so interleaved bounded
-            // and full-lookahead runs under one obs scope stay
-            // attributable (the bench asserts them against outcomes).
-            if bounded {
-                obs::counter_add("stream.bounded.packets_in", self.tick);
-                obs::counter_add("stream.bounded.matched", self.matched as u64);
-                obs::counter_add("stream.bounded.evicted", self.evicted() as u64);
-                obs::counter_add("stream.bounded.snapshots", self.snapshots.len() as u64);
-                obs::counter_add("stream.bounded.missed_matches", missed as u64);
-                obs::counter_add("stream.bounded.seals", self.est.seals as u64);
-                obs::counter_add("stream.bounded.forced_seals", self.est.forced_seals as u64);
-                obs::gauge_max("stream.bounded.peak_resident", self.peak_resident as u64);
-            } else {
-                obs::counter_add("stream.full.packets_in", self.tick);
-                obs::counter_add("stream.full.matched", self.matched as u64);
-                obs::counter_add("stream.full.snapshots", self.snapshots.len() as u64);
-                obs::gauge_max("stream.full.peak_resident", self.peak_resident as u64);
-            }
-        }
-        StreamOutcome {
-            comparison,
-            peak_resident: self.peak_resident,
-            evicted: self.evicted(),
-            snapshots: self.snapshots,
-            bounded,
-            bounds,
-            missed_matches: missed,
-            seals: self.est.seals,
-            forced_seals: self.est.forced_seals,
-        }
-    }
-
-    fn finalize_exact(&mut self, label: String) -> TrialComparison {
         let t0 = Instant::now();
         // Pairs were recorded in match order; restore B arrival order
         // (b_pos is unique, so the sort is deterministic) and dress them
@@ -2006,8 +1275,14 @@ impl IncrementalComparison {
             abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
         let t5 = Instant::now();
 
-        TrialComparison {
-            label,
+        if obs::is_enabled() {
+            obs::counter_add("stream.full.packets_in", self.tick);
+            obs::counter_add("stream.full.matched", self.matched as u64);
+            obs::counter_add("stream.full.snapshots", self.snapshots.len() as u64);
+            obs::gauge_max("stream.full.peak_resident", self.peak_resident as u64);
+        }
+        let comparison = TrialComparison {
+            label: label.into(),
             metrics,
             a_len: m.a_len,
             b_len: m.b_len,
@@ -2022,67 +1297,11 @@ impl IncrementalComparison {
             iat_hist: std::mem::take(&mut self.iat_hist),
             latency_hist: std::mem::take(&mut self.lat_hist),
             timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
-        }
-    }
-
-    fn finalize_bounded(&mut self, label: String) -> TrialComparison {
-        let t0 = Instant::now();
-        // Commit the uncommitted tail as the final block; its deviation
-        // from the global edit script is already priced by the same
-        // ledger (`cross`) as every other cut, so the final bounds stay
-        // valid.
-        let tail = std::mem::take(&mut self.est.buf);
-        self.est.commit_block(&tail);
-        let t1 = Instant::now();
-        let mc = self.matched;
-        let a_len = self.sides[0].len;
-        let b_len = self.sides[1].len;
-        let u = normalize_u(mc, a_len + b_len);
-        // The windowed estimator's move distance over the global
-        // normalizer. Unlike the old segment-local estimate (which
-        // halved κ's O term on adversarial interleaves), every committed
-        // block is either a direct summand (exact) or a forced cut with
-        // its crossers counted into the κ error interval.
-        let o = normalize_o(self.est.o_num, mc);
-        let t2 = Instant::now();
-        let (l, i) = self.running_li();
-        let t4 = Instant::now();
-        let metrics = self.cfg.kappa.combine(u, o, l, i);
-        let within = if mc == 0 {
-            0.0
-        } else {
-            self.within_10ns as f64 / mc as f64
         };
-        let iat_abs_percentiles_ns = hist_abs_percentiles(&self.iat_hist);
-        let latency_abs_percentiles_ns = hist_abs_percentiles(&self.lat_hist);
-        let edit_stats = EditScriptStats {
-            count: self.est.moved,
-            mean: self.est.disp_signed.mean(),
-            stddev: self.est.disp_signed.stddev(),
-            abs_mean: self.est.disp_abs.mean(),
-            abs_stddev: self.est.disp_abs.stddev(),
-            min: if self.est.moved == 0 { 0 } else { self.est.disp_min },
-            max: if self.est.moved == 0 { 0 } else { self.est.disp_max },
-        };
-        let t5 = Instant::now();
-
-        TrialComparison {
-            label,
-            metrics,
-            a_len,
-            b_len,
-            common: mc,
-            missing: a_len - mc,
-            extra: b_len - mc,
-            moved: self.est.moved,
-            iat_within_10ns: within,
-            iat_abs_percentiles_ns,
-            latency_abs_percentiles_ns,
-            edit_stats,
-            iat_hist: std::mem::take(&mut self.iat_hist),
-            latency_hist: std::mem::take(&mut self.lat_hist),
-            // L and I come out of one call: booked under `iat_ns`.
-            timings: StageTimings::from_marks([t0, t1, t2, t2, t4, t5]),
+        StreamOutcome {
+            comparison,
+            snapshots: self.snapshots,
+            peak_resident: self.peak_resident,
         }
     }
 }
@@ -2143,19 +1362,17 @@ mod tests {
     }
 
     #[test]
-    fn full_lookahead_bit_identical_to_batch_across_chunkings() {
+    fn bit_identical_to_batch_across_chunkings() {
         let (a, b) = jittered_pair(400);
         let batch = PairAnalyzer::new(&a, &b).label("B").analyze();
         for chunk in [1usize, 7, 64, 10_000] {
             let out = stream_in_chunks(&a, &b, chunk, StreamConfig::default());
-            assert!(!out.bounded);
-            assert_eq!(out.evicted, 0);
             assert_bit_identical(&out.comparison, &batch);
         }
     }
 
     #[test]
-    fn full_lookahead_sequential_sides_bit_identical() {
+    fn sequential_sides_bit_identical() {
         // A fully first, then B — the maximal-residency interleave.
         let (a, b) = jittered_pair(300);
         let batch = PairAnalyzer::new(&a, &b).label("B").analyze();
@@ -2174,143 +1391,6 @@ mod tests {
         assert_eq!(out.comparison.metrics.kappa, 1.0);
         assert_eq!(out.comparison.common, 0);
         assert_eq!(out.peak_resident, 0);
-    }
-
-    #[test]
-    fn bounded_window_caps_residency_and_evicts() {
-        let (a, b) = jittered_pair(500); // ≥ 10× the window below
-        let w = 32usize;
-        let cfg = StreamConfig {
-            lookahead: Some(w),
-            ..StreamConfig::default()
-        };
-        let mut eng = IncrementalComparison::new(cfg);
-        eng.push_burst(Side::A, a.observations());
-        eng.push_burst(Side::B, b.observations());
-        assert!(eng.peak_resident() <= w, "peak {} > window {w}", eng.peak_resident());
-        assert!(eng.evicted() > 0, "A-then-B at 500 packets must evict");
-        let out = eng.finalize("B");
-        assert!(out.bounded);
-        assert!(out.peak_resident <= w);
-        let k = out.comparison.metrics.kappa;
-        assert!((0.0..=1.0).contains(&k), "kappa {k}");
-    }
-
-    #[test]
-    fn bounded_alternating_dropfree_matches_batch_kappa() {
-        // Drop-free, order-preserving pair fed alternately: nothing is
-        // ever evicted, no packet moves, so even the bounded engine's κ
-        // is bit-identical (O = 0 on both paths; L/I/U are exact).
-        let mut a = Trial::new();
-        let mut b = Trial::new();
-        for i in 0..600u64 {
-            a.push_tagged(0, 0, i, i * 1000);
-            b.push_tagged(0, 0, i, i * 1000 + (i % 5) * 23);
-        }
-        let batch = PairAnalyzer::new(&a, &b).metrics();
-        let cfg = StreamConfig {
-            lookahead: Some(16),
-            ..StreamConfig::default()
-        };
-        let mut eng = IncrementalComparison::new(cfg);
-        for i in 0..600usize {
-            let oa = a.observations()[i];
-            let ob = b.observations()[i];
-            eng.push(Side::A, oa.id, oa.t_ps);
-            eng.push(Side::B, ob.id, ob.t_ps);
-        }
-        assert_eq!(eng.evicted(), 0);
-        let out = eng.finalize("B");
-        assert_eq!(out.comparison.metrics.kappa.to_bits(), batch.kappa.to_bits());
-        assert_eq!(out.comparison.moved, 0);
-        assert_eq!(out.missed_matches, 0);
-        assert!(out.bounds.contains(batch.kappa));
-    }
-
-    #[test]
-    fn bounded_breakpoint_seals_stay_bit_exact_on_local_swaps() {
-        // Adjacent swaps, fed lock-step: the estimator must seal many
-        // times (the buffer cap is far below the stream length), every
-        // seal lands on a direct-sum breakpoint, and the finalized κ —
-        // O included — is bit-identical to batch with a collapsed bound.
-        let mut a = Trial::new();
-        let mut b = Trial::new();
-        for i in 0..300u64 {
-            a.push_tagged(0, 0, i, i * 1000);
-            b.push_tagged(0, 0, i ^ 1, i * 1000 + 17);
-        }
-        let batch = PairAnalyzer::new(&a, &b).label("B").analyze();
-        let cfg = StreamConfig {
-            lookahead: Some(8),
-            ..StreamConfig::default()
-        };
-        let mut eng = IncrementalComparison::new(cfg);
-        for i in 0..300usize {
-            let oa = a.observations()[i];
-            let ob = b.observations()[i];
-            eng.push(Side::A, oa.id, oa.t_ps);
-            eng.push(Side::B, ob.id, ob.t_ps);
-        }
-        assert_eq!(eng.evicted(), 0);
-        let out = eng.finalize("B");
-        assert!(out.seals > 0, "buffer cap must have forced mid-stream seals");
-        assert_eq!(out.forced_seals, 0, "every cut must be a breakpoint");
-        assert_eq!(out.missed_matches, 0);
-        assert_eq!(
-            out.comparison.metrics.kappa.to_bits(),
-            batch.metrics.kappa.to_bits()
-        );
-        assert_eq!(out.comparison.metrics.o.to_bits(), batch.metrics.o.to_bits());
-        assert_eq!(out.comparison.edit_stats, batch.edit_stats);
-        assert_eq!(out.bounds.lo.to_bits(), out.bounds.hi.to_bits());
-        assert!(out.bounds.contains(batch.metrics.kappa));
-    }
-
-    #[test]
-    fn bounded_missed_matches_count_exactly() {
-        // A floods first, so the tiny window evicts most of it before B
-        // arrives; the occurrence-debt counter must still account every
-        // batch match, making `common + missed_matches` exact.
-        let (a, b) = jittered_pair(200);
-        let batch = PairAnalyzer::new(&a, &b).label("B").analyze();
-        let cfg = StreamConfig {
-            lookahead: Some(16),
-            ..StreamConfig::default()
-        };
-        let mut eng = IncrementalComparison::new(cfg);
-        eng.push_burst(Side::A, a.observations());
-        eng.push_burst(Side::B, b.observations());
-        let out = eng.finalize("B");
-        assert!(out.evicted > 0);
-        assert!(out.missed_matches > 0);
-        assert_eq!(out.comparison.common + out.missed_matches, batch.common);
-        assert!(out.bounds.lo <= out.bounds.hi);
-        assert!(
-            out.bounds.contains(batch.metrics.kappa),
-            "batch κ {} outside [{}, {}]",
-            batch.metrics.kappa,
-            out.bounds.lo,
-            out.bounds.hi
-        );
-    }
-
-    #[test]
-    fn snapshots_carry_bounds() {
-        let (a, b) = jittered_pair(300);
-        let cfg = StreamConfig {
-            lookahead: Some(32),
-            snapshot_every: 50,
-            ..StreamConfig::default()
-        };
-        let out = stream_in_chunks(&a, &b, 20, cfg);
-        assert!(!out.snapshots.is_empty());
-        for s in &out.snapshots {
-            let bd = s.bounds.expect("bounds on every snapshot");
-            assert!(bd.lo <= bd.hi);
-            assert!((0.0..=1.0).contains(&bd.lo) && bd.hi <= 1.0);
-            let wb = s.window.bounds.expect("bounds on every slice score");
-            assert!(wb.lo <= wb.hi);
-        }
     }
 
     #[test]
@@ -2439,8 +1519,8 @@ mod tests {
         assert_eq!(x.len(), y.len(), "snapshot trail lengths differ");
         for (k, (s, t)) in x.iter().zip(y).enumerate() {
             assert_eq!(
-                (s.seen_a, s.seen_b, s.common, s.resident, s.evicted),
-                (t.seen_a, t.seen_b, t.common, t.resident, t.evicted),
+                (s.seen_a, s.seen_b, s.common, s.resident),
+                (t.seen_a, t.seen_b, t.common, t.resident),
                 "snapshot {k} counters diverged"
             );
             for (name, a, b) in [
@@ -2456,15 +1536,12 @@ mod tests {
             assert_eq!(s.window.index, t.window.index);
             assert_eq!(s.window.a_range, t.window.a_range);
             assert_eq!(s.window.common, t.window.common);
-            let (sb, tb) = (s.bounds.expect("bounds"), t.bounds.expect("bounds"));
-            assert_eq!(sb.lo.to_bits(), tb.lo.to_bits(), "snapshot {k} bounds.lo diverged");
-            assert_eq!(sb.hi.to_bits(), tb.hi.to_bits(), "snapshot {k} bounds.hi diverged");
         }
     }
 
-    /// The tentpole contract: cut at every k, checkpoint, resume, finish
-    /// — bit-identical result *and* snapshot trail, both modes, with a
-    /// JSON round trip of the checkpoint in the loop.
+    /// The recovery contract: cut at every k, checkpoint, resume, finish
+    /// — bit-identical result *and* snapshot trail, with a JSON round
+    /// trip of the checkpoint in the loop.
     fn check_every_cut(cfg: StreamConfig, n: u64, chunk: usize) {
         let (a, b) = jittered_pair(n);
         let events = interleave(&a, &b, chunk);
@@ -2484,38 +1561,17 @@ mod tests {
             let got = tail.finalize("B");
             assert_bit_identical(&got.comparison, &want.comparison);
             assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
-            assert_eq!(got.evicted, want.evicted, "cut {k}");
-            assert_eq!(got.bounds.lo.to_bits(), want.bounds.lo.to_bits(), "cut {k}");
-            assert_eq!(got.bounds.hi.to_bits(), want.bounds.hi.to_bits(), "cut {k}");
-            assert_eq!(got.missed_matches, want.missed_matches, "cut {k}");
-            assert_eq!(
-                (got.seals, got.forced_seals),
-                (want.seals, want.forced_seals),
-                "cut {k}"
-            );
             assert_snapshots_identical(&got.snapshots, &want.snapshots);
         }
     }
 
     #[test]
-    fn checkpoint_resume_bit_identical_at_every_cut_unbounded() {
+    fn checkpoint_resume_bit_identical_at_every_cut() {
         let cfg = StreamConfig {
             snapshot_every: 17,
             ..StreamConfig::default()
         };
         check_every_cut(cfg, 60, 5);
-    }
-
-    #[test]
-    fn checkpoint_resume_bit_identical_at_every_cut_bounded() {
-        // Window far smaller than the stream: cuts land inside the
-        // resident window, mid-segment, and across evictions.
-        let cfg = StreamConfig {
-            lookahead: Some(8),
-            snapshot_every: 13,
-            ..StreamConfig::default()
-        };
-        check_every_cut(cfg, 60, 9);
     }
 
     #[test]
@@ -2567,9 +1623,8 @@ mod tests {
 
     #[test]
     fn slabs_round_trip_and_refuse_truncation_and_bit_flips() {
-        // Bounded mode mid-stream: all four slabs are non-empty.
+        // Mid-stream, mid-slice: all three slabs are non-empty.
         let cfg = StreamConfig {
-            lookahead: Some(8),
             snapshot_every: 13,
             ..StreamConfig::default()
         };
@@ -2578,11 +1633,11 @@ mod tests {
         let mut eng = IncrementalComparison::new(cfg);
         feed(&mut eng, &events[..70]);
         let ck = eng.checkpoint();
-        assert!(ck.resident() > 0 && !ck.buf.is_empty() && !ck.slice.pairs.is_empty());
+        assert!(ck.resident() > 0 && !ck.all_pairs.is_empty() && !ck.slice.pairs.is_empty());
         let want = serde_json::to_string(&ck).unwrap();
         let mut slabs = Vec::new();
         let rest = ck.write_to(&mut slabs).unwrap();
-        assert_eq!(rest.resident() + rest.buf.len() + rest.slice.pairs.len(), 0);
+        assert_eq!(rest.resident() + rest.all_pairs.len() + rest.slice.pairs.len(), 0);
         let back = rest.clone().read_from(&mut &slabs[..]).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), want);
 
@@ -2621,7 +1676,7 @@ mod tests {
             "{err}"
         );
         let mut sided = Vec::new();
-        for _ in 0..3 {
+        for _ in 0..2 {
             write_section(&mut sided, &[]).unwrap();
         }
         write_section(&mut sided, &[7u8; PENDING_BYTES]).unwrap();
@@ -2664,7 +1719,7 @@ mod tests {
         feed(&mut eng, &events[..15]);
         let ck = eng.checkpoint();
         let other_cfg = StreamConfig {
-            lookahead: Some(8),
+            snapshot_every: 8,
             ..cfg
         };
         assert_ne!(cfg.fingerprint(), other_cfg.fingerprint());
@@ -2701,67 +1756,32 @@ mod tests {
     }
 
     #[test]
-    fn resume_checked_accepts_legacy_checkpoint_with_embedded_config() {
-        // Checkpoints written before engine_id/config_hash existed
-        // deserialize with both zero; they must still resume when the
-        // caller's config matches the one embedded in the checkpoint.
-        let (a, b) = jittered_pair(30);
-        let events = interleave(&a, &b, 3);
-        let cfg = StreamConfig::default();
-        let mut eng = IncrementalComparison::new(cfg);
-        feed(&mut eng, &events[..15]);
-        let json = serde_json::to_string(&eng.checkpoint()).unwrap();
-        // Strip the new fields to simulate a pre-upgrade checkpoint.
-        let json = json
-            .replace("\"engine_id\":0,", "")
-            .replace("\"config_hash\":", "\"config_hash_ignored\":");
-        let ck: StreamCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(ck.engine_id(), 0);
-        assert_eq!(ck.config_hash(), 0);
-        IncrementalComparison::resume_checked(ck, 0, &cfg).expect("legacy checkpoint resumes");
-        let ck2: StreamCheckpoint = serde_json::from_str(
-            &serde_json::to_string(&eng.checkpoint())
-                .unwrap()
-                .replace("\"engine_id\":0,", "")
-                .replace("\"config_hash\":", "\"config_hash_ignored\":"),
-        )
-        .unwrap();
-        let wrong = StreamConfig {
-            lookahead: Some(4),
-            ..cfg
-        };
-        assert!(matches!(
-            IncrementalComparison::resume_checked(ck2, 0, &wrong),
-            Err(ResumeMismatch::Config { .. })
-        ));
-    }
-
-    #[test]
-    fn resume_preserves_extreme_displacement_sentinels() {
-        // A fresh engine's disp_min/disp_max sentinels (i64::MAX/MIN)
-        // must survive the JSON trip — they only relax on real moves.
-        let eng = IncrementalComparison::new(StreamConfig {
-            lookahead: Some(4),
-            ..StreamConfig::default()
-        });
-        let json = serde_json::to_string(&eng.checkpoint()).unwrap();
-        let ck: StreamCheckpoint = serde_json::from_str(&json).unwrap();
-        let back = IncrementalComparison::resume(ck);
-        assert_eq!(back.est.disp_min, i64::MAX);
-        assert_eq!(back.est.disp_max, i64::MIN);
-        let out = back.finalize("B");
-        assert_eq!(out.comparison.edit_stats.min, 0);
-    }
-
-    #[test]
-    fn hist_percentiles_report_bucket_lower_edges() {
-        let h = DeltaHistogram::of((0..100).map(|i| i as f64 * 0.01)); // all |Δ| < 1
-        assert_eq!(hist_abs_percentiles(&h), (0.0, 0.0, 0.0));
-        let h = DeltaHistogram::of([0.0, 0.0, 0.0, 500.0]);
-        let (p50, p90, p99) = hist_abs_percentiles(&h);
-        assert_eq!(p50, 0.0);
-        assert!(p90 > 0.0 && p90 <= 500.0);
-        assert!(p99 >= p90);
-        assert_eq!(hist_abs_percentiles(&DeltaHistogram::new()), (0.0, 0.0, 0.0));
+    fn a_remainder_that_does_not_name_this_format_is_refused_before_any_slab() {
+        let (a, b) = jittered_pair(60);
+        let mut eng = IncrementalComparison::new(StreamConfig::default());
+        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
+        let mut slabs = Vec::new();
+        let rest = eng.checkpoint().write_to(&mut slabs).unwrap();
+        let json = serde_json::to_string(&rest).unwrap();
+        let named = format!("\"format\":{CHECKPOINT_FORMAT},");
+        assert!(json.contains(&named), "{json}");
+        // What a file written before the field existed looks like, and
+        // one from some other layout.
+        for (other, found) in [("", 0), ("\"format\":7,", 7)] {
+            let old: StreamCheckpoint = serde_json::from_str(&json.replace(&named, other)).unwrap();
+            let mut r = &slabs[..];
+            let err = old.read_from(&mut r).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Format { found: f, expected: CHECKPOINT_FORMAT } if f == found
+                ),
+                "{err}"
+            );
+            assert_eq!(r.len(), slabs.len(), "no slab byte may be consumed");
+        }
+        let mut r = &slabs[..];
+        rest.read_from(&mut r).expect("the format this build writes");
+        assert!(r.is_empty());
     }
 }

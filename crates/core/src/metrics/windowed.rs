@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::kappa::{ConsistencyMetrics, KappaBounds, KappaConfig};
+use super::kappa::{ConsistencyMetrics, KappaConfig};
 use super::matching::Matching;
 use super::pair::PairAnalyzer;
 use super::trial::Trial;
@@ -28,12 +28,6 @@ pub struct WindowScore {
     pub metrics: ConsistencyMetrics,
     /// Common packets in the window.
     pub common: usize,
-    /// Error bound on this window's κ. Batch analysis is exact
-    /// (`lo == hi == metrics.kappa`); a bounded-lookahead stream widens
-    /// the interval by its accounted estimation error. `None` on scores
-    /// serialized before the bound existed.
-    #[serde(default)]
-    pub bounds: Option<KappaBounds>,
 }
 
 /// κ per window of the baseline trial.
@@ -103,7 +97,6 @@ pub fn windowed_kappa_with(
             a_range: (lo, hi),
             metrics,
             common,
-            bounds: Some(KappaBounds::exact(metrics.kappa)),
         });
     }
     out
@@ -160,7 +153,6 @@ mod tests {
                 a_range: (0, 0),
                 metrics,
                 common: 0,
-                bounds: None,
             }
         };
         let scores = vec![score(0, 0.9), score(1, f64::NAN), score(2, 0.4)];

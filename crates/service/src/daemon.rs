@@ -3,10 +3,9 @@
 //!
 //! Each tenant owns a set of named capture streams. The first stream a
 //! tenant opens is its **baseline**; every later stream gets its own
-//! [`IncrementalComparison`] engine against that baseline, run in
-//! **unbounded (full-lookahead) mode** — the engine whose finalize is
-//! bit-identical to the batch pipeline *for any interleaving of the two
-//! sides*. That interleaving-independence is what makes the daemon's
+//! [`IncrementalComparison`] engine against that baseline — the engine
+//! whose finalize is bit-identical to the batch pipeline *for any
+//! interleaving of the two sides*. That interleaving-independence is what makes the daemon's
 //! numbers trustworthy: observations arrive over sockets in whatever
 //! order the network delivers them, and the served κ is still exactly
 //! the κ a post-hoc batch analysis of the same records produces,
@@ -30,9 +29,10 @@
 //!   rewrites `ck` (write-temp + rename) and empties `journal` for the
 //!   tenants touched since the last one, and for no others.
 //!
-//! Recovery loads each `ck`, resumes engines through
-//! [`IncrementalComparison::resume_checked`] (which refuses a checkpoint
-//! from the wrong engine or config), and replays the journal lines the
+//! Recovery loads each `ck` ([`StreamCheckpoint::read_from`] refuses an
+//! engine checkpoint written under another slab layout), resumes engines
+//! through [`IncrementalComparison::resume_checked`] (which refuses a
+//! checkpoint from the wrong engine or config), and replays the journal lines the
 //! checkpoint does not cover through the *same* apply path the wire
 //! handlers use, reading each marker's records back from the log. Log
 //! bytes past the last marker — a crash between the two appends, never
@@ -104,9 +104,9 @@ impl DaemonConfig {
 
     fn stream_config(&self) -> StreamConfig {
         StreamConfig {
-            lookahead: None, // unbounded: batch-identical for any interleaving
             snapshot_every: self.snapshot_every,
             kappa: KappaConfig::paper(),
+            ..Default::default()
         }
     }
 

@@ -7,8 +7,8 @@
 //! experiments at once:
 //!
 //! * [`daemon`] — the service: tenants, streams, per-stream
-//!   [`choir_core::metrics::IncrementalComparison`] engines in
-//!   unbounded (batch-identical) mode, per-tenant event-sourced
+//!   [`choir_core::metrics::IncrementalComparison`] engines
+//!   (batch-identical), per-tenant event-sourced
 //!   durability (record logs + marker journal + dirty-tenant
 //!   checkpoints), and a thread-per-connection TCP serve loop.
 //! * [`store`] — the evictable trial store: per-tenant LRU memory

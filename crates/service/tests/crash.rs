@@ -11,6 +11,7 @@ use std::fs;
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
+use choir_core::metrics::stream::{read_section, write_section, CHECKPOINT_FORMAT};
 use choir_core::metrics::{Observation, PairAnalyzer, Trial};
 use choir_service::{Client, Daemon, DaemonConfig, DaemonError, Response, OBS_BYTES};
 use common::{copy_dir, served_bits, synth, tmp_dir};
@@ -313,6 +314,30 @@ fn damaged_durable_state_is_refused_with_a_typed_error() {
         });
         assert!(matches!(err, DaemonError::Recovery(_)), "bit {bit}: {err}");
     }
+
+    // Engine checkpoints that do not name this build's slab layout —
+    // what every file written before they named one reads as. The slabs
+    // are positional, so this is refused by name, not parsed.
+    let err = f.refuses("format 0", |d| {
+        let raw = fs::read(d.join(&ck)).expect("read ck");
+        let mut r = &raw[..];
+        let head = String::from_utf8(read_section(&mut r, "tenant").expect("head")).expect("JSON");
+        let named = format!("\"format\":{CHECKPOINT_FORMAT},");
+        assert!(head.contains(&named), "a live engine in {head}");
+        let mut out = Vec::new();
+        write_section(&mut out, head.replace(&named, "\"format\":0,").as_bytes()).expect("write");
+        out.extend_from_slice(r);
+        fs::write(d.join(&ck), out).expect("write ck");
+    });
+    let said = err.to_string();
+    assert!(
+        matches!(err, DaemonError::Recovery(_))
+            && said.contains(&format!("tenant `{T}`: engine `"))
+            && said.contains(&format!(
+                "format 0, this build reads format {CHECKPOINT_FORMAT}"
+            )),
+        "{said}"
+    );
 
     // A journal that skips a line.
     let err = f.refuses("journal gap", |d| {

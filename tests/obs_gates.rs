@@ -36,9 +36,9 @@ fn local_single(runs: usize, scale: f64) -> ExperimentConfig {
 /// lock step (one baseline observation per arrival).
 fn stream_runs(out: &ExperimentOutput) -> Vec<StreamOutcome> {
     let cfg = StreamConfig {
-        lookahead: None,
         snapshot_every: 137,
         kappa: KappaConfig::paper(),
+        ..Default::default()
     };
     let a = out.trials[0].observations();
     out.trials[1..]
@@ -125,9 +125,10 @@ fn obs_never_changes_a_result() {
     assert_same_results(&run_and_stream(&cfg), &plain, "obs disabled");
 
     obs::set_enabled(true);
-    assert_same_results(&run_and_stream(&cfg), &plain, "obs enabled");
+    let enabled = run_and_stream(&cfg);
     let snap = obs::snapshot();
     obs::set_enabled(false);
+    assert_same_results(&enabled, &plain, "obs enabled");
 
     // The enabled pass really ran instrumented: each path under test
     // left its counters behind.
@@ -135,6 +136,36 @@ fn obs_never_changes_a_result() {
         assert!(
             snap.counter(name).is_some_and(|v| v > 0),
             "{name} never counted"
+        );
+    }
+    // The registry was empty until the enabled pass, so the streaming
+    // engine's counters are that pass's outcomes, summed over its runs
+    // (the high-water gauge: their maximum).
+    let (trials, streamed) = (&enabled.0.trials, &enabled.1);
+    let pushed: usize = trials[1..].iter().map(|t| trials[0].len() + t.len()).sum();
+    for (name, want) in [
+        ("stream.full.packets_in", pushed),
+        (
+            "stream.full.matched",
+            streamed.iter().map(|o| o.comparison.common).sum(),
+        ),
+        (
+            "stream.full.snapshots",
+            streamed.iter().map(|o| o.snapshots.len()).sum(),
+        ),
+        (
+            "stream.full.peak_resident",
+            streamed
+                .iter()
+                .map(|o| o.peak_resident)
+                .max()
+                .expect("runs"),
+        ),
+    ] {
+        assert_eq!(
+            snap.counter(name),
+            Some(want as u64),
+            "{name} vs the outcomes"
         );
     }
 }

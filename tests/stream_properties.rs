@@ -1,15 +1,11 @@
 //! Property-based tests of the streaming incremental-κ engine
-//! (`metrics::stream`): with full lookahead the engine is bit-identical
-//! to the batch analyzer on every randomized trial pair, at every
-//! chunking of the input (including packet-at-a-time and
-//! whole-trial-at-once), with any snapshot cadence; with a bounded
-//! window it must respect its residency cap and report an error
-//! interval `[kappa_lo, kappa_hi]` that contains the batch κ on
-//! drop-free pairs, tightens as the window doubles, and collapses to a
-//! bit-identical batch result once the window covers the whole feed.
-//! Simulated-testbed captures go through the same checks, plus the one
-//! gate only realistic trials make meaningful: bounded κ within ε of
-//! batch when fed in arrival order.
+//! (`metrics::stream`): the engine is bit-identical to the batch analyzer
+//! on every randomized trial pair, at every chunking of the input
+//! (including packet-at-a-time and whole-trial-at-once), with any
+//! snapshot cadence, and through a checkpoint cut anywhere; what it keeps
+//! resident follows the skew between the two feeds and the packets one
+//! side lost, not the stream length. Simulated-testbed captures go
+//! through the same exactness check.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -121,9 +117,7 @@ fn ship_slabs(ck: StreamCheckpoint) -> StreamCheckpoint {
 /// Like [`stream_pair`], but at burst boundary `cut` the engine is
 /// checkpointed and replaced by whatever `revive` brings back from the
 /// checkpoint (shipped across a crash boundary, then resumed) to finish
-/// the feed. Returns the outcome plus the resident-unmatched count inside
-/// the checkpoint, so callers can see whether the cut landed inside a
-/// bounded-mode reorder window.
+/// the feed.
 fn stream_pair_cut(
     a: &Trial,
     b: &Trial,
@@ -131,7 +125,7 @@ fn stream_pair_cut(
     chunk: usize,
     cut: usize,
     revive: impl Fn(StreamCheckpoint) -> IncrementalComparison,
-) -> (StreamOutcome, usize) {
+) -> StreamOutcome {
     let (oa, ob) = (a.observations(), b.observations());
     let mut schedule: Vec<(Side, usize, usize)> = Vec::new();
     let (mut ia, mut ib) = (0usize, 0usize);
@@ -149,20 +143,25 @@ fn stream_pair_cut(
     }
     let cut = cut % (schedule.len() + 1);
     let mut eng = IncrementalComparison::new(cfg);
-    let mut resident_at_cut = 0usize;
     for (i, &(side, lo, hi)) in schedule.iter().enumerate() {
         if i == cut {
             eng = revive(eng.checkpoint());
-            resident_at_cut = eng.resident();
         }
         let obs = if side == Side::A { oa } else { ob };
         eng.push_burst(side, &obs[lo..hi]);
     }
     if cut == schedule.len() {
         eng = revive(eng.checkpoint());
-        resident_at_cut = eng.resident();
     }
-    (eng.finalize("stream"), resident_at_cut)
+    eng.finalize("stream")
+}
+
+/// The first `seen` observations of `t` as a trial of their own.
+fn prefix(t: &Trial, seen: usize) -> Trial {
+    t.observations()[..seen]
+        .iter()
+        .map(|o| (o.id, o.t_ps))
+        .collect()
 }
 
 /// Bit-level equality of everything both paths compute, excluding labels
@@ -189,41 +188,12 @@ fn assert_bit_identical(live: &TrialComparison, batch: &TrialComparison) {
     prop_assert_eq!(live.latency_hist.total(), batch.latency_hist.total());
 }
 
-/// Bounded mode against `batch` under one feeding order: residency
-/// capped at the window, a well-formed interval containing batch κ, and
-/// the occurrence-debt ledger accounting for every match batch makes.
-fn assert_bounded_brackets_batch(live: &StreamOutcome, batch: &TrialComparison, window: usize) {
-    assert!(
-        live.peak_resident <= window,
-        "peak resident {} exceeds window {window}",
-        live.peak_resident
-    );
-    assert!(
-        live.bounds.contains(batch.metrics.kappa),
-        "interval [{}, {}] misses batch kappa {}",
-        live.bounds.lo,
-        live.bounds.hi,
-        batch.metrics.kappa
-    );
-    assert_eq!(
-        live.comparison.common + live.missed_matches,
-        batch.common,
-        "missed-match accounting must be exact"
-    );
-}
-
-/// Four simulated-testbed captures (2 106 packets each, window 1/16 of a
-/// trial) through the exactness check at packet-at-a-time, 64-record and
-/// whole-trial chunking, then through bounded mode both ways: all of A
-/// before any of B (the worst case for residency) and lock step, the
-/// order a live tap sees. Lock step carries the ε-gate — bounded κ within
-/// 0.01 of batch on every drop-free pair, the reading a segment-local
-/// estimator missed by up to 2x on O-heavy pairs — and a synthetic pair
-/// with every 7th adjacent arrival swapped keeps that gate armed with
-/// genuine reordering whatever the experiment produced.
+/// Four simulated-testbed captures (2 106 packets each) and a synthetic
+/// fifth with every 7th adjacent arrival swapped — genuine reordering
+/// whatever the experiment produced — all ten pairs, at packet-at-a-time,
+/// 64-record and whole-trial chunking.
 #[test]
-fn testbed_captures_stream_exactly_and_bounded_kappa_stays_within_epsilon() {
-    const EPSILON: f64 = 0.01;
+fn testbed_captures_stream_bit_identically_at_every_chunking() {
     let mut profile = EnvKind::LocalSingle.profile();
     profile.runs = 4;
     let mut trials = Experiment::new(ExperimentConfig {
@@ -240,42 +210,71 @@ fn testbed_captures_stream_exactly_and_bounded_kappa_stays_within_epsilon() {
     trials.push(swapped.iter().map(|o| (o.id, o.t_ps)).collect());
 
     let per_trial = trials[0].len();
-    let window = per_trial / 16;
-    assert!(window >= 4 && per_trial >= 10 * window, "{per_trial} packets, window {window}");
-    let full = StreamConfig {
-        lookahead: None,
-        snapshot_every: 0,
-        kappa: KappaConfig::paper(),
-    };
-    let bounded = StreamConfig {
-        lookahead: Some(window),
-        ..full
-    };
-    let mut dropfree = 0;
+    let mut pairs = 0;
     for (i, a) in trials.iter().enumerate() {
         for b in &trials[i + 1..] {
             let batch = PairAnalyzer::new(a, b).analyze();
             for chunk in [1, 64, per_trial] {
-                let live = stream_pair(a, b, full, chunk);
+                let live = stream_pair(a, b, StreamConfig::default(), chunk);
                 assert_bit_identical(&live.comparison, &batch);
-                assert_eq!(live.evicted, 0, "full lookahead never evicts");
             }
-            assert_bounded_brackets_batch(&stream_pair(a, b, bounded, per_trial), &batch, window);
-            let lockstep = stream_pair(a, b, bounded, 1);
-            assert_bounded_brackets_batch(&lockstep, &batch, window);
-            if batch.missing == 0 && batch.extra == 0 {
-                dropfree += 1;
-                let err = (lockstep.comparison.metrics.kappa - batch.metrics.kappa).abs();
-                assert!(
-                    err <= EPSILON,
-                    "bounded kappa {} vs batch {}: error {err:.6} > {EPSILON}",
-                    lockstep.comparison.metrics.kappa,
-                    batch.metrics.kappa
-                );
-            }
+            pairs += 1;
         }
     }
-    assert_eq!(dropfree, 10, "LocalSingle drops nothing, so every pair arms the ε-gate");
+    assert_eq!(pairs, 10);
+}
+
+/// The engine at the scale it is claimed at: each of the paper's nine
+/// environments at full scale (1 053 370 packets a run, twice that at
+/// 80 Gbps), run A against run B in 256-record lock step with 25
+/// snapshots on the way. The proptests above hold it to batch at a few
+/// hundred records and the benchmark's serve fixtures at 50 000; this
+/// covers 2.1 M-record streams, the one row that loses packets and the
+/// dual-replayer's whole-burst moves. Most of a minute optimised, so it
+/// runs only when asked for.
+#[test]
+#[ignore = "paper scale: cargo test --release -p choir --test stream_properties -- --ignored"]
+fn paper_scale_lock_step_streams_are_bit_identical_to_batch() {
+    const CHUNK: usize = 256;
+    for kind in EnvKind::all() {
+        let mut profile = kind.profile();
+        profile.runs = 2;
+        let trials = Experiment::new(ExperimentConfig {
+            profile,
+            scale: 1.0,
+            seed: 7,
+        })
+        .run()
+        .trials;
+        let (a, b) = (&trials[0], &trials[1]);
+        let cfg = StreamConfig {
+            snapshot_every: ((a.len() + b.len()) / 25) as u64,
+            ..Default::default()
+        };
+        let live = stream_pair(a, b, cfg, CHUNK);
+        let batch = PairAnalyzer::new(a, b).analyze();
+        assert_bit_identical(&live.comparison, &batch);
+        let lost = batch.missing + batch.extra;
+        assert!(
+            live.peak_resident <= CHUNK + 2 * lost,
+            "{}: peak resident {} with {lost} lost",
+            kind.label(),
+            live.peak_resident
+        );
+
+        assert_eq!(live.snapshots.len(), 25, "{}", kind.label());
+        let last = live.snapshots.last().expect("25 of them");
+        let on_prefix =
+            PairAnalyzer::new(&prefix(a, last.seen_a), &prefix(b, last.seen_b)).metrics();
+        assert_eq!(
+            last.running.kappa.to_bits(),
+            on_prefix.kappa.to_bits(),
+            "{}: running kappa at A {} / B {}",
+            kind.label(),
+            last.seen_a,
+            last.seen_b
+        );
+    }
 }
 
 /// A: `n` packets in sequence. B: the same packets, in A's order for the
@@ -299,11 +298,7 @@ fn ordered_then_swapped(n: usize, k: usize, stride: usize) -> (Trial, Trial) {
 
 #[test]
 fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
-    let cfg = StreamConfig {
-        lookahead: None,
-        snapshot_every: 0,
-        kappa: KappaConfig::paper(),
-    };
+    let cfg = StreamConfig::default();
     let feed = |a: &Trial, b: &Trial| {
         let mut eng = IncrementalComparison::new(cfg);
         eng.push_burst(Side::A, a.observations());
@@ -339,69 +334,56 @@ proptest! {
         cut_after in 0usize..10_000,
     ) {
         // The order-preserving early return must hold up to pair k and
-        // switch off at exactly pair k + 1, in running O, in the slice
-        // score and in bounded mode's seals: a snapshot after every push
-        // is compared with batch analysis of what had been pushed by
-        // then. The same through a checkpoint shipped as slabs and
-        // resumed with the pairing checked, cut once before the first
-        // swap and once after it.
+        // switch off at exactly pair k + 1, in running O and in the slice
+        // score: a snapshot after every push is compared with batch
+        // analysis of what had been pushed by then. The same through a
+        // checkpoint shipped as slabs and resumed with the pairing
+        // checked, cut once before the first swap and once after it.
         let n = k + tail;
         let (a, b) = ordered_then_swapped(n, k, stride);
-        for lookahead in [None, Some(4)] {
-            let cfg = StreamConfig {
-                lookahead,
-                snapshot_every: 1,
-                kappa: KappaConfig::paper(),
-            };
-            let straight = stream_pair(&a, &b, cfg, chunk);
-            prop_assert_eq!(straight.snapshots.len(), 2 * n);
-            prop_assert_eq!(straight.evicted, 0);
-            if lookahead.is_some() {
-                // Small enough to seal on both sides of k, and every seal
-                // at a breakpoint: the estimate is exact.
-                prop_assert!(straight.seals >= 2, "{} seals", straight.seals);
-                prop_assert_eq!(straight.forced_seals, 0);
-            }
-            let mut saw = [false; 2];
-            for snap in &straight.snapshots {
-                let prefix = |t: &Trial, seen: usize| -> Trial {
-                    t.observations()[..seen].iter().map(|o| (o.id, o.t_ps)).collect()
-                };
-                let batch = PairAnalyzer::new(&prefix(&a, snap.seen_a), &prefix(&b, snap.seen_b))
-                    .metrics();
-                prop_assert_eq!(
-                    snap.running.kappa.to_bits(), batch.kappa.to_bits(),
-                    "running kappa at A {} / B {} (k = {}, lookahead {:?})",
-                    snap.seen_a, snap.seen_b, k, lookahead
-                );
-                prop_assert_eq!(snap.running.o.to_bits(), batch.o.to_bits());
-                saw[usize::from(batch.o > 0.0)] = true;
-            }
-            prop_assert!(saw[0] && saw[1], "snapshots on both sides of k");
+        let cfg = StreamConfig {
+            snapshot_every: 1,
+            kappa: KappaConfig::paper(),
+            ..Default::default()
+        };
+        let straight = stream_pair(&a, &b, cfg, chunk);
+        prop_assert_eq!(straight.snapshots.len(), 2 * n);
+        let mut saw = [false; 2];
+        for snap in &straight.snapshots {
+            let batch = PairAnalyzer::new(&prefix(&a, snap.seen_a), &prefix(&b, snap.seen_b))
+                .metrics();
+            prop_assert_eq!(
+                snap.running.kappa.to_bits(), batch.kappa.to_bits(),
+                "running kappa at A {} / B {} (k = {})",
+                snap.seen_a, snap.seen_b, k
+            );
+            prop_assert_eq!(snap.running.o.to_bits(), batch.o.to_bits());
+            saw[usize::from(batch.o > 0.0)] = true;
+        }
+        prop_assert!(saw[0] && saw[1], "snapshots on both sides of k");
 
-            // Burst boundaries before and after the first swap reaches
-            // either side.
-            let bursts_before = 2 * (k / chunk);
-            let total_bursts = 2 * n.div_ceil(chunk);
-            for cut in [
-                cut_before % bursts_before,
-                bursts_before + 2 + cut_after % (total_bursts - bursts_before - 2),
-            ] {
-                let (resumed, _) = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
-                    IncrementalComparison::resume_checked(ship_slabs(ck), 0, &cfg)
-                        .expect("same engine, same config")
-                });
-                prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
-                for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
-                    prop_assert_eq!((x.seen_a, x.seen_b), (y.seen_a, y.seen_b));
-                    prop_assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
-                    prop_assert_eq!(
-                        x.window.metrics.kappa.to_bits(),
-                        y.window.metrics.kappa.to_bits()
-                    );
-                }
-                assert_bit_identical(&resumed.comparison, &straight.comparison);
+        // Burst boundaries before and after the first swap reaches
+        // either side.
+        let bursts_before = 2 * (k / chunk);
+        let total_bursts = 2 * n.div_ceil(chunk);
+        for cut in [
+            cut_before % bursts_before,
+            bursts_before + 2 + cut_after % (total_bursts - bursts_before - 2),
+        ] {
+            let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
+                IncrementalComparison::resume_checked(ship_slabs(ck), 0, &cfg)
+                    .expect("same engine, same config")
+            });
+            prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
+            for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
+                prop_assert_eq!((x.seen_a, x.seen_b), (y.seen_a, y.seen_b));
+                prop_assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
+                prop_assert_eq!(
+                    x.window.metrics.kappa.to_bits(),
+                    y.window.metrics.kappa.to_bits()
+                );
             }
+            assert_bit_identical(&resumed.comparison, &straight.comparison);
         }
     }
 }
@@ -418,9 +400,9 @@ proptest! {
     ) {
         let batch = PairAnalyzer::new(&a, &b).analyze();
         let cfg = StreamConfig {
-            lookahead: None,
             snapshot_every,
             kappa: KappaConfig::paper(),
+            ..Default::default()
         };
         // Packet-at-a-time, whole-trial-at-once, and a random chunking
         // in between must all land on the same bits — and the snapshot
@@ -429,165 +411,47 @@ proptest! {
         for c in [1usize, chunk, whole] {
             let live = stream_pair(&a, &b, cfg, c);
             assert_bit_identical(&live.comparison, &batch);
-            prop_assert_eq!(live.evicted, 0, "full lookahead never evicts");
         }
     }
 
     #[test]
-    fn bounded_window_caps_residency_on_random_pairs(
-        a in arb_trial(40),
-        b in arb_trial(40),
-        window in 1usize..48,
-        chunk in 1usize..16,
+    fn residency_follows_feed_skew_and_loss_not_stream_length(
+        n in 1usize..400,
+        chunk in 1usize..40,
+        drops in proptest::collection::vec(0usize..400, 0..12),
+        drop_from_b in any::<bool>(),
     ) {
-        let cfg = StreamConfig {
-            lookahead: Some(window),
-            snapshot_every: 0,
-            kappa: KappaConfig::paper(),
-        };
-        let live = stream_pair(&a, &b, cfg, chunk);
-        prop_assert!(
-            live.peak_resident <= window,
-            "peak resident {} exceeds window {}",
-            live.peak_resident,
-            window
-        );
-        let m = &live.comparison.metrics;
-        for (name, v) in [("u", m.u), ("o", m.o), ("l", m.l), ("i", m.i), ("kappa", m.kappa)] {
-            prop_assert!((0.0..=1.0).contains(&v), "{} = {} out of range", name, v);
-        }
-    }
-
-    #[test]
-    fn batch_kappa_lies_inside_the_bounded_interval_on_dropfree_pairs(
-        n in 4usize..60,
-        swaps in proptest::collection::vec((0usize..64, 0usize..64), 0..24),
-        jitter in proptest::collection::vec(0u64..40, 0..60),
-        window in 1usize..80,
-        chunk in 1usize..8,
-    ) {
-        // Drop-free pair: B carries exactly A's packets in arbitrarily
-        // permuted order with bounded timestamp jitter. At *every*
-        // window size — including ones far smaller than the
-        // displacement, where unmatched evictions are routine — the
-        // reported interval must be well-formed, contain the batch κ,
-        // and the occurrence-debt ledger must account for every missed
-        // match exactly (batch matches all n packets, so common +
-        // missed must equal n).
-        let mut a = Trial::new();
+        // What the engine holds is what has not met its counterpart yet.
+        // Fed in lock-step chunks of `c`, a drop-free pair never has more
+        // than the chunk in flight, however long the streams are; with
+        // `d` packets removed from one side, the `d` survivors wait for
+        // ever and the shorter side runs up to `d` positions ahead.
+        let mut whole = Trial::new();
         for i in 0..n as u64 {
-            a.push_tagged(0, 0, i, i * 1_000);
+            whole.push_tagged(0, 0, i, i * 1_000 + (i % 7) * 13);
         }
-        let mut order: Vec<u64> = (0..n as u64).collect();
-        for &(s, t) in &swaps {
-            order.swap(s % n, t % n);
-        }
-        let mut b = Trial::new();
-        for (i, &seq) in order.iter().enumerate() {
-            let j = jitter.get(i).copied().unwrap_or(0);
-            b.push_tagged(0, 0, seq, i as u64 * 1_000 + j);
-        }
-        let batch = PairAnalyzer::new(&a, &b).metrics();
-        let cfg = StreamConfig {
-            lookahead: Some(window),
-            snapshot_every: 0,
-            kappa: KappaConfig::paper(),
-        };
-        let live = stream_pair(&a, &b, cfg, chunk);
-        prop_assert!(live.peak_resident <= window);
-        prop_assert!(live.bounds.lo <= live.bounds.hi);
-        prop_assert!(live.bounds.lo >= 0.0 && live.bounds.hi <= 1.0);
+        let live = stream_pair(&whole, &whole, StreamConfig::default(), chunk);
         prop_assert!(
-            live.bounds.contains(batch.kappa),
-            "interval [{}, {}] misses batch kappa {} (window {}, chunk {})",
-            live.bounds.lo, live.bounds.hi, batch.kappa, window, chunk
+            live.peak_resident <= chunk,
+            "drop-free: peak {} > chunk {}", live.peak_resident, chunk
         );
-        prop_assert_eq!(
-            live.comparison.common + live.missed_matches, n,
-            "missed-match accounting must be exact (window {})", window
-        );
-    }
 
-    #[test]
-    fn bound_width_never_widens_as_the_window_doubles(
-        n in 8usize..60,
-        swaps in proptest::collection::vec((0usize..64, 0usize..64), 0..24),
-        base in 1usize..12,
-    ) {
-        // The error-bound ladder: doubling the lookahead window can only
-        // tighten (never widen) the reported interval, and a window
-        // covering the whole feed collapses it to zero width. Lock-step
-        // feeding so every window size sees the same arrival order.
-        let mut a = Trial::new();
-        for i in 0..n as u64 {
-            a.push_tagged(0, 0, i, i * 1_000);
-        }
-        let mut order: Vec<u64> = (0..n as u64).collect();
-        for &(s, t) in &swaps {
-            order.swap(s % n, t % n);
-        }
-        let mut b = Trial::new();
-        for (i, &seq) in order.iter().enumerate() {
-            b.push_tagged(0, 0, seq, i as u64 * 1_000);
-        }
-        let mut widths = Vec::new();
-        let mut w = base;
-        loop {
-            let cfg = StreamConfig {
-                lookahead: Some(w),
-                snapshot_every: 0,
-                kappa: KappaConfig::paper(),
-            };
-            let live = stream_pair(&a, &b, cfg, 1);
-            widths.push((w, live.bounds.width()));
-            if w >= 2 * n {
-                prop_assert_eq!(
-                    live.bounds.width(), 0.0,
-                    "a window covering the feed must collapse the interval"
-                );
-                break;
-            }
-            w *= 2;
-        }
-        for pair in widths.windows(2) {
-            let ((w0, wid0), (w1, wid1)) = (pair[0], pair[1]);
-            prop_assert!(
-                wid1 <= wid0 + 1e-12,
-                "width widened from {} (w {}) to {} (w {})",
-                wid0, w0, wid1, w1
-            );
-        }
-    }
-
-    #[test]
-    fn full_window_bounded_finalize_is_bit_identical_to_batch(
-        a in arb_trial(40),
-        b in arb_trial(40),
-        chunk in 1usize..16,
-    ) {
-        // A bounded engine whose window covers the entire feed never
-        // evicts or seals, so its finalize must delegate to the exact
-        // path: every bit — metrics, percentiles, histograms — equal to
-        // batch, with the interval collapsed onto the final κ.
-        let batch = PairAnalyzer::new(&a, &b).analyze();
-        let cfg = StreamConfig {
-            lookahead: Some(a.len() + b.len() + 1),
-            snapshot_every: 0,
-            kappa: KappaConfig::paper(),
-        };
-        let live = stream_pair(&a, &b, cfg, chunk);
-        prop_assert!(live.bounded);
-        prop_assert_eq!(live.evicted, 0);
-        prop_assert_eq!(live.missed_matches, 0);
-        assert_bit_identical(&live.comparison, &batch);
-        prop_assert_eq!(live.bounds.width(), 0.0);
-        prop_assert_eq!(
-            live.bounds.lo.to_bits(),
-            live.comparison.metrics.kappa.to_bits()
-        );
-        prop_assert_eq!(
-            live.bounds.hi.to_bits(),
-            live.comparison.metrics.kappa.to_bits()
+        let mut lost: Vec<usize> = drops.iter().map(|d| d % n).collect();
+        lost.sort_unstable();
+        lost.dedup();
+        let thinned: Trial = whole
+            .observations()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| lost.binary_search(i).is_err())
+            .map(|(_, o)| (o.id, o.t_ps))
+            .collect();
+        let (a, b) = if drop_from_b { (&whole, &thinned) } else { (&thinned, &whole) };
+        let live = stream_pair(a, b, StreamConfig::default(), chunk);
+        prop_assert_eq!(live.comparison.common, n - lost.len());
+        prop_assert!(
+            live.peak_resident <= chunk + 2 * lost.len(),
+            "{} lost: peak {} > {} + 2 * {}", lost.len(), live.peak_resident, chunk, lost.len()
         );
     }
 
@@ -596,18 +460,14 @@ proptest! {
         a in arb_trial(40),
         b in arb_trial(40),
         cut_sel in 0usize..10_000,
-        window in 2usize..12,
         snapshot_every in 0u64..20,
         id_hi in any::<u64>(),
     ) {
         // The recovery contract (DESIGN.md §13): feed 0..k, checkpoint
         // through the JSON wire format, resume, feed k..n — every
         // downstream bit must equal the uninterrupted run's, at every
-        // cut point, in both lookahead modes. The small bounded window
-        // routinely places the cut inside a resident reorder window, the
-        // regime where a lossy checkpoint would show first. The daemon's
-        // slab format (§16.4) is held to the same contract, with every
-        // bit of the identity's high half in play.
+        // cut point. The daemon's slab format (§16.4) is held to the same
+        // contract, with every bit of the identity's high half in play.
         let widen = |t: &Trial| {
             let mut wide = Trial::new();
             for o in t.observations() {
@@ -616,49 +476,28 @@ proptest! {
             wide
         };
         let (a, b) = (widen(&a), widen(&b));
-        for (lookahead, ship) in [
-            (None, ship_json as fn(_) -> _),
-            (Some(window), ship_json),
-            (None, ship_slabs),
-            (Some(window), ship_slabs),
-        ] {
+        for ship in [ship_json as fn(_) -> _, ship_slabs] {
             let cfg = StreamConfig {
-                lookahead,
                 snapshot_every,
                 kappa: KappaConfig::paper(),
+                ..Default::default()
             };
             let whole = a.len().max(b.len()).max(1);
             for chunk in [1usize, 7, whole] {
                 let straight = stream_pair(&a, &b, cfg, chunk);
-                let (resumed, _resident) = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, |ck| {
+                let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, |ck| {
                     IncrementalComparison::resume(ship(ck))
                 });
                 assert_bit_identical(&resumed.comparison, &straight.comparison);
                 prop_assert_eq!(resumed.peak_resident, straight.peak_resident);
-                prop_assert_eq!(resumed.evicted, straight.evicted);
-                prop_assert_eq!(resumed.bounded, straight.bounded);
-                // The error interval and its bookkeeping (occurrence
-                // debt, seal counters) must survive a cut landing inside
-                // a partially-merged window bit for bit.
-                prop_assert_eq!(resumed.bounds.lo.to_bits(), straight.bounds.lo.to_bits());
-                prop_assert_eq!(resumed.bounds.hi.to_bits(), straight.bounds.hi.to_bits());
-                prop_assert_eq!(resumed.missed_matches, straight.missed_matches);
-                prop_assert_eq!(
-                    (resumed.seals, resumed.forced_seals),
-                    (straight.seals, straight.forced_seals)
-                );
                 prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
                 for (x, y) in resumed.snapshots.iter().zip(straight.snapshots.iter()) {
                     prop_assert_eq!(
-                        (x.seen_a, x.seen_b, x.common, x.resident, x.evicted),
-                        (y.seen_a, y.seen_b, y.common, y.resident, y.evicted)
+                        (x.seen_a, x.seen_b, x.common, x.resident),
+                        (y.seen_a, y.seen_b, y.common, y.resident)
                     );
                     prop_assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
                     prop_assert_eq!(x.window.metrics.kappa.to_bits(), y.window.metrics.kappa.to_bits());
-                    prop_assert_eq!(
-                        x.bounds.map(|v| (v.lo.to_bits(), v.hi.to_bits())),
-                        y.bounds.map(|v| (v.lo.to_bits(), v.hi.to_bits()))
-                    );
                 }
             }
         }
