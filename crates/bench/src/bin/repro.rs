@@ -316,7 +316,7 @@ fn table2(opts: &Opts) {
 /// bit-identical tables (the final digest line makes that checkable at
 /// a glance).
 fn chaos(opts: &Opts) {
-    use choir_core::metrics::report::analyze_runs_parallel;
+    use choir_core::metrics::report::{analyze, trial_label};
     use choir_core::replay::{EngineConfig, run_replay_supervised};
     use choir_dpdk::{Burst, Dataplane, FaultConfig, FaultyDataplane, PortStats};
     use std::cell::Cell;
@@ -437,7 +437,10 @@ fn chaos(opts: &Opts) {
         lines.push((rate, stats, degradation, faults));
     }
 
-    let comparisons = analyze_runs_parallel(&trials[0], &trials[1..]);
+    // Run A (rate 0) is the baseline; runs start at "B".
+    let comparisons: Vec<_> = (1..trials.len())
+        .map(|i| analyze(trial_label(i), &trials[0], &trials[i]))
+        .collect();
     println!(
         "{:>6} | {:>7} {:>9} {:>9} {:>9} {:>9} | {:>9} {:>8} {:>8} {:>9} | {:>9} {:>7}",
         "rate", "kappa", "U", "O", "I", "L", "pkts", "rejects", "retries", "abandoned", "injected", "stalls"

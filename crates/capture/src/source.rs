@@ -25,7 +25,7 @@ use std::io::{self, Read};
 use bytes::Bytes;
 
 use choir_core::metrics::{Observation, MAX_TIMESTAMP_PS};
-use choir_packet::pcap::{PcapError, PCAP_NS_MAGIC, PCAP_US_MAGIC};
+use choir_packet::pcap::{magic_format, PcapError, DEFAULT_SNAPLEN};
 use choir_packet::{Frame, PacketId};
 
 /// Where a capture broke: the record that failed to parse. Every record
@@ -158,14 +158,8 @@ impl<R: Read> PcapSource<R> {
                 PcapError::Io(e)
             }
         })?;
-        let raw_magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let (subsec_to_ns, swapped): (u64, bool) = match raw_magic {
-            PCAP_NS_MAGIC => (1, false),
-            PCAP_US_MAGIC => (1_000, false),
-            m if m == PCAP_NS_MAGIC.swap_bytes() => (1, true),
-            m if m == PCAP_US_MAGIC.swap_bytes() => (1_000, true),
-            other => return Err(PcapError::BadMagic(other)),
-        };
+        let (subsec_to_ns, swapped) =
+            magic_format(u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]))?;
         Ok(PcapSource {
             input,
             swapped,
@@ -214,18 +208,19 @@ impl<R: Read> PcapSource<R> {
         };
         let sec = u32at(0) as u64;
         let nsec = u32at(4) as u64;
-        let incl = u32at(8) as usize;
-        let mut body = vec![0u8; incl];
-        self.input.read_exact(&mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                PcapError::Truncated {
-                    offset: self.byte_offset,
-                }
-            } else {
-                PcapError::Io(e)
-            }
-        })?;
-        self.byte_offset += 16 + incl as u64;
+        let incl = u32at(8) as u64;
+        // One allocation for any record a whole-frame snap length admits;
+        // past that the buffer grows with the bytes actually read, never
+        // with the declared length, so a damaged header cannot make the
+        // reader allocate what the input does not hold.
+        let mut body = Vec::with_capacity(incl.min(DEFAULT_SNAPLEN.into()) as usize);
+        self.input.by_ref().take(incl).read_to_end(&mut body)?;
+        if body.len() as u64 != incl {
+            return Err(PcapError::Truncated {
+                offset: self.byte_offset,
+            });
+        }
+        self.byte_offset += 16 + incl;
         self.records_read += 1;
         let ts_ns = sec * 1_000_000_000 + nsec * self.subsec_to_ns;
         self.first_ts_ns.get_or_insert(ts_ns);
@@ -296,7 +291,9 @@ pub fn drain_available<R: Read>(
 mod tests {
     use super::*;
     use choir_core::metrics::Trial;
-    use choir_packet::pcap::{parse_pcap, PcapWriter, DEFAULT_SNAPLEN, LINKTYPE_ETHERNET};
+    use choir_packet::pcap::{
+        parse_pcap, PcapWriter, LINKTYPE_ETHERNET, PCAP_NS_MAGIC, PCAP_US_MAGIC,
+    };
     use choir_packet::ChoirTag;
 
     fn sample_pcap(n: u64) -> Vec<u8> {
@@ -415,6 +412,44 @@ mod tests {
         assert_eq!(e.record_index, 6);
         assert_eq!(e.byte_offset, 24 + 6 * (16 + 80));
         assert!(matches!(e.error, PcapError::Truncated { offset: 600 }));
+    }
+
+    #[test]
+    fn record_declaring_more_than_the_input_holds_is_truncated_not_allocated() {
+        // A damaged tail: a record header claiming 0xFFFF_FFF0 bytes with
+        // ten behind it. The typed error names the record; the reader
+        // never asks for the declared length (it reads through `take`
+        // into a buffer reserved for one snap length at most).
+        for big_endian in [false, true] {
+            let mut buf = handmade_pcap(PCAP_NS_MAGIC, big_endian, 1, 2, &[0xAB; 10]);
+            let declared = 0xFFFF_FFF0_u32;
+            let incl = if big_endian { declared.to_be_bytes() } else { declared.to_le_bytes() };
+            buf[24 + 8..24 + 12].copy_from_slice(&incl);
+            let (prefix, end) = drain(&buf);
+            assert!(prefix.is_empty());
+            let SourceError::Capture(e) = end.unwrap_err() else {
+                panic!("expected a capture error");
+            };
+            assert!(matches!(e.error, PcapError::Truncated { offset: 24 }), "{}", e.error);
+            assert_eq!((e.byte_offset, e.record_index), (24, 0));
+        }
+        // A capture cut inside a *valid* jumbo record still delivers the
+        // exact prefix before it.
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for i in 0..3u64 {
+            let mut frame = vec![0u8; 9_000];
+            ChoirTag::new(1, 0, i).stamp_trailer(&mut frame);
+            w.write_record(i * 1_000, &Frame::new(Bytes::from(frame))).unwrap();
+        }
+        let buf = w.finish().unwrap();
+        let batch = parse_pcap(&buf).unwrap();
+        let cut = 24 + 2 * (16 + 9_000) + 16 + 4_321;
+        let (prefix, end) = drain(&buf[..cut]);
+        assert_eq!(prefix, Trial::from_pcap_records(&batch[..2]));
+        let SourceError::Capture(e) = end.unwrap_err() else {
+            panic!("expected a capture error");
+        };
+        assert_eq!((e.byte_offset, e.record_index), (24 + 2 * (16 + 9_000), 2));
     }
 
     #[test]

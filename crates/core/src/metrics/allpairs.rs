@@ -1,4 +1,4 @@
-//! The sharded, cache-blocked all-pairs consistency engine.
+//! The sharded all-pairs consistency engine.
 //!
 //! The paper reports κ per environment by comparing every run against
 //! baseline A (Tables 1–2), but its §7 run lists show κ varying 0.65–0.82
@@ -25,19 +25,17 @@
 //!   on a pair that kept its order (DESIGN.md §15.5). Every kernel is
 //!   bit-identical to the uncached reference implementations — same
 //!   arithmetic values in the same order.
-//! - **A cache-blocked bounded worker pool** — at most `shards` worker
-//!   threads steal *block-pairs* `(bi, bj)` of trials from a shared
-//!   atomic cursor and sweep every cell inside the block, so each block
-//!   of indexes is streamed once per block rather than once per pair,
-//!   and an expensive pair (heavy reordering → long LIS stage) doesn't
-//!   stall the pool behind a static partition.
+//! - **A bounded worker pool** — at most `shards` worker threads steal
+//!   pairs, in row-major order, from a shared atomic cursor, so an
+//!   expensive pair (heavy reordering → long LIS stage) doesn't stall
+//!   the pool behind a static partition.
 //!
 //! Invariants (enforced by unit tests here and the property tests in
 //! `tests/allpairs_properties.rs` / `tests/arena_properties.rs`):
 //!
 //! 1. `all_pairs_sharded(trials, s)` is bit-identical to
 //!    [`all_pairs_serial`] — the unchanged, uncached serial reference —
-//!    for every shard count `s ≥ 1` and every block size.
+//!    for every shard count `s ≥ 1`.
 //! 2. No more than `shards` workers are ever alive at once
 //!    ([`EngineStats::peak_workers`] observes this).
 //! 3. A [`TrialIndex`] is immutable after construction; pairs only read.
@@ -455,8 +453,6 @@ pub struct EngineStats {
     pub index_build_ns: u64,
     /// Wall-clock of the pair computation (pool start to last join), ns.
     pub pair_wall_ns: u64,
-    /// Trials per cache block actually used (after clamping).
-    pub block_size: usize,
 }
 
 /// Serial reference: the full matrix via the original uncached
@@ -479,51 +475,26 @@ pub fn all_pairs_serial_with(trials: &[Trial], cfg: &KappaConfig) -> KappaMatrix
     KappaMatrix { labels, cells }
 }
 
-/// Sharded all-pairs analysis with the paper's κ configuration and the
-/// default cache-block size.
+/// Sharded all-pairs analysis with the paper's κ configuration.
 pub fn all_pairs_sharded(trials: &[Trial], shards: usize) -> Result<KappaMatrix, IndexError> {
     Ok(all_pairs_sharded_with(trials, shards, &KappaConfig::paper())?.0)
 }
 
 /// Sharded all-pairs analysis: build every [`TrialIndex`] once, then let a
-/// bounded pool of at most `shards` workers steal cache blocks of pairs
-/// from a shared cursor. Bit-identical to [`all_pairs_serial_with`] for
-/// any `shards ≥ 1`.
+/// bounded pool of at most `shards` workers steal pairs, in row-major
+/// `(i, j), i < j` order, from a shared cursor. Each cell's arithmetic is
+/// independent and cells land at their row-major offsets, so the output
+/// is bit-identical to [`all_pairs_serial_with`] for any `shards ≥ 1`.
 pub fn all_pairs_sharded_with(
     trials: &[Trial],
     shards: usize,
     cfg: &KappaConfig,
 ) -> Result<(KappaMatrix, EngineStats), IndexError> {
-    all_pairs_blocked_with(trials, shards, default_block_size(trials), cfg)
-}
-
-/// Cache-block size heuristic: fit two blocks' worth of index data
-/// (~48 B/packet: positions + occ + group extents + gaps + times + ids)
-/// in a ~2 MiB hot-set budget, clamped to `[2, 32]` trials per block.
-pub fn default_block_size(trials: &[Trial]) -> usize {
-    let per = trials.iter().map(Trial::len).max().unwrap_or(0);
-    const BUDGET: usize = 2 << 20;
-    (BUDGET / (per * 48).max(1)).clamp(2, 32)
-}
-
-/// The engine proper, with an explicit cache-block size (trials per
-/// block): the upper triangle is covered by block-pairs `(bi, bj)`,
-/// `bi ≤ bj`, each swept cell-by-cell by one worker so the two blocks'
-/// indexes stay hot while every cross-pair between them is scored.
-///
-/// Block size only changes the traversal schedule, never the values:
-/// cells land at their row-major offsets and each cell's arithmetic is
-/// independent, so the output is bit-identical to [`all_pairs_serial_with`]
-/// at every `block ≥ 1`.
-pub fn all_pairs_blocked_with(
-    trials: &[Trial],
-    shards: usize,
-    block: usize,
-    cfg: &KappaConfig,
-) -> Result<(KappaMatrix, EngineStats), IndexError> {
     let n = trials.len();
     let labels: Vec<String> = (0..n).map(trial_label).collect();
-    let total_pairs = pair_count(n);
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+        .collect();
 
     let _span = obs::span("allpairs");
     let t_index = Instant::now();
@@ -537,123 +508,74 @@ pub fn all_pairs_blocked_with(
     };
     let index_build_ns = t_index.elapsed().as_nanos() as u64;
 
-    let workers = shards.max(1).min(total_pairs.max(1));
-    // Keep at least ~workers block-pairs so blocking never serializes the
-    // pool: nb blocks yield nb(nb+1)/2 block-pairs ≥ workers when
-    // nb ≥ ceil(sqrt(2·workers)).
-    let target_nb = ((2 * workers) as f64).sqrt().ceil() as usize;
-    let block = block.max(1).min(n.div_ceil(target_nb.max(1)).max(1));
-    let nb = n.div_ceil(block);
-    let block_pairs: Vec<(u32, u32)> = (0..nb as u32)
-        .flat_map(|bi| (bi..nb as u32).map(move |bj| (bi, bj)))
-        .collect();
-
-    let cell_offset = |i: usize, j: usize| i * n - i * (i + 1) / 2 + (j - i - 1);
-    let block_range = |b: usize| (b * block, ((b + 1) * block).min(n));
-    let analyze_cell = |i: usize, j: usize, scratch: &mut PairScratch| {
-        PairAnalyzer::from_indexes(&indexes[i], &indexes[j])
-            .label(String::new())
-            .config(*cfg)
-            .analyze_with_scratch(scratch)
-    };
-
+    let workers = shards.max(1).min(pairs.len().max(1));
     let t_pairs = Instant::now();
-    let mut stats = EngineStats {
-        shards_used: workers,
-        peak_workers: usize::from(total_pairs > 0),
-        index_build_ns,
-        pair_wall_ns: 0,
-        block_size: block,
-    };
-    let mut cells: Vec<TrialComparison> = if workers <= 1 {
-        let _s = obs::span("pairs");
+    let cursor = AtomicUsize::new(0);
+    let live = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
+    let mut slots: Vec<Option<TrialComparison>> = Vec::new();
+    slots.resize_with(pairs.len(), || None);
+    let slots = Mutex::new(slots);
+    // One worker's whole life; a pool of one runs it on the caller's
+    // thread, with no thread machinery at all.
+    let work = |widx: usize| {
+        let alive = live.fetch_add(1, AtomicOrdering::SeqCst) + 1;
+        peak.fetch_max(alive, AtomicOrdering::SeqCst);
         let mut scratch = PairScratch::new();
-        let mut slots: Vec<Option<TrialComparison>> = Vec::new();
-        slots.resize_with(total_pairs, || None);
-        for &(bi, bj) in &block_pairs {
-            let (i_lo, i_hi) = block_range(bi as usize);
-            let (j_lo, j_hi) = block_range(bj as usize);
-            for i in i_lo..i_hi {
-                for j in j_lo.max(i + 1)..j_hi {
-                    slots[cell_offset(i, j)] = Some(analyze_cell(i, j, &mut scratch));
-                }
-            }
+        let mut stolen = 0u64;
+        loop {
+            let k = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+            let Some(&(i, j)) = pairs.get(k) else {
+                break;
+            };
+            obs::event("allpairs.steal", widx as u64, k as u64);
+            let cell = PairAnalyzer::from_indexes(&indexes[i], &indexes[j])
+                .label(String::new())
+                .config(*cfg)
+                .analyze_with_scratch(&mut scratch);
+            slots.lock().expect("cell slots")[k] = Some(cell);
+            stolen += 1;
         }
-        obs::counter_add("allpairs.pairs_analyzed", total_pairs as u64);
-        slots
-            .into_iter()
-            .map(|c| c.expect("every pair computed"))
-            .collect()
-    } else {
-        let _s = obs::span("pairs");
-        let cursor = AtomicUsize::new(0);
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let mut slots: Vec<Option<TrialComparison>> = Vec::new();
-        slots.resize_with(total_pairs, || None);
-        let slots = Mutex::new(slots);
-        std::thread::scope(|s| {
-            for widx in 0..workers {
-                let (cursor, live, peak, slots) = (&cursor, &live, &peak, &slots);
-                let (block_pairs, analyze_cell) = (&block_pairs, &analyze_cell);
-                let (block_range, cell_offset) = (&block_range, &cell_offset);
-                s.spawn(move || {
-                    let alive = live.fetch_add(1, AtomicOrdering::SeqCst) + 1;
-                    peak.fetch_max(alive, AtomicOrdering::SeqCst);
-                    let mut scratch = PairScratch::new();
-                    // Cells are staged per block and published under one
-                    // lock acquisition, so contention scales with blocks
-                    // stolen, not cells computed.
-                    let mut batch: Vec<(usize, TrialComparison)> = Vec::new();
-                    let mut stolen_cells = 0u64;
-                    loop {
-                        let k = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                        if k >= block_pairs.len() {
-                            break;
-                        }
-                        obs::event("allpairs.steal", widx as u64, k as u64);
-                        let (bi, bj) = block_pairs[k];
-                        let (i_lo, i_hi) = block_range(bi as usize);
-                        let (j_lo, j_hi) = block_range(bj as usize);
-                        batch.clear();
-                        for i in i_lo..i_hi {
-                            for j in j_lo.max(i + 1)..j_hi {
-                                batch.push((cell_offset(i, j), analyze_cell(i, j, &mut scratch)));
-                            }
-                        }
-                        stolen_cells += batch.len() as u64;
-                        let mut guard = slots.lock().expect("cell slots");
-                        for (off, cell) in batch.drain(..) {
-                            guard[off] = Some(cell);
-                        }
-                    }
-                    if stolen_cells > 0 {
-                        obs::counter_add("allpairs.pairs_analyzed", stolen_cells);
-                        obs::gauge_max("allpairs.worker_pairs_peak", stolen_cells);
-                    }
-                    live.fetch_sub(1, AtomicOrdering::SeqCst);
-                });
-            }
-        });
-        stats.peak_workers = peak.load(AtomicOrdering::SeqCst);
-        slots
-            .into_inner()
-            .expect("cell slots")
-            .into_iter()
-            .map(|c| c.expect("every pair computed"))
-            .collect()
+        if stolen > 0 {
+            obs::counter_add("allpairs.pairs_analyzed", stolen);
+            obs::gauge_max("allpairs.worker_pairs_peak", stolen);
+        }
+        live.fetch_sub(1, AtomicOrdering::SeqCst);
     };
+    {
+        let _s = obs::span("pairs");
+        if workers <= 1 {
+            work(0);
+        } else {
+            std::thread::scope(|s| {
+                for widx in 0..workers {
+                    let work = &work;
+                    s.spawn(move || work(widx));
+                }
+            });
+        }
+    }
+    let mut cells: Vec<TrialComparison> = slots
+        .into_inner()
+        .expect("cell slots")
+        .into_iter()
+        .map(|c| c.expect("every pair computed"))
+        .collect();
     // Cells come back unlabelled and are named here, by the caller. A
     // label written by a worker is a few bytes from that worker's malloc
     // arena which the caller frees: the caller's next small `Vec` starts
     // in that chunk, and whatever it grows to is then held by the arena
     // of a thread that has exited (seen: a daemon's 9.6 MB checkpoint
     // buffer, peak RSS ± 18 MB from one session to the next).
-    let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
-    for (cell, (i, j)) in cells.iter_mut().zip(pairs) {
+    for (cell, &(i, j)) in cells.iter_mut().zip(&pairs) {
         cell.label = format!("{}-{}", labels[i], labels[j]);
     }
-    stats.pair_wall_ns = t_pairs.elapsed().as_nanos() as u64;
+    let stats = EngineStats {
+        shards_used: workers,
+        peak_workers: peak.load(AtomicOrdering::SeqCst),
+        index_build_ns,
+        pair_wall_ns: t_pairs.elapsed().as_nanos() as u64,
+    };
 
     let matrix = KappaMatrix { labels, cells };
     if obs::is_enabled() {
@@ -840,25 +762,6 @@ mod tests {
                 assert_cells_equal(x, y);
             }
             assert!(stats.peak_workers <= shards, "pool exceeded shard bound");
-        }
-    }
-
-    #[test]
-    fn blocked_matrix_bit_identical_at_every_block_size() {
-        let trials = jittered_set(7, 150);
-        let serial = all_pairs_serial(&trials);
-        for block in [1usize, 2, 3, 5, 7, 64] {
-            for shards in [1usize, 3] {
-                let (m, stats) =
-                    all_pairs_blocked_with(&trials, shards, block, &KappaConfig::paper())
-                        .unwrap();
-                assert_eq!(m.labels, serial.labels);
-                assert_eq!(m.cells.len(), serial.cells.len());
-                for (x, y) in m.cells.iter().zip(&serial.cells) {
-                    assert_cells_equal(x, y);
-                }
-                assert!(stats.block_size >= 1);
-            }
         }
     }
 

@@ -34,9 +34,8 @@ pub mod uniqueness;
 pub mod windowed;
 
 pub use allpairs::{
-    all_pairs_blocked_with, all_pairs_serial, all_pairs_serial_with, all_pairs_sharded,
-    all_pairs_sharded_with, default_block_size, EngineStats, IndexError, KappaMatrix,
-    MatrixSummary, TrialIndex,
+    all_pairs_serial, all_pairs_serial_with, all_pairs_sharded, all_pairs_sharded_with,
+    EngineStats, IndexError, KappaMatrix, MatrixSummary, TrialIndex,
 };
 pub use gapreplay::{gapreplay_metrics, GapReplayMetrics};
 pub use histogram::DeltaHistogram;

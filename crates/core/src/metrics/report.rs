@@ -176,33 +176,6 @@ pub fn analyze_with(
     PairAnalyzer::new(a, b).label(label).config(*cfg).analyze()
 }
 
-/// Analyze several runs against one baseline concurrently (each run's
-/// matching/LIS/histograms are independent). Results keep input order;
-/// labels "B", "C", … "Z", "AA", "AB", … are assigned positionally, as the
-/// paper names its runs — unbounded, so long sweeps never collide on a
-/// fallback label.
-///
-/// Spawns one thread per run. For the all-pairs matrix (and any sweep
-/// large enough that thread-per-comparison hurts), prefer the bounded
-/// engine in [`super::allpairs`].
-pub fn analyze_runs_parallel(baseline: &Trial, runs: &[Trial]) -> Vec<TrialComparison> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                // Baseline is "A"; runs start at "B".
-                let label = trial_label(i + 1);
-                s.spawn(move || analyze(label, baseline, t))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("analysis thread"))
-            .collect()
-    })
-}
-
 /// Structured failure modes of report assembly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportError {
@@ -359,6 +332,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::allpairs::all_pairs_sharded;
 
     fn cbr_trial(n: u64, gap: u64, jitter: impl Fn(u64) -> i64) -> Trial {
         let mut t = Trial::new();
@@ -456,20 +430,19 @@ mod tests {
     #[test]
     fn thirty_run_sweep_has_no_duplicate_labels() {
         // Regression: runs past the fixed label table used to all get "?".
-        let a = cbr_trial(20, 1000, |_| 0);
-        let runs: Vec<Trial> = (0..30u64)
+        let trials: Vec<Trial> = (0..31u64)
             .map(|k| cbr_trial(20, 1000, move |i| ((i + k) % 3) as i64))
             .collect();
-        let par = analyze_runs_parallel(&a, &runs);
-        assert_eq!(par.len(), 30);
-        assert_eq!(par[0].label, "B");
-        assert_eq!(par[24].label, "Z");
-        assert_eq!(par[25].label, "AA");
-        assert_eq!(par[29].label, "AE");
+        let row = all_pairs_sharded(&trials, 2).unwrap().baseline_row();
+        assert_eq!(row.len(), 30);
+        assert_eq!(row[0].label, "B");
+        assert_eq!(row[24].label, "Z");
+        assert_eq!(row[25].label, "AA");
+        assert_eq!(row[29].label, "AE");
         let unique: std::collections::HashSet<&str> =
-            par.iter().map(|c| c.label.as_str()).collect();
+            row.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(unique.len(), 30);
-        assert!(!par.iter().any(|c| c.label == "?"));
+        assert!(!row.iter().any(|c| c.label == "?"));
     }
 
     #[test]
@@ -534,23 +507,6 @@ mod tests {
         // Empty snapshots are not attached.
         let none = base.with_obs(choir_obs::ObsSnapshot::default());
         assert!(none.obs.is_none());
-    }
-
-    #[test]
-    fn parallel_analysis_matches_serial() {
-        let a = cbr_trial(500, 1000, |_| 0);
-        let runs: Vec<Trial> = (1..4u64)
-            .map(|k| cbr_trial(500, 1000, move |i| ((i % (k + 1)) * 37) as i64))
-            .collect();
-        let par = analyze_runs_parallel(&a, &runs);
-        assert_eq!(par.len(), 3);
-        assert_eq!(par[0].label, "B");
-        assert_eq!(par[2].label, "D");
-        for (p, t) in par.iter().zip(&runs) {
-            let serial = analyze(p.label.clone(), &a, t);
-            assert_eq!(p.metrics, serial.metrics);
-            assert_eq!(p.moved, serial.moved);
-        }
     }
 
     #[test]

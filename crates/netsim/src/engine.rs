@@ -18,7 +18,7 @@ use crate::clock::NodeClock;
 use crate::nic::{NicRxModel, NicTxModel};
 use crate::rng::{DetRng, Jitter};
 use crate::switchdev::Switch;
-use crate::wheel::{EventQueue, QueueKind};
+use crate::wheel::TimingWheel;
 
 /// Index of a node in the simulation.
 pub type NodeId = usize;
@@ -44,15 +44,6 @@ pub struct SimConfig {
     pub trial: u64,
     /// Packet-buffer pool slots shared by all nodes.
     pub pool_slots: usize,
-    /// Event-queue backend. [`QueueKind::Wheel`] is the production path;
-    /// [`QueueKind::Heap`] is the reference the golden-capture tests
-    /// compare against (identical pop order, so identical captures).
-    pub queue: QueueKind,
-    /// Coalesce contiguous wire bursts into single delivery events (see
-    /// DESIGN.md §10 for the rules). Disable to run the per-packet event
-    /// path — the pre-coalescing reference the throughput benchmarks
-    /// compare against.
-    pub coalesce: bool,
 }
 
 impl Default for SimConfig {
@@ -61,8 +52,6 @@ impl Default for SimConfig {
             master_seed: 0x00C4_0112,
             trial: 0,
             pool_slots: 1 << 22,
-            queue: QueueKind::Wheel,
-            coalesce: true,
         }
     }
 }
@@ -115,7 +104,7 @@ enum Ev {
     AppWake(NodeId),
     AppControl(NodeId, ControlMsg),
     TxPull(NodeId, PortId),
-    /// Wire arrival of one packet.
+    /// Wire arrival of a burst of one.
     Deliver(Endpoint, Mbuf),
     /// A contiguous wire burst arriving as ONE event: each packet keeps
     /// its own last-bit arrival time, and per-packet fates (drops,
@@ -165,9 +154,9 @@ struct SwitchRuntime {
     peers: Vec<(Endpoint, u64)>,
     rng: DetRng,
     /// Per-ingress cache of [`Switch::single_feeder`], maintained by the
-    /// topology mutators: when true (and coalescing is on), transmits
-    /// into that ingress enqueue on the egress queues eagerly at tx time
-    /// and the wire-arrival event is elided entirely.
+    /// topology mutators: when true, transmits into that ingress enqueue
+    /// on the egress queues eagerly at tx time and the wire-arrival event
+    /// is elided entirely.
     eager: Vec<bool>,
 }
 
@@ -176,7 +165,7 @@ pub struct Sim {
     cfg: SimConfig,
     now: u64,
     seq: u64,
-    queue: EventQueue<Ev>,
+    queue: TimingWheel<Ev>,
     nodes: Vec<NodeRuntime>,
     switches: Vec<SwitchRuntime>,
     /// Shared physical-wire busy times for SR-IOV VF groups.
@@ -192,12 +181,11 @@ impl Sim {
     /// A new, empty simulation.
     pub fn new(cfg: SimConfig) -> Self {
         let pool = Mempool::new("sim-pool", cfg.pool_slots);
-        let queue = EventQueue::new(cfg.queue);
         Sim {
             cfg,
             now: 0,
             seq: 0,
-            queue,
+            queue: TimingWheel::new(),
             nodes: Vec::new(),
             switches: Vec::new(),
             phys_groups: Vec::new(),
@@ -465,7 +453,7 @@ impl Sim {
                 self.poll_app(n, Some(msg));
             }
             Ev::TxPull(n, p) => self.tx_pull(n, p),
-            Ev::Deliver(ep, mbuf) => self.deliver_at(ep, mbuf, self.now),
+            Ev::Deliver(ep, mbuf) => self.deliver_one(ep, mbuf),
             Ev::DeliverBurst(ep, pkts) => self.deliver_burst(ep, pkts),
             Ev::SwitchEgress(s, p) => self.switch_egress(s, p),
         }
@@ -517,12 +505,7 @@ impl Sim {
         if let Some(t) = effects.wake_at {
             let node = &mut self.nodes[n];
             let jitter = node.wake_jitter.sample_delay(&mut node.wake_rng);
-            let at = t.max(self.now) + jitter;
-            let redundant = node.wake_pending_at.is_some_and(|w| w <= at);
-            if !redundant {
-                node.wake_pending_at = Some(at);
-                self.schedule(at, Ev::AppWake(n));
-            }
+            self.schedule_wake(n, t.max(self.now) + jitter);
         }
     }
 
@@ -530,7 +513,8 @@ impl Sim {
     /// own last-bit arrival time; times are non-decreasing.
     ///
     /// Coalescing rules (DESIGN.md §10): a multi-packet burst becomes one
-    /// [`Ev::DeliverBurst`]. Switch-bound bursts fire at the FIRST
+    /// [`Ev::DeliverBurst`], a burst of one an [`Ev::Deliver`] at its own
+    /// arrival. Switch-bound bursts fire at the FIRST
     /// arrival (cut-through into the egress pipeline, per-packet ready
     /// times preserved); node-bound bursts fire at the LAST arrival (NIC
     /// interrupt coalescing — packets become visible to the app together,
@@ -539,7 +523,7 @@ impl Sim {
         if pkts.is_empty() {
             return;
         }
-        if self.cfg.coalesce && pkts.len() > 1 {
+        if pkts.len() > 1 {
             let at = match ep {
                 Endpoint::SwitchPort(..) => pkts.first().expect("non-empty").0,
                 _ => pkts.last().expect("non-empty").0,
@@ -627,29 +611,70 @@ impl Sim {
         // queues see exactly the entries, order and `ready` times an
         // arrival event would have produced, so skip the event.
         let eager = match peer {
-            Endpoint::SwitchPort(sw, ing) if self.cfg.coalesce => self.switches[sw].eager[ing],
-            _ => false,
+            Endpoint::SwitchPort(sw, ing) if self.switches[sw].eager[ing] => Some((sw, ing)),
+            _ => None,
         };
-        if eager {
-            let Endpoint::SwitchPort(sw, ing) = peer else {
-                unreachable!("eager requires a switch peer")
-            };
-            let span = self.switches[sw].sw.mirror[ing];
-            let fwd = self.switches[sw].sw.fwd[ing];
+        if let Some((sw, ing)) = eager {
             self.wire_events_elided += deliveries.len() as u64;
-            for (at, m) in deliveries {
-                if let Some(sp) = span {
-                    self.enqueue_switch_egress(sw, sp, m.clone(), at);
-                }
-                if let Some(eg) = fwd {
-                    self.enqueue_switch_egress(sw, eg, m, at);
-                }
-            }
+            self.switch_ingress(sw, ing, deliveries);
         } else {
             self.emit_wire(peer, deliveries);
         }
         if let Some(at) = next_pull {
             self.schedule(at, Ev::TxPull(n, p));
+        }
+    }
+
+    /// Frames enter a switch at `ingress`, each at its own arrival time.
+    /// The span port gets its copy first, regardless of (and without
+    /// perturbing) the forwarding decision; an ingress with no forwarding
+    /// entry drops, like a real blank program. Per-packet pipeline latency
+    /// draws and queue pushes stay in arrival order.
+    fn switch_ingress(
+        &mut self,
+        s: usize,
+        ingress: usize,
+        pkts: impl IntoIterator<Item = (u64, Mbuf)>,
+    ) {
+        let span = self.switches[s].sw.mirror[ingress];
+        let fwd = self.switches[s].sw.fwd[ingress];
+        for (at, m) in pkts {
+            if let Some(span) = span {
+                self.enqueue_switch_egress(s, span, m.clone(), at);
+            }
+            if let Some(egress) = fwd {
+                self.enqueue_switch_egress(s, egress, m, at);
+            }
+        }
+    }
+
+    /// NIC receive admission of one frame whose last bit arrived at `at`:
+    /// drop draw, ring check, then the hardware rx timestamp — which
+    /// reflects the true per-packet wire arrival even when software
+    /// visibility is coalesced to the end of a burst. Returns whether the
+    /// frame reached the rx ring.
+    fn nic_admit(port: &mut PortRuntime, mut m: Mbuf, at: u64) -> bool {
+        if port.rx_model.drop_prob > 0.0 && port.rx_rng.chance(port.rx_model.drop_prob) {
+            port.stats.on_rx_drop(1);
+            return false;
+        }
+        if port.rx_queue.len() >= port.rx_model.ring_cap {
+            port.stats.on_rx_drop(1);
+            return false;
+        }
+        let t_eff = port.rx_model.slope_adjusted_ps(at);
+        m.rx_ts_ps = Some(port.rx_model.timestamp.stamp(t_eff, &mut port.rx_rng));
+        port.rx_queue.push_back(m);
+        true
+    }
+
+    /// Wake node `n`'s app at `wake_at` unless an earlier wake is pending.
+    fn schedule_wake(&mut self, n: NodeId, wake_at: u64) {
+        let node = &mut self.nodes[n];
+        let redundant = node.wake_pending_at.is_some_and(|w| w <= wake_at);
+        if !redundant {
+            node.wake_pending_at = Some(wake_at);
+            self.schedule(wake_at, Ev::AppWake(n));
         }
     }
 
@@ -660,121 +685,47 @@ impl Sim {
     /// Node-bound bursts model NIC interrupt coalescing faithfully: every
     /// packet keeps its own hardware rx timestamp and ring-drop fate, but
     /// the burst raises ONE interrupt — a single delivery-latency draw
-    /// anchored at the first arrival, one wake. (The per-packet path
-    /// draws a latency per packet; the two modes are statistically
-    /// equivalent but not RNG-identical, which is why cross-mode captures
-    /// are not expected to match bit for bit.)
+    /// anchored at the first arrival, drawn whatever was admitted, and one
+    /// wake if anything was.
     fn deliver_burst(&mut self, ep: Endpoint, pkts: Vec<(u64, Mbuf)>) {
         obs::event("sim.burst_delivered", pkts.len() as u64, self.now);
         match ep {
             Endpoint::Unconnected => { /* black hole */ }
-            Endpoint::SwitchPort(s, ingress) => {
-                // Hoist the port-program lookups; the per-packet pipeline
-                // latency draws and queue pushes stay in arrival order.
-                let span = self.switches[s].sw.mirror[ingress];
-                let fwd = self.switches[s].sw.fwd[ingress];
-                for (at, m) in pkts {
-                    if let Some(span) = span {
-                        self.enqueue_switch_egress(s, span, m.clone(), at);
-                    }
-                    if let Some(egress) = fwd {
-                        self.enqueue_switch_egress(s, egress, m, at);
-                    }
-                }
-            }
+            Endpoint::SwitchPort(s, ingress) => self.switch_ingress(s, ingress, pkts),
             Endpoint::NodePort(n, p) => {
                 let first_arrival = pkts.first().map_or(self.now, |&(at, _)| at);
+                let port = &mut self.nodes[n].ports[p];
                 let mut delivered = false;
-                let wake_at;
-                {
-                    let port = &mut self.nodes[n].ports[p];
-                    for (at, m) in pkts {
-                        if port.rx_model.drop_prob > 0.0
-                            && port.rx_rng.chance(port.rx_model.drop_prob)
-                        {
-                            port.stats.on_rx_drop(1);
-                            continue;
-                        }
-                        if port.rx_queue.len() >= port.rx_model.ring_cap {
-                            port.stats.on_rx_drop(1);
-                            continue;
-                        }
-                        let mut m = m;
-                        // Hardware rx timestamps reflect the true
-                        // per-packet wire arrival.
-                        let t_eff = port.rx_model.slope_adjusted_ps(at);
-                        let ts = port.rx_model.timestamp.stamp(t_eff, &mut port.rx_rng);
-                        m.rx_ts_ps = Some(ts);
-                        port.rx_queue.push_back(m);
-                        delivered = true;
-                    }
-                    wake_at = (first_arrival
-                        + port.rx_model.deliver_latency.sample_delay(&mut port.rx_rng))
-                    .max(self.now);
+                for (at, m) in pkts {
+                    delivered |= Self::nic_admit(port, m, at);
                 }
+                let wake_at = (first_arrival
+                    + port.rx_model.deliver_latency.sample_delay(&mut port.rx_rng))
+                .max(self.now);
                 if delivered {
-                    let node = &mut self.nodes[n];
-                    let redundant = node.wake_pending_at.is_some_and(|w| w <= wake_at);
-                    if !redundant {
-                        node.wake_pending_at = Some(wake_at);
-                        self.schedule(wake_at, Ev::AppWake(n));
-                    }
+                    self.schedule_wake(n, wake_at);
                 }
             }
         }
     }
 
-    /// A packet's last bit arrives at an endpoint. `arrival` is `self.now`
-    /// on the per-packet path; inside a coalesced burst it is the packet's
-    /// own wire-arrival time (earlier than `now` for node-bound bursts
-    /// fired at last arrival, later for switch-bound bursts fired at
-    /// first arrival).
-    fn deliver_at(&mut self, ep: Endpoint, mbuf: Mbuf, arrival: u64) {
+    /// A burst of one: the packet's last bit arrives at an endpoint now.
+    /// Unlike a coalesced burst, the delivery latency is drawn only if
+    /// the packet was admitted.
+    fn deliver_one(&mut self, ep: Endpoint, mbuf: Mbuf) {
         match ep {
             Endpoint::Unconnected => { /* black hole */ }
             Endpoint::SwitchPort(s, ingress) => {
-                // Mirror first: the span port gets a copy regardless of
-                // (and without perturbing) the forwarding decision.
-                if let Some(span) = self.switches[s].sw.mirror[ingress] {
-                    self.enqueue_switch_egress(s, span, mbuf.clone(), arrival);
-                }
-                let Some(egress) = self.switches[s].sw.fwd[ingress] else {
-                    return; // no forwarding entry: drop, like a real blank program
-                };
-                self.enqueue_switch_egress(s, egress, mbuf, arrival);
+                self.switch_ingress(s, ingress, [(self.now, mbuf)]);
             }
             Endpoint::NodePort(n, p) => {
-                let wake_at;
-                {
-                    let port = &mut self.nodes[n].ports[p];
-                    if port.rx_model.drop_prob > 0.0
-                        && port.rx_rng.chance(port.rx_model.drop_prob)
-                    {
-                        port.stats.on_rx_drop(1);
-                        return;
-                    }
-                    if port.rx_queue.len() >= port.rx_model.ring_cap {
-                        port.stats.on_rx_drop(1);
-                        return;
-                    }
-                    let mut m = mbuf;
-                    // Hardware rx timestamps reflect the true per-packet
-                    // wire arrival even when software visibility is
-                    // coalesced to the end of the burst.
-                    let t_eff = port.rx_model.slope_adjusted_ps(arrival);
-                    let ts = port.rx_model.timestamp.stamp(t_eff, &mut port.rx_rng);
-                    m.rx_ts_ps = Some(ts);
-                    port.rx_queue.push_back(m);
-                    wake_at = (arrival
-                        + port.rx_model.deliver_latency.sample_delay(&mut port.rx_rng))
-                    .max(self.now);
+                let port = &mut self.nodes[n].ports[p];
+                if !Self::nic_admit(port, mbuf, self.now) {
+                    return;
                 }
-                let node = &mut self.nodes[n];
-                let redundant = node.wake_pending_at.is_some_and(|w| w <= wake_at);
-                if !redundant {
-                    node.wake_pending_at = Some(wake_at);
-                    self.schedule(wake_at, Ev::AppWake(n));
-                }
+                let wake_at =
+                    self.now + port.rx_model.deliver_latency.sample_delay(&mut port.rx_rng);
+                self.schedule_wake(n, wake_at);
             }
         }
     }
@@ -806,13 +757,13 @@ impl Sim {
         self.recompute_eager(sw);
     }
 
-    /// Serve frames from a switch egress queue. With coalescing enabled,
-    /// up to [`MAX_BURST`] queued frames are served in one event. The
-    /// FIFO recurrence `start = max(now, busy_until, ready)` yields
-    /// departure times identical to one-frame-per-event serving — frames
-    /// enqueued after this event would join behind and see the same
-    /// `busy_until` either way, and egress serving draws no RNG (pipeline
-    /// latency is drawn at enqueue), so draw order is unaffected.
+    /// Serve frames from a switch egress queue, up to [`MAX_BURST`] of
+    /// them in one event. The FIFO recurrence `start = max(now,
+    /// busy_until, ready)` yields departure times identical to
+    /// one-frame-per-event serving — frames enqueued after this event
+    /// would join behind and see the same `busy_until` either way, and
+    /// egress serving draws no RNG (pipeline latency is drawn at
+    /// enqueue), so draw order is unaffected.
     fn switch_egress(&mut self, s: usize, p: usize) {
         let mut out: Vec<(u64, Mbuf)> = Vec::new();
         let peer;
@@ -834,8 +785,7 @@ impl Sim {
             }
             let prop;
             (peer, prop) = swr.peers[p];
-            let cap = if self.cfg.coalesce { MAX_BURST } else { 1 };
-            while out.len() < cap {
+            while out.len() < MAX_BURST {
                 let Some(&(ready, _)) = eq.queue.front() else {
                     break;
                 };

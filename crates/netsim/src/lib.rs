@@ -41,7 +41,7 @@ pub mod wheel;
 
 pub use clock::{NodeClock, PtpModel, TimestampModel};
 pub use engine::{NodeId, Sim, SimConfig, SimStats};
-pub use wheel::{EventQueue, QueueKind, TimingWheel};
+pub use wheel::TimingWheel;
 pub use nic::{BatchDist, NicRxModel, NicTxModel, SharedVfModel, UtilProcess};
 pub use ptp::{PtpClient, PtpGrandmaster};
 pub use rng::{DetRng, Jitter};

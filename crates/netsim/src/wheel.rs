@@ -1,5 +1,4 @@
-//! The event queue behind [`crate::Sim`]: a hierarchical timing wheel
-//! with a binary-heap reference implementation.
+//! The event queue behind [`crate::Sim`]: a hierarchical timing wheel.
 //!
 //! The simulator's determinism contract is that events pop in exactly
 //! `(time, insertion sequence)` order. A global `BinaryHeap` satisfies
@@ -7,9 +6,12 @@
 //! the wheel replaces it with `O(1)` bucket pushes for the near future
 //! (where virtually every wire event lands) while far-future events
 //! (replay schedules, PTP resyncs) overflow into a small heap that is
-//! drained into the wheel as the horizon advances. Both implementations
-//! pop in the identical order — a property the proptests in this module
-//! assert against random schedules.
+//! drained into the wheel as the horizon advances. The order contract is
+//! checked two ways: [`TimingWheel::pop_due`] `debug_assert!`s that every
+//! pop's `(t, seq)` is strictly greater than the one before it, in every
+//! debug run of every simulation, and this module's proptests hold the
+//! wheel to a plain `BinaryHeap` — which lives in the test module, as an
+//! oracle, and nowhere else — on random and simulator-shaped schedules.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -24,17 +26,6 @@ const BUCKET_WIDTH: u64 = 1 << BUCKET_BITS;
 const NUM_BUCKETS: usize = 1024;
 /// Span of simulated time the wheel covers before events overflow.
 const HORIZON: u64 = BUCKET_WIDTH * NUM_BUCKETS as u64;
-
-/// Which event-queue implementation a [`crate::Sim`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// The hierarchical timing wheel (production path).
-    #[default]
-    Wheel,
-    /// The original global `BinaryHeap` (reference path, kept for the
-    /// golden-capture equivalence tests).
-    Heap,
-}
 
 struct Entry<T> {
     t: u64,
@@ -96,6 +87,9 @@ pub struct TimingWheel<T> {
     depth_peak: usize,
     /// Pushes that landed past the horizon and spilled to the heap.
     overflow_spills: u64,
+    /// `(t, seq)` of the last pop: the order contract's witness.
+    #[cfg(debug_assertions)]
+    last_popped: Option<(u64, u64)>,
 }
 
 impl<T> Default for TimingWheel<T> {
@@ -117,6 +111,8 @@ impl<T> TimingWheel<T> {
             len: 0,
             depth_peak: 0,
             overflow_spills: 0,
+            #[cfg(debug_assertions)]
+            last_popped: None,
         }
     }
 
@@ -145,9 +141,11 @@ impl<T> TimingWheel<T> {
         ((t >> BUCKET_BITS) as usize) & (NUM_BUCKETS - 1)
     }
 
-    /// Queue `item` at `(t, seq)`. Times earlier than the cursor's span
-    /// are clamped into the cursor bucket (the engine never schedules
-    /// into the past, but clamping keeps ordering sane if it did).
+    /// Queue `item` at `(t, seq)`. The caller must not push at or below
+    /// the `(t, seq)` of an event it has already popped: times earlier
+    /// than the cursor's span are clamped into the cursor bucket, and
+    /// [`pop_due`](Self::pop_due) asserts in debug builds that pops stay
+    /// strictly increasing.
     pub fn push(&mut self, t: u64, seq: u64, item: T) {
         if t >= self.start + HORIZON {
             self.overflow_spills += 1;
@@ -234,6 +232,9 @@ impl<T> TimingWheel<T> {
     }
 
     /// Remove and return the next event if its time is `<= deadline`.
+    ///
+    /// Pops come out in strictly increasing `(t, seq)` order — the
+    /// simulator's determinism contract, asserted here in debug builds.
     pub fn pop_due(&mut self, deadline: u64) -> Option<(u64, T)> {
         if self.len == 0 {
             return None;
@@ -246,89 +247,17 @@ impl<T> TimingWheel<T> {
         let e = b.pop_front().expect("checked front");
         self.in_wheel -= 1;
         self.len -= 1;
+        #[cfg(debug_assertions)]
+        {
+            let popped = (e.t, e.seq);
+            debug_assert!(
+                self.last_popped < Some(popped),
+                "event order broken: popped {popped:?} after {:?}",
+                self.last_popped
+            );
+            self.last_popped = Some(popped);
+        }
         Some((e.t, e.item))
-    }
-}
-
-/// The pluggable event queue: wheel or reference heap, identical order.
-pub struct EventQueue<T> {
-    inner: Inner<T>,
-}
-
-enum Inner<T> {
-    Wheel(TimingWheel<T>),
-    Heap {
-        heap: BinaryHeap<HeapEntry<T>>,
-        depth_peak: usize,
-    },
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue of the given kind.
-    pub fn new(kind: QueueKind) -> Self {
-        let inner = match kind {
-            QueueKind::Wheel => Inner::Wheel(TimingWheel::new()),
-            QueueKind::Heap => Inner::Heap {
-                heap: BinaryHeap::new(),
-                depth_peak: 0,
-            },
-        };
-        EventQueue { inner }
-    }
-
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.len(),
-            Inner::Heap { heap, .. } => heap.len(),
-        }
-    }
-
-    /// True when no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// High-water mark of queued events.
-    pub fn depth_peak(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.depth_peak(),
-            Inner::Heap { depth_peak, .. } => *depth_peak,
-        }
-    }
-
-    /// Overflow-heap spills so far (always 0 for the reference heap).
-    pub fn overflow_spills(&self) -> u64 {
-        match &self.inner {
-            Inner::Wheel(w) => w.overflow_spills(),
-            Inner::Heap { .. } => 0,
-        }
-    }
-
-    /// Queue `item` at `(t, seq)`.
-    pub fn push(&mut self, t: u64, seq: u64, item: T) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.push(t, seq, item),
-            Inner::Heap { heap, depth_peak } => {
-                heap.push(HeapEntry(Entry { t, seq, item }));
-                *depth_peak = (*depth_peak).max(heap.len());
-            }
-        }
-    }
-
-    /// Remove and return the next event if its time is `<= deadline`.
-    pub fn pop_due(&mut self, deadline: u64) -> Option<(u64, T)> {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.pop_due(deadline),
-            Inner::Heap { heap, .. } => {
-                if heap.peek().is_some_and(|e| e.0.t <= deadline) {
-                    let HeapEntry(e) = heap.pop().expect("peeked");
-                    Some((e.t, e.item))
-                } else {
-                    None
-                }
-            }
-        }
     }
 }
 
@@ -336,18 +265,28 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+
+    /// The oracle: a plain `BinaryHeap` of `(t, seq)` keys, earliest
+    /// first. Every test below queues `seq` as the wheel's item, so a
+    /// wheel pop `(t, item)` and an oracle pop `(t, seq)` compare whole.
+    type Heap = BinaryHeap<Reverse<(u64, u64)>>;
+
+    fn pop(heap: &mut Heap) -> Option<(u64, u64)> {
+        heap.pop().map(|Reverse(key)| key)
+    }
 
     /// Drain both queues fully and assert identical pop order.
     fn assert_same_order(pushes: &[(u64, u64)]) {
-        let mut wheel = EventQueue::new(QueueKind::Wheel);
-        let mut heap = EventQueue::new(QueueKind::Heap);
+        let mut wheel = TimingWheel::new();
+        let mut heap = Heap::new();
         for &(t, seq) in pushes {
             wheel.push(t, seq, seq);
-            heap.push(t, seq, seq);
+            heap.push(Reverse((t, seq)));
         }
         loop {
             let a = wheel.pop_due(u64::MAX);
-            let b = heap.pop_due(u64::MAX);
+            let b = pop(&mut heap);
             assert_eq!(a, b, "wheel and heap disagree");
             if a.is_none() {
                 break;
@@ -424,6 +363,19 @@ mod tests {
         assert_eq!(w.pop_due(u64::MAX), Some((2_000_000, 1)));
     }
 
+    /// The order contract is the caller's too: scheduling below what has
+    /// already popped is caught at the next pop, in any debug build.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "event order broken")]
+    fn push_below_the_last_pop_trips_the_order_assertion() {
+        let mut w = TimingWheel::new();
+        w.push(1_000, 0, 0u64);
+        assert_eq!(w.pop_due(u64::MAX), Some((1_000, 0)));
+        w.push(999, 1, 1);
+        w.pop_due(u64::MAX);
+    }
+
     #[test]
     fn depth_peak_tracks_high_water() {
         let mut w = TimingWheel::new();
@@ -460,20 +412,20 @@ mod tests {
                 1..40,
             )
         ) {
-            let mut wheel = EventQueue::new(QueueKind::Wheel);
-            let mut heap = EventQueue::new(QueueKind::Heap);
+            let mut wheel = TimingWheel::new();
+            let mut heap = Heap::new();
             let mut seq = 0u64;
             let mut now = 0u64;
             for (deltas, pops) in rounds {
                 for d in deltas {
                     let t = now + d;
                     wheel.push(t, seq, seq);
-                    heap.push(t, seq, seq);
+                    heap.push(Reverse((t, seq)));
                     seq += 1;
                 }
                 for _ in 0..pops {
                     let a = wheel.pop_due(u64::MAX);
-                    let b = heap.pop_due(u64::MAX);
+                    let b = pop(&mut heap);
                     prop_assert_eq!(&a, &b);
                     if let Some((t, _)) = a {
                         now = t;
@@ -485,7 +437,7 @@ mod tests {
             // Drain what remains.
             loop {
                 let a = wheel.pop_due(u64::MAX);
-                let b = heap.pop_due(u64::MAX);
+                let b = pop(&mut heap);
                 prop_assert_eq!(&a, &b);
                 if a.is_none() {
                     break;

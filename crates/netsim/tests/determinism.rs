@@ -72,7 +72,6 @@ fn run_topology(seed: u64, trial: u64, jittery: bool, count: u64) -> Vec<(u64, u
         master_seed: seed,
         trial,
         pool_slots: count as usize * 2 + 1024,
-        ..SimConfig::default()
     });
     let jitter = if jittery {
         Jitter::Exp { mean: 500.0 }

@@ -174,6 +174,23 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
+/// What a capture's magic (its first four bytes, read little-endian)
+/// says about the rest of it: `(sub-second units in ns, byte-swapped)`.
+///
+/// Sub-second units are nanoseconds for the high-precision magic the
+/// recorder writes, microseconds for classic captures from ordinary
+/// tooling. A swapped magic means the writer's byte order was the
+/// opposite of little-endian wire order, so all fields swap.
+pub fn magic_format(raw_magic: u32) -> Result<(u64, bool), PcapError> {
+    match raw_magic {
+        PCAP_NS_MAGIC => Ok((1, false)),
+        PCAP_US_MAGIC => Ok((1_000, false)),
+        m if m == PCAP_NS_MAGIC.swap_bytes() => Ok((1, true)),
+        m if m == PCAP_US_MAGIC.swap_bytes() => Ok((1_000, true)),
+        other => Err(PcapError::BadMagic(other)),
+    }
+}
+
 /// Read an entire nanosecond pcap into memory.
 pub fn read_pcap<R: Read>(mut input: R) -> Result<Vec<PcapRecord>, PcapError> {
     let mut all = Vec::new();
@@ -192,18 +209,8 @@ pub fn parse_pcap(data: &[u8]) -> Result<Vec<PcapRecord>, PcapError> {
     if data.len() < 24 {
         return Err(PcapError::Truncated { offset: 0 });
     }
-    let raw_magic = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    // Sub-second units: nanoseconds for the high-precision magic the
-    // recorder writes, microseconds for classic captures from ordinary
-    // tooling. A swapped magic means the writer's byte order was the
-    // opposite of little-endian wire order, so all fields swap.
-    let (subsec_to_ns, swapped): (u64, bool) = match raw_magic {
-        PCAP_NS_MAGIC => (1, false),
-        PCAP_US_MAGIC => (1_000, false),
-        m if m == PCAP_NS_MAGIC.swap_bytes() => (1, true),
-        m if m == PCAP_US_MAGIC.swap_bytes() => (1_000, true),
-        other => return Err(PcapError::BadMagic(other)),
-    };
+    let (subsec_to_ns, swapped) =
+        magic_format(u32::from_le_bytes([data[0], data[1], data[2], data[3]]))?;
     let mut records = Vec::new();
     let body = Bytes::copy_from_slice(&data[24..]);
     let mut boff = 0usize;

@@ -782,17 +782,13 @@ impl ServiceState {
                 "`{tenant}/{stream}` is the baseline; it has no score"
             ));
         };
-        let (seen_a, seen_b, common) = (eng.seen_a(), eng.seen_b(), eng.matched());
-        // Score the current prefix without perturbing the live engine:
-        // clone it through its own checkpoint (cheap relative to a
-        // query) and finalize the clone.
-        let clone = IncrementalComparison::resume(eng.checkpoint());
-        let out = clone.finalize(stream);
+        // The live engine scores its own prefix (`&self`, bit-identical
+        // to batch analysis of the same records).
         Ok(Response::Snapshot {
-            seen_a: seen_a as u64,
-            seen_b: seen_b as u64,
-            common: common as u64,
-            running: WireKappa::from(&out.comparison.metrics),
+            seen_a: eng.seen_a() as u64,
+            seen_b: eng.seen_b() as u64,
+            common: eng.matched() as u64,
+            running: WireKappa::from(&eng.running_metrics()),
         })
     }
 

@@ -19,4 +19,4 @@ pub mod profiles;
 pub mod runner;
 
 pub use profiles::{EnvKind, EnvProfile};
-pub use runner::{Experiment, ExperimentConfig, ExperimentOutput, SimTuning};
+pub use runner::{Experiment, ExperimentConfig, ExperimentOutput};

@@ -32,7 +32,7 @@ use choir_netsim::nic::{NicRxModel, NicTxModel, SharedVfModel, UtilProcess};
 use choir_netsim::rng::{DetRng, Jitter};
 use choir_netsim::time::MS;
 use choir_netsim::topology::TopologyBuilder;
-use choir_netsim::{QueueKind, Sim, SimConfig, SimStats};
+use choir_netsim::{Sim, SimConfig, SimStats};
 use choir_pktgen::{Generator, GeneratorConfig};
 
 use crate::profiles::EnvProfile;
@@ -65,41 +65,6 @@ impl ExperimentConfig {
     }
 }
 
-/// Simulator hot-path knobs, orthogonal to *what* runs ([`ExperimentConfig`]).
-///
-/// Defaults to the fast path (timing wheel + burst coalescing); the
-/// per-packet `BinaryHeap` path stays available as the reference
-/// baseline (`tests/pipeline.rs` pins both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimTuning {
-    /// Coalesce contiguous wire bursts into single delivery events.
-    pub coalesce: bool,
-    /// Event-queue implementation.
-    pub queue: QueueKind,
-}
-
-impl Default for SimTuning {
-    fn default() -> Self {
-        SimTuning {
-            coalesce: true,
-            queue: QueueKind::Wheel,
-        }
-    }
-}
-
-impl SimTuning {
-    /// The reference hot path: per-packet delivery events on a
-    /// `BinaryHeap`. Captures are NOT expected to be bit-identical to the
-    /// coalesced path (different RNG interleaving), but the path is
-    /// self-deterministic and statistically equivalent.
-    pub fn per_packet() -> Self {
-        SimTuning {
-            coalesce: false,
-            queue: QueueKind::Heap,
-        }
-    }
-}
-
 /// Everything an experiment produces.
 #[derive(Debug)]
 pub struct ExperimentOutput {
@@ -123,10 +88,7 @@ pub struct ExperimentOutput {
     pub capture_wall_ns: u64,
 }
 
-/// One experiment, composed instead of dispatched: what to run
-/// ([`ExperimentConfig`]) plus the one orthogonal axis, simulator tuning,
-/// as a chainable builder step, mirroring the `PairAnalyzer` redesign
-/// (DESIGN.md §12).
+/// One experiment: what to run ([`ExperimentConfig`]), then [`run`](Self::run).
 ///
 /// ```no_run
 /// use choir_testbed::{EnvKind, Experiment, ExperimentConfig};
@@ -138,22 +100,12 @@ pub struct ExperimentOutput {
 #[derive(Debug, Clone)]
 pub struct Experiment {
     cfg: ExperimentConfig,
-    tuning: SimTuning,
 }
 
 impl Experiment {
-    /// An experiment with default tuning.
+    /// An experiment over `cfg`.
     pub fn new(cfg: ExperimentConfig) -> Self {
-        Experiment {
-            cfg,
-            tuning: SimTuning::default(),
-        }
-    }
-
-    /// Explicit simulator hot-path tuning (default: the fast path).
-    pub fn tuning(mut self, tuning: SimTuning) -> Self {
-        self.tuning = tuning;
-        self
+        Experiment { cfg }
     }
 
     /// Run the experiment end to end.
@@ -163,11 +115,11 @@ impl Experiment {
     /// is the baseline, so one run leaves nothing to compare. Callers
     /// that take the run count from outside validate it where it enters.
     pub fn run(self) -> ExperimentOutput {
-        execute(&self.cfg, self.tuning)
+        execute(&self.cfg)
     }
 }
 
-fn execute(cfg: &ExperimentConfig, tuning: SimTuning) -> ExperimentOutput {
+fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
     let t_capture = std::time::Instant::now();
     let p = &cfg.profile;
     assert!(
@@ -182,8 +134,6 @@ fn execute(cfg: &ExperimentConfig, tuning: SimTuning) -> ExperimentOutput {
         master_seed: cfg.seed,
         trial: 0,
         pool_slots: (n_packets as usize) * 2 + 65_536,
-        queue: tuning.queue,
-        coalesce: tuning.coalesce,
     });
     let mut rng = DetRng::derive(cfg.seed, &["runner", label]);
 

@@ -34,7 +34,6 @@ fn main() {
         master_seed: 0xF161,
         trial: 0,
         pool_slots: packets as usize * 2 + 65_536,
-        ..SimConfig::default()
     });
     let mut rng = DetRng::derive(0xF161, &["example"]);
     let clock = |rng: &mut DetRng| NodeClock {

@@ -7,8 +7,7 @@
 mod common;
 
 use choir::metrics::allpairs::{
-    all_pairs_blocked_with, all_pairs_serial, all_pairs_sharded, all_pairs_sharded_with,
-    KappaMatrix, TrialIndex,
+    all_pairs_serial, all_pairs_sharded, all_pairs_sharded_with, KappaMatrix, TrialIndex,
 };
 use choir::metrics::matching::Matching;
 use choir::metrics::report::TrialComparison;
@@ -95,20 +94,8 @@ fn assert_sharded_matches_serial(trials: &[Trial], reference: &KappaMatrix, shar
     assert_matrix_matches_serial(&m, reference, &format!("shards={shards}"));
 }
 
-fn assert_blocked_matches_serial(
-    trials: &[Trial],
-    reference: &KappaMatrix,
-    shards: usize,
-    block: usize,
-) {
-    let (m, engine) = all_pairs_blocked_with(trials, shards, block, &KappaConfig::paper()).unwrap();
-    assert!(engine.block_size >= 1);
-    assert_matrix_matches_serial(&m, reference, &format!("block={block} shards={shards}"));
-}
-
 /// The same gate on what the engine is for: eight simulated-testbed
-/// captures (2 106 packets each), at the degenerate and typical block
-/// sizes (1, 2, n) and at one worker and one per core.
+/// captures (2 106 packets each), at one worker, two, and one per core.
 #[test]
 fn testbed_captures_sharded_and_blocked_match_serial() {
     let mut profile = EnvKind::LocalSingle.profile();
@@ -122,11 +109,8 @@ fn testbed_captures_sharded_and_blocked_match_serial() {
     .trials;
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reference = all_pairs_serial(&trials);
-    for shards in [1, cpus] {
+    for shards in [1, 2, cpus] {
         assert_sharded_matches_serial(&trials, &reference, shards);
-        for block in [1, 2, trials.len()] {
-            assert_blocked_matches_serial(&trials, &reference, shards, block);
-        }
     }
 }
 
@@ -173,19 +157,6 @@ proptest! {
         for shards in [1, 2, 8] {
             assert_sharded_matches_serial(&trials, &reference, shards);
         }
-    }
-
-    #[test]
-    fn blocked_matrix_is_bit_identical_to_serial(
-        trials in arb_trials(7, 30),
-        block in 1usize..10,
-        shards in 1usize..5,
-    ) {
-        // The cache-blocked scheduler must agree with the serial
-        // reference at every block size and worker count, including
-        // blocks larger than the trial count.
-        let reference = all_pairs_serial(&trials);
-        assert_blocked_matches_serial(&trials, &reference, shards, block);
     }
 
     #[test]

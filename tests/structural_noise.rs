@@ -24,7 +24,6 @@ fn run_pipeline(noisy: bool, packets: u64) -> choir::metrics::ConsistencyMetrics
         master_seed: 0x0005_015E,
         trial: 0,
         pool_slots: packets as usize * 4 + 65_536,
-        ..SimConfig::default()
     });
     let clock = || NodeClock::ideal(2_500_000_000);
     let wake = Jitter::Exp { mean: 100.0 * NS as f64 };
