@@ -4,9 +4,10 @@
 //! [`choir_dpdk::App`] that drains its receive port, keeps each packet's
 //! identity and hardware receive timestamp, and assembles them into a
 //! [`choir_core::metrics::Trial`] for the consistency analysis. It can
-//! optionally retain whole frames for pcap export.
+//! optionally retain whole frames for pcap export. The other direction,
+//! a pcap back into observations one record at a time, is [`PcapSource`]
+//! — the one reader `choir-ctl` and `choir-analyze` share.
 
-pub mod meter;
 pub mod source;
 
 use choir_core::metrics::Trial;
@@ -16,7 +17,6 @@ use choir_dpdk::{App, Burst, ControlMsg, Dataplane, PortId};
 use choir_packet::pcap::PcapWriter;
 use choir_packet::Frame;
 
-pub use meter::RateMeter;
 pub use source::{drain_available, PcapSource, SourceError};
 
 /// Recorder configuration.
@@ -32,10 +32,6 @@ pub struct RecorderConfig {
     /// evaluation applies by defining packet identity via the trailer tag
     /// (§3).
     pub tagged_only: bool,
-    /// When set, accumulate windowed pps/Gbps telemetry with this window
-    /// length (ps) — the observation behind §7.1's "bounced between
-    /// 35 Gbps and 50 Gbps".
-    pub meter_window_ps: Option<u64>,
     /// Upper bound on retained frames when `keep_frames` is set. Once
     /// the bound is reached further frames are dropped from retention
     /// and counted ([`Recorder::frames_dropped`], `capture.ring_full`)
@@ -57,7 +53,6 @@ pub struct Recorder {
     untimestamped: u64,
     filtered: u64,
     frames_dropped: u64,
-    meter: Option<RateMeter>,
 }
 
 /// `ControlMsg::Custom` value that cuts the current trial.
@@ -75,13 +70,7 @@ impl Recorder {
             untimestamped: 0,
             filtered: 0,
             frames_dropped: 0,
-            meter: cfg.meter_window_ps.map(RateMeter::new),
         }
-    }
-
-    /// The windowed rate telemetry, if configured.
-    pub fn meter(&self) -> Option<&RateMeter> {
-        self.meter.as_ref()
     }
 
     /// Packets captured into the current (uncut) trial.
@@ -176,9 +165,6 @@ impl App for Recorder {
                     continue;
                 };
                 self.current.push(m.frame.packet_id(), ts);
-                if let Some(meter) = &mut self.meter {
-                    meter.record(ts, m.frame.wire_len());
-                }
                 if self.cfg.keep_frames {
                     if self.cfg.max_frames.is_none_or(|cap| self.frames.len() < cap) {
                         self.frames.push((ts, m.frame.clone()));
@@ -407,24 +393,6 @@ mod tests {
         assert_eq!(recs[2].ts_ns, 2_000);
         let trial = Trial::from_pcap_records(&recs);
         assert_eq!(trial.len(), 3);
-    }
-
-    #[test]
-    fn meter_tracks_windowed_rate() {
-        let mut dp = RxPlane::new();
-        let mut r = Recorder::new(RecorderConfig {
-            meter_window_ps: Some(1_000_000),
-            ..RecorderConfig::default()
-        });
-        for i in 0..10 {
-            dp.inject(i, Some(i * 200_000)); // 5 pkts per 1 us window
-        }
-        r.on_wake(&mut dp);
-        let m = r.meter().unwrap();
-        assert_eq!(m.len(), 2);
-        assert!(m.pps(0) > 0.0);
-        let (_, mean, _) = m.bps_summary();
-        assert!(mean > 0.0);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Capture ingestion: how a pcap becomes [`Observation`]s.
 //!
-//! [`choir_packet::pcap::read_pcap`] materializes a whole capture before
-//! anything can be analyzed — fine for the batch pipeline, wasteful for
-//! a consumer that only ever needs the next record. [`PcapSource`] reads
-//! a capture incrementally from any [`std::io::Read`], one record at a
-//! time, so a multi-gigabyte capture feeds an engine or the κ daemon
-//! (`choir-ctl ingest-pcap`) with memory bounded by what the consumer
-//! chooses to hold.
+//! [`PcapSource`] reads a capture incrementally from any
+//! [`std::io::Read`], one record at a time, so a multi-gigabyte capture
+//! feeds an engine or the κ daemon (`choir-ctl ingest-pcap`) with memory
+//! bounded by what the consumer chooses to hold; `choir-analyze` drains
+//! one into a [`choir_core::metrics::Trial`], so both tools accept and
+//! refuse exactly the same captures.
 //!
 //! It accepts the same four magics as the batch parser
 //! (nanosecond/microsecond resolution, native and byte-swapped) and
@@ -67,6 +66,8 @@ pub enum SourceError {
     TimestampOutOfRange {
         /// Zero-based index of the offending record.
         record_index: u64,
+        /// Byte offset where the offending record starts.
+        byte_offset: u64,
         /// Its raw stamp, nanoseconds.
         ts_ns: u64,
     },
@@ -78,11 +79,12 @@ impl std::fmt::Display for SourceError {
             SourceError::Capture(e) => write!(f, "capture source failed: {e}"),
             SourceError::TimestampOutOfRange {
                 record_index,
+                byte_offset,
                 ts_ns,
             } => write!(
                 f,
-                "capture source failed: record {record_index} is stamped {ts_ns} ns, \
-                 2^62 ps or more past the capture's epoch"
+                "capture source failed: record {record_index} (byte offset {byte_offset}) \
+                 is stamped {ts_ns} ns, 2^62 ps or more past the capture's epoch"
             ),
         }
     }
@@ -236,6 +238,7 @@ impl<R: Read> PcapSource<R> {
         if self.exhausted {
             return Ok(None);
         }
+        let record_start = self.byte_offset;
         let (ts_ns, id) = match self.read_record() {
             Ok(Some(rec)) => rec,
             Ok(None) => {
@@ -259,6 +262,7 @@ impl<R: Read> PcapSource<R> {
             self.exhausted = true;
             return Err(SourceError::TimestampOutOfRange {
                 record_index: self.records_read - 1,
+                byte_offset: record_start,
                 ts_ns,
             });
         }
@@ -364,7 +368,7 @@ mod tests {
         assert!(src.next_record().unwrap().is_some());
         let err = src.next_record().unwrap_err();
         assert!(
-            matches!(err, SourceError::TimestampOutOfRange { record_index: 1, ts_ns } if ts_ns == MAX_TIMESTAMP_PS / 1000 + 1),
+            matches!(err, SourceError::TimestampOutOfRange { record_index: 1, byte_offset: 120, ts_ns } if ts_ns == MAX_TIMESTAMP_PS / 1000 + 1),
             "{err}"
         );
         assert!(src.is_exhausted());

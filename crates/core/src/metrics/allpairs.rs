@@ -4,7 +4,7 @@
 //! baseline A (Tables 1–2), but its §7 run lists show κ varying 0.65–0.82
 //! *within one test* — understanding that spread needs the full N×N
 //! upper-triangular κ matrix, not just the baseline column. Rebuilt
-//! naively that is `N(N−1)/2` independent [`analyze_with`] calls, each of
+//! naively that is `N(N−1)/2` independent [`analyze`] calls, each of
 //! which re-hashes both trials and re-derives their gap/span statistics
 //! from scratch.
 //!
@@ -52,7 +52,7 @@ use choir_packet::ident::PacketId;
 
 use super::kappa::KappaConfig;
 use super::pair::{PairAnalyzer, PairScratch};
-use super::report::{analyze_with, trial_label, StageTimings, TrialComparison};
+use super::report::{analyze, trial_label, StageTimings, TrialComparison};
 use super::stats;
 use super::trial::Trial;
 
@@ -456,26 +456,21 @@ pub struct EngineStats {
 }
 
 /// Serial reference: the full matrix via the original uncached
-/// [`analyze_with`] path, one pair at a time. This is the ground truth the
+/// [`analyze`] path, one pair at a time. This is the ground truth the
 /// sharded engine must reproduce bit-for-bit.
 pub fn all_pairs_serial(trials: &[Trial]) -> KappaMatrix {
-    all_pairs_serial_with(trials, &KappaConfig::paper())
-}
-
-/// [`all_pairs_serial`] with a custom κ configuration.
-pub fn all_pairs_serial_with(trials: &[Trial], cfg: &KappaConfig) -> KappaMatrix {
     let labels: Vec<String> = (0..trials.len()).map(trial_label).collect();
     let mut cells = Vec::with_capacity(pair_count(trials.len()));
     for i in 0..trials.len() {
         for j in i + 1..trials.len() {
             let label = format!("{}-{}", labels[i], labels[j]);
-            cells.push(analyze_with(label, &trials[i], &trials[j], cfg));
+            cells.push(analyze(label, &trials[i], &trials[j]));
         }
     }
     KappaMatrix { labels, cells }
 }
 
-/// Sharded all-pairs analysis with the paper's κ configuration.
+/// Sharded all-pairs analysis, without the engine statistics.
 pub fn all_pairs_sharded(trials: &[Trial], shards: usize) -> Result<KappaMatrix, IndexError> {
     Ok(all_pairs_sharded_with(trials, shards, &KappaConfig::paper())?.0)
 }
@@ -484,11 +479,15 @@ pub fn all_pairs_sharded(trials: &[Trial], shards: usize) -> Result<KappaMatrix,
 /// bounded pool of at most `shards` workers steal pairs, in row-major
 /// `(i, j), i < j` order, from a shared cursor. Each cell's arithmetic is
 /// independent and cells land at their row-major offsets, so the output
-/// is bit-identical to [`all_pairs_serial_with`] for any `shards ≥ 1`.
+/// is bit-identical to [`all_pairs_serial`] for any `shards ≥ 1`.
+///
+/// The third argument selects nothing ([`KappaConfig`] has one value); it
+/// is kept because the frozen benchmark harness passes it, and it leaves
+/// with ROADMAP item 1(c).
 pub fn all_pairs_sharded_with(
     trials: &[Trial],
     shards: usize,
-    cfg: &KappaConfig,
+    _kappa: &KappaConfig,
 ) -> Result<(KappaMatrix, EngineStats), IndexError> {
     let n = trials.len();
     let labels: Vec<String> = (0..n).map(trial_label).collect();
@@ -531,7 +530,6 @@ pub fn all_pairs_sharded_with(
             obs::event("allpairs.steal", widx as u64, k as u64);
             let cell = PairAnalyzer::from_indexes(&indexes[i], &indexes[j])
                 .label(String::new())
-                .config(*cfg)
                 .analyze_with_scratch(&mut scratch);
             slots.lock().expect("cell slots")[k] = Some(cell);
             stolen += 1;

@@ -34,12 +34,12 @@ pub mod uniqueness;
 pub mod windowed;
 
 pub use allpairs::{
-    all_pairs_serial, all_pairs_serial_with, all_pairs_sharded, all_pairs_sharded_with,
-    EngineStats, IndexError, KappaMatrix, MatrixSummary, TrialIndex,
+    all_pairs_serial, all_pairs_sharded, all_pairs_sharded_with, EngineStats, IndexError,
+    KappaMatrix, MatrixSummary, TrialIndex,
 };
 pub use gapreplay::{gapreplay_metrics, GapReplayMetrics};
 pub use histogram::DeltaHistogram;
-pub use kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig, Scaling};
+pub use kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig};
 pub use matching::Matching;
 pub use ordering::EditScriptStats;
 pub use pair::{PairAnalyzer, PairScratch};
@@ -56,7 +56,7 @@ pub use windowed::{windowed_kappa, worst_window, WindowScore};
 /// Compute all four metrics plus κ between two trials.
 ///
 /// This is the everyday entry point — sugar for
-/// [`PairAnalyzer::metrics`] with the paper's κ configuration. Build a
+/// [`PairAnalyzer::metrics`]. Build a
 /// [`PairAnalyzer`] directly when you need intermediate artifacts (the
 /// matching, the edit script, the full [`TrialComparison`], …).
 pub fn compare(a: &Trial, b: &Trial) -> ConsistencyMetrics {

@@ -38,7 +38,7 @@ use std::time::Instant;
 use super::allpairs::TrialIndex;
 use super::histogram::DeltaHistogram;
 use super::iat::{iat_arena, iat_full_core};
-use super::kappa::{ConsistencyMetrics, KappaConfig};
+use super::kappa::{kappa_from_components, ConsistencyMetrics};
 use super::latency::{latency_arena, latency_full_core};
 use super::matching::{matching_arena, MatchedPair, Matching};
 use super::ordering::{ordering_arena, ordering_core, OrderScratch};
@@ -83,7 +83,6 @@ enum Source<'t> {
 pub struct PairAnalyzer<'t> {
     source: Source<'t>,
     label: String,
-    cfg: KappaConfig,
     matching: Option<Matching>,
 }
 
@@ -93,7 +92,6 @@ impl<'t> PairAnalyzer<'t> {
         PairAnalyzer {
             source: Source::Trials { a, b },
             label: "B".to_string(),
-            cfg: KappaConfig::paper(),
             matching: None,
         }
     }
@@ -104,7 +102,6 @@ impl<'t> PairAnalyzer<'t> {
         PairAnalyzer {
             source: Source::Indexed { a, b },
             label: "B".to_string(),
-            cfg: KappaConfig::paper(),
             matching: None,
         }
     }
@@ -113,12 +110,6 @@ impl<'t> PairAnalyzer<'t> {
     /// `"B"`, the paper's first non-baseline run).
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
-        self
-    }
-
-    /// Use a custom κ configuration (default: the paper's formula).
-    pub fn config(mut self, cfg: KappaConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -141,7 +132,7 @@ impl<'t> PairAnalyzer<'t> {
     /// windowed scorer. Runs the same pipeline as
     /// [`PairAnalyzer::analyze`] would for this source.
     pub fn metrics(&mut self) -> ConsistencyMetrics {
-        let (source, cfg) = (self.source, self.cfg);
+        let source = self.source;
         let m = self.matching();
         let u = uniqueness_core(m);
         let (o, l, i) = match source {
@@ -159,7 +150,7 @@ impl<'t> PairAnalyzer<'t> {
                 )
             }
         };
-        cfg.combine(u, o, l, i)
+        kappa_from_components(u, o, l, i)
     }
 
     /// The complete comparison: metrics, drop/extra/moved counts,
@@ -202,7 +193,7 @@ impl<'t> PairAnalyzer<'t> {
         let t3 = Instant::now();
         let ia = iat_full_core(a, b, &m);
         let t4 = Instant::now();
-        let metrics = self.cfg.combine(u, ord.o, lat.l, ia.i);
+        let metrics = kappa_from_components(u, ord.o, lat.l, ia.i);
 
         let iat_hist = DeltaHistogram::of(ia.deltas_ns.iter().copied());
         let latency_hist = DeltaHistogram::of(lat.deltas_ns.iter().copied());
@@ -255,7 +246,7 @@ impl<'t> PairAnalyzer<'t> {
         let t3 = Instant::now();
         let i = iat_arena(a, b, &m, &mut s.iat_deltas);
         let t4 = Instant::now();
-        let metrics = self.cfg.combine(u, ord.o, l, i);
+        let metrics = kappa_from_components(u, ord.o, l, i);
 
         let mut iat_hist = DeltaHistogram::new();
         iat_hist.record_slice(&s.iat_deltas);
@@ -293,7 +284,7 @@ impl<'t> PairAnalyzer<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::report::analyze_with;
+    use crate::metrics::report::analyze;
 
     fn jittered_pair(n: u64) -> (Trial, Trial) {
         let mut a = Trial::new();
@@ -331,10 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn analyze_matches_analyze_with_bitwise() {
+    fn analyzer_matches_report_analyze_bitwise() {
         let (a, b) = jittered_pair(300);
         let new = PairAnalyzer::new(&a, &b).label("B").analyze();
-        let old = analyze_with("B", &a, &b, &KappaConfig::paper());
+        let old = analyze("B", &a, &b);
         assert_eq!(new.metrics.kappa.to_bits(), old.metrics.kappa.to_bits());
         assert_eq!(new.iat_abs_percentiles_ns, old.iat_abs_percentiles_ns);
         assert_eq!(new.latency_abs_percentiles_ns, old.latency_abs_percentiles_ns);
@@ -395,16 +386,6 @@ mod tests {
         // And the cache feeds analyze() without a rebuild changing results.
         let cmp = pa.analyze();
         assert_eq!(cmp.common, common);
-    }
-
-    #[test]
-    fn custom_config_flows_through() {
-        let (a, b) = jittered_pair(100);
-        let linear = PairAnalyzer::new(&a, &b).metrics();
-        let strict = PairAnalyzer::new(&a, &b)
-            .config(KappaConfig::drop_sensitive())
-            .metrics();
-        assert!(strict.kappa < linear.kappa);
     }
 
     #[test]

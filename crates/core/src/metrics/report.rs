@@ -8,14 +8,14 @@ use serde::{Deserialize, Serialize};
 
 use super::allpairs::MatrixSummary;
 use super::histogram::DeltaHistogram;
-use super::kappa::{ConsistencyMetrics, KappaConfig};
+use super::kappa::ConsistencyMetrics;
 use super::ordering::EditScriptStats;
 use super::pair::PairAnalyzer;
 use super::trial::Trial;
 
 /// Wall-clock nanoseconds spent in each analysis stage of one comparison.
 ///
-/// Populated by [`analyze`]/[`analyze_with`] and the all-pairs engine
+/// Populated by [`analyze`] and the all-pairs engine
 /// ([`super::allpairs`]); defaults to all-zero when deserializing reports
 /// produced before timings existed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,22 +158,11 @@ pub fn trial_label(i: usize) -> String {
     String::from_utf8(bytes).expect("ASCII label")
 }
 
-/// Analyze run `b` against baseline `a` with the paper's κ formula.
+/// Analyze run `b` against baseline `a`: a thin forwarding wrapper over
+/// [`PairAnalyzer::new`] (the reference pipeline), the one-call entry
+/// point.
 pub fn analyze(label: impl Into<String>, a: &Trial, b: &Trial) -> TrialComparison {
-    analyze_with(label, a, b, &KappaConfig::paper())
-}
-
-/// Analyze with a custom κ configuration.
-///
-/// Thin forwarding wrapper over [`PairAnalyzer::new`] (the reference
-/// pipeline): the one-call entry point.
-pub fn analyze_with(
-    label: impl Into<String>,
-    a: &Trial,
-    b: &Trial,
-    cfg: &KappaConfig,
-) -> TrialComparison {
-    PairAnalyzer::new(a, b).label(label).config(*cfg).analyze()
+    PairAnalyzer::new(a, b).label(label).analyze()
 }
 
 /// Structured failure modes of report assembly.
@@ -507,17 +496,5 @@ mod tests {
         // Empty snapshots are not attached.
         let none = base.with_obs(choir_obs::ObsSnapshot::default());
         assert!(none.obs.is_none());
-    }
-
-    #[test]
-    fn custom_kappa_config_flows_through() {
-        let a = cbr_trial(100, 1000, |_| 0);
-        let mut b = Trial::new();
-        for i in 1..100u64 {
-            b.push_tagged(0, 0, i, i * 1000); // one drop
-        }
-        let linear = analyze_with("B", &a, &b, &KappaConfig::paper());
-        let strict = analyze_with("B", &a, &b, &KappaConfig::drop_sensitive());
-        assert!(strict.metrics.kappa < linear.metrics.kappa);
     }
 }

@@ -59,7 +59,7 @@ use choir_packet::ident::PacketId;
 
 use super::histogram::DeltaHistogram;
 use super::iat::normalize_i;
-use super::kappa::{ConsistencyMetrics, KappaConfig};
+use super::kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig};
 use super::latency::normalize_l;
 use super::matching::{MatchedPair, Matching};
 use super::ordering::{block_move_distance, normalize_o, ordering_arena};
@@ -90,7 +90,7 @@ impl Side {
 /// A checkpoint refused by [`IncrementalComparison::resume_checked`]:
 /// the caller paired a checkpoint with the wrong engine or the wrong
 /// configuration. Before this error existed the engine would silently
-/// resume under whatever `KappaConfig` the checkpoint carried — which is
+/// resume under whatever configuration the checkpoint carried — which is
 /// exactly what a supervisor juggling many tenants' checkpoints gets
 /// wrong first (engine 7's checkpoint fed engine 12's journal scores a
 /// garbage κ with full confidence).
@@ -105,8 +105,8 @@ pub enum ResumeMismatch {
         found: u64,
     },
     /// The checkpoint's configuration differs from the one the caller is
-    /// resuming under (hashes of snapshot cadence and every κ
-    /// weight/scaling).
+    /// resuming under (a hash of the snapshot cadence, see
+    /// [`StreamConfig::fingerprint`]).
     Config {
         /// [`StreamConfig::fingerprint`] of the caller's configuration.
         expected: u64,
@@ -133,8 +133,7 @@ impl std::fmt::Display for ResumeMismatch {
 impl std::error::Error for ResumeMismatch {}
 
 /// Configuration of one incremental comparison. The default is no
-/// automatic snapshots and the paper's κ weights
-/// (`KappaConfig::default()` == `KappaConfig::paper()`).
+/// automatic snapshots.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamConfig {
     /// Not an option: `None` is the only value this field has, and
@@ -152,17 +151,21 @@ pub struct StreamConfig {
     /// observations (both sides counted). 0 = only explicit
     /// [`IncrementalComparison::snapshot_now`] calls.
     pub snapshot_every: u64,
-    /// κ configuration applied to running and final scores.
+    /// Not an option either: [`KappaConfig`] has one value, κ is Eq. 5.
+    /// Named by the same harness literal as `lookahead`, and leaves with
+    /// it.
     pub kappa: KappaConfig,
 }
 
 impl StreamConfig {
-    /// A 64-bit fingerprint of everything that shapes the measurement:
-    /// the snapshot cadence and every κ weight and
-    /// scaling (by exact `f64` bit pattern — two configs that differ in
-    /// the last ulp are different measurements). Recorded in every
-    /// [`StreamCheckpoint`] and verified by
-    /// [`IncrementalComparison::resume_checked`].
+    /// A 64-bit fingerprint of everything that shapes the measurement —
+    /// the snapshot cadence. Recorded in every [`StreamCheckpoint`] and
+    /// verified by [`IncrementalComparison::resume_checked`].
+    ///
+    /// After the cadence it folds in the paper formula's four unit
+    /// weights (by `f64` bit pattern) and four linear-scaling tags, as
+    /// every build did while κ had weights and scalings, so state written
+    /// then still resumes under the same value.
     pub fn fingerprint(&self) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
             // SplitMix64 step over the running hash xor the value.
@@ -171,22 +174,11 @@ impl StreamConfig {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
-        fn mix_scaling(h: u64, s: &super::kappa::Scaling) -> u64 {
-            use super::kappa::Scaling;
-            match s {
-                Scaling::Linear => mix(h, 1),
-                Scaling::Sqrt => mix(h, 2),
-                Scaling::Power(p) => mix(mix(h, 3), p.to_bits()),
-                Scaling::Presence { floor } => mix(mix(h, 4), floor.to_bits()),
-            }
-        }
+        const UNIT_WEIGHT: u64 = 0x3ff0_0000_0000_0000; // 1.0f64
+        const LINEAR: u64 = 1;
         let mut h = mix(0, self.snapshot_every);
-        let k = &self.kappa;
-        for w in [k.w_u, k.w_o, k.w_l, k.w_i] {
-            h = mix(h, w.to_bits());
-        }
-        for s in [&k.s_u, &k.s_o, &k.s_l, &k.s_i] {
-            h = mix_scaling(h, s);
+        for v in [UNIT_WEIGHT; 4].into_iter().chain([LINEAR; 4]) {
+            h = mix(h, v);
         }
         h
     }
@@ -323,7 +315,6 @@ pub struct StreamCheckpoint {
     #[serde(default)]
     config_hash: u64,
     snapshot_every: u64,
-    kappa: KappaConfig,
     side_a: SideCk,
     side_b: SideCk,
     pending: Vec<PendingIdCk>,
@@ -948,7 +939,6 @@ impl IncrementalComparison {
             engine_id: self.engine_id,
             config_hash: self.cfg.fingerprint(),
             snapshot_every: self.cfg.snapshot_every,
-            kappa: self.cfg.kappa,
             side_a: SideCk::of(&self.sides[0]),
             side_b: SideCk::of(&self.sides[1]),
             pending,
@@ -982,7 +972,6 @@ impl IncrementalComparison {
         let _span = obs::span("recover.resume");
         let cfg = StreamConfig {
             snapshot_every: ck.snapshot_every,
-            kappa: ck.kappa,
             ..Default::default()
         };
         let mut pending = IdMap::with_capacity_and_hasher(ck.pending.len(), Default::default());
@@ -1030,8 +1019,8 @@ impl IncrementalComparison {
     /// [`Self::resume`] with the pairing verified instead of trusted:
     /// refuses a checkpoint that was taken by a different engine
     /// (`engine_id` mismatch) or under a different [`StreamConfig`]
-    /// (fingerprint mismatch), instead of silently resuming with the
-    /// wrong `KappaConfig`.
+    /// (fingerprint mismatch), instead of silently resuming under the
+    /// wrong cadence.
     pub fn resume_checked(
         ck: StreamCheckpoint,
         engine_id: u64,
@@ -1183,7 +1172,7 @@ impl IncrementalComparison {
         let u = normalize_u(self.matched, self.sides[0].len + self.sides[1].len);
         let o = self.running_o();
         let (l, i) = self.running_li();
-        self.cfg.kappa.combine(u, o, l, i)
+        kappa_from_components(u, o, l, i)
     }
 
     fn slice_window_score(&self) -> WindowScore {
@@ -1208,7 +1197,7 @@ impl IncrementalComparison {
             } else {
                 (s.a_lo as usize, s.a_hi as usize + 1)
             },
-            metrics: self.cfg.kappa.combine(u, o, l, i),
+            metrics: kappa_from_components(u, o, l, i),
             common: mc,
         }
     }
@@ -1264,7 +1253,7 @@ impl IncrementalComparison {
         let t3 = Instant::now();
         s.iat_deltas.extend(pairs.iter().map(|p| p.d_iat_ps as f64 / 1000.0));
         let t4 = Instant::now();
-        let metrics = self.cfg.kappa.combine(u, ord.o, l, i);
+        let metrics = kappa_from_components(u, ord.o, l, i);
         let within = if mc == 0 {
             0.0
         } else {
@@ -1548,6 +1537,10 @@ mod tests {
         let mut whole = IncrementalComparison::new(cfg);
         feed(&mut whole, &events);
         let want = whole.finalize("B");
+        let weights = "uoli".chars().map(|c| format!("\"w_{c}\":1.0"));
+        let scalings = "uoli".chars().map(|c| format!("\"s_{c}\":\"Linear\""));
+        let fields: Vec<String> = weights.chain(scalings).collect();
+        let old_kappa = format!(",\"kappa\":{{{}}},\"side_a\":", fields.join(","));
         for k in 0..=events.len() {
             let mut head = IncrementalComparison::new(cfg);
             feed(&mut head, &events[..k]);
@@ -1555,13 +1548,20 @@ mod tests {
             // Round-trip through JSON at every cut: the serialized form
             // must carry the full state, not just the in-memory mirror.
             let json = serde_json::to_string(&ck).unwrap();
-            let ck: StreamCheckpoint = serde_json::from_str(&json).unwrap();
-            let mut tail = IncrementalComparison::resume(ck);
-            feed(&mut tail, &events[k..]);
-            let got = tail.finalize("B");
-            assert_bit_identical(&got.comparison, &want.comparison);
-            assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
-            assert_snapshots_identical(&got.snapshots, &want.snapshots);
+            // And as a remainder written while checkpoints still carried
+            // κ's four weights and four scalings (59c7aac and earlier):
+            // the extra key is ignored, the state resumes the same.
+            let legacy = json.replacen(",\"side_a\":", &old_kappa, 1);
+            assert_ne!(legacy, json);
+            for text in [json, legacy] {
+                let ck: StreamCheckpoint = serde_json::from_str(&text).unwrap();
+                let mut tail = IncrementalComparison::resume(ck);
+                feed(&mut tail, &events[k..]);
+                let got = tail.finalize("B");
+                assert_bit_identical(&got.comparison, &want.comparison);
+                assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
+                assert_snapshots_identical(&got.snapshots, &want.snapshots);
+            }
         }
     }
 
@@ -1708,6 +1708,14 @@ mod tests {
             }
             other => panic!("expected EngineId mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn default_fingerprint_is_pinned_across_commits() {
+        // Checkpoints record it and `resume_checked` compares it, so it
+        // moves only on purpose. Read at 59c7aac, when it also hashed
+        // κ's then-configurable weights and scalings.
+        assert_eq!(StreamConfig::default().fingerprint(), 0x0951_ca9b_37e1_e6e1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::kappa::{ConsistencyMetrics, KappaConfig};
+use super::kappa::ConsistencyMetrics;
 use super::matching::Matching;
 use super::pair::PairAnalyzer;
 use super::trial::Trial;
@@ -41,16 +41,6 @@ pub struct WindowScore {
 /// deriving a window count from a duration or rate can round down to zero
 /// without poisoning a whole report run.
 pub fn windowed_kappa(a: &Trial, b: &Trial, windows: usize) -> Vec<WindowScore> {
-    windowed_kappa_with(a, b, windows, &KappaConfig::paper())
-}
-
-/// [`windowed_kappa`] with a custom κ configuration.
-pub fn windowed_kappa_with(
-    a: &Trial,
-    b: &Trial,
-    windows: usize,
-    cfg: &KappaConfig,
-) -> Vec<WindowScore> {
     let windows = windows.max(1);
     if a.is_empty() {
         return Vec::new();
@@ -89,7 +79,7 @@ pub fn windowed_kappa_with(
             .collect();
         let sub_a = sub_a.rezeroed();
         let sub_b = sub_b.rezeroed();
-        let mut pa = PairAnalyzer::new(&sub_a, &sub_b).config(*cfg);
+        let mut pa = PairAnalyzer::new(&sub_a, &sub_b);
         let metrics = pa.metrics();
         let common = pa.common();
         out.push(WindowScore {
@@ -145,8 +135,7 @@ mod tests {
         // the worst *real* window deterministically, and only surface a
         // NaN when no finite window exists.
         let score = |index: usize, kappa: f64| {
-            let mut metrics =
-                crate::metrics::kappa::KappaConfig::paper().combine(0.0, 0.0, 0.0, 0.0);
+            let mut metrics = crate::metrics::kappa_from_components(0.0, 0.0, 0.0, 0.0);
             metrics.kappa = kappa;
             WindowScore {
                 index,

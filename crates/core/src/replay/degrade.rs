@@ -92,14 +92,6 @@ pub enum ReplayErrorKind {
         /// The budget that elapsed, in nanoseconds.
         deadline_ns: u64,
     },
-    /// A burst exhausted its retry budget and the configuration forbids
-    /// abandoning bursts.
-    TxBudgetExhausted {
-        /// Index of the burst that could not be transmitted.
-        burst_index: usize,
-        /// Retries attempted on it.
-        retries: u32,
-    },
 }
 
 /// A supervised replay abort: a typed cause plus the partial — but
@@ -129,14 +121,6 @@ impl fmt::Display for ReplayError {
                 deadline_ns,
                 self.stats.packets_sent,
                 self.degradation.tx_retries
-            ),
-            ReplayErrorKind::TxBudgetExhausted {
-                burst_index,
-                retries,
-            } => write!(
-                f,
-                "replay aborted: burst {burst_index} still unsent after {retries} retries ({} packets sent)",
-                self.stats.packets_sent
             ),
         }
     }
@@ -207,13 +191,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("burst 3"), "{s}");
         assert!(s.contains("42 packets"), "{s}");
-        let e2 = ReplayError {
-            kind: ReplayErrorKind::TxBudgetExhausted {
-                burst_index: 7,
-                retries: 16,
-            },
-            ..e
-        };
-        assert!(e2.to_string().contains("16 retries"), "{}", e2.to_string());
     }
 }

@@ -48,8 +48,8 @@ pub struct EngineConfig {
     /// Divides the recorded inter-burst gaps (1 = as recorded;
     /// `u64::MAX` effectively back-to-back).
     pub speedup: u64,
-    /// Transmit retries allowed per burst before it is abandoned (or the
-    /// replay aborts, per [`EngineConfig::abandon_bursts`]).
+    /// Transmit retries allowed per burst before its remaining packets
+    /// are abandoned: dropped, counted, and the replay continues.
     pub max_retries_per_burst: u32,
     /// First retry backoff, in cycles; doubled per retry.
     pub backoff_start_cycles: u64,
@@ -58,10 +58,6 @@ pub struct EngineConfig {
     /// Wall-clock budget for the whole replay, in nanoseconds. `None`
     /// removes the deadline (and its per-spin check from the hot loop).
     pub deadline_ns: Option<u64>,
-    /// On retry exhaustion: `true` drops the burst's remaining packets,
-    /// counts them, and continues (graceful degradation); `false` aborts
-    /// the replay with [`ReplayErrorKind::TxBudgetExhausted`].
-    pub abandon_bursts: bool,
 }
 
 impl Default for EngineConfig {
@@ -72,7 +68,6 @@ impl Default for EngineConfig {
             backoff_start_cycles: 64,
             backoff_max_cycles: 1 << 16,
             deadline_ns: None,
-            abandon_bursts: true,
         }
     }
 }
@@ -120,11 +115,10 @@ pub fn run_replay_spin<D: Dataplane>(
 
 /// [`run_replay_spin`] with bounded patience: per-burst transmit retries
 /// with exponential backoff, and an optional wall-clock deadline. When a
-/// burst exhausts its retry budget it is either abandoned (counted in
-/// [`DegradationReport`], replay continues) or the replay aborts, per
-/// [`EngineConfig::abandon_bursts`]. A deadline abort returns a typed
-/// [`ReplayError`] carrying the partial [`ReplayStats`] accumulated so
-/// far — under a persistently rejecting NIC this function still
+/// burst exhausts its retry budget it is abandoned (counted in
+/// [`DegradationReport`]) and the replay continues. A deadline abort
+/// returns a typed [`ReplayError`] carrying the partial [`ReplayStats`]
+/// accumulated so far — under a persistently rejecting NIC this function still
 /// terminates within the deadline (plus one backoff).
 pub fn run_replay_supervised<D: Dataplane>(
     recording: &Recording,
@@ -228,24 +222,12 @@ pub fn run_replay_supervised<D: Dataplane>(
                 break;
             }
             if retries >= cfg.max_retries_per_burst {
-                if cfg.abandon_bursts {
-                    let left = burst.len() as u64;
-                    degradation.bursts_abandoned += 1;
-                    degradation.packets_abandoned += left;
-                    obs::event("replay.burst_abandoned", bi as u64, left);
-                    burst.clear();
-                    break;
-                }
-                return Err(abort(
-                    ReplayErrorKind::TxBudgetExhausted {
-                        burst_index: bi,
-                        retries,
-                    },
-                    stats,
-                    degradation,
-                    bi,
-                    dp,
-                ));
+                let left = burst.len() as u64;
+                degradation.bursts_abandoned += 1;
+                degradation.packets_abandoned += left;
+                obs::event("replay.burst_abandoned", bi as u64, left);
+                burst.clear();
+                break;
             }
             retries += 1;
             stats.tx_retries += 1;
@@ -500,28 +482,6 @@ mod tests {
         assert_eq!(report.degradation.packets_abandoned, 32);
         assert_eq!(report.degradation.tx_retries, 4 * 3);
         assert_eq!(report.wire_bps, 0.0, "no wire bytes for unsent packets");
-    }
-
-    #[test]
-    fn strict_mode_errors_on_retry_exhaustion() {
-        let pool = Mempool::new("e", 1 << 10);
-        let rec = recording_of(&pool, 2, 4, 1_000);
-        let mut dp = RejectingPlane::new(pool.clone());
-        let cfg = EngineConfig {
-            max_retries_per_burst: 2,
-            backoff_start_cycles: 16,
-            abandon_bursts: false,
-            ..EngineConfig::default()
-        };
-        let err = run_replay_supervised(&rec, &mut dp, 0, &cfg).unwrap_err();
-        assert_eq!(
-            err.kind,
-            ReplayErrorKind::TxBudgetExhausted {
-                burst_index: 0,
-                retries: 2,
-            }
-        );
-        assert_eq!(err.aborted_at_burst, 0);
     }
 
     #[test]

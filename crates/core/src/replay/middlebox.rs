@@ -38,23 +38,16 @@ pub struct MiddleboxConfig {
     pub rx_port: PortId,
     /// Port traffic is forwarded (and replayed) out of.
     pub tx_port: PortId,
-    /// This replay node's id, stamped into trailer tags.
+    /// This replay node's id, stamped into the unique trailer tag every
+    /// recorded packet carries ("the packets were stamped with unique
+    /// 16-byte tags in the replayer", §6).
     pub replayer_id: u16,
-    /// Stamp each recorded packet with a unique Choir trailer (the paper's
-    /// evaluation mode: "the packets were stamped with unique 16-byte tags
-    /// in the replayer", §6).
-    pub stamp_tags: bool,
     /// Intercept in-band control frames on the rx port (§5's two-interface
     /// deployment). Out-of-band control always works via `on_control`.
     pub in_band_control: bool,
     /// Bounded retries when the NIC accepts only part of a burst before
     /// the remainder is dropped (a transparent forwarder must not stall).
     pub tx_retries: u32,
-    /// Also forward the reverse direction (`tx_port` → `rx_port`),
-    /// making the middlebox a full bridge between its "2 bridged
-    /// interfaces" (paper §5). Reverse traffic is forwarded verbatim:
-    /// never stamped, never recorded.
-    pub bridge_reverse: bool,
     /// Mempool slots kept free for forwarding: when availability falls
     /// below this reserve, packets are still forwarded but no longer
     /// recorded (drop-from-recording-and-count) so a long record cannot
@@ -69,10 +62,8 @@ impl Default for MiddleboxConfig {
             rx_port: 0,
             tx_port: 1,
             replayer_id: 0,
-            stamp_tags: true,
             in_band_control: true,
             tx_retries: 2,
-            bridge_reverse: false,
             pool_reserve: 128,
         }
     }
@@ -253,7 +244,7 @@ impl ChoirMiddlebox {
                     }
                     continue;
                 }
-                if self.cfg.stamp_tags && self.state == State::Recording {
+                if self.state == State::Recording {
                     self.stamp(&mut m.frame);
                 }
                 // Bursts are bounded by rx_burst to MAX_BURST, so a full
@@ -308,43 +299,12 @@ impl ChoirMiddlebox {
             tx.clear();
         }
     }
-
-    /// Forward the reverse direction verbatim (bridge mode).
-    fn forward_reverse(&mut self, dp: &mut dyn Dataplane) {
-        loop {
-            let mut rx = std::mem::take(&mut self.rx_buf);
-            let n = dp.rx_burst(self.cfg.tx_port, &mut rx);
-            if n == 0 {
-                self.rx_buf = rx;
-                return;
-            }
-            let total = rx.len() as u64;
-            let mut sent = 0u64;
-            let mut attempts = 0;
-            loop {
-                sent += dp.tx_burst(self.cfg.rx_port, &mut rx) as u64;
-                if rx.is_empty() || attempts >= self.cfg.tx_retries {
-                    break;
-                }
-                attempts += 1;
-            }
-            self.stats.forwarded += sent;
-            if !rx.is_empty() {
-                self.stats.tx_dropped += total - sent;
-                rx.clear();
-            }
-            self.rx_buf = rx;
-        }
-    }
 }
 
 impl App for ChoirMiddlebox {
     fn on_wake(&mut self, dp: &mut dyn Dataplane) {
         self.pump_replay(dp);
         self.forward(dp);
-        if self.cfg.bridge_reverse {
-            self.forward_reverse(dp);
-        }
     }
 
     fn on_control(&mut self, msg: &ControlMsg, dp: &mut dyn Dataplane) {
@@ -692,84 +652,6 @@ mod tests {
         // Each rx burst of 10 -> one tx call of 2 accepted, 8 dropped.
         assert_eq!(app.forward_stats().tx_dropped, 8);
         assert_eq!(dp.tx_log.len(), 2);
-    }
-
-    #[test]
-    fn bridge_reverse_forwards_both_directions() {
-        // BridgePlane only queues rx on port 0 and asserts tx on port 1;
-        // build a two-direction plane inline.
-        use std::collections::VecDeque;
-        struct TwoWay {
-            pool: Mempool,
-            rx: [VecDeque<Mbuf>; 2],
-            tx: [Vec<Mbuf>; 2],
-        }
-        impl Dataplane for TwoWay {
-            fn num_ports(&self) -> usize {
-                2
-            }
-            fn mempool(&self) -> &Mempool {
-                &self.pool
-            }
-            fn rx_burst(&mut self, p: PortId, out: &mut Burst) -> usize {
-                out.clear();
-                let mut n = 0;
-                while n < choir_dpdk::MAX_BURST {
-                    match self.rx[p].pop_front() {
-                        Some(m) => {
-                            out.push(m).unwrap();
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                n
-            }
-            fn tx_burst(&mut self, p: PortId, burst: &mut Burst) -> usize {
-                let n = burst.len();
-                for m in burst.drain() {
-                    self.tx[p].push(m);
-                }
-                n
-            }
-            fn tsc(&self) -> u64 {
-                0
-            }
-            fn tsc_hz(&self) -> u64 {
-                1_000_000_000
-            }
-            fn wall_ns(&self) -> u64 {
-                0
-            }
-            fn request_wake_at_tsc(&mut self, _t: u64) {}
-            fn stats(&self, _p: PortId) -> PortStats {
-                PortStats::default()
-            }
-        }
-
-        let mut dp = TwoWay {
-            pool: Mempool::new("2w", 256),
-            rx: [VecDeque::new(), VecDeque::new()],
-            tx: [Vec::new(), Vec::new()],
-        };
-        let b = choir_packet::FrameBuilder::new(128, 1, 2);
-        for _ in 0..3 {
-            dp.rx[0].push_back(dp.pool.alloc(b.build_plain()).unwrap());
-        }
-        for _ in 0..2 {
-            dp.rx[1].push_back(dp.pool.alloc(b.build_plain()).unwrap());
-        }
-        let mut app = ChoirMiddlebox::new(MiddleboxConfig {
-            bridge_reverse: true,
-            in_band_control: false,
-            ..MiddleboxConfig::default()
-        });
-        app.on_wake(&mut dp);
-        assert_eq!(dp.tx[1].len(), 3, "forward direction");
-        assert_eq!(dp.tx[0].len(), 2, "reverse direction");
-        // Reverse traffic is never stamped.
-        assert!(dp.tx[0].iter().all(|m| m.frame.tag().is_none()));
-        assert_eq!(app.forward_stats().forwarded, 5);
     }
 
     #[test]

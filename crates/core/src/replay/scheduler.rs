@@ -54,10 +54,6 @@ pub struct ReplayScheduler {
     pending_release: u64,
     stats: ReplayStats,
     port: PortId,
-    /// Per-burst release lateness (cycles), when logging is enabled —
-    /// the raw data behind §6's "evaluation of these bounds" (how close
-    /// to the recorded times a replay actually releases).
-    lateness_log: Option<Vec<u64>>,
 }
 
 impl ReplayScheduler {
@@ -83,20 +79,7 @@ impl ReplayScheduler {
             pending_release: 0,
             stats: ReplayStats::default(),
             port,
-            lateness_log: None,
         }
-    }
-
-    /// Record every burst's release lateness for post-hoc analysis (e.g.
-    /// feeding `choir_core::metrics::DeltaHistogram`). Costs 8 bytes per
-    /// burst.
-    pub fn enable_lateness_log(&mut self) {
-        self.lateness_log = Some(Vec::new());
-    }
-
-    /// The per-burst lateness samples (cycles), if logging was enabled.
-    pub fn lateness_log(&self) -> Option<&[u64]> {
-        self.lateness_log.as_deref()
     }
 
     /// Release TSC of burst `i`.
@@ -153,9 +136,6 @@ impl ReplayScheduler {
         if lateness > 0 {
             self.stats.late_bursts += 1;
             self.stats.max_lateness_cycles = self.stats.max_lateness_cycles.max(lateness);
-        }
-        if let Some(log) = &mut self.lateness_log {
-            log.push(lateness);
         }
         self.next += 1;
     }
@@ -332,28 +312,6 @@ mod tests {
         let mut sch = ReplayScheduler::new(&rec, 0, 100, &dp);
         assert_eq!(sch.pump(&rec, &mut dp), SchedulerState::Done);
         assert_eq!(sch.stats(), ReplayStats::default());
-    }
-
-    #[test]
-    fn lateness_log_records_per_burst_release_error() {
-        let mut dp = TestPlane::new(64);
-        let rec = recording(&dp.pool.clone(), &[0, 100, 200, 300], 1);
-        let mut sch = ReplayScheduler::new(&rec, 0, 1_000, &dp);
-        sch.enable_lateness_log();
-        // Wake exactly for the first two, 70 cycles late for the rest.
-        dp.now = 1_000;
-        sch.pump(&rec, &mut dp);
-        dp.now = 1_100;
-        sch.pump(&rec, &mut dp);
-        dp.now = 1_270;
-        sch.pump(&rec, &mut dp);
-        dp.now = 1_300;
-        assert_eq!(sch.pump(&rec, &mut dp), SchedulerState::Done);
-        let log = sch.lateness_log().unwrap();
-        assert_eq!(log, &[0, 0, 70, 0], "per-burst lateness as observed");
-        // Disabled by default.
-        let sch2 = ReplayScheduler::new(&rec, 0, 1_000, &dp);
-        assert!(sch2.lateness_log().is_none());
     }
 
     #[test]

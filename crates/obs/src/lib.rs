@@ -16,12 +16,9 @@
 //!   and never block; when the ring wraps, the oldest breadcrumbs are
 //!   overwritten (the drop count is reported in the snapshot).
 //!
-//! Everything is gated twice:
-//!
-//! - at **compile time** by the `obs` cargo feature (on by default;
-//!   without it every entry point is an inert stub), and
-//! - at **runtime** by [`ObsConfig`] / [`set_enabled`]. Disabled, each
-//!   call is one relaxed atomic load and a predictable branch.
+//! Everything is gated once, at runtime, by [`set_enabled`] (off by
+//! default). Disabled, each call is one relaxed atomic load and a
+//! predictable branch.
 //!
 //! Instrumentation must never perturb what it observes: nothing here
 //! draws from the deterministic RNGs, touches simulated time, or
@@ -33,39 +30,13 @@
 //! `RunReport` embeds (`#[serde(default)]`, so reports written before
 //! the obs layer existed still load).
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
-
-/// Runtime observability configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Master switch. Off by default: instrumentation costs one relaxed
-    /// load per call site.
-    pub enabled: bool,
-    /// Event-ring capacity (breadcrumb slots). Fixed at first use; a
-    /// later [`configure`] with a different capacity keeps the original
-    /// ring (the ring is lock-free, so it is never reallocated while
-    /// writers may hold slots).
-    pub ring_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            ring_capacity: 1024,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// Enabled with the default ring capacity.
-    pub fn enabled() -> Self {
-        ObsConfig {
-            enabled: true,
-            ..ObsConfig::default()
-        }
-    }
-}
 
 /// One counter or gauge in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,382 +113,311 @@ impl ObsSnapshot {
     }
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::*;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Event-ring capacity (breadcrumb slots).
+const RING_CAPACITY: usize = 4096;
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    /// Desired ring capacity; read once when the ring is first built.
-    static RING_CAPACITY: AtomicUsize = AtomicUsize::new(1024);
+struct SpanStat {
+    count: u64,
+    total_ns: u64,
+    min_ns: u64,
+    max_ns: u64,
+}
 
-    struct SpanStat {
-        count: u64,
-        total_ns: u64,
-        min_ns: u64,
-        max_ns: u64,
-    }
+#[derive(Default)]
+struct Registry {
+    counters: BTreeMap<String, u64>,
+    spans: BTreeMap<String, SpanStat>,
+}
 
-    #[derive(Default)]
-    struct Registry {
-        counters: BTreeMap<String, u64>,
-        spans: BTreeMap<String, SpanStat>,
-    }
+fn registry() -> &'static Mutex<Registry> {
+    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REG.get_or_init(|| Mutex::new(Registry::default()))
+}
 
-    fn registry() -> &'static Mutex<Registry> {
-        static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REG.get_or_init(|| Mutex::new(Registry::default()))
-    }
+// --- event ring ----------------------------------------------------
 
-    // --- event ring ----------------------------------------------------
+/// One ring slot. `seq` holds `index + 1` of the last completed write
+/// (0 = never written); readers re-check it to discard slots a
+/// wrapping writer was mid-update on. Payload words are plain relaxed
+/// atomics — a torn read is caught by the `seq` re-check.
+struct Slot {
+    seq: AtomicU64,
+    kind_ptr: AtomicU64,
+    kind_len: AtomicU64,
+    a: AtomicU64,
+    b: AtomicU64,
+}
 
-    /// One ring slot. `seq` holds `index + 1` of the last completed write
-    /// (0 = never written); readers re-check it to discard slots a
-    /// wrapping writer was mid-update on. Payload words are plain relaxed
-    /// atomics — a torn read is caught by the `seq` re-check.
-    struct Slot {
-        seq: AtomicU64,
-        kind_ptr: AtomicU64,
-        kind_len: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
+struct Ring {
+    slots: Box<[Slot]>,
+    /// Total breadcrumbs claimed; slot index = head % capacity.
+    head: AtomicU64,
+}
 
-    struct Ring {
-        slots: Box<[Slot]>,
-        /// Total breadcrumbs claimed; slot index = head % capacity.
-        head: AtomicU64,
-    }
-
-    impl Ring {
-        fn new(capacity: usize) -> Self {
-            let capacity = capacity.max(1);
-            let mut slots = Vec::with_capacity(capacity);
-            for _ in 0..capacity {
-                slots.push(Slot {
-                    seq: AtomicU64::new(0),
-                    kind_ptr: AtomicU64::new(0),
-                    kind_len: AtomicU64::new(0),
-                    a: AtomicU64::new(0),
-                    b: AtomicU64::new(0),
-                });
-            }
-            Ring {
-                slots: slots.into_boxed_slice(),
-                head: AtomicU64::new(0),
-            }
-        }
-
-        fn push(&self, kind: &'static str, a: u64, b: u64) {
-            let idx = self.head.fetch_add(1, Ordering::Relaxed);
-            let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
-            // 0 marks the slot in-flight; readers seeing anything but
-            // `idx + 1` (before AND after reading the payload) discard it.
-            slot.seq.store(0, Ordering::Release);
-            slot.kind_ptr.store(kind.as_ptr() as u64, Ordering::Relaxed);
-            slot.kind_len.store(kind.len() as u64, Ordering::Relaxed);
-            slot.a.store(a, Ordering::Relaxed);
-            slot.b.store(b, Ordering::Relaxed);
-            slot.seq.store(idx + 1, Ordering::Release);
-        }
-
-        fn drain_into(&self, out: &mut Vec<EventSnap>) -> (u64, u64) {
-            let emitted = self.head.load(Ordering::Acquire);
-            let cap = self.slots.len() as u64;
-            let kept = emitted.min(cap);
-            let first = emitted - kept;
-            for idx in first..emitted {
-                let slot = &self.slots[(idx % cap) as usize];
-                let seq = slot.seq.load(Ordering::Acquire);
-                if seq != idx + 1 {
-                    // Overwritten or mid-write; skip the breadcrumb.
-                    continue;
-                }
-                let ptr = slot.kind_ptr.load(Ordering::Relaxed);
-                let len = slot.kind_len.load(Ordering::Relaxed);
-                let a = slot.a.load(Ordering::Relaxed);
-                let b = slot.b.load(Ordering::Relaxed);
-                if slot.seq.load(Ordering::Acquire) != idx + 1 {
-                    continue;
-                }
-                // SAFETY: `ptr`/`len` were produced from a `&'static str`
-                // in `push` and revalidated by the seq re-check; 'static
-                // string data is never deallocated.
-                let kind = unsafe {
-                    std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                        ptr as *const u8,
-                        len as usize,
-                    ))
-                };
-                out.push(EventSnap {
-                    seq: idx,
-                    kind: kind.to_string(),
-                    a,
-                    b,
-                });
-            }
-            (emitted, emitted - kept)
-        }
-
-        fn clear(&self) {
-            // Readers tolerate any seq mismatch, so ordering here is
-            // cosmetic; reset() is only called between runs.
-            self.head.store(0, Ordering::Release);
-            for s in self.slots.iter() {
-                s.seq.store(0, Ordering::Release);
-            }
-        }
-    }
-
-    fn ring() -> &'static Ring {
-        static RING: OnceLock<Ring> = OnceLock::new();
-        RING.get_or_init(|| Ring::new(RING_CAPACITY.load(Ordering::Relaxed)))
-    }
-
-    // --- public API (compiled-in variant) -------------------------------
-
-    /// True when observability is runtime-enabled.
-    #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Apply a runtime configuration (see [`ObsConfig::ring_capacity`]
-    /// for the first-use caveat).
-    pub fn configure(cfg: &ObsConfig) {
-        RING_CAPACITY.store(cfg.ring_capacity.max(1), Ordering::Relaxed);
-        ENABLED.store(cfg.enabled, Ordering::Relaxed);
-    }
-
-    /// Flip the master switch without touching recorded state.
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Zero every counter, drop every span aggregate, clear the ring.
-    /// The enabled flag is left as-is.
-    pub fn reset() {
-        let mut reg = registry().lock().expect("obs registry");
-        reg.counters.clear();
-        reg.spans.clear();
-        drop(reg);
-        ring().clear();
-    }
-
-    /// Update a counter/gauge slot, allocating its name only on first
-    /// touch.
-    fn update_counter(name: &str, f: impl FnOnce(&mut u64)) {
-        let mut reg = registry().lock().expect("obs registry");
-        if let Some(v) = reg.counters.get_mut(name) {
-            f(v);
-        } else {
-            let mut v = 0;
-            f(&mut v);
-            reg.counters.insert(name.to_string(), v);
-        }
-    }
-
-    /// Add `n` to the named counter (registered on first touch).
-    pub fn counter_add(name: &str, n: u64) {
-        if !is_enabled() {
-            return;
-        }
-        update_counter(name, |v| *v += n);
-    }
-
-    /// Increment the named counter by one.
-    #[inline]
-    pub fn counter_inc(name: &str) {
-        counter_add(name, 1);
-    }
-
-    /// Record a last-write gauge value.
-    pub fn gauge_set(name: &str, v: u64) {
-        if !is_enabled() {
-            return;
-        }
-        update_counter(name, |slot| *slot = v);
-    }
-
-    /// Record a high-water gauge value.
-    pub fn gauge_max(name: &str, v: u64) {
-        if !is_enabled() {
-            return;
-        }
-        update_counter(name, |slot| *slot = (*slot).max(v));
-    }
-
-    /// Emit a breadcrumb into the event ring.
-    #[inline]
-    pub fn event(kind: &'static str, a: u64, b: u64) {
-        if !is_enabled() {
-            return;
-        }
-        ring().push(kind, a, b);
-    }
-
-    thread_local! {
-        static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// RAII span: records wall-clock from construction to drop under the
-    /// current thread's span path. Inert when obs is disabled.
-    pub struct SpanGuard {
-        start: Option<Instant>,
-        name: &'static str,
-    }
-
-    /// Open a span named `name`, nested under any span already open on
-    /// this thread.
-    pub fn span(name: &'static str) -> SpanGuard {
-        if !is_enabled() {
-            return SpanGuard { start: None, name };
-        }
-        SPAN_STACK.with(|s| s.borrow_mut().push(name));
-        SpanGuard {
-            start: Some(Instant::now()),
-            name,
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let Some(start) = self.start else {
-                return;
-            };
-            let dt = start.elapsed().as_nanos() as u64;
-            let path = SPAN_STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                // Pop back to this span's frame even if an inner guard
-                // leaked (e.g. mem::forget): truncate at the deepest
-                // occurrence of our name.
-                if let Some(pos) = stack.iter().rposition(|n| *n == self.name) {
-                    let path = stack[..=pos].join("/");
-                    stack.truncate(pos);
-                    path
-                } else {
-                    self.name.to_string()
-                }
+impl Ring {
+    fn new(capacity: usize) -> Self {
+        let mut slots = Vec::with_capacity(capacity);
+        for _ in 0..capacity {
+            slots.push(Slot {
+                seq: AtomicU64::new(0),
+                kind_ptr: AtomicU64::new(0),
+                kind_len: AtomicU64::new(0),
+                a: AtomicU64::new(0),
+                b: AtomicU64::new(0),
             });
-            let mut reg = registry().lock().expect("obs registry");
-            match reg.spans.get_mut(&path) {
-                Some(st) => {
-                    st.count += 1;
-                    st.total_ns += dt;
-                    st.min_ns = st.min_ns.min(dt);
-                    st.max_ns = st.max_ns.max(dt);
-                }
-                None => {
-                    reg.spans.insert(
-                        path,
-                        SpanStat {
-                            count: 1,
-                            total_ns: dt,
-                            min_ns: dt,
-                            max_ns: dt,
-                        },
-                    );
-                }
+        }
+        Ring {
+            slots: slots.into_boxed_slice(),
+            head: AtomicU64::new(0),
+        }
+    }
+
+    fn push(&self, kind: &'static str, a: u64, b: u64) {
+        let idx = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
+        // 0 marks the slot in-flight; readers seeing anything but
+        // `idx + 1` (before AND after reading the payload) discard it.
+        slot.seq.store(0, Ordering::Release);
+        slot.kind_ptr.store(kind.as_ptr() as u64, Ordering::Relaxed);
+        slot.kind_len.store(kind.len() as u64, Ordering::Relaxed);
+        slot.a.store(a, Ordering::Relaxed);
+        slot.b.store(b, Ordering::Relaxed);
+        slot.seq.store(idx + 1, Ordering::Release);
+    }
+
+    fn drain_into(&self, out: &mut Vec<EventSnap>) -> (u64, u64) {
+        let emitted = self.head.load(Ordering::Acquire);
+        let cap = self.slots.len() as u64;
+        let kept = emitted.min(cap);
+        let first = emitted - kept;
+        for idx in first..emitted {
+            let slot = &self.slots[(idx % cap) as usize];
+            let seq = slot.seq.load(Ordering::Acquire);
+            if seq != idx + 1 {
+                // Overwritten or mid-write; skip the breadcrumb.
+                continue;
+            }
+            let ptr = slot.kind_ptr.load(Ordering::Relaxed);
+            let len = slot.kind_len.load(Ordering::Relaxed);
+            let a = slot.a.load(Ordering::Relaxed);
+            let b = slot.b.load(Ordering::Relaxed);
+            if slot.seq.load(Ordering::Acquire) != idx + 1 {
+                continue;
+            }
+            // SAFETY: `ptr`/`len` were produced from a `&'static str`
+            // in `push` and revalidated by the seq re-check; 'static
+            // string data is never deallocated.
+            let kind = unsafe {
+                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
+                    ptr as *const u8,
+                    len as usize,
+                ))
+            };
+            out.push(EventSnap {
+                seq: idx,
+                kind: kind.to_string(),
+                a,
+                b,
+            });
+        }
+        (emitted, emitted - kept)
+    }
+
+    fn clear(&self) {
+        // Readers tolerate any seq mismatch, so ordering here is
+        // cosmetic; reset() is only called between runs.
+        self.head.store(0, Ordering::Release);
+        for s in self.slots.iter() {
+            s.seq.store(0, Ordering::Release);
+        }
+    }
+}
+
+fn ring() -> &'static Ring {
+    static RING: OnceLock<Ring> = OnceLock::new();
+    RING.get_or_init(|| Ring::new(RING_CAPACITY))
+}
+
+// --- public API ----------------------------------------------------------
+
+/// True when observability is runtime-enabled.
+#[inline]
+pub fn is_enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// Flip the master switch without touching recorded state.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Zero every counter, drop every span aggregate, clear the ring.
+/// The enabled flag is left as-is.
+pub fn reset() {
+    let mut reg = registry().lock().expect("obs registry");
+    reg.counters.clear();
+    reg.spans.clear();
+    drop(reg);
+    ring().clear();
+}
+
+/// Update a counter/gauge slot, allocating its name only on first
+/// touch.
+fn update_counter(name: &str, f: impl FnOnce(&mut u64)) {
+    let mut reg = registry().lock().expect("obs registry");
+    if let Some(v) = reg.counters.get_mut(name) {
+        f(v);
+    } else {
+        let mut v = 0;
+        f(&mut v);
+        reg.counters.insert(name.to_string(), v);
+    }
+}
+
+/// Add `n` to the named counter (registered on first touch).
+pub fn counter_add(name: &str, n: u64) {
+    if !is_enabled() {
+        return;
+    }
+    update_counter(name, |v| *v += n);
+}
+
+/// Increment the named counter by one.
+#[inline]
+pub fn counter_inc(name: &str) {
+    counter_add(name, 1);
+}
+
+/// Record a last-write gauge value.
+pub fn gauge_set(name: &str, v: u64) {
+    if !is_enabled() {
+        return;
+    }
+    update_counter(name, |slot| *slot = v);
+}
+
+/// Record a high-water gauge value.
+pub fn gauge_max(name: &str, v: u64) {
+    if !is_enabled() {
+        return;
+    }
+    update_counter(name, |slot| *slot = (*slot).max(v));
+}
+
+/// Emit a breadcrumb into the event ring.
+#[inline]
+pub fn event(kind: &'static str, a: u64, b: u64) {
+    if !is_enabled() {
+        return;
+    }
+    ring().push(kind, a, b);
+}
+
+thread_local! {
+    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+}
+
+/// RAII span: records wall-clock from construction to drop under the
+/// current thread's span path. Inert when obs is disabled.
+pub struct SpanGuard {
+    start: Option<Instant>,
+    name: &'static str,
+}
+
+/// Open a span named `name`, nested under any span already open on
+/// this thread.
+pub fn span(name: &'static str) -> SpanGuard {
+    if !is_enabled() {
+        return SpanGuard { start: None, name };
+    }
+    SPAN_STACK.with(|s| s.borrow_mut().push(name));
+    SpanGuard {
+        start: Some(Instant::now()),
+        name,
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some(start) = self.start else {
+            return;
+        };
+        let dt = start.elapsed().as_nanos() as u64;
+        let path = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            // Pop back to this span's frame even if an inner guard
+            // leaked (e.g. mem::forget): truncate at the deepest
+            // occurrence of our name.
+            if let Some(pos) = stack.iter().rposition(|n| *n == self.name) {
+                let path = stack[..=pos].join("/");
+                stack.truncate(pos);
+                path
+            } else {
+                self.name.to_string()
+            }
+        });
+        let mut reg = registry().lock().expect("obs registry");
+        match reg.spans.get_mut(&path) {
+            Some(st) => {
+                st.count += 1;
+                st.total_ns += dt;
+                st.min_ns = st.min_ns.min(dt);
+                st.max_ns = st.max_ns.max(dt);
+            }
+            None => {
+                reg.spans.insert(
+                    path,
+                    SpanStat {
+                        count: 1,
+                        total_ns: dt,
+                        min_ns: dt,
+                        max_ns: dt,
+                    },
+                );
             }
         }
     }
+}
 
-    /// Export the registry as a serializable snapshot. Counters and spans
-    /// come out name-sorted (BTreeMap order), so snapshots of identical
-    /// runs are deterministic.
-    pub fn snapshot() -> ObsSnapshot {
-        let reg = registry().lock().expect("obs registry");
-        let counters = reg
-            .counters
-            .iter()
-            .map(|(name, &value)| CounterSnap {
-                name: name.clone(),
-                value,
-            })
-            .collect();
-        let spans = reg
-            .spans
-            .iter()
-            .map(|(path, st)| SpanSnap {
-                path: path.clone(),
-                count: st.count,
-                total_ns: st.total_ns,
-                min_ns: st.min_ns,
-                max_ns: st.max_ns,
-            })
-            .collect();
-        drop(reg);
-        let mut events = Vec::new();
-        let (emitted, dropped) = ring().drain_into(&mut events);
-        ObsSnapshot {
-            enabled: is_enabled(),
-            counters,
-            spans,
-            events,
-            events_emitted: emitted,
-            events_dropped: dropped,
-        }
+/// Export the registry as a serializable snapshot. Counters and spans
+/// come out name-sorted (BTreeMap order), so snapshots of identical
+/// runs are deterministic.
+pub fn snapshot() -> ObsSnapshot {
+    let reg = registry().lock().expect("obs registry");
+    let counters = reg
+        .counters
+        .iter()
+        .map(|(name, &value)| CounterSnap {
+            name: name.clone(),
+            value,
+        })
+        .collect();
+    let spans = reg
+        .spans
+        .iter()
+        .map(|(path, st)| SpanSnap {
+            path: path.clone(),
+            count: st.count,
+            total_ns: st.total_ns,
+            min_ns: st.min_ns,
+            max_ns: st.max_ns,
+        })
+        .collect();
+    drop(reg);
+    let mut events = Vec::new();
+    let (emitted, dropped) = ring().drain_into(&mut events);
+    ObsSnapshot {
+        enabled: is_enabled(),
+        counters,
+        spans,
+        events,
+        events_emitted: emitted,
+        events_dropped: dropped,
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    //! Feature-off stubs: every entry point compiles to nothing.
-    use super::*;
-
-    /// Always false with the `obs` feature off.
-    #[inline(always)]
-    pub fn is_enabled() -> bool {
-        false
-    }
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn configure(_cfg: &ObsConfig) {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn reset() {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn counter_add(_name: &str, _n: u64) {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn counter_inc(_name: &str) {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn gauge_set(_name: &str, _v: u64) {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn gauge_max(_name: &str, _v: u64) {}
-    /// No-op with the `obs` feature off.
-    #[inline(always)]
-    pub fn event(_kind: &'static str, _a: u64, _b: u64) {}
-
-    /// Inert guard with the `obs` feature off.
-    pub struct SpanGuard;
-    /// Inert span with the `obs` feature off.
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
-    /// Empty snapshot with the `obs` feature off.
-    pub fn snapshot() -> ObsSnapshot {
-        ObsSnapshot::default()
-    }
-}
-
-pub use imp::{
-    configure, counter_add, counter_inc, event, gauge_max, gauge_set, is_enabled, reset, set_enabled,
-    snapshot, span, SpanGuard,
-};
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -620,16 +520,16 @@ mod tests {
     #[test]
     fn event_ring_wraps_and_counts_dropped() {
         serialized(|| {
-            // Default capacity is 1024; overrun it.
-            for i in 0..1500u64 {
+            // Overrun the ring's 4096 slots.
+            for i in 0..5000u64 {
                 event("w", i, 0);
             }
             let snap = snapshot();
-            assert_eq!(snap.events_emitted, 1500);
-            assert_eq!(snap.events_dropped, 1500 - 1024);
-            assert_eq!(snap.events.len(), 1024);
-            assert_eq!(snap.events.first().expect("tail").a, 1500 - 1024);
-            assert_eq!(snap.events.last().expect("tail").a, 1499);
+            assert_eq!(snap.events_emitted, 5000);
+            assert_eq!(snap.events_dropped, 5000 - 4096);
+            assert_eq!(snap.events.len(), 4096);
+            assert_eq!(snap.events.first().expect("tail").a, 5000 - 4096);
+            assert_eq!(snap.events.last().expect("tail").a, 4999);
         });
     }
 
@@ -664,7 +564,7 @@ mod tests {
             let snap = snapshot();
             assert_eq!(snap.counter("mt.count"), Some(800));
             assert_eq!(snap.events_emitted, 800);
-            // Ring holds the newest ≤1024, every survivor well-formed.
+            // Ring holds the newest ≤ 4096, every survivor well-formed.
             assert!(snap.events.len() <= 800);
             assert!(snap.events.iter().all(|e| e.kind == "mt" && e.a < 4));
         });

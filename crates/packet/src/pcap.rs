@@ -18,7 +18,7 @@
 //! bytes to the advertised snap length, preserving the original length,
 //! exactly as capture tooling does for oversize frames.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use bytes::Bytes;
 
@@ -189,13 +189,6 @@ pub fn magic_format(raw_magic: u32) -> Result<(u64, bool), PcapError> {
         m if m == PCAP_US_MAGIC.swap_bytes() => Ok((1_000, true)),
         other => Err(PcapError::BadMagic(other)),
     }
-}
-
-/// Read an entire nanosecond pcap into memory.
-pub fn read_pcap<R: Read>(mut input: R) -> Result<Vec<PcapRecord>, PcapError> {
-    let mut all = Vec::new();
-    input.read_to_end(&mut all)?;
-    parse_pcap(&all)
 }
 
 /// Parse a nanosecond or microsecond pcap from a byte slice.
@@ -514,14 +507,5 @@ mod tests {
         let recs = parse_pcap(&buf).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].frame.tag().unwrap().seq, 7);
-    }
-
-    #[test]
-    fn read_pcap_from_reader() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(1, &tagged_frame(9)).unwrap();
-        let buf = w.finish().unwrap();
-        let recs = read_pcap(&buf[..]).unwrap();
-        assert_eq!(recs[0].frame.tag().unwrap().seq, 9);
     }
 }

@@ -9,16 +9,16 @@
 //!
 //! Emission is paced in the TSC domain with exact integer arithmetic: the
 //! i-th packet is due at `start_tsc + i·gap·hz/10¹²`, so no rounding error
-//! accumulates across a million packets.
+//! accumulates across a million packets. Besides CBR the generator can
+//! emit on-off bursts ([`Pattern::OnOff`]), the co-tenant of the
+//! structural-noise experiment.
 
 pub mod pattern;
-
-use std::collections::HashMap;
 
 use choir_dpdk::{App, Burst, Dataplane, PortId};
 use choir_packet::{ChoirTag, FrameBuilder, FrameSpec};
 
-pub use pattern::{Pattern, PatternRng};
+pub use pattern::Pattern;
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -38,14 +38,10 @@ pub struct GeneratorConfig {
     /// Store only headers+trailer per frame, declaring the full length
     /// (memory-frugal; timing-exact). See `choir_packet::Frame::truncated`.
     pub snap_frames: bool,
-    /// Tag frames at generation time (normally false: the paper's tags
-    /// are stamped by the *replayer*).
-    pub tag_at_source: bool,
     /// Traffic shape. `None` = CBR at `spec` (the paper's workload);
-    /// otherwise any [`Pattern`] (Poisson, on-off bursts, IMIX).
+    /// otherwise the given [`Pattern`], whose own spec then sets the
+    /// frame length and rate.
     pub pattern: Option<Pattern>,
-    /// Seed for stochastic patterns (deterministic replay of the shape).
-    pub pattern_seed: u64,
 }
 
 impl GeneratorConfig {
@@ -59,9 +55,7 @@ impl GeneratorConfig {
             src_node: 1,
             dst_node: 2,
             snap_frames: true,
-            tag_at_source: false,
             pattern: None,
-            pattern_seed: 0x9E37_79B9,
         }
     }
 
@@ -76,14 +70,11 @@ impl GeneratorConfig {
 pub struct Generator {
     cfg: GeneratorConfig,
     builder: FrameBuilder,
-    /// Builders per frame length, for mixed-size patterns.
-    builders: HashMap<usize, FrameBuilder>,
     pattern: Pattern,
-    pattern_rng: PatternRng,
     /// Cumulative offset of the pending packet from the start, in ps.
     offset_ps: u128,
-    /// (due tsc offset computed lazily, frame length) of the next packet.
-    pending: Option<(u64, usize)>,
+    /// Due TSC of the next packet, computed lazily.
+    pending: Option<u64>,
     sent: u64,
     start_tsc: Option<u64>,
     tx_buf: Burst,
@@ -95,14 +86,11 @@ impl Generator {
     /// A generator ready to start on its first wake.
     pub fn new(cfg: GeneratorConfig) -> Self {
         assert!(!cfg.ports.is_empty(), "generator needs at least one port");
-        let builder = FrameBuilder::new(cfg.spec.frame_len, cfg.src_node, cfg.dst_node);
         let pattern = cfg.pattern.clone().unwrap_or(Pattern::Cbr(cfg.spec));
-        let pattern_rng = PatternRng::new(cfg.pattern_seed);
+        let builder = FrameBuilder::new(pattern.spec().frame_len, cfg.src_node, cfg.dst_node);
         Generator {
             builder,
-            builders: HashMap::new(),
             pattern,
-            pattern_rng,
             offset_ps: 0,
             pending: None,
             cfg,
@@ -128,49 +116,28 @@ impl Generator {
         self.overruns
     }
 
-    /// Sample (once) the pending packet's due offset and length.
-    fn ensure_pending(&mut self, start: u64, hz: u64) -> (u64, usize) {
-        if let Some(p) = self.pending {
-            return p;
+    /// Compute (once) the pending packet's due TSC.
+    fn ensure_pending(&mut self, start: u64, hz: u64) -> u64 {
+        if let Some(due) = self.pending {
+            return due;
         }
-        let (gap, len) = self.pattern.next(self.sent, &mut self.pattern_rng);
-        self.offset_ps += gap as u128;
+        self.offset_ps += self.pattern.next(self.sent) as u128;
         let due = start + ((self.offset_ps * hz as u128) / 1_000_000_000_000u128) as u64;
-        let p = (due, len);
-        self.pending = Some(p);
-        p
+        self.pending = Some(due);
+        due
     }
 
-    fn builder_for(&mut self, len: usize) -> &FrameBuilder {
-        if len == self.cfg.spec.frame_len {
-            return &self.builder;
-        }
-        let (src, dst) = (self.cfg.src_node, self.cfg.dst_node);
-        self.builders
-            .entry(len)
-            .or_insert_with(|| FrameBuilder::new(len, src, dst))
-    }
-
-    fn build_frame(&mut self, i: u64, len: usize) -> choir_packet::Frame {
-        let tag_at_source = self.cfg.tag_at_source;
-        let snap = self.cfg.snap_frames;
-        let b = self.builder_for(len);
-        if tag_at_source {
-            let tag = ChoirTag::new(0, 1, i);
-            if snap {
-                b.build_tagged_snap(tag)
-            } else {
-                b.build_tagged(tag)
-            }
-        } else if snap {
-            // Untagged traffic, snap-stored. A placeholder trailer keeps
-            // frame identities distinct per packet, mirroring real traffic
+    fn build_frame(&self, i: u64) -> choir_packet::Frame {
+        if self.cfg.snap_frames {
+            // Untagged traffic (the paper's tags are stamped by the
+            // replayer), snap-stored. A placeholder trailer keeps frame
+            // identities distinct per packet, mirroring real traffic
             // where payloads differ; the replayer overwrites it with the
             // canonical Choir tag while recording.
-            let tag = ChoirTag::new(u16::MAX, u16::MAX, i);
-            b.build_tagged_snap(tag)
+            self.builder
+                .build_tagged_snap(ChoirTag::new(u16::MAX, u16::MAX, i))
         } else {
-            b.build_plain()
+            self.builder.build_plain()
         }
     }
 }
@@ -186,14 +153,14 @@ impl App for Generator {
         // Emit everything due; a late wake emits a small catch-up batch,
         // like a real CBR generator loop would.
         while !self.done() {
-            let (due, len) = self.ensure_pending(start, hz);
+            let due = self.ensure_pending(start, hz);
             if dp.tsc() < due {
                 dp.request_wake_at_tsc(due);
                 return;
             }
             self.pending = None;
             let port = self.cfg.ports[(self.sent % self.cfg.ports.len() as u64) as usize];
-            let frame = self.build_frame(self.sent, len);
+            let frame = self.build_frame(self.sent);
             match dp.mempool().alloc(frame) {
                 Ok(m) => {
                     self.tx_buf.clear();
@@ -346,6 +313,17 @@ mod tests {
             assert_eq!(m.frame.wire_len(), 1424);
             assert!(m.frame.len() < 100, "snap frames stay small");
         }
+        // A pattern's own spec sets the frame length (the structural
+        // co-tenant sends 1500-byte bursts from a 1400-byte config).
+        let mut dp = GenPlane::new();
+        let onoff = Pattern::OnOff {
+            spec: FrameSpec::new(1500, 40_000_000_000),
+            burst: 4,
+            line_rate_bps: 100_000_000_000,
+        };
+        let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 3).with_pattern(onoff));
+        dp.run(&mut g, 50);
+        assert!(dp.sent.iter().all(|(_, _, m)| m.frame.orig_len() == 1500));
     }
 
     #[test]
@@ -356,18 +334,6 @@ mod tests {
         let mut g = Generator::new(cfg);
         dp.run(&mut g, 50);
         assert_eq!(dp.sent[0].2.frame.len(), 1400);
-    }
-
-    #[test]
-    fn source_tagging_optional() {
-        let mut dp = GenPlane::new();
-        let mut cfg = GeneratorConfig::cbr(40_000_000_000, 2);
-        cfg.tag_at_source = true;
-        let mut g = Generator::new(cfg);
-        dp.run(&mut g, 50);
-        let tag = dp.sent[1].2.frame.tag().unwrap();
-        assert_eq!(tag.seq, 1);
-        assert_eq!(tag.stream, 1);
     }
 
     #[test]
@@ -398,41 +364,6 @@ mod tests {
         let mut cfg = GeneratorConfig::cbr(1_000, 1);
         cfg.ports.clear();
         Generator::new(cfg);
-    }
-
-    #[test]
-    fn poisson_pattern_emits_irregular_but_rate_true_traffic() {
-        let mut dp = GenPlane::new();
-        let cfg = GeneratorConfig::cbr(40_000_000_000, 2_000)
-            .with_pattern(Pattern::Poisson(FrameSpec::new(1400, 40_000_000_000)));
-        let mut g = Generator::new(cfg);
-        dp.run(&mut g, 10_000);
-        assert_eq!(dp.sent.len(), 2_000);
-        let times: Vec<u64> = dp.sent.iter().map(|&(_, t, _)| t).collect();
-        let gaps: Vec<u64> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        // Gaps vary (not CBR)...
-        let distinct: std::collections::HashSet<u64> = gaps.iter().copied().collect();
-        assert!(distinct.len() > 100, "only {} distinct gaps", distinct.len());
-        // ...but the mean rate holds within a few percent (1 GHz TSC:
-        // 284.8 ns -> ~285 cycles mean).
-        let mean = gaps.iter().sum::<u64>() as f64 / gaps.len() as f64;
-        assert!((mean / 284.8 - 1.0).abs() < 0.05, "mean gap {mean}");
-    }
-
-    #[test]
-    fn imix_pattern_mixes_frame_sizes_on_the_wire() {
-        let mut dp = GenPlane::new();
-        let cfg = GeneratorConfig::cbr(10_000_000_000, 3_000)
-            .with_pattern(Pattern::Imix { rate_bps: 10_000_000_000 });
-        let mut g = Generator::new(cfg);
-        dp.run(&mut g, 20_000);
-        let sizes: std::collections::HashSet<usize> =
-            dp.sent.iter().map(|(_, _, m)| m.frame.orig_len()).collect();
-        assert_eq!(
-            sizes,
-            [64usize, 594, 1518].into_iter().collect(),
-            "all three IMIX sizes must appear"
-        );
     }
 
     #[test]

@@ -1,29 +1,21 @@
-//! Traffic patterns beyond plain CBR.
-//!
-//! The paper's evaluation uses constant-bit-rate streams, but the tools it
-//! positions itself against generate richer traffic: MoonGen "can be
-//! scripted to generate complex traffic patterns", Pktgen sweeps ranges
-//! (§9). This module provides the standard shapes so Choir recordings can
-//! be taken over realistic workloads:
+//! Traffic shapes: the paper's CBR stream and the on-off co-tenant.
 //!
 //! - [`Pattern::Cbr`] — fixed spacing (the paper's workload);
-//! - [`Pattern::Poisson`] — exponentially distributed gaps at a target
-//!   mean rate (classic open-loop traffic);
 //! - [`Pattern::OnOff`] — bursts of back-to-back packets separated by
-//!   idle periods (microburst-heavy workloads);
-//! - [`Pattern::Imix`] — the conventional Internet mix of frame sizes
-//!   (7:4:1 of 64/594/1518-byte frames) at a target bit rate.
+//!   idle periods: the microbursting neighbour of the structural-noise
+//!   experiment (`tests/structural_noise.rs`).
+//!
+//! Both are deterministic, so a recording of patterned traffic stays
+//! comparable across runs.
 
 use choir_packet::FrameSpec;
 
-/// Deterministic inter-packet gap / frame-size generator.
+/// Deterministic inter-packet gap generator. Every packet of a pattern
+/// has its spec's frame length.
 #[derive(Debug, Clone)]
 pub enum Pattern {
     /// Constant bit rate: every gap identical.
     Cbr(FrameSpec),
-    /// Poisson arrivals: exponential gaps with the same *mean* rate as
-    /// the embedded spec.
-    Poisson(FrameSpec),
     /// `burst` back-to-back packets (at line-rate spacing), then an idle
     /// gap sized so the long-run average matches the spec's rate.
     OnOff {
@@ -34,120 +26,47 @@ pub enum Pattern {
         /// Line rate used for intra-burst spacing, bits/s.
         line_rate_bps: u64,
     },
-    /// IMIX frame-size mix at the given aggregate wire rate.
-    Imix {
-        /// Aggregate target rate, bits/s.
-        rate_bps: u64,
-    },
-}
-
-/// IMIX components: (frame length, weight).
-pub const IMIX_MIX: [(usize, u32); 3] = [(64, 7), (594, 4), (1518, 1)];
-
-/// A tiny deterministic PRNG (xorshift*) so patterns are reproducible
-/// without threading a full RNG through the generator.
-#[derive(Debug, Clone)]
-pub struct PatternRng(u64);
-
-impl PatternRng {
-    /// Seeded stream.
-    pub fn new(seed: u64) -> Self {
-        PatternRng(seed | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 impl Pattern {
-    /// The gap (ps) to wait *before* packet `i`, and the frame length of
-    /// packet `i`. Deterministic in `(self, rng-state, i)` — the same
-    /// pattern instance replays identically, which is what lets a Choir
-    /// recording of patterned traffic stay comparable across runs.
-    pub fn next(&self, i: u64, rng: &mut PatternRng) -> (u64, usize) {
+    /// The gap (ps) to wait *before* packet `i`; a function of `(self, i)`
+    /// alone.
+    pub fn next(&self, i: u64) -> u64 {
+        if i == 0 {
+            return 0;
+        }
         match *self {
-            Pattern::Cbr(spec) => (if i == 0 { 0 } else { spec.gap_ps() }, spec.frame_len),
-            Pattern::Poisson(spec) => {
-                if i == 0 {
-                    return (0, spec.frame_len);
-                }
-                let u = rng.next_f64().max(f64::MIN_POSITIVE);
-                let gap = -(spec.gap_ps() as f64) * u.ln();
-                (gap.round() as u64, spec.frame_len)
-            }
+            Pattern::Cbr(spec) => spec.gap_ps(),
             Pattern::OnOff {
                 spec,
                 burst,
                 line_rate_bps,
             } => {
-                if i == 0 {
-                    return (0, spec.frame_len);
-                }
                 let within = i % burst as u64;
                 if within != 0 {
                     // Intra-burst: line-rate spacing.
-                    (spec.serialization_ps(line_rate_bps), spec.frame_len)
+                    spec.serialization_ps(line_rate_bps)
                 } else {
                     // Idle gap sized so the average rate holds:
                     // burst packets per (burst * mean_gap) of wall time.
                     let mean = spec.gap_ps();
                     let ser = spec.serialization_ps(line_rate_bps);
-                    let idle = (mean * burst as u64).saturating_sub(ser * (burst as u64 - 1));
-                    (idle, spec.frame_len)
+                    (mean * burst as u64).saturating_sub(ser * (burst as u64 - 1))
                 }
             }
-            Pattern::Imix { rate_bps } => {
-                // Pick a frame size by weight, then space it so the
-                // long-run wire rate matches.
-                let total: u32 = IMIX_MIX.iter().map(|&(_, w)| w).sum();
-                let mut pick = (rng.next_u64() % total as u64) as u32;
-                let mut len = IMIX_MIX[0].0;
-                for &(l, w) in &IMIX_MIX {
-                    if pick < w {
-                        len = l;
-                        break;
-                    }
-                    pick -= w;
-                }
-                let gap = if i == 0 {
-                    0
-                } else {
-                    FrameSpec::new(len, rate_bps).gap_ps()
-                };
-                (gap, len)
-            }
+        }
+    }
+
+    /// The frame/rate description every packet of the pattern follows.
+    pub(crate) fn spec(&self) -> FrameSpec {
+        match *self {
+            Pattern::Cbr(spec) | Pattern::OnOff { spec, .. } => spec,
         }
     }
 
     /// The mean packet rate this pattern aims for, packets/second.
     pub fn mean_pps(&self) -> f64 {
-        match *self {
-            Pattern::Cbr(spec) | Pattern::Poisson(spec) | Pattern::OnOff { spec, .. } => {
-                spec.pps()
-            }
-            Pattern::Imix { rate_bps } => {
-                // Weighted mean wire bytes per frame.
-                let total: u32 = IMIX_MIX.iter().map(|&(_, w)| w).sum();
-                let mean_bits: f64 = IMIX_MIX
-                    .iter()
-                    .map(|&(l, w)| {
-                        choir_packet::frame_wire_bytes(l) as f64 * 8.0 * w as f64
-                    })
-                    .sum::<f64>()
-                    / total as f64;
-                rate_bps as f64 / mean_bits
-            }
-        }
+        self.spec().pps()
     }
 }
 
@@ -159,99 +78,53 @@ mod tests {
         FrameSpec::new(1400, 40_000_000_000)
     }
 
-    fn total_time(p: &Pattern, n: u64) -> (u64, Vec<usize>) {
-        let mut rng = PatternRng::new(42);
-        let mut t = 0u64;
-        let mut lens = Vec::new();
-        for i in 0..n {
-            let (gap, len) = p.next(i, &mut rng);
-            t += gap;
-            lens.push(len);
+    fn onoff() -> Pattern {
+        Pattern::OnOff {
+            spec: spec40g(),
+            burst: 16,
+            line_rate_bps: 100_000_000_000,
         }
-        (t, lens)
+    }
+
+    fn total_time(p: &Pattern, n: u64) -> u64 {
+        (0..n).map(|i| p.next(i)).sum()
     }
 
     #[test]
     fn cbr_is_exact() {
         let p = Pattern::Cbr(spec40g());
-        let (t, lens) = total_time(&p, 1_001);
-        assert_eq!(t, 1_000 * 284_800);
-        assert!(lens.iter().all(|&l| l == 1400));
-    }
-
-    #[test]
-    fn poisson_matches_mean_rate() {
-        let p = Pattern::Poisson(spec40g());
-        let n = 200_000u64;
-        let (t, _) = total_time(&p, n);
-        let expected = (n - 1) * 284_800;
-        let ratio = t as f64 / expected as f64;
-        assert!((ratio - 1.0).abs() < 0.02, "ratio {ratio}");
-        // And the gaps genuinely vary.
-        let mut rng = PatternRng::new(42);
-        let g1 = p.next(1, &mut rng).0;
-        let g2 = p.next(2, &mut rng).0;
-        assert_ne!(g1, g2);
+        assert_eq!(total_time(&p, 1_001), 1_000 * 284_800);
+        assert_eq!(p.spec().frame_len, 1400);
     }
 
     #[test]
     fn onoff_preserves_average_rate_with_bursts() {
-        let p = Pattern::OnOff {
-            spec: spec40g(),
-            burst: 16,
-            line_rate_bps: 100_000_000_000,
-        };
+        let p = onoff();
         let n = 16 * 1_000u64;
-        let (t, _) = total_time(&p, n + 1);
+        let t = total_time(&p, n + 1);
         let expected = n * 284_800;
         let ratio = t as f64 / expected as f64;
         assert!((ratio - 1.0).abs() < 0.01, "ratio {ratio}");
         // Intra-burst gaps are serialization-spaced.
-        let mut rng = PatternRng::new(1);
-        let (g, _) = p.next(1, &mut rng);
+        let g = p.next(1);
         assert_eq!(g, spec40g().serialization_ps(100_000_000_000));
         // Burst boundary gap is much larger.
-        let (idle, _) = p.next(16, &mut rng);
+        let idle = p.next(16);
         assert!(idle > 10 * g, "idle {idle} vs intra {g}");
     }
 
     #[test]
-    fn imix_mixes_sizes_in_ratio() {
-        let p = Pattern::Imix {
-            rate_bps: 10_000_000_000,
-        };
-        let (_, lens) = total_time(&p, 120_000);
-        let count = |l: usize| lens.iter().filter(|&&x| x == l).count() as f64;
-        let small = count(64);
-        let mid = count(594);
-        let big = count(1518);
-        assert!((small / mid - 7.0 / 4.0).abs() < 0.1, "{small}/{mid}");
-        assert!((mid / big - 4.0).abs() < 0.3, "{mid}/{big}");
-    }
-
-    #[test]
     fn patterns_are_deterministic() {
-        let p = Pattern::Poisson(spec40g());
-        let a = total_time(&p, 1_000);
-        let b = total_time(&p, 1_000);
-        assert_eq!(a, b);
-        // A different seed differs.
-        let mut rng = PatternRng::new(7);
-        let mut t = 0;
-        for i in 0..1_000 {
-            t += p.next(i, &mut rng).0;
+        for p in [Pattern::Cbr(spec40g()), onoff()] {
+            let gaps = |p: &Pattern| (0..1_000).map(|i| p.next(i)).collect::<Vec<_>>();
+            assert_eq!(gaps(&p), gaps(&p.clone()));
         }
-        assert_ne!(t, a.0);
     }
 
     #[test]
     fn mean_pps_sane() {
         assert!((Pattern::Cbr(spec40g()).mean_pps() / 1e6 - 3.51).abs() < 0.05);
-        let imix = Pattern::Imix {
-            rate_bps: 10_000_000_000,
-        };
-        // IMIX mean frame ~ 370 bytes captured (~394 wire) -> ~3.2 Mpps at 10G.
-        let pps = imix.mean_pps() / 1e6;
-        assert!((2.5..4.0).contains(&pps), "pps {pps}");
+        // On-off keeps the long-run rate of its spec.
+        assert_eq!(onoff().mean_pps(), Pattern::Cbr(spec40g()).mean_pps());
     }
 }

@@ -1109,6 +1109,16 @@ mod tests {
     }
 
     #[test]
+    fn engine_config_fingerprint_is_pinned_across_commits() {
+        // Every engine checkpoint under `tenants/` records this value and
+        // `resume_checked` refuses any other: if it moves, a data
+        // directory written by an earlier build stops recovering. Read at
+        // 59c7aac; moves only on purpose.
+        let cfg = DaemonConfig::new("unused").stream_config();
+        assert_eq!(cfg.fingerprint(), 0x5c9c_cfc0_ac07_13ef);
+    }
+
+    #[test]
     fn name_validation() {
         assert!(valid_name("tenant-1_A"));
         assert!(!valid_name(""));

@@ -172,10 +172,8 @@ fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
                 rx_port: 0,
                 tx_port: 1,
                 replayer_id: r as u16,
-                stamp_tags: true,
                 in_band_control: false,
                 tx_retries: 3,
-                bridge_reverse: false,
                 pool_reserve: 128,
             }),
             clock(&mut rng, p),

@@ -1,7 +1,6 @@
 //! A tour of the κ metric on hand-built scenarios: what each component
-//! (U, O, L, I) sees, what the paper's worked examples produce, and how
-//! the future-work extensions (weights, non-linear scalings, the
-//! reordering-vs-spacing profile) change the verdict.
+//! (U, O, L, I) sees, what the paper's worked examples produce, and where
+//! the reordering-vs-spacing profile puts a burst swap.
 //!
 //! ```text
 //! cargo run --example metric_playground
@@ -9,7 +8,7 @@
 
 use choir::metrics::matching::Matching;
 use choir::metrics::reorder::reorder_profile;
-use choir::metrics::{compare, KappaConfig, Scaling, Trial};
+use choir::metrics::{compare, Trial};
 
 fn cbr(n: u64, gap: u64) -> Trial {
     let mut t = Trial::new();
@@ -84,37 +83,15 @@ fn main() {
         peak
     );
 
-    // 6. Extensions: drop-sensitive and balanced-timing kappa variants.
-    println!("\n== future-work extensions (paper SS8.2/SS10) ==");
-    let rare_drop = {
-        let mut t = Trial::new();
-        for i in 0..10_000u64 {
-            if i != 7_777 {
-                t.push_tagged(0, 0, i, i * gap);
-            }
-        }
-        t
-    };
-    let linear = compare(&a, &rare_drop);
-    let strict = {
-        let u = choir::metrics::PairAnalyzer::new(&a, &rare_drop).metrics().u;
-        KappaConfig::drop_sensitive().combine(u, 0.0, 0.0, 0.0)
-    };
-    println!(
-        "one drop in 10k packets:       paper kappa = {:.5}, drop-sensitive kappa = {:.4}",
-        linear.kappa, strict.kappa
-    );
-
-    let unbalanced = KappaConfig::paper().combine(0.0, 0.0, 1e-5, 0.1);
-    let balanced = KappaConfig {
-        s_l: Scaling::Sqrt,
-        s_i: Scaling::Sqrt,
-        ..KappaConfig::paper()
+    // 6. A rare drop: Eq. 5 weighs U linearly, so one lost packet in
+    //    10k barely moves kappa (the imbalance SS8.2 notes).
+    let mut rare_drop = Trial::new();
+    for i in (0..10_000u64).filter(|&i| i != 7_777) {
+        rare_drop.push_tagged(0, 0, i, i * gap);
     }
-    .combine(0.0, 0.0, 1e-5, 0.1);
+    let m = compare(&a, &rare_drop);
     println!(
-        "I=0.1 vs L=1e-5 imbalance:     linear kappa = {:.4}, sqrt-scaled kappa = {:.4}",
-        unbalanced.kappa, balanced.kappa
+        "one drop in 10k packets:       U = {:.2e}, kappa = {:.5}",
+        m.u, m.kappa
     );
-    println!("\n(the sqrt scaling stops I from drowning out L, SS8.2's concern)");
 }

@@ -67,10 +67,10 @@ fn cells_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
 
 /// The production and reference pipelines agree on `metrics()` and on
 /// every field of `analyze()`.
-fn pipelines_bit_identical(a: &Trial, b: &Trial, cfg: KappaConfig) -> bool {
+fn pipelines_bit_identical(a: &Trial, b: &Trial) -> bool {
     let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
-    let production = || PairAnalyzer::from_indexes(&ia, &ib).config(cfg);
-    let reference = || PairAnalyzer::new(a, b).config(cfg);
+    let production = || PairAnalyzer::from_indexes(&ia, &ib);
+    let reference = || PairAnalyzer::new(a, b);
     metrics_bit_identical(&production().metrics(), &reference().metrics())
         && cells_bit_identical(&production().analyze(), &reference().analyze())
 }
@@ -176,7 +176,7 @@ proptest! {
     // `metrics::allpairs`'s own tests.
     #[test]
     fn indexed_metrics_equal_uncached(a in arb_trial(40), b in arb_trial(40)) {
-        prop_assert!(pipelines_bit_identical(&a, &b, KappaConfig::paper()));
+        prop_assert!(pipelines_bit_identical(&a, &b));
     }
 
     #[test]
@@ -192,9 +192,7 @@ proptest! {
             t.observations().iter().map(|o| (o.id, o.t_ps + MAX_TIMESTAMP_PS - lead)).collect()
         };
         let (a, b) = (shift(&a), shift(&b));
-        for cfg in [KappaConfig::paper(), KappaConfig::drop_sensitive()] {
-            prop_assert!(pipelines_bit_identical(&a, &b, cfg));
-        }
+        prop_assert!(pipelines_bit_identical(&a, &b));
     }
 
     #[test]

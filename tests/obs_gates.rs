@@ -1,9 +1,9 @@
 //! The observability layer's two contracts (DESIGN.md §11): it is
 //! invisible in every result — captures, all-pairs κ and streaming κ
-//! are bit-identical with the layer off, configured but disabled, and
-//! enabled — and with the switch off it costs nothing measurable. This lives in its own integration-test binary because
-//! the obs registry and its switch are process globals; the two tests
-//! here take one lock for the same reason.
+//! are bit-identical with the layer off and enabled — and with the
+//! switch off it costs nothing measurable. This lives in its own
+//! integration-test binary because the obs registry and its switch are
+//! process globals; the two tests here take one lock for the same reason.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -118,12 +118,6 @@ fn obs_never_changes_a_result() {
     let cfg = local_single(3, 0.001);
     let plain = run_and_stream(&cfg);
 
-    obs::configure(&obs::ObsConfig {
-        enabled: false,
-        ring_capacity: 4096,
-    });
-    assert_same_results(&run_and_stream(&cfg), &plain, "obs disabled");
-
     obs::set_enabled(true);
     let enabled = run_and_stream(&cfg);
     let snap = obs::snapshot();
@@ -172,7 +166,7 @@ fn obs_never_changes_a_result() {
 
 /// Min-of-3 capture time with the switch off must stay within 1 % (+ a
 /// 5 ms noise floor) of the min-of-3 before the layer was ever
-/// configured; disabled and enabled reps are interleaved so both sample
+/// switched on; disabled and enabled reps are interleaved so both sample
 /// the same load windows. The minimum is the noise-robust estimate on a
 /// shared machine: any slower sample is the same deterministic work plus
 /// interference. A 1 % bound means nothing in an unoptimised build.
@@ -190,10 +184,6 @@ fn disabled_obs_costs_at_most_one_percent() {
         plain_ns = plain_ns.min(capture().capture_wall_ns);
     }
 
-    obs::configure(&obs::ObsConfig {
-        enabled: false,
-        ring_capacity: 4096,
-    });
     let (mut disabled_ns, mut enabled_ns) = (u64::MAX, u64::MAX);
     for _ in 0..REPS {
         obs::set_enabled(false);

@@ -222,11 +222,14 @@ fn coalescing_preserves_packet_sequence_and_count() {
 // ---------------------------------------------------------------------------
 // Cross-commit golden: `experiments_are_bit_deterministic` compares two runs
 // of the *same* build, so a change that moved every capture the same way
-// would pass it. These constants were recorded at commit 2c04312 on the build image
-// (x86-64, glibc's libm — `Jitter` sampling goes through `ln` / `cos` /
-// `round`, so another libm may legitimately differ in the last bit of a
-// draw; re-record there rather than loosen the check) and a PR that means
-// to keep captures byte-identical leaves them alone.
+// would pass it. The capture constants were recorded at commit 2c04312 on
+// the build image (x86-64, glibc's libm — `Jitter` sampling goes through
+// `ln` / `cos` / `round`, so another libm may legitimately differ in the
+// last bit of a draw; re-record there rather than loosen the check) and a
+// PR that means to keep captures byte-identical leaves them alone. The κ
+// constants (run B against A, `f64::to_bits`) were read at 59c7aac, before
+// κ became the one Eq. 5 function: every κ identity test compares two
+// paths inside one build, so only these hold the formula across commits.
 // ---------------------------------------------------------------------------
 
 /// 64-bit FNV-1a over every trial's `(packet id, t_ps)` sequence, in run
@@ -250,22 +253,28 @@ fn capture_fingerprint(out: &ExperimentOutput) -> u64 {
 #[test]
 fn captures_match_the_committed_fingerprints() {
     let committed = [
-        (EnvKind::LocalSingle, 0xbc56_24fb_9e52_a82f_u64),
-        (EnvKind::LocalDual, 0xabe5_ee11_4e56_a2b4),
-        (EnvKind::FabricDedicated40A, 0xee49_5066_aa71_596e),
-        (EnvKind::FabricShared40, 0x1a15_3ed8_2d83_64ad),
-        (EnvKind::FabricDedicated40B, 0xb2e0_3f27_12bf_0a4c),
-        (EnvKind::FabricDedicated80, 0xe042_893e_1246_984c),
-        (EnvKind::FabricShared80, 0xe5ee_c678_2d4d_c737),
-        (EnvKind::FabricDedicated80Noisy, 0x498d_a7ee_fede_8993),
-        (EnvKind::FabricShared40Noisy, 0xfbf2_07eb_74d1_5e61),
+        (EnvKind::LocalSingle, 0xbc56_24fb_9e52_a82f_u64, 0x3fef_96aa_7d15_1250_u64),
+        (EnvKind::LocalDual, 0xabe5_ee11_4e56_a2b4, 0x3fe2_94cc_c13f_595e),
+        (EnvKind::FabricDedicated40A, 0xee49_5066_aa71_596e, 0x3fe7_d931_138d_3a44),
+        (EnvKind::FabricShared40, 0x1a15_3ed8_2d83_64ad, 0x3fed_de2e_962d_2b04),
+        (EnvKind::FabricDedicated40B, 0xb2e0_3f27_12bf_0a4c, 0x3fe7_d95e_65f5_26c8),
+        (EnvKind::FabricDedicated80, 0xe042_893e_1246_984c, 0x3fed_a4b8_a7b3_d7cb),
+        (EnvKind::FabricShared80, 0xe5ee_c678_2d4d_c737, 0x3fed_b9ea_1e03_317c),
+        (EnvKind::FabricDedicated80Noisy, 0x498d_a7ee_fede_8993, 0x3fed_a526_c231_38a1),
+        (EnvKind::FabricShared40Noisy, 0xfbf2_07eb_74d1_5e61, 0x3fe9_7159_3d52_6dec),
     ];
     let moved: Vec<String> = committed
         .iter()
-        .filter_map(|&(kind, want)| {
-            let got = capture_fingerprint(&quick(kind, 0.002, 22, 2));
-            (got != want).then(|| format!("{kind:?}: {got:#018x}, committed {want:#018x}"))
+        .filter_map(|&(kind, want, want_kappa)| {
+            let out = quick(kind, 0.002, 22, 2);
+            let got = capture_fingerprint(&out);
+            let kappa = out.report.runs[0].metrics.kappa.to_bits();
+            ((got, kappa) != (want, want_kappa)).then(|| {
+                format!(
+                    "{kind:?}: {got:#018x} κ {kappa:#018x}, committed {want:#018x} κ {want_kappa:#018x}"
+                )
+            })
         })
         .collect();
-    assert!(moved.is_empty(), "captures moved:\n{}", moved.join("\n"));
+    assert!(moved.is_empty(), "captures or κ moved:\n{}", moved.join("\n"));
 }
