@@ -22,7 +22,6 @@
 //!   calibrate          compact paper-vs-measured sweep over all envs
 //!   dump-profile ENV   write an environment profile as editable JSON
 //!   custom FILE        run a JSON environment profile (see dump-profile)
-//!   ptp                IEEE 1588 servo convergence demo over the simulator
 //!   demo-pcaps         write a baseline/jittery pcap pair for `choir-analyze`
 //! ```
 //!
@@ -146,7 +145,6 @@ fn main() {
         "demo-pcaps" => demo_pcaps(),
         "dump-profile" => dump_profile(&opts),
         "custom" => custom(&opts),
-        "ptp" => ptp_demo(),
         "all" => {
             fig2();
             fig3();
@@ -524,55 +522,6 @@ fn calibrate(opts: &Opts) {
     }
 }
 
-/// PTP convergence demo: a grandmaster disciplines a badly-offset client
-/// over the simulated network (paper §2.2's substrate, implemented).
-fn ptp_demo() {
-    use choir_netsim::clock::{NodeClock, PtpModel};
-    use choir_netsim::nic::{NicRxModel, NicTxModel};
-    use choir_netsim::ptp::{PtpClient, PtpGrandmaster};
-    use choir_netsim::rng::Jitter;
-    use choir_netsim::time::{MS, NS, US};
-    use choir_netsim::{Sim, SimConfig};
-
-    println!("== PTP (IEEE 1588 two-step) servo convergence ==");
-    let mut sim = Sim::new(SimConfig::default());
-    let gm = sim.add_node(
-        "gm",
-        PtpGrandmaster::new(0, 500_000),
-        NodeClock::ideal(1_000_000_000),
-        Jitter::None,
-    );
-    let mut clk = NodeClock::ideal(1_000_000_000);
-    clk.ptp = PtpModel {
-        offset_ns: 100_000, // boots 100 us off true time
-        drift_ns_per_s: 0.0,
-    };
-    let client = sim.add_node("client", PtpClient::new(0, 0.6), clk, Jitter::None);
-    let gp = sim.add_port(gm, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-    let cp = sim.add_port(
-        client,
-        NicTxModel::ideal(100_000_000_000),
-        NicRxModel {
-            deliver_latency: Jitter::Exp {
-                mean: 200.0 * NS as f64,
-            },
-            ..NicRxModel::ideal()
-        },
-    );
-    sim.connect_nodes(gm, gp, client, cp, 50 * NS);
-    sim.wake_app(gm, US);
-    println!("client boots 100000 ns off the grandmaster; sync every 0.5 ms:");
-    for step in 1..=8u64 {
-        sim.run_until(step * 2 * MS);
-        let (off, rounds) = sim.with_app::<PtpClient, _>(client, |c| {
-            (c.last_offset_ns().unwrap_or(i64::MAX), c.rounds_completed())
-        });
-        println!("  t = {:>2} ms: measured offset {:>8} ns after {:>2} rounds", step * 2, off, rounds);
-    }
-    println!("(residual sits at the software-stamping jitter floor — the");
-    println!(" reason FABRIC uses NIC hardware stamping, paper SS2.2)\n");
-}
-
 /// Serialize one environment's calibrated profile as editable JSON.
 fn dump_profile(opts: &Opts) {
     let name = opts.arg.as_deref().unwrap_or("LocalSingle");
@@ -607,11 +556,8 @@ fn custom(opts: &Opts) {
     if let Some(r) = opts.runs {
         profile.runs = r;
     }
-    if profile.runs < 2 {
-        eprintln!(
-            "{path}: \"runs\" {TWO_RUNS}, got {}; edit the profile or pass --runs N\n{USAGE}",
-            profile.runs
-        );
+    if let Err(e) = check_profile(&profile) {
+        eprintln!("{path}: {e}\n{USAGE}");
         std::process::exit(2);
     }
     println!(
@@ -643,6 +589,44 @@ fn custom(opts: &Opts) {
     );
     println!("-- IAT delta histogram --");
     print!("{}", out.report.merged_iat_hist().render_ascii(48));
+}
+
+/// Refuse the profile values no experiment can run with, naming the
+/// field: a run count below 2, and each zero that would otherwise divide
+/// by zero or trip an assertion mid-run (or, for `tsc_hz`, run on a TSC
+/// that never advances).
+fn check_profile(p: &choir_testbed::EnvProfile) -> Result<(), String> {
+    use choir_netsim::clock::TimestampModel;
+    if p.runs < 2 {
+        return Err(format!(
+            "\"runs\" {TWO_RUNS}, got {}; edit the profile or pass --runs N",
+            p.runs
+        ));
+    }
+    let no_wander_period = matches!(
+        p.recorder_ts,
+        TimestampModel::HwClockConverted {
+            wander_period_ps: 0,
+            ..
+        }
+    );
+    let zero = [
+        ("rate_bps", p.rate_bps == 0),
+        ("frame_len", p.frame_len == 0),
+        ("replayers", p.replayers == 0),
+        ("link_rate_bps", p.link_rate_bps == 0),
+        ("tsc_hz", p.tsc_hz == 0),
+        (
+            "recorder_ts.HwClockConverted.wander_period_ps",
+            no_wander_period,
+        ),
+    ];
+    match zero.iter().find(|&&(_, is_zero)| is_zero) {
+        Some((field, _)) => Err(format!(
+            "\"{field}\" must be above 0, got 0; edit the profile"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Write a pair of demo captures (baseline + jittery run) as nanosecond
@@ -944,5 +928,68 @@ mod tests {
     fn custom_without_a_path_is_refused() {
         let e = parse(&["custom", "--runs", "3"]).unwrap_err();
         assert!(e.contains("custom <profile.json>"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_profile_values_are_refused_by_name() {
+        use choir_netsim::clock::TimestampModel;
+        use choir_testbed::EnvProfile;
+        for kind in EnvKind::all() {
+            assert_eq!(check_profile(&kind.profile()), Ok(()), "{kind:?}");
+        }
+        type Edit = fn(&mut EnvProfile);
+        let cases: [(&str, Edit); 7] = [
+            ("runs", |p| p.runs = 1),
+            ("rate_bps", |p| p.rate_bps = 0),
+            ("frame_len", |p| p.frame_len = 0),
+            ("replayers", |p| p.replayers = 0),
+            ("link_rate_bps", |p| p.link_rate_bps = 0),
+            ("tsc_hz", |p| p.tsc_hz = 0),
+            ("wander_period_ps", |p| {
+                let TimestampModel::HwClockConverted {
+                    wander_period_ps, ..
+                } = &mut p.recorder_ts
+                else {
+                    panic!("a FABRIC profile stamps with the converted clock");
+                };
+                *wander_period_ps = 0;
+            }),
+        ];
+        for (field, edit) in cases {
+            let mut p = EnvKind::FabricShared40Noisy.profile();
+            edit(&mut p);
+            let e = check_profile(&p).unwrap_err();
+            assert!(e.contains(field), "{field}: {e}");
+        }
+    }
+
+    #[test]
+    fn every_profile_round_trips_through_json() {
+        for kind in EnvKind::all() {
+            let json = serde_json::to_string_pretty(&kind.profile()).unwrap();
+            let back: choir_testbed::EnvProfile = serde_json::from_str(&json).unwrap();
+            assert_eq!(
+                serde_json::to_string_pretty(&back).unwrap(),
+                json,
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_profile_dumped_by_an_earlier_build_still_parses() {
+        // Earlier builds wrote a store-and-forward flag into every switch
+        // profile; the field is gone, and a file they dumped must still
+        // run.
+        let json = serde_json::to_string_pretty(&EnvKind::FabricShared40Noisy.profile()).unwrap();
+        let flag = ["store", "and", "forward"].join("_");
+        let old = json.replacen(
+            "\"queue_cap\"",
+            &format!("\"{flag}\": true, \"queue_cap\""),
+            1,
+        );
+        assert_ne!(old, json);
+        let back: choir_testbed::EnvProfile = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
     }
 }

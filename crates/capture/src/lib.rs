@@ -3,10 +3,12 @@
 //! The recorder end of the paper's pipeline (the dpdkcap role): a
 //! [`choir_dpdk::App`] that drains its receive port, keeps each packet's
 //! identity and hardware receive timestamp, and assembles them into a
-//! [`choir_core::metrics::Trial`] for the consistency analysis. It can
-//! optionally retain whole frames for pcap export. The other direction,
-//! a pcap back into observations one record at a time, is [`PcapSource`]
-//! — the one reader `choir-ctl` and `choir-analyze` share.
+//! [`choir_core::metrics::Trial`] for the consistency analysis. Every
+//! frame on the port counts: the middlebox tags everything it forwards,
+//! so the link carries nothing to filter out. It can optionally retain
+//! whole frames for pcap export. The other direction, a pcap back into
+//! observations one record at a time, is [`PcapSource`] — the one reader
+//! `choir-ctl` and `choir-analyze` share.
 
 pub mod source;
 
@@ -27,11 +29,6 @@ pub struct RecorderConfig {
     pub port: PortId,
     /// Retain frames (needed for pcap export; costs memory).
     pub keep_frames: bool,
-    /// Capture only Choir-tagged packets, ignoring control-plane chatter
-    /// (PTP, ARP-ish noise) sharing the link — the filter the paper's
-    /// evaluation applies by defining packet identity via the trailer tag
-    /// (§3).
-    pub tagged_only: bool,
     /// Upper bound on retained frames when `keep_frames` is set. Once
     /// the bound is reached further frames are dropped from retention
     /// and counted ([`Recorder::frames_dropped`], `capture.ring_full`)
@@ -51,7 +48,6 @@ pub struct Recorder {
     finished: Vec<Trial>,
     buf: Burst,
     untimestamped: u64,
-    filtered: u64,
     frames_dropped: u64,
 }
 
@@ -68,7 +64,6 @@ impl Recorder {
             finished: Vec::new(),
             buf: Burst::new(),
             untimestamped: 0,
-            filtered: 0,
             frames_dropped: 0,
         }
     }
@@ -82,11 +77,6 @@ impl Recorder {
     /// on any simulated NIC; counted rather than panicking).
     pub fn untimestamped(&self) -> u64 {
         self.untimestamped
-    }
-
-    /// Untagged packets skipped by the `tagged_only` filter.
-    pub fn filtered(&self) -> u64 {
-        self.filtered
     }
 
     /// Frames dropped from retention because the
@@ -116,7 +106,6 @@ impl Recorder {
                 obs::event("capture.trial_cut", self.finished.len() as u64, t.len() as u64);
                 obs::counter_inc("capture.trials_cut");
                 obs::counter_add("capture.packets_recorded", t.len() as u64);
-                obs::gauge_set("capture.packets_filtered", self.filtered);
                 obs::gauge_set("capture.packets_untimestamped", self.untimestamped);
             }
             self.finished.push(t);
@@ -156,10 +145,6 @@ impl App for Recorder {
             let mut buf = std::mem::take(&mut self.buf);
             let n = dp.rx_burst(self.cfg.port, &mut buf);
             for m in buf.drain() {
-                if self.cfg.tagged_only && m.frame.tag().is_none() {
-                    self.filtered += 1;
-                    continue;
-                }
                 let Some(ts) = m.rx_ts_ps else {
                     self.untimestamped += 1;
                     continue;
@@ -328,27 +313,6 @@ mod tests {
         dp.inject(0, Some(5));
         r.on_wake(&mut dp);
         assert_eq!(r.take_trials().len(), 1);
-    }
-
-    #[test]
-    fn tagged_only_filter_skips_untagged_traffic() {
-        let mut dp = RxPlane::new();
-        let mut r = Recorder::new(RecorderConfig {
-            tagged_only: true,
-            ..RecorderConfig::default()
-        });
-        dp.inject(0, Some(10));
-        // An untagged frame on the same link (e.g. PTP chatter).
-        let mut m = dp
-            .pool
-            .alloc(Frame::new(Bytes::from(vec![0u8; 40])))
-            .unwrap();
-        m.rx_ts_ps = Some(20);
-        dp.rx.push_back(m);
-        dp.inject(1, Some(30));
-        r.on_wake(&mut dp);
-        assert_eq!(r.current_len(), 2);
-        assert_eq!(r.filtered(), 1);
     }
 
     #[test]

@@ -445,10 +445,6 @@ impl<D: Dataplane> Dataplane for FaultyDataplane<D> {
     fn stats(&self, port: PortId) -> PortStats {
         self.inner.stats(port)
     }
-
-    fn adjust_wall_clock(&mut self, delta_ns: i64) {
-        self.inner.adjust_wall_clock(delta_ns);
-    }
 }
 
 #[cfg(test)]

@@ -82,11 +82,6 @@ pub trait Dataplane {
     /// Counters for `port`.
     fn stats(&self, port: PortId) -> PortStats;
 
-    /// Slew this node's wall clock by `delta_ns` (what a PTP servo does
-    /// after computing an offset). Backends without an adjustable clock
-    /// ignore it; the simulator applies it to the node's PTP state.
-    fn adjust_wall_clock(&mut self, _delta_ns: i64) {}
-
     /// Convert a nanosecond duration into TSC cycles.
     fn ns_to_cycles(&self, ns: u64) -> u64 {
         ((ns as u128 * self.tsc_hz() as u128) / 1_000_000_000) as u64

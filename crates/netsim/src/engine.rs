@@ -123,11 +123,6 @@ struct PortRuntime {
     tx_armed: bool,
     /// Wire occupied until this time (serializations may not overlap).
     wire_free_at: u64,
-    /// When `Some`, this port is an SR-IOV VF: its transmissions share
-    /// the physical wire identified by the group index, so several VFs
-    /// serialize through one 100 Gbps pipe — the structural alternative
-    /// to the statistical `SharedVfModel`.
-    phys_group: Option<usize>,
     rx_queue: VecDeque<Mbuf>,
     peer: Endpoint,
     prop_ps: u64,
@@ -155,7 +150,7 @@ struct SwitchRuntime {
     rng: DetRng,
     /// Per-ingress cache of [`Switch::single_feeder`], maintained by the
     /// topology mutators: when true, transmits into that ingress enqueue
-    /// on the egress queues eagerly at tx time and the wire-arrival event
+    /// on its egress queue eagerly at tx time and the wire-arrival event
     /// is elided entirely.
     eager: Vec<bool>,
 }
@@ -168,8 +163,6 @@ pub struct Sim {
     queue: TimingWheel<Ev>,
     nodes: Vec<NodeRuntime>,
     switches: Vec<SwitchRuntime>,
-    /// Shared physical-wire busy times for SR-IOV VF groups.
-    phys_groups: Vec<u64>,
     pool: Mempool,
     events_processed: u64,
     coalesced_events: u64,
@@ -188,27 +181,12 @@ impl Sim {
             queue: TimingWheel::new(),
             nodes: Vec::new(),
             switches: Vec::new(),
-            phys_groups: Vec::new(),
             pool,
             events_processed: 0,
             coalesced_events: 0,
             coalesced_packets: 0,
             wire_events_elided: 0,
         }
-    }
-
-    /// Create a physical-NIC group: VF ports joined to it share one wire
-    /// (their serializations interleave on a first-come basis, which is
-    /// how SR-IOV contention physically arises).
-    pub fn add_phys_nic(&mut self) -> usize {
-        self.phys_groups.push(0);
-        self.phys_groups.len() - 1
-    }
-
-    /// Join a port to a physical-NIC group.
-    pub fn join_phys_nic(&mut self, node: NodeId, port: PortId, group: usize) {
-        assert!(group < self.phys_groups.len(), "unknown phys group");
-        self.nodes[node].ports[port].phys_group = Some(group);
     }
 
     /// Current simulation time in ps.
@@ -283,7 +261,6 @@ impl Sim {
             tx_queue: VecDeque::new(),
             tx_armed: false,
             wire_free_at: 0,
-            phys_group: None,
             rx_queue: VecDeque::new(),
             peer: Endpoint::Unconnected,
             prop_ps: 0,
@@ -483,9 +460,6 @@ impl Sim {
     }
 
     fn apply_effects(&mut self, n: NodeId, effects: CtxEffects) {
-        if effects.clock_slew_ns != 0 {
-            self.nodes[n].clock.ptp.offset_ns += effects.clock_slew_ns;
-        }
         for p in effects.doorbells {
             // Arm the pull chain if this port is idle. Re-arming pays the
             // doorbell latency plus the pull engine's re-arm latency.
@@ -545,8 +519,6 @@ impl Sim {
         let mut deliveries: Vec<(u64, Mbuf)> = Vec::new();
         let peer;
         let next_pull;
-        let group;
-        let wire_end;
         {
             let port = &mut self.nodes[n].ports[p];
             if port.tx_queue.is_empty() {
@@ -565,13 +537,7 @@ impl Sim {
             } else {
                 sampled
             };
-            // VF ports contend for the shared physical wire; dedicated
-            // ports own theirs.
-            let wire_free = match port.phys_group {
-                Some(g) => self.phys_groups[g].max(port.wire_free_at),
-                None => port.wire_free_at,
-            };
-            let mut t = self.now.max(wire_free);
+            let mut t = self.now.max(port.wire_free_at);
             if let Some(shared) = port.tx_model.shared.as_mut() {
                 t += shared.contention_wait_ps(self.now, port.tx_model.line_rate_bps, &mut port.tx_rng);
             }
@@ -587,8 +553,6 @@ impl Sim {
                 deliveries.push((t + prop, m));
             }
             port.wire_free_at = t;
-            wire_end = t;
-            group = port.phys_group;
             if port.tx_queue.is_empty() {
                 port.tx_armed = false;
                 next_pull = None;
@@ -603,9 +567,6 @@ impl Sim {
                     .sample_delay(&mut port.tx_rng);
                 next_pull = Some(self.now + read);
             }
-        }
-        if let Some(g) = group {
-            self.phys_groups[g] = self.phys_groups[g].max(wire_end);
         }
         // Cut-through into a single-feeder switch ingress: the egress
         // queues see exactly the entries, order and `ready` times an
@@ -626,25 +587,20 @@ impl Sim {
     }
 
     /// Frames enter a switch at `ingress`, each at its own arrival time.
-    /// The span port gets its copy first, regardless of (and without
-    /// perturbing) the forwarding decision; an ingress with no forwarding
-    /// entry drops, like a real blank program. Per-packet pipeline latency
-    /// draws and queue pushes stay in arrival order.
+    /// An ingress with no forwarding entry drops, like a real blank
+    /// program. Per-packet pipeline latency draws and queue pushes stay in
+    /// arrival order.
     fn switch_ingress(
         &mut self,
         s: usize,
         ingress: usize,
         pkts: impl IntoIterator<Item = (u64, Mbuf)>,
     ) {
-        let span = self.switches[s].sw.mirror[ingress];
-        let fwd = self.switches[s].sw.fwd[ingress];
+        let Some(egress) = self.switches[s].sw.fwd[ingress] else {
+            return;
+        };
         for (at, m) in pkts {
-            if let Some(span) = span {
-                self.enqueue_switch_egress(s, span, m.clone(), at);
-            }
-            if let Some(egress) = fwd {
-                self.enqueue_switch_egress(s, egress, m, at);
-            }
+            self.enqueue_switch_egress(s, egress, m, at);
         }
     }
 
@@ -751,12 +707,6 @@ impl Sim {
         }
     }
 
-    /// Install a mirror entry on a switch (span port tap).
-    pub fn switch_mirror(&mut self, sw: usize, ingress: usize, span: usize) {
-        self.switches[sw].sw.map_mirror(ingress, span);
-        self.recompute_eager(sw);
-    }
-
     /// Serve frames from a switch egress queue, up to [`MAX_BURST`] of
     /// them in one event. The FIFO recurrence `start = max(now,
     /// busy_until, ready)` yields departure times identical to
@@ -814,8 +764,6 @@ struct CtxEffects {
     doorbells: Vec<PortId>,
     /// Earliest requested wake time (sim ps).
     wake_at: Option<u64>,
-    /// Net wall-clock slew requested (a PTP servo step).
-    clock_slew_ns: i64,
 }
 
 /// The [`Dataplane`] view an app sees while being polled.
@@ -886,10 +834,6 @@ impl Dataplane for NodeCtx<'_> {
             Some(w) => w.min(t),
             None => t,
         });
-    }
-
-    fn adjust_wall_clock(&mut self, delta_ns: i64) {
-        self.effects.clock_slew_ns += delta_ns;
     }
 
     fn stats(&self, port: PortId) -> PortStats {
@@ -1256,101 +1200,6 @@ mod tests {
         assert_eq!(sim.now_ps(), 3_500_000);
         sim.run_to_idle();
         assert_eq!(sim.with_app::<Sink, _>(k, |a| a.got.len()), 10);
-    }
-
-    #[test]
-    fn vf_group_shares_one_physical_wire() {
-        // Two senders, each on a VF of the SAME physical NIC, both
-        // streaming to their own sink: their serializations must
-        // interleave on one wire, stretching arrival spacing — while the
-        // same setup on separate NICs does not.
-        fn run(shared: bool) -> Vec<u64> {
-            let mut sim = Sim::new(SimConfig::default());
-            let s1 = sim.add_node("s1", Sender::new(50, 100), ideal_clock(), Jitter::None);
-            let s2 = sim.add_node("s2", Sender::new(50, 100), ideal_clock(), Jitter::None);
-            let k = sim.add_node("k", Sink::new(), ideal_clock(), Jitter::None);
-            let k2 = sim.add_node("k2", Sink::new(), ideal_clock(), Jitter::None);
-            let p1 = sim.add_port(s1, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-            let p2 = sim.add_port(s2, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-            let kp = sim.add_port(k, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-            let kp2 = sim.add_port(k2, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-            if shared {
-                let phys = sim.add_phys_nic();
-                sim.join_phys_nic(s1, p1, phys);
-                sim.join_phys_nic(s2, p2, phys);
-            }
-            sim.connect_nodes(s1, p1, k, kp, 0);
-            sim.connect_nodes(s2, p2, k2, kp2, 0);
-            // Both senders emit at gaps of 100 ns — each packet takes
-            // ~114 ns of wire, so one wire cannot carry both.
-            sim.wake_app(s1, 0);
-            sim.wake_app(s2, 0);
-            sim.run_to_idle();
-            sim.with_app::<Sink, _>(k, |a| a.got.iter().map(|&(_, t)| t).collect())
-        }
-        let shared_times = run(true);
-        let dedicated_times = run(false);
-        assert_eq!(shared_times.len(), 50);
-        assert_eq!(dedicated_times.len(), 50);
-        let span = |v: &[u64]| v.last().unwrap() - v[0];
-        // Sharing the wire at 2x oversubscription roughly doubles the
-        // time to drain the same stream.
-        assert!(
-            span(&shared_times) > span(&dedicated_times) * 3 / 2,
-            "shared span {} vs dedicated {}",
-            span(&shared_times),
-            span(&dedicated_times)
-        );
-        // Nothing is lost either way: contention delays, never drops.
-    }
-
-    #[test]
-    fn mirror_port_taps_traffic_without_perturbing_it() {
-        let mut sim = Sim::new(SimConfig::default());
-        let s = sim.add_node("sender", Sender::new(5, 1_000), ideal_clock(), Jitter::None);
-        let k = sim.add_node("sink", Sink::new(), ideal_clock(), Jitter::None);
-        let tap = sim.add_node("tap", Sink::new(), ideal_clock(), Jitter::None);
-        let sp = sim.add_port(s, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-        let kp = sim.add_port(k, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-        let tp = sim.add_port(tap, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-        let sw = sim.add_switch(
-            Switch::new(3, SwitchProfile::tofino2(100_000_000_000)),
-            "sw",
-        );
-        sim.connect_node_switch(s, sp, sw, 0, 0);
-        sim.connect_node_switch(k, kp, sw, 1, 0);
-        sim.connect_node_switch(tap, tp, sw, 2, 0);
-        sim.switch_map(sw, 0, 1);
-        sim.switch_mirror(sw, 0, 2);
-        sim.wake_app(s, 0);
-        sim.run_to_idle();
-        let main: Vec<u64> = sim.with_app::<Sink, _>(k, |a| {
-            a.got.iter().map(|&(q, _)| q).collect()
-        });
-        let span: Vec<u64> = sim.with_app::<Sink, _>(tap, |a| {
-            a.got.iter().map(|&(q, _)| q).collect()
-        });
-        assert_eq!(main, vec![0, 1, 2, 3, 4]);
-        assert_eq!(span, main, "span sees an identical copy");
-        // Timing on the main path is unchanged by mirroring (compare to a
-        // run without the tap).
-        let mut sim2 = Sim::new(SimConfig::default());
-        let s2 = sim2.add_node("sender", Sender::new(5, 1_000), ideal_clock(), Jitter::None);
-        let k2 = sim2.add_node("sink", Sink::new(), ideal_clock(), Jitter::None);
-        let sp2 = sim2.add_port(s2, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-        let kp2 = sim2.add_port(k2, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
-        let sw2 = sim2.add_switch(
-            Switch::new(2, SwitchProfile::tofino2(100_000_000_000)),
-            "sw",
-        );
-        sim2.connect_node_switch(s2, sp2, sw2, 0, 0);
-        sim2.connect_node_switch(k2, kp2, sw2, 1, 0);
-        sim2.switch_map(sw2, 0, 1);
-        sim2.wake_app(s2, 0);
-        sim2.run_to_idle();
-        let base = sim2.with_app::<Sink, _>(k2, |a| a.got.clone());
-        let with_tap = sim.with_app::<Sink, _>(k, |a| a.got.clone());
-        assert_eq!(base, with_tap, "the tap must not perturb the main path");
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! egress port forwarding program" (§6), on FABRIC a Cisco 5700 behind the
 //! L2Bridge service (§7, §8.1). The model is accordingly simple and
 //! faithful: a static ingress→egress port map, per-egress FIFO queues
-//! drained at line rate, and a (profile-dependent) processing latency —
-//! cut-through for the Tofino, store-and-forward with deeper buffering for
-//! the Cisco.
+//! drained at line rate, and a profile-dependent pipeline latency and
+//! queue depth — ~400 ns for the Tofino, ~800 ns with a few ns of jitter
+//! and deeper buffering for the Cisco. Every frame reaches the switch at
+//! its last bit (the engine emits last-bit arrival times), so no profile
+//! models cut-through forwarding.
 
 use std::collections::VecDeque;
 
@@ -23,26 +25,22 @@ pub struct SwitchProfile {
     pub line_rate_bps: u64,
     /// Ingress-to-egress processing latency.
     pub latency: Jitter,
-    /// If true, forwarding begins only after the whole frame is received
-    /// (store-and-forward); otherwise cut-through.
-    pub store_and_forward: bool,
     /// Egress queue depth, in packets.
     pub queue_cap: usize,
 }
 
 impl SwitchProfile {
-    /// A Tofino2-like profile: cut-through, ~400 ns pipeline.
+    /// A Tofino2-like profile: ~400 ns pipeline.
     pub fn tofino2(line_rate_bps: u64) -> Self {
         SwitchProfile {
             line_rate_bps,
             latency: Jitter::Const(400_000), // 400 ns in ps
-            store_and_forward: false,
             queue_cap: 4096,
         }
     }
 
-    /// A Cisco-5700-like profile: store-and-forward, ~800 ns with a few
-    /// ns of pipeline jitter.
+    /// A Cisco-5700-like profile: ~800 ns with a few ns of pipeline
+    /// jitter, and a deeper egress queue.
     pub fn cisco5700(line_rate_bps: u64) -> Self {
         SwitchProfile {
             line_rate_bps,
@@ -50,7 +48,6 @@ impl SwitchProfile {
                 mean: 800_000.0,
                 sigma: 4_000.0,
             },
-            store_and_forward: true,
             queue_cap: 16384,
         }
     }
@@ -81,11 +78,6 @@ pub struct Switch {
     pub profile: SwitchProfile,
     /// `fwd[ingress] = Some(egress)`.
     pub fwd: Vec<Option<usize>>,
-    /// `mirror[ingress] = Some(span port)`: a copy of every frame
-    /// arriving on `ingress` is also queued to the span port — the
-    /// port-mirroring tap real testbeds use to observe traffic without
-    /// perturbing it (an alternative to Choir's in-situ middlebox).
-    pub mirror: Vec<Option<usize>>,
     /// Egress state, indexed by port.
     pub egress: Vec<EgressPort>,
 }
@@ -96,15 +88,8 @@ impl Switch {
         Switch {
             profile,
             fwd: vec![None; ports],
-            mirror: vec![None; ports],
             egress: (0..ports).map(|_| EgressPort::default()).collect(),
         }
-    }
-
-    /// Mirror everything arriving on `ingress` to `span` as well.
-    pub fn map_mirror(&mut self, ingress: usize, span: usize) {
-        assert!(ingress < self.fwd.len() && span < self.egress.len());
-        self.mirror[ingress] = Some(span);
     }
 
     /// Install `ingress -> egress` (the paper's port-forwarding program).
@@ -118,24 +103,18 @@ impl Switch {
         serialization_ps(wire_bytes, self.profile.line_rate_bps)
     }
 
-    /// True when every egress this ingress feeds (its forwarding target
-    /// and its span copy) is fed by NO other ingress. Under this
-    /// single-feeder condition a wire crossing into `ingress` may be
-    /// enqueued on its egress queues eagerly at *transmit* time instead
-    /// of waiting for a propagation-delay arrival event: queue order,
-    /// per-packet `ready` times and thus departure times are provably
-    /// unchanged, because no other traffic can interleave into those
-    /// queues between transmit and arrival.
+    /// True when the egress this ingress forwards to is fed by NO other
+    /// ingress. Under this single-feeder condition a wire crossing into
+    /// `ingress` may be enqueued on its egress queue eagerly at
+    /// *transmit* time instead of waiting for a propagation-delay arrival
+    /// event: queue order, per-packet `ready` times and thus departure
+    /// times are provably unchanged, because no other traffic can
+    /// interleave into that queue between transmit and arrival.
     pub fn single_feeder(&self, ingress: usize) -> bool {
-        let targets = [self.fwd[ingress], self.mirror[ingress]];
-        for t in targets.into_iter().flatten() {
-            for j in 0..self.fwd.len() {
-                if j != ingress && (self.fwd[j] == Some(t) || self.mirror[j] == Some(t)) {
-                    return false;
-                }
-            }
-        }
-        true
+        let Some(egress) = self.fwd[ingress] else {
+            return true;
+        };
+        (0..self.fwd.len()).all(|j| j == ingress || self.fwd[j] != Some(egress))
     }
 
     /// Number of ports.
@@ -152,8 +131,8 @@ mod tests {
     fn profiles_differ_as_documented() {
         let t = SwitchProfile::tofino2(100_000_000_000);
         let c = SwitchProfile::cisco5700(100_000_000_000);
-        assert!(!t.store_and_forward);
-        assert!(c.store_and_forward);
+        assert_eq!(t.latency, Jitter::Const(400_000));
+        assert!(matches!(c.latency, Jitter::Normal { mean, .. } if mean == 800_000.0));
         assert!(c.queue_cap > t.queue_cap);
     }
 
@@ -166,15 +145,6 @@ mod tests {
         assert_eq!(s.fwd[1], Some(3));
         assert_eq!(s.fwd[2], None);
         assert_eq!(s.ports(), 4);
-    }
-
-    #[test]
-    fn mirror_map() {
-        let mut s = Switch::new(3, SwitchProfile::tofino2(1));
-        s.map(0, 1);
-        s.map_mirror(0, 2);
-        assert_eq!(s.mirror[0], Some(2));
-        assert_eq!(s.mirror[1], None);
     }
 
     #[test]

@@ -9,16 +9,11 @@
 //!
 //! Emission is paced in the TSC domain with exact integer arithmetic: the
 //! i-th packet is due at `start_tsc + i·gap·hz/10¹²`, so no rounding error
-//! accumulates across a million packets. Besides CBR the generator can
-//! emit on-off bursts ([`Pattern::OnOff`]), the co-tenant of the
-//! structural-noise experiment.
-
-pub mod pattern;
+//! accumulates across a million packets. CBR is the only shape: every
+//! gap is the spec's.
 
 use choir_dpdk::{App, Burst, Dataplane, PortId};
 use choir_packet::{ChoirTag, FrameBuilder, FrameSpec};
-
-pub use pattern::Pattern;
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -38,10 +33,6 @@ pub struct GeneratorConfig {
     /// Store only headers+trailer per frame, declaring the full length
     /// (memory-frugal; timing-exact). See `choir_packet::Frame::truncated`.
     pub snap_frames: bool,
-    /// Traffic shape. `None` = CBR at `spec` (the paper's workload);
-    /// otherwise the given [`Pattern`], whose own spec then sets the
-    /// frame length and rate.
-    pub pattern: Option<Pattern>,
 }
 
 impl GeneratorConfig {
@@ -55,14 +46,7 @@ impl GeneratorConfig {
             src_node: 1,
             dst_node: 2,
             snap_frames: true,
-            pattern: None,
         }
-    }
-
-    /// The same workload with a different traffic shape.
-    pub fn with_pattern(mut self, pattern: Pattern) -> Self {
-        self.pattern = Some(pattern);
-        self
     }
 }
 
@@ -70,7 +54,6 @@ impl GeneratorConfig {
 pub struct Generator {
     cfg: GeneratorConfig,
     builder: FrameBuilder,
-    pattern: Pattern,
     /// Cumulative offset of the pending packet from the start, in ps.
     offset_ps: u128,
     /// Due TSC of the next packet, computed lazily.
@@ -86,11 +69,9 @@ impl Generator {
     /// A generator ready to start on its first wake.
     pub fn new(cfg: GeneratorConfig) -> Self {
         assert!(!cfg.ports.is_empty(), "generator needs at least one port");
-        let pattern = cfg.pattern.clone().unwrap_or(Pattern::Cbr(cfg.spec));
-        let builder = FrameBuilder::new(pattern.spec().frame_len, cfg.src_node, cfg.dst_node);
+        let builder = FrameBuilder::new(cfg.spec.frame_len, cfg.src_node, cfg.dst_node);
         Generator {
             builder,
-            pattern,
             offset_ps: 0,
             pending: None,
             cfg,
@@ -121,7 +102,9 @@ impl Generator {
         if let Some(due) = self.pending {
             return due;
         }
-        self.offset_ps += self.pattern.next(self.sent) as u128;
+        if self.sent > 0 {
+            self.offset_ps += self.cfg.spec.gap_ps() as u128;
+        }
         let due = start + ((self.offset_ps * hz as u128) / 1_000_000_000_000u128) as u64;
         self.pending = Some(due);
         due
@@ -313,17 +296,6 @@ mod tests {
             assert_eq!(m.frame.wire_len(), 1424);
             assert!(m.frame.len() < 100, "snap frames stay small");
         }
-        // A pattern's own spec sets the frame length (the structural
-        // co-tenant sends 1500-byte bursts from a 1400-byte config).
-        let mut dp = GenPlane::new();
-        let onoff = Pattern::OnOff {
-            spec: FrameSpec::new(1500, 40_000_000_000),
-            burst: 4,
-            line_rate_bps: 100_000_000_000,
-        };
-        let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 3).with_pattern(onoff));
-        dp.run(&mut g, 50);
-        assert!(dp.sent.iter().all(|(_, _, m)| m.frame.orig_len() == 1500));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! A FABlib-style workflow end to end: reserve a slice on a site, stand
-//! up a PTP domain inside it, record a stream with a Choir middlebox and
-//! replay it — all on the simulated testbed (paper §2.1/§2.2 + Appendix A).
+//! A FABlib-style workflow end to end: reserve a slice on a site, record
+//! a stream with a Choir middlebox and replay it — all on the simulated
+//! testbed (paper §2.1 + Appendix A).
 //!
 //! ```text
 //! cargo run --release --example fabric_slice
@@ -11,7 +11,6 @@ use choir::core::replay::middlebox::{ChoirMiddlebox, MiddleboxConfig};
 use choir::dpdk::ControlMsg;
 use choir::fabric::{NicKind, NodeSpec, Site, Slice};
 use choir::metrics::report::analyze;
-use choir::netsim::ptp::{PtpClient, PtpGrandmaster};
 use choir::netsim::time::MS;
 use choir::netsim::{Sim, SimConfig};
 use choir::pktgen::{Generator, GeneratorConfig};
@@ -19,7 +18,7 @@ use choir::pktgen::{Generator, GeneratorConfig};
 fn main() {
     // 1. Reserve resources, as the paper's Jupyter artifact does:
     //    "Create a FABRIC topology with three VMs, using two dedicated
-    //    smart NICs" (Appendix B) — plus a PTP grandmaster VM.
+    //    smart NICs" (Appendix B).
     let mut site = Site::large("STAR");
     println!("site {} before: {:?}", site.name, site.usage());
 
@@ -31,15 +30,13 @@ fn main() {
             .with_nic(NicKind::SmartConnectX6),
     );
     let rec = slice.add_node(NodeSpec::vm("recorder", 4, 16).with_nic(NicKind::SharedVf));
-    let gm = slice.add_node(NodeSpec::vm("ptp-gm", 2, 4).with_nic(NicKind::SharedVf));
 
     let uplink = slice.add_l2bridge("uplink"); // generator -> replayer
-    let downlink = slice.add_l2bridge("downlink"); // replayer -> recorder + PTP
+    let downlink = slice.add_l2bridge("downlink"); // replayer -> recorder
     slice.attach(gen, 0, uplink).unwrap();
     slice.attach(rep, 0, uplink).unwrap();
     slice.attach(rep, 1, downlink).unwrap();
     slice.attach(rec, 0, downlink).unwrap();
-    slice.attach(gm, 0, downlink).unwrap();
 
     let mut prov = slice.submit(&mut site).expect("site has capacity");
     println!(
@@ -66,36 +63,19 @@ fn main() {
         }),
         7,
     );
-    // tagged_only: PTP chatter shares the downlink but must not count as
-    // experiment traffic.
-    let n_rec = prov.build_node(
-        &mut sim,
-        rec,
-        Recorder::new(RecorderConfig {
-            tagged_only: true,
-            ..RecorderConfig::default()
-        }),
-        7,
-    );
-    let n_gm = prov.build_node(&mut sim, gm, PtpGrandmaster::new(0, 1_000_000), 7);
-    // The recorder also runs a PTP client in real deployments; here the
-    // grandmaster simply shares the downlink bridge. (A dedicated client
-    // node would be one more build_node call.)
-    let _ = PtpClient::new(0, 0.5);
+    let n_rec = prov.build_node(&mut sim, rec, Recorder::new(RecorderConfig::default()), 7);
 
     let switches = prov.wire(&mut sim);
     let (up, down) = (switches[0], switches[1]);
     // Forwarding maps, as in the paper's simple port-forwarding program:
     // uplink: generator(port 0) -> replayer rx(port 1).
     sim.switch_map(up, 0, 1);
-    // downlink members in attach order: replayer tx(0), recorder(1), gm(2).
+    // downlink members in attach order: replayer tx(0), recorder(1).
     sim.switch_map(down, 0, 1); // replay traffic -> recorder
-    sim.switch_map(down, 2, 1); // PTP broadcasts also reach the recorder
 
     // 3. Record 20k packets, then replay twice and score.
     sim.send_control(n_rep, ControlMsg::StartRecord, MS);
     sim.wake_app(n_gen, 2 * MS);
-    sim.wake_app(n_gm, MS);
     // 285 ns per packet at 40 Gbps, in ps.
     let record_end = 2 * MS + packets * 285_000 + 2 * MS;
     sim.send_control(n_rep, ControlMsg::StopRecord, record_end);
@@ -128,8 +108,5 @@ fn main() {
         "replay B vs A on the slice: U={:.1e} O={:.1e} I={:.4} L={:.2e} kappa={:.4}",
         cmp.metrics.u, cmp.metrics.o, cmp.metrics.i, cmp.metrics.l, cmp.metrics.kappa
     );
-    println!(
-        "({} packets per trial; PTP grandmaster emitted syncs throughout)",
-        trials[0].len()
-    );
+    println!("({} packets per trial)", trials[0].len());
 }
