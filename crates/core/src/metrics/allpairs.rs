@@ -15,7 +15,7 @@
 //!   One contiguous `u32` allocation holds the occurrence positions
 //!   (grouped by identity), per-position occurrence ranks, group extents,
 //!   and an open-addressed identity table; dense sidecar arrays hold the
-//!   gap series, the timestamp series, and the identity keys. No
+//!   timestamp series and the identity keys. No
 //!   `HashMap`, no per-identity `Vec`s, no pointer chasing on the pair
 //!   hot path (see DESIGN.md §15 for the layout).
 //! - **Arena kernels** — the matching/latency/IAT/ordering/histogram
@@ -114,23 +114,23 @@ impl std::error::Error for IndexError {}
 /// - `occ` — the occurrence rank of each position within its identity;
 /// - `group_start` — prefix offsets into `positions` (group `g` owns
 ///   `positions[group_start[g]..group_start[g+1]]`);
-/// - `table` — an open-addressed (linear-probe, power-of-two, ≤ 0.5 load)
-///   map from identity hash to group id.
+/// - `table` — an open-addressed (linear-probe, power-of-two, load
+///   < 0.75) map from identity hash to group id.
 ///
-/// Dense sidecars carry the identity keys (`ids`, indexed by group id),
-/// the gap series, and the timestamp series, so the metric kernels
-/// stream plain slices instead of chasing `HashMap` buckets.
+/// Two dense sidecars carry the identity keys (`ids`, indexed by group
+/// id) and the timestamp series (`times_ps`, from which
+/// [`TrialIndex::gap`] derives each gap), so the metric kernels stream
+/// plain slices instead of chasing `HashMap` buckets. With distinct
+/// identities the whole index is 36 B per packet plus 4 B per table
+/// slot, and from two packets up there are between 4/3 and 8/3 slots
+/// per packet.
 #[derive(Debug)]
 pub struct TrialIndex<'t> {
     trial: &'t Trial,
     arena: Box<[u32]>,
     /// Identity key per group id (probe confirmation).
     ids: Box<[PacketId]>,
-    /// `gap_ps(i)` for every position (0 for the first packet).
-    gaps_ps: Box<[i64]>,
-    /// `time(i)` for every position (dense copy — `Observation` has u128
-    /// alignment, so streaming times through it wastes half the cache
-    /// line).
+    /// `time(i)` for every position.
     times_ps: Box<[u64]>,
     n: usize,
     groups: usize,
@@ -143,11 +143,18 @@ pub struct TrialIndex<'t> {
     max_time_ps: u64,
 }
 
+/// Identity-table slots for `n` packets: the smallest power of two that
+/// keeps the load below 0.75 (and at least 4).
+fn table_cap(n: usize) -> usize {
+    (n + n / 3 + 1).max(4).next_power_of_two()
+}
+
 /// SplitMix64-style finalizer over the folded 128-bit identity. The table
 /// only needs good low-bit diffusion for its power-of-two mask.
 #[inline]
 fn hash_id(id: PacketId) -> u64 {
-    let mut z = (id.0 as u64) ^ ((id.0 >> 64) as u64);
+    let v = id.as_u128();
+    let mut z = (v as u64) ^ ((v >> 64) as u64);
     z = z.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z ^= z >> 29;
     z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -157,7 +164,7 @@ fn hash_id(id: PacketId) -> u64 {
 
 impl<'t> TrialIndex<'t> {
     /// Index a trial. O(n) time, O(n) memory, one arena allocation plus
-    /// three dense sidecars.
+    /// two dense sidecars.
     pub fn build(trial: &'t Trial) -> Result<Self, IndexError> {
         Self::build_at(trial, 0)
     }
@@ -169,7 +176,7 @@ impl<'t> TrialIndex<'t> {
         if n > u32::MAX as usize {
             return Err(IndexError::TrialTooLarge { trial: at, len: n });
         }
-        let cap = (n * 2).max(4).next_power_of_two();
+        let cap = table_cap(n);
         let table_mask = cap - 1;
         let table_off = 3 * n + 1;
         let mut arena = vec![0u32; table_off + cap].into_boxed_slice();
@@ -220,11 +227,9 @@ impl<'t> TrialIndex<'t> {
             counts[g as usize] = cur + 1;
         }
 
-        let mut gaps_ps = Vec::with_capacity(n);
         let mut times_ps = Vec::with_capacity(n);
         let mut max_time_ps = 0u64;
         for i in 0..n {
-            gaps_ps.push(trial.gap_ps(i));
             let t = trial.time(i);
             max_time_ps = max_time_ps.max(t);
             times_ps.push(t);
@@ -234,7 +239,6 @@ impl<'t> TrialIndex<'t> {
             trial,
             arena,
             ids: ids.into_boxed_slice(),
-            gaps_ps: gaps_ps.into_boxed_slice(),
             times_ps: times_ps.into_boxed_slice(),
             n,
             groups,
@@ -301,10 +305,12 @@ impl<'t> TrialIndex<'t> {
         }
     }
 
-    /// The dense gap series.
+    /// `gap_ps(i)` of the indexed trial, the same i64 difference as
+    /// [`Trial::gap_ps`]; at `i = 0` both operands are `t[0]`, so the
+    /// first packet's gap is 0 without a branch.
     #[inline]
-    pub(crate) fn gaps(&self) -> &[i64] {
-        &self.gaps_ps
+    pub(crate) fn gap(&self, i: usize) -> i64 {
+        self.times_ps[i] as i64 - self.times_ps[i.saturating_sub(1)] as i64
     }
 
     /// The dense timestamp series.
@@ -605,6 +611,7 @@ mod tests {
     use crate::metrics::latency::{latency_arena, latency_full_core};
     use crate::metrics::matching::{matching_arena, Matching};
     use crate::metrics::report::analyze;
+    use choir_packet::ChoirTag;
     use proptest::prelude::*;
 
     fn cbr_trial(n: u64, gap: u64, jitter: impl Fn(u64) -> i64) -> Trial {
@@ -735,6 +742,61 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// Heap bytes a built index holds: the arena and both sidecars.
+    fn heap_bytes(ix: &TrialIndex<'_>) -> usize {
+        std::mem::size_of_val(&*ix.arena)
+            + std::mem::size_of_val(&*ix.ids)
+            + std::mem::size_of_val(&*ix.times_ps)
+    }
+
+    #[test]
+    fn index_heap_stays_under_44_bytes_per_packet_at_paper_scale() {
+        // 1 053 370 is the paper-scale trial length; 2^20 + 1 is the
+        // shortest trial given the same 2^21-slot table, so the most
+        // slots per packet at that table size.
+        for n in [1_053_370u64, (1 << 20) + 1] {
+            let t = cbr_trial(n, 1000, |_| 0);
+            let ix = TrialIndex::build(&t).unwrap();
+            assert_eq!(ix.groups(), n as usize);
+            let per_packet = heap_bytes(&ix) as f64 / n as f64;
+            assert!(per_packet <= 44.0, "n = {n}: {per_packet:.2} B/packet");
+        }
+    }
+
+    #[test]
+    fn probes_resolve_at_the_largest_table_load() {
+        // The largest n whose table is 2^21 slots: load 0.7499995, the
+        // highest `table_cap` ever allows.
+        let n = 3 * (1u64 << 19) - 1;
+        assert_eq!(table_cap(n as usize), 1 << 21);
+        assert_eq!(table_cap(n as usize + 1), 1 << 22);
+        let t = cbr_trial(n, 1000, |_| 0);
+        let ix = TrialIndex::build(&t).unwrap();
+        for (i, o) in t.observations().iter().enumerate() {
+            assert_eq!(ix.find(o.id), Some(i as u32));
+        }
+        for s in n..n + 100_000 {
+            assert_eq!(ix.find(PacketId::from_tag(&ChoirTag::new(0, 0, s))), None);
+        }
+    }
+
+    #[test]
+    fn duplicate_heavy_trial_at_full_load_agrees_with_reference() {
+        // 383 packets fill 512 slots to the largest load table_cap
+        // allows: one side all distinct and reordered, the other 13
+        // identities, each about 30 times.
+        let n = 383u64;
+        assert_eq!(table_cap(n as usize), 512);
+        let mut a = Trial::new();
+        let mut b = Trial::new();
+        for i in 0..n {
+            a.push_tagged(0, 0, (i * 7) % n, i * 1000);
+            b.push_tagged(0, 0, (i * 5) % 13, i * 1003 + (i % 5) * 11);
+        }
+        assert_kernels_agree(&a, &b);
+        assert_kernels_agree(&b, &a);
     }
 
     #[test]

@@ -219,7 +219,7 @@ pub struct StreamOutcome {
 // Checkpoint / resume
 //
 // The vendored serde data model carries at most 64-bit integers, so the
-// engine's u128/i128 accumulators and `PacketId(u128)` identities are
+// engine's u128/i128 accumulators and 128-bit `PacketId` values are
 // split into (hi, lo) halves; everything else mirrors the live state
 // field-for-field.
 // ---------------------------------------------------------------------
@@ -258,7 +258,7 @@ struct ObsCk {
     gap_ps: i64,
 }
 
-/// One identity's pending FIFO queues, with the `PacketId(u128)` split
+/// One identity's pending FIFO queues, with the 128-bit `PacketId` split
 /// into 64-bit halves.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct PendingIdCk {
@@ -921,7 +921,7 @@ impl IncrementalComparison {
             .pending
             .iter()
             .map(|(id, q)| {
-                let (id_hi, id_lo) = split_u128(id.0);
+                let (id_hi, id_lo) = split_u128(id.as_u128());
                 PendingIdCk {
                     id_hi,
                     id_lo,
@@ -982,7 +982,7 @@ impl IncrementalComparison {
                 b: e.b.iter().map(ObsCk::restore).collect(),
             };
             resident += q.a.len() + q.b.len();
-            pending.insert(PacketId(join_u128(e.id_hi, e.id_lo)), q);
+            pending.insert(PacketId::from_u128(join_u128(e.id_hi, e.id_lo)), q);
         }
         if obs::is_enabled() {
             obs::counter_inc("recover.resumes");

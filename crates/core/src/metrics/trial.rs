@@ -29,6 +29,10 @@ pub struct Observation {
     pub t_ps: u64,
 }
 
+// The identity's two `u64` halves keep the record at its 24 payload
+// bytes — the wire, log and checkpoint record size — with no padding.
+const _: () = assert!(std::mem::size_of::<Observation>() == 24);
+
 /// A captured sequence of packet arrivals, in arrival order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trial {
@@ -207,6 +211,41 @@ mod tests {
     use bytes::Bytes;
     use choir_packet::pcap::PcapRecord;
     use choir_packet::Frame;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    fn hash_of(v: impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        /// `PacketId` orders, hashes (under the streaming engine's
+        /// hasher) and prints exactly as its `u128` value, so checkpoint
+        /// sort order, table probes and error strings cannot drift with
+        /// its layout.
+        #[test]
+        fn packet_id_behaves_as_its_u128(
+            x_hi in any::<u64>(),
+            x_lo in any::<u64>(),
+            y_hi in any::<u64>(),
+            y_lo in any::<u64>(),
+            same_hi in any::<bool>(),
+        ) {
+            // Half the pairs share their high halves, so `lo` decides.
+            let y_hi = if same_hi { x_hi } else { y_hi };
+            let x = (x_hi as u128) << 64 | x_lo as u128;
+            let y = (y_hi as u128) << 64 | y_lo as u128;
+            let (a, b) = (PacketId::from_u128(x), PacketId::from_u128(y));
+            prop_assert_eq!(a.as_u128(), x);
+            prop_assert_eq!(a.cmp(&b), x.cmp(&y));
+            prop_assert_eq!(a == b, x == y);
+            prop_assert_eq!(hash_of(a), hash_of(x));
+            prop_assert_eq!(format!("{a:?}"), format!("PacketId({x:?})"));
+        }
+    }
 
     fn tagged_trial(n: u64, gap: u64) -> Trial {
         let mut t = Trial::new();

@@ -6,6 +6,9 @@
 //! Choir trailer tag or derived by hashing frame contents (FNV-1a folded to
 //! 128 bits) when no tag is present.
 
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
 use crate::tag::ChoirTag;
 
 /// 128-bit packet identity.
@@ -13,29 +16,56 @@ use crate::tag::ChoirTag;
 /// For tagged packets the layout is `[tag-kind marker | replayer | stream |
 /// seq]`, which keeps ids from different replayers distinct — the property
 /// §6.2's dual-replayer analysis depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PacketId(pub u128);
+///
+/// Stored as two `u64` halves rather than one `u128` so the type is
+/// 8-byte aligned and an `Observation` (identity + timestamp) packs into
+/// 24 bytes. The derived `Ord` compares `hi` then `lo`, which is the
+/// `u128` order; `Hash` and `Debug` are written by hand to hash and print
+/// the `u128` value, so every ordering, hash probe and message is the
+/// same as for the plain integer.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PacketId {
+    hi: u64,
+    lo: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<PacketId>() == 16);
 
 const TAGGED_MARKER: u128 = 1 << 127;
 
 impl PacketId {
+    /// Identity with the given 128-bit value.
+    #[inline]
+    pub const fn from_u128(v: u128) -> Self {
+        PacketId {
+            hi: (v >> 64) as u64,
+            lo: v as u64,
+        }
+    }
+
+    /// The identity's 128-bit value.
+    #[inline]
+    pub const fn as_u128(self) -> u128 {
+        ((self.hi as u128) << 64) | self.lo as u128
+    }
+
     /// Identity from a Choir trailer tag (exact, collision-free).
     pub fn from_tag(tag: &ChoirTag) -> Self {
         let v = TAGGED_MARKER
             | ((tag.replayer as u128) << 80)
             | ((tag.stream as u128) << 64)
             | tag.seq as u128;
-        PacketId(v)
+        PacketId::from_u128(v)
     }
 
     /// Identity by hashing frame contents (for untagged traffic).
     pub fn from_bytes(data: &[u8]) -> Self {
-        PacketId(fnv1a_128(data) & !TAGGED_MARKER)
+        PacketId::from_u128(fnv1a_128(data) & !TAGGED_MARKER)
     }
 
     /// True when this identity came from a trailer tag.
     pub fn is_tagged(&self) -> bool {
-        self.0 & TAGGED_MARKER != 0
+        self.as_u128() & TAGGED_MARKER != 0
     }
 
     /// Recover the tag fields from a tagged identity.
@@ -43,11 +73,19 @@ impl PacketId {
         if !self.is_tagged() {
             return None;
         }
-        Some((
-            ((self.0 >> 80) & 0xffff) as u16,
-            ((self.0 >> 64) & 0xffff) as u16,
-            self.0 as u64,
-        ))
+        Some(((self.hi >> 16) as u16, self.hi as u16, self.lo))
+    }
+}
+
+impl Hash for PacketId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_u128().hash(state);
+    }
+}
+
+impl fmt::Debug for PacketId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PacketId").field(&self.as_u128()).finish()
     }
 }
 
@@ -93,7 +131,7 @@ mod tests {
     fn tagged_and_hashed_never_collide() {
         // The marker bit partitions the id space.
         let t = PacketId::from_tag(&ChoirTag::new(0, 0, 0));
-        let h = PacketId::from_bytes(&t.0.to_be_bytes());
+        let h = PacketId::from_bytes(&t.as_u128().to_be_bytes());
         assert_ne!(t, h);
     }
 }

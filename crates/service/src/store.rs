@@ -117,7 +117,7 @@ pub struct TrialStore {
 /// alike: identity as u128 LE, then `t_ps` as u64 LE.
 pub(crate) fn encode_records(out: &mut Vec<u8>, recs: impl Iterator<Item = Observation>) {
     for o in recs {
-        out.extend_from_slice(&o.id.0.to_le_bytes());
+        out.extend_from_slice(&o.id.as_u128().to_le_bytes());
         out.extend_from_slice(&o.t_ps.to_le_bytes());
     }
 }
@@ -125,7 +125,7 @@ pub(crate) fn encode_records(out: &mut Vec<u8>, recs: impl Iterator<Item = Obser
 /// The records of a slab in that layout; a ragged tail is not yielded.
 pub(crate) fn decode_records(raw: &[u8]) -> impl Iterator<Item = Observation> + '_ {
     raw.chunks_exact(OBS_BYTES as usize).map(|b| Observation {
-        id: PacketId(u128::from_le_bytes(b[..16].try_into().expect("16-byte id"))),
+        id: PacketId::from_u128(u128::from_le_bytes(b[..16].try_into().expect("16-byte id"))),
         t_ps: u64::from_le_bytes(b[16..].try_into().expect("8-byte ts")),
     })
 }
@@ -325,7 +325,7 @@ mod tests {
     fn obs_seq(base: u64, n: u64) -> Vec<Observation> {
         (0..n)
             .map(|i| Observation {
-                id: PacketId(((base + i) as u128) << 32 | 7),
+                id: PacketId::from_u128(((base + i) as u128) << 32 | 7),
                 t_ps: base * 1_000 + i * 37,
             })
             .collect()

@@ -261,8 +261,8 @@ pub struct WireObs {
 impl From<Observation> for WireObs {
     fn from(o: Observation) -> Self {
         WireObs {
-            id_hi: (o.id.0 >> 64) as u64,
-            id_lo: o.id.0 as u64,
+            id_hi: (o.id.as_u128() >> 64) as u64,
+            id_lo: o.id.as_u128() as u64,
             t_ps: o.t_ps,
         }
     }
@@ -271,7 +271,7 @@ impl From<Observation> for WireObs {
 impl From<WireObs> for Observation {
     fn from(w: WireObs) -> Self {
         Observation {
-            id: PacketId(((w.id_hi as u128) << 64) | w.id_lo as u128),
+            id: PacketId::from_u128(((w.id_hi as u128) << 64) | w.id_lo as u128),
             t_ps: w.t_ps,
         }
     }
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn wire_obs_roundtrips_u128_identity() {
         let o = Observation {
-            id: PacketId((0xDEAD_BEEF_u128 << 64) | 0x1234_5678_9ABC_DEF0),
+            id: PacketId::from_u128((0xDEAD_BEEF_u128 << 64) | 0x1234_5678_9ABC_DEF0),
             t_ps: 77,
         };
         let w = WireObs::from(o);

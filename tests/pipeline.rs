@@ -243,7 +243,7 @@ fn capture_fingerprint(out: &ExperimentOutput) -> u64 {
     };
     for trial in &out.trials {
         for o in trial.observations() {
-            eat(&o.id.0.to_le_bytes());
+            eat(&o.id.as_u128().to_le_bytes());
             eat(&o.t_ps.to_le_bytes());
         }
     }

@@ -471,7 +471,7 @@ proptest! {
         let widen = |t: &Trial| {
             let mut wide = Trial::new();
             for o in t.observations() {
-                wide.push(PacketId(o.id.0 | (id_hi as u128) << 64), o.t_ps);
+                wide.push(PacketId::from_u128(o.id.as_u128() | (id_hi as u128) << 64), o.t_ps);
             }
             wide
         };
