@@ -21,11 +21,9 @@
 
 use std::io::{self, Read};
 
-use bytes::Bytes;
-
 use choir_core::metrics::{Observation, MAX_TIMESTAMP_PS};
 use choir_packet::pcap::{magic_format, PcapError, DEFAULT_SNAPLEN};
-use choir_packet::{Frame, PacketId};
+use choir_packet::PacketId;
 
 /// Where a capture broke: the record that failed to parse. Every record
 /// before `record_index` was delivered intact.
@@ -144,6 +142,10 @@ pub struct PcapSource<R: Read> {
     /// Stamp of the capture's first record — the epoch a wall-clock
     /// capture is re-based on.
     first_ts_ns: Option<u64>,
+    /// The current record's bytes, reused for every record: a record
+    /// costs no allocation once the buffer has grown to the capture's
+    /// longest one.
+    body: Vec<u8>,
 }
 
 impl<R: Read> PcapSource<R> {
@@ -170,6 +172,7 @@ impl<R: Read> PcapSource<R> {
             records_read: 0,
             byte_offset: 24,
             first_ts_ns: None,
+            body: Vec::new(),
         })
     }
 
@@ -211,13 +214,14 @@ impl<R: Read> PcapSource<R> {
         let sec = u32at(0) as u64;
         let nsec = u32at(4) as u64;
         let incl = u32at(8) as u64;
-        // One allocation for any record a whole-frame snap length admits;
-        // past that the buffer grows with the bytes actually read, never
-        // with the declared length, so a damaged header cannot make the
-        // reader allocate what the input does not hold.
-        let mut body = Vec::with_capacity(incl.min(DEFAULT_SNAPLEN.into()) as usize);
-        self.input.by_ref().take(incl).read_to_end(&mut body)?;
-        if body.len() as u64 != incl {
+        // Room for any record a whole-frame snap length admits; past that
+        // the buffer grows with the bytes actually read, never with the
+        // declared length, so a damaged header cannot make the reader
+        // allocate what the input does not hold.
+        self.body.clear();
+        self.body.reserve(incl.min(DEFAULT_SNAPLEN.into()) as usize);
+        self.input.by_ref().take(incl).read_to_end(&mut self.body)?;
+        if self.body.len() as u64 != incl {
             return Err(PcapError::Truncated {
                 offset: self.byte_offset,
             });
@@ -228,7 +232,7 @@ impl<R: Read> PcapSource<R> {
         self.first_ts_ns.get_or_insert(ts_ns);
         // The identity reads only the stored bytes, never the original
         // length of a snapped frame.
-        Ok(Some((ts_ns, Frame::new(Bytes::from(body)).packet_id())))
+        Ok(Some((ts_ns, PacketId::of_frame(&self.body))))
     }
 
     /// Pull the next observation in arrival order. `Ok(None)` at clean
@@ -294,11 +298,12 @@ pub fn drain_available<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use choir_core::metrics::Trial;
     use choir_packet::pcap::{
         parse_pcap, PcapWriter, LINKTYPE_ETHERNET, PCAP_NS_MAGIC, PCAP_US_MAGIC,
     };
-    use choir_packet::ChoirTag;
+    use choir_packet::{ChoirTag, Frame};
 
     fn sample_pcap(n: u64) -> Vec<u8> {
         sample_pcap_at(n, 0)

@@ -119,7 +119,7 @@ impl std::error::Error for IndexError {}
 ///
 /// Two dense sidecars carry the identity keys (`ids`, indexed by group
 /// id) and the timestamp series (`times_ps`, from which
-/// [`TrialIndex::gap`] derives each gap), so the metric kernels stream
+/// `TrialIndex::gap` derives each gap), so the metric kernels stream
 /// plain slices instead of chasing `HashMap` buckets. With distinct
 /// identities the whole index is 36 B per packet plus 4 B per table
 /// slot, and from two packets up there are between 4/3 and 8/3 slots

@@ -153,24 +153,18 @@ impl Trial {
         self.obs.windows(2).all(|w| w[0].t_ps <= w[1].t_ps)
     }
 
-    /// The same trial with times re-expressed relative to its first
-    /// arrival (the form Eq. 3/4 assume).
+    /// The trial with times re-expressed relative to its first arrival
+    /// (the form Eq. 3/4 assume), shifted in place: no copy.
     ///
     /// Hardware timestamp noise can stamp a later packet marginally
     /// *earlier* than the first packet; such stamps clamp to zero rather
     /// than wrapping (a few-ns clamp versus a 2⁶⁴ ps explosion).
-    pub fn rezeroed(&self) -> Trial {
+    pub fn rezeroed(mut self) -> Trial {
         let t0 = self.start_ps();
-        Trial {
-            obs: self
-                .obs
-                .iter()
-                .map(|o| Observation {
-                    id: o.id,
-                    t_ps: o.t_ps.saturating_sub(t0),
-                })
-                .collect(),
+        for o in &mut self.obs {
+            o.t_ps = o.t_ps.saturating_sub(t0);
         }
+        self
     }
 
     /// Inter-arrival gap preceding packet `i` (`g_Xi`); zero for the first
@@ -289,10 +283,11 @@ mod tests {
         let mut t = Trial::new();
         t.push_tagged(0, 0, 0, 1_000_000);
         t.push_tagged(0, 0, 1, 1_000_700);
+        let span = t.span_ps();
         let z = t.rezeroed();
         assert_eq!(z.start_ps(), 0);
         assert_eq!(z.time(1), 700);
-        assert_eq!(z.span_ps(), t.span_ps());
+        assert_eq!(z.span_ps(), span);
     }
 
     #[test]

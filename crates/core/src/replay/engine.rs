@@ -203,10 +203,7 @@ pub fn run_replay_supervised<D: Dataplane>(
             stats.late_bursts += 1;
             stats.max_lateness_cycles = stats.max_lateness_cycles.max(late);
         }
-        burst.clear();
-        for m in &rb.pkts {
-            burst.push(m.clone()).expect("recorded bursts fit MAX_BURST");
-        }
+        rb.refill(&mut burst);
         let total = burst.len() as u64;
         let mut sent = 0u64;
         let mut retries = 0u32;

@@ -104,6 +104,8 @@ pub struct ChoirMiddlebox {
     scheduler: Option<ReplayScheduler>,
     seq: u64,
     rx_buf: Burst,
+    /// Staging burst for forwarding, reused across polls.
+    tx_buf: Burst,
     stats: ForwardStats,
     last_replay_stats: Option<ReplayStats>,
 }
@@ -118,6 +120,7 @@ impl ChoirMiddlebox {
             scheduler: None,
             seq: 0,
             rx_buf: Burst::new(),
+            tx_buf: Burst::new(),
             stats: ForwardStats::default(),
             last_replay_stats: None,
         }
@@ -180,9 +183,9 @@ impl ChoirMiddlebox {
             tag.stamp_trailer(buf);
             return;
         }
-        let mut data = frame.data.to_vec();
-        tag.stamp_trailer(&mut data);
-        *frame = Frame::truncated(bytes::Bytes::from(data), frame.orig_len() as u32);
+        let mut data = bytes::Bytes::copy_from_slice(&frame.data);
+        tag.stamp_trailer(data.try_unique_mut().expect("a fresh copy is unshared"));
+        *frame = Frame::truncated(data, frame.orig_len() as u32);
     }
 
     fn handle_control(&mut self, msg: &ControlMsg, dp: &mut dyn Dataplane) {
@@ -230,7 +233,7 @@ impl ChoirMiddlebox {
                 self.rx_buf = rx;
                 return;
             }
-            let mut tx = Burst::new();
+            let mut tx = std::mem::take(&mut self.tx_buf);
             for mut m in rx.drain() {
                 if self.cfg.in_band_control && is_control_frame(&m.frame) {
                     self.stats.control_frames += 1;
@@ -261,6 +264,7 @@ impl ChoirMiddlebox {
             }
             self.rx_buf = rx;
             self.flush_tx(&mut tx, dp);
+            self.tx_buf = tx;
         }
     }
 

@@ -11,6 +11,13 @@
 //! [`Recording`] is exactly that: a vector of [`RecordedBurst`]s, each an
 //! `Mbuf` clone set (refcount bumps, no data copies) plus the transmit
 //! TSC.
+//!
+//! Since RAM bounds how deep a recording can be, the per-packet cost is
+//! the budget: a recorded packet is its 64-byte `Mbuf` in its burst's
+//! vector plus the frame's storage, one allocation (a 112-byte malloc
+//! chunk for a 58-byte snap frame, whose bytes sit inline beside the
+//! refcount and the mempool hook) — 176 bytes a packet, about 185 MB for
+//! the paper's 1 053 370-packet stream on a 64-bit glibc host.
 
 use choir_dpdk::{Burst, Mbuf};
 
@@ -34,9 +41,14 @@ impl RecordedBurst {
         self.pkts.is_empty()
     }
 
-    /// Rebuild a transmittable [`Burst`] of shared handles.
-    pub fn to_burst(&self) -> Burst {
-        Burst::from_iter_checked(self.pkts.iter().cloned())
+    /// Refill `out` with shared handles to this burst's packets, in
+    /// order, replacing what it held: a replay reuses one [`Burst`] for
+    /// the whole recording.
+    pub fn refill(&self, out: &mut Burst) {
+        out.clear();
+        for m in &self.pkts {
+            out.push(m.clone()).expect("recorded bursts fit MAX_BURST");
+        }
     }
 }
 
@@ -175,12 +187,21 @@ mod tests {
     }
 
     #[test]
-    fn to_burst_rebuilds() {
+    fn refill_replaces_the_burst_with_shared_handles() {
         let pool = Mempool::new("r", 8);
         let pkts = mbufs(&pool, 3);
         let mut rec = Recording::new();
         rec.push_burst(1, pkts.iter());
-        let b = rec.burst(0).to_burst();
+        rec.push_burst(2, pkts[..1].iter());
+        let mut b = Burst::new();
+        rec.burst(0).refill(&mut b);
         assert_eq!(b.len(), 3);
+        assert_eq!(
+            b.get(2).unwrap().frame.data.as_ptr(),
+            pkts[2].frame.data.as_ptr()
+        );
+        rec.burst(1).refill(&mut b);
+        assert_eq!(b.len(), 1);
+        assert_eq!(pool.in_use(), 3, "handles, not copies");
     }
 }

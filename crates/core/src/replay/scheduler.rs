@@ -49,8 +49,10 @@ pub struct ReplayScheduler {
     /// Added to each recorded TSC to get its release TSC.
     delta: i128,
     next: usize,
-    /// A burst that was partially accepted and must finish first.
-    pending: Option<Burst>,
+    /// The burst in flight, refilled from the recording for every
+    /// recorded burst. Non-empty between pumps only when the NIC took
+    /// part of it: the rest must finish first.
+    burst: Burst,
     pending_release: u64,
     stats: ReplayStats,
     port: PortId,
@@ -75,7 +77,7 @@ impl ReplayScheduler {
         ReplayScheduler {
             delta,
             next: 0,
-            pending: None,
+            burst: Burst::new(),
             pending_release: 0,
             stats: ReplayStats::default(),
             port,
@@ -92,13 +94,12 @@ impl ReplayScheduler {
     /// Call repeatedly (on every wake) until [`SchedulerState::Done`].
     pub fn pump(&mut self, recording: &Recording, dp: &mut dyn Dataplane) -> SchedulerState {
         // Finish a partially-sent burst first: order must be preserved.
-        if let Some(mut burst) = self.pending.take() {
-            dp.tx_burst(self.port, &mut burst);
-            if burst.is_empty() {
+        if !self.burst.is_empty() {
+            dp.tx_burst(self.port, &mut self.burst);
+            if self.burst.is_empty() {
                 self.finish_burst(dp.tsc());
             } else {
                 self.stats.tx_retries += 1;
-                self.pending = Some(burst);
                 // NIC is backed up; ask to be woken immediately-ish.
                 let now = dp.tsc();
                 dp.request_wake_at_tsc(now + 1);
@@ -113,14 +114,13 @@ impl ReplayScheduler {
                 dp.request_wake_at_tsc(release);
                 return SchedulerState::InProgress;
             }
-            let mut burst = recording.burst(self.next).to_burst();
-            let total = burst.len() as u64;
-            let sent = dp.tx_burst(self.port, &mut burst) as u64;
+            recording.burst(self.next).refill(&mut self.burst);
+            let total = self.burst.len() as u64;
+            let sent = dp.tx_burst(self.port, &mut self.burst) as u64;
             self.stats.packets_sent += sent;
             self.pending_release = release;
             if sent < total {
                 self.stats.tx_retries += 1;
-                self.pending = Some(burst);
                 let now = dp.tsc();
                 dp.request_wake_at_tsc(now + 1);
                 return SchedulerState::InProgress;
@@ -152,7 +152,7 @@ impl ReplayScheduler {
 
     /// True when every burst has been transmitted.
     pub fn is_done(&self, recording: &Recording) -> bool {
-        self.pending.is_none() && self.next >= recording.len()
+        self.burst.is_empty() && self.next >= recording.len()
     }
 }
 

@@ -31,16 +31,6 @@ impl Burst {
         }
     }
 
-    /// Build a burst from an iterator, panicking if it exceeds
-    /// [`MAX_BURST`].
-    pub fn from_iter_checked<I: IntoIterator<Item = Mbuf>>(iter: I) -> Self {
-        let mut b = Burst::new();
-        for m in iter {
-            b.push(m).expect("burst overflow");
-        }
-        b
-    }
-
     /// Append an mbuf; returns it back if the burst is full.
     pub fn push(&mut self, m: Mbuf) -> Result<(), Mbuf> {
         if self.items.len() >= MAX_BURST {
@@ -201,18 +191,6 @@ mod tests {
         assert_eq!(pool.in_use(), 1);
         b.clear();
         assert_eq!(pool.in_use(), 0);
-    }
-
-    #[test]
-    fn from_iter_checked_ok() {
-        let b = Burst::from_iter_checked((0..3).map(|_| mbuf(5)));
-        assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "burst overflow")]
-    fn from_iter_checked_overflow() {
-        let _ = Burst::from_iter_checked((0..MAX_BURST + 1).map(|_| mbuf(1)));
     }
 
     #[test]

@@ -454,7 +454,11 @@ mod tests {
 
     fn data_burst(pool: &Mempool, n: usize) -> Burst {
         let b = choir_packet::FrameBuilder::new(128, 1, 2);
-        Burst::from_iter_checked((0..n).map(|_| pool.alloc(b.build_plain()).unwrap()))
+        let mut burst = Burst::new();
+        for _ in 0..n {
+            burst.push(pool.alloc(b.build_plain()).unwrap()).unwrap();
+        }
+        burst
     }
 
     #[test]

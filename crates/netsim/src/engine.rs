@@ -164,6 +164,12 @@ pub struct Sim {
     nodes: Vec<NodeRuntime>,
     switches: Vec<SwitchRuntime>,
     pool: Mempool,
+    /// Emptied wire-burst vectors kept for reuse: `tx_pull` and
+    /// `switch_egress` take theirs from here, and the hop that consumes
+    /// one hands it back, so no hop allocates.
+    burst_vecs: Vec<Vec<(u64, Mbuf)>>,
+    /// The doorbell list of [`CtxEffects`], reused across polls.
+    doorbells: Vec<PortId>,
     events_processed: u64,
     coalesced_events: u64,
     coalesced_packets: u64,
@@ -182,6 +188,8 @@ impl Sim {
             nodes: Vec::new(),
             switches: Vec::new(),
             pool,
+            burst_vecs: Vec::new(),
+            doorbells: Vec::new(),
             events_processed: 0,
             coalesced_events: 0,
             coalesced_packets: 0,
@@ -440,7 +448,10 @@ impl Sim {
     /// side effects (doorbells, wake requests).
     fn poll_app(&mut self, n: NodeId, control: Option<ControlMsg>) {
         let mut app = self.nodes[n].app.take().expect("app in place");
-        let mut effects = CtxEffects::default();
+        let mut effects = CtxEffects {
+            doorbells: std::mem::take(&mut self.doorbells),
+            wake_at: None,
+        };
         {
             let node = &mut self.nodes[n];
             let mut ctx = NodeCtx {
@@ -456,11 +467,13 @@ impl Sim {
             }
         }
         self.nodes[n].app = Some(app);
-        self.apply_effects(n, effects);
+        self.apply_effects(n, &effects);
+        effects.doorbells.clear();
+        self.doorbells = effects.doorbells;
     }
 
-    fn apply_effects(&mut self, n: NodeId, effects: CtxEffects) {
-        for p in effects.doorbells {
+    fn apply_effects(&mut self, n: NodeId, effects: &CtxEffects) {
+        for &p in &effects.doorbells {
             // Arm the pull chain if this port is idle. Re-arming pays the
             // doorbell latency plus the pull engine's re-arm latency.
             let port = &mut self.nodes[n].ports[p];
@@ -494,9 +507,6 @@ impl Sim {
     /// interrupt coalescing — packets become visible to the app together,
     /// while their hardware rx timestamps keep per-packet arrival times).
     fn emit_wire(&mut self, ep: Endpoint, mut pkts: Vec<(u64, Mbuf)>) {
-        if pkts.is_empty() {
-            return;
-        }
         if pkts.len() > 1 {
             let at = match ep {
                 Endpoint::SwitchPort(..) => pkts.first().expect("non-empty").0,
@@ -509,22 +519,29 @@ impl Sim {
             for (at, m) in pkts.drain(..) {
                 self.schedule(at, Ev::Deliver(ep, m));
             }
+            self.burst_vecs.push(pkts);
         }
+    }
+
+    /// An empty wire-burst vector, recycled when one is free.
+    fn take_burst_vec(&mut self) -> Vec<(u64, Mbuf)> {
+        self.burst_vecs.pop().unwrap_or_default()
     }
 
     /// One DMA pull: take a batch of descriptors and serialize them onto
     /// the wire back-to-back.
     fn tx_pull(&mut self, n: NodeId, p: PortId) {
+        let port = &mut self.nodes[n].ports[p];
+        if port.tx_queue.is_empty() {
+            port.tx_armed = false;
+            return;
+        }
         // Collect scheduling decisions first, then emit events.
-        let mut deliveries: Vec<(u64, Mbuf)> = Vec::new();
+        let mut deliveries = self.take_burst_vec();
         let peer;
         let next_pull;
         {
             let port = &mut self.nodes[n].ports[p];
-            if port.tx_queue.is_empty() {
-                port.tx_armed = false;
-                return;
-            }
             // Under backlog the engine fetches a full cap's worth of
             // descriptors per read; at light occupancy the sampled pull
             // pattern applies. (A TxPull event fires when a descriptor
@@ -577,7 +594,8 @@ impl Sim {
         };
         if let Some((sw, ing)) = eager {
             self.wire_events_elided += deliveries.len() as u64;
-            self.switch_ingress(sw, ing, deliveries);
+            self.switch_ingress(sw, ing, deliveries.drain(..));
+            self.burst_vecs.push(deliveries);
         } else {
             self.emit_wire(peer, deliveries);
         }
@@ -643,16 +661,16 @@ impl Sim {
     /// the burst raises ONE interrupt — a single delivery-latency draw
     /// anchored at the first arrival, drawn whatever was admitted, and one
     /// wake if anything was.
-    fn deliver_burst(&mut self, ep: Endpoint, pkts: Vec<(u64, Mbuf)>) {
+    fn deliver_burst(&mut self, ep: Endpoint, mut pkts: Vec<(u64, Mbuf)>) {
         obs::event("sim.burst_delivered", pkts.len() as u64, self.now);
         match ep {
-            Endpoint::Unconnected => { /* black hole */ }
-            Endpoint::SwitchPort(s, ingress) => self.switch_ingress(s, ingress, pkts),
+            Endpoint::Unconnected => pkts.clear(), // black hole
+            Endpoint::SwitchPort(s, ingress) => self.switch_ingress(s, ingress, pkts.drain(..)),
             Endpoint::NodePort(n, p) => {
                 let first_arrival = pkts.first().map_or(self.now, |&(at, _)| at);
                 let port = &mut self.nodes[n].ports[p];
                 let mut delivered = false;
-                for (at, m) in pkts {
+                for (at, m) in pkts.drain(..) {
                     delivered |= Self::nic_admit(port, m, at);
                 }
                 let wake_at = (first_arrival
@@ -663,6 +681,7 @@ impl Sim {
                 }
             }
         }
+        self.burst_vecs.push(pkts);
     }
 
     /// A burst of one: the packet's last bit arrives at an endpoint now.
@@ -715,24 +734,25 @@ impl Sim {
     /// egress serving draws no RNG (pipeline latency is drawn at
     /// enqueue), so draw order is unaffected.
     fn switch_egress(&mut self, s: usize, p: usize) {
-        let mut out: Vec<(u64, Mbuf)> = Vec::new();
+        let eq = &mut self.switches[s].sw.egress[p];
+        let Some(&(ready, _)) = eq.queue.front() else {
+            eq.service_armed = false;
+            return;
+        };
+        // The head frame's pipeline latency may not have elapsed yet;
+        // come back when it has.
+        let head_start = self.now.max(eq.busy_until_ps).max(ready);
+        if head_start > self.now {
+            self.schedule(head_start, Ev::SwitchEgress(s, p));
+            return;
+        }
+        let mut out = self.take_burst_vec();
         let peer;
         let next_service;
         {
             let swr = &mut self.switches[s];
             let rate = swr.sw.profile.line_rate_bps;
             let eq = &mut swr.sw.egress[p];
-            let Some(&(ready, _)) = eq.queue.front() else {
-                eq.service_armed = false;
-                return;
-            };
-            // The head frame's pipeline latency may not have elapsed yet;
-            // come back when it has.
-            let head_start = self.now.max(eq.busy_until_ps).max(ready);
-            if head_start > self.now {
-                self.schedule(head_start, Ev::SwitchEgress(s, p));
-                return;
-            }
             let prop;
             (peer, prop) = swr.peers[p];
             while out.len() < MAX_BURST {
@@ -758,7 +778,6 @@ impl Sim {
 }
 
 /// Side effects an app produces during one poll.
-#[derive(Default)]
 struct CtxEffects {
     /// Ports whose tx ring received packets (doorbell rang).
     doorbells: Vec<PortId>,

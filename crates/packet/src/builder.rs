@@ -2,9 +2,9 @@
 //!
 //! Builds the 1400-byte UDP-in-IPv4 frames the paper's generator emits
 //! (§6), with space reserved for the 16-byte Choir trailer the replayer
-//! stamps. The builder reuses a scratch buffer across packets so the
-//! generator's hot loop performs one allocation per frame (the `Bytes`
-//! freeze) and no header re-serialization beyond field updates.
+//! stamps. The generator's hot loop performs one allocation per frame
+//! (the `Bytes` storage) and no header re-serialization beyond field
+//! updates.
 
 use bytes::Bytes;
 
@@ -75,17 +75,23 @@ impl FrameBuilder {
         self.frame_len
     }
 
-    /// Build one frame carrying `tag` as its trailer.
-    pub fn build_tagged(&self, tag: ChoirTag) -> Frame {
-        let mut buf = vec![self.fill; self.frame_len];
-        self.eth.write(&mut buf);
+    /// Write headers and `tag` into `buf`, already filled with the fill
+    /// byte; the trailer takes its last [`TAG_LEN`] bytes.
+    fn write_tagged(&self, buf: &mut [u8], tag: ChoirTag) {
+        self.eth.write(buf);
         let mut ip = self.ip;
         // Fold the low sequence bits into the IP id for debuggability.
         ip.identification = tag.seq as u16;
         ip.write(&mut buf[EthernetHeader::LEN..]);
         self.udp
             .write(&mut buf[EthernetHeader::LEN + Ipv4Header::LEN..]);
-        tag.stamp_trailer(&mut buf);
+        tag.stamp_trailer(buf);
+    }
+
+    /// Build one frame carrying `tag` as its trailer.
+    pub fn build_tagged(&self, tag: ChoirTag) -> Frame {
+        let mut buf = vec![self.fill; self.frame_len];
+        self.write_tagged(&mut buf, tag);
         Frame::new(Bytes::from(buf))
     }
 
@@ -93,20 +99,17 @@ impl FrameBuilder {
     /// declares the full frame length — the memory-frugal representation
     /// simulated bulk traffic uses (snap-length semantics; see
     /// [`Frame::truncated`]). Wire-timing math still sees the full length.
+    ///
+    /// The 58 stored bytes are written on the stack and copied once into
+    /// inline [`Bytes`] storage: one heap allocation per frame.
     pub fn build_tagged_snap(&self, tag: ChoirTag) -> Frame {
-        let stored = UDP_FRAME_HEADER_LEN + TAG_LEN;
-        if stored >= self.frame_len {
+        const STORED: usize = UDP_FRAME_HEADER_LEN + TAG_LEN;
+        if STORED >= self.frame_len {
             return self.build_tagged(tag);
         }
-        let mut buf = vec![self.fill; stored];
-        self.eth.write(&mut buf);
-        let mut ip = self.ip;
-        ip.identification = tag.seq as u16;
-        ip.write(&mut buf[EthernetHeader::LEN..]);
-        self.udp
-            .write(&mut buf[EthernetHeader::LEN + Ipv4Header::LEN..]);
-        tag.stamp_trailer(&mut buf);
-        Frame::truncated(Bytes::from(buf), self.frame_len as u32)
+        let mut buf = [self.fill; STORED];
+        self.write_tagged(&mut buf, tag);
+        Frame::truncated(Bytes::copy_from_slice(&buf), self.frame_len as u32)
     }
 
     /// Build one untagged frame (trailer region left as fill bytes).

@@ -63,6 +63,18 @@ impl PacketId {
         PacketId::from_u128(fnv1a_128(data) & !TAGGED_MARKER)
     }
 
+    /// The identity of a frame's stored bytes: its trailer tag when it
+    /// carries one, otherwise a hash of the bytes. This is
+    /// [`Frame::packet_id`](crate::Frame::packet_id), for callers that
+    /// hold the bytes without a [`Frame`](crate::Frame) (a pcap reader's
+    /// record buffer).
+    pub fn of_frame(data: &[u8]) -> Self {
+        match ChoirTag::parse_trailer(data) {
+            Some(t) => PacketId::from_tag(&t),
+            None => PacketId::from_bytes(data),
+        }
+    }
+
     /// True when this identity came from a trailer tag.
     pub fn is_tagged(&self) -> bool {
         self.as_u128() & TAGGED_MARKER != 0

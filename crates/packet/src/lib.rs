@@ -102,10 +102,7 @@ impl Frame {
     /// The identity used by the consistency metrics: the trailer tag when
     /// present, otherwise a hash of the full frame contents.
     pub fn packet_id(&self) -> PacketId {
-        match self.tag() {
-            Some(t) => PacketId::from_tag(&t),
-            None => PacketId::from_bytes(&self.data),
-        }
+        PacketId::of_frame(&self.data)
     }
 }
 

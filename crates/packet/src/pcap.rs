@@ -205,16 +205,19 @@ pub fn parse_pcap(data: &[u8]) -> Result<Vec<PcapRecord>, PcapError> {
     let (subsec_to_ns, swapped) =
         magic_format(u32::from_le_bytes([data[0], data[1], data[2], data[3]]))?;
     let mut records = Vec::new();
-    let body = Bytes::copy_from_slice(&data[24..]);
+    // Record headers are read from the borrowed input, not through a
+    // `Bytes` deref per byte.
+    let raw = &data[24..];
+    let body = Bytes::copy_from_slice(raw);
     let mut boff = 0usize;
-    while boff < body.len() {
-        if body.len() - boff < 16 {
+    while boff < raw.len() {
+        if raw.len() - boff < 16 {
             return Err(PcapError::Truncated {
                 offset: 24 + boff as u64,
             });
         }
         let u32at = |o: usize| {
-            let v = u32::from_le_bytes([body[o], body[o + 1], body[o + 2], body[o + 3]]);
+            let v = u32::from_le_bytes([raw[o], raw[o + 1], raw[o + 2], raw[o + 3]]);
             if swapped {
                 v.swap_bytes()
             } else {
@@ -226,7 +229,7 @@ pub fn parse_pcap(data: &[u8]) -> Result<Vec<PcapRecord>, PcapError> {
         let incl = u32at(boff + 8) as usize;
         let orig = u32at(boff + 12);
         boff += 16;
-        if body.len() - boff < incl {
+        if raw.len() - boff < incl {
             return Err(PcapError::Truncated {
                 offset: 24 + boff as u64 - 16,
             });

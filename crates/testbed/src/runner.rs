@@ -15,7 +15,8 @@
 //!    (PTP resync; recorder timestamp-servo slope) — the minutes that
 //!    separate real runs, compressed.
 //! 3. **Compare.** The recorder's per-run captures become [`Trial`]s
-//!    (re-zeroed to their own first arrival, as Eqs. 3–4 require). The
+//!    (re-zeroed to their own first arrival, as Eqs. 3–4 require), and
+//!    the simulator, recording included, is freed. The
 //!    sharded all-pairs engine computes the full κ matrix; its baseline
 //!    row (everything vs run A) is what the paper's tables report, and
 //!    the off-diagonal summary quantifies the run-to-run spread §7's run
@@ -308,7 +309,22 @@ fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
         raw_trials.append(&mut cut);
     }
 
-    let trials: Vec<Trial> = raw_trials.into_iter().map(|t| t.rezeroed()).collect();
+    let trials: Vec<Trial> = raw_trials.into_iter().map(Trial::rezeroed).collect();
+
+    // Every middlebox's graceful-degradation counters ride along with
+    // the consistency numbers: a κ is only interpretable next to how
+    // degraded the run that produced it was.
+    let mut degradation = choir_core::replay::DegradationReport::default();
+    for &mb in &mbs {
+        let d = sim.with_app::<ChoirMiddlebox, _>(mb, |m| m.degradation_report());
+        degradation.absorb(&d);
+    }
+    let sim_stats = sim.sim_stats();
+    let events = sim.events_processed();
+    // The simulation has handed over everything the report needs; free
+    // it (recording, mempool, event wheel, apps) before the analysis
+    // allocates its indexes, so the two never share the peak.
+    drop(sim);
     // The capture pipeline (generate → forward → record → replay →
     // capture) ends here; everything below is consistency analysis,
     // measured separately (`e2e`'s `matrix_paper`).
@@ -324,16 +340,6 @@ fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
         .expect("captured trials fit the u32 index limit");
     // The paper's tables are the baseline row (runs B, C, … vs run A).
     let comparisons: Vec<TrialComparison> = matrix.baseline_row();
-
-    // Every middlebox's graceful-degradation counters ride along with
-    // the consistency numbers: a κ is only interpretable next to how
-    // degraded the run that produced it was.
-    let mut degradation = choir_core::replay::DegradationReport::default();
-    for &mb in &mbs {
-        let d = sim.with_app::<ChoirMiddlebox, _>(mb, |m| m.degradation_report());
-        degradation.absorb(&d);
-    }
-    let sim_stats = sim.sim_stats();
     let mut report = RunReport::new(label, comparisons)
         .expect("profile.runs >= 2 checked on entry, one trial per run")
         .with_degradation(degradation)
@@ -350,7 +356,7 @@ fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
         matrix,
         trials,
         recorded_packets,
-        events: sim.events_processed(),
+        events,
         sim_stats,
         capture_wall_ns,
     }

@@ -64,10 +64,7 @@ fn main() {
             let release = start + (rb.tsc - first);
             plane.spin_until_tsc(release); // the paper's TSC wait loop
             late_worst = late_worst.max(plane.tsc().saturating_sub(release));
-            txb.clear();
-            for m in &rb.pkts {
-                txb.push(m.clone()).expect("burst within capacity");
-            }
+            rb.refill(&mut txb);
             while plane.tx_burst(pid, &mut txb) > 0 || !txb.is_empty() {
                 if txb.is_empty() {
                     break;

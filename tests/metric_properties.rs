@@ -77,8 +77,8 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&m.i), "I = {}", m.i);
         prop_assert!((0.0..=1.0).contains(&m.kappa), "kappa = {}", m.kappa);
         // And rezeroing such a capture never explodes.
-        let z = a.rezeroed();
-        prop_assert!(z.minmax_span_ps() <= a.minmax_span_ps());
+        let span = a.minmax_span_ps();
+        prop_assert!(a.rezeroed().minmax_span_ps() <= span);
     }
 
     #[test]
