@@ -54,12 +54,13 @@ use super::kappa::KappaConfig;
 use super::pair::{PairAnalyzer, PairScratch};
 use super::report::{analyze, trial_label, StageTimings, TrialComparison};
 use super::stats;
-use super::trial::Trial;
+use super::trial::{Trial, MAX_TRIAL_LEN};
 
 /// Sentinel for an unoccupied identity-table slot. Safe because a group
-/// id is an index into `ids`, and `ids.len() ≤ n ≤ u32::MAX` means a real
-/// group id never equals `u32::MAX` (that trial would have failed
-/// [`TrialIndex::build`] with [`IndexError::TrialTooLarge`]).
+/// id is an index into `ids`, and `ids.len() ≤ n ≤ MAX_TRIAL_LEN =
+/// u32::MAX` means a real group id never equals `u32::MAX` (that trial
+/// would have failed [`TrialIndex::build`] with
+/// [`IndexError::TrialTooLarge`]).
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Typed failure from [`TrialIndex::build`] — the arena indexes positions
@@ -84,8 +85,7 @@ impl fmt::Display for IndexError {
         match self {
             IndexError::TrialTooLarge { trial, len } => write!(
                 f,
-                "trial {trial} holds {len} packets, beyond the u32 index limit ({})",
-                u32::MAX
+                "trial {trial} holds {len} packets, beyond the u32 index limit ({MAX_TRIAL_LEN})"
             ),
         }
     }
@@ -173,7 +173,7 @@ impl<'t> TrialIndex<'t> {
     /// so [`IndexError`] can name the offending trial.
     pub(crate) fn build_at(trial: &'t Trial, at: usize) -> Result<Self, IndexError> {
         let n = trial.len();
-        if n > u32::MAX as usize {
+        if n > MAX_TRIAL_LEN {
             return Err(IndexError::TrialTooLarge { trial: at, len: n });
         }
         let cap = table_cap(n);
@@ -644,8 +644,8 @@ mod tests {
         assert_eq!(x.iat_abs_percentiles_ns, y.iat_abs_percentiles_ns);
         assert_eq!(x.latency_abs_percentiles_ns, y.latency_abs_percentiles_ns);
         assert_eq!(x.edit_stats, y.edit_stats);
-        assert_eq!(x.iat_hist.total(), y.iat_hist.total());
-        assert_eq!(x.latency_hist.total(), y.latency_hist.total());
+        assert_eq!(x.iat_hist, y.iat_hist);
+        assert_eq!(x.latency_hist, y.latency_hist);
     }
 
     #[test]

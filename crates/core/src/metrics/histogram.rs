@@ -81,7 +81,7 @@ fn edge_table() -> &'static EdgeTable {
 /// assert_eq!(h.total(), 4);
 /// assert!((h.fraction_within(10.0) - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaHistogram {
     /// Counts indexed `0..2*PER_SIGN+1`; the middle index is the zero
     /// bucket, lower indices negative deltas, higher positive.
@@ -410,9 +410,7 @@ mod tests {
         }
         let mut bulk = DeltaHistogram::new();
         bulk.record_slice(&deltas);
-        assert_eq!(scalar.counts, bulk.counts);
-        assert_eq!(scalar.total, bulk.total);
-        assert_eq!(scalar.clamped, bulk.clamped);
+        assert_eq!(scalar, bulk);
     }
 
     #[test]
@@ -434,8 +432,7 @@ mod tests {
         }
         let mut bulk = DeltaHistogram::new();
         bulk.record_slice(&deltas);
-        assert_eq!(scalar.counts, bulk.counts);
-        assert_eq!(scalar.clamped, bulk.clamped);
+        assert_eq!(scalar, bulk);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use stream::{
     CheckpointError, IncrementalComparison, KappaSnapshot, ResumeMismatch, Side, StreamCheckpoint,
     StreamConfig, StreamOutcome,
 };
-pub use trial::{Observation, Trial, MAX_TIMESTAMP_PS};
+pub use trial::{Observation, Trial, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN};
 pub use windowed::{windowed_kappa, worst_window, WindowScore};
 
 /// Compute all four metrics plus κ between two trials.

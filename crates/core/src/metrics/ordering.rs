@@ -108,10 +108,9 @@ pub(crate) fn normalize_o(move_distance: u128, mc: usize) -> f64 {
 }
 
 /// The reference ordering kernel, behind
-/// [`super::pair::PairAnalyzer::new`] and the block kernel below. It
-/// only reads `m.common()` and the pairs' relative positions, so a
-/// synthetic [`Matching`] assembled from streamed matches reproduces the
-/// batch result bit-for-bit.
+/// [`super::pair::PairAnalyzer::new`] and nothing else but tests: the
+/// ground truth [`ordering_arena`] is held to. It only reads
+/// `m.common()` and the pairs' relative positions.
 pub(crate) fn ordering_core(m: &Matching) -> OrderingResult {
     let mc = m.common();
     if mc <= 1 {
@@ -150,35 +149,6 @@ pub(crate) fn ordering_core(m: &Matching) -> OrderingResult {
         lcs_len,
         displacements,
     }
-}
-
-/// Total edit-script move distance of one block: a run of matched
-/// `(a_pos, b_pos)` pairs in any order, of which only the relative order
-/// is read, so the same code scores a whole stream's pairs or a snapshot
-/// slice. The pairs are put in B arrival order (`b_pos` is unique per
-/// stream, so the sort is deterministic) and scored by the reference LIS
-/// kernel.
-pub(crate) fn block_move_distance(mut pairs: Vec<(u32, u32)>) -> u128 {
-    if pairs.len() <= 1 {
-        return 0;
-    }
-    pairs.sort_unstable_by_key(|p| p.1);
-    let m = Matching {
-        a_len: pairs.len(),
-        b_len: pairs.len(),
-        pairs: pairs
-            .into_iter()
-            .map(|(a, b)| super::matching::MatchedPair {
-                a_idx: a as usize,
-                b_idx: b as usize,
-            })
-            .collect(),
-    };
-    ordering_core(&m)
-        .displacements
-        .iter()
-        .map(|d| d.unsigned_abs() as u128)
-        .sum()
 }
 
 /// Reusable workspace for `ordering_arena`: the rank keys, the rank

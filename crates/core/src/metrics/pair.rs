@@ -41,7 +41,7 @@ use super::iat::{iat_arena, iat_full_core};
 use super::kappa::{kappa_from_components, ConsistencyMetrics};
 use super::latency::{latency_arena, latency_full_core};
 use super::matching::{matching_arena, MatchedPair, Matching};
-use super::ordering::{ordering_arena, ordering_core, OrderScratch};
+use super::ordering::{ordering_arena, ordering_core, OrderScratch, OrderingResult};
 use super::report::{abs_percentiles_ns, abs_percentiles_ns_bits, StageTimings, TrialComparison};
 use super::trial::Trial;
 use super::uniqueness::uniqueness_core;
@@ -247,37 +247,52 @@ impl<'t> PairAnalyzer<'t> {
         let i = iat_arena(a, b, &m, &mut s.iat_deltas);
         let t4 = Instant::now();
         let metrics = kappa_from_components(u, ord.o, l, i);
-
-        let mut iat_hist = DeltaHistogram::new();
-        iat_hist.record_slice(&s.iat_deltas);
-        let mut latency_hist = DeltaHistogram::new();
-        latency_hist.record_slice(&s.latency_deltas);
-        let within = super::stats::fraction_within(s.iat_deltas.iter().copied(), 10.0);
-        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.abs_bits);
-        let latency_abs_percentiles_ns =
-            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
-        let t5 = Instant::now();
-
-        let cmp = TrialComparison {
-            label: self.label,
-            metrics,
-            a_len: m.a_len,
-            b_len: m.b_len,
-            common: m.common(),
-            missing: m.missing_in_b(),
-            extra: m.extra_in_b(),
-            moved: ord.moved(),
-            iat_within_10ns: within,
-            iat_abs_percentiles_ns,
-            latency_abs_percentiles_ns,
-            edit_stats: ord.stats(),
-            iat_hist,
-            latency_hist,
-            timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
-        };
+        let cmp = report_stage(self.label, metrics, &m, &ord, s, [t0, t1, t2, t3, t4]);
         // The pair list goes back to the workspace for the next pair.
         s.pairs = m.pairs;
         cmp
+    }
+}
+
+/// The last stage of the arena pipeline, and of the streaming engine's
+/// `finalize`: both delta histograms, the ±10 ns share and the
+/// percentiles from the delta series in `s`, assembled with the rest into
+/// the report. `marks` are the stage boundaries so far; the last one is
+/// taken here, before the report is assembled.
+pub(crate) fn report_stage(
+    label: String,
+    metrics: ConsistencyMetrics,
+    m: &Matching,
+    ord: &OrderingResult,
+    s: &mut PairScratch,
+    marks: [Instant; 5],
+) -> TrialComparison {
+    let mut iat_hist = DeltaHistogram::new();
+    iat_hist.record_slice(&s.iat_deltas);
+    let mut latency_hist = DeltaHistogram::new();
+    latency_hist.record_slice(&s.latency_deltas);
+    let within = super::stats::fraction_within(s.iat_deltas.iter().copied(), 10.0);
+    let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.abs_bits);
+    let latency_abs_percentiles_ns = abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
+    let [t0, t1, t2, t3, t4] = marks;
+    let t5 = Instant::now();
+
+    TrialComparison {
+        label,
+        metrics,
+        a_len: m.a_len,
+        b_len: m.b_len,
+        common: m.common(),
+        missing: m.missing_in_b(),
+        extra: m.extra_in_b(),
+        moved: ord.moved(),
+        iat_within_10ns: within,
+        iat_abs_percentiles_ns,
+        latency_abs_percentiles_ns,
+        edit_stats: ord.stats(),
+        iat_hist,
+        latency_hist,
+        timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
     }
 }
 
@@ -371,7 +386,8 @@ mod tests {
             assert_eq!(fresh.iat_abs_percentiles_ns, reused.iat_abs_percentiles_ns);
             assert_eq!(fresh.latency_abs_percentiles_ns, reused.latency_abs_percentiles_ns);
             assert_eq!(fresh.edit_stats, reused.edit_stats);
-            assert_eq!(fresh.iat_hist.total(), reused.iat_hist.total());
+            assert_eq!(fresh.iat_hist, reused.iat_hist);
+            assert_eq!(fresh.latency_hist, reused.latency_hist);
         }
     }
 

@@ -3,9 +3,10 @@
 //! The paper computes κ post-hoc over complete capture pairs; this module
 //! scores consistency *while packets arrive*. [`IncrementalComparison`]
 //! consumes observations (or bursts) from two trials as they stream in,
-//! maintains an online occurrence-wise matching plus running U/O/L/I
-//! accumulators, and emits periodic [`KappaSnapshot`]s. `finalize`
-//! returns the same [`TrialComparison`] type as the batch analyzers.
+//! maintains an online occurrence-wise matching plus the exact L and I
+//! numerators, and emits periodic [`KappaSnapshot`]s of the running κ.
+//! `finalize` returns the same [`TrialComparison`] type as the batch
+//! analyzers.
 //!
 //! ## Exactness contract
 //!
@@ -22,23 +23,26 @@
 //!   irrelevant.
 //! - The denominators need only per-side first-arrival offsets and
 //!   min/max spans, tracked incrementally.
-//! - Histograms and the within-10 ns count are multiset functions of the
-//!   deltas.
-//! - Only O and the edit-script statistics are order-sensitive; they are
-//!   produced at finalize by running the production LIS kernel
-//!   (`ordering_arena`) over the matched pairs sorted into B arrival
-//!   order — the identical permutation the batch path sees.
+//! - Everything else is derived at finalize from the matched pairs, each
+//!   stored with its exact integer deltas: sorted into B arrival order —
+//!   the identical permutation the batch path sees — they go through the
+//!   production LIS kernel (`ordering_arena`) for O and the edit script,
+//!   and through the arena pipeline's own report stage for the
+//!   histograms, the ±10 ns share and the percentiles.
 //!
-//! An unmatched observation stays resident until its counterpart arrives
-//! or the stream ends; nothing is evicted. Residency therefore follows
-//! the skew between the two feeds plus the packets one side lost, not
-//! the stream length (measured at paper scale in DESIGN.md §12.3).
+//! So the engine keeps only what a stream alone can know: per-side
+//! cursors and pending queues, the matched pairs, the two `u128` sums and
+//! the snapshot trail. An unmatched observation stays resident until its
+//! counterpart arrives or the stream ends; nothing is evicted. Residency
+//! therefore follows the skew between the two feeds plus the packets one
+//! side lost, not the stream length (measured at paper scale in
+//! DESIGN.md §12.3).
 //!
 //! ## Checkpoint / resume
 //!
 //! [`IncrementalComparison::checkpoint`] serializes the engine's *entire*
-//! algorithmic state — FIFO matching cursors, 128-bit accumulators,
-//! matched pairs, slice, and snapshot trail — into a
+//! state — per-side cursors, FIFO matching queues, matched pairs, 128-bit
+//! accumulators and snapshot trail — into a
 //! [`StreamCheckpoint`], and [`IncrementalComparison::resume`] rebuilds a
 //! live engine from one. The hard contract (tested exhaustively,
 //! DESIGN.md §13): feeding records `0..k`, checkpointing, resuming, and
@@ -57,17 +61,15 @@ use serde::{Deserialize, Serialize};
 use crate::obs;
 use choir_packet::ident::PacketId;
 
-use super::histogram::DeltaHistogram;
 use super::iat::normalize_i;
 use super::kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig};
 use super::latency::normalize_l;
 use super::matching::{MatchedPair, Matching};
-use super::ordering::{block_move_distance, normalize_o, ordering_arena};
-use super::pair::PairScratch;
-use super::report::{abs_percentiles_ns_bits, StageTimings, TrialComparison};
-use super::trial::Observation;
+use super::ordering::{normalize_o, ordering_arena, OrderScratch};
+use super::pair::{report_stage, PairScratch};
+use super::report::TrialComparison;
+use super::trial::{Observation, MAX_TRIAL_LEN};
 use super::uniqueness::normalize_u;
-use super::windowed::WindowScore;
 
 /// Which of the two streams an observation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -184,10 +186,10 @@ impl StreamConfig {
     }
 }
 
-/// A periodic progress report: running totals, the running κ, and a
-/// [`WindowScore`] over the slice since the previous snapshot (the same
-/// shape [`super::windowed`] emits, so snapshot trails and windowed
-/// series render through the same tooling).
+/// A periodic progress report: running totals and the running κ over
+/// everything seen so far — bit-identical to batch analysis of the two
+/// prefixes. (A κ per window of a finished pair is
+/// [`super::windowed::windowed_kappa`].)
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KappaSnapshot {
     /// Observations pushed on side A so far.
@@ -200,8 +202,6 @@ pub struct KappaSnapshot {
     pub resident: usize,
     /// Running κ and components over everything seen so far.
     pub running: ConsistencyMetrics,
-    /// Score of just the slice since the previous snapshot.
-    pub window: WindowScore,
 }
 
 /// Everything `finalize` hands back.
@@ -278,18 +278,6 @@ struct PairCk {
     d_iat_ps: i64,
 }
 
-/// Serialized mirror of [`SliceState`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SliceCk {
-    a_pushed: u64,
-    b_pushed: u64,
-    pairs: Vec<PairCk>,
-    lat_num: (u64, u64),
-    iat_num: (u64, u64),
-    a_lo: u32,
-    a_hi: u32,
-}
-
 /// A complete, serializable snapshot of an [`IncrementalComparison`]'s
 /// algorithmic state. Opaque by design: produce one with
 /// [`IncrementalComparison::checkpoint`], turn it back into a live
@@ -298,12 +286,13 @@ struct SliceCk {
 /// slabs ([`StreamCheckpoint::write_to`] / [`StreamCheckpoint::read_from`]),
 /// the remainder through its serde form (both round trips are bit-exact;
 /// see the module docs). Wall-clock timings are *not* part of a
-/// checkpoint — a resumed run re-measures its own stage timings.
+/// checkpoint — a resumed run re-measures its own stage timings — and
+/// neither is anything `finalize` derives from the matched pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
     /// [`CHECKPOINT_FORMAT`] of the writer. Absent — so 0 — in every
     /// file written before the field existed; [`Self::read_from`]
-    /// refuses any other value than its own before it reads a slab.
+    /// refuses a value it cannot read before it reads a slab.
     #[serde(default)]
     format: u32,
     /// Caller-assigned identity of the engine that took this checkpoint
@@ -318,16 +307,10 @@ pub struct StreamCheckpoint {
     side_a: SideCk,
     side_b: SideCk,
     pending: Vec<PendingIdCk>,
-    tick: u64,
     peak_resident: u64,
-    matched: u64,
     lat_num: (u64, u64),
     iat_num: (u64, u64),
-    within_10ns: u64,
-    iat_hist: DeltaHistogram,
-    lat_hist: DeltaHistogram,
     all_pairs: Vec<PairCk>,
-    slice: SliceCk,
     last_snapshot_tick: u64,
     snapshots: Vec<KappaSnapshot>,
 }
@@ -337,7 +320,7 @@ impl StreamCheckpoint {
     /// across both sides) — the replay cursor a supervisor needs to know
     /// where to re-feed from.
     pub fn tick(&self) -> u64 {
-        self.tick
+        self.side_a.len + self.side_b.len
     }
 
     /// Caller-assigned engine identity recorded at checkpoint time (0
@@ -366,27 +349,24 @@ impl StreamCheckpoint {
         self.pending.iter().map(|p| p.a.len() + p.b.len()).sum()
     }
 
-    /// Move the bulk vectors (matched pairs, slice pairs, pending
-    /// observations) out of the checkpoint into `w` as three
-    /// checksummed little-endian slabs ([`write_section`]), and
-    /// return what is left: every scalar, histogram and the trail, small
-    /// enough to serialize through serde as before. A checkpoint's size
-    /// is its bulk — 32 bytes per matched pair here against ~90 as JSON
-    /// through the `Content` tree. [`Self::read_from`] is the inverse.
+    /// Move the bulk vectors (matched pairs, pending observations) out of
+    /// the checkpoint into `w` as two checksummed little-endian slabs
+    /// ([`write_section`]), in that order, and return what is left:
+    /// every scalar and the trail, small enough to serialize through
+    /// serde as before, naming the layout just written
+    /// ([`CHECKPOINT_FORMAT`]). A checkpoint's size is its bulk — 32
+    /// bytes per matched pair here against ~90 as JSON through the
+    /// `Content` tree. [`Self::read_from`] is the inverse.
     pub fn write_to(mut self, w: &mut impl Write) -> std::io::Result<Self> {
-        let mut raw = Vec::new();
-        for pairs in [&self.all_pairs, &self.slice.pairs] {
-            raw.clear();
-            raw.reserve(pairs.len() * PAIR_BYTES);
-            for p in pairs {
-                raw.extend_from_slice(&p.a_pos.to_le_bytes());
-                raw.extend_from_slice(&p.b_pos.to_le_bytes());
-                raw.extend_from_slice(&p.d_lat_hi.to_le_bytes());
-                raw.extend_from_slice(&p.d_lat_lo.to_le_bytes());
-                raw.extend_from_slice(&p.d_iat_ps.to_le_bytes());
-            }
-            write_section(w, &raw)?;
+        let mut raw = Vec::with_capacity(self.all_pairs.len() * PAIR_BYTES);
+        for p in &self.all_pairs {
+            raw.extend_from_slice(&p.a_pos.to_le_bytes());
+            raw.extend_from_slice(&p.b_pos.to_le_bytes());
+            raw.extend_from_slice(&p.d_lat_hi.to_le_bytes());
+            raw.extend_from_slice(&p.d_lat_lo.to_le_bytes());
+            raw.extend_from_slice(&p.d_iat_ps.to_le_bytes());
         }
+        write_section(w, &raw)?;
         raw.clear();
         raw.reserve(self.resident() * PENDING_BYTES);
         for e in &self.pending {
@@ -403,20 +383,21 @@ impl StreamCheckpoint {
         }
         write_section(w, &raw)?;
         self.all_pairs = Vec::new();
-        self.slice.pairs = Vec::new();
         self.pending = Vec::new();
+        self.format = CHECKPOINT_FORMAT;
         Ok(self)
     }
 
     /// Re-attach the bulk vectors [`Self::write_to`] moved out. `self`
     /// is the remainder `write_to` returned (possibly after a serde
-    /// round trip). The slabs are positional, so a remainder that does
-    /// not name this layout ([`CHECKPOINT_FORMAT`]) is refused before a
-    /// byte of `r` is read. Truncated, ragged or bit-flipped input is a
-    /// typed error; nothing is allocated for bytes the input does not
-    /// hold.
+    /// round trip). The slabs are positional, so a remainder that names
+    /// neither this layout ([`CHECKPOINT_FORMAT`]) nor format 1 is
+    /// refused before a byte of `r` is read; format 1's middle slab is
+    /// read, checked and dropped. Truncated, ragged or bit-flipped input
+    /// is a typed error; nothing is allocated for bytes the input does
+    /// not hold.
     pub fn read_from(mut self, r: &mut impl Read) -> Result<Self, CheckpointError> {
-        if self.format != CHECKPOINT_FORMAT {
+        if self.format != CHECKPOINT_FORMAT && self.format != 1 {
             return Err(CheckpointError::Format {
                 found: self.format,
                 expected: CHECKPOINT_FORMAT,
@@ -436,7 +417,9 @@ impl StreamCheckpoint {
                 .collect())
         };
         self.all_pairs = pairs("all_pairs")?;
-        self.slice.pairs = pairs("slice.pairs")?;
+        if self.format == 1 {
+            pairs("slice.pairs")?;
+        }
         let raw = read_section(r, "pending")?;
         // Records of one identity are adjacent (side A's queue, then
         // side B's), identities ascending, as `checkpoint` emits them.
@@ -482,11 +465,20 @@ const PAIR_BYTES: usize = 32;
 /// and side (u32 each), `t_ps` (u64), `gap_ps` (i64).
 const PENDING_BYTES: usize = 40;
 
-/// The checkpoint layout this build writes and reads: which slabs follow
-/// the serde remainder, in what order, at what record size. 0 is every
-/// file written before checkpoints named their format (four slabs,
-/// 48-byte pending records).
-pub const CHECKPOINT_FORMAT: u32 = 1;
+/// The checkpoint layout this build writes: which slabs follow the serde
+/// remainder, in what order, at what record size.
+///
+/// - 0 — every file written before checkpoints named their format (four
+///   slabs, 48-byte pending records). Refused.
+/// - 1 — three slabs: `all_pairs`, the pairs since the last snapshot
+///   (`slice.pairs`), `pending`; the remainder also held two delta
+///   histograms, a ±10 ns count, the slice's accumulators and a window
+///   score per snapshot. Still read, so daemon directories written then
+///   recover: the middle slab is checksum-verified and dropped, and the
+///   extra fields are ignored by name.
+/// - 2 — two slabs, `all_pairs` and `pending`, at 32 and 40 bytes a
+///   record.
+pub const CHECKPOINT_FORMAT: u32 = 2;
 
 /// A binary checkpoint that cannot be read back.
 #[derive(Debug)]
@@ -748,32 +740,6 @@ struct PairRec {
     d_iat_ps: i64,
 }
 
-/// Accumulators for the slice between two snapshots.
-#[derive(Debug)]
-struct SliceState {
-    a_pushed: usize,
-    b_pushed: usize,
-    pairs: Vec<PairRec>,
-    lat_num: u128,
-    iat_num: u128,
-    a_lo: u32,
-    a_hi: u32,
-}
-
-impl SliceState {
-    fn new() -> Self {
-        SliceState {
-            a_pushed: 0,
-            b_pushed: 0,
-            pairs: Vec::new(),
-            lat_num: 0,
-            iat_num: 0,
-            a_lo: u32::MAX,
-            a_hi: 0,
-        }
-    }
-}
-
 /// True when a run of matched pairs, taken as recorded (match order), is
 /// strictly increasing in both coordinates. B order is then the order
 /// given and the A ranks along it are the identity permutation, so the
@@ -787,12 +753,23 @@ fn order_preserving(pairs: &[PairRec]) -> bool {
         .all(|w| w[0].a_pos < w[1].a_pos && w[0].b_pos < w[1].b_pos)
 }
 
-/// Total edit-script move distance of a run of matched pairs.
-fn segment_move_distance(pairs: &[PairRec]) -> u128 {
-    if order_preserving(pairs) {
-        return 0;
+/// Sort matched pairs into B arrival order (`b_pos` is unique, so the
+/// sort is deterministic) and dress them as the [`Matching`] the batch
+/// kernels would have built from the two streams so far. `finalize` and
+/// a reordered stream's running O both score this.
+fn matching_in_b_order(pairs: &mut [PairRec], sides: &[SideState; 2]) -> Matching {
+    pairs.sort_unstable_by_key(|p| p.b_pos);
+    Matching {
+        pairs: pairs
+            .iter()
+            .map(|p| MatchedPair {
+                a_idx: p.a_pos as usize,
+                b_idx: p.b_pos as usize,
+            })
+            .collect(),
+        a_len: sides[0].len,
+        b_len: sides[1].len,
     }
-    block_move_distance(pairs.iter().map(|p| (p.a_pos, p.b_pos)).collect())
 }
 
 /// The streaming incremental-κ engine. See the module docs for the
@@ -823,18 +800,12 @@ pub struct IncrementalComparison {
     cfg: StreamConfig,
     sides: [SideState; 2],
     pending: IdMap<IdQueues>,
-    tick: u64,
     resident: usize,
     peak_resident: usize,
-    matched: usize,
     lat_num: u128,
     iat_num: u128,
-    within_10ns: usize,
-    iat_hist: DeltaHistogram,
-    lat_hist: DeltaHistogram,
     /// Every matched pair, in match order, for running O and finalize.
     all_pairs: Vec<PairRec>,
-    slice: SliceState,
     last_snapshot_tick: u64,
     snapshots: Vec<KappaSnapshot>,
     /// Caller-assigned identity recorded into every checkpoint so that
@@ -850,17 +821,11 @@ impl IncrementalComparison {
             cfg,
             sides: [SideState::default(), SideState::default()],
             pending: IdMap::default(),
-            tick: 0,
             resident: 0,
             peak_resident: 0,
-            matched: 0,
             lat_num: 0,
             iat_num: 0,
-            within_10ns: 0,
-            iat_hist: DeltaHistogram::new(),
-            lat_hist: DeltaHistogram::new(),
             all_pairs: Vec::new(),
-            slice: SliceState::new(),
             last_snapshot_tick: 0,
             snapshots: Vec::new(),
             engine_id: 0,
@@ -892,7 +857,12 @@ impl IncrementalComparison {
 
     /// Matched pairs so far.
     pub fn matched(&self) -> usize {
-        self.matched
+        self.all_pairs.len()
+    }
+
+    /// Observations pushed across both sides so far.
+    fn tick(&self) -> u64 {
+        (self.sides[0].len + self.sides[1].len) as u64
     }
 
     /// Unmatched observations currently resident.
@@ -942,24 +912,10 @@ impl IncrementalComparison {
             side_a: SideCk::of(&self.sides[0]),
             side_b: SideCk::of(&self.sides[1]),
             pending,
-            tick: self.tick,
             peak_resident: self.peak_resident as u64,
-            matched: self.matched as u64,
             lat_num: split_u128(self.lat_num),
             iat_num: split_u128(self.iat_num),
-            within_10ns: self.within_10ns as u64,
-            iat_hist: self.iat_hist.clone(),
-            lat_hist: self.lat_hist.clone(),
             all_pairs: self.all_pairs.iter().map(PairCk::of).collect(),
-            slice: SliceCk {
-                a_pushed: self.slice.a_pushed as u64,
-                b_pushed: self.slice.b_pushed as u64,
-                pairs: self.slice.pairs.iter().map(PairCk::of).collect(),
-                lat_num: split_u128(self.slice.lat_num),
-                iat_num: split_u128(self.slice.iat_num),
-                a_lo: self.slice.a_lo,
-                a_hi: self.slice.a_hi,
-            },
             last_snapshot_tick: self.last_snapshot_tick,
             snapshots: self.snapshots.clone(),
         }
@@ -991,25 +947,11 @@ impl IncrementalComparison {
             cfg,
             sides: [ck.side_a.restore(), ck.side_b.restore()],
             pending,
-            tick: ck.tick,
             resident,
             peak_resident: ck.peak_resident as usize,
-            matched: ck.matched as usize,
             lat_num: join_u128(ck.lat_num.0, ck.lat_num.1),
             iat_num: join_u128(ck.iat_num.0, ck.iat_num.1),
-            within_10ns: ck.within_10ns as usize,
-            iat_hist: ck.iat_hist,
-            lat_hist: ck.lat_hist,
             all_pairs: ck.all_pairs.iter().map(PairCk::restore).collect(),
-            slice: SliceState {
-                a_pushed: ck.slice.a_pushed as usize,
-                b_pushed: ck.slice.b_pushed as usize,
-                pairs: ck.slice.pairs.iter().map(PairCk::restore).collect(),
-                lat_num: join_u128(ck.slice.lat_num.0, ck.slice.lat_num.1),
-                iat_num: join_u128(ck.slice.iat_num.0, ck.slice.iat_num.1),
-                a_lo: ck.slice.a_lo,
-                a_hi: ck.slice.a_hi,
-            },
             last_snapshot_tick: ck.last_snapshot_tick,
             engine_id: ck.engine_id,
             snapshots: ck.snapshots,
@@ -1045,7 +987,10 @@ impl IncrementalComparison {
     /// Feed one observation.
     pub fn push(&mut self, side: Side, id: PacketId, t_ps: u64) {
         let s = &mut self.sides[side.index()];
-        assert!(s.len < u32::MAX as usize, "stream too large");
+        assert!(
+            s.len < MAX_TRIAL_LEN,
+            "stream past MAX_TRIAL_LEN observations"
+        );
         let pos = s.len as u32;
         let gap_ps = if s.len == 0 {
             0
@@ -1062,11 +1007,6 @@ impl IncrementalComparison {
         }
         s.prev_t_ps = t_ps;
         s.len += 1;
-        self.tick += 1;
-        match side {
-            Side::A => self.slice.a_pushed += 1,
-            Side::B => self.slice.b_pushed += 1,
-        }
 
         let me = PendingObs { pos, t_ps, gap_ps };
         let q = self.pending.entry(id).or_default();
@@ -1100,7 +1040,7 @@ impl IncrementalComparison {
         self.peak_resident = self.peak_resident.max(self.resident);
 
         if self.cfg.snapshot_every > 0
-            && self.tick - self.last_snapshot_tick >= self.cfg.snapshot_every
+            && self.tick() - self.last_snapshot_tick >= self.cfg.snapshot_every
         {
             self.snapshot_now();
         }
@@ -1124,97 +1064,56 @@ impl IncrementalComparison {
         let d_iat = ap.gap_ps - bp.gap_ps;
         self.lat_num += d_lat.unsigned_abs();
         self.iat_num += d_iat.unsigned_abs() as u128;
-        let d_iat_ns = d_iat as f64 / 1000.0;
-        if d_iat_ns.abs() <= 10.0 {
-            self.within_10ns += 1;
-        }
-        self.iat_hist.add(d_iat_ns);
-        self.lat_hist.add(d_lat as f64 / 1000.0);
-        self.matched += 1;
-
-        let rec = PairRec {
+        self.all_pairs.push(PairRec {
             a_pos: ap.pos,
             b_pos: bp.pos,
             d_lat_ps: d_lat,
             d_iat_ps: d_iat,
-        };
-        self.slice.pairs.push(rec);
-        self.slice.lat_num += d_lat.unsigned_abs();
-        self.slice.iat_num += d_iat.unsigned_abs() as u128;
-        self.slice.a_lo = self.slice.a_lo.min(ap.pos);
-        self.slice.a_hi = self.slice.a_hi.max(ap.pos);
-
-        self.all_pairs.push(rec);
+        });
     }
 
-    /// L and I of `mc` matches with the given exact numerators, over the
-    /// running whole-stream spans — the batch normalizers on the
-    /// streamed operands.
-    fn li_over_stream_spans(&self, mc: usize, lat_num: u128, iat_num: u128) -> (f64, f64) {
+    /// L and I over the exact numerators and the running whole-stream
+    /// spans — the batch normalizers on the streamed operands.
+    fn running_li(&self) -> (f64, f64) {
+        let mc = self.all_pairs.len();
         let span_a = self.sides[0].minmax_span_ps();
         let span_b = self.sides[1].minmax_span_ps();
         (
-            normalize_l(lat_num, mc, span_a, span_b),
-            normalize_i(iat_num, mc, span_a, span_b),
+            normalize_l(self.lat_num, mc, span_a, span_b),
+            normalize_i(self.iat_num, mc, span_a, span_b),
         )
     }
 
-    fn running_li(&self) -> (f64, f64) {
-        self.li_over_stream_spans(self.matched, self.lat_num, self.iat_num)
-    }
-
+    /// O over the pairs matched so far: one allocation-free scan for a
+    /// stream that kept its order, else `finalize`'s kernel on a copy of
+    /// the pairs in B order.
     fn running_o(&self) -> f64 {
-        normalize_o(segment_move_distance(&self.all_pairs), self.matched)
+        if order_preserving(&self.all_pairs) {
+            return normalize_o(0, self.all_pairs.len());
+        }
+        let m = matching_in_b_order(&mut self.all_pairs.clone(), &self.sides);
+        ordering_arena(&m, &mut OrderScratch::default()).o
     }
 
     /// Running κ and components over everything seen so far.
     pub fn running_metrics(&self) -> ConsistencyMetrics {
-        let u = normalize_u(self.matched, self.sides[0].len + self.sides[1].len);
+        let u = normalize_u(self.all_pairs.len(), self.sides[0].len + self.sides[1].len);
         let o = self.running_o();
         let (l, i) = self.running_li();
         kappa_from_components(u, o, l, i)
     }
 
-    fn slice_window_score(&self) -> WindowScore {
-        let s = &self.slice;
-        let mc = s.pairs.len();
-        let total = s.a_pushed + s.b_pushed;
-        // A slice's pairs may involve observations pushed before the
-        // slice began (a pending A matched by a fresh B), so 2·mc can
-        // exceed the slice's own push count — clamp at 0.
-        let u = normalize_u(mc, total).max(0.0);
-        let dist = segment_move_distance(&s.pairs);
-        let o = normalize_o(dist, mc);
-        // L/I numerators are slice-local but normalized by the running
-        // whole-stream spans (a slice carries no self-contained origin):
-        // each window scores its *contribution* to the global metrics,
-        // unlike `windowed_kappa`'s re-zeroed sub-trials.
-        let (l, i) = self.li_over_stream_spans(mc, s.lat_num, s.iat_num);
-        WindowScore {
-            index: self.snapshots.len(),
-            a_range: if s.a_lo == u32::MAX {
-                (0, 0)
-            } else {
-                (s.a_lo as usize, s.a_hi as usize + 1)
-            },
-            metrics: kappa_from_components(u, o, l, i),
-            common: mc,
-        }
-    }
-
     /// Take a snapshot now (also called automatically on the
-    /// `snapshot_every` cadence). Resets the per-slice window.
+    /// `snapshot_every` cadence, which counts from the latest one).
     pub fn snapshot_now(&mut self) -> KappaSnapshot {
         let snap = KappaSnapshot {
             seen_a: self.sides[0].len,
             seen_b: self.sides[1].len,
-            common: self.matched,
+            common: self.all_pairs.len(),
             resident: self.resident,
             running: self.running_metrics(),
-            window: self.slice_window_score(),
         };
-        self.slice = SliceState::new();
-        self.last_snapshot_tick = self.tick;
+        self.last_snapshot_tick = self.tick();
         self.snapshots.push(snap.clone());
         snap
     }
@@ -1224,69 +1123,38 @@ impl IncrementalComparison {
     pub fn finalize(mut self, label: impl Into<String>) -> StreamOutcome {
         let _span = obs::span("stream.finalize");
         let t0 = Instant::now();
-        // Pairs were recorded in match order; restore B arrival order
-        // (b_pos is unique, so the sort is deterministic) and dress them
-        // as the synthetic Matching the batch kernels would have built.
-        let mut pairs = std::mem::take(&mut self.all_pairs);
-        pairs.sort_unstable_by_key(|p| p.b_pos);
-        let m = Matching {
-            pairs: pairs
-                .iter()
-                .map(|p| MatchedPair {
-                    a_idx: p.a_pos as usize,
-                    b_idx: p.b_pos as usize,
-                })
-                .collect(),
-            a_len: self.sides[0].len,
-            b_len: self.sides[1].len,
-        };
+        let m = matching_in_b_order(&mut self.all_pairs, &self.sides);
         let t1 = Instant::now();
         // From here on, the stages `PairAnalyzer::analyze_arena` runs, on
         // operands the stream accumulated instead of an index.
         let mut s = PairScratch::new();
-        let mc = m.common();
-        let u = normalize_u(mc, m.a_len + m.b_len);
+        let u = normalize_u(m.common(), m.a_len + m.b_len);
         let ord = ordering_arena(&m, &mut s.order);
         let t2 = Instant::now();
         let (l, i) = self.running_li();
-        s.latency_deltas.extend(pairs.iter().map(|p| p.d_lat_ps as f64 / 1000.0));
+        let pairs = &self.all_pairs;
+        s.latency_deltas
+            .extend(pairs.iter().map(|p| p.d_lat_ps as f64 / 1000.0));
         let t3 = Instant::now();
-        s.iat_deltas.extend(pairs.iter().map(|p| p.d_iat_ps as f64 / 1000.0));
+        s.iat_deltas
+            .extend(pairs.iter().map(|p| p.d_iat_ps as f64 / 1000.0));
         let t4 = Instant::now();
         let metrics = kappa_from_components(u, ord.o, l, i);
-        let within = if mc == 0 {
-            0.0
-        } else {
-            self.within_10ns as f64 / mc as f64
-        };
-        let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.abs_bits);
-        let latency_abs_percentiles_ns =
-            abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
-        let t5 = Instant::now();
+        let comparison = report_stage(
+            label.into(),
+            metrics,
+            &m,
+            &ord,
+            &mut s,
+            [t0, t1, t2, t3, t4],
+        );
 
         if obs::is_enabled() {
-            obs::counter_add("stream.full.packets_in", self.tick);
-            obs::counter_add("stream.full.matched", self.matched as u64);
+            obs::counter_add("stream.full.packets_in", self.tick());
+            obs::counter_add("stream.full.matched", pairs.len() as u64);
             obs::counter_add("stream.full.snapshots", self.snapshots.len() as u64);
             obs::gauge_max("stream.full.peak_resident", self.peak_resident as u64);
         }
-        let comparison = TrialComparison {
-            label: label.into(),
-            metrics,
-            a_len: m.a_len,
-            b_len: m.b_len,
-            common: mc,
-            missing: m.missing_in_b(),
-            extra: m.extra_in_b(),
-            moved: ord.moved(),
-            iat_within_10ns: within,
-            iat_abs_percentiles_ns,
-            latency_abs_percentiles_ns,
-            edit_stats: ord.stats(),
-            iat_hist: std::mem::take(&mut self.iat_hist),
-            latency_hist: std::mem::take(&mut self.lat_hist),
-            timings: StageTimings::from_marks([t0, t1, t2, t3, t4, t5]),
-        };
         StreamOutcome {
             comparison,
             snapshots: self.snapshots,
@@ -1331,8 +1199,8 @@ mod tests {
         assert_eq!(x.iat_abs_percentiles_ns, y.iat_abs_percentiles_ns);
         assert_eq!(x.latency_abs_percentiles_ns, y.latency_abs_percentiles_ns);
         assert_eq!(x.edit_stats, y.edit_stats);
-        assert_eq!(x.iat_hist.total(), y.iat_hist.total());
-        assert_eq!(x.latency_hist.total(), y.latency_hist.total());
+        assert_eq!(x.iat_hist, y.iat_hist);
+        assert_eq!(x.latency_hist, y.latency_hist);
     }
 
     fn stream_in_chunks(a: &Trial, b: &Trial, chunk: usize, cfg: StreamConfig) -> StreamOutcome {
@@ -1396,9 +1264,8 @@ mod tests {
             "expected ≥9 snapshots, got {}",
             out.snapshots.len()
         );
-        // Trails are monotone in seen totals and windows index in order.
+        // Trails are monotone in seen totals and in matches.
         for (k, s) in out.snapshots.iter().enumerate() {
-            assert_eq!(s.window.index, k);
             let kappa = s.running.kappa;
             assert!((0.0..=1.0).contains(&kappa), "snapshot {k} kappa {kappa}");
             if k > 0 {
@@ -1414,26 +1281,41 @@ mod tests {
     }
 
     #[test]
-    fn manual_snapshot_resets_slice_window() {
+    fn manual_snapshots_join_the_trail_and_restart_the_cadence() {
         let mut a = Trial::new();
         let mut b = Trial::new();
         for i in 0..100u64 {
             a.push_tagged(0, 0, i, i * 1000);
             b.push_tagged(0, 0, i, i * 1000);
         }
-        let mut eng = IncrementalComparison::new(StreamConfig::default());
+        let cfg = StreamConfig {
+            snapshot_every: 60,
+            ..StreamConfig::default()
+        };
+        let mut eng = IncrementalComparison::new(cfg);
         eng.push_burst(Side::A, &a.observations()[..50]);
-        eng.push_burst(Side::B, &b.observations()[..50]);
-        let s1 = eng.snapshot_now();
-        assert_eq!(s1.window.common, 50);
-        assert_eq!(s1.window.a_range, (0, 50));
-        eng.push_burst(Side::A, &a.observations()[50..]);
-        eng.push_burst(Side::B, &b.observations()[50..]);
-        let s2 = eng.snapshot_now();
-        assert_eq!(s2.window.common, 50, "slice must cover only the new half");
-        assert_eq!(s2.window.a_range, (50, 100));
-        assert_eq!(s2.window.index, 1);
+        eng.push_burst(Side::B, &b.observations()[..40]);
+        // The cadence fired once, at push 60 (A's 50, then B's 10th).
+        assert_eq!(eng.snapshots().len(), 1);
+        let manual = eng.snapshot_now();
+        assert_eq!((manual.seen_a, manual.seen_b, manual.common), (50, 40, 40));
+        assert_eq!(manual.resident, 10);
+        assert_eq!(
+            manual.running.kappa.to_bits(),
+            eng.running_metrics().kappa.to_bits()
+        );
+        // The cadence counts from the manual snapshot: nothing 59 pushes
+        // later, a snapshot at the 60th.
+        eng.push_burst(Side::B, &b.observations()[40..99]);
         assert_eq!(eng.snapshots().len(), 2);
+        eng.push_burst(Side::B, &b.observations()[99..]);
+        let trail = eng.snapshots();
+        assert_eq!(trail.len(), 3);
+        assert_eq!((trail[1].seen_a, trail[1].seen_b), (50, 40));
+        assert_eq!(
+            (trail[2].seen_a, trail[2].seen_b, trail[2].common),
+            (50, 100, 50)
+        );
     }
 
     #[test]
@@ -1478,7 +1360,7 @@ mod tests {
         let back: KappaSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.seen_a, snap.seen_a);
         assert_eq!(back.running.kappa.to_bits(), snap.running.kappa.to_bits());
-        assert_eq!(back.window.common, snap.window.common);
+        assert_eq!(back.common, snap.common);
     }
 
     /// Flatten a chunked interleave into a single event sequence so a
@@ -1518,19 +1400,70 @@ mod tests {
                 ("o", s.running.o, t.running.o),
                 ("l", s.running.l, t.running.l),
                 ("i", s.running.i, t.running.i),
-                ("w.kappa", s.window.metrics.kappa, t.window.metrics.kappa),
             ] {
                 assert_eq!(a.to_bits(), b.to_bits(), "snapshot {k} {name} diverged");
             }
-            assert_eq!(s.window.index, t.window.index);
-            assert_eq!(s.window.a_range, t.window.a_range);
-            assert_eq!(s.window.common, t.window.common);
         }
+    }
+
+    /// `ck` shipped the way a format-1 build wrote it, then read back.
+    fn via_format_1(ck: StreamCheckpoint) -> StreamCheckpoint {
+        let (rest, slabs) = format_1_file(ck);
+        let mut r = &slabs[..];
+        let ck = rest.read_from(&mut r).unwrap();
+        assert!(r.is_empty(), "format 1 is three slabs");
+        ck
+    }
+
+    /// `ck` as a format-1 build wrote it: a remainder that also carries
+    /// the fields that build kept (the derived counters and histograms,
+    /// the slice since the last snapshot, a window score per snapshot),
+    /// and a third slab, of slice pairs, between `all_pairs` and
+    /// `pending`. None of what this build dropped is read back.
+    fn format_1_file(ck: StreamCheckpoint) -> (StreamCheckpoint, Vec<u8>) {
+        use crate::metrics::histogram::DeltaHistogram;
+        use crate::metrics::windowed::WindowScore;
+
+        let (tick, matched) = (ck.tick(), ck.all_pairs.len());
+        let mut slabs = Vec::new();
+        let json = serde_json::to_string(&ck.write_to(&mut slabs).unwrap()).unwrap();
+        let hist = serde_json::to_string(&DeltaHistogram::of([3.0, -40.0])).unwrap();
+        let window = serde_json::to_string(&WindowScore {
+            index: 0,
+            a_range: (0, 0),
+            metrics: kappa_from_components(0.0, 0.0, 0.0, 0.0),
+            common: 0,
+        })
+        .unwrap();
+        let named = format!("\"format\":{CHECKPOINT_FORMAT},");
+        assert!(json.contains(&named), "{json}");
+        let parent_fields = format!(
+            "\"format\":1,\"tick\":{tick},\"matched\":{matched},\"within_10ns\":1,\
+             \"iat_hist\":{hist},\"lat_hist\":{hist},\"slice\":{{\"a_pushed\":0,\
+             \"b_pushed\":0,\"pairs\":[],\"lat_num\":[0,0],\"iat_num\":[0,0],\
+             \"a_lo\":4294967295,\"a_hi\":0}},"
+        );
+        let old = json.replacen(&named, &parent_fields, 1).replace(
+            ",\"running\":",
+            &format!(",\"window\":{window},\"running\":"),
+        );
+
+        let mut r = &slabs[..];
+        let all_pairs = read_section(&mut r, "all_pairs").unwrap();
+        let slice = &all_pairs[all_pairs.len() - all_pairs.len().min(3 * PAIR_BYTES)..];
+        let mut old_slabs = Vec::new();
+        write_section(&mut old_slabs, &all_pairs).unwrap();
+        write_section(&mut old_slabs, slice).unwrap();
+        old_slabs.extend_from_slice(r);
+
+        let rest: StreamCheckpoint = serde_json::from_str(&old).unwrap();
+        assert_eq!(rest.format, 1);
+        (rest, old_slabs)
     }
 
     /// The recovery contract: cut at every k, checkpoint, resume, finish
     /// — bit-identical result *and* snapshot trail, with a JSON round
-    /// trip of the checkpoint in the loop.
+    /// trip of the checkpoint in the loop, and a format-1 slab round trip.
     fn check_every_cut(cfg: StreamConfig, n: u64, chunk: usize) {
         let (a, b) = jittered_pair(n);
         let events = interleave(&a, &b, chunk);
@@ -1553,8 +1486,10 @@ mod tests {
             // the extra key is ignored, the state resumes the same.
             let legacy = json.replacen(",\"side_a\":", &old_kappa, 1);
             assert_ne!(legacy, json);
-            for text in [json, legacy] {
-                let ck: StreamCheckpoint = serde_json::from_str(&text).unwrap();
+            let revived =
+                [json, legacy].map(|text| serde_json::from_str::<StreamCheckpoint>(&text).unwrap());
+            // And through the slabs of a format-1 file.
+            for ck in revived.into_iter().chain([via_format_1(ck)]) {
                 let mut tail = IncrementalComparison::resume(ck);
                 feed(&mut tail, &events[k..]);
                 let got = tail.finalize("B");
@@ -1623,7 +1558,7 @@ mod tests {
 
     #[test]
     fn slabs_round_trip_and_refuse_truncation_and_bit_flips() {
-        // Mid-stream, mid-slice: all three slabs are non-empty.
+        // Mid-stream: both slabs are non-empty.
         let cfg = StreamConfig {
             snapshot_every: 13,
             ..StreamConfig::default()
@@ -1633,11 +1568,11 @@ mod tests {
         let mut eng = IncrementalComparison::new(cfg);
         feed(&mut eng, &events[..70]);
         let ck = eng.checkpoint();
-        assert!(ck.resident() > 0 && !ck.all_pairs.is_empty() && !ck.slice.pairs.is_empty());
+        assert!(ck.resident() > 0 && !ck.all_pairs.is_empty());
         let want = serde_json::to_string(&ck).unwrap();
         let mut slabs = Vec::new();
         let rest = ck.write_to(&mut slabs).unwrap();
-        assert_eq!(rest.resident() + rest.all_pairs.len() + rest.slice.pairs.len(), 0);
+        assert_eq!(rest.resident() + rest.all_pairs.len(), 0);
         let back = rest.clone().read_from(&mut &slabs[..]).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), want);
 
@@ -1676,9 +1611,7 @@ mod tests {
             "{err}"
         );
         let mut sided = Vec::new();
-        for _ in 0..2 {
-            write_section(&mut sided, &[]).unwrap();
-        }
+        write_section(&mut sided, &[]).unwrap();
         write_section(&mut sided, &[7u8; PENDING_BYTES]).unwrap();
         let err = rest.read_from(&mut &sided[..]).unwrap_err();
         assert!(
@@ -1791,5 +1724,44 @@ mod tests {
         let mut r = &slabs[..];
         rest.read_from(&mut r).expect("the format this build writes");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_format_1_file_has_its_dropped_slab_checked() {
+        let (a, b) = jittered_pair(60);
+        let mut eng = IncrementalComparison::new(StreamConfig::default());
+        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
+        let (rest, slabs) = format_1_file(eng.checkpoint());
+        let all_pairs_len = 16 + u64::from_le_bytes(le(&slabs, 0)) as usize;
+        let slice_len = 16 + u64::from_le_bytes(le(&slabs, all_pairs_len)) as usize;
+        assert!(slice_len > 16, "the slice slab holds pairs");
+        for bit in all_pairs_len * 8..(all_pairs_len + slice_len) * 8 {
+            let mut bad = slabs.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let err = rest.clone().read_from(&mut &bad[..]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Truncated { .. }
+                        | CheckpointError::Corrupt {
+                            section: "slice.pairs",
+                            ..
+                        }
+                ),
+                "bit {bit}: {err}"
+            );
+        }
+        let mut cut = slabs.clone();
+        cut.truncate(all_pairs_len + slice_len - 1);
+        let err = rest.read_from(&mut &cut[..]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::Truncated {
+                    section: "slice.pairs"
+                }
+            ),
+            "{err}"
+        );
     }
 }

@@ -19,6 +19,12 @@ use choir_packet::tag::ChoirTag;
 /// ingest, the pcap loaders) refuses or re-bases anything at or past it.
 pub const MAX_TIMESTAMP_PS: u64 = 1 << 62;
 
+/// The most observations one trial or stream may hold: the arena
+/// kernels ([`super::allpairs::TrialIndex::build`]) and the streaming
+/// engine address positions with `u32`. The κ daemon refuses an ingest
+/// that would take a stream past it.
+pub const MAX_TRIAL_LEN: usize = u32::MAX as usize;
+
 /// One received packet: identity and arrival time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observation {

@@ -60,8 +60,8 @@ use std::thread;
 
 use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
-    all_pairs_sharded_with, IncrementalComparison, KappaConfig, KappaSnapshot, Observation, Side,
-    StreamCheckpoint, StreamConfig, Trial, TrialComparison, MAX_TIMESTAMP_PS,
+    all_pairs_sharded, IncrementalComparison, KappaSnapshot, Observation, Side, StreamCheckpoint,
+    StreamConfig, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
 };
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
@@ -105,7 +105,6 @@ impl DaemonConfig {
     fn stream_config(&self) -> StreamConfig {
         StreamConfig {
             snapshot_every: self.snapshot_every,
-            kappa: KappaConfig::paper(),
             ..Default::default()
         }
     }
@@ -438,8 +437,16 @@ impl Tenant {
         if skip >= records.len() {
             return Ok((Response::Ingested { total: have }, 0));
         }
-        // The engines' and kernels' gap arithmetic holds only below the
-        // bound; past it a journaled record would panic every replay.
+        // The engines' and kernels' positions and gap arithmetic hold only
+        // below these bounds. Past one, a batch would be logged and
+        // journaled, then panic inside `apply` — with the service lock
+        // held — and again on every replay.
+        let fresh_count = (records.len() - skip) as u64;
+        if have + fresh_count > MAX_TRIAL_LEN as u64 {
+            return Err(format!(
+                "`{name}/{stream}` holds {have} records; {fresh_count} more would pass the {MAX_TRIAL_LEN}-record bound"
+            ));
+        }
         if let Some(i) = records[skip..].iter().position(|w| w.t_ps >= MAX_TIMESTAMP_PS) {
             return Err(format!(
                 "record {} of `{name}/{stream}` is stamped {} ps, at or past the {MAX_TIMESTAMP_PS} ps bound",
@@ -829,7 +836,7 @@ impl ServiceState {
             .map(|name| t.store.trial(name))
             .collect::<Result<Vec<Trial>, _>>()
             .map_err(|e| e.to_string())?;
-        let (matrix, _stats) = all_pairs_sharded_with(&trials, shards, &KappaConfig::paper())
+        let matrix = all_pairs_sharded(&trials, shards)
             .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
         let mut cells = Vec::with_capacity(matrix.pairs());
         let n = labels.len();
@@ -1116,6 +1123,74 @@ mod tests {
         // 59c7aac; moves only on purpose.
         let cfg = DaemonConfig::new("unused").stream_config();
         assert_eq!(cfg.fingerprint(), 0x5c9c_cfc0_ac07_13ef);
+    }
+
+    #[test]
+    fn a_batch_past_the_record_bound_is_refused_before_the_log_and_the_journal() {
+        let dir = std::env::temp_dir().join(format!("choir-daemon-bound-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut st = ServiceState::open(DaemonConfig::new(&dir)).expect("fresh data directory");
+        let (t, run) = (String::from("t"), String::from("run"));
+        let ingest = |stream: &str, seq: u64, n: u64| Request::Ingest {
+            tenant: t.clone(),
+            stream: stream.into(),
+            seq,
+            records: (0..n)
+                .map(|i| WireObs {
+                    id_hi: 0,
+                    id_lo: i,
+                    t_ps: i * 1_000,
+                })
+                .collect(),
+        };
+        st.handle(Request::CreateTenant {
+            tenant: t.clone(),
+            budget_bytes: 0,
+        });
+        for stream in ["base", "run"] {
+            st.handle(Request::OpenStream {
+                tenant: t.clone(),
+                stream: stream.into(),
+            });
+        }
+        let (resp, _) = st.handle(ingest("run", 0, 3));
+        assert!(matches!(resp, Response::Ingested { total: 3 }), "{resp:?}");
+
+        // Four billion records are out of reach for a test; the count is
+        // what the check reads, so put the stream at the bound.
+        let bound = MAX_TRIAL_LEN as u64;
+        let tenant = st.tenants.get_mut(&t).expect("created above");
+        tenant.streams.get_mut(&run).expect("opened above").ingested = bound;
+        let files = |t: &Tenant| ["journal", "run.log"].map(|f| fs::read(t.dir.join(f)).expect(f));
+        let before = files(tenant);
+
+        let (resp, _) = st.handle(ingest("run", bound, 1));
+        let Response::Error { message } = resp else {
+            panic!("accepted: {resp:?}")
+        };
+        assert!(
+            message.contains(&format!("{bound}-record bound")),
+            "{message}"
+        );
+        assert_eq!(files(&st.tenants[&t]), before, "a refusal writes nothing");
+        // A resend of what the stream already holds is still answered.
+        let (resp, _) = st.handle(ingest("run", bound - 1, 1));
+        assert!(
+            matches!(resp, Response::Ingested { total } if total == bound),
+            "{resp:?}"
+        );
+        // The next valid ops are served.
+        let (resp, _) = st.handle(ingest("base", 0, 2));
+        assert!(matches!(resp, Response::Ingested { total: 2 }), "{resp:?}");
+        let (resp, _) = st.handle(Request::Snapshot {
+            tenant: t,
+            stream: run,
+        });
+        assert!(
+            matches!(resp, Response::Snapshot { common: 2, .. }),
+            "{resp:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,9 +5,7 @@
 
 mod common;
 
-use choir_core::metrics::{
-    all_pairs_sharded_with, KappaConfig, Observation, PairAnalyzer, Trial,
-};
+use choir_core::metrics::{all_pairs_sharded, Observation, PairAnalyzer, Trial};
 use choir_service::{Client, Daemon, DaemonConfig, Response};
 use common::tmp_dir;
 
@@ -182,8 +180,7 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
                 Trial::from_observations(&data_t[si])
             })
             .collect();
-        let (reference, _) =
-            all_pairs_sharded_with(&trials, 4, &KappaConfig::paper()).expect("all-pairs");
+        let reference = all_pairs_sharded(&trials, 4).expect("all-pairs");
         assert_eq!(cells.len(), reference.pairs());
         for cell in &cells {
             let want = reference

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use choir_core::metrics::{all_pairs_sharded_with, KappaConfig, Observation, Trial};
+use choir_core::metrics::{all_pairs_sharded, Observation, Trial};
 use choir_packet::tag::ChoirTag;
 use choir_packet::PacketId;
 use choir_service::{TrialStore, OBS_BYTES};
@@ -110,10 +110,8 @@ proptest! {
                     t
                 })
                 .collect();
-            let (m_store, _) =
-                all_pairs_sharded_with(&stored, 2, &KappaConfig::paper()).unwrap();
-            let (m_plain, _) =
-                all_pairs_sharded_with(&plain, 2, &KappaConfig::paper()).unwrap();
+            let m_store = all_pairs_sharded(&stored, 2).unwrap();
+            let m_plain = all_pairs_sharded(&plain, 2).unwrap();
             prop_assert_eq!(m_store.pairs(), m_plain.pairs());
             for (a, b) in m_store.cells.iter().zip(m_plain.cells.iter()) {
                 prop_assert_eq!(a.metrics.kappa.to_bits(), b.metrics.kappa.to_bits());

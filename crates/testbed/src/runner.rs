@@ -23,9 +23,9 @@
 //!    lists exhibit.
 
 use choir_capture::{Recorder, RecorderConfig};
-use choir_core::metrics::allpairs::{all_pairs_sharded_with, KappaMatrix};
+use choir_core::metrics::allpairs::{all_pairs_sharded, KappaMatrix};
 use choir_core::metrics::report::{RunReport, TrialComparison};
-use choir_core::metrics::{KappaConfig, Trial};
+use choir_core::metrics::Trial;
 use choir_core::replay::middlebox::{ChoirMiddlebox, MiddleboxConfig};
 use choir_dpdk::ControlMsg;
 use choir_netsim::clock::{NodeClock, PtpModel};
@@ -336,8 +336,8 @@ fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
     let shards = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (matrix, _engine) = all_pairs_sharded_with(&trials, shards, &KappaConfig::paper())
-        .expect("captured trials fit the u32 index limit");
+    let matrix =
+        all_pairs_sharded(&trials, shards).expect("captured trials fit the u32 index limit");
     // The paper's tables are the baseline row (runs B, C, … vs run A).
     let comparisons: Vec<TrialComparison> = matrix.baseline_row();
     let mut report = RunReport::new(label, comparisons)

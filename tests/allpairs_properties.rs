@@ -6,14 +6,10 @@
 
 mod common;
 
-use choir::metrics::allpairs::{
-    all_pairs_serial, all_pairs_sharded, all_pairs_sharded_with, KappaMatrix, TrialIndex,
-};
+use choir::metrics::allpairs::{all_pairs_serial, all_pairs_sharded, KappaMatrix, TrialIndex};
 use choir::metrics::matching::Matching;
 use choir::metrics::report::TrialComparison;
-use choir::metrics::{
-    compare, ConsistencyMetrics, KappaConfig, PairAnalyzer, Trial, MAX_TIMESTAMP_PS,
-};
+use choir::metrics::{compare, ConsistencyMetrics, PairAnalyzer, Trial, MAX_TIMESTAMP_PS};
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
 use common::{arb_shape, baseline, matrix_shapes, replay, to_trial, Rng};
 use proptest::prelude::*;
@@ -61,8 +57,8 @@ fn cells_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
         && x.iat_abs_percentiles_ns == y.iat_abs_percentiles_ns
         && x.latency_abs_percentiles_ns == y.latency_abs_percentiles_ns
         && x.edit_stats == y.edit_stats
-        && x.iat_hist.total() == y.iat_hist.total()
-        && x.latency_hist.total() == y.latency_hist.total()
+        && x.iat_hist == y.iat_hist
+        && x.latency_hist == y.latency_hist
 }
 
 /// The production and reference pipelines agree on `metrics()` and on
@@ -122,7 +118,7 @@ fn testbed_captures_sharded_and_blocked_match_serial() {
 fn paper_scale_matrix_matches_serial_cell_by_cell() {
     let trials = matrix_shapes(1_053_370, 3);
     let reference = all_pairs_serial(&trials);
-    let (m, _) = all_pairs_sharded_with(&trials, 1, &KappaConfig::paper()).unwrap();
+    let m = all_pairs_sharded(&trials, 1).unwrap();
     assert_matrix_matches_serial(&m, &reference, "paper scale, shards=1");
 }
 

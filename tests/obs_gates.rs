@@ -9,7 +9,6 @@ use std::sync::{Mutex, MutexGuard};
 
 use choir::core::obs;
 use choir::metrics::stream::{IncrementalComparison, Side, StreamConfig, StreamOutcome};
-use choir::metrics::KappaConfig;
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig, ExperimentOutput};
 
 /// Hold the process-global layer exclusively, starting switched off and
@@ -37,7 +36,6 @@ fn local_single(runs: usize, scale: f64) -> ExperimentConfig {
 fn stream_runs(out: &ExperimentOutput) -> Vec<StreamOutcome> {
     let cfg = StreamConfig {
         snapshot_every: 137,
-        kappa: KappaConfig::paper(),
         ..Default::default()
     };
     let a = out.trials[0].observations();
