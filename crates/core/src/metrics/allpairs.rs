@@ -14,10 +14,10 @@
 //!   and shared immutably across every pair that trial participates in.
 //!   One contiguous `u32` allocation holds the occurrence positions
 //!   (grouped by identity), per-position occurrence ranks, group extents,
-//!   and an open-addressed identity table; dense sidecar arrays hold the
-//!   timestamp series and the identity keys. No
-//!   `HashMap`, no per-identity `Vec`s, no pointer chasing on the pair
-//!   hot path (see DESIGN.md §15 for the layout).
+//!   and an open-addressed identity table. Identities and timestamps are
+//!   read from the borrowed trial itself, so the index copies nothing of
+//!   it. No `HashMap`, no per-identity `Vec`s, no pointer chasing on the
+//!   pair hot path (see DESIGN.md §15 for the layout).
 //! - **Arena kernels** — the matching/latency/IAT/ordering/histogram
 //!   stages stream the arena with autovectorization-friendly inner loops
 //!   (split-lane `u64` accumulation instead of `u128` adds, branchless
@@ -40,9 +40,11 @@
 //!    ([`EngineStats::peak_workers`] observes this).
 //! 3. A [`TrialIndex`] is immutable after construction; pairs only read.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -57,7 +59,7 @@ use super::stats;
 use super::trial::{Trial, MAX_TRIAL_LEN};
 
 /// Sentinel for an unoccupied identity-table slot. Safe because a group
-/// id is an index into `ids`, and `ids.len() ≤ n ≤ MAX_TRIAL_LEN =
+/// id is below the group count, and `groups ≤ n ≤ MAX_TRIAL_LEN =
 /// u32::MAX` means a real group id never equals `u32::MAX` (that trial
 /// would have failed [`TrialIndex::build`] with
 /// [`IndexError::TrialTooLarge`]).
@@ -93,8 +95,8 @@ impl fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// Per-trial precomputation cache: everything a pairwise comparison needs
-/// from one side that does not depend on the other side, laid out as one
+/// Per-trial precomputation cache: what a pairwise comparison needs from
+/// one side that the borrowed trial cannot answer in O(1), laid out as one
 /// flat arena.
 ///
 /// Built once per trial in O(n), then shared immutably (`&TrialIndex`)
@@ -117,26 +119,18 @@ impl std::error::Error for IndexError {}
 /// - `table` — an open-addressed (linear-probe, power-of-two, load
 ///   < 0.75) map from identity hash to group id.
 ///
-/// Two dense sidecars carry the identity keys (`ids`, indexed by group
-/// id) and the timestamp series (`times_ps`, from which
-/// `TrialIndex::gap` derives each gap), so the metric kernels stream
-/// plain slices instead of chasing `HashMap` buckets. With distinct
-/// identities the whole index is 36 B per packet plus 4 B per table
-/// slot, and from two packets up there are between 4/3 and 8/3 slots
-/// per packet.
+/// Everything else is read off the borrowed trial: a probe confirms an
+/// identity against the trial's observation at its group's first
+/// position, and the latency and IAT kernels read `Observation::t_ps` at
+/// its 24-byte stride, the gaps through [`Trial::gap_ps`]. With distinct
+/// identities the index is 12 B per packet plus 4 B per table slot, and
+/// from two packets up there are between 4/3 and 8/3 slots per packet.
 #[derive(Debug)]
 pub struct TrialIndex<'t> {
     trial: &'t Trial,
     arena: Box<[u32]>,
-    /// Identity key per group id (probe confirmation).
-    ids: Box<[PacketId]>,
-    /// `time(i)` for every position.
-    times_ps: Box<[u64]>,
-    n: usize,
     groups: usize,
     table_mask: usize,
-    /// First-arrival offset `t_X0` (0 for an empty trial).
-    start_ps: u64,
     /// Min/max timestamp span (the IAT/latency denominators).
     minmax_span_ps: u64,
     /// Largest raw timestamp — gates the latency kernel's i64 fast path.
@@ -149,22 +143,46 @@ fn table_cap(n: usize) -> usize {
     (n + n / 3 + 1).max(4).next_power_of_two()
 }
 
-/// SplitMix64-style finalizer over the folded 128-bit identity. The table
-/// only needs good low-bit diffusion for its power-of-two mask.
+/// Keyed mix of both identity halves: a folded 64 × 64 → 128-bit multiply
+/// (the product's high and low words xored), so identities that agree on
+/// `hi ^ lo` — every `hi == lo`, or two replayers' tags whose sequence
+/// numbers differ in bit 16 — still get unrelated home slots. The key is
+/// drawn once per process from the standard library's randomly seeded
+/// hasher, so input cannot be chosen to share one probe chain. No result
+/// depends on it: group ids follow first arrival, not the table.
 #[inline]
 fn hash_id(id: PacketId) -> u64 {
+    static KEY: OnceLock<[u64; 2]> = OnceLock::new();
+    let [k0, k1] = *KEY.get_or_init(|| {
+        let s = RandomState::new();
+        [s.hash_one(0u64), s.hash_one(1u64)]
+    });
     let v = id.as_u128();
-    let mut z = (v as u64) ^ ((v >> 64) as u64);
-    z = z.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z ^= z >> 29;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 32;
-    z
+    let p = ((v >> 64) as u64 ^ k0) as u128 * ((v as u64 ^ k1) as u128);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Linear probe for `id` from its home slot: `Ok(group)` at the occupied
+/// slot whose group `same` confirms, `Err(slot)` at the first empty one.
+#[inline]
+fn probe(
+    table: &[u32],
+    mask: usize,
+    id: PacketId,
+    same: impl Fn(u32) -> bool,
+) -> Result<u32, usize> {
+    let mut slot = hash_id(id) as usize & mask;
+    loop {
+        match table[slot] {
+            EMPTY_SLOT => return Err(slot),
+            g if same(g) => return Ok(g),
+            _ => slot = (slot + 1) & mask,
+        }
+    }
 }
 
 impl<'t> TrialIndex<'t> {
-    /// Index a trial. O(n) time, O(n) memory, one arena allocation plus
-    /// two dense sidecars.
+    /// Index a trial. O(n) time, O(n) memory, one arena allocation.
     pub fn build(trial: &'t Trial) -> Result<Self, IndexError> {
         Self::build_at(trial, 0)
     }
@@ -176,87 +194,75 @@ impl<'t> TrialIndex<'t> {
         if n > MAX_TRIAL_LEN {
             return Err(IndexError::TrialTooLarge { trial: at, len: n });
         }
+        let obs = trial.observations();
         let cap = table_cap(n);
         let table_mask = cap - 1;
-        let table_off = 3 * n + 1;
-        let mut arena = vec![0u32; table_off + cap].into_boxed_slice();
-        arena[table_off..].fill(EMPTY_SLOT);
+        let mut arena = vec![0u32; 3 * n + 1 + cap].into_boxed_slice();
+        let (head, table) = arena.split_at_mut(3 * n + 1);
+        table.fill(EMPTY_SLOT);
+        let (positions, rest) = head.split_at_mut(n);
+        let (occ, group_start) = rest.split_at_mut(n);
 
         // Pass 1: assign group ids through the open-addressed table,
-        // record each position's occurrence rank and group.
-        let mut ids: Vec<PacketId> = Vec::with_capacity(n);
+        // record each position's occurrence rank and group. Until pass 2
+        // overwrites them, `group_start`'s slots hold each group's first
+        // position: the observation a probe compares identities against.
         let mut counts: Vec<u32> = Vec::with_capacity(n);
         let mut group_of: Vec<u32> = Vec::with_capacity(n);
-        for (i, o) in trial.observations().iter().enumerate() {
-            let mut slot = hash_id(o.id) as usize & table_mask;
-            let g = loop {
-                let v = arena[table_off + slot];
-                if v == EMPTY_SLOT {
-                    let g = ids.len() as u32;
-                    arena[table_off + slot] = g;
-                    ids.push(o.id);
+        for (i, o) in obs.iter().enumerate() {
+            let same = |g: u32| obs[group_start[g as usize] as usize].id == o.id;
+            let g = match probe(table, table_mask, o.id, same) {
+                Ok(g) => g,
+                Err(slot) => {
+                    let g = counts.len() as u32;
+                    table[slot] = g;
+                    group_start[g as usize] = i as u32;
                     counts.push(0);
-                    break g;
+                    g
                 }
-                if ids[v as usize] == o.id {
-                    break v;
-                }
-                slot = (slot + 1) & table_mask;
             };
-            arena[n + i] = counts[g as usize];
+            occ[i] = counts[g as usize];
             counts[g as usize] += 1;
             group_of.push(g);
         }
-        let groups = ids.len();
+        let groups = counts.len();
 
         // Pass 2: prefix-sum the group counts into group_start, reusing
         // `counts` as the scatter cursors.
         let mut acc = 0u32;
         for (g, c) in counts.iter_mut().enumerate() {
-            arena[2 * n + g] = acc;
+            group_start[g] = acc;
             let start = acc;
             acc += *c;
             *c = start;
         }
-        arena[2 * n + groups] = acc;
+        group_start[groups] = acc;
 
         // Pass 3: scatter positions into their group extents.
         for (i, &g) in group_of.iter().enumerate() {
             let cur = counts[g as usize];
-            arena[cur as usize] = i as u32;
+            positions[cur as usize] = i as u32;
             counts[g as usize] = cur + 1;
-        }
-
-        let mut times_ps = Vec::with_capacity(n);
-        let mut max_time_ps = 0u64;
-        for i in 0..n {
-            let t = trial.time(i);
-            max_time_ps = max_time_ps.max(t);
-            times_ps.push(t);
         }
 
         Ok(TrialIndex {
             trial,
             arena,
-            ids: ids.into_boxed_slice(),
-            times_ps: times_ps.into_boxed_slice(),
-            n,
             groups,
             table_mask,
-            start_ps: trial.start_ps(),
             minmax_span_ps: trial.minmax_span_ps(),
-            max_time_ps,
+            max_time_ps: obs.iter().map(|o| o.t_ps).max().unwrap_or(0),
         })
     }
 
     /// Number of packets in the indexed trial.
     pub fn len(&self) -> usize {
-        self.n
+        self.trial.len()
     }
 
     /// True when the indexed trial holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.trial.is_empty()
     }
 
     /// The indexed trial.
@@ -272,57 +278,37 @@ impl<'t> TrialIndex<'t> {
     /// Observation indices grouped by identity (see the layout doc).
     #[inline]
     pub(crate) fn positions(&self) -> &[u32] {
-        &self.arena[..self.n]
+        &self.arena[..self.len()]
     }
 
     /// Occurrence rank of each position within its identity.
     #[inline]
     pub(crate) fn occ(&self) -> &[u32] {
-        &self.arena[self.n..2 * self.n]
+        let n = self.len();
+        &self.arena[n..2 * n]
     }
 
     /// Prefix offsets into [`TrialIndex::positions`], one per group plus
     /// the terminating total.
     #[inline]
     pub(crate) fn group_start(&self) -> &[u32] {
-        &self.arena[2 * self.n..2 * self.n + self.groups + 1]
+        let n = self.len();
+        &self.arena[2 * n..2 * n + self.groups + 1]
+    }
+
+    /// The open-addressed identity table: a group id per occupied slot.
+    #[inline]
+    fn table(&self) -> &[u32] {
+        &self.arena[3 * self.len() + 1..]
     }
 
     /// Group id of `id`, or `None` when the trial never saw it.
     #[inline]
     pub(crate) fn find(&self, id: PacketId) -> Option<u32> {
-        let table = &self.arena[3 * self.n + 1..];
-        let mut slot = hash_id(id) as usize & self.table_mask;
-        loop {
-            let v = table[slot];
-            if v == EMPTY_SLOT {
-                return None;
-            }
-            if self.ids[v as usize] == id {
-                return Some(v);
-            }
-            slot = (slot + 1) & self.table_mask;
-        }
-    }
-
-    /// `gap_ps(i)` of the indexed trial, the same i64 difference as
-    /// [`Trial::gap_ps`]; at `i = 0` both operands are `t[0]`, so the
-    /// first packet's gap is 0 without a branch.
-    #[inline]
-    pub(crate) fn gap(&self, i: usize) -> i64 {
-        self.times_ps[i] as i64 - self.times_ps[i.saturating_sub(1)] as i64
-    }
-
-    /// The dense timestamp series.
-    #[inline]
-    pub(crate) fn times(&self) -> &[u64] {
-        &self.times_ps
-    }
-
-    /// First-arrival offset `t_X0`.
-    #[inline]
-    pub(crate) fn start_ps(&self) -> u64 {
-        self.start_ps
+        let (obs, positions, starts) =
+            (self.trial.observations(), self.positions(), self.group_start());
+        let same = |g: u32| obs[positions[starts[g as usize] as usize] as usize].id == id;
+        probe(self.table(), self.table_mask, id, same).ok()
     }
 
     /// Min/max timestamp span.
@@ -744,15 +730,16 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
-    /// Heap bytes a built index holds: the arena and both sidecars.
+    /// Heap bytes a built index holds: the arena, its only heap buffer.
     fn heap_bytes(ix: &TrialIndex<'_>) -> usize {
         std::mem::size_of_val(&*ix.arena)
-            + std::mem::size_of_val(&*ix.ids)
-            + std::mem::size_of_val(&*ix.times_ps)
     }
 
     #[test]
-    fn index_heap_stays_under_44_bytes_per_packet_at_paper_scale() {
+    fn index_heap_is_the_arena_alone_at_most_20_bytes_per_packet() {
+        // The trial reference, the arena, the group count, the table mask
+        // and the two stamps: a sidecar put back would show here.
+        assert_eq!(std::mem::size_of::<TrialIndex<'_>>(), 8 + 16 + 4 * 8);
         // 1 053 370 is the paper-scale trial length; 2^20 + 1 is the
         // shortest trial given the same 2^21-slot table, so the most
         // slots per packet at that table size.
@@ -761,7 +748,46 @@ mod tests {
             let ix = TrialIndex::build(&t).unwrap();
             assert_eq!(ix.groups(), n as usize);
             let per_packet = heap_bytes(&ix) as f64 / n as f64;
-            assert!(per_packet <= 44.0, "n = {n}: {per_packet:.2} B/packet");
+            assert!(per_packet <= 20.0, "n = {n}: {per_packet:.2} B/packet");
+        }
+    }
+
+    /// Probe steps past the home slot, summed over every identity: what
+    /// finding each of them once costs beyond its first slot.
+    fn probe_displacement(ix: &TrialIndex<'_>) -> usize {
+        let obs = ix.trial().observations();
+        let (positions, starts) = (ix.positions(), ix.group_start());
+        ix.table()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &g)| g != EMPTY_SLOT)
+            .map(|(slot, &g)| {
+                let id = obs[positions[starts[g as usize] as usize] as usize].id;
+                slot.wrapping_sub(hash_id(id) as usize) & ix.table_mask
+            })
+            .sum()
+    }
+
+    #[test]
+    fn structured_identities_probe_in_linear_total() {
+        let n = 1u64 << 16;
+        // `hi == lo` for every identity: one home slot for all of them
+        // when the hash folds the halves before it mixes.
+        let same_halves: Trial = (0..n)
+            .map(|k| (PacketId::from_u128((k as u128) << 64 | k as u128), k * 1000))
+            .collect();
+        // Two replayers: replayer 0's seq k and replayer 1's seq
+        // k ^ 0x1_0000 agree on `hi ^ lo`.
+        let mut dual = Trial::new();
+        for k in 0..n / 2 {
+            dual.push_tagged(0, 0, k, 2 * k * 1000);
+            dual.push_tagged(1, 0, k ^ 0x1_0000, (2 * k + 1) * 1000);
+        }
+        for t in [&same_halves, &dual] {
+            let ix = TrialIndex::build(t).unwrap();
+            assert_eq!(ix.groups(), n as usize);
+            let d = probe_displacement(&ix);
+            assert!(d <= 4 * n as usize, "{d} probe steps for {n} identities");
         }
     }
 

@@ -74,8 +74,8 @@ pub(crate) fn iat_full_core(a: &Trial, b: &Trial, m: &Matching) -> IatResult {
 
 /// The production IAT kernel, behind
 /// [`super::pair::PairAnalyzer::from_indexes`] — bit-identical to
-/// [`iat_full_core`], reading gaps off the prebuilt timestamp series into
-/// a caller-owned scratch vector.
+/// [`iat_full_core`], taking the same gaps from [`Trial::gap_ps`] into a
+/// caller-owned scratch vector.
 ///
 /// The reference accumulates `Σ|d|` in a `u128`, which the compiler will
 /// not vectorize. Here each `|d| < 2^64` is split into its low and high
@@ -95,9 +95,10 @@ pub(crate) fn iat_arena(
         return 0.0;
     }
     deltas_ns.reserve(mc);
+    let (ta, tb) = (a.trial(), b.trial());
     let (mut lo, mut hi) = (0u64, 0u64);
     for p in &m.pairs {
-        let d = a.gap(p.a_idx) - b.gap(p.b_idx);
+        let d = ta.gap_ps(p.a_idx) - tb.gap_ps(p.b_idx);
         let ad = d.unsigned_abs();
         lo += ad & 0xFFFF_FFFF;
         hi += ad >> 32;

@@ -91,8 +91,8 @@ pub(crate) fn latency_full_core(a: &Trial, b: &Trial, m: &Matching) -> LatencyRe
 
 /// The production latency kernel, behind
 /// [`super::pair::PairAnalyzer::from_indexes`] — bit-identical to
-/// [`latency_full_core`], streaming the prebuilt dense timestamp series
-/// into a caller-owned scratch vector.
+/// [`latency_full_core`], reading each matched observation's `t_ps` off
+/// the indexed trials into a caller-owned scratch vector.
 ///
 /// The reference does every subtraction in `i128`. When both trials'
 /// timestamps sit below [`MAX_TIMESTAMP_PS`] (every realistic capture:
@@ -114,15 +114,15 @@ pub(crate) fn latency_arena(
         return 0.0;
     }
     deltas_ns.reserve(mc);
-    let ta = a.times();
-    let tb = b.times();
+    let (ta, tb) = (a.trial(), b.trial());
+    let (oa, ob) = (ta.observations(), tb.observations());
     let num: u128 = if a.max_time_ps() < MAX_TIMESTAMP_PS && b.max_time_ps() < MAX_TIMESTAMP_PS {
-        let ta0 = a.start_ps() as i64;
-        let tb0 = b.start_ps() as i64;
+        let ta0 = ta.start_ps() as i64;
+        let tb0 = tb.start_ps() as i64;
         let (mut lo, mut hi) = (0u64, 0u64);
         for p in &m.pairs {
-            let la = ta[p.a_idx] as i64 - ta0;
-            let lb = tb[p.b_idx] as i64 - tb0;
+            let la = oa[p.a_idx].t_ps as i64 - ta0;
+            let lb = ob[p.b_idx].t_ps as i64 - tb0;
             let d = la - lb;
             let ad = d.unsigned_abs();
             lo += ad & 0xFFFF_FFFF;
@@ -131,12 +131,12 @@ pub(crate) fn latency_arena(
         }
         ((hi as u128) << 32) + lo as u128
     } else {
-        let ta0 = a.start_ps() as i128;
-        let tb0 = b.start_ps() as i128;
+        let ta0 = ta.start_ps() as i128;
+        let tb0 = tb.start_ps() as i128;
         let mut num: u128 = 0;
         for p in &m.pairs {
-            let la = ta[p.a_idx] as i128 - ta0;
-            let lb = tb[p.b_idx] as i128 - tb0;
+            let la = oa[p.a_idx].t_ps as i128 - ta0;
+            let lb = ob[p.b_idx].t_ps as i128 - tb0;
             let d = la - lb;
             num += d.unsigned_abs();
             deltas_ns.push(d as f64 / 1000.0);

@@ -174,13 +174,12 @@ impl Trial {
     }
 
     /// Inter-arrival gap preceding packet `i` (`g_Xi`); zero for the first
-    /// packet, per the paper's base case `t_X0 = t_X(-1)`.
+    /// packet, per the paper's base case `t_X0 = t_X(-1)`: at `i = 0` both
+    /// operands are `t_X0`, so no branch is needed. This is the one gap
+    /// formula; the reference, arena and GapReplay kernels all call it.
+    #[inline]
     pub fn gap_ps(&self, i: usize) -> i64 {
-        if i == 0 {
-            0
-        } else {
-            self.obs[i].t_ps as i64 - self.obs[i - 1].t_ps as i64
-        }
+        self.obs[i].t_ps as i64 - self.obs[i.saturating_sub(1)].t_ps as i64
     }
 
     /// The trial reversed (worst-case ordering input, used by tests and

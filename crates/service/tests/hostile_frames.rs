@@ -205,3 +205,39 @@ fn a_daemon_survives_hostile_frames() {
     d.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_deeply_nested_json_frame_is_refused_not_fatal() {
+    let dir = tmp_dir("deep-json");
+    let d = Daemon::spawn(DaemonConfig::new(&dir), "127.0.0.1:0").expect("spawn");
+    let mut good = Client::connect(d.addr()).expect("connect");
+    good.create_tenant("acme", 0).expect("create");
+    good.open_stream("acme", "base").expect("open");
+
+    // 1 MiB of `[`: parsed one stack frame per level, it would overflow
+    // the handler thread's stack and abort the daemon with every tenant.
+    let mut sock = TcpStream::connect(d.addr()).expect("connect raw");
+    sock.write_all(&framed(&vec![b'['; 1 << 20])).expect("send");
+    match recv_response(&mut sock) {
+        Ok(Some(Response::Error { message })) => assert!(message.contains("128"), "{message}"),
+        Ok(None) | Err(_) => {}
+        Ok(Some(other)) => panic!("expected a refusal, got {other:?}"),
+    }
+    Client::connect(d.addr())
+        .expect("a new client connects")
+        .ping()
+        .expect("and is served");
+    good.ingest("acme", "base", 0, &synth(1, 0, 10))
+        .expect("the first client still is");
+    drop(good);
+    d.kill();
+
+    let d = Daemon::spawn(DaemonConfig::new(&dir), "127.0.0.1:0").expect("restart");
+    let mut c = Client::connect(d.addr()).expect("reconnect");
+    c.ping().expect("ping after restart");
+    let (ingested, ..) = c.stream_status("acme", "base").expect("status");
+    assert_eq!(ingested, 10);
+    drop(c);
+    d.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}
