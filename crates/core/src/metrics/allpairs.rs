@@ -10,14 +10,16 @@
 //!
 //! This module scales that computation three ways:
 //!
-//! - **[`TrialIndex`]** — a flat per-trial arena built **once per trial**
-//!   and shared immutably across every pair that trial participates in.
-//!   One contiguous `u32` allocation holds the occurrence positions
-//!   (grouped by identity), per-position occurrence ranks, group extents,
-//!   and an open-addressed identity table. Identities and timestamps are
-//!   read from the borrowed trial itself, so the index copies nothing of
-//!   it. No `HashMap`, no per-identity `Vec`s, no pointer chasing on the
-//!   pair hot path (see DESIGN.md §15 for the layout).
+//! - **[`TrialIndex`]** — built **once per trial** and shared immutably
+//!   across every pair that trial participates in. A trial whose
+//!   identities strictly increase needs nothing beyond itself: it is
+//!   searched in place. Any other trial gets one contiguous `u32` arena
+//!   holding the occurrence positions (grouped by identity), per-position
+//!   occurrence ranks, group extents, and an open-addressed identity
+//!   table. Identities and timestamps are read from the borrowed trial
+//!   itself, so the index copies nothing of it. No `HashMap`, no
+//!   per-identity `Vec`s, no pointer chasing on the pair hot path (see
+//!   DESIGN.md §15 for the layout).
 //! - **Arena kernels** — the matching/latency/IAT/ordering/histogram
 //!   stages stream the arena with autovectorization-friendly inner loops
 //!   (split-lane `u64` accumulation instead of `u128` adds, branchless
@@ -40,6 +42,7 @@
 //!    ([`EngineStats::peak_workers`] observes this).
 //! 3. A [`TrialIndex`] is immutable after construction; pairs only read.
 
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -56,7 +59,7 @@ use super::kappa::KappaConfig;
 use super::pair::{PairAnalyzer, PairScratch};
 use super::report::{analyze, trial_label, StageTimings, TrialComparison};
 use super::stats;
-use super::trial::{Trial, MAX_TRIAL_LEN};
+use super::trial::{Observation, Trial, MAX_TRIAL_LEN};
 
 /// Sentinel for an unoccupied identity-table slot. Safe because a group
 /// id is below the group count, and `groups ≤ n ≤ MAX_TRIAL_LEN =
@@ -96,16 +99,23 @@ impl fmt::Display for IndexError {
 impl std::error::Error for IndexError {}
 
 /// Per-trial precomputation cache: what a pairwise comparison needs from
-/// one side that the borrowed trial cannot answer in O(1), laid out as one
-/// flat arena.
+/// one side that the borrowed trial cannot answer in O(1).
 ///
 /// Built once per trial in O(n), then shared immutably (`&TrialIndex`)
 /// across all N−1 pairs the trial participates in, instead of being
 /// rebuilt inside every `Matching::build` / `iat` / `latency` call.
 ///
-/// # Arena layout
+/// # Layout
 ///
-/// The `u32` arena packs four regions back to back:
+/// The trial picks one of two representations: `build` scans its
+/// identities once for whether they strictly increase.
+///
+/// - **Identities strictly increase** (a replay that kept its order, a
+///   single-replayer capture): no heap at all. Every identity is its own
+///   group of one position, every occurrence rank is 0, and
+///   `TrialIndex::occurrence` is a galloping search of the trial's own
+///   observations outward from the caller's hint.
+/// - **Anything else**: one `u32` arena packing four regions back to back:
 ///
 /// ```text
 /// [ positions(n) | occ(n) | group_start(≤ n+1) | table(cap) ]
@@ -123,18 +133,27 @@ impl std::error::Error for IndexError {}
 /// identity against the trial's observation at its group's first
 /// position, and the latency and IAT kernels read `Observation::t_ps` at
 /// its 24-byte stride, the gaps through [`Trial::gap_ps`]. With distinct
-/// identities the index is 12 B per packet plus 4 B per table slot, and
+/// identities the arena is 12 B per packet plus 4 B per table slot, and
 /// from two packets up there are between 4/3 and 8/3 slots per packet.
 #[derive(Debug)]
 pub struct TrialIndex<'t> {
     trial: &'t Trial,
-    arena: Box<[u32]>,
-    groups: usize,
-    table_mask: usize,
+    /// The hashed arena; `None` when the trial's identities strictly
+    /// increase.
+    table: Option<IdentityTable>,
     /// Min/max timestamp span (the IAT/latency denominators).
     minmax_span_ps: u64,
     /// Largest raw timestamp — gates the latency kernel's i64 fast path.
     max_time_ps: u64,
+}
+
+/// The arena of a trial whose identities do not strictly increase (see
+/// [`TrialIndex`]'s layout block).
+#[derive(Debug)]
+struct IdentityTable {
+    arena: Box<[u32]>,
+    groups: usize,
+    mask: usize,
 }
 
 /// Identity-table slots for `n` packets: the smallest power of two that
@@ -181,22 +200,72 @@ fn probe(
     }
 }
 
-impl<'t> TrialIndex<'t> {
-    /// Index a trial. O(n) time, O(n) memory, one arena allocation.
-    pub fn build(trial: &'t Trial) -> Result<Self, IndexError> {
-        Self::build_at(trial, 0)
-    }
+/// How far [`gallop`] steps out from its hint, in positions, before it
+/// searches the whole trial instead.
+const GALLOP_REACH: usize = 64;
 
-    /// [`TrialIndex::build`] carrying the trial's position in its run set
-    /// so [`IndexError`] can name the offending trial.
-    pub(crate) fn build_at(trial: &'t Trial, at: usize) -> Result<Self, IndexError> {
-        let n = trial.len();
-        if n > MAX_TRIAL_LEN {
-            return Err(IndexError::TrialTooLarge { trial: at, len: n });
+/// Position of `id` among `obs`, whose identities strictly increase:
+/// steps of 1, 2, 4, … outward from `hint` bracket it, and a binary
+/// search inside the bracket settles it. A target `d` positions from the
+/// hint costs O(log d) compares: O(1) for the next packet of a replay
+/// that kept its order or for the previous one of a reversed replay.
+/// Past [`GALLOP_REACH`] the bracket becomes the whole trial, so a packet
+/// from anywhere costs one binary search of it, whose first probes are
+/// the same for every search and stay in cache.
+fn gallop(obs: &[Observation], id: PacketId, hint: usize) -> Option<usize> {
+    let h = hint.min(obs.len().checked_sub(1)?);
+    let (lo, hi) = match obs[h].id.cmp(&id) {
+        CmpOrdering::Equal => return Some(h),
+        // Right of `h`; everything below `lo` is smaller than `id`.
+        CmpOrdering::Less => {
+            let (mut lo, mut step) = (h + 1, 1);
+            loop {
+                let at = h + step;
+                if at >= obs.len() {
+                    break (lo, obs.len());
+                }
+                if obs[at].id >= id {
+                    break (lo, at + 1);
+                }
+                if step == GALLOP_REACH {
+                    break (0, obs.len());
+                }
+                lo = at + 1;
+                step *= 2;
+            }
         }
-        let obs = trial.observations();
+        // Left of `h`; everything from `hi` up is larger than `id`.
+        CmpOrdering::Greater => {
+            let (mut hi, mut step) = (h, 1);
+            loop {
+                if step > h {
+                    break (0, hi);
+                }
+                let at = h - step;
+                if obs[at].id <= id {
+                    break (at, hi);
+                }
+                if step == GALLOP_REACH {
+                    break (0, obs.len());
+                }
+                hi = at;
+                step *= 2;
+            }
+        }
+    };
+    obs[lo..hi]
+        .binary_search_by(|o| o.id.cmp(&id))
+        .ok()
+        .map(|i| lo + i)
+}
+
+impl IdentityTable {
+    /// Build the arena: three passes (probe and assign, prefix sums,
+    /// scatter).
+    fn build(obs: &[Observation]) -> Self {
+        let n = obs.len();
         let cap = table_cap(n);
-        let table_mask = cap - 1;
+        let mask = cap - 1;
         let mut arena = vec![0u32; 3 * n + 1 + cap].into_boxed_slice();
         let (head, table) = arena.split_at_mut(3 * n + 1);
         table.fill(EMPTY_SLOT);
@@ -211,7 +280,7 @@ impl<'t> TrialIndex<'t> {
         let mut group_of: Vec<u32> = Vec::with_capacity(n);
         for (i, o) in obs.iter().enumerate() {
             let same = |g: u32| obs[group_start[g as usize] as usize].id == o.id;
-            let g = match probe(table, table_mask, o.id, same) {
+            let g = match probe(table, mask, o.id, same) {
                 Ok(g) => g,
                 Err(slot) => {
                     let g = counts.len() as u32;
@@ -245,13 +314,70 @@ impl<'t> TrialIndex<'t> {
             counts[g as usize] = cur + 1;
         }
 
+        IdentityTable { arena, groups, mask }
+    }
+
+    /// Observation indices grouped by identity (see the layout doc).
+    #[inline]
+    fn positions(&self, n: usize) -> &[u32] {
+        &self.arena[..n]
+    }
+
+    /// Occurrence rank of each position within its identity.
+    #[inline]
+    fn occ(&self, n: usize) -> &[u32] {
+        &self.arena[n..2 * n]
+    }
+
+    /// Prefix offsets into `positions`, one per group plus the
+    /// terminating total.
+    #[inline]
+    fn group_start(&self, n: usize) -> &[u32] {
+        &self.arena[2 * n..2 * n + self.groups + 1]
+    }
+
+    /// The open-addressed identity table: a group id per occupied slot.
+    #[inline]
+    fn slots(&self, n: usize) -> &[u32] {
+        &self.arena[3 * n + 1..]
+    }
+
+    /// Group id of `id`, or `None` when the trial never saw it.
+    #[inline]
+    fn find(&self, obs: &[Observation], id: PacketId) -> Option<u32> {
+        let n = obs.len();
+        let (positions, starts) = (self.positions(n), self.group_start(n));
+        let same = |g: u32| obs[positions[starts[g as usize] as usize] as usize].id == id;
+        probe(self.slots(n), self.mask, id, same).ok()
+    }
+}
+
+impl<'t> TrialIndex<'t> {
+    /// Index a trial. O(n) time; at most one allocation (none when the
+    /// trial's identities strictly increase).
+    pub fn build(trial: &'t Trial) -> Result<Self, IndexError> {
+        Self::build_at(trial, 0)
+    }
+
+    /// [`TrialIndex::build`] carrying the trial's position in its run set
+    /// so [`IndexError`] can name the offending trial.
+    pub(crate) fn build_at(trial: &'t Trial, at: usize) -> Result<Self, IndexError> {
+        let n = trial.len();
+        if n > MAX_TRIAL_LEN {
+            return Err(IndexError::TrialTooLarge { trial: at, len: n });
+        }
+        let obs = trial.observations();
+        let (lo, hi) = trial.stamp_bounds_ps().unwrap_or((0, 0));
+        let increasing = obs.windows(2).all(|w| w[0].id < w[1].id);
+        obs::counter_add(
+            if increasing { "allpairs.index.increasing" } else { "allpairs.index.hashed" },
+            1,
+        );
         Ok(TrialIndex {
             trial,
-            arena,
-            groups,
-            table_mask,
-            minmax_span_ps: trial.minmax_span_ps(),
-            max_time_ps: obs.iter().map(|o| o.t_ps).max().unwrap_or(0),
+            table: (!increasing).then(|| IdentityTable::build(obs)),
+            minmax_span_ps: hi - lo,
+            max_time_ps: hi,
         })
     }
 
@@ -272,43 +398,30 @@ impl<'t> TrialIndex<'t> {
 
     /// Number of distinct identities.
     pub fn groups(&self) -> usize {
-        self.groups
+        self.table.as_ref().map_or(self.len(), |t| t.groups)
     }
 
-    /// Observation indices grouped by identity (see the layout doc).
+    /// Occurrence rank of observation `j` among the trial's observations
+    /// of its identity: 0 for the first, 1 for the second, and so on.
     #[inline]
-    pub(crate) fn positions(&self) -> &[u32] {
-        &self.arena[..self.len()]
+    pub(crate) fn occ(&self, j: usize) -> u32 {
+        self.table.as_ref().map_or(0, |t| t.occ(self.len())[j])
     }
 
-    /// Occurrence rank of each position within its identity.
+    /// Position of the `k`-th occurrence of `id`, or `None` when the trial
+    /// holds fewer than `k + 1` of them. `hint` is where the caller
+    /// expects it; only a trial without an arena searches from there.
     #[inline]
-    pub(crate) fn occ(&self) -> &[u32] {
-        let n = self.len();
-        &self.arena[n..2 * n]
-    }
-
-    /// Prefix offsets into [`TrialIndex::positions`], one per group plus
-    /// the terminating total.
-    #[inline]
-    pub(crate) fn group_start(&self) -> &[u32] {
-        let n = self.len();
-        &self.arena[2 * n..2 * n + self.groups + 1]
-    }
-
-    /// The open-addressed identity table: a group id per occupied slot.
-    #[inline]
-    fn table(&self) -> &[u32] {
-        &self.arena[3 * self.len() + 1..]
-    }
-
-    /// Group id of `id`, or `None` when the trial never saw it.
-    #[inline]
-    pub(crate) fn find(&self, id: PacketId) -> Option<u32> {
-        let (obs, positions, starts) =
-            (self.trial.observations(), self.positions(), self.group_start());
-        let same = |g: u32| obs[positions[starts[g as usize] as usize] as usize].id == id;
-        probe(self.table(), self.table_mask, id, same).ok()
+    pub(crate) fn occurrence(&self, id: PacketId, k: u32, hint: usize) -> Option<usize> {
+        let obs = self.trial.observations();
+        let Some(t) = &self.table else {
+            return if k == 0 { gallop(obs, id, hint) } else { None };
+        };
+        let g = t.find(obs, id)? as usize;
+        let starts = t.group_start(obs.len());
+        let (s, e) = (starts[g] as usize, starts[g + 1] as usize);
+        let k = k as usize;
+        (k < e - s).then(|| t.positions(obs.len())[s + k] as usize)
     }
 
     /// Min/max timestamp span.
@@ -693,6 +806,72 @@ mod tests {
         })
     }
 
+    /// How the B side of [`arb_increasing_pair`] rearranges what it kept.
+    #[derive(Debug, Clone, Copy)]
+    enum Rearrange {
+        Kept,
+        BlockSwap(usize),
+        Reversed,
+    }
+
+    /// A trial whose identities strictly increase (A), and a B derived
+    /// from it packet by packet: kept, dropped, duplicated, or followed
+    /// by an identity A never saw — between two of A's or past all of
+    /// them — then kept in order, block-swapped or reversed. A's
+    /// sequence numbers are even and start at 2, so every odd one and 0
+    /// fall between, or before, identities A holds.
+    fn arb_increasing_pair(max_len: usize) -> impl Strategy<Value = (Trial, Trial)> {
+        (
+            proptest::collection::vec((1u64..3, 0u8..10), 0..max_len),
+            prop_oneof![
+                Just(Rearrange::Kept),
+                (1usize..6).prop_map(Rearrange::BlockSwap),
+                Just(Rearrange::Reversed),
+            ],
+        )
+            .prop_map(|(steps, rearrange)| {
+                let mut seqs = Vec::with_capacity(steps.len());
+                let mut b_seqs = Vec::new();
+                let mut seq = 0u64;
+                for (i, &(step, fate)) in steps.iter().enumerate() {
+                    seq += 2 * step;
+                    seqs.push(seq);
+                    match fate {
+                        0 => {}
+                        1 => b_seqs.extend([seq, seq]),
+                        2 => b_seqs.extend([seq, seq + 1]),
+                        3 => b_seqs.extend([seq, 1_000_000 + i as u64]),
+                        4 => b_seqs.extend([0, seq]),
+                        _ => b_seqs.push(seq),
+                    }
+                }
+                match rearrange {
+                    Rearrange::Kept => {}
+                    Rearrange::BlockSwap(k) => {
+                        for pair in b_seqs.chunks_exact_mut(2 * k).step_by(2) {
+                            pair.rotate_left(k);
+                        }
+                    }
+                    Rearrange::Reversed => b_seqs.reverse(),
+                }
+                let trial = |seqs: &[u64], jitter: u64| {
+                    let mut t = Trial::new();
+                    for (i, &s) in seqs.iter().enumerate() {
+                        t.push_tagged(0, 0, s, i as u64 * 300 + (s * jitter) % 97);
+                    }
+                    t
+                };
+                (trial(&seqs, 7), trial(&b_seqs, 13))
+            })
+    }
+
+    /// The production pipeline's whole report equals the reference's.
+    fn assert_reports_agree(a: &Trial, b: &Trial) {
+        let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
+        let production = PairAnalyzer::from_indexes(&ia, &ib).analyze();
+        assert_cells_equal(&production, &PairAnalyzer::new(a, b).analyze());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -700,6 +879,37 @@ mod tests {
         fn arena_kernels_equal_reference_delta_for_delta(a in arb_trial(40), b in arb_trial(40)) {
             assert_kernels_agree(&a, &b);
         }
+
+        #[test]
+        fn increasing_side_agrees_with_reference_either_way_round(
+            (a, b) in arb_increasing_pair(64),
+        ) {
+            prop_assert!(TrialIndex::build(&a).unwrap().table.is_none());
+            assert_kernels_agree(&a, &b);
+            assert_reports_agree(&a, &b);
+            // The mirror: B (hashed unless it kept every packet once and
+            // in order) as the baseline, the increasing trial as the run.
+            assert_kernels_agree(&b, &a);
+            assert_reports_agree(&b, &a);
+        }
+    }
+
+    /// The arena of an index built with one; panics on a trial whose
+    /// identities strictly increase.
+    fn arena<'a>(ix: &'a TrialIndex<'_>) -> &'a IdentityTable {
+        ix.table.as_ref().expect("a trial whose identities do not increase")
+    }
+
+    /// `t` with the identities of each adjacent pair of packets traded and
+    /// the time slots kept: the same identities, in an order that does
+    /// not increase.
+    fn pairs_swapped(t: &Trial) -> Trial {
+        let mut obs = t.observations().to_vec();
+        for pair in obs.chunks_exact_mut(2) {
+            let (x, y) = (pair[0].id, pair[1].id);
+            (pair[0].id, pair[1].id) = (y, x);
+        }
+        Trial::from_observations(&obs)
     }
 
     #[test]
@@ -711,7 +921,8 @@ mod tests {
         let ia = TrialIndex::build(&a).unwrap();
         assert_eq!(ia.len(), 6);
         assert_eq!(ia.groups(), 3);
-        let starts = ia.group_start();
+        let (t, n, obs) = (arena(&ia), ia.len(), a.observations());
+        let starts = t.group_start(n);
         assert_eq!(starts.first(), Some(&0));
         assert_eq!(*starts.last().unwrap() as usize, ia.len());
         // Every position appears exactly once across the group extents,
@@ -719,32 +930,72 @@ mod tests {
         let mut seen = vec![false; ia.len()];
         for g in 0..ia.groups() {
             let (s, e) = (starts[g] as usize, starts[g + 1] as usize);
-            let ext = &ia.positions()[s..e];
+            let ext = &t.positions(n)[s..e];
             assert!(ext.windows(2).all(|w| w[0] < w[1]));
             for (k, &p) in ext.iter().enumerate() {
                 assert!(!std::mem::replace(&mut seen[p as usize], true));
-                assert_eq!(ia.occ()[p as usize] as usize, k);
-                assert_eq!(ia.find(a.id(p as usize)), Some(g as u32));
+                assert_eq!(ia.occ(p as usize) as usize, k);
+                assert_eq!(t.find(obs, a.id(p as usize)), Some(g as u32));
+                assert_eq!(ia.occurrence(a.id(p as usize), k as u32, 0), Some(p as usize));
             }
         }
         assert!(seen.iter().all(|&s| s));
     }
 
-    /// Heap bytes a built index holds: the arena, its only heap buffer.
+    #[test]
+    fn increasing_identities_are_searched_in_place() {
+        // Every other sequence number, so each gap between two of A's
+        // identities holds one that A never saw.
+        let a = cbr_trial(200, 1000, |_| 0);
+        let a: Trial = a.observations().iter().step_by(2).map(|o| (o.id, o.t_ps)).collect();
+        let ia = TrialIndex::build(&a).unwrap();
+        assert!(ia.table.is_none());
+        assert_eq!(ia.groups(), 100);
+        let seq = |s: u64| PacketId::from_tag(&ChoirTag::new(0, 0, s));
+        for hint in [0, 1, 37, 99, 100, 5_000] {
+            for (i, o) in a.observations().iter().enumerate() {
+                assert_eq!(ia.occ(i), 0);
+                assert_eq!(ia.occurrence(o.id, 0, hint), Some(i), "hint {hint}");
+                assert_eq!(ia.occurrence(o.id, 1, hint), None);
+            }
+            for s in (1..200).step_by(2).chain([200, 1_000_000]) {
+                assert_eq!(ia.occurrence(seq(s), 0, hint), None, "seq {s}, hint {hint}");
+            }
+            assert_eq!(ia.occurrence(PacketId::from_u128(0), 0, hint), None);
+        }
+        let empty = Trial::new();
+        let ie = TrialIndex::build(&empty).unwrap();
+        assert!(ie.table.is_none());
+        assert_eq!(ie.occurrence(seq(0), 0, 0), None);
+    }
+
+    /// Heap bytes a built index holds: the arena, its only heap buffer,
+    /// when it has one.
     fn heap_bytes(ix: &TrialIndex<'_>) -> usize {
-        std::mem::size_of_val(&*ix.arena)
+        ix.table.as_ref().map_or(0, |t| std::mem::size_of_val(&*t.arena))
     }
 
     #[test]
     fn index_heap_is_the_arena_alone_at_most_20_bytes_per_packet() {
-        // The trial reference, the arena, the group count, the table mask
-        // and the two stamps: a sidecar put back would show here.
+        // The trial reference, the arena with its group count and table
+        // mask (`None` in the arena pointer's niche), and the two stamps:
+        // a sidecar put back would show here.
         assert_eq!(std::mem::size_of::<TrialIndex<'_>>(), 8 + 16 + 4 * 8);
         // 1 053 370 is the paper-scale trial length; 2^20 + 1 is the
         // shortest trial given the same 2^21-slot table, so the most
         // slots per packet at that table size.
         for n in [1_053_370u64, (1 << 20) + 1] {
-            let t = cbr_trial(n, 1000, |_| 0);
+            let increasing = cbr_trial(n, 1000, |_| 0);
+            assert_eq!(heap_bytes(&TrialIndex::build(&increasing).unwrap()), 0);
+            // One swapped adjacent pair brings the arena back.
+            let mut obs = increasing.observations().to_vec();
+            let m = n as usize / 2;
+            let (x, y) = (obs[m].id, obs[m + 1].id);
+            (obs[m].id, obs[m + 1].id) = (y, x);
+            let one_swap = Trial::from_observations(&obs);
+            assert!(heap_bytes(&TrialIndex::build(&one_swap).unwrap()) > 0);
+
+            let t = pairs_swapped(&increasing);
             let ix = TrialIndex::build(&t).unwrap();
             assert_eq!(ix.groups(), n as usize);
             let per_packet = heap_bytes(&ix) as f64 / n as f64;
@@ -755,15 +1006,15 @@ mod tests {
     /// Probe steps past the home slot, summed over every identity: what
     /// finding each of them once costs beyond its first slot.
     fn probe_displacement(ix: &TrialIndex<'_>) -> usize {
-        let obs = ix.trial().observations();
-        let (positions, starts) = (ix.positions(), ix.group_start());
-        ix.table()
+        let (t, n, obs) = (arena(ix), ix.len(), ix.trial().observations());
+        let (positions, starts) = (t.positions(n), t.group_start(n));
+        t.slots(n)
             .iter()
             .enumerate()
             .filter(|&(_, &g)| g != EMPTY_SLOT)
             .map(|(slot, &g)| {
                 let id = obs[positions[starts[g as usize] as usize] as usize].id;
-                slot.wrapping_sub(hash_id(id) as usize) & ix.table_mask
+                slot.wrapping_sub(hash_id(id) as usize) & t.mask
             })
             .sum()
     }
@@ -772,10 +1023,12 @@ mod tests {
     fn structured_identities_probe_in_linear_total() {
         let n = 1u64 << 16;
         // `hi == lo` for every identity: one home slot for all of them
-        // when the hash folds the halves before it mixes.
+        // when the hash folds the halves before it mixes. Adjacent pairs
+        // swapped, so the trial is hashed rather than searched in place.
         let same_halves: Trial = (0..n)
             .map(|k| (PacketId::from_u128((k as u128) << 64 | k as u128), k * 1000))
             .collect();
+        let same_halves = pairs_swapped(&same_halves);
         // Two replayers: replayer 0's seq k and replayer 1's seq
         // k ^ 0x1_0000 agree on `hi ^ lo`.
         let mut dual = Trial::new();
@@ -798,13 +1051,14 @@ mod tests {
         let n = 3 * (1u64 << 19) - 1;
         assert_eq!(table_cap(n as usize), 1 << 21);
         assert_eq!(table_cap(n as usize + 1), 1 << 22);
-        let t = cbr_trial(n, 1000, |_| 0);
+        let t = pairs_swapped(&cbr_trial(n, 1000, |_| 0));
         let ix = TrialIndex::build(&t).unwrap();
-        for (i, o) in t.observations().iter().enumerate() {
-            assert_eq!(ix.find(o.id), Some(i as u32));
+        let (table, obs) = (arena(&ix), t.observations());
+        for (i, o) in obs.iter().enumerate() {
+            assert_eq!(table.find(obs, o.id), Some(i as u32));
         }
         for s in n..n + 100_000 {
-            assert_eq!(ix.find(PacketId::from_tag(&ChoirTag::new(0, 0, s))), None);
+            assert_eq!(table.find(obs, PacketId::from_tag(&ChoirTag::new(0, 0, s))), None);
         }
     }
 

@@ -37,6 +37,136 @@ struct EdgeTable {
     base: [u8; 2048],
 }
 
+impl EdgeTable {
+    /// The signed bucket of `delta_ns` and whether it was clamped: what
+    /// [`DeltaHistogram::add`] computes for a finite input, without the
+    /// `log10` — the f64 exponent indexes a per-binade bucket base and two
+    /// branch-free integer compares refine within the binade.
+    #[inline(always)]
+    fn bucket(&self, delta_ns: f64) -> (usize, bool) {
+        let mag = delta_ns.abs();
+        if mag < 1.0 {
+            return (PER_SIGN, false); // zero bucket
+        }
+        let mb = mag.to_bits();
+        let b = self.base[(mb >> 52) as usize] as usize;
+        let pos = b + usize::from(self.edges[b + 1] <= mb) + usize::from(self.edges[b + 2] <= mb);
+        let clamped = pos >= PER_SIGN;
+        let pos = pos.min(PER_SIGN - 1);
+        let idx = if delta_ns > 0.0 {
+            PER_SIGN + 1 + pos
+        } else {
+            PER_SIGN - 1 - pos
+        };
+        (idx, clamped)
+    }
+}
+
+/// Counters [`DeltaHistogram::record_slice`] sorts |Δ| bit keys into,
+/// one per value of a key's top 16 bits. `abs` clears the sign bit, so
+/// those bits are below 2^15.
+const ABS_KEY_TOPS: usize = 1 << 15;
+
+/// The counter of a |Δ| bit key: its top 16 bits (11 of exponent, 4 of
+/// mantissa), so counters order whole ranges of keys.
+#[inline]
+fn abs_key_top(key: u64) -> usize {
+    (key >> 48) as usize & (ABS_KEY_TOPS - 1)
+}
+
+/// The bit key of 10 ns: for non-negative doubles the bit pattern orders
+/// like the value, so `|Δ| ≤ 10` is `key ≤ TEN_NS_KEY`.
+const TEN_NS_KEY: u64 = 0x4024_0000_0000_0000;
+const _: () = assert!(TEN_NS_KEY == 10.0f64.to_bits());
+
+/// Reusable workspace of [`DeltaHistogram::record_slice`]: the |Δ| key
+/// counters and the percentile candidates. Keeping one across calls
+/// keeps the calls free of heap allocation once it has grown.
+#[derive(Debug, Default)]
+pub struct SliceScratch {
+    tops: Vec<u32>,
+    candidates: Vec<u64>,
+}
+
+/// What [`DeltaHistogram::record_slice`] measures of a delta series
+/// besides its buckets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SliceStats {
+    /// Share of samples with |Δ| ≤ 10 ns (0 for an empty series).
+    pub within_10ns: f64,
+    /// (p50, p90, p99) of |Δ| in nanoseconds, nearest rank (0s for an
+    /// empty series).
+    pub abs_percentiles_ns: (f64, f64, f64),
+}
+
+impl SliceScratch {
+    /// (p50, p90, p99) of |Δ| over `deltas`, whose |Δ| bit keys `tops`
+    /// has just counted.
+    ///
+    /// `|d|` is non-negative, and for non-negative doubles the IEEE bit
+    /// pattern orders exactly like the value (with `abs` collapsing
+    /// `-0.0` onto `+0.0`), so the `u64` bit keys stand in for the
+    /// floats, and the counters order whole ranges of keys. A prefix sum
+    /// over the counters finds the one holding each nearest-rank index;
+    /// only the keys of those ≤ 3 counters are gathered, and each rank,
+    /// less the keys of lower counters left out, is *selected* among them
+    /// (`select_nth_unstable`, O(candidates)): p99 first, which leaves
+    /// every smaller candidate to its left, p90 inside that left part,
+    /// p50 inside p90's. The element at a rank is the same whichever way
+    /// it was found.
+    fn abs_percentiles_ns(&mut self, deltas: &[f64]) -> (f64, f64, f64) {
+        let n = deltas.len();
+        if n == 0 {
+            return (0.0, 0.0, 0.0);
+        }
+        let tops = &self.tops[..ABS_KEY_TOPS];
+        let index = |p: f64| (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1;
+        let ranks = [index(50.0), index(90.0), index(99.0)];
+        // The counter holding each rank, and the keys in lower counters.
+        let mut at = [(0usize, 0usize); 3];
+        let (mut r, mut below) = (0, 0usize);
+        for (top, &c) in tops.iter().enumerate() {
+            let through = below + c as usize;
+            while r < 3 && ranks[r] < through {
+                at[r] = (top, below);
+                r += 1;
+            }
+            if r == 3 {
+                break;
+            }
+            below = through;
+        }
+        let [(t50, below50), (t90, below90), (t99, below99)] = at;
+        // Each rank among the candidates: past the keys of lower counters
+        // left out, and before those of higher ones.
+        let lower90 = if t90 != t50 { tops[t50] as usize } else { 0 };
+        let lower99 = lower90 + if t99 != t90 { tops[t90] as usize } else { 0 };
+        let total = lower99 + tops[t99] as usize;
+        let i50 = ranks[0] - below50;
+        let i90 = ranks[1] - below90 + lower90;
+        let i99 = ranks[2] - below99 + lower99;
+
+        // Branch-free gather: every key is written, and the length
+        // advances past the ones the three counters hold.
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        candidates.resize(total + 1, 0);
+        let mut len = 0;
+        for &d in deltas {
+            let key = d.abs().to_bits();
+            let top = abs_key_top(key);
+            candidates[len] = key;
+            len += usize::from(top == t50 || top == t90 || top == t99);
+        }
+        debug_assert_eq!(len, total);
+        let keys = &mut candidates[..total];
+        let k99 = *keys.select_nth_unstable(i99).1;
+        let k90 = if i90 < i99 { *keys[..i99].select_nth_unstable(i90).1 } else { k99 };
+        let k50 = if i50 < i90 { *keys[..i90].select_nth_unstable(i50).1 } else { k90 };
+        (f64::from_bits(k50), f64::from_bits(k90), f64::from_bits(k99))
+    }
+}
+
 fn edge_table() -> &'static EdgeTable {
     static TABLE: OnceLock<EdgeTable> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -64,7 +194,7 @@ fn edge_table() -> &'static EdgeTable {
             let min = (e as u64) << 52;
             let max = min | ((1u64 << 52) - 1);
             let at_min = count_le(min);
-            // The two-probe refinement in `record_slice` relies on this.
+            // The two-probe refinement in `EdgeTable::bucket` relies on this.
             assert!(count_le(max) - at_min <= 2, "binade {e} crosses > 2 edges");
             *b = at_min as u8;
         }
@@ -137,37 +267,38 @@ impl DeltaHistogram {
 
     /// Record a whole delta series — bucket-identical to calling
     /// [`DeltaHistogram::add`] per element for every *finite* input (the
-    /// metric kernels only ever produce finite deltas).
+    /// metric kernels only ever produce finite deltas) — and return its
+    /// ±10 ns share and |Δ| percentiles, `f64::to_bits`-identical to
+    /// `stats::fraction_within(deltas, 10.0)` and to sorting |Δ| and
+    /// taking `stats::percentile_sorted` at 50, 90 and 99.
     ///
-    /// The scalar path takes a `log10` per sample; here the f64 exponent
-    /// indexes a per-binade bucket base and two branch-free integer
-    /// compares refine within the binade (see `EdgeTable`) — no libm
-    /// calls and no per-sample search.
-    pub fn record_slice(&mut self, deltas_ns: &[f64]) {
+    /// One pass does all three per sample. The scalar path takes a
+    /// `log10` per sample; here the f64 exponent indexes a per-binade
+    /// bucket base and two branch-free integer compares refine within the
+    /// binade (see `EdgeTable`) — no libm calls and no per-sample search.
+    /// The same pass counts |Δ| against 10 ns and counts each |Δ| bit key
+    /// by its top 16 bits, so the percentiles are then selected among the
+    /// keys of the ≤ 3 counters that hold their ranks, not among all n.
+    pub fn record_slice(&mut self, deltas_ns: &[f64], scratch: &mut SliceScratch) -> SliceStats {
         let t = edge_table();
+        scratch.tops.clear();
+        scratch.tops.resize(ABS_KEY_TOPS, 0);
+        let tops = &mut scratch.tops[..ABS_KEY_TOPS];
+        let mut within = 0usize;
         for &d in deltas_ns {
-            let mag = d.abs();
-            let idx = if mag < 1.0 {
-                PER_SIGN // zero bucket
-            } else {
-                let mb = mag.to_bits();
-                let b = t.base[(mb >> 52) as usize] as usize;
-                let mut pos = b
-                    + usize::from(t.edges[b + 1] <= mb)
-                    + usize::from(t.edges[b + 2] <= mb);
-                if pos >= PER_SIGN {
-                    pos = PER_SIGN - 1;
-                    self.clamped += 1;
-                }
-                if d > 0.0 {
-                    PER_SIGN + 1 + pos
-                } else {
-                    PER_SIGN - 1 - pos
-                }
-            };
+            let (idx, clamped) = t.bucket(d);
             self.counts[idx] += 1;
+            self.clamped += u64::from(clamped);
+            let key = d.abs().to_bits();
+            tops[abs_key_top(key)] += 1;
+            within += usize::from(key <= TEN_NS_KEY);
         }
-        self.total += deltas_ns.len() as u64;
+        let n = deltas_ns.len();
+        self.total += n as u64;
+        SliceStats {
+            within_10ns: if n == 0 { 0.0 } else { within as f64 / n as f64 },
+            abs_percentiles_ns: scratch.abs_percentiles_ns(deltas_ns),
+        }
     }
 
     /// Total samples recorded.
@@ -298,6 +429,8 @@ impl Default for DeltaHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::report::abs_percentiles_ns;
+    use crate::metrics::stats::fraction_within;
 
     #[test]
     fn zero_bucket_catches_subnanosecond() {
@@ -392,6 +525,29 @@ mod tests {
         assert!(h.to_csv().contains(','));
     }
 
+    /// [`DeltaHistogram::record_slice`] against its oracle, bit for bit:
+    /// `add` per sample, `stats::fraction_within` and the sorted
+    /// `abs_percentiles_ns`.
+    fn assert_slice_matches_oracle(deltas: &[f64]) {
+        let mut bulk = DeltaHistogram::new();
+        let got = bulk.record_slice(deltas, &mut SliceScratch::default());
+        assert_eq!(bulk, DeltaHistogram::of(deltas.iter().copied()));
+        let within = fraction_within(deltas.iter().copied(), 10.0);
+        assert_eq!(got.within_10ns.to_bits(), within.to_bits(), "{deltas:?}");
+        let bits = |(p50, p90, p99): (f64, f64, f64)| [p50, p90, p99].map(f64::to_bits);
+        assert_eq!(
+            bits(got.abs_percentiles_ns),
+            bits(abs_percentiles_ns(deltas)),
+            "{deltas:?}"
+        );
+    }
+
+    /// The key counters holding p50, p90 and p99 of `|Δ|`.
+    fn rank_tops(deltas: &[f64]) -> [usize; 3] {
+        let (p50, p90, p99) = abs_percentiles_ns(deltas);
+        [p50, p90, p99].map(|p| abs_key_top(p.to_bits()))
+    }
+
     #[test]
     fn record_slice_matches_scalar_add() {
         // Sweep magnitudes across every decade, both signs, sub-ns and
@@ -404,35 +560,47 @@ mod tests {
             deltas.push(x * 1.37);
             x *= 1.9;
         }
-        let mut scalar = DeltaHistogram::new();
-        for &d in &deltas {
-            scalar.add(d);
-        }
-        let mut bulk = DeltaHistogram::new();
-        bulk.record_slice(&deltas);
-        assert_eq!(scalar, bulk);
+        assert_slice_matches_oracle(&deltas);
     }
 
     #[test]
     fn record_slice_agrees_at_every_edge_neighborhood() {
         // The exact bucket boundaries are where a table rebuilt from a
         // different expression would drift: check both sides of all 46
-        // edges, positive and negative.
+        // edges, positive and negative, and of ±10 ns.
         let mut deltas = Vec::new();
         for &e in &edge_table().edges[..PER_SIGN + 1] {
-            for bits in [e - 1, e, e + 1] {
+            for bits in e - 3..=e + 3 {
                 let v = f64::from_bits(bits);
                 deltas.push(v);
                 deltas.push(-v);
             }
         }
-        let mut scalar = DeltaHistogram::new();
-        for &d in &deltas {
-            scalar.add(d);
-        }
-        let mut bulk = DeltaHistogram::new();
-        bulk.record_slice(&deltas);
-        assert_eq!(scalar, bulk);
+        assert_slice_matches_oracle(&deltas);
+    }
+
+    #[test]
+    fn record_slice_percentiles_wherever_the_ranks_fall() {
+        assert_slice_matches_oracle(&[]);
+        assert_slice_matches_oracle(&[-42.5]);
+        assert_slice_matches_oracle(&[10.0]);
+        // All equal: every rank falls in one counter.
+        let same = vec![37.25; 1000];
+        assert_eq!(rank_tops(&same), [abs_key_top(37.25f64.to_bits()); 3]);
+        assert_slice_matches_oracle(&same);
+        // Signed zeros and values below 1 ns.
+        assert_slice_matches_oracle(&[0.0, -0.0, 0.0, -0.0, 0.5, -0.999, 1e-300, -5e-324]);
+        assert_slice_matches_oracle(&[-0.0; 7]);
+        // Past ±10⁹ ns: clamped into the end buckets.
+        assert_slice_matches_oracle(&[1e9, -1e9, 1.000_000_1e9, -3e12, 7e15, 12.0]);
+        // The three ranks in three different counters.
+        let spread: Vec<f64> = (1..=100).map(f64::from).collect();
+        let [t50, t90, t99] = rank_tops(&spread);
+        assert!(t50 < t90 && t90 < t99, "{t50} {t90} {t99}");
+        assert_slice_matches_oracle(&spread);
+        // Two ranks sharing a counter, the third apart, both ways round.
+        assert_slice_matches_oracle(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 900.0]);
+        assert_slice_matches_oracle(&[1.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0]);
     }
 
     #[test]

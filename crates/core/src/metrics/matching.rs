@@ -78,23 +78,27 @@ impl Matching {
     }
 }
 
-/// Occurrence-wise matching streamed from two prebuilt arenas —
+/// Occurrence-wise matching streamed from two prebuilt indexes —
 /// bit-identical to [`Matching::build`] on the underlying trials.
 ///
 /// The reference consumes per-identity queues front to back; here the
 /// queue state is implicit: B's k-th occurrence of an identity (its
-/// precomputed `occ` rank) pairs with A's k-th occurrence (the k-th entry
-/// of A's group extent), so the whole scan is one table probe plus two
-/// flat-slice reads per B packet — no per-pair allocation at all.
+/// occurrence rank, [`TrialIndex::occ`]) pairs with A's k-th occurrence
+/// ([`TrialIndex::occurrence`]), so the whole scan is one lookup per B
+/// packet — no per-pair allocation at all. How a lookup works is the
+/// index's business: a table probe when A has an arena, a galloping
+/// search from the hint when A's identities strictly increase (O(1) for
+/// a replay that kept its order or reversed it, O(log n) for a packet
+/// from anywhere).
 ///
-/// A replay that kept its order skips even the probe. When every identity
-/// of A is unique, a B packet of occurrence rank 0 can only pair with the
-/// one A position holding its identity, so if the A observation right
-/// after the last match (`hint`) holds it, that position *is* the pair
-/// the probe would return. A drop, an extra or a block boundary misses
-/// the hint, probes once, and re-seeds it. A B-side duplicate (`occ > 0`)
-/// has no partner in a unique A and must not take the hint: the rank
-/// guard decides, as `k < e - s` does below.
+/// A replay that kept its order skips even the lookup. When every
+/// identity of A is unique, a B packet of occurrence rank 0 can only pair
+/// with the one A position holding its identity, so if the A observation
+/// right after the last match (`hint`) holds it, that position *is* the
+/// pair the lookup would return. A drop, an extra or a block boundary
+/// misses the hint, looks up once, and re-seeds it. A B-side duplicate
+/// (`occ > 0`) has no partner in a unique A and must not take the hint:
+/// the rank guard decides, as the lookup does.
 ///
 /// `pairs` is the caller's buffer (cleared here), so a worker's matching
 /// lives in its [`super::pair::PairScratch`] across pairs.
@@ -105,27 +109,19 @@ pub(crate) fn matching_arena(
 ) -> Matching {
     pairs.clear();
     pairs.reserve(a.len().min(b.len()));
-    let a_pos = a.positions();
-    let a_start = a.group_start();
-    let b_occ = b.occ();
     let a_obs = a.trial().observations();
     let unique_a = a.groups() == a.len();
     let mut hint = 0usize;
     for (j, o) in b.trial().observations().iter().enumerate() {
-        if unique_a && b_occ[j] == 0 && a_obs.get(hint).is_some_and(|x| x.id == o.id) {
+        let k = b.occ(j);
+        if unique_a && k == 0 && a_obs.get(hint).is_some_and(|x| x.id == o.id) {
             pairs.push(MatchedPair { a_idx: hint, b_idx: j });
             hint += 1;
             continue;
         }
-        if let Some(g) = a.find(o.id) {
-            let s = a_start[g as usize] as usize;
-            let e = a_start[g as usize + 1] as usize;
-            let k = b_occ[j] as usize;
-            if k < e - s {
-                let a_idx = a_pos[s + k] as usize;
-                pairs.push(MatchedPair { a_idx, b_idx: j });
-                hint = a_idx + 1;
-            }
+        if let Some(a_idx) = a.occurrence(o.id, k, hint) {
+            pairs.push(MatchedPair { a_idx, b_idx: j });
+            hint = a_idx + 1;
         }
     }
     Matching {

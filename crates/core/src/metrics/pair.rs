@@ -36,27 +36,27 @@
 use std::time::Instant;
 
 use super::allpairs::TrialIndex;
-use super::histogram::DeltaHistogram;
+use super::histogram::{DeltaHistogram, SliceScratch};
 use super::iat::{iat_arena, iat_full_core};
 use super::kappa::{kappa_from_components, ConsistencyMetrics};
 use super::latency::{latency_arena, latency_full_core};
 use super::matching::{matching_arena, MatchedPair, Matching};
 use super::ordering::{ordering_arena, ordering_core, OrderScratch, OrderingResult};
-use super::report::{abs_percentiles_ns, abs_percentiles_ns_bits, StageTimings, TrialComparison};
+use super::report::{abs_percentiles_ns, StageTimings, TrialComparison};
 use super::trial::Trial;
 use super::uniqueness::uniqueness_core;
 
 /// Reusable per-worker workspace for the arena analysis path: the
-/// matching's pair list, the delta series, the percentile selection keys,
-/// and the ordering kernel's scratch. One `PairScratch` per worker thread
-/// means zero steady-state heap allocation per pair beyond the returned
-/// report itself.
+/// matching's pair list, the delta series, the histogram pass's
+/// workspace, and the ordering kernel's scratch. One `PairScratch`
+/// per worker thread means zero steady-state heap allocation per pair
+/// beyond the returned report itself.
 #[derive(Debug, Default)]
 pub struct PairScratch {
     pub(crate) pairs: Vec<MatchedPair>,
     pub(crate) iat_deltas: Vec<f64>,
     pub(crate) latency_deltas: Vec<f64>,
-    pub(crate) abs_bits: Vec<u64>,
+    series: SliceScratch,
     pub(crate) order: OrderScratch,
 }
 
@@ -223,9 +223,10 @@ impl<'t> PairAnalyzer<'t> {
 
     /// The arena pipeline: same stages in the same order as
     /// [`PairAnalyzer::analyze_reference`], every kernel swapped for its
-    /// bit-identical arena/scratch counterpart — flat-slice matching,
-    /// scratch-backed LIS, split-lane latency/IAT accumulation, bulk
-    /// table-driven histograms, and bit-key percentile selection.
+    /// bit-identical arena/scratch counterpart — index-driven matching,
+    /// scratch-backed LIS, split-lane latency/IAT accumulation, and one
+    /// table-driven pass per delta series for its histogram, ±10 ns share
+    /// and percentiles.
     fn analyze_arena(
         mut self,
         a: &TrialIndex<'_>,
@@ -256,9 +257,10 @@ impl<'t> PairAnalyzer<'t> {
 
 /// The last stage of the arena pipeline, and of the streaming engine's
 /// `finalize`: both delta histograms, the ±10 ns share and the
-/// percentiles from the delta series in `s`, assembled with the rest into
-/// the report. `marks` are the stage boundaries so far; the last one is
-/// taken here, before the report is assembled.
+/// percentiles from the delta series in `s` (one
+/// [`DeltaHistogram::record_slice`] pass per series), assembled with the
+/// rest into the report. `marks` are the stage boundaries so far; the
+/// last one is taken here, before the report is assembled.
 pub(crate) fn report_stage(
     label: String,
     metrics: ConsistencyMetrics,
@@ -268,12 +270,9 @@ pub(crate) fn report_stage(
     marks: [Instant; 5],
 ) -> TrialComparison {
     let mut iat_hist = DeltaHistogram::new();
-    iat_hist.record_slice(&s.iat_deltas);
+    let iat = iat_hist.record_slice(&s.iat_deltas, &mut s.series);
     let mut latency_hist = DeltaHistogram::new();
-    latency_hist.record_slice(&s.latency_deltas);
-    let within = super::stats::fraction_within(s.iat_deltas.iter().copied(), 10.0);
-    let iat_abs_percentiles_ns = abs_percentiles_ns_bits(&s.iat_deltas, &mut s.abs_bits);
-    let latency_abs_percentiles_ns = abs_percentiles_ns_bits(&s.latency_deltas, &mut s.abs_bits);
+    let latency = latency_hist.record_slice(&s.latency_deltas, &mut s.series);
     let [t0, t1, t2, t3, t4] = marks;
     let t5 = Instant::now();
 
@@ -286,9 +285,9 @@ pub(crate) fn report_stage(
         missing: m.missing_in_b(),
         extra: m.extra_in_b(),
         moved: ord.moved(),
-        iat_within_10ns: within,
-        iat_abs_percentiles_ns,
-        latency_abs_percentiles_ns,
+        iat_within_10ns: iat.within_10ns,
+        iat_abs_percentiles_ns: iat.abs_percentiles_ns,
+        latency_abs_percentiles_ns: latency.abs_percentiles_ns,
         edit_stats: ord.stats(),
         iat_hist,
         latency_hist,

@@ -113,33 +113,6 @@ pub(crate) fn abs_percentiles_ns(deltas: &[f64]) -> (f64, f64, f64) {
     )
 }
 
-/// [`abs_percentiles_ns`] through a caller-owned bit-key scratch —
-/// bit-identical for finite deltas (the only kind the kernels emit).
-///
-/// `|d|` is non-negative, and for non-negative finite doubles the IEEE
-/// bit pattern orders exactly like the value (with `abs` collapsing
-/// `-0.0` onto `+0.0`), so the `u64` bit patterns stand in for the
-/// floats. Three order statistics do not need a sorted series: each
-/// nearest-rank index of [`super::stats::percentile_sorted`] is *selected*
-/// (`select_nth_unstable`, O(n)) — p99 over all keys, which leaves every
-/// smaller key to its left, p90 inside that left part, p50 inside p90's.
-/// The element at a rank is the same whichever way it was found.
-pub(crate) fn abs_percentiles_ns_bits(deltas: &[f64], keys: &mut Vec<u64>) -> (f64, f64, f64) {
-    if deltas.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    keys.clear();
-    keys.reserve(deltas.len());
-    keys.extend(deltas.iter().map(|d| d.abs().to_bits()));
-    let n = keys.len();
-    let index = |p: f64| (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1;
-    let (i50, i90, i99) = (index(50.0), index(90.0), index(99.0));
-    let k99 = *keys.select_nth_unstable(i99).1;
-    let k90 = if i90 < i99 { *keys[..i99].select_nth_unstable(i90).1 } else { k99 };
-    let k50 = if i50 < i90 { *keys[..i90].select_nth_unstable(i50).1 } else { k90 };
-    (f64::from_bits(k50), f64::from_bits(k90), f64::from_bits(k99))
-}
-
 /// Positional trial label in spreadsheet style: 0 → "A", 25 → "Z",
 /// 26 → "AA", 27 → "AB", … — unbounded, unlike the fixed table it
 /// replaces (which fell back to a duplicate `"?"` past its last entry).

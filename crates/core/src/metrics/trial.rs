@@ -141,17 +141,17 @@ impl Trial {
     /// [`Trial::span_ps`] for time-ordered captures; still a valid bound
     /// when hardware stamp noise inverted a few arrivals.
     pub fn minmax_span_ps(&self) -> u64 {
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
+        self.stamp_bounds_ps().map_or(0, |(lo, hi)| hi - lo)
+    }
+
+    /// Smallest and largest timestamp, or `None` for an empty trial.
+    pub fn stamp_bounds_ps(&self) -> Option<(u64, u64)> {
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
         for o in &self.obs {
             lo = lo.min(o.t_ps);
             hi = hi.max(o.t_ps);
         }
-        if lo == u64::MAX {
-            0
-        } else {
-            hi - lo
-        }
+        (!self.obs.is_empty()).then_some((lo, hi))
     }
 
     /// True when arrival times never decrease (the physical case).
@@ -271,6 +271,8 @@ mod tests {
         assert_eq!(t.start_ps(), 0);
         assert_eq!(t.end_ps(), 0);
         assert_eq!(t.span_ps(), 0);
+        assert_eq!(t.stamp_bounds_ps(), None);
+        assert_eq!(t.minmax_span_ps(), 0);
         assert!(t.is_time_ordered());
         assert!(t.is_empty());
     }
@@ -330,6 +332,7 @@ mod tests {
         // minmax span covers the true extent; first/last span does not.
         assert_eq!(t.span_ps(), 0);
         assert_eq!(t.minmax_span_ps(), 50);
+        assert_eq!(t.stamp_bounds_ps(), Some((50, 100)));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use std::cell::RefCell;
 
 use choir::metrics::allpairs::TrialIndex;
 use choir::metrics::report::TrialComparison;
-use choir::metrics::{DeltaHistogram, PairAnalyzer, PairScratch, Trial};
+use choir::metrics::histogram::SliceScratch;
+use choir::metrics::{stats, DeltaHistogram, PairAnalyzer, PairScratch, Trial};
 use common::{arb_shape, baseline, replay, to_trial, Rng};
 use proptest::prelude::*;
 
@@ -145,17 +146,26 @@ proptest! {
         prop_assert!(comparisons_bit_identical(&arena, &reference));
     }
 
+    /// `record_slice` against its oracle, bit for bit: `add` per sample,
+    /// `stats::fraction_within` at 10 ns, and p50/p90/p99 of the sorted
+    /// |Δ| by `stats::percentile_sorted`.
     #[test]
     fn record_slice_matches_scalar_add(
         deltas in proptest::collection::vec(
             prop_oneof![
                 // Magnitudes across the bucket decades, both signs,
-                // including sub-ns and clamp-range values.
+                // including sub-ns and clamp-range values, and many
+                // samples sharing a value or a key counter.
                 -1e10f64..1e10,
+                -20.0f64..20.0,
                 -1.0f64..1.0,
+                (-120i32..120).prop_map(f64::from),
                 Just(0.0f64),
+                Just(-0.0f64),
+                Just(10.0f64),
+                Just(-10.0f64),
             ],
-            0..200,
+            0..300,
         ),
     ) {
         let mut scalar = DeltaHistogram::new();
@@ -163,7 +173,16 @@ proptest! {
             scalar.add(d);
         }
         let mut sliced = DeltaHistogram::new();
-        sliced.record_slice(&deltas);
+        let got = sliced.record_slice(&deltas, &mut SliceScratch::default());
         prop_assert_eq!(sliced, scalar);
+        let within = stats::fraction_within(deltas.iter().copied(), 10.0);
+        prop_assert_eq!(got.within_10ns.to_bits(), within.to_bits());
+        let (p50, p90, p99) = got.abs_percentiles_ns;
+        let mut abs: Vec<f64> = deltas.iter().map(|d| d.abs()).collect();
+        abs.sort_by(f64::total_cmp);
+        for (p, v) in [(50.0, p50), (90.0, p90), (99.0, p99)] {
+            let want = if abs.is_empty() { 0.0 } else { stats::percentile_sorted(&abs, p) };
+            prop_assert_eq!(v.to_bits(), want.to_bits(), "p{}", p);
+        }
     }
 }
