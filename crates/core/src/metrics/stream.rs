@@ -31,8 +31,9 @@
 //!   histograms, the ±10 ns share and the percentiles.
 //!
 //! So the engine keeps only what a stream alone can know: per-side
-//! cursors and pending queues, the matched pairs, the two `u128` sums and
-//! the snapshot trail. An unmatched observation stays resident until its
+//! cursors, one pending queue per unmatched identity (tagged with the one
+//! side it is waiting on), the matched pairs, the two `u128` sums and the
+//! snapshot trail. An unmatched observation stays resident until its
 //! counterpart arrives or the stream ends; nothing is evicted. Residency
 //! therefore follows the skew between the two feeds plus the packets one
 //! side lost, not the stream length (measured at paper scale in
@@ -40,15 +41,17 @@
 //!
 //! ## Checkpoint / resume
 //!
-//! [`IncrementalComparison::checkpoint`] serializes the engine's *entire*
-//! state — per-side cursors, FIFO matching queues, matched pairs, 128-bit
-//! accumulators and snapshot trail — into a
-//! [`StreamCheckpoint`], and [`IncrementalComparison::resume`] rebuilds a
-//! live engine from one. The hard contract (tested exhaustively,
-//! DESIGN.md §13): feeding records `0..k`, checkpointing, resuming, and
-//! feeding `k..n` is bit-identical (`f64::to_bits`) to an uninterrupted
-//! run — at **every** cut point `k`, including through a `serde_json`
-//! round trip of the checkpoint itself.
+//! [`IncrementalComparison::checkpoint`] captures the engine's *entire*
+//! state in a [`StreamCheckpoint`]: the scalars and the snapshot trail as
+//! fields, the matched pairs and the pending queues encoded straight into
+//! the two binary slabs the daemon stores, which are the checkpoint's
+//! only encoding of them. [`IncrementalComparison::resume`] decodes them
+//! straight back into a live engine. The hard contract (tested
+//! exhaustively, DESIGN.md §13): feeding records `0..k`, checkpointing,
+//! resuming, and feeding `k..n` is bit-identical (`f64::to_bits`) to an
+//! uninterrupted run — at **every** cut point `k`, through the slabs and
+//! through a `serde_json` round trip of the checkpoint itself — and the
+//! resumed engine checkpoints to the same bytes.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -219,9 +222,9 @@ pub struct StreamOutcome {
 // Checkpoint / resume
 //
 // The vendored serde data model carries at most 64-bit integers, so the
-// engine's u128/i128 accumulators and 128-bit `PacketId` values are
-// split into (hi, lo) halves; everything else mirrors the live state
-// field-for-field.
+// two u128 accumulators travel as (hi, lo) halves. The bulk — matched
+// pairs and pending observations — never meets serde as records: a
+// checkpoint holds it as the slab bytes `write_to` writes.
 // ---------------------------------------------------------------------
 
 fn split_u128(v: u128) -> (u64, u64) {
@@ -232,62 +235,19 @@ fn join_u128(hi: u64, lo: u64) -> u128 {
     ((hi as u128) << 64) | lo as u128
 }
 
-fn split_i128(v: i128) -> (i64, u64) {
-    ((v >> 64) as i64, v as u64)
-}
-
-fn join_i128(hi: i64, lo: u64) -> i128 {
-    ((hi as i128) << 64) | lo as i128
-}
-
-/// Serialized mirror of [`SideState`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SideCk {
-    len: u64,
-    first_t_ps: u64,
-    prev_t_ps: u64,
-    min_t_ps: u64,
-    max_t_ps: u64,
-}
-
-/// Serialized mirror of [`PendingObs`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ObsCk {
-    pos: u32,
-    t_ps: u64,
-    gap_ps: i64,
-}
-
-/// One identity's pending FIFO queues, with the 128-bit `PacketId` split
-/// into 64-bit halves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PendingIdCk {
-    id_hi: u64,
-    id_lo: u64,
-    a: Vec<ObsCk>,
-    b: Vec<ObsCk>,
-}
-
-/// Serialized mirror of [`PairRec`] (`d_lat_ps: i128` split).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PairCk {
-    a_pos: u32,
-    b_pos: u32,
-    d_lat_hi: i64,
-    d_lat_lo: u64,
-    d_iat_ps: i64,
-}
-
 /// A complete, serializable snapshot of an [`IncrementalComparison`]'s
 /// algorithmic state. Opaque by design: produce one with
-/// [`IncrementalComparison::checkpoint`], turn it back into a live
-/// engine with [`IncrementalComparison::resume`], and ship it across a
-/// crash boundary the way the κ daemon does: bulk vectors as binary
-/// slabs ([`StreamCheckpoint::write_to`] / [`StreamCheckpoint::read_from`]),
-/// the remainder through its serde form (both round trips are bit-exact;
-/// see the module docs). Wall-clock timings are *not* part of a
-/// checkpoint — a resumed run re-measures its own stage timings — and
-/// neither is anything `finalize` derives from the matched pairs.
+/// [`IncrementalComparison::checkpoint`] and turn it back into a live
+/// engine with [`IncrementalComparison::resume`]. The bulk — matched
+/// pairs and pending observations — is held already encoded, as the two
+/// slabs [`Self::write_to`] writes; the scalars and the trail are plain
+/// fields. Ship it across a crash boundary the way the κ daemon does,
+/// the slabs through [`Self::write_to`] / [`Self::read_from`] and the
+/// remainder through serde, or whole through serde, the slabs then as
+/// JSON arrays of bytes; both round trips are bit-exact (see the module
+/// docs). Wall-clock timings are *not* part of a checkpoint — a resumed
+/// run re-measures its own stage timings — and neither is anything
+/// `finalize` derives from the matched pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
     /// [`CHECKPOINT_FORMAT`] of the writer. Absent — so 0 — in every
@@ -304,13 +264,18 @@ pub struct StreamCheckpoint {
     #[serde(default)]
     config_hash: u64,
     snapshot_every: u64,
-    side_a: SideCk,
-    side_b: SideCk,
-    pending: Vec<PendingIdCk>,
+    side_a: SideState,
+    side_b: SideState,
+    /// The `pending` slab: every unmatched observation, [`PENDING_BYTES`]
+    /// each, identities ascending, one identity's records adjacent and
+    /// oldest first.
+    pending: Vec<u8>,
     peak_resident: u64,
     lat_num: (u64, u64),
     iat_num: (u64, u64),
-    all_pairs: Vec<PairCk>,
+    /// The `all_pairs` slab: every matched pair, [`PAIR_BYTES`] each, in
+    /// match order.
+    all_pairs: Vec<u8>,
     last_snapshot_tick: u64,
     snapshots: Vec<KappaSnapshot>,
 }
@@ -320,7 +285,7 @@ impl StreamCheckpoint {
     /// across both sides) — the replay cursor a supervisor needs to know
     /// where to re-feed from.
     pub fn tick(&self) -> u64 {
-        self.side_a.len + self.side_b.len
+        (self.side_a.len + self.side_b.len) as u64
     }
 
     /// Caller-assigned engine identity recorded at checkpoint time (0
@@ -336,66 +301,47 @@ impl StreamCheckpoint {
 
     /// Observations pushed on side A at checkpoint time.
     pub fn seen_a(&self) -> usize {
-        self.side_a.len as usize
+        self.side_a.len
     }
 
     /// Observations pushed on side B at checkpoint time.
     pub fn seen_b(&self) -> usize {
-        self.side_b.len as usize
+        self.side_b.len
     }
 
     /// Unmatched observations resident in the checkpoint.
     pub fn resident(&self) -> usize {
-        self.pending.iter().map(|p| p.a.len() + p.b.len()).sum()
+        self.pending.len() / PENDING_BYTES
     }
 
-    /// Move the bulk vectors (matched pairs, pending observations) out of
-    /// the checkpoint into `w` as two checksummed little-endian slabs
-    /// ([`write_section`]), in that order, and return what is left:
-    /// every scalar and the trail, small enough to serialize through
-    /// serde as before, naming the layout just written
-    /// ([`CHECKPOINT_FORMAT`]). A checkpoint's size is its bulk — 32
-    /// bytes per matched pair here against ~90 as JSON through the
-    /// `Content` tree. [`Self::read_from`] is the inverse.
+    /// Move the two slabs out of the checkpoint into `w` as checksummed
+    /// sections ([`write_section`]), `all_pairs` then `pending`, and
+    /// return what is left: every scalar and the trail, small enough to
+    /// serialize through serde, naming the layout just written
+    /// ([`CHECKPOINT_FORMAT`]). The slabs go out as
+    /// [`IncrementalComparison::checkpoint`] encoded them, 32 bytes per
+    /// matched pair and 40 per pending observation; nothing is converted.
+    /// [`Self::read_from`] is the inverse.
     pub fn write_to(mut self, w: &mut impl Write) -> std::io::Result<Self> {
-        let mut raw = Vec::with_capacity(self.all_pairs.len() * PAIR_BYTES);
-        for p in &self.all_pairs {
-            raw.extend_from_slice(&p.a_pos.to_le_bytes());
-            raw.extend_from_slice(&p.b_pos.to_le_bytes());
-            raw.extend_from_slice(&p.d_lat_hi.to_le_bytes());
-            raw.extend_from_slice(&p.d_lat_lo.to_le_bytes());
-            raw.extend_from_slice(&p.d_iat_ps.to_le_bytes());
-        }
-        write_section(w, &raw)?;
-        raw.clear();
-        raw.reserve(self.resident() * PENDING_BYTES);
-        for e in &self.pending {
-            let id = join_u128(e.id_hi, e.id_lo).to_le_bytes();
-            for (side, q) in [(0u32, &e.a), (1u32, &e.b)] {
-                for o in q {
-                    raw.extend_from_slice(&id);
-                    raw.extend_from_slice(&o.pos.to_le_bytes());
-                    raw.extend_from_slice(&side.to_le_bytes());
-                    raw.extend_from_slice(&o.t_ps.to_le_bytes());
-                    raw.extend_from_slice(&o.gap_ps.to_le_bytes());
-                }
-            }
-        }
-        write_section(w, &raw)?;
+        write_section(w, &self.all_pairs)?;
+        write_section(w, &self.pending)?;
         self.all_pairs = Vec::new();
         self.pending = Vec::new();
         self.format = CHECKPOINT_FORMAT;
         Ok(self)
     }
 
-    /// Re-attach the bulk vectors [`Self::write_to`] moved out. `self`
-    /// is the remainder `write_to` returned (possibly after a serde
-    /// round trip). The slabs are positional, so a remainder that names
-    /// neither this layout ([`CHECKPOINT_FORMAT`]) nor format 1 is
-    /// refused before a byte of `r` is read; format 1's middle slab is
-    /// read, checked and dropped. Truncated, ragged or bit-flipped input
-    /// is a typed error; nothing is allocated for bytes the input does
-    /// not hold.
+    /// Re-attach the slabs [`Self::write_to`] moved out. `self` is the
+    /// remainder `write_to` returned (possibly after a serde round trip).
+    /// The slabs are positional, so a remainder that names neither this
+    /// layout ([`CHECKPOINT_FORMAT`]) nor format 1 is refused before a
+    /// byte of `r` is read; format 1's middle slab is read, checked and
+    /// dropped. Truncated, ragged or bit-flipped input is a typed error,
+    /// and so is a `pending` slab no engine writes — a side other than A
+    /// or B, identities out of ascending order or split into two runs,
+    /// one identity pending on both sides — by the decoder `resume`
+    /// builds with. Nothing is allocated for bytes the input does not
+    /// hold.
     pub fn read_from(mut self, r: &mut impl Read) -> Result<Self, CheckpointError> {
         if self.format != CHECKPOINT_FORMAT && self.format != 1 {
             return Err(CheckpointError::Format {
@@ -403,67 +349,95 @@ impl StreamCheckpoint {
                 expected: CHECKPOINT_FORMAT,
             });
         }
-        let mut pairs = |section| -> Result<Vec<PairCk>, CheckpointError> {
-            let raw = read_section(r, section)?;
-            let recs = records::<PAIR_BYTES>(&raw, section)?;
-            Ok(recs
-                .map(|b| PairCk {
-                    a_pos: u32::from_le_bytes(le(b, 0)),
-                    b_pos: u32::from_le_bytes(le(b, 4)),
-                    d_lat_hi: i64::from_le_bytes(le(b, 8)),
-                    d_lat_lo: u64::from_le_bytes(le(b, 16)),
-                    d_iat_ps: i64::from_le_bytes(le(b, 24)),
-                })
-                .collect())
-        };
-        self.all_pairs = pairs("all_pairs")?;
+        self.all_pairs = read_section(r, "all_pairs")?;
+        record_count::<PAIR_BYTES>(&self.all_pairs, "all_pairs")?;
         if self.format == 1 {
-            pairs("slice.pairs")?;
+            record_count::<PAIR_BYTES>(&read_section(r, "slice.pairs")?, "slice.pairs")?;
         }
-        let raw = read_section(r, "pending")?;
-        // Records of one identity are adjacent (side A's queue, then
-        // side B's), identities ascending, as `checkpoint` emits them.
-        for b in records::<PENDING_BYTES>(&raw, "pending")? {
-            let (id_hi, id_lo) = split_u128(u128::from_le_bytes(le(b, 0)));
-            let o = ObsCk {
-                pos: u32::from_le_bytes(le(b, 16)),
-                t_ps: u64::from_le_bytes(le(b, 24)),
-                gap_ps: i64::from_le_bytes(le(b, 32)),
-            };
-            if self
-                .pending
-                .last()
-                .is_none_or(|e| (e.id_hi, e.id_lo) != (id_hi, id_lo))
-            {
-                self.pending.push(PendingIdCk {
-                    id_hi,
-                    id_lo,
-                    a: Vec::new(),
-                    b: Vec::new(),
-                });
-            }
-            let e = self.pending.last_mut().expect("pushed above");
-            match u32::from_le_bytes(le(b, 20)) {
-                0 => e.a.push(o),
-                1 => e.b.push(o),
-                side => {
-                    return Err(CheckpointError::Corrupt {
-                        section: "pending",
-                        detail: format!("side {side} is neither A (0) nor B (1)"),
-                    })
-                }
-            }
-        }
+        self.pending = read_section(r, "pending")?;
+        decode_pending(&self.pending, |_, _, _| {})?;
         Ok(self)
     }
 }
 
-/// Bytes of one [`PairCk`] in a slab: `a_pos`, `b_pos` (u32), the i128
+/// Bytes of one matched pair in a slab: `a_pos`, `b_pos` (u32), the i128
 /// latency delta as `hi` (i64) and `lo` (u64), `d_iat_ps` (i64).
 const PAIR_BYTES: usize = 32;
 /// Bytes of one pending observation in a slab: identity (u128), `pos`
 /// and side (u32 each), `t_ps` (u64), `gap_ps` (i64).
 const PENDING_BYTES: usize = 40;
+
+// The slab codec: the two records above, little-endian, written by
+// `checkpoint` and read by `resume` (and checked by `read_from`).
+
+fn encode_pair(p: &PairRec, out: &mut Vec<u8>) {
+    out.extend_from_slice(&p.a_pos.to_le_bytes());
+    out.extend_from_slice(&p.b_pos.to_le_bytes());
+    out.extend_from_slice(&((p.d_lat_ps >> 64) as i64).to_le_bytes());
+    out.extend_from_slice(&(p.d_lat_ps as u64).to_le_bytes());
+    out.extend_from_slice(&p.d_iat_ps.to_le_bytes());
+}
+
+fn decode_pair(b: &[u8]) -> PairRec {
+    let (hi, lo) = (i64::from_le_bytes(le(b, 8)), u64::from_le_bytes(le(b, 16)));
+    PairRec {
+        a_pos: u32::from_le_bytes(le(b, 0)),
+        b_pos: u32::from_le_bytes(le(b, 4)),
+        d_lat_ps: ((hi as i128) << 64) | lo as i128,
+        d_iat_ps: i64::from_le_bytes(le(b, 24)),
+    }
+}
+
+fn encode_pending(id: PacketId, side: Side, o: &PendingObs, out: &mut Vec<u8>) {
+    out.extend_from_slice(&id.as_u128().to_le_bytes());
+    out.extend_from_slice(&o.pos.to_le_bytes());
+    out.extend_from_slice(&(side.index() as u32).to_le_bytes());
+    out.extend_from_slice(&o.t_ps.to_le_bytes());
+    out.extend_from_slice(&o.gap_ps.to_le_bytes());
+}
+
+/// Walk a `pending` slab in order, handing each record to `each`, and
+/// refuse one that no engine writes: ragged, a side that is neither A
+/// (0) nor B (1), an identity below its predecessor (which is also how
+/// one identity split into two runs shows), or one identity pending on
+/// both sides (the two would have matched). [`StreamCheckpoint::read_from`]
+/// checks with it, [`IncrementalComparison::resume`] builds with it.
+/// Returns the number of records.
+fn decode_pending(
+    raw: &[u8],
+    mut each: impl FnMut(PacketId, Side, PendingObs),
+) -> Result<usize, CheckpointError> {
+    let corrupt = |detail| CheckpointError::Corrupt {
+        section: "pending",
+        detail,
+    };
+    let n = record_count::<PENDING_BYTES>(raw, "pending")?;
+    let mut last: Option<(u128, Side)> = None;
+    for (k, b) in raw.chunks_exact(PENDING_BYTES).enumerate() {
+        let id = u128::from_le_bytes(le(b, 0));
+        let side = match u32::from_le_bytes(le(b, 20)) {
+            0 => Side::A,
+            1 => Side::B,
+            s => return Err(corrupt(format!("side {s} is neither A (0) nor B (1)"))),
+        };
+        if last.is_some_and(|(p, s)| p > id || (p == id && s != side)) {
+            return Err(corrupt(format!(
+                "record {k}: identity {id:#x} is out of order, in a second run or on both sides"
+            )));
+        }
+        last = Some((id, side));
+        each(
+            PacketId::from_u128(id),
+            side,
+            PendingObs {
+                pos: u32::from_le_bytes(le(b, 16)),
+                t_ps: u64::from_le_bytes(le(b, 24)),
+                gap_ps: i64::from_le_bytes(le(b, 32)),
+            },
+        );
+    }
+    Ok(n)
+}
 
 /// The checkpoint layout this build writes: which slabs follow the serde
 /// remainder, in what order, at what record size.
@@ -587,11 +561,12 @@ fn read_u64(r: &mut impl Read, section: &'static str) -> Result<u64, CheckpointE
     Ok(u64::from_le_bytes(b))
 }
 
-/// A slab's fixed-size records, or `Corrupt` if it is ragged.
-fn records<'a, const N: usize>(
-    raw: &'a [u8],
+/// The number of `N`-byte records in a slab, or `Corrupt` if it is
+/// ragged.
+fn record_count<const N: usize>(
+    raw: &[u8],
     section: &'static str,
-) -> Result<impl Iterator<Item = &'a [u8; N]>, CheckpointError> {
+) -> Result<usize, CheckpointError> {
     if !raw.len().is_multiple_of(N) {
         return Err(CheckpointError::Corrupt {
             section,
@@ -601,9 +576,7 @@ fn records<'a, const N: usize>(
             ),
         });
     }
-    Ok(raw
-        .chunks_exact(N)
-        .map(|c| c.try_into().expect("chunks_exact yields N bytes")))
+    Ok(raw.len() / N)
 }
 
 /// `N` bytes of a record starting at `at`.
@@ -613,71 +586,10 @@ fn le<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
         .expect("field lies inside its record")
 }
 
-impl SideCk {
-    fn of(s: &SideState) -> Self {
-        SideCk {
-            len: s.len as u64,
-            first_t_ps: s.first_t_ps,
-            prev_t_ps: s.prev_t_ps,
-            min_t_ps: s.min_t_ps,
-            max_t_ps: s.max_t_ps,
-        }
-    }
-
-    fn restore(&self) -> SideState {
-        SideState {
-            len: self.len as usize,
-            first_t_ps: self.first_t_ps,
-            prev_t_ps: self.prev_t_ps,
-            min_t_ps: self.min_t_ps,
-            max_t_ps: self.max_t_ps,
-        }
-    }
-}
-
-impl ObsCk {
-    fn of(o: &PendingObs) -> Self {
-        ObsCk {
-            pos: o.pos,
-            t_ps: o.t_ps,
-            gap_ps: o.gap_ps,
-        }
-    }
-
-    fn restore(&self) -> PendingObs {
-        PendingObs {
-            pos: self.pos,
-            t_ps: self.t_ps,
-            gap_ps: self.gap_ps,
-        }
-    }
-}
-
-impl PairCk {
-    fn of(p: &PairRec) -> Self {
-        let (d_lat_hi, d_lat_lo) = split_i128(p.d_lat_ps);
-        PairCk {
-            a_pos: p.a_pos,
-            b_pos: p.b_pos,
-            d_lat_hi,
-            d_lat_lo,
-            d_iat_ps: p.d_iat_ps,
-        }
-    }
-
-    fn restore(&self) -> PairRec {
-        PairRec {
-            a_pos: self.a_pos,
-            b_pos: self.b_pos,
-            d_lat_ps: join_i128(self.d_lat_hi, self.d_lat_lo),
-            d_iat_ps: self.d_iat_ps,
-        }
-    }
-}
-
 /// Per-side incremental statistics (the streaming mirror of what
-/// `Trial::start_ps`/`minmax_span_ps`/`gap_ps` provide in batch).
-#[derive(Debug, Clone, Copy, Default)]
+/// `Trial::start_ps`/`minmax_span_ps`/`gap_ps` provide in batch). A
+/// checkpoint carries it as it is.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct SideState {
     len: usize,
     first_t_ps: u64,
@@ -712,13 +624,13 @@ struct PendingObs {
     gap_ps: i64,
 }
 
-/// FIFO queues of pending occurrences of one identity, one per side. At
-/// most one side is non-empty at any time (two non-empty sides would
-/// have matched).
-#[derive(Debug, Default)]
-struct IdQueues {
-    a: VecDeque<PendingObs>,
-    b: VecDeque<PendingObs>,
+/// The pending occurrences of one identity, oldest first. They are all
+/// on one side: an occurrence on the other side matches the oldest
+/// instead of queueing. Never empty while it is in the engine's map.
+#[derive(Debug)]
+struct IdQueue {
+    side: Side,
+    obs: VecDeque<PendingObs>,
 }
 
 /// The engine's per-identity maps hash with fixed keys. No result reads
@@ -799,7 +711,7 @@ fn matching_in_b_order(pairs: &mut [PairRec], sides: &[SideState; 2]) -> Matchin
 pub struct IncrementalComparison {
     cfg: StreamConfig,
     sides: [SideState; 2],
-    pending: IdMap<IdQueues>,
+    pending: IdMap<IdQueue>,
     resident: usize,
     peak_resident: usize,
     lat_num: u128,
@@ -882,25 +794,25 @@ impl IncrementalComparison {
 
     /// Serialize the engine's complete algorithmic state. Non-consuming:
     /// the live engine continues unperturbed, so a supervisor can
-    /// checkpoint on a cadence while streaming. Pending identities are
-    /// emitted in `PacketId` order, so identical states produce
-    /// byte-identical checkpoints regardless of hash-map iteration order.
+    /// checkpoint on a cadence while streaming. The matched pairs and the
+    /// pending observations are encoded straight into the two slabs, each
+    /// reserved at its exact size; pending identities go in `PacketId`
+    /// order, so identical states produce byte-identical checkpoints
+    /// regardless of hash-map iteration order.
     pub fn checkpoint(&self) -> StreamCheckpoint {
         let _span = obs::span("recover.checkpoint");
-        let mut pending: Vec<PendingIdCk> = self
-            .pending
-            .iter()
-            .map(|(id, q)| {
-                let (id_hi, id_lo) = split_u128(id.as_u128());
-                PendingIdCk {
-                    id_hi,
-                    id_lo,
-                    a: q.a.iter().map(ObsCk::of).collect(),
-                    b: q.b.iter().map(ObsCk::of).collect(),
-                }
-            })
-            .collect();
-        pending.sort_unstable_by_key(|p| (p.id_hi, p.id_lo));
+        let mut all_pairs = Vec::with_capacity(self.all_pairs.len() * PAIR_BYTES);
+        for p in &self.all_pairs {
+            encode_pair(p, &mut all_pairs);
+        }
+        let mut ids: Vec<_> = self.pending.iter().collect();
+        ids.sort_unstable_by_key(|&(id, _)| id);
+        let mut pending = Vec::with_capacity(self.resident * PENDING_BYTES);
+        for (&id, q) in ids {
+            for o in &q.obs {
+                encode_pending(id, q.side, o, &mut pending);
+            }
+        }
         if obs::is_enabled() {
             obs::counter_inc("recover.checkpoints");
         }
@@ -909,13 +821,13 @@ impl IncrementalComparison {
             engine_id: self.engine_id,
             config_hash: self.cfg.fingerprint(),
             snapshot_every: self.cfg.snapshot_every,
-            side_a: SideCk::of(&self.sides[0]),
-            side_b: SideCk::of(&self.sides[1]),
+            side_a: self.sides[0],
+            side_b: self.sides[1],
             pending,
             peak_resident: self.peak_resident as u64,
             lat_num: split_u128(self.lat_num),
             iat_num: split_u128(self.iat_num),
-            all_pairs: self.all_pairs.iter().map(PairCk::of).collect(),
+            all_pairs,
             last_snapshot_tick: self.last_snapshot_tick,
             snapshots: self.snapshots.clone(),
         }
@@ -923,35 +835,44 @@ impl IncrementalComparison {
 
     /// Rebuild a live engine from a [`StreamCheckpoint`]; every
     /// downstream bit is what the uninterrupted run would have produced
-    /// (the module-docs contract).
+    /// (the module-docs contract). The slabs are decoded straight into
+    /// the matched pairs and the pending map, by the decoder
+    /// [`StreamCheckpoint::read_from`] checks with.
+    ///
+    /// # Panics
+    ///
+    /// On slabs that decoder refuses, which only a checkpoint that did
+    /// not come through `read_from` — one shipped whole through serde —
+    /// can hold. No engine is built from them.
     pub fn resume(ck: StreamCheckpoint) -> Self {
         let _span = obs::span("recover.resume");
         let cfg = StreamConfig {
             snapshot_every: ck.snapshot_every,
             ..Default::default()
         };
-        let mut pending = IdMap::with_capacity_and_hasher(ck.pending.len(), Default::default());
-        let mut resident = 0usize;
-        for e in &ck.pending {
-            let q = IdQueues {
-                a: e.a.iter().map(ObsCk::restore).collect(),
-                b: e.b.iter().map(ObsCk::restore).collect(),
-            };
-            resident += q.a.len() + q.b.len();
-            pending.insert(PacketId::from_u128(join_u128(e.id_hi, e.id_lo)), q);
-        }
+        record_count::<PAIR_BYTES>(&ck.all_pairs, "all_pairs").unwrap_or_else(|e| panic!("{e}"));
+        let pairs = ck.all_pairs.chunks_exact(PAIR_BYTES);
+        let mut pending = IdMap::with_capacity_and_hasher(ck.resident(), Default::default());
+        let resident = decode_pending(&ck.pending, |id, side, o| {
+            let q = pending.entry(id).or_insert_with(|| IdQueue {
+                side,
+                obs: VecDeque::new(),
+            });
+            q.obs.push_back(o);
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
         if obs::is_enabled() {
             obs::counter_inc("recover.resumes");
         }
         IncrementalComparison {
             cfg,
-            sides: [ck.side_a.restore(), ck.side_b.restore()],
+            sides: [ck.side_a, ck.side_b],
             pending,
             resident,
             peak_resident: ck.peak_resident as usize,
             lat_num: join_u128(ck.lat_num.0, ck.lat_num.1),
             iat_num: join_u128(ck.iat_num.0, ck.iat_num.1),
-            all_pairs: ck.all_pairs.iter().map(PairCk::restore).collect(),
+            all_pairs: pairs.map(decode_pair).collect(),
             last_snapshot_tick: ck.last_snapshot_tick,
             engine_id: ck.engine_id,
             snapshots: ck.snapshots,
@@ -1009,33 +930,27 @@ impl IncrementalComparison {
         s.len += 1;
 
         let me = PendingObs { pos, t_ps, gap_ps };
-        let q = self.pending.entry(id).or_default();
-        let counterpart = match side {
-            Side::A => q.b.pop_front(),
-            Side::B => q.a.pop_front(),
-        };
-        match counterpart {
-            Some(other) => {
-                // The k-th occurrence of an identity on one side meets
-                // the k-th on the other — the same occurrence-wise rule
-                // as `Matching::build`, for any interleaving.
-                if q.a.is_empty() && q.b.is_empty() {
-                    self.pending.remove(&id);
-                }
-                self.resident -= 1;
-                let (ap, bp) = match side {
-                    Side::A => (me, other),
-                    Side::B => (other, me),
-                };
-                self.record_match(ap, bp);
+        let q = self.pending.entry(id).or_insert_with(|| IdQueue {
+            side,
+            obs: VecDeque::new(),
+        });
+        if q.side == side {
+            q.obs.push_back(me);
+            self.resident += 1;
+        } else {
+            // The k-th occurrence of an identity on one side meets the
+            // k-th on the other — the same occurrence-wise rule as
+            // `Matching::build`, for any interleaving.
+            let other = q.obs.pop_front().expect("a queue in the map is not empty");
+            if q.obs.is_empty() {
+                self.pending.remove(&id);
             }
-            None => {
-                match side {
-                    Side::A => q.a.push_back(me),
-                    Side::B => q.b.push_back(me),
-                }
-                self.resident += 1;
-            }
+            self.resident -= 1;
+            let (ap, bp) = match side {
+                Side::A => (me, other),
+                Side::B => (other, me),
+            };
+            self.record_match(ap, bp);
         }
         self.peak_resident = self.peak_resident.max(self.resident);
 
@@ -1424,7 +1339,7 @@ mod tests {
         use crate::metrics::histogram::DeltaHistogram;
         use crate::metrics::windowed::WindowScore;
 
-        let (tick, matched) = (ck.tick(), ck.all_pairs.len());
+        let (tick, matched) = (ck.tick(), ck.all_pairs.len() / PAIR_BYTES);
         let mut slabs = Vec::new();
         let json = serde_json::to_string(&ck.write_to(&mut slabs).unwrap()).unwrap();
         let hist = serde_json::to_string(&DeltaHistogram::of([3.0, -40.0])).unwrap();
@@ -1461,9 +1376,20 @@ mod tests {
         (rest, old_slabs)
     }
 
+    /// `ck` as the daemon stores it: both slabs, then the remainder's
+    /// JSON text.
+    fn file_bytes(ck: StreamCheckpoint) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let rest = ck.write_to(&mut bytes).unwrap();
+        bytes.extend_from_slice(serde_json::to_string(&rest).unwrap().as_bytes());
+        bytes
+    }
+
     /// The recovery contract: cut at every k, checkpoint, resume, finish
     /// — bit-identical result *and* snapshot trail, with a JSON round
     /// trip of the checkpoint in the loop, and a format-1 slab round trip.
+    /// Encoding and decoding are inverses: each resumed engine
+    /// checkpoints to the bytes of the checkpoint taken at the cut.
     fn check_every_cut(cfg: StreamConfig, n: u64, chunk: usize) {
         let (a, b) = jittered_pair(n);
         let events = interleave(&a, &b, chunk);
@@ -1478,6 +1404,7 @@ mod tests {
             let mut head = IncrementalComparison::new(cfg);
             feed(&mut head, &events[..k]);
             let ck = head.checkpoint();
+            let at_cut = file_bytes(ck.clone());
             // Round-trip through JSON at every cut: the serialized form
             // must carry the full state, not just the in-memory mirror.
             let json = serde_json::to_string(&ck).unwrap();
@@ -1491,6 +1418,7 @@ mod tests {
             // And through the slabs of a format-1 file.
             for ck in revived.into_iter().chain([via_format_1(ck)]) {
                 let mut tail = IncrementalComparison::resume(ck);
+                assert!(file_bytes(tail.checkpoint()) == at_cut, "cut {k}");
                 feed(&mut tail, &events[k..]);
                 let got = tail.finalize("B");
                 assert_bit_identical(&got.comparison, &want.comparison);
@@ -1613,7 +1541,7 @@ mod tests {
         let mut sided = Vec::new();
         write_section(&mut sided, &[]).unwrap();
         write_section(&mut sided, &[7u8; PENDING_BYTES]).unwrap();
-        let err = rest.read_from(&mut &sided[..]).unwrap_err();
+        let err = rest.clone().read_from(&mut &sided[..]).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1623,6 +1551,66 @@ mod tests {
                 }
             ),
             "{err}"
+        );
+        // Pending slabs with sound checksums that no engine writes: one
+        // identity in two runs (its first run would be lost, `resident`
+        // over-counted), and one identity pending on both sides (its next
+        // match would break occurrence order). Refused by `read_from`,
+        // and `resume` panics rather than build an engine from either.
+        let rec = |id: u128, side: u32| {
+            let mut r = id.to_le_bytes().to_vec();
+            r.extend_from_slice(&[1, 0, 0, 0]);
+            r.extend_from_slice(&side.to_le_bytes());
+            r.extend_from_slice(&[0; 16]);
+            r
+        };
+        for (what, recs) in [
+            ("two runs", [rec(5, 0), rec(6, 0), rec(5, 0)]),
+            ("both sides", [rec(5, 0), rec(5, 1), rec(6, 1)]),
+        ] {
+            let slab = recs.concat();
+            let mut file = Vec::new();
+            write_section(&mut file, &[]).unwrap();
+            write_section(&mut file, &slab).unwrap();
+            let err = rest.clone().read_from(&mut &file[..]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Corrupt {
+                        section: "pending",
+                        ..
+                    }
+                ),
+                "{what}: {err}"
+            );
+            let mut whole = rest.clone();
+            whole.pending = slab;
+            let json = serde_json::to_string(&whole).unwrap();
+            let whole: StreamCheckpoint = serde_json::from_str(&json).unwrap();
+            let built = std::panic::catch_unwind(|| IncrementalComparison::resume(whole));
+            assert!(built.is_err(), "{what}: resumed an engine");
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned_across_commits() {
+        // What a daemon stores for one live engine, slabs and remainder.
+        // A `ck` an earlier build wrote recovers only while this holds.
+        // Read at e18b039.
+        let cfg = StreamConfig {
+            snapshot_every: 13,
+            ..StreamConfig::default()
+        };
+        let (a, b) = jittered_pair(60);
+        let mut eng = IncrementalComparison::new(cfg).with_engine_id(7);
+        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
+        assert!(eng.resident() > 0 && eng.matched() > 0 && !eng.snapshots().is_empty());
+        let bytes = file_bytes(eng.checkpoint());
+        assert_eq!(
+            (section_sum(&bytes), bytes.len()),
+            (0xfafc_6847_27cb_ea27, 2547),
+            "{}",
+            String::from_utf8_lossy(&bytes)
         );
     }
 
