@@ -22,7 +22,7 @@ use choir_capture::{drain_available, PcapSource};
 use choir_core::metrics::gapreplay::gapreplay_metrics;
 use choir_core::metrics::reorder::reorder_profile;
 use choir_core::metrics::windowed::{windowed_kappa, worst_window};
-use choir_core::metrics::{Matching, PairAnalyzer, PairScratch, Trial, TrialIndex};
+use choir_core::metrics::{PairAnalyzer, PairScratch, Trial, TrialIndex};
 
 /// Load a capture through the reader `choir-ctl ingest-pcap` uses, so a
 /// capture one tool refuses the other refuses too; the error names the
@@ -109,7 +109,8 @@ fn index<'t>(path: &str, trial: &'t Trial) -> Result<TrialIndex<'t>, String> {
 
 /// Score every run against the baseline through the production pipeline:
 /// the baseline is indexed once for all its runs, each run once, and one
-/// workspace serves every pair.
+/// workspace serves every pair. Each run is matched once, for every
+/// section of its report.
 fn score(opts: &Opts) -> Result<(), String> {
     let (paths, windows, spacing) = (&opts.paths, opts.windows, opts.spacing);
     let baseline = load_trial(&paths[0])?;
@@ -125,9 +126,12 @@ fn score(opts: &Opts) -> Result<(), String> {
     for path in &paths[1..] {
         let run = load_trial(path)?;
         let run_index = index(path, &run)?;
-        let cmp = PairAnalyzer::from_indexes(&baseline_index, &run_index)
-            .label(path.as_str())
-            .analyze_with_scratch(&mut scratch);
+        let mut pa = PairAnalyzer::from_indexes(&baseline_index, &run_index).label(path.as_str());
+        let m = pa.matching();
+        let raw = gapreplay_metrics(&baseline, &run, m);
+        let scores = windows.map(|w| (w, windowed_kappa(&baseline, &run, m, w)));
+        let prof = spacing.map(|k| (k, reorder_profile(m, k)));
+        let cmp = pa.analyze_with_scratch(&mut scratch);
         println!("\n== {path} vs baseline ==");
         println!(
             "  packets {} | common {} | missing {} | extra {} | moved {}",
@@ -149,7 +153,6 @@ fn score(opts: &Opts) -> Result<(), String> {
             "  {:.2}% of IAT deltas within +-10 ns",
             cmp.iat_within_10ns * 100.0
         );
-        let raw = gapreplay_metrics(&baseline, &run);
         println!(
             "  GapReplay raw: cumulative latency {:.1} ns, IAT deviation {:.1} ns (mean {:.2} / {:.2} ns per packet)",
             raw.cumulative_latency_ns,
@@ -169,9 +172,8 @@ fn score(opts: &Opts) -> Result<(), String> {
         println!("  latency delta histogram (ns):");
         print!("{}", cmp.latency_hist.render_ascii(40));
 
-        if let Some(w) = windows {
+        if let Some((w, scores)) = scores {
             println!("  windowed kappa ({w} windows):");
-            let scores = windowed_kappa(&baseline, &run, w);
             for s in &scores {
                 println!(
                     "    window {:>3} [{:>8}..{:>8}): kappa {:.4}  (U {} O {} L {} I {})",
@@ -193,8 +195,7 @@ fn score(opts: &Opts) -> Result<(), String> {
             }
         }
 
-        if let Some(k) = spacing {
-            let prof = reorder_profile(&Matching::build(&baseline, &run), k);
+        if let Some((k, prof)) = prof {
             let peak = prof
                 .prob
                 .iter()

@@ -39,7 +39,7 @@
 use std::io::Write;
 
 use choir_bench::{fmt, paper, run_envs_parallel_with};
-use choir_core::metrics::{PairAnalyzer, Trial};
+use choir_core::metrics::{compare, Trial};
 use choir_core::replay::engine::run_replay_spin;
 use choir_core::replay::recording::Recording;
 use choir_dpdk::loopback::{LoopbackPort, RealClock, RealtimePlane};
@@ -208,7 +208,7 @@ fn fig2() {
     for i in 0..5u64 {
         b.push_tagged(0, 0, i, t_end);
     }
-    let l = PairAnalyzer::new(&a, &b).metrics().l;
+    let l = compare(&a, &b).l;
     println!("   common packets at opposite ends of A and B -> L = {l}");
     assert!((l - 1.0).abs() < 1e-12);
     println!("   normalization bound reached exactly (paper: max value used as denominator)\n");
@@ -229,7 +229,7 @@ fn fig3() {
         b.push_tagged(0, 0, i, 0);
     }
     b.push_tagged(0, 0, n - 1, t);
-    let i_val = PairAnalyzer::new(&a, &b).metrics().i;
+    let i_val = compare(&a, &b).i;
     println!("   first/last common packets at opposite extremes -> I = {i_val}");
     assert!((i_val - 1.0).abs() < 1e-12);
     println!("   normalization bound reached exactly\n");

@@ -1,7 +1,7 @@
 //! # choir-bench
 //!
 //! The reproduction harness: paper targets, table/figure rendering, and
-//! the plumbing shared by the `repro` binary and the Criterion benches.
+//! the plumbing the `repro` and `choir-analyze` binaries share.
 //!
 //! Every table and figure of the paper's evaluation has a regenerating
 //! subcommand in `repro` (see `src/bin/repro.rs`); this library holds the
@@ -13,28 +13,13 @@ pub mod paper;
 
 use choir_testbed::{EnvKind, Experiment, ExperimentConfig, ExperimentOutput};
 
-/// Run one environment at the given scale/seed.
-pub fn run_env(kind: EnvKind, scale: f64, seed: u64) -> ExperimentOutput {
-    Experiment::new(ExperimentConfig {
-        profile: kind.profile(),
-        scale,
-        seed,
-    })
-    .run()
-}
-
 /// Run several environments concurrently, bounded by the host's
 /// parallelism (each experiment is an independent simulation, so this is
 /// embarrassingly parallel; on a laptop-class machine it turns the
-/// nine-environment sweep into a few wall-clock batches).
+/// nine-environment sweep into a few wall-clock batches). `runs`
+/// overrides every environment's run count.
 ///
 /// Results come back in input order regardless of completion order.
-pub fn run_envs_parallel(kinds: &[EnvKind], scale: f64, seed: u64) -> Vec<ExperimentOutput> {
-    run_envs_parallel_with(kinds, scale, seed, None)
-}
-
-/// [`run_envs_parallel`] with an optional per-environment run-count
-/// override.
 pub fn run_envs_parallel_with(
     kinds: &[EnvKind],
     scale: f64,
@@ -91,18 +76,19 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial() {
         let kinds = [EnvKind::LocalSingle, EnvKind::FabricShared40];
-        let par = run_envs_parallel(&kinds, 0.0005, 5);
+        let par = run_envs_parallel_with(&kinds, 0.0005, 5, None);
         assert_eq!(par.len(), 2);
         for (kind, out) in kinds.iter().zip(&par) {
-            let serial = run_env(*kind, 0.0005, 5);
+            let serial = Experiment::new(ExperimentConfig {
+                profile: kind.profile(),
+                scale: 0.0005,
+                seed: 5,
+            })
+            .run();
             assert_eq!(out.trials, serial.trials, "{kind:?} must be order-stable");
         }
-    }
-
-    #[test]
-    fn run_env_smoke() {
-        let out = run_env(EnvKind::LocalSingle, 0.0005, 3);
-        assert!(out.recorded_packets >= 50);
-        assert_eq!(out.report.runs.len(), 4);
+        let local = &par[0];
+        assert!(local.recorded_packets >= 50);
+        assert_eq!(local.report.runs.len(), 4);
     }
 }

@@ -4,8 +4,8 @@
 //! baseline A (Tables 1–2), but its §7 run lists show κ varying 0.65–0.82
 //! *within one test* — understanding that spread needs the full N×N
 //! upper-triangular κ matrix, not just the baseline column. Rebuilt
-//! naively that is `N(N−1)/2` independent [`analyze`] calls, each of
-//! which re-hashes both trials and re-derives their gap/span statistics
+//! naively that is `N(N−1)/2` independent reference analyses
+//! ([`PairAnalyzer::new`]), each of which re-hashes both trials and re-derives their gap/span statistics
 //! from scratch.
 //!
 //! This module scales that computation three ways:
@@ -57,7 +57,7 @@ use choir_packet::ident::PacketId;
 
 use super::kappa::KappaConfig;
 use super::pair::{PairAnalyzer, PairScratch};
-use super::report::{analyze, trial_label, StageTimings, TrialComparison};
+use super::report::{trial_label, StageTimings, TrialComparison};
 use super::stats;
 use super::trial::{Observation, Trial, MAX_TRIAL_LEN};
 
@@ -560,16 +560,20 @@ pub struct EngineStats {
     pub pair_wall_ns: u64,
 }
 
-/// Serial reference: the full matrix via the original uncached
-/// [`analyze`] path, one pair at a time. This is the ground truth the
-/// sharded engine must reproduce bit-for-bit.
+/// Serial reference: the full matrix through the uncached reference
+/// pipeline ([`PairAnalyzer::new`]), one pair at a time. This is the
+/// ground truth the sharded engine must reproduce bit-for-bit.
 pub fn all_pairs_serial(trials: &[Trial]) -> KappaMatrix {
     let labels: Vec<String> = (0..trials.len()).map(trial_label).collect();
     let mut cells = Vec::with_capacity(pair_count(trials.len()));
     for i in 0..trials.len() {
         for j in i + 1..trials.len() {
             let label = format!("{}-{}", labels[i], labels[j]);
-            cells.push(analyze(label, &trials[i], &trials[j]));
+            cells.push(
+                PairAnalyzer::new(&trials[i], &trials[j])
+                    .label(label)
+                    .analyze(),
+            );
         }
     }
     KappaMatrix { labels, cells }
@@ -709,7 +713,6 @@ mod tests {
     use crate::metrics::iat::{iat_arena, iat_full_core};
     use crate::metrics::latency::{latency_arena, latency_full_core};
     use crate::metrics::matching::{matching_arena, Matching};
-    use crate::metrics::report::analyze;
     use choir_packet::ChoirTag;
     use proptest::prelude::*;
 
@@ -1149,8 +1152,10 @@ mod tests {
         let row = m.baseline_row();
         assert_eq!(row.len(), 3);
         for (j, c) in row.iter().enumerate() {
-            let legacy = analyze(c.label.clone(), &trials[0], &trials[j + 1]);
-            assert_cells_equal(c, &legacy);
+            let reference = PairAnalyzer::new(&trials[0], &trials[j + 1])
+                .label(c.label.clone())
+                .analyze();
+            assert_cells_equal(c, &reference);
         }
         assert_eq!(row[0].label, "B");
         assert_eq!(row[2].label, "D");

@@ -6,6 +6,8 @@
 //! trials" (§3). This module exposes the *raw* GapReplay quantities so
 //! results can be compared against literature that reports them
 //! unnormalized, and so the normalization itself can be inspected.
+//! The sums run over the pair's matching, so a tool that reports κ too
+//! matches the pair once ([`super::PairAnalyzer::matching`]).
 
 use super::matching::Matching;
 use super::trial::Trial;
@@ -27,14 +29,8 @@ pub struct GapReplayMetrics {
     pub common: usize,
 }
 
-/// Compute the raw GapReplay metrics between two trials.
-pub fn gapreplay_metrics(a: &Trial, b: &Trial) -> GapReplayMetrics {
-    let m = Matching::build(a, b);
-    gapreplay_with(a, b, &m)
-}
-
-/// Compute from a prebuilt matching.
-pub fn gapreplay_with(a: &Trial, b: &Trial, m: &Matching) -> GapReplayMetrics {
+/// The raw GapReplay metrics of `b` against `a` over their matching `m`.
+pub fn gapreplay_metrics(a: &Trial, b: &Trial, m: &Matching) -> GapReplayMetrics {
     let mc = m.common();
     if mc == 0 {
         return GapReplayMetrics {
@@ -88,7 +84,7 @@ mod tests {
         // second — later gaps are unchanged).
         let a = cbr(10, 1_000_000, 0);
         let b = cbr(10, 1_000_000, 5_000);
-        let g = gapreplay_metrics(&a, &b);
+        let g = gapreplay_metrics(&a, &b, &Matching::build(&a, &b));
         assert_eq!(g.common, 10);
         assert!((g.cumulative_latency_ns - 45.0).abs() < 1e-9);
         assert!((g.iat_deviation_ns - 5.0).abs() < 1e-9);
@@ -105,7 +101,7 @@ mod tests {
             a.push_tagged(0, 0, i, i * 1_000 + (i % 3) * 17);
             b.push_tagged(0, 0, i, i * 1_000 + (i % 5) * 11);
         }
-        let g = gapreplay_metrics(&a, &b);
+        let g = gapreplay_metrics(&a, &b, &Matching::build(&a, &b));
         let m = PairAnalyzer::new(&a, &b).metrics();
         let (l, i) = (m.l, m.i);
 
@@ -124,7 +120,7 @@ mod tests {
         a.push_tagged(0, 0, 1, 0);
         let mut b = Trial::new();
         b.push_tagged(9, 0, 1, 0);
-        let g = gapreplay_metrics(&a, &b);
+        let g = gapreplay_metrics(&a, &b, &Matching::build(&a, &b));
         assert_eq!(g.common, 0);
         assert_eq!(g.cumulative_latency_ns, 0.0);
     }

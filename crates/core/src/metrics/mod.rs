@@ -53,14 +53,16 @@ pub use stream::{
 pub use trial::{Observation, Trial, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN};
 pub use windowed::{windowed_kappa, worst_window, WindowScore};
 
-/// Compute all four metrics plus κ between two trials.
-///
-/// This is the everyday entry point — sugar for
-/// [`PairAnalyzer::metrics`]. Build a
+/// Compute all four metrics plus κ between two trials, each side indexed
+/// once and scored through the production pipeline. Build a
 /// [`PairAnalyzer`] directly when you need intermediate artifacts (the
 /// matching, the edit script, the full [`TrialComparison`], …).
+///
+/// # Panics
+///
+/// If either trial holds more than [`MAX_TRIAL_LEN`] packets.
 pub fn compare(a: &Trial, b: &Trial) -> ConsistencyMetrics {
-    PairAnalyzer::new(a, b).metrics()
+    pair::indexed(a, b, |mut pa| pa.metrics())
 }
 
 #[cfg(test)]

@@ -4,20 +4,19 @@
 //! lazily, built once) and runs exactly one of two pipelines end to end,
 //! chosen by how it was constructed:
 //!
+//! - [`PairAnalyzer::from_indexes`] — the **production** pipeline over
+//!   prebuilt [`TrialIndex`] arenas and a reusable [`PairScratch`]: every
+//!   κ the program reports, from [`super::compare`] to the κ daemon.
 //! - [`PairAnalyzer::new`] — the **reference** pipeline, straight from
 //!   the two trials: `HashMap` matching, `i128`/`u128` arithmetic, a
-//!   fresh allocation per stage. It is what `all_pairs_serial` and the
-//!   bit-identity tests compare everything else against.
-//! - [`PairAnalyzer::from_indexes`] — the **production** pipeline over
-//!   prebuilt [`TrialIndex`] arenas and a reusable [`PairScratch`]: what
-//!   the sharded all-pairs engine, the experiment runner and the κ
-//!   daemon's `Matrix` verb run.
+//!   fresh allocation per stage: the specification `all_pairs_serial`
+//!   and the bit-identity tests hold production to.
 //!
 //! Both share the normalizers of Eqs. 1–4 (one function per metric, in
 //! the metric's module) and produce `f64::to_bits`-identical output.
 //!
 //! ```
-//! use choir_core::metrics::{PairAnalyzer, Trial};
+//! use choir_core::metrics::{PairAnalyzer, Trial, TrialIndex};
 //!
 //! let mut a = Trial::new();
 //! let mut b = Trial::new();
@@ -25,11 +24,12 @@
 //!     a.push_tagged(0, 0, i, i * 1000);
 //!     b.push_tagged(0, 0, i, i * 1000 + (i % 3) * 7);
 //! }
+//! let (ia, ib) = (TrialIndex::build(&a).unwrap(), TrialIndex::build(&b).unwrap());
 //! // Quick look: just the metrics.
-//! let m = PairAnalyzer::new(&a, &b).metrics();
+//! let m = PairAnalyzer::from_indexes(&ia, &ib).metrics();
 //! assert_eq!(m.u, 0.0);
 //! // Full report: histograms, percentiles, edit script, timings.
-//! let cmp = PairAnalyzer::new(&a, &b).label("B").analyze();
+//! let cmp = PairAnalyzer::from_indexes(&ia, &ib).label("B").analyze();
 //! assert_eq!(cmp.common, 10);
 //! ```
 
@@ -65,6 +65,15 @@ impl PairScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Run `f` on the production analyzer of `a` against `b`, each side
+/// indexed here. Panics past [`super::MAX_TRIAL_LEN`] packets a side, the
+/// bound every production path holds.
+pub(crate) fn indexed<R>(a: &Trial, b: &Trial, f: impl FnOnce(PairAnalyzer<'_>) -> R) -> R {
+    let ia = TrialIndex::build(a).expect("trial A within MAX_TRIAL_LEN packets");
+    let ib = TrialIndex::build(b).expect("trial B within MAX_TRIAL_LEN packets");
+    f(PairAnalyzer::from_indexes(&ia, &ib))
 }
 
 /// Where a pair's observations come from, and with it which pipeline
@@ -339,10 +348,15 @@ mod tests {
     fn analyzer_matches_report_analyze_bitwise() {
         let (a, b) = jittered_pair(300);
         let new = PairAnalyzer::new(&a, &b).label("B").analyze();
+        // `analyze` is the production pipeline: this holds it to the
+        // reference, report field by report field.
         let old = analyze("B", &a, &b);
         assert_eq!(new.metrics.kappa.to_bits(), old.metrics.kappa.to_bits());
+        assert_eq!(new.iat_within_10ns.to_bits(), old.iat_within_10ns.to_bits());
         assert_eq!(new.iat_abs_percentiles_ns, old.iat_abs_percentiles_ns);
         assert_eq!(new.latency_abs_percentiles_ns, old.latency_abs_percentiles_ns);
+        assert_eq!(new.iat_hist, old.iat_hist);
+        assert_eq!(new.latency_hist, old.latency_hist);
         assert_eq!(new.edit_stats, old.edit_stats);
         assert_eq!(
             (new.a_len, new.b_len, new.common, new.missing, new.extra, new.moved),

@@ -10,7 +10,6 @@ use super::allpairs::MatrixSummary;
 use super::histogram::DeltaHistogram;
 use super::kappa::ConsistencyMetrics;
 use super::ordering::EditScriptStats;
-use super::pair::PairAnalyzer;
 use super::trial::Trial;
 
 /// Wall-clock nanoseconds spent in each analysis stage of one comparison.
@@ -131,11 +130,14 @@ pub fn trial_label(i: usize) -> String {
     String::from_utf8(bytes).expect("ASCII label")
 }
 
-/// Analyze run `b` against baseline `a`: a thin forwarding wrapper over
-/// [`PairAnalyzer::new`] (the reference pipeline), the one-call entry
-/// point.
+/// Analyze run `b` against baseline `a`, each side indexed once and
+/// scored through the production pipeline: the one-call entry point.
+///
+/// # Panics
+///
+/// If either trial holds more than [`super::MAX_TRIAL_LEN`] packets.
 pub fn analyze(label: impl Into<String>, a: &Trial, b: &Trial) -> TrialComparison {
-    PairAnalyzer::new(a, b).label(label).analyze()
+    super::pair::indexed(a, b, |pa| pa.label(label).analyze())
 }
 
 /// Structured failure modes of report assembly.

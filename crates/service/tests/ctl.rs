@@ -8,7 +8,7 @@ mod common;
 use std::path::Path;
 use std::process::{Command, Output};
 
-use choir_core::metrics::{compare, Observation, Trial};
+use choir_core::metrics::{Observation, PairAnalyzer, Trial};
 use choir_packet::pcap::PcapWriter;
 use choir_packet::{ChoirTag, FrameBuilder};
 use choir_service::client::INGEST_CHUNK;
@@ -118,10 +118,11 @@ fn ingest_pcap_salvages_a_damaged_tail_and_resumes_with_the_repaired_capture() {
         .finish_stream("t", "run")
         .expect("finish run")
         .expect("comparison summary");
-    let batch = compare(
+    let batch = PairAnalyzer::new(
         &Trial::from_observations(&base),
         &Trial::from_observations(&run),
-    );
+    )
+    .metrics();
     assert_eq!(served.b_len as usize, run.len());
     assert_eq!(served.score.kappa_bits, batch.kappa.to_bits());
 

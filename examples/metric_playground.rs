@@ -6,9 +6,8 @@
 //! cargo run --example metric_playground
 //! ```
 
-use choir::metrics::matching::Matching;
 use choir::metrics::reorder::reorder_profile;
-use choir::metrics::{compare, Trial};
+use choir::metrics::{compare, PairAnalyzer, Trial, TrialIndex};
 
 fn cbr(n: u64, gap: u64) -> Trial {
     let mut t = Trial::new();
@@ -69,7 +68,11 @@ fn main() {
 
     // 5. Where does the reordering live? The Bellardo-Savage-style
     //    profile shows inversions concentrated at burst-size spacings.
-    let prof = reorder_profile(&Matching::build(&a, &swapped), 200);
+    let (ia, iswapped) = (
+        TrialIndex::build(&a).expect("10k packets fit the index"),
+        TrialIndex::build(&swapped).expect("10k packets fit the index"),
+    );
+    let prof = reorder_profile(PairAnalyzer::from_indexes(&ia, &iswapped).matching(), 200);
     let peak = (1..=200)
         .max_by(|&x, &y| {
             prof.at(x)
