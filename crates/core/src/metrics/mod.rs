@@ -48,7 +48,7 @@ pub use report::{
 };
 pub use stream::{
     CheckpointError, IncrementalComparison, KappaSnapshot, ResumeMismatch, Side, StreamCheckpoint,
-    StreamConfig, StreamOutcome,
+    StreamConfig, StreamCursor, StreamOutcome,
 };
 pub use trial::{Observation, Trial, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN};
 pub use windowed::{windowed_kappa, worst_window, WindowScore};

@@ -21,22 +21,34 @@
 //! * `journal` — one JSON line per mutating op, numbered, in order. An
 //!   ingest's line is a *marker* (`stream`, `seq`, `count`) written
 //!   after the log append and before the op is applied or acknowledged;
-//! * `ck` — the tenant's checkpoint: stream metadata, final summaries
-//!   and the number of the last journal line it covers as JSON, then
-//!   each live engine's bulk state as binary slabs
-//!   ([`StreamCheckpoint::write_to`]). A tenant exists iff its `ck`
-//!   does. A checkpoint (explicit, cadence, or graceful shutdown)
-//!   rewrites `ck` (write-temp + rename) and empties `journal` for the
-//!   tenants touched since the last one, and for no others.
+//! * `ck` — the tenant's checkpoint, one checksummed JSON section:
+//!   stream metadata, final summaries, the number of the last journal
+//!   line it covers, and each live engine's [`StreamCursor`] — records
+//!   consumed per side, a few scalars and the trail, never a pair or a
+//!   pending record. A tenant exists iff its `ck` does. A checkpoint
+//!   (explicit, cadence, or graceful shutdown) rewrites `ck`
+//!   (write-temp, then rename) and empties `journal` for the tenants
+//!   touched since the last one, and for no others.
 //!
-//! Recovery loads each `ck` ([`StreamCheckpoint::read_from`] refuses an
-//! engine checkpoint written under another slab layout), resumes engines
-//! through [`IncrementalComparison::resume_checked`] (which refuses a
-//! checkpoint from the wrong engine or config), and replays the journal lines the
+//! The logs are the only durable home of the records. Recovery loads
+//! each `ck` and rebuilds every live engine from its cursor and the two
+//! log prefixes it names — the baseline's first `seen_a` records and the
+//! stream's whole log — through [`IncrementalComparison::rebuild`], which
+//! refuses a cursor of the wrong engine or config and records that do
+//! not re-feed to the state the cursor recorded. A cursor that claims
+//! more baseline records than the log holds, or other than its stream's
+//! count, is refused by name. Then it replays the journal lines the
 //! checkpoint does not cover through the *same* apply path the wire
-//! handlers use, reading each marker's records back from the log. Log
-//! bytes past the last marker — a crash between the two appends, never
-//! acknowledged — are ignored and cut off by the stream's next append.
+//! handlers use, reading each marker's records back from the log, and
+//! leaves every trial non-resident. Log bytes past the last marker — a
+//! crash between the two appends, never acknowledged — are ignored and
+//! cut off by the stream's next append.
+//!
+//! A `ck` from a build before cursors held each live engine's matched
+//! pairs and pending records too, as slabs after the JSON. It still
+//! recovers: [`StreamCheckpoint::read_from`] reads and checks the slabs
+//! (refusing a layout it does not know before it reads one), and the
+//! engine is rebuilt from the remainder's cursor like any other.
 //!
 //! Every append reaches the OS before the op is acknowledged, so a hard
 //! kill between checkpoints loses nothing. Nothing is `fsync`ed: a
@@ -51,7 +63,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,7 +73,7 @@ use std::thread;
 use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
     all_pairs_sharded, IncrementalComparison, KappaSnapshot, Observation, Side, StreamCheckpoint,
-    StreamConfig, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
+    StreamConfig, StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
 };
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
@@ -115,8 +127,7 @@ impl DaemonConfig {
 }
 
 /// Engine identity for a tenant/stream pair: FNV-1a over the key,
-/// finished with a SplitMix64 step, forced nonzero (0 means "untagged"
-/// to `resume_checked`).
+/// finished with a SplitMix64 step, forced nonzero (0 means "untagged").
 fn engine_id_for(tenant: &str, stream: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in tenant.bytes().chain([b'/']).chain(stream.bytes()) {
@@ -185,10 +196,23 @@ struct StreamCk {
     name: String,
     ingested: u64,
     finished: bool,
-    /// The engine's checkpoint with its bulk vectors detached; they
-    /// follow the JSON as slabs, engines in stream order.
-    engine: Option<StreamCheckpoint>,
+    /// The live engine's cursor.
+    engine: Option<StreamCursor>,
     done: Option<FinishedStream>,
+}
+
+/// What a `ck` written before cursors holds per live engine: a
+/// [`StreamCheckpoint`] remainder, its slabs after the JSON section,
+/// engines in stream order. The remainder's fields include the cursor's,
+/// so the same JSON also reads as a [`TenantCk`].
+#[derive(Deserialize)]
+struct SlabTenantCk {
+    streams: Vec<SlabStreamCk>,
+}
+
+#[derive(Deserialize)]
+struct SlabStreamCk {
+    engine: Option<StreamCheckpoint>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -285,7 +309,8 @@ impl Tenant {
         Ok(t)
     }
 
-    /// Load `ck`, then replay the journal entries it does not cover.
+    /// Load `ck`, rebuild its live engines from their cursors and the
+    /// logs, then replay the journal entries it does not cover.
     fn recover(cfg: &DaemonConfig, name: &str) -> Result<Self, DaemonError> {
         let bad = |what: &str, e: &dyn std::fmt::Display| {
             DaemonError::Recovery(format!("tenant `{name}`: {what}: {e}"))
@@ -294,25 +319,67 @@ impl Tenant {
         let _ = fs::remove_file(dir.join("ck.tmp"));
         let mut r = BufReader::new(fs::File::open(dir.join("ck"))?);
         let head = read_section(&mut r, "tenant").map_err(|e| bad("checkpoint", &e))?;
-        let ck: TenantCk = std::str::from_utf8(&head)
-            .map_err(|e| bad("checkpoint", &e))
-            .and_then(|s| serde_json::from_str(s).map_err(|e| bad("checkpoint", &e)))?;
-        let mut store = TrialStore::open(&dir, ck.budget_bytes)?;
-        let mut streams = BTreeMap::new();
-        for sck in ck.streams {
-            store.adopt(&sck.name, sck.ingested)?;
-            let engine = match sck.engine {
-                None => None,
-                Some(eck) => {
+        let head = std::str::from_utf8(&head).map_err(|e| bad("checkpoint", &e))?;
+        let mut ck: TenantCk = serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
+        if !r.fill_buf()?.is_empty() {
+            // Slabs follow: a `ck` from before cursors. Check them, keep
+            // each engine's cursor, drop them.
+            let old: SlabTenantCk =
+                serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
+            for (sck, old) in ck.streams.iter_mut().zip(old.streams) {
+                if let Some(eck) = old.engine {
                     let eck = eck
                         .read_from(&mut r)
                         .map_err(|e| bad(&format!("engine `{}`", sck.name), &e))?;
+                    sck.engine = Some(eck.cursor());
+                }
+            }
+        }
+        let mut store = TrialStore::open(&dir, ck.budget_bytes)?;
+        for sck in &ck.streams {
+            store.adopt(&sck.name, sck.ingested)?;
+        }
+        // The baseline's records, read once for every engine's side A.
+        let mut base = Vec::new();
+        if ck.streams.iter().any(|s| s.engine.is_some()) {
+            let baseline = (ck.baseline.as_deref())
+                .ok_or_else(|| bad("checkpoint", &"live engines but no baseline"))?;
+            base = store.get(baseline)?.to_vec();
+        }
+        let mut streams = BTreeMap::new();
+        for sck in ck.streams {
+            let engine = match sck.engine {
+                None => None,
+                Some(cursor) => {
+                    let what = format!("engine `{}`", sck.name);
+                    let (seen_a, seen_b) = (cursor.seen_a(), cursor.seen_b());
+                    let holds = base.len();
+                    if seen_a > holds {
+                        let e = format!("side A consumed {seen_a} records, its baseline holds {holds}");
+                        return Err(bad(&what, &e));
+                    }
+                    if seen_b as u64 != sck.ingested {
+                        let e = format!(
+                            "side B consumed {seen_b} records, its stream holds {}",
+                            sck.ingested
+                        );
+                        return Err(bad(&what, &e));
+                    }
                     let id = engine_id_for(name, &sck.name);
-                    let eng = IncrementalComparison::resume_checked(eck, id, &cfg.stream_config())
-                        .map_err(|e| bad(&format!("engine `{}`", sck.name), &e))?;
+                    let b = store.get(&sck.name)?;
+                    let eng = IncrementalComparison::rebuild(
+                        cursor,
+                        id,
+                        &cfg.stream_config(),
+                        &base[..seen_a],
+                        b,
+                    )
+                    .map_err(|e| bad(&what, &e))?;
                     Some(eng)
                 }
             };
+            // Non-resident again, as every trial starts.
+            store.adopt(&sck.name, sck.ingested)?;
             streams.insert(
                 sck.name,
                 StreamState {
@@ -598,21 +665,15 @@ impl Tenant {
 
     /// Write `ck` (temp + rename), then empty the journal it now covers.
     fn checkpoint(&mut self) -> Result<(), String> {
-        let mut slabs = Vec::new();
-        let mut streams = Vec::with_capacity(self.streams.len());
-        for (name, s) in &self.streams {
-            let engine = (s.engine.as_ref())
-                .map(|eng| eng.checkpoint().write_to(&mut slabs))
-                .transpose()
-                .map_err(|e| e.to_string())?;
-            streams.push(StreamCk {
+        let streams = (self.streams.iter())
+            .map(|(name, s)| StreamCk {
                 name: name.clone(),
                 ingested: s.ingested,
                 finished: s.finished,
-                engine,
+                engine: s.engine.as_ref().map(IncrementalComparison::cursor),
                 done: s.done.clone(),
-            });
-        }
+            })
+            .collect();
         let head = serde_json::to_string(&TenantCk {
             budget_bytes: self.store.stats().budget_bytes,
             baseline: self.baseline.clone(),
@@ -622,10 +683,7 @@ impl Tenant {
         .map_err(|e| format!("checkpoint encode: {e}"))?;
         let (tmp, ck) = (self.dir.join("ck.tmp"), self.dir.join("ck"));
         fs::File::create(&tmp)
-            .and_then(|mut f| {
-                write_section(&mut f, head.as_bytes())?;
-                f.write_all(&slabs)
-            })
+            .and_then(|mut f| write_section(&mut f, head.as_bytes()))
             .and_then(|()| fs::rename(&tmp, &ck))
             .and_then(|()| fs::File::create(self.dir.join("journal")).map(drop))
             .map_err(|e| format!("checkpoint of `{}`: {e}", self.name))?;
@@ -1117,8 +1175,8 @@ mod tests {
 
     #[test]
     fn engine_config_fingerprint_is_pinned_across_commits() {
-        // Every engine checkpoint under `tenants/` records this value and
-        // `resume_checked` refuses any other: if it moves, a data
+        // Every engine cursor under `tenants/` records this value and
+        // `rebuild` refuses any other: if it moves, a data
         // directory written by an earlier build stops recovering. Read at
         // 59c7aac; moves only on purpose.
         let cfg = DaemonConfig::new("unused").stream_config();
@@ -1191,6 +1249,196 @@ mod tests {
             "{resp:?}"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Three streams of `n` records: a baseline; a lossy run that
+    /// loses one packet in 97 and sends as many identities the baseline
+    /// never did; a run with 48-record blocks swapped every 4 096
+    /// records. Stamps jitter by up to 30 ns.
+    fn paper_streams(n: u64) -> [Vec<WireObs>; 3] {
+        let mut seed = 0x5EED_u64;
+        let mut rnd = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            seed >> 33
+        };
+        let obs = |seq: u64, t_ps: u64| WireObs {
+            id_hi: 0xC401,
+            id_lo: seq,
+            t_ps,
+        };
+        let (mut base, mut lossy, mut swapped) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut seq, mut t) = (0, 1_000_000);
+        while swapped.len() < n as usize {
+            t += 280_000 + rnd() % 40_000;
+            if seq < n {
+                base.push(obs(seq, t));
+                swapped.push(obs(seq, t + rnd() % 30_000));
+            }
+            if seq % 97 != 5 {
+                lossy.push(obs(seq, t + rnd() % 30_000));
+            }
+            seq += 1;
+        }
+        lossy.truncate(n as usize);
+        for block in swapped.chunks_exact_mut(4_096) {
+            let (x, y) = block[1_000..1_096].split_at_mut(48);
+            x.swap_with_slice(y);
+        }
+        [base, lossy, swapped]
+    }
+
+    #[test]
+    #[ignore = "paper scale, 0.44 GB: cargo test --release -p choir-service --lib -- --ignored"]
+    fn recovery_at_paper_scale_serves_what_an_uninterrupted_state_does() {
+        // A tenant at the paper's trial length, ingested in 4096-record
+        // batches round-robin over its streams, checkpointed most of the
+        // way through, fed further, then dropped without a checkpoint and
+        // reopened: every frame it serves, before and after the rest of
+        // its records and after finishing, must be the one a state that
+        // never stopped serves. Snapshots every 65 536 observations: at
+        // the daemon's 512, a reordered stream's running O re-sorts every
+        // pair per snapshot (ROADMAP 2(b)) and the feed, not recovery,
+        // would be the test.
+        const N: u64 = 1_053_370;
+        const BATCH: usize = 4_096;
+        let names = ["base", "lossy", "swapped"];
+        let streams = paper_streams(N);
+        let mut batches = Vec::new();
+        for k in 0..(N as usize).div_ceil(BATCH) {
+            for (name, recs) in names.iter().zip(&streams) {
+                let lo = (k * BATCH).min(recs.len());
+                let hi = (lo + BATCH).min(recs.len());
+                if lo < hi {
+                    batches.push((*name, lo as u64, &recs[lo..hi]));
+                }
+            }
+        }
+        let dir = |tag: &str| {
+            let d = std::env::temp_dir()
+                .join(format!("choir-daemon-paper-{tag}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&d);
+            d
+        };
+        let cfg = |d: &PathBuf| DaemonConfig {
+            checkpoint_every_records: 0,
+            snapshot_every: 1 << 16,
+            ..DaemonConfig::new(d)
+        };
+        let (straight_dir, crashed_dir) = (dir("straight"), dir("crashed"));
+        let open = |d: &PathBuf| {
+            let mut st = ServiceState::open(cfg(d)).expect("fresh data directory");
+            let ok = |(r, _): (Response, bool)| assert!(matches!(r, Response::Ok), "{r:?}");
+            ok(st.handle(Request::CreateTenant {
+                tenant: "t".into(),
+                budget_bytes: 0,
+            }));
+            for name in names {
+                ok(st.handle(Request::OpenStream {
+                    tenant: "t".into(),
+                    stream: name.into(),
+                }));
+            }
+            st
+        };
+        let feed = |st: &mut ServiceState, batches: &[(&str, u64, &[WireObs])]| {
+            for &(stream, seq, recs) in batches {
+                let (r, _) = st.handle(Request::Ingest {
+                    tenant: "t".into(),
+                    stream: stream.into(),
+                    seq,
+                    records: recs.to_vec(),
+                });
+                assert!(matches!(r, Response::Ingested { .. }), "{r:?}");
+            }
+        };
+        let served = |st: &mut ServiceState| {
+            let mut frames = Vec::new();
+            for stream in &names[1..] {
+                for req in [
+                    Request::Snapshot {
+                        tenant: "t".into(),
+                        stream: stream.to_string(),
+                    },
+                    Request::Trail {
+                        tenant: "t".into(),
+                        stream: stream.to_string(),
+                    },
+                ] {
+                    frames.push(serde_json::to_string(&st.handle(req).0).expect("encodes"));
+                }
+            }
+            frames
+        };
+        let (ck_at, cut_at) = (batches.len() * 95 / 100, batches.len() * 97 / 100);
+
+        let mut straight = open(&straight_dir);
+        feed(&mut straight, &batches[..cut_at]);
+        let mut crashed = open(&crashed_dir);
+        feed(&mut crashed, &batches[..ck_at]);
+        let (r, _) = crashed.handle(Request::Checkpoint);
+        assert!(matches!(r, Response::Ok), "{r:?}");
+        let ck_bytes = fs::metadata(crashed_dir.join("tenants/t/ck"))
+            .expect("ck")
+            .len();
+        feed(&mut crashed, &batches[ck_at..cut_at]);
+        drop(crashed);
+
+        let t0 = std::time::Instant::now();
+        let mut crashed = ServiceState::open(cfg(&crashed_dir)).expect("recovers");
+        let recovery = t0.elapsed();
+        println!(
+            "recovered 3 x {N} records, {} in the journal, from a {ck_bytes}-byte ck in {:.1} ms",
+            batches[ck_at..cut_at]
+                .iter()
+                .map(|b| b.2.len())
+                .sum::<usize>(),
+            recovery.as_secs_f64() * 1e3
+        );
+        for (got, want) in served(&mut crashed).iter().zip(&served(&mut straight)) {
+            assert!(got == want, "after recovery:\n got {got}\nwant {want}");
+        }
+        // Again from a ck that covers everything: the engines' rebuild
+        // alone, no journal to replay.
+        let (r, _) = crashed.handle(Request::Checkpoint);
+        assert!(matches!(r, Response::Ok), "{r:?}");
+        drop(crashed);
+        let t0 = std::time::Instant::now();
+        let mut crashed = ServiceState::open(cfg(&crashed_dir)).expect("recovers");
+        println!(
+            "recovered from a ck covering every record in {:.1} ms",
+            t0.elapsed().as_secs_f64() * 1e3
+        );
+        assert_eq!(served(&mut crashed), served(&mut straight), "no journal");
+        for st in [&mut straight, &mut crashed] {
+            feed(st, &batches[cut_at..]);
+        }
+        assert_eq!(
+            served(&mut crashed),
+            served(&mut straight),
+            "fed to the end"
+        );
+        let finals = |st: &mut ServiceState| {
+            names.map(|stream| {
+                let req = Request::FinishStream {
+                    tenant: "t".into(),
+                    stream: stream.into(),
+                };
+                serde_json::to_string(&st.handle(req).0).expect("encodes")
+            })
+        };
+        let want = finals(&mut straight);
+        assert!(
+            want[1..].iter().all(|f| f.contains("kappa_bits")),
+            "{want:?}"
+        );
+        assert_eq!(finals(&mut crashed), want);
+        assert_eq!(served(&mut crashed), served(&mut straight), "finished");
+        drop((straight, crashed));
+        for d in [straight_dir, crashed_dir] {
+            let _ = fs::remove_dir_all(d);
+        }
     }
 
     #[test]

@@ -100,18 +100,21 @@ fn ship_json(ck: StreamCheckpoint) -> StreamCheckpoint {
     serde_json::from_str(&json).expect("checkpoint parses")
 }
 
-/// The crash boundary the daemon crosses: bulk vectors as binary slabs,
-/// the remainder as JSON.
-fn ship_slabs(ck: StreamCheckpoint) -> StreamCheckpoint {
-    let mut slabs = Vec::new();
-    let rest = ck.write_to(&mut slabs).expect("slabs write to memory");
-    let mut r = &slabs[..];
-    let ck = ship_json(rest).read_from(&mut r).expect("slabs read back");
-    assert!(
-        r.is_empty(),
-        "read_from consumes exactly what write_to wrote"
+/// The crash boundary the daemon crosses: the checkpoint's cursor, and
+/// the two prefixes it names sliced off the whole trials, as a daemon
+/// reads them from its logs.
+fn rebuild_from_prefixes(
+    ck: StreamCheckpoint,
+    a: &Trial,
+    b: &Trial,
+    cfg: &StreamConfig,
+) -> IncrementalComparison {
+    let cursor = ck.cursor();
+    let (oa, ob) = (
+        &a.observations()[..cursor.seen_a()],
+        &b.observations()[..cursor.seen_b()],
     );
-    ck
+    IncrementalComparison::rebuild(cursor, 0, cfg, oa, ob).expect("same engine, same records")
 }
 
 /// Like [`stream_pair`], but at burst boundary `cut` the engine is
@@ -337,7 +340,7 @@ proptest! {
         // switch off at exactly pair k + 1 in running O: a snapshot after
         // every push is compared with batch analysis of what had been
         // pushed by then. The same through a checkpoint shipped as slabs
-        // and resumed with the pairing checked, cut once before the
+        // and rebuilt with the pairing checked, cut once before the
         // first swap and once after it.
         let n = k + tail;
         let (a, b) = ordered_then_swapped(n, k, stride);
@@ -370,8 +373,7 @@ proptest! {
             bursts_before + 2 + cut_after % (total_bursts - bursts_before - 2),
         ] {
             let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
-                IncrementalComparison::resume_checked(ship_slabs(ck), 0, &cfg)
-                    .expect("same engine, same config")
+                rebuild_from_prefixes(ck, &a, &b, &cfg)
             });
             prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
             for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
@@ -460,8 +462,9 @@ proptest! {
         // The recovery contract (DESIGN.md §13): feed 0..k, checkpoint
         // through the JSON wire format, resume, feed k..n — every
         // downstream bit must equal the uninterrupted run's, at every
-        // cut point. The daemon's slab format (§16.4) is held to the same
-        // contract, with every bit of the identity's high half in play.
+        // cut point. The daemon's rebuild from a cursor and its logs
+        // (§16.4) is held to the same contract, with every bit of the
+        // identity's high half in play.
         let widen = |t: &Trial| {
             let mut wide = Trial::new();
             for o in t.observations() {
@@ -470,17 +473,17 @@ proptest! {
             wide
         };
         let (a, b) = (widen(&a), widen(&b));
-        for ship in [ship_json as fn(_) -> _, ship_slabs] {
-            let cfg = StreamConfig {
-                snapshot_every,
-                ..Default::default()
-            };
+        let cfg = StreamConfig {
+            snapshot_every,
+            ..Default::default()
+        };
+        let resume_json = |ck| IncrementalComparison::resume(ship_json(ck));
+        let rebuild = |ck| rebuild_from_prefixes(ck, &a, &b, &cfg);
+        for revive in [&resume_json as &dyn Fn(StreamCheckpoint) -> IncrementalComparison, &rebuild] {
             let whole = a.len().max(b.len()).max(1);
             for chunk in [1usize, 7, whole] {
                 let straight = stream_pair(&a, &b, cfg, chunk);
-                let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, |ck| {
-                    IncrementalComparison::resume(ship(ck))
-                });
+                let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, revive);
                 assert_bit_identical(&resumed.comparison, &straight.comparison);
                 prop_assert_eq!(resumed.peak_resident, straight.peak_resident);
                 prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
