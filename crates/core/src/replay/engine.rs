@@ -2,8 +2,9 @@
 //! throughput claim ("Choir … can sustain peak speeds of 100 Gbps
 //! (8.9 Mpps)", §10).
 //!
-//! Unlike the simulator (which *schedules* wake-ups), this driver runs the
-//! paper's actual loop shape on a real CPU:
+//! Unlike the simulator (which *schedules* wake-ups through
+//! [`ReplayScheduler::pump`]), this driver runs the paper's actual loop
+//! shape on a real CPU:
 //!
 //! ```text
 //! for each recorded burst:
@@ -11,10 +12,13 @@
 //!     tx_burst(port, burst)
 //! ```
 //!
-//! The loop allocates nothing: bursts are rebuilt from shared mbuf handles
-//! and the spin is a bare TSC read. `choir-bench` drives it over the
-//! loopback backend to measure sustained Mpps; the quickstart example uses
-//! it end-to-end.
+//! The loop body is [`ReplayScheduler`]'s, the one the simulated
+//! middlebox pumps; this driver adds the spin and the supervision: the
+//! deadline, the retry budget and its backoff, rejections, abandonment
+//! and wire bytes. The loop allocates nothing: bursts are rebuilt from
+//! shared mbuf handles and the spin is a bare TSC read. `choir-bench`
+//! drives it over the loopback backend to measure sustained Mpps; the
+//! quickstart example uses it end-to-end.
 
 use choir_dpdk::{Dataplane, PortId};
 
@@ -22,7 +26,7 @@ use crate::obs;
 
 use super::degrade::{DegradationReport, ReplayError, ReplayErrorKind};
 use super::recording::Recording;
-use super::scheduler::ReplayStats;
+use super::scheduler::{ReplayScheduler, ReplayStats};
 
 /// Outcome of a real-time replay run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,8 +122,9 @@ pub fn run_replay_spin<D: Dataplane>(
 /// burst exhausts its retry budget it is abandoned (counted in
 /// [`DegradationReport`]) and the replay continues. A deadline abort
 /// returns a typed [`ReplayError`] carrying the partial [`ReplayStats`]
-/// accumulated so far — under a persistently rejecting NIC this function still
-/// terminates within the deadline (plus one backoff).
+/// accumulated so far — a retry is counted only once it is sent — and
+/// under a persistently rejecting NIC this function still terminates
+/// within the deadline (plus one backoff).
 pub fn run_replay_supervised<D: Dataplane>(
     recording: &Recording,
     dp: &mut D,
@@ -130,139 +135,79 @@ pub fn run_replay_supervised<D: Dataplane>(
     // The span reads the host monotonic clock only — it cannot perturb
     // `dp`'s TSC/wall time (simulated or real) or any RNG draw.
     let _span = obs::span("replay.supervised");
-    let mut stats = ReplayStats::default();
     let mut degradation = DegradationReport::default();
-    let first = match recording.first_tsc() {
-        Some(f) => f,
-        None => {
-            return Ok(EngineReport {
-                stats,
-                degradation,
-                elapsed_ns: 0,
-                pps: 0.0,
-                wire_bps: 0.0,
-            })
-        }
-    };
+    if recording.is_empty() {
+        return Ok(EngineReport {
+            stats: ReplayStats::default(),
+            degradation,
+            elapsed_ns: 0,
+            pps: 0.0,
+            wire_bps: 0.0,
+        });
+    }
 
     let start_tsc = dp.tsc();
     let start_wall = dp.wall_ns();
     let deadline_wall = cfg.deadline_ns.map(|d| start_wall.saturating_add(d));
+    let mut sch = ReplayScheduler::paced(recording, port, start_tsc, cfg.speedup);
     let mut wire_bytes: u64 = 0;
-    // One burst buffer reused across the whole replay: the hot loop
-    // allocates nothing.
-    let mut burst = choir_dpdk::Burst::new();
 
-    let abort = |kind: ReplayErrorKind,
-                 stats: ReplayStats,
-                 degradation: DegradationReport,
-                 burst_index: usize,
-                 dp: &D| {
-        Box::new(ReplayError {
-            kind,
-            stats,
+    let abort = |sch: &ReplayScheduler, degradation: DegradationReport, dp: &D| {
+        Err(Box::new(ReplayError {
+            kind: ReplayErrorKind::DeadlineExceeded {
+                deadline_ns: cfg.deadline_ns.unwrap_or(0),
+            },
+            stats: sch.stats(),
             degradation,
             elapsed_ns: dp.wall_ns().saturating_sub(start_wall),
-            aborted_at_burst: burst_index,
-        })
+            aborted_at_burst: sch.position(),
+        }))
     };
 
-    for (bi, rb) in recording.bursts().iter().enumerate() {
-        let release = start_tsc + (rb.tsc - first) / cfg.speedup;
-        // The paper's spin: loop over a TSC read until the burst is due.
-        // Without a deadline this is a bare TSC read (the hot path the
-        // throughput claim measures); with one, each pass also checks
-        // the wall clock.
-        match deadline_wall {
-            None => {
-                while dp.tsc() < release {
-                    std::hint::spin_loop();
-                }
-            }
-            Some(dl) => {
-                while dp.tsc() < release {
-                    if dp.wall_ns() >= dl {
-                        return Err(abort(
-                            ReplayErrorKind::DeadlineExceeded {
-                                deadline_ns: cfg.deadline_ns.unwrap_or(0),
-                            },
-                            stats,
-                            degradation,
-                            bi,
-                            dp,
-                        ));
-                    }
-                    std::hint::spin_loop();
-                }
-            }
+    while let Some(release) = sch.next_release(recording) {
+        let bi = sch.position();
+        if !spin_until(dp, release, deadline_wall) {
+            return abort(&sch, degradation, dp);
         }
-        // Lateness is how far past the release time the spin loop woke —
-        // measured before transmission so tx time isn't miscounted.
-        let late = dp.tsc().saturating_sub(release);
-        if late > 0 {
-            stats.late_bursts += 1;
-            stats.max_lateness_cycles = stats.max_lateness_cycles.max(late);
-        }
-        rb.refill(&mut burst);
-        let total = burst.len() as u64;
-        let mut sent = 0u64;
+        let sent_before = sch.stats().packets_sent;
+        let mut accepted = sch.release(recording, dp, release);
         let mut retries = 0u32;
         let mut backoff = cfg.backoff_start_cycles.max(1);
-        loop {
-            let accepted = dp.tx_burst(port, &mut burst) as u64;
-            if accepted == 0 && !burst.is_empty() {
+        while sch.in_flight() > 0 {
+            if accepted == 0 {
                 degradation.tx_rejections += 1;
             }
-            sent += accepted;
-            stats.packets_sent += accepted;
-            if burst.is_empty() {
-                break;
-            }
             if retries >= cfg.max_retries_per_burst {
-                let left = burst.len() as u64;
+                let left = sch.abandon() as u64;
                 degradation.bursts_abandoned += 1;
                 degradation.packets_abandoned += left;
                 obs::event("replay.burst_abandoned", bi as u64, left);
-                burst.clear();
                 break;
             }
-            retries += 1;
-            stats.tx_retries += 1;
-            degradation.tx_retries += 1;
-            obs::event("replay.retry", bi as u64, retries as u64);
             // Exponential backoff: give a backed-up ring time to drain
             // instead of hammering the doorbell.
+            let resume = dp.tsc().saturating_add(backoff);
+            spin_until(dp, resume, None);
+            if deadline_wall.is_some_and(|dl| dp.wall_ns() >= dl) {
+                return abort(&sch, degradation, dp);
+            }
+            retries += 1;
+            degradation.tx_retries += 1;
             degradation.backoffs += 1;
             degradation.backoff_cycles += backoff;
-            let resume = dp.tsc().saturating_add(backoff);
-            while dp.tsc() < resume {
-                std::hint::spin_loop();
-            }
+            obs::event("replay.retry", bi as u64, retries as u64);
             backoff = backoff.saturating_mul(2).min(cfg.backoff_max_cycles.max(1));
-            if let Some(dl) = deadline_wall {
-                if dp.wall_ns() >= dl {
-                    return Err(abort(
-                        ReplayErrorKind::DeadlineExceeded {
-                            deadline_ns: cfg.deadline_ns.unwrap_or(0),
-                        },
-                        stats,
-                        degradation,
-                        bi,
-                        dp,
-                    ));
-                }
-            }
-        }
-        if sent == total {
-            stats.bursts_sent += 1;
+            accepted = sch.retry(dp);
         }
         // Bursts drain from the front, so the first `sent` packets are
         // the transmitted ones.
-        for m in rb.pkts.iter().take(sent as usize) {
+        let sent = (sch.stats().packets_sent - sent_before) as usize;
+        for m in &recording.burst(bi).pkts[..sent] {
             wire_bytes += m.frame.wire_len() as u64;
         }
     }
 
+    let stats = sch.stats();
     let elapsed_cycles = dp.tsc() - start_tsc;
     let elapsed_ns = dp.cycles_to_ns(elapsed_cycles).max(1);
     let secs = elapsed_ns as f64 / 1e9;
@@ -283,6 +228,22 @@ pub fn run_replay_supervised<D: Dataplane>(
         pps: stats.packets_sent as f64 / secs,
         wire_bps: wire_bytes as f64 * 8.0 / secs,
     })
+}
+
+/// The paper's spin: loop over a TSC read until it reaches `until`.
+/// Without a deadline each pass is a bare TSC read (the hot path the
+/// throughput claim measures); with one, each pass also reads the wall
+/// clock, and the spin gives up — `false` — once it reaches
+/// `deadline_wall`.
+#[inline]
+fn spin_until<D: Dataplane>(dp: &D, until: u64, deadline_wall: Option<u64>) -> bool {
+    while dp.tsc() < until {
+        if deadline_wall.is_some_and(|dl| dp.wall_ns() >= dl) {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
+    true
 }
 
 #[cfg(test)]
@@ -458,6 +419,8 @@ mod tests {
         assert_eq!(err.stats.bursts_sent, 0);
         assert!(err.degradation.tx_rejections > 0);
         assert_eq!(err.degradation.tx_rejections, dp.tx_calls);
+        // Every counted retry was sent: the first call plus one per retry.
+        assert_eq!(dp.tx_calls, err.degradation.tx_retries + 1);
         assert_eq!(err.degradation.tx_retries, err.degradation.backoffs);
         assert_eq!(err.stats.tx_retries, err.degradation.tx_retries);
         assert!(err.degradation.backoff_cycles > 0);

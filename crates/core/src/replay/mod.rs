@@ -9,14 +9,15 @@
 //! Module map:
 //!
 //! - [`recording`] — the in-RAM burst log.
-//! - [`scheduler`] — the TSC-delta release logic driving a replay.
+//! - [`scheduler`] — the one body of the TSC-delta release loop, and
+//!   `pump`, its wake-driven driver.
 //! - [`middlebox`] — the [`choir_dpdk::App`] tying it together: forward,
-//!   record, replay, obey control commands.
+//!   record, replay (by pumping the scheduler), obey control commands.
 //! - [`control`] — in-band control frame encoding (§5 runs control
 //!   in-band "to conserve resources"; out-of-band delivery goes through
 //!   `App::on_control` directly).
-//! - [`engine`] — a real-time replay driver whose hot loop is the paper's
-//!   `while (rte_rdtsc() < release) ;` spin, used for the 100 Gbps
+//! - [`engine`] — the scheduler's spin driver, whose wait is the paper's
+//!   `while (rte_rdtsc() < release) ;`, used for the 100 Gbps
 //!   throughput claim; its supervised variant bounds retries and wall
 //!   time.
 //! - [`degrade`] — typed replay-abort causes and the degradation

@@ -7,11 +7,14 @@
 //! replay when the TSC read is greater than or equal to the burst's stored
 //! TSC time plus the delta."
 //!
-//! [`ReplayScheduler`] encodes exactly that loop body. The *driver* of the
-//! loop differs by backend: the simulator wakes the app at the requested
-//! TSC; the real-time engine busy-spins. Either way, each call to
-//! [`ReplayScheduler::pump`] transmits every burst that is due and reports
-//! when to come back.
+//! [`ReplayScheduler`] is the one body of that loop: the release TSC
+//! `start + (recorded − first) / speedup`, the lateness read at release,
+//! the refill and `tx_burst` of the burst in flight, the per-burst counts
+//! and abandoning a burst. Its two drivers only wait between those steps:
+//! [`ReplayScheduler::pump`] asks a backend that wakes apps at a TSC (the
+//! simulator) to come back when the next burst is due, and
+//! [`run_replay_supervised`](super::engine::run_replay_supervised)
+//! busy-spins on a real CPU's TSC under a deadline and a retry budget.
 
 use choir_dpdk::{Burst, Dataplane, PortId};
 
@@ -24,13 +27,12 @@ pub struct ReplayStats {
     pub bursts_sent: u64,
     /// Packets transmitted.
     pub packets_sent: u64,
-    /// Bursts that were released later than their target TSC (by any
-    /// amount) because the loop arrived late or the NIC pushed back.
+    /// Bursts whose release TSC read came later than their target TSC (by
+    /// any amount): the loop arrived late.
     pub late_bursts: u64,
     /// Worst observed lateness, in cycles.
     pub max_lateness_cycles: u64,
-    /// Times a burst was only partially accepted by the NIC and had to be
-    /// retried.
+    /// Transmits of the rest of a burst the NIC took only part of.
     pub tx_retries: u64,
 }
 
@@ -46,14 +48,17 @@ pub enum SchedulerState {
 /// Drives one replay of a [`Recording`].
 #[derive(Debug)]
 pub struct ReplayScheduler {
-    /// Added to each recorded TSC to get its release TSC.
-    delta: i128,
+    /// Release TSC of the recording's first burst.
+    start: u64,
+    /// The recording's first TSC: burst offsets are taken from it.
+    first: u64,
+    /// Divides the recorded offsets (1 = as recorded).
+    speedup: u64,
     next: usize,
     /// The burst in flight, refilled from the recording for every
-    /// recorded burst. Non-empty between pumps only when the NIC took
-    /// part of it: the rest must finish first.
+    /// recorded burst. Non-empty between steps only when the NIC took
+    /// part of it: the rest must go first.
     burst: Burst,
-    pending_release: u64,
     stats: ReplayStats,
     port: PortId,
 }
@@ -68,79 +73,106 @@ impl ReplayScheduler {
         start_wall_ns: u64,
         dp: &dyn Dataplane,
     ) -> Self {
-        let now_ns = dp.wall_ns();
-        let now_tsc = dp.tsc();
-        let wait_cycles = dp.ns_to_cycles(start_wall_ns.saturating_sub(now_ns));
-        let start_tsc = now_tsc + wait_cycles;
-        let first = recording.first_tsc().unwrap_or(start_tsc);
-        let delta = start_tsc as i128 - first as i128;
+        let wait_cycles = dp.ns_to_cycles(start_wall_ns.saturating_sub(dp.wall_ns()));
+        Self::paced(recording, port, dp.tsc() + wait_cycles, 1)
+    }
+
+    /// Plan a replay whose first burst is released at TSC `start`, with
+    /// the recorded gaps divided by `speedup`.
+    pub(crate) fn paced(recording: &Recording, port: PortId, start: u64, speedup: u64) -> Self {
         ReplayScheduler {
-            delta,
+            start,
+            first: recording.first_tsc().unwrap_or(0),
+            speedup,
             next: 0,
             burst: Burst::new(),
-            pending_release: 0,
             stats: ReplayStats::default(),
             port,
         }
     }
 
-    /// Release TSC of burst `i`.
-    fn release_tsc(&self, recording: &Recording, i: usize) -> u64 {
-        (recording.burst(i).tsc as i128 + self.delta).max(0) as u64
+    /// Release TSC of the next burst, `None` once every burst is out.
+    #[inline]
+    pub(crate) fn next_release(&self, recording: &Recording) -> Option<u64> {
+        let recorded = recording.bursts().get(self.next)?.tsc;
+        Some(self.start + (recorded - self.first) / self.speedup)
+    }
+
+    /// Release the next burst, due at `release`: read the TSC once for
+    /// its lateness, refill the burst in flight and transmit it. Returns
+    /// the packets the NIC took.
+    pub(crate) fn release<D: Dataplane + ?Sized>(
+        &mut self,
+        recording: &Recording,
+        dp: &mut D,
+        release: u64,
+    ) -> usize {
+        let late = dp.tsc().saturating_sub(release);
+        if late > 0 {
+            self.stats.late_bursts += 1;
+            self.stats.max_lateness_cycles = self.stats.max_lateness_cycles.max(late);
+        }
+        recording.burst(self.next).refill(&mut self.burst);
+        self.transmit(dp)
+    }
+
+    /// Transmit the rest of the burst in flight: one retry.
+    pub(crate) fn retry<D: Dataplane + ?Sized>(&mut self, dp: &mut D) -> usize {
+        self.stats.tx_retries += 1;
+        self.transmit(dp)
+    }
+
+    fn transmit<D: Dataplane + ?Sized>(&mut self, dp: &mut D) -> usize {
+        let sent = dp.tx_burst(self.port, &mut self.burst);
+        self.stats.packets_sent += sent as u64;
+        if self.burst.is_empty() {
+            self.stats.bursts_sent += 1;
+            self.next += 1;
+        }
+        sent
+    }
+
+    /// Packets of the burst in flight the NIC has not taken yet.
+    #[inline]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.burst.len()
+    }
+
+    /// Drop the rest of the burst in flight and move on to the next
+    /// burst. Returns the packets dropped.
+    pub(crate) fn abandon(&mut self) -> usize {
+        let left = self.burst.len();
+        self.burst.clear();
+        self.next += 1;
+        left
     }
 
     /// Transmit every due burst; request a wake-up for the next one.
     ///
     /// Call repeatedly (on every wake) until [`SchedulerState::Done`].
     pub fn pump(&mut self, recording: &Recording, dp: &mut dyn Dataplane) -> SchedulerState {
-        // Finish a partially-sent burst first: order must be preserved.
-        if !self.burst.is_empty() {
-            dp.tx_burst(self.port, &mut self.burst);
-            if self.burst.is_empty() {
-                self.finish_burst(dp.tsc());
-            } else {
-                self.stats.tx_retries += 1;
-                // NIC is backed up; ask to be woken immediately-ish.
-                let now = dp.tsc();
-                dp.request_wake_at_tsc(now + 1);
-                return SchedulerState::InProgress;
-            }
+        // The rest of a partly sent burst goes first: order is preserved.
+        if self.in_flight() > 0 {
+            self.retry(dp);
         }
-
-        while self.next < recording.len() {
-            let release = self.release_tsc(recording, self.next);
-            let now = dp.tsc();
-            if now < release {
+        while self.in_flight() == 0 {
+            let Some(release) = self.next_release(recording) else {
+                return SchedulerState::Done;
+            };
+            if dp.tsc() < release {
                 dp.request_wake_at_tsc(release);
                 return SchedulerState::InProgress;
             }
-            recording.burst(self.next).refill(&mut self.burst);
-            let total = self.burst.len() as u64;
-            let sent = dp.tx_burst(self.port, &mut self.burst) as u64;
-            self.stats.packets_sent += sent;
-            self.pending_release = release;
-            if sent < total {
-                self.stats.tx_retries += 1;
-                let now = dp.tsc();
-                dp.request_wake_at_tsc(now + 1);
-                return SchedulerState::InProgress;
-            }
-            self.finish_burst(dp.tsc());
+            self.release(recording, dp, release);
         }
-        SchedulerState::Done
+        // The NIC is backed up; ask to be woken immediately-ish.
+        let now = dp.tsc();
+        dp.request_wake_at_tsc(now + 1);
+        SchedulerState::InProgress
     }
 
-    fn finish_burst(&mut self, now_tsc: u64) {
-        self.stats.bursts_sent += 1;
-        let lateness = now_tsc.saturating_sub(self.pending_release);
-        if lateness > 0 {
-            self.stats.late_bursts += 1;
-            self.stats.max_lateness_cycles = self.stats.max_lateness_cycles.max(lateness);
-        }
-        self.next += 1;
-    }
-
-    /// Packets counted so far. Once `Done`, equals the recording's total.
+    /// Counters so far. Once `Done`, `packets_sent` equals the
+    /// recording's packet count.
     pub fn stats(&self) -> ReplayStats {
         self.stats
     }
@@ -152,7 +184,7 @@ impl ReplayScheduler {
 
     /// True when every burst has been transmitted.
     pub fn is_done(&self, recording: &Recording) -> bool {
-        self.burst.is_empty() && self.next >= recording.len()
+        self.next >= recording.len()
     }
 }
 
@@ -162,15 +194,23 @@ mod tests {
     use bytes::Bytes;
     use choir_dpdk::{Mempool, PortStats};
     use choir_packet::Frame;
+    use std::cell::Cell;
+
+    use crate::replay::engine::{run_replay_supervised, EngineConfig};
 
     /// A test dataplane with a manually-advanced TSC and a capacity-bounded
-    /// sink that records (tsc, packets) per tx_burst call.
+    /// sink that records (tsc, packets) per tx_burst call, and (tsc, first
+    /// byte) per packet taken. With `step` > 0 every TSC read also advances
+    /// the clock by `step` cycles, as a spinning CPU's does.
     struct TestPlane {
         pool: Mempool,
         now: u64,
+        step: u64,
+        ticks: Cell<u64>,
         wake: Option<u64>,
         accept_per_call: usize,
         sent: Vec<(u64, usize)>,
+        taken: Vec<(u64, u8)>,
     }
 
     impl TestPlane {
@@ -178,10 +218,17 @@ mod tests {
             TestPlane {
                 pool: Mempool::new("t", 1024),
                 now: 0,
+                step: 0,
+                ticks: Cell::new(0),
                 wake: None,
                 accept_per_call,
                 sent: Vec::new(),
+                taken: Vec::new(),
             }
+        }
+
+        fn clock(&self) -> u64 {
+            self.now + self.ticks.get()
         }
     }
 
@@ -198,18 +245,22 @@ mod tests {
         }
         fn tx_burst(&mut self, _p: PortId, burst: &mut Burst) -> usize {
             let n = burst.len().min(self.accept_per_call);
-            burst.drain_front(n).for_each(drop);
-            self.sent.push((self.now, n));
+            let t = self.clock();
+            for m in burst.drain_front(n) {
+                self.taken.push((t, m.frame.data[0]));
+            }
+            self.sent.push((t, n));
             n
         }
         fn tsc(&self) -> u64 {
-            self.now
+            self.ticks.set(self.ticks.get() + self.step);
+            self.clock()
         }
         fn tsc_hz(&self) -> u64 {
             1_000_000_000
         }
         fn wall_ns(&self) -> u64 {
-            self.now
+            self.clock()
         }
         fn request_wake_at_tsc(&mut self, tsc: u64) {
             self.wake = Some(self.wake.map_or(tsc, |w| w.min(tsc)));
@@ -335,5 +386,64 @@ mod tests {
             assert_eq!(w[1] - w[0], 285);
         }
         assert_eq!(sch.stats().late_bursts, 0);
+    }
+
+    #[test]
+    fn both_drivers_release_the_same_bursts() {
+        // Bursts of 1 to 7 packets, the first byte of each packet its
+        // number, through a NIC that takes 3 packets per call: most
+        // bursts need retries, and both drivers must send them alike.
+        let pool = Mempool::new("t", 1024);
+        let mut rec = Recording::new();
+        let mut burst_of = Vec::new();
+        for b in 0..24u64 {
+            let pkts: Vec<_> = (0..1 + b as usize % 7)
+                .map(|_| {
+                    burst_of.push(b as usize);
+                    let id = (burst_of.len() - 1) as u8;
+                    pool.alloc(Frame::new(Bytes::from(vec![id; 60]))).unwrap()
+                })
+                .collect();
+            rec.push_burst(5_000 + b * 40 + b % 3 * 11, pkts.iter());
+        }
+        let first = rec.first_tsc().unwrap();
+        let check = |dp: &TestPlane, start: u64| {
+            for &(t, id) in &dp.taken {
+                let release = start + rec.burst(burst_of[id as usize]).tsc - first;
+                assert!(
+                    t >= release,
+                    "packet {id} sent at {t}, released at {release}"
+                );
+            }
+        };
+
+        // Wake-driven: exact wakes, a TSC that stands still between them.
+        let mut woken = TestPlane::new(3);
+        let mut sch = ReplayScheduler::new(&rec, 0, 10_000, &woken);
+        while sch.pump(&rec, &mut woken) == SchedulerState::InProgress {
+            woken.now = woken.wake.take().expect("wake requested");
+        }
+        check(&woken, 10_000);
+
+        // Spinning: every TSC read costs a cycle; the first read is the
+        // start.
+        let mut spun = TestPlane::new(3);
+        spun.step = 1;
+        let report =
+            run_replay_supervised(&rec, &mut spun, 0, &EngineConfig::unbounded(1)).unwrap();
+        check(&spun, 1);
+
+        let ids = |dp: &TestPlane| dp.taken.iter().map(|&(_, id)| id).collect::<Vec<_>>();
+        assert_eq!(ids(&woken), (0..burst_of.len() as u8).collect::<Vec<_>>());
+        assert_eq!(ids(&spun), ids(&woken));
+        let calls = |dp: &TestPlane| dp.sent.iter().map(|&(_, n)| n).collect::<Vec<_>>();
+        assert_eq!(calls(&spun), calls(&woken));
+        let (w, s) = (sch.stats(), report.stats);
+        assert_eq!(w.packets_sent, burst_of.len() as u64);
+        assert!(w.tx_retries > 0);
+        assert_eq!(
+            (s.packets_sent, s.bursts_sent, s.tx_retries),
+            (w.packets_sent, w.bursts_sent, w.tx_retries)
+        );
     }
 }

@@ -154,8 +154,8 @@ struct FinishedStream {
     snapshots: Vec<KappaSnapshot>,
 }
 
+/// A stream's records, and how many it holds, are the store's.
 struct StreamState {
-    ingested: u64,
     finished: bool,
     /// `None` for the tenant baseline; comparison streams carry an
     /// engine while live and a summary once finished.
@@ -229,8 +229,6 @@ struct Tenant {
     store: TrialStore,
     baseline: Option<String>,
     streams: BTreeMap<String, StreamState>,
-    /// Cached all-pairs matrix; invalidated by any mutation.
-    matrix: Option<(Vec<String>, Vec<WireCell>)>,
     /// Number of the last journal entry applied.
     applied: u64,
     /// Changed since `ck` was last written.
@@ -301,7 +299,6 @@ impl Tenant {
             dir,
             baseline: None,
             streams: BTreeMap::new(),
-            matrix: None,
             applied: 0,
             dirty: true,
         };
@@ -383,7 +380,6 @@ impl Tenant {
             streams.insert(
                 sck.name,
                 StreamState {
-                    ingested: sck.ingested,
                     finished: sck.finished,
                     engine,
                     done: sck.done,
@@ -396,7 +392,6 @@ impl Tenant {
             store,
             baseline: ck.baseline,
             streams,
-            matrix: None,
             applied: ck.applied,
             dirty: false,
         };
@@ -436,19 +431,17 @@ impl Tenant {
             if entry.n != self.applied + 1 {
                 return Err(lost(format!("follows entry {}", self.applied)));
             }
-            let mut fresh = Vec::new();
             if let JournalOp::Ingest { stream, seq, count } = &entry.op {
-                let live = self.streams.get(stream).filter(|s| !s.finished);
-                if live.map(|s| s.ingested) != Some(*seq) {
+                let live = self.streams.get(stream).is_some_and(|s| !s.finished);
+                if !live || self.store.len(stream) != *seq {
                     return Err(lost(format!(
                         "marker at {seq} does not continue `{stream}`"
                     )));
                 }
                 self.store.adopt(stream, seq + count)?;
-                fresh = self.store.get(stream)?[*seq as usize..].to_vec();
             }
             // A refusal replays as the same refusal.
-            let _ = self.apply(cfg, entry.op, &fresh);
+            let _ = self.apply(cfg, entry.op);
             self.applied = entry.n;
             self.dirty = true;
         }
@@ -493,14 +486,14 @@ impl Tenant {
         if s.finished {
             return Err(format!("stream `{name}/{stream}` is finished"));
         }
-        if seq > s.ingested {
+        let have = self.store.len(&stream);
+        if seq > have {
             return Err(format!(
-                "ingest gap on `{name}/{stream}`: batch starts at {seq}, stream has {}",
-                s.ingested
+                "ingest gap on `{name}/{stream}`: batch starts at {seq}, stream has {have}"
             ));
         }
         // Idempotent resend: skip records the stream already has.
-        let (have, skip) = (s.ingested, (s.ingested - seq) as usize);
+        let skip = (have - seq) as usize;
         if skip >= records.len() {
             return Ok((Response::Ingested { total: have }, 0));
         }
@@ -535,29 +528,22 @@ impl Tenant {
             let _ = self.store.adopt(&stream, have);
             return Err(e);
         }
-        let resp = self.apply(cfg, marker, &fresh)?;
+        let resp = self.apply(cfg, marker)?;
         Ok((resp, fresh.len() as u64))
     }
 
     /// Apply one op. Shared by the wire handlers (after journaling) and
     /// recovery replay — the single path that keeps replayed state
-    /// bit-identical to the uninterrupted run. `fresh` is an `Ingest`
-    /// marker's records, already in the store.
-    fn apply(
-        &mut self,
-        cfg: StreamConfig,
-        op: JournalOp,
-        fresh: &[Observation],
-    ) -> Result<Response, String> {
+    /// bit-identical to the uninterrupted run. An `Ingest` marker's
+    /// records are read back from the store, where they already are.
+    fn apply(&mut self, cfg: StreamConfig, op: JournalOp) -> Result<Response, String> {
         let Tenant {
             name,
             store,
             baseline,
             streams,
-            matrix,
             ..
         } = self;
-        *matrix = None;
         match op {
             JournalOp::OpenStream { stream } => {
                 if streams.contains_key(&stream) {
@@ -575,7 +561,6 @@ impl Tenant {
                 streams.insert(
                     stream,
                     StreamState {
-                        ingested: 0,
                         finished: false,
                         engine,
                         done: None,
@@ -584,15 +569,10 @@ impl Tenant {
                 obs::counter_inc("service.streams.opened");
                 Ok(Response::Ok)
             }
-            JournalOp::Ingest { stream, .. } => {
+            JournalOp::Ingest { stream, seq, .. } => {
                 let baseline = baseline
                     .as_deref()
                     .expect("a stream is open, so a baseline is");
-                let s = streams
-                    .get_mut(&stream)
-                    .expect("checked before the marker was written");
-                s.ingested += fresh.len() as u64;
-                let total = s.ingested;
                 if stream == baseline {
                     // Baseline grew: advance side A of every live engine
                     // from wherever it stands. An engine opened after the
@@ -610,11 +590,16 @@ impl Tenant {
                     // Comparison stream: feed side B, then catch side A
                     // up to the baseline's current length (covers
                     // streams opened after the baseline had data).
-                    let eng = s.engine.as_mut().expect("live comparison stream");
-                    eng.push_burst(Side::B, fresh);
+                    let eng = (streams.get_mut(&stream))
+                        .and_then(|s| s.engine.as_mut())
+                        .expect("live comparison stream");
+                    let fresh = store.get(&stream).map_err(|e| e.to_string())?;
+                    eng.push_burst(Side::B, &fresh[seq as usize..]);
                     catch_up(eng, store, baseline)?;
                 }
-                Ok(Response::Ingested { total })
+                Ok(Response::Ingested {
+                    total: store.len(&stream),
+                })
             }
             JournalOp::Finish { stream } => {
                 let s = streams
@@ -668,7 +653,7 @@ impl Tenant {
         let streams = (self.streams.iter())
             .map(|(name, s)| StreamCk {
                 name: name.clone(),
-                ingested: s.ingested,
+                ingested: self.store.len(name),
                 finished: s.finished,
                 engine: s.engine.as_ref().map(IncrementalComparison::cursor),
                 done: s.done.clone(),
@@ -784,7 +769,7 @@ impl ServiceState {
         let cfg = self.cfg.stream_config();
         let t = self.tenant(tenant)?;
         t.journal(&op)?;
-        t.apply(cfg, op, &[])
+        t.apply(cfg, op)
     }
 
     fn ingest(
@@ -876,12 +861,6 @@ impl ServiceState {
     fn matrix_of(&mut self, tenant: &str) -> Result<Response, String> {
         let shards = thread::available_parallelism().map_or(1, |n| n.get());
         let t = self.tenant(tenant)?;
-        if let Some((labels, cells)) = &t.matrix {
-            return Ok(Response::Matrix {
-                labels: labels.clone(),
-                cells: cells.clone(),
-            });
-        }
         let labels = t.store.keys();
         if labels.len() < 2 {
             return Err(format!(
@@ -911,7 +890,6 @@ impl ServiceState {
                 });
             }
         }
-        t.matrix = Some((labels.clone(), cells.clone()));
         obs::counter_inc("service.matrix.computed");
         Ok(Response::Matrix { labels, cells })
     }
@@ -966,7 +944,7 @@ impl ServiceState {
             Request::StreamStatus { tenant, stream } => {
                 self.stream(&tenant, &stream)
                     .map(|(t, s)| Response::Status {
-                        ingested: s.ingested,
+                        ingested: t.store.len(&stream),
                         finished: s.finished,
                         baseline: Some(&stream) == t.baseline.as_ref(),
                     })
@@ -1218,7 +1196,7 @@ mod tests {
         // what the check reads, so put the stream at the bound.
         let bound = MAX_TRIAL_LEN as u64;
         let tenant = st.tenants.get_mut(&t).expect("created above");
-        tenant.streams.get_mut(&run).expect("opened above").ingested = bound;
+        tenant.store.set_len(&run, bound);
         let files = |t: &Tenant| ["journal", "run.log"].map(|f| fs::read(t.dir.join(f)).expect(f));
         let before = files(tenant);
 

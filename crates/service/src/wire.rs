@@ -4,7 +4,8 @@
 //! byte count followed by exactly that many payload bytes. Framing first
 //! means a reader never has to scan for message boundaries, and a frame
 //! cap ([`MAX_FRAME_BYTES`]) bounds what a misbehaving peer can make the
-//! daemon allocate.
+//! daemon allocate; a frame's buffer holds at most a megabyte before its
+//! bytes arrive, and at most twice what has arrived after that.
 //!
 //! Control verbs and every [`Response`] are JSON payloads (externally
 //! tagged enums; JSON text starts with `{` or `"`). The one bulk verb,
@@ -41,6 +42,11 @@ use crate::store::{decode_records, encode_records, OBS_BYTES};
 /// Large batches should be split client-side (the client lib chunks for
 /// you).
 pub const MAX_FRAME_BYTES: u32 = 16 << 20;
+
+/// The most [`read_frame`] reserves before a payload byte arrives: more
+/// than a 4 096-record `Ingest`, far less than the cap a 4-byte header
+/// can claim.
+const FIRST_RESERVE: usize = 1 << 20;
 
 /// First payload byte of a binary [`Request::Ingest`] frame.
 pub const INGEST_TAG: u8 = 0x01;
@@ -125,8 +131,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     if n > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(n));
     }
-    let mut buf = vec![0u8; n as usize];
+    // A header alone reserves at most `FIRST_RESERVE`; past it the
+    // buffer at most doubles, and only once what it holds has arrived.
+    let n = n as usize;
+    let mut buf = vec![0u8; n.min(FIRST_RESERVE)];
     r.read_exact(&mut buf)?;
+    while buf.len() < n {
+        let have = buf.len();
+        let next = n.min(2 * have);
+        buf.reserve_exact(next - have);
+        buf.resize(next, 0);
+        r.read_exact(&mut buf[have..])?;
+    }
     Ok(Some(buf))
 }
 

@@ -4,6 +4,7 @@
 
 use choir::metrics::matching::Matching;
 use choir::metrics::{compare, PairAnalyzer, Trial};
+use choir::packet::PacketId;
 use proptest::prelude::*;
 
 /// A random trial with *arbitrary* (possibly non-monotonic) timestamps —
@@ -37,29 +38,70 @@ fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
         })
 }
 
+fn metrics_are_symmetric(a: &Trial, b: &Trial) {
+    let mab = compare(a, b);
+    let mba = compare(b, a);
+    prop_assert!((mab.u - mba.u).abs() < 1e-12);
+    prop_assert!((mab.o - mba.o).abs() < 1e-9);
+    prop_assert!((mab.l - mba.l).abs() < 1e-12);
+    prop_assert!((mab.i - mba.i).abs() < 1e-12);
+    prop_assert!((mab.kappa - mba.kappa).abs() < 1e-9);
+}
+
+fn metrics_are_normalized(a: &Trial, b: &Trial) {
+    let m = compare(a, b);
+    prop_assert!((0.0..=1.0).contains(&m.u), "U = {}", m.u);
+    prop_assert!((0.0..=1.0).contains(&m.o), "O = {}", m.o);
+    prop_assert!((0.0..=1.0).contains(&m.l), "L = {}", m.l);
+    prop_assert!((0.0..=1.0).contains(&m.i), "I = {}", m.i);
+    prop_assert!((0.0..=1.0).contains(&m.kappa), "kappa = {}", m.kappa);
+    prop_assert!(m.magnitude() <= 2.0 + 1e-12);
+}
+
+fn matching_is_consistent(a: &Trial, b: &Trial) {
+    let m = Matching::build(a, b);
+    prop_assert_eq!(m.common() + m.missing_in_b(), m.a_len);
+    prop_assert_eq!(m.common() + m.extra_in_b(), m.b_len);
+    prop_assert!(m.common() <= m.a_len.min(m.b_len));
+    // Pairs are ordered by B index and use valid indices.
+    for w in m.pairs.windows(2) {
+        prop_assert!(w[0].b_idx < w[1].b_idx);
+    }
+    for p in &m.pairs {
+        prop_assert_eq!(a.id(p.a_idx), b.id(p.b_idx));
+    }
+}
+
+/// A counterexample proptest once shrank to: one packet in A against
+/// six in B, identities just above 2^127 — B repeats one identity four
+/// times and holds A's once, last.
+#[test]
+fn one_packet_against_six_with_repeated_identities_near_2_pow_127() {
+    let trial = |obs: &[(u128, u64)]| {
+        let mut t = Trial::new();
+        for &(offset, t_ps) in obs {
+            t.push(PacketId::from_u128((1 << 127) + offset), t_ps);
+        }
+        t
+    };
+    let a = trial(&[(20, 127)]);
+    let b = trial(&[(0, 0), (0, 100), (21, 200), (0, 300), (0, 400), (20, 500)]);
+    metrics_are_symmetric(&a, &b);
+    metrics_are_normalized(&a, &b);
+    matching_is_consistent(&a, &b);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn all_metrics_are_symmetric(a in arb_trial(40), b in arb_trial(40)) {
-        let mab = compare(&a, &b);
-        let mba = compare(&b, &a);
-        prop_assert!((mab.u - mba.u).abs() < 1e-12);
-        prop_assert!((mab.o - mba.o).abs() < 1e-9);
-        prop_assert!((mab.l - mba.l).abs() < 1e-12);
-        prop_assert!((mab.i - mba.i).abs() < 1e-12);
-        prop_assert!((mab.kappa - mba.kappa).abs() < 1e-9);
+        metrics_are_symmetric(&a, &b);
     }
 
     #[test]
     fn all_metrics_are_normalized(a in arb_trial(40), b in arb_trial(40)) {
-        let m = compare(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&m.u), "U = {}", m.u);
-        prop_assert!((0.0..=1.0).contains(&m.o), "O = {}", m.o);
-        prop_assert!((0.0..=1.0).contains(&m.l), "L = {}", m.l);
-        prop_assert!((0.0..=1.0).contains(&m.i), "I = {}", m.i);
-        prop_assert!((0.0..=1.0).contains(&m.kappa), "kappa = {}", m.kappa);
-        prop_assert!(m.magnitude() <= 2.0 + 1e-12);
+        metrics_are_normalized(&a, &b);
     }
 
     #[test]
@@ -185,17 +227,7 @@ proptest! {
 
     #[test]
     fn matching_counts_are_consistent(a in arb_trial(40), b in arb_trial(40)) {
-        let m = Matching::build(&a, &b);
-        prop_assert_eq!(m.common() + m.missing_in_b(), m.a_len);
-        prop_assert_eq!(m.common() + m.extra_in_b(), m.b_len);
-        prop_assert!(m.common() <= m.a_len.min(m.b_len));
-        // Pairs are ordered by B index and use valid indices.
-        for w in m.pairs.windows(2) {
-            prop_assert!(w[0].b_idx < w[1].b_idx);
-        }
-        for p in &m.pairs {
-            prop_assert_eq!(a.id(p.a_idx), b.id(p.b_idx));
-        }
+        matching_is_consistent(&a, &b);
     }
 
     #[test]
