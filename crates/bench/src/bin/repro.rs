@@ -316,59 +316,9 @@ fn table2(opts: &Opts) {
 fn chaos(opts: &Opts) {
     use choir_core::metrics::report::{analyze, trial_label};
     use choir_core::replay::{EngineConfig, run_replay_supervised};
-    use choir_dpdk::{Burst, Dataplane, FaultConfig, FaultyDataplane, PortStats};
-    use std::cell::Cell;
+    use choir_dpdk::{FaultConfig, FaultyDataplane, ScriptPlane};
 
     println!("== chaos: fault-rate sweep over the supervised replay engine (seed {}) ==", opts.seed);
-
-    /// A deterministic stand-in for a NIC + clock: the "TSC" advances a
-    /// fixed step on every read (so spin loops terminate identically on
-    /// every host) and transmitted tags are logged with their send time.
-    struct VirtualSink {
-        pool: Mempool,
-        now: Cell<u64>,
-        log: Vec<(u64, ChoirTag)>,
-    }
-    /// Virtual nanoseconds per TSC read: each poll of the clock "costs"
-    /// this much simulated time.
-    const TSC_STEP_NS: u64 = 25;
-    impl Dataplane for VirtualSink {
-        fn num_ports(&self) -> usize {
-            1
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: usize, out: &mut Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, _p: usize, burst: &mut Burst) -> usize {
-            let n = burst.len();
-            let t = self.now.get();
-            for m in burst.drain() {
-                if let Some(tag) = m.frame.tag() {
-                    self.log.push((t, tag));
-                }
-            }
-            n
-        }
-        fn tsc(&self) -> u64 {
-            let t = self.now.get() + TSC_STEP_NS;
-            self.now.set(t);
-            t
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            self.now.get()
-        }
-        fn request_wake_at_tsc(&mut self, _t: u64) {}
-        fn stats(&self, _p: usize) -> PortStats {
-            PortStats::default()
-        }
-    }
 
     // One tagged recording, replayed under every fault rate.
     let pool = Mempool::new("chaos", 1 << 16);
@@ -404,11 +354,12 @@ fn chaos(opts: &Opts) {
     let mut trials = Vec::new();
     let mut lines = Vec::new();
     for &rate in &rates {
-        let sink = VirtualSink {
-            pool: pool.clone(),
-            now: Cell::new(0),
-            log: Vec::new(),
-        };
+        // A deterministic stand-in for a NIC + clock: every TSC read
+        // "costs" 25 virtual ns, so spin loops terminate identically on
+        // every host, and every transmitted packet is logged with its
+        // send time.
+        let mut sink = ScriptPlane::new(1, pool.clone());
+        sink.tsc_step = 25;
         let mut dp = FaultyDataplane::new(
             sink,
             FaultConfig {
@@ -428,8 +379,10 @@ fn chaos(opts: &Opts) {
         let faults = dp.fault_stats();
         let sink = dp.into_inner();
         let mut trial = Trial::new();
-        for &(t_ns, tag) in &sink.log {
-            trial.push_tagged(tag.replayer, tag.stream, tag.seq, t_ns * 1_000);
+        for (_, t_ns, m) in &sink.sent {
+            if let Some(tag) = m.frame.tag() {
+                trial.push_tagged(tag.replayer, tag.stream, tag.seq, t_ns * 1_000);
+            }
         }
         trials.push(trial);
         lines.push((rate, stats, degradation, faults));

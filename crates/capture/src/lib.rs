@@ -187,92 +187,33 @@ impl App for Recorder {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use choir_dpdk::{Mbuf, Mempool, PortStats};
+    use choir_dpdk::{Mempool, ScriptPlane};
     use choir_packet::ChoirTag;
-    use std::collections::VecDeque;
 
-    struct RxPlane {
-        pool: Mempool,
-        rx: VecDeque<Mbuf>,
-        alloc_failed: u64,
+    fn rx_plane(pool_capacity: usize) -> ScriptPlane {
+        ScriptPlane::new(1, Mempool::new("cap", pool_capacity))
     }
 
-    impl RxPlane {
-        fn new() -> Self {
-            Self::with_pool_capacity(1 << 12)
-        }
-        fn with_pool_capacity(cap: usize) -> Self {
-            RxPlane {
-                pool: Mempool::new("cap", cap),
-                rx: VecDeque::new(),
-                alloc_failed: 0,
-            }
-        }
-        fn inject(&mut self, seq: u64, ts_ps: Option<u64>) {
-            let mut buf = vec![0u8; 60];
-            ChoirTag::new(1, 0, seq).stamp_trailer(&mut buf);
-            // An exhausted pool drops the arrival and counts it, like a
-            // real rx path out of descriptors — never panics.
-            match self.pool.alloc(Frame::new(Bytes::from(buf))) {
-                Ok(mut m) => {
-                    m.rx_ts_ps = ts_ps;
-                    self.rx.push_back(m);
-                }
-                Err(_) => self.alloc_failed += 1,
-            }
-        }
-    }
-
-    impl Dataplane for RxPlane {
-        fn num_ports(&self) -> usize {
-            1
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            let mut n = 0;
-            while n < choir_dpdk::MAX_BURST {
-                match self.rx.pop_front() {
-                    Some(m) => match out.push(m) {
-                        Ok(()) => n += 1,
-                        // Full burst: leave the packet queued for the
-                        // next call rather than panicking.
-                        Err(m) => {
-                            self.rx.push_front(m);
-                            break;
-                        }
-                    },
-                    None => break,
-                }
-            }
-            n
-        }
-        fn tx_burst(&mut self, _p: PortId, _b: &mut Burst) -> usize {
-            0
-        }
-        fn tsc(&self) -> u64 {
-            0
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            0
-        }
-        fn request_wake_at_tsc(&mut self, _t: u64) {}
-        fn stats(&self, _p: PortId) -> PortStats {
-            PortStats::default()
-        }
+    /// Queue a tagged 60-byte arrival stamped `ts_ps`. An exhausted pool
+    /// drops the arrival and says so, like a real rx path out of
+    /// descriptors — never panics.
+    fn inject(dp: &mut ScriptPlane, seq: u64, ts_ps: Option<u64>) -> bool {
+        let mut buf = vec![0u8; 60];
+        ChoirTag::new(1, 0, seq).stamp_trailer(&mut buf);
+        let Ok(mut m) = dp.mempool().alloc(Frame::new(Bytes::from(buf))) else {
+            return false;
+        };
+        m.rx_ts_ps = ts_ps;
+        dp.arrive(0, m);
+        true
     }
 
     #[test]
     fn captures_ids_and_timestamps_in_order() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig::default());
         for i in 0..5 {
-            dp.inject(i, Some(1_000 + i * 285));
+            inject(&mut dp, i, Some(1_000 + i * 285));
         }
         r.on_wake(&mut dp);
         assert_eq!(r.current_len(), 5);
@@ -289,14 +230,14 @@ mod tests {
 
     #[test]
     fn trial_cut_segments_runs() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig::default());
-        dp.inject(0, Some(10));
-        dp.inject(1, Some(20));
+        inject(&mut dp, 0, Some(10));
+        inject(&mut dp, 1, Some(20));
         r.on_wake(&mut dp);
         r.on_control(&ControlMsg::Custom(TRIAL_CUT), &mut dp);
-        dp.inject(0, Some(12));
-        dp.inject(1, Some(22));
+        inject(&mut dp, 0, Some(12));
+        inject(&mut dp, 1, Some(22));
         r.on_wake(&mut dp);
         let trials = r.take_trials();
         assert_eq!(trials.len(), 2);
@@ -306,21 +247,21 @@ mod tests {
 
     #[test]
     fn empty_trials_are_skipped() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig::default());
         r.cut_trial();
         r.cut_trial();
-        dp.inject(0, Some(5));
+        inject(&mut dp, 0, Some(5));
         r.on_wake(&mut dp);
         assert_eq!(r.take_trials().len(), 1);
     }
 
     #[test]
     fn untimestamped_counted_not_captured() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig::default());
-        dp.inject(0, None);
-        dp.inject(1, Some(7));
+        inject(&mut dp, 0, None);
+        inject(&mut dp, 1, Some(7));
         r.on_wake(&mut dp);
         assert_eq!(r.untimestamped(), 1);
         assert_eq!(r.current_len(), 1);
@@ -328,9 +269,9 @@ mod tests {
 
     #[test]
     fn other_control_messages_ignored() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig::default());
-        dp.inject(0, Some(5));
+        inject(&mut dp, 0, Some(5));
         r.on_wake(&mut dp);
         r.on_control(&ControlMsg::StartRecord, &mut dp);
         r.on_control(&ControlMsg::Custom(999), &mut dp);
@@ -339,13 +280,13 @@ mod tests {
 
     #[test]
     fn pcap_export_roundtrip() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig {
             keep_frames: true,
             ..RecorderConfig::default()
         });
         for i in 0..3 {
-            dp.inject(i, Some(i * 1_000_000));
+            inject(&mut dp, i, Some(i * 1_000_000));
         }
         r.on_wake(&mut dp);
         assert_eq!(r.frames_kept(), 3);
@@ -361,14 +302,14 @@ mod tests {
 
     #[test]
     fn bounded_retention_drops_and_counts_instead_of_growing() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig {
             keep_frames: true,
             max_frames: Some(2),
             ..RecorderConfig::default()
         });
         for i in 0..5 {
-            dp.inject(i, Some(10 + i));
+            inject(&mut dp, i, Some(10 + i));
         }
         r.on_wake(&mut dp);
         assert_eq!(r.frames_kept(), 2);
@@ -384,12 +325,12 @@ mod tests {
 
     #[test]
     fn undersized_pool_completes_run_instead_of_panicking() {
-        let mut dp = RxPlane::with_pool_capacity(4);
+        let mut dp = rx_plane(4);
         let mut r = Recorder::new(RecorderConfig::default());
-        for i in 0..10 {
-            dp.inject(i, Some(100 * (i + 1)));
-        }
-        assert_eq!(dp.alloc_failed, 6);
+        let dropped = (0..10)
+            .filter(|&i| !inject(&mut dp, i, Some(100 * (i + 1))))
+            .count();
+        assert_eq!(dropped, 6);
         r.on_wake(&mut dp);
         assert_eq!(r.current_len(), 4);
         let trials = r.take_trials();
@@ -399,9 +340,9 @@ mod tests {
 
     #[test]
     fn frames_not_kept_by_default() {
-        let mut dp = RxPlane::new();
+        let mut dp = rx_plane(1 << 12);
         let mut r = Recorder::new(RecorderConfig::default());
-        dp.inject(0, Some(5));
+        inject(&mut dp, 0, Some(5));
         r.on_wake(&mut dp);
         assert_eq!(r.frames_kept(), 0);
     }

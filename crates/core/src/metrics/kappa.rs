@@ -29,6 +29,12 @@ pub struct ConsistencyMetrics {
 }
 
 impl ConsistencyMetrics {
+    /// `[U, O, L, I, κ]` as bits: two scores are the same score exactly
+    /// when these are equal.
+    pub fn bits(&self) -> [u64; 5] {
+        [self.u, self.o, self.l, self.i, self.kappa].map(f64::to_bits)
+    }
+
     /// The vector magnitude `|⟨U,O,L,I⟩|`.
     pub fn magnitude(&self) -> f64 {
         (self.u * self.u + self.o * self.o + self.l * self.l + self.i * self.i).sqrt()

@@ -98,6 +98,53 @@ pub struct TrialComparison {
     pub timings: StageTimings,
 }
 
+/// The bit-identity key of a [`TrialComparison`]: every field but its
+/// `label` and wall-clock `timings`, each `f64` as its bits. Two
+/// pipelines agree on a pair exactly when their keys are equal.
+#[derive(Debug, PartialEq)]
+pub struct ComparisonBits<'a> {
+    metrics: [u64; 5],
+    /// `a_len, b_len, common, missing, extra, moved`.
+    counts: [usize; 6],
+    iat_within_10ns: u64,
+    iat_abs_percentiles_ns: [u64; 3],
+    latency_abs_percentiles_ns: [u64; 3],
+    /// `count`, then `mean, stddev, abs_mean, abs_stddev`, then `min, max`.
+    edit_stats: (usize, [u64; 4], [i64; 2]),
+    iat_hist: &'a DeltaHistogram,
+    latency_hist: &'a DeltaHistogram,
+}
+
+impl TrialComparison {
+    /// This comparison's [`ComparisonBits`]. A caller that also pins the
+    /// label compares it beside the key.
+    pub fn bits(&self) -> ComparisonBits<'_> {
+        let triple = |(p50, p90, p99): (f64, f64, f64)| [p50, p90, p99].map(f64::to_bits);
+        let e = &self.edit_stats;
+        ComparisonBits {
+            metrics: self.metrics.bits(),
+            counts: [
+                self.a_len,
+                self.b_len,
+                self.common,
+                self.missing,
+                self.extra,
+                self.moved,
+            ],
+            iat_within_10ns: self.iat_within_10ns.to_bits(),
+            iat_abs_percentiles_ns: triple(self.iat_abs_percentiles_ns),
+            latency_abs_percentiles_ns: triple(self.latency_abs_percentiles_ns),
+            edit_stats: (
+                e.count,
+                [e.mean, e.stddev, e.abs_mean, e.abs_stddev].map(f64::to_bits),
+                [e.min, e.max],
+            ),
+            iat_hist: &self.iat_hist,
+            latency_hist: &self.latency_hist,
+        }
+    }
+}
+
 /// Sorted-absolute (p50, p90, p99) of a delta series, in nanoseconds.
 pub(crate) fn abs_percentiles_ns(deltas: &[f64]) -> (f64, f64, f64) {
     if deltas.is_empty() {

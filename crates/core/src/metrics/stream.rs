@@ -1285,25 +1285,6 @@ mod tests {
         (a, b)
     }
 
-    fn assert_bit_identical(x: &TrialComparison, y: &TrialComparison) {
-        assert_eq!(x.label, y.label);
-        assert_eq!(x.metrics.kappa.to_bits(), y.metrics.kappa.to_bits());
-        assert_eq!(x.metrics.u.to_bits(), y.metrics.u.to_bits());
-        assert_eq!(x.metrics.o.to_bits(), y.metrics.o.to_bits());
-        assert_eq!(x.metrics.l.to_bits(), y.metrics.l.to_bits());
-        assert_eq!(x.metrics.i.to_bits(), y.metrics.i.to_bits());
-        assert_eq!(
-            (x.a_len, x.b_len, x.common, x.missing, x.extra, x.moved),
-            (y.a_len, y.b_len, y.common, y.missing, y.extra, y.moved)
-        );
-        assert_eq!(x.iat_within_10ns.to_bits(), y.iat_within_10ns.to_bits());
-        assert_eq!(x.iat_abs_percentiles_ns, y.iat_abs_percentiles_ns);
-        assert_eq!(x.latency_abs_percentiles_ns, y.latency_abs_percentiles_ns);
-        assert_eq!(x.edit_stats, y.edit_stats);
-        assert_eq!(x.iat_hist, y.iat_hist);
-        assert_eq!(x.latency_hist, y.latency_hist);
-    }
-
     fn stream_in_chunks(a: &Trial, b: &Trial, chunk: usize, cfg: StreamConfig) -> StreamOutcome {
         let mut eng = IncrementalComparison::new(cfg);
         let (oa, ob) = (a.observations(), b.observations());
@@ -1324,8 +1305,8 @@ mod tests {
         let (a, b) = jittered_pair(400);
         let batch = PairAnalyzer::new(&a, &b).label("B").analyze();
         for chunk in [1usize, 7, 64, 10_000] {
-            let out = stream_in_chunks(&a, &b, chunk, StreamConfig::default());
-            assert_bit_identical(&out.comparison, &batch);
+            let out = stream_in_chunks(&a, &b, chunk, StreamConfig::default()).comparison;
+            assert_eq!((&out.label, out.bits()), (&batch.label, batch.bits()));
         }
     }
 
@@ -1339,7 +1320,7 @@ mod tests {
         eng.push_burst(Side::B, b.observations());
         assert_eq!(eng.seen_a(), 300);
         let out = eng.finalize("B");
-        assert_bit_identical(&out.comparison, &batch);
+        assert_eq!(out.comparison.bits(), batch.bits());
         assert_eq!(out.peak_resident, 300, "all of A pending before B starts");
     }
 
@@ -1443,7 +1424,7 @@ mod tests {
         }
         let batch = PairAnalyzer::new(&a, &b).label("B").analyze();
         let out = stream_in_chunks(&a, &b, 2, StreamConfig::default());
-        assert_bit_identical(&out.comparison, &batch);
+        assert_eq!(out.comparison.bits(), batch.bits());
         assert_eq!(out.comparison.common, 3);
         assert_eq!(out.comparison.missing, 2);
     }
@@ -1629,7 +1610,7 @@ mod tests {
                 assert!(file_bytes(tail.checkpoint()) == at_cut, "cut {k}");
                 feed(&mut tail, &events[k..]);
                 let got = tail.finalize("B");
-                assert_bit_identical(&got.comparison, &want.comparison);
+                assert_eq!(got.comparison.bits(), want.comparison.bits());
                 assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
                 assert_snapshots_identical(&got.snapshots, &want.snapshots);
             }
@@ -1637,7 +1618,7 @@ mod tests {
             assert_eq!(tail.resident(), head.resident(), "cut {k}");
             feed(&mut tail, &events[k..]);
             let got = tail.finalize("B");
-            assert_bit_identical(&got.comparison, &want.comparison);
+            assert_eq!(got.comparison.bits(), want.comparison.bits());
             assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
             assert_snapshots_identical(&got.snapshots, &want.snapshots);
         }
@@ -1669,7 +1650,7 @@ mod tests {
             eng.push(*side, o.id, o.t_ps);
         }
         let got = eng.finalize("B");
-        assert_bit_identical(&got.comparison, &want.comparison);
+        assert_eq!(got.comparison.bits(), want.comparison.bits());
     }
 
     #[test]
@@ -1892,7 +1873,7 @@ mod tests {
         assert_eq!(tail.engine_id(), 42);
         feed(&mut tail, &events[31..]);
         let got = tail.finalize("B");
-        assert_bit_identical(&got.comparison, &want.comparison);
+        assert_eq!(got.comparison.bits(), want.comparison.bits());
         assert_snapshots_identical(&got.snapshots, &want.snapshots);
     }
 

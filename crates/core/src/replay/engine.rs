@@ -251,7 +251,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use choir_dpdk::loopback::{LoopbackPort, RealClock, RealtimePlane};
-    use choir_dpdk::Mempool;
+    use choir_dpdk::{Mempool, ScriptPlane};
     use choir_packet::Frame;
     use std::thread;
 
@@ -344,83 +344,48 @@ mod tests {
         run_replay_spin(&Recording::new(), &mut plane, pid, 0);
     }
 
-    /// A wedged NIC: every transmit is rejected, forever.
-    struct RejectingPlane {
-        pool: Mempool,
-        clock: RealClock,
-        tx_calls: u64,
-    }
-
-    impl RejectingPlane {
-        fn new(pool: Mempool) -> Self {
-            RejectingPlane {
-                pool,
-                clock: RealClock::new(),
-                tx_calls: 0,
-            }
-        }
-    }
-
-    impl Dataplane for RejectingPlane {
-        fn num_ports(&self) -> usize {
-            1
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: PortId, out: &mut choir_dpdk::Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, _p: PortId, _burst: &mut choir_dpdk::Burst) -> usize {
-            self.tx_calls += 1;
-            0
-        }
-        fn tsc(&self) -> u64 {
-            self.clock.elapsed_ns()
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            self.clock.elapsed_ns()
-        }
-        fn request_wake_at_tsc(&mut self, _t: u64) {}
-        fn stats(&self, _p: PortId) -> choir_dpdk::PortStats {
-            choir_dpdk::PortStats::default()
-        }
+    /// A wedged NIC: every transmit is rejected, forever, under a virtual
+    /// clock that advances 25 ns per TSC read.
+    fn rejecting_plane(pool: Mempool) -> ScriptPlane {
+        let mut dp = ScriptPlane::new(1, pool);
+        dp.accept = vec![0];
+        dp.tsc_step = 25;
+        dp
     }
 
     #[test]
     fn persistent_rejection_aborts_at_deadline_with_partial_stats() {
         let pool = Mempool::new("e", 1 << 10);
         let rec = recording_of(&pool, 4, 8, 1_000);
-        let mut dp = RejectingPlane::new(pool.clone());
-        let deadline_ns = 20_000_000; // 20 ms
+        let mut dp = rejecting_plane(pool.clone());
+        let deadline_ns = 20_000_000; // 20 virtual ms
         let cfg = EngineConfig {
             max_retries_per_burst: u32::MAX, // only the deadline can stop it
             ..EngineConfig::with_deadline(deadline_ns)
         };
-        let t0 = std::time::Instant::now();
         let err = run_replay_supervised(&rec, &mut dp, 0, &cfg).unwrap_err();
-        // Terminates promptly: the 20 ms budget plus scheduling slack,
-        // nowhere near a hang.
-        assert!(t0.elapsed().as_secs() < 5, "took {:?}", t0.elapsed());
         assert_eq!(
             err.kind,
             ReplayErrorKind::DeadlineExceeded { deadline_ns },
             "{err}"
         );
+        // Stops at the first deadline check past the budget: within one
+        // backoff of it, nowhere near a hang.
         assert!(err.elapsed_ns >= deadline_ns);
+        assert!(
+            err.elapsed_ns < deadline_ns + cfg.backoff_max_cycles,
+            "{}",
+            err.elapsed_ns
+        );
         assert_eq!(err.aborted_at_burst, 0, "first burst never went out");
         // Partial stats are consistent: nothing was ever accepted, every
         // tx call was a rejection, and each retry took one backoff.
         assert_eq!(err.stats.packets_sent, 0);
         assert_eq!(err.stats.bursts_sent, 0);
         assert!(err.degradation.tx_rejections > 0);
-        assert_eq!(err.degradation.tx_rejections, dp.tx_calls);
+        assert_eq!(err.degradation.tx_rejections, dp.calls.len() as u64);
         // Every counted retry was sent: the first call plus one per retry.
-        assert_eq!(dp.tx_calls, err.degradation.tx_retries + 1);
+        assert_eq!(dp.calls.len() as u64, err.degradation.tx_retries + 1);
         assert_eq!(err.degradation.tx_retries, err.degradation.backoffs);
         assert_eq!(err.stats.tx_retries, err.degradation.tx_retries);
         assert!(err.degradation.backoff_cycles > 0);
@@ -430,7 +395,7 @@ mod tests {
     fn retry_budget_abandons_bursts_and_finishes() {
         let pool = Mempool::new("e", 1 << 10);
         let rec = recording_of(&pool, 4, 8, 1_000);
-        let mut dp = RejectingPlane::new(pool.clone());
+        let mut dp = rejecting_plane(pool.clone());
         let cfg = EngineConfig {
             max_retries_per_burst: 3,
             backoff_start_cycles: 16,

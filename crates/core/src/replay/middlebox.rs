@@ -324,105 +324,24 @@ impl App for ChoirMiddlebox {
 mod tests {
     use super::*;
     use crate::replay::control::encode_control;
-    use choir_dpdk::{Mbuf, Mempool, PortStats};
+    use choir_dpdk::{Mempool, ScriptPlane};
     use choir_packet::MacAddr;
-    use std::collections::VecDeque;
 
-    /// Two-port test plane: rx queue on port 0 (inject with `inject`),
-    /// tx log on port 1, manual TSC.
-    struct BridgePlane {
-        pool: Mempool,
-        now: u64,
-        wake: Option<u64>,
-        rx_q: VecDeque<Mbuf>,
-        tx_log: Vec<(u64, Mbuf)>,
-        /// Frames transmitted back out port 0 (there must be none).
-        reverse_log: Vec<Mbuf>,
-        tx_capacity_per_call: usize,
+    /// Two ports, a manual clock: arrivals on port 0, every transmit
+    /// logged (the middlebox forwards out port 1 only).
+    fn bridge_plane() -> ScriptPlane {
+        ScriptPlane::new(2, Mempool::new("mb", 4096))
     }
 
-    impl BridgePlane {
-        fn new() -> Self {
-            Self::with_pool_capacity(4096)
-        }
-
-        fn with_pool_capacity(cap: usize) -> Self {
-            BridgePlane {
-                pool: Mempool::new("mb", cap),
-                now: 0,
-                wake: None,
-                rx_q: VecDeque::new(),
-                tx_log: Vec::new(),
-                reverse_log: Vec::new(),
-                tx_capacity_per_call: 64,
-            }
-        }
-
-        fn inject(&mut self, frame: Frame) {
-            let m = self.pool.alloc(frame).unwrap();
-            self.rx_q.push_back(m);
-        }
-
-        fn inject_data(&mut self, n: usize) {
-            let b = choir_packet::FrameBuilder::new(128, 1, 2);
-            for _ in 0..n {
-                self.inject(b.build_plain());
-            }
-        }
+    fn inject(dp: &mut ScriptPlane, frame: Frame) {
+        let m = dp.mempool().alloc(frame).unwrap();
+        dp.arrive(0, m);
     }
 
-    impl Dataplane for BridgePlane {
-        fn num_ports(&self) -> usize {
-            2
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, port: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            if port != 0 {
-                return 0;
-            }
-            let mut n = 0;
-            while n < choir_dpdk::MAX_BURST {
-                match self.rx_q.pop_front() {
-                    Some(m) => {
-                        out.push(m).unwrap();
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            n
-        }
-        fn tx_burst(&mut self, port: PortId, burst: &mut Burst) -> usize {
-            if port == 0 {
-                let n = burst.len();
-                self.reverse_log.extend(burst.drain());
-                return n;
-            }
-            assert_eq!(port, 1, "middlebox must tx on its tx port");
-            let n = burst.len().min(self.tx_capacity_per_call);
-            let now = self.now;
-            for m in burst.drain_front(n) {
-                self.tx_log.push((now, m));
-            }
-            n
-        }
-        fn tsc(&self) -> u64 {
-            self.now
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            self.now
-        }
-        fn request_wake_at_tsc(&mut self, tsc: u64) {
-            self.wake = Some(self.wake.map_or(tsc, |w| w.min(tsc)));
-        }
-        fn stats(&self, _p: PortId) -> PortStats {
-            PortStats::default()
+    fn inject_data(dp: &mut ScriptPlane, n: usize) {
+        let b = choir_packet::FrameBuilder::new(128, 1, 2);
+        for _ in 0..n {
+            inject(dp, b.build_plain());
         }
     }
 
@@ -435,23 +354,23 @@ mod tests {
 
     #[test]
     fn transparent_forwarding_passes_packets_unmodified() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
-        dp.inject_data(10);
+        inject_data(&mut dp, 10);
         app.on_wake(&mut dp);
-        assert_eq!(dp.tx_log.len(), 10);
+        assert_eq!(dp.sent.len(), 10);
         assert_eq!(app.forward_stats().forwarded, 10);
         // Not recording: packets untouched (no tags).
-        assert!(dp.tx_log.iter().all(|(_, m)| m.frame.tag().is_none()));
+        assert!(dp.sent.iter().all(|(_, _, m)| m.frame.tag().is_none()));
         assert!(app.recording().is_empty());
     }
 
     #[test]
     fn recording_stamps_tags_and_holds_bursts() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(5);
+        inject_data(&mut dp, 5);
         dp.now = 1_000;
         app.on_wake(&mut dp);
         app.on_control(&ControlMsg::StopRecord, &mut dp);
@@ -460,44 +379,44 @@ mod tests {
         assert_eq!(app.forward_stats().recorded, 5);
         // Forwarded packets carry sequential tags from replayer 3.
         let seqs: Vec<u64> = dp
-            .tx_log
+            .sent
             .iter()
-            .map(|(_, m)| m.frame.tag().unwrap().seq)
+            .map(|(_, _, m)| m.frame.tag().unwrap().seq)
             .collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         assert!(dp
-            .tx_log
+            .sent
             .iter()
-            .all(|(_, m)| m.frame.tag().unwrap().replayer == 3));
+            .all(|(_, _, m)| m.frame.tag().unwrap().replayer == 3));
         // Recording shares the transmitted frames (no copies beyond the
         // tag stamp).
         let rec = app.recording();
         assert_eq!(
             rec.burst(0).pkts[0].frame.data.as_ptr(),
-            dp.tx_log[0].1.frame.data.as_ptr()
+            dp.sent[0].2.frame.data.as_ptr()
         );
     }
 
     #[test]
     fn stamping_is_in_place_for_uniquely_owned_frames() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(&ControlMsg::StartRecord, &mut dp);
         let b = choir_packet::FrameBuilder::new(128, 1, 2);
         let frame = b.build_plain();
         let original_ptr = frame.data.as_ptr();
-        dp.inject(frame);
+        inject(&mut dp, frame);
         app.on_wake(&mut dp);
         // The middlebox owned the frame storage uniquely (storage-folded
         // mbuf slot, one handle), so the stamp wrote the trailer into the
         // existing bytes — same allocation, no copy.
-        assert_eq!(dp.tx_log[0].1.frame.data.as_ptr(), original_ptr);
-        assert!(dp.tx_log[0].1.frame.tag().is_some());
+        assert_eq!(dp.sent[0].2.frame.data.as_ptr(), original_ptr);
+        assert!(dp.sent[0].2.frame.tag().is_some());
     }
 
     #[test]
     fn stamping_copies_when_frame_storage_is_shared() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(&ControlMsg::StartRecord, &mut dp);
         let b = choir_packet::FrameBuilder::new(128, 1, 2);
@@ -506,29 +425,29 @@ mod tests {
         // the copy-on-write path; the shared original must stay unstamped.
         let tap = frame.data.clone();
         let original_ptr = frame.data.as_ptr();
-        dp.inject(frame);
+        inject(&mut dp, frame);
         app.on_wake(&mut dp);
-        assert_ne!(dp.tx_log[0].1.frame.data.as_ptr(), original_ptr);
-        assert!(dp.tx_log[0].1.frame.tag().is_some());
+        assert_ne!(dp.sent[0].2.frame.data.as_ptr(), original_ptr);
+        assert!(dp.sent[0].2.frame.tag().is_some());
         assert!(Frame::new(tap).tag().is_none());
     }
 
     #[test]
     fn replay_retransmits_identical_packets_at_offsets() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         // Record 3 packets at tsc 1000.
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(3);
+        inject_data(&mut dp, 3);
         dp.now = 1_000;
         app.on_wake(&mut dp);
         app.on_control(&ControlMsg::StopRecord, &mut dp);
         let recorded_ids: Vec<_> = dp
-            .tx_log
+            .sent
             .iter()
-            .map(|(_, m)| m.frame.packet_id())
+            .map(|(_, _, m)| m.frame.packet_id())
             .collect();
-        dp.tx_log.clear();
+        dp.sent.clear();
 
         // Schedule a replay at wall 50_000.
         app.on_control(
@@ -544,12 +463,12 @@ mod tests {
         app.on_wake(&mut dp);
         assert!(!app.replay_active());
         let replay_ids: Vec<_> = dp
-            .tx_log
+            .sent
             .iter()
-            .map(|(_, m)| m.frame.packet_id())
+            .map(|(_, _, m)| m.frame.packet_id())
             .collect();
         assert_eq!(replay_ids, recorded_ids, "replay must be identical");
-        assert_eq!(dp.tx_log[0].0, 50_000);
+        assert_eq!(dp.sent[0].1, 50_000);
         let st = app.last_replay_stats().unwrap();
         assert_eq!(st.packets_sent, 3);
         // Recording survives for repeat replays.
@@ -558,14 +477,14 @@ mod tests {
 
     #[test]
     fn repeat_replays_are_identical() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(4);
+        inject_data(&mut dp, 4);
         dp.now = 100;
         app.on_wake(&mut dp);
         app.on_control(&ControlMsg::StopRecord, &mut dp);
-        dp.tx_log.clear();
+        dp.sent.clear();
 
         let mut runs = Vec::new();
         for start in [10_000u64, 20_000, 30_000] {
@@ -573,9 +492,9 @@ mod tests {
             dp.now = start;
             app.on_wake(&mut dp);
             let ids: Vec<_> = dp
-                .tx_log
+                .sent
                 .drain(..)
-                .map(|(_, m)| m.frame.packet_id())
+                .map(|(_, _, m)| m.frame.packet_id())
                 .collect();
             runs.push(ids);
         }
@@ -585,37 +504,37 @@ mod tests {
 
     #[test]
     fn in_band_control_frames_are_intercepted() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         let src = MacAddr::local(9);
         let dst = MacAddr::local(3);
-        dp.inject(encode_control(&ControlMsg::StartRecord, src, dst));
-        dp.inject_data(2);
-        dp.inject(encode_control(&ControlMsg::StopRecord, src, dst));
-        dp.inject_data(1);
+        inject(&mut dp, encode_control(&ControlMsg::StartRecord, src, dst));
+        inject_data(&mut dp, 2);
+        inject(&mut dp, encode_control(&ControlMsg::StopRecord, src, dst));
+        inject_data(&mut dp, 1);
         app.on_wake(&mut dp);
         // Control frames not forwarded; 3 data packets were, and nothing
         // went back out the rx port in response.
-        assert_eq!(dp.tx_log.len(), 3);
-        assert!(dp.reverse_log.is_empty());
+        assert_eq!(dp.sent.len(), 3);
+        assert!(dp.sent.iter().all(|&(port, _, _)| port == 1));
         assert_eq!(app.forward_stats().control_frames, 2);
         // Only the 2 packets between start/stop were recorded+tagged.
         assert_eq!(app.recording().packets(), 2);
-        assert!(dp.tx_log[0].1.frame.tag().is_some());
-        assert!(dp.tx_log[1].1.frame.tag().is_some());
-        assert!(dp.tx_log[2].1.frame.tag().is_none());
+        assert!(dp.sent[0].2.frame.tag().is_some());
+        assert!(dp.sent[1].2.frame.tag().is_some());
+        assert!(dp.sent[2].2.frame.tag().is_none());
     }
 
     #[test]
     fn abort_replay_stops_and_reports() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(2);
+        inject_data(&mut dp, 2);
         dp.now = 10;
         app.on_wake(&mut dp);
         app.on_control(&ControlMsg::StopRecord, &mut dp);
-        dp.tx_log.clear();
+        dp.sent.clear();
         app.on_control(
             &ControlMsg::ScheduleReplay {
                 start_wall_ns: 99_000,
@@ -629,12 +548,12 @@ mod tests {
         // Time passes; nothing is replayed.
         dp.now = 200_000;
         app.on_wake(&mut dp);
-        assert!(dp.tx_log.is_empty());
+        assert!(dp.sent.is_empty());
     }
 
     #[test]
     fn schedule_without_recording_is_a_noop() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(
             &ControlMsg::ScheduleReplay { start_wall_ns: 100 },
@@ -645,22 +564,22 @@ mod tests {
 
     #[test]
     fn tx_backpressure_drops_after_retries() {
-        let mut dp = BridgePlane::new();
-        dp.tx_capacity_per_call = 2;
+        let mut dp = bridge_plane();
+        dp.accept = vec![2];
         let mut app = ChoirMiddlebox::new(MiddleboxConfig {
             tx_retries: 0,
             ..MiddleboxConfig::default()
         });
-        dp.inject_data(10);
+        inject_data(&mut dp, 10);
         app.on_wake(&mut dp);
         // Each rx burst of 10 -> one tx call of 2 accepted, 8 dropped.
         assert_eq!(app.forward_stats().tx_dropped, 8);
-        assert_eq!(dp.tx_log.len(), 2);
+        assert_eq!(dp.sent.len(), 2);
     }
 
     #[test]
     fn pool_pressure_degrades_recording_but_not_forwarding() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         // Reserve larger than the whole pool: recording is always skipped.
         let mut app = ChoirMiddlebox::new(MiddleboxConfig {
             pool_reserve: usize::MAX,
@@ -668,13 +587,13 @@ mod tests {
             ..MiddleboxConfig::default()
         });
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(5);
+        inject_data(&mut dp, 5);
         app.on_wake(&mut dp);
         app.on_control(&ControlMsg::StopRecord, &mut dp);
 
         let st = app.forward_stats();
         assert_eq!(st.forwarded, 5, "forwarding is never sacrificed");
-        assert_eq!(dp.tx_log.len(), 5);
+        assert_eq!(dp.sent.len(), 5);
         assert_eq!(st.recorded, 0);
         assert_eq!(st.record_skipped, 5);
         assert!(app.recording().is_empty(), "recording stays consistent");
@@ -685,13 +604,13 @@ mod tests {
 
     #[test]
     fn restart_recording_resets_sequence() {
-        let mut dp = BridgePlane::new();
+        let mut dp = bridge_plane();
         let mut app = mb();
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(2);
+        inject_data(&mut dp, 2);
         app.on_wake(&mut dp);
         app.on_control(&ControlMsg::StartRecord, &mut dp);
-        dp.inject_data(2);
+        inject_data(&mut dp, 2);
         app.on_wake(&mut dp);
         // Second recording starts over at seq 0.
         let rec = app.recording();

@@ -192,82 +192,32 @@ impl ReplayScheduler {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use choir_dpdk::{Mempool, PortStats};
+    use choir_dpdk::{App, Mempool, ScriptPlane};
     use choir_packet::Frame;
-    use std::cell::Cell;
 
     use crate::replay::engine::{run_replay_supervised, EngineConfig};
 
-    /// A test dataplane with a manually-advanced TSC and a capacity-bounded
-    /// sink that records (tsc, packets) per tx_burst call, and (tsc, first
-    /// byte) per packet taken. With `step` > 0 every TSC read also advances
-    /// the clock by `step` cycles, as a spinning CPU's does.
-    struct TestPlane {
-        pool: Mempool,
-        now: u64,
-        step: u64,
-        ticks: Cell<u64>,
-        wake: Option<u64>,
-        accept_per_call: usize,
-        sent: Vec<(u64, usize)>,
-        taken: Vec<(u64, u8)>,
+    /// One port, a manual clock, and a NIC taking at most
+    /// `accept_per_call` packets a call.
+    fn test_plane(accept_per_call: usize) -> ScriptPlane {
+        let mut dp = ScriptPlane::new(1, Mempool::new("t", 1024));
+        dp.accept = vec![accept_per_call];
+        dp
     }
 
-    impl TestPlane {
-        fn new(accept_per_call: usize) -> Self {
-            TestPlane {
-                pool: Mempool::new("t", 1024),
-                now: 0,
-                step: 0,
-                ticks: Cell::new(0),
-                wake: None,
-                accept_per_call,
-                sent: Vec::new(),
-                taken: Vec::new(),
-            }
-        }
+    /// The scheduler as an app: pumped on every wake, as the simulated
+    /// middlebox pumps it, until it is done and requests no more.
+    struct Pumped<'r>(ReplayScheduler, &'r Recording);
 
-        fn clock(&self) -> u64 {
-            self.now + self.ticks.get()
+    impl App for Pumped<'_> {
+        fn on_wake(&mut self, dp: &mut dyn Dataplane) {
+            self.0.pump(self.1, dp);
         }
     }
 
-    impl Dataplane for TestPlane {
-        fn num_ports(&self) -> usize {
-            1
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, _p: PortId, burst: &mut Burst) -> usize {
-            let n = burst.len().min(self.accept_per_call);
-            let t = self.clock();
-            for m in burst.drain_front(n) {
-                self.taken.push((t, m.frame.data[0]));
-            }
-            self.sent.push((t, n));
-            n
-        }
-        fn tsc(&self) -> u64 {
-            self.ticks.set(self.ticks.get() + self.step);
-            self.clock()
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            self.clock()
-        }
-        fn request_wake_at_tsc(&mut self, tsc: u64) {
-            self.wake = Some(self.wake.map_or(tsc, |w| w.min(tsc)));
-        }
-        fn stats(&self, _p: PortId) -> PortStats {
-            PortStats::default()
-        }
+    /// `(tsc, accepted)` of every transmit call.
+    fn calls(dp: &ScriptPlane) -> Vec<(u64, usize)> {
+        dp.calls.iter().map(|&(_, t, n)| (t, n)).collect()
     }
 
     fn recording(pool: &Mempool, tscs: &[u64], per_burst: usize) -> Recording {
@@ -286,8 +236,8 @@ mod tests {
 
     #[test]
     fn bursts_release_at_recorded_offsets() {
-        let mut dp = TestPlane::new(64);
-        let rec = recording(&dp.pool.clone(), &[1000, 1500, 2700], 2);
+        let mut dp = test_plane(64);
+        let rec = recording(&dp.mempool().clone(), &[1000, 1500, 2700], 2);
         // Start the replay at wall 10_000: delta = 10_000 - 1000 = 9000.
         let mut sch = ReplayScheduler::new(&rec, 0, 10_000, &dp);
         assert_eq!(sch.pump(&rec, &mut dp), SchedulerState::InProgress);
@@ -295,14 +245,14 @@ mod tests {
         dp.now = 10_000;
         dp.wake = None;
         sch.pump(&rec, &mut dp);
-        assert_eq!(dp.sent.len(), 1);
+        assert_eq!(dp.calls.len(), 1);
         assert_eq!(dp.wake, Some(10_500));
         dp.now = 10_500;
         sch.pump(&rec, &mut dp);
         dp.now = 11_700;
         let st = sch.pump(&rec, &mut dp);
         assert_eq!(st, SchedulerState::Done);
-        assert_eq!(dp.sent, vec![(10_000, 2), (10_500, 2), (11_700, 2)]);
+        assert_eq!(calls(&dp), vec![(10_000, 2), (10_500, 2), (11_700, 2)]);
         assert_eq!(sch.stats().packets_sent, 6);
         assert_eq!(sch.stats().bursts_sent, 3);
         assert!(sch.is_done(&rec));
@@ -310,14 +260,14 @@ mod tests {
 
     #[test]
     fn late_wake_transmits_all_due_bursts_and_counts_lateness() {
-        let mut dp = TestPlane::new(64);
-        let rec = recording(&dp.pool.clone(), &[0, 100, 200], 1);
+        let mut dp = test_plane(64);
+        let rec = recording(&dp.mempool().clone(), &[0, 100, 200], 1);
         let mut sch = ReplayScheduler::new(&rec, 0, 1_000, &dp);
         // Sleep through everything: wake at 5000.
         dp.now = 5_000;
         let st = sch.pump(&rec, &mut dp);
         assert_eq!(st, SchedulerState::Done);
-        assert_eq!(dp.sent.len(), 3);
+        assert_eq!(dp.calls.len(), 3);
         let s = sch.stats();
         assert_eq!(s.late_bursts, 3);
         assert!(s.max_lateness_cycles >= 3_800);
@@ -325,21 +275,13 @@ mod tests {
 
     #[test]
     fn partial_tx_preserves_order_and_retries() {
-        let mut dp = TestPlane::new(3); // NIC accepts 3 packets per call
-        let rec = recording(&dp.pool.clone(), &[0], 8);
-        let mut sch = ReplayScheduler::new(&rec, 0, 0, &dp);
-        let mut guard = 0;
-        loop {
-            match sch.pump(&rec, &mut dp) {
-                SchedulerState::Done => break,
-                SchedulerState::InProgress => {
-                    dp.now += 1;
-                    guard += 1;
-                    assert!(guard < 100, "scheduler wedged");
-                }
-            }
-        }
-        let total: usize = dp.sent.iter().map(|&(_, n)| n).sum();
+        let mut dp = test_plane(3); // NIC accepts 3 packets per call
+        let rec = recording(&dp.mempool().clone(), &[0], 8);
+        let mut app = Pumped(ReplayScheduler::new(&rec, 0, 0, &dp), &rec);
+        // A backed-up NIC: each pump asks to come back one cycle later.
+        dp.run(&mut app, 100);
+        let sch = app.0;
+        let total: usize = dp.calls.iter().map(|&(_, _, n)| n).sum();
         assert_eq!(total, 8);
         assert!(sch.stats().tx_retries >= 2);
         assert_eq!(sch.stats().bursts_sent, 1);
@@ -347,9 +289,9 @@ mod tests {
 
     #[test]
     fn past_start_time_replays_immediately() {
-        let mut dp = TestPlane::new(64);
+        let mut dp = test_plane(64);
         dp.now = 50_000;
-        let rec = recording(&dp.pool.clone(), &[7_000], 4);
+        let rec = recording(&dp.mempool().clone(), &[7_000], 4);
         let mut sch = ReplayScheduler::new(&rec, 0, 10, &dp); // in the past
         let st = sch.pump(&rec, &mut dp);
         assert_eq!(st, SchedulerState::Done);
@@ -358,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_recording_is_immediately_done() {
-        let mut dp = TestPlane::new(64);
+        let mut dp = test_plane(64);
         let rec = Recording::new();
         let mut sch = ReplayScheduler::new(&rec, 0, 100, &dp);
         assert_eq!(sch.pump(&rec, &mut dp), SchedulerState::Done);
@@ -369,19 +311,13 @@ mod tests {
     fn relative_spacing_preserved_under_exact_wakes() {
         // The core fidelity property: replayed inter-burst spacing equals
         // recorded spacing when wakes are exact.
-        let mut dp = TestPlane::new(64);
+        let mut dp = test_plane(64);
         let tscs: Vec<u64> = (0..20).map(|i| 1_000 + i * 285).collect();
-        let rec = recording(&dp.pool.clone(), &tscs, 1);
-        let mut sch = ReplayScheduler::new(&rec, 0, 100_000, &dp);
-        loop {
-            match sch.pump(&rec, &mut dp) {
-                SchedulerState::Done => break,
-                SchedulerState::InProgress => {
-                    dp.now = dp.wake.take().expect("wake requested");
-                }
-            }
-        }
-        let times: Vec<u64> = dp.sent.iter().map(|&(t, _)| t).collect();
+        let rec = recording(&dp.mempool().clone(), &tscs, 1);
+        let mut app = Pumped(ReplayScheduler::new(&rec, 0, 100_000, &dp), &rec);
+        dp.run(&mut app, 100);
+        let sch = app.0;
+        let times: Vec<u64> = dp.calls.iter().map(|&(_, t, _)| t).collect();
         for w in times.windows(2) {
             assert_eq!(w[1] - w[0], 285);
         }
@@ -407,8 +343,9 @@ mod tests {
             rec.push_burst(5_000 + b * 40 + b % 3 * 11, pkts.iter());
         }
         let first = rec.first_tsc().unwrap();
-        let check = |dp: &TestPlane, start: u64| {
-            for &(t, id) in &dp.taken {
+        let check = |dp: &ScriptPlane, start: u64| {
+            for &(_, t, ref m) in &dp.sent {
+                let id = m.frame.data[0];
                 let release = start + rec.burst(burst_of[id as usize]).tsc - first;
                 assert!(
                     t >= release,
@@ -418,27 +355,30 @@ mod tests {
         };
 
         // Wake-driven: exact wakes, a TSC that stands still between them.
-        let mut woken = TestPlane::new(3);
-        let mut sch = ReplayScheduler::new(&rec, 0, 10_000, &woken);
-        while sch.pump(&rec, &mut woken) == SchedulerState::InProgress {
-            woken.now = woken.wake.take().expect("wake requested");
-        }
+        let mut woken = test_plane(3);
+        let mut app = Pumped(ReplayScheduler::new(&rec, 0, 10_000, &woken), &rec);
+        woken.run(&mut app, 1_000);
         check(&woken, 10_000);
 
         // Spinning: every TSC read costs a cycle; the first read is the
         // start.
-        let mut spun = TestPlane::new(3);
-        spun.step = 1;
+        let mut spun = test_plane(3);
+        spun.tsc_step = 1;
         let report =
             run_replay_supervised(&rec, &mut spun, 0, &EngineConfig::unbounded(1)).unwrap();
         check(&spun, 1);
 
-        let ids = |dp: &TestPlane| dp.taken.iter().map(|&(_, id)| id).collect::<Vec<_>>();
+        let ids = |dp: &ScriptPlane| {
+            dp.sent
+                .iter()
+                .map(|(_, _, m)| m.frame.data[0])
+                .collect::<Vec<_>>()
+        };
         assert_eq!(ids(&woken), (0..burst_of.len() as u8).collect::<Vec<_>>());
         assert_eq!(ids(&spun), ids(&woken));
-        let calls = |dp: &TestPlane| dp.sent.iter().map(|&(_, n)| n).collect::<Vec<_>>();
-        assert_eq!(calls(&spun), calls(&woken));
-        let (w, s) = (sch.stats(), report.stats);
+        let accepted = |dp: &ScriptPlane| dp.calls.iter().map(|&(_, _, n)| n).collect::<Vec<_>>();
+        assert_eq!(accepted(&spun), accepted(&woken));
+        let (w, s) = (app.0.stats(), report.stats);
         assert_eq!(w.packets_sent, burst_of.len() as u64);
         assert!(w.tx_retries > 0);
         assert_eq!(

@@ -16,7 +16,8 @@
 //! - [`Dataplane`] — the trait apps poll: `rx_burst`/`tx_burst`, TSC reads,
 //!   a PTP-disciplined wall clock, and wake-up scheduling. Implemented by
 //!   the simulator (`choir-netsim`) and by the in-process real-time
-//!   [`loopback`] backend.
+//!   [`loopback`] backend; [`FaultyDataplane`] decorates either, and the
+//!   deterministic [`ScriptPlane`] stands in for both in tests.
 //!
 //! Like DPDK, `tx_burst` is only a *notification*: buffers handed to the
 //! NIC are pulled by DMA at a later time (paper §2.3), which both backends
@@ -28,6 +29,7 @@ pub mod loopback;
 pub mod mbuf;
 pub mod plane;
 pub mod ring;
+pub mod script;
 pub mod stats;
 
 pub use burst::{Burst, MAX_BURST};
@@ -35,4 +37,5 @@ pub use fault::{FaultConfig, FaultStats, FaultyDataplane};
 pub use mbuf::{Mbuf, Mempool, PoolExhausted};
 pub use plane::{App, ControlMsg, Dataplane, PortId};
 pub use ring::SpscRing;
+pub use script::ScriptPlane;
 pub use stats::PortStats;

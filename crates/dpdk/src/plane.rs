@@ -111,47 +111,17 @@ pub trait App {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::ScriptPlane;
 
-    struct FakePlane {
-        pool: Mempool,
-        hz: u64,
-    }
-
-    impl Dataplane for FakePlane {
-        fn num_ports(&self) -> usize {
-            0
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _port: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, _port: PortId, _burst: &mut Burst) -> usize {
-            0
-        }
-        fn tsc(&self) -> u64 {
-            42
-        }
-        fn tsc_hz(&self) -> u64 {
-            self.hz
-        }
-        fn wall_ns(&self) -> u64 {
-            0
-        }
-        fn request_wake_at_tsc(&mut self, _tsc: u64) {}
-        fn stats(&self, _port: PortId) -> PortStats {
-            PortStats::default()
-        }
+    fn plane_at(hz: u64) -> ScriptPlane {
+        let mut p = ScriptPlane::new(0, Mempool::new("t", 1));
+        p.tsc_hz = hz;
+        p
     }
 
     #[test]
     fn cycle_conversions_roundtrip() {
-        let p = FakePlane {
-            pool: Mempool::new("t", 1),
-            hz: 2_500_000_000, // 2.5 GHz
-        };
+        let p = plane_at(2_500_000_000); // 2.5 GHz
         assert_eq!(p.ns_to_cycles(1_000), 2_500);
         assert_eq!(p.cycles_to_ns(2_500), 1_000);
         // Round-trip within quantization for odd values.
@@ -162,10 +132,7 @@ mod tests {
 
     #[test]
     fn conversions_handle_large_values_without_overflow() {
-        let p = FakePlane {
-            pool: Mempool::new("t", 1),
-            hz: 3_000_000_000,
-        };
+        let p = plane_at(3_000_000_000);
         // One hour in ns.
         let ns = 3_600_000_000_000u64;
         let cycles = p.ns_to_cycles(ns);

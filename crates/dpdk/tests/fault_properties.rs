@@ -10,89 +10,30 @@
 //!    function of `(seed, call sequence)`, so a failing chaos run can be
 //!    replayed exactly from its seed.
 //!
-//! Both are checked against a deterministic scripted plane (manual
-//! clock, scripted rx queue, fixed tx acceptance) — two `RealClock`
-//! planes would diverge on wall time and void the comparison.
+//! Both are checked against the deterministic `ScriptPlane` (a clock
+//! that advances only on TSC reads, a scripted rx queue, fixed tx
+//! acceptance) — two `RealClock` planes would diverge on wall time and
+//! void the comparison.
 
-use std::collections::VecDeque;
-
-use choir_dpdk::{Burst, Dataplane, FaultConfig, FaultyDataplane, Mbuf, Mempool, PortStats};
+use choir_dpdk::{Burst, Dataplane, FaultConfig, FaultyDataplane, Mempool, ScriptPlane};
 use choir_packet::{ChoirTag, FrameBuilder};
 use proptest::prelude::*;
 
-/// Deterministic single-port plane: the clock advances a fixed amount
-/// per rx/tx call, receive pops a pre-scripted queue of tagged packets,
-/// transmit accepts a fixed number per call.
-struct ScriptPlane {
-    pool: Mempool,
-    now: u64,
-    rx_q: VecDeque<Mbuf>,
-    tx_accept: usize,
-    tx_count: u64,
-}
-
-impl ScriptPlane {
-    fn new(rx_packets: usize, tx_accept: usize) -> Self {
-        let pool = Mempool::new("script", 4096);
-        let b = FrameBuilder::new(128, 1, 2);
-        let rx_q = (0..rx_packets)
-            .map(|i| {
-                pool.alloc(b.build_tagged_snap(ChoirTag::new(0, 0, i as u64)))
-                    .unwrap()
-            })
-            .collect();
-        ScriptPlane {
-            pool,
-            now: 0,
-            rx_q,
-            tx_accept,
-            tx_count: 0,
-        }
+/// One port, a clock stepping 3 cycles per TSC read, `rx_packets` tagged
+/// packets queued (more than one `MAX_BURST` takes several rx calls), and
+/// at most `tx_accept` packets accepted per transmit.
+fn script_plane(rx_packets: usize, tx_accept: usize) -> ScriptPlane {
+    let mut dp = ScriptPlane::new(1, Mempool::new("script", 4096));
+    dp.tsc_step = 3;
+    dp.accept = vec![tx_accept];
+    let b = FrameBuilder::new(128, 1, 2);
+    for i in 0..rx_packets {
+        let m = dp
+            .mempool()
+            .alloc(b.build_tagged_snap(ChoirTag::new(0, 0, i as u64)));
+        dp.arrive(0, m.unwrap());
     }
-}
-
-impl Dataplane for ScriptPlane {
-    fn num_ports(&self) -> usize {
-        1
-    }
-    fn mempool(&self) -> &Mempool {
-        &self.pool
-    }
-    fn rx_burst(&mut self, _p: usize, out: &mut Burst) -> usize {
-        out.clear();
-        self.now += 7;
-        let mut n = 0;
-        while n < 16 {
-            match self.rx_q.pop_front() {
-                Some(m) => {
-                    out.push(m).unwrap();
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-    fn tx_burst(&mut self, _p: usize, burst: &mut Burst) -> usize {
-        self.now += 5;
-        let n = burst.len().min(self.tx_accept);
-        burst.drain_front(n).for_each(drop);
-        self.tx_count += n as u64;
-        n
-    }
-    fn tsc(&self) -> u64 {
-        self.now
-    }
-    fn tsc_hz(&self) -> u64 {
-        1_000_000_000
-    }
-    fn wall_ns(&self) -> u64 {
-        self.now
-    }
-    fn request_wake_at_tsc(&mut self, _t: u64) {}
-    fn stats(&self, _p: usize) -> PortStats {
-        PortStats::default()
-    }
+    dp
 }
 
 #[derive(Debug, Clone)]
@@ -162,9 +103,9 @@ proptest! {
         ops in arb_ops(),
         seed in any::<u64>(),
     ) {
-        let mut bare = ScriptPlane::new(48, 8);
+        let mut bare = script_plane(160, 8);
         let mut faulty = FaultyDataplane::new(
-            ScriptPlane::new(48, 8),
+            script_plane(160, 8),
             FaultConfig::quiet(seed),
         );
         let a = apply(&mut bare, &ops);
@@ -196,8 +137,8 @@ proptest! {
             pool_exhaust_calls: 5,
             ..FaultConfig::quiet(seed)
         };
-        let mut first = FaultyDataplane::new(ScriptPlane::new(48, 8), cfg.clone());
-        let mut second = FaultyDataplane::new(ScriptPlane::new(48, 8), cfg);
+        let mut first = FaultyDataplane::new(script_plane(160, 8), cfg.clone());
+        let mut second = FaultyDataplane::new(script_plane(160, 8), cfg);
         let a = apply(&mut first, &ops);
         let b = apply(&mut second, &ops);
         prop_assert_eq!(a, b, "same seed must replay the same scenario");

@@ -170,84 +170,16 @@ impl App for Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choir_dpdk::{Mbuf, Mempool, PortStats};
+    use choir_dpdk::{Mempool, ScriptPlane};
 
-    /// Minimal manual-time plane recording (port, tsc) of transmissions.
-    struct GenPlane {
-        pool: Mempool,
-        now: u64,
-        wake: Option<u64>,
-        sent: Vec<(PortId, u64, Mbuf)>,
-        reject: bool,
-    }
-
-    impl GenPlane {
-        fn new() -> Self {
-            GenPlane {
-                pool: Mempool::new("g", 1 << 16),
-                now: 0,
-                wake: None,
-                sent: Vec::new(),
-                reject: false,
-            }
-        }
-        fn run(&mut self, g: &mut Generator, max_iters: usize) {
-            let mut iters = 0;
-            loop {
-                g.on_wake(self);
-                match self.wake.take() {
-                    Some(t) => self.now = t,
-                    None => break,
-                }
-                iters += 1;
-                assert!(iters < max_iters, "generator never finished");
-            }
-        }
-    }
-
-    impl Dataplane for GenPlane {
-        fn num_ports(&self) -> usize {
-            4
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, p: PortId, burst: &mut Burst) -> usize {
-            if self.reject {
-                return 0;
-            }
-            let mut n = 0;
-            let now = self.now;
-            for m in burst.drain() {
-                self.sent.push((p, now, m));
-                n += 1;
-            }
-            n
-        }
-        fn tsc(&self) -> u64 {
-            self.now
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            self.now
-        }
-        fn request_wake_at_tsc(&mut self, t: u64) {
-            self.wake = Some(self.wake.map_or(t, |w| w.min(t)));
-        }
-        fn stats(&self, _p: PortId) -> PortStats {
-            PortStats::default()
-        }
+    /// Four ports, a manual clock, every transmit logged.
+    fn gen_plane() -> ScriptPlane {
+        ScriptPlane::new(4, Mempool::new("g", 1 << 16))
     }
 
     #[test]
     fn emits_exact_count_at_exact_spacing() {
-        let mut dp = GenPlane::new();
+        let mut dp = gen_plane();
         let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 100));
         dp.run(&mut g, 1000);
         assert!(g.done());
@@ -266,7 +198,7 @@ mod tests {
 
     #[test]
     fn round_robin_across_ports() {
-        let mut dp = GenPlane::new();
+        let mut dp = gen_plane();
         let mut cfg = GeneratorConfig::cbr(40_000_000_000, 10);
         cfg.ports = vec![0, 2];
         let mut g = Generator::new(cfg);
@@ -288,7 +220,7 @@ mod tests {
 
     #[test]
     fn frames_have_declared_full_size() {
-        let mut dp = GenPlane::new();
+        let mut dp = gen_plane();
         let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 3));
         dp.run(&mut g, 50);
         for (_, _, m) in &dp.sent {
@@ -300,7 +232,7 @@ mod tests {
 
     #[test]
     fn full_frames_when_snap_disabled() {
-        let mut dp = GenPlane::new();
+        let mut dp = gen_plane();
         let mut cfg = GeneratorConfig::cbr(40_000_000_000, 2);
         cfg.snap_frames = false;
         let mut g = Generator::new(cfg);
@@ -310,8 +242,8 @@ mod tests {
 
     #[test]
     fn overruns_counted_when_ring_rejects() {
-        let mut dp = GenPlane::new();
-        dp.reject = true;
+        let mut dp = gen_plane();
+        dp.accept = vec![0];
         let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 5));
         dp.run(&mut g, 50);
         assert_eq!(g.overruns(), 5);
@@ -320,7 +252,7 @@ mod tests {
 
     #[test]
     fn late_wake_catches_up_without_losing_count() {
-        let mut dp = GenPlane::new();
+        let mut dp = gen_plane();
         let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 50));
         g.on_wake(&mut dp);
         dp.wake = None;

@@ -166,10 +166,21 @@ fn run(mut c: Client, cmd: &str, rest: &[String]) -> Result<ExitCode, ClientErro
             if let Response::Matrix { labels, cells } = c.matrix(tenant)? {
                 println!("{} streams: {}", labels.len(), labels.join(", "));
                 for cell in cells {
+                    // Indices come off the wire: a cell naming a stream
+                    // the frame does not list is refused, not indexed.
+                    let label = |k: u64| labels.get(k as usize);
+                    let (Some(row), Some(col)) = (label(cell.i), label(cell.j)) else {
+                        return Err(ClientError::Unexpected(format!(
+                            "matrix cell ({}, {}) names a stream past the {} labels sent",
+                            cell.i,
+                            cell.j,
+                            labels.len()
+                        )));
+                    };
                     println!(
                         "{} vs {}: kappa {:.6} (bits {:#018x})  common {}  missing {}  extra {}",
-                        labels[cell.i as usize],
-                        labels[cell.j as usize],
+                        row,
+                        col,
                         cell.score.kappa,
                         cell.score.kappa_bits,
                         cell.common,

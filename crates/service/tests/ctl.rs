@@ -1,10 +1,13 @@
 //! `choir-ctl` driven as a process against a real daemon: `ingest-pcap`
 //! of a capture with a damaged tail gets the intact prefix in before it
 //! fails, and a re-run with the repaired capture resumes and finishes
-//! with the batch κ, bit for bit.
+//! with the batch κ, bit for bit. Against a one-shot listener, a
+//! `Matrix` answer whose cell names a stream it does not list fails the
+//! command cleanly instead of panicking.
 
 mod common;
 
+use std::net::TcpListener;
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -12,7 +15,8 @@ use choir_core::metrics::{Observation, PairAnalyzer, Trial};
 use choir_packet::pcap::PcapWriter;
 use choir_packet::{ChoirTag, FrameBuilder};
 use choir_service::client::INGEST_CHUNK;
-use choir_service::{Client, Daemon, DaemonConfig};
+use choir_service::wire::{recv_request, send_response, WireCell};
+use choir_service::{Client, Daemon, DaemonConfig, Request, Response, WireKappa};
 use common::tmp_dir;
 
 /// `obs` as the nanosecond pcap a recorder would have written (stamps
@@ -129,4 +133,49 @@ fn ingest_pcap_salvages_a_damaged_tail_and_resumes_with_the_repaired_capture() {
     drop(c);
     handle.kill();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn matrix_cell_past_the_labels_fails_with_exit_1_naming_the_cell() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let daemon = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().expect("accept");
+        let req = recv_request(&mut sock).expect("read request");
+        assert!(matches!(req, Some(Request::Matrix { .. })), "{req:?}");
+        let score = WireKappa {
+            kappa: 1.0,
+            kappa_bits: 1f64.to_bits(),
+            u: 0.0,
+            o: 0.0,
+            l: 0.0,
+            i: 0.0,
+        };
+        let cell = WireCell {
+            i: 0,
+            j: 5,
+            score,
+            common: 0,
+            missing: 0,
+            extra: 0,
+        };
+        let labels = vec!["base".to_owned(), "run".to_owned()];
+        send_response(
+            &mut sock,
+            &Response::Matrix {
+                labels,
+                cells: vec![cell],
+            },
+        )
+        .expect("answer");
+    });
+
+    let out = ctl(&addr, &["matrix", "t"]);
+    daemon.join().expect("listener thread");
+    let err = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("matrix cell (0, 5) names a stream past the 2 labels sent"),
+        "{err}"
+    );
 }

@@ -8,58 +8,10 @@ mod common;
 
 use choir::metrics::allpairs::{all_pairs_serial, all_pairs_sharded, KappaMatrix, TrialIndex};
 use choir::metrics::matching::Matching;
-use choir::metrics::report::TrialComparison;
-use choir::metrics::{compare, ConsistencyMetrics, PairAnalyzer, Trial, MAX_TIMESTAMP_PS};
+use choir::metrics::{compare, PairAnalyzer, Trial, MAX_TIMESTAMP_PS};
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
-use common::{arb_shape, baseline, matrix_shapes, replay, to_trial, Rng};
+use common::{arb_shape, arb_trial, arb_trials, baseline, matrix_shapes, replay, to_trial, Rng};
 use proptest::prelude::*;
-
-/// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
-/// possibly with duplicates) with non-decreasing timestamps.
-fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
-    (
-        proptest::collection::vec(0u64..64, 0..max_len),
-        proptest::collection::vec(0u64..5_000, 0..max_len),
-    )
-        .prop_map(|(seqs, mut gaps)| {
-            gaps.resize(seqs.len(), 100);
-            let mut t = Trial::new();
-            let mut now = 0u64;
-            for (s, g) in seqs.iter().zip(gaps) {
-                now += g;
-                t.push_tagged(0, 0, *s, now);
-            }
-            t
-        })
-}
-
-/// A random *set* of trials for matrix-level properties.
-fn arb_trials(max_trials: usize, max_len: usize) -> impl Strategy<Value = Vec<Trial>> {
-    proptest::collection::vec(arb_trial(max_len), 2..max_trials)
-}
-
-fn metrics_bit_identical(x: &ConsistencyMetrics, y: &ConsistencyMetrics) -> bool {
-    x.u.to_bits() == y.u.to_bits()
-        && x.o.to_bits() == y.o.to_bits()
-        && x.l.to_bits() == y.l.to_bits()
-        && x.i.to_bits() == y.i.to_bits()
-        && x.kappa.to_bits() == y.kappa.to_bits()
-}
-
-/// Bit-level equality of everything the engine computes, excluding the
-/// wall-clock timings (which legitimately differ between runs).
-fn cells_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
-    x.label == y.label
-        && metrics_bit_identical(&x.metrics, &y.metrics)
-        && (x.a_len, x.b_len, x.common, x.missing, x.extra, x.moved)
-            == (y.a_len, y.b_len, y.common, y.missing, y.extra, y.moved)
-        && x.iat_within_10ns.to_bits() == y.iat_within_10ns.to_bits()
-        && x.iat_abs_percentiles_ns == y.iat_abs_percentiles_ns
-        && x.latency_abs_percentiles_ns == y.latency_abs_percentiles_ns
-        && x.edit_stats == y.edit_stats
-        && x.iat_hist == y.iat_hist
-        && x.latency_hist == y.latency_hist
-}
 
 /// The production and reference pipelines agree on `metrics()` and on
 /// every field of `analyze()`.
@@ -67,8 +19,8 @@ fn pipelines_bit_identical(a: &Trial, b: &Trial) -> bool {
     let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
     let production = || PairAnalyzer::from_indexes(&ia, &ib);
     let reference = || PairAnalyzer::new(a, b);
-    metrics_bit_identical(&production().metrics(), &reference().metrics())
-        && cells_bit_identical(&production().analyze(), &reference().analyze())
+    production().metrics().bits() == reference().metrics().bits()
+        && production().analyze().bits() == reference().analyze().bits()
 }
 
 /// `m` carries the serial reference's labels and cells, bit for bit.
@@ -76,12 +28,7 @@ fn assert_matrix_matches_serial(m: &KappaMatrix, reference: &KappaMatrix, schedu
     assert_eq!(m.labels, reference.labels);
     assert_eq!(m.cells.len(), reference.cells.len());
     for (x, y) in m.cells.iter().zip(&reference.cells) {
-        assert!(
-            cells_bit_identical(x, y),
-            "{schedule}: cell {:?} != serial {:?}",
-            x.label,
-            y.label
-        );
+        assert_eq!((&x.label, x.bits()), (&y.label, y.bits()), "{schedule}");
     }
 }
 

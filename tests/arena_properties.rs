@@ -10,51 +10,10 @@ mod common;
 use std::cell::RefCell;
 
 use choir::metrics::allpairs::TrialIndex;
-use choir::metrics::report::TrialComparison;
 use choir::metrics::histogram::SliceScratch;
 use choir::metrics::{stats, DeltaHistogram, PairAnalyzer, PairScratch, Trial};
-use common::{arb_shape, baseline, replay, to_trial, Rng};
+use common::{arb_shape, arb_trial, baseline, replay, to_trial, Rng};
 use proptest::prelude::*;
-
-/// A random trial: sequence numbers drawn with duplicates and drops from
-/// a small space (forcing deep occurrence chains), shuffled arbitrarily,
-/// with non-decreasing timestamps. `max_len == 0` yields empty trials.
-fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
-    (
-        proptest::collection::vec(0u64..48, 0..max_len + 1),
-        proptest::collection::vec(0u64..5_000, 0..max_len + 1),
-    )
-        .prop_map(|(seqs, mut gaps)| {
-            gaps.resize(seqs.len(), 100);
-            let mut t = Trial::new();
-            let mut now = 0u64;
-            for (s, g) in seqs.iter().zip(gaps) {
-                now += g;
-                t.push_tagged(0, 0, *s, now);
-            }
-            t
-        })
-}
-
-/// Bit-level equality of everything a pair analysis computes — every
-/// field of the report but its wall-clock `timings`.
-fn comparisons_bit_identical(x: &TrialComparison, y: &TrialComparison) -> bool {
-    let bits = |(p50, p90, p99): (f64, f64, f64)| [p50.to_bits(), p90.to_bits(), p99.to_bits()];
-    x.label == y.label
-        && x.metrics.u.to_bits() == y.metrics.u.to_bits()
-        && x.metrics.o.to_bits() == y.metrics.o.to_bits()
-        && x.metrics.l.to_bits() == y.metrics.l.to_bits()
-        && x.metrics.i.to_bits() == y.metrics.i.to_bits()
-        && x.metrics.kappa.to_bits() == y.metrics.kappa.to_bits()
-        && (x.a_len, x.b_len, x.common, x.missing, x.extra, x.moved)
-            == (y.a_len, y.b_len, y.common, y.missing, y.extra, y.moved)
-        && x.iat_within_10ns.to_bits() == y.iat_within_10ns.to_bits()
-        && bits(x.iat_abs_percentiles_ns) == bits(y.iat_abs_percentiles_ns)
-        && bits(x.latency_abs_percentiles_ns) == bits(y.latency_abs_percentiles_ns)
-        && x.edit_stats == y.edit_stats
-        && x.iat_hist == y.iat_hist
-        && x.latency_hist == y.latency_hist
-}
 
 thread_local! {
     /// One workspace for every case of `replay_shapes_…`, so a pair list,
@@ -75,12 +34,7 @@ proptest! {
         let ia = TrialIndex::build(&a).unwrap();
         let ib = TrialIndex::build(&b).unwrap();
         let arena = PairAnalyzer::from_indexes(&ia, &ib).analyze();
-        prop_assert!(
-            comparisons_bit_identical(&arena, &reference),
-            "arena {:?} != uncached {:?}",
-            arena.metrics,
-            reference.metrics
-        );
+        prop_assert_eq!(arena.bits(), reference.bits());
     }
 
     #[test]
@@ -102,12 +56,7 @@ proptest! {
         let arena = SCRATCH.with(|s| {
             PairAnalyzer::from_indexes(&ia, &ib).analyze_with_scratch(&mut s.borrow_mut())
         });
-        prop_assert!(
-            comparisons_bit_identical(&arena, &reference),
-            "arena {:?} != uncached {:?}",
-            arena,
-            reference
-        );
+        prop_assert_eq!(arena.bits(), reference.bits());
     }
 
     #[test]
@@ -128,9 +77,12 @@ proptest! {
                 let reused = PairAnalyzer::from_indexes(&indexes[i], &indexes[j])
                     .analyze_with_scratch(&mut scratch);
                 let fresh = PairAnalyzer::from_indexes(&indexes[i], &indexes[j]).analyze();
-                prop_assert!(
-                    comparisons_bit_identical(&reused, &fresh),
-                    "scratch reuse diverged at pair ({i}, {j})"
+                prop_assert_eq!(
+                    reused.bits(),
+                    fresh.bits(),
+                    "scratch reuse diverged at pair ({}, {})",
+                    i,
+                    j
                 );
             }
         }
@@ -143,7 +95,7 @@ proptest! {
         let ia = TrialIndex::build(&a).unwrap();
         let ib = TrialIndex::build(&b).unwrap();
         let arena = PairAnalyzer::from_indexes(&ia, &ib).analyze();
-        prop_assert!(comparisons_bit_identical(&arena, &reference));
+        prop_assert_eq!(arena.bits(), reference.bits());
     }
 
     /// `record_slice` against its oracle, bit for bit: `add` per sample,

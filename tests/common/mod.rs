@@ -1,6 +1,7 @@
-//! Replays of one baseline in the shapes testbeds produce, shared by the
-//! pair-level (`arena_properties`) and matrix-level (`allpairs_properties`)
-//! bit-identity tests. Every shape is a pure function of its arguments.
+//! Trials shared by the property tests: [`arb_trial`], the one random
+//! trial every metric, streaming, pair-level and matrix-level property
+//! draws, and replays of one baseline in the shapes testbeds produce.
+//! Every shape is a pure function of its arguments.
 //!
 //! Most keep the baseline's order among the packets both sides captured
 //! — the case the production kernels answer without a probe, a sort or an
@@ -12,6 +13,33 @@
 
 use choir::metrics::Trial;
 use proptest::prelude::*;
+
+/// A random trial: sequence numbers drawn with duplicates and drops from
+/// a small space (forcing deep occurrence chains), shuffled arbitrarily,
+/// with non-decreasing timestamps; `0..=max_len` packets, so empty trials
+/// occur.
+pub fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
+    (
+        proptest::collection::vec(0u64..48, 0..max_len + 1),
+        proptest::collection::vec(0u64..5_000, 0..max_len + 1),
+    )
+        .prop_map(|(seqs, mut gaps)| {
+            gaps.resize(seqs.len(), 100);
+            let mut t = Trial::new();
+            let mut now = 0u64;
+            for (s, g) in seqs.iter().zip(gaps) {
+                now += g;
+                t.push_tagged(0, 0, *s, now);
+            }
+            t
+        })
+}
+
+/// Between 2 and `max_trials - 1` [`arb_trial`]s, for matrix-level
+/// properties.
+pub fn arb_trials(max_trials: usize, max_len: usize) -> impl Strategy<Value = Vec<Trial>> {
+    proptest::collection::vec(arb_trial(max_len), 2..max_trials)
+}
 
 /// One captured packet: sequence number in the tag, arrival time in ns.
 pub type Rec = (u64, u64);

@@ -4,7 +4,7 @@
 //! silent lies.
 
 use bytes::Bytes;
-use choir::dpdk::{Burst, ControlMsg, Mempool, PoolExhausted};
+use choir::dpdk::{ControlMsg, Mempool, PoolExhausted};
 use choir::metrics::report::analyze;
 use choir::metrics::{compare, Trial};
 use choir::packet::{ChoirTag, Frame};
@@ -103,71 +103,13 @@ fn pool_exhaustion_fails_allocation_not_the_process() {
 fn generator_overruns_are_counted_when_the_ring_is_saturated() {
     // A generator pushed into a 1-slot transmit ring must count overruns
     // rather than wedge.
-    use choir::dpdk::{App, Dataplane, PortId, PortStats};
+    use choir::dpdk::ScriptPlane;
     use choir::pktgen::{Generator, GeneratorConfig};
 
-    struct OneSlot {
-        pool: Mempool,
-        now: u64,
-        wake: Option<u64>,
-        accepted: u64,
-    }
-    impl Dataplane for OneSlot {
-        fn num_ports(&self) -> usize {
-            1
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, _p: PortId, burst: &mut Burst) -> usize {
-            // Accept only every third packet.
-            if self.accepted.is_multiple_of(3) {
-                burst.drain().for_each(drop);
-                self.accepted += 1;
-                1
-            } else {
-                self.accepted += 1;
-                0
-            }
-        }
-        fn tsc(&self) -> u64 {
-            self.now
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            self.now
-        }
-        fn request_wake_at_tsc(&mut self, t: u64) {
-            self.wake = Some(t);
-        }
-        fn stats(&self, _p: PortId) -> PortStats {
-            PortStats::default()
-        }
-    }
-
-    let mut dp = OneSlot {
-        pool: Mempool::new("sat", 1 << 12),
-        now: 0,
-        wake: None,
-        accepted: 0,
-    };
+    let mut dp = ScriptPlane::new(1, Mempool::new("sat", 1 << 12));
+    dp.accept = vec![1, 0, 0]; // one packet every third call
     let mut g = Generator::new(GeneratorConfig::cbr(40_000_000_000, 30));
-    let mut guard = 0;
-    loop {
-        g.on_wake(&mut dp);
-        match dp.wake.take() {
-            Some(t) => dp.now = t,
-            None => break,
-        }
-        guard += 1;
-        assert!(guard < 1_000, "generator wedged");
-    }
+    dp.run(&mut g, 1_000);
     assert!(g.done());
     assert!(g.overruns() > 0);
     assert!(g.overruns() < 30);
@@ -229,45 +171,10 @@ fn middlebox_survives_schedule_spam() {
     // Abusive control-plane input: replay scheduled repeatedly, aborted,
     // re-scheduled — the middlebox must stay consistent.
     use choir::core::replay::middlebox::{ChoirMiddlebox, MiddleboxConfig};
-    use choir::dpdk::{App, Dataplane, PortId, PortStats};
+    use choir::dpdk::{App, ScriptPlane};
 
-    struct NullPlane {
-        pool: Mempool,
-    }
-    impl Dataplane for NullPlane {
-        fn num_ports(&self) -> usize {
-            2
-        }
-        fn mempool(&self) -> &Mempool {
-            &self.pool
-        }
-        fn rx_burst(&mut self, _p: PortId, out: &mut Burst) -> usize {
-            out.clear();
-            0
-        }
-        fn tx_burst(&mut self, _p: PortId, burst: &mut Burst) -> usize {
-            let n = burst.len();
-            burst.drain().for_each(drop);
-            n
-        }
-        fn tsc(&self) -> u64 {
-            7
-        }
-        fn tsc_hz(&self) -> u64 {
-            1_000_000_000
-        }
-        fn wall_ns(&self) -> u64 {
-            7
-        }
-        fn request_wake_at_tsc(&mut self, _t: u64) {}
-        fn stats(&self, _p: PortId) -> PortStats {
-            PortStats::default()
-        }
-    }
-
-    let mut dp = NullPlane {
-        pool: Mempool::new("null", 64),
-    };
+    let mut dp = ScriptPlane::new(2, Mempool::new("null", 64));
+    dp.now = 7;
     let mut mb = ChoirMiddlebox::new(MiddleboxConfig::default());
     for _ in 0..100 {
         mb.on_control(&ControlMsg::ScheduleReplay { start_wall_ns: 1 }, &mut dp);

@@ -1,10 +1,17 @@
 //! Property-based tests of the consistency metric suite (paper §3):
 //! symmetry, normalization, invariances, and agreement with reference
-//! implementations, over randomized trials.
+//! implementations, over randomized trials — and the metamorphic
+//! relations production must keep bit for bit: a uniform shift of B's
+//! stamps and a bijective relabelling of identities change nothing, and
+//! dropping a packet from B moves U the way Eq. 1 says it must.
+
+mod common;
 
 use choir::metrics::matching::Matching;
+use choir::metrics::report::analyze;
 use choir::metrics::{compare, PairAnalyzer, Trial};
 use choir::packet::PacketId;
+use common::{arb_shape, arb_trial, baseline, replay, to_trial, Rng};
 use proptest::prelude::*;
 
 /// A random trial with *arbitrary* (possibly non-monotonic) timestamps —
@@ -19,23 +26,33 @@ fn arb_unsorted_trial(max_len: usize) -> impl Strategy<Value = Trial> {
     })
 }
 
-/// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
-/// possibly with duplicates) with non-decreasing timestamps.
-fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
-    (
-        proptest::collection::vec(0u64..64, 0..max_len),
-        proptest::collection::vec(0u64..5_000, 0..max_len),
-    )
-        .prop_map(|(seqs, mut gaps)| {
-            gaps.resize(seqs.len(), 100);
-            let mut t = Trial::new();
-            let mut now = 0u64;
-            for (s, g) in seqs.iter().zip(gaps) {
-                now += g;
-                t.push_tagged(0, 0, *s, now);
-            }
-            t
-        })
+/// Two arbitrary trials, or two replays of one baseline — whose
+/// identities often strictly increase, the case the production index
+/// searches in place instead of hashing.
+fn arb_pair() -> impl Strategy<Value = (Trial, Trial)> {
+    prop_oneof![
+        (arb_trial(48), arb_trial(48)),
+        (0usize..96, any::<u64>(), arb_shape(), arb_shape()).prop_map(|(n, seed, sa, sb)| {
+            let base = baseline(n, &mut Rng(seed));
+            (
+                to_trial(&replay(&base, sa, &mut Rng(seed ^ 1))),
+                to_trial(&replay(&base, sb, &mut Rng(seed ^ 2))),
+            )
+        }),
+    ]
+}
+
+/// `t` with every identity mapped through `f`.
+fn relabelled(t: &Trial, f: impl Fn(u128) -> u128) -> Trial {
+    t.observations()
+        .iter()
+        .map(|o| (PacketId::from_u128(f(o.id.as_u128())), o.t_ps))
+        .collect()
+}
+
+/// Strictly increasing identities.
+fn increasing(t: &Trial) -> bool {
+    t.observations().windows(2).all(|w| w[0].id < w[1].id)
 }
 
 fn metrics_are_symmetric(a: &Trial, b: &Trial) {
@@ -210,19 +227,56 @@ proptest! {
     }
 
     #[test]
-    fn uniform_time_shift_changes_nothing(a in arb_trial(40), shift in 0u64..1_000_000) {
+    fn uniform_time_shift_changes_nothing((a, b) in arb_pair(), shift in 0u64..1 << 40) {
         // Latency and IAT are defined relative to each trial's own
-        // timeline, so shifting a whole trial must not change any metric.
-        let shifted: Trial = a
+        // timeline, so shifting every stamp of B leaves every field of
+        // the analysis as it was, bit for bit.
+        let shifted: Trial = b
             .observations()
             .iter()
             .map(|o| (o.id, o.t_ps + shift))
             .collect();
-        let m0 = compare(&a, &a.clone());
-        let m1 = compare(&a, &shifted);
-        prop_assert!((m0.l - m1.l).abs() < 1e-12);
-        prop_assert!((m0.i - m1.i).abs() < 1e-12);
-        prop_assert!((m0.kappa - m1.kappa).abs() < 1e-12);
+        prop_assert_eq!(analyze("B", &a, &shifted).bits(), analyze("B", &a, &b).bits());
+    }
+
+    #[test]
+    fn bijective_relabelling_changes_nothing((a, b) in arb_pair(), hi in any::<u64>(), lo in any::<u64>()) {
+        // The metrics see only which packets are the same packet, never
+        // what the identities are: a scrambling relabelling and an
+        // order-reversing one (which turns an increasing trial into a
+        // decreasing one) applied to both sides change nothing.
+        let want = analyze("B", &a, &b);
+        let mask = (hi as u128) << 64 | lo as u128;
+        let scrambled = |v: u128| v ^ mask;
+        let reversed = |v: u128| !v;
+        let (ra, rb) = (relabelled(&a, reversed), relabelled(&b, reversed));
+        prop_assert!(!increasing(&a) || a.len() < 2 || !increasing(&ra));
+        prop_assert_eq!(analyze("B", &ra, &rb).bits(), want.bits());
+        let (sa, sb) = (relabelled(&a, scrambled), relabelled(&b, scrambled));
+        prop_assert_eq!(analyze("B", &sa, &sb).bits(), want.bits());
+    }
+
+    #[test]
+    fn dropping_from_b_moves_u_by_whether_the_packet_was_matched(
+        (a, b) in arb_pair(),
+        pick in any::<usize>(),
+    ) {
+        // U = 1 - 2c/(|A| + |B|). Dropping a packet B holds no more often
+        // than A loses one match and one packet: U never falls. Dropping
+        // an extra loses only the packet: U never rises.
+        if !b.is_empty() {
+            let k = pick % b.len();
+            let id = b.id(k);
+            let held = |t: &Trial| t.observations().iter().filter(|o| o.id == id).count();
+            let mut kept = b.observations().to_vec();
+            kept.remove(k);
+            let (before, after) = (compare(&a, &b).u, compare(&a, &Trial::from_observations(&kept)).u);
+            if held(&b) <= held(&a) {
+                prop_assert!(after >= before, "matched drop lowered U: {} -> {}", before, after);
+            } else {
+                prop_assert!(after <= before, "extra drop raised U: {} -> {}", before, after);
+            }
+        }
     }
 
     #[test]
@@ -246,6 +300,22 @@ proptest! {
         prop_assert!(dropped.kappa < perfect.kappa);
         prop_assert!(dropped.u > 0.0);
     }
+}
+
+/// Dropping a packet can lower U: A = {1}, B = {1, 2} has U = 1/3, and
+/// without the extra 2, U = 0.
+#[test]
+fn dropping_an_extra_lowers_u() {
+    let trial = |seqs: &[u64]| {
+        let mut t = Trial::new();
+        for (i, &s) in seqs.iter().enumerate() {
+            t.push_tagged(0, 0, s, i as u64 * 100);
+        }
+        t
+    };
+    let a = trial(&[1]);
+    assert!((compare(&a, &trial(&[1, 2])).u - 1.0 / 3.0).abs() < 1e-15);
+    assert_eq!(compare(&a, &trial(&[1])).u, 0.0);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use choir::capture::{Recorder, RecorderConfig};
-use choir::dpdk::{App, Burst, Dataplane, Mempool, PortId, PortStats};
+use choir::dpdk::{App, Dataplane, Mempool, ScriptPlane};
 use choir::metrics::Trial;
 use choir::packet::pcap::{
     parse_pcap, PcapWriter, DEFAULT_SNAPLEN, LINKTYPE_ETHERNET, PCAP_NS_MAGIC, PCAP_US_MAGIC,
@@ -124,48 +124,17 @@ proptest! {
     }
 }
 
-/// A rx-only dataplane feeding pre-queued mbufs to the recorder.
-struct Feed {
-    pool: Mempool,
-    queued: std::collections::VecDeque<choir::dpdk::Mbuf>,
-}
-impl Dataplane for Feed {
-    fn num_ports(&self) -> usize {
-        1
+/// A one-port plane with arrival `i` queued as `builder`'s tagged snap
+/// frame of sequence number `i`, stamped `stamps_ps[i]`.
+fn feed(builder: &FrameBuilder, stamps_ps: impl IntoIterator<Item = u64>) -> ScriptPlane {
+    let mut dp = ScriptPlane::new(1, Mempool::new("feed", 1 << 10));
+    for (i, ps) in stamps_ps.into_iter().enumerate() {
+        let frame = builder.build_tagged_snap(ChoirTag::new(0, 0, i as u64));
+        let mut m = dp.mempool().alloc(frame).unwrap();
+        m.rx_ts_ps = Some(ps);
+        dp.arrive(0, m);
     }
-    fn mempool(&self) -> &Mempool {
-        &self.pool
-    }
-    fn rx_burst(&mut self, _p: PortId, out: &mut Burst) -> usize {
-        out.clear();
-        let mut n = 0;
-        while n < choir::dpdk::MAX_BURST {
-            match self.queued.pop_front() {
-                Some(m) => {
-                    out.push(m).unwrap();
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-    fn tx_burst(&mut self, _p: PortId, _b: &mut Burst) -> usize {
-        0
-    }
-    fn tsc(&self) -> u64 {
-        0
-    }
-    fn tsc_hz(&self) -> u64 {
-        1_000_000_000
-    }
-    fn wall_ns(&self) -> u64 {
-        0
-    }
-    fn request_wake_at_tsc(&mut self, _t: u64) {}
-    fn stats(&self, _p: PortId) -> PortStats {
-        PortStats::default()
-    }
+    dp
 }
 
 #[test]
@@ -174,19 +143,9 @@ fn recorder_capture_to_pcap_to_trial_is_lossless() {
     // metric comparison between original and re-imported must be perfect
     // (modulo pcap's nanosecond resolution, which our timestamps already
     // honour).
-    let pool = Mempool::new("pcapio", 1 << 10);
     let builder = FrameBuilder::new(1400, 1, 2);
-    let mut feed = Feed {
-        pool: pool.clone(),
-        queued: Default::default(),
-    };
-    for i in 0..500u64 {
-        let mut m = pool
-            .alloc(builder.build_tagged_snap(ChoirTag::new(0, 0, i)))
-            .unwrap();
-        m.rx_ts_ps = Some(i * 284_800 / 1_000 * 1_000); // ns-aligned ps
-        feed.queued.push_back(m);
-    }
+    // ns-aligned ps
+    let mut feed = feed(&builder, (0..500u64).map(|i| i * 284_800 / 1_000 * 1_000));
 
     let mut rec = Recorder::new(RecorderConfig {
         keep_frames: true,
@@ -211,7 +170,6 @@ fn recorder_rounds_sub_ns_timestamps_to_nearest() {
     // nanoseconds. Export must round to nearest, not truncate — a
     // floor() here would bias every IAT/latency delta derived from an
     // exported capture by up to 1 ns.
-    let pool = Mempool::new("round", 1 << 8);
     let builder = FrameBuilder::new(200, 1, 2);
     let cases: &[(u64, u64)] = &[
         (0, 0),
@@ -223,17 +181,7 @@ fn recorder_rounds_sub_ns_timestamps_to_nearest() {
         (999_999_999_499, 999_999_999),
         (999_999_999_500, 1_000_000_000), // carries into the seconds field
     ];
-    let mut feed = Feed {
-        pool: pool.clone(),
-        queued: Default::default(),
-    };
-    for (i, &(ps, _)) in cases.iter().enumerate() {
-        let mut m = pool
-            .alloc(builder.build_tagged_snap(ChoirTag::new(0, 0, i as u64)))
-            .unwrap();
-        m.rx_ts_ps = Some(ps);
-        feed.queued.push_back(m);
-    }
+    let mut feed = feed(&builder, cases.iter().map(|&(ps, _)| ps));
     let mut rec = Recorder::new(RecorderConfig {
         keep_frames: true,
         ..RecorderConfig::default()

@@ -7,12 +7,13 @@
 //! side lost, not the stream length. Simulated-testbed captures go
 //! through the same exactness check.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use choir::capture::{drain_available, PcapSource};
 use choir::metrics::pair::PairAnalyzer;
-use choir::metrics::report::TrialComparison;
 use choir::metrics::stream::{
     IncrementalComparison, Side, StreamCheckpoint, StreamConfig, StreamOutcome,
 };
@@ -20,6 +21,7 @@ use choir::metrics::Trial;
 use choir::packet::pcap::{parse_pcap, PCAP_NS_MAGIC};
 use choir::packet::PacketId;
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
+use common::arb_trial;
 use proptest::prelude::*;
 
 thread_local! {
@@ -56,25 +58,6 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
-}
-
-/// A random trial: a subset of sequence numbers 0..n (possibly shuffled,
-/// possibly with duplicates) with non-decreasing timestamps.
-fn arb_trial(max_len: usize) -> impl Strategy<Value = Trial> {
-    (
-        proptest::collection::vec(0u64..64, 0..max_len),
-        proptest::collection::vec(0u64..5_000, 0..max_len),
-    )
-        .prop_map(|(seqs, mut gaps)| {
-            gaps.resize(seqs.len(), 100);
-            let mut t = Trial::new();
-            let mut now = 0u64;
-            for (s, g) in seqs.iter().zip(gaps) {
-                now += g;
-                t.push_tagged(0, 0, *s, now);
-            }
-            t
-        })
 }
 
 /// Feed a pair into a fresh engine, alternating sides `chunk` records at
@@ -167,30 +150,6 @@ fn prefix(t: &Trial, seen: usize) -> Trial {
         .collect()
 }
 
-/// Bit-level equality of everything both paths compute, excluding labels
-/// and wall-clock timings.
-fn assert_bit_identical(live: &TrialComparison, batch: &TrialComparison) {
-    for (name, got, want) in [
-        ("u", live.metrics.u, batch.metrics.u),
-        ("o", live.metrics.o, batch.metrics.o),
-        ("l", live.metrics.l, batch.metrics.l),
-        ("i", live.metrics.i, batch.metrics.i),
-        ("kappa", live.metrics.kappa, batch.metrics.kappa),
-        ("iat_within_10ns", live.iat_within_10ns, batch.iat_within_10ns),
-    ] {
-        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} diverged", name);
-    }
-    prop_assert_eq!(
-        (live.a_len, live.b_len, live.common, live.missing, live.extra, live.moved),
-        (batch.a_len, batch.b_len, batch.common, batch.missing, batch.extra, batch.moved)
-    );
-    prop_assert_eq!(live.iat_abs_percentiles_ns, batch.iat_abs_percentiles_ns);
-    prop_assert_eq!(live.latency_abs_percentiles_ns, batch.latency_abs_percentiles_ns);
-    prop_assert_eq!(live.edit_stats, batch.edit_stats);
-    prop_assert_eq!(live.iat_hist, batch.iat_hist);
-    prop_assert_eq!(live.latency_hist, batch.latency_hist);
-}
-
 /// Four simulated-testbed captures (2 106 packets each) and a synthetic
 /// fifth with every 7th adjacent arrival swapped — genuine reordering
 /// whatever the experiment produced — all ten pairs, at packet-at-a-time,
@@ -219,7 +178,7 @@ fn testbed_captures_stream_bit_identically_at_every_chunking() {
             let batch = PairAnalyzer::new(a, b).analyze();
             for chunk in [1, 64, per_trial] {
                 let live = stream_pair(a, b, StreamConfig::default(), chunk);
-                assert_bit_identical(&live.comparison, &batch);
+                assert_eq!(live.comparison.bits(), batch.bits());
             }
             pairs += 1;
         }
@@ -256,7 +215,7 @@ fn paper_scale_lock_step_streams_are_bit_identical_to_batch() {
         };
         let live = stream_pair(a, b, cfg, CHUNK);
         let batch = PairAnalyzer::new(a, b).analyze();
-        assert_bit_identical(&live.comparison, &batch);
+        assert_eq!(live.comparison.bits(), batch.bits());
         let lost = batch.missing + batch.extra;
         assert!(
             live.peak_resident <= CHUNK + 2 * lost,
@@ -380,7 +339,7 @@ proptest! {
                 prop_assert_eq!((x.seen_a, x.seen_b), (y.seen_a, y.seen_b));
                 prop_assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
             }
-            assert_bit_identical(&resumed.comparison, &straight.comparison);
+            prop_assert_eq!(resumed.comparison.bits(), straight.comparison.bits());
         }
     }
 }
@@ -406,7 +365,7 @@ proptest! {
         let whole = a.len().max(b.len()).max(1);
         for c in [1usize, chunk, whole] {
             let live = stream_pair(&a, &b, cfg, c);
-            assert_bit_identical(&live.comparison, &batch);
+            prop_assert_eq!(live.comparison.bits(), batch.bits());
         }
     }
 
@@ -484,7 +443,7 @@ proptest! {
             for chunk in [1usize, 7, whole] {
                 let straight = stream_pair(&a, &b, cfg, chunk);
                 let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut_sel, revive);
-                assert_bit_identical(&resumed.comparison, &straight.comparison);
+                prop_assert_eq!(resumed.comparison.bits(), straight.comparison.bits());
                 prop_assert_eq!(resumed.peak_resident, straight.peak_resident);
                 prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
                 for (x, y) in resumed.snapshots.iter().zip(straight.snapshots.iter()) {
