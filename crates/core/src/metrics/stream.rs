@@ -764,9 +764,9 @@ struct PairRec {
 /// strictly increasing in both coordinates. B order is then the order
 /// given and the A ranks along it are the identity permutation, so the
 /// run's edit script is empty — what the LIS kernel would conclude after
-/// a copy, a sort and a Fenwick pass. A stream that kept its order
-/// matches in that order, so every snapshot of one stops here; the scan
-/// ends at the first pair that breaks it.
+/// a copy, a sort and a Fenwick pass. The engine keeps this as a flag,
+/// one comparison per match; `resume` computes it once from the pairs
+/// it decodes.
 fn order_preserving(pairs: &[PairRec]) -> bool {
     pairs
         .windows(2)
@@ -826,6 +826,9 @@ pub struct IncrementalComparison {
     iat_num: u128,
     /// Every matched pair, in match order, for running O and finalize.
     all_pairs: Vec<PairRec>,
+    /// [`order_preserving`] of `all_pairs`, kept up to date by every
+    /// match: while it holds, running O needs no pair.
+    in_order: bool,
     last_snapshot_tick: u64,
     snapshots: Vec<KappaSnapshot>,
     /// Caller-assigned identity recorded into every cursor so that
@@ -846,6 +849,7 @@ impl IncrementalComparison {
             lat_num: 0,
             iat_num: 0,
             all_pairs: Vec::new(),
+            in_order: true,
             last_snapshot_tick: 0,
             snapshots: Vec::new(),
             engine_id: 0,
@@ -973,6 +977,7 @@ impl IncrementalComparison {
         if obs::is_enabled() {
             obs::counter_inc("recover.resumes");
         }
+        let all_pairs: Vec<PairRec> = pairs.map(decode_pair).collect();
         IncrementalComparison {
             cfg,
             sides: [ck.side_a, ck.side_b],
@@ -981,7 +986,8 @@ impl IncrementalComparison {
             peak_resident: ck.peak_resident as usize,
             lat_num: join_u128(ck.lat_num.0, ck.lat_num.1),
             iat_num: join_u128(ck.iat_num.0, ck.iat_num.1),
-            all_pairs: pairs.map(decode_pair).collect(),
+            in_order: order_preserving(&all_pairs),
+            all_pairs,
             last_snapshot_tick: ck.last_snapshot_tick,
             engine_id: ck.engine_id,
             snapshots: ck.snapshots,
@@ -1165,6 +1171,9 @@ impl IncrementalComparison {
         let d_iat = ap.gap_ps - bp.gap_ps;
         self.lat_num += d_lat.unsigned_abs();
         self.iat_num += d_iat.unsigned_abs() as u128;
+        if let Some(last) = self.all_pairs.last() {
+            self.in_order &= last.a_pos < ap.pos && last.b_pos < bp.pos;
+        }
         self.all_pairs.push(PairRec {
             a_pos: ap.pos,
             b_pos: bp.pos,
@@ -1185,12 +1194,16 @@ impl IncrementalComparison {
         )
     }
 
-    /// O over the pairs matched so far: one allocation-free scan for a
+    /// O over the pairs matched so far: read off the order flag for a
     /// stream that kept its order, else `finalize`'s kernel on a copy of
-    /// the pairs in B order.
+    /// the pairs in B order — the pairs it reads are counted in
+    /// `stream.running_o.pairs_read`.
     fn running_o(&self) -> f64 {
-        if order_preserving(&self.all_pairs) {
+        if self.in_order {
             return normalize_o(0, self.all_pairs.len());
+        }
+        if obs::is_enabled() {
+            obs::counter_add("stream.running_o.pairs_read", self.all_pairs.len() as u64);
         }
         let m = matching_in_b_order(&mut self.all_pairs.clone(), &self.sides);
         ordering_arena(&m, &mut OrderScratch::default()).o

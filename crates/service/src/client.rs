@@ -56,7 +56,7 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
-    /// The `Ingest` frame under construction, kept across calls.
+    /// The request frame under construction, kept across calls.
     frame: Vec<u8>,
 }
 

@@ -80,7 +80,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::store::{StoreError, TrialStore};
 use crate::wire::{
-    recv_request, send_response, Request, Response, WireCell, WireFinal, WireKappa, WireObs,
+    recv_request, send_json, Request, Response, WireCell, WireFinal, WireKappa, WireObs,
     WireTrailPoint,
 };
 
@@ -1026,11 +1026,18 @@ fn serve_connection(
     stop: Arc<AtomicBool>,
     local: SocketAddr,
 ) {
+    // Every response leaves in one write. With Nagle on, a response sent
+    // before the client acknowledged the last one — a client that sends
+    // its next request before reading an answer — would still wait out
+    // the client's delayed ACK (`tests/call_latency.rs`).
+    conn.set_nodelay(true).ok();
     let mut reader = match conn.try_clone() {
         Ok(r) => r,
         Err(_) => return,
     };
     let mut writer = conn;
+    // The response frame under construction, kept across responses.
+    let mut frame = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -1039,11 +1046,12 @@ fn serve_connection(
             Ok(Some(r)) => r,
             Ok(None) => return, // peer hung up cleanly
             Err(e) => {
-                let _ = send_response(
+                let _ = send_json(
                     &mut writer,
                     &Response::Error {
                         message: e.to_string(),
                     },
+                    &mut frame,
                 );
                 // The registry holds a clone of this socket: close the
                 // connection itself, not just this handle to it.
@@ -1055,7 +1063,7 @@ fn serve_connection(
             let mut st = state.lock().expect("service state lock");
             st.handle(req)
         };
-        let _ = send_response(&mut writer, &resp);
+        let _ = send_json(&mut writer, &resp, &mut frame);
         if shutdown {
             stop.store(true, Ordering::SeqCst);
             // The accept loop is blocked in accept(); poke it so it

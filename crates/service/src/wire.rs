@@ -106,14 +106,29 @@ fn frame_for(frame: &mut Vec<u8>, n: usize) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Write one frame: 4-byte LE length, then the payload.
+/// Write one frame: 4-byte LE length, then the payload, in one `write`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    let n = u32::try_from(payload.len()).map_err(|_| WireError::Oversized(u32::MAX))?;
-    if n > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized(n));
-    }
-    w.write_all(&n.to_le_bytes())?;
-    w.write_all(payload)?;
+    write_frame_with(w, payload, &mut Vec::new())
+}
+
+/// [`write_frame`], assembling the frame in the caller's buffer.
+fn write_frame_with(
+    w: &mut impl Write,
+    payload: &[u8],
+    frame: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    frame_for(frame, payload.len())?;
+    frame.extend_from_slice(payload);
+    send_frame(w, frame)
+}
+
+/// Hand a whole frame to the socket in one `write_all`. A frame that
+/// leaves as two writes — header, then payload — puts its payload behind
+/// Nagle's algorithm until the peer acknowledges the header, and a peer
+/// that delays its ACK stalls every exchange by its ACK timer (≈ 40 ms
+/// on Linux).
+fn send_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
+    w.write_all(frame)?;
     w.flush()?;
     Ok(())
 }
@@ -146,9 +161,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     Ok(Some(buf))
 }
 
-fn send_json(w: &mut impl Write, msg: &impl Serialize) -> Result<(), WireError> {
+/// Serialize `msg` and send it as one frame, assembled in `frame` (a
+/// connection keeps it across responses, as a [`send_request_with`]
+/// caller does across requests).
+pub(crate) fn send_json(
+    w: &mut impl Write,
+    msg: &impl Serialize,
+    frame: &mut Vec<u8>,
+) -> Result<(), WireError> {
     let json = serde_json::to_string(msg).map_err(|e| WireError::Parse(e.to_string()))?;
-    write_frame(w, json.as_bytes())
+    write_frame_with(w, json.as_bytes(), frame)
 }
 
 fn parse_json<T: Deserialize>(buf: Vec<u8>) -> Result<T, WireError> {
@@ -161,7 +183,7 @@ pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> 
     send_request_with(w, req, &mut Vec::new())
 }
 
-/// [`send_request`] with the caller's buffer for the `Ingest` frame. A
+/// [`send_request`] with the caller's buffer for the frame. A
 /// connection that keeps it frees no megabyte-sized frame while its peer
 /// is allocating the buffer to receive it into — in one process (tests,
 /// the benchmark) that race decided, through the allocator's adaptive
@@ -178,7 +200,7 @@ pub(crate) fn send_request_with(
         records,
     } = req
     else {
-        return send_json(w, req);
+        return send_json(w, req, frame);
     };
     let (Ok(t), Ok(s)) = (u8::try_from(tenant.len()), u8::try_from(stream.len())) else {
         return Err(WireError::Parse("name over 255 bytes".into()));
@@ -194,14 +216,12 @@ pub(crate) fn send_request_with(
     frame.extend_from_slice(&seq.to_le_bytes());
     frame.extend_from_slice(&(records.len() as u32).to_le_bytes());
     encode_records(frame, records.iter().map(|&r| r.into()));
-    w.write_all(frame)?;
-    w.flush()?;
-    Ok(())
+    send_frame(w, frame)
 }
 
 /// Serialize + frame a [`Response`].
 pub fn send_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
-    send_json(w, resp)
+    send_json(w, resp, &mut Vec::new())
 }
 
 /// Split `n` bytes off the front of an ingest header.
@@ -587,6 +607,77 @@ mod tests {
             kappa.to_bits(),
             "JSON f64 round-trip"
         );
+    }
+
+    /// A writer that counts the `write` calls it is handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(b);
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_reaches_the_writer_in_one_write() {
+        // A frame split over two writes waits on a socket with Nagle on
+        // for the peer's delayed ACK of its first part.
+        let ingest = Request::Ingest {
+            tenant: "acme".into(),
+            stream: "run-b".into(),
+            seq: 0,
+            records: vec![
+                WireObs {
+                    id_hi: 1,
+                    id_lo: 2,
+                    t_ps: 3,
+                };
+                128
+            ],
+        };
+        type Send = Box<dyn Fn(&mut CountingWriter) -> Result<(), WireError>>;
+        let cases: [(&str, Send); 4] = [
+            (
+                "JSON request",
+                Box::new(|w| send_request(w, &Request::Ping)),
+            ),
+            (
+                "Ingest request",
+                Box::new(move |w| send_request(w, &ingest)),
+            ),
+            (
+                "response",
+                Box::new(|w| send_response(w, &Response::Ingested { total: 128 })),
+            ),
+            (
+                "error response",
+                Box::new(|w| {
+                    send_response(
+                        w,
+                        &Response::Error {
+                            message: "no such tenant".into(),
+                        },
+                    )
+                }),
+            ),
+        ];
+        for (what, send) in cases {
+            let mut w = CountingWriter::default();
+            send(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "{what}: write calls");
+            let payload = read_frame(&mut &w.bytes[..]).unwrap().unwrap();
+            assert_eq!(payload.len() + 4, w.bytes.len(), "{what}: one whole frame");
+        }
     }
 
     #[test]

@@ -233,32 +233,13 @@ fn edit_head(path: &Path, edit: impl Fn(&str) -> String) {
     fs::write(path, out).expect("write ck");
 }
 
-/// The schedule's last op that feeds an engine several records; few ops
-/// follow it, so a recovery has little to resend (every call costs a
-/// delayed ACK).
+/// The schedule's last op that feeds an engine several records.
 fn last_engine_op(name: &str) -> Killed {
     let k = schedule(&streams())
         .iter()
         .rposition(|op| op.0 > 0 && op.2 - op.1 >= 5)
         .expect("an op on a comparison stream");
     killed_after_op(name, k)
-}
-
-/// Every offset of `lo..=hi` when there are at most 64 of them, else both
-/// ends and a seeded sample: 64 in all.
-fn offsets(lo: u64, hi: u64) -> Vec<u64> {
-    if hi - lo < 64 {
-        return (lo..=hi).collect();
-    }
-    let mut seed = 0xC4A5 ^ lo ^ (hi << 20);
-    let mut at = vec![lo, hi];
-    while at.len() < 64 {
-        let o = lo + common::lcg(&mut seed) % (hi - lo);
-        if !at.contains(&o) {
-            at.push(o);
-        }
-    }
-    at
 }
 
 #[test]
@@ -268,7 +249,7 @@ fn a_crash_at_any_byte_of_the_last_log_append_converges() {
     let log = format!("{}.log", STREAMS[s]);
 
     // Died inside the log append (or right after it): no marker yet.
-    for at in offsets(f.log.0, f.log.1) {
+    for at in f.log.0..=f.log.1 {
         f.recovers(&format!("log cut at {at}"), lo, |t| {
             cut(&t.join(&log), at);
             cut(&t.join("journal"), f.journal.0);
@@ -285,7 +266,7 @@ fn a_crash_at_any_byte_of_the_last_marker_converges() {
     let lo = f.ops[f.k].1;
 
     // Died inside the marker append: the log is whole, the line is not.
-    for at in offsets(f.journal.0, f.journal.1 - 1) {
+    for at in f.journal.0..f.journal.1 {
         f.recovers(&format!("marker cut at {at}"), lo, |t| {
             cut(&t.join("journal"), at)
         });

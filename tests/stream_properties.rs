@@ -11,8 +11,10 @@ mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::process::Command;
 
 use choir::capture::{drain_available, PcapSource};
+use choir::core::obs;
 use choir::metrics::pair::PairAnalyzer;
 use choir::metrics::stream::{
     IncrementalComparison, Side, StreamCheckpoint, StreamConfig, StreamOutcome,
@@ -268,7 +270,7 @@ fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
         eng
     };
     // Ordered throughout (k = n): the move distance of 4 096 matched
-    // pairs is read off one scan of the pair list.
+    // pairs is read off the engine's order flag.
     let (a, b) = ordered_then_swapped(4_096, 4_096, 2);
     let eng = feed(&a, &b);
     let (running, allocations) = allocations_during(|| eng.running_metrics());
@@ -281,6 +283,137 @@ fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
     let (running, allocations) = allocations_during(|| eng.running_metrics());
     assert!(running.o > 0.0);
     assert!(allocations > 0);
+}
+
+/// Set in a child this binary starts to run one test by itself.
+const ALONE: &str = "CHOIR_STREAM_TEST_ALONE";
+
+/// The obs registry is process-global and the tests here run beside one
+/// another, so a test that reads a counter runs alone, in a child
+/// process of this binary. True in that child; elsewhere runs the child,
+/// requires that it ran `name` and passed, and returns false.
+fn in_a_process_of_its_own(name: &str) -> bool {
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("test binary");
+    let out = Command::new(exe)
+        .args([name, "--exact", "--nocapture", "--test-threads", "1"])
+        .env(ALONE, "1")
+        .output()
+        .expect("run the test alone");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    print!("{stdout}");
+    eprint!("{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{name} failed alone");
+    assert!(stdout.contains("1 passed"), "{name} did not run alone");
+    false
+}
+
+/// Pairs running O read or copied while `f` ran, by the obs counter.
+fn pairs_read_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    const PAIRS_READ: &str = "stream.running_o.pairs_read";
+    obs::reset();
+    obs::set_enabled(true);
+    let out = f();
+    let read = obs::snapshot().counter(PAIRS_READ).unwrap_or(0);
+    obs::set_enabled(false);
+    (out, read)
+}
+
+/// The daemon's snapshot cadence.
+const DAEMON_SNAPSHOT_EVERY: u64 = 512;
+
+#[test]
+fn snapshots_of_a_stream_that_kept_its_order_read_no_pair() {
+    if !in_a_process_of_its_own("snapshots_of_a_stream_that_kept_its_order_read_no_pair") {
+        return;
+    }
+    let cfg = StreamConfig {
+        snapshot_every: DAEMON_SNAPSHOT_EVERY,
+        ..Default::default()
+    };
+    // Whatever the stream length: a snapshot's O is read off one flag.
+    for n in [50_000, 200_000] {
+        let (a, b) = ordered_then_swapped(n, n, 2);
+        let (out, read) = pairs_read_during(|| stream_pair(&a, &b, cfg, 256));
+        assert_eq!(
+            out.snapshots.len() as u64,
+            2 * n as u64 / DAEMON_SNAPSHOT_EVERY
+        );
+        assert_eq!(out.comparison.metrics.o, 0.0);
+        println!(
+            "{n} records a side: {} snapshots, {read} pairs read",
+            out.snapshots.len()
+        );
+        assert_eq!(read, 0, "{n} records a side");
+    }
+}
+
+#[test]
+fn snapshots_after_the_first_reordered_pair_read_every_matched_pair() {
+    if !in_a_process_of_its_own("snapshots_after_the_first_reordered_pair_read_every_matched_pair")
+    {
+        return;
+    }
+    let cfg = StreamConfig {
+        snapshot_every: DAEMON_SNAPSHOT_EVERY,
+        ..Default::default()
+    };
+    let (a, b) = ordered_then_swapped(20_000, 10_000, 2);
+    let (out, read) = pairs_read_during(|| stream_pair(&a, &b, cfg, 256));
+    // Which snapshots come after the break is batch analysis's call.
+    let after: Vec<_> = out
+        .snapshots
+        .iter()
+        .filter(|s| {
+            PairAnalyzer::new(&prefix(&a, s.seen_a), &prefix(&b, s.seen_b))
+                .metrics()
+                .o
+                > 0.0
+        })
+        .collect();
+    assert!(!after.is_empty() && after.len() < out.snapshots.len());
+    let matched: usize = after.iter().map(|s| s.common).sum();
+    println!(
+        "{} of {} snapshots after the break, {read} pairs read",
+        after.len(),
+        out.snapshots.len()
+    );
+    assert_eq!(read, matched as u64);
+}
+
+#[test]
+fn resume_after_the_first_reordered_pair_keeps_scoring_the_reordering() {
+    // The order flag is not in a checkpoint: `resume` derives it from the
+    // pairs it decodes. An engine resumed from one taken after the first
+    // swap must go on seeing the swap in every snapshot.
+    let (k, n, chunk) = (60, 120, 1);
+    let (a, b) = ordered_then_swapped(n, k, 2);
+    let cfg = StreamConfig {
+        snapshot_every: 1,
+        ..Default::default()
+    };
+    let straight = stream_pair(&a, &b, cfg, chunk);
+    // One record a burst, A first: pair (k, k + 1), the first out of
+    // order, is matched by burst 2k + 3.
+    let cut = 2 * k + 4;
+    let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
+        assert!(ck.seen_b() > k + 1, "cut after the first swap");
+        IncrementalComparison::resume(ck)
+    });
+    // The state checkpointed at the cut already scores the swap.
+    assert!(straight.snapshots[cut - 1].running.o > 0.0);
+    assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
+    for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
+        assert_eq!(
+            (x.seen_a, x.seen_b, x.common),
+            (y.seen_a, y.seen_b, y.common)
+        );
+        assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
+        assert_eq!(x.running.o.to_bits(), y.running.o.to_bits());
+    }
+    assert_eq!(resumed.comparison.bits(), straight.comparison.bits());
 }
 
 proptest! {
