@@ -60,10 +60,10 @@
 //! records `0..k`, checkpointing, reviving, and feeding `k..n` is
 //! bit-identical (`f64::to_bits`) to an uninterrupted run — at **every**
 //! cut point `k`, through a `serde_json` round trip of the checkpoint and
-//! through a rebuild from its cursor — and a resumed engine checkpoints to
-//! the same bytes. A rebuilt engine may hold its matched pairs in another
-//! order than the live one did (nothing it serves reads that order), so
-//! its own checkpoint bytes may differ.
+//! through a rebuild from the engine's cursor — and a resumed engine
+//! checkpoints to the same bytes. A rebuilt engine may hold its matched
+//! pairs in another order than the live one did (nothing it serves reads
+//! that order), so its own checkpoint bytes may differ.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, VecDeque};
@@ -275,9 +275,7 @@ fn join_u128(hi: u64, lo: u64) -> u128 {
 /// What an engine needs besides the two prefixes it consumed:
 /// [`IncrementalComparison::rebuild`] re-feeds them, checks the re-fed
 /// state against this, and restores the order-dependent rest. Small —
-/// a few scalars and the trail — and serializable; the field names are
-/// those of a [`StreamCheckpoint`]'s, so it reads as a checkpoint's
-/// scalars do.
+/// a few scalars and the trail — and serializable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCursor {
     /// Caller-assigned identity of the engine (0 when never set).
@@ -313,19 +311,11 @@ impl StreamCursor {
 /// pairs and pending observations — is held already encoded, as two
 /// slabs; the scalars and the trail are plain fields. Ship it whole
 /// through serde, the slabs then as JSON arrays of bytes; the round trip
-/// is bit-exact (see the module docs). A `ck` the κ daemon wrote before
-/// it kept cursors holds the slabs as checksummed sections after a serde
-/// remainder; [`Self::read_from`] reads and checks them. Wall-clock
-/// timings are *not* part of a checkpoint — a resumed run re-measures
-/// its own stage timings — and neither is anything `finalize` derives
-/// from the matched pairs.
+/// is bit-exact (see the module docs). Wall-clock timings are *not* part
+/// of a checkpoint — a resumed run re-measures its own stage timings —
+/// and neither is anything `finalize` derives from the matched pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamCheckpoint {
-    /// [`CHECKPOINT_FORMAT`] of the writer. Absent — so 0 — in every
-    /// file written before the field existed; [`Self::read_from`]
-    /// refuses a value it cannot read before it reads a slab.
-    #[serde(default)]
-    format: u32,
     /// Caller-assigned identity of the engine that took this checkpoint
     /// (0 when never set).
     #[serde(default)]
@@ -351,99 +341,9 @@ pub struct StreamCheckpoint {
 }
 
 impl StreamCheckpoint {
-    /// Global push counter at checkpoint time (observations consumed
-    /// across both sides) — the replay cursor a supervisor needs to know
-    /// where to re-feed from.
-    pub fn tick(&self) -> u64 {
-        (self.side_a.len + self.side_b.len) as u64
-    }
-
-    /// Caller-assigned engine identity recorded at checkpoint time (0
-    /// when the engine was never tagged).
-    pub fn engine_id(&self) -> u64 {
-        self.engine_id
-    }
-
-    /// Configuration fingerprint recorded at checkpoint time.
-    pub fn config_hash(&self) -> u64 {
-        self.config_hash
-    }
-
-    /// Observations pushed on side A at checkpoint time.
-    pub fn seen_a(&self) -> usize {
-        self.side_a.len
-    }
-
-    /// Observations pushed on side B at checkpoint time.
-    pub fn seen_b(&self) -> usize {
-        self.side_b.len
-    }
-
     /// Unmatched observations resident in the checkpoint.
     pub fn resident(&self) -> usize {
         self.pending.len() / PENDING_BYTES
-    }
-
-    /// The checkpoint's cursor: what [`IncrementalComparison::rebuild`]
-    /// needs besides the two prefixes.
-    pub fn cursor(&self) -> StreamCursor {
-        StreamCursor {
-            engine_id: self.engine_id,
-            config_hash: self.config_hash,
-            side_a: self.side_a,
-            side_b: self.side_b,
-            peak_resident: self.peak_resident,
-            lat_num: self.lat_num,
-            iat_num: self.iat_num,
-            last_snapshot_tick: self.last_snapshot_tick,
-            snapshots: self.snapshots.clone(),
-        }
-    }
-
-    /// Move the two slabs out of the checkpoint into `w` as checksummed
-    /// sections ([`write_section`]), `all_pairs` then `pending`, and
-    /// return what is left: every scalar and the trail, naming the layout
-    /// just written ([`CHECKPOINT_FORMAT`]) — what a κ daemon stored per
-    /// live engine before it kept cursors, and the files
-    /// [`Self::read_from`] still reads. The slabs go out as
-    /// [`IncrementalComparison::checkpoint`] encoded them; nothing is
-    /// converted.
-    #[cfg(test)]
-    fn write_to(mut self, w: &mut impl Write) -> std::io::Result<Self> {
-        write_section(w, &self.all_pairs)?;
-        write_section(w, &self.pending)?;
-        self.all_pairs = Vec::new();
-        self.pending = Vec::new();
-        self.format = CHECKPOINT_FORMAT;
-        Ok(self)
-    }
-
-    /// Re-attach the slabs a κ daemon before cursors wrote after the
-    /// remainder `self` (read back through serde). The slabs are
-    /// positional, so a remainder that names neither this
-    /// layout ([`CHECKPOINT_FORMAT`]) nor format 1 is refused before a
-    /// byte of `r` is read; format 1's middle slab is read, checked and
-    /// dropped. Truncated, ragged or bit-flipped input is a typed error,
-    /// and so is a `pending` slab no engine writes — a side other than A
-    /// or B, identities out of ascending order or split into two runs,
-    /// one identity pending on both sides — by the decoder `resume`
-    /// builds with. Nothing is allocated for bytes the input does not
-    /// hold.
-    pub fn read_from(mut self, r: &mut impl Read) -> Result<Self, CheckpointError> {
-        if self.format != CHECKPOINT_FORMAT && self.format != 1 {
-            return Err(CheckpointError::Format {
-                found: self.format,
-                expected: CHECKPOINT_FORMAT,
-            });
-        }
-        self.all_pairs = read_section(r, "all_pairs")?;
-        record_count::<PAIR_BYTES>(&self.all_pairs, "all_pairs")?;
-        if self.format == 1 {
-            record_count::<PAIR_BYTES>(&read_section(r, "slice.pairs")?, "slice.pairs")?;
-        }
-        self.pending = read_section(r, "pending")?;
-        decode_pending(&self.pending, |_, _, _| {})?;
-        Ok(self)
     }
 }
 
@@ -455,7 +355,7 @@ const PAIR_BYTES: usize = 32;
 const PENDING_BYTES: usize = 40;
 
 // The slab codec: the two records above, little-endian, written by
-// `checkpoint` and read by `resume` (and checked by `read_from`).
+// `checkpoint` and read by `resume`.
 
 fn encode_pair(p: &PairRec, out: &mut Vec<u8>) {
     out.extend_from_slice(&p.a_pos.to_le_bytes());
@@ -487,9 +387,8 @@ fn encode_pending(id: PacketId, side: Side, o: &PendingObs, out: &mut Vec<u8>) {
 /// refuse one that no engine writes: ragged, a side that is neither A
 /// (0) nor B (1), an identity below its predecessor (which is also how
 /// one identity split into two runs shows), or one identity pending on
-/// both sides (the two would have matched). [`StreamCheckpoint::read_from`]
-/// checks with it, [`IncrementalComparison::resume`] builds with it.
-/// Returns the number of records.
+/// both sides (the two would have matched). [`IncrementalComparison::resume`]
+/// builds with it. Returns the number of records.
 fn decode_pending(
     raw: &[u8],
     mut each: impl FnMut(PacketId, Side, PendingObs),
@@ -526,34 +425,11 @@ fn decode_pending(
     Ok(n)
 }
 
-/// The checkpoint layout this build writes: which slabs a checkpoint
-/// holds, in what order, at what record size — and so which follow a
-/// remainder in a `ck` the κ daemon wrote before it kept cursors.
-///
-/// - 0 — every file written before checkpoints named their format (four
-///   slabs, 48-byte pending records). Refused.
-/// - 1 — three slabs: `all_pairs`, the pairs since the last snapshot
-///   (`slice.pairs`), `pending`; the remainder also held two delta
-///   histograms, a ±10 ns count, the slice's accumulators and a window
-///   score per snapshot. Still read, so daemon directories written then
-///   recover: the middle slab is checksum-verified and dropped, and the
-///   extra fields are ignored by name.
-/// - 2 — two slabs, `all_pairs` and `pending`, at 32 and 40 bytes a
-///   record. The last format a daemon wrote.
-pub const CHECKPOINT_FORMAT: u32 = 2;
-
-/// A binary checkpoint that cannot be read back.
+/// A checkpoint section or slab that cannot be read back.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The reader failed.
     Io(std::io::Error),
-    /// The remainder was written under a different slab layout.
-    Format {
-        /// Format the remainder names (0 if it names none).
-        found: u32,
-        /// [`CHECKPOINT_FORMAT`] of this build.
-        expected: u32,
-    },
     /// The input ended inside the named section.
     Truncated {
         /// Which section.
@@ -574,10 +450,6 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint read failed: {e}"),
-            CheckpointError::Format { found, expected } => write!(
-                f,
-                "checkpoint is in format {found}, this build reads format {expected}"
-            ),
             CheckpointError::Truncated { section } => {
                 write!(f, "checkpoint input ends inside section `{section}`")
             }
@@ -613,8 +485,7 @@ fn section_sum(bytes: &[u8]) -> u64 {
 }
 
 /// Write one checkpoint section: 8-byte LE length, the bytes, 8-byte LE
-/// `section_sum`. Every part of a checkpoint file — the daemon's JSON
-/// head, and in a `ck` from before cursors each slab — is one of these.
+/// `section_sum`. The κ daemon's `ck` is one of these.
 pub fn write_section(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     w.write_all(&(bytes.len() as u64).to_le_bytes())?;
     w.write_all(bytes)?;
@@ -929,7 +800,6 @@ impl IncrementalComparison {
             obs::counter_inc("recover.checkpoints");
         }
         StreamCheckpoint {
-            format: CHECKPOINT_FORMAT,
             engine_id: self.engine_id,
             config_hash: self.cfg.fingerprint(),
             snapshot_every: self.cfg.snapshot_every,
@@ -948,14 +818,14 @@ impl IncrementalComparison {
     /// Rebuild a live engine from a [`StreamCheckpoint`]; every
     /// downstream bit is what the uninterrupted run would have produced
     /// (the module-docs contract). The slabs are decoded straight into
-    /// the matched pairs and the pending map, by the decoder
-    /// [`StreamCheckpoint::read_from`] checks with.
+    /// the matched pairs and the pending map.
     ///
     /// # Panics
     ///
-    /// On slabs that decoder refuses, which only a checkpoint that did
-    /// not come through `read_from` — one shipped whole through serde —
-    /// can hold. No engine is built from them.
+    /// On slabs no engine writes — ragged, a pending side other than A or
+    /// B, one identity out of order, in two runs or pending on both
+    /// sides — which only a checkpoint edited in transit can hold. No
+    /// engine is built from them.
     pub fn resume(ck: StreamCheckpoint) -> Self {
         let _span = obs::span("recover.resume");
         let cfg = StreamConfig {
@@ -1501,70 +1371,6 @@ mod tests {
         }
     }
 
-    /// `ck` shipped the way a format-1 build wrote it, then read back.
-    fn via_format_1(ck: StreamCheckpoint) -> StreamCheckpoint {
-        let (rest, slabs) = format_1_file(ck);
-        let mut r = &slabs[..];
-        let ck = rest.read_from(&mut r).unwrap();
-        assert!(r.is_empty(), "format 1 is three slabs");
-        ck
-    }
-
-    /// `ck` as a format-1 build wrote it: a remainder that also carries
-    /// the fields that build kept (the derived counters and histograms,
-    /// the slice since the last snapshot, a window score per snapshot),
-    /// and a third slab, of slice pairs, between `all_pairs` and
-    /// `pending`. None of what this build dropped is read back.
-    fn format_1_file(ck: StreamCheckpoint) -> (StreamCheckpoint, Vec<u8>) {
-        use crate::metrics::histogram::DeltaHistogram;
-        use crate::metrics::windowed::WindowScore;
-
-        let (tick, matched) = (ck.tick(), ck.all_pairs.len() / PAIR_BYTES);
-        let mut slabs = Vec::new();
-        let json = serde_json::to_string(&ck.write_to(&mut slabs).unwrap()).unwrap();
-        let hist = serde_json::to_string(&DeltaHistogram::of([3.0, -40.0])).unwrap();
-        let window = serde_json::to_string(&WindowScore {
-            index: 0,
-            a_range: (0, 0),
-            metrics: kappa_from_components(0.0, 0.0, 0.0, 0.0),
-            common: 0,
-        })
-        .unwrap();
-        let named = format!("\"format\":{CHECKPOINT_FORMAT},");
-        assert!(json.contains(&named), "{json}");
-        let parent_fields = format!(
-            "\"format\":1,\"tick\":{tick},\"matched\":{matched},\"within_10ns\":1,\
-             \"iat_hist\":{hist},\"lat_hist\":{hist},\"slice\":{{\"a_pushed\":0,\
-             \"b_pushed\":0,\"pairs\":[],\"lat_num\":[0,0],\"iat_num\":[0,0],\
-             \"a_lo\":4294967295,\"a_hi\":0}},"
-        );
-        let old = json.replacen(&named, &parent_fields, 1).replace(
-            ",\"running\":",
-            &format!(",\"window\":{window},\"running\":"),
-        );
-
-        let mut r = &slabs[..];
-        let all_pairs = read_section(&mut r, "all_pairs").unwrap();
-        let slice = &all_pairs[all_pairs.len() - all_pairs.len().min(3 * PAIR_BYTES)..];
-        let mut old_slabs = Vec::new();
-        write_section(&mut old_slabs, &all_pairs).unwrap();
-        write_section(&mut old_slabs, slice).unwrap();
-        old_slabs.extend_from_slice(r);
-
-        let rest: StreamCheckpoint = serde_json::from_str(&old).unwrap();
-        assert_eq!(rest.format, 1);
-        (rest, old_slabs)
-    }
-
-    /// `ck` as the daemon stored it before cursors: both slabs, then the
-    /// remainder's JSON text.
-    fn file_bytes(ck: StreamCheckpoint) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        let rest = ck.write_to(&mut bytes).unwrap();
-        bytes.extend_from_slice(serde_json::to_string(&rest).unwrap().as_bytes());
-        bytes
-    }
-
     /// The side's observations among the first `k` events: the prefix of
     /// its log a rebuild at cut `k` reads.
     fn side_prefix(events: &[(Side, Observation)], side: Side) -> Vec<Observation> {
@@ -1588,45 +1394,29 @@ mod tests {
 
     /// The recovery contract: cut at every k, checkpoint, resume, finish
     /// — bit-identical result *and* snapshot trail, with a JSON round
-    /// trip of the checkpoint in the loop, a format-1 slab round trip and
-    /// a rebuild from the cursor and the prefixes. Encoding and decoding
-    /// are inverses: each resumed engine checkpoints to the bytes of the
-    /// checkpoint taken at the cut.
+    /// trip of the checkpoint in the loop and a rebuild from the cursor
+    /// and the prefixes. Encoding and decoding are inverses: each resumed
+    /// engine checkpoints to the bytes of the checkpoint taken at the cut.
     fn check_every_cut(cfg: StreamConfig, n: u64, chunk: usize) {
         let (a, b) = jittered_pair(n);
         let events = interleave(&a, &b, chunk);
         let mut whole = IncrementalComparison::new(cfg);
         feed(&mut whole, &events);
         let want = whole.finalize("B");
-        let weights = "uoli".chars().map(|c| format!("\"w_{c}\":1.0"));
-        let scalings = "uoli".chars().map(|c| format!("\"s_{c}\":\"Linear\""));
-        let fields: Vec<String> = weights.chain(scalings).collect();
-        let old_kappa = format!(",\"kappa\":{{{}}},\"side_a\":", fields.join(","));
         for k in 0..=events.len() {
             let mut head = IncrementalComparison::new(cfg);
             feed(&mut head, &events[..k]);
-            let ck = head.checkpoint();
-            let at_cut = file_bytes(ck.clone());
             // Round-trip through JSON at every cut: the serialized form
             // must carry the full state, not just the in-memory mirror.
-            let json = serde_json::to_string(&ck).unwrap();
-            // And as a remainder written while checkpoints still carried
-            // κ's four weights and four scalings (59c7aac and earlier):
-            // the extra key is ignored, the state resumes the same.
-            let legacy = json.replacen(",\"side_a\":", &old_kappa, 1);
-            assert_ne!(legacy, json);
-            let revived =
-                [json, legacy].map(|text| serde_json::from_str::<StreamCheckpoint>(&text).unwrap());
-            // And through the slabs of a format-1 file.
-            for ck in revived.into_iter().chain([via_format_1(ck)]) {
-                let mut tail = IncrementalComparison::resume(ck);
-                assert!(file_bytes(tail.checkpoint()) == at_cut, "cut {k}");
-                feed(&mut tail, &events[k..]);
-                let got = tail.finalize("B");
-                assert_eq!(got.comparison.bits(), want.comparison.bits());
-                assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
-                assert_snapshots_identical(&got.snapshots, &want.snapshots);
-            }
+            let json = serde_json::to_string(&head.checkpoint()).unwrap();
+            let mut tail = IncrementalComparison::resume(serde_json::from_str(&json).unwrap());
+            assert!(serde_json::to_string(&tail.checkpoint()).unwrap() == json, "cut {k}");
+            feed(&mut tail, &events[k..]);
+            let got = tail.finalize("B");
+            assert_eq!(got.comparison.bits(), want.comparison.bits());
+            assert_eq!(got.peak_resident, want.peak_resident, "cut {k}");
+            assert_snapshots_identical(&got.snapshots, &want.snapshots);
+
             let mut tail = rebuilt_at(head.cursor(), 0, &cfg, &events[..k]).unwrap();
             assert_eq!(tail.resident(), head.resident(), "cut {k}");
             feed(&mut tail, &events[k..]);
@@ -1667,18 +1457,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_exposes_replay_cursor() {
-        let (a, b) = jittered_pair(40);
-        let events = interleave(&a, &b, 3);
-        let mut eng = IncrementalComparison::new(StreamConfig::default());
-        feed(&mut eng, &events[..25]);
-        let ck = eng.checkpoint();
-        assert_eq!(ck.tick(), 25);
-        assert_eq!(ck.seen_a() + ck.seen_b(), 25);
-        assert_eq!(ck.resident(), eng.resident());
-    }
-
-    #[test]
     fn checkpoint_bytes_are_deterministic() {
         // Two engines fed identically must serialize byte-identically
         // (pending identities are emitted in sorted order, not hash
@@ -1694,78 +1472,19 @@ mod tests {
     }
 
     #[test]
-    fn slabs_round_trip_and_refuse_truncation_and_bit_flips() {
-        // Mid-stream: both slabs are non-empty.
-        let cfg = StreamConfig {
-            snapshot_every: 13,
-            ..StreamConfig::default()
-        };
-        let (a, b) = jittered_pair(60);
-        let events = interleave(&a, &b, 9);
-        let mut eng = IncrementalComparison::new(cfg);
-        feed(&mut eng, &events[..70]);
-        let ck = eng.checkpoint();
-        assert!(ck.resident() > 0 && !ck.all_pairs.is_empty());
-        let want = serde_json::to_string(&ck).unwrap();
-        let mut slabs = Vec::new();
-        let rest = ck.write_to(&mut slabs).unwrap();
-        assert_eq!(rest.resident() + rest.all_pairs.len(), 0);
-        let back = rest.clone().read_from(&mut &slabs[..]).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), want);
-
-        for cut in 0..slabs.len() {
-            let err = rest.clone().read_from(&mut &slabs[..cut]).unwrap_err();
-            assert!(
-                matches!(err, CheckpointError::Truncated { .. }),
-                "cut {cut}: {err}"
-            );
-        }
-        for bit in 0..slabs.len() * 8 {
-            let mut bad = slabs.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let err = rest.clone().read_from(&mut &bad[..]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated { .. } | CheckpointError::Corrupt { .. }
-                ),
-                "bit {bit}: {err}"
-            );
-        }
-        // A section that checks out but is not whole records, and a
-        // pending record with an impossible side.
-        let mut ragged = Vec::new();
-        write_section(&mut ragged, &[0u8; PAIR_BYTES + 1]).unwrap();
-        let err = rest.clone().read_from(&mut &ragged[..]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Corrupt {
-                    section: "all_pairs",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        let mut sided = Vec::new();
-        write_section(&mut sided, &[]).unwrap();
-        write_section(&mut sided, &[7u8; PENDING_BYTES]).unwrap();
-        let err = rest.clone().read_from(&mut &sided[..]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Corrupt {
-                    section: "pending",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        // Pending slabs with sound checksums that no engine writes: one
+    fn resume_refuses_slabs_no_engine_writes() {
+        // A sound mid-stream checkpoint, both slabs non-empty, shipped
+        // whole through serde with one slab edited in transit: a ragged
+        // `all_pairs`, a pending side that is neither A nor B, one
         // identity in two runs (its first run would be lost, `resident`
         // over-counted), and one identity pending on both sides (its next
-        // match would break occurrence order). Refused by `read_from`,
-        // and `resume` panics rather than build an engine from either.
+        // match would break occurrence order). `resume` panics, naming
+        // the slab, rather than build an engine from any of them.
+        let (a, b) = jittered_pair(60);
+        let mut eng = IncrementalComparison::new(StreamConfig::default());
+        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
+        let ck = eng.checkpoint();
+        assert!(ck.resident() > 0 && !ck.all_pairs.is_empty());
         let rec = |id: u128, side: u32| {
             let mut r = id.to_le_bytes().to_vec();
             r.extend_from_slice(&[1, 0, 0, 0]);
@@ -1773,54 +1492,28 @@ mod tests {
             r.extend_from_slice(&[0; 16]);
             r
         };
-        for (what, recs) in [
-            ("two runs", [rec(5, 0), rec(6, 0), rec(5, 0)]),
-            ("both sides", [rec(5, 0), rec(5, 1), rec(6, 1)]),
-        ] {
-            let slab = recs.concat();
-            let mut file = Vec::new();
-            write_section(&mut file, &[]).unwrap();
-            write_section(&mut file, &slab).unwrap();
-            let err = rest.clone().read_from(&mut &file[..]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Corrupt {
-                        section: "pending",
-                        ..
-                    }
-                ),
-                "{what}: {err}"
-            );
-            let mut whole = rest.clone();
-            whole.pending = slab;
-            let json = serde_json::to_string(&whole).unwrap();
-            let whole: StreamCheckpoint = serde_json::from_str(&json).unwrap();
-            let built = std::panic::catch_unwind(|| IncrementalComparison::resume(whole));
-            assert!(built.is_err(), "{what}: resumed an engine");
-        }
-    }
-
-    #[test]
-    fn checkpoint_bytes_are_pinned_across_commits() {
-        // What a daemon stored for one live engine before cursors, slabs
-        // and remainder. A `ck` those builds wrote recovers only while
-        // this holds. Read at e18b039.
-        let cfg = StreamConfig {
-            snapshot_every: 13,
-            ..StreamConfig::default()
+        let with_pending = |recs: &[Vec<u8>]| StreamCheckpoint {
+            pending: recs.concat(),
+            ..ck.clone()
         };
-        let (a, b) = jittered_pair(60);
-        let mut eng = IncrementalComparison::new(cfg).with_engine_id(7);
-        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
-        assert!(eng.resident() > 0 && eng.matched() > 0 && !eng.snapshots().is_empty());
-        let bytes = file_bytes(eng.checkpoint());
-        assert_eq!(
-            (section_sum(&bytes), bytes.len()),
-            (0xfafc_6847_27cb_ea27, 2547),
-            "{}",
-            String::from_utf8_lossy(&bytes)
-        );
+        let mut ragged = ck.clone();
+        ragged.all_pairs.push(0);
+        for (what, section, bad) in [
+            ("ragged", "all_pairs", ragged),
+            ("side 7", "pending", with_pending(&[rec(5, 7)])),
+            ("two runs", "pending", with_pending(&[rec(5, 0), rec(6, 0), rec(5, 0)])),
+            ("both sides", "pending", with_pending(&[rec(5, 0), rec(5, 1), rec(6, 1)])),
+        ] {
+            let json = serde_json::to_string(&bad).unwrap();
+            let shipped: StreamCheckpoint = serde_json::from_str(&json).unwrap();
+            let err = std::panic::catch_unwind(|| IncrementalComparison::resume(shipped))
+                .expect_err(what);
+            let said = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(said.contains(&format!("section `{section}`")), "{what}: {said}");
+        }
+        let sound: StreamCheckpoint =
+            serde_json::from_str(&serde_json::to_string(&ck).unwrap()).unwrap();
+        assert_eq!(IncrementalComparison::resume(sound).resident(), eng.resident());
     }
 
     #[test]
@@ -1944,74 +1637,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn a_remainder_that_does_not_name_this_format_is_refused_before_any_slab() {
-        let (a, b) = jittered_pair(60);
-        let mut eng = IncrementalComparison::new(StreamConfig::default());
-        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
-        let mut slabs = Vec::new();
-        let rest = eng.checkpoint().write_to(&mut slabs).unwrap();
-        let json = serde_json::to_string(&rest).unwrap();
-        let named = format!("\"format\":{CHECKPOINT_FORMAT},");
-        assert!(json.contains(&named), "{json}");
-        // What a file written before the field existed looks like, and
-        // one from some other layout.
-        for (other, found) in [("", 0), ("\"format\":7,", 7)] {
-            let old: StreamCheckpoint = serde_json::from_str(&json.replace(&named, other)).unwrap();
-            let mut r = &slabs[..];
-            let err = old.read_from(&mut r).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Format { found: f, expected: CHECKPOINT_FORMAT } if f == found
-                ),
-                "{err}"
-            );
-            assert_eq!(r.len(), slabs.len(), "no slab byte may be consumed");
-        }
-        let mut r = &slabs[..];
-        rest.read_from(&mut r).expect("the format this build writes");
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn a_format_1_file_has_its_dropped_slab_checked() {
-        let (a, b) = jittered_pair(60);
-        let mut eng = IncrementalComparison::new(StreamConfig::default());
-        feed(&mut eng, &interleave(&a, &b, 9)[..70]);
-        let (rest, slabs) = format_1_file(eng.checkpoint());
-        let all_pairs_len = 16 + u64::from_le_bytes(le(&slabs, 0)) as usize;
-        let slice_len = 16 + u64::from_le_bytes(le(&slabs, all_pairs_len)) as usize;
-        assert!(slice_len > 16, "the slice slab holds pairs");
-        for bit in all_pairs_len * 8..(all_pairs_len + slice_len) * 8 {
-            let mut bad = slabs.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let err = rest.clone().read_from(&mut &bad[..]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated { .. }
-                        | CheckpointError::Corrupt {
-                            section: "slice.pairs",
-                            ..
-                        }
-                ),
-                "bit {bit}: {err}"
-            );
-        }
-        let mut cut = slabs.clone();
-        cut.truncate(all_pairs_len + slice_len - 1);
-        let err = rest.read_from(&mut &cut[..]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Truncated {
-                    section: "slice.pairs"
-                }
-            ),
-            "{err}"
-        );
     }
 }

@@ -21,34 +21,33 @@
 //! * `journal` — one JSON line per mutating op, numbered, in order. An
 //!   ingest's line is a *marker* (`stream`, `seq`, `count`) written
 //!   after the log append and before the op is applied or acknowledged;
-//! * `ck` — the tenant's checkpoint, one checksummed JSON section:
-//!   stream metadata, final summaries, the number of the last journal
-//!   line it covers, and each live engine's [`StreamCursor`] — records
-//!   consumed per side, a few scalars and the trail, never a pair or a
-//!   pending record. A tenant exists iff its `ck` does. A checkpoint
-//!   (explicit, cadence, or graceful shutdown) rewrites `ck`
-//!   (write-temp, then rename) and empties `journal` for the tenants
-//!   touched since the last one, and for no others.
+//! * `ck` — the tenant's checkpoint, one checksummed JSON section: the
+//!   layout it is in, stream metadata, final summaries, the number of
+//!   the last journal line it covers, and each live engine's
+//!   [`StreamCursor`] — records consumed per side, a few scalars and the
+//!   trail, never a pair or a pending record. A tenant exists iff its
+//!   `ck` does. A checkpoint (explicit, cadence, or graceful shutdown)
+//!   rewrites `ck` (write-temp, then rename) and empties `journal` for
+//!   the tenants touched since the last one, and for no others.
 //!
 //! The logs are the only durable home of the records. Recovery loads
-//! each `ck` and rebuilds every live engine from its cursor and the two
-//! log prefixes it names — the baseline's first `seen_a` records and the
-//! stream's whole log — through [`IncrementalComparison::rebuild`], which
-//! refuses a cursor of the wrong engine or config and records that do
-//! not re-feed to the state the cursor recorded. A cursor that claims
-//! more baseline records than the log holds, or other than its stream's
-//! count, is refused by name. Then it replays the journal lines the
-//! checkpoint does not cover through the *same* apply path the wire
-//! handlers use, reading each marker's records back from the log, and
-//! leaves every trial non-resident. Log bytes past the last marker — a
-//! crash between the two appends, never acknowledged — are ignored and
-//! cut off by the stream's next append.
-//!
-//! A `ck` from a build before cursors held each live engine's matched
-//! pairs and pending records too, as slabs after the JSON. It still
-//! recovers: [`StreamCheckpoint::read_from`] reads and checks the slabs
-//! (refusing a layout it does not know before it reads one), and the
-//! engine is rebuilt from the remainder's cursor like any other.
+//! each `ck`, and refuses by name one in another layout than this
+//! build's — bytes after the head section are the engine slabs of a
+//! `ck` from before cursors, which this build does not read. It rebuilds
+//! every live engine from its cursor and the two log prefixes it names —
+//! the baseline's first `seen_a` records and the stream's whole log —
+//! through [`IncrementalComparison::rebuild`], which refuses a cursor of
+//! the wrong engine or config and records that do not re-feed to the
+//! state the cursor recorded. A cursor that claims more baseline records
+//! than the log holds, or other than its stream's count, is refused by
+//! name. Then it replays the journal lines the checkpoint does not cover
+//! through the *same* apply path the wire handlers use, reading each
+//! marker's records back from the log, and leaves every trial
+//! non-resident. Only a final line without its newline is dropped, as a
+//! crash mid-append leaves it; a whole line that is not an entry is
+//! refused by name. Log bytes past the last marker — a crash between the
+//! two appends, never acknowledged — are ignored and cut off by the
+//! stream's next append.
 //!
 //! Every append reaches the OS before the op is acknowledged, so a hard
 //! kill between checkpoints loses nothing. Nothing is `fsync`ed: a
@@ -72,8 +71,8 @@ use std::thread;
 
 use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
-    all_pairs_sharded, IncrementalComparison, KappaSnapshot, Observation, Side, StreamCheckpoint,
-    StreamConfig, StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
+    all_pairs_sharded, IncrementalComparison, KappaSnapshot, Observation, Side, StreamConfig,
+    StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
 };
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
@@ -201,22 +200,21 @@ struct StreamCk {
     done: Option<FinishedStream>,
 }
 
-/// What a `ck` written before cursors holds per live engine: a
-/// [`StreamCheckpoint`] remainder, its slabs after the JSON section,
-/// engines in stream order. The remainder's fields include the cursor's,
-/// so the same JSON also reads as a [`TenantCk`].
-#[derive(Deserialize)]
-struct SlabTenantCk {
-    streams: Vec<SlabStreamCk>,
-}
+/// The on-disk layout of a tenant's directory this build reads and
+/// writes: `ck` one section holding a [`TenantCk`], records in the logs,
+/// engines as cursors. Its `ck` names it; the logs and the journal are
+/// read only once the `ck` has been accepted.
+const LAYOUT: u32 = 0;
 
-#[derive(Deserialize)]
-struct SlabStreamCk {
-    engine: Option<StreamCheckpoint>,
-}
+/// The last commit that reads a `ck` written before cursors, whose live
+/// engines' slabs follow the head section.
+const LAST_SLAB_READER: &str = "8d2051f";
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TenantCk {
+    /// [`LAYOUT`]; absent, so 0, in a `ck` written before it was named.
+    #[serde(default)]
+    layout: u32,
     budget_bytes: u64,
     baseline: Option<String>,
     applied: u64,
@@ -314,23 +312,23 @@ impl Tenant {
         };
         let dir = cfg.tenant_dir(name);
         let _ = fs::remove_file(dir.join("ck.tmp"));
-        let mut r = BufReader::new(fs::File::open(dir.join("ck"))?);
+        let path = dir.join("ck");
+        let mut r = BufReader::new(fs::File::open(&path)?);
         let head = read_section(&mut r, "tenant").map_err(|e| bad("checkpoint", &e))?;
         let head = std::str::from_utf8(&head).map_err(|e| bad("checkpoint", &e))?;
-        let mut ck: TenantCk = serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
-        if !r.fill_buf()?.is_empty() {
-            // Slabs follow: a `ck` from before cursors. Check them, keep
-            // each engine's cursor, drop them.
-            let old: SlabTenantCk =
-                serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
-            for (sck, old) in ck.streams.iter_mut().zip(old.streams) {
-                if let Some(eck) = old.engine {
-                    let eck = eck
-                        .read_from(&mut r)
-                        .map_err(|e| bad(&format!("engine `{}`", sck.name), &e))?;
-                    sck.engine = Some(eck.cursor());
-                }
-            }
+        let ck: TenantCk = serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
+        let slabs = !r.fill_buf()?.is_empty();
+        if slabs || ck.layout != LAYOUT {
+            let found = if slabs {
+                format!("bytes follow its head section, as engine slabs did in the layout before cursors, last read at {LAST_SLAB_READER}")
+            } else {
+                format!("layout {}", ck.layout)
+            };
+            let what = format!("`{}`", path.display());
+            return Err(bad(
+                &what,
+                &format!("{found}; this build reads layout {LAYOUT} only"),
+            ));
         }
         let mut store = TrialStore::open(&dir, ck.budget_bytes)?;
         for sck in &ck.streams {
@@ -406,17 +404,25 @@ impl Tenant {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        let mut good = 0;
-        for line in raw.split_inclusive(|&b| b == b'\n') {
-            // A crash can cut the final append mid-line; everything
+        let (mut good, mut prev) = (0, None);
+        for (k, line) in raw.split_inclusive(|&b| b == b'\n').enumerate() {
+            // A crash can cut only the final append, mid-line: everything
             // before it is intact, and the op was never acknowledged.
-            let Some(entry) = line
-                .strip_suffix(b"\n")
-                .and_then(|l| std::str::from_utf8(l).ok())
-                .and_then(|l| serde_json::from_str::<JournalEntry>(l).ok())
-            else {
+            let Some(text) = line.strip_suffix(b"\n") else {
                 break;
             };
+            let entry = std::str::from_utf8(text)
+                .map_err(|e| e.to_string())
+                .and_then(|l| serde_json::from_str::<JournalEntry>(l).map_err(|e| e.to_string()))
+                .map_err(|e| {
+                    let after = prev.map_or("first line".into(), |n| format!("after entry {n}"));
+                    DaemonError::Recovery(format!(
+                        "journal of `{}`, line {} ({after}): not an entry: {e}",
+                        path.display(),
+                        k + 1
+                    ))
+                })?;
+            prev = Some(entry.n);
             good += line.len();
             if entry.n <= self.applied {
                 continue; // the checkpoint already covers it
@@ -660,6 +666,7 @@ impl Tenant {
             })
             .collect();
         let head = serde_json::to_string(&TenantCk {
+            layout: LAYOUT,
             budget_bytes: self.store.stats().budget_bytes,
             baseline: self.baseline.clone(),
             applied: self.applied,

@@ -3,12 +3,15 @@
 //! implementations, over randomized trials — and the metamorphic
 //! relations production must keep bit for bit: a uniform shift of B's
 //! stamps and a bijective relabelling of identities change nothing, and
-//! dropping a packet from B moves U the way Eq. 1 says it must.
+//! dropping a packet from B moves U the way Eq. 1 says it must; and a
+//! trial against itself scores κ = 1.0 and components +0.0, bit for bit,
+//! through every production path.
 
 mod common;
 
 use choir::metrics::matching::Matching;
 use choir::metrics::report::analyze;
+use choir::metrics::stream::{IncrementalComparison, Side, StreamConfig};
 use choir::metrics::{compare, PairAnalyzer, Trial};
 use choir::packet::PacketId;
 use common::{arb_shape, arb_trial, baseline, replay, to_trial, Rng};
@@ -142,12 +145,19 @@ proptest! {
 
     #[test]
     fn self_comparison_is_perfect(a in arb_trial(40)) {
-        let m = compare(&a, &a.clone());
-        prop_assert_eq!(m.u, 0.0);
-        prop_assert_eq!(m.o, 0.0);
-        prop_assert_eq!(m.l, 0.0);
-        prop_assert_eq!(m.i, 0.0);
-        prop_assert_eq!(m.kappa, 1.0);
+        // At the bit level, through every production path: `==` would
+        // also accept a -0.0 component.
+        let mut eng = IncrementalComparison::new(StreamConfig::default());
+        eng.push_burst(Side::A, a.observations());
+        eng.push_burst(Side::B, a.observations());
+        for (path, m) in [
+            ("compare", compare(&a, &a.clone())),
+            ("analyze", analyze("A", &a, &a.clone()).metrics),
+            ("stream", eng.finalize("A").comparison.metrics),
+        ] {
+            let bits = [m.kappa, m.u, m.o, m.l, m.i].map(f64::to_bits);
+            prop_assert_eq!(bits, [1.0f64, 0.0, 0.0, 0.0, 0.0].map(f64::to_bits), "{}", path);
+        }
     }
 
     #[test]

@@ -85,16 +85,16 @@ fn ship_json(ck: StreamCheckpoint) -> StreamCheckpoint {
     serde_json::from_str(&json).expect("checkpoint parses")
 }
 
-/// The crash boundary the daemon crosses: the checkpoint's cursor, and
-/// the two prefixes it names sliced off the whole trials, as a daemon
-/// reads them from its logs.
+/// The crash boundary the daemon crosses: the engine's cursor, and the
+/// two prefixes it names sliced off the whole trials, as a daemon reads
+/// them from its logs.
 fn rebuild_from_prefixes(
-    ck: StreamCheckpoint,
+    eng: IncrementalComparison,
     a: &Trial,
     b: &Trial,
     cfg: &StreamConfig,
 ) -> IncrementalComparison {
-    let cursor = ck.cursor();
+    let cursor = eng.cursor();
     let (oa, ob) = (
         &a.observations()[..cursor.seen_a()],
         &b.observations()[..cursor.seen_b()],
@@ -103,16 +103,15 @@ fn rebuild_from_prefixes(
 }
 
 /// Like [`stream_pair`], but at burst boundary `cut` the engine is
-/// checkpointed and replaced by whatever `revive` brings back from the
-/// checkpoint (shipped across a crash boundary, then resumed) to finish
-/// the feed.
+/// replaced by whatever `revive` brings back from it (its state shipped
+/// across a crash boundary, then revived) to finish the feed.
 fn stream_pair_cut(
     a: &Trial,
     b: &Trial,
     cfg: StreamConfig,
     chunk: usize,
     cut: usize,
-    revive: impl Fn(StreamCheckpoint) -> IncrementalComparison,
+    revive: impl Fn(IncrementalComparison) -> IncrementalComparison,
 ) -> StreamOutcome {
     let (oa, ob) = (a.observations(), b.observations());
     let mut schedule: Vec<(Side, usize, usize)> = Vec::new();
@@ -133,13 +132,13 @@ fn stream_pair_cut(
     let mut eng = IncrementalComparison::new(cfg);
     for (i, &(side, lo, hi)) in schedule.iter().enumerate() {
         if i == cut {
-            eng = revive(eng.checkpoint());
+            eng = revive(eng);
         }
         let obs = if side == Side::A { oa } else { ob };
         eng.push_burst(side, &obs[lo..hi]);
     }
     if cut == schedule.len() {
-        eng = revive(eng.checkpoint());
+        eng = revive(eng);
     }
     eng.finalize("stream")
 }
@@ -398,9 +397,9 @@ fn resume_after_the_first_reordered_pair_keeps_scoring_the_reordering() {
     // One record a burst, A first: pair (k, k + 1), the first out of
     // order, is matched by burst 2k + 3.
     let cut = 2 * k + 4;
-    let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
-        assert!(ck.seen_b() > k + 1, "cut after the first swap");
-        IncrementalComparison::resume(ck)
+    let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |eng| {
+        assert!(eng.seen_b() > k + 1, "cut after the first swap");
+        IncrementalComparison::resume(eng.checkpoint())
     });
     // The state checkpointed at the cut already scores the swap.
     assert!(straight.snapshots[cut - 1].running.o > 0.0);
@@ -464,8 +463,8 @@ proptest! {
             cut_before % bursts_before,
             bursts_before + 2 + cut_after % (total_bursts - bursts_before - 2),
         ] {
-            let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |ck| {
-                rebuild_from_prefixes(ck, &a, &b, &cfg)
+            let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |eng| {
+                rebuild_from_prefixes(eng, &a, &b, &cfg)
             });
             prop_assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
             for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
@@ -569,9 +568,10 @@ proptest! {
             snapshot_every,
             ..Default::default()
         };
-        let resume_json = |ck| IncrementalComparison::resume(ship_json(ck));
-        let rebuild = |ck| rebuild_from_prefixes(ck, &a, &b, &cfg);
-        for revive in [&resume_json as &dyn Fn(StreamCheckpoint) -> IncrementalComparison, &rebuild] {
+        let resume_json =
+            |eng: IncrementalComparison| IncrementalComparison::resume(ship_json(eng.checkpoint()));
+        let rebuild = |eng| rebuild_from_prefixes(eng, &a, &b, &cfg);
+        for revive in [&resume_json as &dyn Fn(IncrementalComparison) -> IncrementalComparison, &rebuild] {
             let whole = a.len().max(b.len()).max(1);
             for chunk in [1usize, 7, whole] {
                 let straight = stream_pair(&a, &b, cfg, chunk);
