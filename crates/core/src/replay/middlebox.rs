@@ -157,11 +157,6 @@ impl ChoirMiddlebox {
         self.scheduler.is_some()
     }
 
-    /// True while recording.
-    pub fn is_recording(&self) -> bool {
-        self.state == State::Recording
-    }
-
     /// Stamp a frame's trailer with the next tag, preserving its declared
     /// original length. The trailer overwrites the frame's reserved
     /// tailroom (the last [`TAG_LEN`] bytes, which [`FrameBuilder`] left

@@ -110,18 +110,6 @@ impl FaultConfig {
             ..FaultConfig::default()
         }
     }
-
-    /// True when every fault rate is zero — the wrapper is a passthrough.
-    pub fn is_quiet(&self) -> bool {
-        self.tx_reject_rate == 0.0
-            && self.tx_stall_rate == 0.0
-            && self.rx_drop_rate == 0.0
-            && self.rx_dup_rate == 0.0
-            && self.control_drop_rate == 0.0
-            && self.control_corrupt_rate == 0.0
-            && self.tsc_jump_rate == 0.0
-            && self.pool_exhaust_rate == 0.0
-    }
 }
 
 /// Counters of every fault actually injected. The supervision layer
@@ -221,11 +209,6 @@ impl<D: Dataplane> FaultyDataplane<D> {
     /// The wrapped backend.
     pub fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped backend.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
     }
 
     /// Unwrap, releasing any held ballast.

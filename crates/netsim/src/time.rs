@@ -14,21 +14,6 @@ pub const MS: u64 = 1_000_000_000;
 /// One second, in picoseconds.
 pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 
-/// Convert picoseconds to (whole) nanoseconds.
-pub fn ps_to_ns(ps: u64) -> u64 {
-    ps / NS
-}
-
-/// Convert nanoseconds to picoseconds.
-pub fn ns_to_ps(ns: u64) -> u64 {
-    ns * NS
-}
-
-/// Convert picoseconds to seconds as `f64` (for reporting only).
-pub fn ps_to_secs(ps: u64) -> f64 {
-    ps as f64 / PS_PER_SEC as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,12 +23,5 @@ mod tests {
         assert_eq!(NS * 1_000, US);
         assert_eq!(US * 1_000, MS);
         assert_eq!(MS * 1_000, PS_PER_SEC);
-    }
-
-    #[test]
-    fn conversions() {
-        assert_eq!(ps_to_ns(1_500), 1);
-        assert_eq!(ns_to_ps(7), 7_000);
-        assert!((ps_to_secs(PS_PER_SEC / 2) - 0.5).abs() < 1e-15);
     }
 }

@@ -31,27 +31,25 @@
 //!   the tenants touched since the last one, and for no others.
 //!
 //! The logs are the only durable home of the records. Recovery loads
-//! each `ck`, and refuses by name one in another layout than this
-//! build's — bytes after the head section are the engine slabs of a
-//! `ck` from before cursors, which this build does not read. It rebuilds
-//! every live engine from its cursor and the two log prefixes it names —
-//! the baseline's first `seen_a` records and the stream's whole log —
-//! through [`IncrementalComparison::rebuild`], which refuses a cursor of
-//! the wrong engine or config and records that do not re-feed to the
-//! state the cursor recorded. A cursor that claims more baseline records
-//! than the log holds, or other than its stream's count, is refused by
-//! name. Then it replays the journal lines the checkpoint does not cover
+//! each `ck`, refusing by name one in another layout than this build's
+//! (bytes after the head section are the engine slabs of a `ck` from
+//! before cursors). It rebuilds every live engine from its cursor and
+//! the two log prefixes it names — the baseline's first `seen_a` records
+//! and the stream's whole log — through
+//! [`IncrementalComparison::rebuild`], which refuses a cursor of the
+//! wrong engine or config and records that do not re-feed to the state
+//! the cursor recorded; a cursor that claims more baseline records than
+//! the log holds, or other than its stream's count, is refused by name.
+//! Then it replays the journal lines the checkpoint does not cover
 //! through the *same* apply path the wire handlers use, reading each
 //! marker's records back from the log, and leaves every trial
 //! non-resident. Only a final line without its newline is dropped, as a
 //! crash mid-append leaves it; a whole line that is not an entry is
-//! refused by name. Log bytes past the last marker — a crash between the
-//! two appends, never acknowledged — are ignored and cut off by the
-//! stream's next append.
-//!
-//! Every append reaches the OS before the op is acknowledged, so a hard
-//! kill between checkpoints loses nothing. Nothing is `fsync`ed: a
-//! power cut can lose acknowledged records.
+//! refused by name. Recovery writes nothing: logs and journal are
+//! appended at the end their owner accounts for ([`Disk`]'s one append
+//! rule), so what a crash or a failed append left past it is overwritten
+//! by the next append. Nothing is `fsync`ed: a hard kill loses nothing
+//! acknowledged, a power cut can.
 //!
 //! # Memory
 //!
@@ -61,8 +59,6 @@
 //! watch the budget hold.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,6 +73,7 @@ use choir_core::metrics::{
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
 
+use crate::disk::{Disk, RealDisk};
 use crate::store::{StoreError, TrialStore};
 use crate::wire::{
     recv_request, send_json, Request, Response, WireCell, WireFinal, WireKappa, WireObs,
@@ -229,6 +226,8 @@ struct Tenant {
     streams: BTreeMap<String, StreamState>,
     /// Number of the last journal entry applied.
     applied: u64,
+    /// Bytes of whole journal lines: where the next one is written.
+    journal_len: u64,
     /// Changed since `ck` was last written.
     dirty: bool,
 }
@@ -286,18 +285,20 @@ fn catch_up(
 
 impl Tenant {
     /// A new, empty tenant: its directory and its first checkpoint.
-    fn create(cfg: &DaemonConfig, name: &str, budget_bytes: u64) -> Result<Self, String> {
-        let dir = cfg.tenant_dir(name);
+    fn create(st: &ServiceState, name: &str, budget_bytes: u64) -> Result<Self, String> {
+        let dir = st.cfg.tenant_dir(name);
         // Only a creation that crashed before its first checkpoint can
         // have left this behind.
-        let _ = fs::remove_dir_all(&dir);
+        let _ = st.disk.remove_dir_all(&dir);
         let mut t = Tenant {
             name: name.to_string(),
-            store: TrialStore::open(&dir, budget_bytes).map_err(|e| e.to_string())?,
+            store: TrialStore::open_on(st.disk.clone(), &dir, budget_bytes)
+                .map_err(|e| e.to_string())?,
             dir,
             baseline: None,
             streams: BTreeMap::new(),
             applied: 0,
+            journal_len: 0,
             dirty: true,
         };
         t.checkpoint()?;
@@ -306,31 +307,30 @@ impl Tenant {
 
     /// Load `ck`, rebuild its live engines from their cursors and the
     /// logs, then replay the journal entries it does not cover.
-    fn recover(cfg: &DaemonConfig, name: &str) -> Result<Self, DaemonError> {
+    fn recover(st: &ServiceState, name: &str) -> Result<Self, DaemonError> {
         let bad = |what: &str, e: &dyn std::fmt::Display| {
             DaemonError::Recovery(format!("tenant `{name}`: {what}: {e}"))
         };
+        let (cfg, disk) = (&st.cfg, &st.disk);
         let dir = cfg.tenant_dir(name);
-        let _ = fs::remove_file(dir.join("ck.tmp"));
+        let _ = disk.remove_file(&dir.join("ck.tmp"));
         let path = dir.join("ck");
-        let mut r = BufReader::new(fs::File::open(&path)?);
+        let raw = disk.read(&path)?;
+        let mut r = &raw[..];
         let head = read_section(&mut r, "tenant").map_err(|e| bad("checkpoint", &e))?;
         let head = std::str::from_utf8(&head).map_err(|e| bad("checkpoint", &e))?;
         let ck: TenantCk = serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
-        let slabs = !r.fill_buf()?.is_empty();
+        let slabs = !r.is_empty();
         if slabs || ck.layout != LAYOUT {
             let found = if slabs {
                 format!("bytes follow its head section, as engine slabs did in the layout before cursors, last read at {LAST_SLAB_READER}")
             } else {
                 format!("layout {}", ck.layout)
             };
-            let what = format!("`{}`", path.display());
-            return Err(bad(
-                &what,
-                &format!("{found}; this build reads layout {LAYOUT} only"),
-            ));
+            let said = format!("{found}; this build reads layout {LAYOUT} only");
+            return Err(bad(&format!("`{}`", path.display()), &said));
         }
-        let mut store = TrialStore::open(&dir, ck.budget_bytes)?;
+        let mut store = TrialStore::open_on(disk.clone(), &dir, ck.budget_bytes)?;
         for sck in &ck.streams {
             store.adopt(&sck.name, sck.ingested)?;
         }
@@ -391,6 +391,7 @@ impl Tenant {
             baseline: ck.baseline,
             streams,
             applied: ck.applied,
+            journal_len: 0,
             dirty: false,
         };
         t.replay(cfg.stream_config())?;
@@ -399,7 +400,7 @@ impl Tenant {
 
     fn replay(&mut self, cfg: StreamConfig) -> Result<(), DaemonError> {
         let path = self.dir.join("journal");
-        let raw = match fs::read(&path) {
+        let raw = match self.store.disk.read(&path) {
             Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e.into()),
@@ -451,12 +452,7 @@ impl Tenant {
             self.applied = entry.n;
             self.dirty = true;
         }
-        if good < raw.len() {
-            fs::OpenOptions::new()
-                .write(true)
-                .open(&path)?
-                .set_len(good as u64)?;
-        }
+        self.journal_len = good as u64;
         Ok(())
     }
 
@@ -464,12 +460,11 @@ impl Tenant {
     fn journal(&mut self, op: &JournalOp) -> Result<(), String> {
         let n = self.applied + 1;
         let op = serde_json::to_string(op).map_err(|e| format!("journal encode: {e}"))?;
-        fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join("journal"))
-            .and_then(|mut f| f.write_all(format!("{{\"n\":{n},\"op\":{op}}}\n").as_bytes()))
+        let line = format!("{{\"n\":{n},\"op\":{op}}}\n");
+        (self.store.disk)
+            .write_at(&self.dir.join("journal"), self.journal_len, line.as_bytes())
             .map_err(|e| format!("journal append: {e}"))?;
+        self.journal_len += line.len() as u64;
         self.applied = n;
         self.dirty = true;
         Ok(())
@@ -521,9 +516,7 @@ impl Tenant {
             ));
         }
         let fresh: Vec<Observation> = records[skip..].iter().map(|&w| w.into()).collect();
-        self.store
-            .append(&stream, &fresh)
-            .map_err(|e| e.to_string())?;
+        (self.store.append(&stream, &fresh)).map_err(|e| e.to_string())?;
         let marker = JournalOp::Ingest {
             stream: stream.clone(),
             seq: have,
@@ -674,11 +667,13 @@ impl Tenant {
         })
         .map_err(|e| format!("checkpoint encode: {e}"))?;
         let (tmp, ck) = (self.dir.join("ck.tmp"), self.dir.join("ck"));
-        fs::File::create(&tmp)
-            .and_then(|mut f| write_section(&mut f, head.as_bytes()))
-            .and_then(|()| fs::rename(&tmp, &ck))
-            .and_then(|()| fs::File::create(self.dir.join("journal")).map(drop))
+        let mut raw = Vec::with_capacity(head.len() + 16);
+        write_section(&mut raw, head.as_bytes())
+            .and_then(|()| self.store.disk.write_file(&tmp, &raw))
+            .and_then(|()| self.store.disk.rename(&tmp, &ck))
+            .and_then(|()| self.store.disk.write_file(&self.dir.join("journal"), b""))
             .map_err(|e| format!("checkpoint of `{}`: {e}", self.name))?;
+        self.journal_len = 0;
         self.dirty = false;
         Ok(())
     }
@@ -686,6 +681,7 @@ impl Tenant {
 
 struct ServiceState {
     cfg: DaemonConfig,
+    disk: Arc<dyn Disk>,
     tenants: BTreeMap<String, Tenant>,
     records_since_ck: u64,
     ingests: u64,
@@ -694,9 +690,9 @@ struct ServiceState {
 
 impl ServiceState {
     /// Recover every tenant under `data_dir`, or start empty.
-    fn open(cfg: DaemonConfig) -> Result<Self, DaemonError> {
+    fn open(disk: Arc<dyn Disk>, cfg: DaemonConfig) -> Result<Self, DaemonError> {
         for old in ["state.json", "journal.jsonl"] {
-            if cfg.data_dir.join(old).exists() {
+            if disk.len(&cfg.data_dir.join(old))?.is_some() {
                 return Err(DaemonError::Recovery(format!(
                     "`{old}` in {}: a data directory in the old single-file layout is not migrated",
                     cfg.data_dir.display()
@@ -704,25 +700,27 @@ impl ServiceState {
             }
         }
         let root = cfg.data_dir.join("tenants");
-        fs::create_dir_all(&root)?;
-        let mut tenants = BTreeMap::new();
-        for entry in fs::read_dir(&root)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if valid_name(&name) && entry.path().join("ck").exists() {
-                tenants.insert(name.clone(), Tenant::recover(&cfg, &name)?);
-            } else {
-                // A tenant dropped, or created, only halfway.
-                let _ = fs::remove_dir_all(entry.path());
-            }
-        }
-        Ok(ServiceState {
+        let mut st = ServiceState {
             cfg,
-            tenants,
+            disk,
+            tenants: BTreeMap::new(),
             records_since_ck: 0,
             ingests: 0,
             records_total: 0,
-        })
+        };
+        st.disk.create_dir_all(&root)?;
+        for path in st.disk.read_dir(&root)? {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            // Only a `ck` that is not there (not one that cannot be
+            // stat'ed) makes this a tenant dropped, or created, halfway.
+            if valid_name(&name) && st.disk.len(&path.join("ck"))?.is_some() {
+                let t = Tenant::recover(&st, &name)?;
+                st.tenants.insert(name.into_owned(), t);
+            } else {
+                let _ = st.disk.remove_dir_all(&path);
+            }
+        }
+        Ok(st)
     }
 
     fn tenant(&mut self, tenant: &str) -> Result<&mut Tenant, String> {
@@ -752,7 +750,7 @@ impl ServiceState {
         } else {
             budget_bytes
         };
-        let t = Tenant::create(&self.cfg, &tenant, budget)?;
+        let t = Tenant::create(self, &tenant, budget)?;
         self.tenants.insert(tenant, t);
         obs::counter_inc("service.tenants.created");
         obs::gauge_set("service.tenants", self.tenants.len() as u64);
@@ -763,9 +761,9 @@ impl ServiceState {
         // A tenant exists iff its `ck` does: gone in that one step, then
         // deleted; recovery finishes a deletion that does not complete.
         let ck = self.tenant(tenant)?.dir.join("ck");
-        fs::remove_file(ck).map_err(|e| format!("drop of `{tenant}`: {e}"))?;
+        (self.disk.remove_file(&ck)).map_err(|e| format!("drop of `{tenant}`: {e}"))?;
         let t = self.tenants.remove(tenant).expect("looked up above");
-        let _ = fs::remove_dir_all(&t.dir);
+        let _ = self.disk.remove_dir_all(&t.dir);
         obs::counter_inc("service.tenants.dropped");
         obs::gauge_set("service.tenants", self.tenants.len() as u64);
         Ok(Response::Ok)
@@ -994,7 +992,16 @@ impl Daemon {
     /// `addr` (use port 0 for an ephemeral port), and serve connections
     /// on a background thread, one handler thread per connection.
     pub fn spawn(cfg: DaemonConfig, addr: &str) -> Result<DaemonHandle, DaemonError> {
-        let state = Arc::new(Mutex::new(ServiceState::open(cfg)?));
+        Self::spawn_on(Arc::new(RealDisk), cfg, addr)
+    }
+
+    /// [`spawn`](Self::spawn), with every file on `disk`.
+    pub fn spawn_on(
+        disk: Arc<dyn Disk>,
+        cfg: DaemonConfig,
+        addr: &str,
+    ) -> Result<DaemonHandle, DaemonError> {
+        let state = Arc::new(Mutex::new(ServiceState::open(disk, cfg)?));
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -1153,7 +1160,10 @@ impl DaemonHandle {
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+
     use super::*;
+    use crate::disk::ScriptDisk;
 
     #[test]
     fn engine_ids_are_nonzero_and_distinct_per_stream() {
@@ -1178,9 +1188,8 @@ mod tests {
 
     #[test]
     fn a_batch_past_the_record_bound_is_refused_before_the_log_and_the_journal() {
-        let dir = std::env::temp_dir().join(format!("choir-daemon-bound-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut st = ServiceState::open(DaemonConfig::new(&dir)).expect("fresh data directory");
+        let disk = Arc::new(ScriptDisk::new());
+        let mut st = ServiceState::open(disk.clone(), DaemonConfig::new("d")).expect("empty disk");
         let (t, run) = (String::from("t"), String::from("run"));
         let ingest = |stream: &str, seq: u64, n: u64| Request::Ingest {
             tenant: t.clone(),
@@ -1212,8 +1221,7 @@ mod tests {
         let bound = MAX_TRIAL_LEN as u64;
         let tenant = st.tenants.get_mut(&t).expect("created above");
         tenant.store.set_len(&run, bound);
-        let files = |t: &Tenant| ["journal", "run.log"].map(|f| fs::read(t.dir.join(f)).expect(f));
-        let before = files(tenant);
+        let before = disk.files();
 
         let (resp, _) = st.handle(ingest("run", bound, 1));
         let Response::Error { message } = resp else {
@@ -1223,7 +1231,7 @@ mod tests {
             message.contains(&format!("{bound}-record bound")),
             "{message}"
         );
-        assert_eq!(files(&st.tenants[&t]), before, "a refusal writes nothing");
+        assert_eq!(disk.files(), before, "a refusal writes nothing");
         // A resend of what the stream already holds is still answered.
         let (resp, _) = st.handle(ingest("run", bound - 1, 1));
         assert!(
@@ -1241,7 +1249,6 @@ mod tests {
             matches!(resp, Response::Snapshot { common: 2, .. }),
             "{resp:?}"
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Three streams of `n` records: a baseline; a lossy run that
@@ -1321,7 +1328,8 @@ mod tests {
         };
         let (straight_dir, crashed_dir) = (dir("straight"), dir("crashed"));
         let open = |d: &PathBuf| {
-            let mut st = ServiceState::open(cfg(d)).expect("fresh data directory");
+            let mut st =
+                ServiceState::open(Arc::new(RealDisk), cfg(d)).expect("fresh data directory");
             let ok = |(r, _): (Response, bool)| assert!(matches!(r, Response::Ok), "{r:?}");
             ok(st.handle(Request::CreateTenant {
                 tenant: "t".into(),
@@ -1379,7 +1387,8 @@ mod tests {
         drop(crashed);
 
         let t0 = std::time::Instant::now();
-        let mut crashed = ServiceState::open(cfg(&crashed_dir)).expect("recovers");
+        let mut crashed =
+            ServiceState::open(Arc::new(RealDisk), cfg(&crashed_dir)).expect("recovers");
         let recovery = t0.elapsed();
         println!(
             "recovered 3 x {N} records, {} in the journal, from a {ck_bytes}-byte ck in {:.1} ms",
@@ -1398,7 +1407,8 @@ mod tests {
         assert!(matches!(r, Response::Ok), "{r:?}");
         drop(crashed);
         let t0 = std::time::Instant::now();
-        let mut crashed = ServiceState::open(cfg(&crashed_dir)).expect("recovers");
+        let mut crashed =
+            ServiceState::open(Arc::new(RealDisk), cfg(&crashed_dir)).expect("recovers");
         println!(
             "recovered from a ck covering every record in {:.1} ms",
             t0.elapsed().as_secs_f64() * 1e3

@@ -11,6 +11,10 @@
 //!   (batch-identical), per-tenant event-sourced
 //!   durability (record logs + marker journal + dirty-tenant
 //!   checkpoints), and a thread-per-connection TCP serve loop.
+//! * [`disk`] — every file the daemon touches, behind one [`Disk`]
+//!   trait: [`RealDisk`], and the in-memory [`ScriptDisk`] whose faults
+//!   are scripted and whose kill and power-cut images the crash tests
+//!   recover from.
 //! * [`store`] — the evictable trial store: per-tenant LRU memory
 //!   budget over one append-only 24-byte-record log per stream, which
 //!   is journal and spill at once; rebuild on demand; eviction is
@@ -29,10 +33,12 @@
 
 pub mod client;
 pub mod daemon;
+pub mod disk;
 pub mod store;
 pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, DaemonError, DaemonHandle};
+pub use disk::{Disk, RealDisk, ScriptDisk};
 pub use store::{StoreError, StoreStats, TrialStore, OBS_BYTES};
 pub use wire::{Request, Response, WireError, WireFinal, WireKappa, WireObs};

@@ -16,25 +16,29 @@
 //! byte-identical to the evicted one, which the service proptests gate
 //! on.
 //!
-//! The store's record count per trial is authoritative. After a crash
-//! the daemon [`adopt`]s each log at the count its checkpoint and
-//! journal markers cover; bytes beyond that (an append that was never
-//! acknowledged) are ignored by reloads and cut off by the next append.
+//! The store's record count per trial is authoritative, and an append
+//! writes at `count × 24` ([`Disk::write_at`]): nothing past the
+//! accounted end is state. After a crash the daemon [`adopt`]s each log
+//! at the count its checkpoint and journal markers cover; bytes beyond
+//! that (an append that was never acknowledged) are ignored by reloads
+//! and overwritten by the next append.
 //!
-//! Appends reach the OS before they return, which survives a process
-//! kill; nothing here calls `fsync`, so a power cut can lose them.
+//! Every file goes through the store's [`Disk`]: appends reach the OS
+//! before they return, which survives a process kill; nothing is
+//! `fsync`ed, so a power cut can lose them.
 //!
 //! [`append`]: TrialStore::append
 //! [`adopt`]: TrialStore::adopt
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use choir_core::metrics::{Observation, Trial};
 use choir_core::obs;
 use choir_packet::PacketId;
+
+use crate::disk::{Disk, RealDisk};
 
 /// In-memory footprint of one observation: a 16-byte identity plus an
 /// 8-byte timestamp. The budget arithmetic uses this, not allocator
@@ -101,6 +105,7 @@ struct Slot {
 /// validates name characters before they reach here, so keys map to log
 /// file names without escaping.
 pub struct TrialStore {
+    pub(crate) disk: Arc<dyn Disk>,
     budget: u64,
     dir: PathBuf,
     /// Ordered, so that trials are walked and dropped in the same order
@@ -139,9 +144,19 @@ impl TrialStore {
     /// resident-byte budget. `budget_bytes == 0` means "everything is
     /// evicted as soon as it is not in use" and still works.
     pub fn open(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self, StoreError> {
+        Self::open_on(Arc::new(RealDisk), dir, budget_bytes)
+    }
+
+    /// [`open`](Self::open) on `disk`.
+    pub fn open_on(
+        disk: Arc<dyn Disk>,
+        dir: impl Into<PathBuf>,
+        budget_bytes: u64,
+    ) -> Result<Self, StoreError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        disk.create_dir_all(&dir)?;
         Ok(TrialStore {
+            disk,
             budget: budget_bytes,
             dir,
             slots: BTreeMap::new(),
@@ -150,11 +165,6 @@ impl TrialStore {
             evictions: 0,
             reloads: 0,
         })
-    }
-
-    /// Observation bytes currently resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
     }
 
     /// Aggregate accounting.
@@ -186,7 +196,8 @@ impl TrialStore {
     }
 
     /// Append observations to a trial, creating it on first touch: to
-    /// the end of its log first, then to the resident copy (rebuilt from
+    /// its log at the accounted end first, over whatever a crash or a
+    /// failed append left there, then to the resident copy (rebuilt from
     /// the log if evicted). The budget is re-enforced afterwards —
     /// possibly evicting *other* trials, never the one just appended to.
     pub fn append(&mut self, key: &str, recs: &[Observation]) -> Result<(), StoreError> {
@@ -194,16 +205,7 @@ impl TrialStore {
         let slot = self.slots.get_mut(key).expect("ensured resident");
         let mut raw = Vec::with_capacity(recs.len() * OBS_BYTES as usize);
         encode_records(&mut raw, recs.iter().copied());
-        let mut log = fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(log_path(&self.dir, key))?;
-        // A crash can leave records nobody was told about past the
-        // accounted end; they go before anything is written after them.
-        log.set_len(slot.len * OBS_BYTES)?;
-        log.seek(SeekFrom::End(0))?;
-        log.write_all(&raw)?;
+        (self.disk).write_at(&log_path(&self.dir, key), slot.len * OBS_BYTES, &raw)?;
         slot.obs
             .as_mut()
             .expect("ensured resident")
@@ -242,7 +244,7 @@ impl TrialStore {
     /// store held for it before. Recovery uses it to set each trial to
     /// what its checkpoint and journal markers cover.
     pub fn adopt(&mut self, key: &str, count: u64) -> Result<(), StoreError> {
-        let on_disk = fs::metadata(log_path(&self.dir, key)).map_or(0, |m| m.len());
+        let on_disk = self.disk.len(&log_path(&self.dir, key))?.unwrap_or(0);
         Self::check_log(key, on_disk, count)?;
         let slot = Slot {
             // An empty trial may have no log file at all yet.
@@ -254,13 +256,6 @@ impl TrialStore {
             self.resident_bytes -= old.len() as u64 * OBS_BYTES;
         }
         Ok(())
-    }
-
-    /// Put a trial's record count at `len` without a record behind it:
-    /// counts out of a test's reach, such as a bound in the billions.
-    #[cfg(test)]
-    pub(crate) fn set_len(&mut self, key: &str, len: u64) {
-        self.slots.get_mut(key).expect("a tracked trial").len = len;
     }
 
     /// `Corrupt` unless a log of `bytes` bytes holds `want` records.
@@ -284,11 +279,9 @@ impl TrialStore {
 
     fn reload(&mut self, key: &str) -> Result<(), StoreError> {
         let want = self.slots[key].len;
-        let mut raw = Vec::new();
-        fs::File::open(log_path(&self.dir, key))?
-            .take(want * OBS_BYTES)
-            .read_to_end(&mut raw)?;
+        let mut raw = self.disk.read(&log_path(&self.dir, key))?;
         Self::check_log(key, raw.len() as u64, want)?;
+        raw.truncate((want * OBS_BYTES) as usize);
         let slot = self.slots.get_mut(key).expect("caller checked");
         slot.obs = Some(decode_records(&raw).collect());
         self.resident_bytes += want * OBS_BYTES;
@@ -321,7 +314,18 @@ impl TrialStore {
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+
     use super::*;
+
+    impl TrialStore {
+        /// Put a trial's record count at `len` without a record behind
+        /// it: counts out of a test's reach, such as a bound in the
+        /// billions.
+        pub(crate) fn set_len(&mut self, key: &str, len: u64) {
+            self.slots.get_mut(key).expect("a tracked trial").len = len;
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("choir-store-{name}-{}", std::process::id()));
@@ -346,7 +350,7 @@ mod tests {
         st.append("t0/a", &a[60..]).unwrap();
         assert_eq!(st.get("t0/a").unwrap(), &a[..]);
         assert_eq!(st.len("t0/a"), 100);
-        assert_eq!(st.resident_bytes(), 100 * OBS_BYTES);
+        assert_eq!(st.stats().resident_bytes, 100 * OBS_BYTES);
         assert_eq!(st.stats().evictions, 0);
     }
 
@@ -406,12 +410,13 @@ mod tests {
         assert_eq!(st.get("t0/a").unwrap(), &a[..50]);
         // A later marker covers the rest: adopt again, nothing rewritten.
         st.adopt("t0/a", 90).unwrap();
-        assert_eq!(st.resident_bytes(), 0, "adopt drops the resident copy");
+        let resident = st.stats().resident_bytes;
+        assert_eq!(resident, 0, "adopt drops the resident copy");
         assert_eq!(st.get("t0/a").unwrap(), &a[..]);
     }
 
     #[test]
-    fn append_cuts_an_unaccounted_tail() {
+    fn append_overwrites_an_unaccounted_tail() {
         let dir = tmp("tail");
         let a = obs_seq(0, 30);
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
@@ -430,8 +435,16 @@ mod tests {
         st.adopt("t0/a", 12).unwrap();
         let tail = obs_seq(700, 5);
         st.append("t0/a", &tail).unwrap();
-        assert_eq!(fs::metadata(&p).unwrap().len(), 17 * OBS_BYTES);
+        // Written at the accounted end; the rest of the torn append
+        // stays past it, and is not state.
         let want: Vec<Observation> = a[..12].iter().chain(&tail).copied().collect();
+        let (mut head, mut rest) = (Vec::new(), Vec::new());
+        encode_records(&mut head, want.iter().copied());
+        encode_records(&mut rest, a.iter().copied());
+        let raw = fs::read(&p).unwrap();
+        assert_eq!(raw.len() as u64, 30 * OBS_BYTES - 11);
+        assert_eq!(raw[..head.len()], head[..]);
+        assert_eq!(raw[head.len()..], rest[head.len()..raw.len()]);
         st.adopt("t0/a", 17).unwrap();
         assert_eq!(st.get("t0/a").unwrap(), &want[..]);
     }

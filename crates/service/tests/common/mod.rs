@@ -1,12 +1,12 @@
 //! Fixtures shared by the daemon integration tests.
 #![allow(dead_code)] // each test crate uses its own subset
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use choir_core::metrics::Observation;
 use choir_packet::tag::ChoirTag;
 use choir_packet::PacketId;
-use choir_service::{Client, Response};
+use choir_service::{Client, Response, WireKappa};
 
 pub fn lcg(s: &mut u64) -> u64 {
     *s = s
@@ -48,19 +48,15 @@ pub fn tmp_dir(name: &str) -> PathBuf {
     p
 }
 
-/// Copy a data directory, emptying `dst` first.
-pub fn copy_dir(src: &Path, dst: &Path) {
-    let _ = std::fs::remove_dir_all(dst);
-    std::fs::create_dir_all(dst).expect("create copy target");
-    for entry in std::fs::read_dir(src).expect("read copy source") {
-        let entry = entry.expect("directory entry");
-        let to = dst.join(entry.file_name());
-        if entry.file_type().expect("file type").is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), to).expect("copy file");
-        }
-    }
+/// A served κ and its four components, as bits.
+pub fn kappa_bits(k: &WireKappa) -> [u64; 5] {
+    [
+        k.kappa_bits,
+        k.u.to_bits(),
+        k.o.to_bits(),
+        k.l.to_bits(),
+        k.i.to_bits(),
+    ]
 }
 
 /// Everything a tenant serves about its comparison streams, as bits: per
@@ -69,15 +65,6 @@ pub fn copy_dir(src: &Path, dst: &Path) {
 /// client can see.
 pub fn served_bits(c: &mut Client, tenant: &str, streams: &[&str]) -> Vec<u64> {
     let mut bits = Vec::new();
-    let kappa = |k: &choir_service::WireKappa| {
-        [
-            k.kappa_bits,
-            k.u.to_bits(),
-            k.o.to_bits(),
-            k.l.to_bits(),
-            k.i.to_bits(),
-        ]
-    };
     for s in streams {
         let Response::Snapshot {
             seen_a,
@@ -89,14 +76,14 @@ pub fn served_bits(c: &mut Client, tenant: &str, streams: &[&str]) -> Vec<u64> {
             panic!("snapshot variant");
         };
         bits.extend([seen_a, seen_b, common]);
-        bits.extend(kappa(&running));
+        bits.extend(kappa_bits(&running));
         let Response::Trail { points } = c.trail(tenant, s).expect("trail") else {
             panic!("trail variant");
         };
         bits.push(points.len() as u64);
         for p in &points {
             bits.extend([p.seen_a, p.seen_b, p.common]);
-            bits.extend(kappa(&p.running));
+            bits.extend(kappa_bits(&p.running));
         }
     }
     let Response::Matrix { cells, .. } = c.matrix(tenant).expect("matrix") else {
@@ -104,7 +91,7 @@ pub fn served_bits(c: &mut Client, tenant: &str, streams: &[&str]) -> Vec<u64> {
     };
     for cell in &cells {
         bits.extend([cell.i, cell.j, cell.common, cell.missing, cell.extra]);
-        bits.extend(kappa(&cell.score));
+        bits.extend(kappa_bits(&cell.score));
     }
     bits
 }

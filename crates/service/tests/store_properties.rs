@@ -124,7 +124,7 @@ proptest! {
             // impossible here only when one trial exceeds the budget —
             // permitted by contract, so only assert when all trials fit).
             if stored.iter().all(|t| (t.len() as u64) * OBS_BYTES <= budget_obs * OBS_BYTES) {
-                prop_assert!(store.resident_bytes() <= budget_obs * OBS_BYTES);
+                prop_assert!(store.stats().resident_bytes <= budget_obs * OBS_BYTES);
             }
         }
 
