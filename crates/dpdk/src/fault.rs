@@ -217,20 +217,6 @@ impl<D: Dataplane> FaultyDataplane<D> {
         self.inner
     }
 
-    /// Force the pool to exhaustion now, regardless of rates. Ballast is
-    /// held until [`FaultyDataplane::release_pool`] or the configured
-    /// call count elapses.
-    pub fn force_pool_exhaustion(&mut self) {
-        self.exhaust_pool();
-        self.ballast_remaining = self.cfg.pool_exhaust_calls.max(1);
-    }
-
-    /// Release all ballast mbufs back to the pool immediately.
-    pub fn release_pool(&mut self) {
-        self.ballast.clear();
-        self.ballast_remaining = 0;
-    }
-
     /// Bernoulli trial that never touches the RNG for rate 0 (transparency)
     /// or rate ≥ 1 (so "always" faults don't depend on draw order).
     fn roll(&mut self, rate: f64) -> bool {
@@ -548,22 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_exhaustion_is_forced_and_released() {
-        let plane = RealtimePlane::self_loop(64);
-        let mut faulty = FaultyDataplane::new(plane, FaultConfig::quiet(5));
-        let pool = faulty.mempool().clone();
-        assert!(pool.available() > 0);
-        faulty.force_pool_exhaustion();
-        assert_eq!(pool.available(), 0, "ballast filled the pool");
-        assert!(pool
-            .alloc(Frame::new(Bytes::from_static(b"x")))
-            .is_err());
-        faulty.release_pool();
-        assert_eq!(pool.in_use(), 0);
-        assert_eq!(faulty.fault_stats().pool_exhaustions, 1);
-    }
-
-    #[test]
     fn scheduled_exhaustion_expires_by_call_count() {
         let plane = RealtimePlane::self_loop(64);
         let cfg = FaultConfig {
@@ -575,11 +545,14 @@ mod tests {
         let mut faulty = FaultyDataplane::new(plane, cfg);
         let pool = faulty.mempool().clone();
         let mut out = Burst::new();
+        assert!(pool.available() > 0);
         faulty.rx_burst(0, &mut out); // call 0: exhausts
-        assert_eq!(pool.available(), 0);
+        assert_eq!(pool.available(), 0, "ballast filled the pool");
+        assert!(pool.alloc(Frame::new(Bytes::from_static(b"x"))).is_err());
         faulty.rx_burst(0, &mut out); // call 1: hold expires after this
         faulty.rx_burst(0, &mut out); // call 2: released
         assert_eq!(pool.in_use(), 0, "ballast released on schedule");
+        assert_eq!(faulty.fault_stats().pool_exhaustions, 1);
     }
 
     #[test]

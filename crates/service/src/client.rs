@@ -76,21 +76,24 @@ impl Client {
     /// One request/response exchange.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         send_request_with(&mut self.writer, req, &mut self.frame)?;
-        match recv_response(&mut self.reader)? {
-            Some(r) => Ok(r),
-            None => Err(ClientError::Wire(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection mid-exchange",
-            )))),
+        let eof = std::io::ErrorKind::UnexpectedEof;
+        let closed = || std::io::Error::new(eof, "daemon closed the connection mid-exchange");
+        Ok(recv_response(&mut self.reader)?.ok_or_else(closed)?)
+    }
+
+    /// One exchange: a refusal is `Daemon`, an answer `want` gives back `Unexpected`.
+    fn expect<T, W>(&mut self, req: &Request, want: W) -> Result<T, ClientError>
+    where
+        W: FnOnce(Response) -> Result<T, Response>,
+    {
+        match self.call(req)? {
+            Response::Error { message } => Err(ClientError::Daemon(message)),
+            r => want(r).map_err(|other| ClientError::Unexpected(format!("{other:?}"))),
         }
     }
 
     fn expect_ok(&mut self, req: &Request) -> Result<(), ClientError> {
-        match self.call(req)? {
-            Response::Ok => Ok(()),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        self.expect(req, |r| matches!(r, Response::Ok).then_some(()).ok_or(r))
     }
 
     /// Liveness probe.
@@ -140,14 +143,11 @@ impl Client {
                 seq,
                 records: chunk.iter().map(|&o| WireObs::from(o)).collect(),
             };
-            match self.call(&req)? {
-                Response::Ingested { total: t } => {
-                    total = t;
-                    seq += chunk.len() as u64;
-                }
-                Response::Error { message } => return Err(ClientError::Daemon(message)),
-                other => return Err(ClientError::Unexpected(format!("{other:?}"))),
-            }
+            total = self.expect(&req, |r| match r {
+                Response::Ingested { total } => Ok(total),
+                other => Err(other),
+            })?;
+            seq += chunk.len() as u64;
         }
         Ok(total)
     }
@@ -160,18 +160,18 @@ impl Client {
         tenant: &str,
         stream: &str,
     ) -> Result<(u64, bool, bool), ClientError> {
-        match self.call(&Request::StreamStatus {
+        let req = Request::StreamStatus {
             tenant: tenant.into(),
             stream: stream.into(),
-        })? {
+        };
+        self.expect(&req, |r| match r {
             Response::Status {
                 ingested,
                 finished,
                 baseline,
             } => Ok((ingested, finished, baseline)),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Declare a stream complete. Comparison streams return their final
@@ -181,59 +181,47 @@ impl Client {
         tenant: &str,
         stream: &str,
     ) -> Result<Option<WireFinal>, ClientError> {
-        match self.call(&Request::FinishStream {
+        let req = Request::FinishStream {
             tenant: tenant.into(),
             stream: stream.into(),
-        })? {
+        };
+        self.expect(&req, |r| match r {
             Response::Finished { summary } => Ok(summary),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Live (or final) κ of a comparison stream. Raw [`Response`] so
     /// callers get both the float and its bits.
     pub fn snapshot(&mut self, tenant: &str, stream: &str) -> Result<Response, ClientError> {
-        match self.call(&Request::Snapshot {
+        let req = Request::Snapshot {
             tenant: tenant.into(),
             stream: stream.into(),
-        })? {
-            r @ Response::Snapshot { .. } => Ok(r),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        };
+        self.expect(&req, |r| raw(r, |r| matches!(r, Response::Snapshot { .. })))
     }
 
     /// Snapshot trail of a comparison stream.
     pub fn trail(&mut self, tenant: &str, stream: &str) -> Result<Response, ClientError> {
-        match self.call(&Request::Trail {
+        let req = Request::Trail {
             tenant: tenant.into(),
             stream: stream.into(),
-        })? {
-            r @ Response::Trail { .. } => Ok(r),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        };
+        self.expect(&req, |r| raw(r, |r| matches!(r, Response::Trail { .. })))
     }
 
     /// All-pairs κ matrix over a tenant's streams.
     pub fn matrix(&mut self, tenant: &str) -> Result<Response, ClientError> {
-        match self.call(&Request::Matrix {
+        let req = Request::Matrix {
             tenant: tenant.into(),
-        })? {
-            r @ Response::Matrix { .. } => Ok(r),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        };
+        self.expect(&req, |r| raw(r, |r| matches!(r, Response::Matrix { .. })))
     }
 
     /// Daemon-wide accounting.
     pub fn stats(&mut self) -> Result<Response, ClientError> {
-        match self.call(&Request::Stats)? {
-            r @ Response::Stats { .. } => Ok(r),
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        let is = |r: &Response| matches!(r, Response::Stats { .. });
+        self.expect(&Request::Stats, |r| raw(r, is))
     }
 
     /// Force a durable checkpoint now.
@@ -245,4 +233,12 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.expect_ok(&Request::Shutdown)
     }
+}
+
+/// `r` itself, if it is the variant `is` takes.
+fn raw(r: Response, is: impl Fn(&Response) -> bool) -> Result<Response, Response> {
+    if is(&r) {
+        return Ok(r);
+    }
+    Err(r)
 }

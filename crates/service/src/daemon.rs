@@ -1,62 +1,59 @@
 //! The κ-as-a-service daemon: a long-running, multi-tenant streaming
 //! consistency monitor.
 //!
-//! Each tenant owns a set of named capture streams. The first stream a
-//! tenant opens is its **baseline**; every later stream gets its own
-//! [`IncrementalComparison`] engine against that baseline — the engine
-//! whose finalize is bit-identical to the batch pipeline *for any
-//! interleaving of the two sides*. That interleaving-independence is what makes the daemon's
-//! numbers trustworthy: observations arrive over sockets in whatever
-//! order the network delivers them, and the served κ is still exactly
-//! the κ a post-hoc batch analysis of the same records produces,
-//! bit for bit. `tests/daemon.rs` gates on this.
+//! Each tenant owns a map of named capture streams, the only record of
+//! them, and a stream is in one of three states: the **baseline** (the
+//! first stream opened, live or finished), a **live** comparison stream
+//! with its own [`IncrementalComparison`] against the baseline, or a
+//! **done** one holding its final summary. The engine's finalize is
+//! bit-identical to the batch pipeline *for any interleaving of the two
+//! sides*, so although observations arrive in whatever order the network
+//! delivers them, the served κ is exactly the κ a post-hoc batch analysis
+//! of the same records produces, bit for bit (`tests/daemon.rs`). Every
+//! op is checked against the map before anything is written: a refused op
+//! writes no byte. One that passes is journaled, then applied, and
+//! applying it can fail only on store I/O.
 //!
 //! # Durability
 //!
-//! Tenants share nothing, so each keeps its durable state to itself, in
-//! `tenants/<name>/`:
+//! Tenants share nothing; each keeps its state in `tenants/<name>/`:
 //!
 //! * `<stream>.log` — the stream's records, 24 bytes each, append-only
 //!   ([`TrialStore`]). An ingest appends its records here first;
-//! * `journal` — one JSON line per mutating op, numbered, in order. An
-//!   ingest's line is a *marker* (`stream`, `seq`, `count`) written
-//!   after the log append and before the op is applied or acknowledged;
+//! * `journal` — one numbered JSON line per accepted mutating op. An
+//!   ingest's line is a *marker* (`stream`, `seq`, `count`) written after
+//!   the log append and before the op is applied or acknowledged;
 //! * `ck` — the tenant's checkpoint, one checksummed JSON section: the
-//!   layout it is in, stream metadata, final summaries, the number of
-//!   the last journal line it covers, and each live engine's
-//!   [`StreamCursor`] — records consumed per side, a few scalars and the
-//!   trail, never a pair or a pending record. A tenant exists iff its
-//!   `ck` does. A checkpoint (explicit, cadence, or graceful shutdown)
-//!   rewrites `ck` (write-temp, then rename) and empties `journal` for
-//!   the tenants touched since the last one, and for no others.
+//!   layout, stream metadata, final summaries, the last journal line it
+//!   covers, and each live engine's [`StreamCursor`] (records consumed per
+//!   side, a few scalars and the trail, never a pair or a pending record).
+//!   A tenant exists iff its `ck` does. A checkpoint (explicit, cadence,
+//!   or graceful shutdown) rewrites `ck` (temp, then rename) and empties
+//!   `journal` for the tenants touched since the last one, and no others.
 //!
-//! The logs are the only durable home of the records. Recovery loads
-//! each `ck`, refusing by name one in another layout than this build's
-//! (bytes after the head section are the engine slabs of a `ck` from
-//! before cursors). It rebuilds every live engine from its cursor and
-//! the two log prefixes it names — the baseline's first `seen_a` records
-//! and the stream's whole log — through
-//! [`IncrementalComparison::rebuild`], which refuses a cursor of the
-//! wrong engine or config and records that do not re-feed to the state
-//! the cursor recorded; a cursor that claims more baseline records than
-//! the log holds, or other than its stream's count, is refused by name.
-//! Then it replays the journal lines the checkpoint does not cover
-//! through the *same* apply path the wire handlers use, reading each
-//! marker's records back from the log, and leaves every trial
-//! non-resident. Only a final line without its newline is dropped, as a
-//! crash mid-append leaves it; a whole line that is not an entry is
-//! refused by name. Recovery writes nothing: logs and journal are
-//! appended at the end their owner accounts for ([`Disk`]'s one append
-//! rule), so what a crash or a failed append left past it is overwritten
+//! The logs are the only durable home of the records. Recovery loads each
+//! `ck`, refusing by name one in another layout (bytes after the head are
+//! the engine slabs of a `ck` from before cursors) or with a stream in a
+//! state no build writes. It rebuilds every live engine from its cursor
+//! and the two log prefixes it names through
+//! [`IncrementalComparison::rebuild`], refusing a cursor that claims more
+//! records than the logs hold. Then it replays the journal lines the `ck`
+//! does not cover through the *same* check and apply the wire handlers
+//! use. An `OpenStream` or `Finish` the check refuses was journaled by an
+//! earlier build that refused it live, and is skipped; a marker it
+//! refuses, an op that cannot be applied and a whole line that is not an
+//! entry are refused by name. Only a final line without its newline, as a
+//! crash mid-append leaves it, is dropped. Recovery writes nothing: logs
+//! and journal are appended at the end their owner accounts for
+//! ([`Disk`]'s one append rule), so whatever lies past it is overwritten
 //! by the next append. Nothing is `fsync`ed: a hard kill loses nothing
 //! acknowledged, a power cut can.
 //!
 //! # Memory
 //!
-//! Trial bytes live in a per-tenant [`TrialStore`] with an LRU
-//! budget; engines hold only unmatched residents. The `Stats` response
-//! exposes resident bytes so operators (and the bench's RSS gate) can
-//! watch the budget hold.
+//! Trial bytes live in a per-tenant [`TrialStore`] with an LRU budget;
+//! engines hold only unmatched residents. `Stats` exposes resident bytes
+//! so operators (and the bench's RSS gate) can watch the budget hold.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -150,13 +147,30 @@ struct FinishedStream {
     snapshots: Vec<KappaSnapshot>,
 }
 
-/// A stream's records, and how many it holds, are the store's.
-struct StreamState {
-    finished: bool,
-    /// `None` for the tenant baseline; comparison streams carry an
-    /// engine while live and a summary once finished.
-    engine: Option<IncrementalComparison>,
-    done: Option<FinishedStream>,
+/// One stream of a tenant, in the only states a stream occurs in. Its
+/// records, and how many it holds, are the store's.
+enum Stream {
+    /// The tenant's first stream: side A of every comparison.
+    Baseline { finished: bool },
+    /// A comparison stream being fed.
+    Live(Box<IncrementalComparison>),
+    /// A finished comparison stream's durable result.
+    Done(Box<FinishedStream>),
+}
+
+impl Stream {
+    fn finished(&self) -> bool {
+        matches!(self, Stream::Baseline { finished: true } | Stream::Done(_))
+    }
+}
+
+/// The tenant's baseline, the map's one `Baseline` entry: its name and
+/// whether it is finished.
+fn baseline_of(streams: &BTreeMap<String, Stream>) -> Option<(&str, bool)> {
+    streams.iter().find_map(|(name, s)| match s {
+        Stream::Baseline { finished } => Some((name.as_str(), *finished)),
+        _ => None,
+    })
 }
 
 /// One mutating op on a tenant's streams, as its journal records it.
@@ -222,8 +236,8 @@ struct Tenant {
     name: String,
     dir: PathBuf,
     store: TrialStore,
-    baseline: Option<String>,
-    streams: BTreeMap<String, StreamState>,
+    /// Every stream of the tenant, and the only record of them.
+    streams: BTreeMap<String, Stream>,
     /// Number of the last journal entry applied.
     applied: u64,
     /// Bytes of whole journal lines: where the next one is written.
@@ -268,39 +282,49 @@ impl From<StoreError> for DaemonError {
     }
 }
 
+/// A stream's records, borrowed from the store; a failure names its log.
+fn records<'s>(store: &'s mut TrialStore, stream: &str) -> Result<&'s [Observation], String> {
+    (store.get(stream)).map_err(|e| format!("reading `{stream}.log`: {e}"))
+}
+
 /// Feed `eng` the baseline records it has not seen yet, borrowed from
 /// the store.
 fn catch_up(
     eng: &mut IncrementalComparison,
     store: &mut TrialStore,
-    baseline: &str,
+    baseline: Option<&str>,
 ) -> Result<(), String> {
     let fed = eng.seen_a();
-    if (fed as u64) < store.len(baseline) {
-        let base = store.get(baseline).map_err(|e| e.to_string())?;
-        eng.push_burst(Side::A, &base[fed..]);
+    if let Some(base) = baseline.filter(|b| (fed as u64) < store.len(b)) {
+        eng.push_burst(Side::A, &records(store, base)?[fed..]);
     }
     Ok(())
 }
 
 impl Tenant {
+    /// A tenant that has applied no journal entry and has nothing to
+    /// checkpoint.
+    fn new(name: &str, dir: PathBuf, store: TrialStore, streams: BTreeMap<String, Stream>) -> Self {
+        Tenant {
+            name: name.to_string(),
+            dir,
+            store,
+            streams,
+            applied: 0,
+            journal_len: 0,
+            dirty: false,
+        }
+    }
+
     /// A new, empty tenant: its directory and its first checkpoint.
     fn create(st: &ServiceState, name: &str, budget_bytes: u64) -> Result<Self, String> {
         let dir = st.cfg.tenant_dir(name);
         // Only a creation that crashed before its first checkpoint can
         // have left this behind.
         let _ = st.disk.remove_dir_all(&dir);
-        let mut t = Tenant {
-            name: name.to_string(),
-            store: TrialStore::open_on(st.disk.clone(), &dir, budget_bytes)
-                .map_err(|e| e.to_string())?,
-            dir,
-            baseline: None,
-            streams: BTreeMap::new(),
-            applied: 0,
-            journal_len: 0,
-            dirty: true,
-        };
+        let store =
+            TrialStore::open_on(st.disk.clone(), &dir, budget_bytes).map_err(|e| e.to_string())?;
+        let mut t = Tenant::new(name, dir, store, BTreeMap::new());
         t.checkpoint()?;
         Ok(t)
     }
@@ -335,65 +359,55 @@ impl Tenant {
             store.adopt(&sck.name, sck.ingested)?;
         }
         // The baseline's records, read once for every engine's side A.
-        let mut base = Vec::new();
-        if ck.streams.iter().any(|s| s.engine.is_some()) {
-            let baseline = (ck.baseline.as_deref())
-                .ok_or_else(|| bad("checkpoint", &"live engines but no baseline"))?;
-            base = store.get(baseline)?.to_vec();
+        let (baseline, mut base) = (ck.baseline.as_deref(), Vec::new());
+        if let (Some(b), true) = (baseline, ck.streams.iter().any(|s| s.engine.is_some())) {
+            base = store.get(b)?.to_vec();
         }
         let mut streams = BTreeMap::new();
         for sck in ck.streams {
-            let engine = match sck.engine {
-                None => None,
-                Some(cursor) => {
+            // A stream's state must agree with whether `baseline` names it.
+            let named = baseline == Some(sck.name.as_str());
+            let stream = match (sck.engine, sck.done, sck.finished) {
+                (None, None, finished) if named => Stream::Baseline { finished },
+                (None, Some(done), true) if !named => Stream::Done(Box::new(done)),
+                (Some(cursor), None, false) if !named => {
                     let what = format!("engine `{}`", sck.name);
-                    let (seen_a, seen_b) = (cursor.seen_a(), cursor.seen_b());
-                    let holds = base.len();
+                    let (seen_a, seen_b, holds) = (cursor.seen_a(), cursor.seen_b(), base.len());
                     if seen_a > holds {
-                        let e = format!("side A consumed {seen_a} records, its baseline holds {holds}");
+                        let e =
+                            format!("side A consumed {seen_a} records, its baseline holds {holds}");
                         return Err(bad(&what, &e));
                     }
-                    if seen_b as u64 != sck.ingested {
-                        let e = format!(
-                            "side B consumed {seen_b} records, its stream holds {}",
-                            sck.ingested
-                        );
+                    let holds = sck.ingested;
+                    if seen_b as u64 != holds {
+                        let e =
+                            format!("side B consumed {seen_b} records, its stream holds {holds}");
                         return Err(bad(&what, &e));
                     }
-                    let id = engine_id_for(name, &sck.name);
+                    let (id, sc) = (engine_id_for(name, &sck.name), cfg.stream_config());
                     let b = store.get(&sck.name)?;
-                    let eng = IncrementalComparison::rebuild(
-                        cursor,
-                        id,
-                        &cfg.stream_config(),
-                        &base[..seen_a],
-                        b,
-                    )
-                    .map_err(|e| bad(&what, &e))?;
-                    Some(eng)
+                    let eng = IncrementalComparison::rebuild(cursor, id, &sc, &base[..seen_a], b);
+                    Stream::Live(Box::new(eng.map_err(|e| bad(&what, &e))?))
+                }
+                (engine, done, finished) => {
+                    let (e, d) = (engine.is_some(), done.is_some());
+                    let e = format!("engine {e}, summary {d}, finished {finished}, the baseline {named}; no build writes this");
+                    return Err(bad(&format!("stream `{}`", sck.name), &e));
                 }
             };
             // Non-resident again, as every trial starts.
             store.adopt(&sck.name, sck.ingested)?;
-            streams.insert(
-                sck.name,
-                StreamState {
-                    finished: sck.finished,
-                    engine,
-                    done: sck.done,
-                },
-            );
+            streams.insert(sck.name, stream);
         }
-        let mut t = Tenant {
-            name: name.to_string(),
-            dir,
-            store,
-            baseline: ck.baseline,
-            streams,
-            applied: ck.applied,
-            journal_len: 0,
-            dirty: false,
-        };
+        // A tenant with any stream has a baseline, and `baseline` names
+        // nothing else (a stream it names is a baseline or refused above).
+        if baseline_of(&streams).is_none() && (baseline.is_some() || !streams.is_empty()) {
+            let n = streams.len();
+            let e = format!("`baseline` is {baseline:?} over {n} stream(s), none of them a baseline; no build writes this");
+            return Err(bad("checkpoint", &e));
+        }
+        let mut t = Tenant::new(name, dir, store, streams);
+        t.applied = ck.applied;
         t.replay(cfg.stream_config())?;
         Ok(t)
     }
@@ -428,27 +442,23 @@ impl Tenant {
             if entry.n <= self.applied {
                 continue; // the checkpoint already covers it
             }
-            let lost = |what: String| {
-                DaemonError::Recovery(format!(
-                    "journal of `{}`, entry {}: {what}",
-                    path.display(),
-                    entry.n
-                ))
-            };
+            let (p, n) = (path.display(), entry.n);
+            let lost =
+                |e: String| DaemonError::Recovery(format!("journal of `{p}`, entry {n}: {e}"));
             if entry.n != self.applied + 1 {
                 return Err(lost(format!("follows entry {}", self.applied)));
             }
-            if let JournalOp::Ingest { stream, seq, count } = &entry.op {
-                let live = self.streams.get(stream).is_some_and(|s| !s.finished);
-                if !live || self.store.len(stream) != *seq {
-                    return Err(lost(format!(
-                        "marker at {seq} does not continue `{stream}`"
-                    )));
+            match (self.check(&entry.op), &entry.op) {
+                (Err(e), JournalOp::Ingest { .. }) => return Err(lost(e)),
+                // An earlier build journaled this op while it refused it.
+                (Err(_), _) => {}
+                (Ok(()), op) => {
+                    if let JournalOp::Ingest { stream, seq, count } = op {
+                        self.store.adopt(stream, seq + count)?;
+                    }
+                    self.apply(cfg, entry.op).map_err(lost)?;
                 }
-                self.store.adopt(stream, seq + count)?;
             }
-            // A refusal replays as the same refusal.
-            let _ = self.apply(cfg, entry.op);
             self.applied = entry.n;
             self.dirty = true;
         }
@@ -484,7 +494,7 @@ impl Tenant {
             .streams
             .get(&stream)
             .ok_or_else(|| format!("no stream `{name}/{stream}`"))?;
-        if s.finished {
+        if s.finished() {
             return Err(format!("stream `{name}/{stream}` is finished"));
         }
         let have = self.store.len(&stream);
@@ -508,7 +518,8 @@ impl Tenant {
                 "`{name}/{stream}` holds {have} records; {fresh_count} more would pass the {MAX_TRIAL_LEN}-record bound"
             ));
         }
-        if let Some(i) = records[skip..].iter().position(|w| w.t_ps >= MAX_TIMESTAMP_PS) {
+        let late = |w: &WireObs| w.t_ps >= MAX_TIMESTAMP_PS;
+        if let Some(i) = records[skip..].iter().position(late) {
             return Err(format!(
                 "record {} of `{name}/{stream}` is stamped {} ps, at or past the {MAX_TIMESTAMP_PS} ps bound",
                 have + i as u64,
@@ -531,118 +542,102 @@ impl Tenant {
         Ok((resp, fresh.len() as u64))
     }
 
-    /// Apply one op. Shared by the wire handlers (after journaling) and
-    /// recovery replay — the single path that keeps replayed state
-    /// bit-identical to the uninterrupted run. An `Ingest` marker's
-    /// records are read back from the store, where they already are.
+    /// The refusal `op` gets from the tenant's streams, if any. Every op
+    /// passes it before anything is written: live before its journal
+    /// line (an `Ingest` through the checks of [`ingest`](Self::ingest)),
+    /// replayed before it is applied.
+    fn check(&self, op: &JournalOp) -> Result<(), String> {
+        use JournalOp::*;
+        let (OpenStream { stream } | Ingest { stream, .. } | Finish { stream }) = op;
+        let (name, at) = (&self.name, format!("`{}/{stream}`", self.name));
+        let refusal = match (op, self.streams.get(stream)) {
+            (OpenStream { .. }, None) => return Ok(()),
+            (OpenStream { .. }, Some(_)) => format!("stream {at} already open"),
+            (_, None) => format!("no stream {at}"),
+            (Ingest { .. }, Some(s)) if s.finished() => format!("stream {at} is finished"),
+            (Ingest { seq, .. }, _) if *seq != self.store.len(stream) => {
+                format!("marker at {seq} does not continue `{stream}`")
+            }
+            (Finish { .. }, Some(s)) if s.finished() => format!("stream {at} already finished"),
+            (Finish { .. }, Some(Stream::Live(_))) => match baseline_of(&self.streams) {
+                Some((base, false)) => {
+                    format!("finish baseline `{name}/{base}` before its comparison streams")
+                }
+                _ => return Ok(()),
+            },
+            _ => return Ok(()),
+        };
+        Err(refusal)
+    }
+
+    /// Apply one op that passed [`check`](Self::check). Shared by the
+    /// wire handlers (after journaling) and recovery replay — the single
+    /// path that keeps replayed state bit-identical to the uninterrupted
+    /// run. An `Ingest` marker's records are read back from the store,
+    /// where they already are; reading them is the one way it fails.
     fn apply(&mut self, cfg: StreamConfig, op: JournalOp) -> Result<Response, String> {
-        let Tenant {
-            name,
-            store,
-            baseline,
-            streams,
-            ..
-        } = self;
+        let (name, store, streams) = (&self.name, &mut self.store, &mut self.streams);
+        let baseline = baseline_of(streams).map(|(base, _)| base.to_owned());
         match op {
             JournalOp::OpenStream { stream } => {
-                if streams.contains_key(&stream) {
-                    return Err(format!("stream `{name}/{stream}` already open"));
-                }
-                let engine = if baseline.is_none() {
-                    *baseline = Some(stream.clone());
-                    None
+                let s = if streams.is_empty() {
+                    Stream::Baseline { finished: false }
                 } else {
-                    Some(
-                        IncrementalComparison::new(cfg)
-                            .with_engine_id(engine_id_for(name, &stream)),
-                    )
+                    let id = engine_id_for(name, &stream);
+                    Stream::Live(Box::new(IncrementalComparison::new(cfg).with_engine_id(id)))
                 };
-                streams.insert(
-                    stream,
-                    StreamState {
-                        finished: false,
-                        engine,
-                        done: None,
-                    },
-                );
+                streams.insert(stream, s);
                 obs::counter_inc("service.streams.opened");
                 Ok(Response::Ok)
             }
             JournalOp::Ingest { stream, seq, .. } => {
-                let baseline = baseline
-                    .as_deref()
-                    .expect("a stream is open, so a baseline is");
-                if stream == baseline {
+                if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
+                    // Comparison stream: feed side B, then catch side A
+                    // up to the baseline's current length (covers
+                    // streams opened after the baseline had data).
+                    eng.push_burst(Side::B, &records(store, &stream)?[seq as usize..]);
+                    catch_up(eng, store, baseline.as_deref())?;
+                } else if streams.values().any(|s| matches!(s, Stream::Live(_))) {
                     // Baseline grew: advance side A of every live engine
                     // from wherever it stands. An engine opened after the
                     // baseline already had data may lag; it gets the
                     // prefix it missed and the fresh tail in one slice,
                     // in order.
-                    if streams.values().any(|o| o.engine.is_some()) {
-                        let base = store.get(&stream).map_err(|e| e.to_string())?;
-                        for eng in streams.values_mut().filter_map(|o| o.engine.as_mut()) {
-                            let fed = eng.seen_a();
-                            eng.push_burst(Side::A, &base[fed..]);
+                    let base = records(store, &stream)?;
+                    for s in streams.values_mut() {
+                        if let Stream::Live(eng) = s {
+                            eng.push_burst(Side::A, &base[eng.seen_a()..]);
                         }
                     }
-                } else {
-                    // Comparison stream: feed side B, then catch side A
-                    // up to the baseline's current length (covers
-                    // streams opened after the baseline had data).
-                    let eng = (streams.get_mut(&stream))
-                        .and_then(|s| s.engine.as_mut())
-                        .expect("live comparison stream");
-                    let fresh = store.get(&stream).map_err(|e| e.to_string())?;
-                    eng.push_burst(Side::B, &fresh[seq as usize..]);
-                    catch_up(eng, store, baseline)?;
                 }
                 Ok(Response::Ingested {
                     total: store.len(&stream),
                 })
             }
             JournalOp::Finish { stream } => {
-                let s = streams
-                    .get_mut(&stream)
-                    .ok_or_else(|| format!("no stream `{name}/{stream}`"))?;
-                if s.finished {
-                    return Err(format!("stream `{name}/{stream}` already finished"));
+                // Flush a comparison stream's side-A tail first: if that
+                // read fails, nothing has changed.
+                if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
+                    catch_up(eng, store, baseline.as_deref())?;
                 }
-                if s.engine.is_none() {
-                    // Live and engineless: the baseline.
-                    s.finished = true;
-                    return Ok(Response::Finished { summary: None });
-                }
-                let baseline = baseline
-                    .as_deref()
-                    .expect("a stream is open, so a baseline is");
-                if !streams[baseline].finished {
-                    return Err(format!(
-                        "finish baseline `{name}/{baseline}` before its comparison streams"
-                    ));
-                }
-                // Flush the side-A tail, then finalize the engine.
-                let s = streams.get_mut(&stream).expect("looked up above");
-                catch_up(
-                    s.engine.as_mut().expect("live comparison stream"),
-                    store,
-                    baseline,
-                )?;
-                let out = s
-                    .engine
-                    .take()
-                    .expect("live comparison stream")
-                    .finalize(stream);
-                let done = FinishedStream {
-                    comparison: out.comparison,
-                    snapshots: out.snapshots,
+                let (s, summary) = match streams.remove(&stream) {
+                    // `finalize` consumes the engine: the stream is taken
+                    // out live and put back done.
+                    Some(Stream::Live(eng)) => {
+                        let out = eng.finalize(stream.as_str());
+                        let summary = Some(WireFinal::from(&out.comparison));
+                        obs::counter_inc("service.streams.finished");
+                        let done = FinishedStream {
+                            comparison: out.comparison,
+                            snapshots: out.snapshots,
+                        };
+                        (Stream::Done(Box::new(done)), summary)
+                    }
+                    // The baseline: `check` admits no other stream here.
+                    _ => (Stream::Baseline { finished: true }, None),
                 };
-                let resp = Response::Finished {
-                    summary: Some(WireFinal::from(&done.comparison)),
-                };
-                s.finished = true;
-                s.done = Some(done);
-                obs::counter_inc("service.streams.finished");
-                Ok(resp)
+                streams.insert(stream, s);
+                Ok(Response::Finished { summary })
             }
         }
     }
@@ -650,18 +645,25 @@ impl Tenant {
     /// Write `ck` (temp + rename), then empty the journal it now covers.
     fn checkpoint(&mut self) -> Result<(), String> {
         let streams = (self.streams.iter())
-            .map(|(name, s)| StreamCk {
-                name: name.clone(),
-                ingested: self.store.len(name),
-                finished: s.finished,
-                engine: s.engine.as_ref().map(IncrementalComparison::cursor),
-                done: s.done.clone(),
+            .map(|(name, s)| {
+                let (engine, done) = match s {
+                    Stream::Baseline { .. } => (None, None),
+                    Stream::Live(eng) => (Some(eng.cursor()), None),
+                    Stream::Done(done) => (None, Some((**done).clone())),
+                };
+                StreamCk {
+                    name: name.clone(),
+                    ingested: self.store.len(name),
+                    finished: s.finished(),
+                    engine,
+                    done,
+                }
             })
             .collect();
         let head = serde_json::to_string(&TenantCk {
             layout: LAYOUT,
             budget_bytes: self.store.stats().budget_bytes,
-            baseline: self.baseline.clone(),
+            baseline: baseline_of(&self.streams).map(|(base, _)| base.to_owned()),
             applied: self.applied,
             streams,
         })
@@ -724,20 +726,12 @@ impl ServiceState {
     }
 
     fn tenant(&mut self, tenant: &str) -> Result<&mut Tenant, String> {
-        self.tenants
-            .get_mut(tenant)
-            .ok_or_else(|| format!("no tenant `{tenant}`"))
+        (self.tenants.get_mut(tenant)).ok_or_else(|| format!("no tenant `{tenant}`"))
     }
 
-    fn stream(&self, tenant: &str, stream: &str) -> Result<(&Tenant, &StreamState), String> {
-        let t = self
-            .tenants
-            .get(tenant)
-            .ok_or_else(|| format!("no tenant `{tenant}`"))?;
-        let s = t
-            .streams
-            .get(stream)
-            .ok_or_else(|| format!("no stream `{tenant}/{stream}`"))?;
+    fn stream(&self, tenant: &str, stream: &str) -> Result<(&Tenant, &Stream), String> {
+        let t = (self.tenants.get(tenant)).ok_or_else(|| format!("no tenant `{tenant}`"))?;
+        let s = (t.streams.get(stream)).ok_or_else(|| format!("no stream `{tenant}/{stream}`"))?;
         Ok((t, s))
     }
 
@@ -769,10 +763,12 @@ impl ServiceState {
         Ok(Response::Ok)
     }
 
-    /// Journal + apply a stream op of one tenant.
+    /// Check, journal, apply a stream op of one tenant. A refused op
+    /// writes nothing and leaves the tenant clean.
     fn mutate(&mut self, tenant: &str, op: JournalOp) -> Result<Response, String> {
         let cfg = self.cfg.stream_config();
         let t = self.tenant(tenant)?;
+        t.check(&op)?;
         t.journal(&op)?;
         t.apply(cfg, op)
     }
@@ -822,41 +818,39 @@ impl ServiceState {
     }
 
     fn snapshot_of(&self, tenant: &str, stream: &str) -> Result<Response, String> {
-        let (_, s) = self.stream(tenant, stream)?;
-        if let Some(done) = &s.done {
-            let c = &done.comparison;
-            return Ok(Response::Snapshot {
-                seen_a: c.a_len as u64,
-                seen_b: c.b_len as u64,
-                common: c.common as u64,
-                running: WireKappa::from(&c.metrics),
-            });
-        }
-        let Some(eng) = &s.engine else {
-            return Err(format!(
+        match self.stream(tenant, stream)? {
+            (_, Stream::Done(done)) => {
+                let c = &done.comparison;
+                Ok(Response::Snapshot {
+                    seen_a: c.a_len as u64,
+                    seen_b: c.b_len as u64,
+                    common: c.common as u64,
+                    running: WireKappa::from(&c.metrics),
+                })
+            }
+            // The live engine scores its own prefix (`&self`,
+            // bit-identical to batch analysis of the same records).
+            (_, Stream::Live(eng)) => Ok(Response::Snapshot {
+                seen_a: eng.seen_a() as u64,
+                seen_b: eng.seen_b() as u64,
+                common: eng.matched() as u64,
+                running: WireKappa::from(&eng.running_metrics()),
+            }),
+            (_, Stream::Baseline { .. }) => Err(format!(
                 "`{tenant}/{stream}` is the baseline; it has no score"
-            ));
-        };
-        // The live engine scores its own prefix (`&self`, bit-identical
-        // to batch analysis of the same records).
-        Ok(Response::Snapshot {
-            seen_a: eng.seen_a() as u64,
-            seen_b: eng.seen_b() as u64,
-            common: eng.matched() as u64,
-            running: WireKappa::from(&eng.running_metrics()),
-        })
+            )),
+        }
     }
 
     fn trail_of(&self, tenant: &str, stream: &str) -> Result<Response, String> {
-        let (_, s) = self.stream(tenant, stream)?;
-        let snaps: &[KappaSnapshot] = if let Some(done) = &s.done {
-            &done.snapshots
-        } else if let Some(eng) = &s.engine {
-            eng.snapshots()
-        } else {
-            return Err(format!(
-                "`{tenant}/{stream}` is the baseline; it has no trail"
-            ));
+        let snaps: &[KappaSnapshot] = match self.stream(tenant, stream)? {
+            (_, Stream::Done(done)) => &done.snapshots,
+            (_, Stream::Live(eng)) => eng.snapshots(),
+            (_, Stream::Baseline { .. }) => {
+                return Err(format!(
+                    "`{tenant}/{stream}` is the baseline; it has no trail"
+                ))
+            }
         };
         Ok(Response::Trail {
             points: snaps.iter().map(WireTrailPoint::from).collect(),
@@ -866,7 +860,7 @@ impl ServiceState {
     fn matrix_of(&mut self, tenant: &str) -> Result<Response, String> {
         let shards = thread::available_parallelism().map_or(1, |n| n.get());
         let t = self.tenant(tenant)?;
-        let labels = t.store.keys();
+        let labels: Vec<String> = t.streams.keys().cloned().collect();
         if labels.len() < 2 {
             return Err(format!(
                 "tenant `{tenant}` has {} stream(s); a matrix needs at least 2",
@@ -950,8 +944,8 @@ impl ServiceState {
                 self.stream(&tenant, &stream)
                     .map(|(t, s)| Response::Status {
                         ingested: t.store.len(&stream),
-                        finished: s.finished,
-                        baseline: Some(&stream) == t.baseline.as_ref(),
+                        finished: s.finished(),
+                        baseline: matches!(s, Stream::Baseline { .. }),
                     })
             }
             Request::Stats => Ok(self.stats()),
@@ -1249,6 +1243,77 @@ mod tests {
             matches!(resp, Response::Snapshot { common: 2, .. }),
             "{resp:?}"
         );
+    }
+
+    #[test]
+    fn a_refused_op_writes_nothing_and_leaves_its_tenant_clean() {
+        let disk = Arc::new(ScriptDisk::new());
+        let mut st = ServiceState::open(disk.clone(), DaemonConfig::new("d")).expect("empty disk");
+        let t = || String::from("t");
+        let open = |stream: &str| Request::OpenStream {
+            tenant: t(),
+            stream: stream.into(),
+        };
+        let finish = |stream: &str| Request::FinishStream {
+            tenant: t(),
+            stream: stream.into(),
+        };
+        let ingest = |stream: &str, seq: u64| Request::Ingest {
+            tenant: t(),
+            stream: stream.into(),
+            seq,
+            records: (0..3)
+                .map(|i| WireObs {
+                    id_hi: 0,
+                    id_lo: i,
+                    t_ps: i * 1_000,
+                })
+                .collect(),
+        };
+        let ok = |(r, _): (Response, bool)| assert!(!matches!(r, Response::Error { .. }), "{r:?}");
+        ok(st.handle(Request::CreateTenant {
+            tenant: t(),
+            budget_bytes: 0,
+        }));
+        for req in [open("base"), open("r1"), ingest("base", 0), ingest("r1", 0)] {
+            ok(st.handle(req));
+        }
+        // Each refusal makes no `Disk` call, and the checkpoint after it
+        // finds the tenant clean: its `ck` is not rewritten.
+        let refused_then_clean = |st: &mut ServiceState, reqs: Vec<(Request, &str)>| {
+            ok(st.handle(Request::Checkpoint));
+            let (files, calls) = (disk.files(), disk.calls().len());
+            for (req, said) in reqs {
+                let (resp, _) = st.handle(req);
+                let Response::Error { message } = resp else {
+                    panic!("accepted: {resp:?}")
+                };
+                assert!(message.contains(said), "{message}");
+            }
+            ok(st.handle(Request::Checkpoint));
+            assert_eq!(disk.calls()[calls..], [], "a refusal touched the disk");
+            assert!(disk.files() == files);
+        };
+        refused_then_clean(
+            &mut st,
+            vec![
+                (open("r1"), "already open"),
+                (finish("nope"), "no stream"),
+                (finish("r1"), "finish baseline `t/base` before"),
+                (ingest("nope", 0), "no stream"),
+                (ingest("r1", 5), "ingest gap"),
+            ],
+        );
+        ok(st.handle(finish("base")));
+        refused_then_clean(
+            &mut st,
+            vec![
+                (finish("base"), "already finished"),
+                (ingest("base", 3), "is finished"),
+            ],
+        );
+        // The tenant still serves: the comparison finishes.
+        ok(st.handle(finish("r1")));
     }
 
     /// Three streams of `n` records: a baseline; a lossy run that

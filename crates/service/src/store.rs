@@ -85,10 +85,6 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Trials rebuilt from their log since the store was opened.
     pub reloads: u64,
-    /// Trials currently tracked (resident or not).
-    pub trials: u64,
-    /// Trials currently held only by their log.
-    pub spilled: u64,
 }
 
 struct Slot {
@@ -174,20 +170,12 @@ impl TrialStore {
             budget_bytes: self.budget,
             evictions: self.evictions,
             reloads: self.reloads,
-            trials: self.slots.len() as u64,
-            spilled: self.slots.values().filter(|s| s.obs.is_none()).count() as u64,
         }
     }
 
     /// Authoritative record count for a key (0 if unknown).
     pub fn len(&self, key: &str) -> u64 {
         self.slots.get(key).map_or(0, |s| s.len)
-    }
-
-    /// Every tracked key, sorted (deterministic iteration for matrix
-    /// labels).
-    pub fn keys(&self) -> Vec<String> {
-        self.slots.keys().cloned().collect()
     }
 
     fn touch(slot: &mut Slot, clock: &mut u64) {
@@ -392,7 +380,7 @@ mod tests {
         st.append("t0/a", &a).unwrap();
         // Nothing else to evict: the active trial is kept.
         assert_eq!(st.get("t0/a").unwrap(), &a[..]);
-        assert_eq!(st.stats().spilled, 0);
+        assert_eq!(st.stats().resident_bytes, 100 * OBS_BYTES);
     }
 
     #[test]

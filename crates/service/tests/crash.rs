@@ -741,3 +741,224 @@ fn a_power_cut_after_any_op_recovers_or_refuses_and_serves_only_batch_kappa() {
     d_early.kill();
     d_recent.kill();
 }
+
+/// A tenant `base` with 50 records and `r1` opened after them, on a
+/// fresh disk: the daemon and its client.
+fn base_then_r1(disk: &Arc<ScriptDisk>, data: &[Vec<Observation>]) -> (DaemonHandle, Client) {
+    let d = spawn(disk, config()).expect("spawn");
+    let mut c = Client::connect(d.addr()).expect("connect");
+    c.create_tenant(T, 0).expect("create");
+    c.open_stream(T, "base").expect("open");
+    c.ingest(T, "base", 0, &data[0][..50]).expect("ingest");
+    c.open_stream(T, "r1").expect("open");
+    (d, c)
+}
+
+#[test]
+fn a_replayed_op_that_cannot_be_applied_stops_recovery_naming_it() {
+    // Journal: 1 open base, 2 its marker, checkpoint, 3 open r1, 4 and 5
+    // its markers. Replaying entry 4 reads `r1.log` back, and that read
+    // fails: skipped, entry 5 alone would feed the engine, and r1 would
+    // serve κ over 20 of its 50 records.
+    let data = streams();
+    let disk = Arc::new(ScriptDisk::new());
+    let (d, mut c) = base_then_r1(&disk, &data);
+    c.checkpoint().expect("checkpoint");
+    c.ingest(T, "r1", 0, &data[1][..30]).expect("ingest");
+    c.ingest(T, "r1", 30, &data[1][30..50]).expect("ingest");
+    let live = kappa_of(&mut c, T);
+    drop(c);
+    d.kill();
+
+    let img = Arc::new(disk.kill());
+    let log = in_tenant(T, "r1.log");
+    img.fail(Op::Read, &log, Fault::Fail(io::ErrorKind::Other));
+    let err = match spawn(&img, config()) {
+        Ok(d) => {
+            d.kill();
+            panic!("a daemon came up past an op it could not apply");
+        }
+        Err(e) => e,
+    };
+    let said = err.to_string();
+    assert!(
+        matches!(err, DaemonError::Recovery(_))
+            && said.contains("entry 4")
+            && said.contains("`r1.log`"),
+        "{said}"
+    );
+
+    // The same image without the fault recovers to what was served live.
+    let d = spawn(&Arc::new(disk.kill()), config()).expect("recovers");
+    let mut c = Client::connect(d.addr()).expect("connect");
+    let Response::Snapshot { seen_b, .. } = c.snapshot(T, "r1").expect("snapshot") else {
+        panic!("snapshot variant");
+    };
+    assert_eq!((seen_b, kappa_of(&mut c, T)), (50, live));
+    assert_eq!(live, batch_kappa(&data[0][..50], &data[1][..50]));
+    drop(c);
+    d.kill();
+}
+
+#[test]
+fn the_matrix_served_live_is_served_after_a_restart() {
+    // `r1` is open and empty. The matrix labels are the tenant's streams,
+    // so the live daemon and the recovered one serve the same matrix,
+    // over both streams.
+    let data = streams();
+    let disk = Arc::new(ScriptDisk::new());
+    let (d, mut c) = base_then_r1(&disk, &data);
+    let labels = |c: &mut Client| match c.matrix(T).expect("matrix") {
+        Response::Matrix { labels, .. } => labels,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(labels(&mut c), ["base", "r1"]);
+    let live = served_bits(&mut c, T, &["r1"]);
+    let journal_only = disk.kill();
+    c.checkpoint().expect("checkpoint");
+    drop(c);
+    d.kill();
+
+    for (what, img) in [
+        ("checkpointed", disk.kill()),
+        ("journal only", journal_only),
+    ] {
+        let d = spawn(&Arc::new(img), config()).expect("recovers");
+        let mut c = Client::connect(d.addr()).expect("connect");
+        assert_eq!(labels(&mut c), ["base", "r1"], "{what}");
+        assert_eq!(served_bits(&mut c, T, &["r1"]), live, "{what}");
+        drop(c);
+        d.kill();
+    }
+}
+
+#[test]
+fn refusals_an_earlier_build_journaled_replay_as_nothing() {
+    // A build that checked ops only after journaling them wrote a line
+    // for each refusal. Recovery skips them and numbers on after them.
+    let data = streams();
+    let refused = [
+        r#"{"OpenStream":{"stream":"r1"}}"#,
+        r#"{"Finish":{"stream":"nope"}}"#,
+        r#"{"Finish":{"stream":"r1"}}"#,
+    ];
+    let (older, never) = (Arc::new(ScriptDisk::new()), Arc::new(ScriptDisk::new()));
+    for disk in [&older, &never] {
+        let (d, c) = opened(disk, &data, 40);
+        drop(c);
+        d.kill();
+    }
+    let journal = in_tenant(T, "journal");
+    let img = Arc::new(older.kill());
+    edit(&img, &journal, |mut raw| {
+        let n = raw.iter().filter(|&&b| b == b'\n').count();
+        for (k, op) in refused.iter().enumerate() {
+            raw.extend(format!("{{\"n\":{},\"op\":{op}}}\n", n + 1 + k).bytes());
+        }
+        raw
+    });
+    let mut served = Vec::new();
+    for disk in [img, Arc::new(never.kill())] {
+        let d = spawn(&disk, config()).expect("recovers");
+        let mut c = Client::connect(d.addr()).expect("connect");
+        let mut bits = served_bits(&mut c, T, &STREAMS[1..]);
+        // The next entry follows the skipped ones, and replays.
+        c.ingest(T, "r1", 40, &data[1][40..60]).expect("ingest");
+        drop(c);
+        d.kill();
+        let d = spawn(&Arc::new(disk.kill()), config()).expect("recovers again");
+        let mut c = Client::connect(d.addr()).expect("connect");
+        bits.extend(finish_and_collect(&mut c));
+        served.push(bits);
+        drop(c);
+        d.kill();
+    }
+    assert_eq!(served[0], served[1]);
+}
+
+/// The byte range of the value of `key` in the `ck` head's stream
+/// `stream`: `null`, or an object (no string in a head holds a brace).
+fn value_in(head: &str, stream: &str, key: &str) -> std::ops::Range<usize> {
+    let at = head
+        .find(&format!("{{\"name\":\"{stream}\""))
+        .expect("the stream");
+    let at = at + head[at..].find(&format!("\"{key}\":")).expect("the key") + key.len() + 3;
+    if head[at..].starts_with("null") {
+        return at..at + 4;
+    }
+    let mut depth = 0;
+    for (i, b) in head[at..].bytes().enumerate() {
+        depth += (b == b'{') as i32 - (b == b'}') as i32;
+        if depth == 0 {
+            return at..at + i + 1;
+        }
+    }
+    panic!("an unclosed object");
+}
+
+#[test]
+fn a_ck_with_streams_no_build_writes_is_refused_by_name() {
+    // `base` and `r1` finished, `r2` live: the three states a stream is
+    // in, then three combinations of them no build writes.
+    let data = streams();
+    let disk = Arc::new(ScriptDisk::new());
+    let (d, mut c) = opened(&disk, &data, 40);
+    c.finish_stream(T, "base").expect("finish");
+    c.finish_stream(T, "r1").expect("finish");
+    c.create_tenant("empty", 0).expect("create");
+    c.checkpoint().expect("checkpoint");
+    drop(c);
+    d.kill();
+    let ck = in_tenant(T, "ck");
+    let head = head_of(&disk.kill().read(&ck).expect("read ck"));
+    let empty = in_tenant("empty", "ck");
+    let empty_head = head_of(&disk.kill().read(&empty).expect("read ck"));
+    let replaced = |stream: &str, key: &str, by: &str| {
+        let at = value_in(&head, stream, key);
+        format!("{}{by}{}", &head[..at.start], &head[at.end..])
+    };
+    let r2_engine = &head[value_in(&head, "r2", "engine")];
+    for (what, ck, edited, said) in [
+        (
+            "engine and summary",
+            &ck,
+            replaced("r1", "engine", r2_engine),
+            format!("{T}`: stream `r1`: engine true, summary true"),
+        ),
+        (
+            "a second baseline",
+            &ck,
+            replaced("r2", "engine", "null"),
+            format!("{T}`: stream `r2`: engine false, summary false"),
+        ),
+        (
+            "a baseline that names a comparison",
+            &ck,
+            head.replacen("\"baseline\":\"base\"", "\"baseline\":\"r2\"", 1),
+            format!("{T}`: stream `base`: engine false, summary false"),
+        ),
+        (
+            "a baseline without a stream",
+            &empty,
+            empty_head.replacen("\"baseline\":null", "\"baseline\":\"x\"", 1),
+            "empty`: checkpoint: `baseline` is Some(\"x\") over 0 stream(s)".to_string(),
+        ),
+    ] {
+        let img = disk.kill();
+        edit_head(&img, ck, |_| edited.clone());
+        let err = match spawn(&Arc::new(img), config()) {
+            Ok(d) => {
+                d.kill();
+                panic!("{what}: a daemon came up on it");
+            }
+            Err(e) => e,
+        };
+        let msg = err.to_string();
+        assert!(
+            matches!(err, DaemonError::Recovery(_))
+                && msg.contains(&format!("tenant `{said}"))
+                && msg.contains("no build writes this"),
+            "{what}: {msg}"
+        );
+    }
+}
