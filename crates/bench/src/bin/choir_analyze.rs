@@ -237,7 +237,10 @@ mod tests {
     fn zero_windows_and_zero_spacing_are_refused_where_they_enter() {
         let parse = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
         let o = parse(&["a.pcap", "b.pcap", "--windows", "4", "--spacing", "2"]).unwrap();
-        assert_eq!((o.paths.len(), o.windows, o.spacing, o.obs), (2, Some(4), Some(2), false));
+        assert_eq!(
+            (o.paths.len(), o.windows, o.spacing, o.obs),
+            (2, Some(4), Some(2), false)
+        );
         for flag in ["--windows", "--spacing"] {
             for bad in [&[flag, "0"][..], &[flag, "-1"], &[flag, "x"], &[flag]] {
                 let e = parse(&[&["a.pcap", "b.pcap"], bad].concat()).unwrap_err();
@@ -251,7 +254,8 @@ mod tests {
     fn wall_clock_captures_score_like_the_same_captures_stamped_from_zero() {
         // 2026-01-01T00:00:00Z: as picoseconds this is past u64::MAX.
         const Y2026_NS: u64 = 1_767_225_600 * 1_000_000_000;
-        let dir = std::env::temp_dir().join(format!("choir-analyze-wallclock-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("choir-analyze-wallclock-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let at = |name: &str| dir.join(name);
         for (base, tag) in [(0, "zero"), (Y2026_NS, "2026")] {
@@ -271,7 +275,8 @@ mod tests {
         // The capture `PcapSource` refuses (and `choir-ctl` with it): the
         // second record lands 2^62 ps past the first's epoch. This used to
         // load with that stamp clamped, and score.
-        let path = std::env::temp_dir().join(format!("choir-analyze-range-{}.pcap", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("choir-analyze-range-{}.pcap", std::process::id()));
         let frame = FrameBuilder::new(100, 1, 2).build_plain();
         let mut w = PcapWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
         for ts_ns in [1_000, MAX_TIMESTAMP_PS / 1000 + 1, 2_000] {

@@ -72,7 +72,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
         what: &str,
     ) -> Result<T, String> {
         let v = args.next().ok_or_else(|| format!("{flag} needs {what}"))?;
-        v.parse().map_err(|_| format!("{flag} needs {what}, got {v:?}"))
+        v.parse()
+            .map_err(|_| format!("{flag} needs {what}, got {v:?}"))
     }
     let mut opts = Opts {
         target: String::new(),
@@ -133,9 +134,12 @@ fn main() {
             figure_env(EnvKind::FabricShared80, "Figure 9b", false, &opts);
         }
         "fig10" => figure_env(EnvKind::FabricShared40Noisy, "Figure 10", true, &opts),
-        "noisy-dedicated" => {
-            figure_env(EnvKind::FabricDedicated80Noisy, "Sec 7.1 (dedicated)", false, &opts)
-        }
+        "noisy-dedicated" => figure_env(
+            EnvKind::FabricDedicated80Noisy,
+            "Sec 7.1 (dedicated)",
+            false,
+            &opts,
+        ),
         "table1" => table1(&opts),
         "table2" => table2(&opts),
         "throughput" => throughput(),
@@ -156,7 +160,12 @@ fn main() {
             figure_env(EnvKind::FabricDedicated40B, "Figure 8", true, &opts);
             figure_env(EnvKind::FabricDedicated80, "Figure 9a", false, &opts);
             figure_env(EnvKind::FabricShared80, "Figure 9b", false, &opts);
-            figure_env(EnvKind::FabricDedicated80Noisy, "Sec 7.1 (dedicated)", false, &opts);
+            figure_env(
+                EnvKind::FabricDedicated80Noisy,
+                "Sec 7.1 (dedicated)",
+                false,
+                &opts,
+            );
             figure_env(EnvKind::FabricShared40Noisy, "Figure 10", true, &opts);
             table2(&opts);
             throughput();
@@ -281,7 +290,12 @@ fn table1(opts: &Opts) {
         );
     }
     let total: usize = out.report.runs.iter().map(|r| r.moved).sum();
-    let frac = out.report.runs.iter().map(|r| r.moved as f64 / r.common.max(1) as f64).sum::<f64>()
+    let frac = out
+        .report
+        .runs
+        .iter()
+        .map(|r| r.moved as f64 / r.common.max(1) as f64)
+        .sum::<f64>()
         / out.report.runs.len() as f64;
     println!(
         "moved packets total {total}; mean fraction of capture {:.1}% (paper: {} = {:.1}%)\n",
@@ -315,10 +329,13 @@ fn table2(opts: &Opts) {
 /// a glance).
 fn chaos(opts: &Opts) {
     use choir_core::metrics::report::{analyze, trial_label};
-    use choir_core::replay::{EngineConfig, run_replay_supervised};
+    use choir_core::replay::{run_replay_supervised, EngineConfig};
     use choir_dpdk::{FaultConfig, FaultyDataplane, ScriptPlane};
 
-    println!("== chaos: fault-rate sweep over the supervised replay engine (seed {}) ==", opts.seed);
+    println!(
+        "== chaos: fault-rate sweep over the supervised replay engine (seed {}) ==",
+        opts.seed
+    );
 
     // One tagged recording, replayed under every fault rate.
     let pool = Mempool::new("chaos", 1 << 16);
@@ -394,7 +411,18 @@ fn chaos(opts: &Opts) {
         .collect();
     println!(
         "{:>6} | {:>7} {:>9} {:>9} {:>9} {:>9} | {:>9} {:>8} {:>8} {:>9} | {:>9} {:>7}",
-        "rate", "kappa", "U", "O", "I", "L", "pkts", "rejects", "retries", "abandoned", "injected", "stalls"
+        "rate",
+        "kappa",
+        "U",
+        "O",
+        "I",
+        "L",
+        "pkts",
+        "rejects",
+        "retries",
+        "abandoned",
+        "injected",
+        "stalls"
     );
     let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
     let mut fold = |v: u64| {
@@ -435,9 +463,7 @@ fn chaos(opts: &Opts) {
             fold(m.u.to_bits());
         }
     }
-    println!(
-        "\nsweep digest: {digest:016x}  (same seed => same digest, bit-for-bit)\n"
-    );
+    println!("\nsweep digest: {digest:016x}  (same seed => same digest, bit-for-bit)\n");
 }
 
 /// Compact calibration sweep: one line per environment (parallel).
@@ -455,9 +481,17 @@ fn calibrate(opts: &Opts) {
     for (kind, out) in kinds.iter().zip(outs) {
         let kind = *kind;
         let row = paper::row_for(kind);
-        let w10: f64 = out.report.runs.iter().map(|r| r.iat_within_10ns).sum::<f64>()
+        let w10: f64 = out
+            .report
+            .runs
+            .iter()
+            .map(|r| r.iat_within_10ns)
+            .sum::<f64>()
             / out.report.runs.len() as f64;
-        let p10 = row.within_10ns.map(|(lo, hi)| (lo + hi) / 2.0).unwrap_or(f64::NAN);
+        let p10 = row
+            .within_10ns
+            .map(|(lo, hi)| (lo + hi) / 2.0)
+            .unwrap_or(f64::NAN);
         println!(
             "{:<28} {:>6.1}% {:>9} {:>9} {:>9} {:>7.4} || {:>6.1}% {:>9} {:>9} {:>9} {:>7.4}",
             kind.label(),
@@ -496,16 +530,18 @@ fn dump_profile(opts: &Opts) {
 
 /// Run an environment profile loaded from JSON.
 fn custom(opts: &Opts) {
-    let path = opts.arg.as_deref().expect("parse_args requires a path for custom");
+    let path = opts
+        .arg
+        .as_deref()
+        .expect("parse_args requires a path for custom");
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
     });
-    let mut profile: choir_testbed::EnvProfile =
-        serde_json::from_str(&body).unwrap_or_else(|e| {
-            eprintln!("{path}: bad profile JSON: {e}");
-            std::process::exit(1);
-        });
+    let mut profile: choir_testbed::EnvProfile = serde_json::from_str(&body).unwrap_or_else(|e| {
+        eprintln!("{path}: bad profile JSON: {e}");
+        std::process::exit(1);
+    });
     if let Some(r) = opts.runs {
         profile.runs = r;
     }
@@ -600,7 +636,9 @@ fn demo_pcaps() {
         println!("wrote {path}");
     };
     write("baseline.pcap", |_| 0);
-    write("run_b.pcap", |i| ((i % 13) as i64 - 6) * 3 + if i % 997 == 0 { 800 } else { 0 });
+    write("run_b.pcap", |i| {
+        ((i % 13) as i64 - 6) * 3 + if i % 997 == 0 { 800 } else { 0 }
+    });
     println!("analyze with: choir-analyze demo-pcaps/baseline.pcap demo-pcaps/run_b.pcap --windows 10 --spacing 64");
 }
 
@@ -790,7 +828,9 @@ fn throughput() {
     }
 
     // Cross-thread loopback hand-off, for reference.
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let (port, mut drain) = LoopbackPort::sink(1 << 14);
     let mut plane = RealtimePlane::new(pool.clone(), RealClock::new());
     let pid = plane.add_port(port);
@@ -838,8 +878,14 @@ mod tests {
     fn defaults_and_known_flags_parse() {
         let o = parse(&[]).unwrap();
         assert_eq!((o.target.as_str(), o.scale, o.runs), ("all", 0.25, None));
-        let o = parse(&["table2", "--scale", "0.5", "--runs", "2", "--json", "out", "--seed", "7"]).unwrap();
-        assert_eq!((o.target.as_str(), o.scale, o.seed, o.runs), ("table2", 0.5, 7, Some(2)));
+        let o = parse(&[
+            "table2", "--scale", "0.5", "--runs", "2", "--json", "out", "--seed", "7",
+        ])
+        .unwrap();
+        assert_eq!(
+            (o.target.as_str(), o.scale, o.seed, o.runs),
+            ("table2", 0.5, 7, Some(2))
+        );
         assert_eq!(o.json_dir.as_deref(), Some("out"));
         let o = parse(&["custom", "p.json"]).unwrap();
         assert_eq!(o.arg.as_deref(), Some("p.json"));

@@ -22,13 +22,7 @@ pub struct PaperRow {
 
 /// Table 2 of the paper, row by row.
 pub fn table2() -> Vec<PaperRow> {
-    let m = |u: f64, o: f64, i: f64, l: f64, kappa: f64| ConsistencyMetrics {
-        u,
-        o,
-        l,
-        i,
-        kappa,
-    };
+    let m = |u: f64, o: f64, i: f64, l: f64, kappa: f64| ConsistencyMetrics { u, o, l, i, kappa };
     vec![
         PaperRow {
             kind: EnvKind::LocalSingle,

@@ -22,8 +22,7 @@ use choir_packet::Frame;
 pub use source::{drain_available, PcapSource, SourceError};
 
 /// Recorder configuration.
-#[derive(Debug, Clone, Copy)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecorderConfig {
     /// Port to capture on.
     pub port: PortId,
@@ -36,7 +35,6 @@ pub struct RecorderConfig {
     /// into the trial is unaffected. `None` retains everything.
     pub max_frames: Option<usize>,
 }
-
 
 /// The recorder application. Capture is segmented into *trials*: call
 /// [`Recorder::cut_trial`] (or send `ControlMsg::Custom(TRIAL_CUT)`)
@@ -103,7 +101,11 @@ impl Recorder {
             // Trial cuts happen between replay runs, never per packet, so
             // this is a safe place to publish capture-side accounting.
             if obs::is_enabled() {
-                obs::event("capture.trial_cut", self.finished.len() as u64, t.len() as u64);
+                obs::event(
+                    "capture.trial_cut",
+                    self.finished.len() as u64,
+                    t.len() as u64,
+                );
                 obs::counter_inc("capture.trials_cut");
                 obs::counter_add("capture.packets_recorded", t.len() as u64);
                 obs::gauge_set("capture.packets_untimestamped", self.untimestamped);
@@ -151,7 +153,11 @@ impl App for Recorder {
                 };
                 self.current.push(m.frame.packet_id(), ts);
                 if self.cfg.keep_frames {
-                    if self.cfg.max_frames.is_none_or(|cap| self.frames.len() < cap) {
+                    if self
+                        .cfg
+                        .max_frames
+                        .is_none_or(|cap| self.frames.len() < cap)
+                    {
                         self.frames.push((ts, m.frame.clone()));
                     } else {
                         // Retention ring full: drop the frame copy and

@@ -270,7 +270,10 @@ impl<R: Read> PcapSource<R> {
                 ts_ns,
             });
         }
-        Ok(Some(Observation { id, t_ps: ns * 1000 }))
+        Ok(Some(Observation {
+            id,
+            t_ps: ns * 1000,
+        }))
     }
 
     /// `true` once the capture can never yield another record: clean
@@ -432,14 +435,22 @@ mod tests {
         for big_endian in [false, true] {
             let mut buf = handmade_pcap(PCAP_NS_MAGIC, big_endian, 1, 2, &[0xAB; 10]);
             let declared = 0xFFFF_FFF0_u32;
-            let incl = if big_endian { declared.to_be_bytes() } else { declared.to_le_bytes() };
+            let incl = if big_endian {
+                declared.to_be_bytes()
+            } else {
+                declared.to_le_bytes()
+            };
             buf[24 + 8..24 + 12].copy_from_slice(&incl);
             let (prefix, end) = drain(&buf);
             assert!(prefix.is_empty());
             let SourceError::Capture(e) = end.unwrap_err() else {
                 panic!("expected a capture error");
             };
-            assert!(matches!(e.error, PcapError::Truncated { offset: 24 }), "{}", e.error);
+            assert!(
+                matches!(e.error, PcapError::Truncated { offset: 24 }),
+                "{}",
+                e.error
+            );
             assert_eq!((e.byte_offset, e.record_index), (24, 0));
         }
         // A capture cut inside a *valid* jumbo record still delivers the
@@ -448,7 +459,8 @@ mod tests {
         for i in 0..3u64 {
             let mut frame = vec![0u8; 9_000];
             ChoirTag::new(1, 0, i).stamp_trailer(&mut frame);
-            w.write_record(i * 1_000, &Frame::new(Bytes::from(frame))).unwrap();
+            w.write_record(i * 1_000, &Frame::new(Bytes::from(frame)))
+                .unwrap();
         }
         let buf = w.finish().unwrap();
         let batch = parse_pcap(&buf).unwrap();

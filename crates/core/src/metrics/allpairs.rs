@@ -314,7 +314,11 @@ impl IdentityTable {
             counts[g as usize] = cur + 1;
         }
 
-        IdentityTable { arena, groups, mask }
+        IdentityTable {
+            arena,
+            groups,
+            mask,
+        }
     }
 
     /// Observation indices grouped by identity (see the layout doc).
@@ -370,7 +374,11 @@ impl<'t> TrialIndex<'t> {
         let (lo, hi) = trial.stamp_bounds_ps().unwrap_or((0, 0));
         let increasing = obs.windows(2).all(|w| w[0].id < w[1].id);
         obs::counter_add(
-            if increasing { "allpairs.index.increasing" } else { "allpairs.index.hashed" },
+            if increasing {
+                "allpairs.index.increasing"
+            } else {
+                "allpairs.index.hashed"
+            },
             1,
         );
         Ok(TrialIndex {
@@ -497,11 +505,17 @@ impl KappaMatrix {
     /// # Panics
     /// Panics if either index is out of range.
     pub fn kappa(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.labels.len() && j < self.labels.len(), "index out of range");
+        assert!(
+            i < self.labels.len() && j < self.labels.len(),
+            "index out of range"
+        );
         if i == j {
             1.0
         } else {
-            self.get(i, j).expect("in-range off-diagonal cell").metrics.kappa
+            self.get(i, j)
+                .expect("in-range off-diagonal cell")
+                .metrics
+                .kappa
         }
     }
 
@@ -751,7 +765,10 @@ mod tests {
         let (ia, ib) = (TrialIndex::build(a).unwrap(), TrialIndex::build(b).unwrap());
         let m = Matching::build(a, b);
         let arena = matching_arena(&ia, &ib, Vec::new());
-        assert_eq!((&arena.pairs, arena.a_len, arena.b_len), (&m.pairs, m.a_len, m.b_len));
+        assert_eq!(
+            (&arena.pairs, arena.a_len, arena.b_len),
+            (&m.pairs, m.a_len, m.b_len)
+        );
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         let mut deltas = Vec::new();
 
@@ -881,7 +898,9 @@ mod tests {
     /// The arena of an index built with one; panics on a trial whose
     /// identities strictly increase.
     fn arena<'a>(ix: &'a TrialIndex<'_>) -> &'a IdentityTable {
-        ix.table.as_ref().expect("a trial whose identities do not increase")
+        ix.table
+            .as_ref()
+            .expect("a trial whose identities do not increase")
     }
 
     /// `t` with the identities of each adjacent pair of packets traded and
@@ -920,7 +939,10 @@ mod tests {
                 assert!(!std::mem::replace(&mut seen[p as usize], true));
                 assert_eq!(ia.occ(p as usize) as usize, k);
                 assert_eq!(t.find(obs, a.id(p as usize)), Some(g as u32));
-                assert_eq!(ia.occurrence(a.id(p as usize), k as u32, 0), Some(p as usize));
+                assert_eq!(
+                    ia.occurrence(a.id(p as usize), k as u32, 0),
+                    Some(p as usize)
+                );
             }
         }
         assert!(seen.iter().all(|&s| s));
@@ -931,7 +953,12 @@ mod tests {
         // Every other sequence number, so each gap between two of A's
         // identities holds one that A never saw.
         let a = cbr_trial(200, 1000, |_| 0);
-        let a: Trial = a.observations().iter().step_by(2).map(|o| (o.id, o.t_ps)).collect();
+        let a: Trial = a
+            .observations()
+            .iter()
+            .step_by(2)
+            .map(|o| (o.id, o.t_ps))
+            .collect();
         let ia = TrialIndex::build(&a).unwrap();
         assert!(ia.table.is_none());
         assert_eq!(ia.groups(), 100);
@@ -956,7 +983,9 @@ mod tests {
     /// Heap bytes a built index holds: the arena, its only heap buffer,
     /// when it has one.
     fn heap_bytes(ix: &TrialIndex<'_>) -> usize {
-        ix.table.as_ref().map_or(0, |t| std::mem::size_of_val(&*t.arena))
+        ix.table
+            .as_ref()
+            .map_or(0, |t| std::mem::size_of_val(&*t.arena))
     }
 
     #[test]
@@ -1042,7 +1071,10 @@ mod tests {
             assert_eq!(table.find(obs, o.id), Some(i as u32));
         }
         for s in n..n + 100_000 {
-            assert_eq!(table.find(obs, PacketId::from_tag(&ChoirTag::new(0, 0, s))), None);
+            assert_eq!(
+                table.find(obs, PacketId::from_tag(&ChoirTag::new(0, 0, s))),
+                None
+            );
         }
     }
 
@@ -1065,7 +1097,10 @@ mod tests {
 
     #[test]
     fn index_error_names_the_trial() {
-        let e = IndexError::TrialTooLarge { trial: 7, len: 5_000_000_000 };
+        let e = IndexError::TrialTooLarge {
+            trial: 7,
+            len: 5_000_000_000,
+        };
         let msg = e.to_string();
         assert!(msg.contains("trial 7"), "{msg}");
         assert!(msg.contains("5000000000"), "{msg}");
@@ -1122,8 +1157,14 @@ mod tests {
         assert_eq!((s.trials, s.pairs), (4, 6));
         assert!(s.kappa_min <= s.kappa_median && s.kappa_median <= s.kappa_max);
         let all: Vec<f64> = m.cells.iter().map(|c| c.metrics.kappa).collect();
-        assert_eq!(s.kappa_min, all.iter().copied().fold(f64::INFINITY, f64::min));
-        assert_eq!(s.kappa_max, all.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        assert_eq!(
+            s.kappa_min,
+            all.iter().copied().fold(f64::INFINITY, f64::min)
+        );
+        assert_eq!(
+            s.kappa_max,
+            all.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        );
     }
 
     #[test]
@@ -1179,9 +1220,6 @@ mod tests {
         let back: KappaMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(back.labels, m.labels);
         assert_eq!(back.pairs(), m.pairs());
-        assert_eq!(
-            back.kappa(0, 2).to_bits(),
-            m.kappa(0, 2).to_bits()
-        );
+        assert_eq!(back.kappa(0, 2).to_bits(), m.kappa(0, 2).to_bits());
     }
 }

@@ -161,9 +161,21 @@ impl SliceScratch {
         debug_assert_eq!(len, total);
         let keys = &mut candidates[..total];
         let k99 = *keys.select_nth_unstable(i99).1;
-        let k90 = if i90 < i99 { *keys[..i99].select_nth_unstable(i90).1 } else { k99 };
-        let k50 = if i50 < i90 { *keys[..i90].select_nth_unstable(i50).1 } else { k90 };
-        (f64::from_bits(k50), f64::from_bits(k90), f64::from_bits(k99))
+        let k90 = if i90 < i99 {
+            *keys[..i99].select_nth_unstable(i90).1
+        } else {
+            k99
+        };
+        let k50 = if i50 < i90 {
+            *keys[..i90].select_nth_unstable(i50).1
+        } else {
+            k90
+        };
+        (
+            f64::from_bits(k50),
+            f64::from_bits(k90),
+            f64::from_bits(k99),
+        )
     }
 }
 
@@ -187,8 +199,7 @@ fn edge_table() -> &'static EdgeTable {
             assert!(k == 0 || raw_pos(f64::from_bits(lo - 1)) < k as isize);
             *e = lo;
         }
-        let count_le =
-            |mb: u64| edges[1..=PER_SIGN].iter().filter(|&&e| e <= mb).count();
+        let count_le = |mb: u64| edges[1..=PER_SIGN].iter().filter(|&&e| e <= mb).count();
         let mut base = [0u8; 2048];
         for (e, b) in base.iter_mut().enumerate() {
             let min = (e as u64) << 52;
@@ -296,7 +307,11 @@ impl DeltaHistogram {
         let n = deltas_ns.len();
         self.total += n as u64;
         SliceStats {
-            within_10ns: if n == 0 { 0.0 } else { within as f64 / n as f64 },
+            within_10ns: if n == 0 {
+                0.0
+            } else {
+                within as f64 / n as f64
+            },
             abs_percentiles_ns: scratch.abs_percentiles_ns(deltas_ns),
         }
     }
@@ -383,8 +398,14 @@ impl DeltaHistogram {
             return "# no samples\n".to_string();
         }
         let b = self.buckets();
-        let first = b.iter().position(|&(_, _, c, _)| c > 0).expect("non-zero total");
-        let last = b.iter().rposition(|&(_, _, c, _)| c > 0).expect("non-zero total");
+        let first = b
+            .iter()
+            .position(|&(_, _, c, _)| c > 0)
+            .expect("non-zero total");
+        let last = b
+            .iter()
+            .rposition(|&(_, _, c, _)| c > 0)
+            .expect("non-zero total");
         let mut s = String::new();
         for &(lo, hi, c, pct) in &b[first..=last] {
             s.push_str(&format!("{lo:.3},{hi:.3},{c},{pct:.4}\n"));
@@ -401,8 +422,14 @@ impl DeltaHistogram {
             return "(no samples)\n".to_string();
         }
         let b = self.buckets();
-        let first = b.iter().position(|&(_, _, c, _)| c > 0).expect("non-zero total");
-        let last = b.iter().rposition(|&(_, _, c, _)| c > 0).expect("non-zero total");
+        let first = b
+            .iter()
+            .position(|&(_, _, c, _)| c > 0)
+            .expect("non-zero total");
+        let last = b
+            .iter()
+            .rposition(|&(_, _, c, _)| c > 0)
+            .expect("non-zero total");
         let maxpct = b
             .iter()
             .map(|&(_, _, _, p)| p)
@@ -414,7 +441,10 @@ impl DeltaHistogram {
                 continue;
             }
             let bar = "#".repeat(((pct / maxpct) * width as f64).round() as usize);
-            s.push_str(&format!("{:>12.1} .. {:>12.1} ns |{:6.2}% {}\n", lo, hi, pct, bar));
+            s.push_str(&format!(
+                "{:>12.1} .. {:>12.1} ns |{:6.2}% {}\n",
+                lo, hi, pct, bar
+            ));
         }
         s
     }
@@ -452,8 +482,14 @@ mod tests {
         h.add(123.0);
         h.add(-123.0);
         let b = h.buckets();
-        let pos: Vec<_> = b.iter().filter(|&&(lo, _, c, _)| lo > 0.0 && c > 0).collect();
-        let neg: Vec<_> = b.iter().filter(|&&(_, hi, c, _)| hi < 0.0 && c > 0).collect();
+        let pos: Vec<_> = b
+            .iter()
+            .filter(|&&(lo, _, c, _)| lo > 0.0 && c > 0)
+            .collect();
+        let neg: Vec<_> = b
+            .iter()
+            .filter(|&&(_, hi, c, _)| hi < 0.0 && c > 0)
+            .collect();
         assert_eq!(pos.len(), 1);
         assert_eq!(neg.len(), 1);
         assert!((pos[0].0 + neg[0].1).abs() < 1e-9, "mirrored edges");
@@ -600,7 +636,9 @@ mod tests {
         assert_slice_matches_oracle(&spread);
         // Two ranks sharing a counter, the third apart, both ways round.
         assert_slice_matches_oracle(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 900.0]);
-        assert_slice_matches_oracle(&[1.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0]);
+        assert_slice_matches_oracle(&[
+            1.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0, 900.0,
+        ]);
     }
 
     #[test]

@@ -115,7 +115,10 @@ pub(crate) fn matching_arena(
     for (j, o) in b.trial().observations().iter().enumerate() {
         let k = b.occ(j);
         if unique_a && k == 0 && a_obs.get(hint).is_some_and(|x| x.id == o.id) {
-            pairs.push(MatchedPair { a_idx: hint, b_idx: j });
+            pairs.push(MatchedPair {
+                a_idx: hint,
+                b_idx: j,
+            });
             hint += 1;
             continue;
         }

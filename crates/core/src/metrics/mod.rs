@@ -25,8 +25,8 @@ pub mod latency;
 pub mod matching;
 pub mod ordering;
 pub mod pair;
-pub mod report;
 pub mod reorder;
+pub mod report;
 pub mod stats;
 pub mod stream;
 pub mod trial;

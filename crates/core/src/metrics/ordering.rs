@@ -194,7 +194,13 @@ pub(crate) fn ordering_arena(m: &Matching, s: &mut OrderScratch) -> OrderingResu
             displacements: Vec::new(),
         };
     }
-    let OrderScratch { keys, seq, tree, parent, member } = s;
+    let OrderScratch {
+        keys,
+        seq,
+        tree,
+        parent,
+        member,
+    } = s;
 
     keys.clear();
     keys.reserve(mc);

@@ -81,8 +81,14 @@ pub(crate) fn indexed<R>(a: &Trial, b: &Trial, f: impl FnOnce(PairAnalyzer<'_>) 
 /// (production).
 #[derive(Clone, Copy)]
 enum Source<'t> {
-    Trials { a: &'t Trial, b: &'t Trial },
-    Indexed { a: &'t TrialIndex<'t>, b: &'t TrialIndex<'t> },
+    Trials {
+        a: &'t Trial,
+        b: &'t Trial,
+    },
+    Indexed {
+        a: &'t TrialIndex<'t>,
+        b: &'t TrialIndex<'t>,
+    },
 }
 
 /// Builder-style analyzer for one trial pair.
@@ -354,13 +360,30 @@ mod tests {
         assert_eq!(new.metrics.kappa.to_bits(), old.metrics.kappa.to_bits());
         assert_eq!(new.iat_within_10ns.to_bits(), old.iat_within_10ns.to_bits());
         assert_eq!(new.iat_abs_percentiles_ns, old.iat_abs_percentiles_ns);
-        assert_eq!(new.latency_abs_percentiles_ns, old.latency_abs_percentiles_ns);
+        assert_eq!(
+            new.latency_abs_percentiles_ns,
+            old.latency_abs_percentiles_ns
+        );
         assert_eq!(new.iat_hist, old.iat_hist);
         assert_eq!(new.latency_hist, old.latency_hist);
         assert_eq!(new.edit_stats, old.edit_stats);
         assert_eq!(
-            (new.a_len, new.b_len, new.common, new.missing, new.extra, new.moved),
-            (old.a_len, old.b_len, old.common, old.missing, old.extra, old.moved)
+            (
+                new.a_len,
+                new.b_len,
+                new.common,
+                new.missing,
+                new.extra,
+                new.moved
+            ),
+            (
+                old.a_len,
+                old.b_len,
+                old.common,
+                old.missing,
+                old.extra,
+                old.moved
+            )
         );
     }
 
@@ -373,9 +396,15 @@ mod tests {
         );
         let direct = PairAnalyzer::new(&a, &b).analyze();
         let indexed = PairAnalyzer::from_indexes(&ia, &ib).analyze();
-        assert_eq!(direct.metrics.kappa.to_bits(), indexed.metrics.kappa.to_bits());
+        assert_eq!(
+            direct.metrics.kappa.to_bits(),
+            indexed.metrics.kappa.to_bits()
+        );
         assert_eq!(direct.metrics.o.to_bits(), indexed.metrics.o.to_bits());
-        assert_eq!(direct.iat_within_10ns.to_bits(), indexed.iat_within_10ns.to_bits());
+        assert_eq!(
+            direct.iat_within_10ns.to_bits(),
+            indexed.iat_within_10ns.to_bits()
+        );
         assert_eq!(direct.edit_stats, indexed.edit_stats);
     }
 
@@ -395,9 +424,15 @@ mod tests {
             let fresh = PairAnalyzer::from_indexes(&idx[x], &idx[y]).analyze();
             let reused =
                 PairAnalyzer::from_indexes(&idx[x], &idx[y]).analyze_with_scratch(&mut scratch);
-            assert_eq!(fresh.metrics.kappa.to_bits(), reused.metrics.kappa.to_bits());
+            assert_eq!(
+                fresh.metrics.kappa.to_bits(),
+                reused.metrics.kappa.to_bits()
+            );
             assert_eq!(fresh.iat_abs_percentiles_ns, reused.iat_abs_percentiles_ns);
-            assert_eq!(fresh.latency_abs_percentiles_ns, reused.latency_abs_percentiles_ns);
+            assert_eq!(
+                fresh.latency_abs_percentiles_ns,
+                reused.latency_abs_percentiles_ns
+            );
             assert_eq!(fresh.edit_stats, reused.edit_stats);
             assert_eq!(fresh.iat_hist, reused.iat_hist);
             assert_eq!(fresh.latency_hist, reused.latency_hist);
@@ -421,6 +456,9 @@ mod tests {
     fn default_label_is_b() {
         let (a, b) = jittered_pair(10);
         assert_eq!(PairAnalyzer::new(&a, &b).analyze().label, "B");
-        assert_eq!(PairAnalyzer::new(&a, &b).label("A-C").analyze().label, "A-C");
+        assert_eq!(
+            PairAnalyzer::new(&a, &b).label("A-C").analyze().label,
+            "A-C"
+        );
     }
 }

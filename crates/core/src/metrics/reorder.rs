@@ -31,10 +31,7 @@ impl ReorderProfile {
 
     /// The largest spacing with a non-zero inversion probability.
     pub fn max_inverted_spacing(&self) -> Option<usize> {
-        self.prob
-            .iter()
-            .rposition(|&p| p > 0.0)
-            .map(|idx| idx + 1)
+        self.prob.iter().rposition(|&p| p > 0.0).map(|idx| idx + 1)
     }
 }
 

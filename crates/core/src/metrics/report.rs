@@ -276,11 +276,9 @@ impl RunReport {
         environment: impl Into<String>,
         runs: Vec<TrialComparison>,
     ) -> Result<Self, ReportError> {
-        let mean =
-            ConsistencyMetrics::mean_of(&runs.iter().map(|r| r.metrics).collect::<Vec<_>>())
-                .ok_or(ReportError::EmptyRunSet)?;
-        let kappa_stddev =
-            super::stats::Summary::of(runs.iter().map(|r| r.metrics.kappa)).stddev;
+        let mean = ConsistencyMetrics::mean_of(&runs.iter().map(|r| r.metrics).collect::<Vec<_>>())
+            .ok_or(ReportError::EmptyRunSet)?;
+        let kappa_stddev = super::stats::Summary::of(runs.iter().map(|r| r.metrics.kappa)).stddev;
         Ok(RunReport {
             environment: environment.into(),
             runs,
@@ -462,7 +460,9 @@ mod tests {
         let a = cbr_trial(10, 1000, |_| 0);
         let c = analyze("B", &a, &a.clone());
         let json = serde_json::to_string(&c).unwrap();
-        let idx = json.rfind(",\"timings\":").expect("timings serialized last");
+        let idx = json
+            .rfind(",\"timings\":")
+            .expect("timings serialized last");
         let old = format!("{}}}", &json[..idx]);
         let back: TrialComparison = serde_json::from_str(&old).unwrap();
         assert_eq!(back.timings, StageTimings::default());

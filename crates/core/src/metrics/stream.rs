@@ -620,7 +620,6 @@ impl IdQueue {
 /// batch side already (`TrialIndex`).
 type IdMap<V> = HashMap<PacketId, V, BuildHasherDefault<DefaultHasher>>;
 
-
 /// One matched pair as recorded at match time (global positions plus the
 /// exact integer deltas).
 #[derive(Debug, Clone, Copy)]
@@ -835,13 +834,11 @@ impl IncrementalComparison {
         record_count::<PAIR_BYTES>(&ck.all_pairs, "all_pairs").unwrap_or_else(|e| panic!("{e}"));
         let pairs = ck.all_pairs.chunks_exact(PAIR_BYTES);
         let mut pending = IdMap::with_capacity_and_hasher(ck.resident(), Default::default());
-        let resident = decode_pending(&ck.pending, |id, side, o| {
-            match pending.entry(id) {
-                Entry::Vacant(v) => {
-                    v.insert(IdQueue::new(side, o));
-                }
-                Entry::Occupied(mut q) => q.get_mut().rest.push_back(o),
+        let resident = decode_pending(&ck.pending, |id, side, o| match pending.entry(id) {
+            Entry::Vacant(v) => {
+                v.insert(IdQueue::new(side, o));
             }
+            Entry::Occupied(mut q) => q.get_mut().rest.push_back(o),
         })
         .unwrap_or_else(|e| panic!("{e}"));
         if obs::is_enabled() {
@@ -1410,7 +1407,10 @@ mod tests {
             // must carry the full state, not just the in-memory mirror.
             let json = serde_json::to_string(&head.checkpoint()).unwrap();
             let mut tail = IncrementalComparison::resume(serde_json::from_str(&json).unwrap());
-            assert!(serde_json::to_string(&tail.checkpoint()).unwrap() == json, "cut {k}");
+            assert!(
+                serde_json::to_string(&tail.checkpoint()).unwrap() == json,
+                "cut {k}"
+            );
             feed(&mut tail, &events[k..]);
             let got = tail.finalize("B");
             assert_eq!(got.comparison.bits(), want.comparison.bits());
@@ -1501,19 +1501,33 @@ mod tests {
         for (what, section, bad) in [
             ("ragged", "all_pairs", ragged),
             ("side 7", "pending", with_pending(&[rec(5, 7)])),
-            ("two runs", "pending", with_pending(&[rec(5, 0), rec(6, 0), rec(5, 0)])),
-            ("both sides", "pending", with_pending(&[rec(5, 0), rec(5, 1), rec(6, 1)])),
+            (
+                "two runs",
+                "pending",
+                with_pending(&[rec(5, 0), rec(6, 0), rec(5, 0)]),
+            ),
+            (
+                "both sides",
+                "pending",
+                with_pending(&[rec(5, 0), rec(5, 1), rec(6, 1)]),
+            ),
         ] {
             let json = serde_json::to_string(&bad).unwrap();
             let shipped: StreamCheckpoint = serde_json::from_str(&json).unwrap();
             let err = std::panic::catch_unwind(|| IncrementalComparison::resume(shipped))
                 .expect_err(what);
             let said = err.downcast_ref::<String>().expect("a formatted panic");
-            assert!(said.contains(&format!("section `{section}`")), "{what}: {said}");
+            assert!(
+                said.contains(&format!("section `{section}`")),
+                "{what}: {said}"
+            );
         }
         let sound: StreamCheckpoint =
             serde_json::from_str(&serde_json::to_string(&ck).unwrap()).unwrap();
-        assert_eq!(IncrementalComparison::resume(sound).resident(), eng.resident());
+        assert_eq!(
+            IncrementalComparison::resume(sound).resident(),
+            eng.resident()
+        );
     }
 
     #[test]

@@ -66,7 +66,10 @@ impl Trial {
     /// Append an observation identified by Choir tag fields — convenient
     /// in tests and examples.
     pub fn push_tagged(&mut self, replayer: u16, stream: u16, seq: u64, t_ps: u64) {
-        self.push(PacketId::from_tag(&ChoirTag::new(replayer, stream, seq)), t_ps);
+        self.push(
+            PacketId::from_tag(&ChoirTag::new(replayer, stream, seq)),
+            t_ps,
+        );
     }
 
     /// Build a trial from observations already in arrival order.

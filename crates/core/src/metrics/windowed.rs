@@ -173,7 +173,12 @@ mod tests {
         // Other windows stay near-perfect.
         for s in &scores {
             if s.index != 5 {
-                assert!(s.metrics.kappa > 0.99, "window {} kappa {}", s.index, s.metrics.kappa);
+                assert!(
+                    s.metrics.kappa > 0.99,
+                    "window {} kappa {}",
+                    s.index,
+                    s.metrics.kappa
+                );
             }
         }
         assert!(worst.metrics.kappa < 0.95);

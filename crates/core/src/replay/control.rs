@@ -125,7 +125,11 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let f = encode_control(&ControlMsg::StartRecord, MacAddr::local(1), MacAddr::local(2));
+        let f = encode_control(
+            &ControlMsg::StartRecord,
+            MacAddr::local(1),
+            MacAddr::local(2),
+        );
         let mut data = f.data.to_vec();
         data[14] ^= 0xff;
         assert_eq!(decode_control(&Frame::new(Bytes::from(data))), None);
@@ -133,19 +137,31 @@ mod tests {
 
     #[test]
     fn bad_opcode_rejected() {
-        let f = encode_control(&ControlMsg::StartRecord, MacAddr::local(1), MacAddr::local(2));
+        let f = encode_control(
+            &ControlMsg::StartRecord,
+            MacAddr::local(1),
+            MacAddr::local(2),
+        );
         // 6 is the first value past the commands; older senders used it
         // for acknowledgements, which are not commands either.
         for op in [0, 6, 99] {
             let mut data = f.data.to_vec();
             data[18] = op;
-            assert_eq!(decode_control(&Frame::new(Bytes::from(data))), None, "opcode {op}");
+            assert_eq!(
+                decode_control(&Frame::new(Bytes::from(data))),
+                None,
+                "opcode {op}"
+            );
         }
     }
 
     #[test]
     fn short_frame_rejected() {
-        let f = encode_control(&ControlMsg::StartRecord, MacAddr::local(1), MacAddr::local(2));
+        let f = encode_control(
+            &ControlMsg::StartRecord,
+            MacAddr::local(1),
+            MacAddr::local(2),
+        );
         let data = f.data.slice(..20);
         let short = Frame::new(data);
         assert_eq!(decode_control(&short), None);
@@ -183,7 +199,9 @@ mod tests {
         for seed in 0..64u64 {
             for len in [0usize, 1, 13, 14, 18, 26, 27, 28, 31, 32, 60] {
                 let mut data = vec![0u8; len];
-                let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(len as u64);
+                let mut x = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(len as u64);
                 for b in data.iter_mut() {
                     x ^= x << 13;
                     x ^= x >> 7;
@@ -192,8 +210,7 @@ mod tests {
                 }
                 if len >= EthernetHeader::LEN {
                     // Force the control EtherType so we reach the parser.
-                    data[12..14]
-                        .copy_from_slice(&(EtherType::ChoirControl as u16).to_be_bytes());
+                    data[12..14].copy_from_slice(&(EtherType::ChoirControl as u16).to_be_bytes());
                 }
                 let _ = decode_control(&Frame::new(Bytes::from(data)));
             }
@@ -202,7 +219,11 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_ignored() {
-        let legacy = encode_control(&ControlMsg::AbortReplay, MacAddr::local(1), MacAddr::local(2));
+        let legacy = encode_control(
+            &ControlMsg::AbortReplay,
+            MacAddr::local(1),
+            MacAddr::local(2),
+        );
         // Minimum-Ethernet-frame zero padding, and the 32-byte frame an
         // old sender built to request an ack (byte 27 = its ack-requested
         // flag, then a sequence number): both are the plain command.

@@ -416,9 +416,13 @@ mod tests {
         let mut plane = RealtimePlane::new(pool.clone(), RealClock::new());
         let pid = plane.add_port(port);
         let rec = recording_of(&pool, 10, 4, 1_000);
-        let report =
-            run_replay_supervised(&rec, &mut plane, pid, &EngineConfig::with_deadline(5_000_000_000))
-                .unwrap();
+        let report = run_replay_supervised(
+            &rec,
+            &mut plane,
+            pid,
+            &EngineConfig::with_deadline(5_000_000_000),
+        )
+        .unwrap();
         assert_eq!(report.stats.packets_sent, 40);
         assert!(report.degradation.is_clean(), "{:?}", report.degradation);
     }

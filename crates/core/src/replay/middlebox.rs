@@ -483,7 +483,12 @@ mod tests {
 
         let mut runs = Vec::new();
         for start in [10_000u64, 20_000, 30_000] {
-            app.on_control(&ControlMsg::ScheduleReplay { start_wall_ns: start }, &mut dp);
+            app.on_control(
+                &ControlMsg::ScheduleReplay {
+                    start_wall_ns: start,
+                },
+                &mut dp,
+            );
             dp.now = start;
             app.on_wake(&mut dp);
             let ids: Vec<_> = dp
@@ -550,10 +555,7 @@ mod tests {
     fn schedule_without_recording_is_a_noop() {
         let mut dp = bridge_plane();
         let mut app = mb();
-        app.on_control(
-            &ControlMsg::ScheduleReplay { start_wall_ns: 100 },
-            &mut dp,
-        );
+        app.on_control(&ControlMsg::ScheduleReplay { start_wall_ns: 100 }, &mut dp);
         assert!(!app.replay_active());
     }
 

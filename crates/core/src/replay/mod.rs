@@ -33,5 +33,5 @@ pub mod scheduler;
 pub use degrade::{DegradationReport, ReplayError, ReplayErrorKind};
 pub use engine::{run_replay_spin, run_replay_supervised, EngineConfig, EngineReport};
 pub use middlebox::{ChoirMiddlebox, MiddleboxConfig};
-pub use recording::{Recording, RecordedBurst};
+pub use recording::{RecordedBurst, Recording};
 pub use scheduler::{ReplayScheduler, ReplayStats, SchedulerState};

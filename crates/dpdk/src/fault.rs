@@ -377,7 +377,11 @@ impl<D: Dataplane> Dataplane for FaultyDataplane<D> {
             self.stats.tx_stalls_triggered += 1;
             self.stats.tx_calls_stalled += 1;
             self.stall_remaining = self.cfg.tx_stall_calls;
-            obs::event("fault.tx_stall", port as u64, self.cfg.tx_stall_calls as u64);
+            obs::event(
+                "fault.tx_stall",
+                port as u64,
+                self.cfg.tx_stall_calls as u64,
+            );
             obs::counter_inc("fault.tx_stalls_triggered");
             return 0;
         }

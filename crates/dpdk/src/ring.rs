@@ -116,7 +116,9 @@ impl<T> Producer<T> {
         unsafe {
             (*self.inner.slots[idx].get()).write(value);
         }
-        self.inner.tail.store(tail.wrapping_add(1), Ordering::Release);
+        self.inner
+            .tail
+            .store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
     }
 
@@ -166,7 +168,9 @@ impl<T> Consumer<T> {
         // its tail with Acquire, so the write happens-before this read, and
         // the producer will not touch the slot again until we advance head.
         let value = unsafe { (*self.inner.slots[idx].get()).assume_init_read() };
-        self.inner.head.store(head.wrapping_add(1), Ordering::Release);
+        self.inner
+            .head
+            .store(head.wrapping_add(1), Ordering::Release);
         Some(value)
     }
 

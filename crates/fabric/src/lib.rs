@@ -32,6 +32,4 @@ pub mod site;
 pub mod slice;
 
 pub use site::{AllocError, Site, SiteUsage};
-pub use slice::{
-    NicKind, NodeRef, NodeSpec, ProvisionedSlice, ServiceRef, Slice, SliceError,
-};
+pub use slice::{NicKind, NodeRef, NodeSpec, ProvisionedSlice, ServiceRef, Slice, SliceError};

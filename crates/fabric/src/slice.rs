@@ -267,10 +267,7 @@ impl ProvisionedSlice {
         app: impl AppAny + 'static,
         seed: u64,
     ) -> NodeId {
-        assert!(
-            !self.node_ids.contains_key(&node.0),
-            "node already built"
-        );
+        assert!(!self.node_ids.contains_key(&node.0), "node already built");
         let spec = &self.slice.nodes[node.0];
         let mut rng = DetRng::derive(seed, &["fabric", &self.slice.name, &spec.name]);
         let clock = NodeClock {
@@ -306,7 +303,10 @@ impl ProvisionedSlice {
                 .collect();
             // FABRIC sites put a Cisco 5700 behind the L2 services (§8.1).
             let sw = sim.add_switch(
-                Switch::new(members.len().max(1), SwitchProfile::cisco5700(100_000_000_000)),
+                Switch::new(
+                    members.len().max(1),
+                    SwitchProfile::cisco5700(100_000_000_000),
+                ),
                 sname,
             );
             for (port_idx, &(n, p)) in members.iter().enumerate() {

@@ -27,7 +27,10 @@ impl App for Sender {
             }
             let m = dp
                 .mempool()
-                .alloc(self.builder.build_tagged_snap(ChoirTag::new(0, 0, self.sent)))
+                .alloc(
+                    self.builder
+                        .build_tagged_snap(ChoirTag::new(0, 0, self.sent)),
+                )
                 .unwrap();
             let mut b = Burst::new();
             b.push(m).unwrap();

@@ -234,8 +234,11 @@ impl Sim {
         wake_jitter: Jitter,
     ) -> NodeId {
         let id = self.nodes.len();
-        let wake_rng =
-            DetRng::derive_indexed(self.cfg.master_seed, &["node", name, "wake"], self.cfg.trial);
+        let wake_rng = DetRng::derive_indexed(
+            self.cfg.master_seed,
+            &["node", name, "wake"],
+            self.cfg.trial,
+        );
         self.nodes.push(NodeRuntime {
             name: name.to_string(),
             app: Some(Box::new(app)),
@@ -308,14 +311,7 @@ impl Sim {
     }
 
     /// Connect two node ports directly (a cable).
-    pub fn connect_nodes(
-        &mut self,
-        a: NodeId,
-        ap: PortId,
-        b: NodeId,
-        bp: PortId,
-        prop_ps: u64,
-    ) {
+    pub fn connect_nodes(&mut self, a: NodeId, ap: PortId, b: NodeId, bp: PortId, prop_ps: u64) {
         self.nodes[a].ports[ap].peer = Endpoint::NodePort(b, bp);
         self.nodes[a].ports[ap].prop_ps = prop_ps;
         self.nodes[b].ports[bp].peer = Endpoint::NodePort(a, ap);
@@ -556,7 +552,11 @@ impl Sim {
             };
             let mut t = self.now.max(port.wire_free_at);
             if let Some(shared) = port.tx_model.shared.as_mut() {
-                t += shared.contention_wait_ps(self.now, port.tx_model.line_rate_bps, &mut port.tx_rng);
+                t += shared.contention_wait_ps(
+                    self.now,
+                    port.tx_model.line_rate_bps,
+                    &mut port.tx_rng,
+                );
             }
             peer = port.peer;
             let prop = port.prop_ps;
@@ -955,7 +955,12 @@ mod tests {
     }
 
     fn direct_pair(sim: &mut Sim, tx: NicTxModel, rx: NicRxModel) -> (NodeId, NodeId) {
-        let s = sim.add_node("sender", Sender::new(10, 1_000), ideal_clock(), Jitter::None);
+        let s = sim.add_node(
+            "sender",
+            Sender::new(10, 1_000),
+            ideal_clock(),
+            Jitter::None,
+        );
         let k = sim.add_node("sink", Sink::new(), ideal_clock(), Jitter::None);
         let sp = sim.add_port(s, tx, NicRxModel::ideal());
         let kp = sim.add_port(k, NicTxModel::ideal(100_000_000_000), rx);
@@ -997,10 +1002,7 @@ mod tests {
         // 1 us spacing at the sender; ideal NICs preserve it exactly
         // (timestamps quantized to ns).
         let gaps: Vec<u64> = got.windows(2).map(|w| w[1].1 - w[0].1).collect();
-        assert!(
-            gaps.iter().all(|&g| g == US),
-            "gaps {gaps:?}"
-        );
+        assert!(gaps.iter().all(|&g| g == US), "gaps {gaps:?}");
         let _ = s;
     }
 
@@ -1233,7 +1235,12 @@ mod tests {
             }
         }
         let mut sim = Sim::new(SimConfig::default());
-        let n = sim.add_node("spy", CtrlSpy { got: Vec::new() }, ideal_clock(), Jitter::None);
+        let n = sim.add_node(
+            "spy",
+            CtrlSpy { got: Vec::new() },
+            ideal_clock(),
+            Jitter::None,
+        );
         sim.send_control(n, ControlMsg::StartRecord, 1_000);
         sim.send_control(n, ControlMsg::StopRecord, 2_000);
         sim.run_to_idle();

@@ -43,9 +43,9 @@ pub mod wheel;
 
 pub use clock::{NodeClock, PtpModel, TimestampModel};
 pub use engine::{NodeId, Sim, SimConfig, SimStats};
-pub use wheel::TimingWheel;
 pub use nic::{BatchDist, NicRxModel, NicTxModel, SharedVfModel, UtilProcess};
 pub use rng::{DetRng, Jitter};
 pub use switchdev::{Switch, SwitchProfile};
 pub use time::{MS, NS, PS_PER_SEC, US};
 pub use topology::{TopologyBuilder, TopologyError};
+pub use wheel::TimingWheel;

@@ -333,8 +333,12 @@ mod tests {
         };
         let n = 5_000;
         let rate = 100_000_000_000;
-        let lo: u64 = (0..n).map(|i| low.contention_wait_ps(i, rate, &mut rng)).sum();
-        let hi: u64 = (0..n).map(|i| high.contention_wait_ps(i, rate, &mut rng)).sum();
+        let lo: u64 = (0..n)
+            .map(|i| low.contention_wait_ps(i, rate, &mut rng))
+            .sum();
+        let hi: u64 = (0..n)
+            .map(|i| high.contention_wait_ps(i, rate, &mut rng))
+            .sum();
         assert!(hi > lo * 10, "hi={hi} lo={lo}");
     }
 

@@ -133,10 +133,18 @@ mod tests {
         let ap2 = sim.add_port(a, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
         let bp2 = sim.add_port(b, NicTxModel::ideal(100_000_000_000), NicRxModel::ideal());
 
-        let mut topo =
-            TopologyBuilder::with_switch(&mut sim, SwitchProfile::tofino2(100_000_000_000), 8, "sw");
-        let (i1, e1) = topo.path(&mut sim, a, ap, b, bp, 5_000).expect("ports free");
-        let (i2, e2) = topo.path(&mut sim, b, bp2, a, ap2, 5_000).expect("ports free");
+        let mut topo = TopologyBuilder::with_switch(
+            &mut sim,
+            SwitchProfile::tofino2(100_000_000_000),
+            8,
+            "sw",
+        );
+        let (i1, e1) = topo
+            .path(&mut sim, a, ap, b, bp, 5_000)
+            .expect("ports free");
+        let (i2, e2) = topo
+            .path(&mut sim, b, bp2, a, ap2, 5_000)
+            .expect("ports free");
         assert_eq!((i1, e1), (0, 1));
         assert_eq!((i2, e2), (2, 3));
     }
@@ -146,9 +154,10 @@ mod tests {
         let mut sim = Sim::new(SimConfig::default());
         let a = sim.add_node("a", Idle, NodeClock::ideal(1_000_000_000), Jitter::None);
         let ap = sim.add_port(a, NicTxModel::ideal(1), NicRxModel::ideal());
-        let mut topo =
-            TopologyBuilder::with_switch(&mut sim, SwitchProfile::tofino2(1), 1, "sw");
-        let err = topo.path(&mut sim, a, ap, a, ap, 0).expect_err("1 < 2 ports");
+        let mut topo = TopologyBuilder::with_switch(&mut sim, SwitchProfile::tofino2(1), 1, "sw");
+        let err = topo
+            .path(&mut sim, a, ap, a, ap, 0)
+            .expect_err("1 < 2 ports");
         assert_eq!(
             err,
             TopologyError::OutOfPorts {

@@ -34,7 +34,10 @@ impl App for Sender {
             }
             let m = dp
                 .mempool()
-                .alloc(self.builder.build_tagged_snap(ChoirTag::new(1, 0, self.sent)))
+                .alloc(
+                    self.builder
+                        .build_tagged_snap(ChoirTag::new(1, 0, self.sent)),
+                )
                 .unwrap();
             let mut b = Burst::new();
             b.push(m).unwrap();

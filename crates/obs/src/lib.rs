@@ -426,7 +426,10 @@ mod tests {
     fn serialized<T>(f: impl FnOnce() -> T) -> T {
         use std::sync::{Mutex, OnceLock};
         static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        let _g = GUARD.get_or_init(|| Mutex::new(())).lock().expect("test guard");
+        let _g = GUARD
+            .get_or_init(|| Mutex::new(()))
+            .lock()
+            .expect("test guard");
         reset();
         set_enabled(true);
         let out = f();

@@ -116,7 +116,10 @@ mod tests {
         assert_eq!(f.len(), 5);
         assert_eq!(f.orig_len(), 5);
         assert!(!f.is_empty());
-        assert_eq!(f.wire_len(), 5 + WIRE_OVERHEAD_BYTES + (64usize.saturating_sub(5 + 4)));
+        assert_eq!(
+            f.wire_len(),
+            5 + WIRE_OVERHEAD_BYTES + (64usize.saturating_sub(5 + 4))
+        );
     }
 
     #[test]

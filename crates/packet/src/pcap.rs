@@ -423,7 +423,13 @@ mod tests {
     }
 
     /// Build a one-record pcap with explicit endianness and magic.
-    fn handmade_pcap(magic: u32, big_endian: bool, sec: u32, subsec: u32, payload: &[u8]) -> Vec<u8> {
+    fn handmade_pcap(
+        magic: u32,
+        big_endian: bool,
+        sec: u32,
+        subsec: u32,
+        payload: &[u8],
+    ) -> Vec<u8> {
         let put = |buf: &mut Vec<u8>, v: u32| {
             if big_endian {
                 buf.extend_from_slice(&v.to_be_bytes());

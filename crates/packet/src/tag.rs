@@ -38,7 +38,11 @@ pub struct ChoirTag {
 impl ChoirTag {
     /// Construct a tag.
     pub fn new(replayer: u16, stream: u16, seq: u64) -> Self {
-        ChoirTag { replayer, stream, seq }
+        ChoirTag {
+            replayer,
+            stream,
+            seq,
+        }
     }
 
     /// Serialize into exactly [`TAG_LEN`] bytes.

@@ -50,7 +50,10 @@ impl FrameSpec {
     pub fn new(frame_len: usize, rate_bps: u64) -> Self {
         assert!(frame_len > 0, "frame_len must be positive");
         assert!(rate_bps > 0, "rate_bps must be positive");
-        FrameSpec { frame_len, rate_bps }
+        FrameSpec {
+            frame_len,
+            rate_bps,
+        }
     }
 
     /// Wire bytes per frame including overhead.

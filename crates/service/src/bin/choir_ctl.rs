@@ -62,9 +62,9 @@ fn run(mut c: Client, cmd: &str, rest: &[String]) -> Result<ExitCode, ClientErro
             println!("tenant {tenant} created");
         }
         ("create", [tenant, budget]) => {
-            let b: u64 = budget.parse().map_err(|_| {
-                ClientError::Daemon(format!("`{budget}` is not a byte count"))
-            })?;
+            let b: u64 = budget
+                .parse()
+                .map_err(|_| ClientError::Daemon(format!("`{budget}` is not a byte count")))?;
             c.create_tenant(tenant, b)?;
             println!("tenant {tenant} created (budget {b} bytes)");
         }
@@ -77,8 +77,8 @@ fn run(mut c: Client, cmd: &str, rest: &[String]) -> Result<ExitCode, ClientErro
             println!("stream {tenant}/{stream} open");
         }
         ("ingest-pcap", [tenant, stream, path]) => {
-            let file = File::open(path)
-                .map_err(|e| ClientError::Daemon(format!("open {path}: {e}")))?;
+            let file =
+                File::open(path).map_err(|e| ClientError::Daemon(format!("open {path}: {e}")))?;
             let mut src = PcapSource::new(BufReader::new(file))
                 .map_err(|e| ClientError::Daemon(format!("parse {path}: {e}")))?;
             let (mut seq, finished, _) = c.stream_status(tenant, stream)?;

@@ -32,7 +32,11 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
     cfg.snapshot_every = 128;
 
     let data: Vec<Vec<Vec<Observation>>> = (0..TENANTS)
-        .map(|t| (0..STREAMS.len()).map(|s| synth(t as u64, s as u64)).collect())
+        .map(|t| {
+            (0..STREAMS.len())
+                .map(|s| synth(t as u64, s as u64))
+                .collect()
+        })
         .collect();
 
     // ---- phase 1: ingest a bit over half of everything, interleaved.
@@ -99,7 +103,8 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
             let (ingested, finished, baseline) =
                 c.stream_status(&tenant_name(t), s).expect("status");
             assert_eq!(
-                ingested as usize, sent_t[si],
+                ingested as usize,
+                sent_t[si],
                 "recovery must restore {}/{s} exactly",
                 tenant_name(t)
             );
@@ -153,8 +158,9 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
             assert_eq!(f.b_len as usize, b.len());
 
             // A post-finish snapshot serves the stored summary.
-            let Response::Snapshot { running, .. } =
-                c.snapshot(&tenant_name(t), STREAMS[si]).expect("final snapshot")
+            let Response::Snapshot { running, .. } = c
+                .snapshot(&tenant_name(t), STREAMS[si])
+                .expect("final snapshot")
             else {
                 panic!("snapshot variant");
             };
@@ -165,9 +171,7 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
     // ---- matrix: bit-identical to the sharded all-pairs engine over
     // the same trials in the daemon's (sorted) label order.
     for (t, data_t) in data.iter().enumerate() {
-        let Response::Matrix { labels, cells } =
-            c.matrix(&tenant_name(t)).expect("matrix")
-        else {
+        let Response::Matrix { labels, cells } = c.matrix(&tenant_name(t)).expect("matrix") else {
             panic!("matrix variant");
         };
         let mut order: Vec<&str> = STREAMS.to_vec();
@@ -204,12 +208,18 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
         panic!("stats variant");
     };
     assert!(store_evictions > 0, "budget was sized to force evictions");
-    assert!(store_reloads > 0, "matrix queries must have reloaded spills");
+    assert!(
+        store_reloads > 0,
+        "matrix queries must have reloaded spills"
+    );
     assert!(
         store_resident_bytes <= store_budget_bytes,
         "resident {store_resident_bytes} exceeds budget {store_budget_bytes}"
     );
-    assert!(records > 0, "the restarted daemon accepted the tail records");
+    assert!(
+        records > 0,
+        "the restarted daemon accepted the tail records"
+    );
 
     // ---- graceful shutdown checkpoints; a fresh daemon serves the
     // same finals from durable state alone.
@@ -222,8 +232,9 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
         for (si, s) in STREAMS.iter().enumerate().skip(1) {
             let b = Trial::from_observations(&data_t[si]);
             let batch = PairAnalyzer::new(&a, &b).analyze();
-            let Response::Snapshot { running, .. } =
-                c.snapshot(&tenant_name(t), s).expect("post-restart snapshot")
+            let Response::Snapshot { running, .. } = c
+                .snapshot(&tenant_name(t), s)
+                .expect("post-restart snapshot")
             else {
                 panic!("snapshot variant");
             };
@@ -260,21 +271,23 @@ fn late_opened_stream_is_bit_identical_to_batch() {
     c.open_stream("acme", "ontime").expect("open ontime");
 
     // Baseline ingests a prefix before `late` exists.
-    c.ingest("acme", "base", 0, &base[..200]).expect("base prefix");
+    c.ingest("acme", "base", 0, &base[..200])
+        .expect("base prefix");
     c.open_stream("acme", "late").expect("open late");
 
     // Baseline grows again: `late`'s engine lags side A by 200 records
     // here, while `ontime`'s is exactly caught up — the growth path has
     // to handle both in the same loop.
-    c.ingest("acme", "base", 200, &base[200..400]).expect("base growth");
+    c.ingest("acme", "base", 200, &base[200..400])
+        .expect("base growth");
 
-    c.ingest("acme", "ontime", 0, &ontime).expect("ontime records");
+    c.ingest("acme", "ontime", 0, &ontime)
+        .expect("ontime records");
     c.ingest("acme", "late", 0, &late).expect("late records");
 
     // Live snapshots against the current baseline prefix.
     for (name, data) in [("ontime", &ontime), ("late", &late)] {
-        let Response::Snapshot { running, .. } =
-            c.snapshot("acme", name).expect("live snapshot")
+        let Response::Snapshot { running, .. } = c.snapshot("acme", name).expect("live snapshot")
         else {
             panic!("snapshot variant");
         };
@@ -290,8 +303,12 @@ fn late_opened_stream_is_bit_identical_to_batch() {
 
     // Drain the baseline and finish everything; finals must match an
     // uninterrupted batch analysis bit for bit.
-    c.ingest("acme", "base", 400, &base[400..]).expect("base tail");
-    assert!(c.finish_stream("acme", "base").expect("finish base").is_none());
+    c.ingest("acme", "base", 400, &base[400..])
+        .expect("base tail");
+    assert!(c
+        .finish_stream("acme", "base")
+        .expect("finish base")
+        .is_none());
     let a = Trial::from_observations(&base);
     for (name, data) in [("ontime", &ontime), ("late", &late)] {
         let f = c

@@ -193,7 +193,9 @@ fn a_daemon_survives_hostile_frames() {
     assert!(err.to_string().contains("record 3"), "{err}");
     let logged = std::fs::metadata(dir.join("tenants/acme/r1.log")).map_or(0, |m| m.len());
     assert_eq!(logged, 0, "nothing of the refused batch reached the log");
-    let total = good.ingest("acme", "r1", 0, &obs).expect("served after the refusal");
+    let total = good
+        .ingest("acme", "r1", 0, &obs)
+        .expect("served after the refusal");
     assert_eq!(total, 10);
     drop(good);
     d.kill();

@@ -19,10 +19,7 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_dir() -> std::path::PathBuf {
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let p = std::env::temp_dir().join(format!(
-        "choir-store-prop-{}-{n}",
-        std::process::id()
-    ));
+    let p = std::env::temp_dir().join(format!("choir-store-prop-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
 }

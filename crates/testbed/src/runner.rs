@@ -235,12 +235,8 @@ fn execute(cfg: &ExperimentConfig) -> ExperimentOutput {
     );
 
     // --- Topology: everything through one switch ---------------------
-    let mut topo = TopologyBuilder::with_switch(
-        &mut sim,
-        p.switch.clone(),
-        4 * p.replayers,
-        "switch0",
-    );
+    let mut topo =
+        TopologyBuilder::with_switch(&mut sim, p.switch.clone(), 4 * p.replayers, "switch0");
     for (r, &mb) in mbs.iter().enumerate() {
         // The switch is sized to 4 ports per replayer above, so
         // exhaustion here is a wiring bug, not a runtime condition.
@@ -417,7 +413,7 @@ mod tests {
         let out = quick(EnvKind::LocalSingle, 0.001, 17);
         assert_eq!(out.matrix.trials(), out.trials.len());
         assert_eq!(out.matrix.pairs(), 3); // 3 trials -> 3 pairs
-        // The report's runs are exactly the matrix's baseline row.
+                                           // The report's runs are exactly the matrix's baseline row.
         assert_eq!(out.report.runs.len(), out.trials.len() - 1);
         for (j, run) in out.report.runs.iter().enumerate() {
             let cell = out.matrix.get(0, j + 1).unwrap();

@@ -91,7 +91,9 @@ fn main() {
         let start = (sim.now_ps() + 3 * MS) / 1_000;
         sim.send_control(
             n_rep,
-            ControlMsg::ScheduleReplay { start_wall_ns: start },
+            ControlMsg::ScheduleReplay {
+                start_wall_ns: start,
+            },
             sim.now_ps(),
         );
         sim.run_until(sim.now_ps() + 3 * MS + packets * 285_000 + 3 * MS);

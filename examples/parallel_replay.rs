@@ -46,13 +46,20 @@ fn main() {
     // Generator with one port per replayer (the stream divider of Fig. 1).
     let mut gen_cfg = GeneratorConfig::cbr(40_000_000_000, packets);
     gen_cfg.ports = (0..replayers).collect();
-    let gen = sim.add_node("generator", Generator::new(gen_cfg), clock(&mut rng), Jitter::None);
+    let gen = sim.add_node(
+        "generator",
+        Generator::new(gen_cfg),
+        clock(&mut rng),
+        Jitter::None,
+    );
     for _ in 0..replayers {
         sim.add_port(gen, NicTxModel::ideal(link), NicRxModel::ideal());
     }
 
     // Three transparent middleboxes.
-    let wake = Jitter::Exp { mean: 100.0 * NS as f64 };
+    let wake = Jitter::Exp {
+        mean: 100.0 * NS as f64,
+    };
     let mut mbs = Vec::new();
     for r in 0..replayers {
         let mb = sim.add_node(
@@ -78,7 +85,12 @@ fn main() {
     }
 
     // The single receive point.
-    let rec = sim.add_node("recorder", Recorder::new(RecorderConfig::default()), clock(&mut rng), Jitter::None);
+    let rec = sim.add_node(
+        "recorder",
+        Recorder::new(RecorderConfig::default()),
+        clock(&mut rng),
+        Jitter::None,
+    );
     sim.add_port(rec, NicTxModel::ideal(link), NicRxModel::ideal());
 
     // One switch connects everything (as in both of the paper's testbeds).
@@ -127,7 +139,9 @@ fn main() {
         for &mb in &mbs {
             sim.send_control(
                 mb,
-                ControlMsg::ScheduleReplay { start_wall_ns: start_wall },
+                ControlMsg::ScheduleReplay {
+                    start_wall_ns: start_wall,
+                },
                 sim.now_ps(),
             );
         }
@@ -140,13 +154,22 @@ fn main() {
         .into_iter()
         .map(|t| t.rezeroed())
         .collect();
-    println!("captured {} replays of {} packets each\n", trials.len(), trials[0].len());
+    println!(
+        "captured {} replays of {} packets each\n",
+        trials.len(),
+        trials[0].len()
+    );
 
     for (i, label) in ["B", "C"].iter().enumerate() {
         let cmp = analyze(*label, &trials[0], &trials[i + 1]);
         println!(
             "run {label} vs run A:  U={:.2e}  O={:.2e}  L={:.2e}  I={:.4}  kappa={:.4}  (moved {})",
-            cmp.metrics.u, cmp.metrics.o, cmp.metrics.l, cmp.metrics.i, cmp.metrics.kappa, cmp.moved,
+            cmp.metrics.u,
+            cmp.metrics.o,
+            cmp.metrics.l,
+            cmp.metrics.i,
+            cmp.metrics.kappa,
+            cmp.moved,
         );
     }
     println!("\nFig. 1's claim checks out: every replay delivers the same packets");

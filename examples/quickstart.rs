@@ -100,7 +100,10 @@ fn main() {
         cmp.metrics.i,
         cmp.iat_within_10ns * 100.0
     );
-    println!("  kappa = {:.4}  (1.0 = perfectly consistent)", cmp.metrics.kappa);
+    println!(
+        "  kappa = {:.4}  (1.0 = perfectly consistent)",
+        cmp.metrics.kappa
+    );
     println!("\nIAT delta histogram (ns):");
     print!("{}", cmp.iat_hist.render_ascii(40));
     println!("\n(Numbers vary with OS scheduling noise on this host — that");

@@ -84,7 +84,8 @@ fn pool_exhaustion_fails_allocation_not_the_process() {
     }
     // The 9th allocation fails cleanly...
     assert_eq!(
-        pool.alloc(Frame::new(Bytes::from_static(b"x"))).unwrap_err(),
+        pool.alloc(Frame::new(Bytes::from_static(b"x")))
+            .unwrap_err(),
         PoolExhausted
     );
     assert_eq!(pool.failed_allocs(), 1);

@@ -173,11 +173,11 @@ fn recorder_rounds_sub_ns_timestamps_to_nearest() {
     let builder = FrameBuilder::new(200, 1, 2);
     let cases: &[(u64, u64)] = &[
         (0, 0),
-        (499, 0),         // below the midpoint: down
-        (500, 1),         // midpoint: up
+        (499, 0), // below the midpoint: down
+        (500, 1), // midpoint: up
         (1_499, 1),
         (1_500, 2),
-        (2_000, 2),       // exact ns: unchanged
+        (2_000, 2), // exact ns: unchanged
         (999_999_999_499, 999_999_999),
         (999_999_999_500, 1_000_000_000), // carries into the seconds field
     ];

@@ -253,15 +253,51 @@ fn capture_fingerprint(out: &ExperimentOutput) -> u64 {
 #[test]
 fn captures_match_the_committed_fingerprints() {
     let committed = [
-        (EnvKind::LocalSingle, 0xbc56_24fb_9e52_a82f_u64, 0x3fef_96aa_7d15_1250_u64),
-        (EnvKind::LocalDual, 0xabe5_ee11_4e56_a2b4, 0x3fe2_94cc_c13f_595e),
-        (EnvKind::FabricDedicated40A, 0xee49_5066_aa71_596e, 0x3fe7_d931_138d_3a44),
-        (EnvKind::FabricShared40, 0x1a15_3ed8_2d83_64ad, 0x3fed_de2e_962d_2b04),
-        (EnvKind::FabricDedicated40B, 0xb2e0_3f27_12bf_0a4c, 0x3fe7_d95e_65f5_26c8),
-        (EnvKind::FabricDedicated80, 0xe042_893e_1246_984c, 0x3fed_a4b8_a7b3_d7cb),
-        (EnvKind::FabricShared80, 0xe5ee_c678_2d4d_c737, 0x3fed_b9ea_1e03_317c),
-        (EnvKind::FabricDedicated80Noisy, 0x498d_a7ee_fede_8993, 0x3fed_a526_c231_38a1),
-        (EnvKind::FabricShared40Noisy, 0xfbf2_07eb_74d1_5e61, 0x3fe9_7159_3d52_6dec),
+        (
+            EnvKind::LocalSingle,
+            0xbc56_24fb_9e52_a82f_u64,
+            0x3fef_96aa_7d15_1250_u64,
+        ),
+        (
+            EnvKind::LocalDual,
+            0xabe5_ee11_4e56_a2b4,
+            0x3fe2_94cc_c13f_595e,
+        ),
+        (
+            EnvKind::FabricDedicated40A,
+            0xee49_5066_aa71_596e,
+            0x3fe7_d931_138d_3a44,
+        ),
+        (
+            EnvKind::FabricShared40,
+            0x1a15_3ed8_2d83_64ad,
+            0x3fed_de2e_962d_2b04,
+        ),
+        (
+            EnvKind::FabricDedicated40B,
+            0xb2e0_3f27_12bf_0a4c,
+            0x3fe7_d95e_65f5_26c8,
+        ),
+        (
+            EnvKind::FabricDedicated80,
+            0xe042_893e_1246_984c,
+            0x3fed_a4b8_a7b3_d7cb,
+        ),
+        (
+            EnvKind::FabricShared80,
+            0xe5ee_c678_2d4d_c737,
+            0x3fed_b9ea_1e03_317c,
+        ),
+        (
+            EnvKind::FabricDedicated80Noisy,
+            0x498d_a7ee_fede_8993,
+            0x3fed_a526_c231_38a1,
+        ),
+        (
+            EnvKind::FabricShared40Noisy,
+            0xfbf2_07eb_74d1_5e61,
+            0x3fe9_7159_3d52_6dec,
+        ),
     ];
     let moved: Vec<String> = committed
         .iter()
@@ -276,5 +312,9 @@ fn captures_match_the_committed_fingerprints() {
             })
         })
         .collect();
-    assert!(moved.is_empty(), "captures or κ moved:\n{}", moved.join("\n"));
+    assert!(
+        moved.is_empty(),
+        "captures or κ moved:\n{}",
+        moved.join("\n")
+    );
 }

@@ -274,7 +274,10 @@ fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
     let eng = feed(&a, &b);
     let (running, allocations) = allocations_during(|| eng.running_metrics());
     assert_eq!(running.o, 0.0);
-    assert_eq!(allocations, 0, "an order-preserving snapshot must not touch the heap");
+    assert_eq!(
+        allocations, 0,
+        "an order-preserving snapshot must not touch the heap"
+    );
     // The counter is live: the same call on a reordered stream runs the
     // LIS kernel, which allocates its working set.
     let (a, b) = ordered_then_swapped(4_096, 2_048, 2);
