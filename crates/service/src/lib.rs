@@ -6,11 +6,14 @@
 //! answers it **while the trials are still running**, for many
 //! experiments at once:
 //!
-//! * [`daemon`] — the service: tenants, streams, per-stream
+//! * [`daemon`] — the service: the tenant registry, the dispatch of each
+//!   request to its tenant, and a thread-per-connection TCP serve loop.
+//! * `tenant` (private) — one tenant: its streams, per-stream
 //!   [`choir_core::metrics::IncrementalComparison`] engines
-//!   (batch-identical), per-tenant event-sourced
-//!   durability (record logs + marker journal + dirty-tenant
-//!   checkpoints), and a thread-per-connection TCP serve loop.
+//!   (batch-identical), its event-sourced durability (record logs +
+//!   marker journal + a checkpoint when dirty), and the reads it serves.
+//!   It is built from a [`Disk`], a directory, a name and a stream
+//!   config, and never sees the registry.
 //! * [`disk`] — every file the daemon touches, behind one [`Disk`]
 //!   trait: [`RealDisk`], and the in-memory [`ScriptDisk`] whose faults
 //!   are scripted and whose kill and power-cut images the crash tests
@@ -35,6 +38,7 @@ pub mod client;
 pub mod daemon;
 pub mod disk;
 pub mod store;
+mod tenant;
 pub mod wire;
 
 pub use client::{Client, ClientError};

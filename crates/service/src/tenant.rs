@@ -1,0 +1,940 @@
+//! One tenant: its streams, its files and the reads it serves.
+//!
+//! A tenant owns a map of named capture streams, the only record of them,
+//! and a stream is in one of three states: the **baseline** (the first
+//! stream opened, live or finished), a **live** comparison stream with its
+//! own [`IncrementalComparison`] against the baseline, or a **done** one
+//! holding its final summary. The engine's finalize is bit-identical to
+//! the batch pipeline *for any interleaving of the two sides*, so although
+//! observations arrive in whatever order the network delivers them, the
+//! served κ is exactly the κ a post-hoc batch analysis of the same records
+//! produces, bit for bit (`tests/daemon.rs`). Every op is checked against
+//! the map before anything is written: a refused op writes no byte. One
+//! that passes is journaled, then applied, and applying it can fail only
+//! on store I/O.
+//!
+//! A [`Tenant`] is built from a [`Disk`], its directory, its name and the
+//! [`StreamConfig`] of its engines, and knows nothing of the registry that
+//! holds it, of sockets or of other tenants.
+//!
+//! # Durability
+//!
+//! Each tenant keeps its state in its own directory, `tenants/<name>/`:
+//!
+//! * `<stream>.log` — the stream's records, 24 bytes each, append-only
+//!   ([`TrialStore`]). An ingest appends its records here first;
+//! * `journal` — one numbered JSON line per accepted mutating op. An
+//!   ingest's line is a *marker* (`stream`, `seq`, `count`) written after
+//!   the log append and before the op is applied or acknowledged;
+//! * `ck` — the tenant's checkpoint, one checksummed JSON section: the
+//!   layout, stream metadata, final summaries, the last journal line it
+//!   covers, and each live engine's [`StreamCursor`] (records consumed per
+//!   side, a few scalars and the trail, never a pair or a pending record).
+//!   A tenant exists iff its `ck` does. A checkpoint (explicit, cadence,
+//!   or graceful shutdown) rewrites `ck` (temp, then rename) and empties
+//!   `journal` for the tenants touched since the last one, and no others.
+//!
+//! The logs are the only durable home of the records. Recovery loads each
+//! `ck`, refusing by name one in another layout (bytes after the head are
+//! the engine slabs of a `ck` from before cursors) or with a stream in a
+//! state no build writes. It rebuilds every live engine from its cursor
+//! and the two log prefixes it names through
+//! [`IncrementalComparison::rebuild`], refusing a cursor that claims more
+//! records than the logs hold. Then it replays the journal lines the `ck`
+//! does not cover through the *same* check and apply the wire handlers
+//! use. An `OpenStream` or `Finish` the check refuses was journaled by an
+//! earlier build that refused it live, and is skipped; a marker it
+//! refuses, an op that cannot be applied and a whole line that is not an
+//! entry are refused by name. Only a final line without its newline, as a
+//! crash mid-append leaves it, is dropped. Recovery writes no log or
+//! journal byte (it removes only a leftover `ck.tmp`): logs and journal
+//! are appended at the end their owner accounts for ([`Disk`]'s one
+//! append rule), so whatever lies past it is overwritten by the next
+//! append. Nothing is `fsync`ed: a hard kill loses nothing
+//! acknowledged, a power cut can.
+//!
+//! # Memory
+//!
+//! Trial bytes live in a per-tenant [`TrialStore`] with an LRU budget;
+//! engines hold only unmatched residents. `Stats` exposes resident bytes
+//! so operators (and the bench's RSS gate) can watch the budget hold.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::thread;
+
+use choir_core::metrics::stream::{read_section, write_section};
+use choir_core::metrics::{
+    all_pairs_sharded, IncrementalComparison, KappaSnapshot, Observation, Side, StreamConfig,
+    StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
+};
+use choir_core::obs;
+use serde::{Deserialize, Serialize};
+
+use crate::daemon::DaemonError;
+use crate::disk::Disk;
+use crate::store::{StoreStats, TrialStore};
+use crate::wire::{Response, WireCell, WireFinal, WireKappa, WireObs, WireTrailPoint};
+
+/// Engine identity for a tenant/stream pair: FNV-1a over the key,
+/// finished with a SplitMix64 step, forced nonzero (0 means "untagged").
+fn engine_id_for(tenant: &str, stream: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in tenant.bytes().chain([b'/']).chain(stream.bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) | 1
+}
+
+/// A finished comparison stream's durable result.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct FinishedStream {
+    comparison: TrialComparison,
+    snapshots: Vec<KappaSnapshot>,
+}
+
+/// One stream of a tenant, in the only states a stream occurs in. Its
+/// records, and how many it holds, are the store's.
+enum Stream {
+    /// The tenant's first stream: side A of every comparison.
+    Baseline { finished: bool },
+    /// A comparison stream being fed.
+    Live(Box<IncrementalComparison>),
+    /// A finished comparison stream's durable result.
+    Done(Box<FinishedStream>),
+}
+
+impl Stream {
+    fn finished(&self) -> bool {
+        matches!(self, Stream::Baseline { finished: true } | Stream::Done(_))
+    }
+}
+
+/// The tenant's baseline, the map's one `Baseline` entry: its name and
+/// whether it is finished.
+fn baseline_of(streams: &BTreeMap<String, Stream>) -> Option<(&str, bool)> {
+    streams.iter().find_map(|(name, s)| match s {
+        Stream::Baseline { finished } => Some((name.as_str(), *finished)),
+        _ => None,
+    })
+}
+
+/// One mutating op on a tenant's streams, as its journal records it.
+/// `Ingest` is a marker: the records themselves are in the stream's log,
+/// at `seq .. seq + count`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) enum JournalOp {
+    OpenStream {
+        stream: String,
+    },
+    Ingest {
+        stream: String,
+        seq: u64,
+        count: u64,
+    },
+    Finish {
+        stream: String,
+    },
+}
+
+/// One journal line, `{"n":..,"op":..}`. `n` counts a tenant's ops from
+/// 1 and keeps counting across checkpoints; a checkpoint records the last
+/// `n` it covers, so replay applies each op exactly once whichever side
+/// of a checkpoint's rename and journal truncation a crash lands on.
+#[derive(Debug, Deserialize)]
+struct JournalEntry {
+    n: u64,
+    op: JournalOp,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct StreamCk {
+    name: String,
+    ingested: u64,
+    finished: bool,
+    /// The live engine's cursor.
+    engine: Option<StreamCursor>,
+    done: Option<FinishedStream>,
+}
+
+/// The on-disk layout of a tenant's directory this build reads and
+/// writes: `ck` one section holding a [`TenantCk`], records in the logs,
+/// engines as cursors. Its `ck` names it; the logs and the journal are
+/// read only once the `ck` has been accepted.
+const LAYOUT: u32 = 0;
+
+/// The last commit that reads a `ck` written before cursors, whose live
+/// engines' slabs follow the head section.
+const LAST_SLAB_READER: &str = "8d2051f";
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct TenantCk {
+    /// [`LAYOUT`]; absent, so 0, in a `ck` written before it was named.
+    #[serde(default)]
+    layout: u32,
+    budget_bytes: u64,
+    baseline: Option<String>,
+    applied: u64,
+    streams: Vec<StreamCk>,
+}
+
+/// One tenant: its streams, its store and its files.
+pub(crate) struct Tenant {
+    name: String,
+    dir: PathBuf,
+    /// The measurement config of every engine the tenant builds.
+    cfg: StreamConfig,
+    store: TrialStore,
+    /// Every stream of the tenant, and the only record of them.
+    streams: BTreeMap<String, Stream>,
+    /// Number of the last journal entry applied.
+    applied: u64,
+    /// Bytes of whole journal lines: where the next one is written.
+    journal_len: u64,
+    /// Changed since `ck` was last written.
+    dirty: bool,
+}
+
+/// A stream's records, borrowed from the store; a failure names its log.
+fn records<'s>(store: &'s mut TrialStore, stream: &str) -> Result<&'s [Observation], String> {
+    (store.get(stream)).map_err(|e| format!("reading `{stream}.log`: {e}"))
+}
+
+/// Feed `eng` the baseline records it has not seen yet, borrowed from
+/// the store.
+fn catch_up(
+    eng: &mut IncrementalComparison,
+    store: &mut TrialStore,
+    baseline: Option<&str>,
+) -> Result<(), String> {
+    let fed = eng.seen_a();
+    if let Some(base) = baseline.filter(|b| (fed as u64) < store.len(b)) {
+        eng.push_burst(Side::A, &records(store, base)?[fed..]);
+    }
+    Ok(())
+}
+
+impl Tenant {
+    /// A tenant that has applied no journal entry and has nothing to
+    /// checkpoint.
+    fn new(
+        name: &str,
+        dir: PathBuf,
+        cfg: StreamConfig,
+        store: TrialStore,
+        streams: BTreeMap<String, Stream>,
+    ) -> Self {
+        Tenant {
+            name: name.to_string(),
+            dir,
+            cfg,
+            store,
+            streams,
+            applied: 0,
+            journal_len: 0,
+            dirty: false,
+        }
+    }
+
+    /// Whether `dir` holds a tenant: a `ck` that is not there (not one
+    /// that cannot be stat'ed) makes it a tenant dropped, or created,
+    /// halfway.
+    pub(crate) fn exists(disk: &dyn Disk, dir: &Path) -> std::io::Result<bool> {
+        Ok(disk.len(&dir.join("ck"))?.is_some())
+    }
+
+    /// A new, empty tenant in `dir`: the directory and its first
+    /// checkpoint.
+    pub(crate) fn create(
+        disk: Arc<dyn Disk>,
+        dir: PathBuf,
+        name: &str,
+        cfg: StreamConfig,
+        budget_bytes: u64,
+    ) -> Result<Self, String> {
+        // Only a creation that crashed before its first checkpoint can
+        // have left this behind.
+        let _ = disk.remove_dir_all(&dir);
+        let store = TrialStore::open_on(disk, &dir, budget_bytes).map_err(|e| e.to_string())?;
+        let mut t = Tenant::new(name, dir, cfg, store, BTreeMap::new());
+        // It has no `ck` yet.
+        t.dirty = true;
+        t.checkpoint()?;
+        Ok(t)
+    }
+
+    /// The tenant in `dir`: load `ck`, rebuild its live engines from their
+    /// cursors and the logs, then replay the journal entries it does not
+    /// cover.
+    pub(crate) fn recover(
+        disk: Arc<dyn Disk>,
+        dir: PathBuf,
+        name: &str,
+        cfg: StreamConfig,
+    ) -> Result<Self, DaemonError> {
+        let bad = |what: &str, e: &dyn std::fmt::Display| {
+            DaemonError::Recovery(format!("tenant `{name}`: {what}: {e}"))
+        };
+        let _ = disk.remove_file(&dir.join("ck.tmp"));
+        let path = dir.join("ck");
+        let raw = disk.read(&path)?;
+        let mut r = &raw[..];
+        let head = read_section(&mut r, "tenant").map_err(|e| bad("checkpoint", &e))?;
+        let head = std::str::from_utf8(&head).map_err(|e| bad("checkpoint", &e))?;
+        let ck: TenantCk = serde_json::from_str(head).map_err(|e| bad("checkpoint", &e))?;
+        let slabs = !r.is_empty();
+        if slabs || ck.layout != LAYOUT {
+            let found = if slabs {
+                format!("bytes follow its head section, as engine slabs did in the layout before cursors, last read at {LAST_SLAB_READER}")
+            } else {
+                format!("layout {}", ck.layout)
+            };
+            let said = format!("{found}; this build reads layout {LAYOUT} only");
+            return Err(bad(&format!("`{}`", path.display()), &said));
+        }
+        let mut store = TrialStore::open_on(disk, &dir, ck.budget_bytes)?;
+        for sck in &ck.streams {
+            store.adopt(&sck.name, sck.ingested)?;
+        }
+        // The baseline's records, read once for every engine's side A.
+        let (baseline, mut base) = (ck.baseline.as_deref(), Vec::new());
+        if let (Some(b), true) = (baseline, ck.streams.iter().any(|s| s.engine.is_some())) {
+            base = store.get(b)?.to_vec();
+        }
+        let mut streams = BTreeMap::new();
+        for sck in ck.streams {
+            // A stream's state must agree with whether `baseline` names it.
+            let named = baseline == Some(sck.name.as_str());
+            let stream = match (sck.engine, sck.done, sck.finished) {
+                (None, None, finished) if named => Stream::Baseline { finished },
+                (None, Some(done), true) if !named => Stream::Done(Box::new(done)),
+                (Some(cursor), None, false) if !named => {
+                    let what = format!("engine `{}`", sck.name);
+                    let (seen_a, seen_b, holds) = (cursor.seen_a(), cursor.seen_b(), base.len());
+                    if seen_a > holds {
+                        let e =
+                            format!("side A consumed {seen_a} records, its baseline holds {holds}");
+                        return Err(bad(&what, &e));
+                    }
+                    let holds = sck.ingested;
+                    if seen_b as u64 != holds {
+                        let e =
+                            format!("side B consumed {seen_b} records, its stream holds {holds}");
+                        return Err(bad(&what, &e));
+                    }
+                    let id = engine_id_for(name, &sck.name);
+                    let b = store.get(&sck.name)?;
+                    let eng = IncrementalComparison::rebuild(cursor, id, &cfg, &base[..seen_a], b);
+                    Stream::Live(Box::new(eng.map_err(|e| bad(&what, &e))?))
+                }
+                (engine, done, finished) => {
+                    let (e, d) = (engine.is_some(), done.is_some());
+                    let e = format!("engine {e}, summary {d}, finished {finished}, the baseline {named}; no build writes this");
+                    return Err(bad(&format!("stream `{}`", sck.name), &e));
+                }
+            };
+            // Non-resident again, as every trial starts.
+            store.adopt(&sck.name, sck.ingested)?;
+            streams.insert(sck.name, stream);
+        }
+        // A tenant with any stream has a baseline, and `baseline` names
+        // nothing else (a stream it names is a baseline or refused above).
+        if baseline_of(&streams).is_none() && (baseline.is_some() || !streams.is_empty()) {
+            let n = streams.len();
+            let e = format!("`baseline` is {baseline:?} over {n} stream(s), none of them a baseline; no build writes this");
+            return Err(bad("checkpoint", &e));
+        }
+        let mut t = Tenant::new(name, dir, cfg, store, streams);
+        t.applied = ck.applied;
+        t.replay()?;
+        Ok(t)
+    }
+
+    fn replay(&mut self) -> Result<(), DaemonError> {
+        let path = self.dir.join("journal");
+        let raw = match self.store.disk.read(&path) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        let (mut good, mut prev) = (0, None);
+        for (k, line) in raw.split_inclusive(|&b| b == b'\n').enumerate() {
+            // A crash can cut only the final append, mid-line: everything
+            // before it is intact, and the op was never acknowledged.
+            let Some(text) = line.strip_suffix(b"\n") else {
+                break;
+            };
+            let entry = std::str::from_utf8(text)
+                .map_err(|e| e.to_string())
+                .and_then(|l| serde_json::from_str::<JournalEntry>(l).map_err(|e| e.to_string()))
+                .map_err(|e| {
+                    let after = prev.map_or("first line".into(), |n| format!("after entry {n}"));
+                    DaemonError::Recovery(format!(
+                        "journal of `{}`, line {} ({after}): not an entry: {e}",
+                        path.display(),
+                        k + 1
+                    ))
+                })?;
+            prev = Some(entry.n);
+            good += line.len();
+            if entry.n <= self.applied {
+                continue; // the checkpoint already covers it
+            }
+            let (p, n) = (path.display(), entry.n);
+            let lost =
+                |e: String| DaemonError::Recovery(format!("journal of `{p}`, entry {n}: {e}"));
+            if entry.n != self.applied + 1 {
+                return Err(lost(format!("follows entry {}", self.applied)));
+            }
+            match (self.check(&entry.op), &entry.op) {
+                (Err(e), JournalOp::Ingest { .. }) => return Err(lost(e)),
+                // An earlier build journaled this op while it refused it.
+                (Err(_), _) => {}
+                (Ok(()), op) => {
+                    if let JournalOp::Ingest { stream, seq, count } = op {
+                        self.store.adopt(stream, seq + count)?;
+                    }
+                    self.apply(entry.op).map_err(lost)?;
+                }
+            }
+            self.applied = entry.n;
+            self.dirty = true;
+        }
+        self.journal_len = good as u64;
+        Ok(())
+    }
+
+    /// Append `op` to the journal as the tenant's next entry.
+    fn journal(&mut self, op: &JournalOp) -> Result<(), String> {
+        let n = self.applied + 1;
+        let op = serde_json::to_string(op).map_err(|e| format!("journal encode: {e}"))?;
+        let line = format!("{{\"n\":{n},\"op\":{op}}}\n");
+        (self.store.disk)
+            .write_at(&self.dir.join("journal"), self.journal_len, line.as_bytes())
+            .map_err(|e| format!("journal append: {e}"))?;
+        self.journal_len += line.len() as u64;
+        self.applied = n;
+        self.dirty = true;
+        Ok(())
+    }
+
+    /// Check, journal, apply an `OpenStream` or a `Finish`. A refused op
+    /// writes nothing and leaves the tenant clean.
+    pub(crate) fn mutate(&mut self, op: JournalOp) -> Result<Response, String> {
+        self.check(&op)?;
+        self.journal(&op)?;
+        self.apply(op)
+    }
+
+    /// The wire path of an `Ingest`: validate, append the fresh records
+    /// to the stream's log, journal the marker, apply. Answers the
+    /// response and how many records were fresh.
+    pub(crate) fn ingest(
+        &mut self,
+        stream: String,
+        seq: u64,
+        records: &[WireObs],
+    ) -> Result<(Response, u64), String> {
+        let have = self.store.len(&stream);
+        let at_end = JournalOp::Ingest {
+            stream: stream.clone(),
+            seq: have,
+            count: 0,
+        };
+        self.check(&at_end)?;
+        let name = &self.name;
+        if seq > have {
+            return Err(format!(
+                "ingest gap on `{name}/{stream}`: batch starts at {seq}, stream has {have}"
+            ));
+        }
+        // Idempotent resend: skip records the stream already has.
+        let skip = (have - seq) as usize;
+        if skip >= records.len() {
+            return Ok((Response::Ingested { total: have }, 0));
+        }
+        // The engines' and kernels' positions and gap arithmetic hold only
+        // below these bounds. Past one, a batch would be logged and
+        // journaled, then panic inside `apply` — with the service lock
+        // held — and again on every replay.
+        let fresh_count = (records.len() - skip) as u64;
+        if have + fresh_count > MAX_TRIAL_LEN as u64 {
+            return Err(format!(
+                "`{name}/{stream}` holds {have} records; {fresh_count} more would pass the {MAX_TRIAL_LEN}-record bound"
+            ));
+        }
+        let late = |w: &WireObs| w.t_ps >= MAX_TIMESTAMP_PS;
+        if let Some(i) = records[skip..].iter().position(late) {
+            return Err(format!(
+                "record {} of `{name}/{stream}` is stamped {} ps, at or past the {MAX_TIMESTAMP_PS} ps bound",
+                have + i as u64,
+                records[skip + i].t_ps
+            ));
+        }
+        let fresh: Vec<Observation> = records[skip..].iter().map(|&w| w.into()).collect();
+        (self.store.append(&stream, &fresh)).map_err(|e| e.to_string())?;
+        let marker = JournalOp::Ingest {
+            stream: stream.clone(),
+            seq: have,
+            count: fresh.len() as u64,
+        };
+        if let Err(e) = self.journal(&marker) {
+            // No marker, no records: back to what the journal covers.
+            let _ = self.store.adopt(&stream, have);
+            return Err(e);
+        }
+        let resp = self.apply(marker)?;
+        Ok((resp, fresh.len() as u64))
+    }
+
+    /// The refusal `op` gets from the tenant's streams, if any. Every op
+    /// passes it before anything is written: live before its journal line
+    /// (an `Ingest` before its log append), replayed before it is applied.
+    fn check(&self, op: &JournalOp) -> Result<(), String> {
+        use JournalOp::*;
+        let (OpenStream { stream } | Ingest { stream, .. } | Finish { stream }) = op;
+        let (name, at) = (&self.name, format!("`{}/{stream}`", self.name));
+        let refusal = match (op, self.streams.get(stream)) {
+            (OpenStream { .. }, None) => return Ok(()),
+            (OpenStream { .. }, Some(_)) => format!("stream {at} already open"),
+            (_, None) => format!("no stream {at}"),
+            (Ingest { .. }, Some(s)) if s.finished() => format!("stream {at} is finished"),
+            (Ingest { seq, .. }, _) if *seq != self.store.len(stream) => {
+                format!("marker at {seq} does not continue `{stream}`")
+            }
+            (Finish { .. }, Some(s)) if s.finished() => format!("stream {at} already finished"),
+            (Finish { .. }, Some(Stream::Live(_))) => match baseline_of(&self.streams) {
+                Some((base, false)) => {
+                    format!("finish baseline `{name}/{base}` before its comparison streams")
+                }
+                _ => return Ok(()),
+            },
+            _ => return Ok(()),
+        };
+        Err(refusal)
+    }
+
+    /// Apply one op that passed [`check`](Self::check). Shared by the
+    /// wire handlers (after journaling) and recovery replay — the single
+    /// path that keeps replayed state bit-identical to the uninterrupted
+    /// run. An `Ingest` marker's records are read back from the store,
+    /// where they already are; reading them is the one way it fails.
+    fn apply(&mut self, op: JournalOp) -> Result<Response, String> {
+        let (name, store, streams) = (&self.name, &mut self.store, &mut self.streams);
+        let baseline = baseline_of(streams).map(|(base, _)| base.to_owned());
+        match op {
+            JournalOp::OpenStream { stream } => {
+                let s = if streams.is_empty() {
+                    Stream::Baseline { finished: false }
+                } else {
+                    let id = engine_id_for(name, &stream);
+                    let eng = IncrementalComparison::new(self.cfg).with_engine_id(id);
+                    Stream::Live(Box::new(eng))
+                };
+                streams.insert(stream, s);
+                obs::counter_inc("service.streams.opened");
+                Ok(Response::Ok)
+            }
+            JournalOp::Ingest { stream, seq, .. } => {
+                if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
+                    // Comparison stream: feed side B, then catch side A
+                    // up to the baseline's current length (covers
+                    // streams opened after the baseline had data).
+                    eng.push_burst(Side::B, &records(store, &stream)?[seq as usize..]);
+                    catch_up(eng, store, baseline.as_deref())?;
+                } else if streams.values().any(|s| matches!(s, Stream::Live(_))) {
+                    // Baseline grew: advance side A of every live engine
+                    // from wherever it stands. An engine opened after the
+                    // baseline already had data may lag; it gets the
+                    // prefix it missed and the fresh tail in one slice,
+                    // in order.
+                    let base = records(store, &stream)?;
+                    for s in streams.values_mut() {
+                        if let Stream::Live(eng) = s {
+                            eng.push_burst(Side::A, &base[eng.seen_a()..]);
+                        }
+                    }
+                }
+                Ok(Response::Ingested {
+                    total: store.len(&stream),
+                })
+            }
+            JournalOp::Finish { stream } => {
+                // Flush a comparison stream's side-A tail first: if that
+                // read fails, nothing has changed.
+                if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
+                    catch_up(eng, store, baseline.as_deref())?;
+                }
+                let (s, summary) = match streams.remove(&stream) {
+                    // `finalize` consumes the engine: the stream is taken
+                    // out live and put back done.
+                    Some(Stream::Live(eng)) => {
+                        let out = eng.finalize(stream.as_str());
+                        let summary = Some(WireFinal::from(&out.comparison));
+                        obs::counter_inc("service.streams.finished");
+                        let done = FinishedStream {
+                            comparison: out.comparison,
+                            snapshots: out.snapshots,
+                        };
+                        (Stream::Done(Box::new(done)), summary)
+                    }
+                    // The baseline: `check` admits no other stream here.
+                    _ => (Stream::Baseline { finished: true }, None),
+                };
+                streams.insert(stream, s);
+                Ok(Response::Finished { summary })
+            }
+        }
+    }
+
+    /// If the tenant changed since its last checkpoint, write `ck` (temp +
+    /// rename), then empty the journal it now covers. A clean tenant's
+    /// files are not opened.
+    pub(crate) fn checkpoint(&mut self) -> Result<(), String> {
+        if !self.dirty {
+            return Ok(());
+        }
+        let streams = (self.streams.iter())
+            .map(|(name, s)| {
+                let (engine, done) = match s {
+                    Stream::Baseline { .. } => (None, None),
+                    Stream::Live(eng) => (Some(eng.cursor()), None),
+                    Stream::Done(done) => (None, Some((**done).clone())),
+                };
+                StreamCk {
+                    name: name.clone(),
+                    ingested: self.store.len(name),
+                    finished: s.finished(),
+                    engine,
+                    done,
+                }
+            })
+            .collect();
+        let head = serde_json::to_string(&TenantCk {
+            layout: LAYOUT,
+            budget_bytes: self.store.stats().budget_bytes,
+            baseline: baseline_of(&self.streams).map(|(base, _)| base.to_owned()),
+            applied: self.applied,
+            streams,
+        })
+        .map_err(|e| format!("checkpoint encode: {e}"))?;
+        let (tmp, ck) = (self.dir.join("ck.tmp"), self.dir.join("ck"));
+        let mut raw = Vec::with_capacity(head.len() + 16);
+        write_section(&mut raw, head.as_bytes())
+            .and_then(|()| self.store.disk.write_file(&tmp, &raw))
+            .and_then(|()| self.store.disk.rename(&tmp, &ck))
+            .and_then(|()| self.store.disk.write_file(&self.dir.join("journal"), b""))
+            .map_err(|e| format!("checkpoint of `{}`: {e}", self.name))?;
+        self.journal_len = 0;
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// Delete the tenant's files. It exists iff its `ck` does: gone in
+    /// that one step, then the directory; recovery finishes a deletion
+    /// that does not complete.
+    pub(crate) fn remove(&self) -> Result<(), String> {
+        let disk = &self.store.disk;
+        (disk.remove_file(&self.dir.join("ck")))
+            .map_err(|e| format!("drop of `{}`: {e}", self.name))?;
+        let _ = disk.remove_dir_all(&self.dir);
+        Ok(())
+    }
+
+    fn stream(&self, stream: &str) -> Result<&Stream, String> {
+        (self.streams.get(stream)).ok_or_else(|| format!("no stream `{}/{stream}`", self.name))
+    }
+
+    /// A stream's running score: a live engine's over its prefix, a
+    /// finished one's final.
+    pub(crate) fn snapshot(&self, stream: &str) -> Result<Response, String> {
+        match self.stream(stream)? {
+            Stream::Done(done) => {
+                let c = &done.comparison;
+                Ok(Response::Snapshot {
+                    seen_a: c.a_len as u64,
+                    seen_b: c.b_len as u64,
+                    common: c.common as u64,
+                    running: WireKappa::from(&c.metrics),
+                })
+            }
+            // The live engine scores its own prefix (`&self`,
+            // bit-identical to batch analysis of the same records).
+            Stream::Live(eng) => Ok(Response::Snapshot {
+                seen_a: eng.seen_a() as u64,
+                seen_b: eng.seen_b() as u64,
+                common: eng.matched() as u64,
+                running: WireKappa::from(&eng.running_metrics()),
+            }),
+            Stream::Baseline { .. } => Err(format!(
+                "`{}/{stream}` is the baseline; it has no score",
+                self.name
+            )),
+        }
+    }
+
+    /// A stream's snapshot trail.
+    pub(crate) fn trail(&self, stream: &str) -> Result<Response, String> {
+        let snaps: &[KappaSnapshot] = match self.stream(stream)? {
+            Stream::Done(done) => &done.snapshots,
+            Stream::Live(eng) => eng.snapshots(),
+            Stream::Baseline { .. } => {
+                return Err(format!(
+                    "`{}/{stream}` is the baseline; it has no trail",
+                    self.name
+                ))
+            }
+        };
+        Ok(Response::Trail {
+            points: snaps.iter().map(WireTrailPoint::from).collect(),
+        })
+    }
+
+    /// A stream's record count and state.
+    pub(crate) fn status(&self, stream: &str) -> Result<Response, String> {
+        let s = self.stream(stream)?;
+        Ok(Response::Status {
+            ingested: self.store.len(stream),
+            finished: s.finished(),
+            baseline: matches!(s, Stream::Baseline { .. }),
+        })
+    }
+
+    /// All-pairs κ over every stream of the tenant, the empty ones
+    /// included.
+    pub(crate) fn matrix(&mut self) -> Result<Response, String> {
+        let shards = thread::available_parallelism().map_or(1, |n| n.get());
+        let labels: Vec<String> = self.streams.keys().cloned().collect();
+        if labels.len() < 2 {
+            return Err(format!(
+                "tenant `{}` has {} stream(s); a matrix needs at least 2",
+                self.name,
+                labels.len()
+            ));
+        }
+        let trials = labels
+            .iter()
+            .map(|name| self.store.trial(name))
+            .collect::<Result<Vec<Trial>, _>>()
+            .map_err(|e| e.to_string())?;
+        let matrix = all_pairs_sharded(&trials, shards)
+            .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
+        let mut cells = Vec::with_capacity(matrix.pairs());
+        let n = labels.len();
+        for i in 0..n {
+            for j in i + 1..n {
+                let c = matrix.get(i, j).expect("in-range off-diagonal cell");
+                cells.push(WireCell {
+                    i: i as u64,
+                    j: j as u64,
+                    score: WireKappa::from(&c.metrics),
+                    common: c.common as u64,
+                    missing: c.missing as u64,
+                    extra: c.extra as u64,
+                });
+            }
+        }
+        obs::counter_inc("service.matrix.computed");
+        Ok(Response::Matrix { labels, cells })
+    }
+
+    /// The tenant's stream count and its store's accounting.
+    pub(crate) fn stats(&self) -> (u64, StoreStats) {
+        (self.streams.len() as u64, self.store.stats())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::disk::ScriptDisk;
+
+    #[test]
+    fn engine_ids_are_nonzero_and_distinct_per_stream() {
+        let a = engine_id_for("acme", "run-b");
+        let b = engine_id_for("acme", "run-c");
+        let c = engine_id_for("acme2", "run-b");
+        assert_ne!(a, 0);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, engine_id_for("acme", "run-b"));
+    }
+
+    /// Tenant `t` on `disk`, as a daemon on data directory `d` with its
+    /// default budget and snapshot cadence creates it.
+    fn tenant(disk: &Arc<ScriptDisk>) -> Tenant {
+        let dir = PathBuf::from("d/tenants/t");
+        let cfg = StreamConfig {
+            snapshot_every: 512,
+            ..Default::default()
+        };
+        Tenant::create(disk.clone(), dir, "t", cfg, 64 << 20).expect("empty disk")
+    }
+
+    /// `op` served as the daemon serves it, a refusal as its error frame.
+    /// An `Ingest` goes the wire path with `count` records, identities
+    /// from 0.
+    fn serve(t: &mut Tenant, op: JournalOp) -> Response {
+        let resp = match op {
+            JournalOp::Ingest { stream, seq, count } => {
+                let records: Vec<WireObs> = (0..count)
+                    .map(|i| WireObs {
+                        id_hi: 0,
+                        id_lo: i,
+                        t_ps: i * 1_000,
+                    })
+                    .collect();
+                t.ingest(stream, seq, &records).map(|(resp, _)| resp)
+            }
+            op => t.mutate(op),
+        };
+        resp.unwrap_or_else(|message| Response::Error { message })
+    }
+
+    fn open(stream: &str) -> JournalOp {
+        JournalOp::OpenStream {
+            stream: stream.into(),
+        }
+    }
+
+    fn finish(stream: &str) -> JournalOp {
+        JournalOp::Finish {
+            stream: stream.into(),
+        }
+    }
+
+    fn ingest(stream: &str, seq: u64, count: u64) -> JournalOp {
+        JournalOp::Ingest {
+            stream: stream.into(),
+            seq,
+            count,
+        }
+    }
+
+    #[test]
+    fn a_batch_past_the_record_bound_is_refused_before_the_log_and_the_journal() {
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = tenant(&disk);
+        let run = String::from("run");
+        for stream in ["base", "run"] {
+            serve(&mut t, open(stream));
+        }
+        let resp = serve(&mut t, ingest("run", 0, 3));
+        assert!(matches!(resp, Response::Ingested { total: 3 }), "{resp:?}");
+
+        // Four billion records are out of reach for a test; the count is
+        // what the check reads, so put the stream at the bound.
+        let bound = MAX_TRIAL_LEN as u64;
+        t.store.set_len(&run, bound);
+        let before = disk.files();
+
+        let resp = serve(&mut t, ingest("run", bound, 1));
+        let Response::Error { message } = resp else {
+            panic!("accepted: {resp:?}")
+        };
+        assert!(
+            message.contains(&format!("{bound}-record bound")),
+            "{message}"
+        );
+        assert_eq!(disk.files(), before, "a refusal writes nothing");
+        // A resend of what the stream already holds is still answered.
+        let resp = serve(&mut t, ingest("run", bound - 1, 1));
+        assert!(
+            matches!(resp, Response::Ingested { total } if total == bound),
+            "{resp:?}"
+        );
+        // The next valid ops are served.
+        let resp = serve(&mut t, ingest("base", 0, 2));
+        assert!(matches!(resp, Response::Ingested { total: 2 }), "{resp:?}");
+        let resp = t
+            .snapshot(&run)
+            .unwrap_or_else(|message| Response::Error { message });
+        assert!(
+            matches!(resp, Response::Snapshot { common: 2, .. }),
+            "{resp:?}"
+        );
+    }
+
+    #[test]
+    fn a_refused_op_writes_nothing_and_leaves_its_tenant_clean() {
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = tenant(&disk);
+        let ok = |r: Response| assert!(!matches!(r, Response::Error { .. }), "{r:?}");
+        for op in [
+            open("base"),
+            open("r1"),
+            ingest("base", 0, 3),
+            ingest("r1", 0, 3),
+        ] {
+            ok(serve(&mut t, op));
+        }
+        // Each refusal makes no `Disk` call, and the checkpoint after it
+        // finds the tenant clean: its `ck` is not rewritten.
+        let refused_then_clean = |t: &mut Tenant, ops: Vec<(JournalOp, &str)>| {
+            t.checkpoint().expect("checkpoint");
+            let (files, calls) = (disk.files(), disk.calls().len());
+            for (op, said) in ops {
+                let resp = serve(t, op);
+                let Response::Error { message } = resp else {
+                    panic!("accepted: {resp:?}")
+                };
+                assert!(message.contains(said), "{message}");
+            }
+            t.checkpoint().expect("checkpoint");
+            assert_eq!(disk.calls()[calls..], [], "a refusal touched the disk");
+            assert!(disk.files() == files);
+        };
+        refused_then_clean(
+            &mut t,
+            vec![
+                (open("r1"), "already open"),
+                (finish("nope"), "no stream"),
+                (finish("r1"), "finish baseline `t/base` before"),
+                (ingest("nope", 0, 3), "no stream"),
+                (ingest("r1", 5, 3), "ingest gap"),
+            ],
+        );
+        ok(serve(&mut t, finish("base")));
+        refused_then_clean(
+            &mut t,
+            vec![
+                (finish("base"), "already finished"),
+                (ingest("base", 3, 3), "is finished"),
+            ],
+        );
+        // The tenant still serves: the comparison finishes.
+        ok(serve(&mut t, finish("r1")));
+    }
+
+    #[test]
+    fn the_read_verbs_refuse_by_name_and_touch_no_file() {
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = tenant(&disk);
+        serve(&mut t, open("base"));
+        let resp = serve(&mut t, ingest("base", 0, 3));
+        assert!(matches!(resp, Response::Ingested { total: 3 }), "{resp:?}");
+        let (files, calls) = (disk.files(), disk.calls().len());
+        let refusals = [
+            (
+                t.snapshot("base"),
+                "`t/base` is the baseline; it has no score",
+            ),
+            (t.trail("base"), "`t/base` is the baseline; it has no trail"),
+            (t.status("nope"), "no stream `t/nope`"),
+            (
+                t.matrix(),
+                "tenant `t` has 1 stream(s); a matrix needs at least 2",
+            ),
+        ];
+        for (resp, said) in refusals {
+            assert_eq!(resp.err().as_deref(), Some(said));
+        }
+        assert_eq!(disk.calls()[calls..], [], "a read touched the disk");
+        assert!(disk.files() == files);
+    }
+}
