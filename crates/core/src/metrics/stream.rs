@@ -190,8 +190,7 @@ pub struct StreamConfig {
     /// ```
     pub lookahead: Option<std::convert::Infallible>,
     /// Take a [`KappaSnapshot`] automatically every this many pushed
-    /// observations (both sides counted). 0 = only explicit
-    /// [`IncrementalComparison::snapshot_now`] calls.
+    /// observations (both sides counted). 0 = no snapshots.
     pub snapshot_every: u64,
     /// Not an option either: [`KappaConfig`] has one value, κ is Eq. 5.
     /// Named by the same harness literal as `lookahead`, and leaves with
@@ -1016,7 +1015,7 @@ impl IncrementalComparison {
         if self.cfg.snapshot_every > 0
             && self.tick() - self.last_snapshot_tick >= self.cfg.snapshot_every
         {
-            self.snapshot_now();
+            self.snapshot();
         }
     }
 
@@ -1084,9 +1083,9 @@ impl IncrementalComparison {
         kappa_from_components(u, o, l, i)
     }
 
-    /// Take a snapshot now (also called automatically on the
-    /// `snapshot_every` cadence, which counts from the latest one).
-    pub fn snapshot_now(&mut self) -> KappaSnapshot {
+    /// Add a snapshot to the trail, on the `snapshot_every` cadence,
+    /// which counts from the latest one.
+    fn snapshot(&mut self) {
         let snap = KappaSnapshot {
             seen_a: self.sides[0].len,
             seen_b: self.sides[1].len,
@@ -1095,8 +1094,7 @@ impl IncrementalComparison {
             running: self.running_metrics(),
         };
         self.last_snapshot_tick = self.tick();
-        self.snapshots.push(snap.clone());
-        snap
+        self.snapshots.push(snap);
     }
 
     /// Finish the comparison: the exact batch result (see the module
@@ -1259,7 +1257,8 @@ mod tests {
         eng.push_burst(Side::B, &b.observations()[..40]);
         // The cadence fired once, at push 60 (A's 50, then B's 10th).
         assert_eq!(eng.snapshots().len(), 1);
-        let manual = eng.snapshot_now();
+        eng.snapshot();
+        let manual = eng.snapshots().last().expect("the manual snapshot").clone();
         assert_eq!((manual.seen_a, manual.seen_b, manual.common), (50, 40, 40));
         assert_eq!(manual.resident, 10);
         assert_eq!(

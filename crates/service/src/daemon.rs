@@ -684,7 +684,13 @@ mod tests {
                     tenant: "t".into(),
                     stream: stream.into(),
                 };
-                serde_json::to_string(&st.handle(req).0).expect("encodes")
+                let t0 = std::time::Instant::now();
+                let resp = st.handle(req).0;
+                if stream != names[0] {
+                    let ms = t0.elapsed().as_secs_f64() * 1e3;
+                    println!("finished `{stream}` against {N} baseline records in {ms:.1} ms");
+                }
+                serde_json::to_string(&resp).expect("encodes")
             })
         };
         let want = finals(&mut straight);

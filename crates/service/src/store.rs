@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use choir_core::metrics::{Observation, Trial};
+use choir_core::metrics::Observation;
 use choir_core::obs;
 use choir_packet::PacketId;
 
@@ -213,11 +213,6 @@ impl TrialStore {
         let slot = self.slots.get_mut(key).expect("ensured resident");
         Self::touch(slot, &mut self.clock);
         Ok(slot.obs.as_deref().expect("ensured resident"))
-    }
-
-    /// Materialize a trial as a [`Trial`] for the all-pairs engine.
-    pub fn trial(&mut self, key: &str) -> Result<Trial, StoreError> {
-        Ok(Trial::from_observations(self.get(key)?))
     }
 
     /// Every append is already in its log when it returns; there is

@@ -2,16 +2,15 @@
 //!
 //! A tenant owns a map of named capture streams, the only record of them,
 //! and a stream is in one of three states: the **baseline** (the first
-//! stream opened, live or finished), a **live** comparison stream with its
-//! own [`IncrementalComparison`] against the baseline, or a **done** one
-//! holding its final summary. The engine's finalize is bit-identical to
-//! the batch pipeline *for any interleaving of the two sides*, so although
-//! observations arrive in whatever order the network delivers them, the
-//! served κ is exactly the κ a post-hoc batch analysis of the same records
-//! produces, bit for bit (`tests/daemon.rs`). Every op is checked against
-//! the map before anything is written: a refused op writes no byte. One
-//! that passes is journaled, then applied, and applying it can fail only
-//! on store I/O.
+//! stream opened, live or finished), a **live** comparison stream whose
+//! own [`IncrementalComparison`] serves its running score, or a **done**
+//! one holding its final: the baseline's and the stream's logs scored by
+//! [`report::analyze`], as their matrix cell is, so a final is a function
+//! of two durable logs (`tests/crash.rs`). Every op is checked against the
+//! map before anything is written: a refused op writes no byte. One that
+//! passes reads from the logs what applying it needs (a `Finish` both
+//! trials), is journaled, then applied; only an ingest's apply can fail,
+//! on reading its records back.
 //!
 //! A [`Tenant`] is built from a [`Disk`], its directory, its name and the
 //! [`StreamConfig`] of its engines, and knows nothing of the registry that
@@ -66,8 +65,9 @@ use std::thread;
 
 use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
-    all_pairs_sharded, IncrementalComparison, KappaSnapshot, Observation, Side, StreamConfig,
-    StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS, MAX_TRIAL_LEN,
+    all_pairs_sharded, report, IncrementalComparison, KappaSnapshot, Observation, Side,
+    StageTimings, StreamConfig, StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS,
+    MAX_TRIAL_LEN,
 };
 use choir_core::obs;
 use serde::{Deserialize, Serialize};
@@ -91,7 +91,8 @@ fn engine_id_for(tenant: &str, stream: &str) -> u64 {
     (z ^ (z >> 31)) | 1
 }
 
-/// A finished comparison stream's durable result.
+/// A finished comparison stream's durable result: its final, without
+/// wall-clock `timings` so one op schedule writes one `ck`, and its trail.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct FinishedStream {
     comparison: TrialComparison,
@@ -205,18 +206,10 @@ fn records<'s>(store: &'s mut TrialStore, stream: &str) -> Result<&'s [Observati
     (store.get(stream)).map_err(|e| format!("reading `{stream}.log`: {e}"))
 }
 
-/// Feed `eng` the baseline records it has not seen yet, borrowed from
-/// the store.
-fn catch_up(
-    eng: &mut IncrementalComparison,
-    store: &mut TrialStore,
-    baseline: Option<&str>,
-) -> Result<(), String> {
-    let fed = eng.seen_a();
-    if let Some(base) = baseline.filter(|b| (fed as u64) < store.len(b)) {
-        eng.push_burst(Side::A, &records(store, base)?[fed..]);
-    }
-    Ok(())
+/// The trials of `streams`, each read from its log.
+fn trials<S: AsRef<str>>(store: &mut TrialStore, streams: &[S]) -> Result<Vec<Trial>, String> {
+    let read = |s: &S| records(store, s.as_ref()).map(Trial::from_observations);
+    streams.iter().map(read).collect()
 }
 
 impl Tenant {
@@ -399,7 +392,8 @@ impl Tenant {
                     if let JournalOp::Ingest { stream, seq, count } = op {
                         self.store.adopt(stream, seq + count)?;
                     }
-                    self.apply(entry.op).map_err(lost)?;
+                    let read = self.read(op).map_err(lost)?;
+                    self.apply(entry.op, read).map_err(lost)?;
                 }
             }
             self.applied = entry.n;
@@ -423,12 +417,27 @@ impl Tenant {
         Ok(())
     }
 
-    /// Check, journal, apply an `OpenStream` or a `Finish`. A refused op
-    /// writes nothing and leaves the tenant clean.
+    /// Check, read, journal, apply an `OpenStream` or a `Finish`. An op
+    /// refused, or whose read fails, writes nothing and leaves it clean.
     pub(crate) fn mutate(&mut self, op: JournalOp) -> Result<Response, String> {
         self.check(&op)?;
+        let read = self.read(&op)?;
         self.journal(&op)?;
-        self.apply(op)
+        self.apply(op, read)
+    }
+
+    /// The trials a `Finish` of a comparison stream scores, the baseline's
+    /// and its own (none for any other op), read as [`matrix`](Self::matrix)
+    /// reads: the one way a `Finish` fails, so before its journal line.
+    fn read(&mut self, op: &JournalOp) -> Result<Vec<Trial>, String> {
+        match (op, baseline_of(&self.streams)) {
+            (JournalOp::Finish { stream }, Some((base, _)))
+                if matches!(self.streams.get(stream), Some(Stream::Live(_))) =>
+            {
+                trials(&mut self.store, &[base, stream])
+            }
+            _ => Ok(Vec::new()),
+        }
     }
 
     /// The wire path of an `Ingest`: validate, append the fresh records
@@ -488,7 +497,7 @@ impl Tenant {
             let _ = self.store.adopt(&stream, have);
             return Err(e);
         }
-        let resp = self.apply(marker)?;
+        let resp = self.apply(marker, Vec::new())?;
         Ok((resp, fresh.len() as u64))
     }
 
@@ -519,12 +528,13 @@ impl Tenant {
         Err(refusal)
     }
 
-    /// Apply one op that passed [`check`](Self::check). Shared by the
-    /// wire handlers (after journaling) and recovery replay — the single
-    /// path that keeps replayed state bit-identical to the uninterrupted
-    /// run. An `Ingest` marker's records are read back from the store,
-    /// where they already are; reading them is the one way it fails.
-    fn apply(&mut self, op: JournalOp) -> Result<Response, String> {
+    /// Apply one op that passed [`check`](Self::check), with the trials
+    /// [`read`](Self::read) for it. Shared by the wire handlers (after
+    /// journaling) and recovery replay — the single path that keeps
+    /// replayed state bit-identical to the uninterrupted run. An `Ingest`
+    /// marker's records are read back from the store, where they already
+    /// are; reading them is the one way it fails.
+    fn apply(&mut self, op: JournalOp, read: Vec<Trial>) -> Result<Response, String> {
         let (name, store, streams) = (&self.name, &mut self.store, &mut self.streams);
         let baseline = baseline_of(streams).map(|(base, _)| base.to_owned());
         match op {
@@ -546,7 +556,10 @@ impl Tenant {
                     // up to the baseline's current length (covers
                     // streams opened after the baseline had data).
                     eng.push_burst(Side::B, &records(store, &stream)?[seq as usize..]);
-                    catch_up(eng, store, baseline.as_deref())?;
+                    let fed = eng.seen_a();
+                    if let Some(base) = baseline.filter(|b| (fed as u64) < store.len(b)) {
+                        eng.push_burst(Side::A, &records(store, &base)?[fed..]);
+                    }
                 } else if streams.values().any(|s| matches!(s, Stream::Live(_))) {
                     // Baseline grew: advance side A of every live engine
                     // from wherever it stands. An engine opened after the
@@ -565,28 +578,27 @@ impl Tenant {
                 })
             }
             JournalOp::Finish { stream } => {
-                // Flush a comparison stream's side-A tail first: if that
-                // read fails, nothing has changed.
-                if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
-                    catch_up(eng, store, baseline.as_deref())?;
-                }
-                let (s, summary) = match streams.remove(&stream) {
-                    // `finalize` consumes the engine: the stream is taken
-                    // out live and put back done.
-                    Some(Stream::Live(eng)) => {
-                        let out = eng.finalize(stream.as_str());
-                        let summary = Some(WireFinal::from(&out.comparison));
-                        obs::counter_inc("service.streams.finished");
-                        let done = FinishedStream {
-                            comparison: out.comparison,
-                            snapshots: out.snapshots,
-                        };
-                        (Stream::Done(Box::new(done)), summary)
-                    }
-                    // The baseline: `check` admits no other stream here.
-                    _ => (Stream::Baseline { finished: true }, None),
+                let s = streams.get_mut(&stream).expect("a stream `check` admitted");
+                // The baseline: `check` admits no other stream that is not
+                // live, and `read` gave a live one both trials.
+                let (Stream::Live(eng), [base, run]) = (&mut *s, &read[..]) else {
+                    *s = Stream::Baseline { finished: true };
+                    return Ok(Response::Finished { summary: None });
                 };
-                streams.insert(stream, s);
+                // Its matrix cell, without wall-clock time; side A catches
+                // up, so the trail is the engine's own.
+                let comparison = TrialComparison {
+                    timings: StageTimings::default(),
+                    ..report::analyze(stream, base, run)
+                };
+                eng.push_burst(Side::A, &base.observations()[eng.seen_a()..]);
+                let summary = Some(WireFinal::from(&comparison));
+                let snapshots = eng.snapshots().to_vec();
+                *s = Stream::Done(Box::new(FinishedStream {
+                    comparison,
+                    snapshots,
+                }));
+                obs::counter_inc("service.streams.finished");
                 Ok(Response::Finished { summary })
             }
         }
@@ -717,28 +729,20 @@ impl Tenant {
                 labels.len()
             ));
         }
-        let trials = labels
-            .iter()
-            .map(|name| self.store.trial(name))
-            .collect::<Result<Vec<Trial>, _>>()
-            .map_err(|e| e.to_string())?;
-        let matrix = all_pairs_sharded(&trials, shards)
+        let matrix = all_pairs_sharded(&trials(&mut self.store, &labels)?, shards)
             .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
-        let mut cells = Vec::with_capacity(matrix.pairs());
-        let n = labels.len();
-        for i in 0..n {
-            for j in i + 1..n {
-                let c = matrix.get(i, j).expect("in-range off-diagonal cell");
-                cells.push(WireCell {
-                    i: i as u64,
-                    j: j as u64,
-                    score: WireKappa::from(&c.metrics),
-                    common: c.common as u64,
-                    missing: c.missing as u64,
-                    extra: c.extra as u64,
-                });
-            }
-        }
+        let n = labels.len() as u64;
+        let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        let cells = (pairs.zip(&matrix.cells))
+            .map(|((i, j), c)| WireCell {
+                i,
+                j,
+                score: WireKappa::from(&c.metrics),
+                common: c.common as u64,
+                missing: c.missing as u64,
+                extra: c.extra as u64,
+            })
+            .collect();
         obs::counter_inc("service.matrix.computed");
         Ok(Response::Matrix { labels, cells })
     }
@@ -752,7 +756,9 @@ impl Tenant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::ScriptDisk;
+    use std::io;
+
+    use crate::disk::{Fault, Op, ScriptDisk};
 
     #[test]
     fn engine_ids_are_nonzero_and_distinct_per_stream() {
@@ -765,24 +771,31 @@ mod tests {
         assert_eq!(a, engine_id_for("acme", "run-b"));
     }
 
-    /// Tenant `t` on `disk`, as a daemon on data directory `d` with its
-    /// default budget and snapshot cadence creates it.
-    fn tenant(disk: &Arc<ScriptDisk>) -> Tenant {
-        let dir = PathBuf::from("d/tenants/t");
-        let cfg = StreamConfig {
+    /// The engines' config of a daemon with its default snapshot cadence.
+    fn cfg() -> StreamConfig {
+        StreamConfig {
             snapshot_every: 512,
             ..Default::default()
-        };
-        Tenant::create(disk.clone(), dir, "t", cfg, 64 << 20).expect("empty disk")
+        }
+    }
+
+    fn dir() -> PathBuf {
+        PathBuf::from("d/tenants/t")
+    }
+
+    /// Tenant `t` on `disk`, as a daemon on data directory `d` with its
+    /// default budget creates it.
+    fn tenant(disk: &Arc<ScriptDisk>) -> Tenant {
+        Tenant::create(disk.clone(), dir(), "t", cfg(), 64 << 20).expect("empty disk")
     }
 
     /// `op` served as the daemon serves it, a refusal as its error frame.
     /// An `Ingest` goes the wire path with `count` records, identities
-    /// from 0.
+    /// from `seq`.
     fn serve(t: &mut Tenant, op: JournalOp) -> Response {
         let resp = match op {
             JournalOp::Ingest { stream, seq, count } => {
-                let records: Vec<WireObs> = (0..count)
+                let records: Vec<WireObs> = (seq..seq + count)
                     .map(|i| WireObs {
                         id_hi: 0,
                         id_lo: i,
@@ -909,6 +922,63 @@ mod tests {
         );
         // The tenant still serves: the comparison finishes.
         ok(serve(&mut t, finish("r1")));
+    }
+
+    #[test]
+    fn a_finish_whose_read_fails_writes_nothing() {
+        // Four records fit the budget, so `base` is out of memory when
+        // `r1` finishes, and its log is read then.
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = Tenant::create(disk.clone(), dir(), "t", cfg(), 96).expect("empty disk");
+        let ok = |r: Response| assert!(!matches!(r, Response::Error { .. }), "{r:?}");
+        for op in [
+            open("base"),
+            ingest("base", 0, 10),
+            open("r1"),
+            open("r2"),
+            ingest("r2", 0, 10),
+            ingest("r2", 10, 5),
+            finish("base"),
+        ] {
+            ok(serve(&mut t, op));
+        }
+        disk.fail(
+            Op::Read,
+            dir().join("base.log"),
+            Fault::Fail(io::ErrorKind::Other),
+        );
+        let (files, calls) = (disk.files(), disk.calls().len());
+        let resp = serve(&mut t, finish("r1"));
+        let Response::Error { message } = resp else {
+            panic!("accepted: {resp:?}")
+        };
+        assert!(message.starts_with("reading `base.log`: "), "{message}");
+        let writes = (disk.calls()[calls..].iter())
+            .filter(|c| !matches!(c.op, Op::Read | Op::Len))
+            .count();
+        let unchanged = disk.files() == files;
+        let live = |t: &Tenant| matches!(t.streams.get("r1"), Some(Stream::Live(_)));
+        assert!(live(&t));
+        ok(serve(&mut t, ingest("r1", 0, 5)));
+
+        // A kill now recovers to what the live tenant serves: the refused
+        // `Finish` was never journaled.
+        let mut back = Tenant::recover(Arc::new(disk.kill()), dir(), "t", cfg())
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert!(live(&back));
+        let served = |t: &mut Tenant| {
+            let mut frames = Vec::new();
+            for s in ["r1", "r2"] {
+                frames.extend([t.snapshot(s), t.trail(s)]);
+            }
+            frames.extend(["r1", "r2"].map(|s| t.mutate(finish(s))));
+            (frames.into_iter())
+                .map(|r| serde_json::to_string(&r.expect("served")).expect("encodes"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(served(&mut back), served(&mut t));
+        assert_eq!(writes, 0, "the refused finish wrote");
+        assert!(unchanged, "the refused finish changed a file");
     }
 
     #[test]

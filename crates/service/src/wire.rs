@@ -335,8 +335,8 @@ pub enum Request {
         seq: u64,
         records: Vec<WireObs>,
     },
-    /// Declare a stream complete. On a comparison stream this finalizes
-    /// its engine against the (already finished) baseline.
+    /// Declare a stream complete; a comparison stream's final is its matrix
+    /// cell, scored from its log and the (already finished) baseline's.
     FinishStream { tenant: String, stream: String },
     /// The live running κ of one comparison stream.
     Snapshot { tenant: String, stream: String },

@@ -89,9 +89,30 @@ fn play(c: &mut Client, data: &[Vec<Observation>], ops: &[Chunk]) {
     }
 }
 
+/// Finish every stream, then what the tenant serves. Each comparison
+/// stream's final is its `(base, stream)` matrix cell, bit for bit.
 fn finish_and_collect(c: &mut Client) -> Vec<u64> {
-    for s in STREAMS {
-        c.finish_stream(T, s).expect("finish");
+    let finals = STREAMS.map(|s| c.finish_stream(T, s).expect("finish"));
+    let Response::Matrix { labels, cells } = c.matrix(T).expect("matrix") else {
+        panic!("matrix variant");
+    };
+    assert_eq!(labels, STREAMS);
+    for (j, fin) in finals.iter().enumerate().skip(1) {
+        let fin = fin.as_ref().expect("a comparison stream's final");
+        let cell = (cells.iter())
+            .find(|cell| (cell.i, cell.j) == (0, j as u64))
+            .expect("the cell");
+        assert_eq!(
+            (kappa_bits(&fin.score), fin.common, fin.missing, fin.extra),
+            (
+                kappa_bits(&cell.score),
+                cell.common,
+                cell.missing,
+                cell.extra
+            ),
+            "the final of `{}` is its matrix cell",
+            STREAMS[j]
+        );
     }
     served_bits(c, T, &STREAMS[1..])
 }

@@ -1,8 +1,10 @@
 //! `ScriptDisk` is the disk the crash tests recover from, so it must be
 //! the disk the daemon writes: one op schedule — create, open, ingests
-//! with a resend, cadence checkpoints, a finish, a drop — run on
-//! `RealDisk` and on `ScriptDisk` leaves byte-identical files. With that,
-//! `tests/crash.rs` runs on one disk instead of twice.
+//! with a resend, cadence checkpoints, finishes, a checkpoint of a
+//! finished comparison stream, a drop — run on `RealDisk` and on
+//! `ScriptDisk` leaves byte-identical files. With that, `tests/crash.rs`
+//! runs on one disk instead of twice, and a `ck` is a function of the op
+//! schedule that wrote it.
 
 mod common;
 
@@ -40,6 +42,9 @@ fn schedule(disk: Arc<dyn Disk>, dir: &Path) {
     }
     c.finish_stream("kept", "base").expect("finish");
     c.finish_stream("kept", "r1").expect("finish");
+    // `r1`'s final goes into `ck`; the journal then holds one more op.
+    c.checkpoint().expect("checkpoint");
+    c.finish_stream("kept", "r2").expect("finish");
     c.drop_tenant("dropped").expect("drop");
     c.create_tenant("late", 0).expect("create");
     c.open_stream("late", "base").expect("open");
@@ -82,8 +87,7 @@ fn real_and_scripted_disks_write_the_same_bytes() {
         !tenants.join("dropped").exists(),
         "a dropped tenant's directory"
     );
-    // The cadence checkpointed `kept` between its ingests: its `ck`
-    // covers some of them and its journal holds the rest.
+    // `kept`'s `ck` covers its first ops and its journal holds the rest.
     assert!(!real[&tenants.join("kept/journal")].is_empty());
     let _ = fs::remove_dir_all(&dir);
 }

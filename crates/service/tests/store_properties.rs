@@ -95,7 +95,9 @@ proptest! {
 
         // Bit-identical all-pairs matrix (when there is one to compute).
         if keys.len() >= 2 {
-            let stored: Vec<Trial> = keys.iter().map(|k| store.trial(k).unwrap()).collect();
+            let stored: Vec<Trial> = (keys.iter())
+                .map(|k| Trial::from_observations(store.get(k).unwrap()))
+                .collect();
             let plain: Vec<Trial> = keys
                 .iter()
                 .map(|k| {
