@@ -265,18 +265,16 @@ impl ServiceState {
                 budget_bytes,
             } => self.create_tenant(tenant, budget_bytes),
             Request::DropTenant { tenant } => self.drop_tenant(&tenant),
-            Request::OpenStream { tenant, stream } => {
-                (self.tenant(&tenant)).and_then(|t| t.mutate(JournalOp::OpenStream { stream }))
-            }
+            Request::OpenStream { tenant, stream } => (self.tenant(&tenant))
+                .and_then(|t| t.mutate(JournalOp::OpenStream { stream }, Vec::new())),
             Request::Ingest {
                 tenant,
                 stream,
                 seq,
                 records,
             } => self.ingest(&tenant, stream, seq, &records),
-            Request::FinishStream { tenant, stream } => {
-                (self.tenant(&tenant)).and_then(|t| t.mutate(JournalOp::Finish { stream }))
-            }
+            Request::FinishStream { tenant, stream } => (self.tenant(&tenant))
+                .and_then(|t| t.mutate(JournalOp::Finish { stream }, Vec::new())),
             Request::Snapshot { tenant, stream } => {
                 self.tenant(&tenant).and_then(|t| t.snapshot(&stream))
             }

@@ -6,11 +6,10 @@
 //! own [`IncrementalComparison`] serves its running score, or a **done**
 //! one holding its final: the baseline's and the stream's logs scored by
 //! [`report::analyze`], as their matrix cell is, so a final is a function
-//! of two durable logs (`tests/crash.rs`). Every op is checked against the
-//! map before anything is written: a refused op writes no byte. One that
-//! passes reads from the logs what applying it needs (a `Finish` both
-//! trials), is journaled, then applied; only an ingest's apply can fail,
-//! on reading its records back.
+//! of two durable logs (`tests/crash.rs`). Every journaled op is checked
+//! against the map, then reads from the logs what applying it needs, so
+//! a refused op or a failed read writes no byte. It is then logged (an
+//! ingest's records), journaled and applied, which cannot fail.
 //!
 //! A [`Tenant`] is built from a [`Disk`], its directory, its name and the
 //! [`StreamConfig`] of its engines, and knows nothing of the registry that
@@ -40,12 +39,12 @@
 //! and the two log prefixes it names through
 //! [`IncrementalComparison::rebuild`], refusing a cursor that claims more
 //! records than the logs hold. Then it replays the journal lines the `ck`
-//! does not cover through the *same* check and apply the wire handlers
-//! use. An `OpenStream` or `Finish` the check refuses was journaled by an
-//! earlier build that refused it live, and is skipped; a marker it
-//! refuses, an op that cannot be applied and a whole line that is not an
-//! entry are refused by name. Only a final line without its newline, as a
-//! crash mid-append leaves it, is dropped. Recovery writes no log or
+//! does not cover through the *same* check, read and apply the wire
+//! handlers use. An `OpenStream` or `Finish` the check refuses was
+//! journaled by an earlier build that refused it live, and is skipped; a
+//! marker it refuses, an op whose read fails and a whole line that is not
+//! an entry are refused by name. Only a final line without its newline,
+//! as a crash mid-append leaves it, is dropped. Recovery writes no log or
 //! journal byte (it removes only a leftover `ck.tmp`): logs and journal
 //! are appended at the end their owner accounts for ([`Disk`]'s one
 //! append rule), so whatever lies past it is overwritten by the next
@@ -210,6 +209,16 @@ fn records<'s>(store: &'s mut TrialStore, stream: &str) -> Result<&'s [Observati
 fn trials<S: AsRef<str>>(store: &mut TrialStore, streams: &[S]) -> Result<Vec<Trial>, String> {
     let read = |s: &S| records(store, s.as_ref()).map(Trial::from_observations);
     streams.iter().map(read).collect()
+}
+
+/// What [`Tenant::read`] reads for an op: a comparison `Finish`'s trials; an
+/// `Ingest`'s records, and the baseline's from `lag_from` a lagging engine lacks.
+#[derive(Default)]
+struct Read {
+    trials: Vec<Trial>,
+    records: Vec<Observation>,
+    lag: Vec<Observation>,
+    lag_from: usize,
 }
 
 impl Tenant {
@@ -392,8 +401,8 @@ impl Tenant {
                     if let JournalOp::Ingest { stream, seq, count } = op {
                         self.store.adopt(stream, seq + count)?;
                     }
-                    let read = self.read(op).map_err(lost)?;
-                    self.apply(entry.op, read).map_err(lost)?;
+                    let read = self.read(op, Vec::new()).map_err(lost)?;
+                    self.apply(entry.op, read);
                 }
             }
             self.applied = entry.n;
@@ -417,64 +426,109 @@ impl Tenant {
         Ok(())
     }
 
-    /// Check, read, journal, apply an `OpenStream` or a `Finish`. An op
-    /// refused, or whose read fails, writes nothing and leaves it clean.
-    pub(crate) fn mutate(&mut self, op: JournalOp) -> Result<Response, String> {
+    /// The one path of every journaled op: check, read, write, apply. An
+    /// `Ingest`'s `fresh` records (none for another op) are appended to
+    /// its log before its marker. An op refused, or whose read fails,
+    /// writes nothing and leaves the tenant clean; applying cannot fail.
+    pub(crate) fn mutate(
+        &mut self,
+        op: JournalOp,
+        fresh: Vec<Observation>,
+    ) -> Result<Response, String> {
         self.check(&op)?;
-        let read = self.read(&op)?;
-        self.journal(&op)?;
-        self.apply(op, read)
-    }
-
-    /// The trials a `Finish` of a comparison stream scores, the baseline's
-    /// and its own (none for any other op), read as [`matrix`](Self::matrix)
-    /// reads: the one way a `Finish` fails, so before its journal line.
-    fn read(&mut self, op: &JournalOp) -> Result<Vec<Trial>, String> {
-        match (op, baseline_of(&self.streams)) {
-            (JournalOp::Finish { stream }, Some((base, _)))
-                if matches!(self.streams.get(stream), Some(Stream::Live(_))) =>
-            {
-                trials(&mut self.store, &[base, stream])
-            }
-            _ => Ok(Vec::new()),
+        let read = self.read(&op, fresh)?;
+        if let JournalOp::Ingest { stream, .. } = &op {
+            (self.store.append(stream, &read.records)).map_err(|e| e.to_string())?;
         }
+        if let Err(e) = self.journal(&op) {
+            if let JournalOp::Ingest { stream, seq, .. } = &op {
+                // No marker, no records: back to what the journal covers.
+                let _ = self.store.adopt(stream, *seq);
+            }
+            return Err(e);
+        }
+        Ok(self.apply(op, read))
     }
 
-    /// The wire path of an `Ingest`: validate, append the fresh records
-    /// to the stream's log, journal the marker, apply. Answers the
-    /// response and how many records were fresh.
+    /// Everything applying `op` needs, read from the logs before its
+    /// journal line: a comparison `Finish` both trials, as
+    /// [`matrix`](Self::matrix) reads them; an `Ingest` the baseline records
+    /// a lagging engine (one opened after its baseline had records) has
+    /// not seen, and in replay, which brings no `fresh`, its own records.
+    fn read(&mut self, op: &JournalOp, fresh: Vec<Observation>) -> Result<Read, String> {
+        let (store, streams) = (&mut self.store, &self.streams);
+        let base = baseline_of(streams).map(|(base, _)| base);
+        let live = |s: &str| matches!(streams.get(s), Some(Stream::Live(_)));
+        let mut read = Read {
+            records: fresh,
+            ..Read::default()
+        };
+        match (op, base) {
+            (JournalOp::Finish { stream }, Some(base)) if live(stream) => {
+                read.trials = trials(store, &[base, stream])?;
+            }
+            (JournalOp::Ingest { stream, seq, count }, Some(base)) => {
+                // The engines it feeds side A: every one for a baseline
+                // marker, its stream's for any other. With none, there is
+                // nothing to read.
+                let baseline = *stream == base;
+                let fed = |(name, s): (&String, &Stream)| match s {
+                    Stream::Live(eng) if baseline || name == stream => Some(eng.seen_a()),
+                    _ => None,
+                };
+                if let Some(from) = streams.iter().filter_map(fed).min() {
+                    // A baseline marker's own records are not lag.
+                    let to = (if baseline { *seq } else { store.len(base) }) as usize;
+                    if from < to {
+                        read.lag = records(store, base)?[from..to].to_vec();
+                    }
+                    read.lag_from = from;
+                    if read.records.is_empty() {
+                        let (seq, end) = (*seq as usize, (seq + count) as usize);
+                        read.records = records(store, stream)?[seq..end].to_vec();
+                    }
+                }
+            }
+            _ => {}
+        }
+        Ok(read)
+    }
+
+    /// The wire path of an `Ingest`: refuse what its marker's check
+    /// refuses, skip what a resend repeats, bound what is fresh, then
+    /// [`mutate`](Self::mutate). Answers the response and the fresh count.
     pub(crate) fn ingest(
         &mut self,
         stream: String,
         seq: u64,
         records: &[WireObs],
     ) -> Result<(Response, u64), String> {
+        // Idempotent resend: skip records the stream already has.
         let have = self.store.len(&stream);
-        let at_end = JournalOp::Ingest {
+        let skip = have.saturating_sub(seq) as usize;
+        let count = records.len().saturating_sub(skip) as u64;
+        let marker = JournalOp::Ingest {
             stream: stream.clone(),
             seq: have,
-            count: 0,
+            count,
         };
-        self.check(&at_end)?;
+        self.check(&marker)?;
         let name = &self.name;
         if seq > have {
             return Err(format!(
                 "ingest gap on `{name}/{stream}`: batch starts at {seq}, stream has {have}"
             ));
         }
-        // Idempotent resend: skip records the stream already has.
-        let skip = (have - seq) as usize;
-        if skip >= records.len() {
+        if count == 0 {
             return Ok((Response::Ingested { total: have }, 0));
         }
         // The engines' and kernels' positions and gap arithmetic hold only
         // below these bounds. Past one, a batch would be logged and
         // journaled, then panic inside `apply` — with the service lock
         // held — and again on every replay.
-        let fresh_count = (records.len() - skip) as u64;
-        if have + fresh_count > MAX_TRIAL_LEN as u64 {
+        if have + count > MAX_TRIAL_LEN as u64 {
             return Err(format!(
-                "`{name}/{stream}` holds {have} records; {fresh_count} more would pass the {MAX_TRIAL_LEN}-record bound"
+                "`{name}/{stream}` holds {have} records; {count} more would pass the {MAX_TRIAL_LEN}-record bound"
             ));
         }
         let late = |w: &WireObs| w.t_ps >= MAX_TIMESTAMP_PS;
@@ -485,20 +539,8 @@ impl Tenant {
                 records[skip + i].t_ps
             ));
         }
-        let fresh: Vec<Observation> = records[skip..].iter().map(|&w| w.into()).collect();
-        (self.store.append(&stream, &fresh)).map_err(|e| e.to_string())?;
-        let marker = JournalOp::Ingest {
-            stream: stream.clone(),
-            seq: have,
-            count: fresh.len() as u64,
-        };
-        if let Err(e) = self.journal(&marker) {
-            // No marker, no records: back to what the journal covers.
-            let _ = self.store.adopt(&stream, have);
-            return Err(e);
-        }
-        let resp = self.apply(marker, Vec::new())?;
-        Ok((resp, fresh.len() as u64))
+        let fresh = records[skip..].iter().map(|&w| w.into()).collect();
+        Ok((self.mutate(marker, fresh)?, count))
     }
 
     /// The refusal `op` gets from the tenant's streams, if any. Every op
@@ -528,15 +570,12 @@ impl Tenant {
         Err(refusal)
     }
 
-    /// Apply one op that passed [`check`](Self::check), with the trials
-    /// [`read`](Self::read) for it. Shared by the wire handlers (after
-    /// journaling) and recovery replay — the single path that keeps
-    /// replayed state bit-identical to the uninterrupted run. An `Ingest`
-    /// marker's records are read back from the store, where they already
-    /// are; reading them is the one way it fails.
-    fn apply(&mut self, op: JournalOp, read: Vec<Trial>) -> Result<Response, String> {
-        let (name, store, streams) = (&self.name, &mut self.store, &mut self.streams);
-        let baseline = baseline_of(streams).map(|(base, _)| base.to_owned());
+    /// Apply one journaled op with what [`read`](Self::read) read for it.
+    /// Shared by the wire handlers and recovery replay — the single path
+    /// that keeps replayed state bit-identical to the uninterrupted run.
+    /// It reads no log and cannot fail.
+    fn apply(&mut self, op: JournalOp, read: Read) -> Response {
+        let (name, streams) = (&self.name, &mut self.streams);
         match op {
             JournalOp::OpenStream { stream } => {
                 let s = if streams.is_empty() {
@@ -548,42 +587,34 @@ impl Tenant {
                 };
                 streams.insert(stream, s);
                 obs::counter_inc("service.streams.opened");
-                Ok(Response::Ok)
+                Response::Ok
             }
-            JournalOp::Ingest { stream, seq, .. } => {
+            JournalOp::Ingest { stream, seq, count } => {
+                // Side A from where an engine stands: the baseline records
+                // it missed, in order.
+                let lag = |eng: &IncrementalComparison| &read.lag[eng.seen_a() - read.lag_from..];
                 if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
-                    // Comparison stream: feed side B, then catch side A
-                    // up to the baseline's current length (covers
-                    // streams opened after the baseline had data).
-                    eng.push_burst(Side::B, &records(store, &stream)?[seq as usize..]);
-                    let fed = eng.seen_a();
-                    if let Some(base) = baseline.filter(|b| (fed as u64) < store.len(b)) {
-                        eng.push_burst(Side::A, &records(store, &base)?[fed..]);
-                    }
-                } else if streams.values().any(|s| matches!(s, Stream::Live(_))) {
-                    // Baseline grew: advance side A of every live engine
-                    // from wherever it stands. An engine opened after the
-                    // baseline already had data may lag; it gets the
-                    // prefix it missed and the fresh tail in one slice,
-                    // in order.
-                    let base = records(store, &stream)?;
+                    // A comparison stream: side B, then side A's lag.
+                    eng.push_burst(Side::B, &read.records);
+                    eng.push_burst(Side::A, lag(eng));
+                } else {
+                    // The baseline: each engine its lag, then the records.
                     for s in streams.values_mut() {
                         if let Stream::Live(eng) = s {
-                            eng.push_burst(Side::A, &base[eng.seen_a()..]);
+                            eng.push_burst(Side::A, lag(eng));
+                            eng.push_burst(Side::A, &read.records);
                         }
                     }
                 }
-                Ok(Response::Ingested {
-                    total: store.len(&stream),
-                })
+                Response::Ingested { total: seq + count }
             }
             JournalOp::Finish { stream } => {
                 let s = streams.get_mut(&stream).expect("a stream `check` admitted");
                 // The baseline: `check` admits no other stream that is not
                 // live, and `read` gave a live one both trials.
-                let (Stream::Live(eng), [base, run]) = (&mut *s, &read[..]) else {
+                let (Stream::Live(eng), [base, run]) = (&mut *s, &read.trials[..]) else {
                     *s = Stream::Baseline { finished: true };
-                    return Ok(Response::Finished { summary: None });
+                    return Response::Finished { summary: None };
                 };
                 // Its matrix cell, without wall-clock time; side A catches
                 // up, so the trail is the engine's own.
@@ -599,7 +630,7 @@ impl Tenant {
                     snapshots,
                 }));
                 obs::counter_inc("service.streams.finished");
-                Ok(Response::Finished { summary })
+                Response::Finished { summary }
             }
         }
     }
@@ -804,7 +835,7 @@ mod tests {
                     .collect();
                 t.ingest(stream, seq, &records).map(|(resp, _)| resp)
             }
-            op => t.mutate(op),
+            op => t.mutate(op, Vec::new()),
         };
         resp.unwrap_or_else(|message| Response::Error { message })
     }
@@ -971,7 +1002,7 @@ mod tests {
             for s in ["r1", "r2"] {
                 frames.extend([t.snapshot(s), t.trail(s)]);
             }
-            frames.extend(["r1", "r2"].map(|s| t.mutate(finish(s))));
+            frames.extend(["r1", "r2"].map(|s| t.mutate(finish(s), Vec::new())));
             (frames.into_iter())
                 .map(|r| serde_json::to_string(&r.expect("served")).expect("encodes"))
                 .collect::<Vec<_>>()
@@ -979,6 +1010,83 @@ mod tests {
         assert_eq!(served(&mut back), served(&mut t));
         assert_eq!(writes, 0, "the refused finish wrote");
         assert!(unchanged, "the refused finish changed a file");
+    }
+
+    #[test]
+    fn an_ingest_whose_read_fails_writes_nothing() {
+        // Four records fit the budget, so `r2`'s ingest evicts `base`. `r1`
+        // is opened after `base` has records: its first ingest reads them
+        // from `base.log`. A trail point every 4 records shows the order
+        // side A and side B were fed in.
+        let disk = Arc::new(ScriptDisk::new());
+        let cfg = StreamConfig {
+            snapshot_every: 4,
+            ..cfg()
+        };
+        let mut t = Tenant::create(disk.clone(), dir(), "t", cfg, 96).expect("empty disk");
+        let ok = |r: Response| assert!(!matches!(r, Response::Error { .. }), "{r:?}");
+        for op in [open("base"), open("r2"), ingest("base", 0, 10), open("r1")] {
+            ok(serve(&mut t, op));
+        }
+        // `r2`'s engine has seen the whole baseline: its ingest is one log
+        // append and one journal line, and reads nothing.
+        let calls = disk.calls().len();
+        ok(serve(&mut t, ingest("r2", 0, 10)));
+        let io: Vec<_> = (disk.calls()[calls..].iter())
+            .filter(|c| matches!(c.op, Op::Read | Op::WriteAt))
+            .map(|c| (c.op, c.path.clone()))
+            .collect();
+        let written = ["r2.log", "journal"].map(|f| (Op::WriteAt, dir().join(f)));
+        assert_eq!(io, written);
+
+        disk.fail(
+            Op::Read,
+            dir().join("base.log"),
+            Fault::Fail(io::ErrorKind::Other),
+        );
+        let (files, calls) = (disk.files(), disk.calls().len());
+        let resp = serve(&mut t, ingest("r1", 0, 5));
+        let Response::Error { message } = resp else {
+            panic!("accepted: {resp:?}")
+        };
+        assert!(message.starts_with("reading `base.log`: "), "{message}");
+        let writes = (disk.calls()[calls..].iter())
+            .filter(|c| !matches!(c.op, Op::Read | Op::Len))
+            .count();
+        assert_eq!(writes, 0, "the refused ingest wrote");
+        assert!(disk.files() == files, "the refused ingest changed a file");
+        // The resend is applied, and so is the next batch.
+        for (seq, total) in [(0, 5), (5, 10)] {
+            let resp = serve(&mut t, ingest("r1", seq, 5));
+            assert!(
+                matches!(resp, Response::Ingested { total: n } if n == total),
+                "{resp:?}"
+            );
+        }
+        let resp = t.snapshot("r1").expect("live");
+        assert!(
+            matches!(
+                resp,
+                Response::Snapshot {
+                    seen_a: 10,
+                    seen_b: 10,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+
+        // A kill now recovers to what the live tenant serves, trail
+        // points included.
+        let back = Tenant::recover(Arc::new(disk.kill()), dir(), "t", cfg)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let served = |t: &Tenant| {
+            (["r1", "r2"].iter())
+                .flat_map(|s| [t.snapshot(s), t.trail(s)])
+                .map(|r| serde_json::to_string(&r.expect("served")).expect("encodes"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(served(&back), served(&t));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! means a reader never has to scan for message boundaries, and a frame
 //! cap ([`MAX_FRAME_BYTES`]) bounds what a misbehaving peer can make the
 //! daemon allocate; a frame's buffer holds at most a megabyte before its
-//! bytes arrive, and at most twice what has arrived after that.
+//! bytes arrive, and at most twice what has arrived after that. A JSON
+//! request longer than [`MAX_JSON_REQUEST_BYTES`] is refused unparsed.
 //!
 //! Control verbs and every [`Response`] are JSON payloads (externally
 //! tagged enums; JSON text starts with `{` or `"`). The one bulk verb,
@@ -51,6 +52,10 @@ const FIRST_RESERVE: usize = 1 << 20;
 /// First payload byte of a binary [`Request::Ingest`] frame.
 pub const INGEST_TAG: u8 = 0x01;
 
+/// The longest JSON request [`recv_request`] parses (a `CreateTenant` is
+/// ~100 bytes); the parser's tree of a frame is tens of times its size.
+pub const MAX_JSON_REQUEST_BYTES: usize = 4 << 10;
+
 /// A framing/transport failure (distinct from an in-protocol
 /// [`Response::Error`], which means the daemon understood you and said
 /// no).
@@ -60,6 +65,8 @@ pub enum WireError {
     Io(io::Error),
     /// Peer announced a frame larger than [`MAX_FRAME_BYTES`].
     Oversized(u32),
+    /// A JSON request frame longer than [`MAX_JSON_REQUEST_BYTES`].
+    LongRequest(usize),
     /// Frame bytes were not a valid message of the expected type.
     Parse(String),
     /// An `Ingest` frame's record slab is not `24 x count` bytes.
@@ -72,6 +79,9 @@ impl std::fmt::Display for WireError {
             WireError::Io(e) => write!(f, "wire I/O failed: {e}"),
             WireError::Oversized(n) => {
                 write!(f, "peer announced a {n}-byte frame (cap {MAX_FRAME_BYTES})")
+            }
+            WireError::LongRequest(n) => {
+                write!(f, "{n}-byte JSON request (cap {MAX_JSON_REQUEST_BYTES})")
             }
             WireError::Parse(m) => write!(f, "frame is not a valid message: {m}"),
             WireError::Slab { count, bytes } => {
@@ -268,6 +278,9 @@ pub fn recv_request(r: &mut impl Read) -> Result<Option<Request>, WireError> {
     };
     if buf.first() == Some(&INGEST_TAG) {
         return decode_ingest(&buf[1..]).map(Some);
+    }
+    if buf.len() > MAX_JSON_REQUEST_BYTES {
+        return Err(WireError::LongRequest(buf.len()));
     }
     match parse_json(buf)? {
         Request::Ingest { .. } => Err(WireError::Parse(

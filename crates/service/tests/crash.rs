@@ -776,11 +776,12 @@ fn base_then_r1(disk: &Arc<ScriptDisk>, data: &[Vec<Observation>]) -> (DaemonHan
 }
 
 #[test]
-fn a_replayed_op_that_cannot_be_applied_stops_recovery_naming_it() {
+fn a_replayed_op_whose_read_fails_stops_recovery_naming_it() {
     // Journal: 1 open base, 2 its marker, checkpoint, 3 open r1, 4 and 5
-    // its markers. Replaying entry 4 reads `r1.log` back, and that read
-    // fails: skipped, entry 5 alone would feed the engine, and r1 would
-    // serve κ over 20 of its 50 records.
+    // its markers. Replaying entry 4 reads its records from `r1.log`
+    // before it is applied, and that read fails: skipped, entry 5 alone
+    // would feed the engine, and r1 would serve κ over 20 of its 50
+    // records.
     let data = streams();
     let disk = Arc::new(ScriptDisk::new());
     let (d, mut c) = base_then_r1(&disk, &data);
@@ -797,7 +798,7 @@ fn a_replayed_op_that_cannot_be_applied_stops_recovery_naming_it() {
     let err = match spawn(&img, config()) {
         Ok(d) => {
             d.kill();
-            panic!("a daemon came up past an op it could not apply");
+            panic!("a daemon came up past an op it could not read");
         }
         Err(e) => e,
     };

@@ -1,6 +1,7 @@
 //! What a frame header can make a reader allocate: a peer that sends a
 //! 4-byte header claiming the 16 MiB cap and then hangs up must cost at
-//! most a megabyte, not the size it claimed.
+//! most a megabyte, not the size it claimed. A long JSON request costs
+//! its frame's buffer, not the tree a parser would build of it.
 //!
 //! The count is per thread: a counting global allocator adds the bytes
 //! each allocation asks for to a thread-local total. This lives in its
@@ -11,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{self, Cursor, Read};
 
-use choir_service::wire::{read_frame, write_frame, MAX_FRAME_BYTES};
+use choir_service::wire::{read_frame, recv_request, write_frame, MAX_FRAME_BYTES};
 use choir_service::WireError;
 
 thread_local! {
@@ -90,4 +91,34 @@ fn a_frame_longer_than_the_first_reservation_reads_back_whole() {
         matches!(&err, WireError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
         "{err}"
     );
+}
+
+#[test]
+fn a_long_json_request_is_refused_before_it_is_parsed() {
+    // 16 MB of `0,` in a field a `CreateTenant` ignores, and in the
+    // records of an `Ingest` sent as JSON: parsed, each would first be
+    // built whole as a tree, at tens of times the frame.
+    let zeros = b"0,".repeat(8_000_000);
+    let heads = [
+        &br#"{"CreateTenant":{"tenant":"t","budget_bytes":0,"junk":["#[..],
+        br#"{"Ingest":{"tenant":"t","stream":"s","seq":0,"records":["#,
+    ];
+    for head in heads {
+        let payload = [head, &zeros, b"0]}}"].concat();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let frame = payload.len() as u64;
+
+        let before = BYTES.with(Cell::get);
+        let got = recv_request(&mut Cursor::new(&wire));
+        let allocated = BYTES.with(Cell::get) - before;
+        assert!(
+            allocated <= 2 * frame + (1 << 20),
+            "a {frame}-byte JSON request allocated {allocated} bytes"
+        );
+        assert!(
+            matches!(got, Err(WireError::LongRequest(n)) if n as u64 == frame),
+            "{got:?}"
+        );
+    }
 }

@@ -10,7 +10,9 @@ mod common;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use choir_service::wire::{recv_request, recv_response, send_request, INGEST_TAG, MAX_FRAME_BYTES};
+use choir_service::wire::{
+    recv_request, recv_response, send_request, INGEST_TAG, MAX_FRAME_BYTES, MAX_JSON_REQUEST_BYTES,
+};
 use choir_service::{Client, Daemon, DaemonConfig, Request, Response, WireError, WireObs};
 use common::{lcg, synth, tmp_dir};
 
@@ -218,12 +220,16 @@ fn a_deeply_nested_json_frame_is_refused_not_fatal() {
 
     // 1 MiB of `[`: parsed one stack frame per level, it would overflow
     // the handler thread's stack and abort the daemon with every tenant.
-    let mut sock = TcpStream::connect(d.addr()).expect("connect raw");
-    sock.write_all(&framed(&vec![b'['; 1 << 20])).expect("send");
-    match recv_response(&mut sock) {
-        Ok(Some(Response::Error { message })) => assert!(message.contains("128"), "{message}"),
-        Ok(None) | Err(_) => {}
-        Ok(Some(other)) => panic!("expected a refusal, got {other:?}"),
+    // It is refused for its length before it is parsed; as long a frame
+    // as is parsed is refused at the 128th level.
+    for (len, said) in [(1 << 20, "cap 4096"), (MAX_JSON_REQUEST_BYTES, "128")] {
+        let mut sock = TcpStream::connect(d.addr()).expect("connect raw");
+        sock.write_all(&framed(&vec![b'['; len])).expect("send");
+        match recv_response(&mut sock) {
+            Ok(Some(Response::Error { message })) => assert!(message.contains(said), "{message}"),
+            Ok(None) | Err(_) => {}
+            Ok(Some(other)) => panic!("expected a refusal, got {other:?}"),
+        }
     }
     Client::connect(d.addr())
         .expect("a new client connects")
