@@ -116,7 +116,8 @@ impl Client {
         })
     }
 
-    /// Open a stream (the tenant's first stream becomes its baseline).
+    /// Open a stream: the tenant's first is its baseline, and a later one
+    /// is scored against the baseline's records so far from its open.
     pub fn open_stream(&mut self, tenant: &str, stream: &str) -> Result<(), ClientError> {
         self.expect_ok(&Request::OpenStream {
             tenant: tenant.into(),

@@ -9,7 +9,9 @@
 //! of two durable logs (`tests/crash.rs`). Every journaled op is checked
 //! against the map, then reads from the logs what applying it needs, so
 //! a refused op or a failed read writes no byte. It is then logged (an
-//! ingest's records), journaled and applied, which cannot fail.
+//! ingest's records), journaled and applied, which cannot fail. Between
+//! ops every live engine has consumed its whole baseline: it is fed the
+//! baseline so far as its stream opens, then only what each ingest brings.
 //!
 //! A [`Tenant`] is built from a [`Disk`], its directory, its name and the
 //! [`StreamConfig`] of its engines, and knows nothing of the registry that
@@ -38,18 +40,19 @@
 //! state no build writes. It rebuilds every live engine from its cursor
 //! and the two log prefixes it names through
 //! [`IncrementalComparison::rebuild`], refusing a cursor that claims more
-//! records than the logs hold. Then it replays the journal lines the `ck`
-//! does not cover through the *same* check, read and apply the wire
-//! handlers use. An `OpenStream` or `Finish` the check refuses was
-//! journaled by an earlier build that refused it live, and is skipped; a
-//! marker it refuses, an op whose read fails and a whole line that is not
-//! an entry are refused by name. Only a final line without its newline,
-//! as a crash mid-append leaves it, is dropped. Recovery writes no log or
-//! journal byte (it removes only a leftover `ck.tmp`): logs and journal
-//! are appended at the end their owner accounts for ([`Disk`]'s one
-//! append rule), so whatever lies past it is overwritten by the next
-//! append. Nothing is `fsync`ed: a hard kill loses nothing
-//! acknowledged, a power cut can.
+//! records than the logs hold, and feeding side A what of the baseline a
+//! cursor an earlier build wrote had not consumed. Then it replays the
+//! journal lines the `ck` does not cover through the *same* check, read
+//! and apply the wire handlers use. An `OpenStream` or `Finish` the check
+//! refuses was journaled by an earlier build that refused it live, and is
+//! skipped; a marker it refuses, an op whose read fails and a whole line
+//! that is not an entry are refused by name. Only a final line without its
+//! newline, as a crash mid-append leaves it, is dropped. Recovery writes
+//! no log or journal byte (it removes only a leftover `ck.tmp`): logs and
+//! journal are appended at the end their owner accounts for ([`Disk`]'s
+//! one append rule), so whatever lies past it is overwritten by the next
+//! append. Nothing is `fsync`ed: a hard kill loses nothing acknowledged, a
+//! power cut can.
 //!
 //! # Memory
 //!
@@ -205,20 +208,14 @@ fn records<'s>(store: &'s mut TrialStore, stream: &str) -> Result<&'s [Observati
     (store.get(stream)).map_err(|e| format!("reading `{stream}.log`: {e}"))
 }
 
-/// The trials of `streams`, each read from its log.
-fn trials<S: AsRef<str>>(store: &mut TrialStore, streams: &[S]) -> Result<Vec<Trial>, String> {
-    let read = |s: &S| records(store, s.as_ref()).map(Trial::from_observations);
-    streams.iter().map(read).collect()
-}
-
-/// What [`Tenant::read`] reads for an op: a comparison `Finish`'s trials; an
-/// `Ingest`'s records, and the baseline's from `lag_from` a lagging engine lacks.
-#[derive(Default)]
-struct Read {
-    trials: Vec<Trial>,
-    records: Vec<Observation>,
-    lag: Vec<Observation>,
-    lag_from: usize,
+/// What [`Tenant::read`] reads for an op, from the logs.
+enum Read {
+    /// An op that needs nothing from the logs.
+    Nothing,
+    /// A comparison `OpenStream`'s engine, fed the baseline so far.
+    Engine(Box<IncrementalComparison>),
+    /// A comparison `Finish`'s trials: the baseline's and its own.
+    Trials(Trial, Trial),
 }
 
 impl Tenant {
@@ -271,8 +268,8 @@ impl Tenant {
     }
 
     /// The tenant in `dir`: load `ck`, rebuild its live engines from their
-    /// cursors and the logs, then replay the journal entries it does not
-    /// cover.
+    /// cursors and the logs, each caught up with its baseline, then replay
+    /// the journal entries it does not cover.
     pub(crate) fn recover(
         disk: Arc<dyn Disk>,
         dir: PathBuf,
@@ -332,7 +329,10 @@ impl Tenant {
                     let id = engine_id_for(name, &sck.name);
                     let b = store.get(&sck.name)?;
                     let eng = IncrementalComparison::rebuild(cursor, id, &cfg, &base[..seen_a], b);
-                    Stream::Live(Box::new(eng.map_err(|e| bad(&what, &e))?))
+                    let mut eng = eng.map_err(|e| bad(&what, &e))?;
+                    // An earlier build's cursor may not cover the baseline.
+                    eng.push_burst(Side::A, &base[seen_a..]);
+                    Stream::Live(Box::new(eng))
                 }
                 (engine, done, finished) => {
                     let (e, d) = (engine.is_some(), done.is_some());
@@ -398,11 +398,17 @@ impl Tenant {
                 // An earlier build journaled this op while it refused it.
                 (Err(_), _) => {}
                 (Ok(()), op) => {
+                    let read = self.read(op).map_err(lost)?;
+                    // A marker's records, borrowed from its log if they feed an engine.
+                    let mut recs: &[Observation] = &[];
                     if let JournalOp::Ingest { stream, seq, count } = op {
                         self.store.adopt(stream, seq + count)?;
+                        if self.streams.values().any(|s| matches!(s, Stream::Live(_))) {
+                            let log = records(&mut self.store, stream).map_err(lost)?;
+                            recs = &log[*seq as usize..];
+                        }
                     }
-                    let read = self.read(op, Vec::new()).map_err(lost)?;
-                    self.apply(entry.op, read);
+                    apply(&mut self.streams, entry.op, read, recs);
                 }
             }
             self.applied = entry.n;
@@ -427,8 +433,8 @@ impl Tenant {
     }
 
     /// The one path of every journaled op: check, read, write, apply. An
-    /// `Ingest`'s `fresh` records (none for another op) are appended to
-    /// its log before its marker. An op refused, or whose read fails,
+    /// `Ingest`'s `fresh` records (none for another op) are logged before
+    /// its marker and fed after it. An op refused, or whose read fails,
     /// writes nothing and leaves the tenant clean; applying cannot fail.
     pub(crate) fn mutate(
         &mut self,
@@ -436,9 +442,9 @@ impl Tenant {
         fresh: Vec<Observation>,
     ) -> Result<Response, String> {
         self.check(&op)?;
-        let read = self.read(&op, fresh)?;
+        let read = self.read(&op)?;
         if let JournalOp::Ingest { stream, .. } = &op {
-            (self.store.append(stream, &read.records)).map_err(|e| e.to_string())?;
+            (self.store.append(stream, &fresh)).map_err(|e| e.to_string())?;
         }
         if let Err(e) = self.journal(&op) {
             if let JournalOp::Ingest { stream, seq, .. } = &op {
@@ -447,51 +453,30 @@ impl Tenant {
             }
             return Err(e);
         }
-        Ok(self.apply(op, read))
+        Ok(apply(&mut self.streams, op, read, &fresh))
     }
 
-    /// Everything applying `op` needs, read from the logs before its
-    /// journal line: a comparison `Finish` both trials, as
-    /// [`matrix`](Self::matrix) reads them; an `Ingest` the baseline records
-    /// a lagging engine (one opened after its baseline had records) has
-    /// not seen, and in replay, which brings no `fresh`, its own records.
-    fn read(&mut self, op: &JournalOp, fresh: Vec<Observation>) -> Result<Read, String> {
+    /// Everything applying `op` needs, read before its journal line. An
+    /// `Ingest` needs nothing: its records are the request's, or its log's.
+    fn read(&mut self, op: &JournalOp) -> Result<Read, String> {
         let (store, streams) = (&mut self.store, &self.streams);
-        let base = baseline_of(streams).map(|(base, _)| base);
         let live = |s: &str| matches!(streams.get(s), Some(Stream::Live(_)));
-        let mut read = Read {
-            records: fresh,
-            ..Read::default()
-        };
-        match (op, base) {
-            (JournalOp::Finish { stream }, Some(base)) if live(stream) => {
-                read.trials = trials(store, &[base, stream])?;
-            }
-            (JournalOp::Ingest { stream, seq, count }, Some(base)) => {
-                // The engines it feeds side A: every one for a baseline
-                // marker, its stream's for any other. With none, there is
-                // nothing to read.
-                let baseline = *stream == base;
-                let fed = |(name, s): (&String, &Stream)| match s {
-                    Stream::Live(eng) if baseline || name == stream => Some(eng.seen_a()),
-                    _ => None,
-                };
-                if let Some(from) = streams.iter().filter_map(fed).min() {
-                    // A baseline marker's own records are not lag.
-                    let to = (if baseline { *seq } else { store.len(base) }) as usize;
-                    if from < to {
-                        read.lag = records(store, base)?[from..to].to_vec();
-                    }
-                    read.lag_from = from;
-                    if read.records.is_empty() {
-                        let (seq, end) = (*seq as usize, (seq + count) as usize);
-                        read.records = records(store, stream)?[seq..end].to_vec();
-                    }
+        match (op, baseline_of(streams)) {
+            (JournalOp::OpenStream { stream }, Some((base, _))) => {
+                let id = engine_id_for(&self.name, stream);
+                let mut eng = IncrementalComparison::new(self.cfg).with_engine_id(id);
+                if store.len(base) > 0 {
+                    eng.push_burst(Side::A, records(store, base)?);
                 }
+                Ok(Read::Engine(Box::new(eng)))
             }
-            _ => {}
+            (JournalOp::Finish { stream }, Some((base, _))) if live(stream) => {
+                let base = Trial::from_observations(records(store, base)?);
+                let run = Trial::from_observations(records(store, stream)?);
+                Ok(Read::Trials(base, run))
+            }
+            _ => Ok(Read::Nothing),
         }
-        Ok(read)
     }
 
     /// The wire path of an `Ingest`: refuse what its marker's check
@@ -568,71 +553,6 @@ impl Tenant {
             _ => return Ok(()),
         };
         Err(refusal)
-    }
-
-    /// Apply one journaled op with what [`read`](Self::read) read for it.
-    /// Shared by the wire handlers and recovery replay — the single path
-    /// that keeps replayed state bit-identical to the uninterrupted run.
-    /// It reads no log and cannot fail.
-    fn apply(&mut self, op: JournalOp, read: Read) -> Response {
-        let (name, streams) = (&self.name, &mut self.streams);
-        match op {
-            JournalOp::OpenStream { stream } => {
-                let s = if streams.is_empty() {
-                    Stream::Baseline { finished: false }
-                } else {
-                    let id = engine_id_for(name, &stream);
-                    let eng = IncrementalComparison::new(self.cfg).with_engine_id(id);
-                    Stream::Live(Box::new(eng))
-                };
-                streams.insert(stream, s);
-                obs::counter_inc("service.streams.opened");
-                Response::Ok
-            }
-            JournalOp::Ingest { stream, seq, count } => {
-                // Side A from where an engine stands: the baseline records
-                // it missed, in order.
-                let lag = |eng: &IncrementalComparison| &read.lag[eng.seen_a() - read.lag_from..];
-                if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
-                    // A comparison stream: side B, then side A's lag.
-                    eng.push_burst(Side::B, &read.records);
-                    eng.push_burst(Side::A, lag(eng));
-                } else {
-                    // The baseline: each engine its lag, then the records.
-                    for s in streams.values_mut() {
-                        if let Stream::Live(eng) = s {
-                            eng.push_burst(Side::A, lag(eng));
-                            eng.push_burst(Side::A, &read.records);
-                        }
-                    }
-                }
-                Response::Ingested { total: seq + count }
-            }
-            JournalOp::Finish { stream } => {
-                let s = streams.get_mut(&stream).expect("a stream `check` admitted");
-                // The baseline: `check` admits no other stream that is not
-                // live, and `read` gave a live one both trials.
-                let (Stream::Live(eng), [base, run]) = (&mut *s, &read.trials[..]) else {
-                    *s = Stream::Baseline { finished: true };
-                    return Response::Finished { summary: None };
-                };
-                // Its matrix cell, without wall-clock time; side A catches
-                // up, so the trail is the engine's own.
-                let comparison = TrialComparison {
-                    timings: StageTimings::default(),
-                    ..report::analyze(stream, base, run)
-                };
-                eng.push_burst(Side::A, &base.observations()[eng.seen_a()..]);
-                let summary = Some(WireFinal::from(&comparison));
-                let snapshots = eng.snapshots().to_vec();
-                *s = Stream::Done(Box::new(FinishedStream {
-                    comparison,
-                    snapshots,
-                }));
-                obs::counter_inc("service.streams.finished");
-                Response::Finished { summary }
-            }
-        }
     }
 
     /// If the tenant changed since its last checkpoint, write `ck` (temp +
@@ -760,7 +680,9 @@ impl Tenant {
                 labels.len()
             ));
         }
-        let matrix = all_pairs_sharded(&trials(&mut self.store, &labels)?, shards)
+        let read = |s: &String| records(&mut self.store, s).map(Trial::from_observations);
+        let trials = labels.iter().map(read).collect::<Result<Vec<_>, _>>()?;
+        let matrix = all_pairs_sharded(&trials, shards)
             .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
         let n = labels.len() as u64;
         let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
@@ -781,6 +703,63 @@ impl Tenant {
     /// The tenant's stream count and its store's accounting.
     pub(crate) fn stats(&self) -> (u64, StoreStats) {
         (self.streams.len() as u64, self.store.stats())
+    }
+}
+
+/// Apply one journaled op to a tenant's streams with what [`Tenant::read`]
+/// read for it and an `Ingest`'s records: the single path of the wire
+/// handlers and replay. It touches no store and cannot fail.
+fn apply(
+    streams: &mut BTreeMap<String, Stream>,
+    op: JournalOp,
+    read: Read,
+    records: &[Observation],
+) -> Response {
+    match op {
+        JournalOp::OpenStream { stream } => {
+            let s = match read {
+                Read::Engine(eng) => Stream::Live(eng),
+                _ => Stream::Baseline { finished: false },
+            };
+            streams.insert(stream, s);
+            obs::counter_inc("service.streams.opened");
+            Response::Ok
+        }
+        JournalOp::Ingest { stream, seq, count } => {
+            if let Some(Stream::Live(eng)) = streams.get_mut(&stream) {
+                // A comparison stream: its engine's side B.
+                eng.push_burst(Side::B, records);
+            } else {
+                // The baseline: every engine's side A.
+                for s in streams.values_mut() {
+                    if let Stream::Live(eng) = s {
+                        eng.push_burst(Side::A, records);
+                    }
+                }
+            }
+            Response::Ingested { total: seq + count }
+        }
+        JournalOp::Finish { stream } => {
+            let s = streams.get_mut(&stream).expect("a stream `check` admitted");
+            // The baseline: `check` admits no other stream that is not
+            // live, and `read` gave a live one both trials.
+            let (Stream::Live(eng), Read::Trials(base, run)) = (&*s, read) else {
+                *s = Stream::Baseline { finished: true };
+                return Response::Finished { summary: None };
+            };
+            // Its matrix cell, without wall-clock time.
+            let comparison = TrialComparison {
+                timings: StageTimings::default(),
+                ..report::analyze(&stream, &base, &run)
+            };
+            let summary = Some(WireFinal::from(&comparison));
+            *s = Stream::Done(Box::new(FinishedStream {
+                comparison,
+                snapshots: eng.snapshots().to_vec(),
+            }));
+            obs::counter_inc("service.streams.finished");
+            Response::Finished { summary }
+        }
     }
 }
 
@@ -1012,40 +991,47 @@ mod tests {
         assert!(unchanged, "the refused finish changed a file");
     }
 
-    #[test]
-    fn an_ingest_whose_read_fails_writes_nothing() {
-        // Four records fit the budget, so `r2`'s ingest evicts `base`. `r1`
-        // is opened after `base` has records: its first ingest reads them
-        // from `base.log`. A trail point every 4 records shows the order
-        // side A and side B were fed in.
-        let disk = Arc::new(ScriptDisk::new());
-        let cfg = StreamConfig {
+    /// Each stream's `Snapshot` and `Trail` frames, as the wire encodes
+    /// them.
+    fn served(t: &Tenant, streams: &[&str]) -> Vec<String> {
+        (streams.iter())
+            .flat_map(|s| [t.snapshot(s), t.trail(s)])
+            .map(|r| serde_json::to_string(&r.expect("served")).expect("encodes"))
+            .collect()
+    }
+
+    /// The engines' config with a trail point every 4 records, which
+    /// shows the order side A and side B were fed in.
+    fn cfg4() -> StreamConfig {
+        StreamConfig {
             snapshot_every: 4,
             ..cfg()
-        };
-        let mut t = Tenant::create(disk.clone(), dir(), "t", cfg, 96).expect("empty disk");
+        }
+    }
+
+    #[test]
+    fn an_open_whose_read_fails_writes_nothing() {
+        // Four records fit the budget, so `r2`'s ingest evicts `base`. `r1`
+        // is opened after `base` has records: its open reads them from
+        // `base.log`.
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = Tenant::create(disk.clone(), dir(), "t", cfg4(), 96).expect("empty disk");
         let ok = |r: Response| assert!(!matches!(r, Response::Error { .. }), "{r:?}");
-        for op in [open("base"), open("r2"), ingest("base", 0, 10), open("r1")] {
+        for op in [
+            open("base"),
+            open("r2"),
+            ingest("base", 0, 10),
+            ingest("r2", 0, 10),
+        ] {
             ok(serve(&mut t, op));
         }
-        // `r2`'s engine has seen the whole baseline: its ingest is one log
-        // append and one journal line, and reads nothing.
-        let calls = disk.calls().len();
-        ok(serve(&mut t, ingest("r2", 0, 10)));
-        let io: Vec<_> = (disk.calls()[calls..].iter())
-            .filter(|c| matches!(c.op, Op::Read | Op::WriteAt))
-            .map(|c| (c.op, c.path.clone()))
-            .collect();
-        let written = ["r2.log", "journal"].map(|f| (Op::WriteAt, dir().join(f)));
-        assert_eq!(io, written);
-
         disk.fail(
             Op::Read,
             dir().join("base.log"),
             Fault::Fail(io::ErrorKind::Other),
         );
         let (files, calls) = (disk.files(), disk.calls().len());
-        let resp = serve(&mut t, ingest("r1", 0, 5));
+        let resp = serve(&mut t, open("r1"));
         let Response::Error { message } = resp else {
             panic!("accepted: {resp:?}")
         };
@@ -1053,40 +1039,71 @@ mod tests {
         let writes = (disk.calls()[calls..].iter())
             .filter(|c| !matches!(c.op, Op::Read | Op::Len))
             .count();
-        assert_eq!(writes, 0, "the refused ingest wrote");
-        assert!(disk.files() == files, "the refused ingest changed a file");
-        // The resend is applied, and so is the next batch.
-        for (seq, total) in [(0, 5), (5, 10)] {
-            let resp = serve(&mut t, ingest("r1", seq, 5));
-            assert!(
-                matches!(resp, Response::Ingested { total: n } if n == total),
-                "{resp:?}"
-            );
-        }
+        assert_eq!(writes, 0, "the refused open wrote");
+        assert!(disk.files() == files, "the refused open changed a file");
+
+        // The retried open is applied: its engine has seen the whole
+        // baseline before it sees a record of its own.
+        ok(serve(&mut t, open("r1")));
         let resp = t.snapshot("r1").expect("live");
         assert!(
             matches!(
                 resp,
                 Response::Snapshot {
                     seen_a: 10,
-                    seen_b: 10,
+                    seen_b: 0,
                     ..
                 }
             ),
             "{resp:?}"
         );
+        // So every ingest is one log append and one journal line, and
+        // reads nothing: the first one too.
+        for seq in [0, 5] {
+            let calls = disk.calls().len();
+            ok(serve(&mut t, ingest("r1", seq, 5)));
+            let io: Vec<_> = (disk.calls()[calls..].iter())
+                .filter(|c| matches!(c.op, Op::Read | Op::WriteAt))
+                .map(|c| (c.op, c.path.clone()))
+                .collect();
+            let written = ["r1.log", "journal"].map(|f| (Op::WriteAt, dir().join(f)));
+            assert_eq!(io, written, "ingest r1 at {seq}");
+        }
 
         // A kill now recovers to what the live tenant serves, trail
         // points included.
-        let back = Tenant::recover(Arc::new(disk.kill()), dir(), "t", cfg)
+        let back = Tenant::recover(Arc::new(disk.kill()), dir(), "t", cfg4())
             .unwrap_or_else(|e| panic!("{e}"));
-        let served = |t: &Tenant| {
-            (["r1", "r2"].iter())
-                .flat_map(|s| [t.snapshot(s), t.trail(s)])
-                .map(|r| serde_json::to_string(&r.expect("served")).expect("encodes"))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(served(&back), served(&t));
+        assert_eq!(served(&back, &["r1", "r2"]), served(&t, &["r1", "r2"]));
+    }
+
+    #[test]
+    fn a_ck_whose_engine_lags_its_baseline_recovers_caught_up() {
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = Tenant::create(disk.clone(), dir(), "t", cfg4(), 64 << 20).expect("empty disk");
+        for op in [open("base"), ingest("base", 0, 10), open("r1")] {
+            serve(&mut t, op);
+        }
+        t.checkpoint().expect("checkpoint");
+
+        // An earlier build checkpointed `r1` as it was opened: an engine
+        // that has consumed nothing.
+        let path = dir().join("ck");
+        let raw = disk.read(&path).expect("a ck");
+        let head = read_section(&mut &raw[..], "tenant").expect("one section");
+        let head = std::str::from_utf8(&head).expect("UTF-8");
+        let mut ck: TenantCk = serde_json::from_str(head).expect("a ck head");
+        let fresh = IncrementalComparison::new(cfg4()).with_engine_id(engine_id_for("t", "r1"));
+        let r1 = (ck.streams.iter_mut().find(|s| s.name == "r1")).expect("r1 checkpointed");
+        r1.engine = Some(fresh.cursor());
+        let mut raw = Vec::new();
+        let head = serde_json::to_string(&ck).expect("encodes");
+        write_section(&mut raw, head.as_bytes()).expect("in memory");
+        disk.write_file(&path, &raw).expect("ck written");
+
+        let back = Tenant::recover(Arc::new(disk.kill()), dir(), "t", cfg4())
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(served(&back, &["r1"]), served(&t, &["r1"]));
     }
 
     #[test]

@@ -335,8 +335,8 @@ pub enum Request {
     CreateTenant { tenant: String, budget_bytes: u64 },
     /// Drop a tenant and every stream, engine, and log file it owns.
     DropTenant { tenant: String },
-    /// Open a stream under a tenant. The tenant's first opened stream
-    /// is its baseline; every later stream is compared against it.
+    /// Open a stream under a tenant. The tenant's first opened stream is
+    /// its baseline; every later one is scored against it from its open.
     OpenStream { tenant: String, stream: String },
     /// Append observations. `seq` is the client's record count *before*
     /// this batch: the daemon skips already-ingested overlap (idempotent

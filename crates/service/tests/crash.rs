@@ -669,7 +669,7 @@ fn served_kappas_are_batch(c: &mut Client, data: &[Vec<Observation>], what: &str
             panic!("{what}: no snapshot of {stream}");
         };
         assert_eq!(seen_b, counts[s], "{what}: {stream}");
-        assert!(seen_a <= counts[0], "{what}: {stream}");
+        assert_eq!(seen_a, counts[0], "{what}: {stream}");
         let Ok(Response::Trail { points }) = c.trail(T, stream) else {
             panic!("{what}: no trail of {stream}");
         };

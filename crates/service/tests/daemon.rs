@@ -251,9 +251,9 @@ fn kill_restart_mid_ingest_serves_bit_identical_kappa() {
 }
 
 /// A comparison stream opened *after* the baseline has already ingested
-/// data must still converge on batch-identical κ: later baseline growth
-/// may not push the fresh tail into its engine before the missed prefix
-/// has been fed (records would arrive out of order and duplicated).
+/// data must still converge on batch-identical κ: its engine is fed the
+/// baseline's prefix when it opens, so later baseline growth reaches it
+/// in order, neither missing nor duplicating a record.
 #[test]
 fn late_opened_stream_is_bit_identical_to_batch() {
     let dir = tmp_dir("lateopen");
@@ -274,10 +274,28 @@ fn late_opened_stream_is_bit_identical_to_batch() {
     c.ingest("acme", "base", 0, &base[..200])
         .expect("base prefix");
     c.open_stream("acme", "late").expect("open late");
+    // `late`'s engine is fed those 200 when it opens: it serves the
+    // baseline's prefix against an empty trial before it has a record.
+    let Response::Snapshot {
+        seen_a,
+        seen_b,
+        common,
+        running,
+    } = c.snapshot("acme", "late").expect("snapshot after open")
+    else {
+        panic!("snapshot variant");
+    };
+    let a = Trial::from_observations(&base[..200]);
+    let batch = PairAnalyzer::new(&a, &Trial::from_observations(&[])).analyze();
+    assert_eq!(
+        (seen_a, seen_b, common, running.kappa_bits),
+        (200, 0, 0, batch.metrics.kappa.to_bits()),
+        "`late` right after its open"
+    );
 
-    // Baseline grows again: `late`'s engine lags side A by 200 records
-    // here, while `ontime`'s is exactly caught up — the growth path has
-    // to handle both in the same loop.
+    // Baseline grows again: `late`'s engine and `ontime`'s have both
+    // consumed the whole baseline, so the growth feeds each the same
+    // 200 records.
     c.ingest("acme", "base", 200, &base[200..400])
         .expect("base growth");
 
