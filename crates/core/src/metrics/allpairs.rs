@@ -45,7 +45,7 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -170,7 +170,7 @@ fn table_cap(n: usize) -> usize {
 /// hasher, so input cannot be chosen to share one probe chain. No result
 /// depends on it: group ids follow first arrival, not the table.
 #[inline]
-fn hash_id(id: PacketId) -> u64 {
+pub(super) fn hash_id(id: PacketId) -> u64 {
     static KEY: OnceLock<[u64; 2]> = OnceLock::new();
     let [k0, k1] = *KEY.get_or_init(|| {
         let s = RandomState::new();
@@ -179,6 +179,30 @@ fn hash_id(id: PacketId) -> u64 {
     let v = id.as_u128();
     let p = ((v >> 64) as u64 ^ k0) as u128 * ((v as u64 ^ k1) as u128);
     (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// [`hash_id`] behind the standard `Hasher` interface, for the streaming
+/// engine's identity map: a `PacketId` hashes as its `u128` value, one
+/// `write_u128`, so the map's hash is `hash_id`'s with no second mix.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.0 = hash_id(PacketId::from_u128(v));
+    }
+
+    /// Unreached: an identity map's key is a `PacketId`, which hashes as
+    /// one `write_u128`.
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IdHasher hashes PacketId keys only")
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Linear probe for `id` from its home slot: `Ok(group)` at the occupied

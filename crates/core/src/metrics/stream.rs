@@ -31,8 +31,9 @@
 //!   histograms, the ±10 ns share and the percentiles.
 //!
 //! So the engine keeps only what a stream alone can know: per-side
-//! cursors, one pending queue per unmatched identity (tagged with the one
-//! side it is waiting on), the matched pairs, the two `u128` sums and the
+//! cursors, the pending occurrences of each unmatched identity (all on
+//! the one side it is waiting on: the oldest inline, a duplicate's later
+//! ones out of line), the matched pairs, the two `u128` sums and the
 //! snapshot trail. An unmatched observation stays resident until its
 //! counterpart arrives or the stream ends; nothing is evicted. Residency
 //! therefore follows the skew between the two feeds plus the packets one
@@ -65,7 +66,7 @@
 //! pairs in another order than the live one did (nothing it serves reads
 //! that order), so its own checkpoint bytes may differ.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::io::{Read, Write};
@@ -76,6 +77,7 @@ use serde::{Deserialize, Serialize};
 use crate::obs;
 use choir_packet::ident::PacketId;
 
+use super::allpairs::IdHasher;
 use super::iat::normalize_i;
 use super::kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig};
 use super::latency::normalize_l;
@@ -346,8 +348,10 @@ impl StreamCheckpoint {
     }
 }
 
-/// Bytes of one matched pair in a slab: `a_pos`, `b_pos` (u32), the i128
-/// latency delta as `hi` (i64) and `lo` (u64), `d_iat_ps` (i64).
+/// Bytes of one matched pair in a slab: `a_pos`, `b_pos` (u32), the
+/// latency delta sign-extended to 128 bits as `hi` (i64) and `lo` (u64),
+/// `d_iat_ps` (i64). The slab keeps the 16-byte field the delta had as an
+/// `i128`, so a checkpoint's bytes did not move when it became an `i64`.
 const PAIR_BYTES: usize = 32;
 /// Bytes of one pending observation in a slab: identity (u128), `pos`
 /// and side (u32 each), `t_ps` (u64), `gap_ps` (i64).
@@ -359,25 +363,41 @@ const PENDING_BYTES: usize = 40;
 fn encode_pair(p: &PairRec, out: &mut Vec<u8>) {
     out.extend_from_slice(&p.a_pos.to_le_bytes());
     out.extend_from_slice(&p.b_pos.to_le_bytes());
-    out.extend_from_slice(&((p.d_lat_ps >> 64) as i64).to_le_bytes());
+    out.extend_from_slice(&(p.d_lat_ps >> 63).to_le_bytes());
     out.extend_from_slice(&(p.d_lat_ps as u64).to_le_bytes());
     out.extend_from_slice(&p.d_iat_ps.to_le_bytes());
 }
 
-fn decode_pair(b: &[u8]) -> PairRec {
-    let (hi, lo) = (i64::from_le_bytes(le(b, 8)), u64::from_le_bytes(le(b, 16)));
-    PairRec {
-        a_pos: u32::from_le_bytes(le(b, 0)),
-        b_pos: u32::from_le_bytes(le(b, 4)),
-        d_lat_ps: ((hi as i128) << 64) | lo as i128,
-        d_iat_ps: i64::from_le_bytes(le(b, 24)),
+/// Decode an `all_pairs` slab, refusing one that no engine writes:
+/// ragged, or a latency delta outside `i64` (its high word is not the
+/// sign extension of its low one).
+fn decode_pairs(raw: &[u8]) -> Result<Vec<PairRec>, CheckpointError> {
+    record_count::<PAIR_BYTES>(raw, "all_pairs")?;
+    let lat = |b: &[u8]| (i64::from_le_bytes(le(b, 8)), u64::from_le_bytes(le(b, 16)));
+    let records = raw.chunks_exact(PAIR_BYTES);
+    if let Some((k, (hi, lo))) =
+        (records.clone().map(lat).enumerate()).find(|&(_, (hi, lo))| hi != (lo as i64) >> 63)
+    {
+        let d = ((hi as i128) << 64) | lo as i128;
+        return Err(CheckpointError::Corrupt {
+            section: "all_pairs",
+            detail: format!("pair {k}: latency delta {d} ps is outside i64"),
+        });
     }
+    Ok(records
+        .map(|b| PairRec {
+            a_pos: u32::from_le_bytes(le(b, 0)),
+            b_pos: u32::from_le_bytes(le(b, 4)),
+            d_lat_ps: lat(b).1 as i64,
+            d_iat_ps: i64::from_le_bytes(le(b, 24)),
+        })
+        .collect())
 }
 
-fn encode_pending(id: PacketId, side: Side, o: &PendingObs, out: &mut Vec<u8>) {
+fn encode_pending(id: PacketId, o: &PendingObs, out: &mut Vec<u8>) {
     out.extend_from_slice(&id.as_u128().to_le_bytes());
     out.extend_from_slice(&o.pos.to_le_bytes());
-    out.extend_from_slice(&(side.index() as u32).to_le_bytes());
+    out.extend_from_slice(&(o.side.index() as u32).to_le_bytes());
     out.extend_from_slice(&o.t_ps.to_le_bytes());
     out.extend_from_slice(&o.gap_ps.to_le_bytes());
 }
@@ -390,7 +410,7 @@ fn encode_pending(id: PacketId, side: Side, o: &PendingObs, out: &mut Vec<u8>) {
 /// builds with it. Returns the number of records.
 fn decode_pending(
     raw: &[u8],
-    mut each: impl FnMut(PacketId, Side, PendingObs),
+    mut each: impl FnMut(PacketId, PendingObs),
 ) -> Result<usize, CheckpointError> {
     let corrupt = |detail| CheckpointError::Corrupt {
         section: "pending",
@@ -413,9 +433,10 @@ fn decode_pending(
         last = Some((id, side));
         each(
             PacketId::from_u128(id),
-            side,
             PendingObs {
                 pos: u32::from_le_bytes(le(b, 16)),
+                side,
+                queued: false,
                 t_ps: u64::from_le_bytes(le(b, 24)),
                 gap_ps: i64::from_le_bytes(le(b, 32)),
             },
@@ -574,60 +595,48 @@ impl SideState {
     }
 }
 
-/// An observation waiting for its counterpart on the other side.
+/// An observation waiting for its counterpart on the other side. The
+/// side it is on and whether later occurrences of its identity queue
+/// behind it sit in the padding after `pos`: 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct PendingObs {
     pos: u32,
+    side: Side,
+    /// The engine's `queued` map holds this identity's later
+    /// occurrences. Only the oldest pending occurrence says so.
+    queued: bool,
     t_ps: u64,
     gap_ps: i64,
 }
 
-/// The pending occurrences of one identity: the oldest, `head`, then the
-/// rest in arrival order. They are all on one side: an occurrence on the
-/// other side matches the oldest instead of queueing. The oldest is held
-/// inline, so an identity waiting alone — nearly every one in a
-/// lock-step feed — allocates nothing; a heap queue per identity was
-/// three fifths of a rebuild's time.
-#[derive(Debug)]
-struct IdQueue {
-    side: Side,
-    head: PendingObs,
-    rest: VecDeque<PendingObs>,
-}
-
-impl IdQueue {
-    fn new(side: Side, head: PendingObs) -> Self {
-        IdQueue {
-            side,
-            head,
-            rest: VecDeque::new(),
-        }
-    }
-
-    /// Oldest first.
-    fn iter(&self) -> impl Iterator<Item = &PendingObs> {
-        std::iter::once(&self.head).chain(&self.rest)
-    }
-}
-
-/// The engine's per-identity maps hash with fixed keys. No result reads
-/// their iteration order (checkpoints sort), but the heap does: with
-/// `RandomState` every process walks, checkpoints and drops the same
-/// 50 000 identities in a different order, and what the allocator keeps
-/// afterwards differed by ± 13 MB of peak RSS between two runs of one
-/// daemon session. Identities are hashed with a fixed function on the
-/// batch side already (`TrialIndex`).
-type IdMap<V> = HashMap<PacketId, V, BuildHasherDefault<DefaultHasher>>;
+/// The engine's per-identity maps hash with `hash_id`, the batch index's
+/// keyed folded multiply (`TrialIndex`), and nothing else: one multiply a
+/// probe where SipHash took a dozen rounds. Its key is drawn once per
+/// process, so a client that chooses the identities it sends cannot
+/// choose them to share a probe chain (with a public key, every identity
+/// whose high word equals the key's first word hashes alike). No result
+/// reads a map's order (checkpoints sort), and no allocation follows it:
+/// a pending entry owns no heap chunk (only a duplicated identity's
+/// queue does, in a map of its own), so walking and dropping the entries
+/// in another order each run frees the same blocks.
+type IdMap<V> = HashMap<PacketId, V, BuildHasherDefault<IdHasher>>;
 
 /// One matched pair as recorded at match time (global positions plus the
-/// exact integer deltas).
+/// exact integer deltas): 24 bytes. The latency delta fits `i64` under
+/// the stamp contract the engine relies on
+/// ([`MAX_TIMESTAMP_PS`](super::trial::MAX_TIMESTAMP_PS): two
+/// latencies built from stamps below it differ by less than `i64::MAX`),
+/// and `as f64` rounds it as it rounded the `i128` it was.
 #[derive(Debug, Clone, Copy)]
 struct PairRec {
     a_pos: u32,
     b_pos: u32,
-    d_lat_ps: i128,
+    d_lat_ps: i64,
     d_iat_ps: i64,
 }
+
+const _: () = assert!(std::mem::size_of::<PairRec>() == 24);
+const _: () = assert!(std::mem::size_of::<(PacketId, PendingObs)>() <= 48);
 
 /// True when a run of matched pairs, taken as recorded (match order), is
 /// strictly increasing in both coordinates. B order is then the order
@@ -688,7 +697,17 @@ fn matching_in_b_order(pairs: &mut [PairRec], sides: &[SideState; 2]) -> Matchin
 pub struct IncrementalComparison {
     cfg: StreamConfig,
     sides: [SideState; 2],
-    pending: IdMap<IdQueue>,
+    /// The oldest pending occurrence of each unmatched identity. Every
+    /// pending occurrence of one identity is on one side: an occurrence
+    /// on the other side matches the oldest instead of queueing. The
+    /// oldest is held inline, so an identity waiting alone — nearly every
+    /// one in a lock-step feed — allocates nothing (a heap queue per
+    /// identity was three fifths of a rebuild's time), and an entry is
+    /// 40 bytes with its key where a queue inline made it 80.
+    pending: IdMap<PendingObs>,
+    /// The later pending occurrences of a duplicated identity, oldest
+    /// first; its head in `pending` is marked `queued`.
+    queued: IdMap<VecDeque<PendingObs>>,
     resident: usize,
     peak_resident: usize,
     lat_num: u128,
@@ -713,6 +732,7 @@ impl IncrementalComparison {
             cfg,
             sides: [SideState::default(), SideState::default()],
             pending: IdMap::default(),
+            queued: IdMap::default(),
             resident: 0,
             peak_resident: 0,
             lat_num: 0,
@@ -789,9 +809,12 @@ impl IncrementalComparison {
         let mut ids: Vec<_> = self.pending.iter().collect();
         ids.sort_unstable_by_key(|&(id, _)| id);
         let mut pending = Vec::with_capacity(self.resident * PENDING_BYTES);
-        for (&id, q) in ids {
-            for o in q.iter() {
-                encode_pending(id, q.side, o, &mut pending);
+        for (&id, head) in ids {
+            encode_pending(id, head, &mut pending);
+            if head.queued {
+                for o in &self.queued[&id] {
+                    encode_pending(id, o, &mut pending);
+                }
             }
         }
         if obs::is_enabled() {
@@ -820,34 +843,42 @@ impl IncrementalComparison {
     ///
     /// # Panics
     ///
-    /// On slabs no engine writes — ragged, a pending side other than A or
-    /// B, one identity out of order, in two runs or pending on both
-    /// sides — which only a checkpoint edited in transit can hold. No
-    /// engine is built from them.
+    /// Where [`Self::try_resume`] refuses the checkpoint.
     pub fn resume(ck: StreamCheckpoint) -> Self {
+        Self::try_resume(ck).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::resume`], refusing with [`CheckpointError::Corrupt`], and
+    /// building no engine, slabs that no engine writes: ragged, a pending
+    /// side other than A or B, one identity out of order, in two runs or
+    /// pending on both sides, or a latency delta outside `i64`. Only a
+    /// checkpoint edited in transit holds one.
+    pub fn try_resume(ck: StreamCheckpoint) -> Result<Self, CheckpointError> {
         let _span = obs::span("recover.resume");
         let cfg = StreamConfig {
             snapshot_every: ck.snapshot_every,
             ..Default::default()
         };
-        record_count::<PAIR_BYTES>(&ck.all_pairs, "all_pairs").unwrap_or_else(|e| panic!("{e}"));
-        let pairs = ck.all_pairs.chunks_exact(PAIR_BYTES);
+        let all_pairs = decode_pairs(&ck.all_pairs)?;
         let mut pending = IdMap::with_capacity_and_hasher(ck.resident(), Default::default());
-        let resident = decode_pending(&ck.pending, |id, side, o| match pending.entry(id) {
+        let mut queued = IdMap::<VecDeque<_>>::default();
+        let resident = decode_pending(&ck.pending, |id, o| match pending.entry(id) {
             Entry::Vacant(v) => {
-                v.insert(IdQueue::new(side, o));
+                v.insert(o);
             }
-            Entry::Occupied(mut q) => q.get_mut().rest.push_back(o),
-        })
-        .unwrap_or_else(|e| panic!("{e}"));
+            Entry::Occupied(mut head) => {
+                head.get_mut().queued = true;
+                queued.entry(id).or_default().push_back(o);
+            }
+        })?;
         if obs::is_enabled() {
             obs::counter_inc("recover.resumes");
         }
-        let all_pairs: Vec<PairRec> = pairs.map(decode_pair).collect();
-        IncrementalComparison {
+        Ok(IncrementalComparison {
             cfg,
             sides: [ck.side_a, ck.side_b],
             pending,
+            queued,
             resident,
             peak_resident: ck.peak_resident as usize,
             lat_num: join_u128(ck.lat_num.0, ck.lat_num.1),
@@ -857,7 +888,7 @@ impl IncrementalComparison {
             last_snapshot_tick: ck.last_snapshot_tick,
             engine_id: ck.engine_id,
             snapshots: ck.snapshots,
-        }
+        })
     }
 
     /// What [`Self::rebuild`] needs besides the two prefixes this engine
@@ -981,23 +1012,37 @@ impl IncrementalComparison {
         s.prev_t_ps = t_ps;
         s.len += 1;
 
-        let me = PendingObs { pos, t_ps, gap_ps };
+        let me = PendingObs {
+            pos,
+            side,
+            queued: false,
+            t_ps,
+            gap_ps,
+        };
         let other = match self.pending.entry(id) {
             Entry::Vacant(v) => {
-                v.insert(IdQueue::new(side, me));
+                v.insert(me);
                 None
             }
-            Entry::Occupied(mut q) if q.get().side == side => {
-                q.get_mut().rest.push_back(me);
+            Entry::Occupied(mut head) if head.get().side == side => {
+                head.get_mut().queued = true;
+                self.queued.entry(id).or_default().push_back(me);
                 None
             }
             // The k-th occurrence of an identity on one side meets the
             // k-th on the other — the same occurrence-wise rule as
-            // `Matching::build`, for any interleaving.
-            Entry::Occupied(mut q) => Some(match q.get_mut().rest.pop_front() {
-                Some(next) => std::mem::replace(&mut q.get_mut().head, next),
-                None => q.remove().head,
-            }),
+            // `Matching::build`, for any interleaving: the oldest goes,
+            // and the next in its queue, if any, takes its place.
+            Entry::Occupied(mut head) if head.get().queued => {
+                let rest = self.queued.get_mut(&id).expect("a queued head has a queue");
+                let mut next = rest.pop_front().expect("a queue is never empty");
+                next.queued = !rest.is_empty();
+                if !next.queued {
+                    self.queued.remove(&id);
+                }
+                Some(std::mem::replace(head.get_mut(), next))
+            }
+            Entry::Occupied(head) => Some(head.remove()),
         };
         match other {
             None => self.resident += 1,
@@ -1031,11 +1076,12 @@ impl IncrementalComparison {
         // Both sides have pushed at least once by now, so the per-side
         // origins are final (a side's first push fixes them forever) —
         // identical operands to the batch kernels.
-        let ta0 = self.sides[0].start_ps() as i128;
-        let tb0 = self.sides[1].start_ps() as i128;
-        let d_lat = (ap.t_ps as i128 - ta0) - (bp.t_ps as i128 - tb0);
+        // Stamps below `MAX_TIMESTAMP_PS` keep every term inside `i64`.
+        let ta0 = self.sides[0].start_ps() as i64;
+        let tb0 = self.sides[1].start_ps() as i64;
+        let d_lat = (ap.t_ps as i64 - ta0) - (bp.t_ps as i64 - tb0);
         let d_iat = ap.gap_ps - bp.gap_ps;
-        self.lat_num += d_lat.unsigned_abs();
+        self.lat_num += d_lat.unsigned_abs() as u128;
         self.iat_num += d_iat.unsigned_abs() as u128;
         if let Some(last) = self.all_pairs.last() {
             self.in_order &= last.a_pos < ap.pos && last.b_pos < bp.pos;
@@ -1476,9 +1522,11 @@ mod tests {
         // whole through serde with one slab edited in transit: a ragged
         // `all_pairs`, a pending side that is neither A nor B, one
         // identity in two runs (its first run would be lost, `resident`
-        // over-counted), and one identity pending on both sides (its next
-        // match would break occurrence order). `resume` panics, naming
-        // the slab, rather than build an engine from any of them.
+        // over-counted), one identity pending on both sides (its next
+        // match would break occurrence order), and a latency delta
+        // outside `i64` (no stamps below `MAX_TIMESTAMP_PS` make one).
+        // `try_resume` refuses each with `Corrupt`, and `resume` panics,
+        // both naming the slab, rather than build an engine from any.
         let (a, b) = jittered_pair(60);
         let mut eng = IncrementalComparison::new(StreamConfig::default());
         feed(&mut eng, &interleave(&a, &b, 9)[..70]);
@@ -1497,8 +1545,12 @@ mod tests {
         };
         let mut ragged = ck.clone();
         ragged.all_pairs.push(0);
+        // Pair 0's latency: high word 1 over its low word, 2^64 ps more.
+        let mut wide = ck.clone();
+        wide.all_pairs[8..16].copy_from_slice(&1i64.to_le_bytes());
         for (what, section, bad) in [
             ("ragged", "all_pairs", ragged),
+            ("latency outside i64", "all_pairs", wide),
             ("side 7", "pending", with_pending(&[rec(5, 7)])),
             (
                 "two runs",
@@ -1513,6 +1565,12 @@ mod tests {
         ] {
             let json = serde_json::to_string(&bad).unwrap();
             let shipped: StreamCheckpoint = serde_json::from_str(&json).unwrap();
+            match IncrementalComparison::try_resume(shipped.clone()) {
+                Err(CheckpointError::Corrupt { section: s, detail }) => {
+                    assert_eq!(s, section, "{what}: {detail}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
             let err = std::panic::catch_unwind(|| IncrementalComparison::resume(shipped))
                 .expect_err(what);
             let said = err.downcast_ref::<String>().expect("a formatted panic");
@@ -1527,6 +1585,27 @@ mod tests {
             IncrementalComparison::resume(sound).resident(),
             eng.resident()
         );
+    }
+
+    #[test]
+    fn the_pending_map_hashes_an_identity_with_hash_id_alone() {
+        // One keyed multiply a probe, the batch index's: the map's hash of
+        // an identity is `hash_id`'s, with no second mix and no fixed key.
+        use std::hash::BuildHasher;
+        let map: IdMap<()> = IdMap::default();
+        let tag = |seq: u64| PacketId::from_tag(&choir_packet::tag::ChoirTag::new(0, 1, seq));
+        for id in [
+            PacketId::from_u128(0),
+            PacketId::from_u128(u128::MAX),
+            PacketId::from_u128(7 << 64 | 7),
+            tag(3),
+            tag(3 | 1 << 16),
+        ] {
+            assert_eq!(
+                map.hasher().hash_one(id),
+                super::super::allpairs::hash_id(id)
+            );
+        }
     }
 
     #[test]

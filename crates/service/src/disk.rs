@@ -62,7 +62,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io;
+use std::io::{self, Read, Seek};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -72,6 +72,9 @@ use std::sync::Mutex;
 pub trait Disk: Send + Sync {
     /// The whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+
+    /// Up to `len` bytes from `offset`: fewer only where the file ends.
+    fn read_at(&self, path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>>;
 
     /// The file's length; `None` only if nothing is there (`NotFound`).
     fn len(&self, path: &Path) -> io::Result<Option<u64>>;
@@ -106,6 +109,15 @@ pub struct RealDisk;
 impl Disk for RealDisk {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
+    }
+
+    fn read_at(&self, path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+        let mut f = fs::File::open(path)?;
+        let end = f.metadata()?.len().min(offset.saturating_add(len));
+        let mut bytes = Vec::with_capacity(end.saturating_sub(offset) as usize);
+        f.seek(io::SeekFrom::Start(offset))?;
+        f.take(len).read_to_end(&mut bytes)?;
+        Ok(bytes)
     }
 
     fn len(&self, path: &Path) -> io::Result<Option<u64>> {
@@ -158,6 +170,7 @@ impl Disk for RealDisk {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     Read,
+    ReadAt,
     Len,
     WriteAt,
     WriteFile,
@@ -175,7 +188,8 @@ pub struct Call {
     pub path: PathBuf,
     /// A rename's target.
     pub to: Option<PathBuf>,
-    /// The bytes a write was given (0 for a call that writes none).
+    /// The bytes a write was given or a read returned (0 for any other
+    /// call, and for one that failed).
     pub bytes: usize,
 }
 
@@ -311,6 +325,21 @@ impl Script {
             Some(Fault::Fail(kind)) => Err(kind.into()),
             Some(Fault::Short(_)) => Err(io::Error::from_raw_os_error(NO_SPACE)),
         }
+    }
+
+    /// A read call: up to `len` bytes of `path` from `offset`, logged
+    /// with the count it returns.
+    fn read(&mut self, op: Op, path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+        self.plain(op, path, None)?;
+        let &ino = (self.now.names.get(path)).ok_or(io::ErrorKind::NotFound)?;
+        let data = &self.now.inodes[ino];
+        let at = data.len().min(offset.try_into().unwrap_or(usize::MAX));
+        let end = data
+            .len()
+            .min(at.saturating_add(len.try_into().unwrap_or(usize::MAX)));
+        let bytes = data[at..end].to_vec();
+        self.calls.last_mut().expect("just logged").bytes = bytes.len();
+        Ok(bytes)
     }
 
     fn step(&mut self, step: Step) {
@@ -533,12 +562,11 @@ impl ScriptDisk {
 
 impl Disk for ScriptDisk {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let mut s = self.lock();
-        s.plain(Op::Read, path, None)?;
-        match s.now.names.get(path) {
-            Some(&ino) => Ok(s.now.inodes[ino].clone()),
-            None => Err(io::ErrorKind::NotFound.into()),
-        }
+        self.lock().read(Op::Read, path, 0, u64::MAX)
+    }
+
+    fn read_at(&self, path: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+        self.lock().read(Op::ReadAt, path, offset, len)
     }
 
     fn len(&self, path: &Path) -> io::Result<Option<u64>> {

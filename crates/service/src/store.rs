@@ -88,7 +88,9 @@ pub struct StoreStats {
 }
 
 struct Slot {
-    /// Resident observations, `None` while evicted.
+    /// Resident observations, `None` while evicted. Shorter than `len`
+    /// after [`TrialStore::adopt`] extended the trial: the records past
+    /// it are read from the log's tail when it is next touched.
     obs: Option<Vec<Observation>>,
     /// Authoritative record count (resident or not); the log holds at
     /// least this many records.
@@ -223,12 +225,22 @@ impl TrialStore {
     }
 
     /// Take a trial's log at `count` records without loading it: the
-    /// trial becomes non-resident at exactly that length, whatever the
-    /// store held for it before. Recovery uses it to set each trial to
-    /// what its checkpoint and journal markers cover.
+    /// trial is set to exactly that length, whatever the store held for
+    /// it before. A resident copy that `count` extends stays resident,
+    /// and the records past it are read from the log's tail
+    /// ([`Disk::read_at`]) when the trial is next touched, so replaying k
+    /// markers of a stream reads each of its records once, not O(k × its
+    /// length); any other copy is dropped. Recovery uses it to set each
+    /// trial to what its checkpoint and journal markers cover.
     pub fn adopt(&mut self, key: &str, count: u64) -> Result<(), StoreError> {
         let on_disk = self.disk.len(&log_path(&self.dir, key))?.unwrap_or(0);
         Self::check_log(key, on_disk, count)?;
+        if let Some(slot) = (self.slots.get_mut(key))
+            .filter(|s| s.obs.as_ref().is_some_and(|o| o.len() as u64 <= count))
+        {
+            slot.len = count;
+            return Ok(());
+        }
         let slot = Slot {
             // An empty trial may have no log file at all yet.
             obs: (count == 0).then(Vec::new),
@@ -255,21 +267,30 @@ impl TrialStore {
     fn ensure_resident(&mut self, key: &str) -> Result<(), StoreError> {
         match self.slots.get(key) {
             None => self.adopt(key, 0),
-            Some(s) if s.obs.is_some() => Ok(()),
+            Some(s) if s.obs.as_ref().is_some_and(|o| o.len() as u64 == s.len) => Ok(()),
             Some(_) => self.reload(key),
         }
     }
 
+    /// Read what a trial's resident copy lacks from its log: all of it
+    /// (a reload), or the tail an [`adopt`](Self::adopt) added. Bytes
+    /// past the accounted records are not read: they are not state.
     fn reload(&mut self, key: &str) -> Result<(), StoreError> {
-        let want = self.slots[key].len;
-        let mut raw = self.disk.read(&log_path(&self.dir, key))?;
-        Self::check_log(key, raw.len() as u64, want)?;
-        raw.truncate((want * OBS_BYTES) as usize);
+        let slot = &self.slots[key];
+        let (held, want) = (slot.obs.as_ref().map(|o| o.len() as u64), slot.len);
+        let from = held.unwrap_or(0);
+        let path = log_path(&self.dir, key);
+        let raw = (self.disk).read_at(&path, from * OBS_BYTES, (want - from) * OBS_BYTES)?;
+        Self::check_log(key, from * OBS_BYTES + raw.len() as u64, want)?;
         let slot = self.slots.get_mut(key).expect("caller checked");
-        slot.obs = Some(decode_records(&raw).collect());
-        self.resident_bytes += want * OBS_BYTES;
-        self.reloads += 1;
-        obs::counter_inc("service.store.reloads");
+        slot.obs
+            .get_or_insert_default()
+            .extend(decode_records(&raw));
+        self.resident_bytes += (want - from) * OBS_BYTES;
+        if held.is_none() {
+            self.reloads += 1;
+            obs::counter_inc("service.store.reloads");
+        }
         Ok(())
     }
 
@@ -391,11 +412,19 @@ mod tests {
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
         st.adopt("t0/a", 50).unwrap();
         assert_eq!(st.get("t0/a").unwrap(), &a[..50]);
-        // A later marker covers the rest: adopt again, nothing rewritten.
+        // A later marker covers the rest: adopt again, nothing rewritten
+        // or read; the next read extends the resident copy from the log's
+        // tail instead of reloading it.
         st.adopt("t0/a", 90).unwrap();
         let resident = st.stats().resident_bytes;
-        assert_eq!(resident, 0, "adopt drops the resident copy");
+        assert_eq!(resident, 50 * OBS_BYTES, "adopt keeps the resident copy");
         assert_eq!(st.get("t0/a").unwrap(), &a[..]);
+        let stats = st.stats();
+        assert_eq!((stats.resident_bytes, stats.reloads), (90 * OBS_BYTES, 1));
+        // A shorter count drops it; the next read reloads that many.
+        st.adopt("t0/a", 70).unwrap();
+        assert_eq!(st.stats().resident_bytes, 0, "adopt drops a copy it cuts");
+        assert_eq!(st.get("t0/a").unwrap(), &a[..70]);
     }
 
     #[test]

@@ -340,8 +340,6 @@ impl Tenant {
                     return Err(bad(&format!("stream `{}`", sck.name), &e));
                 }
             };
-            // Non-resident again, as every trial starts.
-            store.adopt(&sck.name, sck.ingested)?;
             streams.insert(sck.name, stream);
         }
         // A tenant with any stream has a baseline, and `baseline` names
@@ -953,7 +951,7 @@ mod tests {
             ok(serve(&mut t, op));
         }
         disk.fail(
-            Op::Read,
+            Op::ReadAt,
             dir().join("base.log"),
             Fault::Fail(io::ErrorKind::Other),
         );
@@ -964,7 +962,7 @@ mod tests {
         };
         assert!(message.starts_with("reading `base.log`: "), "{message}");
         let writes = (disk.calls()[calls..].iter())
-            .filter(|c| !matches!(c.op, Op::Read | Op::Len))
+            .filter(|c| !matches!(c.op, Op::Read | Op::ReadAt | Op::Len))
             .count();
         let unchanged = disk.files() == files;
         let live = |t: &Tenant| matches!(t.streams.get("r1"), Some(Stream::Live(_)));
@@ -1026,7 +1024,7 @@ mod tests {
             ok(serve(&mut t, op));
         }
         disk.fail(
-            Op::Read,
+            Op::ReadAt,
             dir().join("base.log"),
             Fault::Fail(io::ErrorKind::Other),
         );
@@ -1037,7 +1035,7 @@ mod tests {
         };
         assert!(message.starts_with("reading `base.log`: "), "{message}");
         let writes = (disk.calls()[calls..].iter())
-            .filter(|c| !matches!(c.op, Op::Read | Op::Len))
+            .filter(|c| !matches!(c.op, Op::Read | Op::ReadAt | Op::Len))
             .count();
         assert_eq!(writes, 0, "the refused open wrote");
         assert!(disk.files() == files, "the refused open changed a file");
@@ -1063,7 +1061,7 @@ mod tests {
             let calls = disk.calls().len();
             ok(serve(&mut t, ingest("r1", seq, 5)));
             let io: Vec<_> = (disk.calls()[calls..].iter())
-                .filter(|c| matches!(c.op, Op::Read | Op::WriteAt))
+                .filter(|c| matches!(c.op, Op::Read | Op::ReadAt | Op::WriteAt))
                 .map(|c| (c.op, c.path.clone()))
                 .collect();
             let written = ["r1.log", "journal"].map(|f| (Op::WriteAt, dir().join(f)));
@@ -1075,6 +1073,43 @@ mod tests {
         let back = Tenant::recover(Arc::new(disk.kill()), dir(), "t", cfg4())
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(served(&back, &["r1", "r2"]), served(&t, &["r1", "r2"]));
+    }
+
+    #[test]
+    fn replaying_k_markers_of_a_stream_reads_each_of_its_log_bytes_at_most_once() {
+        // Five markers on each stream, none under a checkpoint. Replay
+        // adopts a stream at each marker: the first read of a log takes
+        // the records the markers so far cover, and each later marker
+        // extends that copy from the log's tail instead of reloading it.
+        let disk = Arc::new(ScriptDisk::new());
+        let mut t = Tenant::create(disk.clone(), dir(), "t", cfg4(), 64 << 20).expect("empty disk");
+        let ok = |r: Response| assert!(!matches!(r, Response::Error { .. }), "{r:?}");
+        ok(serve(&mut t, open("base")));
+        for seq in (0..20).step_by(4) {
+            ok(serve(&mut t, ingest("base", seq, 4)));
+        }
+        ok(serve(&mut t, open("r1")));
+        for seq in (0..20).step_by(4) {
+            ok(serve(&mut t, ingest("r1", seq, 4)));
+        }
+
+        let img = Arc::new(disk.kill());
+        let calls = img.calls().len();
+        let back =
+            Tenant::recover(img.clone(), dir(), "t", cfg4()).unwrap_or_else(|e| panic!("{e}"));
+        for log in ["base.log", "r1.log"].map(|f| dir().join(f)) {
+            let read: usize = (img.calls()[calls..].iter())
+                .filter(|c| c.path == log && matches!(c.op, Op::Read | Op::ReadAt))
+                .map(|c| c.bytes)
+                .sum();
+            let size = img.files()[&log].len();
+            assert!(
+                read > 0 && read <= size,
+                "{}: read {read} of {size} bytes",
+                log.display()
+            );
+        }
+        assert_eq!(served(&back, &["r1"]), served(&t, &["r1"]));
     }
 
     #[test]

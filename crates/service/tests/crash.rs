@@ -794,7 +794,7 @@ fn a_replayed_op_whose_read_fails_stops_recovery_naming_it() {
 
     let img = Arc::new(disk.kill());
     let log = in_tenant(T, "r1.log");
-    img.fail(Op::Read, &log, Fault::Fail(io::ErrorKind::Other));
+    img.fail(Op::ReadAt, &log, Fault::Fail(io::ErrorKind::Other));
     let err = match spawn(&img, config()) {
         Ok(d) => {
             d.kill();

@@ -19,7 +19,7 @@ use choir::metrics::pair::PairAnalyzer;
 use choir::metrics::stream::{
     IncrementalComparison, Side, StreamCheckpoint, StreamConfig, StreamOutcome,
 };
-use choir::metrics::Trial;
+use choir::metrics::{report, Trial};
 use choir::packet::pcap::{parse_pcap, PCAP_NS_MAGIC};
 use choir::packet::PacketId;
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
@@ -29,24 +29,35 @@ use proptest::prelude::*;
 thread_local! {
     /// Heap allocations made by this thread (each test runs on its own).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, and their high-water
+    /// mark. A block freed on another thread than the one that allocated
+    /// it is counted where each happened; the engines here stay on one.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting calls per thread, so that one test can
-/// show a call allocates nothing while the others run beside it.
+/// The system allocator, counting calls and live bytes per thread, so
+/// that one test can show what a call allocates while the others run
+/// beside it.
 struct CountingAllocator;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` with no destructor, so touching it neither
+// the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell`s with no destructor, so touching them neither
 // allocates nor runs after thread teardown (`try_with` covers the rest).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + layout.size() as i64);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -60,6 +71,19 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Heap bytes `f` leaves allocated on this thread, and the most it held
+/// at once on the way, both over what the thread held before.
+fn heap_during<T>(f: impl FnOnce() -> T) -> (T, i64, i64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    (
+        out,
+        LIVE.with(Cell::get) - before,
+        PEAK.with(Cell::get) - before,
+    )
 }
 
 /// Feed a pair into a fresh engine, alternating sides `chunk` records at
@@ -285,6 +309,168 @@ fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
     let (running, allocations) = allocations_during(|| eng.running_metrics());
     assert!(running.o > 0.0);
     assert!(allocations > 0);
+}
+
+/// The κ daemon's engine on one `Ingest` frame a side, the serve
+/// fixture's shape: 50 000 records of one replayer's tagged sequence
+/// numbers on side A, then the 49 500 a run that lost every 100th
+/// delivered on side B, at the daemon's snapshot cadence. Pins what the
+/// engine holds on the heap, counted by this thread's allocator: per
+/// observation pending after side A (live, and the most at once on the
+/// way, which a rehash of the pending map sets), and per matched pair
+/// after side B (the pairs, the trail and the pending map, which keeps
+/// its capacity). Measured at 53.9 / 80.7 / 86.4 B on x86-64; an
+/// 80-byte pending entry (a queue inline) or a 48-byte pair (an `i128`
+/// delta) puts them over. `-- --nocapture` prints them.
+#[test]
+fn streaming_engine_heap_per_pending_observation_and_per_matched_pair() {
+    const N: u64 = 50_000;
+    let cfg = StreamConfig {
+        snapshot_every: 512,
+        ..Default::default()
+    };
+    let mut a = Trial::new();
+    let mut b = Trial::new();
+    for i in 0..N {
+        a.push_tagged(0, 0, i, i * 1_000);
+        if i % 100 != 99 {
+            b.push_tagged(0, 0, i, i * 1_000 + (i % 7) * 13);
+        }
+    }
+    let (mut eng, live, peak) = heap_during(|| {
+        let mut eng = IncrementalComparison::new(cfg);
+        eng.push_burst(Side::A, a.observations());
+        eng
+    });
+    assert_eq!(eng.resident(), N as usize);
+    let per_pending = live as f64 / N as f64;
+    let per_pending_peak = peak as f64 / N as f64;
+    let ((), grown, _) = heap_during(|| eng.push_burst(Side::B, b.observations()));
+    assert_eq!(eng.matched(), b.len());
+    let per_pair = (live + grown) as f64 / eng.matched() as f64;
+    println!(
+        "heap per pending observation {per_pending:.1} B (peak {per_pending_peak:.1} B), \
+         per matched pair {per_pair:.1} B"
+    );
+    assert!(
+        per_pending <= 54.0,
+        "{per_pending:.1} B per pending observation"
+    );
+    assert!(
+        per_pending_peak <= 81.0,
+        "{per_pending_peak:.1} B per pending observation at peak"
+    );
+    assert!(per_pair <= 87.0, "{per_pair:.1} B per matched pair");
+}
+
+/// Identities shaped the way `hash_id`'s doc names as hard for a weak
+/// mix: `hi == lo`, one `hi` with sequential `lo`, and tagged sequence
+/// numbers that differ only in bit 16 (each run of 32 is followed by
+/// the same run with bit 16 set). Side B loses every 11th and delivers
+/// adjacent pairs swapped every 13th; identity `dup` appears three times
+/// on side A and twice on side B, so its later occurrences queue out of
+/// line.
+fn adversarial_pair(shape: usize, n: u64) -> (Trial, Trial) {
+    let id = |i: u64| match shape {
+        0 => PacketId::from_u128((i as u128) << 64 | i as u128),
+        1 => PacketId::from_u128(0xdead_beef << 64 | i as u128),
+        _ => {
+            let seq = ((i / 64) << 17) | ((i / 32 % 2) << 16) | (i % 32);
+            PacketId::from_tag(&choir::packet::tag::ChoirTag::new(1, 0, seq))
+        }
+    };
+    let dup = PacketId::from_u128(u128::MAX);
+    let mut a = Trial::new();
+    let mut b_ids = Vec::new();
+    for i in 0..n {
+        a.push(id(i), i * 1_000);
+        if i % 11 != 5 {
+            b_ids.push(id(i));
+        }
+        if i % (n / 3) == 1 {
+            a.push(dup, i * 1_000 + 500);
+            if i > 1 {
+                b_ids.push(dup);
+            }
+        }
+    }
+    for k in (0..b_ids.len() - 1).step_by(13) {
+        b_ids.swap(k, k + 1);
+    }
+    let b = (b_ids.iter().enumerate())
+        .map(|(k, &id)| (id, k as u64 * 1_000 + (k as u64 % 5) * 17))
+        .collect();
+    (a, b)
+}
+
+#[test]
+fn adversarial_identities_stream_bit_identically_through_a_checkpoint() {
+    let cfg = StreamConfig {
+        snapshot_every: 37,
+        ..Default::default()
+    };
+    for shape in 0..3 {
+        let (a, b) = adversarial_pair(shape, 600);
+        let batch = report::analyze("stream", &a, &b);
+        // Whole side A then whole side B, and lock step one at a time.
+        for chunk in [a.len().max(b.len()), 1] {
+            let straight = stream_pair(&a, &b, cfg, chunk);
+            assert_eq!(
+                straight.comparison.bits(),
+                batch.bits(),
+                "shape {shape}, chunk {chunk}"
+            );
+            for snap in &straight.snapshots {
+                let (pa, pb) = (prefix(&a, snap.seen_a), prefix(&b, snap.seen_b));
+                let on_prefix = report::analyze("prefix", &pa, &pb).metrics;
+                assert_eq!(
+                    snap.running.kappa.to_bits(),
+                    on_prefix.kappa.to_bits(),
+                    "shape {shape}, chunk {chunk}: A {} / B {}",
+                    snap.seen_a,
+                    snap.seen_b
+                );
+            }
+            for cut in [1, 401, 1001] {
+                let resumed = stream_pair_cut(&a, &b, cfg, chunk, cut, |eng| {
+                    IncrementalComparison::resume(ship_json(eng.checkpoint()))
+                });
+                assert_eq!(
+                    resumed.comparison.bits(),
+                    batch.bits(),
+                    "shape {shape}, cut {cut}"
+                );
+                assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
+                for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
+                    assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
+                }
+            }
+        }
+    }
+
+    // The same checkpoint with pair 0's latency delta given a high word
+    // that does not sign-extend its low one: refused, naming the slab.
+    let (a, b) = adversarial_pair(0, 600);
+    let mut eng = IncrementalComparison::new(cfg);
+    eng.push_burst(Side::A, a.observations());
+    eng.push_burst(Side::B, b.observations());
+    let json = serde_json::to_string(&eng.checkpoint()).expect("checkpoint serializes");
+    let at = json.find("\"all_pairs\":[").expect("a pair slab") + "\"all_pairs\":[".len();
+    let end = at + json[at..].find(']').expect("slab ends");
+    let mut bytes: Vec<String> = json[at..end].split(',').map(String::from).collect();
+    bytes[8..16].clone_from_slice(&["1", "0", "0", "0", "0", "0", "0", "0"].map(String::from));
+    let edited = format!("{}{}{}", &json[..at], bytes.join(","), &json[end..]);
+    let ck: StreamCheckpoint = serde_json::from_str(&edited).expect("still a checkpoint");
+    match IncrementalComparison::try_resume(ck) {
+        Err(e) => {
+            let said = e.to_string();
+            assert!(
+                said.contains("section `all_pairs`") && said.contains("outside i64"),
+                "{said}"
+            );
+        }
+        Ok(_) => panic!("resumed a latency delta outside i64"),
+    }
 }
 
 /// Set in a child this binary starts to run one test by itself.
