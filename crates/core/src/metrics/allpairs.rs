@@ -228,18 +228,28 @@ fn probe(
 /// searches the whole trial instead.
 const GALLOP_REACH: usize = 64;
 
-/// Position of `id` among `obs`, whose identities strictly increase:
-/// steps of 1, 2, 4, … outward from `hint` bracket it, and a binary
-/// search inside the bracket settles it. A target `d` positions from the
-/// hint costs O(log d) compares: O(1) for the next packet of a replay
-/// that kept its order or for the previous one of a reversed replay.
-/// Past [`GALLOP_REACH`] the bracket becomes the whole trial, so a packet
-/// from anywhere costs one binary search of it, whose first probes are
-/// the same for every search and stay in cache.
-fn gallop(obs: &[Observation], id: PacketId, hint: usize) -> Option<usize> {
-    let h = hint.min(obs.len().checked_sub(1)?);
-    let (lo, hi) = match obs[h].id.cmp(&id) {
-        CmpOrdering::Equal => return Some(h),
+/// Position of `id` among `obs`, whose identities (`key` of each)
+/// strictly increase, or `Err` with where it would go: steps of 1, 2, 4,
+/// … outward from `hint` bracket it, and a binary search inside the
+/// bracket settles it. A target `d`
+/// positions from the hint costs O(log d) compares: O(1) for the next
+/// packet of a replay that kept its order or for the previous one of a
+/// reversed replay. Past [`GALLOP_REACH`] the bracket becomes the whole
+/// slice, so a packet from anywhere costs one binary search of it, whose
+/// first probes are the same for every search and stay in cache. The
+/// streaming engine searches its increasing pending runs with it too.
+pub(super) fn gallop<T>(
+    obs: &[T],
+    key: impl Fn(&T) -> PacketId,
+    id: PacketId,
+    hint: usize,
+) -> Result<usize, usize> {
+    let Some(last) = obs.len().checked_sub(1) else {
+        return Err(0);
+    };
+    let h = hint.min(last);
+    let (lo, hi) = match key(&obs[h]).cmp(&id) {
+        CmpOrdering::Equal => return Ok(h),
         // Right of `h`; everything below `lo` is smaller than `id`.
         CmpOrdering::Less => {
             let (mut lo, mut step) = (h + 1, 1);
@@ -248,7 +258,7 @@ fn gallop(obs: &[Observation], id: PacketId, hint: usize) -> Option<usize> {
                 if at >= obs.len() {
                     break (lo, obs.len());
                 }
-                if obs[at].id >= id {
+                if key(&obs[at]) >= id {
                     break (lo, at + 1);
                 }
                 if step == GALLOP_REACH {
@@ -266,7 +276,7 @@ fn gallop(obs: &[Observation], id: PacketId, hint: usize) -> Option<usize> {
                     break (0, hi);
                 }
                 let at = h - step;
-                if obs[at].id <= id {
+                if key(&obs[at]) <= id {
                     break (at, hi);
                 }
                 if step == GALLOP_REACH {
@@ -277,10 +287,10 @@ fn gallop(obs: &[Observation], id: PacketId, hint: usize) -> Option<usize> {
             }
         }
     };
-    obs[lo..hi]
-        .binary_search_by(|o| o.id.cmp(&id))
-        .ok()
-        .map(|i| lo + i)
+    match obs[lo..hi].binary_search_by(|o| key(o).cmp(&id)) {
+        Ok(i) => Ok(lo + i),
+        Err(i) => Err(lo + i),
+    }
 }
 
 impl IdentityTable {
@@ -447,7 +457,11 @@ impl<'t> TrialIndex<'t> {
     pub(crate) fn occurrence(&self, id: PacketId, k: u32, hint: usize) -> Option<usize> {
         let obs = self.trial.observations();
         let Some(t) = &self.table else {
-            return if k == 0 { gallop(obs, id, hint) } else { None };
+            return if k == 0 {
+                gallop(obs, |o| o.id, id, hint).ok()
+            } else {
+                None
+            };
         };
         let g = t.find(obs, id)? as usize;
         let starts = t.group_start(obs.len());

@@ -32,9 +32,10 @@
 //!
 //! So the engine keeps only what a stream alone can know: per-side
 //! cursors, the pending occurrences of each unmatched identity (all on
-//! the one side it is waiting on: the oldest inline, a duplicate's later
-//! ones out of line), the matched pairs, the two `u128` sums and the
-//! snapshot trail. An unmatched observation stays resident until its
+//! the one side it is waiting on: the oldest in that side's run while
+//! its identities arrive increasing, else in a map, and a duplicate's
+//! later ones out of line), the matched pairs, the two `u128` sums and
+//! the snapshot trail. An unmatched observation stays resident until its
 //! counterpart arrives or the stream ends; nothing is evicted. Residency
 //! therefore follows the skew between the two feeds plus the packets one
 //! side lost, not the stream length (measured at paper scale in
@@ -66,7 +67,7 @@
 //! pairs in another order than the live one did (nothing it serves reads
 //! that order), so its own checkpoint bytes may differ.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::io::{Read, Write};
@@ -77,7 +78,7 @@ use serde::{Deserialize, Serialize};
 use crate::obs;
 use choir_packet::ident::PacketId;
 
-use super::allpairs::IdHasher;
+use super::allpairs::{gallop, IdHasher};
 use super::iat::normalize_i;
 use super::kappa::{kappa_from_components, ConsistencyMetrics, KappaConfig};
 use super::latency::normalize_l;
@@ -437,6 +438,7 @@ fn decode_pending(
                 pos: u32::from_le_bytes(le(b, 16)),
                 side,
                 queued: false,
+                taken: false,
                 t_ps: u64::from_le_bytes(le(b, 24)),
                 gap_ps: i64::from_le_bytes(le(b, 32)),
             },
@@ -596,8 +598,9 @@ impl SideState {
 }
 
 /// An observation waiting for its counterpart on the other side. The
-/// side it is on and whether later occurrences of its identity queue
-/// behind it sit in the padding after `pos`: 24 bytes.
+/// side it is on, whether later occurrences of its identity queue
+/// behind it and whether a run entry has met its counterpart sit in the
+/// padding after `pos`: 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct PendingObs {
     pos: u32,
@@ -605,8 +608,147 @@ struct PendingObs {
     /// The engine's `queued` map holds this identity's later
     /// occurrences. Only the oldest pending occurrence says so.
     queued: bool,
+    /// A [`Run`] entry that has met its counterpart and is no longer
+    /// pending; the run's next compaction drops it. Never set elsewhere.
+    taken: bool,
     t_ps: u64,
     gap_ps: i64,
+}
+
+/// Whether a run or map with room for `capacity` entries, holding
+/// `live`, gives room back: past 4 096 entries and eight times what it
+/// holds. It shrinks to twice `live`, so it grows again only after
+/// `live` has doubled, and shrinks again only after it has quartered: a
+/// feed that keeps a few hundred identities waiting never reallocates in
+/// a loop, and a map that drains rehashes a small fraction of what it
+/// held.
+fn oversized(capacity: usize, live: usize) -> bool {
+    capacity > 4_096 && capacity > 8 * live
+}
+
+/// One side's pending identities while they arrive strictly increasing:
+/// the oldest pending occurrence of each, in identity order, where the
+/// other side finds it by [`gallop`] from `hint`, with no hash and no
+/// table. It is the batch index's increasing layout (`TrialIndex`),
+/// chosen online. Every side of a replay that kept its order, and the
+/// side fed first of a whole-side feed, keeps its run. The first entry
+/// of a side that is not above its run's last moves the run into the
+/// engine's map, and the side stays hashed from then on.
+#[derive(Debug, Default)]
+struct Run {
+    /// Identities strictly increasing, matched ones marked `taken`.
+    entries: Vec<(PacketId, PendingObs)>,
+    /// Where the other side's last search landed: the next identity of a
+    /// replay that kept its order is one step on, a reversed one's one
+    /// step back.
+    hint: usize,
+    /// Entries marked `taken`; once they outnumber the live ones,
+    /// [`Run::compact`] drops them.
+    taken: usize,
+    /// The side's identities stopped increasing: its pending ones are in
+    /// the map, and `entries` stays empty.
+    hashed: bool,
+}
+
+impl Run {
+    /// Where the live entry of `id` is, if the run holds one. The search
+    /// starts at the last one's place, and moves the hint to where it
+    /// lands, found or not.
+    fn find(&mut self, id: PacketId) -> Option<usize> {
+        let found = gallop(&self.entries, |e| e.0, id, self.hint);
+        let (Ok(i) | Err(i)) = found;
+        self.hint = i;
+        found.ok().filter(|&i| !self.entries[i].1.taken)
+    }
+
+    /// Mark entry `i` matched, and compact the run once taken entries
+    /// outnumber live ones.
+    fn take(&mut self, i: usize) {
+        self.entries[i].1.taken = true;
+        self.taken += 1;
+        if 2 * self.taken > self.entries.len() {
+            self.compact();
+        }
+    }
+
+    /// Drop the taken entries, in order; the hint follows its entry to
+    /// where the live ones before it end. A run that drained gives back
+    /// room ([`oversized`]).
+    fn compact(&mut self) {
+        let (hint, mut at, mut before) = (self.hint, 0, 0);
+        self.entries.retain(|(_, o)| {
+            before += usize::from(!o.taken && at < hint);
+            at += 1;
+            !o.taken
+        });
+        self.hint = before;
+        self.taken = 0;
+        let live = self.entries.len();
+        if oversized(self.entries.capacity(), live) {
+            self.entries.shrink_to(2 * live);
+        }
+    }
+}
+
+/// Hand over `head`, the oldest pending occurrence of `id`, and put the
+/// next one queued behind it in its place.
+fn promote(
+    queued: &mut IdMap<VecDeque<PendingObs>>,
+    id: PacketId,
+    head: &mut PendingObs,
+) -> PendingObs {
+    let rest = queued.get_mut(&id).expect("a queued head has a queue");
+    let mut next = rest.pop_front().expect("a queue is never empty");
+    next.queued = !rest.is_empty();
+    if !next.queued {
+        queued.remove(&id);
+    }
+    std::mem::replace(head, next)
+}
+
+/// Hand over the map's `head`, the oldest pending occurrence of its
+/// identity: the next one queued behind it takes its place, or the entry
+/// goes.
+fn hand_over(
+    queued: &mut IdMap<VecDeque<PendingObs>>,
+    mut head: OccupiedEntry<'_, PacketId, PendingObs>,
+) -> PendingObs {
+    if head.get().queued {
+        let id = *head.key();
+        promote(queued, id, head.get_mut())
+    } else {
+        head.remove()
+    }
+}
+
+/// `me` waits in the map, at its identity's `entry`: as the oldest
+/// pending occurrence, or queued behind it.
+fn wait_in_map(
+    queued: &mut IdMap<VecDeque<PendingObs>>,
+    entry: Entry<'_, PacketId, PendingObs>,
+    me: PendingObs,
+) {
+    match entry {
+        Entry::Vacant(v) => {
+            v.insert(me);
+            count_hashed(1);
+        }
+        Entry::Occupied(mut head) => {
+            let id = *head.key();
+            enqueue(queued, id, head.get_mut(), me)
+        }
+    }
+}
+
+/// Queue `later` behind `head`, the oldest pending occurrence of `id`.
+fn enqueue(
+    queued: &mut IdMap<VecDeque<PendingObs>>,
+    id: PacketId,
+    head: &mut PendingObs,
+    later: PendingObs,
+) {
+    head.queued = true;
+    queued.entry(id).or_default().push_back(later);
 }
 
 /// The engine's per-identity maps hash with `hash_id`, the batch index's
@@ -636,7 +778,8 @@ struct PairRec {
 }
 
 const _: () = assert!(std::mem::size_of::<PairRec>() == 24);
-const _: () = assert!(std::mem::size_of::<(PacketId, PendingObs)>() <= 48);
+const _: () = assert!(std::mem::size_of::<PendingObs>() == 24);
+const _: () = assert!(std::mem::size_of::<(PacketId, PendingObs)>() == 40);
 
 /// True when a run of matched pairs, taken as recorded (match order), is
 /// strictly increasing in both coordinates. B order is then the order
@@ -697,16 +840,21 @@ fn matching_in_b_order(pairs: &mut [PairRec], sides: &[SideState; 2]) -> Matchin
 pub struct IncrementalComparison {
     cfg: StreamConfig,
     sides: [SideState; 2],
-    /// The oldest pending occurrence of each unmatched identity. Every
-    /// pending occurrence of one identity is on one side: an occurrence
-    /// on the other side matches the oldest instead of queueing. The
-    /// oldest is held inline, so an identity waiting alone — nearly every
-    /// one in a lock-step feed — allocates nothing (a heap queue per
-    /// identity was three fifths of a rebuild's time), and an entry is
-    /// 40 bytes with its key where a queue inline made it 80.
+    /// Each side's run: the oldest pending occurrence of each of its
+    /// unmatched identities while they arrive increasing.
+    runs: [Run; 2],
+    /// The oldest pending occurrence of each unmatched identity of a
+    /// hashed side. Every pending occurrence of one identity is on one
+    /// side, and its oldest is in one place, a run or this map: an
+    /// occurrence on the other side matches the oldest instead of
+    /// queueing. The oldest is held inline, so an identity waiting alone
+    /// — nearly every one in a lock-step feed — allocates nothing (a heap
+    /// queue per identity was three fifths of a rebuild's time), and an
+    /// entry is 40 bytes with its key where a queue inline made it 80.
+    /// Empty, and never probed, while both sides keep their runs.
     pending: IdMap<PendingObs>,
     /// The later pending occurrences of a duplicated identity, oldest
-    /// first; its head in `pending` is marked `queued`.
+    /// first; its head, in a run or `pending`, is marked `queued`.
     queued: IdMap<VecDeque<PendingObs>>,
     resident: usize,
     peak_resident: usize,
@@ -725,12 +873,22 @@ pub struct IncrementalComparison {
     engine_id: u64,
 }
 
+/// Count `n` identities put in an engine's map: the
+/// `stream.pending.hashed` counter, which a feed whose sides keep their
+/// identities increasing leaves at 0.
+fn count_hashed(n: usize) {
+    if obs::is_enabled() {
+        obs::counter_add("stream.pending.hashed", n as u64);
+    }
+}
+
 impl IncrementalComparison {
     /// A fresh engine.
     pub fn new(cfg: StreamConfig) -> Self {
         IncrementalComparison {
             cfg,
             sides: [SideState::default(), SideState::default()],
+            runs: Default::default(),
             pending: IdMap::default(),
             queued: IdMap::default(),
             resident: 0,
@@ -806,10 +964,13 @@ impl IncrementalComparison {
         for p in &self.all_pairs {
             encode_pair(p, &mut all_pairs);
         }
-        let mut ids: Vec<_> = self.pending.iter().collect();
+        let in_runs = (self.runs.iter().flat_map(|r| &r.entries)).filter(|(_, o)| !o.taken);
+        let mut ids: Vec<_> = (self.pending.iter().map(|(&id, o)| (id, o)))
+            .chain(in_runs.map(|(id, o)| (*id, o)))
+            .collect();
         ids.sort_unstable_by_key(|&(id, _)| id);
         let mut pending = Vec::with_capacity(self.resident * PENDING_BYTES);
-        for (&id, head) in ids {
+        for (id, head) in ids {
             encode_pending(id, head, &mut pending);
             if head.queued {
                 for o in &self.queued[&id] {
@@ -839,7 +1000,8 @@ impl IncrementalComparison {
     /// Rebuild a live engine from a [`StreamCheckpoint`]; every
     /// downstream bit is what the uninterrupted run would have produced
     /// (the module-docs contract). The slabs are decoded straight into
-    /// the matched pairs and the pending map.
+    /// the matched pairs and the two sides' runs: the slab holds each
+    /// side's identities increasing.
     ///
     /// # Panics
     ///
@@ -860,15 +1022,13 @@ impl IncrementalComparison {
             ..Default::default()
         };
         let all_pairs = decode_pairs(&ck.all_pairs)?;
-        let mut pending = IdMap::with_capacity_and_hasher(ck.resident(), Default::default());
+        let mut runs: [Run; 2] = Default::default();
         let mut queued = IdMap::<VecDeque<_>>::default();
-        let resident = decode_pending(&ck.pending, |id, o| match pending.entry(id) {
-            Entry::Vacant(v) => {
-                v.insert(o);
-            }
-            Entry::Occupied(mut head) => {
-                head.get_mut().queued = true;
-                queued.entry(id).or_default().push_back(o);
+        let resident = decode_pending(&ck.pending, |id, o| {
+            let run = &mut runs[o.side.index()].entries;
+            match run.last_mut() {
+                Some((last, head)) if *last == id => enqueue(&mut queued, id, head, o),
+                _ => run.push((id, o)),
             }
         })?;
         if obs::is_enabled() {
@@ -877,7 +1037,8 @@ impl IncrementalComparison {
         Ok(IncrementalComparison {
             cfg,
             sides: [ck.side_a, ck.side_b],
-            pending,
+            runs,
+            pending: IdMap::default(),
             queued,
             resident,
             peak_resident: ck.peak_resident as usize,
@@ -1016,33 +1177,27 @@ impl IncrementalComparison {
             pos,
             side,
             queued: false,
+            taken: false,
             t_ps,
             gap_ps,
         };
-        let other = match self.pending.entry(id) {
-            Entry::Vacant(v) => {
-                v.insert(me);
-                None
+        // The k-th occurrence of an identity on one side meets the k-th
+        // on the other — the same occurrence-wise rule as
+        // `Matching::build`, for any interleaving: the oldest goes, and
+        // the next in its queue, if any, takes its place.
+        let (mine, theirs) = (side.index(), 1 - side.index());
+        let other = if self.runs[theirs].hashed && self.runs[mine].hashed {
+            self.meet_in_map(id, me)
+        } else {
+            let found = if self.runs[theirs].hashed {
+                self.take_from_map(id)
+            } else {
+                self.take_from_run(theirs, id)
+            };
+            if found.is_none() {
+                self.wait(mine, id, me);
             }
-            Entry::Occupied(mut head) if head.get().side == side => {
-                head.get_mut().queued = true;
-                self.queued.entry(id).or_default().push_back(me);
-                None
-            }
-            // The k-th occurrence of an identity on one side meets the
-            // k-th on the other — the same occurrence-wise rule as
-            // `Matching::build`, for any interleaving: the oldest goes,
-            // and the next in its queue, if any, takes its place.
-            Entry::Occupied(mut head) if head.get().queued => {
-                let rest = self.queued.get_mut(&id).expect("a queued head has a queue");
-                let mut next = rest.pop_front().expect("a queue is never empty");
-                next.queued = !rest.is_empty();
-                if !next.queued {
-                    self.queued.remove(&id);
-                }
-                Some(std::mem::replace(head.get_mut(), next))
-            }
-            Entry::Occupied(head) => Some(head.remove()),
+            found
         };
         match other {
             None => self.resident += 1,
@@ -1064,12 +1219,119 @@ impl IncrementalComparison {
         }
     }
 
+    /// The oldest pending occurrence of `id` in side `s`'s run, handed
+    /// over.
+    fn take_from_run(&mut self, s: usize, id: PacketId) -> Option<PendingObs> {
+        let run = &mut self.runs[s];
+        let i = run.find(id)?;
+        let head = &mut run.entries[i].1;
+        if head.queued {
+            return Some(promote(&mut self.queued, id, head));
+        }
+        let out = *head;
+        run.take(i);
+        Some(out)
+    }
+
+    /// The oldest pending occurrence of `id` in the map, handed over:
+    /// the other side's, since this side keeps its run.
+    fn take_from_map(&mut self, id: PacketId) -> Option<PendingObs> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        match self.pending.entry(id) {
+            Entry::Occupied(head) => Some(hand_over(&mut self.queued, head)),
+            Entry::Vacant(_) => None,
+        }
+    }
+
+    /// Both sides hashed: one probe of the map matches `me` or makes it
+    /// wait.
+    fn meet_in_map(&mut self, id: PacketId, me: PendingObs) -> Option<PendingObs> {
+        match self.pending.entry(id) {
+            Entry::Occupied(head) if head.get().side != me.side => {
+                Some(hand_over(&mut self.queued, head))
+            }
+            entry => {
+                wait_in_map(&mut self.queued, entry, me);
+                None
+            }
+        }
+    }
+
+    /// `me`, unmatched, waits on side `s`: behind the oldest pending
+    /// occurrence of its identity there, if there is one, else as the
+    /// oldest — at the end of the run if it is above the run's last
+    /// identity, else in the map, where the run moves first.
+    fn wait(&mut self, s: usize, id: PacketId, me: PendingObs) {
+        let run = &mut self.runs[s];
+        if run.hashed {
+            return wait_in_map(&mut self.queued, self.pending.entry(id), me);
+        }
+        if run.entries.last().is_none_or(|&(last, _)| last < id) {
+            run.entries.push((id, me));
+            return;
+        }
+        // Not above the run's last: a later occurrence of an identity
+        // waiting here (searched for from the run's end, where a recent
+        // one is), or the end of the side's increasing identities.
+        let own = gallop(&run.entries, |e| e.0, id, run.entries.len() - 1);
+        if let Some(i) = own.ok().filter(|&i| !run.entries[i].1.taken) {
+            enqueue(&mut self.queued, id, &mut run.entries[i].1, me);
+            return;
+        }
+        self.hash_side(s);
+        let displaced = self.pending.insert(id, me);
+        debug_assert!(
+            displaced.is_none(),
+            "the run search missed a pending occurrence of this identity"
+        );
+        count_hashed(1);
+    }
+
+    /// Move side `s`'s run into the map, for good.
+    fn hash_side(&mut self, s: usize) {
+        let run = std::mem::replace(
+            &mut self.runs[s],
+            Run {
+                hashed: true,
+                ..Run::default()
+            },
+        );
+        let live = run.entries.len() - run.taken;
+        self.pending.reserve(live);
+        (self.pending).extend(run.entries.into_iter().filter(|(_, o)| !o.taken));
+        count_hashed(live);
+    }
+
+    /// Give back the map's room once it has drained ([`oversized`]): at
+    /// the end of a burst, not on every match.
+    fn give_back_map(&mut self) {
+        let live = self.pending.len();
+        if oversized(self.pending.capacity(), live) {
+            self.pending.shrink_to(2 * live);
+        }
+    }
+
     /// Feed a burst of observations from one side (one `Ingest` frame's
-    /// records, a whole trial).
+    /// records, a whole trial). Of its records, at least as many as
+    /// exceed the other side's pending count find no counterpart. When
+    /// the side's run lacks room for them and the burst's identities
+    /// start out increasing, the room is made at once, not by doubling.
     pub fn push_burst(&mut self, side: Side, observations: &[Observation]) {
+        let waiting = self.sides[1 - side.index()].len - self.all_pairs.len();
+        let room = observations.len().saturating_sub(waiting);
+        let run = &mut self.runs[side.index()];
+        if !run.hashed
+            && run.entries.capacity() - run.entries.len() < room
+            && (observations.windows(2).take(63)).all(|w| w[0].id < w[1].id)
+        {
+            run.entries.reserve(room);
+        }
         for o in observations {
             self.push(side, o.id, o.t_ps);
         }
+        self.give_back_map();
     }
 
     fn record_match(&mut self, ap: PendingObs, bp: PendingObs) {

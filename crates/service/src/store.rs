@@ -187,23 +187,28 @@ impl TrialStore {
 
     /// Append observations to a trial, creating it on first touch: to
     /// its log at the accounted end first, over whatever a crash or a
-    /// failed append left there, then to the resident copy (rebuilt from
-    /// the log if evicted). The budget is re-enforced afterwards —
-    /// possibly evicting *other* trials, never the one just appended to.
+    /// failed append left there, then to the resident copy if the whole
+    /// trial is resident. A trial evicted, or resident only in part,
+    /// stays so: the append needs only the log's end, and the records are
+    /// read from the log when the trial is next touched. After an append
+    /// to a resident trial the budget is re-enforced — possibly evicting
+    /// *other* trials, never the one just appended to.
     pub fn append(&mut self, key: &str, recs: &[Observation]) -> Result<(), StoreError> {
-        self.ensure_resident(key)?;
-        let slot = self.slots.get_mut(key).expect("ensured resident");
+        if !self.slots.contains_key(key) {
+            self.adopt(key, 0)?;
+        }
+        let slot = self.slots.get_mut(key).expect("adopted");
         let mut raw = Vec::with_capacity(recs.len() * OBS_BYTES as usize);
         encode_records(&mut raw, recs.iter().copied());
         (self.disk).write_at(&log_path(&self.dir, key), slot.len * OBS_BYTES, &raw)?;
-        slot.obs
-            .as_mut()
-            .expect("ensured resident")
-            .extend_from_slice(recs);
-        slot.len += recs.len() as u64;
         Self::touch(slot, &mut self.clock);
-        self.resident_bytes += recs.len() as u64 * OBS_BYTES;
-        self.enforce_budget(key);
+        let len = slot.len;
+        slot.len += recs.len() as u64;
+        if let Some(whole) = (slot.obs.as_mut()).filter(|o| o.len() as u64 == len) {
+            whole.extend_from_slice(recs);
+            self.resident_bytes += recs.len() as u64 * OBS_BYTES;
+            self.enforce_budget(key);
+        }
         Ok(())
     }
 
@@ -383,10 +388,60 @@ mod tests {
         st.append("t0/a", &a).unwrap();
         st.append("t0/b", &b).unwrap(); // evicts a
         let a2 = obs_seq(9_000, 10);
-        st.append("t0/a", &a2).unwrap(); // reloads a, appends
+        st.append("t0/a", &a2).unwrap(); // appends to a's log; a stays evicted
         let mut want = a.clone();
         want.extend_from_slice(&a2);
+        assert_eq!(st.get("t0/a").unwrap(), &want[..]); // reloads a, all 70
+    }
+
+    #[test]
+    fn an_append_to_an_evicted_or_partly_resident_trial_reads_nothing() {
+        use crate::disk::{Op, ScriptDisk};
+        let disk = Arc::new(ScriptDisk::new());
+        let mut st = TrialStore::open_on(disk.clone(), "d", 80 * OBS_BYTES).unwrap();
+        let (a, b) = (obs_seq(0, 60), obs_seq(500, 60));
+        st.append("t0/a", &a).unwrap();
+        st.append("t0/b", &b).unwrap(); // evicts a
+        assert_eq!(st.stats().evictions, 1);
+        let reads = |calls: &[crate::disk::Call]| {
+            (calls.iter())
+                .filter(|c| matches!(c.op, Op::Read | Op::ReadAt))
+                .count()
+        };
+        let mut want = a.clone();
+        for k in 0..3 {
+            let more = obs_seq(9_000 + 10 * k, 10);
+            let calls = disk.calls().len();
+            st.append("t0/a", &more).unwrap();
+            assert_eq!(reads(&disk.calls()[calls..]), 0, "append {k} read the log");
+            want.extend_from_slice(&more);
+        }
+        let stats = st.stats();
+        assert_eq!((stats.reloads, stats.resident_bytes), (0, 60 * OBS_BYTES));
+        assert_eq!(st.len("t0/a"), 90);
+        // The next read reloads every record, the appended ones included.
         assert_eq!(st.get("t0/a").unwrap(), &want[..]);
+        assert_eq!(st.stats().reloads, 1);
+
+        // Partly resident: `adopt` past a resident copy keeps it, an
+        // append leaves it as it is, and the next read fills in the tail.
+        let c = obs_seq(2_000, 30);
+        st.append("t0/c", &c[..10]).unwrap();
+        disk.write_at(&log_path(Path::new("d"), "t0/c"), 10 * OBS_BYTES, &{
+            let mut raw = Vec::new();
+            encode_records(&mut raw, c[10..20].iter().copied());
+            raw
+        })
+        .unwrap();
+        st.adopt("t0/c", 20).unwrap();
+        let calls = disk.calls().len();
+        st.append("t0/c", &c[20..]).unwrap();
+        assert_eq!(
+            reads(&disk.calls()[calls..]),
+            0,
+            "append to t0/c read the log"
+        );
+        assert_eq!(st.get("t0/c").unwrap(), &c[..]);
     }
 
     #[test]

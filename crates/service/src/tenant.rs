@@ -1113,6 +1113,40 @@ mod tests {
     }
 
     #[test]
+    fn four_streams_fed_round_robin_under_one_and_a_half_streams_of_budget_reload_nothing() {
+        // A baseline and three comparison streams, all opened before any
+        // record, fed 128 records at a time in turn under a budget of one
+        // and a half streams' records: the appends evict, and none
+        // reloads, since an append writes only its log's end and the
+        // engines are fed from the request's records.
+        const N: u64 = 1_024;
+        let streams = ["base", "r1", "r2", "r3"];
+        let fed = |budget: u64| {
+            let disk = Arc::new(ScriptDisk::new());
+            let mut t = Tenant::create(disk, dir(), "t", cfg4(), budget).expect("empty disk");
+            for s in streams {
+                serve(&mut t, open(s));
+            }
+            for seq in (0..N).step_by(128) {
+                for s in streams {
+                    let resp = serve(&mut t, ingest(s, seq, 128));
+                    assert!(matches!(resp, Response::Ingested { .. }), "{resp:?}");
+                }
+            }
+            t
+        };
+        let t = fed(N * 3 / 2 * crate::store::OBS_BYTES);
+        let stats = t.store.stats();
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert_eq!(stats.reloads, 0, "{stats:?}");
+        // What the streams serve is what they serve with a budget nothing
+        // reaches.
+        let all = fed(64 << 20);
+        assert_eq!(all.store.stats().evictions, 0);
+        assert_eq!(served(&t, &streams[1..]), served(&all, &streams[1..]));
+    }
+
+    #[test]
     fn a_ck_whose_engine_lags_its_baseline_recovers_caught_up() {
         let disk = Arc::new(ScriptDisk::new());
         let mut t = Tenant::create(disk.clone(), dir(), "t", cfg4(), 64 << 20).expect("empty disk");

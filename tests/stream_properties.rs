@@ -23,7 +23,7 @@ use choir::metrics::{report, Trial};
 use choir::packet::pcap::{parse_pcap, PCAP_NS_MAGIC};
 use choir::packet::PacketId;
 use choir::testbed::{EnvKind, Experiment, ExperimentConfig};
-use common::arb_trial;
+use common::{arb_trial, baseline, replay, to_trial, Rng, Shape};
 use proptest::prelude::*;
 
 thread_local! {
@@ -314,53 +314,105 @@ fn running_metrics_of_a_stream_that_kept_its_order_allocate_nothing() {
 /// The κ daemon's engine on one `Ingest` frame a side, the serve
 /// fixture's shape: 50 000 records of one replayer's tagged sequence
 /// numbers on side A, then the 49 500 a run that lost every 100th
-/// delivered on side B, at the daemon's snapshot cadence. Pins what the
-/// engine holds on the heap, counted by this thread's allocator: per
-/// observation pending after side A (live, and the most at once on the
-/// way, which a rehash of the pending map sets), and per matched pair
-/// after side B (the pairs, the trail and the pending map, which keeps
-/// its capacity). Measured at 53.9 / 80.7 / 86.4 B on x86-64; an
-/// 80-byte pending entry (a queue inline) or a 48-byte pair (an `i128`
-/// delta) puts them over. `-- --nocapture` prints them.
-#[test]
-fn streaming_engine_heap_per_pending_observation_and_per_matched_pair() {
-    const N: u64 = 50_000;
-    let cfg = StreamConfig {
-        snapshot_every: 512,
-        ..Default::default()
-    };
+/// delivered on side B, at the daemon's snapshot cadence.
+fn serve_fixture() -> (Trial, Trial) {
     let mut a = Trial::new();
     let mut b = Trial::new();
-    for i in 0..N {
+    for i in 0..SERVE_FRAME {
         a.push_tagged(0, 0, i, i * 1_000);
         if i % 100 != 99 {
             b.push_tagged(0, 0, i, i * 1_000 + (i % 7) * 13);
         }
     }
+    (a, b)
+}
+
+/// Records in one side's frame of [`serve_fixture`].
+const SERVE_FRAME: u64 = 50_000;
+
+/// [`serve_fixture`] fed into one engine a whole side at a time, with
+/// the heap it holds counted by this thread's allocator: bytes per
+/// observation pending after side A (live, and the most at once on the
+/// way) and per matched pair after side B.
+fn serve_fixture_heap() -> (f64, f64, f64) {
+    let cfg = StreamConfig {
+        snapshot_every: DAEMON_SNAPSHOT_EVERY,
+        ..Default::default()
+    };
+    let (a, b) = serve_fixture();
     let (mut eng, live, peak) = heap_during(|| {
         let mut eng = IncrementalComparison::new(cfg);
         eng.push_burst(Side::A, a.observations());
         eng
     });
-    assert_eq!(eng.resident(), N as usize);
-    let per_pending = live as f64 / N as f64;
-    let per_pending_peak = peak as f64 / N as f64;
+    assert_eq!(eng.resident(), SERVE_FRAME as usize);
     let ((), grown, _) = heap_during(|| eng.push_burst(Side::B, b.observations()));
     assert_eq!(eng.matched(), b.len());
+    let n = SERVE_FRAME as f64;
     let per_pair = (live + grown) as f64 / eng.matched() as f64;
+    (live as f64 / n, peak as f64 / n, per_pair)
+}
+
+/// Pins what the engine holds on the heap on [`serve_fixture`]: per
+/// pending observation after side A, live and at peak (side A's
+/// increasing identities wait in one run, reserved at once for the
+/// frame, 40 bytes an entry), and per matched pair after side B (the
+/// pairs, the trail, and what the drained run kept). Measured at 40.2 /
+/// 40.3 / 34.7 B on x86-64; a pending map in place of the run (53.9 /
+/// 80.7 B), a run that keeps its room after it drains, or a 48-byte pair
+/// (an `i128` delta) puts them over. `-- --nocapture` prints them.
+#[test]
+fn streaming_engine_heap_per_pending_observation_and_per_matched_pair() {
+    let (per_pending, per_pending_peak, per_pair) = serve_fixture_heap();
     println!(
         "heap per pending observation {per_pending:.1} B (peak {per_pending_peak:.1} B), \
          per matched pair {per_pair:.1} B"
     );
     assert!(
-        per_pending <= 54.0,
+        per_pending <= 41.0,
         "{per_pending:.1} B per pending observation"
     );
     assert!(
-        per_pending_peak <= 81.0,
+        per_pending_peak <= 41.0,
         "{per_pending_peak:.1} B per pending observation at peak"
     );
-    assert!(per_pair <= 87.0, "{per_pair:.1} B per matched pair");
+    assert!(per_pair <= 35.0, "{per_pair:.1} B per matched pair");
+}
+
+/// The item-18 count of the engine's layout: [`serve_fixture`] fed a
+/// whole side at a time, as `choir-ctl ingest-pcap` feeds the daemon,
+/// puts no identity in the engine's hash map (`stream.pending.hashed`
+/// stays 0: both sides keep their increasing runs) and holds at most
+/// 41 B per pending observation. The counter is live: side B reversed
+/// and fed first puts every one of its records there.
+#[test]
+fn a_whole_side_feed_of_increasing_identities_hashes_no_identity() {
+    if !in_a_process_of_its_own("a_whole_side_feed_of_increasing_identities_hashes_no_identity") {
+        return;
+    }
+    const HASHED: &str = "stream.pending.hashed";
+    obs::reset();
+    obs::set_enabled(true);
+    let (per_pending, per_pending_peak, _) = serve_fixture_heap();
+    let hashed = obs::snapshot().counter(HASHED).unwrap_or(0);
+    println!("{hashed} identities hashed, {per_pending:.1} B (peak {per_pending_peak:.1} B) per pending observation");
+    assert_eq!(hashed, 0);
+    assert!(per_pending <= 41.0 && per_pending_peak <= 41.0);
+
+    let (a, b) = serve_fixture();
+    let reversed: Trial = b
+        .observations()
+        .iter()
+        .rev()
+        .map(|o| (o.id, o.t_ps))
+        .collect();
+    let mut eng = IncrementalComparison::new(StreamConfig::default());
+    eng.push_burst(Side::B, reversed.observations());
+    eng.push_burst(Side::A, a.observations());
+    let hashed = obs::snapshot().counter(HASHED).unwrap_or(0);
+    obs::set_enabled(false);
+    assert_eq!(hashed, b.len() as u64);
+    assert_eq!(eng.matched(), b.len());
 }
 
 /// Identities shaped the way `hash_id`'s doc names as hard for a weak
@@ -471,6 +523,220 @@ fn adversarial_identities_stream_bit_identically_through_a_checkpoint() {
         }
         Ok(_) => panic!("resumed a latency delta outside i64"),
     }
+}
+
+/// A feed of a pair: bursts of `(side, lo, hi)`, records `lo..hi` of
+/// that side, in order.
+type Schedule = Vec<(Side, usize, usize)>;
+
+/// Lock step, `chunk` records a side at a time, `first` first.
+fn lock_step(a: usize, b: usize, chunk: usize, first: Side) -> Schedule {
+    let mut out = Schedule::new();
+    for at in (0..a.max(b)).step_by(chunk) {
+        let sides = match first {
+            Side::A => [(Side::A, a), (Side::B, b)],
+            Side::B => [(Side::B, b), (Side::A, a)],
+        };
+        for (side, len) in sides {
+            if at < len {
+                out.push((side, at, (at + chunk).min(len)));
+            }
+        }
+    }
+    out
+}
+
+/// `schedule` fed into one engine; with `cut`, the engine is replaced
+/// after the first `cut` records (a burst split there) by one resumed
+/// from its checkpoint shipped as JSON.
+fn feed_schedule(
+    a: &Trial,
+    b: &Trial,
+    cfg: StreamConfig,
+    schedule: &Schedule,
+    cut: Option<usize>,
+) -> StreamOutcome {
+    let mut eng = IncrementalComparison::new(cfg);
+    let (mut at, mut pending_cut) = (0, cut);
+    for &(side, lo, hi) in schedule {
+        let obs = &[a, b][usize::from(side == Side::B)].observations()[lo..hi];
+        let split = pending_cut.map_or(obs.len(), |k| k.saturating_sub(at).min(obs.len()));
+        eng.push_burst(side, &obs[..split]);
+        if pending_cut == Some(at + split) {
+            eng = IncrementalComparison::resume(ship_json(eng.checkpoint()));
+            pending_cut = None;
+        }
+        eng.push_burst(side, &obs[split..]);
+        at += obs.len();
+    }
+    eng.finalize("stream")
+}
+
+/// The exactness contract on a pair whose sides put the engine's runs
+/// and map through their transitions: fed whole side A then whole side
+/// B, the other way round, and in lock step at 1, 7 and 128 records,
+/// every snapshot's running metrics equal `report::analyze` of the two
+/// prefixes by bits, the final equals it by `bits()`, and so does the
+/// same feed through three `checkpoint` → JSON → `resume` cuts.
+fn assert_split_exact(what: &str, a: &Trial, b: &Trial) {
+    let cfg = StreamConfig {
+        snapshot_every: 5,
+        ..Default::default()
+    };
+    let batch = report::analyze("stream", a, b);
+    let (la, lb) = (a.len(), b.len());
+    let mut schedules = vec![
+        ("whole A, then B", vec![(Side::A, 0, la), (Side::B, 0, lb)]),
+        ("whole B, then A", vec![(Side::B, 0, lb), (Side::A, 0, la)]),
+    ];
+    for chunk in [1, 7, 128] {
+        schedules.push(("lock step", lock_step(la, lb, chunk, Side::A)));
+    }
+    for (k, (feed, schedule)) in schedules.iter().enumerate() {
+        let at = format!("{what}: {feed} (schedule {k})");
+        let straight = feed_schedule(a, b, cfg, schedule, None);
+        assert_eq!(straight.comparison.bits(), batch.bits(), "{at}");
+        for snap in &straight.snapshots {
+            let (pa, pb) = (prefix(a, snap.seen_a), prefix(b, snap.seen_b));
+            let m = report::analyze("prefix", &pa, &pb).metrics;
+            let r = snap.running;
+            assert_eq!(
+                [r.kappa, r.u, r.o, r.l, r.i].map(f64::to_bits),
+                [m.kappa, m.u, m.o, m.l, m.i].map(f64::to_bits),
+                "{at}: A {} / B {}",
+                snap.seen_a,
+                snap.seen_b
+            );
+        }
+        let n = la + lb;
+        for cut in [n / 5, n / 2, n - n / 7] {
+            let resumed = feed_schedule(a, b, cfg, schedule, Some(cut));
+            assert_eq!(resumed.comparison.bits(), batch.bits(), "{at}, cut {cut}");
+            assert_eq!(
+                resumed.peak_resident, straight.peak_resident,
+                "{at}, cut {cut}"
+            );
+            assert_eq!(resumed.snapshots.len(), straight.snapshots.len());
+            for (x, y) in resumed.snapshots.iter().zip(&straight.snapshots) {
+                assert_eq!(
+                    (x.seen_a, x.seen_b, x.common, x.resident),
+                    (y.seen_a, y.seen_b, y.common, y.resident),
+                    "{at}, cut {cut}"
+                );
+                assert_eq!(x.running.kappa.to_bits(), y.running.kappa.to_bits());
+            }
+        }
+    }
+}
+
+/// A trial of tagged sequence numbers `seqs`, 1 µs apart with a little
+/// jitter.
+fn seq_trial(seqs: impl IntoIterator<Item = u64>) -> Trial {
+    let mut t = Trial::new();
+    for (k, seq) in seqs.into_iter().enumerate() {
+        let k = k as u64;
+        t.push_tagged(0, 0, seq, k * 1_000 + (k * 7 % 11) * 13);
+    }
+    t
+}
+
+#[test]
+fn a_side_that_turns_hashed_mid_burst_streams_exactly() {
+    // Each side increases for 120 records, then jumps ahead to 500 and
+    // comes back: the record after the jump is below its run's last, and
+    // its side's run moves into the map in the middle of a burst, with
+    // identities still waiting in it. B lost every 9th record and swaps
+    // an adjacent pair every 17th after the jump, so B turns hashed too
+    // whenever it is ahead.
+    let side = |lost: bool| {
+        let mut seqs: Vec<u64> = (0..120).chain([500]).chain(120..240).collect();
+        if lost {
+            seqs.retain(|s| s % 9 != 4);
+            for k in (70..seqs.len() - 1).step_by(17) {
+                seqs.swap(k, k + 1);
+            }
+        }
+        seq_trial(seqs)
+    };
+    assert_split_exact("hashed mid-burst", &side(false), &side(true));
+}
+
+#[test]
+fn a_duplicate_whose_oldest_occurrence_waits_in_a_run_streams_exactly() {
+    // Side A increases but repeats 50 at record 120 (its oldest
+    // occurrence waits in A's run unless B took it) and ends on 199 twice
+    // (the run's last identity again). B holds 50 twice and 199 once, and
+    // 130 three times where A has it once.
+    let a = seq_trial((0..120).chain([50]).chain(120..200).chain([199]));
+    let b = seq_trial(
+        (0..130)
+            .chain([130, 130, 130, 50])
+            .chain(131..200)
+            .filter(|s| s % 13 != 6),
+    );
+    assert_split_exact("duplicate in a run", &a, &b);
+    assert_split_exact("duplicate in a run, sides swapped", &b, &a);
+}
+
+#[test]
+fn an_identity_that_arrives_again_after_its_run_entry_was_taken_streams_exactly() {
+    // 10, 20 and 30 are matched early from an increasing run; each then
+    // arrives again on one side or both: a taken entry neither matches
+    // again nor stands for a pending occurrence of its own side.
+    let a = seq_trial((0..200).chain([10, 20]));
+    let b = seq_trial([10, 10].into_iter().chain(0..200).chain([30, 20, 30]));
+    assert_split_exact("again after taken", &a, &b);
+    assert_split_exact("again after taken, sides swapped", &b, &a);
+}
+
+#[test]
+fn a_run_compacting_exactly_at_its_threshold_streams_exactly() {
+    // A run of 100 compacts when its 51st entry is taken. Side B takes 49
+    // to 52 of A's identities in order, then asks for ones behind the
+    // hint, ahead of it and past the run's end, and the rest reversed.
+    for taken in 49..=52u64 {
+        let a = seq_trial(0..100);
+        let b = seq_trial(
+            (0..taken)
+                .chain([99, taken + 10, 1_000, taken])
+                .chain((taken + 1..99).rev().filter(|&s| s != taken + 10)),
+        );
+        assert_split_exact(&format!("compaction after {taken}"), &a, &b);
+    }
+}
+
+#[test]
+fn reversed_block_swapped_and_random_identity_b_sides_stream_exactly() {
+    // An increasing A against B sides that break its order every way a
+    // run can see: reversed, 8-record block swaps, a random order; and
+    // random identities on both sides.
+    let base = baseline(240, &mut Rng(5));
+    let a = to_trial(&base);
+    let mut rng = Rng(11);
+    for (what, shape) in [
+        ("reversed", Shape::Reversed),
+        ("block-swapped", Shape::BlockSwap(8)),
+        ("dropped and extra", Shape::Extras),
+    ] {
+        let b = to_trial(&replay(&base, shape, &mut rng));
+        assert_split_exact(what, &a, &b);
+    }
+    let mut order: Vec<usize> = (0..base.len()).filter(|k| k % 10 != 3).collect();
+    for k in (1..order.len()).rev() {
+        order.swap(k, rng.below(k as u64 + 1) as usize);
+    }
+    let b = seq_trial(order.iter().map(|&k| base[k].0));
+    assert_split_exact("random order", &a, &b);
+    let ids: Vec<PacketId> = (0..240)
+        .map(|_| PacketId::from_u128((rng.next() as u128) << 64 | rng.next() as u128))
+        .collect();
+    let a: Trial = (ids.iter().enumerate())
+        .map(|(k, &id)| (id, k as u64 * 1_000))
+        .collect();
+    let b: Trial = (order.iter().enumerate())
+        .map(|(k, &i)| (ids[i], k as u64 * 1_000 + 17))
+        .collect();
+    assert_split_exact("random identities", &a, &b);
 }
 
 /// Set in a child this binary starts to run one test by itself.
