@@ -42,6 +42,7 @@
 //!    ([`EngineStats::peak_workers`] observes this).
 //! 3. A [`TrialIndex`] is immutable after construction; pairs only read.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -632,7 +633,10 @@ pub fn all_pairs_serial(trials: &[Trial]) -> KappaMatrix {
 }
 
 /// Sharded all-pairs analysis, without the engine statistics.
-pub fn all_pairs_sharded(trials: &[Trial], shards: usize) -> Result<KappaMatrix, IndexError> {
+pub fn all_pairs_sharded<T: Borrow<Trial>>(
+    trials: &[T],
+    shards: usize,
+) -> Result<KappaMatrix, IndexError> {
     Ok(all_pairs_sharded_with(trials, shards, &KappaConfig::paper())?.0)
 }
 
@@ -640,16 +644,24 @@ pub fn all_pairs_sharded(trials: &[Trial], shards: usize) -> Result<KappaMatrix,
 /// bounded pool of at most `shards` workers steal pairs, in row-major
 /// `(i, j), i < j` order, from a shared cursor. Each cell's arithmetic is
 /// independent and cells land at their row-major offsets, so the output
-/// is bit-identical to [`all_pairs_serial`] for any `shards ≥ 1`.
+/// is bit-identical to [`all_pairs_serial`] for any `shards ≥ 1`. The
+/// trials are borrowed where they lie: owned (`&[Trial]`) or each behind
+/// its own reference (`&[&Trial]`, a store's resident trials).
 ///
 /// The third argument selects nothing ([`KappaConfig`] has one value); it
 /// is kept because the frozen benchmark harness passes it, and it leaves
 /// with ROADMAP item 1(c).
-pub fn all_pairs_sharded_with(
-    trials: &[Trial],
+pub fn all_pairs_sharded_with<T: Borrow<Trial>>(
+    trials: &[T],
     shards: usize,
     _kappa: &KappaConfig,
 ) -> Result<(KappaMatrix, EngineStats), IndexError> {
+    // One body for every `T`, compiled once, in this crate.
+    let trials: Vec<&Trial> = trials.iter().map(Borrow::borrow).collect();
+    sharded(&trials, shards)
+}
+
+fn sharded(trials: &[&Trial], shards: usize) -> Result<(KappaMatrix, EngineStats), IndexError> {
     let n = trials.len();
     let labels: Vec<String> = (0..n).map(trial_label).collect();
     let pairs: Vec<(usize, usize)> = (0..n)
@@ -1224,7 +1236,7 @@ mod tests {
     #[test]
     fn degenerate_matrices() {
         // Zero or one trial: no pairs, no summary, no panic.
-        let none = all_pairs_sharded(&[], 4).unwrap();
+        let none = all_pairs_sharded::<Trial>(&[], 4).unwrap();
         assert_eq!(none.pairs(), 0);
         assert!(none.summary().is_none());
         let one = all_pairs_sharded(&[Trial::new()], 4).unwrap();

@@ -1968,6 +1968,66 @@ mod tests {
         }
     }
 
+    /// Feed `(side, identity)` pushes one at a time, and check every run
+    /// compaction: the search that took the entry left the hint on it, and
+    /// after the compaction the hint indexes the first live entry at or
+    /// after that one, or the run's end if none is left. Returns how many
+    /// compactions there were.
+    fn hint_follows_its_entry_across_compactions(pushes: &[(Side, u64)]) -> usize {
+        let mut eng = IncrementalComparison::new(StreamConfig::default());
+        let mut compactions = 0;
+        for (k, &(side, i)) in pushes.iter().enumerate() {
+            let (id, run) = (PacketId::from_u128(i.into()), &eng.runs[1 - side.index()]);
+            // Only a push that takes the entry past half the run compacts.
+            let before: Option<Vec<(PacketId, bool)>> = (2 * (run.taken + 1) > run.entries.len())
+                .then(|| run.entries.iter().map(|(id, o)| (*id, o.taken)).collect());
+            eng.push(side, id, k as u64 * 1_000);
+            let run = &eng.runs[1 - side.index()];
+            assert!(!run.hashed, "push {k}: the feed's identities increase");
+            let Some(before) = before.filter(|b| run.entries.len() < b.len()) else {
+                continue;
+            };
+            compactions += 1;
+            let at = (before.iter()).position(|e| e.0 == id).expect("taken here");
+            let next = (before[at + 1..].iter()).find(|e| !e.1).map(|e| e.0);
+            let want = next.map_or(run.entries.len(), |next| {
+                (run.entries.iter())
+                    .position(|e| e.0 == next)
+                    .expect("kept")
+            });
+            assert_eq!(run.hint, want, "push {k}: compaction after taking {i}");
+        }
+        compactions
+    }
+
+    #[test]
+    fn a_runs_hint_follows_its_entry_across_every_compaction() {
+        const N: u64 = 4_096;
+        let side = |side: Side, ids: &mut dyn Iterator<Item = u64>| -> Vec<(Side, u64)> {
+            ids.map(|i| (side, i)).collect()
+        };
+        let whole = [side(Side::A, &mut (0..N)), side(Side::B, &mut (0..N))].concat();
+        let lock_step: Vec<(Side, u64)> = (0..N / 128)
+            .flat_map(|c| {
+                let ids = c * 128..(c + 1) * 128;
+                [
+                    side(Side::A, &mut ids.clone()),
+                    side(Side::B, &mut ids.clone()),
+                ]
+                .concat()
+            })
+            .collect();
+        let reversed = [side(Side::A, &mut (0..N)), side(Side::B, &mut (0..N).rev())].concat();
+        for (feed, pushes) in [
+            ("whole side", whole),
+            ("128-record lock step", lock_step),
+            ("reversed", reversed),
+        ] {
+            let compactions = hint_follows_its_entry_across_compactions(&pushes);
+            assert!(compactions > 0, "{feed}: no run compacted");
+        }
+    }
+
     #[test]
     fn rebuild_refuses_records_that_changed_under_the_cursor() {
         // One stamp moved by 1 ps, on either side, anywhere in the

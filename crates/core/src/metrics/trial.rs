@@ -9,6 +9,7 @@
 use choir_packet::ident::PacketId;
 use choir_packet::pcap::PcapRecord;
 use choir_packet::tag::ChoirTag;
+use serde::{field, Content, DeError, Deserialize, Serialize};
 
 /// Exclusive upper bound on the timestamps the metric kernels take
 /// without overflow: 2^62 ps, about 53 days from the capture epoch. Two
@@ -38,6 +39,29 @@ pub struct Observation {
 // The identity's two `u64` halves keep the record at its 24 payload
 // bytes — the wire, log and checkpoint record size — with no padding.
 const _: () = assert!(std::mem::size_of::<Observation>() == 24);
+
+// In JSON a record is `{"id_hi":…,"id_lo":…,"t_ps":…}` (serde carries at
+// most 64-bit integers), so that a request holding records can derive.
+impl Serialize for Observation {
+    fn to_content(&self) -> Content {
+        let id = self.id.as_u128();
+        let fields = [
+            ("id_hi", (id >> 64) as u64),
+            ("id_lo", id as u64),
+            ("t_ps", self.t_ps),
+        ];
+        Content::Map(fields.map(|(k, v)| (k.to_string(), Content::U64(v))).into())
+    }
+}
+
+impl Deserialize for Observation {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let m = (c.as_map()).ok_or_else(|| DeError::custom("expected an observation map"))?;
+        let [hi, lo, t_ps] = ["id_hi", "id_lo", "t_ps"].map(|k| u64::from_content(field(m, k)?));
+        let id = PacketId::from_u128(u128::from(hi?) << 64 | u128::from(lo?));
+        Ok(Observation { id, t_ps: t_ps? })
+    }
+}
 
 /// A captured sequence of packet arrivals, in arrival order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -197,6 +221,12 @@ impl Trial {
     }
 }
 
+impl Extend<Observation> for Trial {
+    fn extend<T: IntoIterator<Item = Observation>>(&mut self, iter: T) {
+        self.obs.extend(iter);
+    }
+}
+
 impl FromIterator<(PacketId, u64)> for Trial {
     fn from_iter<T: IntoIterator<Item = (PacketId, u64)>>(iter: T) -> Self {
         let mut t = Trial::new();
@@ -350,6 +380,21 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.time(0), 42_000);
         assert!(t.id(0).is_tagged());
+    }
+
+    #[test]
+    fn an_observation_round_trips_through_json_as_two_halves_and_a_stamp() {
+        let o = Observation {
+            id: PacketId::from_u128((0xDEAD_BEEF_u128 << 64) | 0x1234_5678_9ABC_DEF0),
+            t_ps: 77,
+        };
+        let json = serde_json::to_string(&o).unwrap();
+        assert_eq!(
+            json,
+            r#"{"id_hi":3735928559,"id_lo":1311768467463790320,"t_ps":77}"#
+        );
+        assert_eq!(serde_json::from_str::<Observation>(&json).unwrap(), o);
+        assert!(serde_json::from_str::<Observation>(r#"{"id_hi":0,"t_ps":1}"#).is_err());
     }
 
     #[test]

@@ -10,7 +10,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use choir_core::metrics::Observation;
 
 use crate::wire::{
-    recv_response, send_request_with, Request, Response, WireError, WireFinal, WireObs,
+    ingest_frame, recv_response, send_frame, send_request_with, Request, Response, WireError,
+    WireFinal,
 };
 
 /// Observations per `Ingest` frame when the client chunks a large
@@ -76,20 +77,22 @@ impl Client {
     /// One request/response exchange.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         send_request_with(&mut self.writer, req, &mut self.frame)?;
-        let eof = std::io::ErrorKind::UnexpectedEof;
-        let closed = || std::io::Error::new(eof, "daemon closed the connection mid-exchange");
-        Ok(recv_response(&mut self.reader)?.ok_or_else(closed)?)
+        self.response()
     }
 
-    /// One exchange: a refusal is `Daemon`, an answer `want` gives back `Unexpected`.
+    /// One exchange, its answer taken by `want` ([`answer`]).
     fn expect<T, W>(&mut self, req: &Request, want: W) -> Result<T, ClientError>
     where
         W: FnOnce(Response) -> Result<T, Response>,
     {
-        match self.call(req)? {
-            Response::Error { message } => Err(ClientError::Daemon(message)),
-            r => want(r).map_err(|other| ClientError::Unexpected(format!("{other:?}"))),
-        }
+        answer(self.call(req)?, want)
+    }
+
+    /// The daemon's answer to the request just sent.
+    fn response(&mut self) -> Result<Response, ClientError> {
+        let eof = std::io::ErrorKind::UnexpectedEof;
+        let closed = || std::io::Error::new(eof, "daemon closed the connection mid-exchange");
+        Ok(recv_response(&mut self.reader)?.ok_or_else(closed)?)
     }
 
     fn expect_ok(&mut self, req: &Request) -> Result<(), ClientError> {
@@ -128,7 +131,8 @@ impl Client {
     /// Append observations starting at client-side record count `seq`
     /// (the count *before* this batch). Chunks large batches; returns
     /// the stream's total after the last chunk. Resending a batch the
-    /// daemon already has is harmless — overlap is deduplicated.
+    /// daemon already has is harmless — overlap is deduplicated. Each
+    /// chunk is encoded straight into the connection's kept frame.
     pub fn ingest(
         &mut self,
         tenant: &str,
@@ -138,13 +142,9 @@ impl Client {
     ) -> Result<u64, ClientError> {
         let mut total = seq;
         for chunk in records.chunks(INGEST_CHUNK.max(1)) {
-            let req = Request::Ingest {
-                tenant: tenant.into(),
-                stream: stream.into(),
-                seq,
-                records: chunk.iter().map(|&o| WireObs::from(o)).collect(),
-            };
-            total = self.expect(&req, |r| match r {
+            ingest_frame(&mut self.frame, tenant, stream, seq, chunk)?;
+            send_frame(&mut self.writer, &self.frame)?;
+            total = answer(self.response()?, |r| match r {
                 Response::Ingested { total } => Ok(total),
                 other => Err(other),
             })?;
@@ -233,6 +233,18 @@ impl Client {
     /// Checkpoint, then stop the daemon.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.expect_ok(&Request::Shutdown)
+    }
+}
+
+/// What `want` takes from `r`: a refusal is `Daemon`, an answer `want`
+/// gives back `Unexpected`.
+fn answer<T>(
+    r: Response,
+    want: impl FnOnce(Response) -> Result<T, Response>,
+) -> Result<T, ClientError> {
+    match r {
+        Response::Error { message } => Err(ClientError::Daemon(message)),
+        r => want(r).map_err(|other| ClientError::Unexpected(format!("{other:?}"))),
     }
 }
 

@@ -22,13 +22,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use choir_core::metrics::StreamConfig;
+use choir_core::metrics::{Observation, StreamConfig};
 use choir_core::obs;
 
 use crate::disk::{Disk, RealDisk};
 use crate::store::StoreError;
 use crate::tenant::{JournalOp, Tenant};
-use crate::wire::{recv_request, send_json, Request, Response, WireObs};
+use crate::wire::{recv_request, send_json, Request, Response};
 
 /// Daemon construction parameters.
 #[derive(Debug, Clone)]
@@ -194,7 +194,7 @@ impl ServiceState {
         tenant: &str,
         stream: String,
         seq: u64,
-        records: &[WireObs],
+        records: &[Observation],
     ) -> Result<Response, String> {
         let (resp, fresh) = self.tenant(tenant)?.ingest(stream, seq, records)?;
         if fresh > 0 {
@@ -265,16 +265,18 @@ impl ServiceState {
                 budget_bytes,
             } => self.create_tenant(tenant, budget_bytes),
             Request::DropTenant { tenant } => self.drop_tenant(&tenant),
-            Request::OpenStream { tenant, stream } => (self.tenant(&tenant))
-                .and_then(|t| t.mutate(JournalOp::OpenStream { stream }, Vec::new())),
+            Request::OpenStream { tenant, stream } => {
+                (self.tenant(&tenant)).and_then(|t| t.mutate(JournalOp::OpenStream { stream }, &[]))
+            }
             Request::Ingest {
                 tenant,
                 stream,
                 seq,
                 records,
             } => self.ingest(&tenant, stream, seq, &records),
-            Request::FinishStream { tenant, stream } => (self.tenant(&tenant))
-                .and_then(|t| t.mutate(JournalOp::Finish { stream }, Vec::new())),
+            Request::FinishStream { tenant, stream } => {
+                (self.tenant(&tenant)).and_then(|t| t.mutate(JournalOp::Finish { stream }, &[]))
+            }
             Request::Snapshot { tenant, stream } => {
                 self.tenant(&tenant).and_then(|t| t.snapshot(&stream))
             }
@@ -494,6 +496,7 @@ mod tests {
     use std::fs;
 
     use super::*;
+    use choir_packet::PacketId;
 
     #[test]
     fn engine_config_fingerprint_is_pinned_across_commits() {
@@ -509,7 +512,7 @@ mod tests {
     /// loses one packet in 97 and sends as many identities the baseline
     /// never did; a run with 48-record blocks swapped every 4 096
     /// records. Stamps jitter by up to 30 ns.
-    fn paper_streams(n: u64) -> [Vec<WireObs>; 3] {
+    fn paper_streams(n: u64) -> [Vec<Observation>; 3] {
         let mut seed = 0x5EED_u64;
         let mut rnd = move || {
             seed = seed
@@ -517,9 +520,8 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             seed >> 33
         };
-        let obs = |seq: u64, t_ps: u64| WireObs {
-            id_hi: 0xC401,
-            id_lo: seq,
+        let obs = |seq: u64, t_ps: u64| Observation {
+            id: PacketId::from_u128(0xC401 << 64 | u128::from(seq)),
             t_ps,
         };
         let (mut base, mut lossy, mut swapped) = (Vec::new(), Vec::new(), Vec::new());
@@ -597,7 +599,7 @@ mod tests {
             }
             st
         };
-        let feed = |st: &mut ServiceState, batches: &[(&str, u64, &[WireObs])]| {
+        let feed = |st: &mut ServiceState, batches: &[(&str, u64, &[Observation])]| {
             for &(stream, seq, recs) in batches {
                 let (r, _) = st.handle(Request::Ingest {
                     tenant: "t".into(),

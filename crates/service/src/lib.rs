@@ -37,6 +37,8 @@
 pub mod client;
 pub mod daemon;
 pub mod disk;
+#[cfg(test)]
+mod heap_gate;
 pub mod store;
 mod tenant;
 pub mod wire;

@@ -11,7 +11,8 @@
 //! before it returns. The log is journal, spill file and durable trial
 //! state at once: the bytes are written exactly once, *evicting* a
 //! least-recently-used trial just drops its in-memory copy, and a
-//! trial is *rebuilt on demand* from its log when next touched.
+//! trial is *rebuilt on demand* from its log when next touched. Callers
+//! score a resident [`Trial`] where it lies ([`with_trials`]).
 //! Eviction is invisible to every consumer — a reloaded trial is
 //! byte-identical to the evicted one, which the service proptests gate
 //! on.
@@ -29,12 +30,13 @@
 //!
 //! [`append`]: TrialStore::append
 //! [`adopt`]: TrialStore::adopt
+//! [`with_trials`]: TrialStore::with_trials
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use choir_core::metrics::Observation;
+use choir_core::metrics::{Observation, Trial};
 use choir_core::obs;
 use choir_packet::PacketId;
 
@@ -88,10 +90,10 @@ pub struct StoreStats {
 }
 
 struct Slot {
-    /// Resident observations, `None` while evicted. Shorter than `len`
+    /// The resident trial, `None` while evicted. Shorter than `len`
     /// after [`TrialStore::adopt`] extended the trial: the records past
     /// it are read from the log's tail when it is next touched.
-    obs: Option<Vec<Observation>>,
+    obs: Option<Trial>,
     /// Authoritative record count (resident or not); the log holds at
     /// least this many records.
     len: u64,
@@ -205,21 +207,54 @@ impl TrialStore {
         let len = slot.len;
         slot.len += recs.len() as u64;
         if let Some(whole) = (slot.obs.as_mut()).filter(|o| o.len() as u64 == len) {
-            whole.extend_from_slice(recs);
+            whole.extend(recs.iter().copied());
             self.resident_bytes += recs.len() as u64 * OBS_BYTES;
-            self.enforce_budget(key);
+            self.enforce_budget(&[key]);
         }
         Ok(())
     }
 
-    /// Borrow a trial's observations, rebuilding from its log on demand.
-    /// Other trials may be evicted to make room for the reload.
-    pub fn get(&mut self, key: &str) -> Result<&[Observation], StoreError> {
-        self.ensure_resident(key)?;
-        self.enforce_budget(key);
-        let slot = self.slots.get_mut(key).expect("ensured resident");
-        Self::touch(slot, &mut self.clock);
-        Ok(slot.obs.as_deref().expect("ensured resident"))
+    /// Borrow a trial, rebuilding it from its log on demand: the load of
+    /// [`with_trials`](Self::with_trials) with one key. Other trials may
+    /// be evicted to make room for the reload, never this one.
+    pub fn get(&mut self, key: &str) -> Result<&Trial, StoreError> {
+        self.load(&[key]).map_err(|(_, e)| e)?;
+        Ok(self.resident(key))
+    }
+
+    /// Hand the trials of `keys`, in that order, to `f`. Every key is
+    /// loaded first, then the budget is enforced keeping all of them, so
+    /// they may stand over budget together while `f` runs. Once it
+    /// returns the budget holds again, the last key kept as after a
+    /// [`get`](Self::get) of it. A failure names the key it could not read.
+    pub fn with_trials<'k, R>(
+        &mut self,
+        keys: &[&'k str],
+        f: impl FnOnce(&[&Trial]) -> R,
+    ) -> Result<R, (&'k str, StoreError)> {
+        self.load(keys)?;
+        let trials: Vec<&Trial> = keys.iter().map(|k| self.resident(k)).collect();
+        let out = f(&trials);
+        self.enforce_budget(&keys[keys.len().saturating_sub(1)..]);
+        Ok(out)
+    }
+
+    /// Make every key's trial resident, then enforce the budget keeping
+    /// them all (none, if one could not be read).
+    fn load<'k>(&mut self, keys: &[&'k str]) -> Result<(), (&'k str, StoreError)> {
+        let loaded = (keys.iter()).try_for_each(|&k| self.ensure_resident(k).map_err(|e| (k, e)));
+        self.enforce_budget(if loaded.is_ok() { keys } else { &[] });
+        loaded?;
+        for &key in keys {
+            let slot = self.slots.get_mut(key).expect("loaded");
+            Self::touch(slot, &mut self.clock);
+        }
+        Ok(())
+    }
+
+    /// A trial [`load`](Self::load) made resident.
+    fn resident(&self, key: &str) -> &Trial {
+        self.slots[key].obs.as_ref().expect("loaded")
     }
 
     /// Every append is already in its log when it returns; there is
@@ -248,7 +283,7 @@ impl TrialStore {
         }
         let slot = Slot {
             // An empty trial may have no log file at all yet.
-            obs: (count == 0).then(Vec::new),
+            obs: (count == 0).then(Trial::new),
             len: count,
             used: self.clock,
         };
@@ -300,15 +335,15 @@ impl TrialStore {
     }
 
     /// Evict least-recently-used trials until resident bytes fit the
-    /// budget. `keep` (the trial the caller is actively using) is never
+    /// budget. `keep` (the trials the caller is actively using) is never
     /// evicted, so a single over-budget trial stays resident — the
     /// budget bounds everything evictable.
-    fn enforce_budget(&mut self, keep: &str) {
+    fn enforce_budget(&mut self, keep: &[&str]) {
         while self.resident_bytes > self.budget {
             let victim = self
                 .slots
                 .iter_mut()
-                .filter(|(k, s)| s.obs.is_some() && k.as_str() != keep)
+                .filter(|(k, s)| s.obs.is_some() && !keep.contains(&k.as_str()))
                 .min_by_key(|(_, s)| s.used);
             let Some((_, slot)) = victim else { break };
             // The log already holds every record: eviction writes nothing.
@@ -357,7 +392,7 @@ mod tests {
         let a = obs_seq(0, 100);
         st.append("t0/a", &a[..60]).unwrap();
         st.append("t0/a", &a[60..]).unwrap();
-        assert_eq!(st.get("t0/a").unwrap(), &a[..]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &a[..]);
         assert_eq!(st.len("t0/a"), 100);
         assert_eq!(st.stats().resident_bytes, 100 * OBS_BYTES);
         assert_eq!(st.stats().evictions, 0);
@@ -375,8 +410,8 @@ mod tests {
         assert!(s.evictions >= 1, "budget must have forced an eviction");
         assert!(s.resident_bytes <= s.budget_bytes);
         // Reload is byte-identical.
-        assert_eq!(st.get("t0/a").unwrap(), &a[..]);
-        assert_eq!(st.get("t0/b").unwrap(), &b[..]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &a[..]);
+        assert_eq!(st.get("t0/b").unwrap().observations(), &b[..]);
         assert!(st.stats().reloads >= 1);
     }
 
@@ -391,7 +426,7 @@ mod tests {
         st.append("t0/a", &a2).unwrap(); // appends to a's log; a stays evicted
         let mut want = a.clone();
         want.extend_from_slice(&a2);
-        assert_eq!(st.get("t0/a").unwrap(), &want[..]); // reloads a, all 70
+        assert_eq!(st.get("t0/a").unwrap().observations(), &want[..]); // reloads a, all 70
     }
 
     #[test]
@@ -420,7 +455,7 @@ mod tests {
         assert_eq!((stats.reloads, stats.resident_bytes), (0, 60 * OBS_BYTES));
         assert_eq!(st.len("t0/a"), 90);
         // The next read reloads every record, the appended ones included.
-        assert_eq!(st.get("t0/a").unwrap(), &want[..]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &want[..]);
         assert_eq!(st.stats().reloads, 1);
 
         // Partly resident: `adopt` past a resident copy keeps it, an
@@ -441,7 +476,40 @@ mod tests {
             0,
             "append to t0/c read the log"
         );
-        assert_eq!(st.get("t0/c").unwrap(), &c[..]);
+        assert_eq!(st.get("t0/c").unwrap().observations(), &c[..]);
+    }
+
+    #[test]
+    fn trials_lent_together_evict_each_other_only_once_the_borrow_ends() {
+        use crate::disk::{Fault, Op, ScriptDisk};
+        // A budget of one and a half trials: each append evicts the one
+        // before it.
+        let disk = Arc::new(ScriptDisk::new());
+        let mut st = TrialStore::open_on(disk.clone(), "d", 150 * OBS_BYTES).unwrap();
+        let (a, b, c) = (obs_seq(0, 100), obs_seq(1_000, 100), obs_seq(2_000, 100));
+        for (key, recs) in [("t0/a", &a), ("t0/b", &b), ("t0/c", &c)] {
+            st.append(key, recs).unwrap();
+        }
+        assert_eq!(st.stats().evictions, 2);
+        // Lent together, both are whole at once, over budget.
+        let both = st.with_trials(&["t0/a", "t0/b"], |t| {
+            (t[0].observations() == &a[..], t[1].observations() == &b[..])
+        });
+        assert_eq!(both.unwrap(), (true, true));
+        // Then the budget holds again, the last key kept.
+        let stats = st.stats();
+        assert_eq!((stats.resident_bytes, stats.reloads), (100 * OBS_BYTES, 2));
+        assert_eq!(st.get("t0/b").unwrap().observations(), &b[..]);
+        assert_eq!(st.stats().reloads, 2, "`t0/b` stayed resident");
+        // A log that cannot be read is named, and nothing stays over budget.
+        disk.fail(
+            Op::ReadAt,
+            log_path(Path::new("d"), "t0/c"),
+            Fault::Fail(std::io::ErrorKind::Other),
+        );
+        let err = st.with_trials(&["t0/a", "t0/c"], |_| ()).unwrap_err();
+        assert_eq!(err.0, "t0/c");
+        assert!(st.stats().resident_bytes <= 150 * OBS_BYTES);
     }
 
     #[test]
@@ -450,7 +518,7 @@ mod tests {
         let a = obs_seq(0, 100);
         st.append("t0/a", &a).unwrap();
         // Nothing else to evict: the active trial is kept.
-        assert_eq!(st.get("t0/a").unwrap(), &a[..]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &a[..]);
         assert_eq!(st.stats().resident_bytes, 100 * OBS_BYTES);
     }
 
@@ -466,20 +534,20 @@ mod tests {
         // Restart: markers cover 50 records; the log holds 90.
         let mut st = TrialStore::open(&dir, 1 << 20).unwrap();
         st.adopt("t0/a", 50).unwrap();
-        assert_eq!(st.get("t0/a").unwrap(), &a[..50]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &a[..50]);
         // A later marker covers the rest: adopt again, nothing rewritten
         // or read; the next read extends the resident copy from the log's
         // tail instead of reloading it.
         st.adopt("t0/a", 90).unwrap();
         let resident = st.stats().resident_bytes;
         assert_eq!(resident, 50 * OBS_BYTES, "adopt keeps the resident copy");
-        assert_eq!(st.get("t0/a").unwrap(), &a[..]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &a[..]);
         let stats = st.stats();
         assert_eq!((stats.resident_bytes, stats.reloads), (90 * OBS_BYTES, 1));
         // A shorter count drops it; the next read reloads that many.
         st.adopt("t0/a", 70).unwrap();
         assert_eq!(st.stats().resident_bytes, 0, "adopt drops a copy it cuts");
-        assert_eq!(st.get("t0/a").unwrap(), &a[..70]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &a[..70]);
     }
 
     #[test]
@@ -513,7 +581,7 @@ mod tests {
         assert_eq!(raw[..head.len()], head[..]);
         assert_eq!(raw[head.len()..], rest[head.len()..raw.len()]);
         st.adopt("t0/a", 17).unwrap();
-        assert_eq!(st.get("t0/a").unwrap(), &want[..]);
+        assert_eq!(st.get("t0/a").unwrap().observations(), &want[..]);
     }
 
     #[test]

@@ -67,8 +67,8 @@ use std::thread;
 
 use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{
-    all_pairs_sharded, report, IncrementalComparison, KappaSnapshot, Observation, Side,
-    StageTimings, StreamConfig, StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS,
+    all_pairs_sharded, report, IncrementalComparison, KappaSnapshot, Observation, ResumeMismatch,
+    Side, StageTimings, StreamConfig, StreamCursor, Trial, TrialComparison, MAX_TIMESTAMP_PS,
     MAX_TRIAL_LEN,
 };
 use choir_core::obs;
@@ -77,7 +77,7 @@ use serde::{Deserialize, Serialize};
 use crate::daemon::DaemonError;
 use crate::disk::Disk;
 use crate::store::{StoreStats, TrialStore};
-use crate::wire::{Response, WireCell, WireFinal, WireKappa, WireObs, WireTrailPoint};
+use crate::wire::{Response, WireCell, WireFinal, WireKappa, WireTrailPoint};
 
 /// Engine identity for a tenant/stream pair: FNV-1a over the key,
 /// finished with a SplitMix64 step, forced nonzero (0 means "untagged").
@@ -205,7 +205,17 @@ pub(crate) struct Tenant {
 
 /// A stream's records, borrowed from the store; a failure names its log.
 fn records<'s>(store: &'s mut TrialStore, stream: &str) -> Result<&'s [Observation], String> {
-    (store.get(stream)).map_err(|e| format!("reading `{stream}.log`: {e}"))
+    (store.get(stream).map(Trial::observations)).map_err(|e| format!("reading `{stream}.log`: {e}"))
+}
+
+/// `f` over streams' trials, lent together by the store where they lie; a
+/// failure names the log it could not read.
+fn scored<R>(
+    store: &mut TrialStore,
+    streams: &[&str],
+    f: impl FnOnce(&[&Trial]) -> R,
+) -> Result<R, String> {
+    (store.with_trials(streams, f)).map_err(|(stream, e)| format!("reading `{stream}.log`: {e}"))
 }
 
 /// What [`Tenant::read`] reads for an op, from the logs.
@@ -214,8 +224,9 @@ enum Read {
     Nothing,
     /// A comparison `OpenStream`'s engine, fed the baseline so far.
     Engine(Box<IncrementalComparison>),
-    /// A comparison `Finish`'s trials: the baseline's and its own.
-    Trials(Trial, Trial),
+    /// A comparison `Finish`'s final: the baseline's and the stream's
+    /// trials scored where the store holds them.
+    Final(Box<TrialComparison>),
 }
 
 impl Tenant {
@@ -300,21 +311,18 @@ impl Tenant {
         for sck in &ck.streams {
             store.adopt(&sck.name, sck.ingested)?;
         }
-        // The baseline's records, read once for every engine's side A.
-        let (baseline, mut base) = (ck.baseline.as_deref(), Vec::new());
-        if let (Some(b), true) = (baseline, ck.streams.iter().any(|s| s.engine.is_some())) {
-            base = store.get(b)?.to_vec();
-        }
+        let baseline = ck.baseline.as_deref();
         let mut streams = BTreeMap::new();
         for sck in ck.streams {
             // A stream's state must agree with whether `baseline` names it.
             let named = baseline == Some(sck.name.as_str());
-            let stream = match (sck.engine, sck.done, sck.finished) {
-                (None, None, finished) if named => Stream::Baseline { finished },
-                (None, Some(done), true) if !named => Stream::Done(Box::new(done)),
-                (Some(cursor), None, false) if !named => {
+            let stream = match (sck.engine, sck.done, sck.finished, baseline) {
+                (None, None, finished, _) if named => Stream::Baseline { finished },
+                (None, Some(done), true, _) if !named => Stream::Done(Box::new(done)),
+                (Some(cursor), None, false, Some(base)) if !named => {
                     let what = format!("engine `{}`", sck.name);
-                    let (seen_a, seen_b, holds) = (cursor.seen_a(), cursor.seen_b(), base.len());
+                    let (seen_a, seen_b, holds) =
+                        (cursor.seen_a(), cursor.seen_b(), store.len(base) as usize);
                     if seen_a > holds {
                         let e =
                             format!("side A consumed {seen_a} records, its baseline holds {holds}");
@@ -327,14 +335,19 @@ impl Tenant {
                         return Err(bad(&what, &e));
                     }
                     let id = engine_id_for(name, &sck.name);
-                    let b = store.get(&sck.name)?;
-                    let eng = IncrementalComparison::rebuild(cursor, id, &cfg, &base[..seen_a], b);
-                    let mut eng = eng.map_err(|e| bad(&what, &e))?;
-                    // An earlier build's cursor may not cover the baseline.
-                    eng.push_burst(Side::A, &base[seen_a..]);
+                    // The baseline and the stream, lent together.
+                    let rebuilt = store.with_trials(&[base, &sck.name], |t| {
+                        let (base, b) = (t[0].observations(), t[1].observations());
+                        let mut eng =
+                            IncrementalComparison::rebuild(cursor, id, &cfg, &base[..seen_a], b)?;
+                        // An earlier build's cursor may not cover the baseline.
+                        eng.push_burst(Side::A, &base[seen_a..]);
+                        Ok::<_, ResumeMismatch>(eng)
+                    });
+                    let eng = rebuilt.map_err(|(_, e)| e)?.map_err(|e| bad(&what, &e))?;
                     Stream::Live(Box::new(eng))
                 }
-                (engine, done, finished) => {
+                (engine, done, finished, _) => {
                     let (e, d) = (engine.is_some(), done.is_some());
                     let e = format!("engine {e}, summary {d}, finished {finished}, the baseline {named}; no build writes this");
                     return Err(bad(&format!("stream `{}`", sck.name), &e));
@@ -437,12 +450,12 @@ impl Tenant {
     pub(crate) fn mutate(
         &mut self,
         op: JournalOp,
-        fresh: Vec<Observation>,
+        fresh: &[Observation],
     ) -> Result<Response, String> {
         self.check(&op)?;
         let read = self.read(&op)?;
         if let JournalOp::Ingest { stream, .. } = &op {
-            (self.store.append(stream, &fresh)).map_err(|e| e.to_string())?;
+            (self.store.append(stream, fresh)).map_err(|e| e.to_string())?;
         }
         if let Err(e) = self.journal(&op) {
             if let JournalOp::Ingest { stream, seq, .. } = &op {
@@ -451,11 +464,12 @@ impl Tenant {
             }
             return Err(e);
         }
-        Ok(apply(&mut self.streams, op, read, &fresh))
+        Ok(apply(&mut self.streams, op, read, fresh))
     }
 
     /// Everything applying `op` needs, read before its journal line. An
     /// `Ingest` needs nothing: its records are the request's, or its log's.
+    /// A `Finish` is scored here, on the two trials the store holds.
     fn read(&mut self, op: &JournalOp) -> Result<Read, String> {
         let (store, streams) = (&mut self.store, &self.streams);
         let live = |s: &str| matches!(streams.get(s), Some(Stream::Live(_)));
@@ -469,9 +483,12 @@ impl Tenant {
                 Ok(Read::Engine(Box::new(eng)))
             }
             (JournalOp::Finish { stream }, Some((base, _))) if live(stream) => {
-                let base = Trial::from_observations(records(store, base)?);
-                let run = Trial::from_observations(records(store, stream)?);
-                Ok(Read::Trials(base, run))
+                // Its matrix cell, without wall-clock time.
+                let comparison = scored(store, &[base, stream], |t| TrialComparison {
+                    timings: StageTimings::default(),
+                    ..report::analyze(stream, t[0], t[1])
+                })?;
+                Ok(Read::Final(Box::new(comparison)))
             }
             _ => Ok(Read::Nothing),
         }
@@ -484,7 +501,7 @@ impl Tenant {
         &mut self,
         stream: String,
         seq: u64,
-        records: &[WireObs],
+        records: &[Observation],
     ) -> Result<(Response, u64), String> {
         // Idempotent resend: skip records the stream already has.
         let have = self.store.len(&stream);
@@ -514,7 +531,7 @@ impl Tenant {
                 "`{name}/{stream}` holds {have} records; {count} more would pass the {MAX_TRIAL_LEN}-record bound"
             ));
         }
-        let late = |w: &WireObs| w.t_ps >= MAX_TIMESTAMP_PS;
+        let late = |o: &Observation| o.t_ps >= MAX_TIMESTAMP_PS;
         if let Some(i) = records[skip..].iter().position(late) {
             return Err(format!(
                 "record {} of `{name}/{stream}` is stamped {} ps, at or past the {MAX_TIMESTAMP_PS} ps bound",
@@ -522,8 +539,7 @@ impl Tenant {
                 records[skip + i].t_ps
             ));
         }
-        let fresh = records[skip..].iter().map(|&w| w.into()).collect();
-        Ok((self.mutate(marker, fresh)?, count))
+        Ok((self.mutate(marker, &records[skip..])?, count))
     }
 
     /// The refusal `op` gets from the tenant's streams, if any. Every op
@@ -678,9 +694,8 @@ impl Tenant {
                 labels.len()
             ));
         }
-        let read = |s: &String| records(&mut self.store, s).map(Trial::from_observations);
-        let trials = labels.iter().map(read).collect::<Result<Vec<_>, _>>()?;
-        let matrix = all_pairs_sharded(&trials, shards)
+        let keys: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let matrix = scored(&mut self.store, &keys, |t| all_pairs_sharded(t, shards))?
             .map_err(|e| format!("all-pairs analysis failed: {e:?}"))?;
         let n = labels.len() as u64;
         let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
@@ -740,19 +755,14 @@ fn apply(
         JournalOp::Finish { stream } => {
             let s = streams.get_mut(&stream).expect("a stream `check` admitted");
             // The baseline: `check` admits no other stream that is not
-            // live, and `read` gave a live one both trials.
-            let (Stream::Live(eng), Read::Trials(base, run)) = (&*s, read) else {
+            // live, and `read` scored a live one.
+            let (Stream::Live(eng), Read::Final(comparison)) = (&*s, read) else {
                 *s = Stream::Baseline { finished: true };
                 return Response::Finished { summary: None };
             };
-            // Its matrix cell, without wall-clock time.
-            let comparison = TrialComparison {
-                timings: StageTimings::default(),
-                ..report::analyze(&stream, &base, &run)
-            };
-            let summary = Some(WireFinal::from(&comparison));
+            let summary = Some(WireFinal::from(&*comparison));
             *s = Stream::Done(Box::new(FinishedStream {
-                comparison,
+                comparison: *comparison,
                 snapshots: eng.snapshots().to_vec(),
             }));
             obs::counter_inc("service.streams.finished");
@@ -767,6 +777,7 @@ mod tests {
     use std::io;
 
     use crate::disk::{Fault, Op, ScriptDisk};
+    use choir_packet::PacketId;
 
     #[test]
     fn engine_ids_are_nonzero_and_distinct_per_stream() {
@@ -803,16 +814,15 @@ mod tests {
     fn serve(t: &mut Tenant, op: JournalOp) -> Response {
         let resp = match op {
             JournalOp::Ingest { stream, seq, count } => {
-                let records: Vec<WireObs> = (seq..seq + count)
-                    .map(|i| WireObs {
-                        id_hi: 0,
-                        id_lo: i,
+                let records: Vec<Observation> = (seq..seq + count)
+                    .map(|i| Observation {
+                        id: PacketId::from_u128(i.into()),
                         t_ps: i * 1_000,
                     })
                     .collect();
                 t.ingest(stream, seq, &records).map(|(resp, _)| resp)
             }
-            op => t.mutate(op, Vec::new()),
+            op => t.mutate(op, &[]),
         };
         resp.unwrap_or_else(|message| Response::Error { message })
     }
@@ -979,7 +989,7 @@ mod tests {
             for s in ["r1", "r2"] {
                 frames.extend([t.snapshot(s), t.trail(s)]);
             }
-            frames.extend(["r1", "r2"].map(|s| t.mutate(finish(s), Vec::new())));
+            frames.extend(["r1", "r2"].map(|s| t.mutate(finish(s), &[])));
             (frames.into_iter())
                 .map(|r| serde_json::to_string(&r.expect("served")).expect("encodes"))
                 .collect::<Vec<_>>()

@@ -34,7 +34,6 @@
 use std::io::{self, Read, Write};
 
 use choir_core::metrics::{ConsistencyMetrics, KappaSnapshot, Observation, TrialComparison};
-use choir_packet::PacketId;
 use serde::{Deserialize, Serialize};
 
 use crate::store::{decode_records, encode_records, OBS_BYTES};
@@ -137,7 +136,7 @@ fn write_frame_with(
 /// Nagle's algorithm until the peer acknowledges the header, and a peer
 /// that delays its ACK stalls every exchange by its ACK timer (≈ 40 ms
 /// on Linux).
-fn send_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
+pub(crate) fn send_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
     w.write_all(frame)?;
     w.flush()?;
     Ok(())
@@ -212,6 +211,20 @@ pub(crate) fn send_request_with(
     else {
         return send_json(w, req, frame);
     };
+    ingest_frame(frame, tenant, stream, *seq, records)?;
+    send_frame(w, frame)
+}
+
+/// Build an `Ingest` frame in `frame`: the header, then the records
+/// encoded straight from the caller's slice. [`crate::Client::ingest`]
+/// frames each chunk of its batch here, with no `Request` in between.
+pub(crate) fn ingest_frame(
+    frame: &mut Vec<u8>,
+    tenant: &str,
+    stream: &str,
+    seq: u64,
+    records: &[Observation],
+) -> Result<(), WireError> {
     let (Ok(t), Ok(s)) = (u8::try_from(tenant.len()), u8::try_from(stream.len())) else {
         return Err(WireError::Parse("name over 255 bytes".into()));
     };
@@ -225,8 +238,8 @@ pub(crate) fn send_request_with(
     frame.extend_from_slice(stream.as_bytes());
     frame.extend_from_slice(&seq.to_le_bytes());
     frame.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    encode_records(frame, records.iter().map(|&r| r.into()));
-    send_frame(w, frame)
+    encode_records(frame, records.iter().copied());
+    Ok(())
 }
 
 /// Serialize + frame a [`Response`].
@@ -262,7 +275,7 @@ fn decode_ingest(mut b: &[u8]) -> Result<Request, WireError> {
             bytes: b.len(),
         });
     }
-    let records = decode_records(b).map(WireObs::from).collect();
+    let records = decode_records(b).collect();
     Ok(Request::Ingest {
         tenant,
         stream,
@@ -295,36 +308,10 @@ pub fn recv_response(r: &mut impl Read) -> Result<Option<Response>, WireError> {
     read_frame(r)?.map(parse_json).transpose()
 }
 
-/// One observation of an [`Request::Ingest`]: the 128-bit packet identity
-/// split into 64-bit halves plus the picosecond timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireObs {
-    /// High 64 bits of the packet identity.
-    pub id_hi: u64,
-    /// Low 64 bits of the packet identity.
-    pub id_lo: u64,
-    /// Observation timestamp, picoseconds.
-    pub t_ps: u64,
-}
-
-impl From<Observation> for WireObs {
-    fn from(o: Observation) -> Self {
-        WireObs {
-            id_hi: (o.id.as_u128() >> 64) as u64,
-            id_lo: o.id.as_u128() as u64,
-            t_ps: o.t_ps,
-        }
-    }
-}
-
-impl From<WireObs> for Observation {
-    fn from(w: WireObs) -> Self {
-        Observation {
-            id: PacketId::from_u128(((w.id_hi as u128) << 64) | w.id_lo as u128),
-            t_ps: w.t_ps,
-        }
-    }
-}
+/// The record type's name in this protocol's earlier API, kept because
+/// callers outside the workspace name it: an `Ingest` carries
+/// [`Observation`]s, decoded straight from the frame's slab.
+pub type WireObs = Observation;
 
 /// Everything a client can ask the daemon.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -346,7 +333,7 @@ pub enum Request {
         tenant: String,
         stream: String,
         seq: u64,
-        records: Vec<WireObs>,
+        records: Vec<Observation>,
     },
     /// Declare a stream complete; a comparison stream's final is its matrix
     /// cell, scored from its log and the (already finished) baseline's.
@@ -545,6 +532,7 @@ pub enum Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use choir_packet::PacketId;
 
     #[test]
     fn frame_roundtrip_over_a_buffer() {
@@ -569,9 +557,8 @@ mod tests {
                 tenant: "acme".into(),
                 stream: "run-b".into(),
                 seq: 42,
-                records: vec![WireObs {
-                    id_hi: u64::MAX,
-                    id_lo: 7,
+                records: vec![Observation {
+                    id: PacketId::from_u128(u128::from(u64::MAX) << 64 | 7),
                     t_ps: 1_000,
                 }],
             },
@@ -650,9 +637,8 @@ mod tests {
             stream: "run-b".into(),
             seq: 0,
             records: vec![
-                WireObs {
-                    id_hi: 1,
-                    id_lo: 2,
+                Observation {
+                    id: PacketId::from_u128(1 << 64 | 2),
                     t_ps: 3,
                 };
                 128
@@ -691,16 +677,6 @@ mod tests {
             let payload = read_frame(&mut &w.bytes[..]).unwrap().unwrap();
             assert_eq!(payload.len() + 4, w.bytes.len(), "{what}: one whole frame");
         }
-    }
-
-    #[test]
-    fn wire_obs_roundtrips_u128_identity() {
-        let o = Observation {
-            id: PacketId::from_u128((0xDEAD_BEEF_u128 << 64) | 0x1234_5678_9ABC_DEF0),
-            t_ps: 77,
-        };
-        let w = WireObs::from(o);
-        assert_eq!(Observation::from(w), o);
     }
 
     #[test]

@@ -23,7 +23,8 @@ use choir_core::metrics::stream::{read_section, write_section};
 use choir_core::metrics::{Observation, PairAnalyzer, Trial};
 use choir_service::disk::{Disk, Fault, Op, ScriptDisk};
 use choir_service::{
-    Client, Daemon, DaemonConfig, DaemonError, DaemonHandle, Response, WireKappa, OBS_BYTES,
+    Client, Daemon, DaemonConfig, DaemonError, DaemonHandle, Response, StoreError, WireKappa,
+    OBS_BYTES,
 };
 use common::{kappa_bits, served_bits, synth};
 
@@ -721,7 +722,14 @@ fn a_power_cut_after_any_op_recovers_or_refuses_and_serves_only_batch_kappa() {
     let (early, recent) = (Arc::new(ScriptDisk::new()), Arc::new(ScriptDisk::new()));
     let (d_early, mut c_early) = start(&early);
     let (d_recent, mut c_recent) = start(&recent);
-    let (mut recovered, mut refused, mut lost, mut kappas) = (0, 0, 0, 0);
+    let (mut recovered, mut lost, mut kappas) = (0, 0, 0);
+    // Refusals by reason, in the order printed.
+    let mut refused = [
+        ("a marker or `ck` count past its log", 0),
+        ("a journal gap", 0),
+        ("an unreadable `ck`", 0),
+        ("other", 0),
+    ];
     for (k, op) in ops.iter().enumerate() {
         recent.write_back();
         for c in [&mut c_early, &mut c_recent] {
@@ -738,8 +746,15 @@ fn a_power_cut_after_any_op_recovers_or_refuses_and_serves_only_batch_kappa() {
             let img = Arc::new(disk.power_cut(seed ^ ((k as u64) << 8)));
             let d = match spawn(&img, config()) {
                 Ok(d) => d,
-                Err(_) => {
-                    refused += 1;
+                Err(e) => {
+                    let said = e.to_string();
+                    let reason = match e {
+                        DaemonError::Store(StoreError::Corrupt { .. }) => 0,
+                        _ if said.contains(": follows entry ") => 1,
+                        _ if said.contains("`: checkpoint: ") => 2,
+                        _ => 3,
+                    };
+                    refused[reason].1 += 1;
                     continue;
                 }
             };
@@ -752,9 +767,11 @@ fn a_power_cut_after_any_op_recovers_or_refuses_and_serves_only_batch_kappa() {
             d.kill();
         }
     }
+    let tally = refused.map(|(why, n)| format!("{n} {why}")).join(", ");
+    let refused: usize = refused.iter().map(|r| r.1).sum();
     println!(
         "{} power-cut images: {recovered} recovered ({kappas} κ checked against batch), \
-         {refused} refused, {lost} with a stream or the tenant lost",
+         {refused} refused ({tally}), {lost} with a stream or the tenant lost",
         recovered + refused + lost
     );
     assert!(recovered > 0 && kappas > 0, "no image served a κ");

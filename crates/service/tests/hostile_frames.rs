@@ -10,10 +10,12 @@ mod common;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use choir_core::metrics::Observation;
+use choir_packet::PacketId;
 use choir_service::wire::{
     recv_request, recv_response, send_request, INGEST_TAG, MAX_FRAME_BYTES, MAX_JSON_REQUEST_BYTES,
 };
-use choir_service::{Client, Daemon, DaemonConfig, Request, Response, WireError, WireObs};
+use choir_service::{Client, Daemon, DaemonConfig, Request, Response, WireError};
 use common::{lcg, synth, tmp_dir};
 
 fn ingest_frame(records: usize) -> Vec<u8> {
@@ -21,10 +23,7 @@ fn ingest_frame(records: usize) -> Vec<u8> {
         tenant: "acme".into(),
         stream: "r1".into(),
         seq: 41,
-        records: synth(1, 1, records as u64 + 8)[..records]
-            .iter()
-            .map(|&o| WireObs::from(o))
-            .collect(),
+        records: synth(1, 1, records as u64 + 8)[..records].to_vec(),
     };
     let mut frame = Vec::new();
     send_request(&mut frame, &req).expect("encode");
@@ -137,9 +136,8 @@ fn an_oversized_frame_is_refused_before_its_payload_is_read() {
         stream: "r1".into(),
         seq: 0,
         records: vec![
-            WireObs {
-                id_hi: 0,
-                id_lo: 0,
+            Observation {
+                id: PacketId::from_u128(0),
                 t_ps: 0
             };
             700_000

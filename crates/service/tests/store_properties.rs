@@ -90,13 +90,13 @@ proptest! {
         keys.sort();
         for key in &keys {
             let s: usize = key[1..].parse().unwrap();
-            prop_assert_eq!(store.get(key).unwrap(), &reference[s][..]);
+            prop_assert_eq!(store.get(key).unwrap().observations(), &reference[s][..]);
         }
 
         // Bit-identical all-pairs matrix (when there is one to compute).
         if keys.len() >= 2 {
             let stored: Vec<Trial> = (keys.iter())
-                .map(|k| Trial::from_observations(store.get(k).unwrap()))
+                .map(|k| store.get(k).unwrap().clone())
                 .collect();
             let plain: Vec<Trial> = keys
                 .iter()
